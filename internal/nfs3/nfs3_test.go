@@ -347,3 +347,44 @@ func TestWriteCarriesPreOpAttrs(t *testing.T) {
 		t.Errorf("post-op attrs = %+v", r.Wcc.After)
 	}
 }
+
+// An OK READ reply is encoded into a pooled buffer the RPC server
+// releases, byte for byte what Encode gives; an error reply is not
+// pooled.
+func TestServerReadReplyPooled(t *testing.T) {
+	fs := memfs.New()
+	payload := bytes.Repeat([]byte("vmdk"), 2048)
+	if err := fs.WriteFile("/disk", payload); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := fs.Root()
+	fh, _, err := fs.Lookup(root, "disk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := nfs3.NewServer(fs)
+	read := func(fh nfs3.FH) (*sunrpc.Call, *nfs3.ReadRes) {
+		call := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: nfs3.ProcRead,
+			Args: (&nfs3.ReadArgs{FH: fh, Offset: 0, Count: uint32(len(payload))}).Encode()}
+		reply, stat := srv.HandleCall(call)
+		if stat != sunrpc.Success {
+			t.Fatalf("READ: %v", stat)
+		}
+		res, err := nfs3.DecodeReadRes(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.Encode(); !bytes.Equal(reply, want) {
+			t.Errorf("reply is %d bytes, Encode gives %d: not the same encoding", len(reply), len(want))
+		}
+		return call, res
+	}
+	call, res := read(fh)
+	if !call.ReplyPooled || res.Status != nfs3.OK || !bytes.Equal(res.Data, payload) || !res.EOF {
+		t.Errorf("OK read: pooled=%v status=%v eof=%v, %d data bytes", call.ReplyPooled, res.Status, res.EOF, len(res.Data))
+	}
+	call, res = read(nfs3.FH{9, 9, 9, 9, 9, 9, 9, 9})
+	if call.ReplyPooled || res.Status != nfs3.ErrStale {
+		t.Errorf("stale read: pooled=%v status=%v", call.ReplyPooled, res.Status)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync/atomic"
 
+	"gvfs/internal/bufpool"
 	"gvfs/internal/sunrpc"
 	"gvfs/internal/xdr"
 )
@@ -62,7 +63,7 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	case ProcReadlink:
 		return s.readlink(c.Args)
 	case ProcRead:
-		return s.read(c.Args)
+		return s.read(c)
 	case ProcWrite:
 		return s.write(c.Args)
 	case ProcCreate:
@@ -218,19 +219,23 @@ func (s *Server) readlink(args []byte) ([]byte, sunrpc.AcceptStat) {
 	return buf.Bytes(), sunrpc.Success
 }
 
-func (s *Server) read(args []byte) ([]byte, sunrpc.AcceptStat) {
-	a, err := DecodeReadArgs(args)
+// read encodes an OK reply, payload included, into a pooled buffer of
+// the right size that the RPC server releases (Call.ReplyPooled).
+func (s *Server) read(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
+	a, err := DecodeReadArgs(c.Args)
 	if err != nil {
 		return nil, sunrpc.GarbageArgs
 	}
 	data, eof, berr := s.backend.Read(a.FH, a.Offset, a.Count)
 	res := ReadRes{Status: StatusOf(berr), Attr: s.attrOf(a.FH)}
-	if berr == nil {
-		res.Count = uint32(len(data))
-		res.EOF = eof
-		res.Data = data
+	if berr != nil {
+		return res.Encode(), sunrpc.Success
 	}
-	return res.Encode(), sunrpc.Success
+	res.Count = uint32(len(data))
+	res.EOF = eof
+	res.Data = data
+	c.ReplyPooled = true
+	return res.AppendTo(bufpool.Get(ReadResSize(len(data)))[:0]), sunrpc.Success
 }
 
 func (s *Server) write(args []byte) ([]byte, sunrpc.AcceptStat) {

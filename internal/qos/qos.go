@@ -52,7 +52,11 @@ type Config struct {
 	PerClientQueue int
 
 	// Quantum is the deficit-round-robin quantum in cost units
-	// (bytes) added per scheduling visit (default 64 KiB).
+	// (bytes) added per scheduling visit (default 64 KiB). It is also
+	// the granularity of fairness: one visit admits up to a quantum of
+	// a client's backlog before the next client is looked at, so
+	// shares are equal over spans of several quanta, not request by
+	// request.
 	Quantum int
 
 	// RatePerSec is the per-client token-bucket refill rate in cost

@@ -87,11 +87,14 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	r()
 }
 
-// With one execution slot and two backlogged clients, deficit
-// round-robin must alternate admissions strictly — the flooding
-// client's extra queue depth buys it nothing.
+// With one execution slot, two backlogged clients and a quantum of one
+// request's cost, deficit round-robin alternates admissions — the
+// flooding client's extra queue depth buys it nothing, whichever of
+// the two reached the ring first. (Fairness is per quantum of cost:
+// under the default 64 KiB quantum a visit rightly drains thousands of
+// cost-1 requests from one client before moving on.)
 func TestFairShareAlternates(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64})
+	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64, Quantum: 1})
 	defer s.Close()
 	hold, err := s.Admit("seed", 1, time.Time{})
 	if err != nil {
@@ -128,16 +131,18 @@ func TestFairShareAlternates(t *testing.T) {
 	hold()
 	wg.Wait()
 
-	// While both clients had work (first 16 admissions) each must get
-	// exactly half.
-	polite := 0
-	for _, c := range order[:16] {
+	// While both clients had work (first 16 admissions) neither may
+	// ever be more than one admission ahead of the other.
+	lead := 0
+	for i, c := range order[:16] {
 		if c == "polite" {
-			polite++
+			lead++
+		} else {
+			lead--
 		}
-	}
-	if polite != 8 {
-		t.Fatalf("polite got %d of first 16 admissions, want 8 (order %v)", polite, order)
+		if lead < -1 || lead > 1 {
+			t.Fatalf("after %d admissions one client leads by %d, want at most 1 (order %v)", i+1, lead, order)
+		}
 	}
 }
 

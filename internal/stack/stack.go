@@ -80,34 +80,82 @@ func ListenOn(addr string, link *simnet.Link, key []byte) (net.Listener, error) 
 		return nil, err
 	}
 	if key != nil {
-		l = &tunnelListener{Listener: l, key: key}
+		l = newTunnelListener(l, key)
 	}
 	return l, nil
 }
 
+const (
+	// handshakeTimeout bounds a tunnel handshake on an accepted
+	// connection: a failed or stalled one (wrong key, port scan) must
+	// not take the service down.
+	handshakeTimeout = 10 * time.Second
+	// maxHandshakes bounds the handshakes in flight; beyond it new
+	// connections wait in the kernel's accept queue.
+	maxHandshakes = 256
+)
+
 // tunnelListener upgrades accepted connections to tunnel endpoints.
+// Each handshake runs in its own goroutine, so a silent peer delays
+// nobody but itself.
 type tunnelListener struct {
 	net.Listener
-	key []byte
+	key   []byte
+	conns chan net.Conn // handshakes that succeeded
+	done  chan struct{} // closed when the accept loop has exited, after err is set
+	err   error
 }
 
-func (t *tunnelListener) Accept() (net.Conn, error) {
+func newTunnelListener(l net.Listener, key []byte) *tunnelListener {
+	t := &tunnelListener{Listener: l, key: key, conns: make(chan net.Conn), done: make(chan struct{})}
+	go t.acceptLoop()
+	return t
+}
+
+func (t *tunnelListener) acceptLoop() {
+	defer close(t.done)
+	slots := make(chan struct{}, maxHandshakes)
 	for {
 		raw, err := t.Listener.Accept()
 		if err != nil {
-			return nil, err
+			t.err = err
+			return
 		}
-		// A failed or stalled handshake (wrong key, port scan) must
-		// not take the service down: bound it and keep accepting.
-		raw.SetDeadline(time.Now().Add(10 * time.Second))
-		conn, err := tunnel.Server(raw, t.key)
-		if err != nil {
-			raw.Close()
-			continue
-		}
-		raw.SetDeadline(time.Time{})
-		return conn, nil
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots }()
+			raw.SetDeadline(time.Now().Add(handshakeTimeout))
+			conn, err := tunnel.Server(raw, t.key)
+			if err != nil {
+				raw.Close()
+				return
+			}
+			raw.SetDeadline(time.Time{})
+			select {
+			case t.conns <- conn:
+			case <-t.done:
+				raw.Close()
+			}
+		}()
 	}
+}
+
+func (t *tunnelListener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-t.conns:
+		return conn, nil
+	case <-t.done:
+		return nil, t.err
+	}
+}
+
+// Close stops accepting and returns once the accept loop has exited.
+// Handshakes still in flight end within handshakeTimeout and drop
+// their connection.
+func (t *tunnelListener) Close() error {
+	err := t.Listener.Close()
+	<-t.done
+	return err
 }
 
 // Dialer returns a dial function to addr, optionally shaped by link

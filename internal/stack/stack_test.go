@@ -2,6 +2,7 @@ package stack_test
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 
@@ -165,5 +166,64 @@ func TestNodeCleanupRuns(t *testing.T) {
 	node.Close()
 	if !ran {
 		t.Error("cleanup not invoked")
+	}
+}
+
+// A peer that connects and says nothing (a port scan) holds up only its
+// own handshake: a real tunnel client behind it is accepted at once,
+// not after the silent peer's handshake deadline.
+func TestTunnelListenerSilentPeerDoesNotBlockAccept(t *testing.T) {
+	key, err := tunnel.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := stack.ListenOn("127.0.0.1:0", nil, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err == nil {
+			_, err = conn.Write([]byte("hello"))
+		}
+		accepted <- err
+	}()
+	conn, err := stack.Dialer(l.Addr().String(), nil, key)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case err := <-accepted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a silent peer stalled Accept for a real tunnel client")
+	}
+	buf := make([]byte, 5)
+	if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "hello" {
+		t.Fatalf("read %q, %v through the accepted tunnel", buf, err)
+	}
+
+	// Close unblocks Accept with an error and does not wait for the
+	// silent peer's handshake to time out.
+	go func() { _, err := l.Accept(); accepted <- err }()
+	closed := time.Now()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-accepted; err == nil {
+		t.Error("Accept returned a connection after Close")
+	}
+	if d := time.Since(closed); d > time.Second {
+		t.Errorf("Close took %v with a handshake in flight", d)
 	}
 }

@@ -1,14 +1,3 @@
-// Package tunnel provides encrypted, authenticated private data
-// channels between GVFS proxies. It stands in for the SSH tunnels the
-// paper uses to carry inter-proxy RPC traffic across administrative
-// domains: all bytes are AES-256-CTR encrypted and HMAC-SHA256
-// authenticated under a session key distributed by the middleware
-// (the paper's short-lived, per-session credentials).
-//
-// A tunnel endpoint wraps any net.Conn and itself satisfies net.Conn,
-// so the RPC and file-channel layers are oblivious to whether their
-// transport is private — the same transparency property the paper's
-// SSH port forwarding has.
 package tunnel
 
 import (
@@ -29,18 +18,24 @@ import (
 // KeySize is the session key length in bytes (AES-256).
 const KeySize = 32
 
-// maxFrame bounds a single encrypted frame.
-const maxFrame = 1 << 20
+const (
+	maxFrame  = 1 << 20 // bounds the plaintext of a single frame
+	lenSize   = 4
+	tagSize   = 16
+	maxBuf    = lenSize + maxFrame + tagSize
+	minBuf    = 512
+	nonceSize = 16 // handshake nonce, not the GCM one
+)
 
 var (
-	// ErrAuth reports an HMAC verification failure: the peer does not
-	// hold the session key or the stream was tampered with.
+	// ErrAuth reports a frame that failed authentication: the peer does
+	// not hold the session key or the stream was tampered with.
 	ErrAuth = errors.New("tunnel: frame authentication failed")
 	// ErrHandshake reports a malformed or mismatched handshake.
 	ErrHandshake = errors.New("tunnel: handshake failed")
 )
 
-var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '1'}
+var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '2'}
 
 // NewKey generates a random session key. Middleware generates one per
 // file system session and installs it at both proxies.
@@ -52,167 +47,207 @@ func NewKey() ([]byte, error) {
 	return key, nil
 }
 
+// half is one direction of a Conn: its key, frame counter, buffer and
+// sticky error, guarded by mu.
+type half struct {
+	mu    sync.Mutex
+	aead  cipher.AEAD
+	nonce [12]byte // GCM nonce: 4 zero bytes ‖ frame sequence number
+	seq   uint64
+	buf   []byte
+	err   error
+}
+
+// next returns the GCM nonce of the frame about to be sealed or opened.
+// It lives in the half so that passing it to the AEAD does not allocate.
+func (h *half) next() []byte {
+	binary.BigEndian.PutUint64(h.nonce[4:], h.seq)
+	return h.nonce[:]
+}
+
 // Conn is an encrypted channel over an underlying net.Conn.
 type Conn struct {
 	raw net.Conn
-
-	wmu  sync.Mutex
-	wseq uint64
-	enc  cipher.Stream
-	wmac []byte // key for outbound HMAC
-
-	rmu  sync.Mutex
-	rseq uint64
-	dec  cipher.Stream
-	rmac []byte
-	rbuf []byte // decrypted bytes not yet delivered
+	w   half
+	r   half
+	// r.buf[rpos:rend] holds bytes received but not yet opened; plain
+	// is the opened part of the current frame not yet delivered and
+	// aliases r.buf below rpos.
+	rpos, rend int
+	plain      []byte
 }
 
 // Client performs the initiator handshake over raw using the shared
 // session key and returns the encrypted channel.
 func Client(raw net.Conn, key []byte) (*Conn, error) {
-	var clientIV, serverIV [aes.BlockSize]byte
-	if _, err := rand.Read(clientIV[:]); err != nil {
-		return nil, err
-	}
-	hello := append(append([]byte{}, magic[:]...), clientIV[:]...)
-	if _, err := raw.Write(hello); err != nil {
-		return nil, err
-	}
-	resp := make([]byte, len(magic)+aes.BlockSize)
-	if _, err := io.ReadFull(raw, resp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if string(resp[:8]) != string(magic[:]) {
-		return nil, ErrHandshake
-	}
-	copy(serverIV[:], resp[8:])
-	return newConn(raw, key, clientIV, serverIV, true)
+	return handshake(raw, key, true)
 }
 
 // Server performs the responder handshake over raw using the shared
 // session key and returns the encrypted channel.
 func Server(raw net.Conn, key []byte) (*Conn, error) {
-	hello := make([]byte, len(magic)+aes.BlockSize)
-	if _, err := io.ReadFull(raw, hello); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if string(hello[:8]) != string(magic[:]) {
-		return nil, ErrHandshake
-	}
-	var clientIV, serverIV [aes.BlockSize]byte
-	copy(clientIV[:], hello[8:])
-	if _, err := rand.Read(serverIV[:]); err != nil {
-		return nil, err
-	}
-	resp := append(append([]byte{}, magic[:]...), serverIV[:]...)
-	if _, err := raw.Write(resp); err != nil {
-		return nil, err
-	}
-	return newConn(raw, key, clientIV, serverIV, false)
+	return handshake(raw, key, false)
 }
 
-func newConn(raw net.Conn, key []byte, clientIV, serverIV [aes.BlockSize]byte, initiator bool) (*Conn, error) {
+func handshake(raw net.Conn, key []byte, initiator bool) (*Conn, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("tunnel: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
+	var mine, theirs [len(magic) + nonceSize]byte
+	copy(mine[:], magic[:])
+	if _, err := rand.Read(mine[len(magic):]); err != nil {
 		return nil, err
 	}
-	// Directional MAC keys derived from the session key and role.
-	cMAC := deriveMAC(key, "client")
-	sMAC := deriveMAC(key, "server")
-	c := &Conn{raw: raw}
+	// The initiator speaks first; the responder answers only a valid hello.
 	if initiator {
-		c.enc = cipher.NewCTR(block, clientIV[:])
-		c.dec = cipher.NewCTR(block, serverIV[:])
-		c.wmac, c.rmac = cMAC, sMAC
-	} else {
-		c.enc = cipher.NewCTR(block, serverIV[:])
-		c.dec = cipher.NewCTR(block, clientIV[:])
-		c.wmac, c.rmac = sMAC, cMAC
+		if _, err := raw.Write(mine[:]); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := io.ReadFull(raw, theirs[:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	if [len(magic)]byte(theirs[:len(magic)]) != magic {
+		return nil, ErrHandshake
+	}
+	if !initiator {
+		if _, err := raw.Write(mine[:]); err != nil {
+			return nil, err
+		}
+	}
+	send, recv := "client", "server"
+	clientNonce, serverNonce := mine[len(magic):], theirs[len(magic):]
+	if !initiator {
+		send, recv = recv, send
+		clientNonce, serverNonce = serverNonce, clientNonce
+	}
+	c := &Conn{raw: raw}
+	var err error
+	if c.w.aead, err = deriveAEAD(key, send, clientNonce, serverNonce); err != nil {
+		return nil, err
+	}
+	if c.r.aead, err = deriveAEAD(key, recv, clientNonce, serverNonce); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-func deriveMAC(key []byte, dir string) []byte {
+// deriveAEAD returns the AES-256-GCM instance of one direction of one
+// connection.
+func deriveAEAD(key []byte, role string, clientNonce, serverNonce []byte) (cipher.AEAD, error) {
 	h := hmac.New(sha256.New, key)
-	h.Write([]byte("gvfs-tunnel-mac-" + dir))
-	return h.Sum(nil)
+	h.Write([]byte("gvfs-tunnel-aead-" + role))
+	h.Write(clientNonce)
+	h.Write(serverNonce)
+	block, err := aes.NewCipher(h.Sum(nil))
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
 }
 
-// Write encrypts p as one authenticated frame.
+// grown returns buf if it can hold need bytes, else a new buffer that
+// can: double the size, within [minBuf, maxBuf]. Buffers are kept at
+// full length, so len is the capacity.
+func grown(buf []byte, need int) []byte {
+	if need <= len(buf) {
+		return buf
+	}
+	return make([]byte, max(need, min(2*len(buf), maxBuf), minBuf))
+}
+
+// Write seals p as one authenticated frame per maxFrame bytes, each
+// sent with a single write to the underlying connection.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	w := &c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	total := 0
-	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > maxFrame {
-			chunk = chunk[:maxFrame]
+	for len(p) > 0 && w.err == nil {
+		chunk := p[:min(len(p), maxFrame)]
+		w.buf = grown(w.buf, lenSize+len(chunk)+tagSize)
+		hdr := w.buf[:lenSize]
+		binary.BigEndian.PutUint32(hdr, uint32(len(chunk)))
+		frame := w.aead.Seal(hdr, w.next(), chunk, hdr)
+		if n, err := c.raw.Write(frame); err != nil || n != len(frame) {
+			// The peer may hold part of this frame: nothing more can
+			// be sent that it would accept.
+			if err == nil {
+				err = io.ErrShortWrite
+			}
+			w.err = err
+			break
 		}
-		ct := make([]byte, len(chunk))
-		c.enc.XORKeyStream(ct, chunk)
-		var hdr [12]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(ct)))
-		binary.BigEndian.PutUint64(hdr[4:], c.wseq)
-		mac := hmac.New(sha256.New, c.wmac)
-		mac.Write(hdr[:])
-		mac.Write(ct)
-		frame := make([]byte, 0, 4+len(ct)+sha256.Size)
-		frame = append(frame, hdr[:4]...)
-		frame = append(frame, ct...)
-		frame = append(frame, mac.Sum(nil)...)
-		if _, err := c.raw.Write(frame); err != nil {
-			return total, err
-		}
-		c.wseq++
+		w.seq++
 		stats.txFrames.Add(1)
 		stats.txBytes.Add(uint64(len(chunk)))
 		total += len(chunk)
 		p = p[len(chunk):]
 	}
-	return total, nil
+	return total, w.err
 }
 
-// Read decrypts the next frame, buffering any surplus.
+// Read delivers the plaintext of the current frame, first receiving and
+// opening the next one if the current one is used up.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	for len(c.rbuf) == 0 {
-		var lenHdr [4]byte
-		if _, err := io.ReadFull(c.raw, lenHdr[:]); err != nil {
+	r := &c.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(c.plain) == 0 {
+		if r.err != nil {
+			return 0, r.err
+		}
+		if err := c.fill(lenSize); err != nil {
 			return 0, err
 		}
-		n := binary.BigEndian.Uint32(lenHdr[:])
+		n := binary.BigEndian.Uint32(r.buf[c.rpos:])
 		if n > maxFrame {
-			return 0, fmt.Errorf("tunnel: oversized frame (%d bytes)", n)
+			r.err = fmt.Errorf("tunnel: oversized frame (%d bytes)", n)
+			return 0, r.err
 		}
-		body := make([]byte, int(n)+sha256.Size)
-		if _, err := io.ReadFull(c.raw, body); err != nil {
+		size := lenSize + int(n) + tagSize
+		if err := c.fill(size); err != nil {
 			return 0, err
 		}
-		ct, tag := body[:n], body[n:]
-		var hdr [12]byte
-		copy(hdr[:4], lenHdr[:])
-		binary.BigEndian.PutUint64(hdr[4:], c.rseq)
-		mac := hmac.New(sha256.New, c.rmac)
-		mac.Write(hdr[:])
-		mac.Write(ct)
-		if !hmac.Equal(mac.Sum(nil), tag) {
-			return 0, ErrAuth
+		frame := r.buf[c.rpos : c.rpos+size]
+		plain, err := r.aead.Open(frame[lenSize:lenSize], r.next(), frame[lenSize:], frame[:lenSize])
+		if err != nil {
+			r.err = ErrAuth
+			return 0, r.err
 		}
-		c.rseq++
+		c.plain = plain
+		c.rpos += size
+		r.seq++
 		stats.rxFrames.Add(1)
-		stats.rxBytes.Add(uint64(len(ct)))
-		pt := make([]byte, len(ct))
-		c.dec.XORKeyStream(pt, ct)
-		c.rbuf = pt
+		stats.rxBytes.Add(uint64(n))
 	}
-	n := copy(p, c.rbuf)
-	c.rbuf = c.rbuf[n:]
+	n := copy(p, c.plain)
+	c.plain = c.plain[n:]
 	return n, nil
+}
+
+// fill receives until r.buf[rpos:rend] holds at least need bytes,
+// taking whatever more one read of the underlying connection returns.
+// It is called only when no opened plaintext is pending, so it may move
+// the unopened bytes to the front of the buffer or to a larger one. A
+// failed read (a deadline, say) keeps what was received: a later call
+// resumes the same frame.
+func (c *Conn) fill(need int) error {
+	r := &c.r
+	if c.rpos+need > len(r.buf) || c.rpos == c.rend {
+		unopened := r.buf[c.rpos:c.rend]
+		r.buf = grown(r.buf, need)
+		c.rpos, c.rend = 0, copy(r.buf, unopened)
+	}
+	if have := c.rend - c.rpos; have < need {
+		n, err := io.ReadAtLeast(c.raw, r.buf[c.rend:], need-have)
+		c.rend += n
+		if err == io.EOF && c.rend > c.rpos {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
+		return err
+	}
+	return nil
 }
 
 // Close closes the underlying connection.
