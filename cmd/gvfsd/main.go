@@ -30,12 +30,9 @@ import (
 
 	"gvfs/internal/auth"
 	"gvfs/internal/filechan"
-	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/osfs"
-	"gvfs/internal/proxy"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
 	"gvfs/internal/tunnel"
 )
 
@@ -86,47 +83,28 @@ func main() {
 	defer closeLog()
 
 	alloc := auth.NewAllocator(uint32(*idBase), uint32(*idCount), *idTTL)
-	upstreamDial := stack.Dialer(*upstream, nil, nil)
-	conn, err := upstreamDial()
-	if err != nil {
-		log.Fatalf("gvfsd: dial upstream: %v", err)
-	}
-	var tracer *obs.Tracer
-	if *traceRing > 0 {
-		tracer = obs.NewTracer(*traceRing)
-	}
-	var flight *obs.FlightRecorder
-	if *flightRing > 0 {
-		// Flight recordings are span trees: enable tracing implicitly.
-		if tracer == nil {
-			tracer = obs.NewTracer(obs.DefaultRing)
-		}
-		flight = obs.NewFlightRecorder(*flightRing, *slowThresh)
-	}
-	p, err := proxy.New(proxy.Config{
-		Upstream: sunrpc.NewClient(conn),
-		Mapper:   auth.NewMapper(alloc),
-		Tracer:   tracer,
-		Flight:   flight,
-		Metrics:  reg,
-		Logger:   logger,
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		ListenAddr:    *listen,
+		ListenKey:     key,
+		UpstreamAddr:  *upstream,
+		Mapper:        auth.NewMapper(alloc),
+		TraceRing:     *traceRing,
+		FlightRing:    *flightRing,
+		SlowThreshold: *slowThresh,
+		Metrics:       reg,
+		Logger:        logger,
 	})
 	if err != nil {
 		log.Fatalf("gvfsd: %v", err)
 	}
 	if *metricsAddr != "" {
-		reg.CounterFunc("gvfs_tunnel_tx_bytes_total",
-			"Plaintext bytes sent through tunnels.",
-			func() uint64 { return tunnel.ReadStats().TxBytes })
-		reg.CounterFunc("gvfs_tunnel_rx_bytes_total",
-			"Plaintext bytes received through tunnels.",
-			func() uint64 { return tunnel.ReadStats().RxBytes })
+		stack.BridgeTunnelStats(reg)
 		ep := obs.Endpoint{
 			Registry: reg,
-			Tracer:   tracer,
+			Tracer:   node.Tracer,
 			Log:      logger.Ring(),
-			Flight:   flight,
-			Statusz:  p.WriteStatusz,
+			Flight:   node.Flight,
+			Statusz:  node.Proxy.WriteStatusz,
 		}
 		ml, err := ep.ListenAndServe(*metricsAddr)
 		if err != nil {
@@ -136,23 +114,12 @@ func main() {
 	}
 	stopStats := func() {}
 	if *statsEvery > 0 {
-		stopStats = stack.StartStatsLogger(logger, p, *statsEvery)
-	}
-
-	srv := sunrpc.NewServer()
-	srv.Register(nfs3.Program, nfs3.Version, p)
-	srv.Register(nfs3.MountProgram, nfs3.MountVersion, p)
-
-	l, err := stack.ListenOn(*listen, nil, key)
-	if err != nil {
-		log.Fatalf("gvfsd: listen: %v", err)
+		stopStats = stack.StartStatsLogger(logger, node.Proxy, *statsEvery)
 	}
 	logger.Info("proxy up",
-		"listen", l.Addr().String(),
+		"listen", node.Addr,
 		"upstream", *upstream,
 		"tunnel", key != nil)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
 
 	var fcClose func()
 	if *root != "" {
@@ -182,16 +149,12 @@ func main() {
 	case sig := <-sigs:
 		logger.Info("shutting down", "sig", sig.String())
 		stopStats()
-		srv.Close()
-		l.Close()
 		if fcClose != nil {
 			fcClose()
 		}
-		p.Shutdown()
-	case err := <-serveErr:
+		node.Close()
+	case err := <-node.Done:
 		stopStats()
-		if err != nil {
-			log.Fatalf("gvfsd: serve: %v", err)
-		}
+		log.Fatalf("gvfsd: serve: %v", err)
 	}
 }

@@ -67,11 +67,8 @@ import (
 	"syscall"
 
 	"gvfs/internal/cache"
-	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
-	"gvfs/internal/tunnel"
 )
 
 func main() {
@@ -82,10 +79,11 @@ func main() {
 	if err := cache.SetCrashpoint(flags.Crashpoint); err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
-	opts, err := flags.OptionsV2()
+	opts, err := flags.Options()
 	if err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
+	opts.ListenAddr = flags.Listen
 	// One registry serves the whole process: proxy counters, log-event
 	// counters and the tunnel bridges all land in it.
 	reg := obs.NewRegistry()
@@ -97,41 +95,24 @@ func main() {
 	defer closeLog()
 	opts.Logger = logger
 
-	node, err := stack.StartProxyV2(opts)
+	node, err := stack.StartProxy(opts)
 	if err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
-	// StartProxy listens on an ephemeral port; re-serve on the
-	// requested address as well.
-	l, err := stack.ListenOn(flags.Listen, nil, nil)
-	if err != nil {
-		log.Fatalf("gvfsproxy: listen: %v", err)
-	}
-	srv := sunrpc.NewServer()
-	srv.Register(nfs3.Program, nfs3.Version, node.Proxy)
-	srv.Register(nfs3.MountProgram, nfs3.MountVersion, node.Proxy)
 	logger.Info("proxy up",
-		"listen", l.Addr().String(),
-		"backend", flags.Backend,
-		"upstream", flags.Upstream,
-		"replicas", flags.Replicas,
-		"cache", flags.CacheDir != "",
-		"dedup", flags.Dedup,
+		"listen", node.Addr,
+		"backend", opts.Backend,
+		"upstream", opts.UpstreamAddr,
+		"replicas", flags.ReplicaSpecs,
+		"cache", node.BlockCache != nil,
+		"dedup", opts.CacheConfig != nil && opts.CacheConfig.Dedup,
 		"policy", flags.Policy,
-		"flightrec", flags.FlightRing)
+		"flightrec", opts.FlightRing)
 
-	// registerBridges in the proxy covers its own subsystems; the
-	// tunnel's process-wide totals are bridged here, where the daemon
-	// knows one registry serves the whole process.
-	node.Metrics.CounterFunc("gvfs_tunnel_tx_bytes_total",
-		"Plaintext bytes sent through tunnels.",
-		func() uint64 { return tunnel.ReadStats().TxBytes })
-	node.Metrics.CounterFunc("gvfs_tunnel_rx_bytes_total",
-		"Plaintext bytes received through tunnels.",
-		func() uint64 { return tunnel.ReadStats().RxBytes })
+	stack.BridgeTunnelStats(reg)
 	if flags.MetricsAddr != "" {
 		ep := obs.Endpoint{
-			Registry: node.Metrics,
+			Registry: reg,
 			Tracer:   node.Tracer,
 			Log:      logger.Ring(),
 			Flight:   node.Flight,
@@ -152,11 +133,14 @@ func main() {
 		stopStats = stack.StartStatsLogger(logger, node.Proxy, flags.StatsEvery)
 	}
 
-	done := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGUSR1, syscall.SIGUSR2, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		for sig := range sigs {
+	for {
+		select {
+		case err := <-node.Done:
+			stopStats()
+			log.Fatalf("gvfsproxy: serve: %v", err)
+		case sig := <-sigs:
 			switch sig {
 			case syscall.SIGUSR1:
 				logger.Info("middleware signal: write back dirty data", "sig", "SIGUSR1")
@@ -173,32 +157,18 @@ func main() {
 				// cache index so the next start is warm, and stop the
 				// stats logger before the server goes away.
 				logger.Info("shutting down", "sig", sig.String())
-				close(done)
 				stopStats()
 				if err := node.Proxy.WriteBack(); err != nil {
 					logger.Error("shutdown write-back failed", "err", err)
 				}
-				if flags.PersistIndex && node.BlockCache != nil {
+				if opts.PersistIndex && node.BlockCache != nil {
 					if err := node.BlockCache.SaveIndex(); err != nil {
 						logger.Error("cache index snapshot failed", "err", err)
 					}
 				}
-				srv.Close()
-				l.Close()
+				node.Close()
 				return
 			}
-		}
-	}()
-	err = srv.Serve(l)
-	// Serve returns when the listener closes — during signal-driven
-	// shutdown that is the normal exit, not an error.
-	select {
-	case <-done:
-	default:
-		close(done)
-		stopStats()
-		if err != nil {
-			log.Fatalf("gvfsproxy: serve: %v", err)
 		}
 	}
 }

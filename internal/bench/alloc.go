@@ -6,9 +6,8 @@ package bench
 // reports allocs/op, B/op and latency percentiles for warm-cache READ
 // and WRITE over a real loopback connection (client marshal → record
 // framing → proxy decode → cache bank I/O → encode → client decode),
-// and sweeps the WAN read-ahead window comparing pipelined prefetching
-// (whole window outstanding on one connection) against one call per
-// block.
+// and sweeps the WAN read-ahead window with pipelined prefetching
+// (whole window outstanding on one connection).
 
 import (
 	"fmt"
@@ -169,10 +168,8 @@ func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
 
 // allocSweepStreams is how many files the sweep scans concurrently —
 // the multi-VM case. Prefetch capacity (16 concurrent prefetches) is
-// shared: call-per-block spends one slot per outstanding block, so
-// streams × depth beyond 16 starves windows and demand reads eat full
-// WAN round trips; pipelined mode spends one slot per window and keeps
-// every stream's window outstanding.
+// shared; a pipelined window spends one slot, so every stream's window
+// stays outstanding.
 const allocSweepStreams = 6
 
 // allocSweepThink is the per-block compute time each sweep stream
@@ -185,15 +182,13 @@ const allocSweepStreams = 6
 const allocSweepThink = 2 * time.Millisecond
 
 // runAllocSweepPoint scans several files concurrently through a
-// WAN-linked proxy with the given read-ahead depth and mode, returning
-// demand read latency percentiles and total scan time.
-func (o Options) runAllocSweepPoint(depth int, pipelined bool) (AllocSweepPoint, error) {
-	pt, _, err := o.runAllocSweepPointDurs(depth, pipelined)
-	return pt, err
-}
-
-func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPoint, []time.Duration, error) {
-	pt := AllocSweepPoint{Depth: depth, Pipelined: pipelined}
+// WAN-linked proxy with the given read-ahead depth, returning demand
+// read latency percentiles and total scan time. The upstream is nfs3,
+// so every window is pipelined; the call-per-block rows this sweep
+// used to pair them with are kept in the committed
+// results/BENCH_alloc.json.
+func (o Options) runAllocSweepPoint(depth int) (AllocSweepPoint, error) {
+	pt := AllocSweepPoint{Depth: depth, Pipelined: true}
 	const bs = 8192
 	const fileBytes = 4 << 20
 	fs := memfs.New()
@@ -203,7 +198,7 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	}
 	for s := 0; s < allocSweepStreams; s++ {
 		if err := fs.WriteFile(fmt.Sprintf("/scan%d.bin", s), img); err != nil {
-			return pt, nil, err
+			return pt, err
 		}
 	}
 	// A latency-dominated WAN: the paper's 30 ms RTT with enough
@@ -214,12 +209,12 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	wan := simnet.NewLink(wanProfile)
 	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer server.Close()
 	dir, err := os.MkdirTemp(o.WorkDir, "allocsweep")
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer os.RemoveAll(dir)
 	node, err := stack.StartProxy(stack.ProxyOptions{
@@ -230,16 +225,15 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 			Dir: dir, Banks: 16, SetsPerBank: 16, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack,
 		},
-		ReadAhead:         depth,
-		ReadAheadPipeline: pipelined,
+		ReadAhead: depth,
 	})
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer node.Close()
 	sess, err := newBenchSession(node.Addr, o)
 	if err != nil {
-		return pt, nil, err
+		return pt, err
 	}
 	defer sess.Close()
 
@@ -275,7 +269,7 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	for s := 0; s < allocSweepStreams; s++ {
 		r := <-results
 		if r.err != nil {
-			return pt, nil, r.err
+			return pt, r.err
 		}
 		durs = append(durs, r.durs...)
 	}
@@ -283,7 +277,7 @@ func (o Options) runAllocSweepPointDurs(depth int, pipelined bool) (AllocSweepPo
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
 	pt.ReadP50Ms = percentileMs(durs, 0.50)
 	pt.ReadP99Ms = percentileMs(durs, 0.99)
-	return pt, durs, nil
+	return pt, nil
 }
 
 // RunAlloc measures warm-path allocation discipline and the pipelined
@@ -305,19 +299,13 @@ func (o Options) RunAlloc() (*Table, error) {
 		read.AllocsPerOp, read.BytesPerOp, write.AllocsPerOp, write.BytesPerOp)
 
 	for _, depth := range []int{2, 4, 8, 16} {
-		for _, pipelined := range []bool{false, true} {
-			pt, err := o.runAllocSweepPoint(depth, pipelined)
-			if err != nil {
-				return nil, err
-			}
-			report.Sweep = append(report.Sweep, pt)
-			mode := "call-per-block"
-			if pipelined {
-				mode = "pipelined"
-			}
-			o.logf("alloc: WAN scan depth %d %s: %.0fms total, read p99 %.1fms",
-				depth, mode, pt.ScanMs, pt.ReadP99Ms)
+		pt, err := o.runAllocSweepPoint(depth)
+		if err != nil {
+			return nil, err
 		}
+		report.Sweep = append(report.Sweep, pt)
+		o.logf("alloc: WAN scan depth %d pipelined: %.0fms total, read p99 %.1fms",
+			depth, pt.ScanMs, pt.ReadP99Ms)
 	}
 
 	if err := o.writeResults("BENCH_alloc.json", report); err != nil {
@@ -335,11 +323,7 @@ func (o Options) RunAlloc() (*Table, error) {
 	table.AddValueRow("warm READ", read.AllocsPerOp, read.BytesPerOp, read.P50Ms, read.P99Ms)
 	table.AddValueRow("warm WRITE", write.AllocsPerOp, write.BytesPerOp, write.P50Ms, write.P99Ms)
 	for _, pt := range report.Sweep {
-		mode := "call-per-block"
-		if pt.Pipelined {
-			mode = "pipelined"
-		}
-		table.AddValueRow(fmt.Sprintf("WAN scan depth %d %s", pt.Depth, mode),
+		table.AddValueRow(fmt.Sprintf("WAN scan depth %d pipelined", pt.Depth),
 			0, 0, pt.ReadP50Ms, pt.ReadP99Ms)
 	}
 	table.AddNote("WAN sweep: %d streams, %v think/block, 15ms effective RTT (30ms profile at 1/2 time scale)",

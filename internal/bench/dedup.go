@@ -68,12 +68,12 @@ func (o Options) RunDedup() (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	ccfg := o.cacheConfig(dir, cache.WriteBack)
-	node, err := stack.StartProxyV2(stack.ProxyOptionsV2{
-		ProxyOptions:  stack.ProxyOptions{CacheConfig: &ccfg},
+	ccfg.Dedup = true
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		CacheConfig:   &ccfg,
 		Backend:       stack.BackendObjstore,
 		ObjstoreStore: origin,
 		ObjstoreBlock: blockSize,
-		Dedup:         true,
 	})
 	if err != nil {
 		return nil, err

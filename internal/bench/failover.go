@@ -206,14 +206,12 @@ func (o Options) deployRepl(profiles []simnet.Profile, seed func(*memfs.FS),
 	d.closers = append(d.closers, func() { os.RemoveAll(dir) })
 	ccfg := cache.Config{Dir: dir, Banks: 4, SetsPerBank: 4, Assoc: 1,
 		BlockSize: 8192, Policy: cache.WriteThrough}
-	node, err := stack.StartProxyV2(stack.ProxyOptionsV2{
-		ProxyOptions: stack.ProxyOptions{
-			UpstreamAddr: relayAddr,
-			CacheConfig:  &ccfg,
-		},
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr:    relayAddr,
+		CacheConfig:     &ccfg,
 		Backend:         stack.BackendRepl,
 		ReplicaBackends: reps,
-		ReplConfig:      rcfg,
+		ReplConfig:      *rcfg,
 	})
 	if err != nil {
 		d.Close()

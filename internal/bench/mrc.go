@@ -96,15 +96,15 @@ func (o Options) RunMrc() (*Table, error) {
 			os.RemoveAll(dir)
 			return nil, err
 		}
-		node, err := stack.StartProxyV2(stack.ProxyOptionsV2{
-			ProxyOptions: stack.ProxyOptions{CacheConfig: &cache.Config{
+		node, err := stack.StartProxy(stack.ProxyOptions{
+			CacheConfig: &cache.Config{
 				Dir: dir, Banks: banks, SetsPerBank: sets, Assoc: assoc,
 				BlockSize: blockSize, Policy: cache.WriteBack, Tap: tee,
-			}},
+				Dedup: w.name == "clone-boot",
+			},
 			Backend:       stack.BackendObjstore,
 			ObjstoreStore: origin,
 			ObjstoreBlock: blockSize,
-			Dedup:         w.name == "clone-boot",
 		})
 		if err != nil {
 			an.Close()

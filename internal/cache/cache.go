@@ -88,12 +88,6 @@ type Config struct {
 	// (default 64, capped at the total set count). 1 gives a single
 	// global lock, the pre-striping structure.
 	Stripes int
-	// SerialIO holds the stripe lock across frame data I/O (bank-file
-	// reads/writes and eviction write-backs) instead of pinning the
-	// frame and releasing the lock. It reproduces the original
-	// single-critical-section behavior; only baseline benchmarking
-	// should set it.
-	SerialIO bool
 	// Journal enables the dirty-block intent journal: dirty Puts are
 	// appended (data + checksum) to an append-only log in Dir and made
 	// durable before they are acknowledged, so a crashed proxy can
@@ -545,14 +539,10 @@ func (c *Cache) getPhysical(id BlockID, dst []byte) ([]byte, bool) {
 	size, sum, wasDirty := fr.size, fr.crc, fr.dirty
 	s.clock++
 	fr.lru = s.clock
-	if !c.cfg.SerialIO {
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 	data, err := c.readFrameInto(idx, size, dst)
 	badsum := err == nil && crc32c(data) != sum
-	if !c.cfg.SerialIO {
-		s.mu.Lock()
-	}
+	s.mu.Lock()
 	s.unpinShared(fr)
 	if badsum {
 		s.stats.ChecksumErrors++
@@ -774,13 +764,10 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) 
 
 // journalAppend journals one dirty intent while the caller holds the
 // frame's exclusive pin, releasing the stripe lock around the log I/O
-// (unless SerialIO) exactly like frameWrite. The pin serializes the
-// append against the frame's bank write; the group-commit fsync still
-// amortizes across blocks on other frames.
+// exactly like frameWrite. The pin serializes the append against the
+// frame's bank write; the group-commit fsync still amortizes across
+// blocks on other frames.
 func (c *Cache) journalAppend(s *stripe, id BlockID, data []byte) error {
-	if c.cfg.SerialIO {
-		return c.journal.Append(id, data)
-	}
 	s.mu.Unlock()
 	err := c.journal.Append(id, data)
 	s.mu.Lock()
@@ -800,12 +787,9 @@ func (c *Cache) dirtyAwareFrameWrite(s *stripe, idx int, data []byte, journaled 
 }
 
 // frameWrite writes data into a frame the caller holds exclusively
-// pinned, releasing the stripe lock around the bank I/O (unless
-// SerialIO). It returns with the lock held.
+// pinned, releasing the stripe lock around the bank I/O. It returns
+// with the lock held.
 func (c *Cache) frameWrite(s *stripe, idx int, data []byte) error {
-	if c.cfg.SerialIO {
-		return c.writeFrame(idx, data)
-	}
 	s.mu.Unlock()
 	err := c.writeFrame(idx, data)
 	s.mu.Lock()
@@ -814,8 +798,8 @@ func (c *Cache) frameWrite(s *stripe, idx int, data []byte) error {
 
 // writeBackFrame propagates one dirty frame the caller holds
 // exclusively pinned, releasing the stripe lock around the bank read
-// and the write-back RPC (unless SerialIO). On success the frame is
-// marked clean. It returns with the lock held.
+// and the write-back RPC. On success the frame is marked clean. It
+// returns with the lock held.
 func (c *Cache) writeBackFrame(s *stripe, idx int) error {
 	fr := &c.frames[idx]
 	wb := c.writeBackFn()
@@ -823,9 +807,7 @@ func (c *Cache) writeBackFrame(s *stripe, idx int) error {
 		return fmt.Errorf("cache: dirty eviction with no write-back function installed")
 	}
 	id, size, sum := fr.id, fr.size, fr.crc
-	if !c.cfg.SerialIO {
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 	data, err := c.readFrame(idx, size)
 	badsum := false
 	if err == nil && crc32c(data) != sum {
@@ -842,9 +824,7 @@ func (c *Cache) writeBackFrame(s *stripe, idx int) error {
 		// recovery; the write-back itself succeeded.
 		c.journal.Commit(id)
 	}
-	if !c.cfg.SerialIO {
-		s.mu.Lock()
-	}
+	s.mu.Lock()
 	if badsum {
 		s.stats.ChecksumErrors++
 	}

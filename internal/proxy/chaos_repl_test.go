@@ -84,14 +84,12 @@ func startReplChain(t *testing.T, profiles []simnet.Profile,
 	// into the replica set instead of being absorbed.
 	ccfg := cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 1,
 		BlockSize: 8192, Policy: cache.WriteThrough}
-	node, err := stack.StartProxyV2(stack.ProxyOptionsV2{
-		ProxyOptions: stack.ProxyOptions{
-			UpstreamAddr: relayAddr,
-			CacheConfig:  &ccfg,
-		},
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr:    relayAddr,
+		CacheConfig:     &ccfg,
 		Backend:         stack.BackendRepl,
 		ReplicaBackends: reps,
-		ReplConfig:      rcfg,
+		ReplConfig:      *rcfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -280,35 +280,6 @@ func procLabel(prog, proc uint32) string {
 	return "OTHER"
 }
 
-// upstreamCall issues one upstream RPC, attaching the trace context
-// and/or the remaining deadline budget as a verifier extension when
-// the transport can carry them (see sunrpc.TraceContext). When a
-// deadline is set and the transport supports it, retransmission is
-// capped at the deadline too.
-func (p *Proxy) upstreamCall(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, tr *obs.Active, deadline time.Time) ([]byte, error) {
-	var tc sunrpc.TraceContext
-	haveVerf := false
-	if tr != nil {
-		tc.ID, tc.Hop = tr.ID(), tr.Hop()+1
-		haveVerf = true
-	}
-	if budget := remainingBudgetMs(deadline); budget > 0 {
-		tc.BudgetMs = budget
-		haveVerf = true
-	}
-	if haveVerf {
-		if !deadline.IsZero() {
-			if dc, ok := p.cfg.Upstream.(sunrpc.DeadlineVerfCaller); ok {
-				return dc.CallVerfDeadline(prog, vers, proc, cred, tc.EncodeVerf(), args, deadline)
-			}
-		}
-		if vc, ok := p.cfg.Upstream.(sunrpc.VerfCaller); ok {
-			return vc.CallVerf(prog, vers, proc, cred, tc.EncodeVerf(), args)
-		}
-	}
-	return p.cfg.Upstream.Call(prog, vers, proc, cred, args)
-}
-
 // callOutcome labels an upstream span.
 func callOutcome(err error) string {
 	if err != nil {

@@ -88,15 +88,11 @@ type Config struct {
 	// ReadAhead, when positive, prefetches up to this many blocks into
 	// the disk cache after a sequential access run is detected (the
 	// paper's future-work pre-fetching direction). Requires BlockCache.
+	// A backend whose Caps report Batched (nfs3 over a pipelining
+	// transport) gets each window's READs outstanding at once, replies
+	// multiplexed by XID, so the window costs about one round trip;
+	// any other backend gets one call per block.
 	ReadAhead int
-
-	// ReadAheadPipeline issues each prefetch window's READs pipelined
-	// on the upstream connection — the whole window outstanding at
-	// once, replies multiplexed by XID — instead of one goroutine and
-	// one synchronous call per block. Over a WAN the window then costs
-	// roughly one round trip instead of (window / concurrency) trips.
-	// Takes effect only when Upstream implements sunrpc.Starter.
-	ReadAheadPipeline bool
 
 	// DegradedReads enables serve-from-cache degraded mode: while the
 	// upstream circuit breaker is open, cached reads keep working and
@@ -136,19 +132,6 @@ type Config struct {
 	// matching exemplar to the call's latency histogram bucket.
 	// Requires Tracer; without one there is no span tree to promote.
 	Flight *obs.FlightRecorder
-
-	// StatuszTopN bounds every ranking in the /statusz accounting
-	// document (default DefaultTopN). AuditRing bounds the write-back
-	// audit event ring (default DefaultAuditRing).
-	StatuszTopN int
-	AuditRing   int
-
-	// AcctMaxEntries caps the per-file and per-client accounting
-	// tables (default DefaultAcctEntries); AcctIdleTTL is how long an
-	// entry may sit untouched before a cap-hit evicts it (default
-	// DefaultAcctTTL).
-	AcctMaxEntries int
-	AcctIdleTTL    time.Duration
 
 	// QoS, when set, runs every incoming call through per-client
 	// admission control, fair-share scheduling and brownout
@@ -227,16 +210,16 @@ func New(cfg Config) (*Proxy, error) {
 		reg = obs.NewRegistry()
 	}
 	p := &Proxy{
-		cfg:   cfg,
+		cfg:    cfg,
 		paths:  make(map[string]pathInfo),
 		sizes:  make(map[string]uint64),
 		metas:  make(map[string]*metaState),
 		labels: make(map[string]string),
-		stats: newCounters(reg),
-		acct:  newAccounting(cfg.StatuszTopN, cfg.AuditRing, cfg.AcctMaxEntries, cfg.AcctIdleTTL),
-		log:   cfg.Logger.Named("proxy"),
-		qos:   cfg.QoS,
-		done:  make(chan struct{}),
+		stats:  newCounters(reg),
+		acct:   newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
+		log:    cfg.Logger.Named("proxy"),
+		qos:    cfg.QoS,
+		done:   make(chan struct{}),
 	}
 	// Proxy-initiated backend calls (write-back, RMW, meta-data,
 	// read-ahead) carry the session credential through the same mapper
@@ -459,7 +442,7 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 	}
 	p.stats.forwarded.Add(1)
 	upStart := time.Now()
-	res, err := p.upstreamCall(c.Prog, c.Vers, c.Proc, cred, c.Args, tr, c.Deadline)
+	res, err := nfs3be.Call(p.cfg.Upstream, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
 	p.observeUpstream(err)
 	if err != nil {

@@ -491,107 +491,6 @@ func TestStatusErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestReadAheadPrefetchesSequential(t *testing.T) {
-	fs := memfs.New()
-	payload := bytes.Repeat([]byte{0x77}, 512*1024)
-	fs.WriteFile("/seq.bin", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &cfg,
-		ReadAhead:    8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	got, err := sess.ReadFile("/seq.bin")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("sequential read through read-ahead proxy: %v", err)
-	}
-	if n := node.Proxy.Snapshot().Counter("gvfs_proxy_prefetched_total"); n == 0 {
-		t.Error("no blocks prefetched on a fully sequential scan")
-	}
-	// Prefetching must never corrupt: re-read after dropping client
-	// caches and verify again.
-	sess.DropCaches()
-	got, err = sess.ReadFile("/seq.bin")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("re-read after prefetch: %v", err)
-	}
-}
-
-func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
-	// Interleave sequential reads with writes to nearby blocks: the
-	// dirty data must win over racing prefetches.
-	fs := memfs.New()
-	payload := bytes.Repeat([]byte{0x11}, 256*1024)
-	fs.WriteFile("/rw.bin", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &cfg,
-		ReadAhead:    8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	f, err := sess.Open("/rw.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 8192)
-	patch := bytes.Repeat([]byte{0xFF}, 8192)
-	for block := 0; block < 32; block++ {
-		off := int64(block) * 8192
-		if _, err := f.ReadAt(buf, off); err != nil {
-			t.Fatal(err)
-		}
-		if block%4 == 0 {
-			if _, err := f.WriteAt(patch, off); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := node.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := fs.ReadFile("/rw.bin")
-	for block := 0; block < 32; block++ {
-		want := byte(0x11)
-		if block%4 == 0 {
-			want = 0xFF
-		}
-		if data[block*8192] != want {
-			t.Fatalf("block %d = %#x, want %#x", block, data[block*8192], want)
-		}
-	}
-}
-
 func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 	fs := memfs.New()
 	payload := bytes.Repeat([]byte{0x3C}, 128*1024)

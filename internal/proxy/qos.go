@@ -122,25 +122,6 @@ func (p *Proxy) deferMissInBrownout(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat, 
 	return res, stat, true
 }
 
-// remainingBudgetMs converts a call deadline back into a verifier
-// budget word for the next hop. Returns 0 (no budget) for a zero
-// deadline; an expired deadline yields the 1ms floor so the wire never
-// carries "no deadline" for a call that has one.
-func remainingBudgetMs(deadline time.Time) uint32 {
-	if deadline.IsZero() {
-		return 0
-	}
-	rem := time.Until(deadline)
-	if rem < time.Millisecond {
-		return 1
-	}
-	ms := rem / time.Millisecond
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	return uint32(ms)
-}
-
 // QoSTenants returns the scheduler's per-tenant table (nil when QoS is
 // disabled); surfaced in /statusz.
 func (p *Proxy) QoSTenants() []qos.TenantStats {

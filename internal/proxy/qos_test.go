@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/qos"
@@ -184,15 +185,9 @@ func (v *verfRecorder) CallVerfDeadline(prog, vers, proc uint32, cred, verf sunr
 
 func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
 	up := &verfRecorder{}
-	p, err := New(Config{Upstream: up})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-
 	deadline := time.Now().Add(2 * time.Second)
-	if _, err := p.upstreamCall(nfs3.Program, nfs3.Version, nfs3.ProcNull,
-		sunrpc.OpaqueAuth{}, nil, nil, deadline); err != nil {
+	if _, err := nfs3be.Call(up, nfs3.Program, nfs3.Version, nfs3.ProcNull,
+		sunrpc.OpaqueAuth{}, nil, beOpts(nil, deadline)); err != nil {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
@@ -211,13 +206,8 @@ func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
 
 	// A zero deadline must not invent a budget.
 	up2 := &verfRecorder{}
-	p2, err := New(Config{Upstream: up2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Shutdown()
-	if _, err := p2.upstreamCall(nfs3.Program, nfs3.Version, nfs3.ProcNull,
-		sunrpc.OpaqueAuth{}, nil, nil, time.Time{}); err != nil {
+	if _, err := nfs3be.Call(up2, nfs3.Program, nfs3.Version, nfs3.ProcNull,
+		sunrpc.OpaqueAuth{}, nil, beOpts(nil, time.Time{})); err != nil {
 		t.Fatal(err)
 	}
 	up2.mu.Lock()

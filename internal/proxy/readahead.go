@@ -65,7 +65,7 @@ func newReadAhead() *readAhead {
 // minBatch blocks are due, so prefetches go out as batches instead of
 // degenerating to one block per demand read in steady state. Batching
 // is what lets a pipelined transport amortize a whole burst into one
-// round trip; per-block transports pass 1 for the old behavior.
+// round trip; call-per-block backends pass 1.
 func (ra *readAhead) observe(fh nfs3.FH, block uint64, window, minBatch int) []uint64 {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
@@ -202,13 +202,8 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, block uint64) {
 	if p.brownout() {
 		return
 	}
-	pipelined := false
-	var br backend.BatchReader
-	if p.cfg.ReadAheadPipeline {
-		if b, ok := p.cfg.Backend.(backend.BatchReader); ok && p.cfg.Backend.Caps().Batched {
-			pipelined, br = true, b
-		}
-	}
+	br, pipelined := p.cfg.Backend.(backend.BatchReader)
+	pipelined = pipelined && p.cfg.Backend.Caps().Batched
 	minBatch := 1
 	if pipelined {
 		if minBatch = p.cfg.ReadAhead / 2; minBatch < 1 {

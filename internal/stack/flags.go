@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"gvfs/internal/backend/replbe"
 	"gvfs/internal/cache"
 	"gvfs/internal/obs"
 	"gvfs/internal/qos"
@@ -65,158 +64,86 @@ func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger,
 	return log.Named(component), closeFn, nil
 }
 
-// ProxyFlags collects every command-line knob of a proxy daemon in one
-// struct, replacing the loose flag variables gvfsproxy used to declare
-// inline. BindProxyFlags registers them on a FlagSet and Options()
-// turns the parsed values into the same ProxyOptions the benchmarks
-// and the chaos/failure tests build directly — one construction path
-// for daemons, benches and tests.
+// ProxyFlags is what a proxy daemon's command line parses into. Every
+// flag that IS a proxy setting is bound straight to the ProxyOptions
+// field (or cache.Config / qos.Config field) it sets, so no setting is
+// declared twice; the struct's own fields are the values the daemon
+// acts on itself and the strings Options() has to parse. Benchmarks and
+// tests fill the same ProxyOptions directly — one construction path.
 type ProxyFlags struct {
 	// Daemon-level settings (not part of ProxyOptions).
 	Listen      string        // listen address for local NFS clients
-	StatsEvery  time.Duration // periodic stats logging (0 = off)
 	MetricsAddr string        // observability HTTP endpoint (empty = off)
-	TraceRing   int           // request-trace ring capacity (0 = off)
+	StatsEvery  time.Duration // periodic stats logging (0 = off)
+	Crashpoint  string        // fault injection: die at this named point (testing)
+	Log         *LogFlags     // shared logging flags (gvfsd binds them standalone)
 
-	// Flight recorder (see obs.FlightRecorder).
-	FlightRing    int           // retained slow/error recordings (0 = off)
-	SlowThreshold time.Duration // latency that promotes a call (0 = default)
+	// Strings Options() parses into typed option values.
+	Policy       string // write-back | write-through
+	JournalSync  string // batch | always | none
+	Keyfile      string // 32-byte tunnel session key file
+	ReplicaSpecs string // comma-separated replica specs (backend repl)
 
-	// Statusz accounting bounds.
-	StatuszTopN int // rows per /statusz ranking (0 = default)
-	AuditRing   int // write-back audit events retained (0 = default)
-
-	// Log holds the shared logging flags (also bindable standalone via
-	// BindLogFlags for daemons that are not proxies, like gvfsd).
-	Log *LogFlags
-
-	// Chain topology.
-	Upstream string // next hop address
-	Keyfile  string // 32-byte tunnel session key file
-
-	// Backend selection (see ProxyOptionsV2).
-	Backend     string // nfs3 | objstore | repl
-	ObjstoreDir string // object store directory (backend objstore)
-	Dedup       bool   // content-addressed cross-file dedup in the block cache
-
-	// Replicated backend (see ProxyOptionsV2.Replicas / replbe.Config).
-	Replicas       string        // comma-separated replica specs (backend repl)
-	ReplQuorum     bool          // majority-ack writes instead of primary-ack
-	ReplHedgeQuant float64       // hedged-read latency quantile (0 = default, <0 off)
-	ReplScrub      time.Duration // scrub pass interval (0 = default, <0 off)
-	ReplFailThresh int           // consecutive errors marking a replica down (0 = default)
-	ReplProbeEvery time.Duration // down-replica probe period (0 = default)
-
-	// Block cache.
-	CacheDir   string
-	CacheBanks int
-	CacheSets  int
-	CacheAssoc int
-	CacheBlock int
-	Stripes    int
-	Policy     string // write-back | write-through
-
-	// Crash consistency.
-	Journal     bool   // journal dirty blocks before acking (write-back only)
-	JournalSync string // batch | always | none
-	Crashpoint  string // fault injection: die at this named point (testing)
-
-	// File cache + channel.
-	FileCacheDir string
-	FileChan     string
-
-	// Behaviour knobs.
-	ReadAhead        int
-	ReadAheadPipe    bool
-	WriteCoalesce    int
-	PersistIndex     bool
-	IdleWriteBack    time.Duration
-	CallTimeout      time.Duration
-	MaxRetries       int
-	DegradedReads    bool
-	FailureThreshold int
-	ProbeInterval    time.Duration
-
-	// Overload protection (see qos.Config and DESIGN.md §8).
-	QoS           bool          // enable per-client admission control
-	QoSInflight   int           // global concurrency cap (0 = default)
-	QoSQueue      int           // per-client queue bound (0 = default)
-	QoSQuantum    int           // fair-share quantum in bytes (0 = default)
-	QoSRate       float64       // per-client token rate, bytes/s (0 = off)
-	QoSBurst      float64       // token-bucket capacity (0 = rate)
-	BrownoutEnter time.Duration // EWMA queue delay tripping brownout (0 = off)
-	BrownoutExit  time.Duration // EWMA delay clearing brownout (0 = enter/4)
-	CallBudget    time.Duration // default end-to-end call deadline (0 = off)
-
-	// Accounting table bounds.
-	AcctEntries int           // max per-file/per-client rows (0 = default)
-	AcctTTL     time.Duration // idle row eviction TTL (0 = default)
-
-	// Cache analytics (see internal/cachean and DESIGN.md §11).
-	Cachean       bool          // enable miss-ratio curves + working-set estimation
-	CacheanRate   float64       // spatial sample rate (0 = default 0.01)
-	CacheanWindow time.Duration // working-set sliding window (0 = default 60s)
+	// Flag-bound option values. cache and qos reach the options only
+	// when -cache-dir, or -qos / -brownout-enter, switch them on.
+	opts  ProxyOptions
+	cache cache.Config
+	qos   qos.Config
+	qosOn bool
 }
 
 // BindProxyFlags registers the proxy daemon's flags on fs and returns
 // the struct they parse into.
 func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	f := &ProxyFlags{}
+	o, c, q, r := &f.opts, &f.cache, &f.qos, &f.opts.ReplConfig
 	fs.StringVar(&f.Listen, "listen", "127.0.0.1:8049", "listen address for local NFS clients")
-	fs.StringVar(&f.Upstream, "upstream", "", "next hop (gvfsd or another gvfsproxy); required with -backend nfs3")
+	fs.StringVar(&o.UpstreamAddr, "upstream", "", "next hop (gvfsd or another gvfsproxy); required with -backend nfs3")
 	fs.StringVar(&f.Keyfile, "keyfile", "", "32-byte session key for the upstream tunnel")
-	fs.StringVar(&f.Backend, "backend", BackendNFS3, "upstream backend: nfs3 (RPC to -upstream) | objstore (local content-addressed store) | repl (replicated set, see -replicas)")
-	fs.StringVar(&f.ObjstoreDir, "objstore-dir", "", "object store directory (required with -backend objstore)")
-	fs.StringVar(&f.Replicas, "replicas", "", "comma-separated replica specs for -backend repl: objstore:<dir> | nfs3:<host:port> (first is the write primary)")
-	fs.BoolVar(&f.ReplQuorum, "repl-quorum", false, "acknowledge writes after a majority of replicas instead of the primary only")
-	fs.Float64Var(&f.ReplHedgeQuant, "repl-hedge-quantile", 0, "latency quantile arming hedged reads (0 = default 0.95, negative = hedging off)")
-	fs.DurationVar(&f.ReplScrub, "repl-scrub", 0, "background scrub/read-repair pass interval (0 = default 30s, negative = off)")
-	fs.IntVar(&f.ReplFailThresh, "repl-fail-threshold", 0, "consecutive failover-class errors that mark a replica down (0 = default 3)")
-	fs.DurationVar(&f.ReplProbeEvery, "repl-probe-interval", 0, "recovery probe period for down replicas (0 = default 1s)")
-	fs.BoolVar(&f.Dedup, "dedup", false, "share identical cached blocks across files (content-addressed dedup; needs -cache-dir)")
-	fs.StringVar(&f.CacheDir, "cache-dir", "", "block cache directory (empty = no disk cache)")
-	fs.IntVar(&f.CacheBanks, "cache-banks", 512, "number of cache banks")
-	fs.IntVar(&f.CacheSets, "cache-sets", 128, "sets per bank")
-	fs.IntVar(&f.CacheAssoc, "cache-assoc", 16, "cache associativity")
-	fs.IntVar(&f.CacheBlock, "cache-block", 8192, "cache block size (<= 32768)")
-	fs.IntVar(&f.Stripes, "cache-stripes", 0, "cache lock stripes (0 = default 64; 1 = single global lock)")
+	fs.StringVar(&o.Backend, "backend", BackendNFS3, "upstream backend: nfs3 (RPC to -upstream) | objstore (local content-addressed store) | repl (replicated set, see -replicas)")
+	fs.StringVar(&o.ObjstoreDir, "objstore-dir", "", "object store directory (required with -backend objstore)")
+	fs.StringVar(&f.ReplicaSpecs, "replicas", "", "comma-separated replica specs for -backend repl: objstore:<dir> | nfs3:<host:port> (first is the write primary)")
+	fs.BoolVar(&r.Quorum, "repl-quorum", false, "acknowledge writes after a majority of replicas instead of the primary only")
+	fs.Float64Var(&r.HedgeQuantile, "repl-hedge-quantile", 0, "latency quantile arming hedged reads (0 = default 0.95, negative = hedging off)")
+	fs.DurationVar(&r.ScrubInterval, "repl-scrub", 0, "background scrub/read-repair pass interval (0 = default 30s, negative = off)")
+	fs.IntVar(&r.FailThreshold, "repl-fail-threshold", 0, "consecutive failover-class errors that mark a replica down (0 = default 3)")
+	fs.DurationVar(&r.ProbeInterval, "repl-probe-interval", 0, "recovery probe period for down replicas (0 = default 1s)")
+	fs.BoolVar(&c.Dedup, "dedup", false, "share identical cached blocks across files (content-addressed dedup; needs -cache-dir)")
+	fs.StringVar(&c.Dir, "cache-dir", "", "block cache directory (empty = no disk cache)")
+	fs.IntVar(&c.Banks, "cache-banks", 512, "number of cache banks")
+	fs.IntVar(&c.SetsPerBank, "cache-sets", 128, "sets per bank")
+	fs.IntVar(&c.Assoc, "cache-assoc", 16, "cache associativity")
+	fs.IntVar(&c.BlockSize, "cache-block", 8192, "cache block size (<= 32768)")
 	fs.StringVar(&f.Policy, "policy", "write-back", "write policy: write-back | write-through")
-	fs.BoolVar(&f.Journal, "journal", true, "journal dirty blocks before acking writes (write-back only)")
+	fs.BoolVar(&c.Journal, "journal", true, "journal dirty blocks before acking writes (write-back only)")
 	fs.StringVar(&f.JournalSync, "journal-sync", "batch", "journal durability: batch (group fsync) | always (fsync per write) | none (testing)")
 	fs.StringVar(&f.Crashpoint, "crashpoint", os.Getenv("GVFS_CRASHPOINT"), "fault injection: SIGKILL the process at this named point (testing only)")
-	fs.StringVar(&f.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
-	fs.StringVar(&f.FileChan, "filechan", "", "image server file-channel address")
-	fs.IntVar(&f.ReadAhead, "readahead", 0, "sequential read-ahead window in blocks (0 = off)")
-	fs.BoolVar(&f.ReadAheadPipe, "readahead-pipeline", false, "pipeline each prefetch window's READs on the upstream connection")
-	fs.IntVar(&f.WriteCoalesce, "write-coalesce", 0, "merge runs of adjacent dirty blocks into WRITEs up to this many bytes at flush (0 = off, max 32768)")
-	fs.BoolVar(&f.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
-	fs.DurationVar(&f.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
+	fs.StringVar(&o.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
+	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address")
+	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead window in blocks (0 = off)")
+	fs.IntVar(&c.WriteCoalesce, "write-coalesce", 0, "merge runs of adjacent dirty blocks into WRITEs up to this many bytes at flush (0 = off, max 32768)")
+	fs.BoolVar(&o.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
+	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")
-	fs.DurationVar(&f.CallTimeout, "call-timeout", 0, "per-call deadline on upstream RPCs (0 = wait forever)")
-	fs.IntVar(&f.MaxRetries, "max-retries", 0, "retransmission attempts for idempotent upstream calls (0 = no retries)")
-	fs.BoolVar(&f.DegradedReads, "degraded-reads", false, "serve cached data while the upstream is unreachable")
-	fs.IntVar(&f.FailureThreshold, "failure-threshold", 0, "consecutive upstream failures that open the circuit breaker (0 = default)")
-	fs.DurationVar(&f.ProbeInterval, "probe-interval", 0, "recovery probe period while the breaker is open (0 = default)")
+	fs.DurationVar(&o.UpstreamCallTimeout, "call-timeout", 0, "per-call deadline on upstream RPCs (0 = wait forever)")
+	fs.IntVar(&o.UpstreamMaxRetries, "max-retries", 0, "retransmission attempts for idempotent upstream calls (0 = no retries)")
+	fs.BoolVar(&o.DegradedReads, "degraded-reads", false, "serve cached data while the upstream is unreachable")
+	fs.IntVar(&o.FailureThreshold, "failure-threshold", 0, "consecutive upstream failures that open the circuit breaker (0 = default)")
+	fs.DurationVar(&o.ProbeInterval, "probe-interval", 0, "recovery probe period while the breaker is open (0 = default)")
 	fs.StringVar(&f.MetricsAddr, "metrics", "", "serve /metrics, /traces, /logz, /flightrec, /statusz and /debug on this address (empty = off)")
-	fs.IntVar(&f.TraceRing, "trace-ring", 0, "keep the last N request traces for /traces (0 = tracing off)")
-	fs.IntVar(&f.FlightRing, "flightrec", 0, "retain the last N slow/error call recordings for /flightrec (0 = off)")
-	fs.DurationVar(&f.SlowThreshold, "slow-threshold", 0, "latency that promotes a call to the flight recorder (0 = default 100ms)")
-	fs.IntVar(&f.StatuszTopN, "statusz-topn", 0, "rows per /statusz ranking (0 = default)")
-	fs.IntVar(&f.AuditRing, "audit-ring", 0, "write-back audit events retained for /statusz (0 = default)")
-	fs.BoolVar(&f.QoS, "qos", false, "enable per-client admission control and fair-share scheduling")
-	fs.IntVar(&f.QoSInflight, "qos-inflight", 0, "global concurrent-call cap under -qos (0 = default 64)")
-	fs.IntVar(&f.QoSQueue, "qos-queue", 0, "per-client admission queue bound under -qos (0 = default 128)")
-	fs.IntVar(&f.QoSQuantum, "qos-quantum", 0, "fair-share round-robin quantum in bytes (0 = default 64KiB)")
-	fs.Float64Var(&f.QoSRate, "qos-rate", 0, "per-client token-bucket rate in bytes/s (0 = no rate limit)")
-	fs.Float64Var(&f.QoSBurst, "qos-burst", 0, "per-client token-bucket capacity in bytes (0 = rate)")
-	fs.DurationVar(&f.BrownoutEnter, "brownout-enter", 0, "sustained queue delay that trips brownout degradation (0 = off)")
-	fs.DurationVar(&f.BrownoutExit, "brownout-exit", 0, "queue delay below which brownout clears (0 = enter/4)")
-	fs.DurationVar(&f.CallBudget, "call-budget", 0, "default end-to-end deadline for calls without a propagated budget (0 = off)")
-	fs.IntVar(&f.AcctEntries, "acct-entries", 0, "max per-file/per-client accounting rows (0 = default 4096)")
-	fs.DurationVar(&f.AcctTTL, "acct-ttl", 0, "evict accounting rows idle this long (0 = default 15m)")
-	fs.BoolVar(&f.Cachean, "cachean", false, "enable cache analytics: miss-ratio curves, working sets, what-if sizing (/cachez)")
-	fs.Float64Var(&f.CacheanRate, "cachean-sample-rate", 0, "cache-analytics spatial sample rate in (0,1] (0 = default 0.01)")
-	fs.DurationVar(&f.CacheanWindow, "cachean-window", 0, "cache-analytics working-set window (0 = default 60s)")
+	fs.IntVar(&o.TraceRing, "trace-ring", 0, "keep the last N request traces for /traces (0 = tracing off)")
+	fs.IntVar(&o.FlightRing, "flightrec", 0, "retain the last N slow/error call recordings for /flightrec (0 = off)")
+	fs.DurationVar(&o.SlowThreshold, "slow-threshold", 0, "latency that promotes a call to the flight recorder (0 = default 100ms)")
+	fs.BoolVar(&f.qosOn, "qos", false, "enable per-client admission control and fair-share scheduling")
+	fs.IntVar(&q.MaxConcurrent, "qos-inflight", 0, "global concurrent-call cap under -qos (0 = default 64)")
+	fs.IntVar(&q.PerClientQueue, "qos-queue", 0, "per-client admission queue bound under -qos (0 = default 128)")
+	fs.IntVar(&q.Quantum, "qos-quantum", 0, "fair-share round-robin quantum in bytes (0 = default 64KiB)")
+	fs.Float64Var(&q.RatePerSec, "qos-rate", 0, "per-client token-bucket rate in bytes/s (0 = no rate limit)")
+	fs.Float64Var(&q.Burst, "qos-burst", 0, "per-client token-bucket capacity in bytes (0 = rate)")
+	fs.DurationVar(&q.BrownoutEnter, "brownout-enter", 0, "sustained queue delay that trips brownout degradation (0 = off)")
+	fs.DurationVar(&q.BrownoutExit, "brownout-exit", 0, "queue delay below which brownout clears (0 = enter/4)")
+	fs.DurationVar(&o.CallBudget, "call-budget", 0, "default end-to-end deadline for calls without a propagated budget (0 = off)")
+	fs.BoolVar(&o.Cachean, "cachean", false, "enable cache analytics: miss-ratio curves, working sets, what-if sizing (/cachez)")
 	f.Log = BindLogFlags(fs)
 	return f
 }
@@ -248,127 +175,51 @@ func ReadKeyfile(path string) ([]byte, error) {
 	return key, nil
 }
 
-// Options converts the parsed flags into the classic ProxyOptions.
-// Daemons that honor the -backend selector should call OptionsV2.
+// Options turns the parsed flags into the ProxyOptions StartProxy
+// takes: it reads the keyfile, parses the write policy, journal sync
+// mode and replica list, and validates the backend selection. Each call
+// returns an independent value. ListenAddr stays empty — -listen is a
+// daemon-level flag the daemon copies in itself, so one process can
+// start several proxies from several flag sets.
 func (f *ProxyFlags) Options() (ProxyOptions, error) {
-	v2, err := f.OptionsV2()
-	if err != nil {
-		return ProxyOptions{}, err
-	}
-	if v2.Backend != "" && v2.Backend != BackendNFS3 {
-		return ProxyOptions{}, fmt.Errorf("-backend %s needs the V2 options path", v2.Backend)
-	}
-	return v2.ProxyOptions, nil
-}
-
-// OptionsV2 converts the parsed flags into ProxyOptionsV2, reading the
-// keyfile and validating the write policy and backend selection. The
-// daemon-level fields (Listen, StatsEvery, MetricsAddr) stay on the
-// flags struct.
-func (f *ProxyFlags) OptionsV2() (ProxyOptionsV2, error) {
-	opts, err := f.baseOptions()
-	if err != nil {
-		return ProxyOptionsV2{}, err
-	}
-	v2 := ProxyOptionsV2{
-		ProxyOptions: opts,
-		Backend:      f.Backend,
-		ObjstoreDir:  f.ObjstoreDir,
-		Dedup:        f.Dedup,
-	}
-	switch f.Backend {
-	case "", BackendNFS3:
-		if f.Upstream == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-upstream is required with -backend nfs3")
-		}
-	case BackendObjstore:
-		if f.ObjstoreDir == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-objstore-dir is required with -backend objstore")
-		}
-	case BackendRepl:
-		if f.Replicas == "" {
-			return ProxyOptionsV2{}, fmt.Errorf("-replicas is required with -backend repl")
-		}
-		v2.Replicas = strings.Split(f.Replicas, ",")
-		if f.ReplQuorum || f.ReplHedgeQuant != 0 || f.ReplScrub != 0 ||
-			f.ReplFailThresh != 0 || f.ReplProbeEvery != 0 {
-			v2.ReplConfig = &replbe.Config{
-				Quorum:        f.ReplQuorum,
-				HedgeQuantile: f.ReplHedgeQuant,
-				ScrubInterval: f.ReplScrub,
-				FailThreshold: f.ReplFailThresh,
-				ProbeInterval: f.ReplProbeEvery,
-			}
-		}
-	default:
-		return ProxyOptionsV2{}, fmt.Errorf("unknown -backend %q (want nfs3, objstore or repl)", f.Backend)
-	}
-	if f.Dedup && f.CacheDir == "" {
-		return ProxyOptionsV2{}, fmt.Errorf("-dedup needs -cache-dir")
-	}
-	return v2, nil
-}
-
-func (f *ProxyFlags) baseOptions() (ProxyOptions, error) {
+	opts := f.opts
 	key, err := ReadKeyfile(f.Keyfile)
 	if err != nil {
 		return ProxyOptions{}, err
 	}
-	policy, err := ParsePolicy(f.Policy)
-	if err != nil {
+	opts.UpstreamKey, opts.FileChanKey = key, key
+	switch opts.Backend {
+	case "", BackendNFS3:
+		if opts.UpstreamAddr == "" {
+			return ProxyOptions{}, fmt.Errorf("-upstream is required with -backend nfs3")
+		}
+	case BackendObjstore:
+		if opts.ObjstoreDir == "" {
+			return ProxyOptions{}, fmt.Errorf("-objstore-dir is required with -backend objstore")
+		}
+	case BackendRepl:
+		if f.ReplicaSpecs == "" {
+			return ProxyOptions{}, fmt.Errorf("-replicas is required with -backend repl")
+		}
+		opts.Replicas = strings.Split(f.ReplicaSpecs, ",")
+	default:
+		return ProxyOptions{}, fmt.Errorf("unknown -backend %q (want nfs3, objstore or repl)", opts.Backend)
+	}
+	cc := f.cache
+	if cc.Policy, err = ParsePolicy(f.Policy); err != nil {
 		return ProxyOptions{}, err
 	}
-	syncMode, err := cache.ParseSyncMode(f.JournalSync)
-	if err != nil {
+	if cc.JournalSync, err = cache.ParseSyncMode(f.JournalSync); err != nil {
 		return ProxyOptions{}, err
 	}
-	opts := ProxyOptions{
-		UpstreamAddr:        f.Upstream,
-		UpstreamKey:         key,
-		ReadAhead:           f.ReadAhead,
-		ReadAheadPipeline:   f.ReadAheadPipe,
-		PersistIndex:        f.PersistIndex,
-		IdleWriteBack:       f.IdleWriteBack,
-		UpstreamCallTimeout: f.CallTimeout,
-		UpstreamMaxRetries:  f.MaxRetries,
-		DegradedReads:       f.DegradedReads,
-		FailureThreshold:    f.FailureThreshold,
-		ProbeInterval:       f.ProbeInterval,
-		TraceRing:           f.TraceRing,
-		FlightRing:          f.FlightRing,
-		SlowThreshold:       f.SlowThreshold,
-		StatuszTopN:         f.StatuszTopN,
-		AuditRing:           f.AuditRing,
-		CallBudget:          f.CallBudget,
-		AcctMaxEntries:      f.AcctEntries,
-		AcctIdleTTL:         f.AcctTTL,
-		Cachean:             f.Cachean,
-		CacheanRate:         f.CacheanRate,
-		CacheanWindow:       f.CacheanWindow,
+	if cc.Dir != "" {
+		opts.CacheConfig = &cc
+	} else if cc.Dedup {
+		return ProxyOptions{}, fmt.Errorf("-dedup needs -cache-dir")
 	}
-	if f.QoS || f.BrownoutEnter > 0 {
-		opts.QoS = &qos.Config{
-			MaxConcurrent:  f.QoSInflight,
-			PerClientQueue: f.QoSQueue,
-			Quantum:        f.QoSQuantum,
-			RatePerSec:     f.QoSRate,
-			Burst:          f.QoSBurst,
-			BrownoutEnter:  f.BrownoutEnter,
-			BrownoutExit:   f.BrownoutExit,
-		}
-	}
-	if f.CacheDir != "" {
-		opts.CacheConfig = &cache.Config{
-			Dir: f.CacheDir, Banks: f.CacheBanks, SetsPerBank: f.CacheSets,
-			Assoc: f.CacheAssoc, BlockSize: f.CacheBlock, Policy: policy,
-			Stripes: f.Stripes, Journal: f.Journal, JournalSync: syncMode,
-			WriteCoalesce: f.WriteCoalesce,
-		}
-	}
-	if f.FileCacheDir != "" {
-		opts.FileCacheDir = f.FileCacheDir
-		opts.FileChanAddr = f.FileChan
-		opts.FileChanKey = key
+	if f.qosOn || f.qos.BrownoutEnter > 0 {
+		qc := f.qos
+		opts.QoS = &qc
 	}
 	return opts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 		"-keyfile", keyFile,
 		"-cache-dir", "/tmp/cache",
 		"-cache-banks", "16", "-cache-sets", "4", "-cache-assoc", "2",
-		"-cache-block", "4096", "-cache-stripes", "8",
+		"-cache-block", "4096",
 		"-policy", "write-through",
 		"-journal-sync", "always",
 		"-filecache-dir", "/tmp/fcache", "-filechan", "img:7050",
@@ -47,7 +48,6 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 		"-degraded-reads", "-failure-threshold", "7", "-probe-interval", "1s",
 		"-metrics", "127.0.0.1:9049", "-trace-ring", "256",
 		"-flightrec", "128", "-slow-threshold", "150ms",
-		"-statusz-topn", "7", "-audit-ring", "64",
 		"-log-level", "debug", "-log-file", "/tmp/gvfs.log", "-log-ring", "512",
 	)
 	if f.Listen != "127.0.0.1:9999" || f.MetricsAddr != "127.0.0.1:9049" || f.StatsEvery != 0 {
@@ -69,7 +69,7 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 		t.Fatal("cache-dir must produce a CacheConfig")
 	}
 	want := cache.Config{Dir: "/tmp/cache", Banks: 16, SetsPerBank: 4, Assoc: 2,
-		BlockSize: 4096, Policy: cache.WriteThrough, Stripes: 8,
+		BlockSize: 4096, Policy: cache.WriteThrough,
 		Journal: true, JournalSync: cache.SyncAlways}
 	if *cc != want {
 		t.Errorf("CacheConfig = %+v, want %+v", *cc, want)
@@ -95,8 +95,8 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 	if opts.FlightRing != 128 || opts.SlowThreshold != 150*time.Millisecond {
 		t.Errorf("flight recorder knobs wrong: ring=%d slow=%v", opts.FlightRing, opts.SlowThreshold)
 	}
-	if opts.StatuszTopN != 7 || opts.AuditRing != 64 {
-		t.Errorf("accounting knobs wrong: topn=%d audit=%d", opts.StatuszTopN, opts.AuditRing)
+	if opts.ListenAddr != "" {
+		t.Errorf("Options() set ListenAddr = %q; -listen is the daemon's to copy in", opts.ListenAddr)
 	}
 	if f.Log == nil {
 		t.Fatal("BindProxyFlags must bind log flags")
@@ -183,5 +183,91 @@ func TestProxyFlagsDefaultsAndErrors(t *testing.T) {
 	}
 	if _, err := parseFlags(t, "-upstream", "u:1", "-keyfile", short).Options(); err == nil {
 		t.Error("short keyfile must be rejected")
+	}
+}
+
+// TestEveryFlagReachesOptions sets each registered flag, one at a time,
+// to a value other than the one it had, and requires that either
+// Options() or a daemon-level field changes: a flag that is bound but
+// never consumed cannot reappear. It also pins the size of the flag
+// surface and that no setting is declared in both structs.
+func TestEveryFlagReachesOptions(t *testing.T) {
+	keyFile := filepath.Join(t.TempDir(), "session.key")
+	if err := os.WriteFile(keyFile, make([]byte, tunnel.KeySize), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	// Every subsystem on, so a flag that only matters inside one (cache
+	// geometry, QoS, replication) shows in the options.
+	base := []string{"-backend", "repl", "-replicas", "objstore:/a", "-objstore-dir", "/o",
+		"-upstream", "u:1", "-cache-dir", "/c", "-filecache-dir", "/f", "-qos"}
+	// Strings that Options() or the logger parse need a valid value.
+	valid := map[string]string{
+		"backend": "objstore", "policy": "write-through", "journal-sync": "always",
+		"keyfile": keyFile, "log-level": "debug",
+	}
+	type outcome struct {
+		Opts   ProxyOptions
+		Daemon []any
+	}
+	result := func(args []string) outcome {
+		t.Helper()
+		f := parseFlags(t, args...)
+		opts, err := f.Options()
+		if err != nil {
+			t.Fatalf("Options(%v): %v", args, err)
+		}
+		return outcome{opts, []any{f.Listen, f.MetricsAddr, f.StatsEvery, f.Crashpoint, *f.Log}}
+	}
+	want := result(base)
+
+	fs := flag.NewFlagSet("gvfsproxy", flag.ContinueOnError)
+	BindProxyFlags(fs)
+	if err := fs.Parse(base); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		val, ok := valid[fl.Name]
+		if !ok {
+			switch fl.Value.(flag.Getter).Get().(type) {
+			case bool:
+				val = map[string]string{"true": "false", "false": "true"}[fl.Value.String()]
+			case int:
+				val = "7"
+			case float64:
+				val = "0.5"
+			case time.Duration:
+				val = "7s"
+			default:
+				val = "x"
+			}
+		}
+		if val == fl.Value.String() {
+			t.Fatalf("-%s: test value %q is the value it already has", fl.Name, val)
+		}
+		got := result(append(append([]string{}, base...), "-"+fl.Name+"="+val))
+		if reflect.DeepEqual(got, want) {
+			t.Errorf("-%s=%s changes neither Options() nor a daemon-level field", fl.Name, val)
+		}
+	})
+	if n > 50 {
+		t.Errorf("BindProxyFlags registers %d flags, want <= 50", n)
+	}
+	for _, gone := range []string{"statusz-topn", "audit-ring", "acct-entries", "acct-ttl",
+		"cachean-sample-rate", "cachean-window", "cache-stripes", "readahead-pipeline"} {
+		if fs.Lookup(gone) != nil {
+			t.Errorf("-%s is registered again; it was deleted as a one-value knob", gone)
+		}
+	}
+
+	ft, ot := reflect.TypeOf(ProxyFlags{}), reflect.TypeOf(ProxyOptions{})
+	for i := 0; i < ft.NumField(); i++ {
+		if _, dup := ot.FieldByName(ft.Field(i).Name); dup {
+			t.Errorf("field %s is declared in both ProxyFlags and ProxyOptions", ft.Field(i).Name)
+		}
+	}
+	if ot.NumField() > 38 {
+		t.Errorf("ProxyOptions has %d fields, want <= 38", ot.NumField())
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"gvfs/internal/auth"
+	"gvfs/internal/backend"
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/backend/objstore"
 	"gvfs/internal/backend/replbe"
@@ -42,33 +43,63 @@ type Node struct {
 	Tracer     *obs.Tracer         // the proxy's trace ring (nil unless enabled)
 	Flight     *obs.FlightRecorder // the proxy's flight recorder (nil unless enabled)
 	Cachean    *cachean.Analyzer   // cache analytics (nil unless enabled)
-	rpcSrv     *sunrpc.Server
-	listener   net.Listener
-	extra      []func() // additional cleanup
+
+	// Done receives the serve loop's error when a proxy node stops
+	// accepting connections — net.ErrClosed after Close, anything else
+	// is a listener failure the daemon should exit on. Nil for end
+	// servers.
+	Done <-chan error
+
+	teardown []func() // the node's own shutdown steps, in construction order
+	extra    []func() // AddCleanup functions
 }
 
-// Close stops the node.
+// onClose registers one shutdown step. Steps run last-registered
+// first, so whatever a component was built on is still open while the
+// component itself stops.
+func (n *Node) onClose(f func()) { n.teardown = append(n.teardown, f) }
+
+// AddCleanup registers fn to run when the node is closed, after the
+// node's own teardown.
+func (n *Node) AddCleanup(fn func()) { n.extra = append(n.extra, fn) }
+
+// Close stops the node: its own components in reverse construction
+// order (a constructor that fails half-way unwinds through the same
+// path), then the AddCleanup functions.
 func (n *Node) Close() {
-	if n.rpcSrv != nil {
-		n.rpcSrv.Close()
-	}
-	if n.listener != nil {
-		n.listener.Close()
+	for i := len(n.teardown) - 1; i >= 0; i-- {
+		n.teardown[i]()
 	}
 	for _, f := range n.extra {
 		f()
 	}
 }
 
-// listen opens a loopback listener, optionally shaped by link and
-// wrapped in a tunnel responder with key.
-func listen(link *simnet.Link, key []byte) (net.Listener, error) {
-	return ListenOn("127.0.0.1:0", link, key)
+// server is what a node runs on its listener (sunrpc or file channel).
+type server interface {
+	Serve(net.Listener) error
+	Close()
 }
 
-// ListenOn opens a listener on addr, optionally shaped by link and
-// wrapped in a tunnel responder with key. Exported for the daemons.
+// serve starts srv on l as node n's endpoint. On Close the listener
+// goes first, then the server drops its connections. The returned
+// channel receives Serve's error.
+func (n *Node) serve(srv server, l net.Listener) <-chan error {
+	n.Addr = l.Addr().String()
+	n.onClose(srv.Close)
+	n.onClose(func() { l.Close() })
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	return done
+}
+
+// ListenOn opens a listener on addr (empty = an ephemeral loopback
+// port), optionally shaped by link and wrapped in a tunnel responder
+// with key. Exported for the daemons.
 func ListenOn(addr string, link *simnet.Link, key []byte) (net.Listener, error) {
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
 	var l net.Listener
 	var err error
 	if link != nil {
@@ -213,44 +244,93 @@ func StartNFSServer(backend nfs3.Backend, opts NFSServerOptions) (*Node, error) 
 		md.Export(e, root)
 	}
 	srv.Register(nfs3.MountProgram, nfs3.MountVersion, md)
-	l, err := listen(opts.ListenLink, opts.ListenKey)
+	l, err := ListenOn("", opts.ListenLink, opts.ListenKey)
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(l)
-	return &Node{Addr: l.Addr().String(), rpcSrv: srv, listener: l}, nil
+	n := &Node{}
+	n.serve(srv, l)
+	return n, nil
 }
 
 // StartFileChanServer runs a file-channel service for store.
 func StartFileChanServer(store filechan.FileStore, link *simnet.Link, key []byte) (*Node, error) {
-	l, err := listen(link, key)
+	l, err := ListenOn("", link, key)
 	if err != nil {
 		return nil, err
 	}
-	srv := filechan.NewServer(store)
-	go srv.Serve(l)
-	return &Node{Addr: l.Addr().String(), listener: l, extra: []func(){srv.Close}}, nil
+	n := &Node{}
+	n.serve(filechan.NewServer(store), l)
+	return n, nil
 }
 
-// ProxyOptions configure StartProxy.
+// Backend selector values for ProxyOptions.Backend.
+const (
+	BackendNFS3     = "nfs3"     // NFSv3 over ONC-RPC to UpstreamAddr (classic)
+	BackendObjstore = "objstore" // local content-addressed object store, no upstream
+	BackendRepl     = "repl"     // replicated composite over Replicas specs
+)
+
+// ProxyOptions configure StartProxy. The paper's client-side caching
+// proxy, LAN second-level proxy and server-side identity-mapping proxy
+// are this one struct filled in differently.
 type ProxyOptions struct {
+	// ListenAddr is the address the proxy serves NFS and MOUNT on.
+	// Empty picks an ephemeral loopback port (see Node.Addr).
+	ListenAddr string
+	// ListenLink / ListenKey shape and protect this proxy's listener.
+	ListenLink *simnet.Link
+	ListenKey  []byte
+
+	// Backend selects the upstream implementation: BackendNFS3 (the
+	// default, also for "") dials UpstreamAddr; BackendObjstore serves
+	// from a local object store and ignores the Upstream* fields;
+	// BackendRepl fans out over a replica set.
+	Backend string
+
 	// UpstreamAddr is the next hop's RPC address.
 	UpstreamAddr string
 	// UpstreamLink shapes the upstream connection.
 	UpstreamLink *simnet.Link
 	// UpstreamKey tunnels the upstream connection.
 	UpstreamKey []byte
+	// UpstreamCallTimeout bounds each upstream RPC (per-call deadline).
+	UpstreamCallTimeout time.Duration
+	// UpstreamMaxRetries enables transparent upstream reconnection with
+	// exponential backoff and XID-preserving retransmission of
+	// idempotent NFS calls (nfs3.RetrySafe). 0 disables retries.
+	UpstreamMaxRetries int
 
-	// ListenLink / ListenKey shape and protect this proxy's listener.
-	ListenLink *simnet.Link
-	ListenKey  []byte
+	// ObjstoreDir is the object store directory (BackendObjstore).
+	// Ignored when ObjstoreStore is set.
+	ObjstoreDir string
+	// ObjstoreStore supplies the store directly — a MemStore for
+	// self-contained runs, or a CountingStore wrapper when the caller
+	// wants per-object traffic accounting (the dedup benchmark).
+	ObjstoreStore objstore.Store
+	// ObjstoreBlock is the store's block size (0 = objstore default).
+	ObjstoreBlock int
+
+	// Replicas lists the replicated backend's members (BackendRepl) in
+	// priority order — index 0 is the write primary and, when it is an
+	// NFS replica, the control-plane relay. Each spec is
+	// "objstore:<dir>" or "nfs3:<host:port>".
+	Replicas []string
+	// ReplicaBackends supplies pre-built replicas directly (tests and
+	// benchmarks wire simnet-backed replicas this way); takes
+	// precedence over Replicas. The composite owns and closes them.
+	ReplicaBackends []replbe.Replica
+	// ReplConfig tunes the replicated backend (zero = replbe defaults:
+	// hedged reads at the p95 latency, 30s scrub, primary-ack writes).
+	ReplConfig replbe.Config
 
 	// Mapper enables identity mapping (server-side proxy role).
 	Mapper *auth.Mapper
 
 	// CacheConfig enables the block-based disk cache (Dir required).
-	// All fields pass through verbatim, including the concurrency
-	// knobs Stripes and SerialIO (see cache.Config).
+	// All fields pass through verbatim (see cache.Config), Dedup
+	// included: identical blocks across files — N cloned VM images —
+	// then share one cached frame.
 	CacheConfig *cache.Config
 
 	// SharedBlockCache lets several proxies serve from one disk cache
@@ -270,13 +350,10 @@ type ProxyOptions struct {
 	DisableMeta bool
 
 	// ReadAhead enables sequential prefetching of this many blocks at
-	// the proxy (requires CacheConfig).
+	// the proxy (requires CacheConfig). Over an nfs3 upstream each
+	// prefetch window's READs are pipelined on the connection; other
+	// backends are read one call per block.
 	ReadAhead int
-
-	// ReadAheadPipeline pipelines each prefetch window's READs on the
-	// upstream connection instead of issuing one call per block (see
-	// proxy.Config.ReadAheadPipeline).
-	ReadAheadPipeline bool
 
 	// PersistIndex reloads a saved cache-tag snapshot from the cache
 	// directory at startup, so a restarted proxy resumes with a warm
@@ -287,14 +364,6 @@ type ProxyOptions struct {
 	// dirty session data is propagated automatically once the session
 	// has been quiet this long (paper §3.2.3).
 	IdleWriteBack time.Duration
-
-	// UpstreamCallTimeout bounds each upstream RPC (per-call deadline).
-	UpstreamCallTimeout time.Duration
-
-	// UpstreamMaxRetries enables transparent upstream reconnection with
-	// exponential backoff and XID-preserving retransmission of
-	// idempotent NFS calls (nfs3.RetrySafe). 0 disables retries.
-	UpstreamMaxRetries int
 
 	// DegradedReads serves cached data while the upstream is down; see
 	// proxy.Config.DegradedReads.
@@ -324,11 +393,6 @@ type ProxyOptions struct {
 	// Logger, when set, gives the proxy a structured event log.
 	Logger *obs.Logger
 
-	// StatuszTopN bounds each /statusz ranking; AuditRing bounds the
-	// write-back audit trail (0 = package defaults).
-	StatuszTopN int
-	AuditRing   int
-
 	// QoS, when non-nil, enables per-client admission control: the
 	// scheduler is built from this config (metrics wired into the
 	// proxy's registry when the config doesn't name one) and closed
@@ -340,232 +404,156 @@ type ProxyOptions struct {
 	// (0 = no local deadline).
 	CallBudget time.Duration
 
-	// AcctMaxEntries / AcctIdleTTL bound the per-file and per-client
-	// accounting tables (0 = package defaults).
-	AcctMaxEntries int
-	AcctIdleTTL    time.Duration
-
 	// Cachean enables the cache-analytics subsystem (internal/cachean):
 	// a SHARDS-sampled reuse-distance tracker behind the block cache
 	// that maintains online miss-ratio curves, working-set estimates
 	// and what-if sizing, surfaced at /cachez and as gvfs_cachean_*
-	// metrics. The analyzer is installed as the block cache's access
-	// tap, so it needs CacheConfig; with only a SharedBlockCache the
-	// proxy-level demand taps still feed it, but the MRC stays empty.
-	// CacheanRate is the spatial sample rate (0 = 0.01); CacheanWindow
-	// the working-set sliding window (0 = 60s).
-	Cachean       bool
-	CacheanRate   float64
-	CacheanWindow time.Duration
+	// metrics, at the package's default sample rate and window. The
+	// analyzer is installed as the block cache's access tap, so it
+	// needs CacheConfig; with only a SharedBlockCache the proxy-level
+	// demand taps still feed it, but the MRC stays empty.
+	Cachean bool
 }
 
-// Backend selector values for ProxyOptionsV2.Backend.
-const (
-	BackendNFS3     = "nfs3"     // NFSv3 over ONC-RPC to UpstreamAddr (classic)
-	BackendObjstore = "objstore" // local content-addressed object store, no upstream
-	BackendRepl     = "repl"     // replicated composite over Replicas specs
-)
-
-// ProxyOptionsV2 is the versioned successor of ProxyOptions: all the
-// classic wiring plus the backend selector that arrived with the
-// pluggable upstream API. The zero Backend keeps the historical
-// behavior, so ProxyOptionsV2{ProxyOptions: opts} is always equivalent
-// to the old StartProxy(opts).
-type ProxyOptionsV2 struct {
-	ProxyOptions
-
-	// Backend selects the upstream implementation: BackendNFS3
-	// (default) dials UpstreamAddr; BackendObjstore serves from a local
-	// object store and ignores the Upstream* fields entirely.
-	Backend string
-
-	// ObjstoreDir is the object store directory (BackendObjstore).
-	// Ignored when ObjstoreStore is set.
-	ObjstoreDir string
-
-	// ObjstoreStore supplies the store directly — a MemStore for
-	// self-contained runs, or a CountingStore wrapper when the caller
-	// wants per-object traffic accounting (the dedup benchmark).
-	ObjstoreStore objstore.Store
-
-	// ObjstoreBlock is the store's block size (0 = objstore default).
-	ObjstoreBlock int
-
-	// Dedup enables the content-addressed dedup map in the block cache
-	// (cache.Config.Dedup): identical blocks across files — N cloned VM
-	// images — share one cached frame.
-	Dedup bool
-
-	// Replicas lists the replicated backend's members (BackendRepl) in
-	// priority order — index 0 is the write primary and, when it is an
-	// NFS replica, the control-plane relay. Each spec is
-	// "objstore:<dir>" or "nfs3:<host:port>".
-	Replicas []string
-
-	// ReplicaBackends supplies pre-built replicas directly (tests and
-	// benchmarks wire simnet-backed replicas this way); takes
-	// precedence over Replicas. The composite owns and closes them.
-	ReplicaBackends []replbe.Replica
-
-	// ReplConfig tunes the replicated backend (nil = replbe defaults:
-	// hedged reads at the p95 latency, 30s scrub, primary-ack writes).
-	ReplConfig *replbe.Config
+// upstreamClient dials addr over link (tunnelled when UpstreamKey is
+// set) and wraps the connection in an RPC client with the options'
+// call timeout and retry budget. The client reconnects transparently
+// when retries are on, or always when redial is set. It closes with n.
+func (o *ProxyOptions) upstreamClient(n *Node, addr string, link *simnet.Link, redial bool) (*sunrpc.Client, error) {
+	dial := Dialer(addr, link, o.UpstreamKey)
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	copts := sunrpc.ClientOptions{
+		CallTimeout: o.UpstreamCallTimeout,
+		MaxRetries:  o.UpstreamMaxRetries,
+		Idempotent:  nfs3.RetrySafe,
+	}
+	if redial || o.UpstreamMaxRetries > 0 {
+		copts.Redial = dial
+	}
+	client := sunrpc.NewClientWithOptions(conn, copts)
+	n.onClose(func() { client.Close() })
+	return client, nil
 }
 
-// StartProxy runs a GVFS proxy node over the classic NFSv3 upstream.
-// Equivalent to StartProxyV2 with the zero backend selector.
-func StartProxy(opts ProxyOptions) (*Node, error) {
-	return StartProxyV2(ProxyOptionsV2{ProxyOptions: opts})
-}
-
-// StartProxyV2 runs a GVFS proxy node over the selected backend.
-func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
-	opts := o.ProxyOptions
-	var cleanup []func()
-	fail := func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
+// replicaSet builds the replicated backend's members from the Replicas
+// specs. An NFS primary doubles as the control-plane relay: NFS
+// replicas carry no local namespace, so MOUNT/LOOKUP are relayed over
+// it like the classic single-upstream arrangement.
+func (o *ProxyOptions) replicaSet(n *Node) (reps []replbe.Replica, relay nfs3.Caller, err error) {
+	for i, spec := range o.Replicas {
+		kind, arg, ok := strings.Cut(spec, ":")
+		if !ok || arg == "" {
+			return nil, nil, fmt.Errorf("stack: bad replica spec %q (want objstore:<dir> or nfs3:<host:port>)", spec)
+		}
+		name := fmt.Sprintf("r%d", i)
+		switch kind {
+		case "objstore":
+			ds, err := objstore.NewDirStore(arg)
+			if err != nil {
+				return nil, nil, fmt.Errorf("stack: replica %s: %w", name, err)
+			}
+			reps = append(reps, replbe.Replica{Name: name, B: objstore.New(ds, o.ObjstoreBlock)})
+		case "nfs3":
+			// Replica clients always redial: probe-driven recovery
+			// after an outage needs a fresh transport, and the
+			// composite's health gating (not a dead socket) is what
+			// decides whether the replica serves.
+			client, err := o.upstreamClient(n, arg, nil, true)
+			if err != nil {
+				return nil, nil, fmt.Errorf("stack: replica %s dial: %w", name, err)
+			}
+			reps = append(reps, replbe.Replica{Name: name, B: nfs3be.New(client)})
+			if i == 0 {
+				relay = client
+			}
+		default:
+			return nil, nil, fmt.Errorf("stack: unknown replica kind %q in %q", kind, spec)
 		}
 	}
+	return reps, relay, nil
+}
 
-	cfg := proxy.Config{
-		Mapper:            opts.Mapper,
-		DisableMeta:       opts.DisableMeta,
-		ReadAhead:         opts.ReadAhead,
-		ReadAheadPipeline: opts.ReadAheadPipeline,
-		DegradedReads:     opts.DegradedReads,
-		FailureThreshold:  opts.FailureThreshold,
-		ProbeInterval:     opts.ProbeInterval,
-		Metrics:           opts.Metrics,
-		Logger:            opts.Logger,
-		StatuszTopN:       opts.StatuszTopN,
-		AuditRing:         opts.AuditRing,
-		CallBudget:        opts.CallBudget,
-		AcctMaxEntries:    opts.AcctMaxEntries,
-		AcctIdleTTL:       opts.AcctIdleTTL,
-	}
-
+// connectBackend builds the upstream the options select and returns
+// the proxy's data-path backend (nil = wrap the relay, see
+// proxy.Config.Backend) and its control-plane relay (nil = the
+// backend's own namespace).
+func (o *ProxyOptions) connectBackend(n *Node) (backend.Backend, nfs3.Caller, error) {
 	switch o.Backend {
 	case "", BackendNFS3:
-		dial := Dialer(opts.UpstreamAddr, opts.UpstreamLink, opts.UpstreamKey)
-		conn, err := dial()
+		upstream, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, false)
 		if err != nil {
-			return nil, fmt.Errorf("stack: proxy upstream dial: %w", err)
+			return nil, nil, fmt.Errorf("stack: proxy upstream dial: %w", err)
 		}
-		var upstream *sunrpc.Client
-		if opts.UpstreamCallTimeout > 0 || opts.UpstreamMaxRetries > 0 {
-			copts := sunrpc.ClientOptions{
-				CallTimeout: opts.UpstreamCallTimeout,
-				MaxRetries:  opts.UpstreamMaxRetries,
-				Idempotent:  nfs3.RetrySafe,
-			}
-			if opts.UpstreamMaxRetries > 0 {
-				copts.Redial = dial
-			}
-			upstream = sunrpc.NewClientWithOptions(conn, copts)
-		} else {
-			upstream = sunrpc.NewClient(conn)
-		}
-		cfg.Upstream = upstream
-		cleanup = append(cleanup, func() { upstream.Close() })
+		return nil, upstream, nil
 	case BackendObjstore:
 		store := o.ObjstoreStore
 		if store == nil {
 			if o.ObjstoreDir == "" {
-				return nil, fmt.Errorf("stack: objstore backend needs ObjstoreDir or ObjstoreStore")
+				return nil, nil, fmt.Errorf("stack: objstore backend needs ObjstoreDir or ObjstoreStore")
 			}
 			ds, err := objstore.NewDirStore(o.ObjstoreDir)
 			if err != nil {
-				return nil, fmt.Errorf("stack: objstore: %w", err)
+				return nil, nil, fmt.Errorf("stack: objstore: %w", err)
 			}
 			store = ds
 		}
-		cfg.Backend = objstore.New(store, o.ObjstoreBlock)
+		return objstore.New(store, o.ObjstoreBlock), nil, nil
 	case BackendRepl:
 		reps := o.ReplicaBackends
 		var relay nfs3.Caller
 		if len(reps) == 0 {
-			for i, spec := range o.Replicas {
-				kind, arg, ok := strings.Cut(spec, ":")
-				if !ok || arg == "" {
-					fail()
-					return nil, fmt.Errorf("stack: bad replica spec %q (want objstore:<dir> or nfs3:<host:port>)", spec)
-				}
-				name := fmt.Sprintf("r%d", i)
-				switch kind {
-				case "objstore":
-					ds, err := objstore.NewDirStore(arg)
-					if err != nil {
-						fail()
-						return nil, fmt.Errorf("stack: replica %s: %w", name, err)
-					}
-					reps = append(reps, replbe.Replica{Name: name, B: objstore.New(ds, o.ObjstoreBlock)})
-				case "nfs3":
-					dial := Dialer(arg, nil, opts.UpstreamKey)
-					conn, err := dial()
-					if err != nil {
-						fail()
-						return nil, fmt.Errorf("stack: replica %s dial: %w", name, err)
-					}
-					// Replica clients always redial: probe-driven recovery
-					// after an outage needs a fresh transport, and the
-					// composite's health gating (not a dead socket) is what
-					// decides whether the replica serves.
-					client := sunrpc.NewClientWithOptions(conn, sunrpc.ClientOptions{
-						CallTimeout: opts.UpstreamCallTimeout,
-						MaxRetries:  opts.UpstreamMaxRetries,
-						Idempotent:  nfs3.RetrySafe,
-						Redial:      dial,
-					})
-					cleanup = append(cleanup, func() { client.Close() })
-					reps = append(reps, replbe.Replica{Name: name, B: nfs3be.New(client)})
-					if i == 0 {
-						// NFS replicas carry no local namespace: relay
-						// MOUNT/LOOKUP over the primary, like the classic
-						// single-upstream arrangement.
-						relay = client
-					}
-				default:
-					fail()
-					return nil, fmt.Errorf("stack: unknown replica kind %q in %q", kind, spec)
-				}
+			var err error
+			if reps, relay, err = o.replicaSet(n); err != nil {
+				return nil, nil, err
 			}
 		}
-		if relay == nil && opts.UpstreamAddr != "" {
+		if relay == nil && o.UpstreamAddr != "" {
 			// Injected replicas (or an all-objstore set) can still name a
 			// control-plane relay the classic way: UpstreamAddr/Link is
 			// then the namespace hop, typically the primary replica's
 			// server.
-			dial := Dialer(opts.UpstreamAddr, opts.UpstreamLink, opts.UpstreamKey)
-			conn, err := dial()
+			client, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, true)
 			if err != nil {
-				fail()
-				return nil, fmt.Errorf("stack: repl relay dial: %w", err)
+				return nil, nil, fmt.Errorf("stack: repl relay dial: %w", err)
 			}
-			client := sunrpc.NewClientWithOptions(conn, sunrpc.ClientOptions{
-				CallTimeout: opts.UpstreamCallTimeout,
-				MaxRetries:  opts.UpstreamMaxRetries,
-				Idempotent:  nfs3.RetrySafe,
-				Redial:      dial,
-			})
-			cleanup = append(cleanup, func() { client.Close() })
 			relay = client
 		}
-		rcfg := replbe.Config{}
-		if o.ReplConfig != nil {
-			rcfg = *o.ReplConfig
-		}
-		rb, err := replbe.New(reps, rcfg)
+		rb, err := replbe.New(reps, o.ReplConfig)
 		if err != nil {
-			fail()
-			return nil, fmt.Errorf("stack: repl backend: %w", err)
+			return nil, nil, fmt.Errorf("stack: repl backend: %w", err)
 		}
-		cfg.Backend = rb
-		cfg.Upstream = relay
-		cleanup = append(cleanup, func() { rb.Close() })
-	default:
-		return nil, fmt.Errorf("stack: unknown backend %q (want %q, %q or %q)",
-			o.Backend, BackendNFS3, BackendObjstore, BackendRepl)
+		n.onClose(func() { rb.Close() })
+		return rb, relay, nil
+	}
+	return nil, nil, fmt.Errorf("stack: unknown backend %q (want %q, %q or %q)",
+		o.Backend, BackendNFS3, BackendObjstore, BackendRepl)
+}
+
+// StartProxy runs a GVFS proxy node over the selected backend.
+func StartProxy(opts ProxyOptions) (_ *Node, err error) {
+	n := &Node{}
+	defer func() {
+		if err != nil {
+			n.Close()
+		}
+	}()
+
+	cfg := proxy.Config{
+		Mapper:           opts.Mapper,
+		DisableMeta:      opts.DisableMeta,
+		ReadAhead:        opts.ReadAhead,
+		DegradedReads:    opts.DegradedReads,
+		FailureThreshold: opts.FailureThreshold,
+		ProbeInterval:    opts.ProbeInterval,
+		Metrics:          opts.Metrics,
+		Logger:           opts.Logger,
+		CallBudget:       opts.CallBudget,
+	}
+	if cfg.Backend, cfg.Upstream, err = opts.connectBackend(n); err != nil {
+		return nil, err
 	}
 
 	if opts.TraceRing > 0 {
@@ -579,6 +567,7 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 		}
 		cfg.Flight = obs.NewFlightRecorder(opts.FlightRing, opts.SlowThreshold)
 	}
+	n.Tracer, n.Flight = cfg.Tracer, cfg.Flight
 
 	if opts.QoS != nil {
 		qcfg := *opts.QoS
@@ -601,118 +590,93 @@ func StartProxyV2(o ProxyOptionsV2) (*Node, error) {
 				}
 			}
 		}
-		sched := qos.New(qcfg)
-		cfg.QoS = sched
-		cleanup = append(cleanup, sched.Close)
+		cfg.QoS = qos.New(qcfg)
+		n.onClose(cfg.QoS.Close)
 	}
 
-	var analyzer *cachean.Analyzer
 	if opts.Cachean {
-		analyzer = cachean.New(cachean.Config{
-			Rate:   opts.CacheanRate,
-			Window: opts.CacheanWindow,
-		})
-		cfg.Cachean = analyzer
-		cleanup = append(cleanup, analyzer.Close)
+		n.Cachean = cachean.New(cachean.Config{})
+		cfg.Cachean = n.Cachean
+		n.onClose(n.Cachean.Close)
 	}
 
-	var blockCache *cache.Cache
 	if opts.SharedBlockCache != nil {
 		if opts.CacheConfig != nil {
-			fail()
 			return nil, fmt.Errorf("stack: SharedBlockCache and CacheConfig are mutually exclusive")
 		}
 		if !opts.SharedBlockCache.Config().ReadOnly {
-			fail()
 			return nil, fmt.Errorf("stack: a shared block cache must be ReadOnly")
 		}
-		blockCache = opts.SharedBlockCache
-		cfg.BlockCache = blockCache
-		cfg.WritePolicy = cache.WriteThrough
 		// Shared caches are not closed with the node: their owner is
 		// whoever created them.
+		n.BlockCache = opts.SharedBlockCache
+		cfg.WritePolicy = cache.WriteThrough
 	}
 	if opts.CacheConfig != nil {
 		ccfg := *opts.CacheConfig
 		if ccfg.Logger == nil && opts.Logger != nil {
 			ccfg.Logger = opts.Logger.Named("cache")
 		}
-		if o.Dedup {
-			ccfg.Dedup = true
+		if n.Cachean != nil && ccfg.Tap == nil {
+			ccfg.Tap = n.Cachean
 		}
-		if analyzer != nil && ccfg.Tap == nil {
-			ccfg.Tap = analyzer
-		}
-		var err error
-		blockCache, err = cache.New(ccfg)
+		bc, err := cache.New(ccfg)
 		if err != nil {
-			fail()
 			return nil, err
 		}
+		n.onClose(func() { bc.Close() })
 		if opts.PersistIndex {
-			if err := blockCache.LoadIndex(); err != nil {
-				blockCache.Close()
-				fail()
+			if err := bc.LoadIndex(); err != nil {
 				return nil, fmt.Errorf("stack: reload cache index: %w", err)
 			}
 		}
-		cfg.BlockCache = blockCache
-		cfg.WritePolicy = opts.CacheConfig.Policy
-		cleanup = append(cleanup, func() { blockCache.Close() })
+		n.BlockCache = bc
+		cfg.WritePolicy = ccfg.Policy
 	}
+	cfg.BlockCache = n.BlockCache
 	if opts.FileCacheDir != "" {
-		fc, err := filecache.New(opts.FileCacheDir)
-		if err != nil {
-			fail()
+		if cfg.FileCache, err = filecache.New(opts.FileCacheDir); err != nil {
 			return nil, err
 		}
-		cfg.FileCache = fc
 		if opts.FileChanAddr != "" {
 			cfg.FileChanDial = Dialer(opts.FileChanAddr, opts.FileChanLink, opts.FileChanKey)
 		}
 	}
 
-	if analyzer != nil && blockCache != nil {
-		cc := blockCache.Config()
-		analyzer.SetCapacity(
+	if n.Cachean != nil && n.BlockCache != nil {
+		cc := n.BlockCache.Config()
+		n.Cachean.SetCapacity(
 			uint64(cc.Banks)*uint64(cc.SetsPerBank)*uint64(cc.Assoc)*uint64(cc.BlockSize),
 			cc.BlockSize)
 	}
 
 	p, err := proxy.New(cfg)
 	if err != nil {
-		fail()
 		return nil, err
 	}
-	cleanup = append(cleanup, p.Shutdown)
+	n.onClose(p.Shutdown)
+	n.Proxy, n.Metrics = p, p.MetricsRegistry()
 	// Crash recovery: replay any journaled dirty blocks a crashed
 	// predecessor left in the cache directory BEFORE the listener
 	// starts — by the time a client can reconnect, the server already
 	// reflects every previously acknowledged write.
-	if blockCache != nil && blockCache.JournalEnabled() {
+	if n.BlockCache != nil && n.BlockCache.JournalEnabled() {
 		if _, err := p.RecoverJournal(); err != nil {
-			for i := len(cleanup) - 1; i >= 0; i-- {
-				cleanup[i]()
-			}
 			return nil, fmt.Errorf("stack: journal recovery: %w", err)
 		}
+	}
+	l, err := ListenOn(opts.ListenAddr, opts.ListenLink, opts.ListenKey)
+	if err != nil {
+		return nil, err
 	}
 	srv := sunrpc.NewServer()
 	srv.Register(nfs3.Program, nfs3.Version, p)
 	srv.Register(nfs3.MountProgram, nfs3.MountVersion, p)
-	l, err := listen(opts.ListenLink, opts.ListenKey)
-	if err != nil {
-		fail()
-		return nil, err
-	}
 	if opts.IdleWriteBack > 0 {
-		stopIdle := p.StartIdleWriteBack(opts.IdleWriteBack)
-		cleanup = append(cleanup, stopIdle)
+		n.onClose(p.StartIdleWriteBack(opts.IdleWriteBack))
 	}
-	go srv.Serve(l)
-	return &Node{Addr: l.Addr().String(), Proxy: p, BlockCache: blockCache,
-		Metrics: p.MetricsRegistry(), Tracer: cfg.Tracer, Flight: cfg.Flight,
-		Cachean: analyzer, rpcSrv: srv, listener: l, extra: cleanup}, nil
+	n.Done = n.serve(srv, l)
+	return n, nil
 }
 
 // StartStatsLogger emits one structured "stats" event for p at every
@@ -753,6 +717,18 @@ func StartStatsLogger(log *obs.Logger, p *proxy.Proxy, every time.Duration) (sto
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
+}
+
+// BridgeTunnelStats publishes the tunnel package's process-wide byte
+// totals in reg. The daemons call it: only they know one registry
+// serves the whole process.
+func BridgeTunnelStats(reg *obs.Registry) {
+	reg.CounterFunc("gvfs_tunnel_tx_bytes_total",
+		"Plaintext bytes sent through tunnels.",
+		func() uint64 { return tunnel.ReadStats().TxBytes })
+	reg.CounterFunc("gvfs_tunnel_rx_bytes_total",
+		"Plaintext bytes received through tunnels.",
+		func() uint64 { return tunnel.ReadStats().RxBytes })
 }
 
 // ImageServer bundles the services running on a paper "image server":
@@ -913,14 +889,11 @@ func StartFileChanRelay(upstreamDial func() (net.Conn, error), cacheDir string,
 		return nil, err
 	}
 	store := &relayStore{dial: upstreamDial, cache: fc}
-	l, err := listen(listenLink, listenKey)
+	l, err := ListenOn("", listenLink, listenKey)
 	if err != nil {
 		return nil, err
 	}
-	srv := filechan.NewServer(store)
-	go srv.Serve(l)
-	return &Node{Addr: l.Addr().String(), listener: l, extra: []func(){srv.Close}}, nil
+	n := &Node{}
+	n.serve(filechan.NewServer(store), l)
+	return n, nil
 }
-
-// AddCleanup registers fn to run when the node is closed.
-func (n *Node) AddCleanup(fn func()) { n.extra = append(n.extra, fn) }

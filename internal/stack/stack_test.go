@@ -2,18 +2,27 @@ package stack_test
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	gvfs "gvfs"
+	"gvfs/internal/backend"
+	"gvfs/internal/backend/objstore"
+	"gvfs/internal/backend/replbe"
+	"gvfs/internal/cache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
+	"gvfs/internal/mountd"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
+	"gvfs/internal/sunrpc"
 	"gvfs/internal/tunnel"
-
-	"time"
 )
 
 func TestStartNFSServerAndMount(t *testing.T) {
@@ -166,6 +175,165 @@ func TestNodeCleanupRuns(t *testing.T) {
 	node.Close()
 	if !ran {
 		t.Error("cleanup not invoked")
+	}
+}
+
+// TestStartProxyListenAddr: an explicit ListenAddr is the address the
+// proxy serves on; an empty one picks an ephemeral loopback port; and
+// Options() leaves it empty, so two proxies built from two flag sets
+// coexist in one process.
+func TestStartProxyListenAddr(t *testing.T) {
+	fs := memfs.New()
+	fs.WriteFile("/f", []byte("data"))
+	nfsd, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfsd.Close()
+	readThrough := func(addr string) {
+		t.Helper()
+		sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: addr, Export: "/"})
+		if err != nil {
+			t.Fatalf("mount %s: %v", addr, err)
+		}
+		defer sess.Close()
+		if data, err := sess.ReadFile("/f"); err != nil || string(data) != "data" {
+			t.Errorf("read through %s: %q, %v", addr, data, err)
+		}
+	}
+
+	// Reserve a port, release it, and ask for exactly that address.
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := probe.Addr().String()
+	probe.Close()
+	explicit, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: nfsd.Addr, ListenAddr: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer explicit.Close()
+	if explicit.Addr != want {
+		t.Errorf("ListenAddr %s: proxy serves on %s", want, explicit.Addr)
+	}
+	readThrough(want)
+
+	var nodes []*stack.Node
+	for i := 0; i < 2; i++ {
+		set := flag.NewFlagSet("gvfsproxy", flag.ContinueOnError)
+		flags := stack.BindProxyFlags(set)
+		if err := set.Parse([]string{"-upstream", nfsd.Addr}); err != nil {
+			t.Fatal(err)
+		}
+		opts, err := flags.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.ListenAddr != "" {
+			t.Fatalf("Options() set ListenAddr %q", opts.ListenAddr)
+		}
+		node, err := stack.StartProxy(opts)
+		if err != nil {
+			t.Fatalf("proxy %d from Options(): %v", i, err)
+		}
+		defer node.Close()
+		host, port, err := net.SplitHostPort(node.Addr)
+		if err != nil || host != "127.0.0.1" || port == "0" {
+			t.Errorf("empty ListenAddr: serving on %q, want an ephemeral loopback port", node.Addr)
+		}
+		nodes = append(nodes, node)
+	}
+	if nodes[0].Addr == nodes[1].Addr {
+		t.Fatalf("two proxies share %s", nodes[0].Addr)
+	}
+	readThrough(nodes[0].Addr)
+	readThrough(nodes[1].Addr)
+}
+
+// refusingReplica is an origin that refuses every write, so a dirty
+// block stays dirty and the idle writer retries it on every tick. Its
+// Close takes many ticks, and it counts the writes that still arrive
+// once Close has begun.
+type refusingReplica struct {
+	*objstore.Backend
+	writes atomic.Int64
+	closed atomic.Bool
+	late   atomic.Int64
+}
+
+func (r *refusingReplica) Write(backend.FileID, uint64, []byte, backend.CallOpts) (*backend.Attr, error) {
+	r.writes.Add(1)
+	if r.closed.Load() {
+		r.late.Add(1)
+	}
+	return nil, &backend.Error{Class: backend.ClassIO, Op: "write", Err: errors.New("origin refuses writes")}
+}
+
+func (r *refusingReplica) Close() error {
+	r.closed.Store(true)
+	time.Sleep(100 * time.Millisecond)
+	return r.Backend.Close()
+}
+
+// TestCloseStopsUsersBeforeWhatTheyUse: Close must stop the idle
+// writer and the proxy before it closes the cache and the upstream
+// they write to. Tearing down in construction order instead let idle
+// ticks run write-backs against an upstream that was already closed.
+func TestCloseStopsUsersBeforeWhatTheyUse(t *testing.T) {
+	const idle = 8 * time.Millisecond // one tick every 2 ms
+	store := objstore.NewMemStore()
+	origin := &refusingReplica{Backend: objstore.New(store, 0)}
+	if err := origin.CreateFile("/f", make([]byte, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		Backend:         stack.BackendRepl,
+		ReplicaBackends: []replbe.Replica{{Name: "r0", B: origin}},
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 2, Assoc: 2,
+			BlockSize: 8192, Policy: cache.WriteBack},
+		IdleWriteBack: idle,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			node.Close()
+		}
+	}()
+
+	conn, err := stack.Dialer(node.Addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := sunrpc.NewClient(conn)
+	defer rpc.Close()
+	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "t"}.Encode()
+	root, err := mountd.Mount(rpc, cred, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := nfs3.NewClient(rpc, cred)
+	fh, _, err := client.Lookup(root, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	// The idle writer is live once it has tried (and been refused).
+	for deadline := time.Now().Add(5 * time.Second); origin.writes.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("idle writer never attempted a write-back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	node.Close()
+	closed = true
+	if n := origin.late.Load(); n != 0 {
+		t.Errorf("%d write-backs reached the origin after its Close began", n)
 	}
 }
 
