@@ -89,32 +89,21 @@ func verf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
 // can carry them (see sunrpc.TraceContext), and capping retransmission
 // at the deadline when the transport supports that. It is the one
 // upstream call path: the backend's own calls and the proxy's verbatim
-// relay both go through it.
-//
-// A call with neither trace nor deadline — every call of a default
-// deployment — goes straight to the transport from this small frame.
-// The verifier path lives in its own function because its frame is
-// three times the size: RPC handlers run on fresh 2 KB goroutine
-// stacks, and carrying that frame on every relayed call cost the
-// server-side proxy one more stack growth per call (about 3% of the
-// process's CPU in the write_flush benchmark).
+// relay both go through it. A call with neither trace nor deadline —
+// every call of a default deployment — goes straight to the transport.
 func Call(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, opts backend.CallOpts) ([]byte, error) {
 	if opts.TraceID == 0 && opts.Deadline.IsZero() {
 		return rpc.Call(prog, vers, proc, cred, args)
 	}
-	return callVerf(rpc, prog, vers, proc, &cred, args, &opts)
-}
-
-func callVerf(rpc nfs3.Caller, prog, vers, proc uint32, cred *sunrpc.OpaqueAuth, args []byte, opts *backend.CallOpts) ([]byte, error) {
 	if !opts.Deadline.IsZero() {
 		if dc, ok := rpc.(sunrpc.DeadlineVerfCaller); ok {
-			return dc.CallVerfDeadline(prog, vers, proc, *cred, verf(opts), args, opts.Deadline)
+			return dc.CallVerfDeadline(prog, vers, proc, cred, verf(&opts), args, opts.Deadline)
 		}
 	}
 	if vc, ok := rpc.(sunrpc.VerfCaller); ok {
-		return vc.CallVerf(prog, vers, proc, *cred, verf(opts), args)
+		return vc.CallVerf(prog, vers, proc, cred, verf(&opts), args)
 	}
-	return rpc.Call(prog, vers, proc, *cred, args)
+	return rpc.Call(prog, vers, proc, cred, args)
 }
 
 // call issues one NFS RPC under the backend's credential.

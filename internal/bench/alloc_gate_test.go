@@ -2,14 +2,13 @@ package bench
 
 import "testing"
 
-// Alloc regression gates: the warm data path must stay at least 80%
-// below the seed baselines (63 allocs/op READ, 67 WRITE). The current
-// measured steady state is ~6 READ / ~8 WRITE; the gate leaves
-// headroom for harness jitter but fails the build long before the
-// pooled path quietly regresses toward the seed.
+// Alloc regression gates: the measured steady state of the warm data
+// path (3 allocs/op READ, 5 WRITE; the seed was 63 and 67) plus one: two
+// new allocations per op fail the build, where a fifth of the seed let a
+// doubling pass.
 const (
-	warmReadAllocGate  = seedWarmReadAllocsPerOp / 5  // 12.6
-	warmWriteAllocGate = seedWarmWriteAllocsPerOp / 5 // 13.4
+	warmReadAllocGate  = 4.0
+	warmWriteAllocGate = 6.0
 )
 
 // TestWarmPathAllocGate measures the warm-cache READ/WRITE paths over

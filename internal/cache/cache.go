@@ -971,17 +971,34 @@ func (c *Cache) propagate(ids []BlockID) error {
 	if c.cfg.WriteCoalesce >= 2*c.cfg.BlockSize {
 		return c.propagateCoalesced(ids, wb)
 	}
-	sem := make(chan struct{}, c.cfg.FlushConcurrency)
-	errs := make(chan error, len(ids))
-	for _, id := range ids {
-		sem <- struct{}{}
-		go func(id BlockID) {
-			defer func() { <-sem }()
-			errs <- c.flushBlock(id, wb)
-		}(id)
+	return flushEach(c.cfg.FlushConcurrency, ids, func(id BlockID) error { return c.flushBlock(id, wb) })
+}
+
+// flushEach calls flush once for every item, from at most workers
+// goroutines that each take the next item as they finish the last, and
+// returns an error of the earliest failing worker (nil when none
+// failed) once every call has returned. A goroutine per item would pay
+// for a new stack, grown through the whole write-back call chain, on
+// every block.
+func flushEach[T any](workers int, items []T, flush func(T) error) error {
+	if workers > len(items) {
+		workers = len(items)
+	}
+	var next atomic.Int64
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			var first error
+			for i := next.Add(1) - 1; i < int64(len(items)); i = next.Add(1) - 1 {
+				if err := flush(items[i]); err != nil && first == nil {
+					first = err
+				}
+			}
+			errs <- first
+		}()
 	}
 	var first error
-	for range ids {
+	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}

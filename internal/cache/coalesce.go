@@ -72,22 +72,7 @@ func coalesceRuns(ids []BlockID, blockSize, maxBytes int) []run {
 // into single WRITEs, pipelined like the per-block path.
 func (c *Cache) propagateCoalesced(ids []BlockID, wb WriteBackFunc) error {
 	runs := coalesceRuns(ids, c.cfg.BlockSize, c.cfg.WriteCoalesce)
-	sem := make(chan struct{}, c.cfg.FlushConcurrency)
-	errs := make(chan error, len(runs))
-	for _, r := range runs {
-		sem <- struct{}{}
-		go func(r run) {
-			defer func() { <-sem }()
-			errs <- c.flushRun(r, wb)
-		}(r)
-	}
-	var first error
-	for range runs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return flushEach(c.cfg.FlushConcurrency, runs, func(r run) error { return c.flushRun(r, wb) })
 }
 
 // pinnedFrame is one run member snapshotted under its shared pin.

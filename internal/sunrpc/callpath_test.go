@@ -1,0 +1,374 @@
+package sunrpc
+
+// Tests of the call path's resource discipline: reused per-connection
+// workers on the server (no head-of-line blocking, no cap, no leak) and
+// recycled reply channels on the client (no reply ever reaches a call
+// it was not sent for, no garbage beyond the reply record).
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+)
+
+const (
+	procNull  = 0 // answers at once
+	procBlock = 1 // reports on entered, answers once release is closed
+)
+
+// blockingServer serves testProg with the two procedures above.
+func blockingServer(t *testing.T) (srv *Server, addr string, entered chan struct{}, release chan struct{}) {
+	t.Helper()
+	entered = make(chan struct{}, 1024) // more than any test blocks at once: handlers never wait to report
+	release = make(chan struct{})
+	srv = NewServer()
+	srv.Register(testProg, testVers, HandlerFunc(func(c *Call) ([]byte, AcceptStat) {
+		if c.Proc == procBlock {
+			entered <- struct{}{}
+			<-release
+		}
+		return nil, Success
+	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
+	return srv, l.Addr().String(), entered, release
+}
+
+// startBlocked pipelines n procBlock calls on c and returns once all n
+// are inside their handlers.
+func startBlocked(t *testing.T, c *Client, entered chan struct{}, n int) []*Pending {
+	t.Helper()
+	ps := make([]*Pending, n)
+	for i := range ps {
+		var err error
+		if ps[i], err = c.Start(testProg, testVers, procBlock, AuthNoneCred, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			t.Fatalf("only %d of %d calls reached their handler", i, n)
+		}
+	}
+	return ps
+}
+
+func waitAll(t *testing.T, ps []*Pending) {
+	t.Helper()
+	for _, p := range ps {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Calls blocked in their handlers neither delay a later call on the
+// same connection nor keep one another out: with n blocked at once, all
+// n are inside their handlers and a NULL call still answers. Afterwards
+// no more than maxIdleWorkers stay parked.
+func TestBlockedHandlersDoNotBlockConnection(t *testing.T) {
+	for _, n := range []int{1, 64} {
+		_, addr, entered, release := blockingServer(t)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		connected := runtime.NumGoroutine() // the connection's reader and the client's included
+		blocked := startBlocked(t, c, entered, n)
+		if _, err := c.CallVerfDeadline(testProg, testVers, procNull, AuthNoneCred, AuthNoneCred, nil,
+			time.Now().Add(10*time.Second)); err != nil {
+			t.Fatalf("%d calls blocked: a later call on the connection: %v", n, err)
+		}
+		close(release)
+		waitAll(t, blocked)
+		waitGoroutines(t, connected+maxIdleWorkers, "workers parked after the burst")
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to baseline.
+func waitGoroutines(t *testing.T, baseline int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, %d before\n%s", when, runtime.NumGoroutine(), baseline,
+				buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Readers and workers, parked or running, all exit once their
+// connection or the Server is closed.
+func TestWorkersExitOnClose(t *testing.T) {
+	// overlap leaves several workers parked on c's connection.
+	overlap := func(t *testing.T, c *Client, entered, release chan struct{}) {
+		t.Helper()
+		ps := startBlocked(t, c, entered, 8)
+		close(release)
+		waitAll(t, ps)
+	}
+
+	t.Run("conn.Close", func(t *testing.T) {
+		_, addr, entered, release := blockingServer(t)
+		base := runtime.NumGoroutine() // the server's Serve loop included
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlap(t, c, entered, release)
+		c.Close()
+		waitGoroutines(t, base, "after conn.Close")
+	})
+
+	t.Run("Server.Close", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		srv, addr, entered, release := blockingServer(t)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlap(t, c, entered, release)
+		srv.Close()
+		c.Close()
+		waitGoroutines(t, base, "after Server.Close")
+	})
+
+	t.Run("Server.Close with handlers running", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		srv, addr, entered, release := blockingServer(t)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		startBlocked(t, c, entered, 4)
+		srv.Close()
+		c.Close()
+		close(release) // only now may the handlers return; their workers then find the connection gone
+		waitGoroutines(t, base, "after Server.Close and the handlers' return")
+	})
+}
+
+// fakeServer accepts one connection and runs answer for every call read
+// from it, until answer or the connection fails. reply sends payload as
+// the accepted results of xid.
+func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, payload []byte) error) error) (addr string) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		reply := func(xid uint32, payload []byte) error {
+			return writeRecord(conn, marshalAcceptedReply(xid, Success, payload))
+		}
+		for {
+			rec, err := readRecord(conn)
+			if err != nil {
+				return
+			}
+			call, err := parseCall(rec)
+			if err != nil || answer(call, reply) != nil {
+				return
+			}
+		}
+	}()
+	return l.Addr().String()
+}
+
+const strayIterations = 1000
+
+// A server that answers every XID twice: the duplicate arrives while the
+// next call, on a recycled reply channel, is already waiting, and must
+// not be taken for that call's reply.
+func TestDuplicateReplyNeverReachesLaterCall(t *testing.T) {
+	addr := fakeServer(t, func(call *Call, reply func(uint32, []byte) error) error {
+		if err := reply(call.XID, call.Args); err != nil {
+			return err
+		}
+		return reply(call.XID, call.Args)
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var args [4]byte
+	for i := uint32(0); i < strayIterations; i++ {
+		binary.BigEndian.PutUint32(args[:], i)
+		res, err := c.Call(testProg, testVers, 1, AuthNoneCred, args[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res, args[:]) {
+			t.Fatalf("call %d received the reply to call %d", i, binary.BigEndian.Uint32(res))
+		}
+	}
+}
+
+// A server that answers a call only after its caller has given up, and
+// just ahead of the reply to the next call: the late reply must be
+// dropped, not handed to the next call through the recycled channel.
+func TestLateReplyNeverReachesLaterCall(t *testing.T) {
+	const procSlow, procFast = 1, 2
+	var lateXID uint32
+	var late []byte
+	addr := fakeServer(t, func(call *Call, reply func(uint32, []byte) error) error {
+		if call.Proc == procSlow {
+			lateXID, late = call.XID, append([]byte(nil), call.Args...)
+			return nil
+		}
+		if err := reply(lateXID, late); err != nil {
+			return err
+		}
+		return reply(call.XID, call.Args)
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var slow, fast [4]byte
+	for i := uint32(0); i < strayIterations; i++ {
+		binary.BigEndian.PutUint32(slow[:], 2*i)
+		binary.BigEndian.PutUint32(fast[:], 2*i+1)
+		_, err := c.CallVerfDeadline(testProg, testVers, procSlow, AuthNoneCred, AuthNoneCred, slow[:],
+			time.Now().Add(200*time.Microsecond))
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: %v, want a deadline error", 2*i, err)
+		}
+		res, err := c.Call(testProg, testVers, procFast, AuthNoneCred, fast[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res, fast[:]) {
+			t.Fatalf("call %d received the reply to call %d", 2*i+1, binary.BigEndian.Uint32(res))
+		}
+	}
+}
+
+// goroutineID writes the running goroutine's "goroutine N" stack-trace
+// prefix into buf and returns it.
+func goroutineID(buf []byte) []byte {
+	buf = buf[:runtime.Stack(buf, false)]
+	if i := bytes.IndexByte(buf, '['); i > 0 {
+		buf = buf[:i]
+	}
+	return buf
+}
+
+// echoRig is the benchmark's echo: a server answering every call with
+// the same 8 KiB, one client over loopback, 32 B of arguments (about a
+// READ3args). onCall, when non-nil, runs inside the handler.
+func echoRig(tb testing.TB, onCall func()) (call func()) {
+	tb.Helper()
+	reply := make([]byte, 8192)
+	srv := NewServer()
+	srv.Register(testProg, testVers, HandlerFunc(func(*Call) ([]byte, AcceptStat) {
+		if onCall != nil {
+			onCall()
+		}
+		return reply, Success
+	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(l)
+	tb.Cleanup(srv.Close)
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	args := make([]byte, 32)
+	return func() {
+		res, err := c.Call(testProg, testVers, 1, AuthNoneCred, args)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(res) != len(reply) {
+			tb.Fatalf("reply of %d bytes, want %d", len(res), len(reply))
+		}
+	}
+}
+
+// A sequential caller is served by one worker goroutine for the life of
+// the connection, and a call allocates nothing but the reply record the
+// caller keeps. Allocation counts mean nothing under the race detector;
+// CI runs this test without it.
+func TestCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	// One P, as testing.AllocsPerRun measures and as the repository's
+	// benchmark runs: with a second one the reader can receive the next
+	// call before the worker that answered the last has parked, and then
+	// rightly starts another.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const calls = 10000
+	var idBuf, lastBuf [64]byte
+	var last []byte // the goroutine the previous call's handler ran on
+	workers := 0
+	call := echoRig(t, func() {
+		if id := goroutineID(idBuf[:]); !bytes.Equal(id, last) {
+			workers++
+			last = append(lastBuf[:0], id...)
+		}
+	})
+	call() // warm-up: the connection's first worker, pool entries, grown stacks
+	goroutines := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if workers != 1 {
+		t.Errorf("handlers ran on %d different goroutines in turn, want 1 reused worker", workers)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Errorf("%d goroutines after %d calls, %d before", n, calls, goroutines)
+	}
+	// The odd allocation belongs to the runtime (a GC cycle refilling a
+	// sync.Pool it emptied), hence 1.05 and not 1.
+	if perCall := float64(after.Mallocs-before.Mallocs) / calls; perCall > 1.05 {
+		t.Errorf("%.2f allocs per call, want 1 (the reply record)", perCall)
+	} else {
+		t.Logf("%.3f allocs per call", perCall)
+	}
+}
+
+// BenchmarkServerEcho is the "sunrpc framed round trip" line of the
+// layer budget: 32 B of arguments out, 8 KiB back, one closed-loop
+// client on loopback.
+func BenchmarkServerEcho(b *testing.B) {
+	call := echoRig(b, nil)
+	call()
+	b.SetBytes(8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+}

@@ -118,6 +118,28 @@ type clientReply struct {
 	transport bool
 }
 
+// replyChans recycles the one-slot channels calls wait on. One rule
+// keeps a recycled channel from carrying another call's reply: every
+// send happens with c.mu held on a channel just found in c.pending
+// (readLoop, failPendingLocked), and a caller gives its channel up only
+// through unregister, which removes the XID under c.mu first, then
+// drains, then recycles. After the removal no sender can find the
+// channel, so a late or duplicate reply is dropped, not delivered to
+// whoever holds the channel next.
+var replyChans = sync.Pool{New: func() any { return make(chan clientReply, 1) }}
+
+// unregister ends a call: see replyChans for why the order matters.
+func (c *Client) unregister(xid uint32, ch chan clientReply) {
+	c.mu.Lock()
+	delete(c.pending, xid)
+	c.mu.Unlock()
+	select {
+	case <-ch:
+	default:
+	}
+	replyChans.Put(ch)
+}
+
 // NewClient wraps an established connection with default (no-retry)
 // options.
 func NewClient(conn net.Conn) *Client {
@@ -253,16 +275,17 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			rep.results = rec[d.Pos():]
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[xid]
-		c.mu.Unlock()
-		if ok {
+		if ch, ok := c.pending[xid]; ok {
 			// Non-blocking: a duplicate reply (retransmission answered
-			// twice) is dropped rather than wedging the read loop.
+			// twice) is dropped rather than wedging the read loop. Under
+			// c.mu so the channel cannot be recycled between lookup and
+			// send (see replyChans).
 			select {
 			case ch <- rep:
 			default:
 			}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -376,14 +399,10 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 	}
 	xid := c.nextXID
 	c.nextXID++
-	ch := make(chan clientReply, 1)
+	ch := replyChans.Get().(chan clientReply)
 	c.pending[xid] = ch
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
-	}()
+	defer c.unregister(xid, ch)
 
 	// The record-marked message lives in a pooled buffer for the whole
 	// retry loop (retransmissions reuse it verbatim); every write path
@@ -574,7 +593,7 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*
 	}
 	xid := c.nextXID
 	c.nextXID++
-	ch := make(chan clientReply, 1)
+	ch := replyChans.Get().(chan clientReply)
 	c.pending[xid] = ch
 	c.mu.Unlock()
 
@@ -591,9 +610,7 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*
 	bufpool.Put(msg)
 	if werr != nil {
 		c.connDown(gen, werr)
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
+		c.unregister(xid, ch)
 		return nil, fmt.Errorf("%w: %v", ErrClientClosed, werr)
 	}
 	return &Pending{c: c, xid: xid, ch: ch}, nil
@@ -603,11 +620,12 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*
 // CallTimeout, when set, bounds the wait; a connection failure fails
 // the wait promptly.
 func (p *Pending) Wait() ([]byte, error) {
-	defer func() {
-		p.c.mu.Lock()
-		delete(p.c.pending, p.xid)
-		p.c.mu.Unlock()
-	}()
+	ch := p.ch
+	if ch == nil {
+		return nil, errors.New("sunrpc: Wait called twice on one Pending")
+	}
+	p.ch = nil // the channel is recycled below and may be another call's by the time a second Wait ran
+	defer p.c.unregister(p.xid, ch)
 	var timeout <-chan time.Time
 	var timer *time.Timer
 	if d := p.c.opts.CallTimeout; d > 0 {
@@ -616,7 +634,7 @@ func (p *Pending) Wait() ([]byte, error) {
 		timeout = timer.C
 	}
 	select {
-	case rep := <-p.ch:
+	case rep := <-ch:
 		if rep.err != nil {
 			return nil, rep.err
 		}

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gvfs/internal/bufpool"
@@ -325,6 +326,10 @@ type Call struct {
 	// has been copied into the outgoing record. The handler must not
 	// touch the slice after HandleCall returns.
 	ReplyPooled bool
+
+	// rec is the pooled request record that Args, Cred.Body and Verf.Body
+	// alias; release returns it.
+	rec []byte
 }
 
 // Handler processes calls for one (program, version). Results must be
@@ -349,8 +354,11 @@ type progVers struct{ prog, vers uint32 }
 
 // Server serves ONC RPC programs on a stream listener.
 type Server struct {
+	// handlers is replaced, never mutated, by Register, so dispatch reads
+	// it without taking mu.
+	handlers atomic.Pointer[map[progVers]Handler]
+
 	mu        sync.Mutex
-	handlers  map[progVers]Handler
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	closed    bool
@@ -358,18 +366,25 @@ type Server struct {
 
 // NewServer returns an empty Server; register programs before serving.
 func NewServer() *Server {
-	return &Server{
-		handlers:  make(map[progVers]Handler),
+	s := &Server{
 		conns:     make(map[net.Conn]struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
+	s.handlers.Store(&map[progVers]Handler{})
+	return s
 }
 
 // Register installs h as the handler for (prog, vers).
 func (s *Server) Register(prog, vers uint32, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[progVers{prog, vers}] = h
+	old := *s.handlers.Load()
+	m := make(map[progVers]Handler, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	m[progVers{prog, vers}] = h
+	s.handlers.Store(&m)
 }
 
 // Serve accepts connections from l until l is closed or Close is called.
@@ -409,7 +424,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close terminates all active connections and adopted listeners. It is
-// idempotent and safe to call concurrently with Serve.
+// idempotent and safe to call concurrently with Serve. Every goroutine
+// the server started exits: readers at once, a worker as soon as the
+// handler it is running returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -438,17 +455,55 @@ func (s *Server) Close() {
 const acceptedReplyHdrMax = 24
 
 // callPool recycles Call structs between requests: a Call lives from
-// parse to reply write, and handlers must not retain it.
+// parse until its handler's results are framed into the reply, and
+// handlers must not retain it.
 var callPool = sync.Pool{New: func() any { return new(Call) }}
 
+// release returns the call and the request record it aliases to their
+// pools.
+func (c *Call) release() {
+	bufpool.Put(c.rec)
+	*c = Call{}
+	callPool.Put(c)
+}
+
+// maxIdleWorkers bounds the workers one connection keeps parked between
+// calls. It does not bound concurrency: a call that finds no parked
+// worker always gets a new one, and a worker that finishes with this
+// many already parked exits instead of joining them.
+const maxIdleWorkers = 32
+
+// serverConn is one accepted connection: a reader (serveConn) that
+// never runs a handler, and the workers that do. A worker is the
+// goroutine behind a chan *Call; between calls it parks on that channel
+// with its stack as the last handler grew it, which is what a goroutine
+// per call paid for on every call.
+type serverConn struct {
+	s      *Server
+	conn   net.Conn
+	remote net.Addr
+	wmu    sync.Mutex // serializes record writes from concurrent workers
+
+	mu     sync.Mutex
+	idle   []chan *Call // parked workers, most recently parked last
+	closed bool         // the reader has exited: workers exit instead of parking
+}
+
 func (s *Server) serveConn(conn net.Conn) {
+	sc := &serverConn{s: s, conn: conn, remote: conn.RemoteAddr()}
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		sc.mu.Lock()
+		sc.closed = true
+		for _, w := range sc.idle {
+			close(w)
+		}
+		sc.idle = nil
+		sc.mu.Unlock()
 	}()
-	var wmu sync.Mutex // serializes record writes from concurrent handlers
 	hdr := make([]byte, 4)
 	for {
 		rec, err := readRecordPooled(conn, hdr)
@@ -460,50 +515,81 @@ func (s *Server) serveConn(conn net.Conn) {
 			bufpool.Put(rec)
 			return // malformed stream: drop connection
 		}
-		call.RemoteAddr = conn.RemoteAddr()
-		s.mu.Lock()
-		h, ok := s.handlers[progVers{call.Prog, call.Vers}]
-		s.mu.Unlock()
-		go func() {
-			var results []byte
-			stat := ProgUnavail
-			if ok {
-				results, stat = h.HandleCall(call)
-			}
-			// Build record mark + reply header + results in one pooled
-			// buffer so the message leaves in a single Write and the
-			// handler's pooled results can be released immediately
-			// after the copy.
-			reply := bufpool.Get(4 + acceptedReplyHdrMax + len(results))[:4]
-			b := xdr.Builder{B: reply}
-			b.Uint32(call.XID)
-			b.Uint32(msgReply)
-			b.Uint32(replyAccepted)
-			b.Uint32(AuthNone) // verifier flavor
-			b.Uint32(0)        // verifier length
-			b.Uint32(uint32(stat))
-			reply = append(b.B, results...)
-			if call.ReplyPooled {
-				bufpool.Put(results)
-			}
-			binary.BigEndian.PutUint32(reply[:4], uint32(len(reply)-4)|0x80000000)
-			wmu.Lock()
-			_, werr := conn.Write(reply)
-			wmu.Unlock()
-			bufpool.Put(reply)
-			*call = Call{}
-			callPool.Put(call)
-			bufpool.Put(rec)
-			if werr != nil {
-				conn.Close()
-			}
-		}()
+		call.RemoteAddr = sc.remote
+		sc.dispatch(call)
+	}
+}
+
+// dispatch hands call to the most recently parked worker, or to a new
+// one when none is parked. It never blocks: a worker's channel has room
+// for one call and a parked worker's is empty.
+func (sc *serverConn) dispatch(call *Call) {
+	sc.mu.Lock()
+	if n := len(sc.idle); n > 0 {
+		w := sc.idle[n-1]
+		sc.idle = sc.idle[:n-1]
+		sc.mu.Unlock()
+		w <- call
+		return
+	}
+	sc.mu.Unlock()
+	w := make(chan *Call, 1)
+	w <- call
+	go sc.work(w)
+}
+
+// work serves the calls sent on w, parking on it in between, until the
+// connection's reader has exited.
+func (sc *serverConn) work(w chan *Call) {
+	for call := range w {
+		sc.serve(call)
+		sc.mu.Lock()
+		if sc.closed || len(sc.idle) >= maxIdleWorkers {
+			sc.mu.Unlock()
+			return
+		}
+		sc.idle = append(sc.idle, w)
+		sc.mu.Unlock()
+	}
+}
+
+// serve runs the handler for one call, writes the reply and releases the
+// call, its request record, the handler's pooled results and the reply.
+func (sc *serverConn) serve(call *Call) {
+	var results []byte
+	stat := ProgUnavail
+	if h, ok := (*sc.s.handlers.Load())[progVers{call.Prog, call.Vers}]; ok {
+		results, stat = h.HandleCall(call)
+	}
+	// Build record mark + reply header + results in one pooled buffer so
+	// the message leaves in a single Write and the handler's pooled
+	// results can be released immediately after the copy.
+	reply := bufpool.Get(4 + acceptedReplyHdrMax + len(results))[:4]
+	b := xdr.Builder{B: reply}
+	b.Uint32(call.XID)
+	b.Uint32(msgReply)
+	b.Uint32(replyAccepted)
+	b.Uint32(AuthNone) // verifier flavor
+	b.Uint32(0)        // verifier length
+	b.Uint32(uint32(stat))
+	reply = append(b.B, results...)
+	if call.ReplyPooled {
+		bufpool.Put(results)
+	}
+	call.release()
+	binary.BigEndian.PutUint32(reply[:4], uint32(len(reply)-4)|0x80000000)
+	sc.wmu.Lock()
+	_, werr := sc.conn.Write(reply)
+	sc.wmu.Unlock()
+	bufpool.Put(reply)
+	if werr != nil {
+		sc.conn.Close()
 	}
 }
 
 // parseCall decodes a CALL record. The returned Call comes from
-// callPool, and its Cred/Verf bodies and Args alias rec: the caller
-// releases both once the reply is on the wire.
+// callPool, owns rec, and its Cred/Verf bodies and Args alias it:
+// Call.release returns both. On error rec stays the caller's.
 func parseCall(rec []byte) (*Call, error) {
 	var d xdr.Decoder
 	d.ResetBytes(rec)
@@ -528,6 +614,7 @@ func parseCall(rec []byte) (*Call, error) {
 		return nil, err
 	}
 	c.Args = d.Rest()
+	c.rec = rec
 	return c, nil
 }
 
