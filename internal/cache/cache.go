@@ -97,11 +97,6 @@ type Config struct {
 	// JournalSync selects journal durability on the write path
 	// (default SyncBatch: group-commit fsync).
 	JournalSync SyncMode
-	// WriteCoalesce, when positive, merges runs of consecutive dirty
-	// blocks of a file into single upstream WRITEs of up to this many
-	// bytes at flush time (capped at the 32 KB NFS transfer limit),
-	// instead of one WRITE RPC per block. Zero disables coalescing.
-	WriteCoalesce int
 	// Dedup enables the content-addressed dedup table: clean blocks
 	// inserted via PutDedup whose content is already cached become
 	// aliases of the existing frame instead of consuming capacity,
@@ -147,14 +142,11 @@ func (c *Config) fill() error {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 8192
 	}
-	if c.BlockSize > 32768 {
+	if c.BlockSize > nfs3.MaxTransfer {
 		return fmt.Errorf("cache: block size %d exceeds the 32 KB NFS limit", c.BlockSize)
 	}
 	if c.FlushConcurrency <= 0 {
 		c.FlushConcurrency = 8
-	}
-	if c.WriteCoalesce > 32768 {
-		c.WriteCoalesce = 32768
 	}
 	if c.Stripes <= 0 {
 		c.Stripes = 64
@@ -221,8 +213,10 @@ func (s *Stats) add(o Stats) {
 	s.ChecksumErrors += o.ChecksumErrors
 }
 
-// WriteBackFunc propagates one dirty block to the next level. The data
-// slice must not be retained.
+// WriteBackFunc propagates dirty data to the next level: one block on
+// eviction, a run of consecutive blocks (at most nfs3.MaxTransfer
+// bytes, every block but the last full) on flush. The data slice must
+// not be retained.
 type WriteBackFunc func(fh nfs3.FH, offset uint64, data []byte) error
 
 // stripe is one lock stripe: a group of sets sharing a mutex, an index
@@ -957,9 +951,10 @@ func (c *Cache) flushBlock(id BlockID, wb WriteBackFunc) error {
 	return err
 }
 
-// propagate pushes the dirty blocks through the WriteBackFunc with
-// bounded concurrency. Failed blocks stay dirty; the first error is
-// returned after all in-flight propagations settle.
+// propagate pushes the dirty blocks through the WriteBackFunc, runs of
+// consecutive blocks as one WRITE each (see coalesce.go), with bounded
+// concurrency. Failed blocks stay dirty; the first error is returned
+// after all in-flight propagations settle.
 func (c *Cache) propagate(ids []BlockID) error {
 	wb := c.writeBackFn()
 	if wb == nil {
@@ -968,10 +963,8 @@ func (c *Cache) propagate(ids []BlockID) error {
 		}
 		return fmt.Errorf("cache: flush with no write-back function installed")
 	}
-	if c.cfg.WriteCoalesce >= 2*c.cfg.BlockSize {
-		return c.propagateCoalesced(ids, wb)
-	}
-	return flushEach(c.cfg.FlushConcurrency, ids, func(id BlockID) error { return c.flushBlock(id, wb) })
+	runs := coalesceRuns(ids, c.cfg.BlockSize, nfs3.MaxTransfer)
+	return flushEach(c.cfg.FlushConcurrency, runs, func(r run) error { return c.flushRun(r, wb) })
 }
 
 // flushEach calls flush once for every item, from at most workers
@@ -1009,7 +1002,7 @@ func flushEach[T any](workers int, items []T, flush func(T) error) error {
 // WriteBackAll propagates every dirty frame through the WriteBackFunc,
 // leaving the data cached but clean. This is the middleware's
 // "write back" signal (SIGUSR1 on the proxy daemon). Propagation is
-// pipelined with Config.FlushConcurrency in-flight blocks; the dirty
+// pipelined with Config.FlushConcurrency in-flight WRITEs; the dirty
 // set is snapshotted stripe by stripe, not stop-the-world.
 func (c *Cache) WriteBackAll() error {
 	return c.propagate(c.dirtyIDs(""))

@@ -378,9 +378,10 @@ func TestPipelinedWriteBackAll(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FlushConcurrency = 4
 	c := newTestCache(t, cfg)
+	sink := newBlockSink(cfg.BlockSize)
 	var mu sync.Mutex
 	inFlight, peak := 0, 0
-	c.SetWriteBackFunc(func(nfs3.FH, uint64, []byte) error {
+	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
 		mu.Lock()
 		inFlight++
 		if inFlight > peak {
@@ -392,11 +393,17 @@ func TestPipelinedWriteBackAll(t *testing.T) {
 		mu.Lock()
 		inFlight--
 		mu.Unlock()
-		return nil
+		return sink.writeBack(fh, off, data)
 	})
-	for i := uint64(0); i < 32; i++ {
-		if err := c.Put(fhA, i, []byte{byte(i)}, true); err != nil {
-			t.Fatal(err)
+	// Eight runs of four blocks, a one-block hole between neighbours:
+	// what is pipelined is WRITEs, and one run is one WRITE.
+	const runs, perRun = 8, 4
+	for r := uint64(0); r < runs; r++ {
+		for i := uint64(0); i < perRun; i++ {
+			b := r*(perRun+1) + i
+			if err := c.Put(fhA, b, bytes.Repeat([]byte{byte(b)}, cfg.BlockSize), true); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := c.WriteBackAll(); err != nil {
@@ -410,6 +417,14 @@ func TestPipelinedWriteBackAll(t *testing.T) {
 	}
 	if peak > 4 {
 		t.Errorf("peak concurrency = %d exceeds FlushConcurrency", peak)
+	}
+	if sink.writes() != runs || sink.blocks() != runs*perRun {
+		t.Errorf("%d WRITEs covering %d blocks, want %d covering %d", sink.writes(), sink.blocks(), runs, runs*perRun)
+	}
+	for off, data := range sink.image(fhA) {
+		if want := bytes.Repeat([]byte{byte(off / uint64(cfg.BlockSize))}, cfg.BlockSize); !bytes.Equal(data, want) {
+			t.Errorf("block at %d landed as %d x %#x", off, len(data), data[0])
+		}
 	}
 }
 

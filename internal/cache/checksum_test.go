@@ -82,12 +82,12 @@ func TestChecksumDirtyCorruptionServedFromJournal(t *testing.T) {
 		t.Error("checksum error not counted")
 	}
 	// Write-back rescues from the journal as well.
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c.SetWriteBackFunc(srv.writeBack)
 	if err := c.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	if sent := srv.snapshot()[0]; !bytes.Equal(sent, data) {
+	if sent := srv.image(fhA)[0]; !bytes.Equal(sent, data) {
 		t.Fatal("write-back did not send the journal's intact copy")
 	}
 }
@@ -101,12 +101,12 @@ func TestChecksumDirtyCorruptionNoJournalFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptBank(t, dir, 64)
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c.SetWriteBackFunc(srv.writeBack)
 	if err := c.WriteBackAll(); err == nil {
 		t.Fatal("write-back of a corrupt dirty frame succeeded silently")
 	}
-	if srv.writes != 0 {
+	if srv.writes() != 0 {
 		t.Error("corrupt data was propagated to the server")
 	}
 }

@@ -1,19 +1,21 @@
 package cache
 
-// Write coalescing: at flush time, runs of consecutive dirty blocks of
-// a file are propagated as single upstream WRITEs instead of one RPC
-// per block. Over a WAN each RPC costs a round trip (the paper's
-// write-back sessions flush hundreds of 4-32 KB blocks), so merging
-// eight adjacent blocks into one 32 KB WRITE cuts the flush's RPC
-// count — and its latency — by the run length.
+// Flush in runs: WriteBackAll, Flush, WriteBackFile and the idle writer
+// propagate runs of consecutive dirty blocks of a file as one upstream
+// WRITE each, up to nfs3.MaxTransfer bytes — the WtMax every server
+// here advertises and the cap on BlockSize, so a 32 KiB block is a run
+// of one. What a flush costs is RPCs (socket syscalls and per-call
+// scheduling on loopback, a round trip each over a WAN), not bytes, and
+// the paper's write-back sessions flush hundreds of adjacent 4-32 KB
+// blocks: four 8 KiB blocks to a WRITE quarter the calls.
 //
 // Correctness reuses the flushBlock pin protocol: every frame of a run
 // is held under a shared pin across the combined read and the WRITE
 // RPC, which excludes writers and evictors for the whole round trip
 // and totally orders propagations of each block. Any frame that fails
-// validation (gone, clean, torn) simply ends or degrades the run; the
-// affected blocks fall back to the per-block flushBlock path, which
-// handles journal rescue.
+// validation (gone, clean, short, torn) simply ends or degrades the
+// run; the affected blocks fall back to flushBlock, which handles
+// journal rescue. Journal commits and dirty bits stay per block.
 
 import (
 	"sort"
@@ -23,12 +25,15 @@ import (
 )
 
 // run is a maximal sequence of consecutive dirty blocks of one file,
-// bounded by the coalescing byte budget.
+// bounded by the WRITE size.
 type run struct {
 	fh    string // BlockID.FH
 	start uint64 // first block
 	n     int    // block count
 }
+
+// id names the i'th block of the run.
+func (r run) id(i int) BlockID { return BlockID{FH: r.fh, Block: r.start + uint64(i)} }
 
 // coalesceRuns partitions a dirty-block snapshot into per-file runs of
 // consecutive blocks, splitting whenever a run would exceed maxBytes.
@@ -68,13 +73,6 @@ func coalesceRuns(ids []BlockID, blockSize, maxBytes int) []run {
 	return out
 }
 
-// propagateCoalesced is propagate with runs of adjacent blocks merged
-// into single WRITEs, pipelined like the per-block path.
-func (c *Cache) propagateCoalesced(ids []BlockID, wb WriteBackFunc) error {
-	runs := coalesceRuns(ids, c.cfg.BlockSize, c.cfg.WriteCoalesce)
-	return flushEach(c.cfg.FlushConcurrency, runs, func(r run) error { return c.flushRun(r, wb) })
-}
-
 // pinnedFrame is one run member snapshotted under its shared pin.
 type pinnedFrame struct {
 	s    *stripe
@@ -94,20 +92,13 @@ type pinnedFrame struct {
 // content at completion time.
 func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
 	if r.n == 1 {
-		return c.flushBlock(BlockID{FH: r.fh, Block: r.start}, wb)
+		return c.flushBlock(r.id(0), wb)
 	}
 	bs := c.cfg.BlockSize
 	pins := make([]pinnedFrame, 0, r.n)
-	release := func(from int) {
-		for i := from; i < len(pins); i++ {
-			p := &pins[i]
-			p.s.mu.Lock()
-			p.s.unpinShared(p.fr)
-			p.s.mu.Unlock()
-		}
-	}
+	total := 0
 	for i := 0; i < r.n; i++ {
-		id := BlockID{FH: r.fh, Block: r.start + uint64(i)}
+		id := r.id(i)
 		s := c.stripeFor(id)
 		s.mu.Lock()
 		idx, found := s.index[id]
@@ -125,6 +116,7 @@ func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
 		size, sum := fr.size, fr.crc
 		s.mu.Unlock()
 		pins = append(pins, pinnedFrame{s: s, fr: fr, idx: idx, id: id, size: size, crc: sum})
+		total += int(size)
 		if int(size) < bs {
 			// A short frame's bytes end before the next block starts:
 			// it can only be the tail of a coalesced WRITE.
@@ -132,67 +124,57 @@ func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
 		}
 	}
 
-	// Whatever the prefix didn't cover falls back to per-block flushes
-	// (blocks settled by racing evictions no-op there).
-	var firstErr error
-	flushRest := func(from int) {
-		for i := from; i < r.n; i++ {
-			id := BlockID{FH: r.fh, Block: r.start + uint64(i)}
-			if err := c.flushBlock(id, wb); err != nil && firstErr == nil {
-				firstErr = err
+	// Assemble the prefix's bytes in one pooled buffer, verifying each
+	// frame's checksum, and send it. A torn frame calls the coalesced
+	// WRITE off: flushBlock rescues it from the journal.
+	var err error
+	sent := 0 // blocks the coalesced WRITE settled
+	if len(pins) >= 2 {
+		buf := bufpool.Get(total)
+		if c.readRun(pins, buf) {
+			if err = wb(nfs3.FH(r.fh), r.start*uint64(bs), buf); err == nil {
+				sent = len(pins)
 			}
 		}
+		bufpool.Put(buf)
 	}
-
-	if len(pins) < 2 {
-		release(0)
-		flushRest(0)
-		return firstErr
-	}
-
-	// Assemble the run's bytes in one pooled buffer, verifying each
-	// frame's checksum. A torn frame aborts the coalesced WRITE; the
-	// per-block path rescues it from the journal.
-	total := 0
 	for i := range pins {
-		total += int(pins[i].size)
+		p := &pins[i]
+		if sent > 0 && c.journal != nil {
+			c.journal.Commit(p.id)
+		}
+		p.s.mu.Lock()
+		if sent > 0 {
+			p.fr.dirty = false
+			p.s.stats.WriteBacks++
+		}
+		p.s.unpinShared(p.fr)
+		p.s.mu.Unlock()
 	}
-	buf := bufpool.Get(total)
+	if err != nil {
+		return err // the run stays dirty
+	}
+	// Whatever the WRITE didn't cover falls back to per-block flushes
+	// (blocks settled by racing evictions no-op there).
+	for i := sent; i < r.n; i++ {
+		if ferr := c.flushBlock(r.id(i), wb); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// readRun reads the pinned frames back to back into buf, reporting
+// whether every one was read and matched its checksum.
+func (c *Cache) readRun(pins []pinnedFrame, buf []byte) bool {
 	off := 0
-	assembled := true
 	for i := range pins {
 		p := &pins[i]
 		data, err := c.readFrameInto(p.idx, p.size, buf[off:off+int(p.size)])
 		if err != nil || crc32c(data) != p.crc {
-			assembled = false
-			break
+			return false
 		}
 		off += int(p.size)
 	}
-	if !assembled {
-		bufpool.Put(buf)
-		release(0)
-		flushRest(0)
-		return firstErr
-	}
-
-	err := wb(nfs3.FH(r.fh), r.start*uint64(bs), buf[:total])
-	bufpool.Put(buf)
-	if err != nil {
-		release(0)
-		return err
-	}
-	for i := range pins {
-		p := &pins[i]
-		if c.journal != nil {
-			c.journal.Commit(p.id)
-		}
-		p.s.mu.Lock()
-		p.fr.dirty = false
-		p.s.stats.WriteBacks++
-		p.s.unpinShared(p.fr)
-		p.s.mu.Unlock()
-	}
-	flushRest(len(pins))
-	return firstErr
+	return true
 }

@@ -3,8 +3,11 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"gvfs/internal/nfs3"
 )
@@ -87,56 +90,23 @@ func TestCoalesceRuns(t *testing.T) {
 	}
 }
 
-// wbRecorder captures every write-back call.
-type wbRecorder struct {
-	mu    sync.Mutex
-	calls []wbCall
-}
-
-type wbCall struct {
-	fh   nfs3.FH
-	off  uint64
-	data []byte
-}
-
-func (r *wbRecorder) fn() WriteBackFunc {
-	return func(fh nfs3.FH, off uint64, data []byte) error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.calls = append(r.calls, wbCall{fh: fh, off: off, data: append([]byte(nil), data...)})
-		return nil
-	}
-}
-
-// flatten reassembles the recorded writes into per-file images.
-func (r *wbRecorder) flatten() map[string]map[uint64][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := map[string]map[uint64][]byte{}
-	for _, c := range r.calls {
-		m := out[c.fh.Key()]
-		if m == nil {
-			m = map[uint64][]byte{}
-			out[c.fh.Key()] = m
-		}
-		m[c.off] = c.data
-	}
-	return out
-}
-
 var errCoalesceBoom = fmt.Errorf("coalesce test write-back failure")
 
-func coalesceConfig(maxBytes int) Config {
+// runBS is the block size of the flush-shape tests below: four blocks
+// fill one WRITE of nfs3.MaxTransfer bytes.
+const runBS = nfs3.MaxTransfer / 4
+
+func runConfig() Config {
 	cfg := smallConfig()
-	cfg.WriteCoalesce = maxBytes
+	cfg.BlockSize = runBS
 	return cfg
 }
 
 func TestCoalescedWriteBackMergesAdjacent(t *testing.T) {
-	const bs = 512
-	c := newTestCache(t, coalesceConfig(4*bs))
-	rec := &wbRecorder{}
-	c.SetWriteBackFunc(rec.fn())
+	const bs = runBS
+	c := newTestCache(t, runConfig())
+	rec := newBlockSink(bs)
+	c.SetWriteBackFunc(rec.writeBack)
 	want := make([]byte, 8*bs)
 	for i := uint64(0); i < 8; i++ {
 		blk := bytes.Repeat([]byte{byte(i + 1)}, bs)
@@ -151,12 +121,17 @@ func TestCoalescedWriteBackMergesAdjacent(t *testing.T) {
 	if n := c.DirtyCount(); n != 0 {
 		t.Errorf("dirty after writeback = %d", n)
 	}
-	// 8 adjacent blocks with a 4-block budget: exactly two WRITEs.
-	if len(rec.calls) != 2 {
-		t.Errorf("write-backs = %d, want 2 (calls: %+v)", len(rec.calls), rec.calls)
+	// 8 adjacent blocks, 4 to a WRITE: exactly two WRITEs.
+	if rec.writes() != 2 || rec.blocks() != 8 {
+		t.Errorf("%d WRITEs covering %d blocks, want 2 covering 8", rec.writes(), rec.blocks())
+	}
+	for _, call := range rec.calls {
+		if len(call.data) != nfs3.MaxTransfer || call.off%nfs3.MaxTransfer != 0 {
+			t.Errorf("WRITE off=%d len=%d, want a full aligned run", call.off, len(call.data))
+		}
 	}
 	got := make([]byte, 8*bs)
-	for off, data := range rec.flatten()[fhA.Key()] {
+	for off, data := range rec.image(fhA) {
 		copy(got[off:], data)
 	}
 	if !bytes.Equal(got, want) {
@@ -173,9 +148,9 @@ func TestCoalescedWriteBackMergesAdjacent(t *testing.T) {
 
 func TestCoalescedWriteBackShortTail(t *testing.T) {
 	const bs = 512
-	c := newTestCache(t, coalesceConfig(8*bs))
-	rec := &wbRecorder{}
-	c.SetWriteBackFunc(rec.fn())
+	c := newTestCache(t, smallConfig())
+	rec := newBlockSink(bs)
+	c.SetWriteBackFunc(rec.writeBack)
 	// Two full blocks then a short (file-tail) block: one WRITE whose
 	// short frame is the run's tail.
 	if err := c.Put(fhA, 0, bytes.Repeat([]byte{1}, bs), true); err != nil {
@@ -204,9 +179,9 @@ func TestCoalescedWriteBackShortTail(t *testing.T) {
 
 func TestCoalescedWriteBackShortMiddleSplitsRun(t *testing.T) {
 	const bs = 512
-	c := newTestCache(t, coalesceConfig(8*bs))
-	rec := &wbRecorder{}
-	c.SetWriteBackFunc(rec.fn())
+	c := newTestCache(t, smallConfig())
+	rec := newBlockSink(bs)
+	c.SetWriteBackFunc(rec.writeBack)
 	// A short block in the middle cannot be coalesced with a successor
 	// (its bytes end before the next block's offset): expect the run to
 	// end at the short frame and the rest to flush separately.
@@ -225,22 +200,31 @@ func TestCoalescedWriteBackShortMiddleSplitsRun(t *testing.T) {
 	if n := c.DirtyCount(); n != 0 {
 		t.Errorf("dirty after writeback = %d", n)
 	}
-	img := rec.flatten()[fhA.Key()]
-	if !bytes.Equal(img[0][:bs], bytes.Repeat([]byte{1}, bs)) {
+	// Block 1 is short, so blocks 0-1 coalesce with the short tail and
+	// block 2 leaves on its own.
+	if rec.writes() != 2 || rec.blocks() != 3 {
+		t.Fatalf("%d WRITEs covering %d blocks, want 2 covering 3 (calls: %+v)", rec.writes(), rec.blocks(), rec.calls)
+	}
+	for _, call := range rec.calls {
+		if wantLen := map[uint64]int{0: bs + 64, 2 * bs: bs}[call.off]; len(call.data) != wantLen {
+			t.Errorf("WRITE off=%d len=%d, want len %d", call.off, len(call.data), wantLen)
+		}
+	}
+	img := rec.image(fhA)
+	if !bytes.Equal(img[0], bytes.Repeat([]byte{1}, bs)) {
 		t.Error("block 0 bytes wrong")
 	}
-	if data, ok := img[0]; !ok || len(data) != bs+64 {
-		// Block 1 is short, so blocks 0-1 coalesce with the short tail...
-		t.Errorf("first write len = %d, want %d", len(data), bs+64)
+	if !bytes.Equal(img[bs], bytes.Repeat([]byte{2}, 64)) {
+		t.Error("short block 1 bytes wrong")
 	}
-	if data, ok := img[2*bs]; !ok || !bytes.Equal(data, bytes.Repeat([]byte{3}, bs)) {
+	if !bytes.Equal(img[2*bs], bytes.Repeat([]byte{3}, bs)) {
 		t.Error("block 2 flushed incorrectly")
 	}
 }
 
 func TestCoalescedWriteBackErrorKeepsDirty(t *testing.T) {
 	const bs = 512
-	c := newTestCache(t, coalesceConfig(4*bs))
+	c := newTestCache(t, smallConfig())
 	c.SetWriteBackFunc(func(nfs3.FH, uint64, []byte) error { return errCoalesceBoom })
 	for i := uint64(0); i < 4; i++ {
 		if err := c.Put(fhA, i, bytes.Repeat([]byte{byte(i)}, bs), true); err != nil {
@@ -257,9 +241,9 @@ func TestCoalescedWriteBackErrorKeepsDirty(t *testing.T) {
 
 func TestCoalescedWriteBackDisjointFiles(t *testing.T) {
 	const bs = 512
-	c := newTestCache(t, coalesceConfig(8*bs))
-	rec := &wbRecorder{}
-	c.SetWriteBackFunc(rec.fn())
+	c := newTestCache(t, smallConfig())
+	rec := newBlockSink(bs)
+	c.SetWriteBackFunc(rec.writeBack)
 	for i := uint64(0); i < 3; i++ {
 		if err := c.Put(fhA, i, bytes.Repeat([]byte{0xaa}, bs), true); err != nil {
 			t.Fatal(err)
@@ -278,5 +262,247 @@ func TestCoalescedWriteBackDisjointFiles(t *testing.T) {
 		if len(call.data) != 3*bs {
 			t.Errorf("file %q run len = %d, want %d", call.fh, len(call.data), 3*bs)
 		}
+	}
+}
+
+// TestRedirtyInsideRunInFlight is the run path's torture: every writer
+// owns every fourth block of one eight-block run and keeps re-dirtying
+// them while flushes of that run are on the (slow) wire. A block's pin
+// is held for the whole run's round trip, so what must hold is the
+// per-block contract: the sink ends with the last acknowledged version
+// of every block, and no block ever lands an older version after a
+// newer one.
+func TestRedirtyInsideRunInFlight(t *testing.T) {
+	const (
+		bs       = 256
+		blocks   = 8 // one set each: nothing is evicted, every WRITE is a flush
+		writers  = 4
+		versions = 60
+	)
+	cfg := Config{Banks: 1, SetsPerBank: 8, Assoc: 2, BlockSize: bs,
+		Policy: WriteBack, Stripes: 4, FlushConcurrency: 4}
+	c := newTestCache(t, cfg)
+	sink := newBlockSink(bs)
+	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
+		time.Sleep(time.Millisecond) // keep runs in flight while writers run
+		return sink.writeBack(fh, off, data)
+	})
+	payload := func(block uint64, version int) []byte {
+		return bytes.Repeat([]byte{byte(block), byte(version)}, bs/2)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.WriteBackAll(); err != nil {
+				t.Errorf("write-back all: %v", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for v := 1; v <= versions; v++ {
+				for b := uint64(w); b < blocks; b += writers {
+					if err := c.Put(fhA, b, payload(b, v), true); err != nil {
+						t.Errorf("put block %d v%d: %v", b, v, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-flushed
+	if err := c.WriteBackAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.DirtyCount(); n != 0 {
+		t.Fatalf("%d dirty frames after final write-back", n)
+	}
+
+	for b := uint64(0); b < blocks; b++ {
+		if got, _ := sink.block(fhA, b); !bytes.Equal(got, payload(b, versions)) {
+			t.Errorf("block %d: sink ends with version %d, want %d", b, got[1], versions)
+		}
+	}
+	newest := make(map[uint64]int)
+	multi := 0
+	for _, call := range sink.calls {
+		if len(call.data) > bs {
+			multi++
+		}
+		for b, data := call.off/bs, call.data; len(data) > 0; b, data = b+1, data[bs:] {
+			if data[0] != byte(b) || !bytes.Equal(data[:bs], payload(b, int(data[1]))) {
+				t.Fatalf("block %d landed torn: % x ...", b, data[:8])
+			}
+			if v := int(data[1]); v < newest[b] {
+				t.Errorf("block %d: version %d landed after version %d", b, v, newest[b])
+			} else {
+				newest[b] = v
+			}
+		}
+	}
+	if multi == 0 {
+		t.Error("no flush left as a multi-block run: the test did not exercise the run path")
+	}
+}
+
+// TestRecoverCrashBetweenRunWriteAndCommits kills the proxy (by copying
+// its cache directory, which is all a SIGKILL leaves) at the moment a
+// run's WRITE has landed upstream and none of its per-block commit
+// records is journaled yet. Recovery over that directory must find the
+// run's blocks dirty again — and only those of runs not yet committed —
+// replay them with the same bytes, and be idempotent.
+func TestRecoverCrashBetweenRunWriteAndCommits(t *testing.T) {
+	const bs = 512
+	dir := t.TempDir()
+	cfg := journalConfig(dir)
+	cfg.FlushConcurrency = 1 // runs leave one after the other, in order
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	// Two runs of three blocks with a hole between them.
+	want := make(map[uint64][]byte)
+	for _, b := range []uint64{0, 1, 2, 4, 5, 6} {
+		want[b*bs] = bytes.Repeat([]byte{byte(0xD0 + b)}, bs)
+		if err := c1.Put(fhA, b, want[b*bs], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := newBlockSink(bs)
+	crashDir := t.TempDir()
+	c1.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
+		if err := srv.writeBack(fh, off, data); err != nil {
+			return err
+		}
+		if off == 4*bs { // second run landed; first run is committed, this one is not
+			copyDir(t, dir, crashDir)
+		}
+		return nil
+	})
+	if err := c1.WriteBackAll(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.writes() != 2 || srv.blocks() != 6 {
+		t.Fatalf("flush sent %d WRITEs covering %d blocks, want 2 covering 6", srv.writes(), srv.blocks())
+	}
+
+	cfg.Dir = crashDir
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.SetWriteBackFunc(srv.writeBack)
+	rep, err := c2.RecoverJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dirty != 3 {
+		t.Fatalf("recovery found %d dirty blocks, want the 3 of the uncommitted run", rep.Dirty)
+	}
+	for _, id := range c2.DirtyBlocks() {
+		if id.Block < 4 || id.Block > 6 {
+			t.Errorf("block %d of the committed run is dirty again", id.Block)
+		}
+	}
+	if err := c2.WriteBackAll(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.writes() != 3 || srv.blocks() != 9 {
+		t.Errorf("after replay: %d WRITEs covering %d blocks, want 3 covering 9 (the run again, as a run)", srv.writes(), srv.blocks())
+	}
+	crashCache(c2)
+
+	// Crash again after the replay: nothing is left to do.
+	c3, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	c3.SetWriteBackFunc(srv.writeBack)
+	if rep, err = c3.RecoverJournal(); err != nil || rep.Dirty != 0 {
+		t.Fatalf("second recovery: %+v, %v; want nothing dirty", rep, err)
+	}
+	got := srv.image(fhA)
+	if len(got) != len(want) {
+		t.Fatalf("server has %d blocks, want %d", len(got), len(want))
+	}
+	for off, data := range want {
+		if !bytes.Equal(got[off], data) {
+			t.Errorf("server block at %d wrong after crash, replay and second recovery", off)
+		}
+	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), blob, 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunWithTornFrameFallsBackPerBlock rots the bank bytes of the
+// middle frame of a three-block run: the coalesced WRITE is called off,
+// the blocks leave one by one, and the torn one is sent from the
+// journal's copy.
+func TestRunWithTornFrameFallsBackPerBlock(t *testing.T) {
+	const bs = 512
+	dir := t.TempDir()
+	c := newTestCache(t, journalConfig(dir))
+	srv := newBlockSink(bs)
+	c.SetWriteBackFunc(srv.writeBack)
+	for b := uint64(0); b < 3; b++ {
+		if err := c.Put(fhA, b, bytes.Repeat([]byte{byte(0x40 + b)}, bs), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := BlockID{FH: fhA.Key(), Block: 1}
+	bank, off := c.bankOf(c.stripeFor(id).index[id])
+	f, err := c.bankFile(bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBackAll(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.writes() != 3 || srv.blocks() != 3 {
+		t.Errorf("%d WRITEs covering %d blocks, want 3 single-block WRITEs", srv.writes(), srv.blocks())
+	}
+	for b := uint64(0); b < 3; b++ {
+		if got, _ := srv.block(fhA, b); !bytes.Equal(got, bytes.Repeat([]byte{byte(0x40 + b)}, bs)) {
+			t.Errorf("block %d landed wrong", b)
+		}
+	}
+	if c.DirtyCount() != 0 || c.Stats().ChecksumErrors == 0 || c.JournalStats().Live != 0 {
+		t.Errorf("after flush: dirty %d, checksum errors %d, live intents %d",
+			c.DirtyCount(), c.Stats().ChecksumErrors, c.JournalStats().Live)
 	}
 }

@@ -5,41 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"gvfs/internal/nfs3"
 )
-
-// fakeServer collects write-backs keyed by block offset, standing in
-// for the origin NFS server during recovery tests.
-type fakeServer struct {
-	mu     sync.Mutex
-	blocks map[uint64][]byte
-	writes int
-}
-
-func newFakeServer() *fakeServer {
-	return &fakeServer{blocks: make(map[uint64][]byte)}
-}
-
-func (fs *fakeServer) writeBack(fh nfs3.FH, off uint64, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.blocks[off] = append([]byte(nil), data...)
-	fs.writes++
-	return nil
-}
-
-func (fs *fakeServer) snapshot() map[uint64][]byte {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make(map[uint64][]byte, len(fs.blocks))
-	for k, v := range fs.blocks {
-		out[k] = v
-	}
-	return out
-}
 
 func journalConfig(dir string) Config {
 	cfg := smallConfig()
@@ -76,7 +45,7 @@ func TestRecoverRestoresDirtySet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c2.SetWriteBackFunc(srv.writeBack)
 	rep, err := c2.RecoverJournal()
 	if err != nil {
@@ -91,7 +60,7 @@ func TestRecoverRestoresDirtySet(t *testing.T) {
 	if err := c2.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	got := srv.snapshot()
+	got := srv.image(fhA)
 	if len(got) != len(want) {
 		t.Fatalf("server has %d blocks, want %d", len(got), len(want))
 	}
@@ -140,7 +109,7 @@ func TestRecoverRearmsMatchingFrames(t *testing.T) {
 	if err := c2.LoadIndex(); err != nil {
 		t.Fatal(err)
 	}
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c2.SetWriteBackFunc(srv.writeBack)
 	rep, err := c2.RecoverJournal()
 	if err != nil {
@@ -152,7 +121,7 @@ func TestRecoverRearmsMatchingFrames(t *testing.T) {
 	if err := c2.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	got := srv.snapshot()
+	got := srv.image(fhA)
 	for blk, data := range dirtied {
 		if !bytes.Equal(got[blk*512], data) {
 			t.Errorf("block %d not replayed with dirty content", blk)
@@ -211,7 +180,7 @@ func TestRecoverRestoresTornBank(t *testing.T) {
 	if err := c2.LoadIndex(); err != nil {
 		t.Fatal(err)
 	}
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c2.SetWriteBackFunc(srv.writeBack)
 	rep, err := c2.RecoverJournal()
 	if err != nil {
@@ -223,7 +192,7 @@ func TestRecoverRestoresTornBank(t *testing.T) {
 	if err := c2.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.snapshot()[0]; !bytes.Equal(got, data) {
+	if got := srv.image(fhA)[0]; !bytes.Equal(got, data) {
 		t.Fatal("server did not receive the journal's intact copy")
 	}
 	// The recovered frame serves the intact bytes too.
@@ -257,7 +226,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c2.SetWriteBackFunc(srv.writeBack)
 	rep1, err := c2.RecoverJournal()
 	if err != nil {
@@ -266,7 +235,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err := c2.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	state1 := srv.snapshot()
+	state1 := srv.image(fhB)
 	crashCache(c2)
 
 	// Second recovery over the same directory: the journal was
@@ -288,7 +257,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err := c3.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	state2 := srv.snapshot()
+	state2 := srv.image(fhB)
 	if len(state2) != len(state1) {
 		t.Fatalf("server state changed across recoveries: %d vs %d blocks", len(state2), len(state1))
 	}
@@ -329,7 +298,7 @@ func TestRecoverCrashMidReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c3.Close()
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c3.SetWriteBackFunc(srv.writeBack)
 	rep2, err := c3.RecoverJournal()
 	if err != nil {
@@ -341,7 +310,7 @@ func TestRecoverCrashMidReplayIdempotent(t *testing.T) {
 	if err := c3.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	got := srv.snapshot()
+	got := srv.image(fhB)
 	if len(got) != 5 {
 		t.Fatalf("server has %d blocks, want 5", len(got))
 	}
@@ -376,7 +345,7 @@ func TestJournalCommitOnWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c.SetWriteBackFunc(srv.writeBack)
 	for i := uint64(0); i < 4; i++ {
 		if err := c.Put(fhA, i, bytes.Repeat([]byte{byte(i)}, 512), true); err != nil {
@@ -394,8 +363,9 @@ func TestJournalCommitOnWriteBack(t *testing.T) {
 	if st.Live != 0 || st.Commits != 4 || st.Checkpoints == 0 || st.SizeBytes != 0 {
 		t.Fatalf("journal stats after drain = %+v", st)
 	}
-	if srv.writes != 4 {
-		t.Fatalf("server writes = %d", srv.writes)
+	// Four adjacent blocks leave as one run; each is committed on its own.
+	if srv.writes() != 1 || srv.blocks() != 4 {
+		t.Fatalf("server saw %d WRITEs covering %d blocks, want 1 covering 4", srv.writes(), srv.blocks())
 	}
 }
 
@@ -421,7 +391,7 @@ func TestJournalSurvivesUpdateInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	srv := newFakeServer()
+	srv := newBlockSink(512)
 	c2.SetWriteBackFunc(srv.writeBack)
 	rep, err := c2.RecoverJournal()
 	if err != nil {
@@ -433,11 +403,11 @@ func TestJournalSurvivesUpdateInPlace(t *testing.T) {
 	if err := c2.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.snapshot()[7*512]; !bytes.Equal(got, last) {
+	if got := srv.image(fhA)[7*512]; !bytes.Equal(got, last) {
 		t.Fatal("server did not receive the final version")
 	}
-	if srv.writes != 1 {
-		t.Fatalf("server writes = %d, want 1", srv.writes)
+	if srv.writes() != 1 || srv.blocks() != 1 {
+		t.Fatalf("server saw %d WRITEs covering %d blocks, want 1 of 1", srv.writes(), srv.blocks())
 	}
 }
 

@@ -56,14 +56,8 @@ func TestTortureConcurrentOps(t *testing.T) {
 	c := newTestCache(t, cfg)
 
 	// Write-back sink: remembers the last propagated bytes per block.
-	var sinkMu sync.Mutex
-	sink := make(map[BlockID][]byte)
-	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
-		sinkMu.Lock()
-		sink[BlockID{FH: fh.Key(), Block: off / uint64(cfg.BlockSize)}] = append([]byte(nil), data...)
-		sinkMu.Unlock()
-		return nil
-	})
+	sink := newBlockSink(cfg.BlockSize)
+	c.SetWriteBackFunc(sink.writeBack)
 
 	// A handful of files × blocks: far more blocks than frames (16), so
 	// evictions and set conflicts are constant.
@@ -168,9 +162,7 @@ func TestTortureConcurrentOps(t *testing.T) {
 		t.Errorf("%d dirty frames after final write-back", n)
 	}
 	// Every propagated block carried coherent content.
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	for id, data := range sink {
+	for id, data := range sink.landed {
 		checkPayload(t, nfs3.FH(id.FH), id.Block, data)
 	}
 }
@@ -187,19 +179,17 @@ func TestEvictionDuringPropagate(t *testing.T) {
 	}
 	c := newTestCache(t, cfg)
 
-	var sinkMu sync.Mutex
-	sink := make(map[BlockID][]byte)
+	sink := newBlockSink(cfg.BlockSize)
 	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
 		time.Sleep(5 * time.Millisecond) // slow WAN: widen the race window
-		sinkMu.Lock()
-		sink[BlockID{FH: fh.Key(), Block: off / uint64(cfg.BlockSize)}] = append([]byte(nil), data...)
-		sinkMu.Unlock()
-		return nil
+		return sink.writeBack(fh, off, data)
 	})
 
 	fh := nfs3.FH("single-set-file")
-	// Track the last version Put for each block.
+	// Track the last version Put for each block, and the order of every
+	// Put (they are serialized under lastMu).
 	last := make(map[uint64]int)
+	putOrder := make(map[string]int) // payload -> position
 	var lastMu sync.Mutex
 
 	var wg sync.WaitGroup
@@ -223,12 +213,14 @@ func TestEvictionDuringPropagate(t *testing.T) {
 				version := seed*100 + i
 				block := uint64((seed + i) % 4)
 				lastMu.Lock()
-				if err := c.Put(fh, block, blockPayload(fh, block, version, cfg.BlockSize), true); err != nil {
+				payload := blockPayload(fh, block, version, cfg.BlockSize)
+				if err := c.Put(fh, block, payload, true); err != nil {
 					lastMu.Unlock()
 					t.Errorf("put: %v", err)
 					return
 				}
 				last[block] = version
+				putOrder[string(payload)] = len(putOrder)
 				lastMu.Unlock()
 			}
 		}(w)
@@ -242,10 +234,8 @@ func TestEvictionDuringPropagate(t *testing.T) {
 		t.Fatalf("%d dirty frames after final write-back", n)
 	}
 	// The sink must hold exactly the final version of every block.
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
 	for block, version := range last {
-		got, ok := sink[BlockID{FH: fh.Key(), Block: block}]
+		got, ok := sink.block(fh, block)
 		if !ok {
 			t.Errorf("block %d never propagated", block)
 			continue
@@ -253,6 +243,21 @@ func TestEvictionDuringPropagate(t *testing.T) {
 		want := blockPayload(fh, block, version, cfg.BlockSize)
 		if !bytes.Equal(got, want) {
 			t.Errorf("block %d: sink holds %q, want version %d", block, got[:24], version)
+		}
+	}
+	// And no WRITE, run or eviction, landed a block's older version after
+	// a newer one: the pins order every propagation of a block.
+	newest := make(map[uint64]int)
+	for _, call := range sink.calls {
+		for b, data := call.off/uint64(cfg.BlockSize), call.data; len(data) > 0; b, data = b+1, data[cfg.BlockSize:] {
+			pos, ok := putOrder[string(data[:cfg.BlockSize])]
+			if !ok {
+				t.Fatalf("block %d landed with unknown content %q", b, data[:24])
+			}
+			if pos < newest[b] {
+				t.Errorf("block %d: Put #%d landed after Put #%d", b, pos, newest[b])
+			}
+			newest[b] = pos
 		}
 	}
 }
@@ -272,17 +277,13 @@ func TestWriteWaitsForInFlightPropagation(t *testing.T) {
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	var sinkMu sync.Mutex
-	sink := make(map[uint64][]byte)
+	sink := newBlockSink(cfg.BlockSize)
 	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
 		once.Do(func() {
 			close(inFlight)
 			<-release
 		})
-		sinkMu.Lock()
-		sink[off/uint64(cfg.BlockSize)] = append([]byte(nil), data...)
-		sinkMu.Unlock()
-		return nil
+		return sink.writeBack(fh, off, data)
 	})
 
 	fh := nfs3.FH("ordering-file")
@@ -318,9 +319,7 @@ func TestWriteWaitsForInFlightPropagation(t *testing.T) {
 	if err := c.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if got := sink[0]; !bytes.Equal(got, blockPayload(fh, 0, 2, cfg.BlockSize)) {
+	if got, _ := sink.block(fh, 0); !bytes.Equal(got, blockPayload(fh, 0, 2, cfg.BlockSize)) {
 		t.Errorf("final sink content is not version 2: %q", got[:24])
 	}
 	if n := c.DirtyCount(); n != 0 {

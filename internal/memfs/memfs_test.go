@@ -92,6 +92,19 @@ func TestSparseWrite(t *testing.T) {
 	if data[0] != 0 || data[99] != 0 || data[100] != 'x' || data[101] != 'y' {
 		t.Error("hole not zero-filled or data misplaced")
 	}
+	// Truncated bytes stay in the array; a later write past EOF must
+	// not bring them back as the hole's content.
+	sz := uint64(10)
+	if _, err := fs.SetAttr(fh, nfs3.SetAttr{Size: &sz}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Write(fh, 101, []byte("z")); err != nil {
+		t.Fatal(err)
+	}
+	data, _, _ = fs.Read(fh, 0, 200)
+	if len(data) != 102 || data[100] != 0 || data[101] != 'z' {
+		t.Errorf("after truncate and write past EOF: len %d, data[100..] = %q", len(data), data[100:])
+	}
 }
 
 func TestGuardedCreateExisting(t *testing.T) {

@@ -30,7 +30,9 @@ type Backend interface {
 	Read(fh FH, off uint64, count uint32) (data []byte, eof bool, err error)
 
 	// Write stores data at off, extending the file if needed, and
-	// returns the post-write attributes.
+	// returns the post-write attributes. data is borrowed for the call
+	// (the server passes a slice of the RPC request record, which is
+	// recycled once the reply is sent): copy what must outlive it.
 	Write(fh FH, off uint64, data []byte) (Fattr, error)
 
 	// Create makes a regular file. With guarded set, an existing name

@@ -65,7 +65,7 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	case ProcRead:
 		return s.read(c)
 	case ProcWrite:
-		return s.write(c.Args)
+		return s.write(c)
 	case ProcCreate:
 		return s.create(c.Args)
 	case ProcMkdir:
@@ -238,9 +238,12 @@ func (s *Server) read(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	return res.AppendTo(bufpool.Get(ReadResSize(len(data)))[:0]), sunrpc.Success
 }
 
-func (s *Server) write(args []byte) ([]byte, sunrpc.AcceptStat) {
-	a, err := DecodeWriteArgs(args)
-	if err != nil {
+// write hands the backend the payload where it lies in the request
+// record (see Backend.Write) and, like read, encodes an OK reply into a
+// pooled buffer the RPC server releases.
+func (s *Server) write(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
+	var a WriteArgs
+	if err := a.DecodeRefInto(c.Args); err != nil {
 		return nil, sunrpc.GarbageArgs
 	}
 	if uint32(len(a.Data)) > a.Count {
@@ -250,14 +253,15 @@ func (s *Server) write(args []byte) ([]byte, sunrpc.AcceptStat) {
 	attr, berr := s.backend.Write(a.FH, a.Offset, a.Data)
 	res := WriteRes{Status: StatusOf(berr), Verf: WriteVerf}
 	res.Wcc.Before = before
-	if berr == nil {
-		res.Wcc.After = &attr
-		res.Count = uint32(len(a.Data))
-		res.Committed = FileSync
-	} else {
+	if berr != nil {
 		res.Wcc.After = s.attrOf(a.FH)
+		return res.Encode(), sunrpc.Success
 	}
-	return res.Encode(), sunrpc.Success
+	res.Wcc.After = &attr
+	res.Count = uint32(len(a.Data))
+	res.Committed = FileSync
+	c.ReplyPooled = true
+	return res.AppendTo(bufpool.Get(WriteResSize)[:0]), sunrpc.Success
 }
 
 func (s *Server) create(args []byte) ([]byte, sunrpc.AcceptStat) {

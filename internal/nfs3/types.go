@@ -507,13 +507,17 @@ type FSInfoRes struct {
 	Properties            uint32
 }
 
+// MaxTransfer is the largest READ or WRITE payload any server here
+// advertises (FSINFO rtmax/wtmax): the NFSv3-era protocol ceiling the
+// paper cites. Cache blocks and flushed runs never exceed it.
+const MaxTransfer = 32768
+
 // DefaultFSInfo reports the transfer sizes this implementation prefers:
-// 32 KB maximum (the NFSv3-era protocol ceiling the paper cites) with
-// 8 KB preferred.
+// MaxTransfer maximum with 8 KB preferred.
 func DefaultFSInfo() FSInfoRes {
 	return FSInfoRes{
-		RtMax: 32768, RtPref: 8192, RtMult: 512,
-		WtMax: 32768, WtPref: 8192, WtMult: 512,
+		RtMax: MaxTransfer, RtPref: 8192, RtMult: 512,
+		WtMax: MaxTransfer, WtPref: 8192, WtMult: 512,
 		DtPref:      8192,
 		MaxFileSize: 1 << 62,
 		TimeDelta:   Time{0, 1},

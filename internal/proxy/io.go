@@ -345,7 +345,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	}
 
 	bs := uint64(p.cfg.BlockCache.BlockSize())
-	if args.Offset%bs != 0 || uint64(len(args.Data)) > bs {
+	if args.Offset%bs != 0 {
 		// Unaligned: push dirty state upstream first, then forward.
 		if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
 			return nil, sunrpc.SystemErr
@@ -353,23 +353,42 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		return p.writeThrough(c, &args, tr)
 	}
 
-	block := args.Offset / bs
-	merged, err := p.mergeBlock(args.FH, block, bs, args.Data)
+	// An aligned WRITE is absorbed block by block: a client's page is one
+	// block, the flush of a caching proxy below this one is a run of
+	// them (cascaded caches, paper §3.2.1). Only the last block can be
+	// short, and only a short block can need bytes the proxy does not
+	// hold, so it is settled before anything is absorbed and the
+	// write-through fallback stays all or nothing.
+	data := args.Data
+	first := args.Offset / bs
+	last := first
+	if n := uint64(len(data)); n > bs {
+		last += (n - 1) / bs
+	}
+	tail, err := p.mergeBlock(args.FH, last, bs, data[(last-first)*bs:])
 	if err != nil {
 		return p.writeThrough(c, &args, tr)
 	}
-	if err := p.cfg.BlockCache.Put(args.FH, block, merged, true); err != nil {
-		return nil, sunrpc.SystemErr
-	}
-	p.bumpSize(args.FH, args.Offset+uint64(len(args.Data)))
-	p.stats.writesAbsorbed.Add(1)
 	file := p.fileLabel(args.FH)
 	client := p.clientLabel(c)
-	if p.cfg.Cachean != nil {
-		p.cfg.Cachean.DemandData(client, args.FH, block, len(args.Data), true)
+	for b := first; b <= last; b++ {
+		rest := data[(b-first)*bs:]
+		written := min(len(rest), int(bs))
+		piece := rest[:written]
+		if b == last {
+			piece = tail // merged with what the block already held
+		}
+		if err := p.cfg.BlockCache.Put(args.FH, b, piece, true); err != nil {
+			return nil, sunrpc.SystemErr
+		}
+		if p.cfg.Cachean != nil {
+			p.cfg.Cachean.DemandData(client, args.FH, b, written, true)
+		}
+		p.acct.blockDirtied(file, b, written)
 	}
-	p.acct.recordWrite(file, client, len(args.Data))
-	p.acct.blockDirtied(file, block, len(args.Data))
+	p.bumpSize(args.FH, args.Offset+uint64(len(data)))
+	p.stats.writesAbsorbed.Add(1)
+	p.acct.recordWrite(file, client, len(data))
 	tr.Span(obs.LayerBlockCache, "absorb", start)
 	return p.absorbedWriteReply(c, &args), sunrpc.Success
 }
@@ -484,22 +503,33 @@ func (p *Proxy) relayWrite(c *sunrpc.Call, args *nfs3.WriteArgs, tr *obs.Active)
 }
 
 // coherentAfterWrite reconciles the block cache with a write that was
-// just made durable upstream.
+// just made durable upstream, block by block over everything the write
+// overlaps: a multi-block WRITE (a lower proxy's flush) must not leave
+// the blocks after its first one stale.
 func (p *Proxy) coherentAfterWrite(args *nfs3.WriteArgs) error {
-	if p.cfg.BlockCache == nil {
+	bc := p.cfg.BlockCache
+	if bc == nil {
 		return nil
 	}
-	bs := uint64(p.cfg.BlockCache.BlockSize())
-	if p.cfg.BlockCache.Config().ReadOnly {
-		// Shared read-only caches hold golden (immutable) data; a
-		// write through this proxy only drops the stale frame.
-		return p.cfg.BlockCache.InvalidateBlock(args.FH, args.Offset/bs)
+	bs := uint64(bc.BlockSize())
+	// Shared read-only caches hold golden (immutable) data; a write
+	// through this proxy only drops the stale frames.
+	readOnly := bc.Config().ReadOnly
+	end := args.Offset + uint64(len(args.Data))
+	for b := args.Offset / bs; b*bs < end; b++ {
+		lo, hi := b*bs, (b+1)*bs
+		var err error
+		if !readOnly && lo >= args.Offset && hi <= end {
+			err = bc.PutDedup(args.FH, b, args.Data[lo-args.Offset:hi-args.Offset], false)
+		} else {
+			// Partial overlap: drop any stale frame.
+			err = bc.InvalidateBlock(args.FH, b)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if args.Offset%bs == 0 && uint64(len(args.Data)) == bs {
-		return p.cfg.BlockCache.PutDedup(args.FH, args.Offset/bs, args.Data, false)
-	}
-	// Partial overlap: drop any stale frame.
-	return p.cfg.BlockCache.InvalidateBlock(args.FH, args.Offset/bs)
+	return nil
 }
 
 // --- meta-data machinery ---

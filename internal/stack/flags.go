@@ -121,7 +121,6 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.StringVar(&o.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
 	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address")
 	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead window in blocks (0 = off)")
-	fs.IntVar(&c.WriteCoalesce, "write-coalesce", 0, "merge runs of adjacent dirty blocks into WRITEs up to this many bytes at flush (0 = off, max 32768)")
 	fs.BoolVar(&o.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
 	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")

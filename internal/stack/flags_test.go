@@ -251,8 +251,8 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 			t.Errorf("-%s=%s changes neither Options() nor a daemon-level field", fl.Name, val)
 		}
 	})
-	if n > 50 {
-		t.Errorf("BindProxyFlags registers %d flags, want <= 50", n)
+	if n > 49 {
+		t.Errorf("BindProxyFlags registers %d flags, want <= 49", n)
 	}
 	for _, gone := range []string{"statusz-topn", "audit-ring", "acct-entries", "acct-ttl",
 		"cachean-sample-rate", "cachean-window", "cache-stripes", "readahead-pipeline"} {
