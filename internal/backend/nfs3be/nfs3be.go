@@ -340,10 +340,6 @@ func (b *Backend) TransportStats() backend.TransportStats {
 	return backend.TransportStats{}
 }
 
-// Caller exposes the wrapped transport for control-plane relay (the
-// proxy forwards non-data procedures verbatim over it).
-func (b *Backend) Caller() nfs3.Caller { return b.rpc }
-
 // Caps implements backend.Backend.
 func (b *Backend) Caps() backend.Caps {
 	_, batched := b.rpc.(sunrpc.Starter)

@@ -1,0 +1,210 @@
+package nfs3be
+
+import (
+	"errors"
+	"time"
+
+	"gvfs/internal/backend"
+	"gvfs/internal/mountd"
+	"gvfs/internal/nfs3"
+	"gvfs/internal/sunrpc"
+)
+
+// Serve is New's inverse: it returns b as an in-process NFSv3 + MOUNT
+// service, so whatever speaks NFS to an upstream (the proxy's
+// control-plane relay) can speak it to any backend. Replies come from
+// nfs3.Server and mountd.Server; procedures b cannot express answer
+// NFS3ERR_NOTSUPP. A transport-class failure of b (ClassUnavailable,
+// ClassTimeout, unclassified) has no NFS status a client could take as
+// the file's state: Call returns that error itself, as a dead RPC
+// transport would, and the caller's breaker classifies it as it does on
+// the data path.
+func Serve(b backend.Backend) nfs3.Caller { return local{b} }
+
+type local struct{ b backend.Backend }
+
+func (l local) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
+	return l.CallVerfDeadline(prog, vers, proc, cred, sunrpc.OpaqueAuth{}, args, time.Time{})
+}
+
+// CallVerfDeadline implements sunrpc.DeadlineVerfCaller: the deadline
+// reaches b as CallOpts.Deadline.
+func (l local) CallVerfDeadline(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
+	v := &served{b: l.b, opts: backend.CallOpts{Deadline: deadline}}
+	res, err := sunrpc.Local{H: v}.CallVerfDeadline(prog, vers, proc, cred, verf, args, deadline)
+	if v.fault != nil {
+		return nil, v.fault
+	}
+	return res, err
+}
+
+// served adapts a backend.Backend (and what it implements of
+// Namespacer) to nfs3.Backend for the length of one call, which is what
+// lets it carry the call's options down and its fault back up.
+type served struct {
+	b     backend.Backend
+	opts  backend.CallOpts
+	fault error // the call's first transport-class backend failure
+}
+
+// HandleCall implements sunrpc.Handler for both programs.
+func (v *served) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
+	switch c.Prog {
+	case nfs3.Program:
+		return nfs3.NewServer(v).HandleCall(c)
+	case nfs3.MountProgram:
+		return (&mountd.Server{Resolve: v.root}).HandleCall(c)
+	}
+	return nil, sunrpc.ProgUnavail
+}
+
+var errNotSupp = &nfs3.Error{Status: nfs3.ErrNotSupp}
+
+// err turns a backend error into the *nfs3.Error the server encodes, or
+// records it as the call's fault when it has no NFS status.
+func (v *served) err(e error) error {
+	if e == nil {
+		return nil
+	}
+	st, ok := ErrStatus(e)
+	if !ok {
+		if v.fault == nil {
+			v.fault = e
+		}
+		return e
+	}
+	return &nfs3.Error{Status: st}
+}
+
+// root resolves a MOUNT dirpath: any path the backend's namespace
+// knows is an export.
+func (v *served) root(dirpath string) (nfs3.FH, error) {
+	ns, ok := v.b.(backend.Namespacer)
+	if !ok {
+		return nil, &nfs3.Error{Status: nfs3.ErrAcces}
+	}
+	fid, _, err := ns.Root(dirpath)
+	return nfs3.FH(fid), v.err(err)
+}
+
+func (v *served) Root() (nfs3.FH, error) { return v.root("/") }
+
+func (v *served) GetAttr(fh nfs3.FH) (nfs3.Fattr, error) {
+	a, err := v.b.GetAttr(backend.FileID(fh), v.opts)
+	if err != nil {
+		return nfs3.Fattr{}, v.err(err)
+	}
+	return *FattrOf(&a), nil
+}
+
+func (v *served) Lookup(dir nfs3.FH, name string) (nfs3.FH, nfs3.Fattr, error) {
+	lk, ok := v.b.(backend.Lookuper)
+	if !ok {
+		return nil, nfs3.Fattr{}, errNotSupp
+	}
+	fid, a, err := lk.Lookup(backend.FileID(dir), name, v.opts)
+	if err != nil {
+		return nil, nfs3.Fattr{}, v.err(err)
+	}
+	return nfs3.FH(fid), *FattrOf(&a), nil
+}
+
+func (v *served) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error) {
+	r, err := v.b.Read(backend.FileID(fh), off, count, v.opts)
+	return r.Data, r.EOF, v.err(err)
+}
+
+func (v *served) Write(fh nfs3.FH, off uint64, data []byte) (nfs3.Fattr, error) {
+	a, err := v.b.Write(backend.FileID(fh), off, data, v.opts)
+	if err != nil {
+		return nfs3.Fattr{}, v.err(err)
+	}
+	if a == nil {
+		return v.GetAttr(fh)
+	}
+	return *FattrOf(a), nil
+}
+
+// Create makes an empty regular file; the backend contract has neither
+// initial attributes nor a guarded mode.
+func (v *served) Create(dir nfs3.FH, name string, _ nfs3.SetAttr, _ bool) (nfs3.FH, nfs3.Fattr, error) {
+	ns, ok := v.b.(backend.Namespacer)
+	if !ok {
+		return nil, nfs3.Fattr{}, errNotSupp
+	}
+	fid, a, err := ns.Create(backend.FileID(dir), name, v.opts)
+	if err != nil {
+		return nil, nfs3.Fattr{}, v.err(err)
+	}
+	return nfs3.FH(fid), *FattrOf(&a), nil
+}
+
+func (v *served) Commit(fh nfs3.FH) error {
+	return v.err(v.b.Commit(backend.FileID(fh), v.opts))
+}
+
+// What backend.Backend has no word for.
+func (v *served) SetAttr(nfs3.FH, nfs3.SetAttr) (nfs3.Fattr, error) { return nfs3.Fattr{}, errNotSupp }
+func (v *served) ReadLink(nfs3.FH) (string, error)                  { return "", errNotSupp }
+func (v *served) Remove(nfs3.FH, string) error                      { return errNotSupp }
+func (v *served) Rmdir(nfs3.FH, string) error                       { return errNotSupp }
+func (v *served) Rename(nfs3.FH, string, nfs3.FH, string) error     { return errNotSupp }
+func (v *served) FSStat(nfs3.FH) (nfs3.FSStatRes, error)            { return nfs3.FSStatRes{}, errNotSupp }
+func (v *served) Mkdir(nfs3.FH, string, nfs3.SetAttr) (nfs3.FH, nfs3.Fattr, error) {
+	return nil, nfs3.Fattr{}, errNotSupp
+}
+func (v *served) Symlink(nfs3.FH, string, string) (nfs3.FH, nfs3.Fattr, error) {
+	return nil, nfs3.Fattr{}, errNotSupp
+}
+func (v *served) ReadDir(nfs3.FH, uint64, uint32) ([]nfs3.DirEntry, bool, error) {
+	return nil, false, errNotSupp
+}
+
+// ErrStatus maps a classified backend error onto the NFS status to
+// report to the client. ok=false means the failure is transport-level
+// (unavailable, out of budget, or unclassified) and must surface as an
+// RPC-level SystemErr, never as an NFS status the client would treat
+// as authoritative.
+func ErrStatus(err error) (nfs3.Status, bool) {
+	var be *backend.Error
+	if !errors.As(err, &be) {
+		return 0, false
+	}
+	switch be.Class {
+	case backend.ClassUnavailable, backend.ClassTimeout:
+		return 0, false
+	}
+	if be.Status != 0 {
+		return nfs3.Status(be.Status), true
+	}
+	switch be.Class {
+	case backend.ClassRetriable:
+		return nfs3.ErrJukebox, true
+	case backend.ClassStale:
+		return nfs3.ErrStale, true
+	case backend.ClassNotFound:
+		return nfs3.ErrNoEnt, true
+	default:
+		return nfs3.ErrIO, true
+	}
+}
+
+// FattrOf converts a backend attribute to an NFS post-op attribute
+// (attrOf's inverse).
+func FattrOf(a *backend.Attr) *nfs3.Fattr {
+	if a == nil {
+		return nil
+	}
+	fa := &nfs3.Fattr{Type: nfs3.TypeReg, Mode: a.Mode, Nlink: 1, Size: a.Size, Used: a.Size}
+	if a.Dir {
+		fa.Type = nfs3.TypeDir
+	}
+	if fa.Mode == 0 {
+		if a.Dir {
+			fa.Mode = 0755
+		} else {
+			fa.Mode = 0644
+		}
+	}
+	return fa
+}

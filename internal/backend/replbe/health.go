@@ -15,19 +15,17 @@ type replica struct {
 	name     string
 	b        backend.Backend
 	readOnly bool
-	idx      int
 
 	ops       atomic.Uint64
 	errs      atomic.Uint64
 	hedgeWins atomic.Uint64
 	ewmaNs    atomic.Int64
 
-	mu          sync.Mutex
-	down        bool
-	consec      int // consecutive Unavailable/Timeout failures
-	downSince   time.Time
-	transitions uint64 // healthy→down transitions
+	// br marks the replica down after a run of Unavailable/Timeout
+	// failures and probes it back up.
+	br *backend.Breaker
 
+	mu sync.Mutex
 	// stale holds files this replica is known to be missing data for:
 	// a replication apply failed, or a quorum write skipped it. Reads
 	// never route to a replica stale for the file; the scrub repairs
@@ -39,8 +37,14 @@ type replica struct {
 	q *queue // nil for read-only replicas and in quorum mode
 }
 
-func newReplica(name string, b backend.Backend, readOnly bool, idx int) *replica {
-	return &replica{name: name, b: b, readOnly: readOnly, idx: idx, stale: make(map[string]bool)}
+// newReplica builds the member and its breaker. A recovered replica's
+// EWMA is reset so it re-earns its routing rank instead of competing
+// with a pre-outage score; reads and writes resume, stale files stay
+// excluded until the scrub repairs them.
+func newReplica(name string, b backend.Backend, readOnly bool, cfg *Config) *replica {
+	r := &replica{name: name, b: b, readOnly: readOnly, stale: make(map[string]bool)}
+	r.br = backend.NewBreaker(cfg.FailThreshold, cfg.ProbeInterval, b.Probe, func() { r.ewmaNs.Store(0) })
+	return r
 }
 
 // ewmaAlphaInv is the EWMA weight divisor: new = old + (d-old)/8.
@@ -50,7 +54,7 @@ const ewmaAlphaInv = 8
 // the failover classes (Unavailable, Timeout) count toward marking the
 // replica down — any answer from the server, even an error, proves the
 // path alive, mirroring the proxy breaker's semantics.
-func (r *replica) observe(err error, d time.Duration, threshold int) {
+func (r *replica) observe(err error, d time.Duration) {
 	r.ops.Add(1)
 	if err == nil {
 		old := r.ewmaNs.Load()
@@ -59,46 +63,18 @@ func (r *replica) observe(err error, d time.Duration, threshold int) {
 		} else {
 			r.ewmaNs.Store(old + (int64(d)-old)/ewmaAlphaInv)
 		}
-		r.mu.Lock()
-		r.consec = 0
-		r.mu.Unlock()
+		r.br.Success()
 		return
 	}
 	r.errs.Add(1)
-	if !failoverClass(err) {
-		r.mu.Lock()
-		r.consec = 0
-		r.mu.Unlock()
-		return
+	if failoverClass(err) {
+		r.br.Failure()
+	} else {
+		r.br.Success()
 	}
-	r.mu.Lock()
-	r.consec++
-	if !r.down && r.consec >= threshold {
-		r.down = true
-		r.downSince = time.Now()
-		r.transitions++
-	}
-	r.mu.Unlock()
 }
 
-func (r *replica) isDown() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.down
-}
-
-// markUp clears the down state after a successful probe. The EWMA is
-// reset so a recovered replica re-earns its routing rank instead of
-// competing with a pre-outage score.
-func (r *replica) markUp() {
-	r.mu.Lock()
-	if r.down {
-		r.down = false
-		r.consec = 0
-		r.ewmaNs.Store(0)
-	}
-	r.mu.Unlock()
-}
+func (r *replica) isDown() bool { return r.br.Open() }
 
 func (r *replica) ewma() time.Duration { return time.Duration(r.ewmaNs.Load()) }
 

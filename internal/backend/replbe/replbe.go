@@ -47,11 +47,10 @@ type Replica struct {
 // Config tunes the composite. The zero value gets sane defaults.
 type Config struct {
 	// FailThreshold is the number of consecutive Unavailable/Timeout
-	// failures that mark a replica down (default 3).
+	// failures that mark a replica down, ProbeInterval how often a down
+	// replica is probed for recovery (zero = the backend.Breaker
+	// defaults).
 	FailThreshold int
-
-	// ProbeInterval is how often down replicas are probed for recovery
-	// (default 1s).
 	ProbeInterval time.Duration
 
 	// HedgeQuantile is the read-latency quantile that arms a hedge: a
@@ -90,12 +89,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
 	if c.HedgeQuantile == 0 {
 		c.HedgeQuantile = 0.95
 	}
@@ -166,7 +159,7 @@ func New(replicas []Replica, cfg Config) (*Backend, error) {
 		if name == "" {
 			name = fmt.Sprintf("r%d", i)
 		}
-		rep := newReplica(name, r.B, r.ReadOnly, i)
+		rep := newReplica(name, r.B, r.ReadOnly, &cfg)
 		c.reps = append(c.reps, rep)
 	}
 	// Replication workers only exist in primary-ack mode: quorum writes
@@ -181,8 +174,6 @@ func New(replicas []Replica, cfg Config) (*Backend, error) {
 			go c.replWorker(r)
 		}
 	}
-	c.wg.Add(1)
-	go c.probeLoop()
 	if cfg.ScrubInterval > 0 {
 		c.wg.Add(1)
 		go c.scrubLoop()
@@ -216,6 +207,26 @@ func allDown(op string, last error) error {
 	}
 	return &backend.Error{Class: class, Op: op,
 		Err: fmt.Errorf("all replicas failed (last: %w)", last)}
+}
+
+// failover is the set's retry — the only one a call to a replica gets
+// (DESIGN.md §3.2): try runs on each candidate in turn until one
+// answers, with success or with an authoritative error; only a
+// failover-class failure moves on to the next. No candidate at all, or
+// none that answered, is the set's unavailability.
+func (c *Backend) failover(op string, cands []*replica, try func(*replica) error) error {
+	lastErr := error(errReplicaDown)
+	for i, r := range cands {
+		if i > 0 {
+			c.failovers.Add(1)
+		}
+		err := try(r)
+		if err == nil || !failoverClass(err) {
+			return err
+		}
+		lastErr = err
+	}
+	return allDown(op, lastErr)
 }
 
 // candBuf is reusable scratch for read candidate selection.
@@ -336,7 +347,7 @@ func (c *Backend) timedRead(r *replica, f backend.FileID, off uint64, count uint
 	start := time.Now()
 	res, err := r.b.Read(f, off, count, opts)
 	d := time.Since(start)
-	r.observe(err, d, c.cfg.FailThreshold)
+	r.observe(err, d)
 	if err == nil {
 		c.lat.observe(d)
 	}
@@ -487,28 +498,15 @@ func (c *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 	if c.cfg.Quorum {
 		return c.quorumWrite(f, off, data, opts)
 	}
-	cands := c.writeCandidates()
-	if len(cands) == 0 {
-		return nil, &backend.Error{Class: backend.ClassUnavailable, Op: "write",
-			Err: errors.New("no write-capable replica")}
-	}
 	key := f.Key()
-	var lastErr error
-	for i, r := range cands {
-		if i > 0 {
-			c.failovers.Add(1)
-		}
-		attr, err := c.writeOn(r, key, f, off, data, opts)
-		if err == nil {
+	var attr *backend.Attr
+	err := c.failover("write", c.writeCandidates(), func(r *replica) (err error) {
+		if attr, err = c.writeOn(r, key, f, off, data, opts); err == nil {
 			c.replicateWrite(r, f, off, data)
-			return attr, nil
 		}
-		if !failoverClass(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, allDown("write", lastErr)
+		return err
+	})
+	return attr, err
 }
 
 // writeOn lands one write on r. When r's replication queue still holds
@@ -534,7 +532,7 @@ func (c *Backend) writeOn(r *replica, key string, f backend.FileID, off uint64, 
 	}
 	start := time.Now()
 	attr, err := r.b.Write(f, off, data, opts)
-	r.observe(err, time.Since(start), c.cfg.FailThreshold)
+	r.observe(err, time.Since(start))
 	return attr, err
 }
 
@@ -602,7 +600,7 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 		go func(r *replica) {
 			start := time.Now()
 			attr, err := r.b.Write(f, off, data, opts)
-			r.observe(err, time.Since(start), c.cfg.FailThreshold)
+			r.observe(err, time.Since(start))
 			ch <- result{attr, err, r}
 		}(r)
 	}
@@ -649,36 +647,18 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 // for the file rides the queue, so the data it makes durable includes
 // every write acknowledged before it.
 func (c *Backend) Commit(f backend.FileID, opts backend.CallOpts) error {
-	cands := c.writeCandidates()
-	if len(cands) == 0 {
-		return &backend.Error{Class: backend.ClassUnavailable, Op: "commit",
-			Err: errors.New("no write-capable replica")}
-	}
 	key := f.Key()
-	var lastErr error
-	for i, r := range cands {
-		if i > 0 {
-			c.failovers.Add(1)
-		}
-		var err error
+	return c.failover("commit", c.writeCandidates(), func(r *replica) error {
 		if r.q != nil && r.q.pendingFor(key) > 0 {
-			err = <-r.q.addSync(key, "", func(b backend.Backend) error {
+			return <-r.q.addSync(key, "", func(b backend.Backend) error {
 				return b.Commit(f, opts)
 			})
-		} else {
-			start := time.Now()
-			err = r.b.Commit(f, opts)
-			r.observe(err, time.Since(start), c.cfg.FailThreshold)
 		}
-		if err == nil {
-			return nil
-		}
-		if !failoverClass(err) {
-			return err
-		}
-		lastErr = err
-	}
-	return allDown("commit", lastErr)
+		start := time.Now()
+		err := r.b.Commit(f, opts)
+		r.observe(err, time.Since(start))
+		return err
+	})
 }
 
 // GetAttr implements backend.Backend with the read routing rules
@@ -687,28 +667,14 @@ func (c *Backend) Commit(f backend.FileID, opts backend.CallOpts) error {
 func (c *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr, error) {
 	buf := c.getCandBuf()
 	defer c.putCandBuf(buf)
-	cands := c.readCandidatesInto(f, buf)
-	if len(cands) == 0 {
-		return backend.Attr{}, &backend.Error{Class: backend.ClassUnavailable, Op: "getattr",
-			Err: errors.New("no consistent replica for file")}
-	}
-	var lastErr error
-	for i, r := range cands {
-		if i > 0 {
-			c.failovers.Add(1)
-		}
+	var attr backend.Attr
+	err := c.failover("getattr", c.readCandidatesInto(f, buf), func(r *replica) (err error) {
 		start := time.Now()
-		attr, err := r.b.GetAttr(f, opts)
-		r.observe(err, time.Since(start), c.cfg.FailThreshold)
-		if err == nil {
-			return attr, nil
-		}
-		if !failoverClass(err) {
-			return backend.Attr{}, err
-		}
-		lastErr = err
-	}
-	return backend.Attr{}, allDown("getattr", lastErr)
+		attr, err = r.b.GetAttr(f, opts)
+		r.observe(err, time.Since(start))
+		return err
+	})
+	return attr, err
 }
 
 // Probe implements backend.Backend: the composite is reachable while
@@ -719,13 +685,10 @@ func (c *Backend) Probe() error {
 	for _, r := range c.reps {
 		err := r.b.Probe()
 		if err == nil {
-			r.markUp()
+			r.br.Recover()
 			return nil
 		}
 		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no replicas")
 	}
 	return &backend.Error{Class: backend.ClassUnavailable, Op: "probe", Err: lastErr}
 }
@@ -750,6 +713,7 @@ func (c *Backend) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.done)
 		for _, r := range c.reps {
+			r.br.Stop()
 			if r.q != nil {
 				r.q.close()
 			}
@@ -762,30 +726,6 @@ func (c *Backend) Close() error {
 		}
 	})
 	return err
-}
-
-// probeLoop recovers down replicas: a successful Probe marks the
-// replica healthy again (reads and writes resume; stale files stay
-// excluded until the scrub repairs them).
-func (c *Backend) probeLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-		}
-		for _, r := range c.reps {
-			if !r.isDown() {
-				continue
-			}
-			if err := r.b.Probe(); err == nil {
-				r.markUp()
-			}
-		}
-	}
 }
 
 // replWorker drains one replica's replication queue. A failed apply —
@@ -808,7 +748,7 @@ func (c *Backend) replWorker(r *replica) {
 		} else {
 			start := time.Now()
 			err = it.apply(r.b)
-			r.observe(err, time.Since(start), c.cfg.FailThreshold)
+			r.observe(err, time.Since(start))
 			if err != nil {
 				r.markStale(it.key)
 			}
@@ -840,13 +780,19 @@ func nameKey(dir backend.FileID, name string) string {
 // caught-up replica's answer.
 func (c *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
 	nk := nameKey(dir, name)
-	var lastErr, notFound error
-	tried := false
+	var notFound error
+	// With every capable replica marked down nothing is asked, and the
+	// answer is the set's unavailability — not an I/O error, which a
+	// client would take for the file's state.
+	lastErr, capable := error(errReplicaDown), false
 	for _, r := range c.reps {
-		if _, ok := r.b.(backend.Lookuper); !ok || r.isDown() {
+		if _, ok := r.b.(backend.Lookuper); !ok {
 			continue
 		}
-		tried = true
+		capable = true
+		if r.isDown() {
+			continue
+		}
 		var fid backend.FileID
 		var attr backend.Attr
 		run := func(b backend.Backend) error {
@@ -860,7 +806,7 @@ func (c *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 		} else {
 			start := time.Now()
 			err = run(r.b)
-			r.observe(err, time.Since(start), c.cfg.FailThreshold)
+			r.observe(err, time.Since(start))
 		}
 		if err == nil {
 			return fid, attr, nil
@@ -882,7 +828,7 @@ func (c *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 	if notFound != nil {
 		return nil, backend.Attr{}, notFound
 	}
-	if !tried {
+	if !capable {
 		return nil, backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "lookup",
 			Err: errors.New("no replica supports lookup")}
 	}
@@ -892,14 +838,16 @@ func (c *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 // Root implements backend.Namespacer against the first replica that
 // can answer.
 func (c *Backend) Root(dirpath string) (backend.FileID, backend.Attr, error) {
-	var lastErr error
-	tried := false
+	lastErr, capable := error(errReplicaDown), false
 	for _, r := range c.reps {
 		ns, ok := r.b.(backend.Namespacer)
-		if !ok || r.isDown() {
+		if !ok {
 			continue
 		}
-		tried = true
+		capable = true
+		if r.isDown() {
+			continue
+		}
 		fid, attr, err := ns.Root(dirpath)
 		if err == nil {
 			return fid, attr, nil
@@ -909,7 +857,7 @@ func (c *Backend) Root(dirpath string) (backend.FileID, backend.Attr, error) {
 		}
 		lastErr = err
 	}
-	if !tried {
+	if !capable {
 		return nil, backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "root",
 			Err: errors.New("no replica supports namespace operations")}
 	}
@@ -922,38 +870,28 @@ func (c *Backend) Root(dirpath string) (backend.FileID, backend.Attr, error) {
 // re-create it on a replica that missed the replication) is registered
 // with the scrub.
 func (c *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
+	var cands []*replica
+	for _, r := range c.writeCandidates() {
+		if _, ok := r.b.(backend.Namespacer); ok {
+			cands = append(cands, r)
+		}
+	}
+	if len(cands) == 0 {
+		return nil, backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "create",
+			Err: errors.New("no replica supports create")}
+	}
 	var acker *replica
 	var fid backend.FileID
 	var attr backend.Attr
-	var lastErr error
-	tried := false
-	for _, r := range c.writeCandidates() {
-		ns, ok := r.b.(backend.Namespacer)
-		if !ok {
-			continue
-		}
-		if tried {
-			c.failovers.Add(1)
-		}
-		tried = true
+	err := c.failover("create", cands, func(r *replica) (err error) {
 		start := time.Now()
-		f, a, err := ns.Create(dir, name, opts)
-		r.observe(err, time.Since(start), c.cfg.FailThreshold)
-		if err == nil {
-			acker, fid, attr = r, f, a
-			break
-		}
-		if !failoverClass(err) {
-			return nil, backend.Attr{}, err
-		}
-		lastErr = err
-	}
-	if acker == nil {
-		if !tried {
-			return nil, backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "create",
-				Err: errors.New("no replica supports create")}
-		}
-		return nil, backend.Attr{}, allDown("create", lastErr)
+		fid, attr, err = r.b.(backend.Namespacer).Create(dir, name, opts)
+		r.observe(err, time.Since(start))
+		acker = r
+		return err
+	})
+	if err != nil {
+		return nil, backend.Attr{}, err
 	}
 	c.scrub.register(fid, dir, name)
 	key := fid.Key()

@@ -148,7 +148,7 @@ func TestFailedReplicationMarksStaleThenScrubRepairs(t *testing.T) {
 		t.Fatal("stale replica still considered consistent")
 	}
 	objs[2].SetFault(nil)
-	c.reps[2].markUp() // probe loop would do this; keep the test synchronous
+	c.reps[2].br.Recover() // probe loop would do this; keep the test synchronous
 	c.ScrubNow()
 	st := c.Stats()
 	if st.Scrub.BlocksRepaired == 0 {

@@ -83,12 +83,11 @@ func (c *Backend) replicaStats(i int) ReplicaStats {
 	if r.q != nil {
 		rs.PendingRepl = r.q.depth()
 	}
-	r.mu.Lock()
-	if r.down {
-		rs.DownSinceNs = r.downSince.UnixNano()
+	since, transitions := r.br.State()
+	if !since.IsZero() {
+		rs.DownSinceNs = since.UnixNano()
 	}
-	rs.Transitions = r.transitions
-	r.mu.Unlock()
+	rs.Transitions = transitions
 	return rs
 }
 

@@ -60,18 +60,6 @@ type concurrencyReport struct {
 	Runs       []concurrencyRun `json:"runs"`
 }
 
-// proxyCaller drives a Proxy in-process as an nfs3.Caller, the way a
-// dispatcher thread would hand decoded calls to the handler.
-type proxyCaller struct{ p *proxy.Proxy }
-
-func (c proxyCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	res, stat := c.p.HandleCall(&sunrpc.Call{Prog: prog, Vers: vers, Proc: proc, Cred: cred, Args: args})
-	if stat != sunrpc.Success {
-		return nil, fmt.Errorf("proxy: accept stat %v", stat)
-	}
-	return res, nil
-}
-
 // concurrencyOps returns the total operation count, split across all
 // clients of a run so every run does identical work.
 func (o Options) concurrencyOps() int {
@@ -149,7 +137,7 @@ func (o Options) runConcurrencyOne(clients, totalOps int) (concurrencyRun, error
 	}
 	defer p.Shutdown()
 
-	caller := proxyCaller{p}
+	caller := sunrpc.Local{H: p}
 	cred := benchCred()
 	root, err := mountd.Mount(caller, cred, "/")
 	if err != nil {

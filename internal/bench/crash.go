@@ -243,7 +243,7 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 		bc1.Close()
 		return run, err
 	}
-	caller := proxyCaller{p1}
+	caller := sunrpc.Local{H: p1}
 	cred := benchCred()
 	root, err := mountd.Mount(caller, cred, "/")
 	if err != nil {

@@ -131,7 +131,7 @@ func isJukebox(err error) bool {
 // noisyRig is one assembled topology: NFS server behind a shaped WAN
 // link, a proxy with a small block cache, and optional QoS.
 type noisyRig struct {
-	caller   proxyCaller
+	caller   sunrpc.Local
 	sched    *qos.Scheduler
 	reg      *obs.Registry
 	politeFH nfs3.FH
@@ -221,7 +221,7 @@ func (o Options) startNoisyRig(qcfg *qos.Config) (*noisyRig, error) {
 		return nil, err
 	}
 	rig.closers = append(rig.closers, p.Shutdown)
-	rig.caller = proxyCaller{p}
+	rig.caller = sunrpc.Local{H: p}
 
 	root, err := mountd.Mount(rig.caller, noisyCred("setup", 0), "/")
 	if err != nil {

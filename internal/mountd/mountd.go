@@ -36,6 +36,11 @@ const (
 type Server struct {
 	mu      sync.RWMutex
 	exports map[string]nfs3.FH
+
+	// Resolve, when set, answers for a dirpath that is no named export
+	// (a namespace in which every directory can be mounted). Its error
+	// picks the MOUNT status the way nfs3.StatusOf picks an NFS status.
+	Resolve func(dirpath string) (nfs3.FH, error)
 }
 
 // NewServer returns a Server with no exports.
@@ -62,10 +67,16 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 		s.mu.RLock()
 		fh, ok := s.exports[dirpath]
 		s.mu.RUnlock()
+		status := ErrNoEnt
+		if !ok && s.Resolve != nil {
+			var err error
+			fh, err = s.Resolve(dirpath)
+			ok, status = err == nil, uint32(nfs3.StatusOf(err))
+		}
 		var buf bytes.Buffer
 		e := xdr.NewEncoder(&buf)
 		if !ok {
-			e.Uint32(ErrNoEnt)
+			e.Uint32(status)
 			return buf.Bytes(), sunrpc.Success
 		}
 		e.Uint32(OK)

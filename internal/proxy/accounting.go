@@ -436,7 +436,7 @@ func (a *accounting) snapshot(degraded bool) Statusz {
 
 // Statusz returns the proxy's accounting snapshot.
 func (p *Proxy) Statusz() Statusz {
-	doc := p.acct.snapshot(p.degraded())
+	doc := p.acct.snapshot(p.Degraded())
 	for _, ts := range p.QoSTenants() {
 		row := TenantRow{TenantStats: ts}
 		if p.cfg.Cachean != nil {

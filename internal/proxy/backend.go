@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gvfs/internal/backend"
+	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/bufpool"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
@@ -35,29 +36,19 @@ func beOpts(tr *obs.Active, deadline time.Time) backend.CallOpts {
 	return opts
 }
 
-// beRead issues a proxy-initiated backend read (write-back RMW,
-// read-ahead, meta-data) with breaker fast-fail and health observation.
-func (p *Proxy) beRead(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, deadline time.Time) (backend.ReadResult, error) {
-	if p.degraded() {
+// beRead issues a backend read with breaker fast-fail and health
+// observation. demand marks a client's own READ, which counts toward
+// the forwarded counter exactly like a relayed call (the fast-fail path
+// does not); the proxy's own reads (write-back RMW, read-ahead,
+// meta-data) do not.
+func (p *Proxy) beRead(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, deadline time.Time, demand bool) (backend.ReadResult, error) {
+	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
 		return backend.ReadResult{}, errUpstreamDown
 	}
-	return p.beReadRaw(fh, off, count, tr, deadline)
-}
-
-// beDemandRead is beRead for client-demand reads: those count toward
-// the forwarded counter exactly like relayed calls (the fast-fail path
-// does not).
-func (p *Proxy) beDemandRead(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, deadline time.Time) (backend.ReadResult, error) {
-	if p.degraded() {
-		p.stats.breakerFastFails.Add(1)
-		return backend.ReadResult{}, errUpstreamDown
+	if demand {
+		p.stats.forwarded.Add(1)
 	}
-	p.stats.forwarded.Add(1)
-	return p.beReadRaw(fh, off, count, tr, deadline)
-}
-
-func (p *Proxy) beReadRaw(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, deadline time.Time) (backend.ReadResult, error) {
 	upStart := time.Now()
 	r, err := p.cfg.Backend.Read(backend.FileID(fh), off, count, beOpts(tr, deadline))
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
@@ -65,25 +56,18 @@ func (p *Proxy) beReadRaw(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, 
 	return r, err
 }
 
-// beWrite issues a proxy-initiated durable backend write (write-back).
-func (p *Proxy) beWrite(fh nfs3.FH, off uint64, data []byte) (*backend.Attr, error) {
-	if p.degraded() {
+// beWrite issues a durable backend write under the same protocol as
+// beRead: demand is a client's write-through WRITE, counted as
+// forwarded and attributed to the call's trace and deadline; write-back
+// passes neither.
+func (p *Proxy) beWrite(fh nfs3.FH, off uint64, data []byte, tr *obs.Active, deadline time.Time, demand bool) (*backend.Attr, error) {
+	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
 		return nil, errUpstreamDown
 	}
-	attr, err := p.cfg.Backend.Write(backend.FileID(fh), off, data, backend.CallOpts{})
-	p.observeUpstream(err)
-	return attr, err
-}
-
-// beDemandWrite is beWrite for client-demand write-through, counted as
-// forwarded and attributed to the call's trace and deadline.
-func (p *Proxy) beDemandWrite(fh nfs3.FH, off uint64, data []byte, tr *obs.Active, deadline time.Time) (*backend.Attr, error) {
-	if p.degraded() {
-		p.stats.breakerFastFails.Add(1)
-		return nil, errUpstreamDown
+	if demand {
+		p.stats.forwarded.Add(1)
 	}
-	p.stats.forwarded.Add(1)
 	upStart := time.Now()
 	attr, err := p.cfg.Backend.Write(backend.FileID(fh), off, data, beOpts(tr, deadline))
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
@@ -100,7 +84,7 @@ func (p *Proxy) beLookup(dir nfs3.FH, name string) (nfs3.FH, backend.Attr, error
 	if !ok {
 		return nil, backend.Attr{}, errNoNamespace
 	}
-	if p.degraded() {
+	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
 		return nil, backend.Attr{}, errUpstreamDown
 	}
@@ -109,38 +93,9 @@ func (p *Proxy) beLookup(dir nfs3.FH, name string) (nfs3.FH, backend.Attr, error
 	return nfs3.FH(fid), attr, err
 }
 
-// errStatus maps a classified backend error onto the NFS status to
-// report to the client. ok=false means the failure is transport-level
-// (unavailable, out of budget, or unclassified) and must surface as an
-// RPC-level SystemErr, never as an NFS status the client would treat
-// as authoritative.
-func errStatus(err error) (nfs3.Status, bool) {
-	var be *backend.Error
-	if !errors.As(err, &be) {
-		return 0, false
-	}
-	switch be.Class {
-	case backend.ClassUnavailable, backend.ClassTimeout:
-		return 0, false
-	}
-	if be.Status != 0 {
-		return nfs3.Status(be.Status), true
-	}
-	switch be.Class {
-	case backend.ClassRetriable:
-		return nfs3.ErrJukebox, true
-	case backend.ClassStale:
-		return nfs3.ErrStale, true
-	case backend.ClassNotFound:
-		return nfs3.ErrNoEnt, true
-	default:
-		return nfs3.ErrIO, true
-	}
-}
-
 // backendReadError encodes a failed backend read as the NFS reply.
 func backendReadError(err error) ([]byte, sunrpc.AcceptStat) {
-	if st, ok := errStatus(err); ok {
+	if st, ok := nfs3be.ErrStatus(err); ok {
 		res := nfs3.ReadRes{Status: st}
 		return res.Encode(), sunrpc.Success
 	}
@@ -149,30 +104,11 @@ func backendReadError(err error) ([]byte, sunrpc.AcceptStat) {
 
 // backendWriteError encodes a failed backend write as the NFS reply.
 func backendWriteError(err error) ([]byte, sunrpc.AcceptStat) {
-	if st, ok := errStatus(err); ok {
+	if st, ok := nfs3be.ErrStatus(err); ok {
 		res := nfs3.WriteRes{Status: st, Verf: nfs3.WriteVerf}
 		return res.Encode(), sunrpc.Success
 	}
 	return nil, sunrpc.SystemErr
-}
-
-// fattrOf converts a backend attribute to an NFS post-op attribute.
-func fattrOf(a *backend.Attr) *nfs3.Fattr {
-	if a == nil {
-		return nil
-	}
-	fa := &nfs3.Fattr{Type: nfs3.TypeReg, Mode: a.Mode, Nlink: 1, Size: a.Size, Used: a.Size}
-	if a.Dir {
-		fa.Type = nfs3.TypeDir
-	}
-	if fa.Mode == 0 {
-		if a.Dir {
-			fa.Mode = 0755
-		} else {
-			fa.Mode = 0644
-		}
-	}
-	return fa
 }
 
 // readResultReply encodes a successful backend read as the NFS READ
@@ -183,7 +119,7 @@ func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult) ([]byte, s
 		Count:  uint32(len(r.Data)),
 		EOF:    r.EOF,
 		Data:   r.Data,
-		Attr:   fattrOf(r.Attr),
+		Attr:   nfs3be.FattrOf(r.Attr),
 	}
 	out := res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(r.Data)))[:0])
 	c.ReplyPooled = true
@@ -200,7 +136,7 @@ func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *ba
 		Committed: nfs3.FileSync,
 		Verf:      nfs3.WriteVerf,
 	}
-	if fa := fattrOf(attr); fa != nil {
+	if fa := nfs3be.FattrOf(attr); fa != nil {
 		res.Wcc.After = fa
 	}
 	out := res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
@@ -216,13 +152,13 @@ func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, tr *obs.Active,
 		p.accountRead(c, args.FH, args.Offset, "forwarded", args.Count, start)
 		return res, stat
 	}
-	r, err := p.beDemandRead(args.FH, args.Offset, args.Count, tr, c.Deadline)
+	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
 	if err != nil {
 		p.accountRead(c, args.FH, args.Offset, "error", args.Count, start)
 		return backendReadError(err)
 	}
 	if r.Attr != nil {
-		p.rememberSize(args.FH, r.Attr.Size)
+		p.bumpSize(args.FH, r.Attr.Size)
 	}
 	res, stat := p.readResultReply(c, r)
 	p.accountRead(c, args.FH, args.Offset, "forwarded", args.Count, start)

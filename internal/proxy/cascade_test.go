@@ -132,15 +132,11 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the blocks no WRITE below touches: a READ miss after a WRITE
-	// that extended the file resets the proxy's shadow size to the
-	// origin's (ROADMAP item 6), which is not what this test is about.
-	// Block 8 stays cold so that its partial WRITE is merged from upstream.
-	for _, b := range []uint64{0, 1, 5} {
-		if _, _, err := nc.Read(fh, b*cascadeBS, cascadeBS); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Every block starts cold: block 8's partial WRITE is merged from
+	// upstream, and blocks 0, 1 and 5 — which no WRITE touches — miss in
+	// the read-back below, after the WRITEs have extended the file. Those
+	// misses carry the origin's (old, smaller) size and must not shrink
+	// the shadow size under the blocks past the old EOF.
 	for _, w := range []struct {
 		off, n int
 	}{

@@ -8,189 +8,67 @@ package proxy
 // absorbed writes remain authoritative while the WAN is down.
 
 import (
-	"context"
 	"errors"
-	"sync"
-	"time"
 
 	"gvfs/internal/backend"
 	"gvfs/internal/sunrpc"
 )
 
-const (
-	defaultFailureThreshold = 3
-	defaultProbeInterval    = time.Second
-)
-
-// health is the upstream circuit breaker. The breaker opens after
-// `threshold` consecutive transport failures; while open, forwarded
-// calls fail fast (bounded error latency) and cached data keeps being
-// served. A probe loop issues NFS NULL upstream until it answers, then
-// closes the breaker and triggers a write-back replay.
-type health struct {
-	p         *Proxy
-	threshold int
-	interval  time.Duration
-
-	mu      sync.Mutex
-	open    bool
-	fails   int
-	probing bool
-}
-
-func newHealth(p *Proxy, threshold int, interval time.Duration) *health {
-	if threshold <= 0 {
-		threshold = defaultFailureThreshold
-	}
-	if interval <= 0 {
-		interval = defaultProbeInterval
-	}
-	return &health{p: p, threshold: threshold, interval: interval}
-}
-
-// isOpen reports whether the breaker is open (upstream considered dead).
-func (h *health) isOpen() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.open
-}
-
-// success records an upstream response (any RPC-level verdict counts:
-// the transport works).
-func (h *health) success() {
-	h.mu.Lock()
-	h.fails = 0
-	h.mu.Unlock()
-}
-
-// failure records a transport-level upstream failure and opens the
-// breaker at the threshold.
-func (h *health) failure() {
-	h.mu.Lock()
-	h.fails++
-	trip := !h.open && h.fails >= h.threshold
-	if trip {
-		h.open = true
-		if !h.probing {
-			h.probing = true
-			go h.probeLoop()
-		}
-	}
-	h.mu.Unlock()
-	if trip {
-		h.p.stats.breakerOpens.Add(1)
-		h.p.log.Warn("circuit breaker opened; serving degraded from cache",
-			"consecutive_failures", h.threshold)
-	}
-}
-
-// probeLoop pings the upstream until it answers or the proxy shuts
-// down, then closes the breaker and replays dirty state.
-func (h *health) probeLoop() {
-	for {
-		select {
-		case <-h.p.done:
-			h.mu.Lock()
-			h.probing = false
-			h.mu.Unlock()
-			return
-		case <-time.After(h.interval):
-		}
-		h.p.stats.probes.Add(1)
-		if h.p.probeUpstream() == nil {
-			h.mu.Lock()
-			h.open = false
-			h.fails = 0
-			h.probing = false
-			h.mu.Unlock()
-			h.p.log.Info("circuit breaker closed; upstream answered probe")
-			go h.p.replayAfterRecovery()
-			return
-		}
-	}
-}
-
-// isTransportErr distinguishes connection-level failures (timeouts,
-// resets, exhausted retries) from an upstream that answered with an
-// RPC-level error — the latter proves the path is alive.
-func isTransportErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	_, isRPC := err.(*sunrpc.RPCError)
-	return !isRPC
-}
-
 // observeUpstream feeds a forwarded or backend call's outcome into the
-// breaker. Backend errors carry their own classification: only
-// ClassUnavailable is a transport-level failure, a timeout is neutral
-// (budget exhaustion says nothing about upstream health), and any
-// classified per-file error proves the path is alive. Raw relay errors
-// fall back to the transport-vs-RPC distinction.
+// breaker, by the proxy's policy: any answer proves the path alive — a
+// classified per-file error, or an RPC-level rejection from the relay
+// (the server answered); only ClassUnavailable (which an unclassified
+// transport error is too) counts as a failure; and a timeout is
+// neutral — a call running out of its propagated budget says nothing
+// about upstream health, so it must not poison the breaker. At the
+// threshold the breaker opens: forwarded calls fail fast (bounded error
+// latency), cached data keeps being served, and the breaker probes the
+// backend until it answers.
 func (p *Proxy) observeUpstream(err error) {
-	if p.health == nil {
+	if p.breaker == nil {
 		return
 	}
-	var be *backend.Error
-	if errors.As(err, &be) {
-		switch be.Class {
-		case backend.ClassTimeout:
-			return
-		case backend.ClassUnavailable:
-			p.health.failure()
-		default:
-			p.health.success()
+	var answered *sunrpc.RPCError
+	if err == nil || errors.As(err, &answered) {
+		p.breaker.Success()
+		return
+	}
+	switch backend.Classify(err) {
+	case backend.ClassTimeout:
+	case backend.ClassUnavailable:
+		if p.breaker.Failure() {
+			p.stats.breakerOpens.Add(1)
+			p.log.Warn("circuit breaker opened; serving degraded from cache")
 		}
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		// The call ran out of its propagated budget — that says nothing
-		// about upstream health, so it must not poison the breaker.
-		return
-	}
-	if isTransportErr(err) {
-		p.health.failure()
-	} else {
-		p.health.success()
+	default:
+		p.breaker.Success()
 	}
 }
 
-// degraded reports whether the proxy is currently in degraded
-// (serve-from-cache) mode.
-func (p *Proxy) degraded() bool {
-	return p.health != nil && p.health.isOpen()
+// probeUpstream is the breaker's probe: a minimal backend call. An
+// upstream that answers with an RPC-level error still counts as
+// reachable (backend.Backend.Probe's contract).
+func (p *Proxy) probeUpstream() error {
+	p.stats.probes.Add(1)
+	return p.cfg.Backend.Probe()
 }
 
 // Degraded reports whether the proxy is in degraded mode (upstream
 // considered unreachable; cached data served under session semantics).
-func (p *Proxy) Degraded() bool { return p.degraded() }
+func (p *Proxy) Degraded() bool { return p.breaker.Open() }
 
-// probeUpstream issues a minimal backend probe to test the path. An
-// upstream that answers with an RPC-level error still counts as
-// reachable (the backend contract mirrors isTransportErr).
-func (p *Proxy) probeUpstream() error {
-	return p.cfg.Backend.Probe()
-}
-
-// replayAfterRecovery pushes every write acknowledged during (or
-// before) the outage back upstream. Failures re-open the breaker via
-// the regular accounting on upstreamWrite, so replay is retried on the
-// next recovery.
+// replayAfterRecovery is the breaker's recovery hook: it pushes every
+// write acknowledged during (or before) the outage back upstream.
+// Failures re-open the breaker via the regular accounting on
+// upstreamWrite, so replay is retried on the next recovery.
 func (p *Proxy) replayAfterRecovery() {
 	p.stats.replays.Add(1)
-	p.acct.flushTriggered(TriggerReplay)
-	p.log.Info("replaying write-back state after recovery")
-	if p.cfg.BlockCache != nil && !p.cfg.BlockCache.Config().ReadOnly {
-		if err := p.cfg.BlockCache.WriteBackAll(); err != nil {
-			p.log.Warn("post-recovery replay failed; data stays dirty", "err", err)
-			return
-		}
+	p.log.Info("circuit breaker closed; replaying write-back state")
+	if err := p.writeBackReason(TriggerReplay); err != nil {
+		p.log.Warn("post-recovery replay failed; data stays dirty", "err", err)
 	}
-	p.flushFileCache()
 }
 
 // Shutdown stops background health probing. Idempotent; the stack layer
 // runs it when the proxy's node closes.
-func (p *Proxy) Shutdown() {
-	p.closeOnce.Do(func() { close(p.done) })
-}
+func (p *Proxy) Shutdown() { p.breaker.Stop() }

@@ -53,7 +53,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // the backend split: fail fast while the breaker is open, otherwise
 // touch the transport and feed the outcome to the health tracker.
 func nullCall(p *Proxy) error {
-	if p.degraded() {
+	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
 		return errUpstreamDown
 	}
@@ -153,7 +153,7 @@ func TestBreakerConcurrentFailuresSpawnOneProbeLoop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p.health.failure()
+				p.observeUpstream(errors.New("transport down"))
 			}
 		}()
 	}
@@ -221,14 +221,8 @@ func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 	if opens := p.Snapshot().Counter("gvfs_proxy_breaker_opens_total"); opens != 1 {
 		t.Errorf("breaker opened %d times across one outage+recovery", opens)
 	}
-	// The probe loop must have exited: probing flag clear, and no
-	// further probes land on the healthy upstream.
-	p.health.mu.Lock()
-	probing := p.health.probing
-	p.health.mu.Unlock()
-	if probing {
-		t.Error("probe loop still marked running after recovery")
-	}
+	// The probe loop must have exited: no further probes land on the
+	// healthy upstream.
 	settled := gate.calls.Load()
 	time.Sleep(4 * interval)
 	if extra := gate.calls.Load() - settled; extra != 0 {

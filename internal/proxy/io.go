@@ -45,7 +45,7 @@ func (p *Proxy) accountRead(c *sunrpc.Call, fh nfs3.FH, off uint64, outcome stri
 		p.cfg.Cachean.DemandData(client, fh, off/bs, int(count), false)
 	}
 	served := outcome == "block_hit" || outcome == "file_cache" || outcome == "zero_filter"
-	p.acct.recordRead(p.fileLabel(fh), client, outcome, count, served && p.degraded())
+	p.acct.recordRead(p.fileLabel(fh), client, outcome, count, served && p.Degraded())
 }
 
 func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -136,13 +136,13 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		return res, stat
 	}
 	p.stats.readMisses.Add(1)
-	r, err := p.beDemandRead(args.FH, args.Offset, args.Count, tr, c.Deadline)
+	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
 	if err != nil {
 		p.accountRead(c, args.FH, args.Offset, "error", args.Count, start)
 		return backendReadError(err)
 	}
 	if r.Attr != nil {
-		p.rememberSize(args.FH, r.Attr.Size)
+		p.bumpSize(args.FH, r.Attr.Size)
 	}
 	// Only cache full-block requests so a frame always represents the
 	// block's prefix from its aligned start.
@@ -210,7 +210,7 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64,
 // buffer released by the RPC server (ReplyPooled); blockData is only
 // read before returning, so the caller may release it immediately.
 func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData []byte) ([]byte, sunrpc.AcceptStat) {
-	if p.degraded() {
+	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
 	data := blockData
@@ -302,7 +302,7 @@ func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs) ([]byte, sunrpc.AcceptSta
 		return res.Encode(), sunrpc.Success
 	}
 	p.stats.fileChanReads.Add(1)
-	if p.degraded() {
+	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
 	var attr *nfs3.Fattr
@@ -420,7 +420,7 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 	// read-modify-write through the backend. Failures come back
 	// classified (backend.Error), so the caller's fallback treats
 	// every backend identically.
-	r, err := p.beRead(fh, blockStart, uint32(bs), nil, time.Time{})
+	r, err := p.beRead(fh, blockStart, uint32(bs), nil, time.Time{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +469,7 @@ func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, tr *obs.Activ
 		p.cfg.Cachean.DemandData(p.clientLabel(c), args.FH, args.Offset/bs, len(args.Data), true)
 	}
 	p.acct.recordWrite(p.fileLabel(args.FH), p.clientLabel(c), len(args.Data))
-	attr, err := p.beDemandWrite(args.FH, args.Offset, args.Data, tr, c.Deadline)
+	attr, err := p.beWrite(args.FH, args.Offset, args.Data, tr, c.Deadline, true)
 	if err != nil {
 		return backendWriteError(err)
 	}
@@ -582,7 +582,7 @@ func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64) ([]byte, error) {
 	out := make([]byte, 0, sizeHint)
 	var off uint64
 	for {
-		r, err := p.beRead(fh, off, chunk, nil, time.Time{})
+		r, err := p.beRead(fh, off, chunk, nil, time.Time{}, false)
 		if err != nil {
 			return nil, err
 		}

@@ -25,6 +25,7 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"path"
@@ -60,8 +61,9 @@ type Config struct {
 	// Upstream is the RPC transport to the next hop. It remains the
 	// control-plane relay — LOOKUP, MOUNT and directory operations are
 	// forwarded verbatim so each client's own credentials cross the
-	// hop. Nil routes control calls to the backend's namespace instead
-	// (see backend.Namespacer; the objstore arrangement).
+	// hop. Leaving it nil with Backend set relays them to Backend served
+	// as an in-process NFS + MOUNT service (nfs3be.Serve; the objstore
+	// arrangement) — the mirror image of leaving Backend nil.
 	Upstream nfs3.Caller
 
 	// Mapper, when set, rewrites AUTH_UNIX credentials to short-lived
@@ -191,9 +193,8 @@ type Proxy struct {
 	ra   *readAhead                // nil unless Config.ReadAhead > 0
 	idle atomic.Pointer[idleState] // nil unless StartIdleWriteBack was called
 
-	health    *health // nil unless health tracking is enabled
-	done      chan struct{}
-	closeOnce sync.Once
+	breaker *backend.Breaker // nil unless health tracking is enabled
+	relay   nfs3.Caller      // control-plane next hop: Config.Upstream, or Config.Backend served in process
 }
 
 // New returns a Proxy for cfg. If a write-back block cache is
@@ -219,7 +220,10 @@ func New(cfg Config) (*Proxy, error) {
 		acct:   newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
 		log:    cfg.Logger.Named("proxy"),
 		qos:    cfg.QoS,
-		done:   make(chan struct{}),
+		relay:  cfg.Upstream,
+	}
+	if p.relay == nil {
+		p.relay = nfs3be.Serve(cfg.Backend)
 	}
 	// Proxy-initiated backend calls (write-back, RMW, meta-data,
 	// read-ahead) carry the session credential through the same mapper
@@ -244,7 +248,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.ra = newReadAhead()
 	}
 	if cfg.DegradedReads || cfg.FailureThreshold > 0 || cfg.ProbeInterval > 0 {
-		p.health = newHealth(p, cfg.FailureThreshold, cfg.ProbeInterval)
+		p.breaker = backend.NewBreaker(cfg.FailureThreshold, cfg.ProbeInterval, p.probeUpstream, func() { go p.replayAfterRecovery() })
 	}
 	if cfg.BlockCache != nil && !cfg.BlockCache.Config().ReadOnly {
 		cfg.BlockCache.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
@@ -322,7 +326,7 @@ func (p *Proxy) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	if idle := p.idle.Load(); idle != nil {
 		idle.touch()
 	}
-	degradedAtEntry := p.degraded()
+	degradedAtEntry := p.Degraded()
 	p.setDeadline(c, start)
 	release, shedRes, shedStat, admitted := p.admit(c)
 	if !admitted {
@@ -426,23 +430,18 @@ var errUpstreamDown = fmt.Errorf("proxy: upstream unavailable (circuit breaker o
 // forward relays a call upstream unchanged except for credentials.
 // While the circuit breaker is open the call fails fast: degraded mode
 // guarantees bounded error latency instead of hanging on a dead WAN.
-// Without an RPC upstream the call is synthesized from the backend's
-// namespace instead (local.go).
 func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	if p.cfg.Upstream == nil {
-		return p.localNamespace(c)
-	}
 	cred, err := p.upstreamCred(c.Cred)
 	if err != nil {
 		return nil, sunrpc.SystemErr
 	}
-	if p.degraded() {
+	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
 		return nil, sunrpc.SystemErr
 	}
 	p.stats.forwarded.Add(1)
 	upStart := time.Now()
-	res, err := nfs3be.Call(p.cfg.Upstream, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
+	res, err := nfs3be.Call(p.relay, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
 	p.observeUpstream(err)
 	if err != nil {
@@ -459,7 +458,7 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 // failure surfaces as a classified backend error, so journal rescue
 // and keeps-dirty handling behave identically across backends.
 func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
-	if _, err := p.beWrite(fh, off, data); err != nil {
+	if _, err := p.beWrite(fh, off, data, nil, time.Time{}, false); err != nil {
 		return err
 	}
 	if p.cfg.BlockCache != nil {
@@ -508,10 +507,13 @@ func (p *Proxy) rememberSize(fh nfs3.FH, size uint64) {
 	p.mu.Unlock()
 }
 
-// bumpSize raises the shadow size to at least size.
+// bumpSize raises the shadow size to at least size. Upstream replies
+// only ever grow it: between flushes the origin does not know the
+// session's absorbed writes, so its smaller size is the stale one.
+// SETATTR-size and REMOVE are the only shrinkers.
 func (p *Proxy) bumpSize(fh nfs3.FH, size uint64) {
 	p.mu.Lock()
-	if size > p.sizes[fh.Key()] {
+	if cur, ok := p.sizes[fh.Key()]; !ok || size > cur {
 		p.sizes[fh.Key()] = size
 	}
 	p.mu.Unlock()
@@ -535,7 +537,7 @@ func (p *Proxy) handleLookup(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acc
 	if stat != sunrpc.Success {
 		// Degraded mode: resolve names the session has already seen from
 		// the proxy's own path map so cached files stay reachable.
-		if p.degraded() && p.cfg.DegradedReads {
+		if p.Degraded() && p.cfg.DegradedReads {
 			if fh, ok := p.childFH(args.Dir, args.Name); ok {
 				if attr := p.synthesizedAttr(fh); attr != nil {
 					r := nfs3.LookupRes{Status: nfs3.OK, Object: fh, ObjAttr: attr}
@@ -619,29 +621,54 @@ func (p *Proxy) handleNewObject(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.
 }
 
 func (p *Proxy) handleNamespaceChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	// REMOVE and RENAME invalidate cached state for the affected file.
+	// REMOVE and RENAME invalidate cached state for the affected file —
+	// and, for a RENAME onto an existing name, for the file it replaces.
+	// Their handles lose their path entries with it: one kept for a dead
+	// handle leaks, and gives childFH two answers once the name is reused.
 	d := xdr.NewDecoder(bytes.NewReader(c.Args))
 	dir := nfs3.DecodeFH(d)
 	name := d.String()
+	gone := make([]nfs3.FH, 0, 2)
+	fh, known := p.childFH(dir, name)
+	if known {
+		gone = append(gone, fh)
+	}
+	var moved pathInfo // the renamed file's new entry, if both ends are known
+	if c.Proc == nfs3.ProcRename {
+		toDir := nfs3.DecodeFH(d)
+		toName := d.String()
+		if toInfo, ok := p.pathOf(toDir); ok && known {
+			moved = pathInfo{parent: toDir.Key(), name: toName, full: path.Join(toInfo.full, toName)}
+		}
+		if replaced, ok := p.childFH(toDir, toName); ok {
+			gone = append(gone, replaced)
+		}
+	}
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
 	}
-	if fh, ok := p.childFH(dir, name); ok {
+	for _, dead := range gone {
 		if p.cfg.BlockCache != nil {
-			if err := p.cfg.BlockCache.InvalidateFile(fh); err != nil {
+			if err := p.cfg.BlockCache.InvalidateFile(dead); err != nil {
 				return nil, sunrpc.SystemErr
 			}
 		}
-		if info, ok := p.pathOf(fh); ok && p.cfg.FileCache != nil {
+		if info, ok := p.pathOf(dead); ok && p.cfg.FileCache != nil {
 			p.cfg.FileCache.Invalidate(info.full)
 		}
 		p.mu.Lock()
-		delete(p.sizes, fh.Key())
-		delete(p.metas, fh.Key())
+		delete(p.sizes, dead.Key())
+		delete(p.metas, dead.Key())
+		delete(p.paths, dead.Key())
 		p.mu.Unlock()
 		if p.ra != nil {
-			p.ra.forget(fh)
+			p.ra.forget(dead)
 		}
+	}
+	if moved.name != "" {
+		p.mu.Lock()
+		p.paths[fh.Key()] = moved
+		p.mu.Unlock()
 	}
 	return p.forward(c, tr)
 }
@@ -674,7 +701,9 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 		}
 	}
 	res, stat := p.forward(c, tr)
-	if stat == sunrpc.Success && args.Attr.Size != nil {
+	// A hop that cannot SETATTR still completes the call, with
+	// NFS3ERR_NOTSUPP in the body: the size changes only on NFS3_OK.
+	if stat == sunrpc.Success && args.Attr.Size != nil && len(res) >= 4 && binary.BigEndian.Uint32(res) == uint32(nfs3.OK) {
 		p.rememberSize(args.FH, *args.Attr.Size)
 	}
 	return res, stat

@@ -282,7 +282,7 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, block uint64) {
 // finishing all of them.
 func (p *Proxy) prefetchPipelined(br backend.BatchReader, fh nfs3.FH, blocks []uint64, bs uint64) {
 	defer func() { <-p.ra.sem }()
-	if p.degraded() {
+	if p.Degraded() {
 		for _, b := range blocks {
 			p.ra.finish(cache.BlockID{FH: fh.Key(), Block: b})
 		}
@@ -315,7 +315,7 @@ func (p *Proxy) prefetchPipelined(br backend.BatchReader, fh nfs3.FH, blocks []u
 // swallowed: prefetching is best-effort and the demand path remains
 // correct without it.
 func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
-	r, err := p.beRead(fh, block*bs, uint32(bs), nil, time.Time{})
+	r, err := p.beRead(fh, block*bs, uint32(bs), nil, time.Time{}, false)
 	if err != nil {
 		return
 	}
@@ -327,7 +327,7 @@ func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
 // the transport reply; the cache copies into its bank.
 func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult) {
 	if r.Attr != nil {
-		p.rememberSize(fh, r.Attr.Size)
+		p.bumpSize(fh, r.Attr.Size)
 	}
 	if len(r.Data) == 0 {
 		return

@@ -106,8 +106,6 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.BoolVar(&r.Quorum, "repl-quorum", false, "acknowledge writes after a majority of replicas instead of the primary only")
 	fs.Float64Var(&r.HedgeQuantile, "repl-hedge-quantile", 0, "latency quantile arming hedged reads (0 = default 0.95, negative = hedging off)")
 	fs.DurationVar(&r.ScrubInterval, "repl-scrub", 0, "background scrub/read-repair pass interval (0 = default 30s, negative = off)")
-	fs.IntVar(&r.FailThreshold, "repl-fail-threshold", 0, "consecutive failover-class errors that mark a replica down (0 = default 3)")
-	fs.DurationVar(&r.ProbeInterval, "repl-probe-interval", 0, "recovery probe period for down replicas (0 = default 1s)")
 	fs.BoolVar(&c.Dedup, "dedup", false, "share identical cached blocks across files (content-addressed dedup; needs -cache-dir)")
 	fs.StringVar(&c.Dir, "cache-dir", "", "block cache directory (empty = no disk cache)")
 	fs.IntVar(&c.Banks, "cache-banks", 512, "number of cache banks")
@@ -125,10 +123,10 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")
 	fs.DurationVar(&o.UpstreamCallTimeout, "call-timeout", 0, "per-call deadline on upstream RPCs (0 = wait forever)")
-	fs.IntVar(&o.UpstreamMaxRetries, "max-retries", 0, "retransmission attempts for idempotent upstream calls (0 = no retries)")
+	fs.IntVar(&o.UpstreamMaxRetries, "max-retries", 0, "retransmission attempts for idempotent upstream calls (0 = no retries; the replicas of -backend repl never retransmit, the set fails over)")
 	fs.BoolVar(&o.DegradedReads, "degraded-reads", false, "serve cached data while the upstream is unreachable")
-	fs.IntVar(&o.FailureThreshold, "failure-threshold", 0, "consecutive upstream failures that open the circuit breaker (0 = default)")
-	fs.DurationVar(&o.ProbeInterval, "probe-interval", 0, "recovery probe period while the breaker is open (0 = default)")
+	fs.IntVar(&o.FailureThreshold, "failure-threshold", 0, "consecutive upstream failures that open the circuit breaker, or mark one replica of -backend repl down (0 = default)")
+	fs.DurationVar(&o.ProbeInterval, "probe-interval", 0, "recovery probe period while the breaker is open, or a replica is down (0 = default)")
 	fs.StringVar(&f.MetricsAddr, "metrics", "", "serve /metrics, /traces, /logz, /flightrec, /statusz and /debug on this address (empty = off)")
 	fs.IntVar(&o.TraceRing, "trace-ring", 0, "keep the last N request traces for /traces (0 = tracing off)")
 	fs.IntVar(&o.FlightRing, "flightrec", 0, "retain the last N slow/error call recordings for /flightrec (0 = off)")

@@ -251,13 +251,14 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 			t.Errorf("-%s=%s changes neither Options() nor a daemon-level field", fl.Name, val)
 		}
 	})
-	if n > 49 {
-		t.Errorf("BindProxyFlags registers %d flags, want <= 49", n)
+	if n > 47 {
+		t.Errorf("BindProxyFlags registers %d flags, want <= 47", n)
 	}
 	for _, gone := range []string{"statusz-topn", "audit-ring", "acct-entries", "acct-ttl",
-		"cachean-sample-rate", "cachean-window", "cache-stripes", "readahead-pipeline"} {
+		"cachean-sample-rate", "cachean-window", "cache-stripes", "readahead-pipeline",
+		"repl-fail-threshold", "repl-probe-interval"} {
 		if fs.Lookup(gone) != nil {
-			t.Errorf("-%s is registered again; it was deleted as a one-value knob", gone)
+			t.Errorf("-%s is registered again; it was deleted as a one-value or duplicate knob", gone)
 		}
 	}
 

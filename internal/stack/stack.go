@@ -298,7 +298,8 @@ type ProxyOptions struct {
 	UpstreamCallTimeout time.Duration
 	// UpstreamMaxRetries enables transparent upstream reconnection with
 	// exponential backoff and XID-preserving retransmission of
-	// idempotent NFS calls (nfs3.RetrySafe). 0 disables retries.
+	// idempotent NFS calls (nfs3.RetrySafe). 0 disables retries. The
+	// members of a replica set never retransmit: failover is their retry.
 	UpstreamMaxRetries int
 
 	// ObjstoreDir is the object store directory (BackendObjstore).
@@ -369,7 +370,8 @@ type ProxyOptions struct {
 	// proxy.Config.DegradedReads.
 	DegradedReads bool
 	// FailureThreshold and ProbeInterval tune the upstream circuit
-	// breaker (proxy.Config fields of the same names).
+	// breaker (proxy.Config fields of the same names) and, under
+	// BackendRepl, each replica's.
 	FailureThreshold int
 	ProbeInterval    time.Duration
 
@@ -417,9 +419,10 @@ type ProxyOptions struct {
 
 // upstreamClient dials addr over link (tunnelled when UpstreamKey is
 // set) and wraps the connection in an RPC client with the options'
-// call timeout and retry budget. The client reconnects transparently
-// when retries are on, or always when redial is set. It closes with n.
-func (o *ProxyOptions) upstreamClient(n *Node, addr string, link *simnet.Link, redial bool) (*sunrpc.Client, error) {
+// call timeout and the given retry budget. The client reconnects
+// transparently when retries are on, and always under BackendRepl. It
+// closes with n.
+func (o *ProxyOptions) upstreamClient(n *Node, addr string, link *simnet.Link, maxRetries int) (*sunrpc.Client, error) {
 	dial := Dialer(addr, link, o.UpstreamKey)
 	conn, err := dial()
 	if err != nil {
@@ -427,10 +430,10 @@ func (o *ProxyOptions) upstreamClient(n *Node, addr string, link *simnet.Link, r
 	}
 	copts := sunrpc.ClientOptions{
 		CallTimeout: o.UpstreamCallTimeout,
-		MaxRetries:  o.UpstreamMaxRetries,
+		MaxRetries:  maxRetries,
 		Idempotent:  nfs3.RetrySafe,
 	}
-	if redial || o.UpstreamMaxRetries > 0 {
+	if o.Backend == BackendRepl || maxRetries > 0 {
 		copts.Redial = dial
 	}
 	client := sunrpc.NewClientWithOptions(conn, copts)
@@ -460,8 +463,9 @@ func (o *ProxyOptions) replicaSet(n *Node) (reps []replbe.Replica, relay nfs3.Ca
 			// Replica clients always redial: probe-driven recovery
 			// after an outage needs a fresh transport, and the
 			// composite's health gating (not a dead socket) is what
-			// decides whether the replica serves.
-			client, err := o.upstreamClient(n, arg, nil, true)
+			// decides whether the replica serves. They never retransmit
+			// inside a call: the composite's failover is the retry.
+			client, err := o.upstreamClient(n, arg, nil, -1)
 			if err != nil {
 				return nil, nil, fmt.Errorf("stack: replica %s dial: %w", name, err)
 			}
@@ -483,7 +487,7 @@ func (o *ProxyOptions) replicaSet(n *Node) (reps []replbe.Replica, relay nfs3.Ca
 func (o *ProxyOptions) connectBackend(n *Node) (backend.Backend, nfs3.Caller, error) {
 	switch o.Backend {
 	case "", BackendNFS3:
-		upstream, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, false)
+		upstream, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, o.UpstreamMaxRetries)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stack: proxy upstream dial: %w", err)
 		}
@@ -515,13 +519,22 @@ func (o *ProxyOptions) connectBackend(n *Node) (backend.Backend, nfs3.Caller, er
 			// control-plane relay the classic way: UpstreamAddr/Link is
 			// then the namespace hop, typically the primary replica's
 			// server.
-			client, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, true)
+			client, err := o.upstreamClient(n, o.UpstreamAddr, o.UpstreamLink, o.UpstreamMaxRetries)
 			if err != nil {
 				return nil, nil, fmt.Errorf("stack: repl relay dial: %w", err)
 			}
 			relay = client
 		}
-		rb, err := replbe.New(reps, o.ReplConfig)
+		// A replica set is the upstream: each member's breaker runs on the
+		// proxy breaker's settings unless ReplConfig names its own.
+		rcfg := o.ReplConfig
+		if rcfg.FailThreshold == 0 {
+			rcfg.FailThreshold = o.FailureThreshold
+		}
+		if rcfg.ProbeInterval == 0 {
+			rcfg.ProbeInterval = o.ProbeInterval
+		}
+		rb, err := replbe.New(reps, rcfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stack: repl backend: %w", err)
 		}

@@ -54,7 +54,10 @@ type ClientOptions struct {
 	Redial func() (net.Conn, error)
 
 	// MaxRetries is the number of retransmission attempts after the
-	// first try (default 8 when retries are enabled at all).
+	// first try (default 8 when retries are enabled at all). Negative
+	// means none: with Redial set the client still reconnects, on the
+	// next call, but never retransmits inside one — for a caller that
+	// owns the retry itself (a replica set fails over instead).
 	MaxRetries int
 
 	// BackoffBase and BackoffMax bound the exponential backoff between
@@ -148,8 +151,10 @@ func NewClient(conn net.Conn) *Client {
 
 // NewClientWithOptions wraps an established connection.
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
-	if opts.MaxRetries <= 0 {
+	if opts.MaxRetries == 0 {
 		opts.MaxRetries = defaultMaxRetries
+	} else if opts.MaxRetries < 0 {
+		opts.MaxRetries = 0
 	}
 	if opts.BackoffBase <= 0 {
 		opts.BackoffBase = defaultBackoffBase
