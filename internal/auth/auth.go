@@ -139,14 +139,39 @@ func (a *Allocator) Live() int {
 // allocated short-lived local identity.
 type Mapper struct {
 	alloc *Allocator
+
 	// UserOf derives the Grid user name from an incoming credential.
-	// The default uses "uid<N>@<machine>" from AUTH_UNIX.
+	// The default uses "uid<N>@<machine>" from AUTH_UNIX. It must be a
+	// pure function of the credential and set before the first Rewrite:
+	// its answers are memoised.
 	UserOf func(cred sunrpc.OpaqueAuth) (string, error)
+
+	mu   sync.Mutex
+	memo map[credKey]rewritten
 }
+
+// credKey is an incoming credential as it arrived.
+type credKey struct {
+	flavor uint32
+	body   string
+}
+
+// rewritten is what Rewrite derived from one incoming credential: a
+// relayed session repeats the same few on every call.
+type rewritten struct {
+	user string
+	uid  uint32            // the UID out was encoded for
+	out  sunrpc.OpaqueAuth // shared by every call that hits: read-only
+}
+
+// maxMemo bounds Mapper.memo. The key is client-chosen bytes (the
+// AUTH_UNIX stamp alone is 32 bits of them), so the table must not grow
+// with what clients send; past the bound an arbitrary entry makes room.
+const maxMemo = 1024
 
 // NewMapper returns a Mapper backed by alloc.
 func NewMapper(alloc *Allocator) *Mapper {
-	return &Mapper{alloc: alloc, UserOf: DefaultUserOf}
+	return &Mapper{alloc: alloc, UserOf: DefaultUserOf, memo: make(map[credKey]rewritten)}
 }
 
 // DefaultUserOf names Grid users by their AUTH_UNIX uid and machine.
@@ -166,21 +191,44 @@ func DefaultUserOf(cred sunrpc.OpaqueAuth) (string, error) {
 }
 
 // Rewrite maps an incoming credential to the local identity's
-// credential, allocating on first use.
+// credential, allocating on first use. Every call goes to the Allocator
+// — the lease is renewed on use, and a revoked or expired identity is
+// re-allocated — but the decode, the user name and the outgoing encoding
+// are remembered per incoming credential and redone only when the
+// identity's UID has changed. The returned credential is shared: callers
+// must not modify its body.
 func (m *Mapper) Rewrite(cred sunrpc.OpaqueAuth) (sunrpc.OpaqueAuth, Identity, error) {
-	user, err := m.UserOf(cred)
+	m.mu.Lock()
+	e, hit := m.memo[credKey{cred.Flavor, string(cred.Body)}]
+	m.mu.Unlock()
+	if !hit {
+		user, err := m.UserOf(cred)
+		if err != nil {
+			return sunrpc.OpaqueAuth{}, Identity{}, err
+		}
+		e.user = user
+	}
+	id, err := m.alloc.Allocate(e.user)
 	if err != nil {
 		return sunrpc.OpaqueAuth{}, Identity{}, err
 	}
-	id, err := m.alloc.Allocate(user)
-	if err != nil {
-		return sunrpc.OpaqueAuth{}, Identity{}, err
+	if !hit || e.uid != id.UID {
+		e.uid = id.UID
+		e.out = sunrpc.UnixCred{
+			MachineName: "gvfs-proxy",
+			UID:         id.UID,
+			GID:         id.GID,
+			GIDs:        []uint32{id.GID},
+		}.Encode()
+		m.mu.Lock()
+		if len(m.memo) >= maxMemo {
+			for k := range m.memo {
+				delete(m.memo, k)
+				break
+			}
+		}
+		m.memo[credKey{cred.Flavor, string(cred.Body)}] = e
+		m.mu.Unlock()
 	}
-	out := sunrpc.UnixCred{
-		MachineName: "gvfs-proxy",
-		UID:         id.UID,
-		GID:         id.GID,
-		GIDs:        []uint32{id.GID},
-	}.Encode()
-	return out, id, nil
+	return e.out, id, nil
 }

@@ -178,3 +178,113 @@ func TestQuickDistinctUsersDistinctUIDs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The memo never stands between a call and the Allocator: the lease is
+// renewed by memoised calls, and a revoked or expired identity that
+// comes back under another UID is re-encoded, not served from the memo.
+func TestMapperMemoHonoursAllocator(t *testing.T) {
+	now := time.Unix(1000, 0)
+	a := NewAllocator(60000, 4, time.Minute)
+	a.SetClock(func() time.Time { return now })
+	m := NewMapper(a)
+	alice := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode()
+	uidOf := func(out sunrpc.OpaqueAuth) uint32 {
+		t.Helper()
+		uc, err := sunrpc.DecodeUnixCred(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uc.MachineName != "gvfs-proxy" || len(uc.GIDs) != 1 || uc.GIDs[0] != uc.GID {
+			t.Fatalf("outgoing credential %+v", uc)
+		}
+		return uc.UID
+	}
+	rewrite := func(cred sunrpc.OpaqueAuth) (uint32, Identity) {
+		t.Helper()
+		out, id, err := m.Rewrite(cred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := uidOf(out); got != id.UID {
+			t.Fatalf("credential carries uid %d, identity is %d", got, id.UID)
+		}
+		return id.UID, id
+	}
+
+	first, _ := rewrite(alice)
+	// Renewal on use, through the memo.
+	for i := 0; i < 3; i++ {
+		now = now.Add(50 * time.Second)
+		if uid, id := rewrite(alice); uid != first || !id.Expires.Equal(now.Add(time.Minute)) {
+			t.Fatalf("memoised call %d: uid %d (first %d), expires %v at %v", i, uid, first, id.Expires, now)
+		}
+	}
+	// Revoked, and the slot taken by someone else before alice returns.
+	a.Revoke("uid500@compute1")
+	a.next = first - 60000 // the allocator would otherwise move on by itself
+	if _, err := a.Allocate("bob"); err != nil {
+		t.Fatal(err)
+	}
+	second, id := rewrite(alice)
+	if second == first || id.GridUser != "uid500@compute1" {
+		t.Fatalf("after revoke and reuse of uid %d alice maps to uid %d (%+v)", first, second, id)
+	}
+	// Expired, slot reused, same again.
+	now = now.Add(2 * time.Minute)
+	if n := a.Expire(); n != 2 {
+		t.Fatalf("expired %d identities, want 2", n)
+	}
+	a.next = second - 60000
+	if _, err := a.Allocate("carol"); err != nil {
+		t.Fatal(err)
+	}
+	if third, _ := rewrite(alice); third == second {
+		t.Fatalf("after expiry and reuse of uid %d alice still maps to it", second)
+	}
+	// Pool exhausted for a new user: the error, not a stale entry.
+	a.Allocate("dave")
+	a.Allocate("erin")
+	if _, _, err := m.Rewrite(sunrpc.UnixCred{UID: 501, MachineName: "compute1"}.Encode()); err != ErrPoolExhausted {
+		t.Fatalf("fifth user: %v, want ErrPoolExhausted", err)
+	}
+}
+
+// Credentials the mapper cannot name a user for fail on every call and
+// leave nothing behind.
+func TestMapperMemoKeepsRejecting(t *testing.T) {
+	m := NewMapper(NewAllocator(60000, 10, time.Hour))
+	for _, cred := range []sunrpc.OpaqueAuth{
+		{Flavor: 99, Body: []byte("whatever")},
+		{Flavor: sunrpc.AuthUnix, Body: []byte{0, 0, 0}},
+		{Flavor: sunrpc.AuthUnix, Body: append(sunrpc.UnixCred{MachineName: "m"}.Encode().Body[:16], 0, 0, 0, 17)},
+	} {
+		for i := 0; i < 2; i++ {
+			if _, _, err := m.Rewrite(cred); err == nil {
+				t.Errorf("flavor %d body %x accepted on call %d", cred.Flavor, cred.Body, i)
+			}
+		}
+	}
+	if len(m.memo) != 0 {
+		t.Errorf("%d entries memoised for rejected credentials", len(m.memo))
+	}
+}
+
+// The stamp is the client's to choose: a client that never repeats one
+// must not grow the table past its bound, and a hit costs no allocation.
+func TestMapperMemoBoundedAndFree(t *testing.T) {
+	m := NewMapper(NewAllocator(60000, 10, time.Hour))
+	for stamp := uint32(0); stamp < 3*maxMemo; stamp++ {
+		cred := sunrpc.UnixCred{Stamp: stamp, UID: 500, GID: 500, MachineName: "compute1"}.Encode()
+		if _, id, err := m.Rewrite(cred); err != nil || id.UID != 60000 {
+			t.Fatalf("stamp %d: uid %d, %v", stamp, id.UID, err)
+		}
+		if len(m.memo) > maxMemo {
+			t.Fatalf("stamp %d: %d entries, bound %d", stamp, len(m.memo), maxMemo)
+		}
+	}
+	cred := sunrpc.UnixCred{Stamp: 7, UID: 501, GID: 501, MachineName: "compute2"}.Encode()
+	m.Rewrite(cred)
+	if n := testing.AllocsPerRun(100, func() { m.Rewrite(cred) }); n != 0 {
+		t.Errorf("%.1f allocations per memoised Rewrite, want 0", n)
+	}
+}

@@ -8,12 +8,16 @@
 // an object-store implementation (internal/backend/objstore) usable
 // in tests and benchmarks without an nfsd.
 //
-// The package is a leaf: it imports only the standard library, so the
-// cache and proxy layers can depend on it without dragging RPC wire
-// types onto the data path.
+// The package is a leaf: it imports only the standard library and the
+// buffer pool, so the cache and proxy layers can depend on it without
+// dragging RPC wire types onto the data path.
 package backend
 
-import "time"
+import (
+	"time"
+
+	"gvfs/internal/bufpool"
+)
 
 // FileID names a file at the backend. For nfs3be it is the opaque NFS
 // file handle; for objstore it is the object path. The proxy treats
@@ -44,14 +48,20 @@ type Attr struct {
 	Dir  bool
 }
 
-// ReadResult is one Read's outcome. Data may alias a transport-owned
-// buffer that is recycled on the next call: callers must copy bytes
-// they retain past the call.
+// ReadResult is one Read's outcome, owned by whoever receives it. Data
+// may alias Buf, a pooled reply record (nfs3be sets it; nil elsewhere):
+// it is valid until Release, which the receiver calls once, after
+// copying what it keeps, or never — the GC then takes the record. The
+// zero value has nothing to release.
 type ReadResult struct {
 	Data []byte
 	EOF  bool
-	Attr *Attr // post-op attributes when the backend knows them
+	Attr *Attr  // post-op attributes when the backend knows them
+	Buf  []byte // the bufpool buffer Data aliases, if any
 }
+
+// Release returns Buf to the pool: Data, in every copy of r, is dead.
+func (r ReadResult) Release() { bufpool.Put(r.Buf) }
 
 // Caps advertises what a backend can do, so the proxy can enable
 // optional machinery (pipelined read-ahead, hash-hinted dedup)
@@ -139,9 +149,8 @@ type Hasher interface {
 
 // BatchReader pipelines a window of same-size reads: all requests go
 // out back to back and each reply is delivered to the callback in
-// order. Over a WAN the window costs roughly one round trip. The
-// ReadResult passed to each may alias transport buffers; copy to
-// retain.
+// order. Over a WAN the window costs roughly one round trip. Each
+// ReadResult is each's to Release, as Read's is its caller's.
 type BatchReader interface {
 	ReadBatch(f FileID, offs []uint64, count uint32, opts CallOpts, each func(i int, r ReadResult, err error))
 }

@@ -106,6 +106,22 @@ func Call(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args
 	return rpc.Call(prog, vers, proc, cred, args)
 }
 
+// CallPooled is Call with the reply lent, not given: res aliases rec,
+// the caller's to bufpool.Put (sunrpc.PooledCaller). A transport that
+// cannot lend answers through Call with a nil rec.
+func CallPooled(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, opts backend.CallOpts) (res, rec []byte, err error) {
+	pc, ok := rpc.(sunrpc.PooledCaller)
+	if !ok {
+		res, err = Call(rpc, prog, vers, proc, cred, args, opts)
+		return res, nil, err
+	}
+	v := sunrpc.AuthNoneCred
+	if opts.TraceID != 0 || !opts.Deadline.IsZero() {
+		v = verf(&opts)
+	}
+	return pc.CallPooled(prog, vers, proc, cred, v, args, opts.Deadline)
+}
+
 // call issues one NFS RPC under the backend's credential.
 func (b *Backend) call(proc uint32, args []byte, opts backend.CallOpts) ([]byte, error) {
 	cred, err := b.cred()
@@ -158,23 +174,36 @@ func attrOf(a *nfs3.Fattr) *backend.Attr {
 	return &backend.Attr{Size: a.Size, Mode: a.Mode, Dir: a.Type == nfs3.TypeDir}
 }
 
-// Read implements backend.Backend.
+// Read implements backend.Backend. The result aliases the pooled reply
+// record until the caller releases it.
 func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
+	cred, err := b.cred()
+	if err != nil {
+		return backend.ReadResult{}, err
+	}
 	args := nfs3.ReadArgs{FH: nfs3.FH(f), Offset: off, Count: count}
 	buf := args.AppendTo(bufpool.Get(nfs3.FHSize + 16)[:0])
-	res, err := b.call(nfs3.ProcRead, buf, opts)
+	res, rec, err := CallPooled(b.rpc, nfs3.Program, nfs3.Version, nfs3.ProcRead, cred, buf, opts)
 	bufpool.Put(buf)
+	return readResult(res, rec, err)
+}
+
+// readResult decodes a READ reply lent as (res, rec) into a result that
+// owns rec; on any failure rec goes back to the pool here.
+func readResult(res, rec []byte, err error) (backend.ReadResult, error) {
 	if err != nil {
 		return backend.ReadResult{}, wrapErr("read", err)
 	}
 	var r nfs3.ReadRes
 	if err := r.DecodeRefInto(res); err != nil {
+		bufpool.Put(rec)
 		return backend.ReadResult{}, &backend.Error{Class: backend.ClassIO, Op: "read", Err: err}
 	}
 	if r.Status != nfs3.OK {
+		bufpool.Put(rec)
 		return backend.ReadResult{}, statusErr("read", r.Status)
 	}
-	return backend.ReadResult{Data: r.Data, EOF: r.EOF, Attr: attrOf(r.Attr)}, nil
+	return backend.ReadResult{Data: r.Data, EOF: r.EOF, Attr: attrOf(r.Attr), Buf: rec}, nil
 }
 
 // Write implements backend.Backend with FILE_SYNC stability: the data
@@ -204,10 +233,12 @@ func (b *Backend) Commit(f backend.FileID, opts backend.CallOpts) error {
 	if err != nil {
 		return wrapErr("commit", err)
 	}
-	// commit3res: status + wcc_data (+ verf on success).
-	var r nfs3.WriteRes
-	if err := r.DecodeInto(res); err == nil && r.Status != nfs3.OK {
-		return statusErr("commit", r.Status)
+	st, err := nfs3.DecodeCommitRes(res)
+	if err != nil {
+		return &backend.Error{Class: backend.ClassIO, Op: "commit", Err: err}
+	}
+	if st != nfs3.OK {
+		return statusErr("commit", st)
 	}
 	return nil
 }
@@ -312,21 +343,8 @@ func (b *Backend) ReadBatch(f backend.FileID, offs []uint64, count uint32, opts 
 	}
 	// Every started call must be waited (Wait releases the XID slot).
 	for _, fl := range flights {
-		res, err := fl.pd.Wait()
-		if err != nil {
-			each(fl.idx, backend.ReadResult{}, wrapErr("read-batch", err))
-			continue
-		}
-		var r nfs3.ReadRes
-		if derr := r.DecodeRefInto(res); derr != nil {
-			each(fl.idx, backend.ReadResult{}, &backend.Error{Class: backend.ClassIO, Op: "read-batch", Err: derr})
-			continue
-		}
-		if r.Status != nfs3.OK {
-			each(fl.idx, backend.ReadResult{}, statusErr("read-batch", r.Status))
-			continue
-		}
-		each(fl.idx, backend.ReadResult{Data: r.Data, EOF: r.EOF, Attr: attrOf(r.Attr)}, nil)
+		r, err := readResult(fl.pd.Wait())
+		each(fl.idx, r, err)
 	}
 }
 

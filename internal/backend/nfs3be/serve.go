@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gvfs/internal/backend"
+	"gvfs/internal/bufpool"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
@@ -24,18 +25,21 @@ func Serve(b backend.Backend) nfs3.Caller { return local{b} }
 type local struct{ b backend.Backend }
 
 func (l local) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	return l.CallVerfDeadline(prog, vers, proc, cred, sunrpc.OpaqueAuth{}, args, time.Time{})
+	res, _, err := l.CallPooled(prog, vers, proc, cred, sunrpc.OpaqueAuth{}, args, time.Time{})
+	return res, err // the record is never released, so res is the caller's to keep
 }
 
-// CallVerfDeadline implements sunrpc.DeadlineVerfCaller: the deadline
-// reaches b as CallOpts.Deadline.
-func (l local) CallVerfDeadline(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
+// CallPooled implements sunrpc.PooledCaller, the relay's way in: the
+// deadline reaches b as CallOpts.Deadline and the server's pooled reply
+// comes back as rec, uncopied.
+func (l local) CallPooled(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, []byte, error) {
 	v := &served{b: l.b, opts: backend.CallOpts{Deadline: deadline}}
-	res, err := sunrpc.Local{H: v}.CallVerfDeadline(prog, vers, proc, cred, verf, args, deadline)
+	res, rec, err := sunrpc.Local{H: v}.CallPooled(prog, vers, proc, cred, verf, args, deadline)
 	if v.fault != nil {
-		return nil, v.fault
+		bufpool.Put(rec)
+		return nil, nil, v.fault
 	}
-	return res, err
+	return res, rec, err
 }
 
 // served adapts a backend.Backend (and what it implements of

@@ -377,6 +377,10 @@ func (c *Backend) seqRead(cands []*replica, i int, f backend.FileID, off uint64,
 // outstanding after the hedge delay, fires a second read at the next
 // candidate, taking the first success. Failures (of the failover
 // classes) immediately launch the next candidate instead of waiting.
+// The winner's result goes to the caller as the replica returned it,
+// pooled record and all (ReadResult.Buf); a result that arrives after
+// the return is never received, so nobody can release it twice and its
+// record is the GC's.
 func (c *Backend) hedgedRead(cands []*replica, f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
 	delay := c.hedgeDelay(opts)
 	if delay <= 0 || len(cands) < 2 {

@@ -10,6 +10,7 @@ import (
 
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/objstore"
+	"gvfs/internal/bufpool"
 )
 
 const testFile = "/images/vm0.img"
@@ -289,6 +290,80 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 	st := c.Stats()
 	if st.HedgesFired == 0 || st.HedgesWon == 0 {
 		t.Errorf("hedge counters: fired=%d won=%d, want both > 0", st.HedgesFired, st.HedgesWon)
+	}
+}
+
+// lendingBackend answers reads as nfs3be does — in a pooled record the
+// receiver releases — and stalls whichever read is the first of its
+// round, so the hedge always races a stalled primary whatever the EWMA
+// ordering has become.
+type lendingBackend struct {
+	backend.Backend
+	round    *atomic.Bool // set by the round's first read
+	inflight *atomic.Int64
+}
+
+func (l lendingBackend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
+	l.inflight.Add(1)
+	defer l.inflight.Add(-1)
+	if l.round.CompareAndSwap(false, true) {
+		time.Sleep(3 * time.Millisecond)
+	}
+	r, err := l.Backend.Read(f, off, count, opts)
+	if err == nil {
+		const hdr = 100 // the data sits inside the record, not at its start
+		r.Buf = bufpool.Get(hdr + len(r.Data))
+		r.Data = r.Buf[hdr:][:copy(r.Buf[hdr:], r.Data)]
+	}
+	return r, err
+}
+
+// The winner of a hedged read owns its record and the loser's goes to
+// the GC: after the stalled loser has returned, the winner's bytes are
+// still the file's, and releasing them once leaves the pool sound —
+// under poison fill a record released twice, or by the loser, panics in
+// a later round.
+func TestHedgedReadOwnership(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	content := fileContent(40960)
+	var round atomic.Bool
+	var inflight atomic.Int64
+	round.Store(true) // nothing stalls during warm-up
+	c, err := New([]Replica{
+		{Name: "a", B: lendingBackend{mkObj(t, content), &round, &inflight}},
+		{Name: "b", B: lendingBackend{mkObj(t, content), &round, &inflight}},
+	}, Config{ScrubInterval: -1, HedgeMinDelay: 200 * time.Microsecond, HedgeMaxDelay: time.Millisecond, HedgeBudget: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fid := backend.FileID(testFile)
+	for i := 0; i < hedgeWarmup+5; i++ {
+		r, err := c.Read(fid, 0, 4096, backend.CallOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		off := uint64(i%5) * 8192
+		round.Store(false)
+		r, err := c.Read(fid, off, 8192, backend.CallOpts{})
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		for inflight.Load() != 0 { // the loser is still asleep
+			time.Sleep(100 * time.Microsecond)
+		}
+		if !bytes.Equal(r.Data, content[off:off+8192]) {
+			t.Fatalf("round %d: winner's bytes changed once the loser returned", i)
+		}
+		r.Release()
+	}
+	if st := c.Stats(); st.HedgesWon < rounds*9/10 {
+		t.Errorf("%d of %d rounds won by the hedge (%d fired): the primary was not stalled", st.HedgesWon, rounds, st.HedgesFired)
 	}
 }
 

@@ -201,6 +201,7 @@ func blockHash(r *replica, f backend.FileID, block uint64, bs int) (backend.Hash
 	if err != nil {
 		return backend.Hash{}, 0, err
 	}
+	defer res.Release()
 	return backend.HashOf(res.Data), uint32(len(res.Data)), nil
 }
 
@@ -296,7 +297,9 @@ func (c *Backend) repairAgainst(src, dst *replica, sf scrubFile, full bool) bool
 			ok = false
 			continue
 		}
-		if _, err := dst.b.Write(f, i*uint64(bs), res.Data, backend.CallOpts{}); err != nil {
+		_, err = dst.b.Write(f, i*uint64(bs), res.Data, backend.CallOpts{})
+		res.Release()
+		if err != nil {
 			c.scrub.repairErr.Add(1)
 			ok = false
 			continue

@@ -127,3 +127,89 @@ func TestFlushAllocs(t *testing.T) {
 		}
 	}
 }
+
+// coldReadBytesGate is bytes allocated per cold 8 KiB READ across the
+// whole chain: measured (18.0 KB) plus 5%. What is left is the
+// record the client keeps (9.5 KB, nfs3.Client.Read's contract) and the
+// origin's copy out of the file (8 KB, memfs.Read); each proxy hop reads
+// its upstream reply into a pooled record and releases it. One record
+// that stops being released adds 9.5 KB and fails this.
+const coldReadBytesGate = 18900
+
+// TestColdReadAllocBytes scans a file four times the cache through
+// client → caching proxy → server-side proxy → nfsd on loopback, every
+// READ a miss that evicts, and counts the process's allocated bytes.
+// Skipped under -race like the gates above.
+func TestColdReadAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocated bytes are not comparable under the race detector")
+	}
+	const bs, cacheBlocks, blocks, passes = 8192, 64, 256, 4
+	fs := memfs.New()
+	want := make([]byte, blocks*bs)
+	for i := range want {
+		want[i] = byte(i/bs + i)
+	}
+	if err := fs.WriteFile("/disk.img", want); err != nil {
+		t.Fatal(err)
+	}
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	pnode, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.ProxyAddr(),
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 8, Assoc: 2,
+			BlockSize: bs, Policy: cache.WriteBack},
+		DisableMeta: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pnode.Close()
+	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sunrpc.NewClient(conn)
+	defer cl.Close()
+	root, err := mountd.Mount(cl, benchCred(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(cl, benchCred())
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func() {
+		for b := 0; b < blocks; b++ {
+			data, _, err := nc.Read(fh, uint64(b*bs), bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, want[b*bs:(b+1)*bs]) {
+				t.Fatalf("block %d differs from the origin", b)
+			}
+		}
+	}
+	scan() // warm-up: pools, workers, the identity mapping
+	misses := pnode.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for p := 0; p < passes; p++ {
+		scan()
+	}
+	runtime.ReadMemStats(&m1)
+	const ops = passes * blocks
+	if got := pnode.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total") - misses; got != ops {
+		t.Fatalf("%d of %d READs missed: the scan is not cold", got, ops)
+	}
+	perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
+	t.Logf("cold READ: %.0f B and %.1f allocs per op", perOp, float64(m1.Mallocs-m0.Mallocs)/ops)
+	if perOp > coldReadBytesGate {
+		t.Errorf("cold READ allocates %.0f B per op, gate %d", perOp, coldReadBytesGate)
+	}
+}

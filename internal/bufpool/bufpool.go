@@ -16,6 +16,7 @@
 package bufpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -80,6 +81,7 @@ func Get(n int) []byte {
 		boxes.Put(box)
 		if debug.Load() {
 			checkPoison(b)
+			released.Delete(&b[0]) // Put stored it at full length
 		}
 		return b[:n]
 	}
@@ -102,6 +104,10 @@ func Put(b []byte) {
 	}
 	b = b[:c]
 	if debug.Load() {
+		if _, twice := released.LoadOrStore(&b[0], struct{}{}); twice {
+			poison.Add(1)
+			panic("bufpool: buffer released twice")
+		}
 		for i := range b {
 			b[i] = poisonByte
 		}
@@ -116,6 +122,13 @@ func Put(b []byte) {
 // fill is intact, catching writers that kept a slice past its release.
 const poisonByte = 0xDB
 
+// released holds, in debug mode, the first byte's address of every
+// buffer Put and not handed out again, so a second Put of one is caught
+// where it happens instead of when two owners collide. The keys keep
+// buffers the pool itself has dropped alive until SetDebug empties the
+// set: debug mode trades memory for the check.
+var released sync.Map // *byte -> struct{}
+
 func checkPoison(b []byte) {
 	b = b[:cap(b)]
 	for i := range b {
@@ -128,16 +141,19 @@ func checkPoison(b []byte) {
 
 // SetDebug toggles poison-fill checking: Put fills released buffers
 // with a sentinel and Get verifies it, turning any use-after-release
-// write into a panic at the next reuse. Meant for tests; it makes
-// every Get/Put O(size). Enabling drains the pools first so buffers
-// released before the switch (never poisoned) cannot trip the check.
+// write into a panic at the next reuse, and a buffer Put twice into a
+// panic at the second Put. Meant for tests; it makes
+// every Get/Put O(size). Enabling empties the pools first so buffers
+// released before the switch (never poisoned) cannot trip the check:
+// two collections, because Get cannot reach what another P holds in its
+// private slot, while the first GC moves every sync.Pool's contents to
+// its victim cache and the second drops them.
 func SetDebug(on bool) {
 	if on {
-		for i := range pools {
-			for pools[i].Get() != nil {
-			}
-		}
+		runtime.GC()
+		runtime.GC()
 	}
+	released.Range(func(k, _ any) bool { released.Delete(k); return true })
 	debug.Store(on)
 }
 

@@ -64,11 +64,6 @@ func TestPoisonDetectsMutationAfterRelease(t *testing.T) {
 	SetDebug(true)
 	defer SetDebug(false)
 
-	b := Get(2048)
-	leaked := b // aliasing bug under test
-	Put(b)
-	leaked[7] = 0x01 // mutate after release
-
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("expected poison panic, got none")
@@ -77,8 +72,17 @@ func TestPoisonDetectsMutationAfterRelease(t *testing.T) {
 			t.Error("poison hit not counted")
 		}
 	}()
-	// Drain the class until we get our poisoned buffer back (the pool
-	// may hand out other cached buffers first).
+	// Under the race detector sync.Pool drops a quarter of what it is
+	// given, so one mutated buffer may never come back: mutate a few, and
+	// let the Get that finds the first of them panic.
+	for i := 0; i < 16; i++ {
+		b := Get(2048)
+		leaked := b // aliasing bug under test
+		Put(b)
+		leaked[7] = 0x01 // mutate after release
+	}
+	// Drain the class until a poisoned buffer comes back (the pool may
+	// hand out other cached buffers first).
 	for i := 0; i < 64; i++ {
 		Get(2048)
 	}
@@ -101,5 +105,25 @@ func BenchmarkGetPut4K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Put(Get(4096))
+	}
+}
+
+// A second Put of a buffer nobody has taken out again panics at once.
+func TestDebugCatchesDoublePut(t *testing.T) {
+	SetDebug(true)
+	defer SetDebug(false)
+	b := Get(2048)
+	Put(b)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Put of the same buffer went through")
+			}
+		}()
+		Put(b)
+	}()
+	// Out and back again is one release each time.
+	for i := 0; i < 8; i++ {
+		Put(Get(2048))
 	}
 }

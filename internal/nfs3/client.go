@@ -373,10 +373,8 @@ func (c *Client) Commit(fh FH, off uint64, count uint32) error {
 	if err != nil {
 		return err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
-	st := Status(d.Uint32())
-	DecodeWccData(d)
-	if err := d.Err(); err != nil {
+	st, err := DecodeCommitRes(res)
+	if err != nil {
 		return err
 	}
 	return statusErr("commit", st)

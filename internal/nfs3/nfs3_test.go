@@ -380,11 +380,11 @@ func TestServerReadReplyPooled(t *testing.T) {
 		return call, res
 	}
 	call, res := read(fh)
-	if !call.ReplyPooled || res.Status != nfs3.OK || !bytes.Equal(res.Data, payload) || !res.EOF {
-		t.Errorf("OK read: pooled=%v status=%v eof=%v, %d data bytes", call.ReplyPooled, res.Status, res.EOF, len(res.Data))
+	if call.ReplyBuf == nil || res.Status != nfs3.OK || !bytes.Equal(res.Data, payload) || !res.EOF {
+		t.Errorf("OK read: pooled=%v status=%v eof=%v, %d data bytes", call.ReplyBuf != nil, res.Status, res.EOF, len(res.Data))
 	}
 	call, res = read(nfs3.FH{9, 9, 9, 9, 9, 9, 9, 9})
-	if call.ReplyPooled || res.Status != nfs3.ErrStale {
-		t.Errorf("stale read: pooled=%v status=%v", call.ReplyPooled, res.Status)
+	if call.ReplyBuf != nil || res.Status != nfs3.ErrStale {
+		t.Errorf("stale read: pooled=%v status=%v", call.ReplyBuf != nil, res.Status)
 	}
 }

@@ -220,7 +220,7 @@ func (s *Server) readlink(args []byte) ([]byte, sunrpc.AcceptStat) {
 }
 
 // read encodes an OK reply, payload included, into a pooled buffer of
-// the right size that the RPC server releases (Call.ReplyPooled).
+// the right size that the RPC server releases (Call.ReplyBuf).
 func (s *Server) read(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	a, err := DecodeReadArgs(c.Args)
 	if err != nil {
@@ -234,8 +234,8 @@ func (s *Server) read(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	res.Count = uint32(len(data))
 	res.EOF = eof
 	res.Data = data
-	c.ReplyPooled = true
-	return res.AppendTo(bufpool.Get(ReadResSize(len(data)))[:0]), sunrpc.Success
+	c.ReplyBuf = res.AppendTo(bufpool.Get(ReadResSize(len(data)))[:0])
+	return c.ReplyBuf, sunrpc.Success
 }
 
 // write hands the backend the payload where it lies in the request
@@ -260,8 +260,8 @@ func (s *Server) write(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	res.Wcc.After = &attr
 	res.Count = uint32(len(a.Data))
 	res.Committed = FileSync
-	c.ReplyPooled = true
-	return res.AppendTo(bufpool.Get(WriteResSize)[:0]), sunrpc.Success
+	c.ReplyBuf = res.AppendTo(bufpool.Get(WriteResSize)[:0])
+	return c.ReplyBuf, sunrpc.Success
 }
 
 func (s *Server) create(args []byte) ([]byte, sunrpc.AcceptStat) {

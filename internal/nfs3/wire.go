@@ -458,3 +458,18 @@ func DecodeCommitArgs(p []byte) (*CommitArgs, error) {
 	}
 	return a, nil
 }
+
+// DecodeCommitRes parses a COMMIT3res — status, wcc_data and, on OK, the
+// write verifier — and returns its status. A reply too short for what
+// its status promises is an error, never a success.
+func DecodeCommitRes(p []byte) (Status, error) {
+	var d xdr.Decoder
+	d.ResetBytes(p)
+	st := Status(d.Uint32())
+	DecodeWccData(&d)
+	if st == OK {
+		var verf [8]byte
+		d.FixedOpaque(verf[:])
+	}
+	return st, d.Err()
+}

@@ -112,7 +112,8 @@ func backendWriteError(err error) ([]byte, sunrpc.AcceptStat) {
 }
 
 // readResultReply encodes a successful backend read as the NFS READ
-// reply, into a pooled buffer released by the RPC server (ReplyPooled).
+// reply, into a pooled buffer released by the RPC server (ReplyBuf),
+// and with that copy made releases r.
 func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult) ([]byte, sunrpc.AcceptStat) {
 	res := nfs3.ReadRes{
 		Status: nfs3.OK,
@@ -121,9 +122,9 @@ func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult) ([]byte, s
 		Data:   r.Data,
 		Attr:   nfs3be.FattrOf(r.Attr),
 	}
-	out := res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(r.Data)))[:0])
-	c.ReplyPooled = true
-	return out, sunrpc.Success
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(r.Data)))[:0])
+	r.Release()
+	return c.ReplyBuf, sunrpc.Success
 }
 
 // backendWriteReply encodes a successful durable backend write. The
@@ -139,9 +140,8 @@ func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *ba
 	if fa := nfs3be.FattrOf(attr); fa != nil {
 		res.Wcc.After = fa
 	}
-	out := res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
-	c.ReplyPooled = true
-	return out
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
+	return c.ReplyBuf
 }
 
 // readThrough satisfies a READ that bypasses the block cache — none

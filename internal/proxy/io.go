@@ -148,11 +148,11 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// block's prefix from its aligned start.
 	if uint64(args.Count) == bs && len(r.Data) > 0 {
 		if err := p.cfg.BlockCache.PutDedup(args.FH, block, r.Data, false); err != nil {
-			return nil, sunrpc.SystemErr
+			return nil, sunrpc.SystemErr // r is left to the GC
 		}
 	}
 	p.maybePrefetch(args.FH, block)
-	res, stat := p.readResultReply(c, r)
+	res, stat := p.readResultReply(c, r) // releases r: cache frame and reply are its two copies
 	p.accountRead(c, args.FH, args.Offset, "block_miss", args.Count, start)
 	return res, stat
 }
@@ -187,7 +187,7 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, h
 // serveBlockHit serves a READ from the block cache when present, using
 // pooled buffers end to end: the frame is read into a pooled block
 // buffer, the reply encoded into a pooled results buffer that the RPC
-// server releases after framing (Call.ReplyPooled). The boolean
+// server releases after framing (Call.ReplyBuf). The boolean
 // reports whether the block was cached.
 func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
 	buf := bufpool.Get(p.cfg.BlockCache.BlockSize())
@@ -207,7 +207,7 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64,
 
 // cachedReadReply serves a READ hit, trimming to the requested count
 // and to the known file size. The reply is encoded into a pooled
-// buffer released by the RPC server (ReplyPooled); blockData is only
+// buffer released by the RPC server (ReplyBuf); blockData is only
 // read before returning, so the caller may release it immediately.
 func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData []byte) ([]byte, sunrpc.AcceptStat) {
 	if p.Degraded() {
@@ -243,9 +243,8 @@ func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData [
 		attr = nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: size, Used: size}
 		res.Attr = &attr
 	}
-	out := res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
-	c.ReplyPooled = true
-	return out, sunrpc.Success
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
+	return c.ReplyBuf, sunrpc.Success
 }
 
 // rangeIsZero reports whether [off, off+count) is covered by all-zero
@@ -424,6 +423,7 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
+	defer r.Release()
 	if len(r.Data) <= len(data) {
 		return data, nil
 	}
@@ -437,7 +437,7 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 // write-back cache. The proxy reports FILE_SYNC: under the session
 // consistency model the proxy is the authority for this data until the
 // middleware flushes it. The reply is encoded into a pooled buffer
-// released by the RPC server (ReplyPooled).
+// released by the RPC server (ReplyBuf).
 func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs) []byte {
 	res := nfs3.WriteRes{
 		Status:    nfs3.OK,
@@ -450,9 +450,8 @@ func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs) []byte 
 		attr = nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: sz, Used: sz}
 		res.Wcc.After = &attr
 	}
-	out := res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
-	c.ReplyPooled = true
-	return out
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
+	return c.ReplyBuf
 }
 
 // writeThrough pushes a write upstream synchronously and keeps the
@@ -587,6 +586,7 @@ func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64) ([]byte, error) {
 			return nil, err
 		}
 		out = append(out, r.Data...)
+		r.Release() // only r.Data's length is looked at below
 		off += uint64(len(r.Data))
 		if r.EOF || len(r.Data) == 0 {
 			return out, nil

@@ -430,6 +430,10 @@ var errUpstreamDown = fmt.Errorf("proxy: upstream unavailable (circuit breaker o
 // forward relays a call upstream unchanged except for credentials.
 // While the circuit breaker is open the call fails fast: degraded mode
 // guarantees bounded error latency instead of hanging on a dead WAN.
+// The results are the upstream reply where it lies in its pooled
+// record, which becomes the call's ReplyBuf: valid until the handler
+// returns, released by the RPC server after its one copy into the
+// reply frame.
 func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	cred, err := p.upstreamCred(c.Cred)
 	if err != nil {
@@ -441,7 +445,7 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 	}
 	p.stats.forwarded.Add(1)
 	upStart := time.Now()
-	res, err := nfs3be.Call(p.relay, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
+	res, rec, err := nfs3be.CallPooled(p.relay, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
 	p.observeUpstream(err)
 	if err != nil {
@@ -450,6 +454,7 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 		}
 		return nil, sunrpc.SystemErr
 	}
+	c.ReplyBuf = rec
 	return res, sunrpc.Success
 }
 

@@ -323,9 +323,10 @@ func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
 }
 
 // storePrefetched inserts one prefetched block into the block cache,
-// through the dedup table when enabled. The result's data may alias
-// the transport reply; the cache copies into its bank.
+// through the dedup table when enabled, and releases r: the cache
+// copies into its bank.
 func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult) {
+	defer r.Release()
 	if r.Attr != nil {
 		p.bumpSize(fh, r.Attr.Size)
 	}

@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"gvfs/internal/bufpool"
 )
 
 const (
@@ -68,9 +70,11 @@ func startBlocked(t *testing.T, c *Client, entered chan struct{}, n int) []*Pend
 func waitAll(t *testing.T, ps []*Pending) {
 	t.Helper()
 	for _, p := range ps {
-		if _, err := p.Wait(); err != nil {
+		_, rec, err := p.Wait()
+		if err != nil {
 			t.Fatal(err)
 		}
+		bufpool.Put(rec)
 	}
 }
 
@@ -163,8 +167,8 @@ func TestWorkersExitOnClose(t *testing.T) {
 	})
 }
 
-// fakeServer accepts one connection and runs answer for every call read
-// from it, until answer or the connection fails. reply sends payload as
+// fakeServer runs answer for every call read from each connection it
+// accepts, until answer or the connection fails. reply sends payload as
 // the accepted results of xid.
 func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, payload []byte) error) error) (addr string) {
 	t.Helper()
@@ -173,11 +177,7 @@ func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, pay
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
+	serve := func(conn net.Conn) {
 		defer conn.Close()
 		reply := func(xid uint32, payload []byte) error {
 			return writeRecord(conn, marshalAcceptedReply(xid, Success, payload))
@@ -192,16 +192,55 @@ func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, pay
 				return
 			}
 		}
+	}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
 	}()
 	return l.Addr().String()
 }
 
 const strayIterations = 1000
 
+// callFn is one way to call: the keeping way (rec nil) or the pooled one.
+type callFn func(c *Client, proc uint32, args []byte, deadline time.Time) (res, rec []byte, err error)
+
+func callKept(c *Client, proc uint32, args []byte, deadline time.Time) ([]byte, []byte, error) {
+	res, err := c.CallVerfDeadline(testProg, testVers, proc, AuthNoneCred, AuthNoneCred, args, deadline)
+	return res, nil, err
+}
+
+// strayArgs is call i's payload: big enough for a pooled record to be
+// worth poisoning, and different in every byte from its neighbours'.
+func strayArgs(buf []byte, i uint32) []byte {
+	for j := range buf {
+		buf[j] = byte(i) + byte(j)
+	}
+	binary.BigEndian.PutUint32(buf, i)
+	return buf
+}
+
+// mustEcho fails the test unless res is call i's own payload, then gives
+// the record back.
+func mustEcho(t *testing.T, i uint32, res, rec, want []byte) {
+	t.Helper()
+	if !bytes.Equal(res, want) {
+		t.Fatalf("call %d received %d bytes starting %x: not its reply", i, len(res), res[:min(len(res), 4)])
+	}
+	bufpool.Put(rec)
+}
+
 // A server that answers every XID twice: the duplicate arrives while the
 // next call, on a recycled reply channel, is already waiting, and must
 // not be taken for that call's reply.
-func TestDuplicateReplyNeverReachesLaterCall(t *testing.T) {
+func TestDuplicateReplyNeverReachesLaterCall(t *testing.T) { duplicateReplies(t, callKept) }
+
+func duplicateReplies(t *testing.T, call callFn) {
 	addr := fakeServer(t, func(call *Call, reply func(uint32, []byte) error) error {
 		if err := reply(call.XID, call.Args); err != nil {
 			return err
@@ -213,23 +252,22 @@ func TestDuplicateReplyNeverReachesLaterCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var args [4]byte
+	var args [600]byte
 	for i := uint32(0); i < strayIterations; i++ {
-		binary.BigEndian.PutUint32(args[:], i)
-		res, err := c.Call(testProg, testVers, 1, AuthNoneCred, args[:])
+		res, rec, err := call(c, 1, strayArgs(args[:], i), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res, args[:]) {
-			t.Fatalf("call %d received the reply to call %d", i, binary.BigEndian.Uint32(res))
-		}
+		mustEcho(t, i, res, rec, args[:])
 	}
 }
 
 // A server that answers a call only after its caller has given up, and
 // just ahead of the reply to the next call: the late reply must be
 // dropped, not handed to the next call through the recycled channel.
-func TestLateReplyNeverReachesLaterCall(t *testing.T) {
+func TestLateReplyNeverReachesLaterCall(t *testing.T) { lateReplies(t, callKept) }
+
+func lateReplies(t *testing.T, call callFn) {
 	const procSlow, procFast = 1, 2
 	var lateXID uint32
 	var late []byte
@@ -248,22 +286,17 @@ func TestLateReplyNeverReachesLaterCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var slow, fast [4]byte
+	var slow, fast [600]byte
 	for i := uint32(0); i < strayIterations; i++ {
-		binary.BigEndian.PutUint32(slow[:], 2*i)
-		binary.BigEndian.PutUint32(fast[:], 2*i+1)
-		_, err := c.CallVerfDeadline(testProg, testVers, procSlow, AuthNoneCred, AuthNoneCred, slow[:],
-			time.Now().Add(200*time.Microsecond))
+		_, _, err := call(c, procSlow, strayArgs(slow[:], 2*i), time.Now().Add(200*time.Microsecond))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call %d: %v, want a deadline error", 2*i, err)
 		}
-		res, err := c.Call(testProg, testVers, procFast, AuthNoneCred, fast[:])
+		res, rec, err := call(c, procFast, strayArgs(fast[:], 2*i+1), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(res, fast[:]) {
-			t.Fatalf("call %d received the reply to call %d", 2*i+1, binary.BigEndian.Uint32(res))
-		}
+		mustEcho(t, 2*i+1, res, rec, fast[:])
 	}
 }
 
@@ -279,8 +312,9 @@ func goroutineID(buf []byte) []byte {
 
 // echoRig is the benchmark's echo: a server answering every call with
 // the same 8 KiB, one client over loopback, 32 B of arguments (about a
-// READ3args). onCall, when non-nil, runs inside the handler.
-func echoRig(tb testing.TB, onCall func()) (call func()) {
+// READ3args), calling the given way. onCall, when non-nil, runs inside
+// the handler.
+func echoRig(tb testing.TB, how callFn, onCall func()) (call func()) {
 	tb.Helper()
 	reply := make([]byte, 8192)
 	srv := NewServer()
@@ -303,20 +337,22 @@ func echoRig(tb testing.TB, onCall func()) (call func()) {
 	tb.Cleanup(func() { c.Close() })
 	args := make([]byte, 32)
 	return func() {
-		res, err := c.Call(testProg, testVers, 1, AuthNoneCred, args)
+		res, rec, err := how(c, 1, args, time.Time{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if len(res) != len(reply) {
 			tb.Fatalf("reply of %d bytes, want %d", len(res), len(reply))
 		}
+		bufpool.Put(rec)
 	}
 }
 
 // A sequential caller is served by one worker goroutine for the life of
 // the connection, and a call allocates nothing but the reply record the
-// caller keeps. Allocation counts mean nothing under the race detector;
-// CI runs this test without it.
+// caller keeps — nothing at all when the caller gives the record back.
+// Allocation counts mean nothing under the race detector; CI runs this
+// test without it.
 func TestCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
@@ -327,35 +363,46 @@ func TestCallAllocs(t *testing.T) {
 	// rightly starts another.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const calls = 10000
-	var idBuf, lastBuf [64]byte
-	var last []byte // the goroutine the previous call's handler ran on
-	workers := 0
-	call := echoRig(t, func() {
-		if id := goroutineID(idBuf[:]); !bytes.Equal(id, last) {
-			workers++
-			last = append(lastBuf[:0], id...)
+	for _, mode := range []struct {
+		name     string
+		how      callFn
+		maxBytes uint64 // per call
+	}{
+		{"kept", callKept, 8192 + 2048},
+		{"pooled", callPooled, 512},
+	} {
+		var idBuf, lastBuf [64]byte
+		var last []byte // the goroutine the previous call's handler ran on
+		workers := 0
+		call := echoRig(t, mode.how, func() {
+			if id := goroutineID(idBuf[:]); !bytes.Equal(id, last) {
+				workers++
+				last = append(lastBuf[:0], id...)
+			}
+		})
+		call() // warm-up: the connection's first worker, pool entries, grown stacks
+		goroutines := runtime.NumGoroutine()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call()
 		}
-	})
-	call() // warm-up: the connection's first worker, pool entries, grown stacks
-	goroutines := runtime.NumGoroutine()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		call()
-	}
-	runtime.ReadMemStats(&after)
-	if workers != 1 {
-		t.Errorf("handlers ran on %d different goroutines in turn, want 1 reused worker", workers)
-	}
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Errorf("%d goroutines after %d calls, %d before", n, calls, goroutines)
-	}
-	// The odd allocation belongs to the runtime (a GC cycle refilling a
-	// sync.Pool it emptied), hence 1.05 and not 1.
-	if perCall := float64(after.Mallocs-before.Mallocs) / calls; perCall > 1.05 {
-		t.Errorf("%.2f allocs per call, want 1 (the reply record)", perCall)
-	} else {
-		t.Logf("%.3f allocs per call", perCall)
+		runtime.ReadMemStats(&after)
+		if workers != 1 {
+			t.Errorf("%s: handlers ran on %d different goroutines in turn, want 1 reused worker", mode.name, workers)
+		}
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Errorf("%s: %d goroutines after %d calls, %d before", mode.name, n, calls, goroutines)
+		}
+		// The odd allocation belongs to the runtime (a GC cycle refilling a
+		// sync.Pool it emptied), hence 1.05 and not 1 — or 0.
+		perCall := float64(after.Mallocs-before.Mallocs) / calls
+		bytesPerCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		if perCall > 1.05 || bytesPerCall >= mode.maxBytes {
+			t.Errorf("%s: %.2f allocs and %d B per call, want at most 1.05 and under %d B", mode.name, perCall, bytesPerCall, mode.maxBytes)
+		} else {
+			t.Logf("%s: %.3f allocs, %d B per call", mode.name, perCall, bytesPerCall)
+		}
 	}
 }
 
@@ -363,12 +410,19 @@ func TestCallAllocs(t *testing.T) {
 // layer budget: 32 B of arguments out, 8 KiB back, one closed-loop
 // client on loopback.
 func BenchmarkServerEcho(b *testing.B) {
-	call := echoRig(b, nil)
-	call()
-	b.SetBytes(8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		call()
+	for _, mode := range []struct {
+		name string
+		how  callFn
+	}{{"kept", callKept}, {"pooled", callPooled}} {
+		b.Run(mode.name, func(b *testing.B) {
+			call := echoRig(b, mode.how, nil)
+			call()
+			b.SetBytes(8192)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+		})
 	}
 }

@@ -7,9 +7,12 @@ package sunrpc
 // those transients instead of dying with the first TCP connection.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -104,7 +107,7 @@ type Client struct {
 	closed  bool
 	lastErr error // last transport error, for the no-redial path
 	nextXID uint32
-	pending map[uint32]chan clientReply
+	pending map[uint32]waiter
 	done    chan struct{}
 
 	retries    atomic.Uint64
@@ -112,10 +115,19 @@ type Client struct {
 	timeouts   atomic.Uint64
 }
 
+// waiter is a call registered under its XID: where its reply goes and,
+// fixed for the call's life, who owns the reply's record — the caller,
+// who takes it with the results and releases it (pooled: CallPooled,
+// Start), or the GC, because the caller keeps the results.
+type waiter struct {
+	ch     chan clientReply
+	pooled bool
+}
+
 type clientReply struct {
-	stat    AcceptStat
 	results []byte
-	err     error
+	rec     []byte // the bufpool record results alias, the receiver's to release; nil when GC-owned
+	err     error  // the server's verdict (*RPCError, denied) or, with transport set, the connection's
 	// transport marks err as a connection-level failure (the call may
 	// be retransmitted) rather than a server verdict.
 	transport bool
@@ -128,7 +140,9 @@ type clientReply struct {
 // through unregister, which removes the XID under c.mu first, then
 // drains, then recycles. After the removal no sender can find the
 // channel, so a late or duplicate reply is dropped, not delivered to
-// whoever holds the channel next.
+// whoever holds the channel next. The same rule gives a pooled record one
+// owner: sent, it is the receiver's; not sent, readLoop's; drained here,
+// unregister's.
 var replyChans = sync.Pool{New: func() any { return make(chan clientReply, 1) }}
 
 // unregister ends a call: see replyChans for why the order matters.
@@ -137,7 +151,8 @@ func (c *Client) unregister(xid uint32, ch chan clientReply) {
 	delete(c.pending, xid)
 	c.mu.Unlock()
 	select {
-	case <-ch:
+	case rep := <-ch:
+		bufpool.Put(rep.rec)
 	default:
 	}
 	replyChans.Put(ch)
@@ -167,7 +182,7 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
 		conn:    conn,
 		gen:     1,
 		nextXID: 1,
-		pending: make(map[uint32]chan clientReply),
+		pending: make(map[uint32]waiter),
 		done:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -224,9 +239,9 @@ func (c *Client) TransportStats() TransportStats {
 // the registrations: a retransmitting call keeps its XID so a reply on
 // a later connection still matches.
 func (c *Client) failPendingLocked(err error) {
-	for _, ch := range c.pending {
+	for _, w := range c.pending {
 		select {
-		case ch <- clientReply{err: err, transport: true}:
+		case w.ch <- clientReply{err: err, transport: true}:
 		default:
 		}
 	}
@@ -247,12 +262,54 @@ func (c *Client) connDown(gen int, err error) {
 	c.failPendingLocked(c.lastErr)
 }
 
+// readReply reads one reply record for readLoop. Whoever waits for the
+// XID decides the allocator: a right-sized GC record for a caller that
+// keeps the results, a bufpool one for a caller that releases it — and
+// for a reply nobody waits for, which readLoop then releases. The choice
+// is only an economy: a pooled record handed to a keeping caller, or the
+// reverse, is never released and so never reused under anyone.
+func (c *Client) readReply(r io.Reader, hdr []byte) (rec []byte, pooled bool, err error) {
+	// Record mark and XID in one read: as many reads per reply as before.
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
+		return nil, false, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	last := n&0x80000000 != 0
+	if n &^= 0x80000000; n < 4 {
+		// A first fragment too short for the XID, so hdr already holds part
+		// of the next record mark. No peer of ours sends one: replay the
+		// eight bytes through the plain reader, as a GC record.
+		rec, err = readRecord(io.MultiReader(bytes.NewReader(hdr[:8]), r))
+		return rec, false, err
+	}
+	if n > maxRecord {
+		return nil, false, fmt.Errorf("sunrpc: record too large (%d bytes)", n)
+	}
+	c.mu.Lock()
+	w, waited := c.pending[binary.BigEndian.Uint32(hdr[4:])]
+	c.mu.Unlock()
+	var alloc func(int) []byte
+	if pooled = !waited || w.pooled; pooled {
+		alloc = bufpool.Get
+		rec = bufpool.Get(int(n))
+	} else {
+		rec = make([]byte, n)
+	}
+	copy(rec, hdr[4:8])
+	if _, err = io.ReadFull(r, rec[4:]); err == nil && !last {
+		rec, err = readRecordInto(r, hdr, rec, alloc)
+	}
+	if err != nil {
+		bufpool.Put(rec) // whichever allocator it came from: nobody else holds it
+		return nil, false, err
+	}
+	return rec, pooled, nil
+}
+
 func (c *Client) readLoop(conn net.Conn, gen int) {
-	hdr := make([]byte, 4) // per-loop record-mark scratch
+	hdr := make([]byte, 8) // per-loop scratch: record mark + XID
 	for {
-		// The record itself is GC-allocated, not pooled: the results
-		// slice is handed to the waiting caller with unbounded lifetime.
-		rec, err := readRecordInto(conn, hdr, nil)
+		rec, pooled, err := c.readReply(conn, hdr)
 		if err != nil {
 			c.connDown(gen, err)
 			return
@@ -272,25 +329,34 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 		} else {
 			d.Uint32()    // verifier flavor
 			d.OpaqueRef() // verifier body (unused)
-			rep.stat = AcceptStat(d.Uint32())
+			stat := AcceptStat(d.Uint32())
 			if err := d.Err(); err != nil {
 				c.connDown(gen, err)
 				return
 			}
-			rep.results = rec[d.Pos():]
+			if stat != Success {
+				rep.err = &RPCError{Stat: stat}
+			} else if rep.results = rec[d.Pos():]; pooled {
+				rep.rec = rec
+			}
 		}
+		sent := false
 		c.mu.Lock()
-		if ch, ok := c.pending[xid]; ok {
+		if w, ok := c.pending[xid]; ok {
 			// Non-blocking: a duplicate reply (retransmission answered
 			// twice) is dropped rather than wedging the read loop. Under
 			// c.mu so the channel cannot be recycled between lookup and
 			// send (see replyChans).
 			select {
-			case ch <- rep:
+			case w.ch <- rep:
+				sent = true
 			default:
 			}
 		}
 		c.mu.Unlock()
+		if pooled && (!sent || rep.rec == nil) {
+			bufpool.Put(rec) // late, duplicate or an error: no caller took it
+		}
 	}
 }
 
@@ -380,7 +446,7 @@ func (c *Client) Call(prog, vers, proc uint32, cred OpaqueAuth, args []byte) ([]
 // TraceContext). The verifier rides every retransmission of the call
 // unchanged. It implements VerfCaller.
 func (c *Client) CallVerf(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte) ([]byte, error) {
-	return c.callVerfDeadline(prog, vers, proc, cred, verf, args, time.Time{})
+	return c.CallVerfDeadline(prog, vers, proc, cred, verf, args, time.Time{})
 }
 
 // CallVerfDeadline is CallVerf bounded by an absolute deadline. The
@@ -393,19 +459,30 @@ func (c *Client) CallVerf(prog, vers, proc uint32, cred, verf OpaqueAuth, args [
 // deadline behaves exactly like CallVerf. It implements
 // DeadlineVerfCaller.
 func (c *Client) CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
-	return c.callVerfDeadline(prog, vers, proc, cred, verf, args, deadline)
+	res, _, err := c.call(prog, vers, proc, cred, verf, args, deadline, false)
+	return res, err
 }
 
-func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
+// CallPooled is CallVerfDeadline for a caller that consumes the reply
+// and is done with it: results alias rec, a bufpool record that is the
+// caller's to bufpool.Put once it has copied or decoded what it needs.
+// Not releasing is legal (the GC takes it); releasing twice, or using
+// results afterwards, is the bug. rec is nil on error and may be nil on
+// success. It implements PooledCaller.
+func (c *Client) CallPooled(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) (results, rec []byte, err error) {
+	return c.call(prog, vers, proc, cred, verf, args, deadline, true)
+}
+
+func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time, pooled bool) (results, rec []byte, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return nil, nil, ErrClientClosed
 	}
 	xid := c.nextXID
 	c.nextXID++
 	ch := replyChans.Get().(chan clientReply)
-	c.pending[xid] = ch
+	c.pending[xid] = waiter{ch, pooled}
 	c.mu.Unlock()
 	defer c.unregister(xid, ch)
 
@@ -433,15 +510,12 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 				// budget on dead retransmissions.
 				select {
 				case rep := <-ch:
-					if rep.err == nil {
-						if rep.stat != Success {
-							return nil, &RPCError{Stat: rep.stat}
-						}
-						return rep.results, nil
+					if !rep.transport {
+						return rep.results, rep.rec, rep.err
 					}
 				default:
 				}
-				return nil, fmt.Errorf("%w: retry backoff overruns deadline (last: %v)",
+				return nil, nil, fmt.Errorf("%w: retry backoff overruns deadline (last: %v)",
 					context.DeadlineExceeded, lastErr)
 			}
 			c.retries.Add(1)
@@ -452,11 +526,8 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 			// it is not mistaken for this attempt's outcome.
 			select {
 			case rep := <-ch:
-				if rep.err == nil {
-					if rep.stat != Success {
-						return nil, &RPCError{Stat: rep.stat}
-					}
-					return rep.results, nil
+				if !rep.transport {
+					return rep.results, rep.rec, rep.err
 				}
 			default:
 			}
@@ -464,7 +535,7 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 		conn, gen, err := c.ensureConn()
 		if err != nil {
 			if errors.Is(err, ErrClientClosed) && c.opts.Redial == nil {
-				return nil, err
+				return nil, nil, err
 			}
 			// Nothing was transmitted: safe to retry regardless of
 			// idempotence.
@@ -485,7 +556,7 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 			c.connDown(gen, werr)
 			lastErr = fmt.Errorf("%w: %v", ErrClientClosed, werr)
 			if !idempotent || c.opts.Redial == nil {
-				return nil, lastErr
+				return nil, nil, lastErr
 			}
 			continue
 		}
@@ -498,7 +569,7 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 		if !deadline.IsZero() {
 			rem := time.Until(deadline)
 			if rem <= 0 {
-				return nil, fmt.Errorf("%w (xid %d, prog %d proc %d)",
+				return nil, nil, fmt.Errorf("%w (xid %d, prog %d proc %d)",
 					context.DeadlineExceeded, xid, prog, proc)
 			}
 			if attemptTimeout <= 0 || rem < attemptTimeout {
@@ -517,27 +588,21 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 			if timer != nil {
 				timer.Stop()
 			}
-			if rep.err != nil {
+			if rep.transport && idempotent && c.opts.Redial != nil {
 				lastErr = rep.err
-				if rep.transport && idempotent && c.opts.Redial != nil {
-					continue
-				}
-				return nil, rep.err
+				continue
 			}
-			if rep.stat != Success {
-				return nil, &RPCError{Stat: rep.stat}
-			}
-			return rep.results, nil
+			return rep.results, rep.rec, rep.err
 		case <-timeout:
 			c.timeouts.Add(1)
 			if deadlineBound {
-				return nil, fmt.Errorf("%w after %v (xid %d, prog %d proc %d)",
+				return nil, nil, fmt.Errorf("%w after %v (xid %d, prog %d proc %d)",
 					context.DeadlineExceeded, attemptTimeout, xid, prog, proc)
 			}
 			lastErr = fmt.Errorf("%w after %v (xid %d, prog %d proc %d)",
 				ErrCallTimeout, c.opts.CallTimeout, xid, prog, proc)
 			if !idempotent {
-				return nil, lastErr
+				return nil, nil, lastErr
 			}
 			// Retransmit under the same XID: if the original call (or
 			// its reply) was merely delayed, the late reply still
@@ -554,7 +619,7 @@ func (c *Client) callVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth
 			continue
 		}
 	}
-	return nil, fmt.Errorf("%w: %v", ErrRetriesExhausted, lastErr)
+	return nil, nil, fmt.Errorf("%w: %v", ErrRetriesExhausted, lastErr)
 }
 
 // Starter is the pipelining capability: transmit a call without
@@ -566,7 +631,7 @@ type Starter interface {
 }
 
 // Pending is a call in flight after Start. Exactly one Wait must
-// follow each successful Start.
+// follow each successful Start. The reply is pooled, as CallPooled's.
 type Pending struct {
 	c   *Client
 	xid uint32
@@ -599,7 +664,7 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*
 	xid := c.nextXID
 	c.nextXID++
 	ch := replyChans.Get().(chan clientReply)
-	c.pending[xid] = ch
+	c.pending[xid] = waiter{ch, true}
 	c.mu.Unlock()
 
 	msg := marshalCallRecord(xid, prog, vers, proc, cred, AuthNoneCred, args)
@@ -621,13 +686,14 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*
 	return &Pending{c: c, xid: xid, ch: ch}, nil
 }
 
-// Wait blocks for the reply to a Start-ed call. The client's
+// Wait blocks for the reply to a Start-ed call and returns it as
+// CallPooled does: rec is the caller's to release. The client's
 // CallTimeout, when set, bounds the wait; a connection failure fails
 // the wait promptly.
-func (p *Pending) Wait() ([]byte, error) {
+func (p *Pending) Wait() (results, rec []byte, err error) {
 	ch := p.ch
 	if ch == nil {
-		return nil, errors.New("sunrpc: Wait called twice on one Pending")
+		return nil, nil, errors.New("sunrpc: Wait called twice on one Pending")
 	}
 	p.ch = nil // the channel is recycled below and may be another call's by the time a second Wait ran
 	defer p.c.unregister(p.xid, ch)
@@ -640,15 +706,9 @@ func (p *Pending) Wait() ([]byte, error) {
 	}
 	select {
 	case rep := <-ch:
-		if rep.err != nil {
-			return nil, rep.err
-		}
-		if rep.stat != Success {
-			return nil, &RPCError{Stat: rep.stat}
-		}
-		return rep.results, nil
+		return rep.results, rep.rec, rep.err
 	case <-timeout:
 		p.c.timeouts.Add(1)
-		return nil, fmt.Errorf("%w after %v (xid %d)", ErrCallTimeout, p.c.opts.CallTimeout, p.xid)
+		return nil, nil, fmt.Errorf("%w after %v (xid %d)", ErrCallTimeout, p.c.opts.CallTimeout, p.xid)
 	}
 }

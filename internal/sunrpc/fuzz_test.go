@@ -1,13 +1,16 @@
 package sunrpc
 
-// Fuzz targets for the two decoders of bytes this package did not
-// write: record marking and the CALL header. Seeds live under
+// Fuzz targets for the decoders of bytes this package did not write:
+// record marking (the server's reader and the client's, which peeks at
+// the XID to choose its allocator) and the CALL header. Seeds live under
 // testdata/fuzz/.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"gvfs/internal/bufpool"
 )
 
 // reassemble is the reference for readRecord: the concatenation of the
@@ -56,6 +59,61 @@ func FuzzReadRecord(f *testing.F) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: record of %d bytes differs from the fragments' concatenation (%d bytes)", read.name, len(got), len(want))
+			}
+		}
+	})
+}
+
+// The client's reply reader takes the record mark and the XID in one
+// read, then allocates by who waits for that XID: against the same
+// reference, whoever waits — a keeping caller, a pooled one, nobody —
+// however the record is fragmented, a first fragment too short to hold
+// the XID included. The one licensed difference: it needs eight bytes
+// before it looks at anything, so a stream shorter than that is an error
+// even where the reference finds a (useless, under-4-byte) record in it.
+func FuzzReadReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		want, ok := reassemble(stream)
+		ok = ok && len(stream) >= 8
+		var xid uint32
+		if len(want) >= 4 {
+			xid = binary.BigEndian.Uint32(want)
+		}
+		for _, mode := range []struct {
+			name    string
+			pending map[uint32]waiter
+			pooled  bool // the allocator a well-formed first fragment gets
+		}{
+			{"kept", map[uint32]waiter{xid: {}}, false},
+			{"pooled", map[uint32]waiter{xid: {pooled: true}}, true},
+			{"nobody waiting", nil, true},
+		} {
+			c := &Client{pending: mode.pending}
+			got, pooled, err := c.readReply(bytes.NewReader(stream), make([]byte, 8))
+			if cap(got) > maxRecord {
+				t.Fatalf("%s: buffered %d bytes, above maxRecord", mode.name, cap(got))
+			}
+			if (err == nil) != ok {
+				t.Fatalf("%s: err %v, reference accepts: %v", mode.name, err, ok)
+			}
+			if err != nil && (got != nil || pooled) {
+				t.Fatalf("%s: returned %d bytes (pooled %v) with error %v", mode.name, len(got), pooled, err)
+			}
+			if !bytes.Equal(got, want[:len(got)]) || (ok && len(got) != len(want)) {
+				t.Fatalf("%s: record of %d bytes differs from the fragments' concatenation (%d bytes)", mode.name, len(got), len(want))
+			}
+			// Pooled exactly when the first fragment showed the XID of a
+			// waiter that releases (or of nobody); a short first fragment
+			// falls back to a GC record whoever waits.
+			firstLen := uint32(0)
+			if len(stream) >= 4 {
+				firstLen = binary.BigEndian.Uint32(stream) &^ 0x80000000
+			}
+			if err == nil && pooled != (mode.pooled && firstLen >= 4) {
+				t.Fatalf("%s: pooled %v for a first fragment of %d bytes", mode.name, pooled, firstLen)
+			}
+			if pooled {
+				bufpool.Put(got)
 			}
 		}
 	})

@@ -8,9 +8,7 @@ import (
 
 // Local calls a Handler in process, the way a Server's dispatcher hands
 // it decoded calls: the Client-shaped front of a service that has no
-// connection in between. It honours Call.ReplyPooled — the pooled reply
-// goes back to the pool and the caller, like a Client's, gets a slice it
-// owns.
+// connection in between.
 type Local struct{ H Handler }
 
 // Call issues one call with no verifier and no deadline.
@@ -18,18 +16,26 @@ func (l Local) Call(prog, vers, proc uint32, cred OpaqueAuth, args []byte) ([]by
 	return l.CallVerfDeadline(prog, vers, proc, cred, OpaqueAuth{}, args, time.Time{})
 }
 
-// CallVerfDeadline implements DeadlineVerfCaller; the deadline becomes
-// Call.Deadline. A non-SUCCESS accept state is an *RPCError.
+// CallVerfDeadline implements DeadlineVerfCaller. The caller, like a
+// Client's, gets a slice it owns: a handler's pooled reply is copied.
 func (l Local) CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
+	res, rec, err := l.CallPooled(prog, vers, proc, cred, verf, args, deadline)
+	if rec != nil {
+		res = append([]byte(nil), res...)
+		bufpool.Put(rec)
+	}
+	return res, err
+}
+
+// CallPooled implements PooledCaller: the handler's Call.ReplyBuf is
+// handed over as rec. The deadline becomes Call.Deadline; a non-SUCCESS
+// accept state is an *RPCError.
+func (l Local) CallPooled(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) (results, rec []byte, err error) {
 	c := Call{Prog: prog, Vers: vers, Proc: proc, Cred: cred, Verf: verf, Args: args, Deadline: deadline}
 	res, stat := l.H.HandleCall(&c)
-	if c.ReplyPooled {
-		pooled := res
-		res = append([]byte(nil), pooled...)
-		bufpool.Put(pooled)
-	}
 	if stat != Success {
-		return nil, &RPCError{Stat: stat}
+		bufpool.Put(c.ReplyBuf)
+		return nil, nil, &RPCError{Stat: stat}
 	}
-	return res, nil
+	return res, c.ReplyBuf, nil
 }

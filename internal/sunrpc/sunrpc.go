@@ -170,7 +170,7 @@ func writeRecord(w io.Writer, payload []byte) error {
 // readRecord reads one record-marked RPC message, reassembling fragments.
 func readRecord(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
-	rec, err := readRecordInto(r, hdr[:], nil)
+	rec, err := readRecordInto(r, hdr[:], nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func readRecord(r io.Reader) ([]byte, error) {
 // scratch slice the caller reuses across records so the record mark
 // read doesn't allocate.
 func readRecordPooled(r io.Reader, hdr []byte) ([]byte, error) {
-	rec, err := readRecordInto(r, hdr, bufpool.Get)
+	rec, err := readRecordInto(r, hdr, nil, bufpool.Get)
 	if err != nil && rec != nil {
 		bufpool.Put(rec)
 		rec = nil
@@ -192,10 +192,11 @@ func readRecordPooled(r io.Reader, hdr []byte) ([]byte, error) {
 
 // readRecordInto is the common record reader. alloc, when non-nil,
 // supplies the record buffer (pooled); otherwise plain make is used.
-// On error the partially-filled buffer is returned for the caller to
-// release.
-func readRecordInto(r io.Reader, hdr []byte, alloc func(int) []byte) ([]byte, error) {
-	var rec []byte
+// rec is what the caller has already read of the record (the client's
+// reader, which needs the XID before it can choose alloc), from the same
+// allocator; further fragments are appended to it. On error the
+// partially-filled buffer is returned for the caller to release.
+func readRecordInto(r io.Reader, hdr, rec []byte, alloc func(int) []byte) ([]byte, error) {
 	for {
 		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 			return rec, err
@@ -321,11 +322,12 @@ type Call struct {
 	// transport itself does not enforce it.
 	Deadline time.Time
 
-	// ReplyPooled, when set by the handler, marks the returned results
-	// slice as a bufpool buffer: the server releases it once the reply
-	// has been copied into the outgoing record. The handler must not
-	// touch the slice after HandleCall returns.
-	ReplyPooled bool
+	// ReplyBuf, when set by the handler, is the bufpool buffer that owns
+	// the returned results — the results slice itself, or a larger record
+	// they alias (a relayed upstream reply). The server releases it once
+	// the reply has been copied into the outgoing record; the handler
+	// must not touch it after HandleCall returns.
+	ReplyBuf []byte
 
 	// rec is the pooled request record that Args, Cred.Body and Verf.Body
 	// alias; release returns it.
@@ -573,9 +575,7 @@ func (sc *serverConn) serve(call *Call) {
 	b.Uint32(0)        // verifier length
 	b.Uint32(uint32(stat))
 	reply = append(b.B, results...)
-	if call.ReplyPooled {
-		bufpool.Put(results)
-	}
+	bufpool.Put(call.ReplyBuf)
 	call.release()
 	binary.BigEndian.PutUint32(reply[:4], uint32(len(reply)-4)|0x80000000)
 	sc.wmu.Lock()

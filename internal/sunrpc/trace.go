@@ -83,3 +83,11 @@ type DeadlineVerfCaller interface {
 	VerfCaller
 	CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error)
 }
+
+// PooledCaller is implemented by transports that can lend the reply
+// instead of giving it away: results alias rec, a bufpool buffer the
+// caller releases once it has consumed them (see Client.CallPooled).
+// verf and deadline are CallVerfDeadline's. *Client and Local do.
+type PooledCaller interface {
+	CallPooled(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) (results, rec []byte, err error)
+}
