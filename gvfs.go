@@ -252,33 +252,27 @@ func splitPath(p string) []string {
 	return strings.Split(strings.TrimPrefix(p, "/"), "/")
 }
 
-// resolve walks p from the root, consulting the dentry cache.
+// resolve walks p from the root, consulting the dentry cache for every
+// prefix: only the components past the longest cached one are looked up.
 func (s *Session) resolve(p string) (nfs3.FH, nfs3.FileType, error) {
-	clean := path.Clean("/" + p)
-	if clean == "/" {
-		return s.root, nfs3.TypeDir, nil
-	}
-	s.mu.Lock()
-	if d, ok := s.dentries[clean]; ok {
+	cur, ftyp, walked := s.root, nfs3.TypeDir, "/"
+	for _, part := range splitPath(p) {
+		walked = path.Join(walked, part)
+		s.mu.Lock()
+		d, ok := s.dentries[walked]
 		s.mu.Unlock()
-		return d.fh, d.ftyp, nil
-	}
-	s.mu.Unlock()
-
-	cur := s.root
-	ftyp := nfs3.TypeDir
-	walked := "/"
-	for _, part := range splitPath(clean) {
+		if ok {
+			cur, ftyp = d.fh, d.ftyp
+			continue
+		}
 		fh, attr, err := s.nfs.Lookup(cur, part)
 		if err != nil {
 			return nil, 0, err
 		}
-		cur = fh
-		ftyp = nfs3.TypeReg
+		cur, ftyp = fh, nfs3.TypeReg
 		if attr != nil {
 			ftyp = attr.Type
 		}
-		walked = path.Join(walked, part)
 		s.mu.Lock()
 		s.dentries[walked] = dentry{fh: cur, ftyp: ftyp}
 		s.mu.Unlock()
@@ -312,21 +306,34 @@ func (s *Session) Mkdir(p string) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = s.nfs.Mkdir(dir, base, nfs3.SetAttr{})
+	fh, _, err := s.nfs.Mkdir(dir, base, nfs3.SetAttr{})
+	if err == nil && fh != nil {
+		s.mu.Lock()
+		s.dentries[path.Clean("/"+p)] = dentry{fh: fh, ftyp: nfs3.TypeDir}
+		s.mu.Unlock()
+	}
 	return err
 }
 
-// MkdirAll creates a directory and any missing parents.
+// MkdirAll creates a directory and any missing parents. It sends MKDIR
+// for p itself and climbs only when the parent turns out to be missing,
+// so ancestors that exist cost a (cached) lookup, not a refused MKDIR. A
+// directory that is already there — made earlier, or by a racing
+// creator — is not an error.
 func (s *Session) MkdirAll(p string) error {
-	parts := splitPath(p)
-	cur := "/"
-	for _, part := range parts {
-		cur = path.Join(cur, part)
-		if err := s.Mkdir(cur); err != nil && nfs3.StatusOf(err) != nfs3.ErrExist {
-			return err
+	if len(splitPath(p)) == 0 {
+		return nil
+	}
+	err := s.Mkdir(p)
+	if nfs3.StatusOf(err) == nfs3.ErrNoEnt {
+		if err = s.MkdirAll(path.Dir(path.Clean("/" + p))); err == nil {
+			err = s.Mkdir(p)
 		}
 	}
-	return nil
+	if nfs3.StatusOf(err) == nfs3.ErrExist {
+		return nil
+	}
+	return err
 }
 
 // Remove unlinks the file at p.

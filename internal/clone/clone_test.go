@@ -9,7 +9,9 @@ import (
 	"gvfs/internal/cache"
 	"gvfs/internal/clone"
 	"gvfs/internal/memfs"
+	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
+	"gvfs/internal/sunrpc"
 	"gvfs/internal/vm"
 )
 
@@ -238,5 +240,75 @@ func TestPlainNFSResumeBaseline(t *testing.T) {
 	}
 	if dur <= 0 {
 		t.Error("no duration measured")
+	}
+}
+
+// TestWarmCloneWANRoundTrips counts the calls that cross the link to the
+// image server — the server-side proxy's gvfs_proxy_calls_total — for a
+// cold clone and then a second clone of the same image through a fresh
+// session, the shape of the benchmark's wan_clone. The client proxy
+// serves the second clone's READs from its caches and its LOOKUPs and
+// GETATTRs from its attribute table, so what is left to cross is the
+// MOUNT and the calls that create the clone's own files.
+func TestWarmCloneWANRoundTrips(t *testing.T) {
+	fs := memfs.New()
+	if err := vm.InstallImage(fs, "/images/g0", spec("img0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	link := simnet.NewLink(simnet.Local())
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Close)
+	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.ProxyAddr(), UpstreamLink: link, CacheConfig: &cfg,
+		FileCacheDir: t.TempDir(), FileChanAddr: server.FileChanAddr(), FileChanLink: link,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+
+	crossed := func() uint64 { return server.Proxy.Proxy.Snapshot().Counter("gvfs_proxy_calls_total") }
+	instantiate := func(pass string) uint64 {
+		t.Helper()
+		before := crossed()
+		sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", PageCachePages: 64,
+			Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/" + pass,
+			Name: "img0", User: "alice", KeepVM: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.VM.Close()
+		buf := make([]byte, 8192)
+		if _, err := res.VM.Disk.ReadAt(buf, 0); err != nil {
+			t.Fatalf("%s: disk read through the clone's link: %v", pass, err)
+		}
+		redo, err := res.VM.OpenRedoLog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := redo.WriteAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return crossed() - before
+	}
+	cold := instantiate("cold")
+	warm := instantiate("warm")
+	t.Logf("calls that crossed the link: cold clone %d, warm clone %d", cold, warm)
+	if warm > 6 {
+		ops := server.Proxy.Proxy.Statusz().Clients
+		t.Errorf("warm clone sent %d calls across the link, want at most 6 (server proxy op mix, both clones: %+v)", warm, ops)
+	}
+	snap := node.Proxy.Snapshot()
+	if hits := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`); hits == 0 {
+		t.Error("no LOOKUP was answered from the attribute table")
 	}
 }

@@ -121,14 +121,14 @@ func (c *Client) ReadLink(fh FH) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
-	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
-	if st != OK {
-		return "", statusErr("readlink", st)
+	r, err := DecodeReadlinkRes(res)
+	if err != nil {
+		return "", err
 	}
-	target := d.String()
-	return target, d.Err()
+	if r.Status != OK {
+		return "", statusErr("readlink", r.Status)
+	}
+	return r.Target, nil
 }
 
 // Read reads up to count bytes at off. The returned data aliases the

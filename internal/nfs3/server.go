@@ -209,14 +209,8 @@ func (s *Server) readlink(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	target, berr := s.backend.ReadLink(a.FH)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
-	EncodePostOpAttr(e, s.attrOf(a.FH))
-	if berr == nil {
-		e.String(target)
-	}
-	return buf.Bytes(), sunrpc.Success
+	res := ReadlinkRes{Status: StatusOf(berr), Attr: s.attrOf(a.FH), Target: target}
+	return res.Encode(), sunrpc.Success
 }
 
 // read encodes an OK reply, payload included, into a pooled buffer of

@@ -153,6 +153,39 @@ func DecodeGetattrRes(p []byte) (*GetattrRes, error) {
 	return r, nil
 }
 
+// ReadlinkRes is the READLINK result.
+type ReadlinkRes struct {
+	Status Status
+	Attr   *Fattr
+	Target string // OK only
+}
+
+// Encode returns the XDR form of the result.
+func (r *ReadlinkRes) Encode() []byte {
+	var buf bytes.Buffer
+	e := xdr.NewEncoder(&buf)
+	e.Uint32(uint32(r.Status))
+	EncodePostOpAttr(e, r.Attr)
+	if r.Status == OK {
+		e.String(r.Target)
+	}
+	return finish(e, &buf)
+}
+
+// DecodeReadlinkRes parses a READLINK result.
+func DecodeReadlinkRes(p []byte) (*ReadlinkRes, error) {
+	var d xdr.Decoder
+	d.ResetBytes(p)
+	r := &ReadlinkRes{Status: Status(d.Uint32()), Attr: DecodePostOpAttr(&d)}
+	if r.Status == OK {
+		r.Target = d.String()
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // ReadArgs are the READ arguments.
 type ReadArgs struct {
 	FH     FH

@@ -27,6 +27,7 @@ const (
 	LayerZeroFilter = "zero_filter"
 	LayerFileCache  = "file_cache"
 	LayerUpstream   = "upstream_rpc"
+	LayerAttrTable  = "attr_table" // LOOKUP/GETATTR/READLINK answered from the proxy's attribute table
 )
 
 // Span is one layer's contribution to a traced call.

@@ -102,11 +102,23 @@ type Statusz struct {
 	QoS      []TenantRow `json:"qos_tenants,omitempty"`
 	Brownout bool        `json:"brownout,omitempty"`
 
+	// AttrTable is the session's attribute/lookup table: what it holds
+	// and how many LOOKUP, GETATTR and READLINK calls it answered.
+	AttrTable AttrTableStats `json:"attr_table"`
+
 	// Replication is the replicated backend's health snapshot (absent
 	// for single-backend proxies).
 	Replication *replbe.Stats `json:"replication,omitempty"`
 
 	Audit AuditLog `json:"writeback_audit"`
+}
+
+// AttrTableStats is the attribute table's row in the statusz document.
+type AttrTableStats struct {
+	Entries  int     `json:"entries"` // handles and negative names held, of attrTableCap
+	Hits     uint64  `json:"hits"`
+	Misses   uint64  `json:"misses"`
+	HitRatio float64 `json:"hit_ratio"`
 }
 
 // TenantRow is one tenant's row in the statusz QoS table: the
@@ -445,6 +457,16 @@ func (p *Proxy) Statusz() Statusz {
 		doc.QoS = append(doc.QoS, row)
 	}
 	doc.Brownout = p.brownout()
+	at := &doc.AttrTable
+	at.Entries = p.attrs.len()
+	for proc, hits := range p.stats.attrHits {
+		if hits != nil {
+			at.Hits, at.Misses = at.Hits+hits.Value(), at.Misses+p.stats.attrMisses[proc].Value()
+		}
+	}
+	if at.Hits > 0 {
+		at.HitRatio = float64(at.Hits) / float64(at.Hits+at.Misses)
+	}
 	if rb, ok := p.cfg.Backend.(*replbe.Backend); ok {
 		s := rb.Stats()
 		doc.Replication = &s
@@ -462,10 +484,16 @@ func (p *Proxy) WriteStatusz(w io.Writer) error {
 // fileLabel names a file for the accounting tables: the path when the
 // proxy has resolved one (MNT/LOOKUP observed), else the handle bytes.
 func (p *Proxy) fileLabel(fh nfs3.FH) string {
-	if info, ok := p.pathOf(fh); ok && info.full != "" {
-		return info.full
+	v, _ := p.attrs.get(fh)
+	return v.labelOf(fh)
+}
+
+// labelOf is fileLabel for a caller that already holds the file's view.
+func (v *fileView) labelOf(fh nfs3.FH) string {
+	if v.label != "" {
+		return v.label
 	}
-	return fmt.Sprintf("fh:%x", string(fh))
+	return fhLabel(fh)
 }
 
 // clientLabel identifies the calling client: the AUTH_UNIX machine

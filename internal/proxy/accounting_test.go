@@ -64,6 +64,11 @@ func TestDegradedReadsAttributedInStatusz(t *testing.T) {
 	wan.Partition()
 	wan.Drop()
 	sess.DropCaches()
+	// The read below is answered from the attribute table and the block
+	// cache alone; what opens the breaker is a call that needs the upstream.
+	if _, err := sess.ReadFile("/uncached"); err == nil {
+		t.Fatal("read of a file the proxy has not seen succeeded during the partition")
+	}
 
 	// Degraded read: served from cache while the breaker is open.
 	if got, err := sess.ReadFile("/img"); err != nil || !bytes.Equal(got, img) {

@@ -1,0 +1,431 @@
+package proxy
+
+// The session's attribute/lookup table: what the proxy has learnt about a
+// file handle since the middleware's last Flush (its fattr3, its place in
+// the name space, its symlink target, its meta-data state) and, per
+// (directory, name), which handle the name leads to or that it leads
+// nowhere. Session consistency (paper §3.2.1, DESIGN.md §6.3) applies to
+// it as to data: a proxy with a block cache answers LOOKUP, GETATTR and
+// READLINK from it, every relayed reply refreshes it, name-changing calls
+// invalidate what they touch, Proxy.Flush drops it.
+//
+// The update rule is "dirty data wins": the origin has not seen the
+// session's absorbed writes, so an upstream attribute never lowers a
+// regular file's size, used bytes or times; SETATTR (the mtime or size a
+// client sets is the file's), a truncating CREATE and REMOVE are the only
+// ways back. A proxy that holds
+// no data (the cache-less relay) takes upstream attributes as they come
+// and keeps no index of names: it answers nothing from the table.
+
+import (
+	"fmt"
+	"path"
+	"sync"
+
+	"gvfs/internal/nfs3"
+)
+
+// attrTableCap bounds the table, positive and negative entries together;
+// past it the least recently used entry that is not pinned goes.
+const attrTableCap = 64 << 10
+
+// anyGen installs unconditionally (see attrTable.gens).
+const anyGen = ^uint64(0)
+
+type nameKey struct{ dir, name string }
+
+// fileInfo is what the data path reads of a file: it lives in the file's
+// entry and is copied out, by value, in a fileView.
+type fileInfo struct {
+	attr      nfs3.Fattr
+	hasSize   bool   // attr.Size is the file's size; else only a lower bound (absorbed writes end there)
+	hasAttr   bool   // attr is a whole fattr3 from upstream, good to serve
+	dir, name string // the name this entry is filed under; dir "" = none
+	full      string // path from the export root, "" = unknown
+	label     string // what the accounting tables call the file: full, or the handle in hex
+	target    string // symlink target, "" = unknown
+}
+
+type attrEntry struct {
+	fileInfo
+	fh         string // "" marks a negative entry: dir/name does not exist
+	dirty      bool   // absorbed writes the origin has not caught up with
+	resident   bool   // the whole file lives in the file cache, under full
+	meta       metaState
+	prev, next *attrEntry // LRU ring through attrTable.lru
+}
+
+// fileView is a by-value copy of an entry for the data path: one table
+// touch per call, no allocation, nothing aliased but meta. label is ""
+// only for a handle the table has no entry for.
+type fileView struct {
+	fileInfo
+	meta *metaState
+}
+
+// post is the view's attribute as a post_op_attr: nil unless servable.
+func (v *fileView) post() *nfs3.Fattr {
+	if v.hasAttr {
+		return &v.attr
+	}
+	return nil
+}
+
+// view copies e out. A handle without a known path is labelled by its
+// bytes, formatted once per entry, not once per READ or WRITE: a client
+// that keeps a handle across a Flush is in that state until it looks the
+// name up again.
+func (e *attrEntry) view() fileView {
+	if e.label == "" {
+		e.label = fhLabel(nfs3.FH(e.fh))
+	}
+	return fileView{e.fileInfo, &e.meta}
+}
+
+func fhLabel(fh nfs3.FH) string { return fmt.Sprintf("fh:%x", string(fh)) }
+
+// setFull records e's path ("" = unknown), which is also its label.
+func (e *attrEntry) setFull(full string) { e.full, e.label = full, full }
+
+type attrTable struct {
+	holdsData bool // the proxy caches data: dirty data wins, and names are worth indexing
+
+	mu    sync.Mutex
+	byFH  map[string]*attrEntry
+	names map[nameKey]*attrEntry
+	roots map[string]string // export root handle -> path; MOUNT is not repeated, so Flush keeps it
+	lru   attrEntry         // ring sentinel: next is the most recent entry
+	n     int
+	// gens orders replies against name and size changes: a LOOKUP or
+	// GETATTR reads its stripe before going upstream and its reply is
+	// installed only if no REMOVE, CREATE, SETATTR… of the same (handle,
+	// name) ran through this proxy in between. Striped, not one counter: a
+	// LOOKUP reply skipped for another client's unrelated CREATE leaves the
+	// handle without a path (no file channel, no zero filter) for as long
+	// as its client's own dentry cache spares it the next LOOKUP — one
+	// counter took wan_clone's two clients to 4x the cold-clone time.
+	gens [256]uint64
+}
+
+func newAttrTable(holdsData bool) *attrTable {
+	t := &attrTable{holdsData: holdsData, byFH: make(map[string]*attrEntry),
+		names: make(map[nameKey]*attrEntry), roots: make(map[string]string)}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	return t
+}
+
+func (t *attrTable) stripe(fh nfs3.FH, name string) *uint64 {
+	h := uint32(2166136261) // FNV-1a
+	for _, b := range fh {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return &t.gens[h%uint32(len(t.gens))]
+}
+
+// generation is what a caller about to ask upstream about fh (name "") or
+// fh/name hands back to learn or negative with the reply.
+func (t *attrTable) generation(fh nfs3.FH, name string) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return *t.stripe(fh, name)
+}
+
+func (t *attrTable) current(fh nfs3.FH, name string, gen uint64) bool {
+	return gen == anyGen || gen == *t.stripe(fh, name)
+}
+
+func (t *attrTable) touch(e *attrEntry) {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	} else {
+		t.n++
+	}
+	e.prev, e.next = &t.lru, t.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (t *attrTable) remove(e *attrEntry) {
+	t.unfile(e)
+	if e.fh != "" {
+		delete(t.byFH, e.fh)
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	t.n--
+}
+
+// evict brings the table back under its cap. A dirty or resident entry is
+// never the victim (its state is nowhere else); those met on the way move
+// to the front, so the scan stays short, and the table exceeds the cap by
+// at most their number.
+func (t *attrTable) evict() {
+	for scanned := 0; t.n > attrTableCap && scanned < 8; scanned++ {
+		if e := t.lru.prev; e.dirty || e.resident {
+			t.touch(e)
+		} else {
+			t.remove(e)
+		}
+	}
+}
+
+// entry returns fh's entry, most recently used, creating it on demand.
+func (t *attrTable) entry(fh nfs3.FH, create bool) *attrEntry {
+	e := t.byFH[string(fh)]
+	if e == nil {
+		if !create {
+			return nil
+		}
+		e = &attrEntry{fh: string(fh)}
+		e.setFull(t.roots[e.fh])
+		t.byFH[e.fh] = e
+		t.touch(e)
+		t.evict()
+		return e
+	}
+	t.touch(e)
+	return e
+}
+
+func (t *attrTable) unfile(e *attrEntry) {
+	if k := (nameKey{e.dir, e.name}); e.dir != "" && t.names[k] == e {
+		delete(t.names, k)
+	}
+	e.dir, e.name = "", ""
+}
+
+// file puts e under dir/name, displacing whatever the name led to. A
+// table that answers nothing keeps no index of names.
+func (t *attrTable) file(e *attrEntry, dir nfs3.FH, name string) {
+	k := nameKey{string(dir), name}
+	if old := t.names[k]; old == e {
+		return
+	} else if old != nil && old.fh == "" {
+		t.remove(old)
+	} else if old != nil {
+		t.unfile(old)
+		old.setFull("")
+	}
+	t.unfile(e)
+	e.dir, e.name = k.dir, name
+	if t.holdsData {
+		t.names[k] = e
+	}
+	if d := t.byFH[k.dir]; d != nil && d.full != "" {
+		e.setFull(path.Join(d.full, name))
+	} else if root, ok := t.roots[k.dir]; ok {
+		e.setFull(path.Join(root, name))
+	} else {
+		e.setFull("")
+	}
+}
+
+// merged is what upstream's a becomes for e under the update rule; with
+// times false the rule covers only the size (the client has set the times).
+func (t *attrTable) merged(e *attrEntry, a *nfs3.Fattr, times bool) nfs3.Fattr {
+	m := *a
+	if t.holdsData && a.Type == nfs3.TypeReg {
+		m.Size, m.Used = max(e.attr.Size, a.Size), max(e.attr.Used, a.Used)
+		if times && a.Mtime.Less(e.attr.Mtime) {
+			m.Mtime = e.attr.Mtime
+		}
+		if times && a.Ctime.Less(e.attr.Ctime) {
+			m.Ctime = e.attr.Ctime
+		}
+	}
+	return m
+}
+
+// setRoot records an export root's path (from a MOUNT reply).
+func (t *attrTable) setRoot(fh nfs3.FH, full string) {
+	t.mu.Lock()
+	t.roots[string(fh)] = full
+	if e := t.byFH[string(fh)]; e != nil {
+		e.setFull(full)
+	}
+	t.mu.Unlock()
+}
+
+// get is the data path's one touch of the table.
+func (t *attrTable) get(fh nfs3.FH) (fileView, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.entry(fh, false); e != nil {
+		return e.view(), true
+	}
+	return fileView{}, false
+}
+
+// child resolves dir/name. A known name with no handle is a negative
+// entry: the name does not exist.
+func (t *attrTable) child(dir nfs3.FH, name string) (fh nfs3.FH, v fileView, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.names[nameKey{string(dir), name}]
+	if e == nil {
+		return nil, v, false
+	}
+	t.touch(e)
+	return nfs3.FH(e.fh), e.view(), true
+}
+
+// learn records what an upstream reply said about obj: its attributes
+// (nil = none in the reply, which voids what the table held; exact = the
+// call truncated the file, so the update rule does not apply) and, with
+// dir set, that dir/name leads to it. A reply whose gen is stale installs
+// nothing. Either way it returns the attributes to pass on downstream,
+// which never undercut dirty data, and whether there are any.
+func (t *attrTable) learn(obj, dir nfs3.FH, name string, a *nfs3.Fattr, exact bool, gen uint64) (nfs3.Fattr, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	install := len(obj) > 0 && (dir == nil && t.current(obj, "", gen) || dir != nil && t.current(dir, name, gen))
+	e := t.entry(obj, install && (a != nil || dir != nil))
+	var m nfs3.Fattr
+	if a != nil && (e == nil || exact) {
+		m = *a
+	} else if a != nil {
+		m = t.merged(e, a, true)
+	}
+	if e == nil || !install {
+		return m, a != nil
+	}
+	if dir != nil {
+		t.file(e, dir, name)
+	}
+	if a != nil {
+		e.attr, e.hasSize, e.hasAttr = m, true, true
+	} else if dir == nil {
+		e.hasAttr = false
+	}
+	return e.attr, e.hasAttr
+}
+
+// update is learn for a reply that says nothing about names and raced
+// nothing: fh's post-op attributes, nil when the reply had none.
+func (t *attrTable) update(fh nfs3.FH, a *nfs3.Fattr) { t.learn(fh, nil, "", a, false, anyGen) }
+
+// negative records that dir/name does not exist.
+func (t *attrTable) negative(dir nfs3.FH, name string, gen uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.holdsData || !t.current(dir, name, gen) {
+		return
+	}
+	e := &attrEntry{}
+	t.file(e, dir, name)
+	t.touch(e)
+	t.evict()
+}
+
+// invalidateName forgets what dir/name leads to, and advances its
+// generation so a reply already on its way is not installed.
+func (t *attrTable) invalidateName(dir nfs3.FH, name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	*t.stripe(dir, name)++
+	if e := t.names[nameKey{string(dir), name}]; e != nil && e.fh == "" {
+		t.remove(e)
+	} else if e != nil {
+		t.unfile(e)
+	}
+}
+
+// forget drops fh's entry — the file is gone or the handle stale — and
+// returns the path it was known under.
+func (t *attrTable) forget(fh nfs3.FH) (full string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	*t.stripe(fh, "")++
+	if e := t.byFH[string(fh)]; e != nil {
+		full = e.full
+		t.remove(e)
+	}
+	return full
+}
+
+// What a size seen without a whole fattr3 came with (the backend
+// interface carries no more).
+type sizeFrom uint8
+
+const (
+	fromReply     sizeFrom = iota // a READ or write-through WRITE reply
+	fromFlush                     // a write-back's reply: the origin may have caught up
+	fromFileCache                 // the file now lives whole in the file cache
+)
+
+// sawSize records such a size and returns fh's view.
+func (t *attrTable) sawSize(fh nfs3.FH, size uint64, from sizeFrom) fileView {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entry(fh, true)
+	if !t.holdsData || size > e.attr.Size {
+		e.attr.Size, e.attr.Used = size, size
+	}
+	e.hasSize = true
+	e.resident = e.resident || from == fromFileCache
+	if from == fromFlush && size >= e.attr.Size {
+		e.dirty = false
+	}
+	return e.view()
+}
+
+// wrote records an absorbed WRITE ending at end. Of a file whose size the
+// table does not know, that is a lower bound and stays one.
+func (t *attrTable) wrote(fh nfs3.FH, end uint64, now nfs3.Time) fileView {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entry(fh, true)
+	e.attr.Size, e.attr.Used, e.dirty = max(e.attr.Size, end), max(e.attr.Used, end), true
+	if e.attr.Mtime.Less(now) {
+		e.attr.Mtime, e.attr.Ctime = now, now
+	}
+	return e.view()
+}
+
+// setattr records an OK SETATTR, which may lower what nothing else does:
+// an mtime the call set is the file's, whatever the table held, and so is
+// a size it set (the block cache has pushed out and dropped the file's
+// frames by then). What it did not set stays under the update rule.
+func (t *attrTable) setattr(fh nfs3.FH, after *nfs3.Fattr, set *nfs3.SetAttr) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	*t.stripe(fh, "")++
+	e := t.entry(fh, after != nil)
+	if e == nil {
+		return
+	}
+	if set.Size != nil {
+		e.attr.Size, e.attr.Used, e.hasSize, e.dirty = *set.Size, min(e.attr.Used, *set.Size), true, false
+	}
+	if e.hasAttr = after != nil; e.hasAttr {
+		e.attr, e.hasSize = t.merged(e, after, set.MtimeHow == nfs3.DontChange), true
+	}
+}
+
+func (t *attrTable) setTarget(fh nfs3.FH, target string) {
+	t.mu.Lock()
+	if e := t.entry(fh, false); e != nil {
+		e.target = target
+	}
+	t.mu.Unlock()
+}
+
+// reset empties the table; in-flight replies are not installed after it.
+func (t *attrTable) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.byFH)
+	clear(t.names)
+	t.lru.prev, t.lru.next, t.n = &t.lru, &t.lru, 0
+	for i := range t.gens {
+		t.gens[i]++
+	}
+}
+
+func (t *attrTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}

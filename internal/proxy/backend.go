@@ -88,14 +88,27 @@ func (p *Proxy) beLookup(dir nfs3.FH, name string) (nfs3.FH, backend.Attr, error
 		p.stats.breakerFastFails.Add(1)
 		return nil, backend.Attr{}, errUpstreamDown
 	}
+	gen := p.attrs.generation(dir, name)
 	fid, attr, err := lk.Lookup(backend.FileID(dir), name, backend.CallOpts{})
 	p.observeUpstream(err)
+	// The proxy's own lookups (meta-data files) feed the table like a
+	// client's: the name, the size, or that the name is not there.
+	if err == nil {
+		p.attrs.learn(nfs3.FH(fid), dir, name, nil, false, gen)
+		p.attrs.sawSize(nfs3.FH(fid), attr.Size, fromReply)
+	} else if backend.Classify(err) == backend.ClassNotFound {
+		p.attrs.negative(dir, name, gen)
+	}
 	return nfs3.FH(fid), attr, err
 }
 
-// backendReadError encodes a failed backend read as the NFS reply.
-func backendReadError(err error) ([]byte, sunrpc.AcceptStat) {
+// backendReadError encodes a failed backend read as the NFS reply. A
+// stale handle is evidence against whatever the table holds for it.
+func (p *Proxy) backendReadError(fh nfs3.FH, err error) ([]byte, sunrpc.AcceptStat) {
 	if st, ok := nfs3be.ErrStatus(err); ok {
+		if st == nfs3.ErrStale {
+			p.attrs.forget(fh)
+		}
 		res := nfs3.ReadRes{Status: st}
 		return res.Encode(), sunrpc.Success
 	}
@@ -113,14 +126,19 @@ func backendWriteError(err error) ([]byte, sunrpc.AcceptStat) {
 
 // readResultReply encodes a successful backend read as the NFS READ
 // reply, into a pooled buffer released by the RPC server (ReplyBuf),
-// and with that copy made releases r.
-func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult) ([]byte, sunrpc.AcceptStat) {
+// and with that copy made releases r. The post-op attribute is the
+// table's when it has the file's whole fattr3, else what the backend's
+// three fields make.
+func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult, v *fileView) ([]byte, sunrpc.AcceptStat) {
 	res := nfs3.ReadRes{
 		Status: nfs3.OK,
 		Count:  uint32(len(r.Data)),
 		EOF:    r.EOF,
 		Data:   r.Data,
-		Attr:   nfs3be.FattrOf(r.Attr),
+		Attr:   v.post(),
+	}
+	if res.Attr == nil {
+		res.Attr = nfs3be.FattrOf(r.Attr)
 	}
 	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(r.Data)))[:0])
 	r.Release()
@@ -130,15 +148,15 @@ func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult) ([]byte, s
 // backendWriteReply encodes a successful durable backend write. The
 // backend contract is FILE_SYNC stability, so that is what the client
 // is told regardless of what it asked for.
-func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *backend.Attr) []byte {
+func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *backend.Attr, v *fileView) []byte {
 	res := nfs3.WriteRes{
 		Status:    nfs3.OK,
 		Count:     uint32(len(args.Data)),
 		Committed: nfs3.FileSync,
 		Verf:      nfs3.WriteVerf,
 	}
-	if fa := nfs3be.FattrOf(attr); fa != nil {
-		res.Wcc.After = fa
+	if res.Wcc.After = v.post(); res.Wcc.After == nil {
+		res.Wcc.After = nfs3be.FattrOf(attr)
 	}
 	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
 	return c.ReplyBuf
@@ -146,21 +164,21 @@ func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *ba
 
 // readThrough satisfies a READ that bypasses the block cache — none
 // configured, or an unaligned request.
-func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
 	if !p.useBackendIO() {
 		res, stat := p.forward(c, tr)
-		p.accountRead(c, args.FH, args.Offset, "forwarded", args.Count, start)
+		p.accountRead(c, v, args.FH, args.Offset, "forwarded", args.Count, start)
 		return res, stat
 	}
 	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
 	if err != nil {
-		p.accountRead(c, args.FH, args.Offset, "error", args.Count, start)
-		return backendReadError(err)
+		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
+		return p.backendReadError(args.FH, err)
 	}
 	if r.Attr != nil {
-		p.bumpSize(args.FH, r.Attr.Size)
+		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
 	}
-	res, stat := p.readResultReply(c, r)
-	p.accountRead(c, args.FH, args.Offset, "forwarded", args.Count, start)
+	res, stat := p.readResultReply(c, r, v)
+	p.accountRead(c, v, args.FH, args.Offset, "forwarded", args.Count, start)
 	return res, stat
 }

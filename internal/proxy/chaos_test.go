@@ -196,9 +196,15 @@ func TestChaosPartitionDegradedModeAndReplay(t *testing.T) {
 	wan.Partition()
 	wan.Drop()
 	sess.DropCaches() // force name resolution back through the proxy
+	// The warm session below needs nothing of the upstream (the attribute
+	// table and the block cache answer it all), so none of its calls fails
+	// and trips the breaker: a call for a file the proxy has not seen does.
+	if _, err := sess.ReadFile("/unseen"); err == nil {
+		t.Fatal("read of an unseen file succeeded during partition")
+	}
 
 	// Cached data stays readable (degraded read-only mode), including
-	// LOOKUP/GETATTR synthesized from the proxy's shadow state.
+	// LOOKUP/GETATTR from the proxy's attribute table.
 	if got, err := sess.ReadFile("/img"); err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("degraded read of cached file: %v", err)
 	}

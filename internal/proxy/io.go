@@ -18,21 +18,12 @@ import (
 // filtering and file-channel mechanisms — plus the middleware-facing
 // consistency entry points.
 
-// synthesizedAttr builds the post-op attribute the proxy attaches to
-// locally-satisfied replies.
-func (p *Proxy) synthesizedAttr(fh nfs3.FH) *nfs3.Fattr {
-	if sz, ok := p.sizeOf(fh); ok {
-		return &nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: sz, Used: sz}
-	}
-	return nil
-}
-
 // accountRead feeds one finished READ into the per-outcome latency
 // histogram, the per-file / per-client accounting tables, and the
 // cache-analytics demand feed (tenant identity + block touched).
 // Degraded reads are attributed to the file and client that issued
 // them, so /statusz shows who was served from cache during an outage.
-func (p *Proxy) accountRead(c *sunrpc.Call, fh nfs3.FH, off uint64, outcome string, count uint32, start time.Time) {
+func (p *Proxy) accountRead(c *sunrpc.Call, v *fileView, fh nfs3.FH, off uint64, outcome string, count uint32, start time.Time) {
 	p.stats.observeRead(outcome, start)
 	// The aggregate histogram above always records; the per-file /
 	// per-client table detail is optional work brownout sheds.
@@ -45,7 +36,7 @@ func (p *Proxy) accountRead(c *sunrpc.Call, fh nfs3.FH, off uint64, outcome stri
 		p.cfg.Cachean.DemandData(client, fh, off/bs, int(count), false)
 	}
 	served := outcome == "block_hit" || outcome == "file_cache" || outcome == "zero_filter"
-	p.acct.recordRead(p.fileLabel(fh), client, outcome, count, served && p.Degraded())
+	p.acct.recordRead(v.labelOf(fh), client, outcome, count, served && p.Degraded())
 }
 
 func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -56,40 +47,44 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		return nil, sunrpc.GarbageArgs
 	}
 	start := time.Now()
+	// The call's one look at the attribute table: path, size, post-op
+	// attributes and meta-data state all come from this view.
+	view, known := p.attrs.get(args.FH)
+	v := &view
 
 	// Meta-data handling (paper §3.2.2): consult the file's meta-data
 	// on first access and act on it.
-	if !p.cfg.DisableMeta {
-		if ms := p.metaFor(args.FH); ms != nil && ms.m != nil {
+	if !p.cfg.DisableMeta && known {
+		if ms := p.metaFor(v); ms.m != nil {
 			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
-				if err := p.ensureFetched(args.FH, ms); err == nil {
-					res, stat := p.readFromFileCache(&args)
+				if err := p.ensureFetched(args.FH, v, ms); err == nil {
+					res, stat := p.readFromFileCache(&args, v)
 					tr.Span(obs.LayerFileCache, "hit", start)
-					p.accountRead(c, args.FH, args.Offset, "file_cache", args.Count, start)
+					p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
 					return res, stat
 				}
 				// Channel failure: fall through to block-based path.
 			} else if ms.m.HasZeroMap() && rangeIsZero(ms.m, args.Offset, args.Count) {
-				res, stat := p.zeroReply(&args, ms.m)
+				res, stat := p.zeroReply(&args, ms.m, v)
 				tr.Span(obs.LayerZeroFilter, "hit", start)
-				p.accountRead(c, args.FH, args.Offset, "zero_filter", args.Count, start)
+				p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
 				return res, stat
 			}
 		}
 	}
 
 	// A file previously fetched whole stays served from the file cache.
-	if p.cfg.FileCache != nil {
-		if info, ok := p.pathOf(args.FH); ok && p.cfg.FileCache.Has(info.full) {
-			res, stat := p.readFromFileCache(&args)
+	if p.cfg.FileCache != nil && v.full != "" {
+		if p.cfg.FileCache.Has(v.full) {
+			res, stat := p.readFromFileCache(&args, v)
 			tr.Span(obs.LayerFileCache, "hit", start)
-			p.accountRead(c, args.FH, args.Offset, "file_cache", args.Count, start)
+			p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
 			return res, stat
 		}
 	}
 
 	if p.cfg.BlockCache == nil {
-		return p.readThrough(c, &args, tr, start)
+		return p.readThrough(c, &args, v, tr, start)
 	}
 	bs := uint64(p.cfg.BlockCache.BlockSize())
 	if args.Offset%bs != 0 || uint64(args.Count) > bs {
@@ -98,17 +93,17 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
 			return nil, sunrpc.SystemErr
 		}
-		return p.readThrough(c, &args, tr, start)
+		return p.readThrough(c, &args, v, tr, start)
 	}
 	block := args.Offset / bs
 	lookup := time.Now()
-	if res, stat, ok := p.serveBlockHit(c, &args, block, tr, lookup, start); ok {
+	if res, stat, ok := p.serveBlockHit(c, &args, v, block, tr, lookup, start); ok {
 		return res, stat
 	}
 	// A prefetch of this block may already be in flight: join it
 	// rather than duplicating the WAN transfer.
 	if p.ra != nil && p.ra.waitFor(args.FH, block) {
-		if res, stat, ok := p.serveBlockHit(c, &args, block, tr, lookup, start); ok {
+		if res, stat, ok := p.serveBlockHit(c, &args, v, block, tr, lookup, start); ok {
 			return res, stat
 		}
 	}
@@ -122,7 +117,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	if uint64(args.Count) == bs && p.cfg.BlockCache.DedupEnabled() {
 		if hr, ok := p.cfg.Backend.(backend.Hasher); ok {
 			if h, n, ok := hr.BlockHash(backend.FileID(args.FH), block, int(bs)); ok {
-				if res, stat, ok := p.serveByHash(c, &args, block, h, n, tr, lookup, start); ok {
+				if res, stat, ok := p.serveByHash(c, &args, v, block, h, n, tr, lookup, start); ok {
 					return res, stat
 				}
 			}
@@ -132,17 +127,17 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// the overloaded proxy cannot afford — defer it with a retriable
 	// error so the queues drain.
 	if res, stat, shed := p.deferMissInBrownout(c); shed {
-		p.accountRead(c, args.FH, args.Offset, "error", args.Count, start)
+		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
 		return res, stat
 	}
 	p.stats.readMisses.Add(1)
 	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
 	if err != nil {
-		p.accountRead(c, args.FH, args.Offset, "error", args.Count, start)
-		return backendReadError(err)
+		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
+		return p.backendReadError(args.FH, err)
 	}
 	if r.Attr != nil {
-		p.bumpSize(args.FH, r.Attr.Size)
+		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
 	}
 	// Only cache full-block requests so a frame always represents the
 	// block's prefix from its aligned start.
@@ -152,8 +147,8 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		}
 	}
 	p.maybePrefetch(args.FH, block)
-	res, stat := p.readResultReply(c, r) // releases r: cache frame and reply are its two copies
-	p.accountRead(c, args.FH, args.Offset, "block_miss", args.Count, start)
+	res, stat := p.readResultReply(c, r, v) // releases r: cache frame and reply are its two copies
+	p.accountRead(c, v, args.FH, args.Offset, "block_miss", args.Count, start)
 	return res, stat
 }
 
@@ -161,12 +156,12 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 // zero block is synthesized locally, and content already cached under
 // another file's identity is served through a dedup alias. Both avoid
 // the upstream transfer entirely.
-func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, h backend.Hash, n uint32, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, h backend.Hash, n uint32, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
 	if backend.IsZeroHash(h, int(n)) {
 		p.stats.zeroFiltered.Add(1)
-		res, stat := p.cachedReadReply(c, args, make([]byte, n))
+		res, stat := p.cachedReadReply(c, args, v, make([]byte, n))
 		tr.Span(obs.LayerZeroFilter, "hit", lookup)
-		p.accountRead(c, args.FH, args.Offset, "zero_filter", args.Count, start)
+		p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
 		return res, stat, true
 	}
 	buf := bufpool.Get(p.cfg.BlockCache.BlockSize())
@@ -178,9 +173,9 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, h
 	tr.Span(obs.LayerBlockCache, "dedup_hit", lookup)
 	p.stats.readHits.Add(1)
 	p.maybePrefetch(args.FH, block)
-	res, stat := p.cachedReadReply(c, args, data)
+	res, stat := p.cachedReadReply(c, args, v, data)
 	bufpool.Put(buf)
-	p.accountRead(c, args.FH, args.Offset, "block_hit", args.Count, start)
+	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
 	return res, stat, true
 }
 
@@ -189,7 +184,7 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, h
 // buffer, the reply encoded into a pooled results buffer that the RPC
 // server releases after framing (Call.ReplyBuf). The boolean
 // reports whether the block was cached.
-func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
 	buf := bufpool.Get(p.cfg.BlockCache.BlockSize())
 	data, ok := p.cfg.BlockCache.GetInto(args.FH, block, buf)
 	if !ok {
@@ -199,9 +194,9 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64,
 	tr.Span(obs.LayerBlockCache, "hit", lookup)
 	p.stats.readHits.Add(1)
 	p.maybePrefetch(args.FH, block)
-	res, stat := p.cachedReadReply(c, args, data)
+	res, stat := p.cachedReadReply(c, args, v, data)
 	bufpool.Put(buf)
-	p.accountRead(c, args.FH, args.Offset, "block_hit", args.Count, start)
+	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
 	return res, stat, true
 }
 
@@ -209,7 +204,7 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, block uint64,
 // and to the known file size. The reply is encoded into a pooled
 // buffer released by the RPC server (ReplyBuf); blockData is only
 // read before returning, so the caller may release it immediately.
-func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData []byte) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, blockData []byte) ([]byte, sunrpc.AcceptStat) {
 	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
@@ -218,8 +213,7 @@ func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData [
 		data = data[:args.Count]
 	}
 	eof := len(blockData) < p.cfg.BlockCache.BlockSize()
-	size, haveSize := p.sizeOf(args.FH)
-	if haveSize {
+	if size := v.attr.Size; v.hasSize {
 		end := args.Offset + uint64(len(data))
 		if args.Offset >= size {
 			data = nil
@@ -232,17 +226,7 @@ func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, blockData [
 			eof = end >= size
 		}
 	}
-	res := nfs3.ReadRes{
-		Status: nfs3.OK,
-		Count:  uint32(len(data)),
-		EOF:    eof,
-		Data:   data,
-	}
-	var attr nfs3.Fattr
-	if haveSize {
-		attr = nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: size, Used: size}
-		res.Attr = &attr
-	}
+	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
 	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
 	return c.ReplyBuf, sunrpc.Success
 }
@@ -271,7 +255,7 @@ func rangeIsZero(m *meta.Meta, off uint64, count uint32) bool {
 
 // zeroReply satisfies a read of all-zero blocks locally — the paper's
 // zero filtering for memory-state files.
-func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta, v *fileView) ([]byte, sunrpc.AcceptStat) {
 	p.stats.zeroFiltered.Add(1)
 	size := m.FileSize
 	var data []byte
@@ -284,18 +268,14 @@ func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta) ([]byte, sunrpc.Acc
 		data = make([]byte, end-args.Offset)
 		eof = end >= size
 	}
-	attr := &nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: size, Used: size}
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: attr, Count: uint32(len(data)), EOF: eof, Data: data}
-	return res.Encode(), sunrpc.Success
+	// AppendTo, not Encode: Encode would move the caller's view to the heap.
+	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
+	return res.AppendTo(make([]byte, 0, nfs3.ReadResSize(len(data)))), sunrpc.Success
 }
 
 // readFromFileCache serves a READ from the whole-file cache.
-func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs) ([]byte, sunrpc.AcceptStat) {
-	info, ok := p.pathOf(args.FH)
-	if !ok {
-		return nil, sunrpc.SystemErr
-	}
-	data, eof, err := p.cfg.FileCache.ReadAt(info.full, args.Offset, args.Count)
+func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs, v *fileView) ([]byte, sunrpc.AcceptStat) {
+	data, eof, err := p.cfg.FileCache.ReadAt(v.full, args.Offset, args.Count)
 	if err != nil {
 		res := nfs3.ReadRes{Status: nfs3.ErrIO}
 		return res.Encode(), sunrpc.Success
@@ -304,12 +284,9 @@ func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs) ([]byte, sunrpc.AcceptSta
 	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
-	var attr *nfs3.Fattr
-	if sz, ok := p.cfg.FileCache.Size(info.full); ok {
-		attr = &nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: sz, Used: sz}
-	}
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: attr, Count: uint32(len(data)), EOF: eof, Data: data}
-	return res.Encode(), sunrpc.Success
+	// AppendTo, not Encode: Encode would move the caller's view to the heap.
+	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
+	return res.AppendTo(make([]byte, 0, nfs3.ReadResSize(len(data)))), sunrpc.Success
 }
 
 func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -323,24 +300,23 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		return nil, sunrpc.GarbageArgs
 	}
 	start := time.Now()
+	v, _ := p.attrs.get(args.FH)
+	file := v.labelOf(args.FH)
 
 	// Writes to a file resident in the file cache stay local; the
 	// file-based channel uploads them at flush time.
-	if p.cfg.FileCache != nil {
-		if info, ok := p.pathOf(args.FH); ok && p.cfg.FileCache.Has(info.full) {
-			if err := p.cfg.FileCache.WriteAt(info.full, args.Offset, args.Data); err != nil {
-				return nil, sunrpc.SystemErr
-			}
-			p.bumpSize(args.FH, args.Offset+uint64(len(args.Data)))
-			p.stats.writesAbsorbed.Add(1)
-			p.acct.recordWrite(p.fileLabel(args.FH), p.clientLabel(c), len(args.Data))
-			tr.Span(obs.LayerFileCache, "absorb", start)
-			return p.absorbedWriteReply(c, &args), sunrpc.Success
+	if p.cfg.FileCache != nil && v.full != "" && p.cfg.FileCache.Has(v.full) {
+		if err := p.cfg.FileCache.WriteAt(v.full, args.Offset, args.Data); err != nil {
+			return nil, sunrpc.SystemErr
 		}
+		p.stats.writesAbsorbed.Add(1)
+		p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
+		tr.Span(obs.LayerFileCache, "absorb", start)
+		return p.absorbedWriteReply(c, &args, start), sunrpc.Success
 	}
 
 	if p.cfg.BlockCache == nil || p.cfg.WritePolicy != cache.WriteBack {
-		return p.writeThrough(c, &args, tr)
+		return p.writeThrough(c, &args, file, tr)
 	}
 
 	bs := uint64(p.cfg.BlockCache.BlockSize())
@@ -349,7 +325,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
 			return nil, sunrpc.SystemErr
 		}
-		return p.writeThrough(c, &args, tr)
+		return p.writeThrough(c, &args, file, tr)
 	}
 
 	// An aligned WRITE is absorbed block by block: a client's page is one
@@ -364,11 +340,10 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	if n := uint64(len(data)); n > bs {
 		last += (n - 1) / bs
 	}
-	tail, err := p.mergeBlock(args.FH, last, bs, data[(last-first)*bs:])
+	tail, err := p.mergeBlock(args.FH, &v, last, bs, data[(last-first)*bs:])
 	if err != nil {
-		return p.writeThrough(c, &args, tr)
+		return p.writeThrough(c, &args, file, tr)
 	}
-	file := p.fileLabel(args.FH)
 	client := p.clientLabel(c)
 	for b := first; b <= last; b++ {
 		rest := data[(b-first)*bs:]
@@ -385,17 +360,16 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		}
 		p.acct.blockDirtied(file, b, written)
 	}
-	p.bumpSize(args.FH, args.Offset+uint64(len(data)))
 	p.stats.writesAbsorbed.Add(1)
 	p.acct.recordWrite(file, client, len(data))
 	tr.Span(obs.LayerBlockCache, "absorb", start)
-	return p.absorbedWriteReply(c, &args), sunrpc.Success
+	return p.absorbedWriteReply(c, &args, start), sunrpc.Success
 }
 
 // mergeBlock combines newly written data (always at the block's start,
 // since callers check alignment) with any existing block content so the
 // cached frame remains a faithful prefix of the block.
-func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, error) {
+func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byte) ([]byte, error) {
 	if uint64(len(data)) == bs {
 		return data, nil
 	}
@@ -408,14 +382,14 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 		copy(merged, data)
 		return merged, nil
 	}
-	size, known := p.sizeOf(fh)
 	blockStart := block * bs
-	if !known || size <= blockStart+uint64(len(data)) {
+	if v.hasSize && v.attr.Size <= blockStart+uint64(len(data)) {
 		// Writing the current tail of the file: the partial block is
 		// the whole block content.
 		return data, nil
 	}
-	// The block has bytes beyond the write that we don't hold:
+	// The block has bytes beyond the write that we don't hold, or may
+	// have (a handle kept across a Flush has no size in the table):
 	// read-modify-write through the backend. Failures come back
 	// classified (backend.Error), so the caller's fallback treats
 	// every backend identically.
@@ -424,6 +398,9 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 		return nil, err
 	}
 	defer r.Release()
+	if r.Attr != nil {
+		*v = p.attrs.sawSize(fh, r.Attr.Size, fromReply)
+	}
 	if len(r.Data) <= len(data) {
 		return data, nil
 	}
@@ -433,23 +410,22 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, block, bs uint64, data []byte) ([]byte, e
 	return merged, nil
 }
 
-// absorbedWriteReply fabricates the WRITE reply for data held by the
-// write-back cache. The proxy reports FILE_SYNC: under the session
+// absorbedWriteReply records a WRITE the caches now hold in the attribute
+// table (dirty data wins: size, used bytes and times move forward) and
+// fabricates its reply. The proxy reports FILE_SYNC: under the session
 // consistency model the proxy is the authority for this data until the
 // middleware flushes it. The reply is encoded into a pooled buffer
 // released by the RPC server (ReplyBuf).
-func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs) []byte {
+func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, now time.Time) []byte {
+	v := p.attrs.wrote(args.FH, args.Offset+uint64(len(args.Data)),
+		nfs3.Time{Sec: uint32(now.Unix()), Nsec: uint32(now.Nanosecond())})
 	res := nfs3.WriteRes{
 		Status:    nfs3.OK,
 		Count:     uint32(len(args.Data)),
 		Committed: nfs3.FileSync,
 		Verf:      nfs3.WriteVerf,
 	}
-	var attr nfs3.Fattr
-	if sz, ok := p.sizeOf(args.FH); ok {
-		attr = nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0644, Nlink: 1, Size: sz, Used: sz}
-		res.Wcc.After = &attr
-	}
+	res.Wcc.After = v.post()
 	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
 	return c.ReplyBuf
 }
@@ -458,36 +434,36 @@ func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs) []byte 
 // block cache coherent. Caching proxies (and upstream-less ones) go
 // through the backend; cache-less relays keep raw forwarding so the
 // client's own credentials ride the call.
-func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, file string, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	if !p.useBackendIO() {
-		return p.relayWrite(c, args, tr)
+		return p.relayWrite(c, args, file, tr)
 	}
 	p.stats.writesForwarded.Add(1)
 	if p.cfg.Cachean != nil && p.cfg.BlockCache != nil {
 		bs := uint64(p.cfg.BlockCache.BlockSize())
 		p.cfg.Cachean.DemandData(p.clientLabel(c), args.FH, args.Offset/bs, len(args.Data), true)
 	}
-	p.acct.recordWrite(p.fileLabel(args.FH), p.clientLabel(c), len(args.Data))
+	p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
 	attr, err := p.beWrite(args.FH, args.Offset, args.Data, tr, c.Deadline, true)
 	if err != nil {
 		return backendWriteError(err)
 	}
+	size := args.Offset + uint64(len(args.Data))
 	if attr != nil {
-		p.rememberSize(args.FH, attr.Size)
-	} else {
-		p.bumpSize(args.FH, args.Offset+uint64(len(args.Data)))
+		size = attr.Size
 	}
+	v := p.attrs.sawSize(args.FH, size, fromReply)
 	if err := p.coherentAfterWrite(args); err != nil {
 		return nil, sunrpc.SystemErr
 	}
-	return p.backendWriteReply(c, args, attr), sunrpc.Success
+	return p.backendWriteReply(c, args, attr, &v), sunrpc.Success
 }
 
 // relayWrite is the raw-forwarding write-through for cache-less relays.
-func (p *Proxy) relayWrite(c *sunrpc.Call, args *nfs3.WriteArgs, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) relayWrite(c *sunrpc.Call, args *nfs3.WriteArgs, file string, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	res, stat := p.forward(c, tr)
 	p.stats.writesForwarded.Add(1)
-	p.acct.recordWrite(p.fileLabel(args.FH), p.clientLabel(c), len(args.Data))
+	p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
 	if stat != sunrpc.Success {
 		return res, stat
 	}
@@ -496,7 +472,7 @@ func (p *Proxy) relayWrite(c *sunrpc.Call, args *nfs3.WriteArgs, tr *obs.Active)
 		return res, stat
 	}
 	if r.Wcc.After != nil {
-		p.rememberSize(args.FH, r.Wcc.After.Size)
+		p.attrs.update(args.FH, r.Wcc.After)
 	}
 	return res, stat
 }
@@ -533,28 +509,21 @@ func (p *Proxy) coherentAfterWrite(args *nfs3.WriteArgs) error {
 
 // --- meta-data machinery ---
 
-// metaFor returns the (lazily initialized) meta-data state for fh.
-func (p *Proxy) metaFor(fh nfs3.FH) *metaState {
-	key := fh.Key()
-	p.mu.Lock()
-	ms, ok := p.metas[key]
-	if !ok {
-		ms = &metaState{}
-		p.metas[key] = ms
-	}
-	p.mu.Unlock()
-
+// metaFor returns the file's meta-data state, looking the meta-data up
+// on first use. A file whose place in the name space the table does not
+// know (yet) has none, and is asked again on its next READ.
+func (p *Proxy) metaFor(v *fileView) *metaState {
+	ms := v.meta
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.checked {
+	if ms.checked || v.dir == "" {
 		return ms
 	}
 	ms.checked = true
-	info, ok := p.pathOf(fh)
-	if !ok || info.parent == "" || meta.IsMetaName(info.name) {
+	if meta.IsMetaName(v.name) {
 		return ms
 	}
-	obj, attr, err := p.beLookup(nfs3.FH(info.parent), meta.NameFor(info.name))
+	obj, attr, err := p.beLookup(nfs3.FH(v.dir), meta.NameFor(v.name))
 	if err != nil {
 		return ms
 	}
@@ -599,22 +568,19 @@ func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64) ([]byte, error) {
 
 // ensureFetched runs the file-based data channel once per file:
 // compress on the server, remote copy, uncompress into the file cache.
-func (p *Proxy) ensureFetched(fh nfs3.FH, ms *metaState) error {
+func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.fetched {
 		return nil
 	}
-	info, ok := p.pathOf(fh)
-	if !ok {
+	if v.full == "" {
 		return fmt.Errorf("proxy: no path known for %s", fh)
 	}
-	if p.cfg.FileCache.Has(info.full) {
+	if sz, ok := p.cfg.FileCache.Size(v.full); ok {
 		// A previous session (or clone) already pulled this file.
 		ms.fetched = true
-		if sz, ok := p.cfg.FileCache.Size(info.full); ok {
-			p.bumpSize(fh, sz)
-		}
+		*v = p.attrs.sawSize(fh, sz, fromFileCache)
 		return nil
 	}
 	conn, err := p.cfg.FileChanDial()
@@ -622,14 +588,14 @@ func (p *Proxy) ensureFetched(fh nfs3.FH, ms *metaState) error {
 		return err
 	}
 	defer conn.Close()
-	data, err := filechan.Fetch(conn, info.full, ms.m.WantsCompression())
+	data, err := filechan.Fetch(conn, v.full, ms.m.WantsCompression())
 	if err != nil {
 		return err
 	}
-	if err := p.cfg.FileCache.Store(info.full, data); err != nil {
+	if err := p.cfg.FileCache.Store(v.full, data); err != nil {
 		return err
 	}
-	p.rememberSize(fh, uint64(len(data)))
+	*v = p.attrs.sawSize(fh, uint64(len(data)), fromFileCache)
 	p.stats.fileChanFetch.Add(1)
 	ms.fetched = true
 	return nil
@@ -656,8 +622,9 @@ func (p *Proxy) writeBackReason(reason string) error {
 	return p.flushFileCache()
 }
 
-// Flush propagates all dirty state and invalidates every cache, ending
-// the session's ownership of the data. The gvfsproxy daemon binds this
+// Flush propagates all dirty state and invalidates every cache — blocks,
+// whole files, attributes and names — ending the session's ownership of
+// the data. The gvfsproxy daemon binds this
 // to SIGUSR2.
 func (p *Proxy) Flush() error {
 	p.acct.flushTriggered(TriggerFlush)
@@ -672,9 +639,7 @@ func (p *Proxy) Flush() error {
 	if p.cfg.FileCache != nil {
 		p.cfg.FileCache.InvalidateAll()
 	}
-	p.mu.Lock()
-	p.metas = make(map[string]*metaState)
-	p.mu.Unlock()
+	p.attrs.reset()
 	if p.ra != nil {
 		p.ra.reset()
 	}

@@ -37,6 +37,11 @@ type counters struct {
 	journalRecovered *obs.Counter
 	brownoutShed     *obs.Counter
 
+	// attrHits/attrMisses[proc]: LOOKUP, GETATTR and READLINK calls the
+	// attribute table answered, or could not (nil for other procedures;
+	// a proxy without a block cache never asks, so counts neither).
+	attrHits, attrMisses [nfs3.ProcReadlink + 1]*obs.Counter
+
 	// nfsDur[proc] is the handling-latency histogram for that NFS
 	// procedure; mountDur and otherDur catch MOUNT and unknown calls.
 	nfsDur   [nfs3.ProcCommit + 1]*obs.Histogram
@@ -71,6 +76,12 @@ func newCounters(reg *obs.Registry) *counters {
 	c.degradedReads = reg.Counter("gvfs_proxy_degraded_reads_total", "Reads served from cache while degraded.")
 	c.journalRecovered = reg.Counter("gvfs_proxy_journal_recovered_total", "Dirty blocks rebuilt from the journal after a crash.")
 	c.brownoutShed = reg.Counter("gvfs_qos_brownout_shed_total", "Cache misses deferred with NFS3ERR_JUKEBOX during brownout.")
+
+	hits := reg.CounterVec("gvfs_proxy_attr_hits_total", "Calls answered from the session's attribute/lookup table.", "proc")
+	misses := reg.CounterVec("gvfs_proxy_attr_misses_total", "Calls the attribute/lookup table could not answer, sent upstream.", "proc")
+	for _, proc := range []uint32{nfs3.ProcLookup, nfs3.ProcGetattr, nfs3.ProcReadlink} {
+		c.attrHits[proc], c.attrMisses[proc] = hits.With(nfs3.ProcName(proc)), misses.With(nfs3.ProcName(proc))
+	}
 
 	rpcDur := reg.HistogramVec("gvfs_proxy_rpc_duration_seconds",
 		"Proxy call handling latency by NFS procedure.", nil, "proc")

@@ -1,11 +1,13 @@
 package proxy
 
-// Proxy.paths under REMOVE and RENAME: an entry per live handle, none
-// for a dead one, and one answer from childFH for a name that was
-// removed and created again.
+// The attribute table's name space under REMOVE and RENAME: an entry per
+// live handle, none for a dead one, one answer for a name that was
+// removed and created again — and bounded state however long that goes on.
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"gvfs/internal/cache"
@@ -38,13 +40,20 @@ func nfsdInProcess(t *testing.T, fs *memfs.FS) sunrpc.Local {
 // mounted, with an NFS client speaking to it in process too.
 func pathsProxy(t *testing.T) (*Proxy, *nfs3.Client, nfs3.FH) {
 	t.Helper()
+	return pathsProxyOn(t, nfsdInProcess(t, memfs.New()))
+}
+
+// pathsProxyOn is pathsProxy over a given upstream, so that several
+// proxies can share one origin.
+func pathsProxyOn(t *testing.T, upstream nfs3.Caller) (*Proxy, *nfs3.Client, nfs3.FH) {
+	t.Helper()
 	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
 		BlockSize: 8192, Policy: cache.WriteBack})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Upstream: nfsdInProcess(t, memfs.New()), BlockCache: bc, WritePolicy: cache.WriteBack})
+	p, err := New(Config{Upstream: upstream, BlockCache: bc, WritePolicy: cache.WriteBack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,27 +67,80 @@ func pathsProxy(t *testing.T) (*Proxy, *nfs3.Client, nfs3.FH) {
 	return p, nfs3.NewClient(rpc, cred), root
 }
 
+// pathCount is the number of handles the table holds (negative entries,
+// which stand for names, not handles, are not counted).
 func (p *Proxy) pathCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.paths)
+	p.attrs.mu.Lock()
+	defer p.attrs.mu.Unlock()
+	return len(p.attrs.byFH)
 }
 
+// childFH is the handle the table has for dir/name.
+func (p *Proxy) childFH(dir nfs3.FH, name string) (nfs3.FH, bool) {
+	fh, _, ok := p.attrs.child(dir, name)
+	return fh, ok && len(fh) > 0
+}
+
+// TestPathsFlatAcrossCreateRemoveCycles is the soak: 10^5 create / lookup /
+// remove cycles of distinct names, each call under a credential never seen
+// before. The table stays under its cap (it would hold 10^5 negative
+// entries otherwise), the credential-keyed label cache under its, and the
+// heap does not grow with the number of cycles.
 func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
-	p, nc, root := pathsProxy(t)
-	before := p.pathCount()
-	for i := 0; i < 10000; i++ {
-		if _, _, err := nc.Create(root, "scratch.img", nfs3.SetAttr{}, false); err != nil {
+	cycles := 100000
+	if testing.Short() {
+		cycles = 70000 // still past attrTableCap
+	}
+	p, _, root := pathsProxy(t)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var mid uint64
+	for i := 0; i < cycles; i++ {
+		nc := nfs3.NewClient(sunrpc.Local{H: p}, sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "soak", Stamp: uint32(i)}.Encode())
+		name := fmt.Sprintf("scratch-%d.img", i)
+		fh, _, err := nc.Create(root, name, nfs3.SetAttr{}, false)
+		if err != nil {
 			t.Fatalf("cycle %d: CREATE: %v", i, err)
 		}
-		if err := nc.Remove(root, "scratch.img"); err != nil {
+		if got, _, err := nc.Lookup(root, name); err != nil || !bytes.Equal(got, fh) {
+			t.Fatalf("cycle %d: LOOKUP = %v, %v; want the created handle", i, got, err)
+		}
+		if err := nc.Remove(root, name); err != nil {
 			t.Fatalf("cycle %d: REMOVE: %v", i, err)
 		}
+		if _, _, err := nc.Lookup(root, name); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+			t.Fatalf("cycle %d: LOOKUP after REMOVE: %v, want NOENT", i, err)
+		}
+		if n := p.attrs.len(); n > attrTableCap+1 {
+			t.Fatalf("cycle %d: table holds %d entries, cap %d", i, n, attrTableCap)
+		}
+		if i == cycles*3/4 {
+			mid = heap() // the table has been at its cap for a while
+		}
 	}
-	if after := p.pathCount(); after != before {
-		t.Errorf("len(paths) %d -> %d over 10^4 create/remove cycles, want flat", before, after)
+	if after := heap(); after > mid+mid/4+(1<<20) {
+		t.Errorf("heap %d -> %d bytes over the last quarter of %d cycles, want a plateau", mid, after, cycles)
 	}
+	if n := p.pathCount(); n != 1 {
+		t.Errorf("%d handles in the table after every file was removed, want the root alone", n)
+	}
+	p.labelMu.RLock()
+	labels := len(p.labels)
+	p.labelMu.RUnlock()
+	if labels > clientLabelMax {
+		t.Errorf("%d credential labels cached, bound %d", labels, clientLabelMax)
+	}
+	snap := p.Snapshot()
+	if hits, fwd := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`), snap.Counter("gvfs_proxy_forwarded_total"); hits != uint64(2*cycles) || fwd != uint64(2*cycles+1) {
+		t.Errorf("%d LOOKUPs answered from the table and %d calls forwarded, want %d and one more (the MOUNT, every CREATE and REMOVE, no LOOKUP)", hits, fwd, 2*cycles)
+	}
+
 	// A REMOVE the upstream refuses leaves the file, and its entry.
+	nc := nfs3.NewClient(sunrpc.Local{H: p}, sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "soak"}.Encode())
 	fh, _, err := nc.Create(root, "kept.img", nfs3.SetAttr{}, false)
 	if err != nil {
 		t.Fatal(err)

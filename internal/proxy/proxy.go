@@ -25,7 +25,6 @@ package proxy
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"path"
@@ -97,9 +96,9 @@ type Config struct {
 	ReadAhead int
 
 	// DegradedReads enables serve-from-cache degraded mode: while the
-	// upstream circuit breaker is open, cached reads keep working and
-	// LOOKUP/GETATTR are synthesized from shadow state. Setting it (or
-	// either knob below) activates upstream health tracking.
+	// upstream circuit breaker is open, cached reads keep working (as do
+	// LOOKUP/GETATTR from the attribute table, breaker or not). Setting it
+	// (or either knob below) activates upstream health tracking.
 	DegradedReads bool
 
 	// FailureThreshold is the number of consecutive upstream transport
@@ -155,13 +154,8 @@ type Config struct {
 	CallBudget time.Duration
 }
 
-type pathInfo struct {
-	parent string // parent fh key ("" for root)
-	name   string
-	full   string // full path from export root
-}
-
-// metaState tracks per-file meta-data handling.
+// metaState tracks per-file meta-data handling; it lives in the file's
+// attribute-table entry.
 type metaState struct {
 	mu      sync.Mutex
 	checked bool
@@ -174,10 +168,7 @@ type metaState struct {
 type Proxy struct {
 	cfg Config
 
-	mu    sync.RWMutex
-	paths map[string]pathInfo // fh key -> location
-	sizes map[string]uint64   // fh key -> best-known size
-	metas map[string]*metaState
+	attrs *attrTable // what this session knows of handles and names
 
 	credMu   sync.RWMutex
 	lastCred sunrpc.OpaqueAuth // most recent client credential
@@ -212,9 +203,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:    cfg,
-		paths:  make(map[string]pathInfo),
-		sizes:  make(map[string]uint64),
-		metas:  make(map[string]*metaState),
+		attrs:  newAttrTable(cfg.BlockCache != nil || cfg.FileCache != nil),
 		labels: make(map[string]string),
 		stats:  newCounters(reg),
 		acct:   newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
@@ -393,9 +382,7 @@ func (p *Proxy) handleMount(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	if rd.Uint32() == mountd.OK {
 		fh := nfs3.FH(rd.Opaque())
 		if rd.Err() == nil {
-			p.mu.Lock()
-			p.paths[fh.Key()] = pathInfo{full: path.Clean(dirpath)}
-			p.mu.Unlock()
+			p.attrs.setRoot(fh, path.Clean(dirpath))
 		}
 	}
 	return res, stat
@@ -415,10 +402,11 @@ func (p *Proxy) handleNFS(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accept
 		return p.handleCommit(c, tr)
 	case nfs3.ProcSetattr:
 		return p.handleSetattr(c, tr)
-	case nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink:
-		return p.handleNewObject(c, tr)
-	case nfs3.ProcRemove, nfs3.ProcRename:
-		return p.handleNamespaceChange(c, tr)
+	case nfs3.ProcReadlink:
+		return p.handleReadlink(c, tr)
+	case nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink, nfs3.ProcMknod,
+		nfs3.ProcRemove, nfs3.ProcRmdir, nfs3.ProcRename, nfs3.ProcLink:
+		return p.handleNameChange(c, tr)
 	}
 	return p.forward(c, tr)
 }
@@ -463,14 +451,21 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 // failure surfaces as a classified backend error, so journal rescue
 // and keeps-dirty handling behave identically across backends.
 func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
-	if _, err := p.beWrite(fh, off, data, nil, time.Time{}, false); err != nil {
+	attr, err := p.beWrite(fh, off, data, nil, time.Time{}, false)
+	if err != nil {
 		return err
+	}
+	var v fileView
+	if attr != nil {
+		v = p.attrs.sawSize(fh, attr.Size, fromFlush)
+	} else {
+		v, _ = p.attrs.get(fh)
 	}
 	if p.cfg.BlockCache != nil {
 		// A coalesced write-back covers several blocks; close each
 		// block's dirty-lifecycle entry.
 		bs := uint64(p.cfg.BlockCache.BlockSize())
-		label := p.fileLabel(fh)
+		label := v.labelOf(fh)
 		for rem, b := len(data), off/bs; rem > 0; b++ {
 			n := int(bs)
 			if rem < n {
@@ -483,88 +478,61 @@ func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
 	return nil
 }
 
-// --- path and size tracking ---
-
-func (p *Proxy) rememberPath(obj nfs3.FH, dir nfs3.FH, name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	dirInfo, ok := p.paths[dir.Key()]
-	if !ok {
-		return
-	}
-	p.paths[obj.Key()] = pathInfo{
-		parent: dir.Key(),
-		name:   name,
-		full:   path.Join(dirInfo.full, name),
-	}
-}
-
-func (p *Proxy) pathOf(fh nfs3.FH) (pathInfo, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	info, ok := p.paths[fh.Key()]
-	return info, ok
-}
-
-func (p *Proxy) rememberSize(fh nfs3.FH, size uint64) {
-	p.mu.Lock()
-	p.sizes[fh.Key()] = size
-	p.mu.Unlock()
-}
-
-// bumpSize raises the shadow size to at least size. Upstream replies
-// only ever grow it: between flushes the origin does not know the
-// session's absorbed writes, so its smaller size is the stale one.
-// SETATTR-size and REMOVE are the only shrinkers.
-func (p *Proxy) bumpSize(fh nfs3.FH, size uint64) {
-	p.mu.Lock()
-	if cur, ok := p.sizes[fh.Key()]; !ok || size > cur {
-		p.sizes[fh.Key()] = size
-	}
-	p.mu.Unlock()
-}
-
-func (p *Proxy) sizeOf(fh nfs3.FH) (uint64, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	sz, ok := p.sizes[fh.Key()]
-	return sz, ok
-}
-
 // --- procedure handlers ---
+
+// answersLocally: only a proxy that holds the session's data owns its
+// attributes too — the same condition that lets a READ hit be served
+// without revalidation. The cache-less relay keeps forwarding.
+func (p *Proxy) answersLocally() bool { return p.cfg.BlockCache != nil }
+
+// attrHit and attrMiss account one LOOKUP/GETATTR/READLINK the table did
+// or did not answer; a hit shows in the call's trace as its only span.
+func (p *Proxy) attrHit(proc uint32, tr *obs.Active, start time.Time) {
+	p.stats.attrHits[proc].Add(1)
+	tr.Span(obs.LayerAttrTable, "hit", start)
+}
 
 func (p *Proxy) handleLookup(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	args, err := nfs3.DecodeLookupArgs(c.Args)
 	if err != nil {
 		return nil, sunrpc.GarbageArgs
 	}
+	if args.Name == "." || args.Name == ".." {
+		return p.forward(c, tr) // a second name for a directory filed elsewhere
+	}
+	if p.answersLocally() {
+		start := time.Now()
+		if fh, v, ok := p.attrs.child(args.Dir, args.Name); ok && (len(fh) == 0 || v.hasAttr) {
+			r := nfs3.LookupRes{Status: nfs3.ErrNoEnt}
+			if len(fh) > 0 {
+				r.Status, r.Object, r.ObjAttr = nfs3.OK, fh, &v.attr
+			}
+			p.attrHit(nfs3.ProcLookup, tr, start)
+			return r.Encode(), sunrpc.Success
+		}
+		p.stats.attrMisses[nfs3.ProcLookup].Add(1)
+	}
+	gen := p.attrs.generation(args.Dir, args.Name)
 	res, stat := p.forward(c, tr)
 	if stat != sunrpc.Success {
-		// Degraded mode: resolve names the session has already seen from
-		// the proxy's own path map so cached files stay reachable.
-		if p.Degraded() && p.cfg.DegradedReads {
-			if fh, ok := p.childFH(args.Dir, args.Name); ok {
-				if attr := p.synthesizedAttr(fh); attr != nil {
-					r := nfs3.LookupRes{Status: nfs3.OK, Object: fh, ObjAttr: attr}
-					return r.Encode(), sunrpc.Success
-				}
-			}
-		}
 		return res, stat
 	}
 	r, err := nfs3.DecodeLookupRes(res)
-	if err != nil || r.Status != nfs3.OK {
+	if err != nil {
 		return res, stat
 	}
-	p.rememberPath(r.Object, args.Dir, args.Name)
-	if r.ObjAttr != nil {
-		// Patch the reported size if we hold absorbed writes beyond it.
-		if shadow, ok := p.sizeOf(r.Object); ok && shadow > r.ObjAttr.Size {
-			r.ObjAttr.Size = shadow
-			r.ObjAttr.Used = shadow
-			return r.Encode(), sunrpc.Success
+	switch r.Status {
+	case nfs3.OK:
+		// The table's view goes downstream: a size the session's absorbed
+		// writes have moved past the origin's is patched into the reply.
+		if merged, ok := p.attrs.learn(r.Object, args.Dir, args.Name, r.ObjAttr, false, gen); ok && (r.ObjAttr == nil || merged != *r.ObjAttr) {
+			r.ObjAttr = &merged
+			res = r.Encode()
 		}
-		p.rememberSize(r.Object, r.ObjAttr.Size)
+	case nfs3.ErrNoEnt:
+		p.attrs.negative(args.Dir, args.Name, gen)
+	case nfs3.ErrStale:
+		p.attrs.forget(args.Dir)
 	}
 	return res, stat
 }
@@ -574,121 +542,169 @@ func (p *Proxy) handleGetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 	if err != nil {
 		return nil, sunrpc.GarbageArgs
 	}
+	if p.answersLocally() {
+		start := time.Now()
+		if v, ok := p.attrs.get(args.FH); ok && v.hasAttr {
+			p.attrHit(nfs3.ProcGetattr, tr, start)
+			return (&nfs3.GetattrRes{Status: nfs3.OK, Attr: v.attr}).Encode(), sunrpc.Success
+		}
+		p.stats.attrMisses[nfs3.ProcGetattr].Add(1)
+	}
+	gen := p.attrs.generation(args.FH, "")
 	res, stat := p.forward(c, tr)
 	if stat != sunrpc.Success {
-		// Upstream unreachable: during a session the proxy owns the
-		// file's dirty state, so attributes it can synthesize from its
-		// shadow size remain authoritative (session consistency).
-		if attr := p.synthesizedAttr(args.FH); attr != nil {
-			r := nfs3.GetattrRes{Status: nfs3.OK, Attr: *attr}
-			return r.Encode(), sunrpc.Success
-		}
 		return res, stat
 	}
 	r, err := nfs3.DecodeGetattrRes(res)
-	if err != nil || r.Status != nfs3.OK {
+	if err != nil {
 		return res, stat
 	}
-	if shadow, ok := p.sizeOf(args.FH); ok && shadow > r.Attr.Size {
-		r.Attr.Size = shadow
-		r.Attr.Used = shadow
-		return r.Encode(), sunrpc.Success
+	switch r.Status {
+	case nfs3.OK:
+		if merged, _ := p.attrs.learn(args.FH, nil, "", &r.Attr, false, gen); merged != r.Attr {
+			r.Attr = merged
+			res = r.Encode()
+		}
+	case nfs3.ErrStale:
+		p.attrs.forget(args.FH)
 	}
-	p.rememberSize(args.FH, r.Attr.Size)
 	return res, stat
 }
 
-func (p *Proxy) handleNewObject(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	// CREATE, MKDIR and SYMLINK all start with diropargs-compatible
-	// (dir, name) and reply with post_op_fh3 + post_op_attr.
-	d := xdr.NewDecoder(bytes.NewReader(c.Args))
-	dir := nfs3.DecodeFH(d)
-	name := d.String()
-	if d.Err() != nil {
+// handleReadlink answers from the target a SYMLINK through this proxy or
+// an earlier READLINK reply left in the table.
+func (p *Proxy) handleReadlink(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
+	args, err := nfs3.DecodeGetattrArgs(c.Args)
+	if err != nil {
 		return nil, sunrpc.GarbageArgs
+	}
+	if p.answersLocally() {
+		start := time.Now()
+		if v, ok := p.attrs.get(args.FH); ok && v.target != "" {
+			p.attrHit(nfs3.ProcReadlink, tr, start)
+			return (&nfs3.ReadlinkRes{Status: nfs3.OK, Attr: v.post(), Target: v.target}).Encode(), sunrpc.Success
+		}
+		p.stats.attrMisses[nfs3.ProcReadlink].Add(1)
 	}
 	res, stat := p.forward(c, tr)
 	if stat != sunrpc.Success {
 		return res, stat
 	}
-	rd := xdr.NewDecoder(bytes.NewReader(res))
-	if nfs3.Status(rd.Uint32()) == nfs3.OK {
-		obj := nfs3.DecodePostOpFH(rd)
-		attr := nfs3.DecodePostOpAttr(rd)
-		if rd.Err() == nil && obj != nil {
-			p.rememberPath(obj, dir, name)
-			if attr != nil {
-				p.rememberSize(obj, attr.Size)
-			}
-		}
+	if r, err := nfs3.DecodeReadlinkRes(res); err == nil && r.Status == nfs3.OK {
+		p.attrs.update(args.FH, r.Attr)
+		p.attrs.setTarget(args.FH, r.Target)
+	} else if err == nil && r.Status == nfs3.ErrStale {
+		p.attrs.forget(args.FH)
 	}
 	return res, stat
 }
 
-func (p *Proxy) handleNamespaceChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	// REMOVE and RENAME invalidate cached state for the affected file —
-	// and, for a RENAME onto an existing name, for the file it replaces.
-	// Their handles lose their path entries with it: one kept for a dead
-	// handle leaks, and gives childFH two answers once the name is reused.
-	d := xdr.NewDecoder(bytes.NewReader(c.Args))
-	dir := nfs3.DecodeFH(d)
-	name := d.String()
-	gone := make([]nfs3.FH, 0, 2)
-	fh, known := p.childFH(dir, name)
-	if known {
-		gone = append(gone, fh)
+// handleNameChange is the one place a call that adds, removes or moves a
+// name passes through: CREATE, MKDIR, SYMLINK, MKNOD, LINK, REMOVE, RMDIR
+// and RENAME. What the call unlinks loses its cached state before the
+// call goes upstream; every name it mentions is invalidated before and
+// after it (a LOOKUP reply that raced it is then not installed); what the
+// reply says is there, or gone, goes into the table.
+func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
+	var d xdr.Decoder
+	d.ResetBytes(c.Args)
+	var linked, toDir nfs3.FH
+	var toName, target string
+	if c.Proc == nfs3.ProcLink {
+		linked = nfs3.DecodeFH(&d)
 	}
-	var moved pathInfo // the renamed file's new entry, if both ends are known
-	if c.Proc == nfs3.ProcRename {
-		toDir := nfs3.DecodeFH(d)
-		toName := d.String()
-		if toInfo, ok := p.pathOf(toDir); ok && known {
-			moved = pathInfo{parent: toDir.Key(), name: toName, full: path.Join(toInfo.full, toName)}
-		}
-		if replaced, ok := p.childFH(toDir, toName); ok {
-			gone = append(gone, replaced)
-		}
+	dir, name := nfs3.DecodeFH(&d), d.String()
+	switch c.Proc {
+	case nfs3.ProcRename:
+		toDir, toName = nfs3.DecodeFH(&d), d.String()
+	case nfs3.ProcSymlink:
+		nfs3.DecodeSetAttr(&d)
+		target = d.String()
 	}
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
 	}
-	for _, dead := range gone {
+	var moved, dead nfs3.FH // handles the table has for what the call moves and unlinks
+	switch c.Proc {
+	case nfs3.ProcRemove, nfs3.ProcRmdir:
+		dead, _, _ = p.attrs.child(dir, name)
+	case nfs3.ProcRename:
+		// The file a RENAME replaces goes like a removed one; the renamed
+		// one keeps its entry under the new name.
+		moved, _, _ = p.attrs.child(dir, name)
+		dead, _, _ = p.attrs.child(toDir, toName)
+	}
+	if len(dead) > 0 {
 		if p.cfg.BlockCache != nil {
 			if err := p.cfg.BlockCache.InvalidateFile(dead); err != nil {
 				return nil, sunrpc.SystemErr
 			}
 		}
-		if info, ok := p.pathOf(dead); ok && p.cfg.FileCache != nil {
-			p.cfg.FileCache.Invalidate(info.full)
+		if full := p.attrs.forget(dead); full != "" && p.cfg.FileCache != nil {
+			p.cfg.FileCache.Invalidate(full)
 		}
-		p.mu.Lock()
-		delete(p.sizes, dead.Key())
-		delete(p.metas, dead.Key())
-		delete(p.paths, dead.Key())
-		p.mu.Unlock()
 		if p.ra != nil {
 			p.ra.forget(dead)
 		}
 	}
-	if moved.name != "" {
-		p.mu.Lock()
-		p.paths[fh.Key()] = moved
-		p.mu.Unlock()
-	}
-	return p.forward(c, tr)
-}
-
-// childFH finds the handle previously observed for dir/name.
-func (p *Proxy) childFH(dir nfs3.FH, name string) (nfs3.FH, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	dirKey := dir.Key()
-	for fhKey, info := range p.paths {
-		if info.parent == dirKey && info.name == name {
-			return nfs3.FH(fhKey), true
+	invalidate := func() {
+		p.attrs.invalidateName(dir, name)
+		if toDir != nil {
+			p.attrs.invalidateName(toDir, toName)
 		}
 	}
-	return nil, false
+	invalidate()
+	res, stat := p.forward(c, tr)
+	invalidate()
+	if stat != sunrpc.Success {
+		return res, stat
+	}
+
+	// Replies: CREATE/MKDIR/SYMLINK/MKNOD carry post_op_fh3 + post_op_attr
+	// when OK, LINK the file's post_op_attr always; then one wcc_data per
+	// directory, whose post-op half is the directory's new attributes.
+	d.ResetBytes(res)
+	st := nfs3.Status(d.Uint32())
+	var obj nfs3.FH
+	var attr *nfs3.Fattr
+	switch c.Proc {
+	case nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink, nfs3.ProcMknod:
+		if st == nfs3.OK {
+			obj, attr = nfs3.DecodePostOpFH(&d), nfs3.DecodePostOpAttr(&d)
+		}
+	case nfs3.ProcLink:
+		obj, attr = linked, nfs3.DecodePostOpAttr(&d)
+	}
+	dirAttr := nfs3.DecodeWccData(&d).After
+	var toAttr *nfs3.Fattr
+	if toDir != nil {
+		toAttr = nfs3.DecodeWccData(&d).After
+	}
+	if d.Err() != nil {
+		dirAttr, toAttr, st = nil, nil, nfs3.ErrIO // undecodable: learn nothing, void the directories
+	}
+	p.attrs.update(dir, dirAttr)
+	if toDir != nil {
+		p.attrs.update(toDir, toAttr)
+	}
+	switch {
+	case st == nfs3.ErrStale:
+		p.attrs.forget(dir)
+	case st != nfs3.OK:
+	case c.Proc == nfs3.ProcRemove, c.Proc == nfs3.ProcRmdir:
+		p.attrs.negative(dir, name, anyGen)
+	case c.Proc == nfs3.ProcRename:
+		p.attrs.negative(dir, name, anyGen)
+		p.attrs.learn(moved, toDir, toName, nil, false, anyGen)
+	case obj != nil:
+		// A CREATE may have truncated a file the table knew: its size is
+		// the reply's, not the larger of the two.
+		p.attrs.learn(obj, dir, name, attr, c.Proc == nfs3.ProcCreate, anyGen)
+		if target != "" {
+			p.attrs.setTarget(obj, target)
+		}
+	}
+	return res, stat
 }
 
 func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -706,10 +722,20 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 		}
 	}
 	res, stat := p.forward(c, tr)
+	if stat != sunrpc.Success {
+		return res, stat
+	}
 	// A hop that cannot SETATTR still completes the call, with
 	// NFS3ERR_NOTSUPP in the body: the size changes only on NFS3_OK.
-	if stat == sunrpc.Success && args.Attr.Size != nil && len(res) >= 4 && binary.BigEndian.Uint32(res) == uint32(nfs3.OK) {
-		p.rememberSize(args.FH, *args.Attr.Size)
+	var d xdr.Decoder
+	d.ResetBytes(res)
+	st, after := nfs3.Status(d.Uint32()), nfs3.DecodeWccData(&d).After
+	switch {
+	case d.Err() != nil:
+	case st == nfs3.ErrStale:
+		p.attrs.forget(args.FH)
+	case st == nfs3.OK:
+		p.attrs.setattr(args.FH, after, &args.Attr)
 	}
 	return res, stat
 }
@@ -725,11 +751,8 @@ func (p *Proxy) handleCommit(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acc
 		var buf bytes.Buffer
 		e := xdr.NewEncoder(&buf)
 		e.Uint32(uint32(nfs3.OK))
-		wcc := nfs3.WccData{}
-		if sz, ok := p.sizeOf(args.FH); ok {
-			attr := nfs3.Fattr{Type: nfs3.TypeReg, Size: sz, Used: sz, Nlink: 1}
-			wcc.After = &attr
-		}
+		v, _ := p.attrs.get(args.FH)
+		wcc := nfs3.WccData{After: v.post()}
 		wcc.Encode(e)
 		e.FixedOpaque(nfs3.WriteVerf[:])
 		return buf.Bytes(), sunrpc.Success

@@ -214,11 +214,11 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, block uint64) {
 	if len(targets) == 0 {
 		return
 	}
-	size, sizeKnown := p.sizeOf(fh)
+	v, _ := p.attrs.get(fh)
 	bs := uint64(p.cfg.BlockCache.BlockSize())
 	eligible := targets[:0]
 	for _, b := range targets {
-		if sizeKnown && b*bs >= size {
+		if v.hasSize && b*bs >= v.attr.Size {
 			break
 		}
 		if cached, _ := p.cfg.BlockCache.Peek(fh, b); cached {
@@ -328,7 +328,7 @@ func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
 func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult) {
 	defer r.Release()
 	if r.Attr != nil {
-		p.bumpSize(fh, r.Attr.Size)
+		p.attrs.sawSize(fh, r.Attr.Size, fromReply)
 	}
 	if len(r.Data) == 0 {
 		return

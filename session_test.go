@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	gvfs "gvfs"
@@ -380,5 +381,68 @@ func TestReadFileOfEmptyFile(t *testing.T) {
 	data, err := sess.ReadFile("/empty")
 	if err != nil || len(data) != 0 {
 		t.Errorf("empty read: len=%d err=%v", len(data), err)
+	}
+}
+
+// countingFS counts the name-space calls that reach the end server.
+type countingFS struct {
+	*memfs.FS
+	lookups, mkdirs atomic.Int64
+}
+
+func (c *countingFS) Lookup(dir nfs3.FH, name string) (nfs3.FH, nfs3.Fattr, error) {
+	c.lookups.Add(1)
+	return c.FS.Lookup(dir, name)
+}
+
+func (c *countingFS) Mkdir(dir nfs3.FH, name string, attr nfs3.SetAttr) (nfs3.FH, nfs3.Fattr, error) {
+	c.mkdirs.Add(1)
+	return c.FS.Mkdir(dir, name, attr)
+}
+
+// TestResolveAndMkdirAllRoundTrips: a path is looked up from the longest
+// prefix the session already knows, not from the root, and MkdirAll sends
+// MKDIR only for what is missing.
+func TestResolveAndMkdirAllRoundTrips(t *testing.T) {
+	fs := &countingFS{FS: memfs.New()}
+	for _, p := range []string{"/images/g0/img0.vmx", "/images/g0/img0.vmss"} {
+		if err := fs.WriteFile(p, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	calls := func(step string, f func() error, lookups, mkdirs int64) {
+		t.Helper()
+		l0, m0 := fs.lookups.Load(), fs.mkdirs.Load()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if l, m := fs.lookups.Load()-l0, fs.mkdirs.Load()-m0; l != lookups || m != mkdirs {
+			t.Errorf("%s: %d LOOKUPs and %d MKDIRs reached the server, want %d and %d", step, l, m, lookups, mkdirs)
+		}
+	}
+	stat := func(p string) func() error {
+		return func() error { _, err := sess.Stat(p); return err }
+	}
+	calls("first path", stat("/images/g0/img0.vmx"), 3, 0)
+	calls("sibling", stat("/images/g0/img0.vmss"), 1, 0)
+	calls("new tree", func() error { return sess.MkdirAll("/clones/cold-0") }, 1, 2)
+	calls("second clone directory", func() error { return sess.MkdirAll("/clones/warm-0") }, 0, 1)
+	calls("directory that exists", func() error { return sess.MkdirAll("/clones/warm-0") }, 0, 1)
+	calls("root", func() error { return sess.MkdirAll("/") }, 0, 0)
+	if _, err := sess.Stat("/clones/warm-0"); err != nil {
+		t.Error(err)
+	}
+	if err := sess.MkdirAll("/images/g0/img0.vmx/sub"); err == nil {
+		t.Error("MkdirAll under a regular file succeeded")
 	}
 }
