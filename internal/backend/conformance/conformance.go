@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gvfs/internal/backend"
+	"gvfs/internal/nfs3"
 )
 
 // Fixture is one backend instance under test, built fresh per subtest.
@@ -103,6 +104,36 @@ func Run(t *testing.T, mk Maker) {
 		}
 		if !r.EOF {
 			t.Error("read straddling EOF did not report EOF")
+		}
+	})
+
+	// A caching proxy misses in runs: one Read of up to nfs3.MaxTransfer
+	// bytes across block boundaries, whose reply it cuts into blocks.
+	t.Run("ReadRunSpansBlocks", func(t *testing.T) {
+		f := mk(t, content(fileSize))
+		for _, tc := range []struct {
+			off  uint64
+			want int
+			eof  bool
+		}{
+			{0, nfs3.MaxTransfer, false},    // whole run inside the file
+			{8192, nfs3.MaxTransfer, true},  // ends exactly at the end of the file
+			{16384, fileSize - 16384, true}, // cut short by it
+		} {
+			r, err := f.B.Read(f.File, tc.off, nfs3.MaxTransfer, backend.CallOpts{})
+			if err != nil {
+				t.Fatalf("read of a run at %d: %v", tc.off, err)
+			}
+			if !bytes.Equal(r.Data, f.Content[tc.off:tc.off+uint64(tc.want)]) {
+				t.Errorf("run at %d: %d bytes, want the file's %d", tc.off, len(r.Data), tc.want)
+			}
+			if r.EOF != tc.eof {
+				t.Errorf("run at %d: EOF=%v, want %v", tc.off, r.EOF, tc.eof)
+			}
+			if r.Attr != nil && r.Attr.Size != fileSize {
+				t.Errorf("run at %d: post-op size %d, want %d", tc.off, r.Attr.Size, fileSize)
+			}
+			r.Release()
 		}
 	})
 

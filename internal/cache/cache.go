@@ -590,6 +590,8 @@ func (c *Cache) Peek(fh nfs3.FH, block uint64) (cached, dirty bool) {
 
 // Put inserts or updates a block. dirty marks the frame for later
 // write-back (callers must only set it under the WriteBack policy).
+// A clean Put never replaces a dirty frame: it returns nil and the
+// frame keeps its bytes (session data wins over a copy of upstream's).
 // If inserting requires evicting a dirty victim, the victim is
 // propagated through the WriteBackFunc first (with the stripe lock
 // released during the RPC); its error aborts the insertion.
@@ -600,20 +602,42 @@ func (c *Cache) Peek(fh nfs3.FH, block uint64) (cached, dirty bool) {
 // its bank writes, so "latest journal record" and "current frame
 // content" can never disagree about which write is newest.
 func (c *Cache) Put(fh nfs3.FH, block uint64, data []byte, dirty bool) error {
-	return c.put(fh, block, data, dirty, true)
+	mode := putClean
+	if dirty {
+		mode = putDirty
+	}
+	return c.put(fh, block, data, mode, true)
 }
+
+// Overwrite replaces a block's bytes with what upstream now holds (a
+// write-through has just put them there). A frame still dirty from an
+// earlier absorbed write takes the bytes and stays dirty, journaled like
+// any dirty Put; every other block becomes a clean one. Like Put's rule
+// it is decided under the frame's pin, not by a Peek before the call.
+func (c *Cache) Overwrite(fh nfs3.FH, block uint64, data []byte) error {
+	return c.put(fh, block, data, putKeep, true)
+}
+
+// putMode is what an insert does about the dirty bit.
+type putMode uint8
+
+const (
+	putClean putMode = iota // stands aside for a dirty frame
+	putDirty
+	putKeep // replaces the bytes; dirty exactly if the frame was
+)
 
 // put is Put with journaling controllable: recovery re-inserts
 // journaled data with journal=false so replayed blocks are not
 // re-appended to the log they came from.
-func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) error {
+func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal bool) error {
 	if len(data) > c.cfg.BlockSize {
 		return fmt.Errorf("cache: block of %d bytes exceeds frame size %d", len(data), c.cfg.BlockSize)
 	}
-	if c.cfg.ReadOnly && dirty {
+	if c.cfg.ReadOnly && mode == putDirty {
 		return fmt.Errorf("cache: dirty insertion into read-only cache")
 	}
-	journal = journal && dirty && c.journal != nil
+	journal = journal && c.journal != nil // and only a dirty result is journaled
 	sum := crc32c(data)
 	id := BlockID{FH: fh.Key(), Block: block}
 	if c.dedup != nil {
@@ -635,6 +659,18 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) 
 				s.unpinExcl(fr)
 				continue
 			}
+			if fr.dirty && mode == putClean {
+				// A clean insert is a copy of what upstream held when it
+				// was read; the dirty frame is an acknowledged write
+				// upstream has not seen. Decided under the pin, so a
+				// READ reply that lands after the WRITE was absorbed
+				// cannot replace it, whatever the two calls' order.
+				s.unpinExcl(fr)
+				s.mu.Unlock()
+				return nil
+			}
+			dirty := mode == putDirty || fr.dirty
+			journal := journal && dirty
 			if journal {
 				if err := c.journalAppend(s, id, data); err != nil {
 					// Nothing touched the frame yet: keep the cached
@@ -657,7 +693,8 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) 
 			}
 			fr.size = uint32(len(data))
 			fr.crc = sum
-			fr.dirty = fr.dirty || dirty
+			fr.dirty = dirty
+			c.unbindDirty(id, dirty)
 			s.clock++
 			fr.lru = s.clock
 			s.unpinExcl(fr)
@@ -696,6 +733,8 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) 
 		}
 		fr := &c.frames[victim]
 		fr.excl = true // immediate: the victim is unpinned
+		dirty := mode == putDirty
+		journal := journal && dirty
 
 		if fr.valid && fr.dirty {
 			if err := c.writeBackFrame(s, victim); err != nil {
@@ -747,12 +786,23 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, dirty, journal bool) 
 		fr.dirty = dirty
 		fr.lru = s.clock
 		s.stats.Insertions++
+		c.unbindDirty(id, dirty)
 		s.unpinExcl(fr)
 		s.mu.Unlock()
 		if c.cfg.Tap != nil {
 			c.cfg.Tap.CacheInsert(id, dirty)
 		}
 		return nil
+	}
+}
+
+// unbindDirty drops the dedup binding of a block whose frame has just
+// turned dirty, with the stripe lock held (dedup.mu is a leaf under it).
+// put unbinds every insert on entry; this second time orders the unbind
+// after the dirty bit, which is what PutDedup's alias path checks for.
+func (c *Cache) unbindDirty(id BlockID, dirty bool) {
+	if dirty && c.dedup != nil {
+		c.dedup.forget(id)
 	}
 }
 

@@ -473,3 +473,89 @@ func TestConcurrentPutDuringWriteBack(t *testing.T) {
 		t.Errorf("dirty = %d", c.DirtyCount())
 	}
 }
+
+// TestCleanPutLeavesDirtyFrame: a clean insert is a copy of what
+// upstream held when it was read and may arrive after a write of the
+// same block was absorbed. It never replaces the dirty frame — through
+// Put, and through PutDedup both where it would have written the frame
+// and where it would have bound the block to another frame's content.
+func TestCleanPutLeavesDirtyFrame(t *testing.T) {
+	for _, dedup := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.Dedup = dedup
+		c := newTestCache(t, cfg)
+		var flushed []byte
+		c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
+			flushed = append([]byte(nil), data...)
+			return nil
+		})
+		written, old := bytes.Repeat([]byte{0x11}, 512), bytes.Repeat([]byte{0x22}, 512)
+		if err := c.PutDedup(fhB, 0, old, false); err != nil { // the old content, cached under another identity
+			t.Fatal(err)
+		}
+		if err := c.Put(fhA, 3, written, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, put := range []func(nfs3.FH, uint64, []byte, bool) error{c.Put, c.PutDedup} {
+			if err := put(fhA, 3, old, false); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := c.Get(fhA, 3); !ok || !bytes.Equal(got, written) {
+				t.Fatalf("dedup=%v: the dirty frame's bytes were replaced", dedup)
+			}
+			if _, dirty := c.Peek(fhA, 3); !dirty {
+				t.Fatalf("dedup=%v: the frame is no longer dirty", dedup)
+			}
+			if n := c.DedupRefCount(fhA, 3); n != 0 {
+				t.Fatalf("dedup=%v: the dirty block is bound to shared content (%d refs)", dedup, n)
+			}
+		}
+		if err := c.WriteBackAll(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flushed, written) {
+			t.Errorf("dedup=%v: the flush carried something other than the written bytes", dedup)
+		}
+		// Clean again, the frame takes clean inserts as before.
+		if err := c.Put(fhA, 3, old, false); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.Get(fhA, 3); !ok || !bytes.Equal(got, old) {
+			t.Errorf("dedup=%v: a clean frame did not take a clean insert", dedup)
+		}
+	}
+}
+
+// TestOverwriteKeepsDirtyBit: Overwrite is the insert of a write-through
+// that upstream already holds. A dirty frame takes the bytes and stays
+// dirty — its flush then carries them — and a clean or absent block
+// becomes a clean one.
+func TestOverwriteKeepsDirtyBit(t *testing.T) {
+	c := newTestCache(t, smallConfig())
+	var flushed []byte
+	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
+		flushed = append([]byte(nil), data...)
+		return nil
+	})
+	first, second := bytes.Repeat([]byte{0x11}, 512), bytes.Repeat([]byte{0x22}, 512)
+	if err := c.Put(fhA, 3, first, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []uint64{3, 4, 4} { // dirty, absent, clean
+		if err := c.Overwrite(fhA, block, second); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.Get(fhA, block); !ok || !bytes.Equal(got, second) {
+			t.Fatalf("block %d does not hold the overwriting bytes", block)
+		}
+		if _, dirty := c.Peek(fhA, block); dirty != (block == 3) {
+			t.Fatalf("block %d: dirty=%v", block, dirty)
+		}
+	}
+	if err := c.WriteBackAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flushed, second) {
+		t.Error("the flush of the overwritten dirty frame carried its old bytes")
+	}
+}

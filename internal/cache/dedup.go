@@ -187,6 +187,14 @@ func (c *Cache) PutDedup(fh nfs3.FH, block uint64, data []byte, dirty bool) erro
 				e.refs[id] = struct{}{}
 				d.byID[id] = e
 				d.mu.Unlock()
+				// The ID's own frame may hold an absorbed write (dirty
+				// data is never deduplicated): an alias would outlive
+				// it and serve the old content. A dirty Put unbinds as
+				// its frame turns dirty, so checking after registering
+				// leaves no order of the two in which the alias stays.
+				if _, frDirty, live := c.frameMeta(id); live && frDirty {
+					d.forget(id)
+				}
 				return nil
 			}
 			d.mu.Unlock()
@@ -198,7 +206,11 @@ func (c *Cache) PutDedup(fh nfs3.FH, block uint64, data []byte, dirty bool) erro
 	if err := c.Put(fh, block, data, false); err != nil {
 		return err
 	}
-	d.register(id, h, crc32c(data), uint32(len(data)))
+	sum := crc32c(data)
+	if crc, frDirty, live := c.frameMeta(id); !live || frDirty || crc != sum {
+		return nil // the clean insert stood aside for a dirty frame
+	}
+	d.register(id, h, sum, uint32(len(data)))
 	return nil
 }
 

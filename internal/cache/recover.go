@@ -76,7 +76,7 @@ func (c *Cache) RecoverJournal() (RecoveryReport, error) {
 		if c.rearmFrame(e.id, e.data) {
 			continue
 		}
-		if err := c.put(nfs3.FH(e.id.FH), e.id.Block, e.data, true, false); err != nil {
+		if err := c.put(nfs3.FH(e.id.FH), e.id.Block, e.data, putDirty, false); err != nil {
 			return rep, fmt.Errorf("cache: journal restore (fh %x block %d): %w", e.id.FH, e.id.Block, err)
 		}
 		c.journal.restores.Add(1)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"path"
 	"sync"
+	"sync/atomic"
 
 	"gvfs/internal/nfs3"
 )
@@ -31,6 +32,9 @@ const attrTableCap = 64 << 10
 
 // anyGen installs unconditionally (see attrTable.gens).
 const anyGen = ^uint64(0)
+
+// attrStripes is how many ways attrTable.gens and .writes are striped.
+const attrStripes = 256
 
 type nameKey struct{ dir, name string }
 
@@ -104,7 +108,14 @@ type attrTable struct {
 	// handle without a path (no file channel, no zero filter) for as long
 	// as its client's own dentry cache spares it the next LOOKUP — one
 	// counter took wan_clone's two clients to 4x the cold-clone time.
-	gens [256]uint64
+	gens [attrStripes]uint64
+	// writes orders the data a READ brought back against the WRITEs of
+	// the file that upstream answered meanwhile, in the same stripes. A
+	// block cached ahead of demand (the rest of a miss run, a prefetch)
+	// stays cached only if its file's count is what it was when the
+	// READ left: otherwise the bytes may predate a write this session
+	// has since flushed. Not reset by Flush, read without mu.
+	writes [attrStripes]atomic.Uint64
 }
 
 func newAttrTable(holdsData bool) *attrTable {
@@ -114,7 +125,7 @@ func newAttrTable(holdsData bool) *attrTable {
 	return t
 }
 
-func (t *attrTable) stripe(fh nfs3.FH, name string) *uint64 {
+func stripeOf(fh nfs3.FH, name string) uint32 {
 	h := uint32(2166136261) // FNV-1a
 	for _, b := range fh {
 		h = (h ^ uint32(b)) * 16777619
@@ -122,8 +133,17 @@ func (t *attrTable) stripe(fh nfs3.FH, name string) *uint64 {
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint32(name[i])) * 16777619
 	}
-	return &t.gens[h%uint32(len(t.gens))]
+	return h % attrStripes
 }
+
+func (t *attrTable) stripe(fh nfs3.FH, name string) *uint64 { return &t.gens[stripeOf(fh, name)] }
+
+// writeSeq is what a READ about to go upstream for blocks of fh hands
+// back to Proxy.keepAhead with the reply.
+func (t *attrTable) writeSeq(fh nfs3.FH) uint64 { return t.writes[stripeOf(fh, "")].Load() }
+
+// wroteUpstream records that upstream has answered a WRITE of fh.
+func (t *attrTable) wroteUpstream(fh nfs3.FH) { t.writes[stripeOf(fh, "")].Add(1) }
 
 // generation is what a caller about to ask upstream about fh (name "") or
 // fh/name hands back to learn or negative with the reply.

@@ -70,6 +70,10 @@ func (p *Proxy) beWrite(fh nfs3.FH, off uint64, data []byte, tr *obs.Active, dea
 	}
 	upStart := time.Now()
 	attr, err := p.cfg.Backend.Write(backend.FileID(fh), off, data, beOpts(tr, deadline))
+	// Before the caller marks anything clean: from here on a READ that
+	// left earlier may hold bytes older than upstream's (a WRITE that
+	// failed may have been applied all the same).
+	p.attrs.wroteUpstream(fh)
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
 	p.observeUpstream(err)
 	return attr, err
@@ -126,21 +130,27 @@ func backendWriteError(err error) ([]byte, sunrpc.AcceptStat) {
 
 // readResultReply encodes a successful backend read as the NFS READ
 // reply, into a pooled buffer released by the RPC server (ReplyBuf),
-// and with that copy made releases r. The post-op attribute is the
+// and with that copy made releases r. The client gets the count bytes it
+// asked for — a miss run brings more — and is told of the end of the
+// file only when it lies inside them. The post-op attribute is the
 // table's when it has the file's whole fattr3, else what the backend's
 // three fields make.
-func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult, v *fileView) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult, count uint32, v *fileView) ([]byte, sunrpc.AcceptStat) {
+	data, eof := r.Data, r.EOF
+	if len(data) > int(count) {
+		data, eof = data[:count], false
+	}
 	res := nfs3.ReadRes{
 		Status: nfs3.OK,
-		Count:  uint32(len(r.Data)),
-		EOF:    r.EOF,
-		Data:   r.Data,
+		Count:  uint32(len(data)),
+		EOF:    eof,
+		Data:   data,
 		Attr:   v.post(),
 	}
 	if res.Attr == nil {
 		res.Attr = nfs3be.FattrOf(r.Attr)
 	}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(r.Data)))[:0])
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
 	r.Release()
 	return c.ReplyBuf, sunrpc.Success
 }
@@ -163,7 +173,7 @@ func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *ba
 }
 
 // readThrough satisfies a READ that bypasses the block cache — none
-// configured, or an unaligned request.
+// configured, or a request readUncached sent here.
 func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
 	if !p.useBackendIO() {
 		res, stat := p.forward(c, tr)
@@ -178,7 +188,7 @@ func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr
 	if r.Attr != nil {
 		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
 	}
-	res, stat := p.readResultReply(c, r, v)
+	res, stat := p.readResultReply(c, r, args.Count, v)
 	p.accountRead(c, v, args.FH, args.Offset, "forwarded", args.Count, start)
 	return res, stat
 }

@@ -222,3 +222,73 @@ func TestWriteThroughMultiBlockCoherent(t *testing.T) {
 		}
 	}
 }
+
+// TestCascadedMissRunsServedByLevelTwo is the read mirror of
+// TestCascadedFlushAbsorbedInRuns: a first level that misses in runs
+// sends the level above READs of several blocks. The second level
+// fetches each as one run of its own — one miss per first-level miss —
+// and installs it, so once the first level has forgotten the file a
+// second cold pass is all second-level hits and nothing reaches the
+// origin. A second level that treated those READs as unaligned would
+// relay every one of them.
+func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
+	fs := memfs.New()
+	payload := patterned(5*nfs3.MaxTransfer+cascadeBS+100, 0x33)
+	fs.WriteFile("/golden.img", payload)
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Close)
+	level2 := cascadeProxy(t, server.ProxyAddr(), cache.WriteBack)
+	level1 := cascadeProxy(t, level2.Addr, cache.WriteBack)
+	sess := cascadeMount(t, level1.Addr)
+	nc := sess.NFS()
+	fh, _, err := nc.Lookup(sess.Root(), "golden.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := func(n *stack.Node, name string) uint64 { return n.Proxy.Snapshot().Counter(name) }
+	scan := func(pass string) {
+		t.Helper()
+		var got []byte
+		for eof := false; !eof; {
+			var data []byte
+			if data, eof, err = nc.Read(fh, uint64(len(got)), cascadeBS); err != nil {
+				t.Fatalf("%s pass: READ at %d: %v", pass, len(got), err)
+			}
+			got = append(got, data...)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s pass: %d bytes, want %d byte-identical", pass, len(got), len(payload))
+		}
+	}
+
+	scan("first")
+	misses1 := counter(level1, "gvfs_proxy_read_misses_total")
+	// Block 0 alone, the rest of its run, four full runs, and the last
+	// block and a half.
+	if want := uint64(1 + 1 + 4 + 1); misses1 != want {
+		t.Fatalf("first level missed %d times over a sequential scan, want %d (runs)", misses1, want)
+	}
+	if m, h := counter(level2, "gvfs_proxy_read_misses_total"), counter(level2, "gvfs_proxy_read_hits_total"); m != misses1 || h != 0 {
+		t.Errorf("second level: %d misses, %d hits for the first level's %d run READs; want one miss each", m, h, misses1)
+	}
+
+	// The first level ends its session: its blocks and attributes go,
+	// the second level keeps its own.
+	if err := level1.Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	origin := counter(server.Proxy, "gvfs_proxy_calls_total")
+	scan("second")
+	if m := counter(level1, "gvfs_proxy_read_misses_total") - misses1; m != misses1 {
+		t.Errorf("first level missed %d times on its second cold pass, want %d", m, misses1)
+	}
+	if m, h := counter(level2, "gvfs_proxy_read_misses_total"), counter(level2, "gvfs_proxy_read_hits_total"); m != misses1 || h != misses1 {
+		t.Errorf("second level after the second pass: %d misses, %d hits; want %d and %d (every run READ a hit)", m, h, misses1, misses1)
+	}
+	if n := counter(server.Proxy, "gvfs_proxy_calls_total") - origin; n != 0 {
+		t.Errorf("%d calls reached the origin during the second pass, want 0", n)
+	}
+}

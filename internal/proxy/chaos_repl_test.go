@@ -256,10 +256,12 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 	}
 	// Warm the latency distribution past the hedge arming threshold:
 	// 32 distinct blocks, each a cache miss, almost all served by the
-	// fast replica once the EWMA ordering settles.
+	// fast replica once the EWMA ordering settles. The blocks are a miss
+	// run apart, so none has its predecessor resident and every READ is
+	// one backend read.
 	buf := make([]byte, 8192)
 	for i := 0; i < 32; i++ {
-		off := int64(i) * 8192
+		off := int64(i) * nfs3.MaxTransfer
 		if _, err := f.ReadAt(buf, off); err != nil {
 			t.Fatalf("warm read %d: %v", i, err)
 		}
@@ -276,8 +278,8 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 	// shaped-but-live replica in a few milliseconds.
 	c.links[0].Stall(3 * time.Second)
 	start := time.Now()
-	for i := 32; i < 40; i++ {
-		off := int64(i) * 8192
+	for i := 0; i < 8; i++ {
+		off := int64(i)*nfs3.MaxTransfer + 2*8192 // mid-run, predecessor never read
 		if _, err := f.ReadAt(buf, off); err != nil {
 			t.Fatalf("stalled read %d: %v", i, err)
 		}

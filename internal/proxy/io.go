@@ -87,23 +87,25 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		return p.readThrough(c, &args, v, tr, start)
 	}
 	bs := uint64(p.cfg.BlockCache.BlockSize())
-	if args.Offset%bs != 0 || uint64(args.Count) > bs {
-		// Unaligned read: ensure dirty state is visible upstream, then
-		// bypass the cache.
-		if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
-			return nil, sunrpc.SystemErr
-		}
-		return p.readThrough(c, &args, v, tr, start)
+	// What the cache answers starts on a block boundary and asks for part
+	// of one block or for whole blocks up to one transfer: a client's
+	// page, or the miss run of a caching proxy below this one (cascaded
+	// caches, paper §3.2.1).
+	count := uint64(args.Count)
+	k := max(count/bs, 1)
+	whole := count == k*bs // else part of one block: answered, never cached
+	if args.Offset%bs != 0 || count > nfs3.MaxTransfer || (count > bs && count%bs != 0) {
+		return p.readUncached(c, &args, v, tr, start)
 	}
-	block := args.Offset / bs
+	first := args.Offset / bs
 	lookup := time.Now()
-	if res, stat, ok := p.serveBlockHit(c, &args, v, block, tr, lookup, start); ok {
+	if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, lookup, start); ok {
 		return res, stat
 	}
 	// A prefetch of this block may already be in flight: join it
 	// rather than duplicating the WAN transfer.
-	if p.ra != nil && p.ra.waitFor(args.FH, block) {
-		if res, stat, ok := p.serveBlockHit(c, &args, v, block, tr, lookup, start); ok {
+	if p.ra != nil && p.ra.waitFor(args.FH, first) {
+		if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, lookup, start); ok {
 			return res, stat
 		}
 	}
@@ -114,12 +116,21 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// transfer. Zero-content blocks need no frame at all (the paper's
 	// zero-block map generalized to the well-known zero hash). Local
 	// work, so it runs even under brownout.
-	if uint64(args.Count) == bs && p.cfg.BlockCache.DedupEnabled() {
+	if count == bs && p.cfg.BlockCache.DedupEnabled() {
 		if hr, ok := p.cfg.Backend.(backend.Hasher); ok {
-			if h, n, ok := hr.BlockHash(backend.FileID(args.FH), block, int(bs)); ok {
-				if res, stat, ok := p.serveByHash(c, &args, v, block, h, n, tr, lookup, start); ok {
+			if h, n, ok := hr.BlockHash(backend.FileID(args.FH), first, int(bs)); ok {
+				if res, stat, ok := p.serveByHash(c, &args, v, first, h, n, tr, lookup, start); ok {
 					return res, stat
 				}
+			}
+		}
+	}
+	// Several blocks, not all resident, one of them an absorbed write:
+	// upstream cannot answer for the range until it has the write.
+	if k > 1 {
+		for b := first; b < first+k; b++ {
+			if _, dirty := p.cfg.BlockCache.Peek(args.FH, b); dirty {
+				return p.readUncached(c, &args, v, tr, start)
 			}
 		}
 	}
@@ -131,7 +142,17 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		return res, stat
 	}
 	p.stats.readMisses.Add(1)
-	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
+	// Miss in runs: what a miss costs is the upstream call, not the bytes,
+	// so a sequential miss brings the rest of its aligned run with it and
+	// the READs that follow are hits. Only whole-block requests are
+	// cached, so that a frame is always its block's prefix; a run of one
+	// block is the plain miss.
+	fetch := args.Count
+	seq := p.attrs.writeSeq(args.FH)
+	if whole {
+		fetch = uint32((p.missRunEnd(args.FH, v, first, first+k, bs) - first) * bs)
+	}
+	r, err := p.beRead(args.FH, args.Offset, fetch, tr, c.Deadline, true)
 	if err != nil {
 		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
 		return p.backendReadError(args.FH, err)
@@ -139,17 +160,101 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	if r.Attr != nil {
 		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
 	}
-	// Only cache full-block requests so a frame always represents the
-	// block's prefix from its aligned start.
-	if uint64(args.Count) == bs && len(r.Data) > 0 {
-		if err := p.cfg.BlockCache.PutDedup(args.FH, block, r.Data, false); err != nil {
+	if whole {
+		if err := p.installRun(args.FH, first, k, r, seq); err != nil {
 			return nil, sunrpc.SystemErr // r is left to the GC
 		}
 	}
-	p.maybePrefetch(args.FH, block)
-	res, stat := p.readResultReply(c, r, v) // releases r: cache frame and reply are its two copies
+	p.maybePrefetch(args.FH, first+k-1)
+	res, stat := p.readResultReply(c, r, args.Count, v) // releases r: cache frames and reply are its copies
 	p.accountRead(c, v, args.FH, args.Offset, "block_miss", args.Count, start)
 	return res, stat
+}
+
+// readUncached answers a READ the block cache cannot: dirty state is
+// made visible upstream first, then the call bypasses the cache.
+func (p *Proxy) readUncached(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
+	if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
+		return nil, sunrpc.SystemErr
+	}
+	return p.readThrough(c, args, v, tr, start)
+}
+
+// missRunEnd decides how far past the demanded blocks [first, end) the
+// miss's one upstream READ goes. Evidence that the client is scanning is
+// that the block before the miss is resident — it needs no per-file
+// state and a random miss over a cold cache almost never has it. With
+// it the run goes to the end of its nfs3.MaxTransfer-aligned window (so
+// runs tile a file however the scan entered it, and never exceed what
+// any server here transfers), cut short at the first block already
+// cached — clean or dirty — and at a known end of file.
+func (p *Proxy) missRunEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
+	bc := p.cfg.BlockCache
+	if first == 0 {
+		return end
+	}
+	if cached, _ := bc.Peek(fh, first-1); !cached {
+		return end
+	}
+	per := nfs3.MaxTransfer / bs
+	for limit := (first/per + 1) * per; end < limit; end++ {
+		if v.hasSize && end*bs >= v.attr.Size {
+			break
+		}
+		if cached, _ := bc.Peek(fh, end); cached {
+			break
+		}
+	}
+	return end
+}
+
+// installRun caches what one upstream READ from block first on brought
+// back: every whole block, and a short last one only where the file ends
+// there (a frame is its block's prefix up to the end of the file). A
+// block that was dirtied meanwhile keeps its bytes — the cache decides
+// that under the frame's pin. Blocks past the demanded ones are a bonus:
+// their insertion may fail without failing the READ, and they stay only
+// under keepAhead's rule.
+func (p *Proxy) installRun(fh nfs3.FH, first, demanded uint64, r backend.ReadResult, seq uint64) error {
+	bs := p.cfg.BlockCache.BlockSize()
+	rest := r.Data
+	for i := uint64(0); len(rest) > 0; i++ {
+		piece := rest[:min(len(rest), bs)]
+		rest = rest[len(piece):]
+		if len(piece) < bs && !r.EOF {
+			break
+		}
+		if err := p.cfg.BlockCache.PutDedup(fh, first+i, piece, false); err != nil {
+			if i < demanded {
+				return err
+			}
+			break
+		}
+		if i >= demanded {
+			p.keepAhead(fh, first+i, seq)
+		}
+	}
+	return nil
+}
+
+// keepAhead settles a block just cached clean that no client has asked
+// for yet — the rest of a miss run, a prefetch. seq is the file's write
+// sequence from before its READ went upstream. If upstream has answered
+// a WRITE of the file since (a flush, an eviction's write-back, a
+// write-through), the bytes may be older than what it wrote, and the
+// frame that would have refused them, being dirty, may be clean or gone
+// by now: the block is dropped again. The sequence moves before a frame
+// turns clean and is compared after the insert, so no order of the two
+// leaves old bytes cached; a dirty frame met here is a newer write still
+// and InvalidateBlock writes it back first. A demanded block is not held
+// to this: its client raced the WRITE itself. The blocks that stay are
+// the ones gvfs_proxy_prefetched_total counts.
+func (p *Proxy) keepAhead(fh nfs3.FH, block, seq uint64) {
+	if p.attrs.writeSeq(fh) != seq {
+		p.cfg.BlockCache.InvalidateBlock(fh, block)
+		return
+	}
+	p.stats.prefetched.Add(1)
 }
 
 // serveByHash tries to satisfy a missed block read by content: a known
@@ -159,7 +264,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, h backend.Hash, n uint32, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
 	if backend.IsZeroHash(h, int(n)) {
 		p.stats.zeroFiltered.Add(1)
-		res, stat := p.cachedReadReply(c, args, v, make([]byte, n))
+		res, stat := p.cachedReadReply(c, args, v, make([]byte, n), p.cfg.BlockCache.BlockSize())
 		tr.Span(obs.LayerZeroFilter, "hit", lookup)
 		p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
 		return res, stat, true
@@ -173,46 +278,57 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 	tr.Span(obs.LayerBlockCache, "dedup_hit", lookup)
 	p.stats.readHits.Add(1)
 	p.maybePrefetch(args.FH, block)
-	res, stat := p.cachedReadReply(c, args, v, data)
+	res, stat := p.cachedReadReply(c, args, v, data, len(buf))
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
 	return res, stat, true
 }
 
-// serveBlockHit serves a READ from the block cache when present, using
-// pooled buffers end to end: the frame is read into a pooled block
-// buffer, the reply encoded into a pooled results buffer that the RPC
-// server releases after framing (Call.ReplyBuf). The boolean
-// reports whether the block was cached.
-func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
-	buf := bufpool.Get(p.cfg.BlockCache.BlockSize())
-	data, ok := p.cfg.BlockCache.GetInto(args.FH, block, buf)
-	if !ok {
-		bufpool.Put(buf)
-		return nil, 0, false
+// serveBlockHit serves a READ of k blocks from the block cache when all
+// of them are present (clean or dirty: session data wins), using pooled
+// buffers end to end: the frames are read into a pooled buffer, the
+// reply encoded into a pooled results buffer that the RPC server
+// releases after framing (Call.ReplyBuf). A short frame ends the reply.
+// The boolean reports whether the blocks were cached.
+func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+	bs := p.cfg.BlockCache.BlockSize()
+	buf := bufpool.Get(int(k) * bs)
+	data := buf[:0]
+	for b := first; b < first+k; b++ {
+		n := len(data)
+		blk, ok := p.cfg.BlockCache.GetInto(args.FH, b, buf[n:n+bs])
+		if !ok {
+			bufpool.Put(buf)
+			return nil, 0, false
+		}
+		data = append(data, blk...) // in place, but for the journal's copy of a torn frame
+		if len(blk) < bs {
+			break
+		}
 	}
 	tr.Span(obs.LayerBlockCache, "hit", lookup)
 	p.stats.readHits.Add(1)
-	p.maybePrefetch(args.FH, block)
-	res, stat := p.cachedReadReply(c, args, v, data)
+	p.maybePrefetch(args.FH, first+k-1)
+	res, stat := p.cachedReadReply(c, args, v, data, int(k)*bs)
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
 	return res, stat, true
 }
 
-// cachedReadReply serves a READ hit, trimming to the requested count
-// and to the known file size. The reply is encoded into a pooled
-// buffer released by the RPC server (ReplyBuf); blockData is only
+// cachedReadReply serves a READ hit from the cached bytes of the span
+// whole blocks it covers, trimming to the requested count and to the
+// known file size. The reply is encoded into a pooled
+// buffer released by the RPC server (ReplyBuf); cached is only
 // read before returning, so the caller may release it immediately.
-func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, blockData []byte) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, cached []byte, span int) ([]byte, sunrpc.AcceptStat) {
 	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
-	data := blockData
+	data := cached
 	if uint64(len(data)) > uint64(args.Count) {
 		data = data[:args.Count]
 	}
-	eof := len(blockData) < p.cfg.BlockCache.BlockSize()
+	eof := len(cached) < span
 	if size := v.attr.Size; v.hasSize {
 		end := args.Offset + uint64(len(data))
 		if args.Offset >= size {
@@ -495,7 +611,10 @@ func (p *Proxy) coherentAfterWrite(args *nfs3.WriteArgs) error {
 		lo, hi := b*bs, (b+1)*bs
 		var err error
 		if !readOnly && lo >= args.Offset && hi <= end {
-			err = bc.PutDedup(args.FH, b, args.Data[lo-args.Offset:hi-args.Offset], false)
+			// A frame still dirty from an earlier absorbed write takes
+			// the newer bytes and stays dirty; a clean insert would
+			// stand aside for it.
+			err = bc.Overwrite(args.FH, b, args.Data[lo-args.Offset:hi-args.Offset])
 		} else {
 			// Partial overlap: drop any stale frame.
 			err = bc.InvalidateBlock(args.FH, b)

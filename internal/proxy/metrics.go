@@ -68,7 +68,7 @@ func newCounters(reg *obs.Registry) *counters {
 	c.fileChanFetch = reg.Counter("gvfs_proxy_filechan_fetches_total", "Whole-file channel transfers performed.")
 	c.writesAbsorbed = reg.Counter("gvfs_proxy_writes_absorbed_total", "Writes held by write-back caching.")
 	c.writesForwarded = reg.Counter("gvfs_proxy_writes_forwarded_total", "Writes relayed upstream.")
-	c.prefetched = reg.Counter("gvfs_proxy_prefetched_total", "Blocks pulled in by sequential read-ahead.")
+	c.prefetched = reg.Counter("gvfs_proxy_prefetched_total", "Blocks installed ahead of demand, by read-ahead and miss runs.")
 	c.breakerOpens = reg.Counter("gvfs_proxy_breaker_opens_total", "Times the upstream circuit breaker tripped open.")
 	c.breakerFastFails = reg.Counter("gvfs_proxy_breaker_fastfails_total", "Calls failed fast while the breaker was open.")
 	c.probes = reg.Counter("gvfs_proxy_probes_total", "Recovery probes sent while the breaker was open.")

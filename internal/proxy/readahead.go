@@ -293,11 +293,12 @@ func (p *Proxy) prefetchPipelined(br backend.BatchReader, fh nfs3.FH, blocks []u
 		offs[i] = b * bs
 	}
 	finished := make([]bool, len(blocks))
+	seq := p.attrs.writeSeq(fh)
 	br.ReadBatch(backend.FileID(fh), offs, uint32(bs), backend.CallOpts{},
 		func(i int, r backend.ReadResult, err error) {
 			p.observeUpstream(err)
 			if err == nil {
-				p.storePrefetched(fh, blocks[i], r)
+				p.storePrefetched(fh, blocks[i], r, seq)
 			}
 			p.ra.finish(cache.BlockID{FH: fh.Key(), Block: blocks[i]})
 			finished[i] = true
@@ -315,17 +316,19 @@ func (p *Proxy) prefetchPipelined(br backend.BatchReader, fh nfs3.FH, blocks []u
 // swallowed: prefetching is best-effort and the demand path remains
 // correct without it.
 func (p *Proxy) prefetchBlock(fh nfs3.FH, block, bs uint64) {
+	seq := p.attrs.writeSeq(fh)
 	r, err := p.beRead(fh, block*bs, uint32(bs), nil, time.Time{}, false)
 	if err != nil {
 		return
 	}
-	p.storePrefetched(fh, block, r)
+	p.storePrefetched(fh, block, r, seq)
 }
 
 // storePrefetched inserts one prefetched block into the block cache,
 // through the dedup table when enabled, and releases r: the cache
-// copies into its bank.
-func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult) {
+// copies into its bank. seq is the file's write sequence from before
+// the read left (keepAhead).
+func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult, seq uint64) {
 	defer r.Release()
 	if r.Attr != nil {
 		p.attrs.sawSize(fh, r.Attr.Size, fromReply)
@@ -333,14 +336,12 @@ func (p *Proxy) storePrefetched(fh nfs3.FH, block uint64, r backend.ReadResult) 
 	if len(r.Data) == 0 {
 		return
 	}
-	// A block dirtied by a racing demand write must win.
-	if cached, dirty := p.cfg.BlockCache.Peek(fh, block); cached && dirty {
-		return
-	}
+	// A block dirtied by a racing demand write wins: a clean insert
+	// never replaces a dirty frame (cache.Put).
 	if err := p.cfg.BlockCache.PutDedup(fh, block, r.Data, false); err != nil {
 		return
 	}
-	p.stats.prefetched.Add(1)
+	p.keepAhead(fh, block, seq)
 }
 
 // rewind lowers a file's scheduled-prefetch watermark after capacity

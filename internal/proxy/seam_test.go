@@ -305,7 +305,7 @@ func (s *readSpy) arrivals() (xids, most int) {
 // killed mid-READ, r1 answers well inside one call timeout.
 func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	const callTimeout = 400 * time.Millisecond
-	content := patternPayload(64 * 1024)
+	content := patternPayload(5 * nfs3.MaxTransfer)
 	// r1 answers READs slowly, so once both have a latency score the set
 	// reads from r0 first: the failures below are r0's.
 	spies := []*readSpy{{}, {delay: 20 * time.Millisecond}}
@@ -363,7 +363,11 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readBlock := func(block uint64) error {
+	// READ i asks for the first block of the file's i-th aligned run: the
+	// block before it is never resident, so each READ is a miss of one
+	// block that reaches a replica.
+	readBlock := func(run uint64) error {
+		block := run * nfs3.MaxTransfer / 8192
 		data, _, err := nc.Read(fh, block*8192, 8192)
 		if err == nil && !bytes.Equal(data, content[block*8192:(block+1)*8192]) {
 			err = fmt.Errorf("block %d: wrong bytes", block)

@@ -8,13 +8,17 @@ package proxy_test
 // hop count incremented, and per-layer spans land at the right hop.
 
 import (
+	"bytes"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	gvfs "gvfs"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
+	"gvfs/internal/mountd"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
@@ -147,5 +151,142 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 		if hit && upstream {
 			t.Errorf("trace %d: block-cache hit still produced an upstream span", tr.ID)
 		}
+	}
+}
+
+// stampingCaller puts the trace ID of the client op in flight into each
+// call's verifier, as a traced client does: every hop then records its
+// view of the call under that ID.
+type stampingCaller struct {
+	rpc *sunrpc.Client
+	id  uint64
+}
+
+func (c *stampingCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
+	return c.rpc.CallVerf(prog, vers, proc, cred, sunrpc.TraceContext{ID: c.id}.EncodeVerf(), args)
+}
+
+// readCountingOrigin counts the READs that reach the origin file system.
+type readCountingOrigin struct {
+	nfs3.Backend
+	reads atomic.Uint64
+}
+
+func (o *readCountingOrigin) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error) {
+	o.reads.Add(1)
+	return o.Backend.Read(fh, off, count)
+}
+
+// TestTraceTiesColdScanOpsToOrigin: a cold sequential scan through client
+// proxy, server proxy and nfsd, every client READ under a trace ID of its
+// own. Each op has exactly one hop-0 record. An op that missed has an
+// upstream span there, exactly one hop-1 record continuing its ID with an
+// upstream span of its own, and exactly one origin READ inside it; an op
+// the cache answered has no upstream span, no hop-1 record and no origin
+// call. With misses in runs about one op in four is of the first kind.
+func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
+	const blocks, bs = 256, 8192
+	fs := memfs.New()
+	content := chaosPattern(blocks*bs, 5)
+	if err := fs.WriteFile("/vm.img", content); err != nil {
+		t.Fatal(err)
+	}
+	origin := &readCountingOrigin{Backend: fs}
+	nfsd, err := stack.StartNFSServer(origin, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfsd.Close()
+	server, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: nfsd.Addr, TraceRing: 4 * blocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.Addr,
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack},
+		TraceRing: 4 * blocks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	conn, err := stack.Dialer(client.Addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := sunrpc.NewClient(conn)
+	defer rpc.Close()
+	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "trace"}.Encode()
+	root, err := mountd.Mount(rpc, cred, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller := &stampingCaller{rpc: rpc}
+	nc := nfs3.NewClient(caller, cred)
+	fh, _, err := nc.Lookup(root, "vm.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	originReads := make(map[uint64]uint64, blocks) // trace ID -> origin READs during the op
+	for b := uint64(0); b < blocks; b++ {
+		caller.id = 1000 + b
+		before := origin.reads.Load()
+		data, _, err := nc.Read(fh, b*bs, bs)
+		if err != nil || !bytes.Equal(data, content[b*bs:(b+1)*bs]) {
+			t.Fatalf("READ of block %d: %d bytes, err=%v", b, len(data), err)
+		}
+		originReads[caller.id] = origin.reads.Load() - before
+	}
+
+	upstreamSpans := func(tr obs.Trace) (n int) {
+		for _, sp := range tr.Spans {
+			if sp.Layer == obs.LayerUpstream {
+				n++
+			}
+		}
+		return n
+	}
+	hop0, hop1 := map[uint64][]obs.Trace{}, map[uint64][]obs.Trace{}
+	for _, tr := range client.Tracer.Traces() {
+		if tr.Proc == "READ" {
+			hop0[tr.ID] = append(hop0[tr.ID], tr)
+		}
+	}
+	for _, tr := range server.Tracer.Traces() {
+		if tr.Proc == "READ" {
+			hop1[tr.ID] = append(hop1[tr.ID], tr)
+		}
+	}
+	missed := 0
+	for id, reads := range originReads {
+		if len(hop0[id]) != 1 || hop0[id][0].Hop != 0 {
+			t.Fatalf("op %d: hop-0 records %+v, want exactly one", id, hop0[id])
+		}
+		switch up := upstreamSpans(hop0[id][0]); {
+		case up == 0: // the cache answered
+			if reads != 0 || len(hop1[id]) != 0 {
+				t.Errorf("op %d was a hit at hop 0 but has %d origin READs and %d hop-1 records", id, reads, len(hop1[id]))
+			}
+		case up == 1:
+			missed++
+			if reads != 1 || len(hop1[id]) != 1 {
+				t.Errorf("op %d missed at hop 0: %d origin READs and %d hop-1 records, want one of each", id, reads, len(hop1[id]))
+			} else if tr := hop1[id][0]; tr.Hop != 1 || upstreamSpans(tr) != 1 || tr.DurNs > hop0[id][0].DurNs {
+				t.Errorf("op %d: hop-1 record %+v does not sit under the hop-0 one", id, tr)
+			}
+		default:
+			t.Errorf("op %d: %d upstream spans at hop 0", id, up)
+		}
+	}
+	// Block 0 alone, then 1..3, then runs of four.
+	if want := 2 + (blocks-4)/4; missed != want {
+		t.Errorf("%d of %d ops reached the origin, want %d", missed, blocks, want)
+	}
+	if len(hop1) != missed {
+		t.Errorf("%d trace IDs at hop 1, %d ops missed", len(hop1), missed)
 	}
 }

@@ -251,6 +251,8 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 			t.Errorf("-%s=%s changes neither Options() nor a daemon-level field", fl.Name, val)
 		}
 	})
+	// 47 since PR 17. Flush in runs (PR 16) took a flag away; miss in
+	// runs added none: the run is decided from what the proxy observes.
 	if n > 47 {
 		t.Errorf("BindProxyFlags registers %d flags, want <= 47", n)
 	}
