@@ -64,15 +64,11 @@ type ReadResult struct {
 func (r ReadResult) Release() { bufpool.Put(r.Buf) }
 
 // Caps advertises what a backend can do, so the proxy can enable
-// optional machinery (pipelined read-ahead, hash-hinted dedup)
-// without type-switching on concrete implementations for policy.
+// optional machinery (hash-hinted dedup) without type-switching on
+// concrete implementations for policy.
 type Caps struct {
 	// Name labels the backend in logs and metrics ("nfs3", "objstore").
 	Name string
-
-	// Batched is set when ReadBatch pipelines a window of reads in
-	// roughly one round trip (see BatchReader).
-	Batched bool
 
 	// ContentHashes is set when the backend knows block content
 	// hashes without transferring the data (see Hasher).
@@ -145,14 +141,6 @@ type Namespacer interface {
 // normal Read.
 type Hasher interface {
 	BlockHash(f FileID, block uint64, blockSize int) (h Hash, n uint32, ok bool)
-}
-
-// BatchReader pipelines a window of same-size reads: all requests go
-// out back to back and each reply is delivered to the callback in
-// order. Over a WAN the window costs roughly one round trip. Each
-// ReadResult is each's to Release, as Read's is its caller's.
-type BatchReader interface {
-	ReadBatch(f FileID, offs []uint64, count uint32, opts CallOpts, each func(i int, r ReadResult, err error))
 }
 
 // TransportStats mirrors the fault-tolerant RPC client's counters so

@@ -302,52 +302,6 @@ func (b *Backend) Probe() error {
 	return wrapErr("probe", err)
 }
 
-// ReadBatch implements backend.BatchReader when the transport can
-// pipeline (sunrpc.Starter): the whole window is transmitted back to
-// back and the in-order replies are handed to each. Falls back to
-// sequential reads otherwise.
-func (b *Backend) ReadBatch(f backend.FileID, offs []uint64, count uint32, opts backend.CallOpts, each func(i int, r backend.ReadResult, err error)) {
-	st, ok := b.rpc.(sunrpc.Starter)
-	if !ok {
-		for i, off := range offs {
-			r, err := b.Read(f, off, count, opts)
-			each(i, r, err)
-		}
-		return
-	}
-	cred, err := b.cred()
-	if err != nil {
-		for i := range offs {
-			each(i, backend.ReadResult{}, err)
-		}
-		return
-	}
-	type flight struct {
-		idx int
-		pd  *sunrpc.Pending
-	}
-	flights := make([]flight, 0, len(offs))
-	started := 0
-	for i, off := range offs {
-		args := nfs3.ReadArgs{FH: nfs3.FH(f), Offset: off, Count: count}
-		buf := args.AppendTo(bufpool.Get(nfs3.FHSize + 16)[:0])
-		pd, err := st.Start(nfs3.Program, nfs3.Version, nfs3.ProcRead, cred, buf)
-		bufpool.Put(buf)
-		if err != nil {
-			// Transport down: nothing later will fare better.
-			each(i, backend.ReadResult{}, wrapErr("read-batch", err))
-			break
-		}
-		flights = append(flights, flight{idx: i, pd: pd})
-		started++
-	}
-	// Every started call must be waited (Wait releases the XID slot).
-	for _, fl := range flights {
-		r, err := readResult(fl.pd.Wait())
-		each(fl.idx, r, err)
-	}
-}
-
 // TransportStats implements backend.TransportStatser by passing
 // through the RPC client's counters when it keeps them.
 func (b *Backend) TransportStats() backend.TransportStats {
@@ -359,10 +313,7 @@ func (b *Backend) TransportStats() backend.TransportStats {
 }
 
 // Caps implements backend.Backend.
-func (b *Backend) Caps() backend.Caps {
-	_, batched := b.rpc.(sunrpc.Starter)
-	return backend.Caps{Name: "nfs3", Batched: batched}
-}
+func (b *Backend) Caps() backend.Caps { return backend.Caps{Name: "nfs3"} }
 
 // Close implements backend.Backend. The RPC transport belongs to the
 // caller, so there is nothing to release here.

@@ -6,8 +6,8 @@ package bench
 // reports allocs/op, B/op and latency percentiles for warm-cache READ
 // and WRITE over a real loopback connection (client marshal → record
 // framing → proxy decode → cache bank I/O → encode → client decode),
-// and sweeps the WAN read-ahead window with pipelined prefetching
-// (whole window outstanding on one connection).
+// and sweeps the WAN read-ahead depth (the runs ahead outstanding on one
+// connection).
 
 import (
 	"fmt"
@@ -41,11 +41,9 @@ type AllocPath struct {
 	P99Ms       float64 `json:"p99_ms"`
 }
 
-// AllocSweepPoint is one (depth, mode) cell of the WAN read-ahead
-// sweep.
+// AllocSweepPoint is one depth of the WAN read-ahead sweep.
 type AllocSweepPoint struct {
 	Depth     int     `json:"depth"`
-	Pipelined bool    `json:"pipelined"`
 	ScanMs    float64 `json:"scan_ms"`
 	ReadP50Ms float64 `json:"read_p50_ms"`
 	ReadP99Ms float64 `json:"read_p99_ms"`
@@ -167,9 +165,9 @@ func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
 }
 
 // allocSweepStreams is how many files the sweep scans concurrently —
-// the multi-VM case. Prefetch capacity (16 concurrent prefetches) is
-// shared; a pipelined window spends one slot, so every stream's window
-// stays outstanding.
+// the multi-VM case. Read-ahead capacity (16 concurrent runs) is shared;
+// a run of four blocks spends one slot, so every stream's runs stay
+// outstanding.
 const allocSweepStreams = 6
 
 // allocSweepThink is the per-block compute time each sweep stream
@@ -183,12 +181,9 @@ const allocSweepThink = 2 * time.Millisecond
 
 // runAllocSweepPoint scans several files concurrently through a
 // WAN-linked proxy with the given read-ahead depth, returning demand
-// read latency percentiles and total scan time. The upstream is nfs3,
-// so every window is pipelined; the call-per-block rows this sweep
-// used to pair them with are kept in the committed
-// results/BENCH_alloc.json.
+// read latency percentiles and total scan time.
 func (o Options) runAllocSweepPoint(depth int) (AllocSweepPoint, error) {
-	pt := AllocSweepPoint{Depth: depth, Pipelined: true}
+	pt := AllocSweepPoint{Depth: depth}
 	const bs = 8192
 	const fileBytes = 4 << 20
 	fs := memfs.New()
@@ -280,8 +275,8 @@ func (o Options) runAllocSweepPoint(depth int) (AllocSweepPoint, error) {
 	return pt, nil
 }
 
-// RunAlloc measures warm-path allocation discipline and the pipelined
-// read-ahead sweep, writing BENCH_alloc.json when a results directory
+// RunAlloc measures warm-path allocation discipline and the read-ahead
+// sweep, writing BENCH_alloc.json when a results directory
 // is configured.
 func (o Options) RunAlloc() (*Table, error) {
 	report := AllocReport{
@@ -304,7 +299,7 @@ func (o Options) RunAlloc() (*Table, error) {
 			return nil, err
 		}
 		report.Sweep = append(report.Sweep, pt)
-		o.logf("alloc: WAN scan depth %d pipelined: %.0fms total, read p99 %.1fms",
+		o.logf("alloc: WAN scan depth %d: %.0fms total, read p99 %.1fms",
 			depth, pt.ScanMs, pt.ReadP99Ms)
 	}
 
@@ -317,13 +312,13 @@ func (o Options) RunAlloc() (*Table, error) {
 	// apply to these numbers.
 	table := &Table{
 		ID:      "alloc",
-		Title:   "Hot-path allocation discipline and pipelined read-ahead",
+		Title:   "Hot-path allocation discipline and read-ahead",
 		Columns: []string{"allocs/op", "B/op", "p50 ms", "p99 ms"},
 	}
 	table.AddValueRow("warm READ", read.AllocsPerOp, read.BytesPerOp, read.P50Ms, read.P99Ms)
 	table.AddValueRow("warm WRITE", write.AllocsPerOp, write.BytesPerOp, write.P50Ms, write.P99Ms)
 	for _, pt := range report.Sweep {
-		table.AddValueRow(fmt.Sprintf("WAN scan depth %d pipelined", pt.Depth),
+		table.AddValueRow(fmt.Sprintf("WAN scan depth %d", pt.Depth),
 			0, 0, pt.ReadP50Ms, pt.ReadP99Ms)
 	}
 	table.AddNote("WAN sweep: %d streams, %v think/block, 15ms effective RTT (30ms profile at 1/2 time scale)",

@@ -99,13 +99,13 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	}
 	first := args.Offset / bs
 	lookup := time.Now()
-	if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, lookup, start); ok {
+	if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, "hit", lookup, start); ok {
 		return res, stat
 	}
-	// A prefetch of this block may already be in flight: join it
-	// rather than duplicating the WAN transfer.
-	if p.ra != nil && p.ra.waitFor(args.FH, first) {
-		if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, lookup, start); ok {
+	// A run ahead that covers this block may be in flight: join it rather
+	// than duplicating the WAN transfer.
+	if p.ra != nil && p.ra.waitFor(args.FH, first/(nfs3.MaxTransfer/bs)) {
+		if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, "join", lookup, start); ok {
 			return res, stat
 		}
 	}
@@ -165,7 +165,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 			return nil, sunrpc.SystemErr // r is left to the GC
 		}
 	}
-	p.maybePrefetch(args.FH, first+k-1)
+	p.maybePrefetch(args.FH, v, first, first+k)
 	res, stat := p.readResultReply(c, r, args.Count, v) // releases r: cache frames and reply are its copies
 	p.accountRead(c, v, args.FH, args.Offset, "block_miss", args.Count, start)
 	return res, stat
@@ -180,28 +180,40 @@ func (p *Proxy) readUncached(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, t
 	return p.readThrough(c, args, v, tr, start)
 }
 
-// missRunEnd decides how far past the demanded blocks [first, end) the
-// miss's one upstream READ goes. Evidence that the client is scanning is
-// that the block before the miss is resident — it needs no per-file
-// state and a random miss over a cold cache almost never has it. With
-// it the run goes to the end of its nfs3.MaxTransfer-aligned window (so
-// runs tile a file however the scan entered it, and never exceed what
-// any server here transfers), cut short at the first block already
-// cached — clean or dirty — and at a known end of file.
-func (p *Proxy) missRunEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
-	bc := p.cfg.BlockCache
+// scanning reports whether the client reading from block first on looks
+// to be scanning the file: the block before is resident. That evidence
+// needs no per-file state, and a random miss over a cold cache almost
+// never has it.
+func (p *Proxy) scanning(fh nfs3.FH, first uint64) bool {
 	if first == 0 {
+		return false
+	}
+	cached, _ := p.cfg.BlockCache.Peek(fh, first-1)
+	return cached
+}
+
+// missRunEnd decides how far past the demanded blocks [first, end) the
+// miss's one upstream READ goes: the rest of the run for a client that is
+// scanning, nothing for any other.
+func (p *Proxy) missRunEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
+	if !p.scanning(fh, first) {
 		return end
 	}
-	if cached, _ := bc.Peek(fh, first-1); !cached {
-		return end
-	}
+	return p.runEnd(fh, v, first, end, bs)
+}
+
+// runEnd extends blocks [first, end) to the end of first's
+// nfs3.MaxTransfer-aligned window (so runs tile a file however the scan
+// entered it, and never exceed what any server here transfers), cut short
+// at the first block already cached — clean or dirty — and at a known end
+// of file.
+func (p *Proxy) runEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
 	per := nfs3.MaxTransfer / bs
 	for limit := (first/per + 1) * per; end < limit; end++ {
 		if v.hasSize && end*bs >= v.attr.Size {
 			break
 		}
-		if cached, _ := bc.Peek(fh, end); cached {
+		if cached, _ := p.cfg.BlockCache.Peek(fh, end); cached {
 			break
 		}
 	}
@@ -238,7 +250,7 @@ func (p *Proxy) installRun(fh nfs3.FH, first, demanded uint64, r backend.ReadRes
 }
 
 // keepAhead settles a block just cached clean that no client has asked
-// for yet — the rest of a miss run, a prefetch. seq is the file's write
+// for yet — the rest of a miss run, a run ahead. seq is the file's write
 // sequence from before its READ went upstream. If upstream has answered
 // a WRITE of the file since (a flush, an eviction's write-back, a
 // write-through), the bytes may be older than what it wrote, and the
@@ -277,7 +289,7 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 	}
 	tr.Span(obs.LayerBlockCache, "dedup_hit", lookup)
 	p.stats.readHits.Add(1)
-	p.maybePrefetch(args.FH, block)
+	p.maybePrefetch(args.FH, v, block, block+1)
 	res, stat := p.cachedReadReply(c, args, v, data, len(buf))
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
@@ -290,7 +302,7 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 // reply encoded into a pooled results buffer that the RPC server
 // releases after framing (Call.ReplyBuf). A short frame ends the reply.
 // The boolean reports whether the blocks were cached.
-func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, tr *obs.Active, outcome string, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
 	bs := p.cfg.BlockCache.BlockSize()
 	buf := bufpool.Get(int(k) * bs)
 	data := buf[:0]
@@ -306,9 +318,9 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 			break
 		}
 	}
-	tr.Span(obs.LayerBlockCache, "hit", lookup)
+	tr.Span(obs.LayerBlockCache, outcome, lookup)
 	p.stats.readHits.Add(1)
-	p.maybePrefetch(args.FH, first+k-1)
+	p.maybePrefetch(args.FH, v, first, first+k)
 	res, stat := p.cachedReadReply(c, args, v, data, int(k)*bs)
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
@@ -759,9 +771,6 @@ func (p *Proxy) Flush() error {
 		p.cfg.FileCache.InvalidateAll()
 	}
 	p.attrs.reset()
-	if p.ra != nil {
-		p.ra.reset()
-	}
 	return nil
 }
 

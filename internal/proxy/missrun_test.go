@@ -30,23 +30,37 @@ type upstreamRead struct{ block, blocks uint64 }
 func (u upstreamRead) String() string { return fmt.Sprintf("%d+%d", u.block, u.blocks) }
 
 // spyBackend records every Read the proxy sends upstream and can cut a
-// reply short, fail the transport, or hold a reply until told to let go.
+// reply short, fail the transport, take its time, or hold a reply until
+// told to let go.
 type spyBackend struct {
 	backend.Backend
 
-	mu    sync.Mutex
-	reads []upstreamRead
-	cut   int           // when > 0, a longer reply is cut to this many bytes (and is not the file's end)
-	down  bool          // every Read fails as a dead transport
-	hold  chan struct{} // when set, a Read's reply waits for a receive from it ...
-	held  chan struct{} // ... after announcing itself here
+	mu      sync.Mutex
+	reads   []upstreamRead
+	fetched uint64        // blocks asked for, over all Reads
+	cur     int           // Reads outstanding ...
+	peak    int           // ... and the most there have been at once
+	cut     int           // when > 0, a longer reply is cut to this many bytes (and is not the file's end) ...
+	cutFrom uint64        // ... if the Read starts at this block or later
+	delay   time.Duration // every Read takes this long
+	down    bool          // every Read fails as a dead transport
+	hold    chan struct{} // when set, a Read's reply waits for a receive from it ...
+	held    chan struct{} // ... after announcing itself here
 }
 
 func (s *spyBackend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
 	s.mu.Lock()
 	s.reads = append(s.reads, upstreamRead{off / runBS, uint64(count) / runBS})
-	cut, down, hold, held := s.cut, s.down, s.hold, s.held
+	s.fetched += uint64(count) / runBS
+	s.cur++
+	s.peak = max(s.peak, s.cur)
+	cut, delay, down, hold, held := s.cut, s.delay, s.down, s.hold, s.held
+	if off/runBS < s.cutFrom {
+		cut = 0
+	}
 	s.mu.Unlock()
+	defer s.set(func(s *spyBackend) { s.cur-- })
+	time.Sleep(delay)
 	if down {
 		return backend.ReadResult{}, &backend.Error{Class: backend.ClassUnavailable, Op: "read"}
 	}
@@ -346,19 +360,24 @@ func TestMissRunCountsAsPrefetched(t *testing.T) {
 
 // TestRandomMissesDoNotOverFetch: uniformly random misses over a cold
 // cache almost never have their predecessor resident, so they cost about
-// one upstream block per READ.
+// one upstream block per READ — with read-ahead on too, which wants a
+// second resident block a window back before it spends a round trip.
 func TestRandomMissesDoNotOverFetch(t *testing.T) {
 	const fileBlocks, reads = 4096, 128
-	e := newRunEnv(t, fileBlocks*runBS, Config{})
-	rng := rand.New(rand.NewSource(20040604))
-	var fetched uint64
-	for _, b := range rng.Perm(fileBlocks)[:reads] {
-		for _, u := range e.read(t, b, 1) {
-			fetched += u.blocks
-		}
-	}
-	if per := float64(fetched) / reads; per > 1.05 {
-		t.Errorf("%d random READs fetched %d blocks, %.3f per READ; want at most 1.05", reads, fetched, per)
+	for _, ahead := range []int{0, 16} {
+		t.Run(fmt.Sprintf("readahead=%d", ahead), func(t *testing.T) {
+			e := newRunEnv(t, fileBlocks*runBS, Config{ReadAhead: ahead})
+			rng := rand.New(rand.NewSource(20040604))
+			for _, b := range rng.Perm(fileBlocks)[:reads] {
+				e.read(t, b, 1)
+			}
+			e.settle(t)
+			var fetched uint64
+			e.spy.set(func(s *spyBackend) { fetched = s.fetched })
+			if per := float64(fetched) / reads; per > 1.05 {
+				t.Errorf("%d random READs fetched %d blocks, %.3f per READ; want at most 1.05", reads, fetched, per)
+			}
+		})
 	}
 }
 

@@ -91,10 +91,10 @@ func TestChainReadOwnership(t *testing.T) {
 		}
 	}
 
-	// Cold scan, four times the cache, read-ahead pipelining its windows
-	// (handleRead's miss, ReadBatch → storePrefetched): every block misses
-	// or was prefetched, is copied into the cache and into the reply, and
-	// evicts another.
+	// Cold scan, four times the cache, read-ahead running ahead of it
+	// (handleRead's miss and runAhead, both into installRun): every block
+	// misses or was fetched ahead, is copied into the cache and into the
+	// reply, and evicts another.
 	fh := lookup("scan.img")
 	for off := 0; off < len(scan); off += bs {
 		read("cold scan", fh, scan, off, bs)

@@ -86,13 +86,11 @@ type Config struct {
 	// is configured (for ablation experiments).
 	DisableMeta bool
 
-	// ReadAhead, when positive, prefetches up to this many blocks into
-	// the disk cache after a sequential access run is detected (the
-	// paper's future-work pre-fetching direction). Requires BlockCache.
-	// A backend whose Caps report Batched (nfs3 over a pipelining
-	// transport) gets each window's READs outstanding at once, replies
-	// multiplexed by XID, so the window costs about one round trip;
-	// any other backend gets one call per block.
+	// ReadAhead, when positive, fetches this many blocks — rounded up to
+	// whole nfs3.MaxTransfer-aligned runs — into the disk cache ahead of a
+	// client that is scanning a file (the paper's future-work pre-fetching
+	// direction), one asynchronous upstream READ per run. Requires
+	// BlockCache.
 	ReadAhead int
 
 	// DegradedReads enables serve-from-cache degraded mode: while the
@@ -643,9 +641,6 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 		if full := p.attrs.forget(dead); full != "" && p.cfg.FileCache != nil {
 			p.cfg.FileCache.Invalidate(full)
 		}
-		if p.ra != nil {
-			p.ra.forget(dead)
-		}
 	}
 	invalidate := func() {
 		p.attrs.invalidateName(dir, name)
@@ -716,9 +711,6 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 		// Truncation: push dirty state out, then drop cached blocks.
 		if err := p.cfg.BlockCache.InvalidateFile(args.FH); err != nil {
 			return nil, sunrpc.SystemErr
-		}
-		if p.ra != nil {
-			p.ra.forget(args.FH)
 		}
 	}
 	res, stat := p.forward(c, tr)

@@ -5,6 +5,7 @@ package proxy
 // verifier, and the brownout miss-deferral path.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -281,4 +282,11 @@ func TestBrownoutDefersCacheMisses(t *testing.T) {
 	if p.stats.readMisses.Value() != missesBefore {
 		t.Error("deferred miss still counted as a forwarded miss")
 	}
+}
+
+// stubCaller is an upstream that fails every call.
+type stubCaller struct{}
+
+func (stubCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
+	return nil, errors.New("stub upstream")
 }

@@ -2,13 +2,20 @@ package proxy_test
 
 import (
 	"bytes"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/objstore"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
+	"gvfs/internal/mountd"
+	"gvfs/internal/nfs3"
+	"gvfs/internal/obs"
 	"gvfs/internal/stack"
+	"gvfs/internal/sunrpc"
 
 	gvfs "gvfs"
 )
@@ -24,9 +31,9 @@ func patternPayload(n int) []byte {
 	return p
 }
 
-// raUpstream is one read-ahead upstream: nfs3 reports Caps().Batched,
-// so every prefetch window is pipelined on the connection; objstore
-// does not, so the same window goes out one call per block.
+// raUpstream is one read-ahead upstream. Read-ahead asks every backend
+// the same thing — one Read per run, concurrent Reads for concurrent
+// runs — so the expectations below do not depend on the kind.
 type raUpstream struct {
 	node *stack.Node
 	// origin returns the file's bytes as the upstream stores them.
@@ -84,10 +91,9 @@ func startRAProxy(t *testing.T, kind, path string, payload []byte) raUpstream {
 }
 
 // TestReadAheadOrdering scans a file sequentially and verifies every
-// block's bytes land at the right offset: with the whole window
-// outstanding on the connection (nfs3) each reply must be matched to
-// its own request, and a backend that cannot batch (objstore) must
-// still prefetch, one call per block.
+// block's bytes land at the right offset: with several runs outstanding
+// at once each reply must be matched to its own request and cut into its
+// own blocks.
 func TestReadAheadOrdering(t *testing.T) {
 	for _, kind := range raUpstreamKinds {
 		t.Run(kind, func(t *testing.T) {
@@ -118,8 +124,8 @@ func TestReadAheadOrdering(t *testing.T) {
 }
 
 // TestReadAheadDoesNotCorruptWrites interleaves demand writes with a
-// sequential scan driving prefetches: dirty blocks must win over
-// racing prefetched data.
+// sequential scan driving runs ahead: dirty blocks must win over the
+// bytes a racing run brings.
 func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
 	for _, kind := range raUpstreamKinds {
 		t.Run(kind, func(t *testing.T) {
@@ -166,4 +172,119 @@ func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedOrigin is an origin file system whose READs at or past a byte
+// offset wait until the gate is opened.
+type gatedOrigin struct {
+	nfs3.Backend
+	from    uint64
+	gate    chan struct{}
+	waiting atomic.Int32 // READs that have come to the gate ...
+	first   atomic.Int32 // ... those for the very offset among them
+}
+
+func (o *gatedOrigin) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error) {
+	if off >= o.from {
+		if off == o.from {
+			o.first.Add(1)
+		}
+		o.waiting.Add(1)
+		<-o.gate
+	}
+	return o.Backend.Read(fh, off, count)
+}
+
+// joinHeldRun scans blocks 0..7 of a file through a caching proxy with
+// read-ahead, the runs ahead held at the origin, and sends the READ that
+// comes next, of block 8: it must wait for the run covering its block
+// instead of fetching the block again. With flush the proxy is flushed
+// while the READ waits. The gate is then opened, the READ must return
+// block 8's bytes, and the proxy's traces are returned.
+func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
+	t.Helper()
+	const blocks, bs = 32, 8192
+	fs := memfs.New()
+	payload := patternPayload(blocks * bs)
+	fs.WriteFile("/seq.bin", payload)
+	// Demand brings blocks 0, 1..3 and 4..7; the runs ahead start at 8.
+	origin := &gatedOrigin{Backend: fs, from: 8 * bs, gate: make(chan struct{})}
+	nfsd, err := stack.StartNFSServer(origin, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfsd.Close()
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: nfsd.Addr,
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 16, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack},
+		ReadAhead: 8,
+		TraceRing: 4 * blocks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	conn, err := stack.Dialer(node.Addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := sunrpc.NewClient(conn)
+	defer rpc.Close()
+	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "ahead"}.Encode()
+	root, err := mountd.Mount(rpc, cred, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(rpc, cred)
+	fh, _, err := nc.Lookup(root, "seq.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := uint64(0); b < 8; b++ {
+		if data, _, err := nc.Read(fh, b*bs, bs); err != nil || !bytes.Equal(data, payload[b*bs:(b+1)*bs]) {
+			t.Fatalf("READ of block %d: %d bytes, err=%v", b, len(data), err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); origin.waiting.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d runs ahead reached the origin, want 2", origin.waiting.Load())
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		data, _, err := nc.Read(fh, 8*bs, bs)
+		if err == nil && !bytes.Equal(data, payload[8*bs:9*bs]) {
+			err = errors.New("not block 8's bytes")
+		}
+		done <- err
+	}()
+	// Long enough for the READ to be waiting on the run; were it not, it
+	// would find the run over and be a plain hit.
+	time.Sleep(50 * time.Millisecond)
+	if flush {
+		if err := node.Proxy.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(origin.gate)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("READ of block 8: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the READ that joined a run ahead never returned")
+	}
+	if n := origin.first.Load(); n != 1 {
+		t.Errorf("%d READs of block 8 reached the origin, want the run ahead and no other", n)
+	}
+	return node.Tracer.Traces()
+}
+
+// TestReadAheadFlushDoesNotStrandJoin: a Flush while a READ waits on a run
+// ahead leaves the table of runs in flight alone — it is the runs' own to
+// clear — so the READ returns when the run does.
+func TestReadAheadFlushDoesNotStrandJoin(t *testing.T) {
+	joinHeldRun(t, true)
 }

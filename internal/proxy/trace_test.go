@@ -290,3 +290,28 @@ func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
 		t.Errorf("%d trace IDs at hop 1, %d ops missed", len(hop1), missed)
 	}
 }
+
+// TestTraceJoinOutcome: a READ that waited for a run ahead covering its
+// block reports the wait as block_cache/join — not as a hit that took a
+// round trip — and, having fetched nothing itself, has no upstream span.
+func TestTraceJoinOutcome(t *testing.T) {
+	joined := 0
+	for _, tr := range joinHeldRun(t, false) {
+		var join, hit, upstream bool
+		for _, sp := range tr.Spans {
+			join = join || (sp.Layer == obs.LayerBlockCache && sp.Outcome == "join")
+			hit = hit || (sp.Layer == obs.LayerBlockCache && sp.Outcome == "hit")
+			upstream = upstream || sp.Layer == obs.LayerUpstream
+		}
+		if !join {
+			continue
+		}
+		joined++
+		if tr.Proc != "READ" || hit || upstream {
+			t.Errorf("trace %d (%s) with a join span: hit=%v upstream=%v", tr.ID, tr.Proc, hit, upstream)
+		}
+	}
+	if joined != 1 {
+		t.Errorf("%d traces with a block_cache/join span, want the one READ that waited", joined)
+	}
+}

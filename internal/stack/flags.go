@@ -118,7 +118,7 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.StringVar(&f.Crashpoint, "crashpoint", os.Getenv("GVFS_CRASHPOINT"), "fault injection: SIGKILL the process at this named point (testing only)")
 	fs.StringVar(&o.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
 	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address")
-	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead window in blocks (0 = off)")
+	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead in blocks, rounded up to 32 KiB runs (0 = off)")
 	fs.BoolVar(&o.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
 	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")

@@ -350,10 +350,8 @@ type ProxyOptions struct {
 	// DisableMeta turns meta-data handling off (ablations).
 	DisableMeta bool
 
-	// ReadAhead enables sequential prefetching of this many blocks at
-	// the proxy (requires CacheConfig). Over an nfs3 upstream each
-	// prefetch window's READs are pipelined on the connection; other
-	// backends are read one call per block.
+	// ReadAhead enables sequential read-ahead of this many blocks,
+	// rounded up to 32 KiB runs, at the proxy (requires CacheConfig).
 	ReadAhead int
 
 	// PersistIndex reloads a saved cache-tag snapshot from the cache

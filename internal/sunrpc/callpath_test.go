@@ -45,16 +45,18 @@ func blockingServer(t *testing.T) (srv *Server, addr string, entered chan struct
 	return srv, l.Addr().String(), entered, release
 }
 
-// startBlocked pipelines n procBlock calls on c and returns once all n
-// are inside their handlers.
-func startBlocked(t *testing.T, c *Client, entered chan struct{}, n int) []*Pending {
+// startBlocked has n procBlock calls outstanding on c, a goroutine each,
+// and returns once all n are inside their handlers. Each call's outcome
+// arrives on the returned channel.
+func startBlocked(t *testing.T, c *Client, entered chan struct{}, n int) <-chan error {
 	t.Helper()
-	ps := make([]*Pending, n)
-	for i := range ps {
-		var err error
-		if ps[i], err = c.Start(testProg, testVers, procBlock, AuthNoneCred, nil); err != nil {
-			t.Fatal(err)
-		}
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, rec, err := c.CallPooled(testProg, testVers, procBlock, AuthNoneCred, AuthNoneCred, nil, time.Time{})
+			bufpool.Put(rec)
+			done <- err
+		}()
 	}
 	timeout := time.After(10 * time.Second)
 	for i := 0; i < n; i++ {
@@ -64,17 +66,16 @@ func startBlocked(t *testing.T, c *Client, entered chan struct{}, n int) []*Pend
 			t.Fatalf("only %d of %d calls reached their handler", i, n)
 		}
 	}
-	return ps
+	return done
 }
 
-func waitAll(t *testing.T, ps []*Pending) {
+// waitAll collects the n calls startBlocked started.
+func waitAll(t *testing.T, done <-chan error, n int) {
 	t.Helper()
-	for _, p := range ps {
-		_, rec, err := p.Wait()
-		if err != nil {
+	for i := 0; i < n; i++ {
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		bufpool.Put(rec)
 	}
 }
 
@@ -97,7 +98,7 @@ func TestBlockedHandlersDoNotBlockConnection(t *testing.T) {
 			t.Fatalf("%d calls blocked: a later call on the connection: %v", n, err)
 		}
 		close(release)
-		waitAll(t, blocked)
+		waitAll(t, blocked, n)
 		waitGoroutines(t, connected+maxIdleWorkers, "workers parked after the burst")
 	}
 }
@@ -124,7 +125,7 @@ func TestWorkersExitOnClose(t *testing.T) {
 		t.Helper()
 		ps := startBlocked(t, c, entered, 8)
 		close(release)
-		waitAll(t, ps)
+		waitAll(t, ps, 8)
 	}
 
 	t.Run("conn.Close", func(t *testing.T) {

@@ -117,8 +117,8 @@ type Client struct {
 
 // waiter is a call registered under its XID: where its reply goes and,
 // fixed for the call's life, who owns the reply's record — the caller,
-// who takes it with the results and releases it (pooled: CallPooled,
-// Start), or the GC, because the caller keeps the results.
+// who takes it with the results and releases it (pooled: CallPooled), or
+// the GC, because the caller keeps the results.
 type waiter struct {
 	ch     chan clientReply
 	pooled bool
@@ -620,95 +620,4 @@ func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byt
 		}
 	}
 	return nil, nil, fmt.Errorf("%w: %v", ErrRetriesExhausted, lastErr)
-}
-
-// Starter is the pipelining capability: transmit a call without
-// waiting for its reply, multiplexing many outstanding calls by XID on
-// one connection. *Client implements it; callers type-assert their
-// transport and fall back to synchronous Call when absent.
-type Starter interface {
-	Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*Pending, error)
-}
-
-// Pending is a call in flight after Start. Exactly one Wait must
-// follow each successful Start. The reply is pooled, as CallPooled's.
-type Pending struct {
-	c   *Client
-	xid uint32
-	ch  chan clientReply
-}
-
-// Start transmits one call and returns without waiting for the reply,
-// so a batch of calls can be pipelined on the connection — N requests
-// outstanding, replies collected by XID — paying one WAN round trip
-// for the whole window instead of one per call. Unlike Call, Start
-// never retransmits: a transport failure fails Start (write error) or
-// surfaces from Wait (connection death fails all pending calls).
-// Read-ahead uses this to keep its prefetch window outstanding.
-func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args []byte) (*Pending, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	conn := c.conn
-	gen := c.gen
-	if conn == nil {
-		err := c.lastErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return nil, err
-	}
-	xid := c.nextXID
-	c.nextXID++
-	ch := replyChans.Get().(chan clientReply)
-	c.pending[xid] = waiter{ch, true}
-	c.mu.Unlock()
-
-	msg := marshalCallRecord(xid, prog, vers, proc, cred, AuthNoneCred, args)
-	c.wmu.Lock()
-	if c.opts.CallTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(c.opts.CallTimeout))
-	}
-	_, werr := conn.Write(msg)
-	if c.opts.CallTimeout > 0 {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	c.wmu.Unlock()
-	bufpool.Put(msg)
-	if werr != nil {
-		c.connDown(gen, werr)
-		c.unregister(xid, ch)
-		return nil, fmt.Errorf("%w: %v", ErrClientClosed, werr)
-	}
-	return &Pending{c: c, xid: xid, ch: ch}, nil
-}
-
-// Wait blocks for the reply to a Start-ed call and returns it as
-// CallPooled does: rec is the caller's to release. The client's
-// CallTimeout, when set, bounds the wait; a connection failure fails
-// the wait promptly.
-func (p *Pending) Wait() (results, rec []byte, err error) {
-	ch := p.ch
-	if ch == nil {
-		return nil, nil, errors.New("sunrpc: Wait called twice on one Pending")
-	}
-	p.ch = nil // the channel is recycled below and may be another call's by the time a second Wait ran
-	defer p.c.unregister(p.xid, ch)
-	var timeout <-chan time.Time
-	var timer *time.Timer
-	if d := p.c.opts.CallTimeout; d > 0 {
-		timer = time.NewTimer(d)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case rep := <-ch:
-		return rep.results, rep.rec, rep.err
-	case <-timeout:
-		p.c.timeouts.Add(1)
-		return nil, nil, fmt.Errorf("%w after %v (xid %d)", ErrCallTimeout, p.c.opts.CallTimeout, p.xid)
-	}
 }

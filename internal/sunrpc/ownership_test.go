@@ -103,9 +103,9 @@ func timeoutThenReply(t *testing.T) {
 	}
 }
 
-// The server answers and hangs up. By the time the caller looks, the
-// reply sits in its channel and connDown has failed everything pending:
-// the buffered reply wins, with its record intact and the caller's.
+// The server answers and hangs up, so connDown fails everything pending
+// right behind the reply: the call still returns its reply, not the
+// connection's error, with the record intact and the caller's.
 func downWithReplyBuffered(t *testing.T) {
 	addr := fakeServer(t, func(call *Call, reply func(uint32, []byte) error) error {
 		if err := reply(call.XID, call.Args); err != nil {
@@ -119,20 +119,25 @@ func downWithReplyBuffered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.Start(testProg, testVers, 1, AuthNoneCred, strayArgs(args[:], i))
-		if err != nil {
-			t.Fatal(err)
+		type reply struct {
+			res, rec []byte
+			err      error
 		}
+		done := make(chan reply, 1)
+		go func() {
+			res, rec, err := callPooled(c, 1, strayArgs(args[:], i), time.Time{})
+			done <- reply{res, rec, err}
+		}()
 		for down := false; !down; time.Sleep(50 * time.Microsecond) {
 			c.mu.Lock()
 			down = c.conn == nil
 			c.mu.Unlock()
 		}
-		res, rec, err := p.Wait()
-		if err != nil {
-			t.Fatalf("call %d: %v, want the reply that arrived before the connection died", i, err)
+		r := <-done
+		if r.err != nil {
+			t.Fatalf("call %d: %v, want the reply that arrived before the connection died", i, r.err)
 		}
-		mustEcho(t, i, res, rec, args[:])
+		mustEcho(t, i, r.res, r.rec, args[:])
 		if _, _, err := callPooled(c, 1, args[:], time.Time{}); err == nil {
 			t.Fatalf("call %d: a second call on the dead connection succeeded", i)
 		}
