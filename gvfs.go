@@ -81,7 +81,7 @@ type Session struct {
 	pages *pagecache.Cache
 
 	// metrics is nil unless SessionConfig.Metrics was set; readDur
-	// holds the pre-resolved per-outcome page-read histograms.
+	// holds the pre-resolved per-outcome read histograms.
 	metrics *obs.Registry
 	readDur map[string]*obs.Histogram
 
@@ -151,8 +151,11 @@ func Mount(cfg SessionConfig) (*Session, error) {
 }
 
 // registerMetrics publishes the session's buffer-cache instruments:
-// collection-time bridges over the page cache's own counters, plus a
-// per-outcome latency histogram observed on every block read.
+// collection-time bridges over the page cache's own counters — a hit or
+// a miss is one page a caller asked for — plus a per-outcome latency
+// histogram whose two series have different units: "hit" is one page
+// copied out of the buffer cache, "miss" is one READ RPC, which brings up
+// to nfs3.MaxTransfer bytes (several pages).
 func (s *Session) registerMetrics(reg *obs.Registry) {
 	s.metrics = reg
 	pages := s.pages
@@ -163,14 +166,15 @@ func (s *Session) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("gvfs_pagecache_evictions_total", "Buffer-cache page evictions.",
 		func() uint64 { return pages.Stats().Evictions })
 	hv := reg.HistogramVec("gvfs_pagecache_read_duration_seconds",
-		"Per-block session read latency by buffer-cache outcome.", nil, "outcome")
+		"Session read latency by buffer-cache outcome: hit is one page served from the buffer cache, miss is one READ RPC of up to 32 KiB.", nil, "outcome")
 	s.readDur = map[string]*obs.Histogram{
 		"hit":  hv.With("hit"),
 		"miss": hv.With("miss"),
 	}
 }
 
-// observeRead records one block read when session metrics are enabled.
+// observeRead records one page hit or one READ RPC when session metrics
+// are enabled.
 func (s *Session) observeRead(outcome string, start time.Time) {
 	if h, ok := s.readDur[outcome]; ok {
 		h.ObserveSince(start)
@@ -424,7 +428,7 @@ func (s *Session) Open(p string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{s: s, fh: fh, path: path.Clean("/" + p), size: attr.Size}
+	f := &File{s: s, fh: fh, key: fh.Key(), path: path.Clean("/" + p), size: attr.Size}
 	s.trackFile(f)
 	return f, nil
 }
@@ -442,7 +446,7 @@ func (s *Session) Create(p string) (*File, error) {
 	}
 	s.pages.InvalidateFile(fh)
 	clean := path.Clean("/" + p)
-	f := &File{s: s, fh: fh, path: clean}
+	f := &File{s: s, fh: fh, key: fh.Key(), path: clean}
 	s.mu.Lock()
 	s.dentries[clean] = dentry{fh: fh, ftyp: nfs3.TypeReg}
 	s.files[f] = struct{}{}

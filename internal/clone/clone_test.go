@@ -250,7 +250,8 @@ func TestPlainNFSResumeBaseline(t *testing.T) {
 // serves the second clone's READs from its caches and its LOOKUPs and
 // GETATTRs from its attribute table, so what is left to cross is the
 // MOUNT and the calls that create the clone's own files. The cold
-// clone's count bounds what a boot extent costs when misses go in runs.
+// clone's count bounds what a boot extent costs when the session asks in
+// windows.
 func TestWarmCloneWANRoundTrips(t *testing.T) {
 	fs := memfs.New()
 	if err := vm.InstallImage(fs, "/images/g0", spec("img0", 1)); err != nil {
@@ -288,7 +289,7 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer res.VM.Close()
-		// One 64 KiB boot extent, as wan_clone reads them: eight pages.
+		// One 64 KiB boot extent, as wan_clone reads them: two windows.
 		buf := make([]byte, 64<<10)
 		if _, err := res.VM.Disk.ReadAt(buf, 0); err != nil {
 			t.Fatalf("%s: disk read through the clone's link: %v", pass, err)
@@ -305,10 +306,10 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 	cold := instantiate("cold")
 	warm := instantiate("warm")
 	t.Logf("calls that crossed the link: cold clone %d, warm clone %d", cold, warm)
-	// The cold clone's 64 KiB extent is three round trips, not eight: its
-	// first page alone, the rest of that aligned run, the next run.
-	if cold > 20 {
-		t.Errorf("cold clone sent %d calls across the link, want at most 20 (17 besides the extent's 3 miss runs)", cold)
+	// The cold clone's 64 KiB extent is two calls, not eight: the session
+	// asks for its two 32 KiB windows (together, so one round trip).
+	if cold > 19 {
+		t.Errorf("cold clone sent %d calls across the link, want at most 19 (17 besides the extent's 2 windows)", cold)
 	}
 	if warm > 6 {
 		ops := server.Proxy.Proxy.Statusz().Clients

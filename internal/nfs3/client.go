@@ -3,6 +3,7 @@ package nfs3
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"gvfs/internal/bufpool"
 	"gvfs/internal/sunrpc"
@@ -134,21 +135,43 @@ func (c *Client) ReadLink(fh FH) (string, error) {
 // Read reads up to count bytes at off. The returned data aliases the
 // reply buffer, which the caller owns.
 func (c *Client) Read(fh FH, off uint64, count uint32) (data []byte, eof bool, err error) {
+	data, eof, _, err = c.read(fh, off, count, false)
+	return data, eof, err
+}
+
+// ReadPooled is Read with the reply lent, not given: data aliases rec,
+// the transport's pooled reply record, which is the caller's to
+// bufpool.Put once it has copied the bytes to where they are going — so
+// a caller with a buffer of its own leaves nothing to the GC. Not
+// releasing is legal; using data afterwards is the bug. rec is nil when
+// the transport cannot lend (it is not a sunrpc.PooledCaller).
+func (c *Client) ReadPooled(fh FH, off uint64, count uint32) (data []byte, eof bool, rec []byte, err error) {
+	return c.read(fh, off, count, true)
+}
+
+// read issues one READ; lend asks the transport for its pooled record.
+func (c *Client) read(fh FH, off uint64, count uint32, lend bool) (data []byte, eof bool, rec []byte, err error) {
 	args := ReadArgs{FH: fh, Offset: off, Count: count}
 	buf := args.AppendTo(bufpool.Get(FHSize + 16)[:0])
-	res, err := c.call(ProcRead, buf)
+	var res []byte
+	if pc, ok := c.rpc.(sunrpc.PooledCaller); lend && ok {
+		res, rec, err = pc.CallPooled(Program, Version, ProcRead, c.cred, sunrpc.AuthNoneCred, buf, time.Time{})
+	} else {
+		res, err = c.call(ProcRead, buf)
+	}
 	bufpool.Put(buf)
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
 	var r ReadRes
-	if err := r.DecodeRefInto(res); err != nil {
-		return nil, false, err
+	if err = r.DecodeRefInto(res); err == nil {
+		err = statusErr("read", r.Status)
 	}
-	if r.Status != OK {
-		return nil, false, statusErr("read", r.Status)
+	if err != nil {
+		bufpool.Put(rec)
+		return nil, false, nil, err
 	}
-	return r.Data, r.EOF, nil
+	return r.Data, r.EOF, rec, nil
 }
 
 // Write writes data at off with the given stability level, returning

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"gvfs/internal/bufpool"
 	"gvfs/internal/memfs"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
@@ -386,5 +387,54 @@ func TestServerReadReplyPooled(t *testing.T) {
 	call, res = read(nfs3.FH{9, 9, 9, 9, 9, 9, 9, 9})
 	if call.ReplyBuf != nil || res.Status != nfs3.ErrStale {
 		t.Errorf("stale read: pooled=%v status=%v", call.ReplyBuf != nil, res.Status)
+	}
+}
+
+// plainCaller hides a transport's CallPooled: a Caller that cannot lend.
+type plainCaller struct{ nfs3.Caller }
+
+// ReadPooled lends the transport's record when the transport can, says so
+// with rec, reports a failed READ like Read does and leaves nothing to
+// release then; Read, next to it, keeps returning bytes the caller owns.
+func TestReadPooled(t *testing.T) {
+	fs := memfs.New()
+	payload := bytes.Repeat([]byte("vmdk"), 8192) // 32 KiB
+	if err := fs.WriteFile("/disk", payload); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := fs.Root()
+	fh, _, err := fs.Lookup(root, "disk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := sunrpc.Local{H: nfs3.NewServer(fs)}
+	for name, rpc := range map[string]nfs3.Caller{"lending transport": local, "plain transport": plainCaller{local}} {
+		c := nfs3.NewClient(rpc, sunrpc.OpaqueAuth{})
+		data, eof, rec, err := c.ReadPooled(fh, 4096, 32768)
+		if err != nil || !bytes.Equal(data, payload[4096:]) || !eof {
+			t.Fatalf("%s: %d bytes eof=%v err=%v", name, len(data), eof, err)
+		}
+		if lent := rec != nil; lent != (name == "lending transport") {
+			t.Errorf("%s: record lent: %v", name, lent)
+		}
+		bufpool.Put(rec)
+		kept, _, err := c.Read(fh, 0, 8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ { // pooled records come and go; kept is not one of them
+			if _, _, rec, err := c.ReadPooled(fh, 8192, 8192); err != nil {
+				t.Fatal(err)
+			} else {
+				clear(rec)
+				bufpool.Put(rec)
+			}
+		}
+		if !bytes.Equal(kept, payload[:8192]) {
+			t.Errorf("%s: the bytes Read returned changed under later pooled READs", name)
+		}
+		if _, _, rec, err := c.ReadPooled(nfs3.FH{9, 9, 9, 9, 9, 9, 9, 9}, 0, 8192); nfs3.StatusOf(err) != nfs3.ErrStale || rec != nil {
+			t.Errorf("%s: stale handle: err=%v, record lent: %v", name, err, rec != nil)
+		}
 	}
 }

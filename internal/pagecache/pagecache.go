@@ -16,7 +16,7 @@ import (
 )
 
 type key struct {
-	fh    string
+	fh    string // nfs3.FH.Key()
 	block uint64
 }
 
@@ -66,33 +66,76 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Get returns the cached page for (fh, block) if resident.
-func (c *Cache) Get(fh nfs3.FH, block uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.pages[key{fh.Key(), block}]
+// lookup counts one page a caller asked for as a hit or a miss and
+// returns it if resident. c.mu is held.
+func (c *Cache) lookup(k key) *page {
+	el, ok := c.pages[k]
 	if !ok {
 		c.stats.Misses++
-		return nil, false
+		return nil
 	}
 	c.lru.MoveToFront(el)
 	c.stats.Hits++
-	p := el.Value.(*page)
-	out := make([]byte, len(p.data))
-	copy(out, p.data)
-	return out, true
+	return el.Value.(*page)
+}
+
+// Get returns a copy of the cached page for (fh, block) if resident.
+func (c *Cache) Get(fh nfs3.FH, block uint64) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.lookup(key{fh.Key(), block})
+	if p == nil {
+		return nil, false
+	}
+	return append([]byte(nil), p.data...), true
+}
+
+// CopyOut is the hit path without a copy of the page in between: the
+// resident page's bytes from off on go straight into dst, and n says how
+// many. fh is the file's nfs3.FH.Key(), which a caller that touches many
+// pages of one file computes once. The caller knows the page to hold at
+// least atLeast bytes of its file; a page cached shorter (the tail of a
+// file that has grown since) is zero-extended to that first.
+func (c *Cache) CopyOut(fh string, block uint64, dst []byte, off, atLeast int) (n int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.lookup(key{fh, block})
+	if p == nil {
+		return 0, false
+	}
+	if short := atLeast - len(p.data); short > 0 {
+		p.data = append(p.data, make([]byte, short)...)
+	}
+	if off < len(p.data) {
+		n = copy(dst, p.data[off:])
+	}
+	return n, true
 }
 
 // Put inserts or refreshes a page, evicting the LRU page if the cache
 // is full.
 func (c *Cache) Put(fh nfs3.FH, block uint64, data []byte) {
+	c.put(key{fh.Key(), block}, data, true)
+}
+
+// Fill inserts a page read from the server unless one is resident
+// already: what is resident is at least as new (a write patched it, or
+// another reader brought the same bytes), so it is neither replaced nor
+// counted as used. fh is the file's nfs3.FH.Key().
+func (c *Cache) Fill(fh string, block uint64, data []byte) {
+	c.put(key{fh, block}, data, false)
+}
+
+func (c *Cache) put(k key, data []byte, replace bool) {
 	if c.capacity == 0 {
 		return
 	}
-	k := key{fh.Key(), block}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.pages[k]; ok {
+		if !replace {
+			return
+		}
 		p := el.Value.(*page)
 		p.data = append(p.data[:0], data...)
 		c.lru.MoveToFront(el)

@@ -175,3 +175,56 @@ func TestQuickCapacityAndFreshness(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCopyOut(t *testing.T) {
+	c := New(4)
+	k := fhA.Key()
+	c.Put(fhA, 3, []byte("0123456789"))
+	dst := make([]byte, 4)
+	if n, ok := c.CopyOut(k, 3, dst, 2, 0); !ok || n != 4 || string(dst) != "2345" {
+		t.Errorf("from the middle: n=%d ok=%v dst=%q", n, ok, dst)
+	}
+	if n, ok := c.CopyOut(k, 3, dst, 8, 0); !ok || n != 2 || string(dst[:n]) != "89" {
+		t.Errorf("up to the page's end: n=%d ok=%v dst=%q", n, ok, dst[:n])
+	}
+	if n, ok := c.CopyOut(k, 3, dst, 10, 0); !ok || n != 0 {
+		t.Errorf("past the page's end: n=%d ok=%v", n, ok)
+	}
+	if _, ok := c.CopyOut(k, 4, dst, 0, 0); ok {
+		t.Error("hit on an absent page")
+	}
+	if _, ok := c.CopyOut(fhB.Key(), 3, dst, 0, 0); ok {
+		t.Error("hit on another file's page")
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 2 {
+		t.Errorf("stats %+v, want 3 hits and 2 misses: one per page asked for", st)
+	}
+	// The file has grown past the cached tail: the page is zero-extended.
+	if n, ok := c.CopyOut(k, 3, dst, 9, 12); !ok || n != 3 || !bytes.Equal(dst[:n], []byte{'9', 0, 0}) {
+		t.Errorf("zero-extended: n=%d ok=%v dst=%q", n, ok, dst[:n])
+	}
+	if got, _ := c.Get(fhA, 3); len(got) != 12 {
+		t.Errorf("page is %d bytes after the extension, want 12", len(got))
+	}
+}
+
+func TestFillNeverReplaces(t *testing.T) {
+	c := New(2)
+	k := fhA.Key()
+	c.Fill(k, 0, []byte("from the server"))
+	c.Put(fhA, 0, []byte("written"))
+	c.Fill(k, 0, []byte("from the server, late"))
+	if got, _ := c.Get(fhA, 0); string(got) != "written" {
+		t.Errorf("a fill replaced a resident page: %q", got)
+	}
+	c.Fill(k, 1, []byte("one"))
+	c.Fill(k, 2, []byte("two")) // evicts page 0: a fill of a resident page did not count as a use
+	if _, ok := c.Get(fhA, 1); !ok {
+		t.Error("page 1 evicted")
+	}
+	off := New(0)
+	off.Fill(k, 0, []byte("x"))
+	if off.Len() != 0 {
+		t.Error("a zero-capacity cache took a fill")
+	}
+}

@@ -54,6 +54,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 
 	// Meta-data handling (paper §3.2.2): consult the file's meta-data
 	// on first access and act on it.
+	var zm *meta.Meta // the file's zero map, when this READ is not all zero
 	if !p.cfg.DisableMeta && known {
 		if ms := p.metaFor(v); ms.m != nil {
 			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
@@ -64,11 +65,14 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 					return res, stat
 				}
 				// Channel failure: fall through to block-based path.
-			} else if ms.m.HasZeroMap() && rangeIsZero(ms.m, args.Offset, args.Count) {
-				res, stat := p.zeroReply(&args, ms.m, v)
-				tr.Span(obs.LayerZeroFilter, "hit", start)
-				p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
-				return res, stat
+			} else if ms.m.HasZeroMap() {
+				if rangeIsZero(ms.m, args.Offset, args.Count) {
+					res, stat := p.zeroReply(&args, ms.m, v)
+					tr.Span(obs.LayerZeroFilter, "hit", start)
+					p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
+					return res, stat
+				}
+				zm = ms.m
 			}
 		}
 	}
@@ -86,6 +90,16 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	if p.cfg.BlockCache == nil {
 		return p.readThrough(c, &args, v, tr, start)
 	}
+	if zm != nil {
+		if lead, trail := zeroEdges(zm, &args, uint64(p.cfg.BlockCache.BlockSize())); lead+trail > 0 {
+			return p.readBetweenZeros(c, &args, lead, trail, zm, v, tr, start)
+		}
+	}
+	return p.readBlocks(c, &args, v, tr, start)
+}
+
+// readBlocks answers a READ from the block cache, or through it.
+func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
 	bs := uint64(p.cfg.BlockCache.BlockSize())
 	// What the cache answers starts on a block boundary and asks for part
 	// of one block or for whole blocks up to one transfer: a client's
@@ -95,17 +109,17 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	k := max(count/bs, 1)
 	whole := count == k*bs // else part of one block: answered, never cached
 	if args.Offset%bs != 0 || count > nfs3.MaxTransfer || (count > bs && count%bs != 0) {
-		return p.readUncached(c, &args, v, tr, start)
+		return p.readUncached(c, args, v, tr, start)
 	}
 	first := args.Offset / bs
 	lookup := time.Now()
-	if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, "hit", lookup, start); ok {
+	if res, stat, ok := p.serveBlockHit(c, args, v, first, k, tr, "hit", lookup, start); ok {
 		return res, stat
 	}
 	// A run ahead that covers this block may be in flight: join it rather
 	// than duplicating the WAN transfer.
 	if p.ra != nil && p.ra.waitFor(args.FH, first/(nfs3.MaxTransfer/bs)) {
-		if res, stat, ok := p.serveBlockHit(c, &args, v, first, k, tr, "join", lookup, start); ok {
+		if res, stat, ok := p.serveBlockHit(c, args, v, first, k, tr, "join", lookup, start); ok {
 			return res, stat
 		}
 	}
@@ -119,7 +133,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	if count == bs && p.cfg.BlockCache.DedupEnabled() {
 		if hr, ok := p.cfg.Backend.(backend.Hasher); ok {
 			if h, n, ok := hr.BlockHash(backend.FileID(args.FH), first, int(bs)); ok {
-				if res, stat, ok := p.serveByHash(c, &args, v, first, h, n, tr, lookup, start); ok {
+				if res, stat, ok := p.serveByHash(c, args, v, first, h, n, tr, lookup, start); ok {
 					return res, stat
 				}
 			}
@@ -130,7 +144,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	if k > 1 {
 		for b := first; b < first+k; b++ {
 			if _, dirty := p.cfg.BlockCache.Peek(args.FH, b); dirty {
-				return p.readUncached(c, &args, v, tr, start)
+				return p.readUncached(c, args, v, tr, start)
 			}
 		}
 	}
@@ -206,15 +220,26 @@ func (p *Proxy) missRunEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint6
 // nfs3.MaxTransfer-aligned window (so runs tile a file however the scan
 // entered it, and never exceed what any server here transfers), cut short
 // at the first block already cached — clean or dirty — and at a known end
-// of file.
+// of file, and then back to the last block the file's zero map does not
+// answer: like zeroEdges, a zero block between two others rides along and
+// the ones at the end are not fetched.
 func (p *Proxy) runEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
 	per := nfs3.MaxTransfer / bs
+	demanded := end
 	for limit := (first/per + 1) * per; end < limit; end++ {
 		if v.hasSize && end*bs >= v.attr.Size {
 			break
 		}
 		if cached, _ := p.cfg.BlockCache.Peek(fh, end); cached {
 			break
+		}
+	}
+	if end == demanded {
+		return end
+	}
+	if zm := v.zeroMap(); zm != nil && uint64(zm.BlockSize) == bs {
+		for end > demanded && zm.IsZeroBlock(end-1) {
+			end--
 		}
 	}
 	return end
@@ -399,6 +424,63 @@ func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta, v *fileView) ([]byt
 	// AppendTo, not Encode: Encode would move the caller's view to the heap.
 	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
 	return res.AppendTo(make([]byte, 0, nfs3.ReadResSize(len(data)))), sunrpc.Success
+}
+
+// zeroEdges is the zero filter for a READ of several whole cache blocks
+// that is not all zero: how many bytes at its head and at its tail the
+// map answers — blocks it calls zero, and what lies past the end of the
+// file — so that only the span from the first non-zero block to the last
+// is asked of the cache and, on a miss, of the upstream. Nothing is cut
+// from any other READ, or under a map whose blocks are not the cache's.
+func zeroEdges(m *meta.Meta, args *nfs3.ReadArgs, bs uint64) (lead, trail uint32) {
+	count := uint64(args.Count)
+	if uint64(m.BlockSize) != bs || args.Offset%bs != 0 || count%bs != 0 || count <= bs || count > nfs3.MaxTransfer {
+		return 0, 0
+	}
+	zero := func(b uint64) bool { return b*bs >= m.FileSize || m.IsZeroBlock(b) }
+	first, end := args.Offset/bs, (args.Offset+count)/bs
+	// The caller found rangeIsZero false: some block in between is not zero.
+	for ; first < end && zero(first); first++ {
+		lead += uint32(bs)
+	}
+	for ; first < end && zero(end-1); end-- {
+		trail += uint32(bs)
+	}
+	return lead, trail
+}
+
+// readBetweenZeros answers a READ whose first lead and last trail bytes
+// zeroEdges cut: the block path serves the span between, from the cache
+// or in one upstream READ, and the reply is that span with the map's
+// zeros around it. The blocks cut are never fetched, so a fetch never
+// brings them into the cache. gvfs_proxy_zero_filtered_total does not
+// count the READ — it counts READs answered wholly from the map — and
+// the READ is accounted as the block path's, with the span's bytes.
+func (p *Proxy) readBetweenZeros(c *sunrpc.Call, args *nfs3.ReadArgs, lead, trail uint32, m *meta.Meta, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
+	span := *args
+	span.Offset += uint64(lead)
+	span.Count -= lead + trail
+	res, stat := p.readBlocks(c, &span, v, tr, start)
+	var r nfs3.ReadRes
+	if stat != sunrpc.Success || r.DecodeRefInto(res) != nil || r.Status != nfs3.OK {
+		return res, stat
+	}
+	n := int(lead) + len(r.Data)
+	if len(r.Data) == int(span.Count) { // the span came whole: the map knows what follows it
+		if end := span.Offset + uint64(span.Count); end < m.FileSize {
+			n += int(min(uint64(trail), m.FileSize-end))
+		}
+		r.EOF = args.Offset+uint64(n) >= m.FileSize
+	}
+	data := bufpool.Get(n)
+	clear(data)
+	copy(data[lead:], r.Data)
+	r.Count, r.Data = uint32(n), data
+	out := r.AppendTo(bufpool.Get(nfs3.ReadResSize(n))[:0])
+	bufpool.Put(data)
+	bufpool.Put(c.ReplyBuf) // the span's reply, which res and r.Data aliased
+	c.ReplyBuf = out
+	return out, sunrpc.Success
 }
 
 // readFromFileCache serves a READ from the whole-file cache.

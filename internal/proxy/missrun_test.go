@@ -17,6 +17,7 @@ import (
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
+	"gvfs/internal/meta"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
@@ -73,6 +74,11 @@ func (s *spyBackend) Read(f backend.FileID, off uint64, count uint32, opts backe
 		<-hold
 	}
 	return r, err
+}
+
+// Lookup lets the proxy look for meta-data files (backend.Lookuper).
+func (s *spyBackend) Lookup(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
+	return s.Backend.(backend.Lookuper).Lookup(dir, name, opts)
 }
 
 // taken returns the upstream Reads recorded since the last call.
@@ -313,6 +319,53 @@ func TestMissRunShape(t *testing.T) {
 				t.Errorf("origin after flush differs from the session's view (err=%v)", err)
 			}
 		})
+	}
+}
+
+// TestZeroMapTrimsMultiBlockReads: under a zero map, a READ of several
+// blocks costs upstream the span from its first non-zero block to its
+// last and nothing else — not the zero blocks at its edges, not a run
+// that ends in zero blocks — and the client is told the file's bytes and
+// its end all the same.
+func TestZeroMapTrimsMultiBlockReads(t *testing.T) {
+	const size = 15*runBS + 100
+	nonZero := []int{1, 2, 5, 7, 8, 10, 15} // 15 is the 100-byte tail
+	e := newRunEnv(t, size, Config{})
+	clear(e.want)
+	for _, b := range nonZero {
+		copy(e.want[b*runBS:], runContent(runBS, byte(b)))
+	}
+	blob, err := meta.GenerateZeroMap(e.want, runBS).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"/disk.img": e.want, "/" + meta.NameFor("disk.img"): blob} {
+		if err := e.fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.read(t, 0, 1) // the file's first READ fetches the map
+	for _, step := range []struct {
+		block, blocks int
+		cost          []upstreamRead
+	}{
+		{0, 4, []upstreamRead{{1, 2}}},   // Z N N Z
+		{0, 4, nil},                      // the span is resident, the map answers the rest
+		{4, 4, []upstreamRead{{5, 3}}},   // Z N Z N: a zero block between two others rides along
+		{8, 1, []upstreamRead{{8, 3}}},   // a scan (7 is resident): the miss run N Z N Z is cut back to N Z N
+		{8, 4, nil},                      // N Z N Z
+		{12, 4, []upstreamRead{{15, 1}}}, // Z Z Z and the file's tail
+		{12, 3, nil},                     // all zero: the filter proper
+		{2, 2, nil},                      // N Z, N resident
+	} {
+		if got := e.read(t, step.block, step.blocks); !sameReads(got, step.cost...) {
+			t.Errorf("READ %d+%d cost upstream %v, want %v", step.block, step.blocks, got, step.cost)
+		}
+	}
+	for b := 0; b < 16; b++ {
+		if want := slices.Contains(nonZero, b) || b == 6 || b == 9; e.resident(b) != want {
+			t.Errorf("block %d resident: %v, want %v (only what the map does not call zero is fetched)", b, !want, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package gvfs_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	gvfs "gvfs"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
+	"gvfs/internal/obs"
 	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
 )
@@ -444,5 +446,303 @@ func TestResolveAndMkdirAllRoundTrips(t *testing.T) {
 	}
 	if err := sess.MkdirAll("/images/g0/img0.vmx/sub"); err == nil {
 		t.Error("MkdirAll under a regular file succeeded")
+	}
+}
+
+// readCall is one READ that reached the end server.
+type readCall struct{ off, count int }
+
+// readSpyFS records the READs that reach the end server, can fail them
+// from an offset on, and can hold one READ's reply until told to let go.
+type readSpyFS struct {
+	*memfs.FS
+
+	mu       sync.Mutex
+	reads    []readCall
+	failFrom int           // when > 0, a READ at this offset or past it fails
+	held     chan struct{} // when set, the next READ announces itself here ...
+	release  chan struct{} // ... and answers only once this is closed
+}
+
+func (s *readSpyFS) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error) {
+	s.mu.Lock()
+	s.reads = append(s.reads, readCall{int(off), int(count)})
+	failFrom, held, release := s.failFrom, s.held, s.release
+	s.held = nil
+	s.mu.Unlock()
+	if failFrom > 0 && int(off) >= failFrom {
+		return nil, false, &nfs3.Error{Status: nfs3.ErrIO, Op: "read"}
+	}
+	data, eof, err := s.FS.Read(fh, off, count) // the bytes as they are now ...
+	if held != nil {
+		held <- struct{}{}
+		<-release // ... sent once the test says so
+	}
+	return data, eof, err
+}
+
+// taken returns the READs recorded since the last call, by offset.
+func (s *readSpyFS) taken() []readCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.reads
+	s.reads = nil
+	slices.SortFunc(out, func(a, b readCall) int { return a.off - b.off })
+	return out
+}
+
+// mountSpySession is a session straight on an end server whose READs are
+// recorded; /f holds size patterned bytes.
+func mountSpySession(t *testing.T, cfg gvfs.SessionConfig, size int) (*gvfs.Session, *readSpyFS, []byte) {
+	t.Helper()
+	spy := &readSpyFS{FS: memfs.New()}
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*7 + i/8192)
+	}
+	if err := spy.WriteFile("/f", want); err != nil {
+		t.Fatal(err)
+	}
+	node, err := stack.StartNFSServer(spy, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	cfg.Addr, cfg.Export = node.Addr, "/"
+	sess, err := gvfs.Mount(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return sess, spy, want
+}
+
+const kib = 1024
+
+// TestReadAtAsksInAlignedWindows: the pages a ReadAt needs and the buffer
+// cache lacks go out as READs of up to 32 KiB that do not cross a
+// 32 KiB-aligned window, cover no resident page and nothing past the
+// pages asked for.
+func TestReadAtAsksInAlignedWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		resident []int // pages read (one at a time) beforehand
+		off, n   int
+		want     []readCall
+	}{
+		{name: "aligned extent", off: 0, n: 64 * kib, want: []readCall{{0, 32 * kib}, {32 * kib, 32 * kib}}},
+		{name: "extent one page in", off: 8 * kib, n: 64 * kib,
+			want: []readCall{{8 * kib, 24 * kib}, {32 * kib, 32 * kib}, {64 * kib, 8 * kib}}},
+		{name: "resident page splits the window", resident: []int{2}, off: 0, n: 32 * kib,
+			want: []readCall{{0, 16 * kib}, {24 * kib, 8 * kib}}},
+		{name: "resident pages at both ends", resident: []int{0, 7}, off: 0, n: 64 * kib,
+			want: []readCall{{8 * kib, 24 * kib}, {32 * kib, 24 * kib}}},
+		{name: "all resident", resident: []int{4, 5}, off: 32 * kib, n: 16 * kib},
+		{name: "a few bytes across a page edge", off: 8*kib - 50, n: 100, want: []readCall{{0, 16 * kib}}},
+		{name: "one page", off: 40 * kib, n: 8 * kib, want: []readCall{{40 * kib, 8 * kib}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, spy, want := mountSpySession(t, gvfs.SessionConfig{PageCachePages: 64}, 128*kib)
+			f, err := sess.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			page := make([]byte, 8*kib)
+			for _, p := range tc.resident {
+				if _, err := f.ReadAt(page, int64(p*8*kib)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			spy.taken()
+			buf := make([]byte, tc.n)
+			n, err := f.ReadAt(buf, int64(tc.off))
+			if n != tc.n || err != nil || !bytes.Equal(buf, want[tc.off:tc.off+tc.n]) {
+				t.Fatalf("ReadAt(%d bytes at %d): n=%d err=%v, bytes match: %v", tc.n, tc.off, n, err, bytes.Equal(buf, want[tc.off:tc.off+tc.n]))
+			}
+			if got := spy.taken(); !slices.Equal(got, tc.want) {
+				t.Errorf("READs {off count} = %v, want %v", got, tc.want)
+			}
+			// What came is resident now.
+			if n, err := f.ReadAt(buf, int64(tc.off)); n != tc.n || err != nil || !bytes.Equal(buf, want[tc.off:tc.off+tc.n]) {
+				t.Errorf("re-read: n=%d err=%v", n, err)
+			}
+			if got := spy.taken(); len(got) != 0 {
+				t.Errorf("a re-read sent READs %v", got)
+			}
+		})
+	}
+}
+
+// TestReadFileDeliversWhateverThePageCacheHolds: an extent is filled from
+// the replies, not through the buffer cache, so a cache that is off or
+// smaller than the extent costs no READ twice.
+func TestReadFileDeliversWhateverThePageCacheHolds(t *testing.T) {
+	for _, pages := range []int{0, 4, 64} {
+		sess, spy, want := mountSpySession(t, gvfs.SessionConfig{PageCachePages: pages}, 256*kib)
+		got, err := sess.ReadFile("/f")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("PageCachePages %d: ReadFile: err=%v, %d bytes", pages, err, len(got))
+		}
+		reads := spy.taken()
+		for i, r := range reads {
+			if r != (readCall{i * 32 * kib, 32 * kib}) {
+				t.Errorf("PageCachePages %d: READ %d is %v", pages, i, r)
+			}
+		}
+		if len(reads) != 8 {
+			t.Errorf("PageCachePages %d: a 256 KiB ReadFile sent %d READs, want 8", pages, len(reads))
+		}
+	}
+}
+
+// TestReadAtWindowFailureMidExtent: io.ReaderAt's contract when a window
+// fails — the bytes before it, and the error.
+func TestReadAtWindowFailureMidExtent(t *testing.T) {
+	sess, spy, want := mountSpySession(t, gvfs.SessionConfig{PageCachePages: 64}, 256*kib)
+	f, err := sess.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spy.mu.Lock()
+	spy.failFrom = 64 * kib
+	spy.mu.Unlock()
+	buf := make([]byte, 200*kib)
+	n, err := f.ReadAt(buf, 4*kib)
+	if n != 60*kib || nfs3.StatusOf(err) != nfs3.ErrIO {
+		t.Fatalf("n=%d err=%v, want the %d bytes before the failed window and NFS3ERR_IO", n, err, 60*kib)
+	}
+	if !bytes.Equal(buf[:n], want[4*kib:64*kib]) {
+		t.Error("the bytes before the failed window are wrong")
+	}
+	// Windows in flight when one fails are all there are: the rest of the
+	// extent is not asked for.
+	if got := len(spy.taken()); got > 4 {
+		t.Errorf("%d READs sent for an extent whose third window failed", got)
+	}
+}
+
+// TestReadAtEOFAcrossWindows: where the file ends relative to the windows
+// of a ReadAt decides nothing but n and io.EOF.
+func TestReadAtEOFAcrossWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		size, off, n int
+		wantN        int
+		wantErr      error
+	}{
+		{"EOF inside the first window", 10000, 0, 64 * kib, 10000, io.EOF},
+		{"EOF inside the second window", 40000, 0, 64 * kib, 40000, io.EOF},
+		{"EOF on a window edge, asked past it", 32 * kib, 0, 64 * kib, 32 * kib, io.EOF},
+		{"EOF on a window edge, asked up to it", 64 * kib, 0, 64 * kib, 64 * kib, nil},
+		{"EOF on a page edge inside a window", 16 * kib, 8 * kib, 24 * kib, 8 * kib, io.EOF},
+		{"starting past EOF", 10000, 32 * kib, 8 * kib, 0, io.EOF},
+		{"starting past EOF inside the last page", 10000, 12000, 100, 0, io.EOF},
+		{"interior", 100000, 5000, 70000, 70000, nil},
+	} {
+		for _, pages := range []int{0, 64} {
+			sess, _, want := mountSpySession(t, gvfs.SessionConfig{PageCachePages: pages}, tc.size)
+			f, err := sess.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ { // from the server, then from the buffer cache
+				buf := make([]byte, tc.n)
+				n, err := f.ReadAt(buf, int64(tc.off))
+				if n != tc.wantN || err != tc.wantErr {
+					t.Errorf("%s (pages %d, pass %d): n=%d err=%v, want %d, %v", tc.name, pages, pass, n, err, tc.wantN, tc.wantErr)
+				} else if !bytes.Equal(buf[:n], want[min(tc.off, tc.size):min(tc.off, tc.size)+n]) {
+					t.Errorf("%s (pages %d, pass %d): wrong bytes", tc.name, pages, pass)
+				}
+			}
+			f.Close()
+		}
+	}
+}
+
+// TestReadAtExtentDoesNotCacheOverWrite: a READ reply that was on its way
+// while a write to the same file was acknowledged installs nothing — not
+// over the page the write installed, and not on the page a partial write
+// left alone because it was not resident. The end server holds the
+// READ's reply (the bytes from before the writes) until both writes have
+// been acknowledged.
+func TestReadAtExtentDoesNotCacheOverWrite(t *testing.T) {
+	sess, spy, want := mountSpySession(t, gvfs.SessionConfig{PageCachePages: 64}, 32*kib)
+	f, err := sess.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	spy.mu.Lock()
+	spy.held, spy.release = held, release
+	spy.mu.Unlock()
+
+	old := make([]byte, 32*kib)
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAt(old, 0)
+		readDone <- err
+	}()
+	<-held // the READ has its (old) bytes and waits
+	patch := bytes.Repeat([]byte{0xEE}, 100)
+	whole := bytes.Repeat([]byte{0xDD}, 8*kib)
+	if _, err := f.WriteAt(patch, 8*kib+10); err != nil { // page 1 is not resident: the write leaves it alone
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(whole, 16*kib); err != nil { // page 2 becomes resident
+		t.Fatal(err)
+	}
+	copy(want[8*kib+10:], patch)
+	copy(want[16*kib:], whole)
+	close(release)
+	if err := <-readDone; err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 32*kib)
+	if n, err := f.ReadAt(got, 0); n != len(got) || err != nil {
+		t.Fatalf("re-read: n=%d err=%v", n, err)
+	}
+	if !bytes.Equal(got, want) {
+		for p := 0; p < 4; p++ {
+			if !bytes.Equal(got[p*8*kib:(p+1)*8*kib], want[p*8*kib:(p+1)*8*kib]) {
+				t.Errorf("page %d: a re-read after acknowledged writes returned bytes from before them", p)
+			}
+		}
+	}
+}
+
+// TestSessionReadMetricsUnits: gvfs_pagecache_read_duration_seconds takes
+// one "miss" observation per READ RPC and one "hit" per page served from
+// the buffer cache, and the hit and miss counters count the pages a
+// caller asked for.
+func TestSessionReadMetricsUnits(t *testing.T) {
+	reg := obs.NewRegistry()
+	sess, _, _ := mountSpySession(t, gvfs.SessionConfig{PageCachePages: 64, Metrics: reg}, 64*kib)
+	f, err := sess.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 64*kib)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		`gvfs_pagecache_read_duration_seconds{outcome="miss"}`: 2, // two windows
+		`gvfs_pagecache_read_duration_seconds{outcome="hit"}`:  8, // eight pages
+	} {
+		if got := snap.Histograms[name].Count; got != want {
+			t.Errorf("%s: %d observations, want %d", name, got, want)
+		}
+	}
+	for _, name := range []string{"gvfs_pagecache_misses_total", "gvfs_pagecache_hits_total"} {
+		if got := snap.Counter(name); got != 8 {
+			t.Errorf("%s = %d, want 8: the pages asked for, once cold and once resident", name, got)
+		}
 	}
 }
