@@ -5,7 +5,6 @@ import (
 	"path"
 	"time"
 
-	"gvfs/internal/clone"
 	"gvfs/internal/memfs"
 	"gvfs/internal/stack"
 	"gvfs/internal/vm"
@@ -168,18 +167,25 @@ func (o Options) annotateFig4(t *Table) {
 	}
 }
 
-// fullStateTransfer times moving the whole VM state over the
-// deployment's WAN file channel, uncompressed (the paper's full
-// download/upload baseline).
+// fullStateTransfer times moving the whole VM state across the WAN,
+// uncompressed (the paper's full download/upload baseline). Like Fig.
+// 6's SCP baseline it is a plain copy over a plain channel of its own,
+// not the deployment's tunnelled one: the tunnel sends zero runs as
+// lengths (DESIGN.md §2.1), which would make this `scp -C` — of a VM
+// state that is mostly zeros — where the paper copied every byte.
 func (o Options) fullStateTransfer(dep *Deployment, upload bool) (time.Duration, error) {
 	spec := o.benchVMSpec()
-	dial := stack.Dialer(dep.Server.FileChanAddr(), nil, dep.Server.Key)
-	// Dial bypasses the link wrapper on purpose? No: the file channel
-	// listener is already link-shaped on the server side; the client
-	// side adds its own shaping for uploads.
+	wan := linkFor(WAN)
+	fc, err := stack.StartFileChanServer(dep.Server.FS, wan, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer fc.Close()
+	// The listener shapes the server->client direction; an upload dials
+	// through the link for the other one.
+	dial := stack.Dialer(fc.Addr, nil, nil)
 	if upload {
-		// Uploads traverse the client->server direction of the link.
-		dial = stack.Dialer(dep.Server.FileChan.Addr, dep.WANLink, dep.Server.Key)
+		dial = stack.Dialer(fc.Addr, wan, nil)
 	}
 	return timeIt(func() error {
 		conn, err := dial()
@@ -244,9 +250,3 @@ func (o Options) annotateFig5(t *Table) {
 	}
 }
 
-// SCPBaseline measures the paper's full-image SCP copy (1127 s).
-func (o Options) SCPBaseline(dep *Deployment, goldenDir, name string) (time.Duration, error) {
-	dial := stack.Dialer(dep.Server.FileChan.Addr, dep.WANLink, dep.Server.Key)
-	_, dur, err := clone.SCPCopy(dial, goldenDir, name)
-	return dur, err
-}

@@ -98,6 +98,18 @@ func (c *Cache) Size(path string) (uint64, bool) {
 // ReadAt serves a block read from the cached file, reporting EOF when
 // the read reaches the end.
 func (c *Cache) ReadAt(path string, off uint64, count uint32) (data []byte, eof bool, err error) {
+	size, _ := c.Size(path)
+	buf := make([]byte, min(uint64(count), size-min(size, off)))
+	n, eof, err := c.ReadInto(path, off, buf)
+	if err != nil || n == 0 {
+		return nil, eof, err
+	}
+	return buf[:n], eof, nil
+}
+
+// ReadInto is ReadAt into the caller's buffer: it fills buf from off on
+// as far as the file goes and returns how far that was.
+func (c *Cache) ReadInto(path string, off uint64, buf []byte) (n int, eof bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[path]
 	if ok {
@@ -105,25 +117,21 @@ func (c *Cache) ReadAt(path string, off uint64, count uint32) (data []byte, eof 
 	}
 	c.mu.Unlock()
 	if !ok {
-		return nil, false, ErrNotCached
+		return 0, false, ErrNotCached
 	}
 	if off >= e.size {
-		return nil, true, nil
+		return 0, true, nil
 	}
-	end := off + uint64(count)
-	if end > e.size {
-		end = e.size
-	}
+	end := min(off+uint64(len(buf)), e.size)
 	f, err := os.Open(e.local)
 	if err != nil {
-		return nil, false, err
+		return 0, false, err
 	}
 	defer f.Close()
-	buf := make([]byte, end-off)
-	if _, err := f.ReadAt(buf, int64(off)); err != nil {
-		return nil, false, err
+	if _, err := f.ReadAt(buf[:end-off], int64(off)); err != nil {
+		return 0, false, err
 	}
-	return buf, end == e.size, nil
+	return int(end - off), end == e.size, nil
 }
 
 // WriteAt applies a block write to the cached file and marks it dirty

@@ -206,3 +206,29 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// ReadInto fills the caller's buffer as far as the file goes.
+func TestReadInto(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("0123456789")
+	if err := c.Store("/f", data); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	for _, tc := range []struct {
+		off  uint64
+		want string
+		eof  bool
+	}{{0, "0123", false}, {6, "6789", true}, {8, "89", true}, {10, "", true}, {99, "", true}} {
+		n, eof, err := c.ReadInto("/f", tc.off, buf)
+		if err != nil || string(buf[:n]) != tc.want || eof != tc.eof {
+			t.Errorf("ReadInto at %d: %q eof=%v err=%v, want %q eof=%v", tc.off, buf[:n], eof, err, tc.want, tc.eof)
+		}
+	}
+	if _, _, err := c.ReadInto("/missing", 0, buf); !errors.Is(err, ErrNotCached) {
+		t.Errorf("ReadInto of a path not cached: %v", err)
+	}
+}

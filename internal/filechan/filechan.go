@@ -268,14 +268,7 @@ func Fetch(conn net.Conn, path string, compressed bool) ([]byte, error) {
 	if !compressed {
 		return payload, nil
 	}
-	data, err := gunzipBytes(payload)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(data)) != rawSize {
-		return nil, fmt.Errorf("filechan: size mismatch: got %d want %d", len(data), rawSize)
-	}
-	return data, nil
+	return gunzipExact(payload, rawSize)
 }
 
 // Put uploads data to path over the channel — the write-back direction
@@ -311,7 +304,7 @@ func Copy(conn net.Conn, path string) ([]byte, error) {
 }
 
 func gzipBytes(data []byte) ([]byte, error) {
-	var buf sliceBuffer
+	buf := make(sliceBuffer, 0, len(data)/8) // about what VM state gzips to; append takes it from there
 	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
 	if err != nil {
 		return nil, err
@@ -332,6 +325,35 @@ func gunzipBytes(data []byte) ([]byte, error) {
 	}
 	defer zr.Close()
 	return io.ReadAll(io.LimitReader(zr, maxFileSize))
+}
+
+// gunzipExact is gunzipBytes for a stream whose uncompressed size the
+// sender declared: one buffer of that size, and an error for a stream
+// that is shorter or longer.
+func gunzipExact(data []byte, size uint64) ([]byte, error) {
+	if size/1032 > uint64(len(data)) { // deflate never expands further: refuse before allocating
+		return nil, fmt.Errorf("filechan: size mismatch: %d bytes cannot gunzip to the declared %d", len(data), size)
+	}
+	zr, err := gzip.NewReader(bytesReader{data: data, pos: new(int)})
+	if err != nil {
+		return nil, err
+	}
+	defer zr.Close()
+	out := make([]byte, size)
+	if n, err := io.ReadFull(zr, out); err != nil {
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			err = fmt.Errorf("filechan: size mismatch: got %d want %d", n, size)
+		}
+		return nil, err
+	}
+	// The stream must end here; reading its end also checks the trailer.
+	var past [1]byte
+	if n, err := io.ReadFull(zr, past[:]); n != 0 {
+		return nil, fmt.Errorf("filechan: size mismatch: stream longer than the declared %d bytes", size)
+	} else if err != io.EOF {
+		return nil, err
+	}
+	return out, nil
 }
 
 type sliceBuffer []byte

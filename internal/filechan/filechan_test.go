@@ -216,6 +216,47 @@ func TestGzipHelpersRoundTrip(t *testing.T) {
 	}
 }
 
+// A compressed Fetch decodes into one buffer of the declared size; a
+// stream that is shorter or longer than declared is an error, and a
+// declared size no stream of that length could reach allocates nothing.
+func TestFetchDeclaredSizeMismatch(t *testing.T) {
+	data := bytes.Repeat([]byte("vm state "), 4000)
+	z := mustGzip(t, data)
+	for _, tc := range []struct {
+		name     string
+		declared uint64
+		ok       bool
+	}{
+		{"exact", uint64(len(data)), true},
+		{"stream longer than declared", uint64(len(data)) - 1, false},
+		{"stream shorter than declared", uint64(len(data)) + 1, false},
+		{"declared size out of reach", maxFileSize, false},
+	} {
+		got, err := gunzipExact(z, tc.declared)
+		if tc.ok && (err != nil || !bytes.Equal(got, data)) {
+			t.Errorf("%s: err=%v, %d bytes", tc.name, err, len(got))
+		}
+		if !tc.ok && (err == nil || got != nil) {
+			t.Errorf("%s: accepted (%d bytes)", tc.name, len(got))
+		}
+	}
+	if _, err := gunzipExact(z[:len(z)-3], uint64(len(data))); err == nil {
+		t.Error("a stream cut inside its trailer was accepted")
+	}
+	if got, err := gunzipExact(mustGzip(t, nil), 0); err != nil || len(got) != 0 {
+		t.Errorf("empty file: %d bytes, err=%v", len(got), err)
+	}
+}
+
+func mustGzip(t *testing.T, data []byte) []byte {
+	t.Helper()
+	z, err := gzipBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return z
+}
+
 func TestConcurrentChannels(t *testing.T) {
 	// "each client-side GVFS proxy on every compute server spawns a
 	// file-based data channel to fetch the memory state file" — verify

@@ -166,6 +166,14 @@ func (m *Meta) ZeroBlockCount() uint64 {
 	return n
 }
 
+// ClearZero takes block out of the zero map: it has been written since
+// the map was generated. A proxy does this to its own decoded copy.
+func (m *Meta) ClearZero(block uint64) {
+	if byteIdx := block / 8; byteIdx < uint64(len(m.ZeroMap)) {
+		m.ZeroMap[byteIdx] &^= 1 << (block % 8)
+	}
+}
+
 // setZero marks block as all-zero.
 func (m *Meta) setZero(block uint64) {
 	byteIdx := block / 8

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gvfs/internal/meta"
 	"gvfs/internal/nfs3"
 )
 
@@ -72,20 +71,6 @@ type fileView struct {
 func (v *fileView) post() *nfs3.Fattr {
 	if v.hasAttr {
 		return &v.attr
-	}
-	return nil
-}
-
-// zeroMap is the file's zero-block map once a READ has looked its
-// meta-data up; nil before that, and for a file that has none.
-func (v *fileView) zeroMap() *meta.Meta {
-	if v.meta == nil {
-		return nil
-	}
-	v.meta.mu.Lock()
-	defer v.meta.mu.Unlock()
-	if m := v.meta.m; m != nil && m.HasZeroMap() {
-		return m
 	}
 	return nil
 }

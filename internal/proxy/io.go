@@ -54,25 +54,25 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 
 	// Meta-data handling (paper §3.2.2): consult the file's meta-data
 	// on first access and act on it.
-	var zm *meta.Meta // the file's zero map, when this READ is not all zero
+	var zm *metaState // holds the file's zero map, when this READ is not all zero
 	if !p.cfg.DisableMeta && known {
 		if ms := p.metaFor(v); ms.m != nil {
 			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
 				if err := p.ensureFetched(args.FH, v, ms); err == nil {
-					res, stat := p.readFromFileCache(&args, v)
+					res, stat := p.readFromFileCache(c, &args, v)
 					tr.Span(obs.LayerFileCache, "hit", start)
 					p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
 					return res, stat
 				}
 				// Channel failure: fall through to block-based path.
 			} else if ms.m.HasZeroMap() {
-				if rangeIsZero(ms.m, args.Offset, args.Count) {
+				if rangeIsZero(ms, args.Offset, args.Count) {
 					res, stat := p.zeroReply(&args, ms.m, v)
 					tr.Span(obs.LayerZeroFilter, "hit", start)
 					p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
 					return res, stat
 				}
-				zm = ms.m
+				zm = ms
 			}
 		}
 	}
@@ -80,7 +80,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// A file previously fetched whole stays served from the file cache.
 	if p.cfg.FileCache != nil && v.full != "" {
 		if p.cfg.FileCache.Has(v.full) {
-			res, stat := p.readFromFileCache(&args, v)
+			res, stat := p.readFromFileCache(c, &args, v)
 			tr.Span(obs.LayerFileCache, "hit", start)
 			p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
 			return res, stat
@@ -92,7 +92,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	}
 	if zm != nil {
 		if lead, trail := zeroEdges(zm, &args, uint64(p.cfg.BlockCache.BlockSize())); lead+trail > 0 {
-			return p.readBetweenZeros(c, &args, lead, trail, zm, v, tr, start)
+			return p.readBetweenZeros(c, &args, lead, trail, zm.m, v, tr, start)
 		}
 	}
 	return p.readBlocks(c, &args, v, tr, start)
@@ -221,8 +221,9 @@ func (p *Proxy) missRunEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint6
 // entered it, and never exceed what any server here transfers), cut short
 // at the first block already cached — clean or dirty — and at a known end
 // of file, and then back to the last block the file's zero map does not
-// answer: like zeroEdges, a zero block between two others rides along and
-// the ones at the end are not fetched.
+// answer (not, that is, for a block the session has written): like
+// zeroEdges, a zero block between two others rides along and the ones at
+// the end are not fetched.
 func (p *Proxy) runEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
 	per := nfs3.MaxTransfer / bs
 	demanded := end
@@ -237,10 +238,8 @@ func (p *Proxy) runEnd(fh nfs3.FH, v *fileView, first, end, bs uint64) uint64 {
 	if end == demanded {
 		return end
 	}
-	if zm := v.zeroMap(); zm != nil && uint64(zm.BlockSize) == bs {
-		for end > demanded && zm.IsZeroBlock(end-1) {
-			end--
-		}
+	if v.meta != nil {
+		end = v.meta.trimZeros(demanded, end, bs)
 	}
 	return end
 }
@@ -385,11 +384,15 @@ func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView
 }
 
 // rangeIsZero reports whether [off, off+count) is covered by all-zero
-// blocks of the meta-data map.
-func rangeIsZero(m *meta.Meta, off uint64, count uint32) bool {
+// blocks of the meta-data map — blocks, that is, which the map called
+// zero and the session has not written since (metaState.wrote).
+func rangeIsZero(ms *metaState, off uint64, count uint32) bool {
 	if count == 0 {
 		return false
 	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	m := ms.m
 	bs := uint64(m.BlockSize)
 	end := off + uint64(count)
 	if end > m.FileSize {
@@ -432,7 +435,10 @@ func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta, v *fileView) ([]byt
 // file — so that only the span from the first non-zero block to the last
 // is asked of the cache and, on a miss, of the upstream. Nothing is cut
 // from any other READ, or under a map whose blocks are not the cache's.
-func zeroEdges(m *meta.Meta, args *nfs3.ReadArgs, bs uint64) (lead, trail uint32) {
+func zeroEdges(ms *metaState, args *nfs3.ReadArgs, bs uint64) (lead, trail uint32) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	m := ms.m
 	count := uint64(args.Count)
 	if uint64(m.BlockSize) != bs || args.Offset%bs != 0 || count%bs != 0 || count <= bs || count > nfs3.MaxTransfer {
 		return 0, 0
@@ -483,9 +489,14 @@ func (p *Proxy) readBetweenZeros(c *sunrpc.Call, args *nfs3.ReadArgs, lead, trai
 	return out, sunrpc.Success
 }
 
-// readFromFileCache serves a READ from the whole-file cache.
-func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs, v *fileView) ([]byte, sunrpc.AcceptStat) {
-	data, eof, err := p.cfg.FileCache.ReadAt(v.full, args.Offset, args.Count)
+// readFromFileCache serves a READ from the whole-file cache, through
+// pooled buffers like a block-cache hit: the bytes are read into one, the
+// reply encoded into another that the RPC server releases (ReplyBuf).
+func (p *Proxy) readFromFileCache(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView) ([]byte, sunrpc.AcceptStat) {
+	size, _ := p.cfg.FileCache.Size(v.full) // what a READ can bring, whatever it asks for
+	buf := bufpool.Get(int(min(uint64(args.Count), size-min(size, args.Offset))))
+	defer bufpool.Put(buf)
+	n, eof, err := p.cfg.FileCache.ReadInto(v.full, args.Offset, buf)
 	if err != nil {
 		res := nfs3.ReadRes{Status: nfs3.ErrIO}
 		return res.Encode(), sunrpc.Success
@@ -494,9 +505,9 @@ func (p *Proxy) readFromFileCache(args *nfs3.ReadArgs, v *fileView) ([]byte, sun
 	if p.Degraded() {
 		p.stats.degradedReads.Add(1)
 	}
-	// AppendTo, not Encode: Encode would move the caller's view to the heap.
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
-	return res.AppendTo(make([]byte, 0, nfs3.ReadResSize(len(data)))), sunrpc.Success
+	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(n), EOF: eof, Data: buf[:n]}
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(n))[:0])
+	return c.ReplyBuf, sunrpc.Success
 }
 
 func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -510,8 +521,11 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		return nil, sunrpc.GarbageArgs
 	}
 	start := time.Now()
-	v, _ := p.attrs.get(args.FH)
+	v, known := p.attrs.get(args.FH)
 	file := v.labelOf(args.FH)
+	if known {
+		v.meta.wrote(args.Offset, uint64(len(args.Data))) // whichever way the bytes go from here
+	}
 
 	// Writes to a file resident in the file cache stay local; the
 	// file-based channel uploads them at flush time.
@@ -753,6 +767,7 @@ func (p *Proxy) metaFor(v *fileView) *metaState {
 		return ms
 	}
 	ms.m = m
+	ms.unzero(ms.wroteLo, ms.wroteHi)
 	return ms
 }
 

@@ -157,8 +157,57 @@ type Config struct {
 type metaState struct {
 	mu      sync.Mutex
 	checked bool
-	m       *meta.Meta // nil after check = no meta-data
+	m       *meta.Meta // nil after check = no meta-data; its zero map is read and changed under mu
 	fetched bool       // whole file resident in the file cache
+	// The bytes WRITEs covered before the meta-data was looked up, as one
+	// range (wroteHi 0 = none): metaFor takes it out of the zero map.
+	wroteLo, wroteHi uint64
+}
+
+// wrote takes the blocks a WRITE of n bytes at off touches out of the
+// file's zero map for the rest of the session. Dirty data wins: the map
+// is middleware's word about the file as the session found it, and a
+// block the session has written is the caches' to answer for, or —
+// written through, or written back and evicted — upstream's.
+func (ms *metaState) wrote(off, n uint64) {
+	if n == 0 {
+		return
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.checked {
+		ms.unzero(off, off+n)
+		return
+	}
+	if ms.wroteHi == 0 || off < ms.wroteLo {
+		ms.wroteLo = off
+	}
+	ms.wroteHi = max(ms.wroteHi, off+n)
+}
+
+// trimZeros moves end back over the blocks of bs bytes that the file's
+// zero map answers for — once a READ has looked the map up, and if its
+// blocks are that size — but not below demanded.
+func (ms *metaState) trimZeros(demanded, end, bs uint64) uint64 {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if m := ms.m; m != nil && m.HasZeroMap() && uint64(m.BlockSize) == bs {
+		for end > demanded && m.IsZeroBlock(end-1) {
+			end--
+		}
+	}
+	return end
+}
+
+// unzero clears the zero map over [lo, hi). The caller holds ms.mu.
+func (ms *metaState) unzero(lo, hi uint64) {
+	if ms.m == nil || !ms.m.HasZeroMap() {
+		return
+	}
+	bs := uint64(ms.m.BlockSize)
+	for b := lo / bs; b*bs < hi && b < ms.m.NumBlocks(); b++ {
+		ms.m.ClearZero(b)
+	}
 }
 
 // Proxy is a GVFS proxy. It implements sunrpc.Handler for both the NFS

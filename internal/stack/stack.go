@@ -740,6 +740,9 @@ func BridgeTunnelStats(reg *obs.Registry) {
 	reg.CounterFunc("gvfs_tunnel_rx_bytes_total",
 		"Plaintext bytes received through tunnels.",
 		func() uint64 { return tunnel.ReadStats().RxBytes })
+	reg.CounterFunc("gvfs_tunnel_elided_bytes_total",
+		"Sent plaintext bytes kept off the wire: zero runs that crossed as lengths.",
+		func() uint64 { return tunnel.ReadStats().ElidedBytes })
 }
 
 // ImageServer bundles the services running on a paper "image server":

@@ -12,10 +12,11 @@
 //
 // # Wire format
 //
-// Handshake: the initiator sends "GVFSTUN2" ‖ clientNonce, the
-// responder answers "GVFSTUN2" ‖ serverNonce; both nonces are 16
-// random bytes. Any other magic (an older peer included) is
-// ErrHandshake. The session key itself never crosses the wire, so a
+// Handshake: the initiator sends "GVFSTUN3" ‖ clientNonce, the
+// responder answers "GVFSTUN3" ‖ serverNonce; both nonces are 16
+// random bytes. Any other magic (an older peer included: GVFSTUN2 has no
+// elided frames and would read one's length word as an oversized length)
+// is ErrHandshake. The session key itself never crosses the wire, so a
 // peer with the wrong key completes the handshake and fails its first
 // frame with ErrAuth.
 //
@@ -27,22 +28,43 @@
 // reverse. Fresh nonces make the keys unique to the connection, which
 // is what lets the per-frame GCM nonce be a plain counter.
 //
-// Frame: len ‖ ciphertext ‖ tag, where len is the 4-byte big-endian
-// plaintext length (≤ 1 MiB, checked before anything is buffered) and
-// tag is 16 bytes. The GCM nonce is four zero bytes followed by the
-// 64-bit big-endian frame sequence number of that direction, starting
-// at 0; len is the additional data. The tag therefore binds content,
-// length and position: tampering, replay, reordering and truncation
-// all fail authentication. One Write of up to 1 MiB is one frame.
+// Frame: len ‖ ciphertext ‖ tag, where len is a 4-byte big-endian
+// word — the length of the sealed body in its low 31 bits (≤ 1 MiB,
+// checked before anything is buffered), the elided flag in its top bit
+// — and tag is 16 bytes. The GCM nonce is four zero bytes followed by
+// the 64-bit big-endian frame sequence number of that direction,
+// starting at 0; len is the additional data. The tag therefore binds
+// content, length, form and position: tampering, replay, reordering and
+// truncation all fail authentication. One Write of up to 1 MiB is one
+// frame.
 //
-// Errors are sticky per direction: after an authentication failure or
-// an oversized length every later Read returns the same error, and
-// after a failed or short write to the underlying connection every
-// later Write does — the stream behind such a failure is out of step
-// and must not be parsed or extended.
+// Zero elision: runs of zero bytes cross as lengths. The sender probes
+// the 8 bytes at every 512th offset of a chunk and widens a zero word
+// both ways; runs of 512 bytes or more found that way (any run of 519 is)
+// are taken out, and if that makes the body at least 512 bytes shorter
+// it is sealed, with the flag set, as triples
+//
+//	literal length ‖ zero length ‖ literal bytes   (lengths 4 bytes, big-endian)
+//
+// each meaning "these bytes, then that many zeros". Otherwise the chunk
+// is sealed as it is, flag clear: a frame with nothing worth eliding is
+// byte for byte what it was before there was an elided form. The
+// receiver checks an elided body whole before delivering any of it —
+// triples complete, literals inside the body, at most 1 MiB once
+// expanded — and writes the zeros straight into the reader's buffer.
+// There is no switch and no negotiation; every frame of every channel
+// takes this path. Ciphertext length stops being plaintext length: see
+// DESIGN.md §2.1 for what an observer learns.
+//
+// Errors are sticky per direction: after an authentication failure, an
+// oversized length or a malformed elided body every later Read returns
+// the same error, and after a failed or short write to the underlying
+// connection every later Write does — the stream behind such a failure
+// is out of step and must not be parsed or extended.
 //
 // Memory: a Conn owns one send and one receive buffer. A frame is
-// sealed from the caller's slice straight into the first and opened in
-// place in the second; each grows (by doubling) to fit the largest
-// frame seen and never beyond 4 + 1 MiB + 16 bytes.
+// sealed from the caller's slice (or its elided form, built in place)
+// into the first and opened in place in the second; each grows (by
+// doubling) to fit the largest sealed frame seen and never beyond
+// 4 + 1 MiB + 16 bytes. Elided zeros occupy neither.
 package tunnel

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -159,7 +160,8 @@ func TestBadFrameIsStickyError(t *testing.T) {
 		{"flipped tag", func(f [][]byte) []byte { f[0][len(f[0])-1] ^= 0x80; return join(f...) }, "", ErrAuth},
 		{"length shrunk", func(f [][]byte) []byte { f[0][3] = 3; return join(f...) }, "", ErrAuth},
 		{"length grown", func(f [][]byte) []byte { f[0][3] = 9; return join(f...) }, "", ErrAuth},
-		{"length over bound", func(f [][]byte) []byte { f[1][0] ^= 0x80; return join(f...) }, "zero", nil},
+		{"length over bound", func(f [][]byte) []byte { f[1][0] ^= 0x40; return join(f...) }, "zero", nil},
+		{"elided bit set", func(f [][]byte) []byte { f[1][0] ^= 0x80; return join(f...) }, "zero", ErrAuth},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,19 +289,21 @@ func TestReadResumesAfterRawError(t *testing.T) {
 
 var roles = map[string]func(net.Conn, []byte) (*Conn, error){"server": Server, "client": Client}
 
-// A peer that speaks the previous wire format is turned away at the
-// handshake, by either role.
+// A peer that speaks a previous wire format — GVFSTUN2's frames have no
+// elided form, and would read one's length word as an oversized length —
+// is turned away at the handshake, by either role.
 func TestVersionMismatch(t *testing.T) {
-	old := append([]byte("GVFSTUN1"), make([]byte, nonceSize)...)
-	for name, role := range roles {
-		in, out := newWire(), newWire()
-		in.Write(old)
-		c, err := role(memConn{in: in, out: out}, testKey(t))
-		if c != nil || !errors.Is(err, ErrHandshake) {
-			t.Errorf("%s: conn=%v err=%v, want ErrHandshake", name, c, err)
-		}
-		if name == "server" && len(out.take()) != 0 {
-			t.Error("server answered a hello it did not accept")
+	for _, old := range []string{"GVFSTUN1", "GVFSTUN2"} {
+		for name, role := range roles {
+			in, out := newWire(), newWire()
+			in.Write(append([]byte(old), make([]byte, nonceSize)...))
+			c, err := role(memConn{in: in, out: out}, testKey(t))
+			if c != nil || !errors.Is(err, ErrHandshake) {
+				t.Errorf("%s, %s peer: conn=%v err=%v, want ErrHandshake", name, old, c, err)
+			}
+			if name == "server" && len(out.take()) != 0 {
+				t.Errorf("server answered the hello of a %s peer", old)
+			}
 		}
 	}
 }
@@ -316,55 +320,88 @@ func TestKeySizeEnforcedByBothRoles(t *testing.T) {
 	}
 }
 
-// Steady-state frames cost no allocation in either direction: sealed
-// from the caller's slice into the Conn's buffer, opened in place.
+// payloads are what the frame tests and benchmarks send: bytes with
+// nothing to elide (seeded, so a failure repeats), nothing but zeros, and
+// the shape of a READ reply from a never-written region, a short header
+// before the zeros.
+var payloads = []struct {
+	name string
+	fill func(p []byte)
+}{
+	{"random", func(p []byte) { rand.New(rand.NewSource(20040604)).Read(p) }},
+	{"zero", func(p []byte) {}},
+	{"header+zero", func(p []byte) { rand.New(rand.NewSource(1)).Read(p[:min(len(p), 132)]) }},
+}
+
+// Steady-state frames cost no allocation in either direction, elided or
+// not: sealed from the caller's slice (or from its elided form, built in
+// place) into the Conn's buffer, opened in place, zero runs expanded in
+// the reader's buffer.
 func TestFrameAllocs(t *testing.T) {
 	cli, srv, _, _ := memPair(t, testKey(t))
-	for _, size := range []int{150, 8192} {
-		payload := bytes.Repeat([]byte{0xa5}, size)
-		got := make([]byte, size)
-		for _, dir := range []struct {
-			name     string
-			src, dst *Conn
-		}{{"client to server", cli, srv}, {"server to client", srv, cli}} {
-			frame := func() {
-				if _, err := dir.src.Write(payload); err != nil {
-					t.Fatal(err)
+	for _, kind := range payloads {
+		for _, size := range []int{150, 8192, 32 << 10} {
+			payload := make([]byte, size)
+			kind.fill(payload)
+			got := make([]byte, size)
+			for _, dir := range []struct {
+				name     string
+				src, dst *Conn
+			}{{"client to server", cli, srv}, {"server to client", srv, cli}} {
+				frame := func() {
+					if _, err := dir.src.Write(payload); err != nil {
+						t.Fatal(err)
+					}
+					got[size-1] ^= 0xff // a zero run must be written, not found
+					if _, err := io.ReadFull(dir.dst, got); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if _, err := io.ReadFull(dir.dst, got); err != nil {
-					t.Fatal(err)
+				frame() // warm-up: buffers grow to this frame size
+				if allocs := testing.AllocsPerRun(200, frame); allocs != 0 {
+					t.Errorf("%s %d B %s: %.2f allocs per frame, want 0", kind.name, size, dir.name, allocs)
 				}
-			}
-			frame() // warm-up: buffers grow to this frame size
-			if allocs := testing.AllocsPerRun(200, frame); allocs != 0 {
-				t.Errorf("%d B %s: %.2f allocs per frame, want 0", size, dir.name, allocs)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Errorf("%d B %s: payload corrupted", size, dir.name)
+				if !bytes.Equal(got, payload) {
+					t.Errorf("%s %d B %s: payload corrupted", kind.name, size, dir.name)
+				}
 			}
 		}
 	}
 }
 
-// Buffers follow the largest frame seen and stop at the frame bound.
+// Buffers follow the largest sealed frame seen and stop at the frame
+// bound; zero runs take no room in them at either end.
 func TestBuffersBounded(t *testing.T) {
-	cli, srv, _, _ := memPair(t, testKey(t))
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := cli.Write(make([]byte, 2*maxFrame+1))
-		wrote <- err
-	}()
-	if _, err := io.ReadFull(srv, make([]byte, 2*maxFrame+1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-wrote; err != nil {
-		t.Fatal(err)
-	}
-	if len(cli.w.buf) != maxBuf || len(srv.r.buf) != maxBuf {
-		t.Errorf("after full frames: send buffer %d, receive buffer %d, want %d", len(cli.w.buf), len(srv.r.buf), maxBuf)
-	}
-	if len(cli.r.buf) != 0 || len(srv.w.buf) != 0 {
-		t.Errorf("idle direction holds buffers: %d, %d", len(cli.r.buf), len(srv.w.buf))
+	for _, tc := range []struct {
+		kind string
+		want int // of the busy direction's two buffers
+	}{{"random", maxBuf}, {"zero", minBuf}} {
+		cli, srv, _, _ := memPair(t, testKey(t))
+		payload := make([]byte, 2*maxFrame+1)
+		if tc.kind == "random" {
+			payloads[0].fill(payload)
+		}
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := cli.Write(payload)
+			wrote <- err
+		}()
+		got := bytes.Repeat([]byte{0xff}, len(payload))
+		if _, err := io.ReadFull(srv, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%s: payload corrupted", tc.kind)
+		}
+		if len(cli.w.buf) != tc.want || len(srv.r.buf) != tc.want {
+			t.Errorf("%s, after full frames: send buffer %d, receive buffer %d, want %d", tc.kind, len(cli.w.buf), len(srv.r.buf), tc.want)
+		}
+		if len(cli.r.buf) != 0 || len(srv.w.buf) != 0 {
+			t.Errorf("%s: idle direction holds buffers: %d, %d", tc.kind, len(cli.r.buf), len(srv.w.buf))
+		}
 	}
 }
 
@@ -391,48 +428,54 @@ var benchSizes = []struct {
 	n    int
 }{{"8KiB", 8 << 10}, {"64KiB", 64 << 10}}
 
-// BenchmarkTunnelSeal is the send half of a frame: one AEAD pass into
-// the Conn's buffer and the hand-off to the raw connection.
-func BenchmarkTunnelSeal(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			cli, _, _, _ := memPair(b, make([]byte, KeySize))
-			cli.raw = discard{}
-			payload := make([]byte, size.n)
-			b.SetBytes(int64(size.n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cli.Write(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// benchPayloads runs f for every payload kind and size.
+func benchPayloads(b *testing.B, f func(b *testing.B, payload []byte)) {
+	for _, kind := range payloads {
+		for _, size := range benchSizes {
+			b.Run(kind.name+"/"+size.name, func(b *testing.B) {
+				payload := make([]byte, size.n)
+				kind.fill(payload)
+				b.SetBytes(int64(size.n))
+				b.ReportAllocs()
+				f(b, payload)
+			})
+		}
 	}
+}
+
+// BenchmarkTunnelSeal is the send half of a frame: the probe for zero
+// runs, one AEAD pass into the Conn's buffer (over the elided form when
+// there is one) and the hand-off to the raw connection.
+func BenchmarkTunnelSeal(b *testing.B) {
+	benchPayloads(b, func(b *testing.B, payload []byte) {
+		cli, _, _, _ := memPair(b, make([]byte, KeySize))
+		cli.raw = discard{}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cli.Write(payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkTunnelOpen is the receive half: one read of the raw
 // connection (a copy, as from a socket), the in-place open and the
-// copy out to the caller. The same sealed frame is served every time,
-// so the sequence number is held at 0.
+// copy out — or expansion — to the caller. The same sealed frame is
+// served every time, so the sequence number is held at 0.
 func BenchmarkTunnelOpen(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			cli, srv, c2s, _ := memPair(b, make([]byte, KeySize))
-			payload := make([]byte, size.n)
-			if _, err := cli.Write(payload); err != nil {
+	benchPayloads(b, func(b *testing.B, payload []byte) {
+		cli, srv, c2s, _ := memPair(b, make([]byte, KeySize))
+		if _, err := cli.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+		srv.raw = &replay{frame: c2s.take()}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			srv.r.seq = 0
+			if _, err := io.ReadFull(srv, payload); err != nil {
 				b.Fatal(err)
 			}
-			srv.raw = &replay{frame: c2s.take()}
-			b.SetBytes(int64(size.n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv.r.seq = 0
-				if _, err := io.ReadFull(srv, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -11,6 +11,7 @@ var stats struct {
 	txBytes  atomic.Uint64
 	rxFrames atomic.Uint64
 	rxBytes  atomic.Uint64
+	elided   atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the process-wide tunnel totals.
@@ -19,14 +20,19 @@ type Stats struct {
 	TxBytes  uint64 // plaintext bytes sent
 	RxFrames uint64 // authenticated frames received
 	RxBytes  uint64 // plaintext bytes received
+	// ElidedBytes is the part of TxBytes that zero elision kept off the
+	// wire (zero runs sent as lengths, less the lengths): the bytes put
+	// on the underlying connections are TxBytes − ElidedBytes + 20·TxFrames.
+	ElidedBytes uint64
 }
 
 // ReadStats returns the current process-wide tunnel transfer totals.
 func ReadStats() Stats {
 	return Stats{
-		TxFrames: stats.txFrames.Load(),
-		TxBytes:  stats.txBytes.Load(),
-		RxFrames: stats.rxFrames.Load(),
-		RxBytes:  stats.rxBytes.Load(),
+		TxFrames:    stats.txFrames.Load(),
+		TxBytes:     stats.txBytes.Load(),
+		RxFrames:    stats.rxFrames.Load(),
+		RxBytes:     stats.rxBytes.Load(),
+		ElidedBytes: stats.elided.Load(),
 	}
 }

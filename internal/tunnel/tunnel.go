@@ -35,7 +35,7 @@ var (
 	ErrHandshake = errors.New("tunnel: handshake failed")
 )
 
-var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '2'}
+var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '3'}
 
 // NewKey generates a random session key. Middleware generates one per
 // file system session and installs it at both proxies.
@@ -70,11 +70,13 @@ type Conn struct {
 	raw net.Conn
 	w   half
 	r   half
-	// r.buf[rpos:rend] holds bytes received but not yet opened; plain
-	// is the opened part of the current frame not yet delivered and
-	// aliases r.buf below rpos.
+	// r.buf[rpos:rend] holds bytes received but not yet opened. body is
+	// the opened part of the current frame not yet delivered and aliases
+	// r.buf below rpos: lit literal bytes, then zero zero bytes that are
+	// not in it, then — in an elided frame — the next triple.
 	rpos, rend int
-	plain      []byte
+	body       []byte
+	lit, zero  int
 }
 
 // Client performs the initiator handshake over raw using the shared
@@ -157,7 +159,8 @@ func grown(buf []byte, need int) []byte {
 }
 
 // Write seals p as one authenticated frame per maxFrame bytes, each
-// sent with a single write to the underlying connection.
+// sent with a single write to the underlying connection. A chunk whose
+// elided form is at least a sector shorter is sealed in that form.
 func (c *Conn) Write(p []byte) (int, error) {
 	w := &c.w
 	w.mu.Lock()
@@ -165,10 +168,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 && w.err == nil {
 		chunk := p[:min(len(p), maxFrame)]
-		w.buf = grown(w.buf, lenSize+len(chunk)+tagSize)
+		body, word := chunk, uint32(len(chunk))
+		if n := elidedLen(chunk); n+sector <= len(chunk) {
+			w.buf = grown(w.buf, lenSize+n+tagSize)
+			body, word = elide(w.buf[lenSize:lenSize], chunk), elidedBit|uint32(n) // sealed where it lies
+		} else {
+			w.buf = grown(w.buf, lenSize+len(chunk)+tagSize)
+		}
 		hdr := w.buf[:lenSize]
-		binary.BigEndian.PutUint32(hdr, uint32(len(chunk)))
-		frame := w.aead.Seal(hdr, w.next(), chunk, hdr)
+		binary.BigEndian.PutUint32(hdr, word)
+		frame := w.aead.Seal(hdr, w.next(), body, hdr)
 		if n, err := c.raw.Write(frame); err != nil || n != len(frame) {
 			// The peer may hold part of this frame: nothing more can
 			// be sent that it would accept.
@@ -181,6 +190,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		w.seq++
 		stats.txFrames.Add(1)
 		stats.txBytes.Add(uint64(len(chunk)))
+		stats.elided.Add(uint64(len(chunk) - len(body)))
 		total += len(chunk)
 		p = p[len(chunk):]
 	}
@@ -193,42 +203,86 @@ func (c *Conn) Read(p []byte) (int, error) {
 	r := &c.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(c.plain) == 0 {
-		if r.err != nil {
-			return 0, r.err
+	for {
+		if n := c.deliver(p); n > 0 || len(p) == 0 {
+			return n, nil
 		}
-		if err := c.fill(lenSize); err != nil {
+		if err := c.open(); err != nil {
 			return 0, err
 		}
-		n := binary.BigEndian.Uint32(r.buf[c.rpos:])
-		if n > maxFrame {
-			r.err = fmt.Errorf("tunnel: oversized frame (%d bytes)", n)
-			return 0, r.err
-		}
-		size := lenSize + int(n) + tagSize
-		if err := c.fill(size); err != nil {
-			return 0, err
-		}
-		frame := r.buf[c.rpos : c.rpos+size]
-		plain, err := r.aead.Open(frame[lenSize:lenSize], r.next(), frame[lenSize:], frame[:lenSize])
-		if err != nil {
-			r.err = ErrAuth
-			return 0, r.err
-		}
-		c.plain = plain
-		c.rpos += size
-		r.seq++
-		stats.rxFrames.Add(1)
-		stats.rxBytes.Add(uint64(n))
 	}
-	n := copy(p, c.plain)
-	c.plain = c.plain[n:]
-	return n, nil
+}
+
+// deliver copies what is left of the current frame into p, expanding an
+// elided frame's zero runs there — they are never held in a buffer of the
+// Conn — and returns the number of bytes it set.
+func (c *Conn) deliver(p []byte) (n int) {
+	for n < len(p) {
+		switch {
+		case c.lit > 0:
+			k := copy(p[n:], c.body[:c.lit])
+			c.body, c.lit = c.body[k:], c.lit-k
+			n += k
+		case c.zero > 0:
+			k := min(len(p)-n, c.zero)
+			clear(p[n : n+k])
+			c.zero -= k
+			n += k
+		case len(c.body) > 0: // an elided frame's next triple; open checked them all
+			c.lit = int(binary.BigEndian.Uint32(c.body))
+			c.zero = int(binary.BigEndian.Uint32(c.body[4:]))
+			c.body = c.body[tripleHdr:]
+		default:
+			return n
+		}
+	}
+	return n
+}
+
+// open receives and opens the next frame, once the current one has been
+// delivered, and makes it the current one.
+func (c *Conn) open() error {
+	r := &c.r
+	if r.err != nil {
+		return r.err
+	}
+	if err := c.fill(lenSize); err != nil {
+		return err
+	}
+	word := binary.BigEndian.Uint32(r.buf[c.rpos:])
+	n := word &^ elidedBit
+	if n > maxFrame {
+		r.err = fmt.Errorf("tunnel: oversized frame (%d bytes)", n)
+		return r.err
+	}
+	size := lenSize + int(n) + tagSize
+	if err := c.fill(size); err != nil {
+		return err
+	}
+	frame := r.buf[c.rpos : c.rpos+size]
+	body, err := r.aead.Open(frame[lenSize:lenSize], r.next(), frame[lenSize:], frame[:lenSize])
+	if err != nil {
+		r.err = ErrAuth
+		return r.err
+	}
+	plain := len(body)
+	if word&elidedBit == 0 {
+		c.lit = plain
+	} else if plain, err = expandedLen(body); err != nil {
+		r.err = err
+		return r.err
+	}
+	c.body = body
+	c.rpos += size
+	r.seq++
+	stats.rxFrames.Add(1)
+	stats.rxBytes.Add(uint64(plain))
+	return nil
 }
 
 // fill receives until r.buf[rpos:rend] holds at least need bytes,
 // taking whatever more one read of the underlying connection returns.
-// It is called only when no opened plaintext is pending, so it may move
+// It is called only when no opened frame is pending, so it may move
 // the unopened bytes to the front of the buffer or to a larger one. A
 // failed read (a deadline, say) keeps what was received: a later call
 // resumes the same frame.
