@@ -21,8 +21,15 @@ import (
 
 // FileID names a file at the backend. For nfs3be it is the opaque NFS
 // file handle; for objstore it is the object path. The proxy treats
-// it as an opaque byte string.
+// it as an opaque byte string of at most MaxFileID bytes.
 type FileID []byte
+
+// MaxFileID is the longest FileID a backend may hand out: a FileID
+// travels as the NFS file handle (it equals nfs3.MaxFHSize, which every
+// handle decoder enforces) and is stored in the write-back journal. A
+// backend whose names can grow past it refuses them where it makes them
+// (objstore: NFS3ERR_NAMETOOLONG from Lookup, Create and Root).
+const MaxFileID = 1 << 10
 
 // Key returns the FileID as a map key.
 func (f FileID) Key() string { return string(f) }

@@ -84,35 +84,30 @@ func verf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
 	return tc.EncodeVerf()
 }
 
-// Call issues one upstream RPC on rpc, attaching the trace context
-// and/or remaining deadline budget as a verifier when the transport
-// can carry them (see sunrpc.TraceContext), and capping retransmission
-// at the deadline when the transport supports that. It is the one
-// upstream call path: the backend's own calls and the proxy's verbatim
-// relay both go through it. A call with neither trace nor deadline —
-// every call of a default deployment — goes straight to the transport.
+// Call issues one upstream RPC on rpc. It is the one upstream call path:
+// the backend's own calls and the proxy's verbatim relay both go through
+// it. A call with neither trace nor deadline — every call of a default
+// deployment — goes straight to the transport; one with either goes
+// through CallPooled, and the reply is copied out of its pooled record
+// (sunrpc.Keep), which goes back for the READ and WRITE callers.
 func Call(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, opts backend.CallOpts) ([]byte, error) {
 	if opts.TraceID == 0 && opts.Deadline.IsZero() {
 		return rpc.Call(prog, vers, proc, cred, args)
 	}
-	if !opts.Deadline.IsZero() {
-		if dc, ok := rpc.(sunrpc.DeadlineVerfCaller); ok {
-			return dc.CallVerfDeadline(prog, vers, proc, cred, verf(&opts), args, opts.Deadline)
-		}
-	}
-	if vc, ok := rpc.(sunrpc.VerfCaller); ok {
-		return vc.CallVerf(prog, vers, proc, cred, verf(&opts), args)
-	}
-	return rpc.Call(prog, vers, proc, cred, args)
+	res, rec, err := CallPooled(rpc, prog, vers, proc, cred, args, opts)
+	return sunrpc.Keep(res, rec), err
 }
 
 // CallPooled is Call with the reply lent, not given: res aliases rec,
-// the caller's to bufpool.Put (sunrpc.PooledCaller). A transport that
-// cannot lend answers through Call with a nil rec.
+// the caller's to bufpool.Put. A sunrpc.PooledCaller carries the trace
+// context and/or remaining deadline budget upstream as the call's verifier
+// (see sunrpc.TraceContext) and caps retransmission at the deadline; any
+// other transport can carry neither, and answers through its plain Call
+// with a nil rec.
 func CallPooled(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, opts backend.CallOpts) (res, rec []byte, err error) {
 	pc, ok := rpc.(sunrpc.PooledCaller)
 	if !ok {
-		res, err = Call(rpc, prog, vers, proc, cred, args, opts)
+		res, err = rpc.Call(prog, vers, proc, cred, args)
 		return res, nil, err
 	}
 	v := sunrpc.AuthNoneCred

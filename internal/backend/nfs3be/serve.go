@@ -25,8 +25,8 @@ func Serve(b backend.Backend) nfs3.Caller { return local{b} }
 type local struct{ b backend.Backend }
 
 func (l local) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	res, _, err := l.CallPooled(prog, vers, proc, cred, sunrpc.OpaqueAuth{}, args, time.Time{})
-	return res, err // the record is never released, so res is the caller's to keep
+	res, rec, err := l.CallPooled(prog, vers, proc, cred, sunrpc.OpaqueAuth{}, args, time.Time{})
+	return sunrpc.Keep(res, rec), err
 }
 
 // CallPooled implements sunrpc.PooledCaller, the relay's way in: the

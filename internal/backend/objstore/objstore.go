@@ -127,6 +127,18 @@ func (b *Backend) checkCall(op string, opts backend.CallOpts) error {
 // FileID ("/", "/images/vm0.img").
 func cleanPath(p string) string { return path.Clean("/" + p) }
 
+// fileID is cleanPath for a FileID about to be handed out: a path longer
+// than backend.MaxFileID could not travel as a file handle, so it is
+// refused here, by name, before anything is looked up or created.
+func fileID(op, p string) (string, error) {
+	fid := cleanPath(p)
+	if len(fid) > backend.MaxFileID {
+		return "", &backend.Error{Class: backend.ClassIO, Op: op, Status: 63 /* NFS3ERR_NAMETOOLONG */, Err: fmt.Errorf(
+			"objstore: path of %d bytes exceeds the %d-byte file ID limit", len(fid), backend.MaxFileID)}
+	}
+	return fid, nil
+}
+
 func manifestKey(fid string) string { return metaPrefix + fid }
 
 // storeErr maps a raw Store failure into the backend error taxonomy.
@@ -427,7 +439,10 @@ func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr
 
 // Root implements backend.Namespacer.
 func (b *Backend) Root(dirpath string) (backend.FileID, backend.Attr, error) {
-	fid := cleanPath(dirpath)
+	fid, err := fileID("root", dirpath)
+	if err != nil {
+		return nil, backend.Attr{}, err
+	}
 	attr, err := b.GetAttr(backend.FileID(fid), backend.CallOpts{})
 	if err != nil {
 		return nil, backend.Attr{}, err
@@ -440,7 +455,10 @@ func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 	if err := b.checkCall("lookup", opts); err != nil {
 		return nil, backend.Attr{}, err
 	}
-	child := cleanPath(path.Join(cleanPath(string(dir)), name))
+	child, err := fileID("lookup", path.Join(cleanPath(string(dir)), name))
+	if err != nil {
+		return nil, backend.Attr{}, err
+	}
 	attr, err := b.GetAttr(backend.FileID(child), opts)
 	if err != nil {
 		return nil, backend.Attr{}, err
@@ -453,7 +471,10 @@ func (b *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts)
 	if err := b.checkCall("create", opts); err != nil {
 		return nil, backend.Attr{}, err
 	}
-	child := cleanPath(path.Join(cleanPath(string(dir)), name))
+	child, err := fileID("create", path.Join(cleanPath(string(dir)), name))
+	if err != nil {
+		return nil, backend.Attr{}, err
+	}
 	wl := b.writeLock(child)
 	wl.Lock()
 	defer wl.Unlock()

@@ -40,6 +40,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"gvfs/internal/nfs3"
 )
 
 // journalFileName is the intent log inside the cache directory.
@@ -51,8 +53,10 @@ const (
 	recCommit     = 2
 	recHeaderSize = 28
 	// maxJournalFH/maxJournalData bound decoded lengths so a corrupt
-	// header cannot trigger a huge allocation during the scan.
-	maxJournalFH   = 1 << 10
+	// header cannot trigger a huge allocation during the scan. No longer
+	// handle is ever appended: every handle was decoded under the same
+	// bound.
+	maxJournalFH   = nfs3.MaxFHSize
 	maxJournalData = 1 << 16
 )
 

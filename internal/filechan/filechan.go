@@ -12,6 +12,7 @@
 package filechan
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -319,7 +320,7 @@ func gzipBytes(data []byte) ([]byte, error) {
 }
 
 func gunzipBytes(data []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytesReader{data: data, pos: new(int)})
+	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +335,7 @@ func gunzipExact(data []byte, size uint64) ([]byte, error) {
 	if size/1032 > uint64(len(data)) { // deflate never expands further: refuse before allocating
 		return nil, fmt.Errorf("filechan: size mismatch: %d bytes cannot gunzip to the declared %d", len(data), size)
 	}
-	zr, err := gzip.NewReader(bytesReader{data: data, pos: new(int)})
+	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -361,18 +362,4 @@ type sliceBuffer []byte
 func (b *sliceBuffer) Write(p []byte) (int, error) {
 	*b = append(*b, p...)
 	return len(p), nil
-}
-
-type bytesReader struct {
-	data []byte
-	pos  *int
-}
-
-func (r bytesReader) Read(p []byte) (int, error) {
-	if *r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[*r.pos:])
-	*r.pos += n
-	return n, nil
 }

@@ -6,7 +6,6 @@
 package mountd
 
 import (
-	"bytes"
 	"sync"
 
 	"gvfs/internal/nfs3"
@@ -59,7 +58,8 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	case ProcNull:
 		return nil, sunrpc.Success
 	case ProcMnt:
-		d := xdr.NewDecoder(bytes.NewReader(c.Args))
+		var d xdr.Decoder
+		d.ResetBytes(c.Args)
 		dirpath := d.String()
 		if d.Err() != nil {
 			return nil, sunrpc.GarbageArgs
@@ -73,31 +73,29 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 			fh, err = s.Resolve(dirpath)
 			ok, status = err == nil, uint32(nfs3.StatusOf(err))
 		}
-		var buf bytes.Buffer
-		e := xdr.NewEncoder(&buf)
+		b := xdr.NewBuilder()
 		if !ok {
-			e.Uint32(status)
-			return buf.Bytes(), sunrpc.Success
+			b.Uint32(status)
+			return b.B, sunrpc.Success
 		}
-		e.Uint32(OK)
-		e.Opaque(fh)
-		e.Uint32(1) // one auth flavor follows
-		e.Uint32(sunrpc.AuthUnix)
-		return buf.Bytes(), sunrpc.Success
+		b.Uint32(OK)
+		b.Opaque(fh)
+		b.Uint32(1) // one auth flavor follows
+		b.Uint32(sunrpc.AuthUnix)
+		return b.B, sunrpc.Success
 	case ProcUmnt, ProcDump:
 		return nil, sunrpc.Success
 	case ProcExport:
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		var buf bytes.Buffer
-		e := xdr.NewEncoder(&buf)
+		var b xdr.Builder
 		for dirpath := range s.exports {
-			e.Bool(true)
-			e.String(dirpath)
-			e.Bool(false) // no group list
+			b.Bool(true)
+			b.String(dirpath)
+			b.Bool(false) // no group list
 		}
-		e.Bool(false)
-		return buf.Bytes(), sunrpc.Success
+		b.Bool(false)
+		return b.B, sunrpc.Success
 	}
 	return nil, sunrpc.ProcUnavail
 }
@@ -105,18 +103,19 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 // Mount asks the MOUNT service reachable through rpc for the root
 // handle of dirpath.
 func Mount(rpc nfs3.Caller, cred sunrpc.OpaqueAuth, dirpath string) (nfs3.FH, error) {
-	var args bytes.Buffer
-	xdr.NewEncoder(&args).String(dirpath)
-	res, err := rpc.Call(nfs3.MountProgram, nfs3.MountVersion, ProcMnt, cred, args.Bytes())
+	var args xdr.Builder
+	args.String(dirpath)
+	res, err := rpc.Call(nfs3.MountProgram, nfs3.MountVersion, ProcMnt, cred, args.B)
 	if err != nil {
 		return nil, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	status := d.Uint32()
 	if status != OK {
 		return nil, &nfs3.Error{Status: nfs3.Status(status), Op: "mount " + dirpath}
 	}
-	fh := nfs3.FH(d.Opaque())
+	fh := nfs3.DecodeFH(&d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

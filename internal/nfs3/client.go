@@ -1,7 +1,6 @@
 package nfs3
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -71,9 +70,10 @@ func (c *Client) SetAttr(fh FH, attr SetAttr) (*Fattr, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	wcc := DecodeWccData(d)
+	wcc := DecodeWccData(&d)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -98,17 +98,17 @@ func (c *Client) Lookup(dir FH, name string) (FH, *Fattr, error) {
 
 // Access checks access rights; returns the granted subset of want.
 func (c *Client) Access(fh FH, want uint32) (uint32, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, fh)
-	e.Uint32(want)
-	res, err := c.call(ProcAccess, buf.Bytes())
+	b := xdr.NewBuilder()
+	b.Opaque(fh)
+	b.Uint32(want)
+	res, err := c.call(ProcAccess, b.B)
 	if err != nil {
 		return 0, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
+	DecodePostOpAttr(&d)
 	if st != OK {
 		return 0, statusErr("access", st)
 	}
@@ -196,38 +196,35 @@ func (c *Client) Write(fh FH, off uint64, data []byte, stable uint32) (uint32, *
 
 // Create makes a regular file in dir.
 func (c *Client) Create(dir FH, name string, attr SetAttr, guarded bool) (FH, *Fattr, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, dir)
-	e.String(name)
+	b := xdr.NewBuilder()
+	b.Opaque(dir)
+	b.String(name)
 	if guarded {
-		e.Uint32(CreateGuarded)
+		b.Uint32(CreateGuarded)
 	} else {
-		e.Uint32(CreateUnchecked)
+		b.Uint32(CreateUnchecked)
 	}
-	attr.Encode(e)
-	return c.newObjectCall(ProcCreate, "create "+name, buf.Bytes())
+	attr.Append(&b)
+	return c.newObjectCall(ProcCreate, "create "+name, b.B)
 }
 
 // Mkdir makes a directory in dir.
 func (c *Client) Mkdir(dir FH, name string, attr SetAttr) (FH, *Fattr, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, dir)
-	e.String(name)
-	attr.Encode(e)
-	return c.newObjectCall(ProcMkdir, "mkdir "+name, buf.Bytes())
+	b := xdr.NewBuilder()
+	b.Opaque(dir)
+	b.String(name)
+	attr.Append(&b)
+	return c.newObjectCall(ProcMkdir, "mkdir "+name, b.B)
 }
 
 // Symlink makes a symbolic link dir/name -> target.
 func (c *Client) Symlink(dir FH, name, target string) (FH, *Fattr, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, dir)
-	e.String(name)
-	(&SetAttr{}).Encode(e)
-	e.String(target)
-	return c.newObjectCall(ProcSymlink, "symlink "+name, buf.Bytes())
+	b := xdr.NewBuilder()
+	b.Opaque(dir)
+	b.String(name)
+	(&SetAttr{}).Append(&b)
+	b.String(target)
+	return c.newObjectCall(ProcSymlink, "symlink "+name, b.B)
 }
 
 func (c *Client) newObjectCall(proc uint32, op string, args []byte) (FH, *Fattr, error) {
@@ -235,14 +232,15 @@ func (c *Client) newObjectCall(proc uint32, op string, args []byte) (FH, *Fattr,
 	if err != nil {
 		return nil, nil, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
 	if st != OK {
 		return nil, nil, statusErr(op, st)
 	}
-	fh := DecodePostOpFH(d)
-	attr := DecodePostOpAttr(d)
-	DecodeWccData(d)
+	fh := DecodePostOpFH(&d)
+	attr := DecodePostOpAttr(&d)
+	DecodeWccData(&d)
 	if err := d.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -267,9 +265,10 @@ func (c *Client) dirOpCall(proc uint32, op string, dir FH, name string) error {
 	if err != nil {
 		return err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodeWccData(d)
+	DecodeWccData(&d)
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -278,20 +277,20 @@ func (c *Client) dirOpCall(proc uint32, op string, dir FH, name string) error {
 
 // Rename moves fromDir/fromName to toDir/toName.
 func (c *Client) Rename(fromDir FH, fromName string, toDir FH, toName string) error {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, fromDir)
-	e.String(fromName)
-	EncodeFH(e, toDir)
-	e.String(toName)
-	res, err := c.call(ProcRename, buf.Bytes())
+	b := xdr.NewBuilder()
+	b.Opaque(fromDir)
+	b.String(fromName)
+	b.Opaque(toDir)
+	b.String(toName)
+	res, err := c.call(ProcRename, b.B)
 	if err != nil {
 		return err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodeWccData(d)
-	DecodeWccData(d)
+	DecodeWccData(&d)
+	DecodeWccData(&d)
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -300,20 +299,20 @@ func (c *Client) Rename(fromDir FH, fromName string, toDir FH, toName string) er
 
 // ReadDir lists one batch of directory entries starting after cookie.
 func (c *Client) ReadDir(dir FH, cookie uint64, count uint32) ([]DirEntry, bool, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, dir)
-	e.Uint64(cookie)
+	b := xdr.NewBuilder()
+	b.Opaque(dir)
+	b.Uint64(cookie)
 	var verf [8]byte
-	e.FixedOpaque(verf[:])
-	e.Uint32(count)
-	res, err := c.call(ProcReaddir, buf.Bytes())
+	b.FixedOpaque(verf[:])
+	b.Uint32(count)
+	res, err := c.call(ProcReaddir, b.B)
 	if err != nil {
 		return nil, false, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
+	DecodePostOpAttr(&d)
 	if st != OK {
 		return nil, false, statusErr("readdir", st)
 	}
@@ -353,9 +352,10 @@ func (c *Client) FSStat(fh FH) (FSStatRes, error) {
 	if err != nil {
 		return FSStatRes{}, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
+	DecodePostOpAttr(&d)
 	if st != OK {
 		return FSStatRes{}, statusErr("fsstat", st)
 	}
@@ -373,9 +373,10 @@ func (c *Client) FSInfo(fh FH) (FSInfoRes, error) {
 	if err != nil {
 		return FSInfoRes{}, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
+	DecodePostOpAttr(&d)
 	if st != OK {
 		return FSInfoRes{}, statusErr("fsinfo", st)
 	}
@@ -407,21 +408,21 @@ func (c *Client) Commit(fh FH, off uint64, count uint32) error {
 // handles (READDIRPLUS), saving the per-entry LOOKUP round trips that
 // plain READDIR requires.
 func (c *Client) ReadDirPlus(dir FH, cookie uint64, maxCount uint32) ([]DirEntry, bool, error) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, dir)
-	e.Uint64(cookie)
+	b := xdr.NewBuilder()
+	b.Opaque(dir)
+	b.Uint64(cookie)
 	var verf [8]byte
-	e.FixedOpaque(verf[:])
-	e.Uint32(maxCount / 4) // dircount: name-data budget
-	e.Uint32(maxCount)     // maxcount: full reply budget
-	res, err := c.call(ProcReaddirplus, buf.Bytes())
+	b.FixedOpaque(verf[:])
+	b.Uint32(maxCount / 4) // dircount: name-data budget
+	b.Uint32(maxCount)     // maxcount: full reply budget
+	res, err := c.call(ProcReaddirplus, b.B)
 	if err != nil {
 		return nil, false, err
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
+	var d xdr.Decoder
+	d.ResetBytes(res)
 	st := Status(d.Uint32())
-	DecodePostOpAttr(d)
+	DecodePostOpAttr(&d)
 	if st != OK {
 		return nil, false, statusErr("readdirplus", st)
 	}
@@ -429,8 +430,8 @@ func (c *Client) ReadDirPlus(dir FH, cookie uint64, maxCount uint32) ([]DirEntry
 	var entries []DirEntry
 	for d.Bool() {
 		ent := DirEntry{FileID: d.Uint64(), Name: d.String(), Cookie: d.Uint64()}
-		ent.Attr = DecodePostOpAttr(d)
-		ent.Handle = DecodePostOpFH(d)
+		ent.Attr = DecodePostOpAttr(&d)
+		ent.Handle = DecodePostOpFH(&d)
 		if d.Err() != nil {
 			return nil, false, d.Err()
 		}

@@ -10,13 +10,14 @@ import (
 	"testing"
 )
 
-// argCodec is one decoder with the encoder that inverts it. lent, where
-// set, is the one field the decoder lends from its input instead of
-// copying.
+// argCodec is one decoder with the encoder that inverts it. handle is the
+// file handle in what it decoded; lent, where set, is the one field the
+// decoder lends from its input instead of copying.
 type argCodec struct {
 	name   string
 	decode func(p []byte) (any, error)
 	encode func(v any) []byte
+	handle func(v any) FH
 	lent   func(v any) *[]byte
 }
 
@@ -26,29 +27,44 @@ var argCodecs = []argCodec{
 			a := &ReadArgs{}
 			return a, a.DecodeInto(p)
 		},
-		func(v any) []byte { return v.(*ReadArgs).Encode() }, nil},
+		func(v any) []byte { return v.(*ReadArgs).Encode() },
+		func(v any) FH { return v.(*ReadArgs).FH }, nil},
+	{"ReadArgs.DecodeRefInto",
+		func(p []byte) (any, error) {
+			a := &ReadArgs{}
+			return a, a.DecodeRefInto(p)
+		},
+		func(v any) []byte { return v.(*ReadArgs).Encode() },
+		func(v any) FH { return v.(*ReadArgs).FH },
+		func(v any) *[]byte { return (*[]byte)(&v.(*ReadArgs).FH) }},
 	{"WriteArgs.DecodeRefInto",
 		func(p []byte) (any, error) {
 			a := &WriteArgs{}
 			return a, a.DecodeRefInto(p)
 		},
 		func(v any) []byte { return v.(*WriteArgs).Encode() },
+		func(v any) FH { return v.(*WriteArgs).FH },
 		func(v any) *[]byte { return &v.(*WriteArgs).Data }},
 	{"DecodeLookupArgs",
 		func(p []byte) (any, error) { return DecodeLookupArgs(p) },
-		func(v any) []byte { return v.(*LookupArgs).Encode() }, nil},
+		func(v any) []byte { return v.(*LookupArgs).Encode() },
+		func(v any) FH { return v.(*LookupArgs).Dir }, nil},
 	{"DecodeSetattrArgs",
 		func(p []byte) (any, error) { return DecodeSetattrArgs(p) },
-		func(v any) []byte { return v.(*SetattrArgs).Encode() }, nil},
+		func(v any) []byte { return v.(*SetattrArgs).Encode() },
+		func(v any) FH { return v.(*SetattrArgs).FH }, nil},
 	{"DecodeCommitArgs",
 		func(p []byte) (any, error) { return DecodeCommitArgs(p) },
-		func(v any) []byte { return v.(*CommitArgs).Encode() }, nil},
+		func(v any) []byte { return v.(*CommitArgs).Encode() },
+		func(v any) FH { return v.(*CommitArgs).FH }, nil},
 }
 
-// FuzzNFS3Args: no input makes a decoder panic; what a decoder returns
-// holds no reference to the input (the WRITE payload excepted, which is
-// lent from it); and on an input it accepts, encoding what it returned
-// and decoding that gives the same arguments and the same bytes again.
+// FuzzNFS3Args: no input makes a decoder panic; no decoder accepts a file
+// handle longer than MaxFHSize; what a decoder returns holds no reference
+// to the input (the WRITE payload and DecodeRefInto's READ handle
+// excepted, which are lent from it); and on an input it accepts, encoding
+// what it returned and decoding that gives the same arguments and the same
+// bytes again.
 func FuzzNFS3Args(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for _, c := range argCodecs {
@@ -56,6 +72,9 @@ func FuzzNFS3Args(f *testing.F) {
 			got, err := c.decode(in)
 			if err != nil {
 				continue
+			}
+			if fh := c.handle(got); len(fh) > MaxFHSize {
+				t.Fatalf("%s: accepted a %d-byte file handle", c.name, len(fh))
 			}
 			for i := range in {
 				in[i] ^= 0xff

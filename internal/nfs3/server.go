@@ -1,7 +1,6 @@
 package nfs3
 
 import (
-	"bytes"
 	"sync/atomic"
 
 	"gvfs/internal/bufpool"
@@ -102,19 +101,24 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 // notSupported encodes the proper NOTSUPP reply shape for MKNOD (new
 // object reply) and LINK (post_op_attr + wcc_data).
 func (s *Server) notSupported(proc uint32, args []byte) ([]byte, sunrpc.AcceptStat) {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(ErrNotSupp))
+	b := reply(ErrNotSupp)
 	switch proc {
 	case ProcMknod:
 		// MKNOD3resfail: wcc_data on the directory.
-		(&WccData{}).Encode(e)
+		(&WccData{}).Append(&b)
 	case ProcLink:
 		// LINK3resfail: post_op_attr + wcc_data.
-		EncodePostOpAttr(e, nil)
-		(&WccData{}).Encode(e)
+		AppendPostOpAttr(&b, nil)
+		(&WccData{}).Append(&b)
 	}
-	return buf.Bytes(), sunrpc.Success
+	return b.B, sunrpc.Success
+}
+
+// reply starts a result body of status st.
+func reply(st Status) xdr.Builder {
+	b := xdr.NewBuilder()
+	b.Uint32(uint32(st))
+	return b
 }
 
 // attrOf fetches attributes, returning nil on failure (post_op_attr is
@@ -154,17 +158,15 @@ func (s *Server) setattr(args []byte) ([]byte, sunrpc.AcceptStat) {
 	}
 	before := s.preOf(a.FH)
 	attr, berr := s.backend.SetAttr(a.FH, a.Attr)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
+	b := reply(StatusOf(berr))
 	wcc := WccData{Before: before}
 	if berr == nil {
 		wcc.After = &attr
 	} else {
 		wcc.After = s.attrOf(a.FH)
 	}
-	wcc.Encode(e)
-	return buf.Bytes(), sunrpc.Success
+	wcc.Append(&b)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) lookup(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -182,25 +184,24 @@ func (s *Server) lookup(args []byte) ([]byte, sunrpc.AcceptStat) {
 }
 
 func (s *Server) access(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	fh := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	fh := DecodeFH(&d)
 	want := d.Uint32()
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
 	}
 	attr, berr := s.backend.GetAttr(fh)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
+	b := reply(StatusOf(berr))
 	if berr != nil {
-		EncodePostOpAttr(e, nil)
-		return buf.Bytes(), sunrpc.Success
+		AppendPostOpAttr(&b, nil)
+		return b.B, sunrpc.Success
 	}
-	EncodePostOpAttr(e, &attr)
+	AppendPostOpAttr(&b, &attr)
 	// Access control is enforced by the GVFS proxy layer (identity
 	// mapping); the end server grants whatever was requested.
-	e.Uint32(want)
-	return buf.Bytes(), sunrpc.Success
+	b.Uint32(want)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) readlink(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -259,17 +260,18 @@ func (s *Server) write(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 }
 
 func (s *Server) create(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	dir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	dir := DecodeFH(&d)
 	name := d.String()
 	mode := d.Uint32()
 	var attr SetAttr
 	guarded := false
 	switch mode {
 	case CreateUnchecked:
-		attr = DecodeSetAttr(d)
+		attr = DecodeSetAttr(&d)
 	case CreateGuarded:
-		attr = DecodeSetAttr(d)
+		attr = DecodeSetAttr(&d)
 		guarded = true
 	case CreateExclusive:
 		var verf [8]byte
@@ -287,10 +289,11 @@ func (s *Server) create(args []byte) ([]byte, sunrpc.AcceptStat) {
 }
 
 func (s *Server) mkdir(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	dir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	dir := DecodeFH(&d)
 	name := d.String()
-	attr := DecodeSetAttr(d)
+	attr := DecodeSetAttr(&d)
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
 	}
@@ -300,10 +303,11 @@ func (s *Server) mkdir(args []byte) ([]byte, sunrpc.AcceptStat) {
 }
 
 func (s *Server) symlink(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	dir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	dir := DecodeFH(&d)
 	name := d.String()
-	_ = DecodeSetAttr(d) // symlink attributes: accepted, ignored
+	_ = DecodeSetAttr(&d) // symlink attributes: accepted, ignored
 	target := d.String()
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
@@ -315,16 +319,14 @@ func (s *Server) symlink(args []byte) ([]byte, sunrpc.AcceptStat) {
 
 // newObjectReply encodes the common CREATE/MKDIR/SYMLINK result shape.
 func (s *Server) newObjectReply(st Status, fh FH, attr Fattr, ok bool, dir FH, before *WccAttr) []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(st))
+	b := reply(st)
 	if ok {
-		EncodePostOpFH(e, fh)
-		EncodePostOpAttr(e, &attr)
+		AppendPostOpFH(&b, fh)
+		AppendPostOpAttr(&b, &attr)
 	}
 	wcc := WccData{Before: before, After: s.attrOf(dir)}
-	wcc.Encode(e)
-	return buf.Bytes()
+	wcc.Append(&b)
+	return b.B
 }
 
 func (s *Server) remove(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -348,19 +350,18 @@ func (s *Server) rmdir(args []byte) ([]byte, sunrpc.AcceptStat) {
 }
 
 func (s *Server) wccReply(st Status, dir FH, before *WccAttr) []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(st))
+	b := reply(st)
 	wcc := WccData{Before: before, After: s.attrOf(dir)}
-	wcc.Encode(e)
-	return buf.Bytes()
+	wcc.Append(&b)
+	return b.B
 }
 
 func (s *Server) rename(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	fromDir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	fromDir := DecodeFH(&d)
 	fromName := d.String()
-	toDir := DecodeFH(d)
+	toDir := DecodeFH(&d)
 	toName := d.String()
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
@@ -368,17 +369,16 @@ func (s *Server) rename(args []byte) ([]byte, sunrpc.AcceptStat) {
 	fromBefore := s.preOf(fromDir)
 	toBefore := s.preOf(toDir)
 	berr := s.backend.Rename(fromDir, fromName, toDir, toName)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
-	(&WccData{Before: fromBefore, After: s.attrOf(fromDir)}).Encode(e)
-	(&WccData{Before: toBefore, After: s.attrOf(toDir)}).Encode(e)
-	return buf.Bytes(), sunrpc.Success
+	b := reply(StatusOf(berr))
+	(&WccData{Before: fromBefore, After: s.attrOf(fromDir)}).Append(&b)
+	(&WccData{Before: toBefore, After: s.attrOf(toDir)}).Append(&b)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) readdir(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	dir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	dir := DecodeFH(&d)
 	cookie := d.Uint64()
 	var verf [8]byte
 	d.FixedOpaque(verf[:])
@@ -387,28 +387,27 @@ func (s *Server) readdir(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	entries, eof, berr := s.backend.ReadDir(dir, cookie, count)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
-	EncodePostOpAttr(e, s.attrOf(dir))
+	b := reply(StatusOf(berr))
+	AppendPostOpAttr(&b, s.attrOf(dir))
 	if berr != nil {
-		return buf.Bytes(), sunrpc.Success
+		return b.B, sunrpc.Success
 	}
-	e.FixedOpaque(verf[:]) // cookieverf echoed back
+	b.FixedOpaque(verf[:]) // cookieverf echoed back
 	for _, ent := range entries {
-		e.Bool(true)
-		e.Uint64(ent.FileID)
-		e.String(ent.Name)
-		e.Uint64(ent.Cookie)
+		b.Bool(true)
+		b.Uint64(ent.FileID)
+		b.String(ent.Name)
+		b.Uint64(ent.Cookie)
 	}
-	e.Bool(false)
-	e.Bool(eof)
-	return buf.Bytes(), sunrpc.Success
+	b.Bool(false)
+	b.Bool(eof)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) readdirplus(args []byte) ([]byte, sunrpc.AcceptStat) {
-	d := xdr.NewDecoder(bytes.NewReader(args))
-	dir := DecodeFH(d)
+	var d xdr.Decoder
+	d.ResetBytes(args)
+	dir := DecodeFH(&d)
 	cookie := d.Uint64()
 	var verf [8]byte
 	d.FixedOpaque(verf[:])
@@ -419,19 +418,17 @@ func (s *Server) readdirplus(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	entries, eof, berr := s.backend.ReadDir(dir, cookie, maxcount)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
-	EncodePostOpAttr(e, s.attrOf(dir))
+	b := reply(StatusOf(berr))
+	AppendPostOpAttr(&b, s.attrOf(dir))
 	if berr != nil {
-		return buf.Bytes(), sunrpc.Success
+		return b.B, sunrpc.Success
 	}
-	e.FixedOpaque(verf[:])
+	b.FixedOpaque(verf[:])
 	for _, ent := range entries {
-		e.Bool(true)
-		e.Uint64(ent.FileID)
-		e.String(ent.Name)
-		e.Uint64(ent.Cookie)
+		b.Bool(true)
+		b.Uint64(ent.FileID)
+		b.String(ent.Name)
+		b.Uint64(ent.Cookie)
 		attr := ent.Attr
 		handle := ent.Handle
 		if handle == nil {
@@ -439,12 +436,12 @@ func (s *Server) readdirplus(args []byte) ([]byte, sunrpc.AcceptStat) {
 				handle, attr = fh, &fa
 			}
 		}
-		EncodePostOpAttr(e, attr)
-		EncodePostOpFH(e, handle)
+		AppendPostOpAttr(&b, attr)
+		AppendPostOpFH(&b, handle)
 	}
-	e.Bool(false)
-	e.Bool(eof)
-	return buf.Bytes(), sunrpc.Success
+	b.Bool(false)
+	b.Bool(eof)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) fsstat(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -453,20 +450,18 @@ func (s *Server) fsstat(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	st, berr := s.backend.FSStat(a.FH)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
-	EncodePostOpAttr(e, s.attrOf(a.FH))
+	b := reply(StatusOf(berr))
+	AppendPostOpAttr(&b, s.attrOf(a.FH))
 	if berr == nil {
-		e.Uint64(st.TotalBytes)
-		e.Uint64(st.FreeBytes)
-		e.Uint64(st.AvailBytes)
-		e.Uint64(st.TotalFiles)
-		e.Uint64(st.FreeFiles)
-		e.Uint64(st.AvailFiles)
-		e.Uint32(st.Invarsec)
+		b.Uint64(st.TotalBytes)
+		b.Uint64(st.FreeBytes)
+		b.Uint64(st.AvailBytes)
+		b.Uint64(st.TotalFiles)
+		b.Uint64(st.FreeFiles)
+		b.Uint64(st.AvailFiles)
+		b.Uint32(st.Invarsec)
 	}
-	return buf.Bytes(), sunrpc.Success
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) fsinfo(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -475,22 +470,20 @@ func (s *Server) fsinfo(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	info := DefaultFSInfo()
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(OK))
-	EncodePostOpAttr(e, s.attrOf(a.FH))
-	e.Uint32(info.RtMax)
-	e.Uint32(info.RtPref)
-	e.Uint32(info.RtMult)
-	e.Uint32(info.WtMax)
-	e.Uint32(info.WtPref)
-	e.Uint32(info.WtMult)
-	e.Uint32(info.DtPref)
-	e.Uint64(info.MaxFileSize)
-	e.Uint32(info.TimeDelta.Sec)
-	e.Uint32(info.TimeDelta.Nsec)
-	e.Uint32(info.Properties)
-	return buf.Bytes(), sunrpc.Success
+	b := reply(OK)
+	AppendPostOpAttr(&b, s.attrOf(a.FH))
+	b.Uint32(info.RtMax)
+	b.Uint32(info.RtPref)
+	b.Uint32(info.RtMult)
+	b.Uint32(info.WtMax)
+	b.Uint32(info.WtPref)
+	b.Uint32(info.WtMult)
+	b.Uint32(info.DtPref)
+	b.Uint64(info.MaxFileSize)
+	b.Uint32(info.TimeDelta.Sec)
+	b.Uint32(info.TimeDelta.Nsec)
+	b.Uint32(info.Properties)
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) pathconf(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -498,17 +491,15 @@ func (s *Server) pathconf(args []byte) ([]byte, sunrpc.AcceptStat) {
 	if err != nil {
 		return nil, sunrpc.GarbageArgs
 	}
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(OK))
-	EncodePostOpAttr(e, s.attrOf(a.FH))
-	e.Uint32(255) // linkmax
-	e.Uint32(255) // name_max
-	e.Bool(true)  // no_trunc
-	e.Bool(false) // chown_restricted
-	e.Bool(true)  // case_insensitive = false? (true means preserves case)
-	e.Bool(true)  // case_preserving
-	return buf.Bytes(), sunrpc.Success
+	b := reply(OK)
+	AppendPostOpAttr(&b, s.attrOf(a.FH))
+	b.Uint32(255) // linkmax
+	b.Uint32(255) // name_max
+	b.Bool(true)  // no_trunc
+	b.Bool(false) // chown_restricted
+	b.Bool(true)  // case_insensitive = false? (true means preserves case)
+	b.Bool(true)  // case_preserving
+	return b.B, sunrpc.Success
 }
 
 func (s *Server) commit(args []byte) ([]byte, sunrpc.AcceptStat) {
@@ -517,13 +508,11 @@ func (s *Server) commit(args []byte) ([]byte, sunrpc.AcceptStat) {
 		return nil, sunrpc.GarbageArgs
 	}
 	berr := s.backend.Commit(a.FH)
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(StatusOf(berr)))
+	b := reply(StatusOf(berr))
 	wcc := WccData{After: s.attrOf(a.FH)}
-	wcc.Encode(e)
+	wcc.Append(&b)
 	if berr == nil {
-		e.FixedOpaque(WriteVerf[:])
+		b.FixedOpaque(WriteVerf[:])
 	}
-	return buf.Bytes(), sunrpc.Success
+	return b.B, sunrpc.Success
 }

@@ -7,6 +7,7 @@
 package nfs3
 
 import (
+	"bytes"
 	"fmt"
 
 	"gvfs/internal/xdr"
@@ -158,11 +159,16 @@ func StatusOf(err error) Status {
 	return ErrIO
 }
 
-// FH is an NFSv3 file handle: opaque, up to 64 bytes.
+// FH is an NFSv3 file handle: opaque, up to MaxFHSize bytes.
 type FH []byte
 
-// MaxFHSize is the protocol's file handle size limit.
-const MaxFHSize = 64
+// MaxFHSize is the longest file handle any decoder here accepts (DecodeFH
+// enforces it) and any backend may produce. RFC 1813 stops at 64 bytes
+// (NFS3_FHSIZE) and a handle relayed from an NFS server never exceeds
+// that, but a backend's FileID is the handle and objstore's is the object
+// path, so the bound is the one a FileID already had wherever it is
+// stored: backend.MaxFileID, the write-back journal's record limit.
+const MaxFHSize = 1 << 10
 
 // Key returns the handle as a map key.
 func (fh FH) Key() string { return string(fh) }
@@ -211,35 +217,15 @@ type Fattr struct {
 	Ctime                Time
 }
 
-// Encode writes the fattr3 wire form.
-func (a *Fattr) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(a.Type))
-	e.Uint32(a.Mode)
-	e.Uint32(a.Nlink)
-	e.Uint32(a.UID)
-	e.Uint32(a.GID)
-	e.Uint64(a.Size)
-	e.Uint64(a.Used)
-	e.Uint32(a.RdevMajor)
-	e.Uint32(a.RdevMinor)
-	e.Uint64(a.FSID)
-	e.Uint64(a.FileID)
-	e.Uint32(a.Atime.Sec)
-	e.Uint32(a.Atime.Nsec)
-	e.Uint32(a.Mtime.Sec)
-	e.Uint32(a.Mtime.Nsec)
-	e.Uint32(a.Ctime.Sec)
-	e.Uint32(a.Ctime.Nsec)
-}
-
 // FattrSize is the fixed encoded size of a fattr3 (21 words).
 const FattrSize = 84
 
-// FHSize bounds the encoded size of an nfs_fh3 (length word + up to
-// 64 padded handle bytes, RFC 1813 NFS3_FHSIZE).
+// FHSize is the encoded size of an nfs_fh3 of RFC 1813's 64 bytes
+// (NFS3_FHSIZE) with its length word: what the args buffers of READ and
+// WRITE are sized for. A longer handle (see MaxFHSize) grows them.
 const FHSize = 4 + 64
 
-// Append writes the fattr3 wire form through a Builder.
+// Append writes the fattr3 wire form.
 func (a *Fattr) Append(b *xdr.Builder) {
 	b.Uint32(uint32(a.Type))
 	b.Uint32(a.Mode)
@@ -280,17 +266,7 @@ func DecodeFattr(d *xdr.Decoder) Fattr {
 	return a
 }
 
-// EncodePostOpAttr writes a post_op_attr (optional fattr3).
-func EncodePostOpAttr(e *xdr.Encoder, a *Fattr) {
-	if a == nil {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	a.Encode(e)
-}
-
-// AppendPostOpAttr writes a post_op_attr through a Builder.
+// AppendPostOpAttr writes a post_op_attr (optional fattr3).
 func AppendPostOpAttr(b *xdr.Builder, a *Fattr) {
 	if a == nil {
 		b.Bool(false)
@@ -316,20 +292,6 @@ type WccAttr struct {
 	Ctime Time
 }
 
-// EncodePreOpAttr writes a pre_op_attr.
-func EncodePreOpAttr(e *xdr.Encoder, a *WccAttr) {
-	if a == nil {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.Uint64(a.Size)
-	e.Uint32(a.Mtime.Sec)
-	e.Uint32(a.Mtime.Nsec)
-	e.Uint32(a.Ctime.Sec)
-	e.Uint32(a.Ctime.Nsec)
-}
-
 // DecodePreOpAttr reads a pre_op_attr.
 func DecodePreOpAttr(d *xdr.Decoder) *WccAttr {
 	if !d.Bool() {
@@ -348,13 +310,8 @@ type WccData struct {
 	After  *Fattr
 }
 
-// Encode writes the wcc_data wire form.
-func (w *WccData) Encode(e *xdr.Encoder) {
-	EncodePreOpAttr(e, w.Before)
-	EncodePostOpAttr(e, w.After)
-}
-
-// Append writes the wcc_data wire form through a Builder.
+// Append writes the wcc_data wire form: a pre_op_attr, then a
+// post_op_attr.
 func (w *WccData) Append(b *xdr.Builder) {
 	if w.Before == nil {
 		b.Bool(false)
@@ -397,34 +354,30 @@ type SetAttr struct {
 	Mtime    Time
 }
 
-// Encode writes the sattr3 wire form.
-func (s *SetAttr) Encode(e *xdr.Encoder) {
-	encOptU32 := func(p *uint32) {
-		if p == nil {
-			e.Bool(false)
-		} else {
-			e.Bool(true)
-			e.Uint32(*p)
+// Append writes the sattr3 wire form.
+func (s *SetAttr) Append(b *xdr.Builder) {
+	optU32 := func(p *uint32) {
+		b.Bool(p != nil)
+		if p != nil {
+			b.Uint32(*p)
 		}
 	}
-	encOptU32(s.Mode)
-	encOptU32(s.UID)
-	encOptU32(s.GID)
-	if s.Size == nil {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		e.Uint64(*s.Size)
+	optU32(s.Mode)
+	optU32(s.UID)
+	optU32(s.GID)
+	b.Bool(s.Size != nil)
+	if s.Size != nil {
+		b.Uint64(*s.Size)
 	}
-	e.Uint32(uint32(s.AtimeHow))
+	b.Uint32(uint32(s.AtimeHow))
 	if s.AtimeHow == SetToClient {
-		e.Uint32(s.Atime.Sec)
-		e.Uint32(s.Atime.Nsec)
+		b.Uint32(s.Atime.Sec)
+		b.Uint32(s.Atime.Nsec)
 	}
-	e.Uint32(uint32(s.MtimeHow))
+	b.Uint32(uint32(s.MtimeHow))
 	if s.MtimeHow == SetToClient {
-		e.Uint32(s.Mtime.Sec)
-		e.Uint32(s.Mtime.Nsec)
+		b.Uint32(s.Mtime.Sec)
+		b.Uint32(s.Mtime.Nsec)
 	}
 }
 
@@ -525,20 +478,19 @@ func DefaultFSInfo() FSInfoRes {
 	}
 }
 
-// EncodeFH writes an nfs_fh3 (variable-length opaque handle).
-func EncodeFH(e *xdr.Encoder, fh FH) { e.Opaque(fh) }
+// DecodeFH reads an nfs_fh3 into a slice of its own. The encoding is
+// Builder.Opaque; a handle longer than MaxFHSize is xdr.ErrLimit.
+func DecodeFH(d *xdr.Decoder) FH { return bytes.Clone(DecodeFHRef(d)) }
 
-// DecodeFH reads an nfs_fh3.
-func DecodeFH(d *xdr.Decoder) FH { return FH(d.Opaque()) }
+// DecodeFHRef is DecodeFH with the handle lent from the decoder's input.
+func DecodeFHRef(d *xdr.Decoder) FH { return d.OpaqueRefMax(MaxFHSize) }
 
-// EncodePostOpFH writes a post_op_fh3.
-func EncodePostOpFH(e *xdr.Encoder, fh FH) {
-	if fh == nil {
-		e.Bool(false)
-		return
+// AppendPostOpFH writes a post_op_fh3.
+func AppendPostOpFH(b *xdr.Builder, fh FH) {
+	b.Bool(fh != nil)
+	if fh != nil {
+		b.Opaque(fh)
 	}
-	e.Bool(true)
-	e.Opaque(fh)
 }
 
 // DecodePostOpFH reads a post_op_fh3.
@@ -546,5 +498,5 @@ func DecodePostOpFH(d *xdr.Decoder) FH {
 	if !d.Bool() {
 		return nil
 	}
-	return FH(d.Opaque())
+	return DecodeFH(d)
 }

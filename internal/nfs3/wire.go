@@ -1,7 +1,6 @@
 package nfs3
 
 import (
-	"bytes"
 	"errors"
 
 	"gvfs/internal/xdr"
@@ -11,28 +10,22 @@ import (
 // GVFS proxy interposes on. Server, client and proxy all share these so
 // that a byte sequence produced by one is always parseable by the others.
 //
-// Two codec styles coexist:
+// There is one codec (xdr.Builder, xdr.Decoder) and each message lists
+// its fields once for encoding and once for decoding; the entry points
+// differ only in who owns the memory:
 //
-//   - Encode()/Decode* functions allocate their output and copy all
-//     payloads — safe anywhere, used off the hot path.
-//   - AppendTo/DecodeInto/DecodeRef operate on caller-supplied buffers:
-//     AppendTo builds the wire form into a (typically pooled) slice with
-//     plain appends, DecodeInto fills a stack-allocated struct, and the
-//     Ref variants alias bulk payloads (READ reply data, WRITE arg data)
-//     into the input buffer instead of copying. Ref results follow the
-//     input buffer's ownership rules: never retain them past the call
-//     that supplied the buffer (see DESIGN.md §9).
+//   - Encode() and the Decode* functions allocate what they return and
+//     copy all payloads — safe anywhere, the convenience off the hot path.
+//   - AppendTo/DecodeInto/DecodeRefInto are the same code on the caller's
+//     memory: AppendTo appends the wire form to a (typically pooled) slice,
+//     DecodeInto fills a stack-allocated struct, and DecodeRefInto lends
+//     instead of copying — READ reply data, WRITE argument data and a READ's
+//     handle alias the input buffer. What is lent follows the input buffer's
+//     ownership rules: never retain it past the call that supplied the
+//     buffer (see DESIGN.md §9).
 
 // ErrShortReply reports a truncated or malformed XDR reply body.
 var ErrShortReply = errors.New("nfs3: malformed message")
-
-func finish(e *xdr.Encoder, buf *bytes.Buffer) []byte {
-	if e.Err() != nil {
-		// Encoding into a bytes.Buffer cannot fail; treat as a bug.
-		panic(e.Err())
-	}
-	return buf.Bytes()
-}
 
 // GetattrArgs are the arguments of GETATTR (and the common single-handle
 // argument shape shared by READLINK, FSSTAT, FSINFO and PATHCONF).
@@ -42,10 +35,9 @@ type GetattrArgs struct {
 
 // Encode returns the XDR form of the arguments.
 func (a *GetattrArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.FH)
-	return finish(e, &buf)
+	b := xdr.NewBuilder()
+	b.Opaque(a.FH)
+	return b.B
 }
 
 // DecodeGetattrArgs parses GETATTR-shaped arguments.
@@ -67,11 +59,10 @@ type LookupArgs struct {
 
 // Encode returns the XDR form of the arguments.
 func (a *LookupArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.Dir)
-	e.String(a.Name)
-	return finish(e, &buf)
+	b := xdr.NewBuilder()
+	b.Opaque(a.Dir)
+	b.String(a.Name)
+	return b.B
 }
 
 // DecodeLookupArgs parses diropargs3.
@@ -95,15 +86,14 @@ type LookupRes struct {
 
 // Encode returns the XDR form of the result.
 func (r *LookupRes) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(r.Status))
+	b := xdr.NewBuilder()
+	b.Uint32(uint32(r.Status))
 	if r.Status == OK {
-		EncodeFH(e, r.Object)
-		EncodePostOpAttr(e, r.ObjAttr)
+		b.Opaque(r.Object)
+		AppendPostOpAttr(&b, r.ObjAttr)
 	}
-	EncodePostOpAttr(e, r.DirAttr)
-	return finish(e, &buf)
+	AppendPostOpAttr(&b, r.DirAttr)
+	return b.B
 }
 
 // DecodeLookupRes parses a LOOKUP result.
@@ -130,13 +120,12 @@ type GetattrRes struct {
 
 // Encode returns the XDR form of the result.
 func (r *GetattrRes) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(r.Status))
+	b := xdr.NewBuilder()
+	b.Uint32(uint32(r.Status))
 	if r.Status == OK {
-		r.Attr.Encode(e)
+		r.Attr.Append(&b)
 	}
-	return finish(e, &buf)
+	return b.B
 }
 
 // DecodeGetattrRes parses a GETATTR result.
@@ -162,14 +151,13 @@ type ReadlinkRes struct {
 
 // Encode returns the XDR form of the result.
 func (r *ReadlinkRes) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(r.Status))
-	EncodePostOpAttr(e, r.Attr)
+	b := xdr.NewBuilder()
+	b.Uint32(uint32(r.Status))
+	AppendPostOpAttr(&b, r.Attr)
 	if r.Status == OK {
-		e.String(r.Target)
+		b.String(r.Target)
 	}
-	return finish(e, &buf)
+	return b.B
 }
 
 // DecodeReadlinkRes parses a READLINK result.
@@ -194,14 +182,7 @@ type ReadArgs struct {
 }
 
 // Encode returns the XDR form of the arguments.
-func (a *ReadArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.FH)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-	return finish(e, &buf)
-}
+func (a *ReadArgs) Encode() []byte { return a.AppendTo(make([]byte, 0, FHSize+8+4)) }
 
 // AppendTo appends the XDR form of the arguments to dst.
 func (a *ReadArgs) AppendTo(dst []byte) []byte {
@@ -214,10 +195,20 @@ func (a *ReadArgs) AppendTo(dst []byte) []byte {
 
 // DecodeInto fills a (typically stack-allocated) ReadArgs. The FH is
 // copied, so the result does not alias p.
-func (a *ReadArgs) DecodeInto(p []byte) error {
+func (a *ReadArgs) DecodeInto(p []byte) error { return a.decode(p, false) }
+
+// DecodeRefInto is DecodeInto with the FH lent from p, for a caller that
+// only looks at the arguments: nothing is allocated.
+func (a *ReadArgs) DecodeRefInto(p []byte) error { return a.decode(p, true) }
+
+func (a *ReadArgs) decode(p []byte, ref bool) error {
 	var d xdr.Decoder
 	d.ResetBytes(p)
-	a.FH = DecodeFH(&d)
+	if ref {
+		a.FH = DecodeFHRef(&d)
+	} else {
+		a.FH = DecodeFH(&d)
+	}
 	a.Offset = d.Uint64()
 	a.Count = d.Uint32()
 	return d.Err()
@@ -242,18 +233,7 @@ type ReadRes struct {
 }
 
 // Encode returns the XDR form of the result.
-func (r *ReadRes) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(r.Status))
-	EncodePostOpAttr(e, r.Attr)
-	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Bool(r.EOF)
-		e.Opaque(r.Data)
-	}
-	return finish(e, &buf)
-}
+func (r *ReadRes) Encode() []byte { return r.AppendTo(make([]byte, 0, ReadResSize(len(r.Data)))) }
 
 // AppendTo appends the XDR form of the result to dst. With dst from
 // bufpool sized by ReadResSize, the whole encode is allocation-free.
@@ -313,16 +293,7 @@ type WriteArgs struct {
 }
 
 // Encode returns the XDR form of the arguments.
-func (a *WriteArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.FH)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-	e.Uint32(a.Stable)
-	e.Opaque(a.Data)
-	return finish(e, &buf)
-}
+func (a *WriteArgs) Encode() []byte { return a.AppendTo(make([]byte, 0, WriteArgsSize(len(a.Data)))) }
 
 // AppendTo appends the XDR form of the arguments to dst.
 func (a *WriteArgs) AppendTo(dst []byte) []byte {
@@ -380,18 +351,7 @@ type WriteRes struct {
 }
 
 // Encode returns the XDR form of the result.
-func (r *WriteRes) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	e.Uint32(uint32(r.Status))
-	r.Wcc.Encode(e)
-	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Uint32(r.Committed)
-		e.FixedOpaque(r.Verf[:])
-	}
-	return finish(e, &buf)
-}
+func (r *WriteRes) Encode() []byte { return r.AppendTo(make([]byte, 0, WriteResSize)) }
 
 // AppendTo appends the XDR form of the result to dst.
 func (r *WriteRes) AppendTo(dst []byte) []byte {
@@ -441,12 +401,11 @@ type SetattrArgs struct {
 
 // Encode returns the XDR form of the arguments.
 func (a *SetattrArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.FH)
-	a.Attr.Encode(e)
-	e.Bool(false) // guard: no ctime check
-	return finish(e, &buf)
+	b := xdr.NewBuilder()
+	b.Opaque(a.FH)
+	a.Attr.Append(&b)
+	b.Bool(false) // guard: no ctime check
+	return b.B
 }
 
 // DecodeSetattrArgs parses SETATTR arguments.
@@ -473,12 +432,11 @@ type CommitArgs struct {
 
 // Encode returns the XDR form of the arguments.
 func (a *CommitArgs) Encode() []byte {
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	EncodeFH(e, a.FH)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-	return finish(e, &buf)
+	b := xdr.NewBuilder()
+	b.Opaque(a.FH)
+	b.Uint64(a.Offset)
+	b.Uint32(a.Count)
+	return b.B
 }
 
 // DecodeCommitArgs parses COMMIT arguments.

@@ -2,9 +2,11 @@ package nfs3
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"gvfs/internal/sunrpc"
 	"gvfs/internal/xdr"
 )
 
@@ -141,13 +143,45 @@ func TestFattrFullRoundTrip(t *testing.T) {
 		FSID: 0xdead, FileID: 0xbeef,
 		Atime: Time{10, 11}, Mtime: Time{12, 13}, Ctime: Time{14, 15},
 	}
-	var buf bytes.Buffer
-	e := xdr.NewEncoder(&buf)
-	in.Encode(e)
-	d := xdr.NewDecoder(&buf)
-	out := DecodeFattr(d)
-	if d.Err() != nil || out != in {
+	var b xdr.Builder
+	in.Append(&b)
+	var d xdr.Decoder
+	d.ResetBytes(b.B)
+	out := DecodeFattr(&d)
+	if d.Err() != nil || out != in || len(b.B) != FattrSize {
 		t.Errorf("got %+v err=%v", out, d.Err())
+	}
+}
+
+// File handles are bounded: every decoder takes a handle of MaxFHSize
+// bytes and refuses one a byte longer, and the server answers
+// GARBAGE_ARGS.
+func TestHandleBound(t *testing.T) {
+	for n, ok := range map[int]bool{MaxFHSize: true, MaxFHSize + 1: false} {
+		fh := FH(bytes.Repeat([]byte{9}, n))
+		var b xdr.Builder
+		AppendPostOpFH(&b, fh)
+		var d xdr.Decoder
+		d.ResetBytes(b.B)
+		DecodePostOpFH(&d)
+		_, lerr := DecodeLookupArgs((&LookupArgs{Dir: fh, Name: "x"}).Encode())
+		var w WriteArgs
+		werr := w.DecodeRefInto((&WriteArgs{FH: fh, Data: []byte{1}}).Encode())
+		var r ReadArgs
+		rerr := r.DecodeRefInto((&ReadArgs{FH: fh}).Encode())
+		for _, err := range []error{d.Err(), lerr, werr, rerr} {
+			if (err == nil) != ok || (err != nil && !errors.Is(err, xdr.ErrLimit)) {
+				t.Errorf("%d-byte handle: err %v", n, err)
+			}
+		}
+		if ok {
+			continue
+		}
+		// Refused before the (here absent) backend is reached.
+		_, stat := NewServer(nil).HandleCall(&sunrpc.Call{Proc: ProcCommit, Args: (&CommitArgs{FH: fh}).Encode()})
+		if stat != sunrpc.GarbageArgs {
+			t.Errorf("COMMIT with a %d-byte handle: %v, want GARBAGE_ARGS", n, stat)
+		}
 	}
 }
 

@@ -420,15 +420,15 @@ func (p *Proxy) handleMount(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		return res, stat
 	}
 	// Learn the export root's path so fh->path resolution can work.
-	d := xdr.NewDecoder(bytes.NewReader(c.Args))
+	var d xdr.Decoder
+	d.ResetBytes(c.Args)
 	dirpath := d.String()
 	if d.Err() != nil {
 		return res, stat
 	}
-	rd := xdr.NewDecoder(bytes.NewReader(res))
-	if rd.Uint32() == mountd.OK {
-		fh := nfs3.FH(rd.Opaque())
-		if rd.Err() == nil {
+	d.ResetBytes(res)
+	if d.Uint32() == mountd.OK {
+		if fh := nfs3.DecodeFH(&d); d.Err() == nil {
 			p.attrs.setRoot(fh, path.Clean(dirpath))
 		}
 	}
@@ -789,14 +789,13 @@ func (p *Proxy) handleCommit(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acc
 		if err != nil {
 			return nil, sunrpc.GarbageArgs
 		}
-		var buf bytes.Buffer
-		e := xdr.NewEncoder(&buf)
-		e.Uint32(uint32(nfs3.OK))
+		b := xdr.NewBuilder()
+		b.Uint32(uint32(nfs3.OK))
 		v, _ := p.attrs.get(args.FH)
 		wcc := nfs3.WccData{After: v.post()}
-		wcc.Encode(e)
-		e.FixedOpaque(nfs3.WriteVerf[:])
-		return buf.Bytes(), sunrpc.Success
+		wcc.Append(&b)
+		b.FixedOpaque(nfs3.WriteVerf[:])
+		return b.B, sunrpc.Success
 	}
 	return p.forward(c, tr)
 }

@@ -36,7 +36,8 @@ func callCost(c *sunrpc.Call) int {
 	}
 	switch c.Proc {
 	case nfs3.ProcRead:
-		if args, err := nfs3.DecodeReadArgs(c.Args); err == nil {
+		var args nfs3.ReadArgs // on the stack, its handle lent: admission allocates nothing
+		if args.DecodeRefInto(c.Args) == nil {
 			return int(args.Count) + metaCallCost
 		}
 	case nfs3.ProcWrite:

@@ -5,6 +5,7 @@ package proxy
 // verifier, and the brownout miss-deferral path.
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -64,6 +65,41 @@ func readCall(count uint32) *sunrpc.Call {
 	return &sunrpc.Call{
 		Prog: nfs3.Program, Vers: nfs3.Version, Proc: nfs3.ProcRead,
 		Args: args.Encode(),
+	}
+}
+
+// callCost runs on every call admitted under -qos; weighing a READ by
+// its count allocates nothing.
+func TestCallCostAllocs(t *testing.T) {
+	c := readCall(8192)
+	var cost int
+	allocs := testing.AllocsPerRun(100, func() { cost = callCost(c) })
+	if cost != 8192+metaCallCost || allocs != 0 {
+		t.Errorf("callCost = %d with %.0f allocs/op, want %d with 0", cost, allocs, 8192+metaCallCost)
+	}
+}
+
+// A file handle longer than NFS3_FHSIZE is refused as GARBAGE_ARGS before
+// it can become a key of the attribute table or of accounting.
+func TestOversizeHandleIsGarbageArgs(t *testing.T) {
+	p, err := New(Config{Upstream: stubCaller{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown()
+	fh := nfs3.FH(bytes.Repeat([]byte{7}, nfs3.MaxFHSize+1))
+	for proc, args := range map[uint32][]byte{
+		nfs3.ProcGetattr: (&nfs3.GetattrArgs{FH: fh}).Encode(),
+		nfs3.ProcLookup:  (&nfs3.LookupArgs{Dir: fh, Name: "x"}).Encode(),
+		nfs3.ProcRead:    (&nfs3.ReadArgs{FH: fh, Count: 4096}).Encode(),
+		nfs3.ProcWrite:   (&nfs3.WriteArgs{FH: fh, Count: 1, Data: []byte{1}}).Encode(),
+		nfs3.ProcSetattr: (&nfs3.SetattrArgs{FH: fh}).Encode(),
+		nfs3.ProcRemove:  (&nfs3.LookupArgs{Dir: fh, Name: "x"}).Encode(),
+	} {
+		_, stat := p.HandleCall(&sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: proc, Args: args})
+		if stat != sunrpc.GarbageArgs {
+			t.Errorf("%s with a %d-byte handle: %v, want GARBAGE_ARGS", nfs3.ProcName(proc), len(fh), stat)
+		}
 	}
 }
 
@@ -170,18 +206,11 @@ func (v *verfRecorder) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, arg
 	return nil, nil
 }
 
-func (v *verfRecorder) CallVerf(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	v.mu.Lock()
-	v.verf = verf
-	v.mu.Unlock()
-	return nil, nil
-}
-
-func (v *verfRecorder) CallVerfDeadline(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
+func (v *verfRecorder) CallPooled(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, []byte, error) {
 	v.mu.Lock()
 	v.verf, v.deadline = verf, deadline
 	v.mu.Unlock()
-	return nil, nil
+	return nil, nil, nil
 }
 
 func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
@@ -195,7 +224,7 @@ func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
 	verf, got := up.verf, up.deadline
 	up.mu.Unlock()
 	if !got.Equal(deadline) {
-		t.Errorf("upstream deadline = %v, want %v (DeadlineVerfCaller path)", got, deadline)
+		t.Errorf("upstream deadline = %v, want %v", got, deadline)
 	}
 	tc, ok := sunrpc.DecodeTraceVerf(verf)
 	if !ok {

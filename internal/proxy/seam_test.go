@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -440,4 +441,79 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestLongObjectPathHandles: an objstore handle is the object's path, so
+// it outgrows RFC 1813's 64 bytes as soon as the path does. Such a file
+// must stay reachable through the proxy — LOOKUP, READ, CREATE, WRITE,
+// write-back flush — up to nfs3.MaxFHSize, and a path past that is
+// refused by name where the handle would have been made, with nothing
+// created behind it.
+func TestLongObjectPathHandles(t *testing.T) {
+	seed := patternPayload(20000)
+	long := strings.Repeat("golden-image-", 8) + "rhel.vmdk" // 113 bytes
+	store := objstore.NewMemStore()
+	origin := objstore.New(store, 0)
+	if err := origin.CreateFile("/"+long, seed); err != nil {
+		t.Fatal(err)
+	}
+	for _, cached := range []bool{false, true} {
+		opts := stack.ProxyOptions{Backend: stack.BackendObjstore, ObjstoreStore: store}
+		if cached {
+			opts.CacheConfig = &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
+				BlockSize: 8192, Policy: cache.WriteBack}
+		}
+		node, err := stack.StartProxy(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		rpc := dialProxy(t, node)
+		root, err := mountd.Mount(rpc, seamCred, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := nfs3.NewClient(rpc, seamCred)
+
+		fh, attr, err := nc.Lookup(root, long)
+		if err != nil || attr == nil || attr.Size != uint64(len(seed)) {
+			t.Fatalf("cached=%v: LOOKUP of a %d-byte name: attr %v, %v", cached, len(long), attr, err)
+		}
+		if len(fh) <= 64 {
+			t.Fatalf("handle is %d bytes: the test no longer drives a long one", len(fh))
+		}
+		data, _, err := nc.Read(fh, 8192, 8192)
+		if err != nil || !bytes.Equal(data, seed[8192:16384]) {
+			t.Errorf("cached=%v: READ through a %d-byte handle: %d bytes, %v", cached, len(fh), len(data), err)
+		}
+
+		name := fmt.Sprintf("%s.clone-%v", long, cached)
+		nfh, _, err := nc.Create(root, name, nfs3.SetAttr{}, false)
+		if err != nil {
+			t.Fatalf("cached=%v: CREATE of a %d-byte name: %v", cached, len(name), err)
+		}
+		payload := bytes.Repeat([]byte("seam"), 4096)
+		if n, _, err := nc.Write(nfh, 0, payload, nfs3.Unstable); err != nil || int(n) != len(payload) {
+			t.Fatalf("cached=%v: WRITE through a %d-byte handle: %d, %v", cached, len(nfh), n, err)
+		}
+		if err := node.Proxy.Flush(); err != nil {
+			t.Fatalf("cached=%v: Flush: %v", cached, err)
+		}
+		r, err := origin.Read(backend.FileID("/"+name), 0, uint32(len(payload)), backend.CallOpts{})
+		if err != nil || !bytes.Equal(r.Data, payload) {
+			t.Errorf("cached=%v: the store holds %d bytes of %s, %v", cached, len(r.Data), name, err)
+		}
+
+		tooLong := strings.Repeat("x", nfs3.MaxFHSize)
+		var nerr *nfs3.Error
+		if _, _, err := nc.Lookup(root, tooLong); !errors.As(err, &nerr) || nerr.Status != nfs3.ErrNameTooLong {
+			t.Errorf("cached=%v: LOOKUP of a path past the handle bound: %v, want NFS3ERR_NAMETOOLONG", cached, err)
+		}
+		if _, _, err := nc.Create(root, tooLong, nfs3.SetAttr{}, false); !errors.As(err, &nerr) || nerr.Status != nfs3.ErrNameTooLong {
+			t.Errorf("cached=%v: CREATE of a path past the handle bound: %v, want NFS3ERR_NAMETOOLONG", cached, err)
+		}
+		if _, err := origin.GetAttr(backend.FileID("/"+tooLong), backend.CallOpts{}); backend.Classify(err) != backend.ClassNotFound {
+			t.Errorf("cached=%v: the refused CREATE left an object behind (GetAttr: %v)", cached, err)
+		}
+	}
 }

@@ -93,8 +93,7 @@ func TestBlockedHandlersDoNotBlockConnection(t *testing.T) {
 		defer c.Close()
 		connected := runtime.NumGoroutine() // the connection's reader and the client's included
 		blocked := startBlocked(t, c, entered, n)
-		if _, err := c.CallVerfDeadline(testProg, testVers, procNull, AuthNoneCred, AuthNoneCred, nil,
-			time.Now().Add(10*time.Second)); err != nil {
+		if _, err := callDeadline(c, testProg, testVers, procNull, nil, time.Now().Add(10*time.Second)); err != nil {
 			t.Fatalf("%d calls blocked: a later call on the connection: %v", n, err)
 		}
 		close(release)
@@ -181,7 +180,7 @@ func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, pay
 	serve := func(conn net.Conn) {
 		defer conn.Close()
 		reply := func(xid uint32, payload []byte) error {
-			return writeRecord(conn, marshalAcceptedReply(xid, Success, payload))
+			return writeReply(conn, xid, payload)
 		}
 		for {
 			rec, err := readRecord(conn)
@@ -212,7 +211,7 @@ const strayIterations = 1000
 type callFn func(c *Client, proc uint32, args []byte, deadline time.Time) (res, rec []byte, err error)
 
 func callKept(c *Client, proc uint32, args []byte, deadline time.Time) ([]byte, []byte, error) {
-	res, err := c.CallVerfDeadline(testProg, testVers, proc, AuthNoneCred, AuthNoneCred, args, deadline)
+	res, err := callDeadline(c, testProg, testVers, proc, args, deadline)
 	return res, nil, err
 }
 

@@ -444,31 +444,26 @@ func (c *Client) Call(prog, vers, proc uint32, cred OpaqueAuth, args []byte) ([]
 // CallVerf is Call with an explicit call verifier — the header
 // extension slot proxies use to propagate trace contexts (see
 // TraceContext). The verifier rides every retransmission of the call
-// unchanged. It implements VerfCaller.
+// unchanged.
 func (c *Client) CallVerf(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte) ([]byte, error) {
-	return c.CallVerfDeadline(prog, vers, proc, cred, verf, args, time.Time{})
-}
-
-// CallVerfDeadline is CallVerf bounded by an absolute deadline. The
-// retry loop never sleeps a backoff it cannot recover from: once the
-// deadline cannot be met before the next attempt could complete, the
-// call fails promptly with an error satisfying
-// errors.Is(err, context.DeadlineExceeded). Each attempt's reply wait
-// is additionally capped at the remaining budget, so a stalled
-// connection cannot hold the call past its deadline either. A zero
-// deadline behaves exactly like CallVerf. It implements
-// DeadlineVerfCaller.
-func (c *Client) CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
-	res, _, err := c.call(prog, vers, proc, cred, verf, args, deadline, false)
+	res, _, err := c.call(prog, vers, proc, cred, verf, args, time.Time{}, false)
 	return res, err
 }
 
-// CallPooled is CallVerfDeadline for a caller that consumes the reply
-// and is done with it: results alias rec, a bufpool record that is the
-// caller's to bufpool.Put once it has copied or decoded what it needs.
-// Not releasing is legal (the GC takes it); releasing twice, or using
-// results afterwards, is the bug. rec is nil on error and may be nil on
-// success. It implements PooledCaller.
+// CallPooled is CallVerf bounded by an absolute deadline, for a caller
+// that consumes the reply and is done with it. The retry loop never
+// sleeps a backoff it cannot recover from: once the deadline cannot be
+// met before the next attempt could complete, the call fails promptly
+// with an error satisfying errors.Is(err, context.DeadlineExceeded). Each
+// attempt's reply wait is additionally capped at the remaining budget, so
+// a stalled connection cannot hold the call past its deadline either. A
+// zero deadline is none.
+//
+// results alias rec, a bufpool record that is the caller's to bufpool.Put
+// once it has copied or decoded what it needs. Not releasing is legal (the
+// GC takes it, and results are then the caller's to keep); releasing
+// twice, or using results afterwards, is the bug. rec is nil on error and
+// may be nil on success. It implements PooledCaller.
 func (c *Client) CallPooled(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) (results, rec []byte, err error) {
 	return c.call(prog, vers, proc, cred, verf, args, deadline, true)
 }

@@ -59,7 +59,7 @@ func TestCallVerfDeadlinePrompt(t *testing.T) {
 
 	deadline := time.Now().Add(60 * time.Millisecond)
 	start := time.Now()
-	_, err = c.CallVerfDeadline(100, 1, 0, AuthNoneCred, AuthNoneCred, nil, deadline)
+	_, err = callDeadline(c, 100, 1, 0, nil, deadline)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -85,8 +85,7 @@ func TestCallVerfDeadlineCapsFirstAttempt(t *testing.T) {
 	defer c.Close()
 
 	start := time.Now()
-	_, err = c.CallVerfDeadline(100, 1, 0, AuthNoneCred, AuthNoneCred, nil,
-		time.Now().Add(50*time.Millisecond))
+	_, err = callDeadline(c, 100, 1, 0, nil, time.Now().Add(50*time.Millisecond))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -105,8 +104,7 @@ func TestCallVerfDeadlineAlreadyExpired(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, err = c.CallVerfDeadline(100, 1, 0, AuthNoneCred, AuthNoneCred, nil,
-		time.Now().Add(-time.Second))
+	_, err = callDeadline(c, 100, 1, 0, nil, time.Now().Add(-time.Second))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -131,7 +129,7 @@ func TestCallVerfDeadlineZeroIsUnbounded(t *testing.T) {
 	}
 	defer c.Close()
 
-	res, err := c.CallVerfDeadline(100, 1, 0, AuthNoneCred, AuthNoneCred, nil, time.Time{})
+	res, err := callDeadline(c, 100, 1, 0, nil, time.Time{})
 	if err != nil || len(res) != 4 {
 		t.Fatalf("res=%v err=%v, want 4-byte reply", res, err)
 	}

@@ -6,14 +6,31 @@ package sunrpc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gvfs/internal/xdr"
 )
 
 func allIdempotent(prog, vers, proc uint32) bool { return true }
+
+// writeReply sends results as the accepted, successful reply to xid.
+func writeReply(w io.Writer, xid uint32, results []byte) error {
+	var b xdr.Builder
+	appendAcceptedReply(&b, xid, Success)
+	return writeRecord(w, append(b.B, results...))
+}
+
+// callDeadline is Call bounded by a deadline: the reply is the caller's to
+// keep, in a record from the GC.
+func callDeadline(c *Client, prog, vers, proc uint32, args []byte, deadline time.Time) ([]byte, error) {
+	res, _, err := c.call(prog, vers, proc, AuthNoneCred, AuthNoneCred, args, deadline, false)
+	return res, err
+}
 
 // serveEcho answers every call with its own args (SUCCESS).
 func serveEcho(conn net.Conn) {
@@ -27,7 +44,7 @@ func serveEcho(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := writeRecord(conn, marshalAcceptedReply(call.XID, Success, call.Args)); err != nil {
+		if err := writeReply(conn, call.XID, call.Args); err != nil {
 			return
 		}
 	}

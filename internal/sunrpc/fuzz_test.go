@@ -148,8 +148,8 @@ func FuzzParseCall(f *testing.F) {
 		if argsOff+len(c.Args) != len(rec) {
 			t.Fatalf("arguments end at %d of a %d B record", argsOff+len(c.Args), len(rec))
 		}
-		again := marshalCall(c.XID, c.Prog, c.Vers, c.Proc, c.Cred, c.Verf, c.Args)
-		c2, err := parseCall(again)
+		again := marshalCallRecord(c.XID, c.Prog, c.Vers, c.Proc, c.Cred, c.Verf, c.Args)
+		c2, err := parseCall(again[4:])
 		if err != nil {
 			t.Fatalf("re-marshalled call does not parse: %v", err)
 		}

@@ -11,20 +11,24 @@ import (
 // connection in between.
 type Local struct{ H Handler }
 
-// Call issues one call with no verifier and no deadline.
+// Call issues one call with no verifier and no deadline. The caller, like
+// a Client's, gets a slice it owns: a handler's pooled reply is copied.
 func (l Local) Call(prog, vers, proc uint32, cred OpaqueAuth, args []byte) ([]byte, error) {
-	return l.CallVerfDeadline(prog, vers, proc, cred, OpaqueAuth{}, args, time.Time{})
+	res, rec, err := l.CallPooled(prog, vers, proc, cred, OpaqueAuth{}, args, time.Time{})
+	return Keep(res, rec), err
 }
 
-// CallVerfDeadline implements DeadlineVerfCaller. The caller, like a
-// Client's, gets a slice it owns: a handler's pooled reply is copied.
-func (l Local) CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error) {
-	res, rec, err := l.CallPooled(prog, vers, proc, cred, verf, args, deadline)
-	if rec != nil {
-		res = append([]byte(nil), res...)
-		bufpool.Put(rec)
+// Keep turns a reply lent by a PooledCaller (res aliasing rec) into one
+// the caller owns: res is copied and rec goes back to the pool, so a
+// keeping caller costs the pool nothing. With a nil rec res is already
+// the caller's.
+func Keep(res, rec []byte) []byte {
+	if rec == nil {
+		return res
 	}
-	return res, err
+	res = append([]byte(nil), res...)
+	bufpool.Put(rec)
+	return res
 }
 
 // CallPooled implements PooledCaller: the handler's Call.ReplyBuf is

@@ -92,17 +92,16 @@ type UnixCred struct {
 
 // Encode serializes the credential into an OpaqueAuth.
 func (c UnixCred) Encode() OpaqueAuth {
-	var b sliceWriter
-	e := xdr.NewEncoder(&b)
-	e.Uint32(c.Stamp)
-	e.String(c.MachineName)
-	e.Uint32(c.UID)
-	e.Uint32(c.GID)
-	e.Uint32(uint32(len(c.GIDs)))
+	b := xdr.NewBuilder()
+	b.Uint32(c.Stamp)
+	b.String(c.MachineName)
+	b.Uint32(c.UID)
+	b.Uint32(c.GID)
+	b.Uint32(uint32(len(c.GIDs)))
 	for _, g := range c.GIDs {
-		e.Uint32(g)
+		b.Uint32(g)
 	}
-	return OpaqueAuth{Flavor: AuthUnix, Body: b}
+	return OpaqueAuth{Flavor: AuthUnix, Body: b.B}
 }
 
 // DecodeUnixCred parses an AUTH_UNIX opaque body.
@@ -110,7 +109,8 @@ func DecodeUnixCred(a OpaqueAuth) (UnixCred, error) {
 	if a.Flavor != AuthUnix {
 		return UnixCred{}, fmt.Errorf("sunrpc: flavor %d is not AUTH_UNIX", a.Flavor)
 	}
-	d := xdr.NewDecoder(bytesReader(a.Body))
+	var d xdr.Decoder
+	d.ResetBytes(a.Body)
 	var c UnixCred
 	c.Stamp = d.Uint32()
 	c.MachineName = d.String()
@@ -127,27 +127,6 @@ func DecodeUnixCred(a OpaqueAuth) (UnixCred, error) {
 		return UnixCred{}, fmt.Errorf("sunrpc: bad AUTH_UNIX cred: %w", err)
 	}
 	return c, nil
-}
-
-// sliceWriter is a minimal append-based io.Writer.
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-func bytesReader(p []byte) io.Reader { return &byteSliceReader{p: p} }
-
-type byteSliceReader struct{ p []byte }
-
-func (r *byteSliceReader) Read(out []byte) (int, error) {
-	if len(r.p) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(out, r.p)
-	r.p = r.p[n:]
-	return n, nil
 }
 
 // maxRecord bounds a single RPC record. NFSv3 transfers are capped at
@@ -242,31 +221,6 @@ func readRecordInto(r io.Reader, hdr, rec []byte, alloc func(int) []byte) ([]byt
 	}
 }
 
-func encodeAuth(e *xdr.Encoder, a OpaqueAuth) {
-	e.Uint32(a.Flavor)
-	e.Opaque(a.Body)
-}
-
-func decodeAuth(d *xdr.Decoder) OpaqueAuth {
-	return OpaqueAuth{Flavor: d.Uint32(), Body: d.Opaque()}
-}
-
-// marshalCall builds the wire form of a CALL message.
-func marshalCall(xid, prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte) []byte {
-	var b sliceWriter
-	e := xdr.NewEncoder(&b)
-	e.Uint32(xid)
-	e.Uint32(msgCall)
-	e.Uint32(rpcVersion)
-	e.Uint32(prog)
-	e.Uint32(vers)
-	e.Uint32(proc)
-	encodeAuth(e, cred)
-	encodeAuth(e, verf)
-	b = append(b, args...)
-	return b
-}
-
 // authWireSize is the encoded size of an OpaqueAuth.
 func authWireSize(a OpaqueAuth) int { return 8 + len(a.Body) + padTo4(len(a.Body)) }
 
@@ -292,17 +246,15 @@ func marshalCallRecord(xid, prog, vers, proc uint32, cred, verf OpaqueAuth, args
 	return msg
 }
 
-// marshalAcceptedReply builds the wire form of an accepted REPLY.
-func marshalAcceptedReply(xid uint32, stat AcceptStat, results []byte) []byte {
-	var b sliceWriter
-	e := xdr.NewEncoder(&b)
-	e.Uint32(xid)
-	e.Uint32(msgReply)
-	e.Uint32(replyAccepted)
-	encodeAuth(e, AuthNoneCred) // verifier
-	e.Uint32(uint32(stat))
-	b = append(b, results...)
-	return b
+// appendAcceptedReply appends the header of an accepted REPLY, which the
+// results follow.
+func appendAcceptedReply(b *xdr.Builder, xid uint32, stat AcceptStat) {
+	b.Uint32(xid)
+	b.Uint32(msgReply)
+	b.Uint32(replyAccepted)
+	b.Uint32(AuthNone) // verifier flavor
+	b.Uint32(0)        // verifier length
+	b.Uint32(uint32(stat))
 }
 
 // Call describes a received RPC call as seen by a Server handler.
@@ -568,12 +520,7 @@ func (sc *serverConn) serve(call *Call) {
 	// results can be released immediately after the copy.
 	reply := bufpool.Get(4 + acceptedReplyHdrMax + len(results))[:4]
 	b := xdr.Builder{B: reply}
-	b.Uint32(call.XID)
-	b.Uint32(msgReply)
-	b.Uint32(replyAccepted)
-	b.Uint32(AuthNone) // verifier flavor
-	b.Uint32(0)        // verifier length
-	b.Uint32(uint32(stat))
+	appendAcceptedReply(&b, call.XID, stat)
 	reply = append(b.B, results...)
 	bufpool.Put(call.ReplyBuf)
 	call.release()

@@ -25,16 +25,29 @@ func echoHandler(c *Call) ([]byte, AcceptStat) {
 	case 1:
 		return c.Args, Success
 	case 2:
-		d := xdr.NewDecoder(bytes.NewReader(c.Args))
+		var d xdr.Decoder
+		d.ResetBytes(c.Args)
 		v := d.Uint32()
 		if d.Err() != nil {
 			return nil, GarbageArgs
 		}
-		var out bytes.Buffer
-		xdr.NewEncoder(&out).Uint32(v * 2)
-		return out.Bytes(), Success
+		return u32(v * 2), Success
 	}
 	return nil, ProcUnavail
+}
+
+// u32 is the XDR form of v.
+func u32(v uint32) []byte {
+	var b xdr.Builder
+	b.Uint32(v)
+	return b.B
+}
+
+// asU32 decodes p as one XDR unsigned int (0 if it is short).
+func asU32(p []byte) uint32 {
+	var d xdr.Decoder
+	d.ResetBytes(p)
+	return d.Uint32()
 }
 
 func startTestServer(t *testing.T) (addr string, stop func()) {
@@ -89,14 +102,11 @@ func TestCallDouble(t *testing.T) {
 	defer stop()
 	c, _ := Dial(addr)
 	defer c.Close()
-	var args bytes.Buffer
-	xdr.NewEncoder(&args).Uint32(21)
-	res, err := c.Call(testProg, testVers, 2, AuthNoneCred, args.Bytes())
+	res, err := c.Call(testProg, testVers, 2, AuthNoneCred, u32(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := xdr.NewDecoder(bytes.NewReader(res))
-	if got := d.Uint32(); got != 42 {
+	if got := asU32(res); got != 42 {
 		t.Errorf("double(21) = %d, want 42", got)
 	}
 }
@@ -136,15 +146,12 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var args bytes.Buffer
-			xdr.NewEncoder(&args).Uint32(uint32(i))
-			res, err := c.Call(testProg, testVers, 2, AuthNoneCred, args.Bytes())
+			res, err := c.Call(testProg, testVers, 2, AuthNoneCred, u32(uint32(i)))
 			if err != nil {
 				errs <- err
 				return
 			}
-			d := xdr.NewDecoder(bytes.NewReader(res))
-			if got := d.Uint32(); got != uint32(i*2) {
+			if got := asU32(res); got != uint32(i*2) {
 				errs <- fmt.Errorf("double(%d) = %d", i, got)
 			}
 		}(i)
@@ -328,14 +335,11 @@ func TestManySequentialCalls(t *testing.T) {
 	c, _ := Dial(addr)
 	defer c.Close()
 	for i := 0; i < 500; i++ {
-		var args bytes.Buffer
-		xdr.NewEncoder(&args).Uint32(uint32(i))
-		res, err := c.Call(testProg, testVers, 2, AuthNoneCred, args.Bytes())
+		res, err := c.Call(testProg, testVers, 2, AuthNoneCred, u32(uint32(i)))
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		d := xdr.NewDecoder(bytes.NewReader(res))
-		if got := d.Uint32(); got != uint32(i*2) {
+		if got := asU32(res); got != uint32(i*2) {
 			t.Fatalf("call %d: got %d", i, got)
 		}
 	}

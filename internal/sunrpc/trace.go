@@ -42,12 +42,11 @@ type TraceContext struct {
 // EncodeVerf packs the context into a verifier OpaqueAuth. Old peers
 // decode only the leading 12 bytes and ignore the budget word.
 func (tc TraceContext) EncodeVerf() OpaqueAuth {
-	var b sliceWriter
-	e := xdr.NewEncoder(&b)
-	e.Uint64(tc.ID)
-	e.Uint32(tc.Hop)
-	e.Uint32(tc.BudgetMs)
-	return OpaqueAuth{Flavor: TraceVerfFlavor, Body: b}
+	b := xdr.Builder{B: make([]byte, 0, 16)} // the 16-byte form, exactly
+	b.Uint64(tc.ID)
+	b.Uint32(tc.Hop)
+	b.Uint32(tc.BudgetMs)
+	return OpaqueAuth{Flavor: TraceVerfFlavor, Body: b.B}
 }
 
 // DecodeTraceVerf extracts a trace context from a call's verifier.
@@ -57,7 +56,8 @@ func DecodeTraceVerf(a OpaqueAuth) (TraceContext, bool) {
 	if a.Flavor != TraceVerfFlavor || len(a.Body) < 12 {
 		return TraceContext{}, false
 	}
-	d := xdr.NewDecoder(bytesReader(a.Body))
+	var d xdr.Decoder
+	d.ResetBytes(a.Body)
 	tc := TraceContext{ID: d.Uint64(), Hop: d.Uint32()}
 	if len(a.Body) >= 16 {
 		tc.BudgetMs = d.Uint32()
@@ -68,26 +68,14 @@ func DecodeTraceVerf(a OpaqueAuth) (TraceContext, bool) {
 	return tc, true
 }
 
-// VerfCaller is implemented by transports that can attach an explicit
-// call verifier — the hook proxies use to propagate trace contexts
-// upstream. *Client implements it.
-type VerfCaller interface {
-	CallVerf(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte) ([]byte, error)
-}
-
-// DeadlineVerfCaller extends VerfCaller with an absolute per-call
-// deadline that caps retransmission: the transport must fail with an
-// error satisfying errors.Is(err, context.DeadlineExceeded) rather
-// than retry past it. *Client implements it.
-type DeadlineVerfCaller interface {
-	VerfCaller
-	CallVerfDeadline(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) ([]byte, error)
-}
-
-// PooledCaller is implemented by transports that can lend the reply
-// instead of giving it away: results alias rec, a bufpool buffer the
-// caller releases once it has consumed them (see Client.CallPooled).
-// verf and deadline are CallVerfDeadline's. *Client and Local do.
+// PooledCaller is implemented by transports that take everything a call
+// can carry — an explicit verifier, the hook proxies use to propagate
+// trace contexts upstream, and an absolute deadline that caps
+// retransmission (zero: none) — and can lend the reply instead of giving
+// it away: results alias rec, a bufpool buffer the caller releases once it
+// has consumed them; a caller that keeps them takes a copy (Keep) or, at
+// the pool's expense, never releases (see Client.CallPooled). *Client and
+// Local do.
 type PooledCaller interface {
 	CallPooled(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byte, deadline time.Time) (results, rec []byte, err error)
 }

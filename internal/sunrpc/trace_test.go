@@ -95,3 +95,34 @@ func TestTraceVerfAcrossWire(t *testing.T) {
 		t.Fatalf("server saw %+v (trace=%v), want %+v", seen, sawTrace, want)
 	}
 }
+
+// DecodeTraceVerf runs on every call of a traced chain at every hop, and
+// DecodeUnixCred on every credential the proxy has not seen: the decode
+// itself allocates nothing — only what a credential returns, its machine
+// name and its group list, is new memory.
+func TestDecodeTraceVerfAllocs(t *testing.T) {
+	verf := TraceContext{ID: 7, Hop: 2, BudgetMs: 1500}.EncodeVerf()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if tc, ok := DecodeTraceVerf(verf); !ok || tc.BudgetMs != 1500 {
+			t.Fatalf("decoded %+v, %v", tc, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("DecodeTraceVerf allocates %.0f/op, want 0", allocs)
+	}
+	for _, tc := range []struct {
+		cred UnixCred
+		max  float64
+	}{
+		{UnixCred{Stamp: 1, UID: 500, GID: 500}, 0},
+		{UnixCred{Stamp: 1, MachineName: "compute", UID: 500, GID: 500, GIDs: []uint32{10}}, 2},
+	} {
+		auth := tc.cred.Encode()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if c, err := DecodeUnixCred(auth); err != nil || c.UID != 500 {
+				t.Fatalf("decoded %+v, %v", c, err)
+			}
+		}); allocs > tc.max {
+			t.Errorf("DecodeUnixCred(%+v) allocates %.0f/op, want at most %.0f", tc.cred, allocs, tc.max)
+		}
+	}
+}

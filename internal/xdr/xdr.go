@@ -1,9 +1,13 @@
 // Package xdr implements the External Data Representation standard
-// (RFC 4506) used by ONC RPC and NFS. It provides a streaming Encoder
-// and Decoder for the primitive types the NFSv3 and MOUNT protocols
-// need: 32/64-bit integers, booleans, opaque byte arrays (fixed and
-// variable length) and strings. All quantities are big-endian and
-// padded to 4-byte boundaries as the standard requires.
+// (RFC 4506) used by ONC RPC and NFS, for the primitive types the NFSv3
+// and MOUNT protocols need: 32/64-bit integers, booleans, opaque byte
+// arrays (fixed and variable length) and strings. All quantities are
+// big-endian and padded to 4-byte boundaries as the standard requires.
+//
+// Record marking hands every layer a whole message in memory, so there
+// is one codec and it works on byte slices: a Builder appends the wire
+// form to a slice, a Decoder walks one. Neither allocates, except for
+// the copies Decoder.Opaque and Decoder.String return.
 package xdr
 
 import (
@@ -14,8 +18,8 @@ import (
 )
 
 // ErrLimit is returned when a variable-length item declares a size
-// larger than the decoder's configured maximum. It guards against
-// corrupt or hostile peers asking us to allocate unbounded memory.
+// larger than the maximum its decoder allows. It guards against corrupt
+// or hostile peers handing us items the protocol does not permit.
 var ErrLimit = errors.New("xdr: variable-length item exceeds limit")
 
 // DefaultMaxSize bounds variable-length opaques and strings accepted
@@ -25,104 +29,27 @@ const DefaultMaxSize = 1 << 20
 
 var pad [4]byte
 
-// Encoder writes XDR-encoded values to an underlying io.Writer.
-type Encoder struct {
-	w   io.Writer
-	buf [8]byte
-	err error
-}
-
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-// Err returns the first error encountered while encoding, if any.
-func (e *Encoder) Err() error { return e.err }
-
-func (e *Encoder) write(p []byte) {
-	if e.err != nil {
-		return
+func xdrPad(n int) int {
+	if r := n % 4; r != 0 {
+		return 4 - r
 	}
-	_, e.err = e.w.Write(p)
+	return 0
 }
 
-// Uint32 encodes a 32-bit unsigned integer.
-func (e *Encoder) Uint32(v uint32) {
-	binary.BigEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
-}
-
-// Int32 encodes a 32-bit signed integer.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
-// Uint64 encodes a 64-bit unsigned integer (XDR "unsigned hyper").
-func (e *Encoder) Uint64(v uint64) {
-	binary.BigEndian.PutUint64(e.buf[:8], v)
-	e.write(e.buf[:8])
-}
-
-// Int64 encodes a 64-bit signed integer (XDR "hyper").
-func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
-
-// Bool encodes a boolean as a 32-bit 0/1.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.Uint32(1)
-	} else {
-		e.Uint32(0)
-	}
-}
-
-// Opaque encodes a variable-length opaque: length prefix, bytes, padding.
-func (e *Encoder) Opaque(p []byte) {
-	e.Uint32(uint32(len(p)))
-	e.FixedOpaque(p)
-}
-
-// FixedOpaque encodes bytes without a length prefix, padded to 4 bytes.
-func (e *Encoder) FixedOpaque(p []byte) {
-	e.write(p)
-	if n := len(p) % 4; n != 0 {
-		e.write(pad[:4-n])
-	}
-}
-
-// String encodes an XDR string (identical wire format to Opaque).
-func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
-
-// Decoder reads XDR-encoded values from an underlying io.Reader, or —
-// in byte-backed mode — directly from a slice. Byte-backed decoding
-// (NewDecoderBytes / ResetBytes) is the hot-path form: it allocates
-// nothing, and OpaqueRef can return subslices that alias the input
-// instead of copying payloads.
+// Decoder reads XDR-encoded values from a byte slice. Declare one as a
+// value and call ResetBytes: it then stays on the stack and decoding
+// allocates nothing. The first error is sticky: the call that meets it
+// and every later one return a zero value, and later ones consume nothing.
 type Decoder struct {
-	r    io.Reader
-	rbuf *[8]byte // reader-mode scratch; behind a pointer so the
-	// io.ReadFull calls don't force a stack-declared Decoder to
-	// escape (byte-backed decoding must stay allocation-free)
-	data []byte // byte-backed input (used when byt is true)
+	data []byte
 	pos  int
-	byt  bool
 	max  uint32
 	err  error
 }
 
-// NewDecoder returns a Decoder reading from r with DefaultMaxSize.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, rbuf: new([8]byte), max: DefaultMaxSize}
-}
-
-// NewDecoderBytes returns a byte-backed Decoder over p. Prefer
-// declaring a Decoder value and calling ResetBytes in hot paths so the
-// Decoder itself stays on the stack.
-func NewDecoderBytes(p []byte) *Decoder {
-	d := &Decoder{}
-	d.ResetBytes(p)
-	return d
-}
-
-// ResetBytes re-initializes d as a byte-backed Decoder over p.
+// ResetBytes re-initializes d to decode p from its start.
 func (d *Decoder) ResetBytes(p []byte) {
-	*d = Decoder{data: p, byt: true, max: DefaultMaxSize}
+	*d = Decoder{data: p, max: DefaultMaxSize}
 }
 
 // SetMaxSize overrides the maximum accepted variable-length item size.
@@ -131,78 +58,47 @@ func (d *Decoder) SetMaxSize(n uint32) { d.max = n }
 // Err returns the first error encountered while decoding, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Pos returns the number of input bytes consumed so far (byte-backed
-// decoders only; reader-backed decoders return 0).
+// Pos returns the number of input bytes consumed so far.
 func (d *Decoder) Pos() int { return d.pos }
 
-// Rest returns the unconsumed remainder of a byte-backed Decoder's
-// input, aliasing the input slice. Reader-backed decoders return nil.
+// Rest returns the unconsumed remainder of the input, aliasing it, or
+// nil after an error.
 func (d *Decoder) Rest() []byte {
-	if !d.byt || d.err != nil {
+	if d.err != nil {
 		return nil
 	}
 	return d.data[d.pos:]
 }
 
-func (d *Decoder) read(p []byte) {
+// take returns the next n input bytes without copying and steps over
+// them and their padding to the 4-byte boundary. On short input it sets
+// the error and returns nil.
+func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
-		return
-	}
-	if d.byt {
-		if len(d.data)-d.pos < len(p) {
-			d.err = io.ErrUnexpectedEOF
-			return
-		}
-		copy(p, d.data[d.pos:])
-		d.pos += len(p)
-		return
-	}
-	_, d.err = io.ReadFull(d.r, p)
-}
-
-// take returns the next n input bytes of a byte-backed Decoder without
-// copying, plus padding to the 4-byte boundary. ok is false (and err
-// set) when the input is short or the Decoder is reader-backed.
-func (d *Decoder) take(n int) (p []byte, ok bool) {
-	if d.err != nil || !d.byt {
-		return nil, false
+		return nil
 	}
 	padded := n + xdrPad(n)
 	if len(d.data)-d.pos < padded {
 		d.err = io.ErrUnexpectedEOF
-		return nil, false
+		return nil
 	}
-	p = d.data[d.pos : d.pos+n : d.pos+n]
+	p := d.data[d.pos : d.pos+n : d.pos+n]
 	d.pos += padded
-	return p, true
-}
-
-func xdrPad(n int) int {
-	if r := n % 4; r != 0 {
-		return 4 - r
-	}
-	return 0
+	return p
 }
 
 // Uint32 decodes a 32-bit unsigned integer.
 func (d *Decoder) Uint32() uint32 {
-	if d.byt {
-		if d.err != nil {
-			return 0
-		}
-		if len(d.data)-d.pos < 4 {
-			d.err = io.ErrUnexpectedEOF
-			return 0
-		}
-		v := binary.BigEndian.Uint32(d.data[d.pos:])
-		d.pos += 4
-		return v
-	}
-	d.read(d.rbuf[:4])
 	if d.err != nil {
 		return 0
 	}
-	return binary.BigEndian.Uint32(d.rbuf[:4])
+	if len(d.data)-d.pos < 4 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	v := binary.BigEndian.Uint32(d.data[d.pos:])
+	d.pos += 4
+	return v
 }
 
 // Int32 decodes a 32-bit signed integer.
@@ -210,23 +106,16 @@ func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
 
 // Uint64 decodes a 64-bit unsigned integer.
 func (d *Decoder) Uint64() uint64 {
-	if d.byt {
-		if d.err != nil {
-			return 0
-		}
-		if len(d.data)-d.pos < 8 {
-			d.err = io.ErrUnexpectedEOF
-			return 0
-		}
-		v := binary.BigEndian.Uint64(d.data[d.pos:])
-		d.pos += 8
-		return v
-	}
-	d.read(d.rbuf[:8])
 	if d.err != nil {
 		return 0
 	}
-	return binary.BigEndian.Uint64(d.rbuf[:8])
+	if len(d.data)-d.pos < 8 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	v := binary.BigEndian.Uint64(d.data[d.pos:])
+	d.pos += 8
+	return v
 }
 
 // Int64 decodes a 64-bit signed integer.
@@ -235,120 +124,54 @@ func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 // Bool decodes a boolean.
 func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
 
-// Opaque decodes a variable-length opaque into a fresh slice.
-func (d *Decoder) Opaque() []byte {
+// OpaqueRefMax decodes a variable-length opaque of at most max bytes —
+// the bound its protocol gives the item, in place of the Decoder's own —
+// without copying: the result aliases the input and is only valid while
+// the input is. A longer item is ErrLimit. Callers must honor the input
+// buffer's ownership rules — never retain a ref past the buffer's release.
+func (d *Decoder) OpaqueRefMax(max uint32) []byte {
 	n := d.Uint32()
 	if d.err != nil {
 		return nil
 	}
-	if n > d.max {
-		d.err = fmt.Errorf("%w: %d > %d", ErrLimit, n, d.max)
+	if n > max {
+		d.err = fmt.Errorf("%w: %d > %d", ErrLimit, n, max)
 		return nil
 	}
-	if ref, ok := d.take(int(n)); ok {
-		p := make([]byte, n)
-		copy(p, ref)
-		return p
-	}
-	if d.err != nil {
-		return nil
-	}
-	p := make([]byte, n)
-	d.FixedOpaque(p)
-	return p
+	return d.take(int(n))
 }
 
-// OpaqueRef decodes a variable-length opaque without copying: on a
-// byte-backed Decoder the result aliases the input slice and is only
-// valid while the input is. Reader-backed Decoders fall back to
-// Opaque's fresh allocation. Callers must honor the input buffer's
-// ownership rules — never retain a ref past the buffer's release.
-func (d *Decoder) OpaqueRef() []byte {
-	n := d.Uint32()
+// OpaqueRef is OpaqueRefMax with the Decoder's maximum.
+func (d *Decoder) OpaqueRef() []byte { return d.OpaqueRefMax(d.max) }
+
+// Opaque decodes a variable-length opaque into a fresh slice.
+func (d *Decoder) Opaque() []byte {
+	ref := d.OpaqueRef()
 	if d.err != nil {
 		return nil
 	}
-	if n > d.max {
-		d.err = fmt.Errorf("%w: %d > %d", ErrLimit, n, d.max)
-		return nil
-	}
-	if ref, ok := d.take(int(n)); ok {
-		return ref
-	}
-	if d.err != nil {
-		return nil
-	}
-	p := make([]byte, n)
-	d.FixedOpaque(p)
-	return p
+	return append(make([]byte, 0, len(ref)), ref...)
 }
 
 // FixedOpaque decodes len(p) bytes plus padding into p.
-func (d *Decoder) FixedOpaque(p []byte) {
-	d.read(p)
-	if n := xdrPad(len(p)); n != 0 {
-		d.skip(n)
-	}
-}
+func (d *Decoder) FixedOpaque(p []byte) { copy(p, d.take(len(p))) }
 
-// skip discards n input bytes (padding).
-func (d *Decoder) skip(n int) {
-	if d.err != nil {
-		return
-	}
-	if d.byt {
-		if len(d.data)-d.pos < n {
-			d.err = io.ErrUnexpectedEOF
-			return
-		}
-		d.pos += n
-		return
-	}
-	_, d.err = io.ReadFull(d.r, d.rbuf[:n])
-}
+// String decodes an XDR string; the string's backing array is the one
+// copy and the one allocation.
+func (d *Decoder) String() string { return string(d.OpaqueRef()) }
 
-// String decodes an XDR string with a single copy: the returned
-// string's backing array is the only allocation on a byte-backed
-// Decoder, or for reader-backed input short enough for the scratch
-// buffer.
-func (d *Decoder) String() string {
-	n := d.Uint32()
-	if d.err != nil {
-		return ""
-	}
-	if n > d.max {
-		d.err = fmt.Errorf("%w: %d > %d", ErrLimit, n, d.max)
-		return ""
-	}
-	if ref, ok := d.take(int(n)); ok {
-		return string(ref)
-	}
-	if d.err != nil {
-		return ""
-	}
-	var scratch [64]byte
-	if int(n) <= len(scratch) {
-		p := scratch[:n]
-		d.FixedOpaque(p)
-		if d.err != nil {
-			return ""
-		}
-		return string(p)
-	}
-	p := make([]byte, n)
-	d.FixedOpaque(p)
-	if d.err != nil {
-		return ""
-	}
-	return string(p)
-}
-
-// Builder appends XDR-encoded values to a byte slice. It is the
-// allocation-free counterpart of Encoder for hot paths: callers bring
-// a buffer (typically from bufpool) with enough capacity and encode
-// with plain appends — no io.Writer indirection, no internal state,
-// no error (append cannot fail).
+// Builder appends XDR-encoded values to the byte slice B: plain
+// appends, no internal state, no error (append cannot fail). A caller on
+// a hot path brings a buffer (typically from bufpool) with enough
+// capacity and the encode allocates nothing; the zero Builder grows a
+// slice of its own.
 type Builder struct{ B []byte }
+
+// NewBuilder returns a Builder for a message off the hot path, over a
+// fresh slice that holds most control messages whole (a LOOKUP reply with
+// both attributes is 248 bytes): one allocation; a longer message grows it
+// like any slice.
+func NewBuilder() Builder { return Builder{B: make([]byte, 0, 256)} }
 
 // Uint32 appends a 32-bit unsigned integer.
 func (b *Builder) Uint32(v uint32) {

@@ -7,16 +7,19 @@ import (
 	"testing/quick"
 )
 
+// decoderOver returns a Decoder at the start of p.
+func decoderOver(p []byte) *Decoder {
+	d := &Decoder{}
+	d.ResetBytes(p)
+	return d
+}
+
 func TestUint32RoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
+	var b Builder
 	for _, v := range []uint32{0, 1, 0xffffffff, 0x12345678} {
-		e.Uint32(v)
+		b.Uint32(v)
 	}
-	if err := e.Err(); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	d := NewDecoder(&buf)
+	d := decoderOver(b.B)
 	for _, want := range []uint32{0, 1, 0xffffffff, 0x12345678} {
 		if got := d.Uint32(); got != want {
 			t.Errorf("Uint32 = %#x, want %#x", got, want)
@@ -28,31 +31,27 @@ func TestUint32RoundTrip(t *testing.T) {
 }
 
 func TestUint32BigEndianWire(t *testing.T) {
-	var buf bytes.Buffer
-	NewEncoder(&buf).Uint32(0x01020304)
+	var b Builder
+	b.Uint32(0x01020304)
 	want := []byte{1, 2, 3, 4}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("wire = %v, want %v", buf.Bytes(), want)
+	if !bytes.Equal(b.B, want) {
+		t.Errorf("wire = %v, want %v", b.B, want)
 	}
 }
 
 func TestOpaquePadding(t *testing.T) {
 	for n := 0; n <= 9; n++ {
-		var buf bytes.Buffer
-		e := NewEncoder(&buf)
+		var b Builder
 		p := bytes.Repeat([]byte{0xab}, n)
-		e.Opaque(p)
-		if err := e.Err(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		b.Opaque(p)
 		wantLen := 4 + n
 		if rem := n % 4; rem != 0 {
 			wantLen += 4 - rem
 		}
-		if buf.Len() != wantLen {
-			t.Errorf("n=%d: wire length %d, want %d", n, buf.Len(), wantLen)
+		if len(b.B) != wantLen {
+			t.Errorf("n=%d: wire length %d, want %d", n, len(b.B), wantLen)
 		}
-		d := NewDecoder(&buf)
+		d := decoderOver(b.B)
 		got := d.Opaque()
 		if d.Err() != nil {
 			t.Fatalf("n=%d decode: %v", n, d.Err())
@@ -60,15 +59,17 @@ func TestOpaquePadding(t *testing.T) {
 		if !bytes.Equal(got, p) {
 			t.Errorf("n=%d: got %v want %v", n, got, p)
 		}
+		if d.Pos() != wantLen {
+			t.Errorf("n=%d: decoder consumed %d of %d bytes", n, d.Pos(), wantLen)
+		}
 	}
 }
 
 func TestStringRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.String("hello, 世界")
-	e.String("")
-	d := NewDecoder(&buf)
+	var b Builder
+	b.String("hello, 世界")
+	b.String("")
+	d := decoderOver(b.B)
 	if got := d.String(); got != "hello, 世界" {
 		t.Errorf("got %q", got)
 	}
@@ -81,11 +82,10 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestBoolRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.Bool(true)
-	e.Bool(false)
-	d := NewDecoder(&buf)
+	var b Builder
+	b.Bool(true)
+	b.Bool(false)
+	d := decoderOver(b.B)
 	if !d.Bool() {
 		t.Error("want true")
 	}
@@ -95,11 +95,10 @@ func TestBoolRoundTrip(t *testing.T) {
 }
 
 func TestInt64RoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.Int64(-1)
-	e.Int64(1 << 40)
-	d := NewDecoder(&buf)
+	var b Builder
+	b.Int64(-1)
+	b.Int64(1 << 40)
+	d := decoderOver(b.B)
 	if got := d.Int64(); got != -1 {
 		t.Errorf("got %d", got)
 	}
@@ -109,10 +108,9 @@ func TestInt64RoundTrip(t *testing.T) {
 }
 
 func TestDecoderLimit(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.Opaque(make([]byte, 100))
-	d := NewDecoder(&buf)
+	var b Builder
+	b.Opaque(make([]byte, 100))
+	d := decoderOver(b.B)
 	d.SetMaxSize(99)
 	if got := d.Opaque(); got != nil {
 		t.Errorf("expected nil, got %d bytes", len(got))
@@ -123,7 +121,7 @@ func TestDecoderLimit(t *testing.T) {
 }
 
 func TestDecoderShortInput(t *testing.T) {
-	d := NewDecoder(bytes.NewReader([]byte{0, 0}))
+	d := decoderOver([]byte{0, 0})
 	d.Uint32()
 	if d.Err() == nil {
 		t.Error("expected error on short input")
@@ -131,7 +129,7 @@ func TestDecoderShortInput(t *testing.T) {
 }
 
 func TestErrorSticky(t *testing.T) {
-	d := NewDecoder(bytes.NewReader(nil))
+	d := decoderOver(nil)
 	d.Uint32()
 	first := d.Err()
 	if first == nil {
@@ -148,13 +146,9 @@ func TestErrorSticky(t *testing.T) {
 
 func TestQuickOpaqueRoundTrip(t *testing.T) {
 	f := func(p []byte) bool {
-		var buf bytes.Buffer
-		e := NewEncoder(&buf)
-		e.Opaque(p)
-		if e.Err() != nil {
-			return false
-		}
-		d := NewDecoder(&buf)
+		var b Builder
+		b.Opaque(p)
+		d := decoderOver(b.B)
 		got := d.Opaque()
 		return d.Err() == nil && bytes.Equal(got, p)
 	}
@@ -165,16 +159,12 @@ func TestQuickOpaqueRoundTrip(t *testing.T) {
 
 func TestQuickMixedRoundTrip(t *testing.T) {
 	f := func(a uint32, b int64, c string, d bool) bool {
-		var buf bytes.Buffer
-		e := NewEncoder(&buf)
-		e.Uint32(a)
-		e.Int64(b)
-		e.String(c)
-		e.Bool(d)
-		if e.Err() != nil {
-			return false
-		}
-		dec := NewDecoder(&buf)
+		var bld Builder
+		bld.Uint32(a)
+		bld.Int64(b)
+		bld.String(c)
+		bld.Bool(d)
+		dec := decoderOver(bld.B)
 		return dec.Uint32() == a && dec.Int64() == b && dec.String() == c &&
 			dec.Bool() == d && dec.Err() == nil
 	}
@@ -184,13 +174,12 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 }
 
 func TestFixedOpaqueRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.FixedOpaque([]byte{1, 2, 3, 4, 5})
-	if buf.Len() != 8 {
-		t.Errorf("padded length = %d, want 8", buf.Len())
+	var b Builder
+	b.FixedOpaque([]byte{1, 2, 3, 4, 5})
+	if len(b.B) != 8 {
+		t.Errorf("padded length = %d, want 8", len(b.B))
 	}
-	d := NewDecoder(&buf)
+	d := decoderOver(b.B)
 	p := make([]byte, 5)
 	d.FixedOpaque(p)
 	if d.Err() != nil || !bytes.Equal(p, []byte{1, 2, 3, 4, 5}) {
