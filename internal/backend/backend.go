@@ -35,7 +35,7 @@ const MaxFileID = 1 << 10
 func (f FileID) Key() string { return string(f) }
 
 // CallOpts carries per-call context across the boundary. The zero
-// value means "no deadline, no trace".
+// value means "no deadline, no trace, the backend's own credential".
 type CallOpts struct {
 	// Deadline, when nonzero, bounds the call (including transport
 	// retries). An expired deadline surfaces as a ClassTimeout error.
@@ -46,13 +46,67 @@ type CallOpts struct {
 	// zero means budget-only or no trace.
 	TraceID uint64
 	Hop     uint32
+
+	// Cred is who the call runs as upstream; backends that authenticate
+	// (nfs3be) stamp it on the call.
+	Cred Cred
 }
 
-// Attr is the subset of file attributes the proxy's data path needs.
+// Cred is a credential as an RPC auth flavor and its opaque body, in
+// plain types so that this package need not know RPC. The zero value —
+// no flavor, no body, which is also AUTH_NONE — asks for the backend's
+// own default credential. A backend that keeps a Cred past the call
+// (replbe's replication queue) copies its Body.
+type Cred struct {
+	Flavor uint32
+	Body   []byte
+}
+
+// IsZero reports whether c names no credential.
+func (c Cred) IsZero() bool { return c.Flavor == 0 && len(c.Body) == 0 }
+
+// Time is a point in time as NFSv3 carries it (nfstime3).
+type Time struct{ Sec, Nsec uint32 }
+
+// File types (NFSv3's ftype3) a backend reports in Attr.Type.
+const (
+	TypeReg = 1
+	TypeDir = 2
+)
+
+// Attr is a file's attributes, NFSv3's fattr3 field for field in plain
+// integers, so that what an upstream said of a file reaches the proxy's
+// client whole. Type 0, which no file has, means "not known".
 type Attr struct {
-	Size uint64
-	Mode uint32
-	Dir  bool
+	Type                 uint32
+	Mode                 uint32
+	Nlink                uint32
+	UID                  uint32
+	GID                  uint32
+	Size                 uint64
+	Used                 uint64
+	RdevMajor, RdevMinor uint32
+	FSID                 uint64
+	FileID               uint64
+	Atime, Mtime, Ctime  Time
+}
+
+// Known reports whether a holds attributes.
+func (a Attr) Known() bool { return a.Type != 0 }
+
+// PreAttr is a file's size and times from just before a call changed it
+// (NFSv3's wcc_attr).
+type PreAttr struct {
+	Size         uint64
+	Mtime, Ctime Time
+}
+
+// WriteResult is what a Write reports of the file around it, NFSv3's
+// wcc_data by value: Before, when HasBefore, and After, when Known.
+type WriteResult struct {
+	Before    PreAttr
+	HasBefore bool
+	After     Attr
 }
 
 // ReadResult is one Read's outcome, owned by whoever receives it. Data
@@ -63,7 +117,7 @@ type Attr struct {
 type ReadResult struct {
 	Data []byte
 	EOF  bool
-	Attr *Attr  // post-op attributes when the backend knows them
+	Attr Attr   // post-op attributes, when Known
 	Buf  []byte // the bufpool buffer Data aliases, if any
 }
 
@@ -97,8 +151,9 @@ type Backend interface {
 	// Write stores data at off with durable (FILE_SYNC-equivalent)
 	// semantics: when Write returns nil the bytes survive a backend
 	// crash. The write-back cache depends on this to mark frames
-	// clean. Returns post-op attributes when known.
-	Write(f FileID, off uint64, data []byte, opts CallOpts) (*Attr, error)
+	// clean. Returns the file's attributes around the write, as far as
+	// they are known.
+	Write(f FileID, off uint64, data []byte, opts CallOpts) (WriteResult, error)
 
 	// Commit makes previously written data durable. With Write already
 	// durable it is a no-op for both bundled backends, but the proxy
@@ -161,17 +216,4 @@ type TransportStats struct {
 // TransportStatser exposes transport-level retry counters.
 type TransportStatser interface {
 	TransportStats() TransportStats
-}
-
-// CredSource supplies the credential for backend-initiated upstream
-// calls, pre-encoded as an RPC auth flavor and opaque body. It lives
-// here as a plain function type so backends that authenticate (nfs3be)
-// can accept one without this package importing RPC types.
-type CredSource func() (flavor uint32, body []byte, err error)
-
-// CredentialCarrier is implemented by backends that attach caller
-// credentials to upstream calls. The proxy installs a source that
-// yields the identity-mapped session credential.
-type CredentialCarrier interface {
-	SetCredSource(src CredSource)
 }

@@ -130,7 +130,7 @@ func Run(t *testing.T, mk Maker) {
 			if r.EOF != tc.eof {
 				t.Errorf("run at %d: EOF=%v, want %v", tc.off, r.EOF, tc.eof)
 			}
-			if r.Attr != nil && r.Attr.Size != fileSize {
+			if r.Attr.Known() && r.Attr.Size != fileSize {
 				t.Errorf("run at %d: post-op size %d, want %d", tc.off, r.Attr.Size, fileSize)
 			}
 			r.Release()

@@ -9,7 +9,6 @@ package nfs3be
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"gvfs/internal/backend"
@@ -18,42 +17,25 @@ import (
 	"gvfs/internal/sunrpc"
 )
 
-// defaultCred authenticates backend-initiated calls when no credential
-// source is installed.
+// defaultCred authenticates a call whose options name no credential —
+// the proxy's journal replay and breaker probe, replbe's scrub.
 var defaultCred = sunrpc.UnixCred{MachineName: "gvfs-proxy", UID: 0, GID: 0}.Encode()
 
 // Backend speaks NFSv3 to the next hop over an RPC transport.
 type Backend struct {
 	rpc nfs3.Caller
-
-	mu  sync.RWMutex
-	src backend.CredSource
 }
 
 // New wraps an NFSv3 RPC transport. The caller keeps ownership of the
 // transport's lifecycle (Close here does not close it).
 func New(rpc nfs3.Caller) *Backend { return &Backend{rpc: rpc} }
 
-// SetCredSource installs the credential source for upstream calls
-// (the proxy wires its identity-mapped session credential here).
-func (b *Backend) SetCredSource(src backend.CredSource) {
-	b.mu.Lock()
-	b.src = src
-	b.mu.Unlock()
-}
-
-func (b *Backend) cred() (sunrpc.OpaqueAuth, error) {
-	b.mu.RLock()
-	src := b.src
-	b.mu.RUnlock()
-	if src == nil {
-		return defaultCred, nil
+// credOf is the credential a call with opts runs under.
+func credOf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
+	if opts.Cred.IsZero() {
+		return defaultCred
 	}
-	flavor, body, err := src()
-	if err != nil {
-		return sunrpc.OpaqueAuth{}, &backend.Error{Class: backend.ClassIO, Op: "cred", Err: err}
-	}
-	return sunrpc.OpaqueAuth{Flavor: flavor, Body: body}, nil
+	return sunrpc.OpaqueAuth(opts.Cred)
 }
 
 // remainingBudgetMs converts a call deadline back into a verifier
@@ -117,13 +99,9 @@ func CallPooled(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth
 	return pc.CallPooled(prog, vers, proc, cred, v, args, opts.Deadline)
 }
 
-// call issues one NFS RPC under the backend's credential.
+// call issues one NFS RPC under opts' credential.
 func (b *Backend) call(proc uint32, args []byte, opts backend.CallOpts) ([]byte, error) {
-	cred, err := b.cred()
-	if err != nil {
-		return nil, err
-	}
-	return Call(b.rpc, nfs3.Program, nfs3.Version, proc, cred, args, opts)
+	return Call(b.rpc, nfs3.Program, nfs3.Version, proc, credOf(&opts), args, opts)
 }
 
 // wrapErr classifies a transport/RPC-level error. An *sunrpc.RPCError
@@ -162,23 +140,36 @@ func statusErr(op string, st nfs3.Status) error {
 	return &backend.Error{Class: class, Op: op, Status: uint32(st), Err: &nfs3.Error{Status: st, Op: op}}
 }
 
-func attrOf(a *nfs3.Fattr) *backend.Attr {
+// attrOf is a post_op_attr as a backend.Attr: not Known when nil.
+func attrOf(a *nfs3.Fattr) backend.Attr {
 	if a == nil {
-		return nil
+		return backend.Attr{}
 	}
-	return &backend.Attr{Size: a.Size, Mode: a.Mode, Dir: a.Type == nfs3.TypeDir}
+	return backend.Attr{Type: uint32(a.Type), Mode: a.Mode, Nlink: a.Nlink, UID: a.UID, GID: a.GID,
+		Size: a.Size, Used: a.Used, RdevMajor: a.RdevMajor, RdevMinor: a.RdevMinor,
+		FSID: a.FSID, FileID: a.FileID,
+		Atime: backend.Time(a.Atime), Mtime: backend.Time(a.Mtime), Ctime: backend.Time(a.Ctime)}
+}
+
+// FattrOf is attrOf's inverse: a backend attribute as NFS's fattr3.
+func FattrOf(a backend.Attr) nfs3.Fattr {
+	return nfs3.Fattr{Type: nfs3.FileType(a.Type), Mode: a.Mode, Nlink: a.Nlink, UID: a.UID, GID: a.GID,
+		Size: a.Size, Used: a.Used, RdevMajor: a.RdevMajor, RdevMinor: a.RdevMinor,
+		FSID: a.FSID, FileID: a.FileID,
+		Atime: nfs3.Time(a.Atime), Mtime: nfs3.Time(a.Mtime), Ctime: nfs3.Time(a.Ctime)}
+}
+
+// WccAttrOf is a backend's pre-operation attributes as NFS's wcc_attr.
+func WccAttrOf(p backend.PreAttr) nfs3.WccAttr {
+	return nfs3.WccAttr{Size: p.Size, Mtime: nfs3.Time(p.Mtime), Ctime: nfs3.Time(p.Ctime)}
 }
 
 // Read implements backend.Backend. The result aliases the pooled reply
 // record until the caller releases it.
 func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
-	cred, err := b.cred()
-	if err != nil {
-		return backend.ReadResult{}, err
-	}
 	args := nfs3.ReadArgs{FH: nfs3.FH(f), Offset: off, Count: count}
 	buf := args.AppendTo(bufpool.Get(nfs3.FHSize + 16)[:0])
-	res, rec, err := CallPooled(b.rpc, nfs3.Program, nfs3.Version, nfs3.ProcRead, cred, buf, opts)
+	res, rec, err := CallPooled(b.rpc, nfs3.Program, nfs3.Version, nfs3.ProcRead, credOf(&opts), buf, opts)
 	bufpool.Put(buf)
 	return readResult(res, rec, err)
 }
@@ -190,7 +181,9 @@ func readResult(res, rec []byte, err error) (backend.ReadResult, error) {
 		return backend.ReadResult{}, wrapErr("read", err)
 	}
 	var r nfs3.ReadRes
-	if err := r.DecodeRefInto(res); err != nil {
+	var attr nfs3.Fattr
+	has, err := r.DecodeRefAttrInto(res, &attr)
+	if err != nil {
 		bufpool.Put(rec)
 		return backend.ReadResult{}, &backend.Error{Class: backend.ClassIO, Op: "read", Err: err}
 	}
@@ -198,27 +191,39 @@ func readResult(res, rec []byte, err error) (backend.ReadResult, error) {
 		bufpool.Put(rec)
 		return backend.ReadResult{}, statusErr("read", r.Status)
 	}
-	return backend.ReadResult{Data: r.Data, EOF: r.EOF, Attr: attrOf(r.Attr), Buf: rec}, nil
+	out := backend.ReadResult{Data: r.Data, EOF: r.EOF, Buf: rec}
+	if has {
+		out.Attr = attrOf(&attr)
+	}
+	return out, nil
 }
 
 // Write implements backend.Backend with FILE_SYNC stability: the data
 // is durable at the server when Write returns nil.
-func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	args := nfs3.WriteArgs{FH: nfs3.FH(f), Offset: off, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 	buf := args.AppendTo(bufpool.Get(nfs3.WriteArgsSize(len(data)))[:0])
 	res, err := b.call(nfs3.ProcWrite, buf, opts)
 	bufpool.Put(buf)
 	if err != nil {
-		return nil, wrapErr("write", err)
+		return backend.WriteResult{}, wrapErr("write", err)
 	}
 	var r nfs3.WriteRes
-	if err := r.DecodeInto(res); err != nil {
-		return nil, &backend.Error{Class: backend.ClassIO, Op: "write", Err: err}
+	var before nfs3.WccAttr
+	var after nfs3.Fattr
+	hasBefore, hasAfter, err := r.DecodeWccInto(res, &before, &after)
+	if err != nil {
+		return backend.WriteResult{}, &backend.Error{Class: backend.ClassIO, Op: "write", Err: err}
 	}
 	if r.Status != nfs3.OK {
-		return nil, statusErr("write", r.Status)
+		return backend.WriteResult{}, statusErr("write", r.Status)
 	}
-	return attrOf(r.Wcc.After), nil
+	w := backend.WriteResult{HasBefore: hasBefore,
+		Before: backend.PreAttr{Size: before.Size, Mtime: backend.Time(before.Mtime), Ctime: backend.Time(before.Ctime)}}
+	if hasAfter {
+		w.After = attrOf(&after)
+	}
+	return w, nil
 }
 
 // Commit implements backend.Backend.
@@ -252,8 +257,7 @@ func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr
 	if r.Status != nfs3.OK {
 		return backend.Attr{}, statusErr("getattr", r.Status)
 	}
-	a := attrOf(&r.Attr)
-	return *a, nil
+	return attrOf(&r.Attr), nil
 }
 
 // Lookup implements backend.Lookuper (the meta-data machinery resolves
@@ -271,22 +275,14 @@ func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 	if r.Status != nfs3.OK {
 		return nil, backend.Attr{}, statusErr("lookup", r.Status)
 	}
-	var attr backend.Attr
-	if a := attrOf(r.ObjAttr); a != nil {
-		attr = *a
-	}
-	return backend.FileID(r.Object), attr, nil
+	return backend.FileID(r.Object), attrOf(r.ObjAttr), nil
 }
 
 // Probe implements the circuit breaker's recovery check: a NULL call
 // that reaches the server at the RPC level means the path is back,
 // even if the server rejects the program or credential.
 func (b *Backend) Probe() error {
-	cred, err := b.cred()
-	if err != nil {
-		return err
-	}
-	_, err = b.rpc.Call(nfs3.Program, nfs3.Version, nfs3.ProcNull, cred, nil)
+	_, err := b.rpc.Call(nfs3.Program, nfs3.Version, nfs3.ProcNull, defaultCred, nil)
 	if err == nil {
 		return nil
 	}

@@ -30,10 +30,10 @@ func (l local) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte
 }
 
 // CallPooled implements sunrpc.PooledCaller, the relay's way in: the
-// deadline reaches b as CallOpts.Deadline and the server's pooled reply
-// comes back as rec, uncopied.
+// credential and the deadline reach b as CallOpts and the server's
+// pooled reply comes back as rec, uncopied.
 func (l local) CallPooled(prog, vers, proc uint32, cred, verf sunrpc.OpaqueAuth, args []byte, deadline time.Time) ([]byte, []byte, error) {
-	v := &served{b: l.b, opts: backend.CallOpts{Deadline: deadline}}
+	v := &served{b: l.b, opts: backend.CallOpts{Deadline: deadline, Cred: backend.Cred(cred)}}
 	res, rec, err := sunrpc.Local{H: v}.CallPooled(prog, vers, proc, cred, verf, args, deadline)
 	if v.fault != nil {
 		bufpool.Put(rec)
@@ -98,7 +98,7 @@ func (v *served) GetAttr(fh nfs3.FH) (nfs3.Fattr, error) {
 	if err != nil {
 		return nfs3.Fattr{}, v.err(err)
 	}
-	return *FattrOf(&a), nil
+	return FattrOf(a), nil
 }
 
 func (v *served) Lookup(dir nfs3.FH, name string) (nfs3.FH, nfs3.Fattr, error) {
@@ -110,7 +110,7 @@ func (v *served) Lookup(dir nfs3.FH, name string) (nfs3.FH, nfs3.Fattr, error) {
 	if err != nil {
 		return nil, nfs3.Fattr{}, v.err(err)
 	}
-	return nfs3.FH(fid), *FattrOf(&a), nil
+	return nfs3.FH(fid), FattrOf(a), nil
 }
 
 func (v *served) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error) {
@@ -119,14 +119,14 @@ func (v *served) Read(fh nfs3.FH, off uint64, count uint32) ([]byte, bool, error
 }
 
 func (v *served) Write(fh nfs3.FH, off uint64, data []byte) (nfs3.Fattr, error) {
-	a, err := v.b.Write(backend.FileID(fh), off, data, v.opts)
+	w, err := v.b.Write(backend.FileID(fh), off, data, v.opts)
 	if err != nil {
 		return nfs3.Fattr{}, v.err(err)
 	}
-	if a == nil {
+	if !w.After.Known() {
 		return v.GetAttr(fh)
 	}
-	return *FattrOf(a), nil
+	return FattrOf(w.After), nil
 }
 
 // Create makes an empty regular file; the backend contract has neither
@@ -140,7 +140,7 @@ func (v *served) Create(dir nfs3.FH, name string, _ nfs3.SetAttr, _ bool) (nfs3.
 	if err != nil {
 		return nil, nfs3.Fattr{}, v.err(err)
 	}
-	return nfs3.FH(fid), *FattrOf(&a), nil
+	return nfs3.FH(fid), FattrOf(a), nil
 }
 
 func (v *served) Commit(fh nfs3.FH) error {
@@ -191,24 +191,4 @@ func ErrStatus(err error) (nfs3.Status, bool) {
 	default:
 		return nfs3.ErrIO, true
 	}
-}
-
-// FattrOf converts a backend attribute to an NFS post-op attribute
-// (attrOf's inverse).
-func FattrOf(a *backend.Attr) *nfs3.Fattr {
-	if a == nil {
-		return nil
-	}
-	fa := &nfs3.Fattr{Type: nfs3.TypeReg, Mode: a.Mode, Nlink: 1, Size: a.Size, Used: a.Size}
-	if a.Dir {
-		fa.Type = nfs3.TypeDir
-	}
-	if fa.Mode == 0 {
-		if a.Dir {
-			fa.Mode = 0755
-		} else {
-			fa.Mode = 0644
-		}
-	}
-	return fa
 }

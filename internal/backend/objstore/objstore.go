@@ -271,7 +271,7 @@ func (b *Backend) putBlock(op string, data []byte) (backend.Hash, error) {
 }
 
 func (b *Backend) fileAttr(m *parsed) backend.Attr {
-	return backend.Attr{Size: m.size, Mode: 0644}
+	return backend.Attr{Type: backend.TypeReg, Mode: 0644, Nlink: 1, Size: m.size, Used: m.size}
 }
 
 // Read implements backend.Backend.
@@ -285,7 +285,7 @@ func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.
 	}
 	attr := b.fileAttr(m)
 	if off >= m.size || count == 0 {
-		return backend.ReadResult{EOF: true, Attr: &attr}, nil
+		return backend.ReadResult{EOF: true, Attr: attr}, nil
 	}
 	end := off + uint64(count)
 	if end > m.size {
@@ -313,15 +313,15 @@ func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.
 			out = append(out, data[lo:hi]...)
 		}
 	}
-	return backend.ReadResult{Data: out, EOF: end >= m.size, Attr: &attr}, nil
+	return backend.ReadResult{Data: out, EOF: end >= m.size, Attr: attr}, nil
 }
 
 // Write implements backend.Backend: read-modify-write of the affected
 // manifest blocks, new content objects put by hash, manifest updated
 // last. Store puts are durable, so the FILE_SYNC contract holds.
-func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	if err := b.checkCall("write", opts); err != nil {
-		return nil, err
+		return backend.WriteResult{}, err
 	}
 	// Serialize the whole RMW per file: concurrent writers to disjoint
 	// ranges must both survive into the manifest.
@@ -330,7 +330,7 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 	defer wl.Unlock()
 	m, err := b.loadManifest("write", string(f))
 	if err != nil {
-		return nil, err
+		return backend.WriteResult{}, err
 	}
 	newSize := m.size
 	if end := off + uint64(len(data)); end > newSize {
@@ -358,7 +358,7 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 			if oldN > 0 {
 				old, err := b.blockContent("write", m.blocks[bi], oldN)
 				if err != nil {
-					return nil, err
+					return backend.WriteResult{}, err
 				}
 				copy(buf, old)
 			}
@@ -372,7 +372,7 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 		copy(buf[lo:], data[srcLo:])
 		h, err := b.putBlock("write", buf)
 		if err != nil {
-			return nil, err
+			return backend.WriteResult{}, err
 		}
 		nm.blocks[bi] = h
 	}
@@ -386,23 +386,22 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 			if newN > oldN {
 				old, err := b.blockContent("write", m.blocks[ti], oldN)
 				if err != nil {
-					return nil, err
+					return backend.WriteResult{}, err
 				}
 				buf := make([]byte, newN)
 				copy(buf, old)
 				h, err := b.putBlock("write", buf)
 				if err != nil {
-					return nil, err
+					return backend.WriteResult{}, err
 				}
 				nm.blocks[ti] = h
 			}
 		}
 	}
 	if err := b.saveManifest("write", string(f), nm); err != nil {
-		return nil, err
+		return backend.WriteResult{}, err
 	}
-	attr := b.fileAttr(nm)
-	return &attr, nil
+	return backend.WriteResult{After: b.fileAttr(nm)}, nil
 }
 
 // Commit implements backend.Backend; writes are already durable.
@@ -432,7 +431,7 @@ func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr
 		return backend.Attr{}, err
 	}
 	if fid == "/" || b.isDir(fid) {
-		return backend.Attr{Mode: 0755, Dir: true}, nil
+		return backend.Attr{Type: backend.TypeDir, Mode: 0755, Nlink: 1}, nil
 	}
 	return backend.Attr{}, &backend.Error{Class: backend.ClassNotFound, Op: "getattr", Status: 2 /* NFS3ERR_NOENT */, Err: ErrNotExist}
 }

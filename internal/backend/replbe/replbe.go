@@ -24,6 +24,7 @@
 package replbe
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -115,7 +116,7 @@ func (c Config) withDefaults() Config {
 
 // Backend is the replicated composite. It implements backend.Backend
 // plus the optional capability interfaces its replicas support
-// (Namespacer, Hasher, CredentialCarrier, TransportStatser).
+// (Namespacer, Hasher, TransportStatser).
 type Backend struct {
 	cfg  Config
 	reps []*replica
@@ -497,20 +498,20 @@ func (c *Backend) takeHedgeToken() bool {
 
 // Write implements backend.Backend: primary-ack with asynchronous
 // replication, or synchronous majority fan-out under Config.Quorum.
-func (c *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (c *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	c.scrub.register(f, nil, "")
 	if c.cfg.Quorum {
 		return c.quorumWrite(f, off, data, opts)
 	}
 	key := f.Key()
-	var attr *backend.Attr
+	var w backend.WriteResult
 	err := c.failover("write", c.writeCandidates(), func(r *replica) (err error) {
-		if attr, err = c.writeOn(r, key, f, off, data, opts); err == nil {
-			c.replicateWrite(r, f, off, data)
+		if w, err = c.writeOn(r, key, f, off, data, opts); err == nil {
+			c.replicateWrite(r, f, off, data, opts.Cred)
 		}
 		return err
 	})
-	return attr, err
+	return w, err
 }
 
 // writeOn lands one write on r. When r's replication queue still holds
@@ -521,32 +522,33 @@ func (c *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 // data over it, silently losing an acknowledged write. The sync route
 // blocks until the worker applies the item, so the returned error has
 // normal Write semantics and the caller's buffer is never retained.
-func (c *Backend) writeOn(r *replica, key string, f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (c *Backend) writeOn(r *replica, key string, f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	if r.q != nil && r.q.pendingFor(key) > 0 {
-		var attr *backend.Attr
-		err := <-r.q.addSync(key, "", func(b backend.Backend) error {
-			a, werr := b.Write(f, off, data, opts)
-			attr = a
+		var w backend.WriteResult
+		err := <-r.q.addSync(key, "", func(b backend.Backend) (werr error) {
+			w, werr = b.Write(f, off, data, opts)
 			return werr
 		})
 		if err != nil {
-			return nil, err
+			return backend.WriteResult{}, err
 		}
-		return attr, nil
+		return w, nil
 	}
 	start := time.Now()
-	attr, err := r.b.Write(f, off, data, opts)
+	w, err := r.b.Write(f, off, data, opts)
 	r.observe(err, time.Since(start))
-	return attr, err
+	return w, err
 }
 
 // replicateWrite enqueues the acknowledged write to every other
-// write-capable replica. The data is copied once — queue items only
-// hold the copy — so the caller may reuse its buffer immediately. The
+// write-capable replica, under the acknowledged write's credential. The
+// data and the credential are copied once — queue items only hold the
+// copies — so the caller may reuse its buffers immediately. The
 // enqueue happens before Write returns, which is what guarantees a
 // subsequent read never picks a replica missing this write: the
 // replica's pending count for the file is already nonzero.
-func (c *Backend) replicateWrite(acker *replica, f backend.FileID, off uint64, data []byte) {
+func (c *Backend) replicateWrite(acker *replica, f backend.FileID, off uint64, data []byte, cred backend.Cred) {
+	var opts backend.CallOpts
 	var cp []byte
 	key := f.Key()
 	fid := append(backend.FileID(nil), f...)
@@ -556,12 +558,19 @@ func (c *Backend) replicateWrite(acker *replica, f backend.FileID, off uint64, d
 		}
 		if cp == nil {
 			cp = append([]byte(nil), data...)
+			opts.Cred = keptCred(cred)
 		}
 		r.q.add(key, "", func(b backend.Backend) error {
-			_, err := b.Write(fid, off, cp, backend.CallOpts{})
+			_, err := b.Write(fid, off, cp, opts)
 			return err
 		})
 	}
+}
+
+// keptCred is cred with a body of its own, for a call that outlives the
+// one it came with.
+func keptCred(cred backend.Cred) backend.Cred {
+	return backend.Cred{Flavor: cred.Flavor, Body: bytes.Clone(cred.Body)}
 }
 
 // quorumWrite fans the write out to every write-capable replica
@@ -573,7 +582,7 @@ func (c *Backend) replicateWrite(acker *replica, f backend.FileID, off uint64, d
 // uniform. Marking on total failure would brand every replica stale at
 // once, leaving the file with no consistent read candidate and the
 // scrub with no repair source.
-func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	var writers []*replica
 	for _, r := range c.reps {
 		if !r.readOnly {
@@ -581,16 +590,16 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 		}
 	}
 	if len(writers) == 0 {
-		return nil, &backend.Error{Class: backend.ClassUnavailable, Op: "write",
+		return backend.WriteResult{}, &backend.Error{Class: backend.ClassUnavailable, Op: "write",
 			Err: errors.New("no write-capable replica")}
 	}
 	need := len(writers)/2 + 1
 	key := f.Key()
 
 	type result struct {
-		attr *backend.Attr
-		err  error
-		rep  *replica
+		w   backend.WriteResult
+		err error
+		rep *replica
 	}
 	ch := make(chan result, len(writers))
 	attempted := 0
@@ -603,20 +612,20 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 		attempted++
 		go func(r *replica) {
 			start := time.Now()
-			attr, err := r.b.Write(f, off, data, opts)
+			w, err := r.b.Write(f, off, data, opts)
 			r.observe(err, time.Since(start))
-			ch <- result{attr, err, r}
+			ch <- result{w, err, r}
 		}(r)
 	}
-	var attr *backend.Attr
+	var w backend.WriteResult
 	var firstErr error
 	succ := 0
 	for i := 0; i < attempted; i++ {
 		res := <-ch
 		if res.err == nil {
 			succ++
-			if attr == nil {
-				attr = res.attr
+			if !w.After.Known() {
+				w = res.w
 			}
 		} else {
 			missed = append(missed, res.rep)
@@ -631,7 +640,7 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 		}
 	}
 	if succ >= need {
-		return attr, nil
+		return w, nil
 	}
 	if firstErr == nil {
 		firstErr = errors.New("quorum not reached")
@@ -640,10 +649,10 @@ func (c *Backend) quorumWrite(f backend.FileID, off uint64, data []byte, opts ba
 		// Partial success below quorum is still a durability failure the
 		// caller must retry; report it as Unavailable so the breaker
 		// logic treats the set as unhealthy.
-		return nil, &backend.Error{Class: backend.ClassUnavailable, Op: "write",
+		return backend.WriteResult{}, &backend.Error{Class: backend.ClassUnavailable, Op: "write",
 			Err: fmt.Errorf("quorum %d/%d: %w", succ, need, firstErr)}
 	}
-	return nil, firstErr
+	return backend.WriteResult{}, firstErr
 }
 
 // Commit implements backend.Backend against the write candidates. Like
@@ -901,6 +910,7 @@ func (c *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts)
 	key := fid.Key()
 	nk := nameKey(dir, name)
 	pdir := append(backend.FileID(nil), dir...)
+	kept := backend.CallOpts{Cred: keptCred(opts.Cred)}
 	for _, r := range c.reps {
 		if r == acker || r.readOnly || r.q == nil {
 			continue
@@ -909,7 +919,7 @@ func (c *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts)
 			continue
 		}
 		r.q.add(key, nk, func(b backend.Backend) error {
-			_, _, err := b.(backend.Namespacer).Create(pdir, name, backend.CallOpts{})
+			_, _, err := b.(backend.Namespacer).Create(pdir, name, kept)
 			return err
 		})
 	}
@@ -942,16 +952,6 @@ func (c *Backend) TransportStats() backend.TransportStats {
 		}
 	}
 	return sum
-}
-
-// SetCredSource implements backend.CredentialCarrier, fanning the
-// source to every replica that authenticates.
-func (c *Backend) SetCredSource(src backend.CredSource) {
-	for _, r := range c.reps {
-		if cc, ok := r.b.(backend.CredentialCarrier); ok {
-			cc.SetCredSource(src)
-		}
-	}
 }
 
 // WaitReplicated blocks until every replication queue is empty (or the

@@ -423,7 +423,7 @@ type gatedBackend struct {
 	gate chan struct{}
 }
 
-func (g *gatedBackend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (*backend.Attr, error) {
+func (g *gatedBackend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
 	<-g.gate
 	return g.Backend.Write(f, off, data, opts)
 }

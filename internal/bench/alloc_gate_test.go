@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	gvfs "gvfs"
@@ -136,7 +137,14 @@ func TestFlushAllocs(t *testing.T) {
 // proxy hop reads its upstream reply into a pooled record and releases
 // it. The scan misses in runs of four blocks, so one hop that stops
 // releasing adds a 33 KB record per run, 8.3 KB per READ, and fails this.
-const coldReadBytesGate = 18900
+//
+// coldReadAllocsGate is allocations per cold READ: measured 5.2 with each
+// hop's post-op attributes carried by value (5.7 when the server-side
+// proxy relayed READ raw, 6.2 when it decoded them onto the heap).
+const (
+	coldReadBytesGate  = 18900
+	coldReadAllocsGate = 6.0
+)
 
 // TestColdReadAllocBytes scans a file four times the cache through
 // client → caching proxy → server-side proxy → nfsd on loopback, every
@@ -213,10 +221,103 @@ func TestColdReadAllocBytes(t *testing.T) {
 	if got := pnode.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total") - misses; got != runMisses {
 		t.Fatalf("%d of %d READs missed, want %d: the scan is not cold, or not fetched in runs", got, ops, runMisses)
 	}
-	perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
-	t.Logf("cold READ: %.0f B and %.1f allocs per op", perOp, float64(m1.Mallocs-m0.Mallocs)/ops)
+	perOp, allocs := float64(m1.TotalAlloc-m0.TotalAlloc)/ops, float64(m1.Mallocs-m0.Mallocs)/ops
+	t.Logf("cold READ: %.0f B and %.1f allocs per op", perOp, allocs)
 	if perOp > coldReadBytesGate {
 		t.Errorf("cold READ allocates %.0f B per op, gate %d", perOp, coldReadBytesGate)
+	}
+	if allocs >= coldReadAllocsGate {
+		t.Errorf("cold READ makes %.1f allocations per op, gate %.1f", allocs, coldReadAllocsGate)
+	}
+}
+
+// writeBackAllocsGate and writeBackBytesGate are allocations and bytes per
+// 8 KiB block a write-back sends through the server-side proxy to the
+// origin, every layer included: the measured steady state (1.88 and
+// 256-264 B, with each hop's wcc_data decoded by value; 2.88 and ~280 B
+// when the server-side proxy relayed WRITE raw and both hops decoded the
+// reply onto the heap) plus 10%. A run of four blocks is one WRITE, so a
+// heap-decoded wcc_data at one hop adds half an allocation per block.
+const (
+	writeBackAllocsGate = 2.07
+	writeBackBytesGate  = 290
+)
+
+// TestWriteBackAllocBytes is TestColdReadAllocBytes in the write
+// direction: a file dirtied in a write-back proxy goes back (WriteBack)
+// through client → caching proxy → server-side proxy → nfsd on loopback,
+// and the process's allocations across the write-back are counted per
+// block. Skipped under -race like the gates above.
+func TestWriteBackAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocs/op is not comparable under the race detector")
+	}
+	const bs, blocks, rounds = 8192, 256, 8
+	fs := memfs.New()
+	if err := fs.WriteFile("/disk.img", make([]byte, blocks*bs)); err != nil {
+		t.Fatal(err)
+	}
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	pnode, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.ProxyAddr(),
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack},
+		DisableMeta: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pnode.Close()
+	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sunrpc.NewClient(conn)
+	defer cl.Close()
+	root, err := mountd.Mount(cl, benchCred(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(cl, benchCred())
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, blocks*bs)
+	var allocs, bytesPer []float64
+	for r := 0; r < rounds; r++ {
+		for i := range want {
+			want[i] = byte(i/bs + i + r)
+		}
+		for b := 0; b < blocks; b++ {
+			if _, _, err := nc.Write(fh, uint64(b*bs), want[b*bs:(b+1)*bs], nfs3.Unstable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// No runtime.GC here: it would empty the buffer pools the
+		// write-back's records come from, and the count would be theirs.
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := pnode.Proxy.WriteBack(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		allocs = append(allocs, float64(m1.Mallocs-m0.Mallocs)/blocks)
+		bytesPer = append(bytesPer, float64(m1.TotalAlloc-m0.TotalAlloc)/blocks)
+		if got, err := fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: origin differs from what was written (err %v)", r, err)
+		}
+	}
+	t.Logf("per block written back, by round: %.2f allocs, %.0f B", allocs, bytesPer)
+	// The first round fills pools and starts workers; of the rest, one a
+	// collection fell in also refills the pools it emptied, so the steady
+	// cost is the least of them.
+	if a, b := slices.Min(allocs[1:]), slices.Min(bytesPer[1:]); a > writeBackAllocsGate || b > writeBackBytesGate {
+		t.Errorf("%.2f allocs and %.0f B per block written back, gates %.2f and %d", a, b, writeBackAllocsGate, writeBackBytesGate)
 	}
 }
 

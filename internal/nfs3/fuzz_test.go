@@ -2,8 +2,9 @@ package nfs3
 
 // Fuzz targets for the decoders the proxy runs on bytes it did not write:
 // the argument decoders of READ, WRITE (the zero-copy parse), LOOKUP,
-// SETATTR and COMMIT, on a client's bytes, and the READDIRPLUS reply
-// decoder, on upstream's. Seeds live under testdata/fuzz/.
+// SETATTR and COMMIT, on a client's bytes, and the READ, WRITE and
+// READDIRPLUS reply decoders, on upstream's. Seeds live under
+// testdata/fuzz/.
 
 import (
 	"bytes"
@@ -114,6 +115,103 @@ func FuzzNFS3Args(f *testing.F) {
 			}
 			if enc2 := c.encode(back); !bytes.Equal(enc, enc2) {
 				t.Fatalf("%s: %x re-encodes as %x", c.name, enc, enc2)
+			}
+		}
+	})
+}
+
+// readAttr and writeWcc are what the value-attribute reply decoders
+// return: the reply, and the attributes they decoded beside it.
+type readAttr struct {
+	r    ReadRes
+	attr Fattr
+	has  bool
+}
+
+type writeWcc struct {
+	r                   WriteRes
+	before              WccAttr
+	after               Fattr
+	hasBefore, hasAfter bool
+}
+
+// resCodecs are the READ and WRITE reply decoders, each with the encoder
+// that inverts it and the opaque it lends from its input (data).
+var resCodecs = []struct {
+	name   string
+	decode func(p []byte) (any, error)
+	encode func(v any) []byte
+	data   func(v any) []byte
+}{
+	{"ReadRes.DecodeRefInto",
+		func(p []byte) (any, error) {
+			r := &ReadRes{}
+			return r, r.DecodeRefInto(p)
+		},
+		func(v any) []byte { return v.(*ReadRes).Encode() },
+		func(v any) []byte { return v.(*ReadRes).Data }},
+	{"ReadRes.DecodeRefAttrInto",
+		func(p []byte) (any, error) {
+			v := &readAttr{}
+			var err error
+			v.has, err = v.r.DecodeRefAttrInto(p, &v.attr)
+			return v, err
+		},
+		func(v any) []byte {
+			ra := v.(*readAttr)
+			r := ra.r
+			if ra.has {
+				r.Attr = &ra.attr
+			}
+			return r.Encode()
+		},
+		func(v any) []byte { return v.(*readAttr).r.Data }},
+	{"WriteRes.DecodeInto",
+		func(p []byte) (any, error) {
+			r := &WriteRes{}
+			return r, r.DecodeInto(p)
+		},
+		func(v any) []byte { return v.(*WriteRes).Encode() },
+		func(any) []byte { return nil }},
+	{"WriteRes.DecodeWccInto",
+		func(p []byte) (any, error) {
+			v := &writeWcc{}
+			var err error
+			v.hasBefore, v.hasAfter, err = v.r.DecodeWccInto(p, &v.before, &v.after)
+			return v, err
+		},
+		func(v any) []byte {
+			ww := v.(*writeWcc)
+			r := ww.r
+			if ww.hasBefore {
+				r.Wcc.Before = &ww.before
+			}
+			if ww.hasAfter {
+				r.Wcc.After = &ww.after
+			}
+			return r.Encode()
+		},
+		func(any) []byte { return nil }},
+}
+
+// FuzzNFS3Res: no input makes a READ or WRITE reply decoder panic; none
+// lends an opaque longer than its input could hold; and on an input it
+// accepts, encoding what it returned and decoding that gives the same
+// value again — the pointer decoders and the value ones alike.
+func FuzzNFS3Res(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		for _, c := range resCodecs {
+			got, err := c.decode(bytes.Clone(p))
+			if err != nil {
+				continue
+			}
+			if n := len(c.data(got)); n > len(p) {
+				t.Fatalf("%s: a %d-byte opaque out of %d bytes", c.name, n, len(p))
+			}
+			enc := c.encode(got)
+			back, err := c.decode(enc)
+			if err != nil || !reflect.DeepEqual(got, back) {
+				t.Fatalf("%s: %+v encodes to %x, which decodes to %+v (err=%v)", c.name, got, enc, back, err)
 			}
 		}
 	})

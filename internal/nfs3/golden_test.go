@@ -3,9 +3,10 @@ package nfs3
 // Golden wire vectors (testdata/wire/*.hex): the bytes the commit before
 // the single XDR codec put on the wire for one value, and one error
 // value, of every message this package encodes. Each is held against
-// today's encoder and today's decoder, and five of them (READ3res,
-// WRITE3args, LOOKUP3res, READDIRPLUS3args and READDIRPLUS3res) against
-// bytes written out by hand from RFC 1813. The READDIRPLUS3 vectors came
+// today's encoder and today's decoder, and seven of them (READ3res,
+// WRITE3args, WRITE3res, LOOKUP3res, READDIRPLUS3args, READDIRPLUS3res
+// and COMMIT3res) against bytes written out by hand from RFC 1813. The
+// READDIRPLUS3 vectors came
 // with the typed message, from its encoder, and were checked against the
 // hand derivation before they went in.
 
@@ -53,6 +54,12 @@ func built(f func(b *xdr.Builder)) []byte {
 	var b xdr.Builder
 	f(&b)
 	return b.B
+}
+
+// decodeWriteRes is WriteRes.DecodeInto on a WriteRes of its own.
+func decodeWriteRes(p []byte) (*WriteRes, error) {
+	r := &WriteRes{}
+	return r, r.DecodeInto(p)
 }
 
 // decoded runs a decoder over p and reports its sticky error.
@@ -131,9 +138,9 @@ func TestGoldenMessages(t *testing.T) {
 		{"WRITE3args", &WriteArgs{FH: goldFile, Offset: 4096, Count: 5, Stable: FileSync, Data: []byte("abcde")}, nil,
 			func(p []byte) (any, error) { return DecodeWriteArgs(p) }},
 		{"WRITE3res", &WriteRes{Status: OK, Wcc: WccData{Before: &goldPre, After: &goldFileAttr}, Count: 5, Committed: FileSync, Verf: WriteVerf}, nil,
-			func(p []byte) (any, error) { return DecodeWriteRes(p) }},
+			func(p []byte) (any, error) { return decodeWriteRes(p) }},
 		{"WRITE3res_nospc", &WriteRes{Status: ErrNoSpc, Wcc: WccData{After: &goldFileAttr}}, nil,
-			func(p []byte) (any, error) { return DecodeWriteRes(p) }},
+			func(p []byte) (any, error) { return decodeWriteRes(p) }},
 		{"SETATTR3args", &SetattrArgs{FH: goldFile, Attr: goldSetAll}, nil,
 			func(p []byte) (any, error) { return DecodeSetattrArgs(p) }},
 		{"COMMIT3args", &CommitArgs{FH: goldFile, Offset: 65536, Count: 32768}, nil,
@@ -193,6 +200,12 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		0, 0, 0, 13, // nfs_fh3: opaque<64> length
 		'f', 'i', 'l', 'e', '-', 'h', 'a', 'n', 'd', 'l', 'e', '-', '1', 0, 0, 0, // + 3 of padding
 	}
+	fileWcc := []byte{ // §2.6 wcc_attr: size3 size, nfstime3 mtime, nfstime3 ctime
+		0, 0, 0, 0x12, 0x34, 0x56, 0x78, 0x9a, // size
+		0x3b, 0x9a, 0xca, 0x01, 0, 0, 0, 2, // mtime
+		0x3b, 0x9a, 0xca, 0x02, 0, 0, 0, 3, // ctime
+	}
+	verf := []byte("gvfsnfs3") // writeverf3: 8 opaque bytes, no length
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 	// §3.3.6 READ3resok: status, post_op_attr file_attributes, count3
@@ -215,6 +228,25 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		[]byte{0, 0, 0, 2},                   // stable = FILE_SYNC
 		[]byte{0, 0, 0, 5},                   // data length
 		[]byte("abcde"), []byte{0, 0, 0},     // data + 3 of padding
+	))
+	// §3.3.7 WRITE3resok: status, wcc_data file_wcc { pre_op_attr before,
+	// post_op_attr after }, count3 count, stable_how committed, writeverf3
+	// verf — both halves present, as a relay passes the origin's on.
+	wiretest.Check(t, "WRITE3res", cat(
+		[]byte{0, 0, 0, 0},          // NFS3_OK
+		[]byte{0, 0, 0, 1}, fileWcc, // before: attributes_follow, wcc_attr
+		[]byte{0, 0, 0, 1}, fileAttr, // after: attributes_follow, fattr3
+		[]byte{0, 0, 0, 5}, // count
+		[]byte{0, 0, 0, 2}, // committed = FILE_SYNC
+		verf,
+	))
+	// §3.3.21 COMMIT3resok: status, wcc_data file_wcc, writeverf3 verf —
+	// the server's reply to a COMMIT it made no pre-operation record for.
+	wiretest.Check(t, "commit.res", cat(
+		[]byte{0, 0, 0, 0},           // NFS3_OK
+		[]byte{0, 0, 0, 0},           // before: no attributes
+		[]byte{0, 0, 0, 1}, fileAttr, // after
+		verf,
 	))
 	// §3.3.3 LOOKUP3resok: status, nfs_fh3 object, post_op_attr
 	// obj_attributes, post_op_attr dir_attributes.

@@ -431,8 +431,8 @@ func TestWriteCarriesPreOpAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := nfs3.DecodeWriteRes(res)
-	if err != nil {
+	var r nfs3.WriteRes
+	if err := r.DecodeInto(res); err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != nfs3.OK {

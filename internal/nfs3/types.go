@@ -293,6 +293,16 @@ func DecodePostOpAttr(d *xdr.Decoder) *Fattr {
 	return &a
 }
 
+// decodePostOpAttrInto reads a post_op_attr into *a, allocating nothing,
+// and reports whether attributes followed (*a is left alone if not).
+func decodePostOpAttrInto(d *xdr.Decoder, a *Fattr) bool {
+	if !d.Bool() {
+		return false
+	}
+	*a = DecodeFattr(d)
+	return true
+}
+
 // WccAttr is the pre-operation attribute subset (wcc_attr).
 type WccAttr struct {
 	Size  uint64
@@ -305,11 +315,21 @@ func DecodePreOpAttr(d *xdr.Decoder) *WccAttr {
 	if !d.Bool() {
 		return nil
 	}
-	return &WccAttr{
-		Size:  d.Uint64(),
-		Mtime: Time{d.Uint32(), d.Uint32()},
-		Ctime: Time{d.Uint32(), d.Uint32()},
+	w := decodeWccAttr(d)
+	return &w
+}
+
+// decodePreOpAttrInto is decodePostOpAttrInto for a pre_op_attr.
+func decodePreOpAttrInto(d *xdr.Decoder, w *WccAttr) bool {
+	if !d.Bool() {
+		return false
 	}
+	*w = decodeWccAttr(d)
+	return true
+}
+
+func decodeWccAttr(d *xdr.Decoder) WccAttr {
+	return WccAttr{Size: d.Uint64(), Mtime: Time{d.Uint32(), d.Uint32()}, Ctime: Time{d.Uint32(), d.Uint32()}}
 }
 
 // WccData is weak cache consistency data attached to modifying replies.

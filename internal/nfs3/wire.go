@@ -257,7 +257,7 @@ func ReadResSize(n int) int { return 4 + 4 + FattrSize + 4 + 4 + 4 + n + 4 }
 // DecodeReadRes parses a READ result, copying the data payload.
 func DecodeReadRes(p []byte) (*ReadRes, error) {
 	r := &ReadRes{}
-	if err := r.decode(p, false); err != nil {
+	if _, err := r.decode(p, false, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -265,13 +265,28 @@ func DecodeReadRes(p []byte) (*ReadRes, error) {
 
 // DecodeRefInto fills r with Data aliasing p: zero-copy parse for
 // callers that consume the payload before p's owner releases it.
-func (r *ReadRes) DecodeRefInto(p []byte) error { return r.decode(p, true) }
+func (r *ReadRes) DecodeRefInto(p []byte) error {
+	_, err := r.decode(p, true, nil)
+	return err
+}
 
-func (r *ReadRes) decode(p []byte, ref bool) error {
+// DecodeRefAttrInto is DecodeRefInto for a caller that keeps the post-op
+// attributes by value: they go into *attr, not a new Fattr (r.Attr is
+// left nil), and ok says whether there were any. Nothing is allocated.
+func (r *ReadRes) DecodeRefAttrInto(p []byte, attr *Fattr) (ok bool, err error) {
+	return r.decode(p, true, attr)
+}
+
+func (r *ReadRes) decode(p []byte, ref bool, attr *Fattr) (bool, error) {
 	var d xdr.Decoder
 	d.ResetBytes(p)
 	r.Status = Status(d.Uint32())
-	r.Attr = DecodePostOpAttr(&d)
+	has := false
+	if attr == nil {
+		r.Attr = DecodePostOpAttr(&d)
+	} else {
+		r.Attr, has = nil, decodePostOpAttrInto(&d, attr)
+	}
 	if r.Status == OK {
 		r.Count = d.Uint32()
 		r.EOF = d.Bool()
@@ -281,7 +296,7 @@ func (r *ReadRes) decode(p []byte, ref bool) error {
 			r.Data = d.Opaque()
 		}
 	}
-	return d.Err()
+	return has, d.Err()
 }
 
 // WriteArgs are the WRITE arguments.
@@ -370,27 +385,37 @@ func (r *WriteRes) AppendTo(dst []byte) []byte {
 // WriteResSize bounds the encoded size of a WRITE result.
 const WriteResSize = 4 + (4 + 24) + (4 + FattrSize) + 4 + 4 + 8
 
-// DecodeWriteRes parses a WRITE result.
-func DecodeWriteRes(p []byte) (*WriteRes, error) {
-	r := &WriteRes{}
-	if err := r.DecodeInto(p); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // DecodeInto fills a (typically stack-allocated) WriteRes.
 func (r *WriteRes) DecodeInto(p []byte) error {
+	_, _, err := r.decode(p, nil, nil)
+	return err
+}
+
+// DecodeWccInto is DecodeInto for a caller that keeps the wcc_data by
+// value, as ReadRes.DecodeRefAttrInto does the attributes: its halves go
+// into *before and *after (r.Wcc is left empty), and hasBefore and
+// hasAfter say which there were. Nothing is allocated.
+func (r *WriteRes) DecodeWccInto(p []byte, before *WccAttr, after *Fattr) (hasBefore, hasAfter bool, err error) {
+	return r.decode(p, before, after)
+}
+
+func (r *WriteRes) decode(p []byte, before *WccAttr, after *Fattr) (hasBefore, hasAfter bool, err error) {
 	var d xdr.Decoder
 	d.ResetBytes(p)
 	r.Status = Status(d.Uint32())
-	r.Wcc = DecodeWccData(&d)
+	if after == nil {
+		r.Wcc = DecodeWccData(&d)
+	} else {
+		r.Wcc = WccData{}
+		hasBefore = decodePreOpAttrInto(&d, before)
+		hasAfter = decodePostOpAttrInto(&d, after)
+	}
 	if r.Status == OK {
 		r.Count = d.Uint32()
 		r.Committed = d.Uint32()
 		d.FixedOpaque(r.Verf[:])
 	}
-	return d.Err()
+	return hasBefore, hasAfter, d.Err()
 }
 
 // SetattrArgs are the SETATTR arguments (guard unsupported: guard.check

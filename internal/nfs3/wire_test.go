@@ -61,7 +61,7 @@ func TestReadResRoundTripError(t *testing.T) {
 func TestWriteResRoundTrip(t *testing.T) {
 	attr := Fattr{Size: 1 << 20}
 	in := WriteRes{Status: OK, Wcc: WccData{After: &attr}, Count: 8192, Committed: DataSync, Verf: WriteVerf}
-	out, err := DecodeWriteRes(in.Encode())
+	out, err := decodeWriteRes(in.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

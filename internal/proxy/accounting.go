@@ -41,10 +41,10 @@ const (
 	AuditTrigger = "flush_trigger"
 	AuditCommit  = "commit"
 
-	TriggerWriteBack = "write_back" // middleware SIGUSR1 / WriteBack()
-	TriggerFlush     = "flush"      // middleware SIGUSR2 / Flush()
-	TriggerIdle      = "idle"       // idle-session background write-back
-	TriggerReplay    = "replay"     // post-recovery breaker replay
+	TriggerWriteBack = "write_back"     // middleware SIGUSR1 / WriteBack()
+	TriggerFlush     = "flush"          // middleware SIGUSR2 / Flush()
+	TriggerIdle      = "idle"           // idle-session background write-back
+	TriggerReplay    = "replay"         // post-recovery breaker replay
 	TriggerRecovery  = "crash_recovery" // journal replay after a proxy crash
 )
 
@@ -508,31 +508,12 @@ func clientLabel(c *sunrpc.Call) string {
 	return "unknown"
 }
 
-// clientLabelMax bounds the cred->label cache; a burst of distinct
-// credentials (identity churn) resets it rather than growing forever.
-const clientLabelMax = 1024
-
-// clientLabel is the cached form of the free function: deriving the
+// clientLabel is the interned form of the free function: deriving the
 // label decodes the credential and formats a string, which would be
-// the data path's biggest allocator. Lookup is by the raw cred body
-// (map index by string conversion does not allocate), so steady-state
-// calls cost one read-locked map hit.
+// the data path's biggest allocator.
 func (p *Proxy) clientLabel(c *sunrpc.Call) string {
 	if c.Cred.Flavor != sunrpc.AuthUnix || len(c.Cred.Body) == 0 {
 		return clientLabel(c)
 	}
-	p.labelMu.RLock()
-	l, ok := p.labels[string(c.Cred.Body)]
-	p.labelMu.RUnlock()
-	if ok {
-		return l
-	}
-	l = clientLabel(c)
-	p.labelMu.Lock()
-	if len(p.labels) >= clientLabelMax {
-		p.labels = make(map[string]string)
-	}
-	p.labels[string(c.Cred.Body)] = l
-	p.labelMu.Unlock()
-	return l
+	return p.labels.get(c.Cred.Body, func() string { return clientLabel(c) })
 }

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/nfs3"
 )
 
@@ -57,12 +58,21 @@ type fileInfo struct {
 	full      string // path from the export root, "" = unknown
 	label     string // what the accounting tables call the file: full, or the handle in hex
 	target    string // symlink target, "" = unknown
+	// writer is who the file's dirty blocks go back upstream as: the
+	// credential of the last WRITE it absorbed, interned. It is zero — the
+	// backend's own — once the file is clean, and for the blocks a crashed
+	// predecessor's journal left, whose writers no one knows.
+	writer backend.Cred
 }
 
 type attrEntry struct {
 	fileInfo
-	fh         string // "" marks a negative entry: dir/name does not exist
-	dirty      bool   // absorbed writes the origin has not caught up with
+	fh string // "" marks a negative entry: dir/name does not exist
+	// dirty: the file has absorbed writes that no write-back of everything
+	// has settled since (settled): some of them may be nowhere upstream
+	// yet, so its size and writer are nowhere else.
+	dirty      bool
+	wroteAt    uint64 // attrTable.absorbed after its last absorbed WRITE
 	resident   bool   // the whole file lives in the file cache, under full
 	list       listState
 	meta       metaState
@@ -120,6 +130,10 @@ type attrTable struct {
 	roots map[string]string // export root handle -> path; MOUNT is not repeated, so Flush keeps it
 	lru   attrEntry         // ring sentinel: next is the most recent entry
 	n     int
+	// absorbed counts the WRITEs the caches absorbed (wrote), which
+	// orders them against a write-back of everything (settled). Written
+	// under mu, read without.
+	absorbed atomic.Uint64
 	// lists holds a channel per directory listing in flight, closed when
 	// its reply is in: the misses in that directory wait for it. A listing
 	// takes itself out, Flush leaves it be (its stripe has moved).
@@ -597,18 +611,10 @@ func (t *attrTable) forget(fh nfs3.FH) (full string) {
 	return full
 }
 
-// What a size seen without a whole fattr3 came with (the backend
-// interface carries no more).
-type sizeFrom uint8
-
-const (
-	fromReply     sizeFrom = iota // a READ or write-through WRITE reply
-	fromFlush                     // a write-back's reply: the origin may have caught up
-	fromFileCache                 // the file now lives whole in the file cache
-)
-
-// sawSize records such a size and returns fh's view.
-func (t *attrTable) sawSize(fh nfs3.FH, size uint64, from sizeFrom) fileView {
+// sawSize records a size seen without a whole fattr3 from upstream — in
+// a reply, or of a file that now lives whole in the file cache
+// (resident) — and returns fh's view.
+func (t *attrTable) sawSize(fh nfs3.FH, size uint64, resident bool) fileView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entry(fh, true)
@@ -616,16 +622,14 @@ func (t *attrTable) sawSize(fh nfs3.FH, size uint64, from sizeFrom) fileView {
 		e.attr.Size, e.attr.Used = size, size
 	}
 	e.hasSize = true
-	e.resident = e.resident || from == fromFileCache
-	if from == fromFlush && size >= e.attr.Size {
-		e.dirty = false
-	}
+	e.resident = e.resident || resident
 	return e.view()
 }
 
-// wrote records an absorbed WRITE ending at end. Of a file whose size the
-// table does not know, that is a lower bound and stays one.
-func (t *attrTable) wrote(fh nfs3.FH, end uint64, now nfs3.Time) fileView {
+// wrote records a WRITE by writer that the caches absorbed, ending at
+// end. Of a file whose size the table does not know, that is a lower
+// bound and stays one.
+func (t *attrTable) wrote(fh nfs3.FH, end uint64, now nfs3.Time, writer backend.Cred) fileView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entry(fh, true)
@@ -633,7 +637,21 @@ func (t *attrTable) wrote(fh nfs3.FH, end uint64, now nfs3.Time) fileView {
 	if e.attr.Mtime.Less(now) {
 		e.attr.Mtime, e.attr.Ctime = now, now
 	}
+	e.writer, e.wroteAt = writer, t.absorbed.Add(1)
 	return e.view()
+}
+
+// settled records that a write-back of everything dirty succeeded, begun
+// when absorbed was seq: a file that absorbed no WRITE since is clean
+// upstream, and its entry is no longer pinned.
+func (t *attrTable) settled(seq uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.byFH {
+		if e.dirty && e.wroteAt <= seq {
+			e.dirty, e.writer = false, backend.Cred{}
+		}
+	}
 }
 
 // setattr records an OK SETATTR, which may lower what nothing else does:
@@ -649,7 +667,7 @@ func (t *attrTable) setattr(fh nfs3.FH, after *nfs3.Fattr, set *nfs3.SetAttr) {
 		return
 	}
 	if set.Size != nil {
-		e.attr.Size, e.attr.Used, e.hasSize, e.dirty = *set.Size, min(e.attr.Used, *set.Size), true, false
+		e.attr.Size, e.attr.Used, e.hasSize = *set.Size, min(e.attr.Used, *set.Size), true
 	}
 	if e.hasAttr = after != nil; e.hasAttr {
 		e.attr, e.hasSize = t.merged(e, after, set.MtimeHow == nfs3.DontChange), true

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
 	"gvfs/internal/nfs3"
@@ -428,22 +429,23 @@ func TestNameChangesInvalidate(t *testing.T) {
 	}
 }
 
-// TestAttrTableBounded: the LRU cap holds, and an entry whose size is
-// ahead of the origin's — the file has dirty frames — is never the victim.
-// A clean file the origin reports smaller than the table has it is not
-// dirty for that, and goes like any other.
+// TestAttrTableBounded: the LRU cap holds, and an entry whose file has
+// absorbed writes no write-back of everything has settled — its size is
+// ahead of the origin's, its writer is who its frames go back as — is
+// never the victim. A clean file the origin reports smaller than the table
+// has it is not dirty for that, and goes like any other.
 func TestAttrTableBounded(t *testing.T) {
 	tbl := newAttrTable(true)
 	root := nfs3.FH("root")
 	tbl.setRoot(root, "/")
 	dirty, shrunk := nfs3.FH("dirty"), nfs3.FH("shrunk")
 	tbl.learn(shrunk, root, "shrunk.img", &nfs3.Fattr{Type: nfs3.TypeReg, Size: 8192}, false, anyGen)
-	if v := tbl.sawSize(shrunk, 4096, fromReply); v.attr.Size != 8192 {
+	if v := tbl.sawSize(shrunk, 4096, false); v.attr.Size != 8192 {
 		t.Errorf("a READ reply lowered the session's size to %d", v.attr.Size)
 	}
 	tbl.learn(dirty, root, "dirty.redo", &nfs3.Fattr{Type: nfs3.TypeReg, Size: 8192}, false, anyGen)
-	tbl.wrote(dirty, 16384, nfs3.Time{Sec: 1})
-	tbl.sawSize(dirty, 12288, fromFlush) // part of it flushed: still ahead
+	tbl.wrote(dirty, 16384, nfs3.Time{Sec: 1}, backend.Cred{})
+	tbl.sawSize(dirty, 12288, false) // part of it written back: still ahead
 	for i := 0; i < attrTableCap+1000; i++ {
 		name := fmt.Sprintf("f%d", i)
 		if i%2 == 0 {
@@ -467,8 +469,14 @@ func TestAttrTableBounded(t *testing.T) {
 	if _, ok := tbl.get(shrunk); ok {
 		t.Error("a clean file the origin shrank was kept as if dirty")
 	}
-	// The origin catches up (a flush's wcc data): the entry may go again.
-	tbl.sawSize(dirty, 16384, fromFlush)
+	// A write-back of everything settles the file — but not a WRITE it
+	// absorbed while that was under way — and then the entry may go again.
+	seq := tbl.absorbed.Load()
+	tbl.wrote(dirty, 16384, nfs3.Time{Sec: 2}, backend.Cred{})
+	if tbl.settled(seq); !tbl.byFH[string(dirty)].dirty {
+		t.Error("a write-back settled a WRITE absorbed after it began")
+	}
+	tbl.settled(tbl.absorbed.Load())
 	for i := 0; i < attrTableCap+8; i++ {
 		tbl.negative(root, fmt.Sprintf("g%d", i), anyGen)
 	}
@@ -479,7 +487,7 @@ func TestAttrTableBounded(t *testing.T) {
 	if tbl.len() != 0 || len(tbl.byFH) != 0 || len(tbl.names) != 0 {
 		t.Error("reset left entries")
 	}
-	if full := tbl.sawSize(root, 0, fromReply).full; full != "/" {
+	if full := tbl.sawSize(root, 0, false).full; full != "/" {
 		t.Errorf("the export root's path did not survive reset: %q", full)
 	}
 }

@@ -2,14 +2,18 @@ package proxy
 
 // Backend plumbing for the data path. The proxy's READ/WRITE handling,
 // write-back, read-ahead and meta-data machinery speak the
-// internal/backend interface exclusively; the NFSv3 wire client lives
-// behind it in internal/backend/nfs3be. The one deliberate exception
-// is the cache-less relay (no block cache, real RPC upstream — the
-// gvfsd identity-mapping role), which keeps raw call forwarding so
-// each client's own credentials ride every data call.
+// internal/backend interface exclusively, the cache-less relay's (the
+// gvfsd identity-mapping role) included; the NFSv3 wire client lives
+// behind it in internal/backend/nfs3be. Every call carries the
+// credential of the client it is made for (callOpts): a client's own
+// calls and the calls they set off (RMW, read-ahead, meta-data) its own,
+// a write-back the credential of the last WRITE its file absorbed
+// (fileInfo.writer).
 
 import (
+	"bytes"
 	"errors"
+	"sync"
 	"time"
 
 	"gvfs/internal/backend"
@@ -20,175 +24,191 @@ import (
 	"gvfs/internal/sunrpc"
 )
 
-// useBackendIO reports whether READ/WRITE data-path calls go through
-// the backend interface (caching proxy, or no RPC upstream at all).
-func (p *Proxy) useBackendIO() bool {
-	return p.cfg.BlockCache != nil || p.cfg.Upstream == nil
-}
-
-// beOpts builds backend call options from a live trace span and the
-// call's remaining deadline budget.
-func beOpts(tr *obs.Active, deadline time.Time) backend.CallOpts {
-	opts := backend.CallOpts{Deadline: deadline}
+// callOpts is what c's own upstream calls carry: its deadline, with tr
+// its trace, and its credential, mapped when the proxy maps identities
+// (Config.Mapper) — whose body may alias c's request record (keep).
+func (p *Proxy) callOpts(c *sunrpc.Call, tr *obs.Active) (opts backend.CallOpts, err error) {
+	opts = backend.CallOpts{Deadline: c.Deadline, Cred: backend.Cred(c.Cred)}
 	if tr != nil {
 		opts.TraceID, opts.Hop = tr.ID(), tr.Hop()+1
 	}
-	return opts
+	if p.cfg.Mapper != nil {
+		var out sunrpc.OpaqueAuth
+		out, _, err = p.cfg.Mapper.Rewrite(c.Cred)
+		opts.Cred = backend.Cred(out)
+	}
+	return opts, err
 }
 
-// beRead issues a backend read with breaker fast-fail and health
-// observation. demand marks a client's own READ, which counts toward
-// the forwarded counter exactly like a relayed call (the fast-fail path
-// does not); the proxy's own reads (write-back RMW, read-ahead,
-// meta-data) do not.
-func (p *Proxy) beRead(fh nfs3.FH, off uint64, count uint32, tr *obs.Active, deadline time.Time, demand bool) (backend.ReadResult, error) {
+// keep is c's upstream credential with a body the proxy may hold past
+// the call — a dirty file's writer, a run ahead's reader: interned, so a
+// credential kept again costs a map hit, not a copy.
+func (p *Proxy) keep(c *sunrpc.Call) (backend.Cred, error) {
+	opts, err := p.callOpts(c, nil)
+	cred := opts.Cred
+	cred.Body = p.bodies.get(cred.Body, func() []byte { return bytes.Clone(cred.Body) })
+	return cred, err
+}
+
+// internMax bounds an intern table; a burst of distinct credentials
+// (identity churn) resets it rather than growing it for ever.
+const internMax = 1024
+
+// intern is a bounded table of values derived from credential bodies,
+// keyed by the body's bytes: a lookup allocates nothing, and one that
+// hits costs a read-locked map access.
+type intern[V any] struct {
+	mu sync.RWMutex
+	m  map[string]V
+}
+
+// get returns body's value, made by mk on a miss.
+func (t *intern[V]) get(body []byte, mk func() V) V {
+	t.mu.RLock()
+	v, ok := t.m[string(body)]
+	t.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = mk()
+	t.mu.Lock()
+	if t.m == nil || len(t.m) >= internMax {
+		t.m = make(map[string]V)
+	}
+	t.m[string(body)] = v
+	t.mu.Unlock()
+	return v
+}
+
+// upcall runs one upstream call under the breaker protocol — fast-fail
+// while the breaker is open, count, span, observe — whichever way it
+// leaves: relayed (forward, listDir) or through the backend. demand marks
+// a call made for a client (relayed, or its own READ or WRITE), which
+// counts toward the forwarded counter (the fast-fail path does not); the
+// proxy's own calls (write-back, RMW, read-ahead, meta-data) do not.
+func (p *Proxy) upcall(tr *obs.Active, demand bool, call func() error) error {
 	if p.Degraded() {
 		p.stats.breakerFastFails.Add(1)
-		return backend.ReadResult{}, errUpstreamDown
+		return errUpstreamDown
 	}
 	if demand {
 		p.stats.forwarded.Add(1)
 	}
 	upStart := time.Now()
-	r, err := p.cfg.Backend.Read(backend.FileID(fh), off, count, beOpts(tr, deadline))
+	err := call()
 	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
 	p.observeUpstream(err)
+	return err
+}
+
+// beRead is a backend read under upcall's protocol.
+func (p *Proxy) beRead(fh nfs3.FH, off uint64, count uint32, opts backend.CallOpts, tr *obs.Active, demand bool) (r backend.ReadResult, err error) {
+	err = p.upcall(tr, demand, func() (err error) {
+		r, err = p.cfg.Backend.Read(backend.FileID(fh), off, count, opts)
+		return err
+	})
 	return r, err
 }
 
-// beWrite issues a durable backend write under the same protocol as
-// beRead: demand is a client's write-through WRITE, counted as
-// forwarded and attributed to the call's trace and deadline; write-back
-// passes neither.
-func (p *Proxy) beWrite(fh nfs3.FH, off uint64, data []byte, tr *obs.Active, deadline time.Time, demand bool) (*backend.Attr, error) {
-	if p.Degraded() {
-		p.stats.breakerFastFails.Add(1)
-		return nil, errUpstreamDown
-	}
-	if demand {
-		p.stats.forwarded.Add(1)
-	}
-	upStart := time.Now()
-	attr, err := p.cfg.Backend.Write(backend.FileID(fh), off, data, beOpts(tr, deadline))
-	// Before the caller marks anything clean: from here on a READ that
-	// left earlier may hold bytes older than upstream's (a WRITE that
-	// failed may have been applied all the same).
-	p.attrs.wroteUpstream(fh)
-	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
-	p.observeUpstream(err)
-	return attr, err
+// beWrite is a durable backend write under upcall's protocol.
+func (p *Proxy) beWrite(fh nfs3.FH, off uint64, data []byte, opts backend.CallOpts, tr *obs.Active, demand bool) (w backend.WriteResult, err error) {
+	err = p.upcall(tr, demand, func() (err error) {
+		w, err = p.cfg.Backend.Write(backend.FileID(fh), off, data, opts)
+		// Before the caller marks anything clean: from here on a READ that
+		// left earlier may hold bytes older than upstream's (a WRITE that
+		// failed may have been applied all the same).
+		p.attrs.wroteUpstream(fh)
+		return err
+	})
+	return w, err
 }
 
 // errNoNamespace marks a backend without namespace support.
 var errNoNamespace = errors.New("proxy: backend has no namespace support")
 
 // beLookup resolves dir/name through the backend's namespace.
-func (p *Proxy) beLookup(dir nfs3.FH, name string) (nfs3.FH, backend.Attr, error) {
+func (p *Proxy) beLookup(dir nfs3.FH, name string, opts backend.CallOpts) (fh nfs3.FH, attr backend.Attr, err error) {
 	lk, ok := p.cfg.Backend.(backend.Lookuper)
 	if !ok {
 		return nil, backend.Attr{}, errNoNamespace
 	}
-	if p.Degraded() {
-		p.stats.breakerFastFails.Add(1)
-		return nil, backend.Attr{}, errUpstreamDown
-	}
 	gen := p.attrs.generation(dir, name)
-	fid, attr, err := lk.Lookup(backend.FileID(dir), name, backend.CallOpts{})
-	p.observeUpstream(err)
+	err = p.upcall(nil, false, func() (err error) {
+		var fid backend.FileID
+		fid, attr, err = lk.Lookup(backend.FileID(dir), name, opts)
+		fh = nfs3.FH(fid)
+		return err
+	})
 	// The proxy's own lookups (meta-data files) feed the table like a
 	// client's: the name, the size, or that the name is not there.
 	if err == nil {
-		p.attrs.learn(nfs3.FH(fid), dir, name, nil, false, gen)
-		p.attrs.sawSize(nfs3.FH(fid), attr.Size, fromReply)
+		p.attrs.learn(fh, dir, name, nil, false, gen)
+		p.attrs.sawSize(fh, attr.Size, false)
 	} else if backend.Classify(err) == backend.ClassNotFound {
 		p.attrs.negative(dir, name, gen)
 	}
-	return nfs3.FH(fid), attr, err
+	return fh, attr, err
 }
 
-// backendReadError encodes a failed backend read as the NFS reply. A
-// stale handle is evidence against whatever the table holds for it.
-func (p *Proxy) backendReadError(fh nfs3.FH, err error) ([]byte, sunrpc.AcceptStat) {
-	if st, ok := nfs3be.ErrStatus(err); ok {
-		if st == nfs3.ErrStale {
-			p.attrs.forget(fh)
-		}
-		res := nfs3.ReadRes{Status: st}
-		return res.Encode(), sunrpc.Success
+// replyAttr is the post-op attribute of a reply to a READ or WRITE that
+// went upstream: the table's when the proxy answers for the file's
+// attributes and has its whole fattr3 (dirty data wins), else a, the
+// backend's — the origin's own, at a relay — put in buf.
+func (p *Proxy) replyAttr(v *fileView, a backend.Attr, buf *nfs3.Fattr) *nfs3.Fattr {
+	if at := v.post(); at != nil && p.answersLocally() {
+		return at
 	}
-	return nil, sunrpc.SystemErr
+	if !a.Known() {
+		return nil
+	}
+	*buf = nfs3be.FattrOf(a)
+	return buf
 }
 
-// backendWriteError encodes a failed backend write as the NFS reply.
-func backendWriteError(err error) ([]byte, sunrpc.AcceptStat) {
-	if st, ok := nfs3be.ErrStatus(err); ok {
-		res := nfs3.WriteRes{Status: st, Verf: nfs3.WriteVerf}
-		return res.Encode(), sunrpc.Success
+// readThrough answers c's READ with one upstream read of fetch bytes at
+// its offset, under c's credential: a READ that bypasses the block cache
+// — none configured, or one readUncached sent here — or a block cache
+// miss, whose install caches what came back before the reply is made.
+// The reply is encoded into a pooled buffer released by the RPC server
+// (ReplyBuf), and with that copy made the read is released: the cache
+// frames and the reply are its copies. The client gets the count bytes
+// it asked for — a miss run brings more — and is told of the end of the
+// file only when it lies inside them. A failure with an NFS status is
+// that status's reply, and a stale handle is evidence against whatever
+// the table holds for it.
+func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time, fetch uint32, outcome string, install func(backend.ReadResult) error) ([]byte, sunrpc.AcceptStat) {
+	opts, err := p.callOpts(c, tr)
+	var r backend.ReadResult
+	if err == nil {
+		r, err = p.beRead(args.FH, args.Offset, fetch, opts, tr, true)
 	}
-	return nil, sunrpc.SystemErr
-}
-
-// readResultReply encodes a successful backend read as the NFS READ
-// reply, into a pooled buffer released by the RPC server (ReplyBuf),
-// and with that copy made releases r. The client gets the count bytes it
-// asked for — a miss run brings more — and is told of the end of the
-// file only when it lies inside them. The post-op attribute is the
-// table's when it has the file's whole fattr3, else what the backend's
-// three fields make.
-func (p *Proxy) readResultReply(c *sunrpc.Call, r backend.ReadResult, count uint32, v *fileView) ([]byte, sunrpc.AcceptStat) {
-	data, eof := r.Data, r.EOF
-	if len(data) > int(count) {
-		data, eof = data[:count], false
-	}
-	res := nfs3.ReadRes{
-		Status: nfs3.OK,
-		Count:  uint32(len(data)),
-		EOF:    eof,
-		Data:   data,
-		Attr:   v.post(),
-	}
-	if res.Attr == nil {
-		res.Attr = nfs3be.FattrOf(r.Attr)
-	}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
-	r.Release()
-	return c.ReplyBuf, sunrpc.Success
-}
-
-// backendWriteReply encodes a successful durable backend write. The
-// backend contract is FILE_SYNC stability, so that is what the client
-// is told regardless of what it asked for.
-func (p *Proxy) backendWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, attr *backend.Attr, v *fileView) []byte {
-	res := nfs3.WriteRes{
-		Status:    nfs3.OK,
-		Count:     uint32(len(args.Data)),
-		Committed: nfs3.FileSync,
-		Verf:      nfs3.WriteVerf,
-	}
-	if res.Wcc.After = v.post(); res.Wcc.After == nil {
-		res.Wcc.After = nfs3be.FattrOf(attr)
-	}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
-	return c.ReplyBuf
-}
-
-// readThrough satisfies a READ that bypasses the block cache — none
-// configured, or a request readUncached sent here.
-func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
-	if !p.useBackendIO() {
-		res, stat := p.forward(c, tr)
-		p.accountRead(c, v, args.FH, args.Offset, "forwarded", args.Count, start)
-		return res, stat
-	}
-	r, err := p.beRead(args.FH, args.Offset, args.Count, tr, c.Deadline, true)
 	if err != nil {
 		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
-		return p.backendReadError(args.FH, err)
+		st, ok := nfs3be.ErrStatus(err)
+		if !ok {
+			return nil, sunrpc.SystemErr
+		}
+		if st == nfs3.ErrStale {
+			p.attrs.forget(args.FH)
+		}
+		return (&nfs3.ReadRes{Status: st}).Encode(), sunrpc.Success
 	}
-	if r.Attr != nil {
-		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
+	if r.Attr.Known() {
+		*v = p.attrs.sawSize(args.FH, r.Attr.Size, false)
 	}
-	res, stat := p.readResultReply(c, r, args.Count, v)
-	p.accountRead(c, v, args.FH, args.Offset, "forwarded", args.Count, start)
-	return res, stat
+	if install != nil {
+		if err := install(r); err != nil {
+			return nil, sunrpc.SystemErr // r is left to the GC
+		}
+	}
+	data, eof := r.Data, r.EOF
+	if len(data) > int(args.Count) {
+		data, eof = data[:args.Count], false
+	}
+	var attr nfs3.Fattr
+	res := nfs3.ReadRes{Status: nfs3.OK, Count: uint32(len(data)), EOF: eof, Data: data, Attr: p.replyAttr(v, r.Attr, &attr)}
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
+	r.Release()
+	p.accountRead(c, v, args.FH, args.Offset, outcome, args.Count, start)
+	return c.ReplyBuf, sunrpc.Success
 }

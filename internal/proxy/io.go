@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gvfs/internal/backend"
+	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/bufpool"
 	"gvfs/internal/cache"
 	"gvfs/internal/filechan"
@@ -56,7 +57,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// on first access and act on it.
 	var zm *metaState // holds the file's zero map, when this READ is not all zero
 	if !p.cfg.DisableMeta && known {
-		if ms := p.metaFor(v); ms.m != nil {
+		if ms := p.metaFor(v, c); ms.m != nil {
 			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
 				if err := p.ensureFetched(args.FH, v, ms); err == nil {
 					res, stat := p.readFromFileCache(c, &args, v)
@@ -88,7 +89,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	}
 
 	if p.cfg.BlockCache == nil {
-		return p.readThrough(c, &args, v, tr, start)
+		return p.readThrough(c, &args, v, tr, start, args.Count, "forwarded", nil)
 	}
 	if zm != nil {
 		if lead, trail := zeroEdges(zm, &args, uint64(p.cfg.BlockCache.BlockSize())); lead+trail > 0 {
@@ -166,23 +167,15 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 	if whole {
 		fetch = uint32((p.missRunEnd(args.FH, v, first, first+k, bs) - first) * bs)
 	}
-	r, err := p.beRead(args.FH, args.Offset, fetch, tr, c.Deadline, true)
-	if err != nil {
-		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
-		return p.backendReadError(args.FH, err)
-	}
-	if r.Attr != nil {
-		*v = p.attrs.sawSize(args.FH, r.Attr.Size, fromReply)
-	}
-	if whole {
-		if err := p.installRun(args.FH, first, k, r, seq); err != nil {
-			return nil, sunrpc.SystemErr // r is left to the GC
+	return p.readThrough(c, args, v, tr, start, fetch, "block_miss", func(r backend.ReadResult) error {
+		if whole {
+			if err := p.installRun(args.FH, first, k, r, seq); err != nil {
+				return err
+			}
 		}
-	}
-	p.maybePrefetch(args.FH, v, first, first+k)
-	res, stat := p.readResultReply(c, r, args.Count, v) // releases r: cache frames and reply are its copies
-	p.accountRead(c, v, args.FH, args.Offset, "block_miss", args.Count, start)
-	return res, stat
+		p.maybePrefetch(c, args.FH, v, first, first+k)
+		return nil
+	})
 }
 
 // readUncached answers a READ the block cache cannot: dirty state is
@@ -191,7 +184,7 @@ func (p *Proxy) readUncached(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, t
 	if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
 		return nil, sunrpc.SystemErr
 	}
-	return p.readThrough(c, args, v, tr, start)
+	return p.readThrough(c, args, v, tr, start, args.Count, "forwarded", nil)
 }
 
 // scanning reports whether the client reading from block first on looks
@@ -313,7 +306,7 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 	}
 	tr.Span(obs.LayerBlockCache, "dedup_hit", lookup)
 	p.stats.readHits.Add(1)
-	p.maybePrefetch(args.FH, v, block, block+1)
+	p.maybePrefetch(c, args.FH, v, block, block+1)
 	res, stat := p.cachedReadReply(c, args, v, data, len(buf))
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
@@ -344,7 +337,7 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 	}
 	tr.Span(obs.LayerBlockCache, outcome, lookup)
 	p.stats.readHits.Add(1)
-	p.maybePrefetch(args.FH, v, first, first+k)
+	p.maybePrefetch(c, args.FH, v, first, first+k)
 	res, stat := p.cachedReadReply(c, args, v, data, int(k)*bs)
 	bufpool.Put(buf)
 	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
@@ -530,13 +523,17 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	// Writes to a file resident in the file cache stay local; the
 	// file-based channel uploads them at flush time.
 	if p.cfg.FileCache != nil && v.full != "" && p.cfg.FileCache.Has(v.full) {
+		writer, err := p.keep(c)
+		if err != nil {
+			return nil, sunrpc.SystemErr
+		}
 		if err := p.cfg.FileCache.WriteAt(v.full, args.Offset, args.Data); err != nil {
 			return nil, sunrpc.SystemErr
 		}
 		p.stats.writesAbsorbed.Add(1)
 		p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
 		tr.Span(obs.LayerFileCache, "absorb", start)
-		return p.absorbedWriteReply(c, &args, start), sunrpc.Success
+		return p.absorbedWriteReply(c, &args, start, writer), sunrpc.Success
 	}
 
 	if p.cfg.BlockCache == nil || p.cfg.WritePolicy != cache.WriteBack {
@@ -557,14 +554,19 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	// them (cascaded caches, paper §3.2.1). Only the last block can be
 	// short, and only a short block can need bytes the proxy does not
 	// hold, so it is settled before anything is absorbed and the
-	// write-through fallback stays all or nothing.
+	// write-through fallback stays all or nothing. The bytes a short block
+	// lacks are read, and the blocks later written back, as the writer.
+	writer, err := p.keep(c)
+	if err != nil {
+		return nil, sunrpc.SystemErr
+	}
 	data := args.Data
 	first := args.Offset / bs
 	last := first
 	if n := uint64(len(data)); n > bs {
 		last += (n - 1) / bs
 	}
-	tail, err := p.mergeBlock(args.FH, &v, last, bs, data[(last-first)*bs:])
+	tail, err := p.mergeBlock(args.FH, &v, last, bs, data[(last-first)*bs:], writer)
 	if err != nil {
 		return p.writeThrough(c, &args, file, tr)
 	}
@@ -587,13 +589,13 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	p.stats.writesAbsorbed.Add(1)
 	p.acct.recordWrite(file, client, len(data))
 	tr.Span(obs.LayerBlockCache, "absorb", start)
-	return p.absorbedWriteReply(c, &args, start), sunrpc.Success
+	return p.absorbedWriteReply(c, &args, start, writer), sunrpc.Success
 }
 
 // mergeBlock combines newly written data (always at the block's start,
 // since callers check alignment) with any existing block content so the
 // cached frame remains a faithful prefix of the block.
-func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byte) ([]byte, error) {
+func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byte, writer backend.Cred) ([]byte, error) {
 	if uint64(len(data)) == bs {
 		return data, nil
 	}
@@ -617,13 +619,13 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byt
 	// read-modify-write through the backend. Failures come back
 	// classified (backend.Error), so the caller's fallback treats
 	// every backend identically.
-	r, err := p.beRead(fh, blockStart, uint32(bs), nil, time.Time{}, false)
+	r, err := p.beRead(fh, blockStart, uint32(bs), backend.CallOpts{Cred: writer}, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Release()
-	if r.Attr != nil {
-		*v = p.attrs.sawSize(fh, r.Attr.Size, fromReply)
+	if r.Attr.Known() {
+		*v = p.attrs.sawSize(fh, r.Attr.Size, false)
 	}
 	if len(r.Data) <= len(data) {
 		return data, nil
@@ -634,15 +636,15 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byt
 	return merged, nil
 }
 
-// absorbedWriteReply records a WRITE the caches now hold in the attribute
-// table (dirty data wins: size, used bytes and times move forward) and
-// fabricates its reply. The proxy reports FILE_SYNC: under the session
-// consistency model the proxy is the authority for this data until the
-// middleware flushes it. The reply is encoded into a pooled buffer
-// released by the RPC server (ReplyBuf).
-func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, now time.Time) []byte {
+// absorbedWriteReply records a WRITE by writer the caches now hold in
+// the attribute table (dirty data wins: size, used bytes and times move
+// forward) and fabricates its reply. The proxy reports FILE_SYNC: under
+// the session consistency model the proxy is the authority for this data
+// until the middleware flushes it. The reply is encoded into a pooled
+// buffer released by the RPC server (ReplyBuf).
+func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, now time.Time, writer backend.Cred) []byte {
 	v := p.attrs.wrote(args.FH, args.Offset+uint64(len(args.Data)),
-		nfs3.Time{Sec: uint32(now.Unix()), Nsec: uint32(now.Nanosecond())})
+		nfs3.Time{Sec: uint32(now.Unix()), Nsec: uint32(now.Nanosecond())}, writer)
 	res := nfs3.WriteRes{
 		Status:    nfs3.OK,
 		Count:     uint32(len(args.Data)),
@@ -654,51 +656,47 @@ func (p *Proxy) absorbedWriteReply(c *sunrpc.Call, args *nfs3.WriteArgs, now tim
 	return c.ReplyBuf
 }
 
-// writeThrough pushes a write upstream synchronously and keeps the
-// block cache coherent. Caching proxies (and upstream-less ones) go
-// through the backend; cache-less relays keep raw forwarding so the
-// client's own credentials ride the call.
+// writeThrough pushes a write upstream synchronously, under the
+// client's credential, and keeps the block cache coherent. The backend
+// contract is FILE_SYNC stability, so that is what the client is told
+// regardless of what it asked for, with the backend's pre-operation
+// attributes.
 func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, file string, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	if !p.useBackendIO() {
-		return p.relayWrite(c, args, file, tr)
-	}
 	p.stats.writesForwarded.Add(1)
 	if p.cfg.Cachean != nil && p.cfg.BlockCache != nil {
 		bs := uint64(p.cfg.BlockCache.BlockSize())
 		p.cfg.Cachean.DemandData(p.clientLabel(c), args.FH, args.Offset/bs, len(args.Data), true)
 	}
 	p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
-	attr, err := p.beWrite(args.FH, args.Offset, args.Data, tr, c.Deadline, true)
+	opts, err := p.callOpts(c, tr)
+	var w backend.WriteResult
+	if err == nil {
+		w, err = p.beWrite(args.FH, args.Offset, args.Data, opts, tr, true)
+	}
 	if err != nil {
-		return backendWriteError(err)
+		if st, ok := nfs3be.ErrStatus(err); ok {
+			return (&nfs3.WriteRes{Status: st, Verf: nfs3.WriteVerf}).Encode(), sunrpc.Success
+		}
+		return nil, sunrpc.SystemErr
 	}
 	size := args.Offset + uint64(len(args.Data))
-	if attr != nil {
-		size = attr.Size
+	if w.After.Known() {
+		size = w.After.Size
 	}
-	v := p.attrs.sawSize(args.FH, size, fromReply)
+	v := p.attrs.sawSize(args.FH, size, false)
 	if err := p.coherentAfterWrite(args); err != nil {
 		return nil, sunrpc.SystemErr
 	}
-	return p.backendWriteReply(c, args, attr, &v), sunrpc.Success
-}
-
-// relayWrite is the raw-forwarding write-through for cache-less relays.
-func (p *Proxy) relayWrite(c *sunrpc.Call, args *nfs3.WriteArgs, file string, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	res, stat := p.forward(c, tr)
-	p.stats.writesForwarded.Add(1)
-	p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
-	if stat != sunrpc.Success {
-		return res, stat
+	var before nfs3.WccAttr
+	var after nfs3.Fattr
+	res := nfs3.WriteRes{Status: nfs3.OK, Wcc: nfs3.WccData{After: p.replyAttr(&v, w.After, &after)},
+		Count: uint32(len(args.Data)), Committed: nfs3.FileSync, Verf: nfs3.WriteVerf}
+	if w.HasBefore {
+		before = nfs3be.WccAttrOf(w.Before)
+		res.Wcc.Before = &before
 	}
-	r, err := nfs3.DecodeWriteRes(res)
-	if err != nil || r.Status != nfs3.OK {
-		return res, stat
-	}
-	if r.Wcc.After != nil {
-		p.attrs.update(args.FH, r.Wcc.After)
-	}
-	return res, stat
+	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.WriteResSize)[:0])
+	return c.ReplyBuf, sunrpc.Success
 }
 
 // coherentAfterWrite reconciles the block cache with a write that was
@@ -737,11 +735,11 @@ func (p *Proxy) coherentAfterWrite(args *nfs3.WriteArgs) error {
 // --- meta-data machinery ---
 
 // metaFor returns the file's meta-data state, looking the meta-data up
-// on first use — in the table first, which has it (or knows it is not
-// there) once the file's directory is listed. A file whose place in the
-// name space the table does not know (yet) has none, and is asked again
-// on its next READ.
-func (p *Proxy) metaFor(v *fileView) *metaState {
+// on first use, for c's READ and as its client — in the table first,
+// which has it (or knows it is not there) once the file's directory is
+// listed. A file whose place in the name space the table does not know
+// (yet) has none, and is asked again on its next READ.
+func (p *Proxy) metaFor(v *fileView, c *sunrpc.Call) *metaState {
 	ms := v.meta
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -752,13 +750,17 @@ func (p *Proxy) metaFor(v *fileView) *metaState {
 	if meta.IsMetaName(v.name) {
 		return ms
 	}
+	opts, err := p.callOpts(c, nil)
+	if err != nil {
+		return ms
+	}
+	opts.Deadline = time.Time{} // the meta-data is the file's, not this READ's
 	dir, name := nfs3.FH(v.dir), meta.NameFor(v.name)
 	obj, mv, known := p.attrs.child(dir, name)
 	size := mv.attr.Size
 	if !known {
 		var attr backend.Attr
-		var err error
-		if obj, attr, err = p.beLookup(dir, name); err != nil {
+		if obj, attr, err = p.beLookup(dir, name, opts); err != nil {
 			return ms
 		}
 		size = attr.Size
@@ -769,7 +771,7 @@ func (p *Proxy) metaFor(v *fileView) *metaState {
 	if size == 0 {
 		size = 1 << 20
 	}
-	blob, err := p.readAllUpstream(obj, size)
+	blob, err := p.readAllUpstream(obj, size, opts)
 	if err != nil {
 		return ms
 	}
@@ -784,12 +786,12 @@ func (p *Proxy) metaFor(v *fileView) *metaState {
 
 // readAllUpstream fetches an entire (small) file block by block
 // through the backend.
-func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64) ([]byte, error) {
+func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64, opts backend.CallOpts) ([]byte, error) {
 	const chunk = 8192
 	out := make([]byte, 0, sizeHint)
 	var off uint64
 	for {
-		r, err := p.beRead(fh, off, chunk, nil, time.Time{}, false)
+		r, err := p.beRead(fh, off, chunk, opts, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -819,7 +821,7 @@ func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 	if sz, ok := p.cfg.FileCache.Size(v.full); ok {
 		// A previous session (or clone) already pulled this file.
 		ms.fetched = true
-		*v = p.attrs.sawSize(fh, sz, fromFileCache)
+		*v = p.attrs.sawSize(fh, sz, true)
 		return nil
 	}
 	conn, err := p.cfg.FileChanDial()
@@ -834,7 +836,7 @@ func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 	if err := p.cfg.FileCache.Store(v.full, data); err != nil {
 		return err
 	}
-	*v = p.attrs.sawSize(fh, uint64(len(data)), fromFileCache)
+	*v = p.attrs.sawSize(fh, uint64(len(data)), true)
 	p.stats.fileChanFetch.Add(1)
 	ms.fetched = true
 	return nil
@@ -853,12 +855,17 @@ func (p *Proxy) WriteBack() error {
 // writer, post-recovery replay).
 func (p *Proxy) writeBackReason(reason string) error {
 	p.acct.flushTriggered(reason)
+	seq := p.attrs.absorbed.Load()
 	if p.cfg.BlockCache != nil {
 		if err := p.cfg.BlockCache.WriteBackAll(); err != nil {
 			return err
 		}
 	}
-	return p.flushFileCache()
+	if err := p.flushFileCache(); err != nil {
+		return err
+	}
+	p.attrs.settled(seq)
+	return nil
 }
 
 // Flush propagates all dirty state and invalidates every cache — blocks,

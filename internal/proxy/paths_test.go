@@ -67,6 +67,13 @@ func pathsProxyOn(t *testing.T, upstream nfs3.Caller) (*Proxy, *nfs3.Client, nfs
 	return p, nfs3.NewClient(rpc, cred), root
 }
 
+// internLen is the number of values t holds.
+func internLen[V any](t *intern[V]) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}
+
 // pathCount is the number of handles the table holds (negative entries,
 // which stand for names, not handles, are not counted).
 func (p *Proxy) pathCount() int {
@@ -128,11 +135,8 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 	if n := p.pathCount(); n != 1 {
 		t.Errorf("%d handles in the table after every file was removed, want the root alone", n)
 	}
-	p.labelMu.RLock()
-	labels := len(p.labels)
-	p.labelMu.RUnlock()
-	if labels > clientLabelMax {
-		t.Errorf("%d credential labels cached, bound %d", labels, clientLabelMax)
+	if labels := internLen(&p.labels); labels > internMax {
+		t.Errorf("%d credential labels cached, bound %d", labels, internMax)
 	}
 	snap := p.Snapshot()
 	if hits, fwd := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`), snap.Counter("gvfs_proxy_forwarded_total"); hits != uint64(2*cycles) || fwd != uint64(2*cycles+1) {

@@ -24,7 +24,6 @@
 package proxy
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"path"
@@ -52,22 +51,24 @@ import (
 // be set; everything else enables an optional paper mechanism.
 type Config struct {
 	// Backend is the upstream provider the proxy's data path (READ,
-	// WRITE, write-back, read-ahead, meta-data) speaks to. Leaving it
-	// nil with Upstream set wraps Upstream in the NFSv3 backend
-	// (internal/backend/nfs3be) automatically, preserving the classic
-	// proxy-over-RPC arrangement.
+	// WRITE, write-back, read-ahead, meta-data) speaks to, cached or not.
+	// Leaving it nil with Upstream set wraps Upstream in the NFSv3
+	// backend (internal/backend/nfs3be) automatically, preserving the
+	// classic proxy-over-RPC arrangement.
 	Backend backend.Backend
 
 	// Upstream is the RPC transport to the next hop. It remains the
 	// control-plane relay — LOOKUP, MOUNT and directory operations are
-	// forwarded verbatim so each client's own credentials cross the
-	// hop. Leaving it nil with Backend set relays them to Backend served
-	// as an in-process NFS + MOUNT service (nfs3be.Serve; the objstore
-	// arrangement) — the mirror image of leaving Backend nil.
+	// forwarded verbatim. Leaving it nil with Backend set relays them to
+	// Backend served as an in-process NFS + MOUNT service
+	// (nfs3be.Serve; the objstore arrangement) — the mirror image of
+	// leaving Backend nil.
 	Upstream nfs3.Caller
 
 	// Mapper, when set, rewrites AUTH_UNIX credentials to short-lived
-	// local identities (server-side proxy role).
+	// local identities (server-side proxy role). Either way each client's
+	// own credential rides every upstream call made for it, relayed or
+	// through Backend (callOpts).
 	Mapper *auth.Mapper
 
 	// BlockCache, when set, caches blocks at NFS RPC granularity.
@@ -218,11 +219,8 @@ type Proxy struct {
 
 	attrs *attrTable // what this session knows of handles and names
 
-	credMu   sync.RWMutex
-	lastCred sunrpc.OpaqueAuth // most recent client credential
-
-	labelMu sync.RWMutex
-	labels  map[string]string // cred-body bytes -> accounting label
+	labels intern[string] // incoming cred body -> accounting label
+	bodies intern[[]byte] // upstream cred body -> the copy the proxy keeps past a call
 
 	stats *counters   // instruments in the unified obs registry
 	acct  *accounting // per-file / per-client tables + write-back audit
@@ -250,29 +248,16 @@ func New(cfg Config) (*Proxy, error) {
 		reg = obs.NewRegistry()
 	}
 	p := &Proxy{
-		cfg:    cfg,
-		attrs:  newAttrTable(cfg.BlockCache != nil || cfg.FileCache != nil),
-		labels: make(map[string]string),
-		stats:  newCounters(reg),
-		acct:   newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
-		log:    cfg.Logger.Named("proxy"),
-		qos:    cfg.QoS,
-		relay:  cfg.Upstream,
+		cfg:   cfg,
+		attrs: newAttrTable(cfg.BlockCache != nil || cfg.FileCache != nil),
+		stats: newCounters(reg),
+		acct:  newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
+		log:   cfg.Logger.Named("proxy"),
+		qos:   cfg.QoS,
+		relay: cfg.Upstream,
 	}
 	if p.relay == nil {
 		p.relay = nfs3be.Serve(cfg.Backend)
-	}
-	// Proxy-initiated backend calls (write-back, RMW, meta-data,
-	// read-ahead) carry the session credential through the same mapper
-	// the relay path uses, so identity mapping stays uniform.
-	if cc, ok := cfg.Backend.(backend.CredentialCarrier); ok {
-		cc.SetCredSource(func() (uint32, []byte, error) {
-			cred, err := p.upstreamCred(p.proxyCred())
-			if err != nil {
-				return 0, nil, err
-			}
-			return cred.Flavor, cred.Body, nil
-		})
 	}
 	p.registerBridges(reg)
 	if cfg.Cachean != nil {
@@ -295,46 +280,6 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// upstreamCred maps the caller's credential for the next hop.
-func (p *Proxy) upstreamCred(cred sunrpc.OpaqueAuth) (sunrpc.OpaqueAuth, error) {
-	if p.cfg.Mapper == nil {
-		return cred, nil
-	}
-	out, _, err := p.cfg.Mapper.Rewrite(cred)
-	return out, err
-}
-
-// sessionCred is the credential used for proxy-initiated calls
-// (write-back, meta-data reads). The proxy remembers the most recent
-// client credential for this purpose.
-var defaultCred = sunrpc.UnixCred{MachineName: "gvfs-proxy", UID: 0, GID: 0}.Encode()
-
-func (p *Proxy) proxyCred() sunrpc.OpaqueAuth {
-	p.credMu.RLock()
-	defer p.credMu.RUnlock()
-	if p.lastCred.Body != nil || p.lastCred.Flavor != 0 {
-		return p.lastCred
-	}
-	return defaultCred
-}
-
-// rememberCred records the most recent client credential. Nearly every
-// call repeats the previous credential, so the fast path is a
-// read-lock comparison; the write lock is taken only on change. The
-// body is copied: the incoming slice aliases the transport's pooled
-// request record and must not be retained past the call.
-func (p *Proxy) rememberCred(cred sunrpc.OpaqueAuth) {
-	p.credMu.RLock()
-	same := p.lastCred.Flavor == cred.Flavor && bytes.Equal(p.lastCred.Body, cred.Body)
-	p.credMu.RUnlock()
-	if same {
-		return
-	}
-	p.credMu.Lock()
-	p.lastCred = sunrpc.OpaqueAuth{Flavor: cred.Flavor, Body: append([]byte(nil), cred.Body...)}
-	p.credMu.Unlock()
-}
-
 // HandleCall implements sunrpc.Handler. Every call is timed into the
 // per-procedure latency histogram; when tracing is enabled the call's
 // trace (continued from a downstream hop, or originated here) is
@@ -342,7 +287,6 @@ func (p *Proxy) rememberCred(cred sunrpc.OpaqueAuth) {
 func (p *Proxy) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 	start := time.Now()
 	p.stats.calls.Add(1)
-	p.rememberCred(c.Cred)
 	// Per-client op-mix accounting is optional detail brownout sheds.
 	if !p.brownout() {
 		p.acct.recordOp(p.clientLabel(c), procLabel(c.Prog, c.Proc))
@@ -465,27 +409,24 @@ func (p *Proxy) handleNFS(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accept
 // while the circuit breaker is open.
 var errUpstreamDown = fmt.Errorf("proxy: upstream unavailable (circuit breaker open)")
 
-// forward relays a call upstream unchanged except for credentials.
-// While the circuit breaker is open the call fails fast: degraded mode
-// guarantees bounded error latency instead of hanging on a dead WAN.
-// The results are the upstream reply where it lies in its pooled
-// record, which becomes the call's ReplyBuf: valid until the handler
-// returns, released by the RPC server after its one copy into the
-// reply frame.
+// forward relays a control-plane call upstream unchanged except for
+// credentials; READ and WRITE go through the backend whether the proxy
+// caches or not. While the circuit breaker is open the call fails fast:
+// degraded mode guarantees bounded error latency instead of hanging on a
+// dead WAN. The results are the upstream reply where it lies in its
+// pooled record, which becomes the call's ReplyBuf: valid until the
+// handler returns, released by the RPC server after its one copy into
+// the reply frame.
 func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	cred, err := p.upstreamCred(c.Cred)
+	opts, err := p.callOpts(c, tr)
 	if err != nil {
 		return nil, sunrpc.SystemErr
 	}
-	if p.Degraded() {
-		p.stats.breakerFastFails.Add(1)
-		return nil, sunrpc.SystemErr
-	}
-	p.stats.forwarded.Add(1)
-	upStart := time.Now()
-	res, rec, err := nfs3be.CallPooled(p.relay, c.Prog, c.Vers, c.Proc, cred, c.Args, beOpts(tr, c.Deadline))
-	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
-	p.observeUpstream(err)
+	var res, rec []byte
+	err = p.upcall(tr, true, func() (err error) {
+		res, rec, err = nfs3be.CallPooled(p.relay, c.Prog, c.Vers, c.Proc, sunrpc.OpaqueAuth(opts.Cred), c.Args, opts)
+		return err
+	})
 	if err != nil {
 		if rpcErr, ok := err.(*sunrpc.RPCError); ok {
 			return nil, rpcErr.Stat
@@ -497,19 +438,18 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 }
 
 // upstreamWrite propagates one block to the next hop with durable
-// (FileSync) stability; used for write-back of dirty cache frames. A
-// failure surfaces as a classified backend error, so journal rescue
-// and keeps-dirty handling behave identically across backends.
+// (FileSync) stability, under the credential of the last WRITE the file
+// absorbed; used for write-back of dirty cache frames. A failure
+// surfaces as a classified backend error, so journal rescue and
+// keeps-dirty handling behave identically across backends.
 func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
-	attr, err := p.beWrite(fh, off, data, nil, time.Time{}, false)
+	v, _ := p.attrs.get(fh)
+	w, err := p.beWrite(fh, off, data, backend.CallOpts{Cred: v.writer}, nil, false)
 	if err != nil {
 		return err
 	}
-	var v fileView
-	if attr != nil {
-		v = p.attrs.sawSize(fh, attr.Size, fromFlush)
-	} else {
-		v, _ = p.attrs.get(fh)
+	if w.After.Known() {
+		v = p.attrs.sawSize(fh, w.After.Size, false)
 	}
 	if p.cfg.BlockCache != nil {
 		// A coalesced write-back covers several blocks; close each
@@ -610,8 +550,7 @@ func (p *Proxy) lookupLocally(args *nfs3.LookupArgs) ([]byte, bool) {
 // whether there was a listing; a directory whose listing came back partial
 // or refused has none until Flush, and its misses are forwarded.
 func (p *Proxy) listDir(c *sunrpc.Call, dir nfs3.FH, tr *obs.Active) bool {
-	cred, err := p.upstreamCred(c.Cred)
-	if err != nil || p.Degraded() {
+	if p.Degraded() {
 		return false
 	}
 	ch, lead, gen := p.attrs.startListing(dir)
@@ -622,20 +561,20 @@ func (p *Proxy) listDir(c *sunrpc.Call, dir nfs3.FH, tr *obs.Active) bool {
 		return ch != nil
 	}
 	args := nfs3.ReaddirplusArgs{Dir: dir, DirCount: nfs3.MaxTransfer, MaxCount: nfs3.MaxTransfer}
-	p.stats.forwarded.Add(1)
-	upStart := time.Now()
-	res, rec, err := nfs3be.CallPooled(p.relay, nfs3.Program, nfs3.Version, nfs3.ProcReaddirplus, cred, args.Encode(), beOpts(tr, c.Deadline))
-	tr.Span(obs.LayerUpstream, callOutcome(err), upStart)
-	p.observeUpstream(err)
+	list := sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: nfs3.ProcReaddirplus,
+		Cred: c.Cred, Args: args.Encode(), Deadline: c.Deadline}
+	res, stat := p.forward(&list, tr)
 	var r *nfs3.ReaddirplusRes // none: a later miss may list again
-	if err == nil {
+	switch {
+	case stat == sunrpc.Success:
+		var err error
 		if r, err = nfs3.DecodeReaddirplusRes(res); err != nil {
 			r = &nfs3.ReaddirplusRes{Status: nfs3.ErrNotSupp} // a reply that is not a listing is a refusal
 		}
-	} else if e, ok := err.(*sunrpc.RPCError); ok && e.Stat != sunrpc.SystemErr {
+	case stat != sunrpc.SystemErr:
 		r = &nfs3.ReaddirplusRes{Status: nfs3.ErrNotSupp} // so is an RPC-level no: PROC_UNAVAIL and the like
 	}
-	bufpool.Put(rec) // r holds copies
+	bufpool.Put(list.ReplyBuf) // r holds copies
 	p.stats.countListing(p.attrs.installListing(dir, r, gen, ch))
 	return true
 }

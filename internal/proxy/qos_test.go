@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
 	"gvfs/internal/nfs3"
@@ -31,7 +32,8 @@ func TestShedReplyWireFormat(t *testing.T) {
 
 	write := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: nfs3.ProcWrite}
 	res, stat = shedReply(write)
-	w, err := nfs3.DecodeWriteRes(res)
+	var w nfs3.WriteRes
+	err = w.DecodeInto(res)
 	if stat != sunrpc.Success || err != nil || w.Status != nfs3.ErrJukebox {
 		t.Fatalf("WRITE shed reply = %+v, %v, %v", w, err, stat)
 	}
@@ -217,7 +219,7 @@ func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
 	up := &verfRecorder{}
 	deadline := time.Now().Add(2 * time.Second)
 	if _, err := nfs3be.Call(up, nfs3.Program, nfs3.Version, nfs3.ProcNull,
-		sunrpc.OpaqueAuth{}, nil, beOpts(nil, deadline)); err != nil {
+		sunrpc.OpaqueAuth{}, nil, backend.CallOpts{Deadline: deadline}); err != nil {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
@@ -237,7 +239,7 @@ func TestUpstreamCallPropagatesRemainingBudget(t *testing.T) {
 	// A zero deadline must not invent a budget.
 	up2 := &verfRecorder{}
 	if _, err := nfs3be.Call(up2, nfs3.Program, nfs3.Version, nfs3.ProcNull,
-		sunrpc.OpaqueAuth{}, nil, beOpts(nil, time.Time{})); err != nil {
+		sunrpc.OpaqueAuth{}, nil, backend.CallOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	up2.mu.Lock()

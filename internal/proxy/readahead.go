@@ -2,10 +2,11 @@ package proxy
 
 import (
 	"sync"
-	"time"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/cache"
 	"gvfs/internal/nfs3"
+	"gvfs/internal/sunrpc"
 )
 
 // Read-ahead implements one of the paper's stated future-work
@@ -91,15 +92,15 @@ func (ra *readAhead) waitFor(fh nfs3.FH, win uint64) bool {
 	return ok
 }
 
-// maybePrefetch starts, after a READ of blocks [first, end) by a client
+// maybePrefetch starts, after c's READ of blocks [first, end) by a client
 // that is scanning, the Config.ReadAhead blocks' worth of whole runs that
 // follow the window the READ ended in — those not resident at their first
-// block, not in flight and not past a known end of file. A run ahead
-// costs a round trip where the rest of a miss run costs bytes, so it
-// wants more of the same evidence: a window's length of the file before
-// the READ is resident at both ends, which a coincidence among random
-// misses almost never makes.
-func (p *Proxy) maybePrefetch(fh nfs3.FH, v *fileView, first, end uint64) {
+// block, not in flight and not past a known end of file — as c's client.
+// A run ahead costs a round trip where the rest of a miss run costs
+// bytes, so it wants more of the same evidence: a window's length of the
+// file before the READ is resident at both ends, which a coincidence
+// among random misses almost never makes.
+func (p *Proxy) maybePrefetch(c *sunrpc.Call, fh nfs3.FH, v *fileView, first, end uint64) {
 	if p.ra == nil {
 		return
 	}
@@ -117,6 +118,11 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, v *fileView, first, end uint64) {
 	if cached, _ := p.cfg.BlockCache.Peek(fh, first-per); !cached {
 		return
 	}
+	cred, err := p.keep(c)
+	if err != nil {
+		return
+	}
+	opts := backend.CallOpts{Cred: cred}
 	runs := (uint64(p.cfg.ReadAhead) + per - 1) / per
 	key := raWindow{fh: fh.Key()}
 	for key.win = (end-1)/per + 1; runs > 0; key.win, runs = key.win+1, runs-1 {
@@ -125,7 +131,7 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, v *fileView, first, end uint64) {
 			return
 		}
 		if p.ra.begin(p.cfg.BlockCache, fh, key, block) {
-			go p.runAhead(fh, key, block, p.runEnd(fh, v, block, block+1, bs), bs)
+			go p.runAhead(fh, key, block, p.runEnd(fh, v, block, block+1, bs), bs, opts)
 		}
 	}
 }
@@ -134,15 +140,15 @@ func (p *Proxy) maybePrefetch(fh nfs3.FH, v *fileView, first, end uint64) {
 // asks and installs them as a demand miss installs the blocks past the
 // demanded ones. Errors are swallowed: read-ahead is best-effort and the
 // demand path is correct without it.
-func (p *Proxy) runAhead(fh nfs3.FH, key raWindow, first, end, bs uint64) {
+func (p *Proxy) runAhead(fh nfs3.FH, key raWindow, first, end, bs uint64, opts backend.CallOpts) {
 	defer p.ra.finish(key)
 	seq := p.attrs.writeSeq(fh)
-	r, err := p.beRead(fh, first*bs, uint32((end-first)*bs), nil, time.Time{}, false)
+	r, err := p.beRead(fh, first*bs, uint32((end-first)*bs), opts, nil, false)
 	if err != nil {
 		return
 	}
-	if r.Attr != nil {
-		p.attrs.sawSize(fh, r.Attr.Size, fromReply)
+	if r.Attr.Known() {
+		p.attrs.sawSize(fh, r.Attr.Size, false)
 	}
 	p.installRun(fh, first, 0, r, seq)
 	r.Release()

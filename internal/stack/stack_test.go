@@ -262,12 +262,12 @@ type refusingReplica struct {
 	late   atomic.Int64
 }
 
-func (r *refusingReplica) Write(backend.FileID, uint64, []byte, backend.CallOpts) (*backend.Attr, error) {
+func (r *refusingReplica) Write(backend.FileID, uint64, []byte, backend.CallOpts) (backend.WriteResult, error) {
 	r.writes.Add(1)
 	if r.closed.Load() {
 		r.late.Add(1)
 	}
-	return nil, &backend.Error{Class: backend.ClassIO, Op: "write", Err: errors.New("origin refuses writes")}
+	return backend.WriteResult{}, &backend.Error{Class: backend.ClassIO, Op: "write", Err: errors.New("origin refuses writes")}
 }
 
 func (r *refusingReplica) Close() error {
