@@ -8,8 +8,7 @@
 //	gvfsbench -experiment all -scale 64
 //	gvfsbench -experiment fig4 -scale 16 -v
 //
-// Experiments: fig3, fig4, fig5, fig6, table1, zerofilter,
-// concurrency, crash, noisy, all.
+// gvfsbench -h lists the experiments.
 // Data sizes and compute times are the paper's divided by -scale;
 // network latency and bandwidth always use the paper's calibrated
 // values, so measured seconds × scale estimate paper-scale seconds.
@@ -20,15 +19,47 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"gvfs/internal/bench"
 )
 
+// experiment is one -experiment name and the runner it selects.
+type experiment struct {
+	name string
+	run  func(bench.Options) (*bench.Table, error)
+}
+
+// experiments is every experiment, in the order "all" runs them.
+var experiments = []experiment{
+	{"fig3", bench.Options.RunFig3},
+	{"fig4", bench.Options.RunFig4},
+	{"fig5", bench.Options.RunFig5},
+	{"fig6", bench.Options.RunFig6},
+	{"table1", bench.Options.RunTable1},
+	{"zerofilter", bench.Options.RunZeroFilter},
+	{"persistent", bench.Options.RunPersistentVM},
+	{"ablation-writepolicy", bench.Options.RunAblationWritePolicy},
+	{"ablation-metadata", bench.Options.RunAblationMetadata},
+	{"ablation-geometry", bench.Options.RunAblationCacheGeometry},
+	{"ablation-tunnel", bench.Options.RunAblationTunnel},
+	{"ablation-readahead", bench.Options.RunAblationReadAhead},
+	{"crash", bench.Options.RunCrash},
+	{"noisy", bench.Options.RunNoisy},
+	{"dedup", bench.Options.RunDedup},
+	{"mrc", bench.Options.RunMrc},
+	{"failover", bench.Options.RunFailover},
+}
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"comma-separated experiments: fig3|fig4|fig5|fig6|table1|zerofilter|persistent|concurrency|ablation-writepolicy|ablation-metadata|ablation-geometry|ablation-tunnel|ablation-readahead|trace|flightrec|crash|noisy|alloc|dedup|mrc|failover|all")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	experimentFlag := flag.String("experiment", "all",
+		"comma-separated experiments: "+strings.Join(names, "|")+"|all")
 	scale := flag.Float64("scale", 64, "divide data sizes and compute times by this factor")
 	verbose := flag.Bool("v", false, "log progress to stderr")
 	noEncrypt := flag.Bool("no-encrypt", false, "disable inter-proxy tunnels")
@@ -37,50 +68,23 @@ func main() {
 	flag.Parse()
 
 	o := bench.Options{Scale: *scale, Verbose: *verbose, NoEncrypt: *noEncrypt, ResultsDir: *results}
-	runners := map[string]func() (*bench.Table, error){
-		"fig3":                 o.RunFig3,
-		"fig4":                 o.RunFig4,
-		"fig5":                 o.RunFig5,
-		"fig6":                 o.RunFig6,
-		"table1":               o.RunTable1,
-		"zerofilter":           o.RunZeroFilter,
-		"persistent":           o.RunPersistentVM,
-		"concurrency":          o.RunConcurrency,
-		"ablation-writepolicy": o.RunAblationWritePolicy,
-		"ablation-metadata":    o.RunAblationMetadata,
-		"ablation-geometry":    o.RunAblationCacheGeometry,
-		"ablation-tunnel":      o.RunAblationTunnel,
-		"ablation-readahead":   o.RunAblationReadAhead,
-		"trace":                o.RunTrace,
-		"flightrec":            o.RunFlightRec,
-		"crash":                o.RunCrash,
-		"noisy":                o.RunNoisy,
-		"alloc":                o.RunAlloc,
-		"dedup":                o.RunDedup,
-		"mrc":                  o.RunMrc,
-		"failover":             o.RunFailover,
-	}
-	order := []string{"fig3", "fig4", "fig5", "fig6", "table1", "zerofilter", "persistent", "concurrency",
-		"ablation-writepolicy", "ablation-metadata", "ablation-geometry", "ablation-tunnel", "ablation-readahead",
-		"trace", "flightrec", "crash", "noisy", "alloc", "dedup", "mrc", "failover"}
-
-	var selected []string
-	if *experiment == "all" {
-		selected = order
-	} else {
-		for _, name := range strings.Split(*experiment, ",") {
-			if _, ok := runners[name]; !ok {
+	selected := experiments
+	if *experimentFlag != "all" {
+		selected = nil
+		for _, name := range strings.Split(*experimentFlag, ",") {
+			i := slices.Index(names, name)
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "gvfsbench: unknown experiment %q\n", name)
 				os.Exit(2)
 			}
-			selected = append(selected, name)
+			selected = append(selected, experiments[i])
 		}
 	}
-	for _, name := range selected {
+	for _, e := range selected {
 		t0 := time.Now()
-		table, err := runners[name]()
+		table, err := e.run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gvfsbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "gvfsbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		if *jsonOut {
@@ -94,7 +98,7 @@ func main() {
 			table.Print(os.Stdout)
 		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "bench: %s took %v\n", name, time.Since(t0))
+			fmt.Fprintf(os.Stderr, "bench: %s took %v\n", e.name, time.Since(t0))
 		}
 	}
 }

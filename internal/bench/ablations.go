@@ -226,21 +226,7 @@ func (o Options) RunAblationCacheGeometry() (*Table, error) {
 			// Re-reads bypass the session page cache to isolate the
 			// proxy cache.
 			sess.DropCaches()
-			return timeIt(func() error {
-				f, err := sess.Open(path.Join("/vm", spec.DiskFile()))
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				buf := make([]byte, g.blockSize)
-				limit := int64(spec.DiskBytes / 10) // the <10% working set
-				for off := int64(0); off < limit; off += int64(g.blockSize) {
-					if _, err := f.ReadAt(buf, off); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			return timeIt(func() error { return scanDisk(sess, "/vm", spec) })
 		}
 		cold, err := scan()
 		if err == nil {
@@ -282,21 +268,7 @@ func (o Options) RunAblationTunnel() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dur, err := timeIt(func() error {
-			f, err := dep.Session.Open(path.Join("/vm", spec.DiskFile()))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			buf := make([]byte, dep.Session.BlockSize())
-			limit := int64(spec.DiskBytes / 10)
-			for off := int64(0); off < limit; off += int64(len(buf)) {
-				if _, err := f.ReadAt(buf, off); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		dur, err := timeIt(func() error { return scanDisk(dep.Session, "/vm", spec) })
 		dep.Close()
 		if err != nil {
 			return nil, err
@@ -329,83 +301,111 @@ func newBenchSessionBS(addr string, o Options, bs uint32) (*gvfs.Session, error)
 	})
 }
 
+// scanDisk reads the working set of the image installed at dir — the
+// first tenth of its disk — sequentially, one session block at a time.
+func scanDisk(sess *gvfs.Session, dir string, spec vm.Spec) error {
+	f, err := sess.Open(path.Join(dir, spec.DiskFile()))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	buf := make([]byte, sess.BlockSize())
+	limit := int64(spec.DiskBytes / 10)
+	for off := int64(0); off < limit; off += int64(len(buf)) {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunAblationReadAhead evaluates the future-work prefetching the paper
 // proposes ("dynamic profiling of application data access behavior to
-// support pre-fetching"): a sequential cold scan of the VM disk
-// working set over the WAN, with read-ahead disabled versus enabled.
+// support pre-fetching"): a sequential cold scan of the VM disk working
+// set over the WAN, with read-ahead disabled versus enabled, by one VM and
+// by six at once. Six VMs share the proxy's 16 read-ahead slots.
 func (o Options) RunAblationReadAhead() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-readahead",
 		Title:   "Read-ahead ablation: sequential WAN working-set scan (seconds)",
 		Scale:   o.scale(),
-		Columns: []string{"cold scan"},
+		Columns: []string{"cold scan", "6 streams"},
 	}
 	for _, ahead := range []int{0, 4, 16} {
-		spec := o.benchVMSpec()
-		fs := memfs.New()
-		if err := vm.InstallImage(fs, "/vm", spec); err != nil {
-			return nil, err
-		}
-		wan := simnet.NewLink(simnet.WAN())
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
-		if err != nil {
-			return nil, err
-		}
-		dir, err := os.MkdirTemp(o.WorkDir, "ra")
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		cfg := o.cacheConfig(dir, cache.WriteBack)
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			UpstreamAddr: server.ProxyAddr(),
-			UpstreamLink: wan,
-			UpstreamKey:  server.Key,
-			CacheConfig:  &cfg,
-			ReadAhead:    ahead,
-		})
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		sess, err := newBenchSession(node.Addr, o)
-		if err != nil {
-			node.Close()
-			server.Close()
-			return nil, err
-		}
-		dur, err := timeIt(func() error {
-			f, err := sess.Open(path.Join("/vm", spec.DiskFile()))
+		var row []time.Duration
+		for _, streams := range []int{1, 6} {
+			dur, err := o.readAheadScan(ahead, streams)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			defer f.Close()
-			buf := make([]byte, sess.BlockSize())
-			limit := int64(spec.DiskBytes / 10)
-			for off := int64(0); off < limit; off += int64(len(buf)) {
-				if _, err := f.ReadAt(buf, off); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		sess.Close()
-		node.Close()
-		server.Close()
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, err
+			row = append(row, dur)
 		}
 		label := "disabled"
 		if ahead > 0 {
 			label = fmt.Sprintf("read-ahead %d", ahead)
 		}
-		t.AddRow(label, dur)
+		t.AddRow(label, row...)
 	}
-	off, _ := t.Value("disabled", "cold scan")
-	on, _ := t.Value("read-ahead 16", "cold scan")
-	if on > 0 {
-		t.AddNote("16-block read-ahead speeds sequential cold scans %.1fx", off/on)
+	for _, col := range t.Columns {
+		off, _ := t.Value("disabled", col)
+		on, _ := t.Value("read-ahead 16", col)
+		if on > 0 {
+			t.AddNote("%s: 16-block read-ahead speeds sequential cold scans %.1fx", col, off/on)
+		}
 	}
 	return t, nil
+}
+
+// readAheadScan times streams concurrent cold scans, each of its own VM
+// image, through one client proxy over the WAN with read-ahead depth
+// ahead.
+func (o Options) readAheadScan(ahead, streams int) (time.Duration, error) {
+	spec := o.benchVMSpec()
+	fs := memfs.New()
+	for i := 0; i < streams; i++ {
+		if err := vm.InstallImage(fs, fmt.Sprintf("/vm%d", i), spec); err != nil {
+			return 0, err
+		}
+	}
+	wan := simnet.NewLink(simnet.WAN())
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
+	if err != nil {
+		return 0, err
+	}
+	defer server.Close()
+	dir, err := os.MkdirTemp(o.WorkDir, "ra")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	cfg := o.cacheConfig(dir, cache.WriteBack)
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.ProxyAddr(),
+		UpstreamLink: wan,
+		UpstreamKey:  server.Key,
+		CacheConfig:  &cfg,
+		ReadAhead:    ahead,
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer node.Close()
+	sess, err := newBenchSession(node.Addr, o)
+	if err != nil {
+		return 0, err
+	}
+	defer sess.Close()
+	return timeIt(func() error {
+		errs := make(chan error, streams)
+		for i := 0; i < streams; i++ {
+			go func(i int) { errs <- scanDisk(sess, fmt.Sprintf("/vm%d", i), spec) }(i)
+		}
+		var first error
+		for i := 0; i < streams; i++ {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	})
 }

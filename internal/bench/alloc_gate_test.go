@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"slices"
 	"testing"
@@ -24,6 +25,109 @@ const (
 	warmWriteAllocGate = 6.0
 )
 
+// AllocPath is the measured warm-cache profile of one operation type.
+type AllocPath struct {
+	AllocsPerOp float64
+	BytesPerOp  float64
+}
+
+// measureWarmAlloc runs the warm-cache READ/WRITE loops over a
+// loopback deployment and returns both paths' profiles.
+func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
+	const bs = 4096
+	const blocks = 16
+	fs := memfs.New()
+	img := make([]byte, 64*bs)
+	for i := range img {
+		img[i] = byte(i % 251)
+	}
+	if err := fs.WriteFile("/disk.img", img); err != nil {
+		return read, write, err
+	}
+	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
+	if err != nil {
+		return read, write, err
+	}
+	defer srv.Close()
+	dir, err := os.MkdirTemp("", "gvfs-alloc")
+	if err != nil {
+		return read, write, err
+	}
+	defer os.RemoveAll(dir)
+	pnode, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: srv.Addr,
+		CacheConfig: &cache.Config{
+			Dir: dir, Banks: 4, SetsPerBank: 16, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack,
+		},
+		DisableMeta: true,
+		// Analytics on: the measured allocs/op include the sampler tap,
+		// so the alloc gate proves the tap is free on the warm path.
+		Cachean: true,
+	})
+	if err != nil {
+		return read, write, err
+	}
+	defer pnode.Close()
+	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
+	if err != nil {
+		return read, write, err
+	}
+	cl := sunrpc.NewClient(conn)
+	defer cl.Close()
+	cred := benchCred()
+	root, err := mountd.Mount(cl, cred, "/")
+	if err != nil {
+		return read, write, err
+	}
+	nc := nfs3.NewClient(cl, cred)
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		return read, write, err
+	}
+	wdata := make([]byte, bs)
+	for i := range wdata {
+		wdata[i] = byte(i)
+	}
+	// Warm every measured block once (cache fill, size discovery).
+	for b := uint64(0); b < blocks; b++ {
+		if _, _, err := nc.Read(fh, b*bs, bs); err != nil {
+			return read, write, err
+		}
+		if _, _, err := nc.Write(fh, b*bs, wdata, nfs3.Unstable); err != nil {
+			return read, write, err
+		}
+	}
+
+	measure := func(f func(i int) error) (AllocPath, error) {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < ops; i++ {
+			if err := f(i); err != nil {
+				return AllocPath{}, err
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return AllocPath{
+			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
+			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		}, nil
+	}
+	read, err = measure(func(i int) error {
+		_, _, err := nc.Read(fh, uint64(i%blocks)*bs, bs)
+		return err
+	})
+	if err != nil {
+		return read, write, err
+	}
+	write, err = measure(func(i int) error {
+		_, _, err := nc.Write(fh, uint64(i%blocks)*bs, wdata, nfs3.Unstable)
+		return err
+	})
+	return read, write, err
+}
+
 // TestWarmPathAllocGate measures the warm-cache READ/WRITE paths over
 // a real loopback deployment and fails if allocs/op exceeds the
 // committed gate. Skipped under -race: the detector instruments
@@ -39,12 +143,10 @@ func TestWarmPathAllocGate(t *testing.T) {
 	t.Logf("warm read: %.1f allocs/op (%.0f B/op); warm write: %.1f allocs/op (%.0f B/op)",
 		read.AllocsPerOp, read.BytesPerOp, write.AllocsPerOp, write.BytesPerOp)
 	if read.AllocsPerOp > warmReadAllocGate {
-		t.Errorf("warm READ = %.1f allocs/op, gate %.1f (seed %.1f)",
-			read.AllocsPerOp, warmReadAllocGate, seedWarmReadAllocsPerOp)
+		t.Errorf("warm READ = %.1f allocs/op, gate %.1f (seed 63)", read.AllocsPerOp, warmReadAllocGate)
 	}
 	if write.AllocsPerOp > warmWriteAllocGate {
-		t.Errorf("warm WRITE = %.1f allocs/op, gate %.1f (seed %.1f)",
-			write.AllocsPerOp, warmWriteAllocGate, seedWarmWriteAllocsPerOp)
+		t.Errorf("warm WRITE = %.1f allocs/op, gate %.1f (seed 67)", write.AllocsPerOp, warmWriteAllocGate)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gvfs/internal/cache"
@@ -257,7 +258,7 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 		return run, err
 	}
 	want := make([]byte, dirtyBlocks*crashBlockSize)
-	if err := concParallelFor(16, dirtyBlocks, func(b int) error {
+	if err := parallelFor(16, dirtyBlocks, func(b int) error {
 		data := bytes.Repeat([]byte{byte(b%251) + 1}, crashBlockSize)
 		copy(want[b*crashBlockSize:], data)
 		_, _, werr := nc.Write(fh, uint64(b)*crashBlockSize, data, nfs3.Unstable)
@@ -365,4 +366,38 @@ func (o Options) RunCrash() (*Table, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// parallelFor runs f(0..n-1) over at most workers goroutines and returns
+// the first error.
+func parallelFor(workers, n int, f func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := f(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
 }

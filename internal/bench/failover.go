@@ -372,17 +372,20 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 			return 0, nil, err
 		}
 		// Warm the latency distribution past the hedge arming threshold
-		// on distinct (cache-missing) blocks.
+		// on distinct (cache-missing) blocks. Every read skips a block: a
+		// miss whose preceding block is absent fetches that block alone,
+		// so each read is one upstream READ, where a sequential scan
+		// would miss in runs and arm nothing.
 		buf := make([]byte, 8192)
 		for i := 0; i < 32; i++ {
-			if _, err := f.ReadAt(buf, int64(i)*8192); err != nil {
+			if _, err := f.ReadAt(buf, int64(2*i)*8192); err != nil {
 				return 0, nil, fmt.Errorf("warm read %d: %w", i, err)
 			}
 		}
 		d.links[0].Stall(10 * time.Second)
 		lats := make([]time.Duration, 0, ph.StallReads)
 		for i := 32; i < 32+ph.StallReads; i++ {
-			off := int64(i) * 8192
+			off := int64(2*i) * 8192
 			dur, err := timeIt(func() error {
 				_, err := f.ReadAt(buf, off)
 				return err

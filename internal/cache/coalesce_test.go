@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"gvfs/internal/nfs3"
 )
@@ -267,11 +266,14 @@ func TestCoalescedWriteBackDisjointFiles(t *testing.T) {
 
 // TestRedirtyInsideRunInFlight is the run path's torture: every writer
 // owns every fourth block of one eight-block run and keeps re-dirtying
-// them while flushes of that run are on the (slow) wire. A block's pin
-// is held for the whole run's round trip, so what must hold is the
-// per-block contract: the sink ends with the last acknowledged version
-// of every block, and no block ever lands an older version after a
-// newer one.
+// them while flushes of that run are on the wire. A block's pin is held
+// for the whole run's round trip, so what must hold is the per-block
+// contract: the sink ends with the last acknowledged version of every
+// block, and no block ever lands an older version after a newer one.
+// Every block is dirty before the first flush, so that flush is one
+// eight-block run; the writers start re-dirtying once its WRITE is on
+// the wire, and the WRITE is held until every writer has begun: the run
+// is in flight by construction, not by timing.
 func TestRedirtyInsideRunInFlight(t *testing.T) {
 	const (
 		bs       = 256
@@ -282,14 +284,26 @@ func TestRedirtyInsideRunInFlight(t *testing.T) {
 	cfg := Config{Banks: 1, SetsPerBank: 8, Assoc: 2, BlockSize: bs,
 		Policy: WriteBack, Stripes: 4, FlushConcurrency: 4}
 	c := newTestCache(t, cfg)
-	sink := newBlockSink(bs)
-	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
-		time.Sleep(time.Millisecond) // keep runs in flight while writers run
-		return sink.writeBack(fh, off, data)
-	})
 	payload := func(block uint64, version int) []byte {
 		return bytes.Repeat([]byte{byte(block), byte(version)}, bs/2)
 	}
+	for b := uint64(0); b < blocks; b++ {
+		if err := c.Put(fhA, b, payload(b, 1), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := newBlockSink(bs)
+	inFlight := make(chan struct{})
+	var redirtying sync.WaitGroup
+	redirtying.Add(writers)
+	var firstRun sync.Once
+	c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
+		firstRun.Do(func() {
+			close(inFlight)
+			redirtying.Wait()
+		})
+		return sink.writeBack(fh, off, data)
+	})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -312,7 +326,9 @@ func TestRedirtyInsideRunInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for v := 1; v <= versions; v++ {
+			<-inFlight
+			redirtying.Done()
+			for v := 2; v <= versions; v++ {
 				for b := uint64(w); b < blocks; b += writers {
 					if err := c.Put(fhA, b, payload(b, v), true); err != nil {
 						t.Errorf("put block %d v%d: %v", b, v, err)

@@ -1,15 +1,17 @@
 package proxy_test
 
 // Trace-propagation suite: a session mounted through a two-level proxy
-// chain (client proxy -> image-server proxy) over simnet, with tracing
-// enabled at both hops. The invariant under test is the header
-// extension's contract: every RPC the client proxy forwards upstream
-// appears in the server proxy's ring under the SAME trace ID with the
-// hop count incremented, and per-layer spans land at the right hop.
+// chain (client proxy -> server proxy -> nfsd) over simnet, with tracing
+// and the flight recorder enabled at both hops. The invariant under test
+// is the header extension's contract: every RPC the client proxy
+// forwards upstream appears in the server proxy's ring under the SAME
+// trace ID with the hop count incremented, and per-layer spans land at
+// the right hop.
 
 import (
 	"bytes"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,16 +28,30 @@ import (
 )
 
 func TestTracePropagationAcrossChain(t *testing.T) {
+	const slow = 50 * time.Millisecond
 	fs := memfs.New()
 	content := chaosPattern(32*8192, 3)
 	if err := fs.WriteFile("/vm.img", content); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.WriteFile("/stall.img", chaosPattern(4*8192, 4)); err != nil {
+		t.Fatal(err)
+	}
 
+	// The origin sits behind a link of its own, so a stall there slows
+	// the server proxy's own call and not just the client proxy's.
+	lan := simnet.NewLink(simnet.Profile{Name: "trace-origin", RTT: time.Millisecond})
+	nfsd, err := stack.StartNFSServer(fs, stack.NFSServerOptions{ListenLink: lan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfsd.Close()
+	// Rings larger than the test's calls: no recording an exemplar names
+	// is overwritten.
 	link := simnet.NewLink(simnet.Profile{Name: "trace-lan", RTT: time.Millisecond})
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{
-		Link:      link,
-		TraceRing: 512,
+	server, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: nfsd.Addr, UpstreamLink: lan, ListenLink: link,
+		TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,20 +63,19 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
+		UpstreamAddr: server.Addr,
 		UpstreamLink: link,
-		UpstreamKey:  server.Key,
 		CacheConfig: &cache.Config{
 			Dir: cacheDir, Banks: 4, SetsPerBank: 8, Assoc: 4,
 			BlockSize: 8192, Policy: cache.WriteBack,
 		},
-		TraceRing: 512,
+		TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Tracer == nil || server.Proxy.Tracer == nil {
+	if client.Tracer == nil || server.Tracer == nil {
 		t.Fatal("TraceRing > 0 must give both nodes a tracer")
 	}
 
@@ -87,7 +102,7 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	}
 
 	clientTraces := client.Tracer.Traces()
-	serverTraces := server.Proxy.Tracer.Traces()
+	serverTraces := server.Tracer.Traces()
 	if len(clientTraces) == 0 || len(serverTraces) == 0 {
 		t.Fatalf("empty rings: client=%d server=%d", len(clientTraces), len(serverTraces))
 	}
@@ -152,6 +167,37 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 		}
 		if hit && upstream {
 			t.Errorf("trace %d: block-cache hit still produced an upstream span", tr.ID)
+		}
+	}
+
+	// One stall on the origin's link makes a cold READ slow at both hops.
+	// Each hop keeps a slow recording with its span tree, and every
+	// exemplar its /metrics publishes resolves to a recording: exemplars
+	// are set only where a call is promoted.
+	lan.Stall(3 * slow)
+	if _, err := sess.ReadFile("/stall.img"); err != nil {
+		t.Fatal(err)
+	}
+	for hop, node := range []*stack.Node{client, server} {
+		recs := node.Flight.Recordings()
+		slowWithSpans := false
+		for _, rec := range recs {
+			slowWithSpans = slowWithSpans || (rec.Reason == obs.ReasonSlow && len(rec.Trace.Spans) > 0)
+		}
+		if !slowWithSpans {
+			t.Errorf("hop %d: no slow recording with spans among %d", hop, len(recs))
+		}
+		var buf bytes.Buffer
+		node.Metrics.WritePrometheus(&buf)
+		ids := obs.ExtractExemplarTraceIDs(buf.Bytes())
+		if len(ids) == 0 {
+			t.Errorf("hop %d: /metrics publishes no exemplar", hop)
+		}
+		for _, s := range ids {
+			id, err := strconv.ParseUint(s, 16, 64)
+			if _, ok := node.Flight.Resolve(id); err != nil || !ok {
+				t.Errorf("hop %d: exemplar %s resolves to no recording", hop, s)
+			}
 		}
 	}
 }
