@@ -11,18 +11,17 @@
 //	SIGUSR1  write back all dirty cached data (keep it cached)
 //	SIGUSR2  flush: write back and invalidate all caches
 //
-// With -journal (the default under -policy write-back) every dirty
-// block is journaled to the cache directory before the WRITE is
+// Under -policy write-back every dirty block is journaled to the cache directory before the WRITE is
 // acknowledged; a proxy killed mid-session replays the journal to the
 // server on its next start, before serving traffic. -journal-sync
 // picks the durability mode (batch group-fsync, always, or none) and
-// -crashpoint / GVFS_CRASHPOINT arms the fault-injection harness used
-// by the kill-9 recovery tests.
+// the GVFS_CRASHPOINT environment variable arms the fault-injection
+// harness used by the kill-9 recovery tests.
 //
 // With -qos the proxy admits calls through per-client admission
 // control: bounded per-client queues, optional token-bucket rate
 // limits (-qos-rate/-qos-burst), byte-weighted deficit-round-robin
-// fair sharing (-qos-quantum) and a global concurrency cap
+// fair sharing in 64 KiB quanta and a global concurrency cap
 // (-qos-inflight). Overflow is shed with the retriable
 // NFS3ERR_JUKEBOX. -call-budget stamps a default deadline on every
 // call (a budget propagated in the GVFS trace verifier wins), and
@@ -37,8 +36,8 @@
 //
 // With -backend repl the proxy fans its upstream over a replica set
 // (-replicas objstore:/a,objstore:/b,objstore:/c): per-replica health
-// tracking with automatic failover, hedged reads after a latency
-// quantile (-repl-hedge-quantile), optional majority-ack writes
+// tracking with automatic failover, hedged reads after the p95 of read
+// latency, optional majority-ack writes
 // (-repl-quorum), and a background scrub that cross-checks block
 // hashes between replicas and repairs divergence (-repl-scrub).
 // Replica health appears at /statusz and as gvfs_backend_replica_*
@@ -76,7 +75,7 @@ func main() {
 	flag.Parse()
 
 	// Arm the crash fault-injection harness before any cache activity.
-	if err := cache.SetCrashpoint(flags.Crashpoint); err != nil {
+	if err := cache.SetCrashpoint(os.Getenv("GVFS_CRASHPOINT")); err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
 	opts, err := flags.Options()
@@ -161,7 +160,7 @@ func main() {
 				if err := node.Proxy.WriteBack(); err != nil {
 					logger.Error("shutdown write-back failed", "err", err)
 				}
-				if opts.PersistIndex && node.BlockCache != nil {
+				if node.BlockCache != nil {
 					if err := node.BlockCache.SaveIndex(); err != nil {
 						logger.Error("cache index snapshot failed", "err", err)
 					}

@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"os"
+	"strings"
 	"time"
 
 	"gvfs/internal/obs"

@@ -2,7 +2,7 @@ package gvfs_test
 
 // Kill-9 end-to-end tests of the crash-consistent write-back path:
 // run a real nfsd and a real gvfsproxy with the fault-injection
-// harness armed (-crashpoint), SIGKILL the proxy at each point in the
+// harness armed ($GVFS_CRASHPOINT), SIGKILL the proxy at each point in the
 // journal/bank/commit ordering, restart it over the same cache
 // directory, and check the paper-level guarantees:
 //
@@ -63,16 +63,16 @@ func waitExit(t *testing.T, cmd *exec.Cmd) {
 }
 
 // startCrashProxy launches gvfsproxy over cacheDir with the given
-// crashpoint armed ("" = disarmed).
+// crashpoint armed through GVFS_CRASHPOINT ("" = disarmed). Journaling is
+// the daemon's only write-back behaviour, so no flag asks for it.
 func startCrashProxy(t *testing.T, binDir, upstream, cacheDir, crashpoint string) (*exec.Cmd, string) {
 	t.Helper()
 	addr := freePort(t)
-	cmd := startDaemon(t, filepath.Join(binDir, "gvfsproxy"),
+	cmd := startDaemonEnv(t, []string{"GVFS_CRASHPOINT=" + crashpoint}, filepath.Join(binDir, "gvfsproxy"),
 		"-listen", addr, "-upstream", upstream,
 		"-cache-dir", cacheDir, "-cache-banks", "2", "-cache-sets", "8",
 		"-cache-assoc", "4", "-cache-block", "4096",
-		"-policy", "write-back", "-journal", "-journal-sync", "batch",
-		"-crashpoint", crashpoint, "-log-level", "warn")
+		"-policy", "write-back", "-journal-sync", "batch", "-log-level", "warn")
 	waitListening(t, addr)
 	return cmd, addr
 }

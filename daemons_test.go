@@ -55,7 +55,14 @@ func freePort(t *testing.T) string {
 // startDaemon launches a binary and kills it at cleanup.
 func startDaemon(t *testing.T, bin string, args ...string) *exec.Cmd {
 	t.Helper()
+	return startDaemonEnv(t, nil, bin, args...)
+}
+
+// startDaemonEnv is startDaemon with env added to the test's environment.
+func startDaemonEnv(t *testing.T, env []string, bin string, args ...string) *exec.Cmd {
+	t.Helper()
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

@@ -52,6 +52,16 @@ type CallOpts struct {
 	Cred Cred
 }
 
+// Remaining is the budget left before the call's deadline, and whether
+// the call has one. An expired deadline leaves zero or less; what that
+// means is the caller's rule.
+func (o *CallOpts) Remaining() (time.Duration, bool) {
+	if o.Deadline.IsZero() {
+		return 0, false
+	}
+	return time.Until(o.Deadline), true
+}
+
 // Cred is a credential as an RPC auth flavor and its opaque body, in
 // plain types so that this package need not know RPC. The zero value —
 // no flavor, no body, which is also AUTH_NONE — asks for the backend's

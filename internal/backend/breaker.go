@@ -54,8 +54,8 @@ func NewBreaker(threshold int, interval time.Duration, probe func() error, recov
 	return b
 }
 
-// Open reports whether the breaker is open. A nil breaker is closed.
-func (b *Breaker) Open() bool { return b != nil && b.open.Load() }
+// Open reports whether the breaker is open.
+func (b *Breaker) Open() bool { return b.open.Load() }
 
 // Success records an answered call: the failure run is over. It does
 // not close an open breaker — only a probe does.
@@ -124,11 +124,8 @@ func (b *Breaker) State() (since time.Time, transitions uint64) {
 }
 
 // Stop ends probing and waits for a probe in flight; the breaker keeps
-// its state. Safe on a nil breaker and more than once.
+// its state. Safe to call more than once.
 func (b *Breaker) Stop() {
-	if b == nil {
-		return
-	}
 	b.stop.Do(func() { close(b.done) })
 	<-b.exited
 }

@@ -207,9 +207,4 @@ func TestBreakerStopEndsProbing(t *testing.T) {
 		t.Error("Stop closed the breaker")
 	}
 	b.Stop() // idempotent
-	var nilBreaker *Breaker
-	nilBreaker.Stop()
-	if nilBreaker.Open() {
-		t.Error("a nil breaker reports open")
-	}
 }

@@ -187,7 +187,7 @@ func Run(t *testing.T, mk Maker) {
 	})
 
 	t.Run("ConcurrentDisjointWrites", func(t *testing.T) {
-		// The proxy's flush pipeline has FlushConcurrency dirty blocks
+		// The proxy's flush pipeline has up to eight dirty runs
 		// of one file in flight at once; every one of those durable
 		// writes must survive, whatever the interleaving.
 		f := mk(t, content(fileSize))

@@ -38,28 +38,21 @@ func credOf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
 	return sunrpc.OpaqueAuth(opts.Cred)
 }
 
-// remainingBudgetMs converts a call deadline back into a verifier
-// budget word for the next hop. Returns 0 (no budget) for a zero
-// deadline; an expired deadline yields the 1ms floor so the wire never
-// carries "no deadline" for a call that has one.
-func remainingBudgetMs(deadline time.Time) uint32 {
-	if deadline.IsZero() {
+// remainingBudgetMs converts a call's deadline back into a verifier
+// budget word for the next hop. Returns 0 (no budget) for a call with
+// no deadline; an expired deadline yields the 1ms floor so the wire
+// never carries "no deadline" for a call that has one.
+func remainingBudgetMs(opts *backend.CallOpts) uint32 {
+	rem, ok := opts.Remaining()
+	if !ok {
 		return 0
 	}
-	rem := time.Until(deadline)
-	if rem < time.Millisecond {
-		return 1
-	}
-	ms := rem / time.Millisecond
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	return uint32(ms)
+	return uint32(min(max(rem/time.Millisecond, 1), 1<<31))
 }
 
 // verf builds the trace/budget verifier for opts.
 func verf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
-	tc := sunrpc.TraceContext{BudgetMs: remainingBudgetMs(opts.Deadline)}
+	tc := sunrpc.TraceContext{BudgetMs: remainingBudgetMs(opts)}
 	if opts.TraceID != 0 {
 		tc.ID, tc.Hop = opts.TraceID, opts.Hop
 	}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"gvfs/internal/backend"
 )
@@ -59,7 +58,7 @@ type Backend struct {
 
 	// wmu guards wlocks; each file's write lock serializes the
 	// manifest read-modify-write in Write. Without it, the proxy's
-	// concurrent flush (FlushConcurrency dirty blocks of one file in
+	// concurrent flush (up to eight dirty runs of one file in
 	// flight at once) loses manifest updates — block objects land in
 	// the store but the last saveManifest wins, resurrecting zero
 	// hashes for blocks another writer just filled.
@@ -117,7 +116,7 @@ func (b *Backend) checkCall(op string, opts backend.CallOpts) error {
 	if err := b.faulted(); err != nil {
 		return err
 	}
-	if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+	if rem, ok := opts.Remaining(); ok && rem < 0 {
 		return &backend.Error{Class: backend.ClassTimeout, Op: op, Err: context.DeadlineExceeded}
 	}
 	return nil

@@ -59,12 +59,6 @@ type Config struct {
 	// the next-best replica (default 0.95). Negative disables hedging.
 	HedgeQuantile float64
 
-	// HedgeMinDelay / HedgeMaxDelay clamp the hedge delay (defaults
-	// 1ms / 2s), so a fast steady state cannot hedge every call and a
-	// slow one still hedges within the caller's patience.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
-
 	// HedgeBudget caps hedged reads as a fraction of all reads
 	// (default 0.1). The cap keeps hedging from doubling upstream load
 	// when the latency distribution is genuinely wide.
@@ -80,36 +74,37 @@ type Config struct {
 	// works).
 	ScrubInterval time.Duration
 
-	// ScrubBlockSize is the block granularity of hash comparison
-	// (default 8192).
-	ScrubBlockSize int
-
-	// ScrubFilesPerPass bounds how many files one pass examines
-	// (default 16).
-	ScrubFilesPerPass int
+	// hedgeMinDelay / hedgeMaxDelay clamp the hedge delay (defaults
+	// 1ms / 2s), so a fast steady state cannot hedge every call and a
+	// slow one still hedges within the caller's patience. Only the
+	// package's tests set them.
+	hedgeMinDelay time.Duration
+	hedgeMaxDelay time.Duration
 }
+
+const (
+	// scrubBlockSize is the block granularity of the scrub's hash
+	// comparison.
+	scrubBlockSize = 8192
+	// scrubFilesPerPass bounds how many files one scrub pass examines.
+	scrubFilesPerPass = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.HedgeQuantile == 0 {
 		c.HedgeQuantile = 0.95
 	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = time.Millisecond
+	if c.hedgeMinDelay <= 0 {
+		c.hedgeMinDelay = time.Millisecond
 	}
-	if c.HedgeMaxDelay <= 0 {
-		c.HedgeMaxDelay = 2 * time.Second
+	if c.hedgeMaxDelay <= 0 {
+		c.hedgeMaxDelay = 2 * time.Second
 	}
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 0.1
 	}
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = 30 * time.Second
-	}
-	if c.ScrubBlockSize <= 0 {
-		c.ScrubBlockSize = 8192
-	}
-	if c.ScrubFilesPerPass <= 0 {
-		c.ScrubFilesPerPass = 16
 	}
 	return c
 }
@@ -460,20 +455,11 @@ func (c *Backend) hedgeDelay(opts backend.CallOpts) time.Duration {
 	if c.cfg.HedgeQuantile < 0 || c.lat.count() < hedgeWarmup {
 		return 0
 	}
-	d := c.lat.quantile(c.cfg.HedgeQuantile)
-	if d < c.cfg.HedgeMinDelay {
-		d = c.cfg.HedgeMinDelay
-	}
-	if d > c.cfg.HedgeMaxDelay {
-		d = c.cfg.HedgeMaxDelay
-	}
-	if !opts.Deadline.IsZero() {
-		rem := time.Until(opts.Deadline)
-		if rem <= 2*d {
-			// No budget for a second attempt after the delay; spend the
-			// whole deadline on the primary instead.
-			return 0
-		}
+	d := min(max(c.lat.quantile(c.cfg.HedgeQuantile), c.cfg.hedgeMinDelay), c.cfg.hedgeMaxDelay)
+	if rem, ok := opts.Remaining(); ok && rem <= 2*d {
+		// No budget for a second attempt after the delay; spend the
+		// whole deadline on the primary instead.
+		return 0
 	}
 	return d
 }

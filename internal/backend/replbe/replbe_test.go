@@ -252,8 +252,8 @@ func TestHedgedReadBeatsStalledReplica(t *testing.T) {
 	fast.delayNs.Store(int64(300 * time.Microsecond))
 	c, err := New([]Replica{{Name: "a", B: slow}, {Name: "b", B: fast}}, Config{
 		ScrubInterval: -1,
-		HedgeMinDelay: 2 * time.Millisecond,
-		HedgeMaxDelay: 5 * time.Millisecond,
+		hedgeMinDelay: 2 * time.Millisecond,
+		hedgeMaxDelay: 5 * time.Millisecond,
 		HedgeBudget:   1.0, // the test wants every slow read hedged
 	})
 	if err != nil {
@@ -333,7 +333,7 @@ func TestHedgedReadOwnership(t *testing.T) {
 	c, err := New([]Replica{
 		{Name: "a", B: lendingBackend{mkObj(t, content), &round, &inflight}},
 		{Name: "b", B: lendingBackend{mkObj(t, content), &round, &inflight}},
-	}, Config{ScrubInterval: -1, HedgeMinDelay: 200 * time.Microsecond, HedgeMaxDelay: time.Millisecond, HedgeBudget: 1.0})
+	}, Config{ScrubInterval: -1, hedgeMinDelay: 200 * time.Microsecond, hedgeMaxDelay: time.Millisecond, HedgeBudget: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestHedgedReadOwnership(t *testing.T) {
 }
 
 func TestHedgeRespectsDeadlineBudget(t *testing.T) {
-	c, _, _ := mkSet(t, 2, Config{ScrubInterval: -1, HedgeMinDelay: 50 * time.Millisecond})
+	c, _, _ := mkSet(t, 2, Config{ScrubInterval: -1, hedgeMinDelay: 50 * time.Millisecond})
 	for i := 0; i < hedgeWarmup+5; i++ {
 		c.Read(backend.FileID(testFile), 0, 512, backend.CallOpts{})
 	}

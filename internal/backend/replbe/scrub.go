@@ -139,7 +139,7 @@ func (c *Backend) ScrubNow() {
 	}
 
 	// Then the rotating verification window over everything seen.
-	for _, sf := range c.scrub.nextFiles(c.cfg.ScrubFilesPerPass) {
+	for _, sf := range c.scrub.nextFiles(scrubFilesPerPass) {
 		c.scrub.filesSeen.Add(1)
 		c.verifyFile(sf)
 	}
@@ -247,7 +247,7 @@ func (c *Backend) repairAgainst(src, dst *replica, sf scrubFile, full bool) bool
 	if err != nil {
 		return false
 	}
-	bs := c.cfg.ScrubBlockSize
+	bs := scrubBlockSize
 	nblocks := (attr.Size + uint64(bs) - 1) / uint64(bs)
 
 	// A dst that doesn't know the file at all (missed Create) needs the

@@ -73,7 +73,9 @@ func (o Options) RunAblationWritePolicy() (*Table, error) {
 
 // RunAblationMetadata isolates the meta-data mechanisms (§3.2.2) on
 // first-clone latency: full meta-data (zero map + file channel), zero
-// map only, and no meta-data at all.
+// map only, and no meta-data at all. The proxy uses meta-data whenever
+// a file has it, so each arm ablates by input: it rewrites or deletes
+// the memory state's meta-data file before the image server starts.
 func (o Options) RunAblationMetadata() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-metadata",
@@ -84,19 +86,21 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 	type variant struct {
 		label       string
 		zeroMapOnly bool
-		disableMeta bool
+		noMeta      bool
 	}
 	for _, v := range []variant{
 		{label: "file channel + zero map"},
 		{label: "zero map only", zeroMapOnly: true},
-		{label: "no meta-data", disableMeta: true},
+		{label: "no meta-data", noMeta: true},
 	} {
 		spec := o.cloneVMSpec("img0", 100)
 		fs := memfs.New()
 		if err := vm.InstallImage(fs, "/images/g0", spec); err != nil {
 			return nil, err
 		}
-		if v.zeroMapOnly {
+		metaName := meta.NameFor(spec.MemStateFile())
+		switch {
+		case v.zeroMapOnly:
 			// Replace the installed meta-data with a zero map that has
 			// no file-channel actions.
 			mem := spec.GenerateMemState()
@@ -105,7 +109,15 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := fs.WriteFile("/images/g0/"+meta.NameFor(spec.MemStateFile()), blob); err != nil {
+			if err := fs.WriteFile("/images/g0/"+metaName, blob); err != nil {
+				return nil, err
+			}
+		case v.noMeta:
+			dir, err := fs.LookupPath("/images/g0")
+			if err != nil {
+				return nil, err
+			}
+			if err := fs.Remove(dir, metaName); err != nil {
 				return nil, err
 			}
 		}
@@ -134,7 +146,6 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 			FileChanAddr: server.FileChanAddr(),
 			FileChanLink: wan,
 			FileChanKey:  server.Key,
-			DisableMeta:  v.disableMeta,
 		})
 		if err != nil {
 			server.Close()

@@ -60,7 +60,6 @@ func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
 			Dir: dir, Banks: 4, SetsPerBank: 16, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack,
 		},
-		DisableMeta: true,
 		// Analytics on: the measured allocs/op include the sampler tap,
 		// so the alloc gate proves the tap is free on the warm path.
 		Cachean: true,
@@ -179,7 +178,6 @@ func TestFlushAllocs(t *testing.T) {
 		UpstreamAddr: srv.Addr,
 		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack, Journal: true},
-		DisableMeta: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +273,6 @@ func TestColdReadAllocBytes(t *testing.T) {
 		UpstreamAddr: server.ProxyAddr(),
 		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 8, Assoc: 2,
 			BlockSize: bs, Policy: cache.WriteBack},
-		DisableMeta: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +365,6 @@ func TestWriteBackAllocBytes(t *testing.T) {
 		UpstreamAddr: server.ProxyAddr(),
 		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack},
-		DisableMeta: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +456,6 @@ func TestSessionReadAllocBytes(t *testing.T) {
 		UpstreamAddr: srv.Addr,
 		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
 			BlockSize: bs, Policy: cache.WriteBack},
-		DisableMeta: true,
 	})
 	if err != nil {
 		t.Fatal(err)

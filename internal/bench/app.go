@@ -249,4 +249,3 @@ func (o Options) annotateFig5(t *Table) {
 		t.AddNote("warm WAN+C vs WAN: %.0f%% faster (paper: >30%%)", (wan2-wanc2)/wan2*100)
 	}
 }
-

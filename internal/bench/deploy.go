@@ -166,8 +166,6 @@ type deployConfig struct {
 	// fileCache enables meta-data handling + the file channel at the
 	// client proxy (cloning experiments).
 	fileCache bool
-	// disableMeta suppresses meta-data handling (ablation/pure-NFS).
-	disableMeta bool
 	// direct connects the session straight to the image server's NFS
 	// daemon across the scenario link: the "pure NFS" baseline with
 	// no GVFS proxies at all.
@@ -239,7 +237,6 @@ func (o Options) deploy(fs *memfs.FS, dc deployConfig) (*Deployment, error) {
 			popts.FileChanLink = d.WANLink
 			popts.FileChanKey = server.Key
 		}
-		popts.DisableMeta = dc.disableMeta
 		node, err := stack.StartProxy(popts)
 		if err != nil {
 			d.Close()

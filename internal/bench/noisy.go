@@ -62,7 +62,6 @@ func noisyQoSConfig(reg *obs.Registry) qos.Config {
 	return qos.Config{
 		MaxConcurrent:  32,
 		PerClientQueue: 32,
-		Quantum:        64 << 10,
 		RatePerSec:     noisyRate,
 		Burst:          noisyBurst,
 		// Brownout stays off here: a token-starved aggressor sits in
@@ -206,7 +205,6 @@ func (o Options) startNoisyRig(qcfg *qos.Config) (*noisyRig, error) {
 		Upstream:    up,
 		BlockCache:  bc,
 		WritePolicy: cache.WriteThrough,
-		DisableMeta: true,
 		Metrics:     rig.reg,
 	}
 	if qcfg != nil {

@@ -18,7 +18,7 @@
 // # Concurrency model
 //
 // Sets are independent by construction, so the cache is lock-striped:
-// sets are spread round-robin over Config.Stripes stripes, each with
+// sets are spread round-robin over 64 stripes, each with
 // its own mutex, index shard, LRU clock and statistics shard. Frame
 // data I/O (bank-file ReadAt/WriteAt and eviction write-back RPCs)
 // happens *outside* the stripe lock under a per-frame pin protocol:
@@ -79,15 +79,6 @@ type Config struct {
 	// ReadOnly marks the cache shareable for read-only data; writes
 	// bypass it entirely (the paper's shared read-only cache mode).
 	ReadOnly bool
-	// FlushConcurrency bounds the in-flight write-backs during
-	// WriteBackAll/Flush/WriteBackFile (default 8). Dirty data is
-	// propagated in a pipeline rather than one blocking RPC at a
-	// time, as a kernel client's asynchronous flusher would.
-	FlushConcurrency int
-	// Stripes is the number of lock stripes the sets are spread over
-	// (default 64, capped at the total set count). 1 gives a single
-	// global lock, the pre-striping structure.
-	Stripes int
 	// Journal enables the dirty-block intent journal: dirty Puts are
 	// appended (data + checksum) to an append-only log in Dir and made
 	// durable before they are acknowledged, so a crashed proxy can
@@ -110,6 +101,16 @@ type Config struct {
 	// outcome, insertions, evictions) for the cache-analytics
 	// subsystem. See AccessTap for the cost contract.
 	Tap AccessTap
+
+	// flushConcurrency bounds the in-flight write-backs during
+	// WriteBackAll/Flush/WriteBackFile (default 8). Dirty data is
+	// propagated in a pipeline rather than one blocking RPC at a
+	// time, as a kernel client's asynchronous flusher would.
+	flushConcurrency int
+	// stripes is the number of lock stripes the sets are spread over
+	// (default 64, capped at the total set count). 1 gives a single
+	// global lock. Only the package's tests set these two.
+	stripes int
 }
 
 // DefaultConfig mirrors the experimental setup of the paper: 512 banks,
@@ -145,15 +146,13 @@ func (c *Config) fill() error {
 	if c.BlockSize > nfs3.MaxTransfer {
 		return fmt.Errorf("cache: block size %d exceeds the 32 KB NFS limit", c.BlockSize)
 	}
-	if c.FlushConcurrency <= 0 {
-		c.FlushConcurrency = 8
+	if c.flushConcurrency <= 0 {
+		c.flushConcurrency = 8
 	}
-	if c.Stripes <= 0 {
-		c.Stripes = 64
+	if c.stripes <= 0 {
+		c.stripes = 64
 	}
-	if total := c.Banks * c.SetsPerBank; c.Stripes > total {
-		c.Stripes = total
-	}
+	c.stripes = min(c.stripes, c.Banks*c.SetsPerBank)
 	return nil
 }
 
@@ -267,7 +266,7 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		frames:  make([]frame, n),
-		stripes: make([]stripe, cfg.Stripes),
+		stripes: make([]stripe, cfg.stripes),
 		banks:   make([]atomic.Pointer[os.File], cfg.Banks),
 	}
 	for i := range c.stripes {
@@ -1014,7 +1013,7 @@ func (c *Cache) propagate(ids []BlockID) error {
 		return fmt.Errorf("cache: flush with no write-back function installed")
 	}
 	runs := coalesceRuns(ids, c.cfg.BlockSize, nfs3.MaxTransfer)
-	return flushEach(c.cfg.FlushConcurrency, runs, func(r run) error { return c.flushRun(r, wb) })
+	return flushEach(c.cfg.flushConcurrency, runs, func(r run) error { return c.flushRun(r, wb) })
 }
 
 // flushEach calls flush once for every item, from at most workers
@@ -1052,7 +1051,7 @@ func flushEach[T any](workers int, items []T, flush func(T) error) error {
 // WriteBackAll propagates every dirty frame through the WriteBackFunc,
 // leaving the data cached but clean. This is the middleware's
 // "write back" signal (SIGUSR1 on the proxy daemon). Propagation is
-// pipelined with Config.FlushConcurrency in-flight WRITEs; the dirty
+// pipelined with Config.flushConcurrency in-flight WRITEs; the dirty
 // set is snapshotted stripe by stripe, not stop-the-world.
 func (c *Cache) WriteBackAll() error {
 	return c.propagate(c.dirtyIDs(""))

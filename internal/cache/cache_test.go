@@ -376,7 +376,7 @@ func TestQuickNeverStale(t *testing.T) {
 
 func TestPipelinedWriteBackAll(t *testing.T) {
 	cfg := smallConfig()
-	cfg.FlushConcurrency = 4
+	cfg.flushConcurrency = 4
 	c := newTestCache(t, cfg)
 	sink := newBlockSink(cfg.BlockSize)
 	var mu sync.Mutex
@@ -416,7 +416,7 @@ func TestPipelinedWriteBackAll(t *testing.T) {
 		t.Errorf("peak concurrency = %d, want pipelining", peak)
 	}
 	if peak > 4 {
-		t.Errorf("peak concurrency = %d exceeds FlushConcurrency", peak)
+		t.Errorf("peak concurrency = %d exceeds flushConcurrency", peak)
 	}
 	if sink.writes() != runs || sink.blocks() != runs*perRun {
 		t.Errorf("%d WRITEs covering %d blocks, want %d covering %d", sink.writes(), sink.blocks(), runs, runs*perRun)
@@ -444,7 +444,7 @@ func TestWriteBackAllErrorKeepsDirty(t *testing.T) {
 
 func TestConcurrentPutDuringWriteBack(t *testing.T) {
 	cfg := smallConfig()
-	cfg.FlushConcurrency = 2
+	cfg.flushConcurrency = 2
 	c := newTestCache(t, cfg)
 	c.SetWriteBackFunc(func(nfs3.FH, uint64, []byte) error {
 		timeSleep(1 * millisecond)

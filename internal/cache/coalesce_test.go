@@ -282,7 +282,7 @@ func TestRedirtyInsideRunInFlight(t *testing.T) {
 		versions = 60
 	)
 	cfg := Config{Banks: 1, SetsPerBank: 8, Assoc: 2, BlockSize: bs,
-		Policy: WriteBack, Stripes: 4, FlushConcurrency: 4}
+		Policy: WriteBack, stripes: 4, flushConcurrency: 4}
 	c := newTestCache(t, cfg)
 	payload := func(block uint64, version int) []byte {
 		return bytes.Repeat([]byte{byte(block), byte(version)}, bs/2)
@@ -385,7 +385,7 @@ func TestRecoverCrashBetweenRunWriteAndCommits(t *testing.T) {
 	const bs = 512
 	dir := t.TempDir()
 	cfg := journalConfig(dir)
-	cfg.FlushConcurrency = 1 // runs leave one after the other, in order
+	cfg.flushConcurrency = 1 // runs leave one after the other, in order
 	c1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

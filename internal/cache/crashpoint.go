@@ -1,7 +1,7 @@
 package cache
 
 // Crash fault injection. A crashpoint names a precise moment in the
-// write-path / journal protocol; when armed (gvfsproxy -crashpoint or
+// write-path / journal protocol; when armed (gvfsproxy reads
 // GVFS_CRASHPOINT), the process SIGKILLs itself the first time
 // execution reaches that point — no deferred functions, no flushes,
 // exactly the torn state a power failure or OOM kill would leave. The

@@ -51,7 +51,7 @@ func expectedConcurrencyError(err error) bool {
 func TestTortureConcurrentOps(t *testing.T) {
 	cfg := Config{
 		Banks: 2, SetsPerBank: 4, Assoc: 2, BlockSize: 256,
-		Policy: WriteBack, Stripes: 4, FlushConcurrency: 4,
+		Policy: WriteBack, stripes: 4, flushConcurrency: 4,
 	}
 	c := newTestCache(t, cfg)
 
@@ -175,7 +175,7 @@ func TestTortureConcurrentOps(t *testing.T) {
 func TestEvictionDuringPropagate(t *testing.T) {
 	cfg := Config{
 		Banks: 1, SetsPerBank: 1, Assoc: 2, BlockSize: 256,
-		Policy: WriteBack, Stripes: 1, FlushConcurrency: 2,
+		Policy: WriteBack, stripes: 1, flushConcurrency: 2,
 	}
 	c := newTestCache(t, cfg)
 
@@ -270,7 +270,7 @@ func TestEvictionDuringPropagate(t *testing.T) {
 func TestWriteWaitsForInFlightPropagation(t *testing.T) {
 	cfg := Config{
 		Banks: 1, SetsPerBank: 2, Assoc: 2, BlockSize: 256,
-		Policy: WriteBack, Stripes: 1, FlushConcurrency: 1,
+		Policy: WriteBack, stripes: 1, flushConcurrency: 1,
 	}
 	c := newTestCache(t, cfg)
 

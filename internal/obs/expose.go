@@ -383,8 +383,8 @@ func ParseText(data []byte) (map[string]float64, error) {
 
 // ExtractExemplarTraceIDs returns every exemplar trace ID (fixed-width
 // hex) present in Prometheus text exposition output, deduplicated, in
-// first-seen order. The flightrec bench uses this to prove each
-// exposed exemplar resolves at /flightrec.
+// first-seen order. TestTracePropagationAcrossChain (internal/proxy)
+// uses it to prove each exposed exemplar resolves at /flightrec.
 func ExtractExemplarTraceIDs(data []byte) []string {
 	var out []string
 	seen := make(map[string]bool)

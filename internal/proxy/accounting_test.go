@@ -39,7 +39,6 @@ func TestDegradedReadsAttributedInStatusz(t *testing.T) {
 		CacheConfig:         &cfg,
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  2,
-		DegradedReads:       true,
 		FailureThreshold:    1,
 		ProbeInterval:       time.Hour, // keep the breaker open for the test
 	})

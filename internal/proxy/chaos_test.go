@@ -176,7 +176,6 @@ func TestChaosPartitionDegradedModeAndReplay(t *testing.T) {
 	_, node, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  2,
-		DegradedReads:       true,
 		FailureThreshold:    1,
 		ProbeInterval:       50 * time.Millisecond,
 	})
@@ -333,7 +332,6 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 		QoS: &qos.Config{
 			MaxConcurrent:  4,
 			PerClientQueue: 8,
-			Quantum:        64 << 10,
 			BrownoutEnter:  10 * time.Millisecond,
 		},
 	})

@@ -25,11 +25,14 @@ import (
 // latency), cached data keeps being served, and the breaker probes the
 // backend until it answers.
 func (p *Proxy) observeUpstream(err error) {
-	if p.breaker == nil {
+	if err == nil {
+		p.breaker.Success()
 		return
 	}
+	// Declared past the common case: errors.As makes it escape, and the
+	// heap allocation would be paid on every call that succeeds.
 	var answered *sunrpc.RPCError
-	if err == nil || errors.As(err, &answered) {
+	if errors.As(err, &answered) {
 		p.breaker.Success()
 		return
 	}

@@ -9,6 +9,7 @@ package proxy
 // — exactly once.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,6 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"gvfs/internal/backend"
+	"gvfs/internal/cache"
+	"gvfs/internal/memfs"
+	"gvfs/internal/mountd"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
 
@@ -227,5 +233,107 @@ func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 	time.Sleep(4 * interval)
 	if extra := gate.calls.Load() - settled; extra != 0 {
 		t.Errorf("%d stray probes after recovery", extra)
+	}
+}
+
+// downCaller is an upstream link that can be cut: while down every call
+// fails with a transport error, which the proxy counts as unavailable.
+type downCaller struct {
+	nfs3.Caller
+	down   atomic.Bool
+	failed atomic.Int64 // calls that reached the cut link, the breaker's NULL probes aside
+}
+
+func (d *downCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
+	if d.down.Load() {
+		if proc != nfs3.ProcNull {
+			d.failed.Add(1)
+		}
+		return nil, errors.New("link down")
+	}
+	return d.Caller.Call(prog, vers, proc, cred, args)
+}
+
+// TestEveryProxyHasTheBreaker: a proxy whose Config names no breaker
+// setting still tracks its upstream. After backend.DefaultFailureThreshold
+// consecutive unavailable calls the breaker opens; upstream calls then
+// fail fast while cached data keeps being served, and once a probe (every
+// backend.DefaultProbeInterval) finds the upstream again the dirty data is
+// written back.
+func TestEveryProxyHasTheBreaker(t *testing.T) {
+	const bs = 8192
+	fs := memfs.New()
+	if err := fs.WriteFile("/disk.img", make([]byte, 4*bs)); err != nil {
+		t.Fatal(err)
+	}
+	up := &downCaller{Caller: nfsdInProcess(t, fs)}
+	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 8, Assoc: 4,
+		BlockSize: bs, Policy: cache.WriteBack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	p, err := New(Config{Upstream: up, BlockCache: bc, WritePolicy: cache.WriteBack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Shutdown)
+	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "outage"}.Encode()
+	rpc := sunrpc.Local{H: p}
+	root, err := mountd.Mount(rpc, cred, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(rpc, cred)
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, bs)
+	if _, _, err := nc.Write(fh, 0, data, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+
+	// The origin goes away; each write-back attempt is one failed call.
+	up.down.Store(true)
+	for !p.Degraded() {
+		if up.failed.Load() > backend.DefaultFailureThreshold {
+			t.Fatalf("breaker still closed after %d unavailable calls", up.failed.Load())
+		}
+		if err := p.WriteBack(); err == nil {
+			t.Fatal("write-back succeeded with the upstream down")
+		}
+	}
+	if n := up.failed.Load(); n != backend.DefaultFailureThreshold {
+		t.Fatalf("breaker opened after %d unavailable calls, want %d", n, backend.DefaultFailureThreshold)
+	}
+
+	// Open: the dirty block is served, a miss fails fast, and neither
+	// reaches the link.
+	if got, _, err := nc.Read(fh, 0, bs); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("cached read while degraded: %v", err)
+	}
+	if _, _, err := nc.Read(fh, 2*bs, bs); err == nil {
+		t.Fatal("a miss was answered while the upstream is down")
+	}
+	if err := p.WriteBack(); err == nil {
+		t.Fatal("write-back succeeded while the breaker is open")
+	}
+	if n := up.failed.Load(); n != backend.DefaultFailureThreshold {
+		t.Errorf("%d calls reached the link while the breaker was open", n-backend.DefaultFailureThreshold)
+	}
+	if p.Snapshot().Counter("gvfs_proxy_breaker_fastfails_total") == 0 {
+		t.Error("no fast-fails counted while the breaker was open")
+	}
+
+	// The origin returns: a probe closes the breaker and the replay
+	// writes the dirty block back.
+	up.down.Store(false)
+	waitUntil(t, "replay to the origin", func() bool {
+		got, err := fs.ReadFile("/disk.img")
+		return err == nil && bytes.Equal(got[:bs], data)
+	})
+	if p.Degraded() {
+		t.Error("breaker still open after the replay")
 	}
 }

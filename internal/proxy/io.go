@@ -56,7 +56,7 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// Meta-data handling (paper §3.2.2): consult the file's meta-data
 	// on first access and act on it.
 	var zm *metaState // holds the file's zero map, when this READ is not all zero
-	if !p.cfg.DisableMeta && known {
+	if known {
 		if ms := p.metaFor(v, c); ms.m != nil {
 			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
 				if err := p.ensureFetched(args.FH, v, ms); err == nil {

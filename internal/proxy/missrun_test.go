@@ -453,7 +453,7 @@ func TestRandomMissesDoNotOverFetch(t *testing.T) {
 // its run would have been, and blocks a run installed earlier — one or
 // several to a READ — are served from the cache.
 func TestMissRunDegraded(t *testing.T) {
-	e := newRunEnv(t, 16*runBS, Config{DegradedReads: true, FailureThreshold: 1, ProbeInterval: time.Hour})
+	e := newRunEnv(t, 16*runBS, Config{FailureThreshold: 1, ProbeInterval: time.Hour})
 	e.read(t, 3, 1)
 	e.read(t, 4, 1) // installs 4..7
 	e.spy.set(func(s *spyBackend) { s.down = true })

@@ -84,10 +84,6 @@ type Config struct {
 	FileCache    *filecache.Cache
 	FileChanDial func() (net.Conn, error)
 
-	// DisableMeta turns off meta-data lookups even when a file cache
-	// is configured (for ablation experiments).
-	DisableMeta bool
-
 	// ReadAhead, when positive, fetches this many blocks — rounded up to
 	// whole nfs3.MaxTransfer-aligned runs — into the disk cache ahead of a
 	// client that is scanning a file (the paper's future-work pre-fetching
@@ -95,18 +91,16 @@ type Config struct {
 	// BlockCache.
 	ReadAhead int
 
-	// DegradedReads enables serve-from-cache degraded mode: while the
-	// upstream circuit breaker is open, cached reads keep working (as do
-	// LOOKUP/GETATTR from the attribute table, breaker or not). Setting it
-	// (or either knob below) activates upstream health tracking.
-	DegradedReads bool
-
 	// FailureThreshold is the number of consecutive upstream transport
-	// failures that opens the circuit breaker (default 3).
+	// failures that opens the proxy's circuit breaker (0 =
+	// backend.DefaultFailureThreshold). While it is open the proxy is
+	// degraded: upstream calls fail fast, cached reads keep working (as
+	// do LOOKUP/GETATTR from the attribute table), and the dirty data is
+	// replayed once a probe finds the upstream again.
 	FailureThreshold int
 
 	// ProbeInterval is the recovery-probe period while the breaker is
-	// open (default 1s).
+	// open (0 = backend.DefaultProbeInterval).
 	ProbeInterval time.Duration
 
 	// Metrics is the registry this proxy's instruments live in. Nil
@@ -230,7 +224,7 @@ type Proxy struct {
 	ra   *readAhead                // nil unless Config.ReadAhead > 0
 	idle atomic.Pointer[idleState] // nil unless StartIdleWriteBack was called
 
-	breaker *backend.Breaker // nil unless health tracking is enabled
+	breaker *backend.Breaker // upstream health: degraded mode while open
 	relay   nfs3.Caller      // control-plane next hop: Config.Upstream, or Config.Backend served in process
 }
 
@@ -269,9 +263,7 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.ReadAhead > 0 && cfg.BlockCache != nil {
 		p.ra = newReadAhead()
 	}
-	if cfg.DegradedReads || cfg.FailureThreshold > 0 || cfg.ProbeInterval > 0 {
-		p.breaker = backend.NewBreaker(cfg.FailureThreshold, cfg.ProbeInterval, p.probeUpstream, func() { go p.replayAfterRecovery() })
-	}
+	p.breaker = backend.NewBreaker(cfg.FailureThreshold, cfg.ProbeInterval, p.probeUpstream, func() { go p.replayAfterRecovery() })
 	if cfg.BlockCache != nil && !cfg.BlockCache.Config().ReadOnly {
 		cfg.BlockCache.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
 			return p.upstreamWrite(fh, off, data)

@@ -29,12 +29,11 @@ type env struct {
 }
 
 type envOptions struct {
-	policy      cache.Policy
-	noCache     bool
-	fileCache   bool
-	disableMeta bool
-	pages       int
-	link        *simnet.Link // the path to the image server, when a test counts what crosses it
+	policy    cache.Policy
+	noCache   bool
+	fileCache bool
+	pages     int
+	link      *simnet.Link // the path to the image server, when a test counts what crosses it
 }
 
 func newEnv(t testing.TB, o envOptions) *env {
@@ -58,7 +57,6 @@ func newEnv(t testing.TB, o envOptions) *env {
 		popts.FileCacheDir = t.TempDir()
 		popts.FileChanAddr = server.FileChanAddr()
 	}
-	popts.DisableMeta = o.disableMeta
 	proxyN, err := stack.StartProxy(popts)
 	if err != nil {
 		t.Fatal(err)
@@ -450,24 +448,6 @@ func dirRenameToNoKnownPath(t *testing.T) {
 	}
 }
 
-func TestDisableMetaIgnoresMetadata(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileCache: true, disableMeta: true})
-	const bs = 8192
-	state := make([]byte, 16*bs)
-	e.fs.WriteFile("/vm/mem.vmss", state)
-	m := meta.ForWholeFile(state, bs)
-	blob, _ := m.Encode()
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
-
-	if _, err := e.session.ReadFile("/vm/mem.vmss"); err != nil {
-		t.Fatal(err)
-	}
-	st := e.proxyN.Proxy.Snapshot()
-	if f, z := st.Counter("gvfs_proxy_filechan_fetches_total"), st.Counter("gvfs_proxy_zero_filtered_total"); f != 0 || z != 0 {
-		t.Errorf("metadata acted on despite DisableMeta: fetches=%d zero-filtered=%d", f, z)
-	}
-}
-
 func TestIdentityMappingAtServerProxy(t *testing.T) {
 	e := newEnv(t, envOptions{policy: cache.WriteBack})
 	if err := e.session.WriteFile("/id.dat", []byte("x")); err != nil {
@@ -696,7 +676,7 @@ func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 
 	// First proxy lifetime: read everything, save the index.
 	node1, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg, PersistIndex: true,
+		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -719,7 +699,7 @@ func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 
 	// Second lifetime over the same directory: reads hit immediately.
 	node2, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg, PersistIndex: true,
+		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // A recovery *scan* failure is returned (the operator must intervene —
 // serving with unreplayed acked writes would be silent data loss), but
 // a *replay* failure is logged and swallowed: the dirty set is safely
-// rebuilt in the cache, and the PR-1 circuit breaker replays it once
+// rebuilt in the cache, and the proxy's circuit breaker replays it once
 // the upstream answers probes again.
 func (p *Proxy) RecoverJournal() (cache.RecoveryReport, error) {
 	bc := p.cfg.BlockCache

@@ -57,7 +57,7 @@ func (s *Scheduler) updateBrownoutLocked() {
 		if cb := s.cfg.OnBrownout; cb != nil {
 			go cb(true)
 		}
-	case s.brownout.Load() && ewma <= s.cfg.BrownoutExit:
+	case s.brownout.Load() && ewma <= s.cfg.BrownoutEnter/4:
 		if now.Sub(s.lastBrownoutAt) < brownoutDwell {
 			return
 		}

@@ -51,14 +51,6 @@ type Config struct {
 	// 128). Requests beyond the bound fail with ErrQueueFull.
 	PerClientQueue int
 
-	// Quantum is the deficit-round-robin quantum in cost units
-	// (bytes) added per scheduling visit (default 64 KiB). It is also
-	// the granularity of fairness: one visit admits up to a quantum of
-	// a client's backlog before the next client is looked at, so
-	// shares are equal over spans of several quanta, not request by
-	// request.
-	Quantum int
-
 	// RatePerSec is the per-client token-bucket refill rate in cost
 	// units per second. Zero disables rate limiting (fair-share and
 	// the concurrency cap still apply).
@@ -70,17 +62,9 @@ type Config struct {
 	Burst float64
 
 	// BrownoutEnter is the sustained (EWMA) queue delay that trips
-	// brownout mode; zero disables the controller.
+	// brownout mode; zero disables the controller. Brownout clears once
+	// the EWMA falls to a quarter of it.
 	BrownoutEnter time.Duration
-
-	// BrownoutExit is the EWMA delay below which brownout clears
-	// (default BrownoutEnter/4).
-	BrownoutExit time.Duration
-
-	// IdleTTL evicts a client's scheduler state after this long with
-	// no queued or in-flight work (default 5m), bounding state under
-	// client-ID churn.
-	IdleTTL time.Duration
 
 	// Metrics, when set, registers the gvfs_qos_* family.
 	Metrics *obs.Registry
@@ -93,10 +77,19 @@ type Config struct {
 const (
 	defaultMaxConcurrent  = 64
 	defaultPerClientQueue = 128
-	defaultQuantum        = 64 << 10
-	defaultIdleTTL        = 5 * time.Minute
 	ewmaAlpha             = 0.2
 	tickInterval          = 100 * time.Millisecond
+
+	// quantum is the deficit-round-robin quantum in cost units (bytes)
+	// added per scheduling visit. It is also the granularity of
+	// fairness: one visit admits up to a quantum of a client's backlog
+	// before the next client is looked at, so shares are equal over
+	// spans of several quanta, not request by request.
+	quantum = 64 << 10
+
+	// idleTTL evicts a client's scheduler state after this long with no
+	// queued or in-flight work, bounding state under client-ID churn.
+	idleTTL = 5 * time.Minute
 )
 
 type waiterState int
@@ -181,17 +174,8 @@ func New(cfg Config) *Scheduler {
 	if cfg.PerClientQueue <= 0 {
 		cfg.PerClientQueue = defaultPerClientQueue
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = defaultQuantum
-	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.RatePerSec
-	}
-	if cfg.BrownoutExit <= 0 {
-		cfg.BrownoutExit = cfg.BrownoutEnter / 4
-	}
-	if cfg.IdleTTL <= 0 {
-		cfg.IdleTTL = defaultIdleTTL
 	}
 	s := &Scheduler{
 		cfg:     cfg,
@@ -344,7 +328,7 @@ func (s *Scheduler) clientLocked(name string, now time.Time) *client {
 	}
 	for id, cs := range s.clients {
 		if cs.live == 0 && cs.inflight == 0 && !cs.inRing &&
-			now.Sub(cs.lastActive) > s.cfg.IdleTTL {
+			now.Sub(cs.lastActive) > idleTTL {
 			delete(s.clients, id)
 		}
 	}
@@ -441,12 +425,12 @@ func (s *Scheduler) dispatchLocked(now time.Time) {
 			}
 			cs.refillLocked(now, &s.cfg)
 			if !resumed {
-				cs.deficit += s.cfg.Quantum
-				// Cap the deficit at what the head actually needs so a
-				// token-starved client cannot bank unbounded credit.
-				if head := cs.queue[0]; cs.deficit > head.cost && cs.deficit > s.cfg.Quantum {
-					cs.deficit = maxInt(head.cost, s.cfg.Quantum)
-				}
+				// Cap the deficit one quantum past what the head needs so a
+				// token-starved client cannot bank unbounded credit. A
+				// client the deficit alone held back had less than its head
+				// left, so it keeps that credit, as deficit round-robin's
+				// fairness bound needs.
+				cs.deficit = min(cs.deficit, cs.queue[0].cost) + quantum
 			}
 			for s.inflight < s.cfg.MaxConcurrent {
 				cs.pruneLocked()
@@ -552,11 +536,4 @@ func (s *Scheduler) Snapshot() []TenantStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

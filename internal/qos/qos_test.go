@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,14 +90,14 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	r()
 }
 
-// With one execution slot, two backlogged clients and a quantum of one
-// request's cost, deficit round-robin alternates admissions — the
+// With one execution slot, two backlogged clients and requests that each
+// cost one quantum, deficit round-robin alternates admissions — the
 // flooding client's extra queue depth buys it nothing, whichever of
-// the two reached the ring first. (Fairness is per quantum of cost:
-// under the default 64 KiB quantum a visit rightly drains thousands of
-// cost-1 requests from one client before moving on.)
+// the two reached the ring first. (Fairness is per quantum of cost: a
+// visit rightly drains thousands of cost-1 requests from one client
+// before moving on.)
 func TestFairShareAlternates(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64, Quantum: 1})
+	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64})
 	defer s.Close()
 	hold, err := s.Admit("seed", 1, time.Time{})
 	if err != nil {
@@ -109,7 +112,7 @@ func TestFairShareAlternates(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r, err := s.Admit(client, 1, time.Time{})
+				r, err := s.Admit(client, quantum, time.Time{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -146,12 +149,12 @@ func TestFairShareAlternates(t *testing.T) {
 	}
 }
 
-// Costs weight the round-robin: with quantum 4 and client A sending
-// cost-4 requests against client B's cost-1 requests, each round
-// serves 4 of A's bytes and 4 of B's — equal byte shares, not equal
-// request counts.
+// Costs weight the round-robin: with client A sending requests of one
+// quantum against client B's of a quarter quantum, each round serves a
+// quantum of A's bytes and a quantum of B's — equal byte shares, not
+// equal request counts.
 func TestFairShareByBytes(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64, Quantum: 4})
+	s := New(Config{MaxConcurrent: 1, PerClientQueue: 64})
 	defer s.Close()
 	hold, err := s.Admit("seed", 1, time.Time{})
 	if err != nil {
@@ -178,8 +181,8 @@ func TestFairShareByBytes(t *testing.T) {
 			}()
 		}
 	}
-	enqueue("heavy", 4, 16, &bytesA)
-	enqueue("light", 1, 48, &bytesB)
+	enqueue("heavy", quantum, 16, &bytesA)
+	enqueue("light", quantum/4, 48, &bytesB)
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -325,7 +328,7 @@ func TestCloseFailsQueuedWaiters(t *testing.T) {
 // Idle tenant state is evicted past the TTL so client-ID churn cannot
 // grow the heap without bound.
 func TestIdleClientEviction(t *testing.T) {
-	s := New(Config{IdleTTL: time.Minute})
+	s := New(Config{})
 	defer s.Close()
 	base := time.Now()
 	s.now = func() time.Time { return base }
@@ -336,7 +339,7 @@ func TestIdleClientEviction(t *testing.T) {
 		}
 		r()
 	}
-	s.now = func() time.Time { return base.Add(2 * time.Minute) }
+	s.now = func() time.Time { return base.Add(2 * idleTTL) }
 	r, err := s.Admit("fresh", 1, time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -390,6 +393,110 @@ func TestConcurrentStress(t *testing.T) {
 		defer s.mu.Unlock()
 		return s.inflight == 0 && s.queued == 0
 	})
+}
+
+// TestFairShareProperty drives random per-tenant costs (up to one
+// quantum each) in random arrival orders through one scheduler with one
+// execution slot, and checks the deficit round-robin bound: while every
+// tenant is backlogged, after each round of visits each tenant's
+// admitted bytes are within one quantum of the fair share (the mean).
+// With costs of at most a quantum every visit admits something, so a
+// visit is a run of consecutive admissions of one tenant, and a round is
+// as many visits as there are tenants.
+func TestFairShareProperty(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { checkFairShare(t, seed) })
+	}
+}
+
+type admission struct {
+	tenant int
+	cost   int
+}
+
+func checkFairShare(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	tenants := 2 + rng.Intn(4)
+	var arrivals []admission
+	queued := make([]int, tenants)
+	for i := range queued {
+		// Calls of up to maxCost bytes, from 1/32 of a quantum to a whole
+		// one, and enough of them to keep the tenant backlogged for rounds.
+		maxCost := quantum/32 + rng.Intn(quantum-quantum/32+1)
+		for total, budget := 0, (12+rng.Intn(8))*quantum; total < budget; queued[i]++ {
+			cost := 1 + rng.Intn(maxCost)
+			total += cost
+			arrivals = append(arrivals, admission{i, cost})
+		}
+	}
+	rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+
+	s := New(Config{MaxConcurrent: 1, PerClientQueue: len(arrivals)})
+	defer s.Close()
+	hold, err := s.Admit("seed", 1, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var order []admission
+	var wg sync.WaitGroup
+	for k, a := range arrivals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := s.Admit(fmt.Sprint("t", a.tenant), a.cost, time.Time{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			order = append(order, a)
+			mu.Unlock()
+			r()
+		}()
+		// One arrival at a time, so the arrival order is the shuffled one.
+		for {
+			s.mu.Lock()
+			n := s.queued
+			s.mu.Unlock()
+			if n == k+1 {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	hold()
+	wg.Wait()
+
+	admitted := make([]int, tenants)
+	visits, rounds := 0, 0
+	for i, a := range order {
+		admitted[a.tenant] += a.cost
+		queued[a.tenant]--
+		if i+1 < len(order) && order[i+1].tenant == a.tenant {
+			continue // the visit goes on
+		}
+		if visits++; visits%tenants != 0 {
+			continue
+		}
+		if slices.Contains(queued, 0) {
+			break // a tenant ran dry: the bound is for backlogged ones
+		}
+		total := 0
+		for _, b := range admitted {
+			total += b
+		}
+		for j, got := range admitted {
+			if fair := total / tenants; got < fair-quantum || got > fair+quantum {
+				t.Fatalf("after %d rounds tenant %d has %d bytes, fair share %d ± %d (all: %v)",
+					visits/tenants, j, got, fair, quantum, admitted)
+			}
+		}
+		rounds++
+	}
+	if rounds < 2 {
+		t.Fatalf("%d rounds with every tenant backlogged, want at least 2", rounds)
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

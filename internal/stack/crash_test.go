@@ -144,7 +144,6 @@ func TestStartProxyChecksumRefetch(t *testing.T) {
 	node1, err := stack.StartProxy(stack.ProxyOptions{
 		UpstreamAddr: server.Addr,
 		CacheConfig:  crashCacheConfig(cacheDir),
-		PersistIndex: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +185,6 @@ func TestStartProxyChecksumRefetch(t *testing.T) {
 	node2, err := stack.StartProxy(stack.ProxyOptions{
 		UpstreamAddr: server.Addr,
 		CacheConfig:  crashCacheConfig(cacheDir),
-		PersistIndex: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,12 +15,11 @@ import (
 )
 
 // LogFlags collects the structured-logging knobs shared by every GVFS
-// daemon (gvfsproxy and gvfsd bind the same three flags). Logger()
-// turns the parsed values into the process logger.
+// daemon (gvfsproxy and gvfsd bind the same two flags). Logger() turns
+// the parsed values into the process logger.
 type LogFlags struct {
 	Level string // minimum severity recorded
 	File  string // optional log file appended alongside stderr
-	Ring  int    // /logz ring capacity (0 = no ring)
 }
 
 // BindLogFlags registers the logging flags on fs.
@@ -28,13 +27,12 @@ func BindLogFlags(fs *flag.FlagSet) *LogFlags {
 	f := &LogFlags{}
 	fs.StringVar(&f.Level, "log-level", "info", "minimum log severity: debug | info | warn | error")
 	fs.StringVar(&f.File, "log-file", "", "append structured log lines to this file as well as stderr")
-	fs.IntVar(&f.Ring, "log-ring", obs.DefaultLogRing, "retain the last N structured events for /logz (0 = no ring)")
 	return f
 }
 
 // Logger builds the daemon's structured logger from the parsed flags:
-// text lines to stderr (plus -log-file when given), a bounded event
-// ring for /logz, and per-level counters in metrics. The returned
+// text lines to stderr (plus -log-file when given), a ring of the last
+// obs.DefaultLogRing events for /logz, and per-level counters in metrics. The returned
 // close function releases the log file; call it at shutdown.
 func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger, func(), error) {
 	level, err := obs.ParseLevel(f.Level)
@@ -51,14 +49,10 @@ func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger,
 		out = io.MultiWriter(os.Stderr, fl)
 		closeFn = func() { fl.Close() }
 	}
-	var ring *obs.LogRing
-	if f.Ring > 0 {
-		ring = obs.NewLogRing(f.Ring)
-	}
 	log := obs.NewLogger(obs.LoggerConfig{
 		Level:   level,
 		Output:  out,
-		Ring:    ring,
+		Ring:    obs.NewLogRing(obs.DefaultLogRing),
 		Metrics: metrics,
 	})
 	return log.Named(component), closeFn, nil
@@ -75,7 +69,6 @@ type ProxyFlags struct {
 	Listen      string        // listen address for local NFS clients
 	MetricsAddr string        // observability HTTP endpoint (empty = off)
 	StatsEvery  time.Duration // periodic stats logging (0 = off)
-	Crashpoint  string        // fault injection: die at this named point (testing)
 	Log         *LogFlags     // shared logging flags (gvfsd binds them standalone)
 
 	// Strings Options() parses into typed option values.
@@ -104,7 +97,6 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.StringVar(&o.ObjstoreDir, "objstore-dir", "", "object store directory (required with -backend objstore)")
 	fs.StringVar(&f.ReplicaSpecs, "replicas", "", "comma-separated replica specs for -backend repl: objstore:<dir> | nfs3:<host:port> (first is the write primary)")
 	fs.BoolVar(&r.Quorum, "repl-quorum", false, "acknowledge writes after a majority of replicas instead of the primary only")
-	fs.Float64Var(&r.HedgeQuantile, "repl-hedge-quantile", 0, "latency quantile arming hedged reads (0 = default 0.95, negative = hedging off)")
 	fs.DurationVar(&r.ScrubInterval, "repl-scrub", 0, "background scrub/read-repair pass interval (0 = default 30s, negative = off)")
 	fs.BoolVar(&c.Dedup, "dedup", false, "share identical cached blocks across files (content-addressed dedup; needs -cache-dir)")
 	fs.StringVar(&c.Dir, "cache-dir", "", "block cache directory (empty = no disk cache)")
@@ -113,18 +105,14 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.IntVar(&c.Assoc, "cache-assoc", 16, "cache associativity")
 	fs.IntVar(&c.BlockSize, "cache-block", 8192, "cache block size (<= 32768)")
 	fs.StringVar(&f.Policy, "policy", "write-back", "write policy: write-back | write-through")
-	fs.BoolVar(&c.Journal, "journal", true, "journal dirty blocks before acking writes (write-back only)")
-	fs.StringVar(&f.JournalSync, "journal-sync", "batch", "journal durability: batch (group fsync) | always (fsync per write) | none (testing)")
-	fs.StringVar(&f.Crashpoint, "crashpoint", os.Getenv("GVFS_CRASHPOINT"), "fault injection: SIGKILL the process at this named point (testing only)")
+	fs.StringVar(&f.JournalSync, "journal-sync", "batch", "write-back journal durability: batch (group fsync) | always (fsync per write) | none (testing)")
 	fs.StringVar(&o.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
 	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address")
 	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead in blocks, rounded up to 32 KiB runs (0 = off)")
-	fs.BoolVar(&o.PersistIndex, "persist-index", true, "reload/save the disk cache index across restarts")
 	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")
 	fs.DurationVar(&o.UpstreamCallTimeout, "call-timeout", 0, "per-call deadline on upstream RPCs (0 = wait forever)")
 	fs.IntVar(&o.UpstreamMaxRetries, "max-retries", 0, "retransmission attempts for idempotent upstream calls (0 = no retries; the replicas of -backend repl never retransmit, the set fails over)")
-	fs.BoolVar(&o.DegradedReads, "degraded-reads", false, "serve cached data while the upstream is unreachable")
 	fs.IntVar(&o.FailureThreshold, "failure-threshold", 0, "consecutive upstream failures that open the circuit breaker, or mark one replica of -backend repl down (0 = default)")
 	fs.DurationVar(&o.ProbeInterval, "probe-interval", 0, "recovery probe period while the breaker is open, or a replica is down (0 = default)")
 	fs.StringVar(&f.MetricsAddr, "metrics", "", "serve /metrics, /traces, /logz, /flightrec, /statusz and /debug on this address (empty = off)")
@@ -134,11 +122,9 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.BoolVar(&f.qosOn, "qos", false, "enable per-client admission control and fair-share scheduling")
 	fs.IntVar(&q.MaxConcurrent, "qos-inflight", 0, "global concurrent-call cap under -qos (0 = default 64)")
 	fs.IntVar(&q.PerClientQueue, "qos-queue", 0, "per-client admission queue bound under -qos (0 = default 128)")
-	fs.IntVar(&q.Quantum, "qos-quantum", 0, "fair-share round-robin quantum in bytes (0 = default 64KiB)")
 	fs.Float64Var(&q.RatePerSec, "qos-rate", 0, "per-client token-bucket rate in bytes/s (0 = no rate limit)")
 	fs.Float64Var(&q.Burst, "qos-burst", 0, "per-client token-bucket capacity in bytes (0 = rate)")
 	fs.DurationVar(&q.BrownoutEnter, "brownout-enter", 0, "sustained queue delay that trips brownout degradation (0 = off)")
-	fs.DurationVar(&q.BrownoutExit, "brownout-exit", 0, "queue delay below which brownout clears (0 = enter/4)")
 	fs.DurationVar(&o.CallBudget, "call-budget", 0, "default end-to-end deadline for calls without a propagated budget (0 = off)")
 	fs.BoolVar(&o.Cachean, "cachean", false, "enable cache analytics: miss-ratio curves, working sets, what-if sizing (/cachez)")
 	f.Log = BindLogFlags(fs)
@@ -203,6 +189,7 @@ func (f *ProxyFlags) Options() (ProxyOptions, error) {
 		return ProxyOptions{}, fmt.Errorf("unknown -backend %q (want nfs3, objstore or repl)", opts.Backend)
 	}
 	cc := f.cache
+	cc.Journal = true // dirty blocks are journaled before a write-back WRITE is acknowledged
 	if cc.Policy, err = ParsePolicy(f.Policy); err != nil {
 		return ProxyOptions{}, err
 	}

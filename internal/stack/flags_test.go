@@ -2,9 +2,11 @@ package stack
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -43,12 +45,12 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 		"-policy", "write-through",
 		"-journal-sync", "always",
 		"-filecache-dir", "/tmp/fcache", "-filechan", "img:7050",
-		"-readahead", "4", "-persist-index=false",
+		"-readahead", "4",
 		"-idle-writeback", "5s", "-call-timeout", "2s", "-max-retries", "3",
-		"-degraded-reads", "-failure-threshold", "7", "-probe-interval", "1s",
+		"-failure-threshold", "7", "-probe-interval", "1s",
 		"-metrics", "127.0.0.1:9049", "-trace-ring", "256",
 		"-flightrec", "128", "-slow-threshold", "150ms",
-		"-log-level", "debug", "-log-file", "/tmp/gvfs.log", "-log-ring", "512",
+		"-log-level", "debug", "-log-file", "/tmp/gvfs.log",
 	)
 	if f.Listen != "127.0.0.1:9999" || f.MetricsAddr != "127.0.0.1:9049" || f.StatsEvery != 0 {
 		t.Errorf("daemon fields wrong: %+v", f)
@@ -80,13 +82,13 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 	if string(opts.FileChanKey) != string(key) {
 		t.Error("file channel must reuse the session key")
 	}
-	if opts.ReadAhead != 4 || opts.PersistIndex || opts.IdleWriteBack != 5*time.Second {
+	if opts.ReadAhead != 4 || opts.IdleWriteBack != 5*time.Second {
 		t.Errorf("behaviour knobs wrong: %+v", opts)
 	}
 	if opts.UpstreamCallTimeout != 2*time.Second || opts.UpstreamMaxRetries != 3 {
 		t.Errorf("fault-tolerance knobs wrong: %+v", opts)
 	}
-	if !opts.DegradedReads || opts.FailureThreshold != 7 || opts.ProbeInterval != time.Second {
+	if opts.FailureThreshold != 7 || opts.ProbeInterval != time.Second {
 		t.Errorf("breaker knobs wrong: %+v", opts)
 	}
 	if opts.TraceRing != 256 {
@@ -101,7 +103,7 @@ func TestProxyFlagsFullCommandLine(t *testing.T) {
 	if f.Log == nil {
 		t.Fatal("BindProxyFlags must bind log flags")
 	}
-	if f.Log.Level != "debug" || f.Log.File != "/tmp/gvfs.log" || f.Log.Ring != 512 {
+	if f.Log.Level != "debug" || f.Log.File != "/tmp/gvfs.log" {
 		t.Errorf("log flags wrong: %+v", f.Log)
 	}
 }
@@ -110,7 +112,7 @@ func TestLogFlagsLogger(t *testing.T) {
 	logFile := filepath.Join(t.TempDir(), "out.log")
 	fs := flag.NewFlagSet("gvfsd", flag.ContinueOnError)
 	lf := BindLogFlags(fs)
-	if err := fs.Parse([]string{"-log-level", "warn", "-log-file", logFile, "-log-ring", "8"}); err != nil {
+	if err := fs.Parse([]string{"-log-level", "warn", "-log-file", logFile}); err != nil {
 		t.Fatal(err)
 	}
 	logger, closeLog, err := lf.Logger("testd", nil)
@@ -129,7 +131,7 @@ func TestLogFlagsLogger(t *testing.T) {
 		t.Errorf("level filter not applied to file sink:\n%s", out)
 	}
 	if ring := logger.Ring(); ring == nil {
-		t.Error("-log-ring 8 must attach a ring")
+		t.Error("the logger must keep a /logz ring")
 	} else if evs := ring.Events(); len(evs) != 1 || evs[0].Msg != "at threshold" {
 		t.Errorf("ring events = %+v, want the single warn event", evs)
 	}
@@ -142,7 +144,7 @@ func TestLogFlagsLogger(t *testing.T) {
 }
 
 func TestProxyFlagsDefaultsAndErrors(t *testing.T) {
-	// Defaults: no cache, write-back policy, persist-index on.
+	// Defaults: no cache, write-back policy.
 	f := parseFlags(t, "-upstream", "up:1")
 	opts, err := f.Options()
 	if err != nil {
@@ -150,9 +152,6 @@ func TestProxyFlagsDefaultsAndErrors(t *testing.T) {
 	}
 	if opts.CacheConfig != nil || opts.FileCacheDir != "" || opts.UpstreamKey != nil {
 		t.Errorf("defaults produced non-empty optional config: %+v", opts)
-	}
-	if !opts.PersistIndex {
-		t.Error("persist-index must default to true")
 	}
 
 	// Missing -upstream is an error.
@@ -167,7 +166,7 @@ func TestProxyFlagsDefaultsAndErrors(t *testing.T) {
 	if _, err := parseFlags(t, "-upstream", "u:1", "-journal-sync", "bogus").Options(); err == nil {
 		t.Error("bogus journal-sync must be rejected")
 	}
-	// Journaling defaults on with batched sync.
+	// Journaling is always on, with batched sync by default.
 	f2 := parseFlags(t, "-upstream", "u:1", "-cache-dir", "/tmp/c")
 	opts2, err := f2.Options()
 	if err != nil {
@@ -216,7 +215,7 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Options(%v): %v", args, err)
 		}
-		return outcome{opts, []any{f.Listen, f.MetricsAddr, f.StatsEvery, f.Crashpoint, *f.Log}}
+		return outcome{opts, []any{f.Listen, f.MetricsAddr, f.StatsEvery, *f.Log}}
 	}
 	want := result(base)
 
@@ -251,14 +250,16 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 			t.Errorf("-%s=%s changes neither Options() nor a daemon-level field", fl.Name, val)
 		}
 	})
-	// 47 since PR 17. Flush in runs (PR 16) took a flag away; miss in
-	// runs added none: the run is decided from what the proxy observes.
-	if n > 47 {
-		t.Errorf("BindProxyFlags registers %d flags, want <= 47", n)
+	// Defaults instead of knobs: health tracking, index reload and the
+	// journal are always on, and the values nobody set are constants.
+	if n > 39 {
+		t.Errorf("BindProxyFlags registers %d flags, want <= 39", n)
 	}
 	for _, gone := range []string{"statusz-topn", "audit-ring", "acct-entries", "acct-ttl",
 		"cachean-sample-rate", "cachean-window", "cache-stripes", "readahead-pipeline",
-		"repl-fail-threshold", "repl-probe-interval"} {
+		"repl-fail-threshold", "repl-probe-interval",
+		"degraded-reads", "persist-index", "journal", "crashpoint",
+		"qos-quantum", "brownout-exit", "log-ring", "repl-hedge-quantile"} {
 		if fs.Lookup(gone) != nil {
 			t.Errorf("-%s is registered again; it was deleted as a one-value or duplicate knob", gone)
 		}
@@ -270,7 +271,62 @@ func TestEveryFlagReachesOptions(t *testing.T) {
 			t.Errorf("field %s is declared in both ProxyFlags and ProxyOptions", ft.Field(i).Name)
 		}
 	}
-	if ot.NumField() > 38 {
-		t.Errorf("ProxyOptions has %d fields, want <= 38", ot.NumField())
+	if ot.NumField() > 34 {
+		t.Errorf("ProxyOptions has %d fields, want <= 34", ot.NumField())
+	}
+}
+
+// TestDesignFlagTable holds DESIGN.md §3.1's flag table to what
+// BindProxyFlags registers: the same names, each with the same default
+// (`""` for an empty string; a zero duration is written 0).
+func TestDesignFlagTable(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(doc)
+	start := strings.Index(text, "### 3.1 Configuration surface")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §3.1 Configuration surface")
+	}
+	text = text[start:]
+	if end := strings.Index(text[1:], "\n### "); end >= 0 {
+		text = text[:end+1]
+	}
+	row := regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\| ([^|]*) \\|")
+	table := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(text, -1) {
+		if _, dup := table[m[1]]; dup {
+			t.Errorf("-%s has two rows", m[1])
+		}
+		table[m[1]] = strings.TrimSpace(m[2])
+	}
+
+	fs := flag.NewFlagSet("gvfsproxy", flag.ContinueOnError)
+	BindProxyFlags(fs)
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		want := fl.DefValue
+		switch want {
+		case "":
+			want = `""`
+		case "0s":
+			want = "0"
+		}
+		got, ok := table[fl.Name]
+		switch {
+		case !ok:
+			t.Errorf("-%s is registered but has no row in DESIGN.md §3.1", fl.Name)
+		case got != want:
+			t.Errorf("-%s: DESIGN.md §3.1 says default %s, BindProxyFlags registers %s", fl.Name, got, want)
+		}
+		delete(table, fl.Name)
+	})
+	for name := range table {
+		t.Errorf("DESIGN.md §3.1 has a row for -%s, which BindProxyFlags does not register", name)
+	}
+	if want := "— " + fmt.Sprint(n) + " flags;"; !strings.Contains(strings.Join(strings.Fields(text), " "), want) {
+		t.Errorf("DESIGN.md §3.1 does not say %q", want)
 	}
 }

@@ -331,7 +331,9 @@ type ProxyOptions struct {
 	// CacheConfig enables the block-based disk cache (Dir required).
 	// All fields pass through verbatim (see cache.Config), Dedup
 	// included: identical blocks across files — N cloned VM images —
-	// then share one cached frame.
+	// then share one cached frame. A cache-tag snapshot that a previous
+	// proxy saved in Dir (Cache.SaveIndex) is reloaded at startup, so a
+	// restarted proxy resumes with a warm disk cache.
 	CacheConfig *cache.Config
 
 	// SharedBlockCache lets several proxies serve from one disk cache
@@ -347,29 +349,18 @@ type ProxyOptions struct {
 	FileChanLink *simnet.Link
 	FileChanKey  []byte
 
-	// DisableMeta turns meta-data handling off (ablations).
-	DisableMeta bool
-
 	// ReadAhead enables sequential read-ahead of this many blocks,
 	// rounded up to 32 KiB runs, at the proxy (requires CacheConfig).
 	ReadAhead int
-
-	// PersistIndex reloads a saved cache-tag snapshot from the cache
-	// directory at startup, so a restarted proxy resumes with a warm
-	// disk cache. Pair with Cache.SaveIndex at shutdown.
-	PersistIndex bool
 
 	// IdleWriteBack, when positive, starts the proxy's idle writer:
 	// dirty session data is propagated automatically once the session
 	// has been quiet this long (paper §3.2.3).
 	IdleWriteBack time.Duration
 
-	// DegradedReads serves cached data while the upstream is down; see
-	// proxy.Config.DegradedReads.
-	DegradedReads bool
 	// FailureThreshold and ProbeInterval tune the upstream circuit
-	// breaker (proxy.Config fields of the same names) and, under
-	// BackendRepl, each replica's.
+	// breaker every proxy has (proxy.Config fields of the same names)
+	// and, under BackendRepl, each replica's.
 	FailureThreshold int
 	ProbeInterval    time.Duration
 
@@ -554,9 +545,7 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 
 	cfg := proxy.Config{
 		Mapper:           opts.Mapper,
-		DisableMeta:      opts.DisableMeta,
 		ReadAhead:        opts.ReadAhead,
-		DegradedReads:    opts.DegradedReads,
 		FailureThreshold: opts.FailureThreshold,
 		ProbeInterval:    opts.ProbeInterval,
 		Metrics:          opts.Metrics,
@@ -636,10 +625,8 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 			return nil, err
 		}
 		n.onClose(func() { bc.Close() })
-		if opts.PersistIndex {
-			if err := bc.LoadIndex(); err != nil {
-				return nil, fmt.Errorf("stack: reload cache index: %w", err)
-			}
+		if err := bc.LoadIndex(); err != nil {
+			return nil, fmt.Errorf("stack: reload cache index: %w", err)
 		}
 		n.BlockCache = bc
 		cfg.WritePolicy = ccfg.Policy
