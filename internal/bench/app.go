@@ -5,6 +5,7 @@ import (
 	"path"
 	"time"
 
+	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/stack"
 	"gvfs/internal/vm"
@@ -194,11 +195,10 @@ func (o Options) fullStateTransfer(dep *Deployment, upload bool) (time.Duration,
 		}
 		defer conn.Close()
 		if upload {
-			data := make([]byte, spec.MemoryBytes+spec.DiskBytes)
-			return uploadBytes(conn, "/vm/upload.img", data)
+			return uploadZeros(conn, "/vm/upload.img", spec.MemoryBytes+spec.DiskBytes)
 		}
 		for _, f := range []string{spec.MemStateFile(), spec.DiskFile()} {
-			if _, err := fetchFile(conn, path.Join("/vm", f)); err != nil {
+			if _, err := filechan.Copy(conn, path.Join("/vm", f)); err != nil {
 				return err
 			}
 		}

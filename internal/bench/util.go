@@ -1,17 +1,21 @@
 package bench
 
 import (
+	"io"
 	"net"
 
 	"gvfs/internal/filechan"
 )
 
-// fetchFile pulls one file uncompressed over an open file channel.
-func fetchFile(conn net.Conn, path string) ([]byte, error) {
-	return filechan.Fetch(conn, path, false)
+// uploadZeros pushes size zero bytes uncompressed over an open file
+// channel.
+func uploadZeros(conn net.Conn, path string, size uint64) error {
+	return filechan.PutFrom(conn, path, io.LimitReader(zeros{}, int64(size)), size, false)
 }
 
-// uploadBytes pushes data uncompressed over an open file channel.
-func uploadBytes(conn net.Conn, path string, data []byte) error {
-	return filechan.Put(conn, path, data, false)
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }

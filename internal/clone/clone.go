@@ -172,11 +172,11 @@ func SCPCopy(dial func() (net.Conn, error), goldenDir, name string) (uint64, tim
 	defer conn.Close()
 	var total uint64
 	for _, file := range []string{name + ".vmx", name + ".vmss", name + ".vmdk"} {
-		data, err := filechan.Copy(conn, path.Join(goldenDir, file))
+		n, err := filechan.Copy(conn, path.Join(goldenDir, file))
 		if err != nil {
 			return total, time.Since(start), fmt.Errorf("clone: scp %s: %w", file, err)
 		}
-		total += uint64(len(data))
+		total += n
 	}
 	return total, time.Since(start), nil
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,7 @@ type entry struct {
 	local string // local file path
 	size  uint64
 	dirty bool
+	gen   uint64 // counts local modifications, so a flush knows if one raced it
 }
 
 // Stats reports file-cache counters.
@@ -64,17 +66,50 @@ func (c *Cache) localName(path string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:16]))
 }
 
-// Store caches the full contents of path.
-func (c *Cache) Store(path string, data []byte) error {
-	local := c.localName(path)
-	if err := os.WriteFile(local, data, 0644); err != nil {
-		return err
+// Fill caches path's full contents as fill writes them to w. The bytes
+// go to a temporary file that replaces any entry for path only if fill
+// returns nil, so a failed transfer leaves no entry. It returns the
+// size cached.
+func (c *Cache) Fill(path string, fill func(w io.Writer) error) (uint64, error) {
+	tmp, err := os.CreateTemp(c.dir, "fill-*")
+	if err != nil {
+		return 0, err
+	}
+	size, err := fillTemp(tmp, fill)
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.localName(path))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[path] = &entry{local: local, size: uint64(len(data))}
+	c.entries[path] = &entry{local: c.localName(path), size: size}
 	c.stores++
-	return nil
+	return size, nil
+}
+
+// fillTemp runs fill into tmp, closes it and returns its size.
+func fillTemp(tmp *os.File, fill func(w io.Writer) error) (uint64, error) {
+	err := fill(tmp)
+	var size int64
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	return uint64(size), err
+}
+
+// Store caches the full contents of path.
+func (c *Cache) Store(path string, data []byte) error {
+	_, err := c.Fill(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
 }
 
 // Has reports whether path is cached.
@@ -145,6 +180,7 @@ func (c *Cache) WriteAt(path string, off uint64, data []byte) error {
 		return ErrNotCached
 	}
 	e.dirty = true
+	e.gen++
 	if end := off + uint64(len(data)); end > e.size {
 		e.size = end
 	}
@@ -169,27 +205,33 @@ func (c *Cache) Truncate(path string, size uint64) error {
 	}
 	e.size = size
 	e.dirty = true
+	e.gen++
 	local := e.local
 	c.mu.Unlock()
 	return os.Truncate(local, int64(size))
 }
 
-// Contents returns the full cached contents of path.
-func (c *Cache) Contents(path string) ([]byte, error) {
+// Open returns a reader of path's cached contents and their size.
+func (c *Cache) Open(path string) (io.ReadCloser, uint64, error) {
 	c.mu.Lock()
 	e, ok := c.entries[path]
+	var local string
+	var size uint64
+	if ok {
+		local, size = e.local, e.size
+	}
 	c.mu.Unlock()
 	if !ok {
-		return nil, ErrNotCached
+		return nil, 0, ErrNotCached
 	}
-	data, err := os.ReadFile(e.local)
+	f, err := os.Open(local)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if uint64(len(data)) > e.size {
-		data = data[:e.size]
-	}
-	return data, nil
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.NewSectionReader(f, 0, int64(size)), f}, size, nil
 }
 
 // Dirty reports whether path has local modifications.
@@ -211,15 +253,6 @@ func (c *Cache) DirtyPaths() []string {
 		}
 	}
 	return out
-}
-
-// MarkClean clears the dirty flag after an upload.
-func (c *Cache) MarkClean(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[path]; ok {
-		e.dirty = false
-	}
 }
 
 // Invalidate removes path from the cache. Dirty data is discarded;
@@ -254,8 +287,9 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// FlushFunc uploads one dirty file (e.g. via filechan.Put).
-type FlushFunc func(path string, data []byte) error
+// FlushFunc uploads one dirty file of size bytes read from r (e.g. via
+// filechan.PutFrom).
+type FlushFunc func(path string, r io.Reader, size uint64) error
 
 // Flush uploads every dirty entry through fn and marks them clean.
 func (c *Cache) Flush(fn FlushFunc) error { return c.flush(c.DirtyPaths(), fn) }
@@ -283,20 +317,36 @@ func (c *Cache) Evict(prefix string, fn FlushFunc) error {
 
 func (c *Cache) flush(paths []string, fn FlushFunc) error {
 	for _, p := range paths {
-		if !c.Dirty(p) {
+		var gen uint64
+		c.mu.Lock()
+		e, dirty := c.entries[p]
+		if dirty {
+			dirty, gen = e.dirty, e.gen
+		}
+		c.mu.Unlock()
+		if !dirty {
 			continue
 		}
-		data, err := c.Contents(p)
-		if err != nil {
-			return fmt.Errorf("filecache: flush %s: %w", p, err)
-		}
-		if err := fn(p, data); err != nil {
+		if err := c.upload(p, fn); err != nil {
 			return fmt.Errorf("filecache: flush %s: %w", p, err)
 		}
 		c.mu.Lock()
 		c.flushes++
+		// A write that landed during the upload may be missing from it.
+		if e, ok := c.entries[p]; ok && e.gen == gen {
+			e.dirty = false
+		}
 		c.mu.Unlock()
-		c.MarkClean(p)
 	}
 	return nil
+}
+
+// upload streams path's cached contents through fn.
+func (c *Cache) upload(path string, fn FlushFunc) error {
+	r, size, err := c.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	return fn(path, r, size)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"testing"
 )
@@ -104,13 +106,72 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
+// contents reads path's whole cached copy through Open.
+func contents(t *testing.T, c *Cache, path string) []byte {
+	t.Helper()
+	r, size, err := c.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	if err != nil || uint64(len(data)) != size {
+		t.Fatalf("%s: read %d of %d bytes: %v", path, len(data), size, err)
+	}
+	return data
+}
+
 func TestContents(t *testing.T) {
 	c := newCache(t)
 	data := []byte("whole file contents")
 	c.Store("/f", data)
-	got, err := c.Contents("/f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Errorf("got %q err=%v", got, err)
+	if got := contents(t, c, "/f"); !bytes.Equal(got, data) {
+		t.Errorf("got %q", got)
+	}
+	c.Truncate("/f", 5)
+	if got := contents(t, c, "/f"); string(got) != "whole" {
+		t.Errorf("after truncate: %q", got)
+	}
+	if _, _, err := c.Open("/missing"); !errors.Is(err, ErrNotCached) {
+		t.Errorf("Open of a path not cached: %v", err)
+	}
+}
+
+// A fill that fails leaves no entry and no file behind, and keeps the
+// entry it would have replaced.
+func TestFillFailureLeavesNoEntry(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := errors.New("connection dropped")
+	half := func(w io.Writer) error {
+		w.Write([]byte("half a file"))
+		return cut
+	}
+	if _, err := c.Fill("/new", half); !errors.Is(err, cut) {
+		t.Errorf("Fill: %v", err)
+	}
+	if c.Has("/new") {
+		t.Error("a failed fill left an entry")
+	}
+	c.Store("/old", []byte("old copy"))
+	if _, err := c.Fill("/old", half); !errors.Is(err, cut) {
+		t.Errorf("Fill over an entry: %v", err)
+	}
+	if got := contents(t, c, "/old"); string(got) != "old copy" {
+		t.Errorf("a failed fill replaced the entry: %q", got)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 1 {
+		t.Errorf("%d files in the cache directory, want the one entry's", len(files))
+	}
+	n, err := c.Fill("/old", func(w io.Writer) error {
+		_, err := w.Write([]byte("new copy!"))
+		return err
+	})
+	if err != nil || n != 9 || string(contents(t, c, "/old")) != "new copy!" {
+		t.Errorf("Fill: %d bytes, err=%v", n, err)
 	}
 }
 
@@ -120,9 +181,13 @@ func TestFlush(t *testing.T) {
 	c.Store("/b", []byte("B"))
 	c.WriteAt("/a", 0, []byte("X"))
 	uploaded := map[string][]byte{}
-	err := c.Flush(func(path string, data []byte) error {
+	err := c.Flush(func(path string, r io.Reader, size uint64) error {
+		data, err := io.ReadAll(r)
+		if uint64(len(data)) != size {
+			t.Errorf("%s: %d bytes, declared %d", path, len(data), size)
+		}
 		uploaded[path] = data
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,12 +205,33 @@ func TestFlushPropagatesError(t *testing.T) {
 	c.Store("/a", []byte("A"))
 	c.WriteAt("/a", 0, []byte("X"))
 	wantErr := errors.New("network down")
-	err := c.Flush(func(string, []byte) error { return wantErr })
+	err := c.Flush(func(string, io.Reader, uint64) error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Errorf("err = %v", err)
 	}
 	if !c.Dirty("/a") {
 		t.Error("entry marked clean despite failed upload")
+	}
+}
+
+// A write that lands while its file is being uploaded keeps the entry
+// dirty: the upload may have read the file before it.
+func TestWriteDuringFlushStaysDirty(t *testing.T) {
+	c := newCache(t)
+	c.Store("/a", []byte("A"))
+	c.WriteAt("/a", 0, []byte("X"))
+	err := c.Flush(func(path string, r io.Reader, size uint64) error {
+		c.WriteAt(path, 0, []byte("Y"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Dirty("/a") {
+		t.Error("a write made during the upload was marked clean")
+	}
+	if err := c.Flush(func(string, io.Reader, uint64) error { return nil }); err != nil || c.Dirty("/a") {
+		t.Errorf("second flush: err=%v dirty=%v", err, c.Dirty("/a"))
 	}
 }
 
@@ -178,8 +264,8 @@ func TestDistinctPathsDistinctFiles(t *testing.T) {
 	c := newCache(t)
 	c.Store("/x/same-name", []byte("one"))
 	c.Store("/y/same-name", []byte("two"))
-	a, _ := c.Contents("/x/same-name")
-	b, _ := c.Contents("/y/same-name")
+	a := contents(t, c, "/x/same-name")
+	b := contents(t, c, "/y/same-name")
 	if string(a) != "one" || string(b) != "two" {
 		t.Errorf("collision: %q %q", a, b)
 	}

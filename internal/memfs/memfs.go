@@ -6,7 +6,10 @@
 package memfs
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"path"
 	"sort"
 	"strings"
@@ -656,6 +659,60 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	out := make([]byte, len(n.data))
 	copy(out, n.data)
 	return out, nil
+}
+
+// OpenFile implements filechan.FileStore: a reader of the file at path
+// p and its size. The reader fails once the file's size or times move.
+func (fs *FS) OpenFile(p string) (io.ReadCloser, uint64, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, err := fs.walk(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n.ftype != nfs3.TypeReg {
+		return nil, 0, &nfs3.Error{Status: nfs3.ErrIsDir, Op: p}
+	}
+	r := &fileReader{fs: fs, n: n, size: len(n.data), mtime: n.mtime, ctime: n.ctime, path: p}
+	return r, uint64(r.size), nil
+}
+
+// fileReader reads a file as it was when opened.
+type fileReader struct {
+	fs           *FS
+	n            *node
+	off, size    int
+	mtime, ctime nfs3.Time
+	path         string
+}
+
+func (r *fileReader) Read(p []byte) (int, error) {
+	r.fs.mu.RLock()
+	defer r.fs.mu.RUnlock()
+	if len(r.n.data) != r.size || r.n.mtime != r.mtime || r.n.ctime != r.ctime {
+		return 0, fmt.Errorf("memfs: %s changed while it was read", r.path)
+	}
+	if r.off == r.size {
+		return 0, io.EOF
+	}
+	k := copy(p, r.n.data[r.off:])
+	r.off += k
+	return k, nil
+}
+
+func (r *fileReader) Close() error { return nil }
+
+// WriteFileFrom implements filechan.FileStore: it replaces the file at
+// path p with what r yields, and leaves it as it was if r fails.
+func (fs *FS) WriteFileFrom(p string, r io.Reader, size uint64) error {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	if uint64(buf.Len()) != size {
+		return fmt.Errorf("memfs: %s: got %d of %d bytes", p, buf.Len(), size)
+	}
+	return fs.WriteFile(p, buf.Bytes())
 }
 
 // LookupPath resolves a slash-separated path to a file handle.

@@ -11,6 +11,7 @@ package osfs
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -478,24 +479,108 @@ func (fs *FS) Commit(fh nfs3.FH) error {
 
 // --- filechan.FileStore ---
 
-// ReadFile implements filechan.FileStore against the export root.
-func (fs *FS) ReadFile(path string) ([]byte, error) {
+// OpenFile implements filechan.FileStore against the export root: a
+// reader of the file at path and its size. The reader fails if the
+// file's size or modification time moved by the time it reaches the end.
+func (fs *FS) OpenFile(path string) (io.ReadCloser, uint64, error) {
 	host, _ := fs.hostPath(path)
-	data, err := os.ReadFile(host)
+	f, err := os.Open(host)
 	if err != nil {
-		return nil, mapError("readfile "+path, err)
+		return nil, 0, mapError("openfile "+path, err)
 	}
-	return data, nil
+	info, err := f.Stat()
+	if err == nil && !info.Mode().IsRegular() {
+		err = syscall.EISDIR
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, mapError("openfile "+path, err)
+	}
+	return &fileReader{f: f, path: path, info: info}, uint64(info.Size()), nil
 }
 
-// WriteFile implements filechan.FileStore against the export root.
-func (fs *FS) WriteFile(path string, data []byte) error {
+// fileReader reads a file as it was when opened.
+type fileReader struct {
+	f    *os.File
+	path string
+	info os.FileInfo // at open
+	off  int64
+}
+
+func (r *fileReader) Read(p []byte) (int, error) {
+	left := r.info.Size() - r.off
+	if left == 0 {
+		return 0, r.checkUnchanged()
+	}
+	if int64(len(p)) > left {
+		p = p[:left]
+	}
+	n, err := r.f.Read(p)
+	r.off += int64(n)
+	if err == io.EOF {
+		err = fmt.Errorf("osfs: %s shrank while it was read", r.path)
+	}
+	return n, err
+}
+
+// checkUnchanged returns io.EOF if the file still has the size and
+// modification time it was opened with.
+func (r *fileReader) checkUnchanged() error {
+	now, err := r.f.Stat()
+	if err != nil {
+		return err
+	}
+	if now.Size() != r.info.Size() || !now.ModTime().Equal(r.info.ModTime()) {
+		return fmt.Errorf("osfs: %s changed while it was read", r.path)
+	}
+	return io.EOF
+}
+
+func (r *fileReader) Close() error { return r.f.Close() }
+
+// WriteFileFrom implements filechan.FileStore against the export root.
+// The upload goes to a temporary file beside path and is renamed over
+// it once whole, so a dropped upload leaves the old copy.
+func (fs *FS) WriteFileFrom(path string, r io.Reader, size uint64) error {
 	host, _ := fs.hostPath(path)
-	if err := os.MkdirAll(filepath.Dir(host), 0755); err != nil {
+	dir := filepath.Dir(host)
+	if err := os.MkdirAll(dir, 0755); err != nil {
 		return mapError("writefile "+path, err)
 	}
-	if err := os.WriteFile(host, data, 0644); err != nil {
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(host)+".upload-*")
+	if err != nil {
+		return mapError("writefile "+path, err)
+	}
+	err = writeTemp(tmp, r, size, host)
+	if err == nil {
+		err = os.Rename(tmp.Name(), host)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return mapError("writefile "+path, err)
 	}
 	return nil
+}
+
+// writeTemp fills and closes tmp: size bytes from r, durable, with the
+// mode of the file it replaces (0644 for a new one).
+func writeTemp(tmp *os.File, r io.Reader, size uint64, replaces string) error {
+	mode := os.FileMode(0644)
+	if info, err := os.Stat(replaces); err == nil {
+		mode = info.Mode().Perm()
+	}
+	n, err := io.Copy(tmp, r)
+	if err == nil && uint64(n) != size {
+		err = fmt.Errorf("osfs: upload of %d bytes ended at %d", size, n)
+	}
+	if err == nil {
+		err = tmp.Chmod(mode)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,6 +2,7 @@ package osfs_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,11 +117,17 @@ func TestPathEscapeBlocked(t *testing.T) {
 	fs, dir := newFS(t)
 	os.WriteFile(filepath.Join(dir, "inside"), []byte("in"), 0644)
 	// filechan-style path access must not escape the export root.
-	if _, err := fs.ReadFile("../../etc/hostname"); nfs3.StatusOf(err) == nfs3.OK {
+	if r, _, err := fs.OpenFile("../../etc/hostname"); nfs3.StatusOf(err) == nfs3.OK {
+		r.Close()
 		t.Error("path escape allowed")
 	}
-	if data, err := fs.ReadFile("/inside"); err != nil || string(data) != "in" {
-		t.Errorf("in-root read failed: %v", err)
+	r, _, err := fs.OpenFile("/inside")
+	if err != nil {
+		t.Fatalf("in-root open failed: %v", err)
+	}
+	defer r.Close()
+	if data, err := io.ReadAll(r); err != nil || string(data) != "in" {
+		t.Errorf("in-root read failed: %q %v", data, err)
 	}
 }
 

@@ -5,11 +5,20 @@ package proxy_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	gvfs "gvfs"
 	"gvfs/internal/cache"
+	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
 	"gvfs/internal/stack"
@@ -146,6 +155,159 @@ func TestFileChannelFailureFallsBackToBlocks(t *testing.T) {
 	if st.Counter("gvfs_proxy_read_misses_total") == 0 {
 		t.Error("no block-based reads despite fallback")
 	}
+}
+
+// A file-channel transfer that goes wrong after it started leaves no
+// file-cache entry, and the READ that asked for it, like every READ
+// after it, is answered through the block path.
+func TestFileChannelBadTransferFallsBackToBlocks(t *testing.T) {
+	const bs = 8192
+	state := make([]byte, 16*bs)
+	for i := range state {
+		state[i] = byte(i / 100)
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(state)
+	zw.Close()
+	z := gz.Bytes()
+	size := uint64(len(state))
+	badCRC := append([]byte(nil), z...)
+	badCRC[len(badCRC)-8] ^= 0xff
+
+	// reply frames a GET reply by hand: the OK status, the declared size,
+	// payload in one chunk of the length given, the terminator and the
+	// trailer status.
+	reply := func(declared uint64, payload []byte, chunkLen uint32, trailer byte) []byte {
+		b := []byte{0, 0, 0, 0, 0}
+		b = binary.BigEndian.AppendUint64(b, declared)
+		b = binary.BigEndian.AppendUint32(b, chunkLen)
+		b = append(b, payload...)
+		b = append(b, 0, 0, 0, 0)
+		return append(b, trailer, 0, 0, 0, 0)
+	}
+	crafted := func(wire []byte) func(net.Conn, *memfs.FS) {
+		return func(conn net.Conn, _ *memfs.FS) {
+			var hdr [6]byte
+			io.ReadFull(conn, hdr[:])
+			io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[2:])))
+			conn.Write(wire)
+		}
+	}
+	serve := func(store func(*memfs.FS) filechan.FileStore) func(net.Conn, *memfs.FS) {
+		return func(conn net.Conn, fs *memfs.FS) { filechan.NewServer(store(fs)).ServeConn(conn) }
+	}
+	for _, tc := range []struct {
+		name   string
+		handle func(net.Conn, *memfs.FS)
+	}{
+		{"source changes while it streams", serve(func(fs *memfs.FS) filechan.FileStore {
+			return changeAfterOpen{fs, func() { fs.WriteFile("/vm/mem.vmss", state) }}
+		})},
+		{"read error after the header", serve(func(fs *memfs.FS) filechan.FileStore { return failAfter{fs} })},
+		{"stream shorter than declared", crafted(reply(size+1, z, uint32(len(z)), 0))},
+		{"stream longer than declared", crafted(reply(size-1, z, uint32(len(z)), 0))},
+		{"bad gzip trailer", crafted(reply(size, badCRC, uint32(len(z)), 0))},
+		{"error trailer", crafted(reply(size, z, uint32(len(z)), 1))},
+		{"oversized chunk", crafted(reply(size, z, 1<<20+1, 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := memfs.New()
+			fs.WriteFile("/vm/mem.vmss", state)
+			fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), metaForWholeFile(t, state, bs))
+			server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			var transfers atomic.Int32
+			go func() {
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					transfers.Add(1)
+					go func() {
+						defer conn.Close()
+						tc.handle(conn, fs)
+					}()
+				}
+			}()
+			fileCache := t.TempDir()
+			cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
+				BlockSize: bs, Policy: cache.WriteBack}
+			node, err := stack.StartProxy(stack.ProxyOptions{
+				UpstreamAddr: server.ProxyAddr(),
+				CacheConfig:  &cfg,
+				FileCacheDir: fileCache,
+				FileChanAddr: l.Addr().String(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			for pass := 0; pass < 2; pass++ {
+				sess.DropCaches()
+				got, err := sess.ReadFile("/vm/mem.vmss")
+				if err != nil || !bytes.Equal(got, state) {
+					t.Fatalf("pass %d: fallback read: %d bytes, err=%v", pass, len(got), err)
+				}
+			}
+			if transfers.Load() == 0 {
+				t.Fatal("the file channel was never tried: the case is not set up")
+			}
+			st := node.Proxy.Snapshot()
+			if n := st.Counter("gvfs_proxy_filechan_fetches_total"); n != 0 {
+				t.Errorf("%d fetches counted for a failed transfer", n)
+			}
+			if st.Counter("gvfs_proxy_filechan_reads_total") != 0 || st.Counter("gvfs_proxy_read_misses_total") == 0 {
+				t.Error("READs were not answered through the block path")
+			}
+			if files, _ := os.ReadDir(fileCache); len(files) != 0 {
+				t.Errorf("the failed transfer left %d files in the file cache", len(files))
+			}
+		})
+	}
+}
+
+// changeAfterOpen is a file-channel store whose file is rewritten by
+// change once a reader is open on it.
+type changeAfterOpen struct {
+	*memfs.FS
+	change func()
+}
+
+func (c changeAfterOpen) OpenFile(path string) (io.ReadCloser, uint64, error) {
+	r, size, err := c.FS.OpenFile(path)
+	if err == nil {
+		c.change()
+	}
+	return r, size, err
+}
+
+// failAfter is a file-channel store whose reader fails after 5000 bytes.
+type failAfter struct{ *memfs.FS }
+
+func (f failAfter) OpenFile(path string) (io.ReadCloser, uint64, error) {
+	r, size, err := f.FS.OpenFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(io.LimitReader(r, 5000), iotest.ErrReader(errors.New("disk read error"))), r}, size, nil
 }
 
 func metaForWholeFile(t *testing.T, data []byte, bs uint32) []byte {

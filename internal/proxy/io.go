@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"gvfs/internal/backend"
@@ -829,14 +830,16 @@ func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 		return err
 	}
 	defer conn.Close()
-	data, err := filechan.Fetch(conn, v.full, ms.m.WantsCompression())
+	// The reply is gunzipped into the file cache as it arrives; the entry
+	// appears only once its size and gzip trailer check out.
+	size, err := p.cfg.FileCache.Fill(v.full, func(w io.Writer) error {
+		_, err := filechan.FetchTo(conn, v.full, ms.m.WantsCompression(), w)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if err := p.cfg.FileCache.Store(v.full, data); err != nil {
-		return err
-	}
-	*v = p.attrs.sawSize(fh, uint64(len(data)), true)
+	*v = p.attrs.sawSize(fh, size, true)
 	p.stats.fileChanFetch.Add(1)
 	ms.fetched = true
 	return nil
@@ -906,12 +909,12 @@ func (p *Proxy) evictFileCache(path string) error {
 	return p.cfg.FileCache.Evict(path, p.putFile)
 }
 
-// putFile uploads one whole file through the file channel.
-func (p *Proxy) putFile(path string, data []byte) error {
+// putFile streams one whole file upstream through the file channel.
+func (p *Proxy) putFile(path string, r io.Reader, size uint64) error {
 	conn, err := p.cfg.FileChanDial()
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	return filechan.Put(conn, path, data, true)
+	return filechan.PutFrom(conn, path, r, size, true)
 }

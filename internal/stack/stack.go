@@ -7,12 +7,13 @@
 package stack
 
 import (
-	"sync"
-	"time"
-
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
+	"time"
 
 	"gvfs/internal/auth"
 	"gvfs/internal/backend"
@@ -838,45 +839,87 @@ func StartImageServer(fs *memfs.FS, opts ImageServerOptions) (*ImageServer, erro
 const identityTTL = 30 * time.Minute
 
 // relayStore is a caching filechan.FileStore: reads are served from a
-// local file cache, fetched (compressed) from the upstream file
-// channel on miss; writes pass through. It gives a LAN cache server
-// the file-based half of the paper's second-level heterogeneous cache.
+// local file cache, into which a miss is fetched (compressed) from the
+// upstream file channel; writes pass through. It gives a LAN cache
+// server the file-based half of the paper's second-level heterogeneous
+// cache.
 type relayStore struct {
 	dial  func() (net.Conn, error)
 	cache *filecache.Cache
+
+	mu       sync.Mutex
+	inflight map[string]*relayFetch // misses being fetched, by path
 }
 
-// ReadFile implements filechan.FileStore.
-func (r *relayStore) ReadFile(path string) ([]byte, error) {
-	if r.cache.Has(path) {
-		return r.cache.Contents(path)
-	}
-	conn, err := r.dial()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := filechan.Fetch(conn, path, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.cache.Store(path, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+// relayFetch is one upstream fetch that concurrent misses of its path
+// wait for.
+type relayFetch struct {
+	done chan struct{}
+	err  error // set before done closes
 }
 
-// WriteFile implements filechan.FileStore (write-through upload).
-func (r *relayStore) WriteFile(path string, data []byte) error {
+// OpenFile implements filechan.FileStore.
+func (r *relayStore) OpenFile(path string) (io.ReadCloser, uint64, error) {
+	rc, size, err := r.cache.Open(path)
+	if !errors.Is(err, filecache.ErrNotCached) {
+		return rc, size, err
+	}
+	if err := r.fetch(path); err != nil {
+		return nil, 0, err
+	}
+	return r.cache.Open(path)
+}
+
+// fetch brings path into the cache, once for all the misses that ask
+// while it runs.
+func (r *relayStore) fetch(path string) error {
+	r.mu.Lock()
+	if r.cache.Has(path) { // a fetch finished since the caller missed
+		r.mu.Unlock()
+		return nil
+	}
+	if f, ok := r.inflight[path]; ok {
+		r.mu.Unlock()
+		<-f.done
+		return f.err
+	}
+	f := &relayFetch{done: make(chan struct{})}
+	r.inflight[path] = f
+	r.mu.Unlock()
+
+	f.err = r.fetchUpstream(path)
+	r.mu.Lock()
+	delete(r.inflight, path)
+	r.mu.Unlock()
+	close(f.done)
+	return f.err
+}
+
+func (r *relayStore) fetchUpstream(path string) error {
 	conn, err := r.dial()
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	if err := filechan.Put(conn, path, data, true); err != nil {
+	_, err = r.cache.Fill(path, func(w io.Writer) error {
+		_, err := filechan.FetchTo(conn, path, true, w)
+		return err
+	})
+	return err
+}
+
+// WriteFileFrom implements filechan.FileStore: a write-through upload
+// whose bytes also replace the cached copy once the upstream has them.
+func (r *relayStore) WriteFileFrom(path string, src io.Reader, size uint64) error {
+	conn, err := r.dial()
+	if err != nil {
 		return err
 	}
-	return r.cache.Store(path, data)
+	defer conn.Close()
+	_, err = r.cache.Fill(path, func(w io.Writer) error {
+		return filechan.PutFrom(conn, path, io.TeeReader(src, w), size, true)
+	})
+	return err
 }
 
 // StartFileChanRelay runs a caching file-channel relay: downstream
@@ -889,7 +932,7 @@ func StartFileChanRelay(upstreamDial func() (net.Conn, error), cacheDir string,
 	if err != nil {
 		return nil, err
 	}
-	store := &relayStore{dial: upstreamDial, cache: fc}
+	store := &relayStore{dial: upstreamDial, cache: fc, inflight: make(map[string]*relayFetch)}
 	l, err := ListenOn("", listenLink, listenKey)
 	if err != nil {
 		return nil, err
