@@ -6,10 +6,13 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	gvfs "gvfs"
+	"gvfs/internal/bufpool"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
+	"gvfs/internal/meta"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/stack"
@@ -497,5 +500,105 @@ func TestSessionReadAllocBytes(t *testing.T) {
 	t.Logf("session read from a warm proxy: %.0f B and %.2f allocs per page", perPage, float64(m1.Mallocs-m0.Mallocs)/pages)
 	if perPage > sessionReadBytesGate {
 		t.Errorf("a delivered page allocates %.0f B, gate %d", perPage, sessionReadBytesGate)
+	}
+}
+
+// zeroReadBytesGate is bytes allocated per 32 KiB READ the zero map
+// answers, wholly or at its edges, in the proxy alone: the call is handed
+// to the proxy in process and its pooled reply released. The zeros, the
+// span read from the cache and the reply all come from the buffer pool,
+// so what is left is the call itself, a few hundred bytes; a READ that
+// makes its zeros or its reply afresh allocates 32 KiB or more (64 KiB
+// when it made both).
+const zeroReadBytesGate = 4096
+
+// TestZeroFilterReadAllocs counts the bytes a caching proxy allocates per
+// READ of a memory state's 32 KiB window that the zero map answers whole,
+// and of one whose zero edges the map answers around two cached blocks.
+// Skipped under -race like the gates above.
+func TestZeroFilterReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocated bytes are not comparable under the race detector")
+	}
+	const bs, window, ops = 8192, nfs3.MaxTransfer, 500
+	// Window 0 is all zero; window 1 is zero, data, data, zero.
+	state := make([]byte, 4*window)
+	for i := window + bs; i < window+3*bs; i++ {
+		state[i] = byte(i) | 1
+	}
+	blob, err := meta.GenerateZeroMap(state, bs).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := memfs.New()
+	for name, data := range map[string][]byte{"/mem.vmss": state, "/" + meta.NameFor("mem.vmss"): blob} {
+		if err := fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pnode, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: srv.Addr,
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 16, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pnode.Close()
+	rpc := sunrpc.Local{H: pnode.Proxy}
+	root, err := mountd.Mount(rpc, benchCred(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, _, err := nfs3.NewClient(rpc, benchCred()).Lookup(root, "mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		off  uint64
+	}{{"whole READ", 0}, {"zero edges", window}} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := (&nfs3.ReadArgs{FH: fh, Offset: tc.off, Count: window}).Encode()
+			read := func(check bool) {
+				res, rec, err := rpc.CallPooled(nfs3.Program, nfs3.Version, nfs3.ProcRead, benchCred(), sunrpc.AuthNoneCred, args, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if check {
+					var r nfs3.ReadRes
+					var attr nfs3.Fattr
+					if _, err := r.DecodeRefAttrInto(res, &attr); err != nil || r.Status != nfs3.OK ||
+						!bytes.Equal(r.Data, state[tc.off:tc.off+window]) {
+						t.Fatalf("READ at %d: status %v, %d bytes, err=%v; want the file's %d", tc.off, r.Status, len(r.Data), err, window)
+					}
+				}
+				bufpool.Put(rec)
+			}
+			for i := 0; i < 10; i++ { // the map, the cached blocks, the pools
+				read(true)
+			}
+			filtered := pnode.Proxy.Snapshot().Counter("gvfs_proxy_zero_filtered_total")
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < ops; i++ {
+				read(false)
+			}
+			runtime.ReadMemStats(&m1)
+			read(true)
+			if got := pnode.Proxy.Snapshot().Counter("gvfs_proxy_zero_filtered_total") - filtered; (got != 0) != (tc.off == 0) {
+				t.Fatalf("%d of %d READs answered wholly from the zero map: the case is not set up", got, ops)
+			}
+			perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
+			t.Logf("%s: %.0f B and %.2f allocs per READ", tc.name, perOp, float64(m1.Mallocs-m0.Mallocs)/ops)
+			if perOp >= zeroReadBytesGate {
+				t.Errorf("a zero-filtered READ allocates %.0f B, gate %d", perOp, zeroReadBytesGate)
+			}
+		})
 	}
 }

@@ -3,10 +3,13 @@ package proxy_test
 // Satellite coverage: degraded-mode transitions (internal/proxy/health.go)
 // as seen through the accounting tables — a partition must show up in
 // /statusz as degraded reads attributed to the right file and client —
-// plus the write-back audit lifecycle across a middleware flush.
+// the write-back audit lifecycle across a middleware flush, and a
+// file-cache READ that fails accounted as the failure it is.
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	gvfs "gvfs"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
+	"gvfs/internal/meta"
 	"gvfs/internal/obs"
 	"gvfs/internal/proxy"
 	"gvfs/internal/simnet"
@@ -187,5 +191,94 @@ func TestWriteBackAuditAcrossFlush(t *testing.T) {
 	if !sawTrigger || !sawCommit {
 		t.Fatalf("audit lifecycle incomplete (trigger=%v commit=%v): %+v",
 			sawTrigger, sawCommit, st.Audit.Events)
+	}
+}
+
+// TestFileCacheReadErrorAccounting: a READ of a file fetched whole whose
+// local copy the file cache can no longer read fails with NFS3ERR_IO, and
+// is accounted as a failed READ — outcome error, a file_cache/error span
+// — not as a file-cache hit.
+func TestFileCacheReadErrorAccounting(t *testing.T) {
+	const bs = 8192
+	fs := memfs.New()
+	state := chaosPattern(4*bs, 11)
+	fs.WriteFile("/vm/mem.vmss", state)
+	blob, err := meta.ForWholeFile(state, bs).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Close)
+	fileCache := t.TempDir()
+	node, err := stack.StartProxy(stack.ProxyOptions{
+		UpstreamAddr: server.ProxyAddr(),
+		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
+			BlockSize: bs, Policy: cache.WriteBack},
+		FileCacheDir: fileCache,
+		FileChanAddr: server.FileChanAddr(),
+		TraceRing:    64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	if got, err := sess.ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+		t.Fatalf("read through the file cache: %v", err)
+	}
+
+	type tally struct{ fileCache, failed, hits, hitSpans, errorSpans uint64 }
+	count := func() (n tally) {
+		snap := node.Proxy.Snapshot()
+		n.fileCache = snap.Histograms[`gvfs_proxy_read_duration_seconds{outcome="file_cache"}`].Count
+		n.failed = snap.Histograms[`gvfs_proxy_read_duration_seconds{outcome="error"}`].Count
+		for _, row := range node.Proxy.Statusz().Files["reads"] {
+			if row.File == "/vm/mem.vmss" {
+				n.hits = row.FileCacheHits
+			}
+		}
+		for _, tr := range node.Tracer.Traces() {
+			for _, sp := range tr.Spans {
+				if sp.Layer == obs.LayerFileCache && sp.Outcome == "hit" {
+					n.hitSpans++
+				} else if sp.Layer == obs.LayerFileCache && sp.Outcome == "error" {
+					n.errorSpans++
+				}
+			}
+		}
+		return n
+	}
+	before := count()
+	if before.fileCache == 0 || before.hits == 0 || before.hitSpans == 0 {
+		t.Fatalf("the file cache answered nothing: %+v", before)
+	}
+	// Take the local copy away from under the cache's entry.
+	files, err := os.ReadDir(fileCache)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no file in the file cache (%v)", err)
+	}
+	for _, f := range files {
+		if err := os.Remove(filepath.Join(fileCache, f.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.DropCaches()
+	if _, err := sess.ReadFile("/vm/mem.vmss"); err == nil {
+		t.Fatal("a READ the file cache cannot answer succeeded")
+	}
+	after := count()
+	if after.failed == before.failed || after.errorSpans == before.errorSpans {
+		t.Errorf("the failed READ is not accounted as an error: before %+v, after %+v", before, after)
+	}
+	if after.fileCache != before.fileCache || after.hits != before.hits || after.hitSpans != before.hitSpans {
+		t.Errorf("the failed READ is accounted as a file-cache hit: before %+v, after %+v", before, after)
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/nfs3be"
-	"gvfs/internal/bufpool"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/sunrpc"
@@ -165,50 +164,37 @@ func (p *Proxy) replyAttr(v *fileView, a backend.Attr, buf *nfs3.Fattr) *nfs3.Fa
 	return buf
 }
 
-// readThrough answers c's READ with one upstream read of fetch bytes at
+// readUpstream answers c's READ with one upstream read of fetch bytes at
 // its offset, under c's credential: a READ that bypasses the block cache
 // — none configured, or one readUncached sent here — or a block cache
-// miss, whose install caches what came back before the reply is made.
-// The reply is encoded into a pooled buffer released by the RPC server
-// (ReplyBuf), and with that copy made the read is released: the cache
-// frames and the reply are its copies. The client gets the count bytes
-// it asked for — a miss run brings more — and is told of the end of the
-// file only when it lies inside them. A failure with an NFS status is
-// that status's reply, and a stale handle is evidence against whatever
+// miss, whose install caches what came back before the READ is answered.
+// The answer is the read, released once the reply is encoded: the cache
+// frames and the reply are its copies. A failure with an NFS status is
+// that status's answer, and a stale handle is evidence against whatever
 // the table holds for it.
-func (p *Proxy) readThrough(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time, fetch uint32, outcome string, install func(backend.ReadResult) error) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) readUpstream(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, fetch uint32, outcome string, install func(backend.ReadResult) error) readAnswer {
 	opts, err := p.callOpts(c, tr)
 	var r backend.ReadResult
 	if err == nil {
 		r, err = p.beRead(args.FH, args.Offset, fetch, opts, tr, true)
 	}
 	if err != nil {
-		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
 		st, ok := nfs3be.ErrStatus(err)
 		if !ok {
-			return nil, sunrpc.SystemErr
+			return readSystemErr
 		}
 		if st == nfs3.ErrStale {
 			p.attrs.forget(args.FH)
 		}
-		return (&nfs3.ReadRes{Status: st}).Encode(), sunrpc.Success
+		return readAnswer{outcome: "error", status: st}
 	}
 	if r.Attr.Known() {
 		*v = p.attrs.sawSize(args.FH, r.Attr.Size, false)
 	}
 	if install != nil {
 		if err := install(r); err != nil {
-			return nil, sunrpc.SystemErr // r is left to the GC
+			return readSystemErr // r is left to the GC
 		}
 	}
-	data, eof := r.Data, r.EOF
-	if len(data) > int(args.Count) {
-		data, eof = data[:args.Count], false
-	}
-	var attr nfs3.Fattr
-	res := nfs3.ReadRes{Status: nfs3.OK, Count: uint32(len(data)), EOF: eof, Data: data, Attr: p.replyAttr(v, r.Attr, &attr)}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
-	r.Release()
-	p.accountRead(c, v, args.FH, args.Offset, outcome, args.Count, start)
-	return c.ReplyBuf, sunrpc.Success
+	return readAnswer{data: r.Data, eof: r.EOF, r: r, outcome: outcome}
 }

@@ -20,14 +20,55 @@ import (
 // filtering and file-channel mechanisms — plus the middleware-facing
 // consistency entry points.
 
+// readAnswer is what one source hands back for a READ — the file cache,
+// the zero map, the dedup zero hash or an alias, the block cache (a hit
+// or a join), or the upstream (a miss or a forwarded READ). handleRead
+// encodes, spans and accounts it, whichever source it came from.
+type readAnswer struct {
+	data []byte             // the bytes from the READ's offset on
+	eof  bool               // the source's word on whether they end the file
+	buf  []byte             // the pooled buffer data aliases, released after the encode
+	r    backend.ReadResult // the upstream read data aliases, released after the encode
+	// outcome labels gvfs_proxy_read_duration_seconds and the accounting;
+	// "error" is a failed READ, answered with status, or without a reply
+	// when stat says so.
+	outcome string
+	status  nfs3.Status
+	stat    sunrpc.AcceptStat
+	// The answer's trace span, when layer is set. An upstream answer has
+	// the upstream_rpc span upcall records.
+	layer, span string
+	since       time.Time
+	// The bytes the READ is accounted for, when spanCount is set: the span
+	// between the zero edges that the block path was asked for.
+	spanOff   uint64
+	spanCount uint32
+}
+
+// readSystemErr is the answer to a READ that failed without an NFS status.
+var readSystemErr = readAnswer{outcome: "error", stat: sunrpc.SystemErr}
+
+// servedLocally reports whether a READ with this outcome was answered by
+// the proxy's caches or maps. A local answer ends where the table says
+// the file does and carries the table's attributes; an upstream answer
+// carries the upstream's EOF and attributes (replyAttr).
+func servedLocally(outcome string) bool {
+	return outcome == "block_hit" || outcome == "file_cache" || outcome == "zero_filter"
+}
+
 // accountRead feeds one finished READ into the per-outcome latency
-// histogram, the per-file / per-client accounting tables, and the
-// cache-analytics demand feed (tenant identity + block touched).
-// Degraded reads are attributed to the file and client that issued
-// them, so /statusz shows who was served from cache during an outage.
-func (p *Proxy) accountRead(c *sunrpc.Call, v *fileView, fh nfs3.FH, off uint64, outcome string, count uint32, start time.Time) {
+// histogram, the degraded-read counter, the per-file / per-client
+// accounting tables, and the cache-analytics demand feed (tenant identity
+// + block touched). Reads answered locally while degraded are attributed
+// to the file and client that issued them, so /statusz shows who was
+// served from cache during an outage.
+func (p *Proxy) accountRead(c *sunrpc.Call, v *fileView, args *nfs3.ReadArgs, outcome string, start time.Time) {
 	p.stats.observeRead(outcome, start)
-	// The aggregate histogram above always records; the per-file /
+	degraded := servedLocally(outcome) && p.Degraded()
+	if degraded {
+		p.stats.degradedReads.Add(1)
+	}
+	// The aggregate counters above always record; the per-file /
 	// per-client table detail is optional work brownout sheds.
 	if p.brownout() {
 		return
@@ -35,10 +76,9 @@ func (p *Proxy) accountRead(c *sunrpc.Call, v *fileView, fh nfs3.FH, off uint64,
 	client := p.clientLabel(c)
 	if p.cfg.Cachean != nil && p.cfg.BlockCache != nil && outcome != "error" {
 		bs := uint64(p.cfg.BlockCache.BlockSize())
-		p.cfg.Cachean.DemandData(client, fh, off/bs, int(count), false)
+		p.cfg.Cachean.DemandData(client, args.FH, args.Offset/bs, int(args.Count), false)
 	}
-	served := outcome == "block_hit" || outcome == "file_cache" || outcome == "zero_filter"
-	p.acct.recordRead(v.labelOf(fh), client, outcome, count, served && p.Degraded())
+	p.acct.recordRead(v.labelOf(args.FH), client, outcome, args.Count, degraded)
 }
 
 func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -53,55 +93,192 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 	// attributes and meta-data state all come from this view.
 	view, known := p.attrs.get(args.FH)
 	v := &view
+	a := p.readSource(c, &args, v, known, tr, start)
+	if a.layer != "" {
+		tr.Span(a.layer, a.span, a.since)
+	}
+	// The client gets the count bytes it asked for and is told of the end
+	// of the file only when it lies inside them. The reply is encoded into
+	// a pooled buffer released by the RPC server (ReplyBuf), and with that
+	// copy made the answer's buffers are released.
+	var res []byte
+	if a.outcome != "error" {
+		data, eof := a.data, a.eof
+		if len(data) > int(args.Count) {
+			data, eof = data[:args.Count], false
+		}
+		var upstream nfs3.Fattr
+		attr := v.post()
+		if !servedLocally(a.outcome) {
+			attr = p.replyAttr(v, a.r.Attr, &upstream)
+		} else if size := v.attr.Size; v.hasSize {
+			// The file cache holds the whole file: an end it reports stands.
+			data = data[:min(uint64(len(data)), size-min(size, args.Offset))]
+			eof = args.Offset+uint64(len(data)) >= size || eof && a.outcome == "file_cache"
+		}
+		r := nfs3.ReadRes{Status: nfs3.OK, Attr: attr, Count: uint32(len(data)), EOF: eof, Data: data}
+		c.ReplyBuf = r.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
+		res = c.ReplyBuf
+	} else if a.stat == sunrpc.Success {
+		res = (&nfs3.ReadRes{Status: a.status}).Encode()
+	}
+	bufpool.Put(a.buf)
+	a.r.Release()
+	acct := args
+	if a.spanCount != 0 {
+		acct.Offset, acct.Count = a.spanOff, a.spanCount
+	}
+	p.accountRead(c, v, &acct, a.outcome, start)
+	return res, a.stat
+}
 
-	// Meta-data handling (paper §3.2.2): consult the file's meta-data
-	// on first access and act on it.
-	var zm *metaState // holds the file's zero map, when this READ is not all zero
+// readSource picks the one source that answers a READ and has it answer.
+// Meta-data handling (paper §3.2.2) comes first: the file's meta-data is
+// consulted on first access and acted on.
+func (p *Proxy) readSource(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, known bool, tr *obs.Active, start time.Time) readAnswer {
+	var lead, trail uint32
+	var end uint64 // where the file ends, to the zero map
 	if known {
-		if ms := p.metaFor(v, c); ms.m != nil {
-			if ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil {
-				if err := p.ensureFetched(args.FH, v, ms); err == nil {
-					res, stat := p.readFromFileCache(c, &args, v)
-					tr.Span(obs.LayerFileCache, "hit", start)
-					p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
-					return res, stat
-				}
-				// Channel failure: fall through to block-based path.
-			} else if ms.m.HasZeroMap() {
-				if rangeIsZero(ms, args.Offset, args.Count) {
-					res, stat := p.zeroReply(&args, ms.m, v)
-					tr.Span(obs.LayerZeroFilter, "hit", start)
-					p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
-					return res, stat
-				}
-				zm = ms
+		switch ms := p.metaFor(v, c); {
+		case ms.m == nil:
+		case ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil:
+			p.ensureFetched(args.FH, v, ms) // a fetch that fails caches nothing: blocks answer
+		case ms.m.HasZeroMap():
+			// The end the map was made for, or a later one the table knows.
+			end = ms.m.FileSize
+			if v.hasSize {
+				end = max(end, v.attr.Size)
+			}
+			var whole bool
+			if lead, trail, whole = p.zeroEdges(ms, args, end); whole {
+				return p.readZeros(args, end, start)
 			}
 		}
 	}
-
-	// A file previously fetched whole stays served from the file cache.
-	if p.cfg.FileCache != nil && v.full != "" {
-		if p.cfg.FileCache.Has(v.full) {
-			res, stat := p.readFromFileCache(c, &args, v)
-			tr.Span(obs.LayerFileCache, "hit", start)
-			p.accountRead(c, v, args.FH, args.Offset, "file_cache", args.Count, start)
-			return res, stat
-		}
+	// A file fetched whole, by this READ or an earlier one, is the file
+	// cache's to answer.
+	if p.fileCached(v) {
+		return p.readFileCache(args, v, start)
 	}
-
 	if p.cfg.BlockCache == nil {
-		return p.readThrough(c, &args, v, tr, start, args.Count, "forwarded", nil)
+		return p.readUpstream(c, args, v, tr, args.Count, "forwarded", nil)
 	}
-	if zm != nil {
-		if lead, trail := zeroEdges(zm, &args, uint64(p.cfg.BlockCache.BlockSize())); lead+trail > 0 {
-			return p.readBetweenZeros(c, &args, lead, trail, zm.m, v, tr, start)
-		}
+	if lead+trail > 0 {
+		return p.readBetweenZeros(c, args, v, tr, lead, trail, end)
 	}
-	return p.readBlocks(c, &args, v, tr, start)
+	return p.readBlocks(c, args, v, tr)
+}
+
+// fileCached reports whether the file cache holds v's file whole: it
+// answers the file's READs and takes its WRITEs.
+func (p *Proxy) fileCached(v *fileView) bool {
+	return p.cfg.FileCache != nil && v.full != "" && p.cfg.FileCache.Has(v.full)
+}
+
+// readFileCache answers a READ from the whole-file cache, read into a
+// pooled buffer like a block-cache hit. A file the cache cannot read
+// fails the READ with NFS3ERR_IO.
+func (p *Proxy) readFileCache(args *nfs3.ReadArgs, v *fileView, start time.Time) readAnswer {
+	a := readAnswer{outcome: "file_cache", layer: obs.LayerFileCache, span: "hit", since: start}
+	size, _ := p.cfg.FileCache.Size(v.full) // what a READ can bring, whatever it asks for
+	a.buf = bufpool.Get(int(min(uint64(args.Count), size-min(size, args.Offset))))
+	n, eof, err := p.cfg.FileCache.ReadInto(v.full, args.Offset, a.buf)
+	if err != nil {
+		a.outcome, a.span, a.status = "error", "error", nfs3.ErrIO
+		return a
+	}
+	p.stats.fileChanReads.Add(1)
+	a.data, a.eof = a.buf[:n], eof
+	return a
+}
+
+// zeroEdges is the zero filter's look at a READ through the file's map:
+// the blocks it calls zero — which the session has not written since
+// (metaState.wrote) — and whatever lies past end, where the file ends.
+// whole reports that the map answers all of the READ. Else, for a READ of
+// several whole cache blocks (when the map's blocks are the cache's),
+// lead and trail are how many bytes at its head and tail the map answers,
+// so that only the span from the first non-zero block to the last is
+// asked of the cache and, on a miss, of the upstream.
+func (p *Proxy) zeroEdges(ms *metaState, args *nfs3.ReadArgs, end uint64) (lead, trail uint32, whole bool) {
+	if args.Count == 0 {
+		return 0, 0, false
+	}
+	if args.Offset >= end {
+		return 0, 0, true
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	m := ms.m
+	bs, count := uint64(m.BlockSize), uint64(args.Count)
+	// Blocks [first, last) hold what the READ asks for short of end; what
+	// it asks for past them lies past end, and is not looked at.
+	first := args.Offset / bs
+	last := (args.Offset+min(count, end-args.Offset)-1)/bs + 1
+	lo, hi := first, last
+	for lo < hi && m.IsZeroBlock(lo) {
+		lo++
+	}
+	if lo == hi {
+		return 0, 0, true
+	}
+	if bc := p.cfg.BlockCache; bc == nil || uint64(bc.BlockSize()) != bs ||
+		args.Offset%bs != 0 || count%bs != 0 || count <= bs || count > nfs3.MaxTransfer {
+		return 0, 0, false
+	}
+	for hi > lo && m.IsZeroBlock(hi-1) {
+		hi--
+	}
+	return uint32((lo - first) * bs), uint32(count - (hi-first)*bs), false
+}
+
+// readZeros answers a READ the zero map answers whole — the paper's zero
+// filtering for memory-state files — with zeros up to end, the file's.
+func (p *Proxy) readZeros(args *nfs3.ReadArgs, end uint64, start time.Time) readAnswer {
+	p.stats.zeroFiltered.Add(1)
+	n := min(uint64(args.Count), end-min(end, args.Offset))
+	a := readAnswer{eof: args.Offset+n >= end, outcome: "zero_filter", layer: obs.LayerZeroFilter, span: "hit", since: start}
+	a.buf = bufpool.Get(int(n))
+	a.data = a.buf
+	clear(a.data)
+	return a
+}
+
+// readBetweenZeros answers a READ whose first lead and last trail bytes
+// the zero map answers, where the file ends at end (past the READ's
+// offset): the block path serves the span between, from the cache or in
+// one upstream READ, and the answer is that span with the map's zeros
+// around it. The blocks cut are never fetched, so a fetch never brings
+// them into the cache. gvfs_proxy_zero_filtered_total does not count the
+// READ — it counts READs answered wholly from the map — and the READ is
+// accounted as the block path's, with the span's bytes.
+func (p *Proxy) readBetweenZeros(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, lead, trail uint32, end uint64) readAnswer {
+	span := *args
+	span.Offset += uint64(lead)
+	span.Count -= lead + trail
+	a := p.readBlocks(c, &span, v, tr)
+	a.spanOff, a.spanCount = span.Offset, span.Count
+	if a.outcome == "error" {
+		return a
+	}
+	got := a.data[:min(len(a.data), int(span.Count))]
+	n := uint64(lead) + uint64(len(got))
+	a.eof = a.eof && len(got) == len(a.data)
+	if len(got) == int(span.Count) { // the span came whole: the map knows what follows it
+		n = max(n, min(uint64(args.Count), end-args.Offset))
+		a.eof = n >= end-args.Offset
+	}
+	buf := bufpool.Get(int(n))
+	clear(buf[:lead])
+	copy(buf[lead:], got)
+	clear(buf[int(lead)+len(got):])
+	bufpool.Put(a.buf)
+	a.data, a.buf = buf, buf
+	return a
 }
 
 // readBlocks answers a READ from the block cache, or through it.
-func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active) readAnswer {
 	bs := uint64(p.cfg.BlockCache.BlockSize())
 	// What the cache answers starts on a block boundary and asks for part
 	// of one block or for whole blocks up to one transfer: a client's
@@ -111,18 +288,18 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 	k := max(count/bs, 1)
 	whole := count == k*bs // else part of one block: answered, never cached
 	if args.Offset%bs != 0 || count > nfs3.MaxTransfer || (count > bs && count%bs != 0) {
-		return p.readUncached(c, args, v, tr, start)
+		return p.readUncached(c, args, v, tr)
 	}
 	first := args.Offset / bs
 	lookup := time.Now()
-	if res, stat, ok := p.serveBlockHit(c, args, v, first, k, tr, "hit", lookup, start); ok {
-		return res, stat
+	if a, ok := p.serveBlockHit(c, args, v, first, k, "hit", lookup); ok {
+		return a
 	}
 	// A run ahead that covers this block may be in flight: join it rather
 	// than duplicating the WAN transfer.
 	if p.ra != nil && p.ra.waitFor(args.FH, first/(nfs3.MaxTransfer/bs)) {
-		if res, stat, ok := p.serveBlockHit(c, args, v, first, k, tr, "join", lookup, start); ok {
-			return res, stat
+		if a, ok := p.serveBlockHit(c, args, v, first, k, "join", lookup); ok {
+			return a
 		}
 	}
 	tr.Span(obs.LayerBlockCache, "miss", lookup)
@@ -135,8 +312,8 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 	if count == bs && p.cfg.BlockCache.DedupEnabled() {
 		if hr, ok := p.cfg.Backend.(backend.Hasher); ok {
 			if h, n, ok := hr.BlockHash(backend.FileID(args.FH), first, int(bs)); ok {
-				if res, stat, ok := p.serveByHash(c, args, v, first, h, n, tr, lookup, start); ok {
-					return res, stat
+				if a, ok := p.serveByHash(c, args, v, first, h, n, lookup); ok {
+					return a
 				}
 			}
 		}
@@ -146,16 +323,16 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 	if k > 1 {
 		for b := first; b < first+k; b++ {
 			if _, dirty := p.cfg.BlockCache.Peek(args.FH, b); dirty {
-				return p.readUncached(c, args, v, tr, start)
+				return p.readUncached(c, args, v, tr)
 			}
 		}
 	}
 	// Brownout: hits above kept being served, but a miss means WAN work
 	// the overloaded proxy cannot afford — defer it with a retriable
 	// error so the queues drain.
-	if res, stat, shed := p.deferMissInBrownout(c); shed {
-		p.accountRead(c, v, args.FH, args.Offset, "error", args.Count, start)
-		return res, stat
+	if p.brownout() {
+		p.stats.brownoutShed.Add(1)
+		return readAnswer{outcome: "error", status: nfs3.ErrJukebox}
 	}
 	p.stats.readMisses.Add(1)
 	// Miss in runs: what a miss costs is the upstream call, not the bytes,
@@ -168,7 +345,7 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 	if whole {
 		fetch = uint32((p.missRunEnd(args.FH, v, first, first+k, bs) - first) * bs)
 	}
-	return p.readThrough(c, args, v, tr, start, fetch, "block_miss", func(r backend.ReadResult) error {
+	return p.readUpstream(c, args, v, tr, fetch, "block_miss", func(r backend.ReadResult) error {
 		if whole {
 			if err := p.installRun(args.FH, first, k, r, seq); err != nil {
 				return err
@@ -181,11 +358,11 @@ func (p *Proxy) readBlocks(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr 
 
 // readUncached answers a READ the block cache cannot: dirty state is
 // made visible upstream first, then the call bypasses the cache.
-func (p *Proxy) readUncached(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
+func (p *Proxy) readUncached(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, tr *obs.Active) readAnswer {
 	if err := p.cfg.BlockCache.WriteBackFile(args.FH); err != nil {
-		return nil, sunrpc.SystemErr
+		return readSystemErr
 	}
-	return p.readThrough(c, args, v, tr, start, args.Count, "forwarded", nil)
+	return p.readUpstream(c, args, v, tr, args.Count, "forwarded", nil)
 }
 
 // scanning reports whether the client reading from block first on looks
@@ -288,40 +465,39 @@ func (p *Proxy) keepAhead(fh nfs3.FH, block, seq uint64) {
 }
 
 // serveByHash tries to satisfy a missed block read by content: a known
-// zero block is synthesized locally, and content already cached under
+// zero block is answered with zeros, and content already cached under
 // another file's identity is served through a dedup alias. Both avoid
 // the upstream transfer entirely.
-func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, h backend.Hash, n uint32, tr *obs.Active, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, block uint64, h backend.Hash, n uint32, lookup time.Time) (readAnswer, bool) {
+	bs := p.cfg.BlockCache.BlockSize()
 	if backend.IsZeroHash(h, int(n)) {
 		p.stats.zeroFiltered.Add(1)
-		res, stat := p.cachedReadReply(c, args, v, make([]byte, n), p.cfg.BlockCache.BlockSize())
-		tr.Span(obs.LayerZeroFilter, "hit", lookup)
-		p.accountRead(c, v, args.FH, args.Offset, "zero_filter", args.Count, start)
-		return res, stat, true
+		a := readAnswer{eof: int(n) < bs, outcome: "zero_filter", layer: obs.LayerZeroFilter, span: "hit", since: lookup}
+		a.buf = bufpool.Get(int(n))
+		a.data = a.buf
+		clear(a.data)
+		return a, true
 	}
-	buf := bufpool.Get(p.cfg.BlockCache.BlockSize())
+	a := readAnswer{outcome: "block_hit", layer: obs.LayerBlockCache, span: "dedup_hit", since: lookup}
+	buf := bufpool.Get(bs)
 	data, ok := p.cfg.BlockCache.GetByHash(args.FH, block, h, buf)
 	if !ok {
 		bufpool.Put(buf)
-		return nil, 0, false
+		return a, false
 	}
-	tr.Span(obs.LayerBlockCache, "dedup_hit", lookup)
 	p.stats.readHits.Add(1)
 	p.maybePrefetch(c, args.FH, v, block, block+1)
-	res, stat := p.cachedReadReply(c, args, v, data, len(buf))
-	bufpool.Put(buf)
-	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
-	return res, stat, true
+	a.data, a.eof, a.buf = append(buf[:0], data...), len(data) < bs, buf // in place, but for the journal's copy of a torn frame
+	return a, true
 }
 
 // serveBlockHit serves a READ of k blocks from the block cache when all
-// of them are present (clean or dirty: session data wins), using pooled
-// buffers end to end: the frames are read into a pooled buffer, the
-// reply encoded into a pooled results buffer that the RPC server
-// releases after framing (Call.ReplyBuf). A short frame ends the reply.
-// The boolean reports whether the blocks were cached.
-func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, tr *obs.Active, outcome string, lookup, start time.Time) ([]byte, sunrpc.AcceptStat, bool) {
+// of them are present (clean or dirty: session data wins), read into a
+// pooled buffer and never copied again before the encode. A short frame
+// ends the answer. The boolean reports whether the blocks were cached.
+func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, outcome string, lookup time.Time) (readAnswer, bool) {
 	bs := p.cfg.BlockCache.BlockSize()
+	a := readAnswer{outcome: "block_hit", layer: obs.LayerBlockCache, span: outcome, since: lookup}
 	buf := bufpool.Get(int(k) * bs)
 	data := buf[:0]
 	for b := first; b < first+k; b++ {
@@ -329,179 +505,17 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 		blk, ok := p.cfg.BlockCache.GetInto(args.FH, b, buf[n:n+bs])
 		if !ok {
 			bufpool.Put(buf)
-			return nil, 0, false
+			return a, false
 		}
 		data = append(data, blk...) // in place, but for the journal's copy of a torn frame
 		if len(blk) < bs {
 			break
 		}
 	}
-	tr.Span(obs.LayerBlockCache, outcome, lookup)
 	p.stats.readHits.Add(1)
 	p.maybePrefetch(c, args.FH, v, first, first+k)
-	res, stat := p.cachedReadReply(c, args, v, data, int(k)*bs)
-	bufpool.Put(buf)
-	p.accountRead(c, v, args.FH, args.Offset, "block_hit", args.Count, start)
-	return res, stat, true
-}
-
-// cachedReadReply serves a READ hit from the cached bytes of the span
-// whole blocks it covers, trimming to the requested count and to the
-// known file size. The reply is encoded into a pooled
-// buffer released by the RPC server (ReplyBuf); cached is only
-// read before returning, so the caller may release it immediately.
-func (p *Proxy) cachedReadReply(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, cached []byte, span int) ([]byte, sunrpc.AcceptStat) {
-	if p.Degraded() {
-		p.stats.degradedReads.Add(1)
-	}
-	data := cached
-	if uint64(len(data)) > uint64(args.Count) {
-		data = data[:args.Count]
-	}
-	eof := len(cached) < span
-	if size := v.attr.Size; v.hasSize {
-		end := args.Offset + uint64(len(data))
-		if args.Offset >= size {
-			data = nil
-			eof = true
-		} else {
-			if end > size {
-				data = data[:size-args.Offset]
-				end = size
-			}
-			eof = end >= size
-		}
-	}
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
-	return c.ReplyBuf, sunrpc.Success
-}
-
-// rangeIsZero reports whether [off, off+count) is covered by all-zero
-// blocks of the meta-data map — blocks, that is, which the map called
-// zero and the session has not written since (metaState.wrote).
-func rangeIsZero(ms *metaState, off uint64, count uint32) bool {
-	if count == 0 {
-		return false
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	m := ms.m
-	bs := uint64(m.BlockSize)
-	end := off + uint64(count)
-	if end > m.FileSize {
-		end = m.FileSize
-	}
-	if off >= end {
-		return true // fully past EOF: trivially zero-satisfiable
-	}
-	for b := off / bs; b <= (end-1)/bs; b++ {
-		if !m.IsZeroBlock(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// zeroReply satisfies a read of all-zero blocks locally — the paper's
-// zero filtering for memory-state files.
-func (p *Proxy) zeroReply(args *nfs3.ReadArgs, m *meta.Meta, v *fileView) ([]byte, sunrpc.AcceptStat) {
-	p.stats.zeroFiltered.Add(1)
-	size := m.FileSize
-	var data []byte
-	eof := true
-	if args.Offset < size {
-		end := args.Offset + uint64(args.Count)
-		if end > size {
-			end = size
-		}
-		data = make([]byte, end-args.Offset)
-		eof = end >= size
-	}
-	// AppendTo, not Encode: Encode would move the caller's view to the heap.
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(len(data)), EOF: eof, Data: data}
-	return res.AppendTo(make([]byte, 0, nfs3.ReadResSize(len(data)))), sunrpc.Success
-}
-
-// zeroEdges is the zero filter for a READ of several whole cache blocks
-// that is not all zero: how many bytes at its head and at its tail the
-// map answers — blocks it calls zero, and what lies past the end of the
-// file — so that only the span from the first non-zero block to the last
-// is asked of the cache and, on a miss, of the upstream. Nothing is cut
-// from any other READ, or under a map whose blocks are not the cache's.
-func zeroEdges(ms *metaState, args *nfs3.ReadArgs, bs uint64) (lead, trail uint32) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	m := ms.m
-	count := uint64(args.Count)
-	if uint64(m.BlockSize) != bs || args.Offset%bs != 0 || count%bs != 0 || count <= bs || count > nfs3.MaxTransfer {
-		return 0, 0
-	}
-	zero := func(b uint64) bool { return b*bs >= m.FileSize || m.IsZeroBlock(b) }
-	first, end := args.Offset/bs, (args.Offset+count)/bs
-	// The caller found rangeIsZero false: some block in between is not zero.
-	for ; first < end && zero(first); first++ {
-		lead += uint32(bs)
-	}
-	for ; first < end && zero(end-1); end-- {
-		trail += uint32(bs)
-	}
-	return lead, trail
-}
-
-// readBetweenZeros answers a READ whose first lead and last trail bytes
-// zeroEdges cut: the block path serves the span between, from the cache
-// or in one upstream READ, and the reply is that span with the map's
-// zeros around it. The blocks cut are never fetched, so a fetch never
-// brings them into the cache. gvfs_proxy_zero_filtered_total does not
-// count the READ — it counts READs answered wholly from the map — and
-// the READ is accounted as the block path's, with the span's bytes.
-func (p *Proxy) readBetweenZeros(c *sunrpc.Call, args *nfs3.ReadArgs, lead, trail uint32, m *meta.Meta, v *fileView, tr *obs.Active, start time.Time) ([]byte, sunrpc.AcceptStat) {
-	span := *args
-	span.Offset += uint64(lead)
-	span.Count -= lead + trail
-	res, stat := p.readBlocks(c, &span, v, tr, start)
-	var r nfs3.ReadRes
-	if stat != sunrpc.Success || r.DecodeRefInto(res) != nil || r.Status != nfs3.OK {
-		return res, stat
-	}
-	n := int(lead) + len(r.Data)
-	if len(r.Data) == int(span.Count) { // the span came whole: the map knows what follows it
-		if end := span.Offset + uint64(span.Count); end < m.FileSize {
-			n += int(min(uint64(trail), m.FileSize-end))
-		}
-		r.EOF = args.Offset+uint64(n) >= m.FileSize
-	}
-	data := bufpool.Get(n)
-	clear(data)
-	copy(data[lead:], r.Data)
-	r.Count, r.Data = uint32(n), data
-	out := r.AppendTo(bufpool.Get(nfs3.ReadResSize(n))[:0])
-	bufpool.Put(data)
-	bufpool.Put(c.ReplyBuf) // the span's reply, which res and r.Data aliased
-	c.ReplyBuf = out
-	return out, sunrpc.Success
-}
-
-// readFromFileCache serves a READ from the whole-file cache, through
-// pooled buffers like a block-cache hit: the bytes are read into one, the
-// reply encoded into another that the RPC server releases (ReplyBuf).
-func (p *Proxy) readFromFileCache(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView) ([]byte, sunrpc.AcceptStat) {
-	size, _ := p.cfg.FileCache.Size(v.full) // what a READ can bring, whatever it asks for
-	buf := bufpool.Get(int(min(uint64(args.Count), size-min(size, args.Offset))))
-	defer bufpool.Put(buf)
-	n, eof, err := p.cfg.FileCache.ReadInto(v.full, args.Offset, buf)
-	if err != nil {
-		res := nfs3.ReadRes{Status: nfs3.ErrIO}
-		return res.Encode(), sunrpc.Success
-	}
-	p.stats.fileChanReads.Add(1)
-	if p.Degraded() {
-		p.stats.degradedReads.Add(1)
-	}
-	res := nfs3.ReadRes{Status: nfs3.OK, Attr: v.post(), Count: uint32(n), EOF: eof, Data: buf[:n]}
-	c.ReplyBuf = res.AppendTo(bufpool.Get(nfs3.ReadResSize(n))[:0])
-	return c.ReplyBuf, sunrpc.Success
+	a.data, a.eof, a.buf = data, len(data) < int(k)*bs, buf
+	return a, true
 }
 
 func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
@@ -523,7 +537,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 
 	// Writes to a file resident in the file cache stay local; the
 	// file-based channel uploads them at flush time.
-	if p.cfg.FileCache != nil && v.full != "" && p.cfg.FileCache.Has(v.full) {
+	if p.fileCached(&v) {
 		writer, err := p.keep(c)
 		if err != nil {
 			return nil, sunrpc.SystemErr

@@ -451,9 +451,32 @@ func TestRandomMissesDoNotOverFetch(t *testing.T) {
 
 // TestMissRunDegraded: with the breaker open a miss fails fast whatever
 // its run would have been, and blocks a run installed earlier — one or
-// several to a READ — are served from the cache.
+// several to a READ — are served from the cache. A READ the zero map
+// answers whole is a degraded read like them.
 func TestMissRunDegraded(t *testing.T) {
 	e := newRunEnv(t, 16*runBS, Config{FailureThreshold: 1, ProbeInterval: time.Hour})
+	zeros := make([]byte, 4*runBS)
+	blob, err := meta.GenerateZeroMap(zeros, runBS).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"/zero.img": zeros, "/" + meta.NameFor("zero.img"): blob} {
+		if err := e.fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.newSession(t)
+	zfh, _, err := e.nc.Lookup(e.root, "zero.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readZeros := func() {
+		t.Helper()
+		if data, _, err := e.nc.Read(zfh, runBS, runBS); err != nil || !bytes.Equal(data, zeros[:runBS]) {
+			t.Fatalf("READ of a zero block: %d bytes, err=%v", len(data), err)
+		}
+	}
+	readZeros() // fetches the map
 	e.read(t, 3, 1)
 	e.read(t, 4, 1) // installs 4..7
 	e.spy.set(func(s *spyBackend) { s.down = true })
@@ -475,8 +498,12 @@ func TestMissRunDegraded(t *testing.T) {
 			t.Errorf("degraded READ %d+%d went upstream: %v", r[0], r[1], cost)
 		}
 	}
-	if n := e.p.Snapshot().Counter("gvfs_proxy_degraded_reads_total"); n != 3 {
-		t.Errorf("%d degraded reads counted, want 3", n)
+	readZeros()
+	if got := e.spy.taken(); len(got) != 0 {
+		t.Errorf("a degraded READ of zero-mapped blocks went upstream: %v", got)
+	}
+	if n := e.p.Snapshot().Counter("gvfs_proxy_degraded_reads_total"); n != 4 {
+		t.Errorf("%d degraded reads counted, want 4", n)
 	}
 }
 

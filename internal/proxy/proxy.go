@@ -802,6 +802,13 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 		p.attrs.forget(args.FH)
 	case st == nfs3.OK:
 		p.attrs.setattr(args.FH, after, &args.Attr)
+		// The file cache's copy takes the new size too: it answers the
+		// file's READs and is what a flush sends back to the origin.
+		if v, _ := p.attrs.get(args.FH); args.Attr.Size != nil && p.fileCached(&v) {
+			if err := p.cfg.FileCache.Truncate(v.full, *args.Attr.Size); err != nil {
+				return nil, sunrpc.SystemErr
+			}
+		}
 	}
 	return res, stat
 }

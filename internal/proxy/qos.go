@@ -109,20 +109,6 @@ func (p *Proxy) brownout() bool {
 	return p.qos != nil && p.qos.Brownout()
 }
 
-// deferMissInBrownout reports whether a block-cache miss should be
-// deferred instead of forwarded: in brownout the proxy keeps answering
-// cache hits (cheap, local) but pushes miss traffic back onto the
-// clients with a retriable error so the upstream path and the
-// admission queues can drain.
-func (p *Proxy) deferMissInBrownout(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat, bool) {
-	if !p.brownout() {
-		return nil, 0, false
-	}
-	p.stats.brownoutShed.Add(1)
-	res, stat := shedReply(c)
-	return res, stat, true
-}
-
 // QoSTenants returns the scheduler's per-tenant table (nil when QoS is
 // disabled); surfaced in /statusz.
 func (p *Proxy) QoSTenants() []qos.TenantStats {

@@ -66,6 +66,20 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 	}
 }
 
+// TestWritePastZeroMapEndReadsBack: the map knows the file at the size it
+// was made for. Blocks a session writes past that end are the session's,
+// read back alone or behind zero blocks the map answers, and the file
+// ends after them.
+func TestWritePastZeroMapEndReadsBack(t *testing.T) {
+	e := newZeroMappedEnv(t, cache.WriteBack, 1)
+	e.read(t, 1, 1) // fetches the map
+	e.want = append(e.want, make([]byte, runBS)...)
+	e.write(t, 16, 0xCD)
+	e.read(t, 16, 1)
+	e.read(t, 14, 3) // Z Z and the written block
+	e.read(t, 16, 2) // the written block and past the end
+}
+
 // Readers of the map and the writers that take blocks out of it do not race.
 func TestWriteToZeroMappedBlockConcurrent(t *testing.T) {
 	e := newZeroMappedEnv(t, cache.WriteBack, 1)

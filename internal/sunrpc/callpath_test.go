@@ -28,6 +28,7 @@ func blockingServer(t *testing.T) (srv *Server, addr string, entered chan struct
 	t.Helper()
 	entered = make(chan struct{}, 1024) // more than any test blocks at once: handlers never wait to report
 	release = make(chan struct{})
+	settled(t)
 	srv = NewServer()
 	srv.Register(testProg, testVers, HandlerFunc(func(c *Call) ([]byte, AcceptStat) {
 		if c.Proc == procBlock {
@@ -91,7 +92,13 @@ func TestBlockedHandlersDoNotBlockConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		connected := runtime.NumGoroutine() // the connection's reader and the client's included
+		// Dial returns before the server has accepted the connection and
+		// started its reader; a call answered is one the reader has read.
+		// Its worker stays parked and is left out of the count.
+		if _, err := callDeadline(c, testProg, testVers, procNull, nil, time.Now().Add(10*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		connected := runtime.NumGoroutine() - 1 // the connection's reader and the client's included
 		blocked := startBlocked(t, c, entered, n)
 		if _, err := callDeadline(c, testProg, testVers, procNull, nil, time.Now().Add(10*time.Second)); err != nil {
 			t.Fatalf("%d calls blocked: a later call on the connection: %v", n, err)
@@ -103,7 +110,7 @@ func TestBlockedHandlersDoNotBlockConnection(t *testing.T) {
 }
 
 // waitGoroutines waits for the goroutine count to fall back to baseline.
-func waitGoroutines(t *testing.T, baseline int, when string) {
+func waitGoroutines(t testing.TB, baseline int, when string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > baseline {
@@ -114,6 +121,16 @@ func waitGoroutines(t *testing.T, baseline int, when string) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// settled has the test wait, when it ends, for the goroutines running
+// now to be all that are left: the servers and clients it starts after
+// this call, closed by then, have exited, and a later test that counts
+// the process's goroutines or allocations counts only its own. The wait
+// runs after the test's defers and the cleanups registered later.
+func settled(tb testing.TB) {
+	base := runtime.NumGoroutine()
+	tb.Cleanup(func() { waitGoroutines(tb, base, "when the test ends") })
 }
 
 // Readers and workers, parked or running, all exit once their
@@ -172,6 +189,7 @@ func TestWorkersExitOnClose(t *testing.T) {
 // the accepted results of xid.
 func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, payload []byte) error) error) (addr string) {
 	t.Helper()
+	settled(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -316,6 +334,7 @@ func goroutineID(buf []byte) []byte {
 // the handler.
 func echoRig(tb testing.TB, how callFn, onCall func()) (call func()) {
 	tb.Helper()
+	settled(tb)
 	reply := make([]byte, 8192)
 	srv := NewServer()
 	srv.Register(testProg, testVers, HandlerFunc(func(*Call) ([]byte, AcceptStat) {

@@ -85,16 +85,24 @@ func TestCallTimeoutNoRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server's goroutines are gone when the test ends: a tally of
+	// goroutines or allocations in a later test is not theirs.
+	var served sync.WaitGroup
+	defer served.Wait()
 	defer l.Close()
+	served.Add(1)
 	go func() {
+		defer served.Done()
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
+			served.Add(1)
 			go func() {
-				readRecord(conn) // read and ignore forever
-				select {}
+				defer served.Done()
+				defer conn.Close()
+				io.Copy(io.Discard, conn) // read and ignore until the client hangs up
 			}()
 		}
 	}()
