@@ -1,9 +1,11 @@
 // Command gvfsproxy runs the client-side GVFS proxy on a compute
 // server: the disk-caching, meta-data-handling proxy the paper's
 // extensions live in. It listens for NFS RPC traffic from the local
-// client, serves what it can from its block-based and file-based disk
-// caches, and forwards the rest to the next hop (typically a gvfsd on
-// the image server) over an optionally encrypted channel.
+// client, serves what it can from its disk cache, and forwards the rest
+// to the next hop (typically a gvfsd on the image server) over an
+// optionally encrypted channel. With -filechan, a file whose meta-data
+// asks for it (a VM's memory state) is fetched whole through the image
+// server's file channel into that cache, and written back whole.
 //
 // The middleware-driven consistency model is exposed through O/S
 // signals, exactly as the paper describes:

@@ -16,14 +16,19 @@ package gvfs_test
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"gvfs/internal/meta"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
@@ -63,16 +68,17 @@ func waitExit(t *testing.T, cmd *exec.Cmd) {
 }
 
 // startCrashProxy launches gvfsproxy over cacheDir with the given
-// crashpoint armed through GVFS_CRASHPOINT ("" = disarmed). Journaling is
-// the daemon's only write-back behaviour, so no flag asks for it.
-func startCrashProxy(t *testing.T, binDir, upstream, cacheDir, crashpoint string) (*exec.Cmd, string) {
+// crashpoint armed through GVFS_CRASHPOINT ("" = disarmed), and any extra
+// flags. Journaling is the daemon's only write-back behaviour, so no flag
+// asks for it.
+func startCrashProxy(t *testing.T, binDir, upstream, cacheDir, crashpoint string, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
 	addr := freePort(t)
 	cmd := startDaemonEnv(t, []string{"GVFS_CRASHPOINT=" + crashpoint}, filepath.Join(binDir, "gvfsproxy"),
-		"-listen", addr, "-upstream", upstream,
-		"-cache-dir", cacheDir, "-cache-banks", "2", "-cache-sets", "8",
-		"-cache-assoc", "4", "-cache-block", "4096",
-		"-policy", "write-back", "-journal-sync", "batch", "-log-level", "warn")
+		append([]string{"-listen", addr, "-upstream", upstream,
+			"-cache-dir", cacheDir, "-cache-banks", "2", "-cache-sets", "8",
+			"-cache-assoc", "4", "-cache-block", "4096",
+			"-policy", "write-back", "-journal-sync", "batch", "-log-level", "warn"}, extra...)...)
 	waitListening(t, addr)
 	return cmd, addr
 }
@@ -195,6 +201,115 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrashAfterFileChannelFetchKeepsWrites: a memory state fetched whole
+// through the file channel, then written (a VM suspending), keeps the
+// acknowledged bytes across a kill-9 of the proxy. The fetch fills the
+// block cache, so a WRITE to the file is journaled like any other: the
+// restarted proxy serves it, and after SIGUSR1 the origin holds it.
+func TestCrashAfterFileChannelFetchKeepsWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash e2e skipped in -short mode")
+	}
+	binDir := buildTools(t)
+	exportDir := t.TempDir()
+	state := make([]byte, 8*e2eBlock) // zero but for blocks 1, 4 and 5
+	for _, b := range []int{1, 4, 5} {
+		copy(state[b*e2eBlock:], bytes.Repeat([]byte{byte(0x40 + b)}, e2eBlock))
+	}
+	blob, err := meta.ForWholeFile(state, e2eBlock).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"mem.vmss": state, meta.NameFor("mem.vmss"): blob} {
+		if err := os.WriteFile(filepath.Join(exportDir, name), data, 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nfsdAddr, gvfsdAddr, fchanAddr := freePort(t), freePort(t), freePort(t)
+	startDaemon(t, filepath.Join(binDir, "nfsd"), "-listen", nfsdAddr, "-root", exportDir, "-export", "/")
+	waitListening(t, nfsdAddr)
+	startDaemon(t, filepath.Join(binDir, "gvfsd"), "-listen", gvfsdAddr, "-upstream", nfsdAddr,
+		"-filechan-listen", fchanAddr, "-root", exportDir)
+	waitListening(t, gvfsdAddr)
+	waitListening(t, fchanAddr)
+
+	cacheDir, metricsAddr := t.TempDir(), freePort(t)
+	proxy1, addr1 := startCrashProxy(t, binDir, gvfsdAddr, cacheDir, "",
+		"-filechan", fchanAddr, "-metrics", metricsAddr)
+	nc, root, closeC := crashClient(t, addr1)
+	defer closeC()
+	fh, _, err := nc.Lookup(root, "mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := nc.Read(fh, e2eBlock, e2eBlock); err != nil || !bytes.Equal(got, state[e2eBlock:2*e2eBlock]) {
+		t.Fatalf("first READ: %v", err)
+	}
+	if n := scrapeCounter(t, metricsAddr, "gvfs_proxy_filechan_fetches_total"); n != 1 {
+		t.Fatalf("file-channel fetches = %d, want 1: the READ did not fetch the file", n)
+	}
+	// The VM suspends: a zero block and a fetched one are written.
+	written := map[uint64][]byte{2: bytes.Repeat([]byte{0xC2}, e2eBlock), 4: bytes.Repeat([]byte{0xC4}, e2eBlock)}
+	for b, data := range written {
+		if _, _, err := nc.Write(fh, b*e2eBlock, data, nfs3.Unstable); err != nil {
+			t.Fatalf("WRITE of block %d: %v", b, err)
+		}
+		copy(state[b*e2eBlock:], data)
+	}
+	proxy1.Process.Kill()
+	proxy1.Wait()
+
+	proxy2, addr2 := startCrashProxy(t, binDir, gvfsdAddr, cacheDir, "", "-filechan", fchanAddr)
+	nc2, root2, closeC2 := crashClient(t, addr2)
+	defer closeC2()
+	fh2, _, err := nc2.Lookup(root2, "mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := range written {
+		if got, _, err := nc2.Read(fh2, b*e2eBlock, e2eBlock); err != nil || !bytes.Equal(got, state[b*e2eBlock:(b+1)*e2eBlock]) {
+			t.Errorf("block %d through the restarted proxy: %v, want the acknowledged write", b, err)
+		}
+	}
+	proxy2.Process.Signal(syscall.SIGUSR1)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		post, _ := os.ReadFile(filepath.Join(exportDir, "mem.vmss"))
+		if bytes.Equal(post, state) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the origin's memory state never held the acknowledged writes")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// scrapeCounter reads one counter from the /metrics page at addr.
+func scrapeCounter(t *testing.T, addr, name string) uint64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(strings.Fields(v)[0], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s at %s/metrics", name, addr)
+	return 0
 }
 
 func TestCrashRecoveryNoStaleResurrection(t *testing.T) {

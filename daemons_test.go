@@ -142,11 +142,10 @@ func TestDaemonsEndToEnd(t *testing.T) {
 	waitListening(t, filechanAddr)
 
 	cacheDir := t.TempDir()
-	fileCacheDir := t.TempDir()
 	proxyCmd := startDaemon(t, filepath.Join(binDir, "gvfsproxy"),
 		"-listen", proxyAddr, "-upstream", gvfsdAddr,
 		"-cache-dir", cacheDir, "-cache-banks", "8", "-cache-sets", "8",
-		"-filecache-dir", fileCacheDir, "-filechan", filechanAddr,
+		"-filechan", filechanAddr,
 		"-keyfile", keyFile, "-readahead", "4",
 		"-metrics", metricsAddr, "-trace-ring", "256",
 		"-flightrec", "64", "-slow-threshold", "50ms", "-log-level", "debug")

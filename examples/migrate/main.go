@@ -26,7 +26,6 @@ import (
 
 func computeServer(name string, server *stack.ImageServer, wan *simnet.Link) (*stack.Node, *gvfs.Session, func(), error) {
 	blockDir, _ := os.MkdirTemp("", "migrate-block")
-	fileDir, _ := os.MkdirTemp("", "migrate-file")
 	cfg := cache.DefaultConfig(blockDir)
 	cfg.Banks, cfg.SetsPerBank = 16, 32
 	node, err := stack.StartProxy(stack.ProxyOptions{
@@ -34,14 +33,12 @@ func computeServer(name string, server *stack.ImageServer, wan *simnet.Link) (*s
 		UpstreamLink: wan,
 		UpstreamKey:  server.Key,
 		CacheConfig:  &cfg,
-		FileCacheDir: fileDir,
 		FileChanAddr: server.FileChanAddr(),
 		FileChanLink: wan,
 		FileChanKey:  server.Key,
 	})
 	if err != nil {
 		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
 		return nil, nil, nil, err
 	}
 	sess, err := gvfs.Mount(gvfs.SessionConfig{
@@ -53,14 +50,12 @@ func computeServer(name string, server *stack.ImageServer, wan *simnet.Link) (*s
 	if err != nil {
 		node.Close()
 		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
 		return nil, nil, nil, err
 	}
 	cleanup := func() {
 		sess.Close()
 		node.Close()
 		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
 	}
 	return node, sess, cleanup, nil
 }

@@ -38,9 +38,7 @@ func main() {
 	defer server.Close()
 
 	blockDir, _ := os.MkdirTemp("", "persistent-block")
-	fileDir, _ := os.MkdirTemp("", "persistent-file")
 	defer os.RemoveAll(blockDir)
-	defer os.RemoveAll(fileDir)
 	cfg := cache.DefaultConfig(blockDir)
 	cfg.Banks, cfg.SetsPerBank = 16, 32
 	node, err := stack.StartProxy(stack.ProxyOptions{
@@ -48,7 +46,6 @@ func main() {
 		UpstreamLink:  wan,
 		UpstreamKey:   server.Key,
 		CacheConfig:   &cfg,
-		FileCacheDir:  fileDir,
 		FileChanAddr:  server.FileChanAddr(),
 		FileChanLink:  wan,
 		FileChanKey:   server.Key,

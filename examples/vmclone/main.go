@@ -53,9 +53,7 @@ func main() {
 	defer server.Close()
 
 	blockDir, _ := os.MkdirTemp("", "vmclone-block")
-	fileDir, _ := os.MkdirTemp("", "vmclone-file")
 	defer os.RemoveAll(blockDir)
-	defer os.RemoveAll(fileDir)
 	cfg := cache.DefaultConfig(blockDir)
 	cfg.Banks, cfg.SetsPerBank = 32, 32
 	proxyNode, err := stack.StartProxy(stack.ProxyOptions{
@@ -63,7 +61,6 @@ func main() {
 		UpstreamLink: wan,
 		UpstreamKey:  server.Key,
 		CacheConfig:  &cfg,
-		FileCacheDir: fileDir,
 		FileChanAddr: server.FileChanAddr(),
 		FileChanLink: wan,
 		FileChanKey:  server.Key,
@@ -98,7 +95,7 @@ func main() {
 		if i == 1 {
 			fmt.Printf("   (cold: compressed memory state crossed the WAN)")
 		} else {
-			fmt.Printf("   (warm: memory state served from the proxy file cache)")
+			fmt.Printf("   (warm: memory state served from the proxy disk cache)")
 		}
 		fmt.Println()
 	}

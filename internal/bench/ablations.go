@@ -131,18 +131,12 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 			server.Close()
 			return nil, err
 		}
-		fileDir, err := os.MkdirTemp(o.WorkDir, "abl-file")
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
 		cfg := o.cacheConfig(blockDir, cache.WriteBack)
 		node, err := stack.StartProxy(stack.ProxyOptions{
 			UpstreamAddr: server.ProxyAddr(),
 			UpstreamLink: wan,
 			UpstreamKey:  server.Key,
 			CacheConfig:  &cfg,
-			FileCacheDir: fileDir,
 			FileChanAddr: server.FileChanAddr(),
 			FileChanLink: wan,
 			FileChanKey:  server.Key,
@@ -164,7 +158,6 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 		node.Close()
 		server.Close()
 		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
 		if err != nil {
 			return nil, err
 		}

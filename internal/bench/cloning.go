@@ -26,17 +26,13 @@ func (o Options) cloneVMSpec(name string, seed int64) vm.Spec {
 	}
 }
 
-// cloneChain is a compute server's proxy for cloning: block cache +
-// file cache + meta-data handling.
+// cloneChain is a compute server's proxy for cloning: block cache,
+// meta-data handling and the file channel that fills the block cache.
 func (o Options) cloneChain(server *stack.ImageServer, wan *simnet.Link,
 	fileChanAddr string, fileChanLink *simnet.Link, fileChanKey []byte,
 	upstreamAddr string, upstreamLink *simnet.Link, upstreamKey []byte) (*stack.Node, *gvfs.Session, error) {
 
 	blockDir, err := os.MkdirTemp(o.WorkDir, "clone-block")
-	if err != nil {
-		return nil, nil, err
-	}
-	fileDir, err := os.MkdirTemp(o.WorkDir, "clone-file")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -46,7 +42,6 @@ func (o Options) cloneChain(server *stack.ImageServer, wan *simnet.Link,
 		UpstreamLink: upstreamLink,
 		UpstreamKey:  upstreamKey,
 		CacheConfig:  &cfg,
-		FileCacheDir: fileDir,
 		FileChanAddr: fileChanAddr,
 		FileChanLink: fileChanLink,
 		FileChanKey:  fileChanKey,
@@ -60,13 +55,9 @@ func (o Options) cloneChain(server *stack.ImageServer, wan *simnet.Link,
 	if err != nil {
 		node.Close()
 		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
 		return nil, nil, err
 	}
-	node.AddCleanup(func() {
-		os.RemoveAll(blockDir)
-		os.RemoveAll(fileDir)
-	})
+	node.AddCleanup(func() { os.RemoveAll(blockDir) })
 	_ = server
 	_ = wan
 	return node, sess, nil

@@ -163,9 +163,10 @@ type deployConfig struct {
 	// blockCache enables the client proxy disk cache.
 	blockCache bool
 	policy     cache.Policy
-	// fileCache enables meta-data handling + the file channel at the
-	// client proxy (cloning experiments).
-	fileCache bool
+	// fileChan gives the client proxy the image server's file channel:
+	// a file whose meta-data asks for it is fetched whole into the block
+	// cache.
+	fileChan bool
 	// direct connects the session straight to the image server's NFS
 	// daemon across the scenario link: the "pure NFS" baseline with
 	// no GVFS proxies at all.
@@ -225,14 +226,7 @@ func (o Options) deploy(fs *memfs.FS, dc deployConfig) (*Deployment, error) {
 			popts.CacheConfig = &cfg
 			d.closers = append(d.closers, func() { os.RemoveAll(dir) })
 		}
-		if dc.fileCache {
-			dir, err := os.MkdirTemp(o.WorkDir, "filecache")
-			if err != nil {
-				d.Close()
-				return nil, err
-			}
-			popts.FileCacheDir = dir
-			d.closers = append(d.closers, func() { os.RemoveAll(dir) })
+		if dc.fileChan {
 			popts.FileChanAddr = server.FileChanAddr()
 			popts.FileChanLink = d.WANLink
 			popts.FileChanKey = server.Key

@@ -40,7 +40,7 @@ func (o Options) RunPersistentVM() (*Table, error) {
 		if s == WANC {
 			dc.blockCache = true
 			dc.policy = cache.WriteBack
-			dc.fileCache = true
+			dc.fileChan = true
 		}
 		dep, err := o.deploy(fs, dc)
 		if err != nil {

@@ -251,6 +251,12 @@ type Cache struct {
 
 	wbMu sync.RWMutex
 	wb   WriteBackFunc
+
+	// whole maps each file whose WriteBackWhole send is in flight to a
+	// channel closed when it returns; wholeN counts them.
+	wholeMu sync.Mutex
+	whole   map[string]chan struct{}
+	wholeN  atomic.Int32
 }
 
 // New creates (or reuses) the bank directory and returns an empty
@@ -268,6 +274,7 @@ func New(cfg Config) (*Cache, error) {
 		frames:  make([]frame, n),
 		stripes: make([]stripe, cfg.stripes),
 		banks:   make([]atomic.Pointer[os.File], cfg.Banks),
+		whole:   make(map[string]chan struct{}),
 	}
 	for i := range c.stripes {
 		s := &c.stripes[i]
@@ -860,6 +867,7 @@ func (c *Cache) writeBackFrame(s *stripe, idx int) error {
 		data, err = c.journalRescue(id)
 	}
 	if err == nil {
+		c.awaitWhole(id.FH)
 		err = wb(nfs3.FH(id.FH), id.Block*uint64(c.cfg.BlockSize), data)
 	}
 	if err == nil && c.journal != nil {
@@ -982,6 +990,7 @@ func (c *Cache) flushBlock(id BlockID, wb WriteBackFunc) error {
 		data, err = c.journalRescue(id)
 	}
 	if err == nil {
+		c.awaitWhole(id.FH)
 		err = wb(nfs3.FH(id.FH), id.Block*uint64(c.cfg.BlockSize), data)
 	}
 	if err == nil && c.journal != nil {

@@ -2,11 +2,16 @@ package cache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gvfs/internal/nfs3"
 )
@@ -521,4 +526,159 @@ func TestRunWithTornFrameFallsBackPerBlock(t *testing.T) {
 		t.Errorf("after flush: dirty %d, checksum errors %d, live intents %d",
 			c.DirtyCount(), c.Stats().ChecksumErrors, c.JournalStats().Live)
 	}
+}
+
+// TestWriteBackWhole: a file the cache holds whole — frames, and blocks
+// the caller calls zeros — goes back as one stream of its size, and its
+// dirty blocks, journaled ones included, are clean once the stream was
+// taken; a file not held whole or with nothing dirty is not sent, and a
+// failed send and a torn frame leave every dirty block dirty for the
+// ordinary flush. WRITEs go on during the send, and a block one changes,
+// or grows past the size sent, stays dirty; every other write-back of the
+// file waits for the send to return.
+func TestWriteBackWhole(t *testing.T) {
+	const bs = 512
+	size := uint64(3*bs + 100) // blocks 0 (clean), 1 (dirty), 2 (zeros, no frame), 3 (dirty, short)
+	sizeFn := func() uint64 { return size }
+	setup := func(t *testing.T) (*Cache, []byte) {
+		c := newTestCache(t, journalConfig(t.TempDir()))
+		c.SetWriteBackFunc(func(nfs3.FH, uint64, []byte) error { return nil })
+		want := make([]byte, size)
+		for b, dirty := range map[uint64]bool{0: false, 1: true, 3: true} {
+			data := bytes.Repeat([]byte{byte(0x40 + b)}, bs)[:min(bs, int(size-b*bs))]
+			copy(want[b*bs:], data)
+			if err := c.Put(fhA, b, data, dirty); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c, want
+	}
+	zeros := func(b uint64) bool { return b == 2 }
+	readAll := func(r io.Reader) error { _, err := io.ReadAll(r); return err }
+	t.Run("whole", func(t *testing.T) {
+		c, want := setup(t)
+		var got []byte
+		cleaned, err := c.WriteBackWhole(fhA, sizeFn, zeros, func(r io.Reader) (err error) {
+			got, err = io.ReadAll(r)
+			return err
+		})
+		slices.Sort(cleaned)
+		if err != nil || !bytes.Equal(got, want) || !slices.Equal(cleaned, []uint64{1, 3}) {
+			t.Errorf("sent %d bytes (want %d, equal %v), cleaned %v, err %v", len(got), len(want), bytes.Equal(got, want), cleaned, err)
+		}
+		if c.DirtyCount() != 0 || c.JournalStats().Live != 0 {
+			t.Errorf("after the send: %d dirty, %d live intents", c.DirtyCount(), c.JournalStats().Live)
+		}
+	})
+	unsent := func(io.Reader) error { t.Error("a file was sent that should not be"); return nil }
+	for _, tc := range []struct {
+		name  string
+		zero  func(uint64) bool
+		send  func(io.Reader) error
+		prep  func(t *testing.T, c *Cache)
+		dirty int
+	}{
+		{name: "not whole", zero: func(uint64) bool { return false }, send: unsent, dirty: 2},
+		{name: "nothing dirty", zero: zeros, send: unsent, prep: func(t *testing.T, c *Cache) {
+			if err := c.WriteBackAll(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "send fails", zero: zeros, send: func(io.Reader) error { return errors.New("link down") }, dirty: 2},
+		{name: "torn frame", zero: zeros, send: readAll, dirty: 2, prep: func(t *testing.T, c *Cache) {
+			id := BlockID{FH: fhA.Key(), Block: 1}
+			bank, off := c.bankOf(c.stripeFor(id).index[id])
+			f, err := c.bankFile(bank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := setup(t)
+			if tc.prep != nil {
+				tc.prep(t, c)
+			}
+			if cleaned, _ := c.WriteBackWhole(fhA, sizeFn, tc.zero, tc.send); len(cleaned) != 0 || c.DirtyCount() != tc.dirty {
+				t.Errorf("cleaned %v, %d dirty, want none cleaned and %d dirty", cleaned, c.DirtyCount(), tc.dirty)
+			}
+		})
+	}
+	// put writes a block in another goroutine and fails the test if the
+	// WRITE does not return promptly: no frame is pinned across a send.
+	put := func(t *testing.T, c *Cache, block uint64, data []byte) {
+		done := make(chan error, 1)
+		go func() { done <- c.Put(fhA, block, data, true) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a WRITE waited for the send")
+		}
+	}
+	// stays checks that block holds data, dirty, after the send.
+	stays := func(t *testing.T, c *Cache, block uint64, data []byte, cleaned []uint64) {
+		if got, ok := c.Get(fhA, block); !ok || !bytes.Equal(got, data) {
+			t.Errorf("block %d: the WRITE made during the send was lost", block)
+		}
+		if _, dirty := c.Peek(fhA, block); !dirty || slices.Contains(cleaned, block) {
+			t.Errorf("block %d is clean (cleaned %v): the bytes the send missed would never go back", block, cleaned)
+		}
+	}
+	t.Run("a write after the read stays dirty", func(t *testing.T) {
+		c, _ := setup(t)
+		newer := bytes.Repeat([]byte{0xee}, bs)
+		cleaned, err := c.WriteBackWhole(fhA, sizeFn, zeros, func(r io.Reader) error {
+			err := readAll(r)
+			put(t, c, 1, newer)
+			return err
+		})
+		if err != nil || !slices.Equal(cleaned, []uint64{3}) {
+			t.Errorf("cleaned %v, err %v; want block 3 only", cleaned, err)
+		}
+		stays(t, c, 1, newer, cleaned)
+	})
+	t.Run("the last block grows after the size was read", func(t *testing.T) {
+		c, want := setup(t)
+		full := bytes.Repeat([]byte{0x43}, bs) // a client page over the short block 3
+		var got []byte
+		cleaned, err := c.WriteBackWhole(fhA, sizeFn, zeros, func(r io.Reader) (err error) {
+			put(t, c, 3, full)
+			got, err = io.ReadAll(r)
+			return err
+		})
+		if err != nil || !bytes.Equal(got, want) || !slices.Equal(cleaned, []uint64{1}) {
+			t.Errorf("sent %d bytes (want the %d the size names), cleaned %v, err %v; want block 1 only", len(got), len(want), cleaned, err)
+		}
+		stays(t, c, 3, full, cleaned)
+	})
+	t.Run("other write-backs of the file wait for the send", func(t *testing.T) {
+		c, _ := setup(t)
+		var sending atomic.Bool
+		c.SetWriteBackFunc(func(fh nfs3.FH, off uint64, _ []byte) error {
+			if sending.Load() {
+				t.Errorf("block %d of the file went upstream during the send: the send replaces it there", off/bs)
+			}
+			return nil
+		})
+		flushed := make(chan error, 1)
+		c.WriteBackWhole(fhA, sizeFn, zeros, func(r io.Reader) error {
+			sending.Store(true)
+			defer sending.Store(false)
+			go func() { flushed <- c.WriteBackAll() }()
+			time.Sleep(50 * time.Millisecond)
+			return readAll(r)
+		})
+		if err := <-flushed; err != nil {
+			t.Fatal(err)
+		}
+		if c.DirtyCount() != 0 {
+			t.Errorf("%d dirty after the send and the flush", c.DirtyCount())
+		}
+	})
 }

@@ -42,7 +42,6 @@ func newCloneEnv(t testing.TB) *cloneEnv {
 	node, err := stack.StartProxy(stack.ProxyOptions{
 		UpstreamAddr: server.ProxyAddr(),
 		CacheConfig:  &cfg,
-		FileCacheDir: t.TempDir(),
 		FileChanAddr: server.FileChanAddr(),
 	})
 	if err != nil {
@@ -171,7 +170,6 @@ func TestParallelClones(t *testing.T) {
 		node, err := stack.StartProxy(stack.ProxyOptions{
 			UpstreamAddr: server.ProxyAddr(),
 			CacheConfig:  &cfg,
-			FileCacheDir: t.TempDir(),
 			FileChanAddr: server.FileChanAddr(),
 		})
 		if err != nil {
@@ -266,7 +264,7 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
 	node, err := stack.StartProxy(stack.ProxyOptions{
 		UpstreamAddr: server.ProxyAddr(), UpstreamLink: link, CacheConfig: &cfg,
-		FileCacheDir: t.TempDir(), FileChanAddr: server.FileChanAddr(), FileChanLink: link,
+		FileChanAddr: server.FileChanAddr(), FileChanLink: link,
 	})
 	if err != nil {
 		t.Fatal(err)

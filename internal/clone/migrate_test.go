@@ -21,7 +21,6 @@ func computeServer(t *testing.T, server *stack.ImageServer) (*stack.Node, *gvfs.
 	node, err := stack.StartProxy(stack.ProxyOptions{
 		UpstreamAddr: server.ProxyAddr(),
 		CacheConfig:  &cfg,
-		FileCacheDir: t.TempDir(),
 		FileChanAddr: server.FileChanAddr(),
 	})
 	if err != nil {

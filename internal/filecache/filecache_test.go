@@ -55,54 +55,8 @@ func TestNotCached(t *testing.T) {
 	if _, _, err := c.ReadAt("/missing", 0, 10); !errors.Is(err, ErrNotCached) {
 		t.Errorf("err = %v", err)
 	}
-	if err := c.WriteAt("/missing", 0, []byte("x")); !errors.Is(err, ErrNotCached) {
-		t.Errorf("err = %v", err)
-	}
-	if _, ok := c.Size("/missing"); ok {
-		t.Error("Size of missing entry")
-	}
-}
-
-func TestWriteAtMarksDirty(t *testing.T) {
-	c := newCache(t)
-	c.Store("/f", make([]byte, 100))
-	if c.Dirty("/f") {
-		t.Error("fresh entry dirty")
-	}
-	if err := c.WriteAt("/f", 10, []byte("patch")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Dirty("/f") {
-		t.Error("entry not dirty after write")
-	}
-	data, _, _ := c.ReadAt("/f", 10, 5)
-	if string(data) != "patch" {
-		t.Errorf("read = %q", data)
-	}
-}
-
-func TestWriteAtExtends(t *testing.T) {
-	c := newCache(t)
-	c.Store("/f", make([]byte, 10))
-	if err := c.WriteAt("/f", 20, []byte("beyond")); err != nil {
-		t.Fatal(err)
-	}
-	if sz, _ := c.Size("/f"); sz != 26 {
-		t.Errorf("size = %d", sz)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	c := newCache(t)
-	c.Store("/f", make([]byte, 100))
-	if err := c.Truncate("/f", 10); err != nil {
-		t.Fatal(err)
-	}
-	if sz, _ := c.Size("/f"); sz != 10 {
-		t.Errorf("size = %d", sz)
-	}
-	if !c.Dirty("/f") {
-		t.Error("truncate should mark dirty")
+	if c.Has("/missing") {
+		t.Error("Has of a missing entry")
 	}
 }
 
@@ -127,10 +81,6 @@ func TestContents(t *testing.T) {
 	c.Store("/f", data)
 	if got := contents(t, c, "/f"); !bytes.Equal(got, data) {
 		t.Errorf("got %q", got)
-	}
-	c.Truncate("/f", 5)
-	if got := contents(t, c, "/f"); string(got) != "whole" {
-		t.Errorf("after truncate: %q", got)
 	}
 	if _, _, err := c.Open("/missing"); !errors.Is(err, ErrNotCached) {
 		t.Errorf("Open of a path not cached: %v", err)
@@ -172,80 +122,6 @@ func TestFillFailureLeavesNoEntry(t *testing.T) {
 	})
 	if err != nil || n != 9 || string(contents(t, c, "/old")) != "new copy!" {
 		t.Errorf("Fill: %d bytes, err=%v", n, err)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := newCache(t)
-	c.Store("/a", []byte("A"))
-	c.Store("/b", []byte("B"))
-	c.WriteAt("/a", 0, []byte("X"))
-	uploaded := map[string][]byte{}
-	err := c.Flush(func(path string, r io.Reader, size uint64) error {
-		data, err := io.ReadAll(r)
-		if uint64(len(data)) != size {
-			t.Errorf("%s: %d bytes, declared %d", path, len(data), size)
-		}
-		uploaded[path] = data
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(uploaded) != 1 || string(uploaded["/a"]) != "X" {
-		t.Errorf("uploaded = %v", uploaded)
-	}
-	if c.Dirty("/a") {
-		t.Error("still dirty after flush")
-	}
-}
-
-func TestFlushPropagatesError(t *testing.T) {
-	c := newCache(t)
-	c.Store("/a", []byte("A"))
-	c.WriteAt("/a", 0, []byte("X"))
-	wantErr := errors.New("network down")
-	err := c.Flush(func(string, io.Reader, uint64) error { return wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
-	}
-	if !c.Dirty("/a") {
-		t.Error("entry marked clean despite failed upload")
-	}
-}
-
-// A write that lands while its file is being uploaded keeps the entry
-// dirty: the upload may have read the file before it.
-func TestWriteDuringFlushStaysDirty(t *testing.T) {
-	c := newCache(t)
-	c.Store("/a", []byte("A"))
-	c.WriteAt("/a", 0, []byte("X"))
-	err := c.Flush(func(path string, r io.Reader, size uint64) error {
-		c.WriteAt(path, 0, []byte("Y"))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Dirty("/a") {
-		t.Error("a write made during the upload was marked clean")
-	}
-	if err := c.Flush(func(string, io.Reader, uint64) error { return nil }); err != nil || c.Dirty("/a") {
-		t.Errorf("second flush: err=%v dirty=%v", err, c.Dirty("/a"))
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := newCache(t)
-	c.Store("/a", []byte("A"))
-	c.Invalidate("/a")
-	if c.Has("/a") {
-		t.Error("entry survives Invalidate")
-	}
-	c.Store("/b", []byte("B"))
-	c.InvalidateAll()
-	if c.Has("/b") {
-		t.Error("entry survives InvalidateAll")
 	}
 }
 
@@ -293,7 +169,7 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// ReadInto fills the caller's buffer as far as the file goes.
+// readInto fills the caller's buffer as far as the file goes.
 func TestReadInto(t *testing.T) {
 	c, err := New(t.TempDir())
 	if err != nil {
@@ -309,12 +185,12 @@ func TestReadInto(t *testing.T) {
 		want string
 		eof  bool
 	}{{0, "0123", false}, {6, "6789", true}, {8, "89", true}, {10, "", true}, {99, "", true}} {
-		n, eof, err := c.ReadInto("/f", tc.off, buf)
+		n, eof, err := c.readInto("/f", tc.off, buf)
 		if err != nil || string(buf[:n]) != tc.want || eof != tc.eof {
-			t.Errorf("ReadInto at %d: %q eof=%v err=%v, want %q eof=%v", tc.off, buf[:n], eof, err, tc.want, tc.eof)
+			t.Errorf("readInto at %d: %q eof=%v err=%v, want %q eof=%v", tc.off, buf[:n], eof, err, tc.want, tc.eof)
 		}
 	}
-	if _, _, err := c.ReadInto("/missing", 0, buf); !errors.Is(err, ErrNotCached) {
-		t.Errorf("ReadInto of a path not cached: %v", err)
+	if _, _, err := c.readInto("/missing", 0, buf); !errors.Is(err, ErrNotCached) {
+		t.Errorf("readInto of a path not cached: %v", err)
 	}
 }

@@ -139,7 +139,12 @@ func (m *Meta) NumBlocks() uint64 {
 	if m.BlockSize == 0 {
 		return 0
 	}
-	return (m.FileSize + uint64(m.BlockSize) - 1) / uint64(m.BlockSize)
+	bs := uint64(m.BlockSize)
+	n := m.FileSize / bs // not (FileSize+bs-1)/bs, which wraps near 2^64
+	if m.FileSize%bs != 0 {
+		n++
+	}
+	return n
 }
 
 // IsZeroBlock reports whether block is marked all-zero. Blocks past
@@ -155,10 +160,11 @@ func (m *Meta) IsZeroBlock(block uint64) bool {
 	return m.ZeroMap[byteIdx]&(1<<(block%8)) != 0
 }
 
-// ZeroBlockCount returns the number of blocks marked zero.
+// ZeroBlockCount returns the number of blocks marked zero: a walk of the
+// bitmap, however many blocks FileSize claims.
 func (m *Meta) ZeroBlockCount() uint64 {
 	var n uint64
-	for block := uint64(0); block < m.NumBlocks(); block++ {
+	for block := uint64(0); block < min(m.NumBlocks(), uint64(len(m.ZeroMap))*8); block++ {
 		if m.IsZeroBlock(block) {
 			n++
 		}
@@ -172,6 +178,20 @@ func (m *Meta) ClearZero(block uint64) {
 	if byteIdx := block / 8; byteIdx < uint64(len(m.ZeroMap)) {
 		m.ZeroMap[byteIdx] &^= 1 << (block % 8)
 	}
+}
+
+// ConfirmZero reports whether block, whose bytes are data, is marked
+// all-zero and is. A block marked zero whose bytes are not is taken out of
+// the map: the map is older than the file.
+func (m *Meta) ConfirmZero(block uint64, data []byte) bool {
+	if !m.IsZeroBlock(block) {
+		return false
+	}
+	if allZero(data) {
+		return true
+	}
+	m.ClearZero(block)
+	return false
 }
 
 // setZero marks block as all-zero.

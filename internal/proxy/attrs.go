@@ -73,7 +73,6 @@ type attrEntry struct {
 	// yet, so its size and writer are nowhere else.
 	dirty      bool
 	wroteAt    uint64 // attrTable.absorbed after its last absorbed WRITE
-	resident   bool   // the whole file lives in the file cache, under full
 	list       listState
 	meta       metaState
 	prev, next *attrEntry // LRU ring through attrTable.lru
@@ -222,13 +221,13 @@ func (t *attrTable) remove(e *attrEntry) {
 	t.n--
 }
 
-// evict brings the table back under its cap. A dirty or resident entry is
-// never the victim (its state is nowhere else); those met on the way move
-// to the front, so the scan stays short, and the table exceeds the cap by
-// at most their number.
+// evict brings the table back under its cap. A dirty entry, or one whose
+// file came through the file channel, is never the victim (its state is
+// nowhere else); those met on the way move to the front, so the scan
+// stays short, and the table exceeds the cap by at most their number.
 func (t *attrTable) evict() {
 	for scanned := 0; t.n > t.limit && scanned < 8; scanned++ {
-		if e := t.lru.prev; e.dirty || e.resident {
+		if e := t.lru.prev; e.dirty || e.meta.fetched.Load() {
 			t.touch(e)
 		} else {
 			t.remove(e)
@@ -316,9 +315,7 @@ func (t *attrTable) pathOf(dir nfs3.FH, name string) string {
 }
 
 // repath moves the paths at and under from to under to ("" = unknown),
-// after a RENAME moved them there: one pass over the table. The file
-// cache held them under their old paths and has dropped them
-// (Proxy.handleNameChange).
+// after a RENAME moved them there: one pass over the table.
 func (t *attrTable) repath(from, to string) {
 	if from == "" {
 		return
@@ -327,7 +324,6 @@ func (t *attrTable) repath(from, to string) {
 	defer t.mu.Unlock()
 	for _, e := range t.byFH {
 		if rest, ok := strings.CutPrefix(e.full, from); ok && (rest == "" || rest[0] == '/') {
-			e.resident = false
 			full := "" // moved where the table has no path: none, not the bare suffix
 			if to != "" {
 				full = to + rest
@@ -598,23 +594,20 @@ func (t *attrTable) installListing(dir nfs3.FH, r *nfs3.ReaddirplusRes, gen uint
 	return listComplete
 }
 
-// forget drops fh's entry — the file is gone or the handle stale — and
-// returns the path it was known under.
-func (t *attrTable) forget(fh nfs3.FH) (full string) {
+// forget drops fh's entry: the file is gone or the handle stale.
+func (t *attrTable) forget(fh nfs3.FH) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	*t.stripe(fh, "")++
 	if e := t.byFH[string(fh)]; e != nil {
-		full = e.full
 		t.remove(e)
 	}
-	return full
 }
 
 // sawSize records a size seen without a whole fattr3 from upstream — in
-// a reply, or of a file that now lives whole in the file cache
-// (resident) — and returns fh's view.
-func (t *attrTable) sawSize(fh nfs3.FH, size uint64, resident bool) fileView {
+// a reply, or the length of a file-channel transfer — and returns fh's
+// view.
+func (t *attrTable) sawSize(fh nfs3.FH, size uint64) fileView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entry(fh, true)
@@ -622,7 +615,6 @@ func (t *attrTable) sawSize(fh nfs3.FH, size uint64, resident bool) fileView {
 		e.attr.Size, e.attr.Used = size, size
 	}
 	e.hasSize = true
-	e.resident = e.resident || resident
 	return e.view()
 }
 
@@ -639,6 +631,19 @@ func (t *attrTable) wrote(fh nfs3.FH, end uint64, now nfs3.Time, writer backend.
 	}
 	e.writer, e.wroteAt = writer, t.absorbed.Add(1)
 	return e.view()
+}
+
+// fetchedDirty returns the handles of the files that came through the
+// file channel and have absorbed writes since the last write-back settled.
+func (t *attrTable) fetchedDirty() (out []nfs3.FH) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for fh, e := range t.byFH {
+		if e.dirty && e.meta.fetched.Load() {
+			out = append(out, nfs3.FH(fh))
+		}
+	}
+	return out
 }
 
 // settled records that a write-back of everything dirty succeeded, begun

@@ -440,12 +440,12 @@ func TestAttrTableBounded(t *testing.T) {
 	tbl.setRoot(root, "/")
 	dirty, shrunk := nfs3.FH("dirty"), nfs3.FH("shrunk")
 	tbl.learn(shrunk, root, "shrunk.img", &nfs3.Fattr{Type: nfs3.TypeReg, Size: 8192}, false, anyGen)
-	if v := tbl.sawSize(shrunk, 4096, false); v.attr.Size != 8192 {
+	if v := tbl.sawSize(shrunk, 4096); v.attr.Size != 8192 {
 		t.Errorf("a READ reply lowered the session's size to %d", v.attr.Size)
 	}
 	tbl.learn(dirty, root, "dirty.redo", &nfs3.Fattr{Type: nfs3.TypeReg, Size: 8192}, false, anyGen)
 	tbl.wrote(dirty, 16384, nfs3.Time{Sec: 1}, backend.Cred{})
-	tbl.sawSize(dirty, 12288, false) // part of it written back: still ahead
+	tbl.sawSize(dirty, 12288) // part of it written back: still ahead
 	for i := 0; i < attrTableCap+1000; i++ {
 		name := fmt.Sprintf("f%d", i)
 		if i%2 == 0 {
@@ -487,7 +487,7 @@ func TestAttrTableBounded(t *testing.T) {
 	if tbl.len() != 0 || len(tbl.byFH) != 0 || len(tbl.names) != 0 {
 		t.Error("reset left entries")
 	}
-	if full := tbl.sawSize(root, 0, false).full; full != "/" {
+	if full := tbl.sawSize(root, 0).full; full != "/" {
 		t.Errorf("the export root's path did not survive reset: %q", full)
 	}
 }

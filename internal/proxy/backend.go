@@ -142,7 +142,7 @@ func (p *Proxy) beLookup(dir nfs3.FH, name string, opts backend.CallOpts) (fh nf
 	// client's: the name, the size, or that the name is not there.
 	if err == nil {
 		p.attrs.learn(fh, dir, name, nil, false, gen)
-		p.attrs.sawSize(fh, attr.Size, false)
+		p.attrs.sawSize(fh, attr.Size)
 	} else if backend.Classify(err) == backend.ClassNotFound {
 		p.attrs.negative(dir, name, gen)
 	}
@@ -189,7 +189,7 @@ func (p *Proxy) readUpstream(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, t
 		return readAnswer{outcome: "error", status: st}
 	}
 	if r.Attr.Known() {
-		*v = p.attrs.sawSize(args.FH, r.Attr.Size, false)
+		*v = p.attrs.sawSize(args.FH, r.Attr.Size)
 	}
 	if install != nil {
 		if err := install(r); err != nil {

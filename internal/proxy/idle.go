@@ -46,7 +46,7 @@ func (p *Proxy) StartIdleWriteBack(idle time.Duration) (stop func()) {
 			if time.Since(last) < idle {
 				continue
 			}
-			if !p.hasDirtyData() {
+			if p.cfg.BlockCache == nil || p.cfg.BlockCache.DirtyCount() == 0 {
 				continue
 			}
 			// Brownout sheds optional work: background write-back would
@@ -65,15 +65,4 @@ func (p *Proxy) StartIdleWriteBack(idle time.Duration) (stop func()) {
 			close(s.stop)
 		}
 	}
-}
-
-// hasDirtyData reports whether any cache holds unpropagated writes.
-func (p *Proxy) hasDirtyData() bool {
-	if p.cfg.BlockCache != nil && p.cfg.BlockCache.DirtyCount() > 0 {
-		return true
-	}
-	if p.cfg.FileCache != nil && len(p.cfg.FileCache.DirtyPaths()) > 0 {
-		return true
-	}
-	return false
 }

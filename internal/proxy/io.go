@@ -20,10 +20,11 @@ import (
 // filtering and file-channel mechanisms — plus the middleware-facing
 // consistency entry points.
 
-// readAnswer is what one source hands back for a READ — the file cache,
-// the zero map, the dedup zero hash or an alias, the block cache (a hit
-// or a join), or the upstream (a miss or a forwarded READ). handleRead
-// encodes, spans and accounts it, whichever source it came from.
+// readAnswer is what one source hands back for a READ — the zero map, the
+// dedup zero hash or an alias, the block cache (a hit or a join, of a
+// file fetched through the file channel or not), or the upstream (a miss
+// or a forwarded READ). handleRead encodes, spans and accounts it,
+// whichever source it came from.
 type readAnswer struct {
 	data []byte             // the bytes from the READ's offset on
 	eof  bool               // the source's word on whether they end the file
@@ -112,9 +113,8 @@ func (p *Proxy) handleRead(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Accep
 		if !servedLocally(a.outcome) {
 			attr = p.replyAttr(v, a.r.Attr, &upstream)
 		} else if size := v.attr.Size; v.hasSize {
-			// The file cache holds the whole file: an end it reports stands.
 			data = data[:min(uint64(len(data)), size-min(size, args.Offset))]
-			eof = args.Offset+uint64(len(data)) >= size || eof && a.outcome == "file_cache"
+			eof = args.Offset+uint64(len(data)) >= size
 		}
 		r := nfs3.ReadRes{Status: nfs3.OK, Attr: attr, Count: uint32(len(data)), EOF: eof, Data: data}
 		c.ReplyBuf = r.AppendTo(bufpool.Get(nfs3.ReadResSize(len(data)))[:0])
@@ -139,26 +139,22 @@ func (p *Proxy) readSource(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, kno
 	var lead, trail uint32
 	var end uint64 // where the file ends, to the zero map
 	if known {
-		switch ms := p.metaFor(v, c); {
-		case ms.m == nil:
-		case ms.m.WantsFileChannel() && p.cfg.FileCache != nil && p.cfg.FileChanDial != nil:
-			p.ensureFetched(args.FH, v, ms) // a fetch that fails caches nothing: blocks answer
-		case ms.m.HasZeroMap():
-			// The end the map was made for, or a later one the table knows.
-			end = ms.m.FileSize
-			if v.hasSize {
-				end = max(end, v.attr.Size)
+		if ms := p.metaFor(v, c); ms.m != nil {
+			if ms.m.WantsFileChannel() && p.cfg.BlockCache != nil && p.cfg.FileChanDial != nil {
+				p.ensureFetched(args.FH, v, ms) // a fetch that fails installs nothing: upstream answers
 			}
-			var whole bool
-			if lead, trail, whole = p.zeroEdges(ms, args, end); whole {
-				return p.readZeros(args, end, start)
+			if ms.m.HasZeroMap() {
+				// The end the map was made for, or a later one the table knows.
+				end = ms.m.FileSize
+				if v.hasSize {
+					end = max(end, v.attr.Size)
+				}
+				var whole bool
+				if lead, trail, whole = p.zeroEdges(ms, args, end); whole {
+					return p.readZeros(args, end, start)
+				}
 			}
 		}
-	}
-	// A file fetched whole, by this READ or an earlier one, is the file
-	// cache's to answer.
-	if p.fileCached(v) {
-		return p.readFileCache(args, v, start)
 	}
 	if p.cfg.BlockCache == nil {
 		return p.readUpstream(c, args, v, tr, args.Count, "forwarded", nil)
@@ -167,29 +163,6 @@ func (p *Proxy) readSource(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, kno
 		return p.readBetweenZeros(c, args, v, tr, lead, trail, end)
 	}
 	return p.readBlocks(c, args, v, tr)
-}
-
-// fileCached reports whether the file cache holds v's file whole: it
-// answers the file's READs and takes its WRITEs.
-func (p *Proxy) fileCached(v *fileView) bool {
-	return p.cfg.FileCache != nil && v.full != "" && p.cfg.FileCache.Has(v.full)
-}
-
-// readFileCache answers a READ from the whole-file cache, read into a
-// pooled buffer like a block-cache hit. A file the cache cannot read
-// fails the READ with NFS3ERR_IO.
-func (p *Proxy) readFileCache(args *nfs3.ReadArgs, v *fileView, start time.Time) readAnswer {
-	a := readAnswer{outcome: "file_cache", layer: obs.LayerFileCache, span: "hit", since: start}
-	size, _ := p.cfg.FileCache.Size(v.full) // what a READ can bring, whatever it asks for
-	a.buf = bufpool.Get(int(min(uint64(args.Count), size-min(size, args.Offset))))
-	n, eof, err := p.cfg.FileCache.ReadInto(v.full, args.Offset, a.buf)
-	if err != nil {
-		a.outcome, a.span, a.status = "error", "error", nfs3.ErrIO
-		return a
-	}
-	p.stats.fileChanReads.Add(1)
-	a.data, a.eof = a.buf[:n], eof
-	return a
 }
 
 // zeroEdges is the zero filter's look at a READ through the file's map:
@@ -437,8 +410,8 @@ func (p *Proxy) installRun(fh nfs3.FH, first, demanded uint64, r backend.ReadRes
 			}
 			break
 		}
-		if i >= demanded {
-			p.keepAhead(fh, first+i, seq)
+		if i >= demanded && p.keepAhead(fh, first+i, seq) {
+			p.stats.prefetched.Add(1) // the bonus blocks that stay
 		}
 	}
 	return nil
@@ -454,14 +427,14 @@ func (p *Proxy) installRun(fh nfs3.FH, first, demanded uint64, r backend.ReadRes
 // turns clean and is compared after the insert, so no order of the two
 // leaves old bytes cached; a dirty frame met here is a newer write still
 // and InvalidateBlock writes it back first. A demanded block is not held
-// to this: its client raced the WRITE itself. The blocks that stay are
-// the ones gvfs_proxy_prefetched_total counts.
-func (p *Proxy) keepAhead(fh nfs3.FH, block, seq uint64) {
+// to this: its client raced the WRITE itself. It reports whether the
+// block stayed.
+func (p *Proxy) keepAhead(fh nfs3.FH, block, seq uint64) bool {
 	if p.attrs.writeSeq(fh) != seq {
 		p.cfg.BlockCache.InvalidateBlock(fh, block)
-		return
+		return false
 	}
-	p.stats.prefetched.Add(1)
+	return true
 }
 
 // serveByHash tries to satisfy a missed block read by content: a known
@@ -495,14 +468,25 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 // of them are present (clean or dirty: session data wins), read into a
 // pooled buffer and never copied again before the encode. A short frame
 // ends the answer. The boolean reports whether the blocks were cached.
-func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, outcome string, lookup time.Time) (readAnswer, bool) {
+// A file fetched through the file channel is read locally (paper §3.2.2):
+// its hits are the file cache's, the blocks its zero map vouches for were
+// never installed and are zeros, and it needs no read-ahead.
+func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, span string, lookup time.Time) (readAnswer, bool) {
 	bs := p.cfg.BlockCache.BlockSize()
-	a := readAnswer{outcome: "block_hit", layer: obs.LayerBlockCache, span: outcome, since: lookup}
+	fetched := v.meta != nil && v.meta.fetched.Load()
+	a := readAnswer{outcome: "block_hit", layer: obs.LayerBlockCache, span: span, since: lookup}
+	if fetched {
+		a.outcome, a.layer = "file_cache", obs.LayerFileCache
+	}
 	buf := bufpool.Get(int(k) * bs)
 	data := buf[:0]
 	for b := first; b < first+k; b++ {
 		n := len(data)
 		blk, ok := p.cfg.BlockCache.GetInto(args.FH, b, buf[n:n+bs])
+		if !ok && fetched && v.meta.vouches(b, uint64(bs)) {
+			blk, ok = buf[n:n+bs], true
+			clear(blk)
+		}
 		if !ok {
 			bufpool.Put(buf)
 			return a, false
@@ -512,8 +496,12 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 			break
 		}
 	}
-	p.stats.readHits.Add(1)
-	p.maybePrefetch(c, args.FH, v, first, first+k)
+	if fetched {
+		p.stats.fileChanReads.Add(1)
+	} else {
+		p.stats.readHits.Add(1)
+		p.maybePrefetch(c, args.FH, v, first, first+k)
+	}
 	a.data, a.eof, a.buf = data, len(data) < int(k)*bs, buf
 	return a, true
 }
@@ -521,7 +509,7 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	// Zero-copy parse: args.Data aliases the transport's pooled request
 	// record, which stays valid until this handler returns. Every sink
-	// below (file cache, bank write, journal append, upstream marshal)
+	// below (bank write, journal append, upstream marshal)
 	// copies the bytes before then; only the FH is retained, and
 	// DecodeRefInto copies it.
 	var args nfs3.WriteArgs
@@ -533,22 +521,6 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	file := v.labelOf(args.FH)
 	if known {
 		v.meta.wrote(args.Offset, uint64(len(args.Data))) // whichever way the bytes go from here
-	}
-
-	// Writes to a file resident in the file cache stay local; the
-	// file-based channel uploads them at flush time.
-	if p.fileCached(&v) {
-		writer, err := p.keep(c)
-		if err != nil {
-			return nil, sunrpc.SystemErr
-		}
-		if err := p.cfg.FileCache.WriteAt(v.full, args.Offset, args.Data); err != nil {
-			return nil, sunrpc.SystemErr
-		}
-		p.stats.writesAbsorbed.Add(1)
-		p.acct.recordWrite(file, p.clientLabel(c), len(args.Data))
-		tr.Span(obs.LayerFileCache, "absorb", start)
-		return p.absorbedWriteReply(c, &args, start, writer), sunrpc.Success
 	}
 
 	if p.cfg.BlockCache == nil || p.cfg.WritePolicy != cache.WriteBack {
@@ -640,7 +612,7 @@ func (p *Proxy) mergeBlock(fh nfs3.FH, v *fileView, block, bs uint64, data []byt
 	}
 	defer r.Release()
 	if r.Attr.Known() {
-		*v = p.attrs.sawSize(fh, r.Attr.Size, false)
+		*v = p.attrs.sawSize(fh, r.Attr.Size)
 	}
 	if len(r.Data) <= len(data) {
 		return data, nil
@@ -698,7 +670,7 @@ func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, file string, 
 	if w.After.Known() {
 		size = w.After.Size
 	}
-	v := p.attrs.sawSize(args.FH, size, false)
+	v := p.attrs.sawSize(args.FH, size)
 	if err := p.coherentAfterWrite(args); err != nil {
 		return nil, sunrpc.SystemErr
 	}
@@ -822,41 +794,84 @@ func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64, opts backend.CallOp
 	}
 }
 
-// ensureFetched runs the file-based data channel once per file:
-// compress on the server, remote copy, uncompress into the file cache.
+// ensureFetched runs the file-based data channel once per file: compress
+// on the server, remote copy, uncompress into the block cache, cut into
+// blocks as the reply arrives. Each block the zero map does not vouch for
+// (the map stops vouching for one the transfer shows is not zeros) is
+// installed clean by installRun's rule: never over a dirty frame, and kept
+// only under keepAhead's. A fetch that fails drops the clean frames it
+// reached: no byte of a broken transfer is served.
 func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.fetched && p.cfg.FileCache.Has(v.full) { // a RENAME drops the copy and moves the path
+	if ms.fetched.Load() {
 		return nil
 	}
 	if v.full == "" {
 		return fmt.Errorf("proxy: no path known for %s", fh)
-	}
-	if sz, ok := p.cfg.FileCache.Size(v.full); ok {
-		// A previous session (or clone) already pulled this file.
-		ms.fetched = true
-		*v = p.attrs.sawSize(fh, sz, true)
-		return nil
 	}
 	conn, err := p.cfg.FileChanDial()
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	// The reply is gunzipped into the file cache as it arrives; the entry
-	// appears only once its size and gzip trailer check out.
-	size, err := p.cfg.FileCache.Fill(v.full, func(w io.Writer) error {
-		_, err := filechan.FetchTo(conn, v.full, ms.m.WantsCompression(), w)
+	bc := p.cfg.BlockCache
+	bs := uint64(bc.BlockSize())
+	seq := p.attrs.writeSeq(fh)
+	buf := bufpool.Get(int(bs))
+	defer bufpool.Put(buf)
+	w := blockWriter{buf: buf[:0:bs], install: func(b uint64, data []byte) (err error) {
+		if uint64(ms.m.BlockSize) != bs || !ms.m.ConfirmZero(b, data) {
+			if err = bc.PutDedup(fh, b, data, false); err == nil {
+				p.keepAhead(fh, b, seq)
+			}
+		}
 		return err
-	})
+	}}
+	size, err := filechan.FetchTo(conn, v.full, ms.m.WantsCompression(), &w)
+	if err == nil {
+		err = w.flush() // the short last block
+	}
 	if err != nil {
+		for b := range w.block {
+			if _, dirty := bc.Peek(fh, b); !dirty {
+				bc.InvalidateBlock(fh, b)
+			}
+		}
 		return err
 	}
-	*v = p.attrs.sawSize(fh, size, true)
+	*v = p.attrs.sawSize(fh, size)
 	p.stats.fileChanFetch.Add(1)
-	ms.fetched = true
+	ms.fetched.Store(true)
 	return nil
+}
+
+// blockWriter cuts a byte stream into blocks of cap(buf) bytes and hands
+// each one, numbered from 0, to install as it completes.
+type blockWriter struct {
+	buf     []byte
+	block   uint64 // the number of the block buf is filling
+	install func(block uint64, data []byte) error
+}
+
+func (w *blockWriter) Write(p []byte) (n int, err error) {
+	for len(p) > 0 && err == nil {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p, n = w.buf[:len(w.buf)+k], p[k:], n+k
+		if len(w.buf) == cap(w.buf) {
+			err = w.flush()
+		}
+	}
+	return n, err
+}
+
+// flush installs what buf holds, if anything, as the next block.
+func (w *blockWriter) flush() (err error) {
+	if len(w.buf) > 0 {
+		err = w.install(w.block, w.buf)
+		w.block, w.buf = w.block+1, w.buf[:0]
+	}
+	return err
 }
 
 // --- middleware-driven consistency (paper §3.2.1) ---
@@ -874,61 +889,63 @@ func (p *Proxy) writeBackReason(reason string) error {
 	p.acct.flushTriggered(reason)
 	seq := p.attrs.absorbed.Load()
 	if p.cfg.BlockCache != nil {
+		p.putFetched()
 		if err := p.cfg.BlockCache.WriteBackAll(); err != nil {
 			return err
 		}
-	}
-	if err := p.flushFileCache(); err != nil {
-		return err
 	}
 	p.attrs.settled(seq)
 	return nil
 }
 
 // Flush propagates all dirty state and invalidates every cache — blocks,
-// whole files, attributes and names — ending the session's ownership of
-// the data. The gvfsproxy daemon binds this
-// to SIGUSR2.
+// attributes and names — ending the session's ownership of the data. The
+// gvfsproxy daemon binds this to SIGUSR2.
 func (p *Proxy) Flush() error {
 	p.acct.flushTriggered(TriggerFlush)
 	if p.cfg.BlockCache != nil {
+		p.putFetched()
 		if err := p.cfg.BlockCache.Flush(); err != nil {
 			return err
 		}
-	}
-	if err := p.flushFileCache(); err != nil {
-		return err
-	}
-	if p.cfg.FileCache != nil {
-		p.cfg.FileCache.InvalidateAll()
 	}
 	p.attrs.reset()
 	return nil
 }
 
-func (p *Proxy) flushFileCache() error {
-	if p.cfg.FileCache == nil || p.cfg.FileChanDial == nil {
-		return nil
+// putFetched sends each fetched file that has absorbed writes back the way
+// it came (paper §3.2.2): one compressed file-channel transfer, read from
+// the block cache and the zero map, settles its dirty blocks. A block
+// written during the transfer, and those of a file the cache no longer
+// holds whole or whose put fails, go back in runs: the write-back that
+// follows sends every block still dirty.
+func (p *Proxy) putFetched() {
+	if p.cfg.FileChanDial == nil {
+		return
 	}
-	return p.cfg.FileCache.Flush(p.putFile)
-}
-
-// evictFileCache sends what the file cache holds at or under path back to
-// the origin, where it was written, and drops it: a RENAME is about to
-// move the path.
-func (p *Proxy) evictFileCache(path string) error {
-	if path == "" || p.cfg.FileCache == nil || p.cfg.FileChanDial == nil {
-		return nil
+	bs := uint64(p.cfg.BlockCache.BlockSize())
+	for _, fh := range p.attrs.fetchedDirty() {
+		var v fileView
+		size := func() uint64 { // read once no other write-back of the file can land
+			if v, _ = p.attrs.get(fh); v.full == "" || !v.meta.fetched.Load() {
+				return 0 // gone, fetched anew, or moved where the table has no path: not sent
+			}
+			return v.attr.Size
+		}
+		p.puts.RLock()
+		cleaned, _ := p.cfg.BlockCache.WriteBackWhole(fh, size, func(b uint64) bool { return v.meta.vouches(b, bs) },
+			func(r io.Reader) error {
+				conn, err := p.cfg.FileChanDial()
+				if err != nil {
+					return err
+				}
+				defer conn.Close()
+				defer p.attrs.wroteUpstream(fh) // before a block turns clean, as in beWrite
+				return filechan.PutFrom(conn, v.full, r, v.attr.Size, true)
+			})
+		p.puts.RUnlock()
+		for _, b := range cleaned {
+			p.acct.writeCommitted(v.label, b, int(bs))
+		}
 	}
-	return p.cfg.FileCache.Evict(path, p.putFile)
-}
-
-// putFile streams one whole file upstream through the file channel.
-func (p *Proxy) putFile(path string, r io.Reader, size uint64) error {
-	conn, err := p.cfg.FileChanDial()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return filechan.PutFrom(conn, path, r, size, true)
 }

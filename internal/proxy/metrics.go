@@ -67,7 +67,7 @@ func newCounters(reg *obs.Registry) *counters {
 	c.readHits = reg.Counter("gvfs_proxy_read_hits_total", "Block reads served from the disk cache.")
 	c.readMisses = reg.Counter("gvfs_proxy_read_misses_total", "Block reads that went upstream.")
 	c.zeroFiltered = reg.Counter("gvfs_proxy_zero_filtered_total", "Reads satisfied from the zero-block map.")
-	c.fileChanReads = reg.Counter("gvfs_proxy_filechan_reads_total", "Reads served from the file cache.")
+	c.fileChanReads = reg.Counter("gvfs_proxy_filechan_reads_total", "Reads of files fetched through the file channel served from the disk cache.")
 	c.fileChanFetch = reg.Counter("gvfs_proxy_filechan_fetches_total", "Whole-file channel transfers performed.")
 	c.writesAbsorbed = reg.Counter("gvfs_proxy_writes_absorbed_total", "Writes held by write-back caching.")
 	c.writesForwarded = reg.Counter("gvfs_proxy_writes_forwarded_total", "Writes relayed upstream.")

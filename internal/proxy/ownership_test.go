@@ -46,7 +46,6 @@ func TestChainReadOwnership(t *testing.T) {
 		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 8, Assoc: 2,
 			BlockSize: bs, Policy: cache.WriteBack},
 		ReadAhead:    8,
-		FileCacheDir: t.TempDir(),
 		FileChanAddr: deadChan,
 	})
 	if err != nil {

@@ -7,11 +7,16 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gvfs/internal/cache"
+	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
+	"gvfs/internal/meta"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
@@ -65,6 +70,86 @@ func pathsProxyOn(t *testing.T, upstream nfs3.Caller) (*Proxy, *nfs3.Client, nfs
 		t.Fatal(err)
 	}
 	return p, nfs3.NewClient(rpc, cred), root
+}
+
+// TestRenameWaitsForWholePut: a fetched file's put goes to the origin by
+// path, so a RENAME of the file issued while the put is in flight waits
+// for it. Were the RENAME to land first, the put would recreate the old
+// name with the written bytes and leave the renamed file without them.
+func TestRenameWaitsForWholePut(t *testing.T) {
+	const bs = 8192
+	fs := memfs.New()
+	state := bytes.Repeat([]byte{7}, 4*bs)
+	fs.WriteFile("/mem.vmss", state)
+	blob, _ := meta.ForWholeFile(state, bs).Encode()
+	fs.WriteFile("/"+meta.NameFor("mem.vmss"), blob)
+	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
+		BlockSize: bs, Policy: cache.WriteBack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	var hold atomic.Bool // the next dial waits for release
+	dialed, release := make(chan struct{}, 1), make(chan struct{})
+	p, err := New(Config{Upstream: nfsdInProcess(t, fs), BlockCache: bc, WritePolicy: cache.WriteBack,
+		FileChanDial: func() (net.Conn, error) {
+			if hold.Load() {
+				dialed <- struct{}{}
+				<-release
+			}
+			a, b := net.Pipe()
+			go filechan.NewServer(fs).ServeConn(b)
+			return a, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Shutdown)
+	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "paths"}.Encode()
+	rpc := sunrpc.Local{H: p}
+	root, err := mountd.Mount(rpc, cred, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(rpc, cred)
+	fh, _, err := nc.Lookup(root, "mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Read(fh, 0, bs); err != nil || p.stats.fileChanFetch.Value() != 1 {
+		t.Fatalf("the first READ (err %v) did not fetch the file", err)
+	}
+	patch := bytes.Repeat([]byte{0xa5}, bs)
+	if _, _, err := nc.Write(fh, bs, patch, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	copy(state[bs:], patch)
+
+	hold.Store(true)
+	wroteBack := make(chan error, 1)
+	go func() { wroteBack <- p.WriteBack() }()
+	<-dialed // the put is in flight
+	renamed := make(chan error, 1)
+	go func() { renamed <- nc.Rename(root, "mem.vmss", root, "moved.vmss") }()
+	select {
+	case err := <-renamed:
+		renamed <- err // for the wait below
+		t.Errorf("the RENAME (err %v) returned while the put to the old name was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-wroteBack; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-renamed; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ReadFile("/moved.vmss"); err != nil || !bytes.Equal(got, state) {
+		t.Errorf("the renamed file does not hold the written state (err %v)", err)
+	}
+	if _, err := fs.ReadFile("/mem.vmss"); err == nil {
+		t.Error("the put recreated the old name")
+	}
 }
 
 // internLen is the number of values t holds.

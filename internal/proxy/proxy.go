@@ -11,8 +11,8 @@
 //   - a client-side, proxy-managed disk cache at NFS RPC granularity
 //     with write-through or write-back policies (§3.2.1);
 //   - meta-data handling: zero-block filtering for memory-state files
-//     and the compress/remote-copy/uncompress/read-locally file channel
-//     feeding a file-based cache (§3.2.2);
+//     and the compress/remote-copy/uncompress/read-locally file channel,
+//     whose whole-file transfer fills the disk cache (§3.2.2);
 //   - cross-domain identity mapping via logical user accounts at the
 //     server side;
 //   - middleware-driven consistency: WriteBack and Flush entry points
@@ -37,7 +37,6 @@ import (
 	"gvfs/internal/bufpool"
 	"gvfs/internal/cache"
 	"gvfs/internal/cachean"
-	"gvfs/internal/filecache"
 	"gvfs/internal/meta"
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
@@ -78,10 +77,9 @@ type Config struct {
 	// WRITE calls when BlockCache is set.
 	WritePolicy cache.Policy
 
-	// FileCache and FileChanDial together enable meta-data-driven
-	// whole-file transfers: FileChanDial opens a connection to the
-	// image server's file-channel service.
-	FileCache    *filecache.Cache
+	// FileChanDial, with BlockCache, connects to the image server's file
+	// channel: a file whose meta-data asks for it is fetched whole through
+	// it into the block cache on its first READ.
 	FileChanDial func() (net.Conn, error)
 
 	// ReadAhead, when positive, fetches this many blocks — rounded up to
@@ -154,7 +152,9 @@ type metaState struct {
 	mu      sync.Mutex
 	checked bool
 	m       *meta.Meta // nil after check = no meta-data; its zero map is read and changed under mu
-	fetched bool       // whole file resident in the file cache
+	// fetched: the file came whole through the file channel into the block
+	// cache. Set under mu, read without it (attrTable.evict, serveBlockHit).
+	fetched atomic.Bool
 	// The bytes WRITEs covered before the meta-data was looked up, as one
 	// range (wroteHi 0 = none): metaFor takes it out of the zero map.
 	wroteLo, wroteHi uint64
@@ -181,27 +181,39 @@ func (ms *metaState) wrote(off, n uint64) {
 	ms.wroteHi = max(ms.wroteHi, off+n)
 }
 
+// vouches reports whether the file's zero map — once a READ has looked it
+// up, and if its blocks are bs bytes — answers for block b.
+func (ms *metaState) vouches(b, bs uint64) bool {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.vouchesLocked(b, bs)
+}
+
+// vouchesLocked is vouches for a caller that holds ms.mu.
+func (ms *metaState) vouchesLocked(b, bs uint64) bool {
+	return ms.m != nil && uint64(ms.m.BlockSize) == bs && ms.m.IsZeroBlock(b)
+}
+
 // trimZeros moves end back over the blocks of bs bytes that the file's
-// zero map answers for — once a READ has looked the map up, and if its
-// blocks are that size — but not below demanded.
+// zero map answers for, but not below demanded.
 func (ms *metaState) trimZeros(demanded, end, bs uint64) uint64 {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if m := ms.m; m != nil && m.HasZeroMap() && uint64(m.BlockSize) == bs {
-		for end > demanded && m.IsZeroBlock(end-1) {
-			end--
-		}
+	for end > demanded && ms.vouchesLocked(end-1, bs) {
+		end--
 	}
 	return end
 }
 
-// unzero clears the zero map over [lo, hi). The caller holds ms.mu.
+// unzero clears the zero map over [lo, hi) as far as its bitmap goes (the
+// map's FileSize may claim any number of blocks). The caller holds ms.mu.
 func (ms *metaState) unzero(lo, hi uint64) {
 	if ms.m == nil || !ms.m.HasZeroMap() {
 		return
 	}
 	bs := uint64(ms.m.BlockSize)
-	for b := lo / bs; b*bs < hi && b < ms.m.NumBlocks(); b++ {
+	n := min(ms.m.NumBlocks(), uint64(len(ms.m.ZeroMap))*8)
+	for b := lo / bs; b < n && b*bs < hi; b++ {
 		ms.m.ClearZero(b)
 	}
 }
@@ -226,6 +238,11 @@ type Proxy struct {
 
 	breaker *backend.Breaker // upstream health: degraded mode while open
 	relay   nfs3.Caller      // control-plane next hop: Config.Upstream, or Config.Backend served in process
+
+	// puts is held shared by each whole-file put of a fetched file, which
+	// goes to the origin by path (putFetched), and exclusively by a RENAME
+	// until the table has the new paths: no put lands under a moved name.
+	puts sync.RWMutex
 }
 
 // New returns a Proxy for cfg. If a write-back block cache is
@@ -243,7 +260,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:   cfg,
-		attrs: newAttrTable(cfg.BlockCache != nil || cfg.FileCache != nil),
+		attrs: newAttrTable(cfg.BlockCache != nil),
 		stats: newCounters(reg),
 		acct:  newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
 		log:   cfg.Logger.Named("proxy"),
@@ -441,7 +458,7 @@ func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
 		return err
 	}
 	if w.After.Known() {
-		v = p.attrs.sawSize(fh, w.After.Size, false)
+		v = p.attrs.sawSize(fh, w.After.Size)
 	}
 	if p.cfg.BlockCache != nil {
 		// A coalesced write-back covers several blocks; close each
@@ -686,15 +703,12 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 		dead, _, _ = p.attrs.child(dir, name)
 	case nfs3.ProcRename:
 		// The file a RENAME replaces goes like a removed one; the renamed
-		// one keeps its entry under the new name, and what the file cache
-		// holds at or under the old path goes back to the origin before
-		// the path stops existing there.
+		// one keeps its entry, and its cached blocks, under the new name.
 		moved, _, _ = p.attrs.child(dir, name)
 		dead, _, _ = p.attrs.child(toDir, toName)
 		from = p.attrs.pathOf(dir, name)
-		if err := p.evictFileCache(from); err != nil {
-			return nil, sunrpc.SystemErr
-		}
+		p.puts.Lock()
+		defer p.puts.Unlock()
 	}
 	// From here until the table has what the reply says, the names are
 	// changing; filed says whether it then has what became of dir/name
@@ -712,9 +726,7 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 				return nil, sunrpc.SystemErr
 			}
 		}
-		if full := p.attrs.forget(dead); full != "" && p.cfg.FileCache != nil {
-			p.cfg.FileCache.Invalidate(full)
-		}
+		p.attrs.forget(dead)
 	}
 	res, stat := p.forward(c, tr)
 	p.attrs.invalidateName(dir, name)
@@ -802,13 +814,6 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 		p.attrs.forget(args.FH)
 	case st == nfs3.OK:
 		p.attrs.setattr(args.FH, after, &args.Attr)
-		// The file cache's copy takes the new size too: it answers the
-		// file's READs and is what a flush sends back to the origin.
-		if v, _ := p.attrs.get(args.FH); args.Attr.Size != nil && p.fileCached(&v) {
-			if err := p.cfg.FileCache.Truncate(v.full, *args.Attr.Size); err != nil {
-				return nil, sunrpc.SystemErr
-			}
-		}
 	}
 	return res, stat
 }

@@ -29,11 +29,11 @@ type env struct {
 }
 
 type envOptions struct {
-	policy    cache.Policy
-	noCache   bool
-	fileCache bool
-	pages     int
-	link      *simnet.Link // the path to the image server, when a test counts what crosses it
+	policy   cache.Policy
+	noCache  bool
+	fileChan bool
+	pages    int
+	link     *simnet.Link // the path to the image server, when a test counts what crosses it
 }
 
 func newEnv(t testing.TB, o envOptions) *env {
@@ -53,8 +53,7 @@ func newEnv(t testing.TB, o envOptions) *env {
 		}
 		popts.CacheConfig = &cfg
 	}
-	if o.fileCache {
-		popts.FileCacheDir = t.TempDir()
+	if o.fileChan {
 		popts.FileChanAddr = server.FileChanAddr()
 	}
 	proxyN, err := stack.StartProxy(popts)
@@ -250,7 +249,7 @@ func TestZeroBlockFiltering(t *testing.T) {
 }
 
 func TestFileChannelFetch(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileCache: true})
+	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
 	const bs = 8192
 	state := make([]byte, 32*bs)
 	for i := 0; i < len(state); i += 7 {
@@ -286,13 +285,71 @@ func TestFileChannelFetch(t *testing.T) {
 	}
 }
 
+// TestFetchedFileGoesBackWhole: the blocks a session wrote into a file it
+// fetched through the file channel go back the way the file came — one
+// whole-file transfer read from the block cache, zero-map blocks as zeros,
+// no upstream WRITE — while the cache holds the file whole; once a block
+// of it has left the cache they go back in runs, as any other file's.
+func TestFetchedFileGoesBackWhole(t *testing.T) {
+	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
+	const bs = 8192
+	state := make([]byte, 16*bs) // zero but for blocks 2, 3 and 9
+	for _, b := range []int{2, 3, 9} {
+		copy(state[b*bs:], bytes.Repeat([]byte{byte(b)}, bs))
+	}
+	e.fs.WriteFile("/vm/mem.vmss", state)
+	blob, _ := meta.ForWholeFile(state, bs).Encode()
+	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
+	if got, err := e.session.ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+		t.Fatalf("first read: %v", err)
+	}
+	p, bc := e.proxyN.Proxy, e.proxyN.BlockCache
+	upstreamWrites := func() uint64 {
+		return e.server.Proxy.Metrics.Snapshot().Histograms[`gvfs_proxy_rpc_duration_seconds{proc="WRITE"}`].Count
+	}
+	f, err := e.session.Open("/vm/mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	write := func(block int, b byte) {
+		t.Helper()
+		patch := bytes.Repeat([]byte{b}, bs)
+		if _, err := f.WriteAt(patch, int64(block*bs)); err != nil {
+			t.Fatal(err)
+		}
+		copy(state[block*bs:], patch)
+	}
+	for pass, whole := range []bool{true, false} {
+		write(3, byte(0xa0+pass)) // a fetched block
+		write(5, byte(0xb0+pass)) // a zero-map block
+		if !whole {
+			if err := bc.InvalidateBlock(f.Handle(), 9); err != nil { // clean: it goes, unsent
+				t.Fatal(err)
+			}
+		}
+		before := upstreamWrites()
+		if err := p.WriteBack(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := e.fs.ReadFile("/vm/mem.vmss"); !bytes.Equal(got, state) {
+			t.Errorf("pass %d: the origin does not hold the written state", pass)
+		}
+		if n := upstreamWrites() - before; whole != (n == 0) {
+			t.Errorf("pass %d (file held whole: %v): %d upstream WRITEs", pass, whole, n)
+		}
+		if bc.DirtyCount() != 0 {
+			t.Errorf("pass %d: %d blocks dirty after the write-back", pass, bc.DirtyCount())
+		}
+	}
+}
+
 // TestDirRenameRepathsDescendants: a memory state fetched whole through
-// the file channel is written (the file cache absorbs the write), then its
-// directory is renamed, then the session is written back. The written
+// the file channel is written (the block cache absorbs the write), then
+// its directory is renamed, then the session is written back. The written
 // bytes reach the origin at the new path, nothing is left at the old one,
-// and the file is accounted under its new path: the RENAME sent the file
-// cache's copy back before the old path went, and moved the paths of
-// everything under the directory — or, when the table has no path for
+// and the file is accounted under its new path: the RENAME moved the paths
+// of everything under the directory — or, when the table has no path for
 // where they went, left them with none.
 func TestDirRenameRepathsDescendants(t *testing.T) {
 	t.Run("to a known path", dirRenameToKnownPath)
@@ -300,7 +357,7 @@ func TestDirRenameRepathsDescendants(t *testing.T) {
 }
 
 func dirRenameToKnownPath(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileCache: true})
+	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
 	const bs = 8192
 	state := make([]byte, 4*bs)
 	for i := range state {
@@ -361,7 +418,7 @@ func dirRenameToKnownPath(t *testing.T) {
 // file channel under the old path's bare suffix — which names another
 // file at the export root.
 func dirRenameToNoKnownPath(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileCache: true})
+	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
 	const bs = 8192
 	state := bytes.Repeat([]byte{0x5a}, 4*bs)
 	decoy := bytes.Repeat([]byte{0xde}, 4*bs)

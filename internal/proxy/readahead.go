@@ -148,7 +148,7 @@ func (p *Proxy) runAhead(fh nfs3.FH, key raWindow, first, end, bs uint64, opts b
 		return
 	}
 	if r.Attr.Known() {
-		p.attrs.sawSize(fh, r.Attr.Size, false)
+		p.attrs.sawSize(fh, r.Attr.Size)
 	}
 	p.installRun(fh, first, 0, r, seq)
 	r.Release()

@@ -1,10 +1,10 @@
 package proxy
 
 // One table across the READ sources: whichever source answers a READ —
-// the file cache, the zero map (whole or at the edges), the dedup zero
-// hash, a dedup alias, a block hit or join, an upstream miss or a
-// forwarded READ — its status, count, EOF, bytes and post-op size are
-// what the origin answers for the same READ.
+// the blocks of a file fetched through the file channel, the zero map
+// (whole or at the edges), the dedup zero hash, a dedup alias, a block hit
+// or join, an upstream miss or a forwarded READ — its status, count, EOF,
+// bytes and post-op size are what the origin answers for the same READ.
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
-	"gvfs/internal/filecache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
@@ -66,6 +65,10 @@ var (
 	srcZeroReads  = [4]srcRead{{"/short", 3, 2, 0}, {"/short", 8, 1, 0}, {"/even", 7, 1, 0}, {"/short", 9, 1, 0}}
 	srcEdgeReads  = [4]srcRead{{"/short", 0, 4, 0}, {"/short", 5, 4, 0}, {"/even", 4, 4, 0}, {"/short", 9, 4, 0}}
 	srcZeros      = []uint64{0, 3, 4, 7, 8}
+	// srcFetchReads read a fetched file whose zero map vouches for blocks
+	// that were never installed: N Z Z N, N N and the zero edges, and past
+	// EOF.
+	srcFetchReads = [4]srcRead{{"/short", 2, 4, 0}, {"/short", 5, 4, 0}, {"/even", 0, 4, 0}, {"/short", 9, 1, 0}}
 )
 
 type srcRow struct {
@@ -94,8 +97,8 @@ type srcEnv struct {
 func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
 	warm := func(t *testing.T, e *srcEnv, r srcRead) { e.read(t, e.proxy, r) }
 	twin := func(t *testing.T, e *srcEnv, r srcRead) { r.file += ".twin"; e.read(t, e.proxy, r) }
-	// grown has the file cache fetch the file, then grows it by two blocks
-	// through the proxy: its copy must grow too.
+	// grown has the file channel fetch the file, then grows it by two
+	// blocks through the proxy, which drops the blocks it fetched.
 	grown := func(t *testing.T, e *srcEnv, r srcRead) {
 		e.read(t, e.proxy, r)
 		e.setSize(t, r.file, uint64(srcSizes[r.file])+2*runBS)
@@ -104,12 +107,12 @@ func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
 	through := [2]string{"block_miss", "forwarded"}
 	for _, row := range []srcRow{
 		{name: "file cache", meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcBlockReads,
-			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "file_cache"},
-			far:      [2]string{"file_cache", "file_cache"}},
+			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "block_miss"}, far: through},
 		{name: "file cache, grown by SETATTR", meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcBlockReads,
 			before:   grown,
-			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "file_cache"},
-			far:      [2]string{"file_cache", "file_cache"}},
+			outcomes: [4]string{"block_miss", "block_miss", "block_miss", "block_miss"}, far: through},
+		{name: "file cache, zero map", zero: srcZeros, meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcFetchReads,
+			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "zero_filter"}, far: local},
 		{name: "zero map, whole READ", zero: srcZeros, meta: meta.GenerateZeroMap, reads: srcZeroReads,
 			outcomes: [4]string{"zero_filter", "zero_filter", "zero_filter", "zero_filter"}, far: local},
 		{name: "zero map edges, span upstream", zero: srcZeros, meta: meta.GenerateZeroMap, reads: srcEdgeReads,
@@ -188,15 +191,16 @@ func TestZeroEdgeReadAccountsSpan(t *testing.T) {
 	}
 }
 
-// TestFileCacheEndStands: where the table knows the file as longer than
-// the file cache's copy (the origin's file grew under it), a READ past
-// the copy's end is told of the end the copy reports — not answered with
-// no bytes and no EOF, which a client asks again for ever.
+// TestFileCacheEndStands: where the table knows a fetched file as longer
+// than the copy the file channel brought (the origin's file grew under
+// it), a READ past the copy's end, which no block answers, is told of the
+// end the origin reports — not answered with no bytes and no EOF, which a
+// client asks again for ever.
 func TestFileCacheEndStands(t *testing.T) {
 	e := newSrcEnv(t, srcRow{meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}})
 	r := srcRead{"/short", 9, 1, 0}
 	e.read(t, e.proxy, r) // the fetch
-	e.p.attrs.sawSize(e.fhs[r.file], 12*runBS, false)
+	e.p.attrs.sawSize(e.fhs[r.file], 12*runBS)
 	if got := e.read(t, e.proxy, r); got.Status != nfs3.OK || len(got.Data) != 0 || !got.EOF {
 		t.Errorf("READ past the copy's end: status %v, %d bytes, eof=%v; want 0 bytes and EOF", got.Status, len(got.Data), got.EOF)
 	}
@@ -243,11 +247,6 @@ func newSrcEnv(t *testing.T, row srcRow) *srcEnv {
 		cfg.BlockCache = bc
 	}
 	if row.opts.fileChan {
-		fc, err := filecache.New(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FileCache = fc
 		cfg.FileChanDial = func() (net.Conn, error) {
 			a, b := net.Pipe()
 			go filechan.NewServer(fs).ServeConn(b)

@@ -3,6 +3,7 @@ package proxy
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"gvfs/internal/cache"
 	"gvfs/internal/meta"
@@ -126,4 +127,41 @@ func newZeroMappedEnv(t *testing.T, policy cache.Policy, nonZero ...int) *runEnv
 	}
 	e.newSession(t)
 	return e
+}
+
+// TestUnzeroBoundedByTheMap: a zero map's FileSize says how many blocks it
+// covers, its bitmap how many it holds. WRITEs far apart before the file's
+// first READ leave one range for that READ to take out of the map, and a
+// map that claims 2^62 bytes in one byte of bitmap must not make that a
+// walk of 2^49 blocks under the file's meta-data lock.
+func TestUnzeroBoundedByTheMap(t *testing.T) {
+	e := newRunEnvPolicy(t, 4*runBS, Config{}, cache.WriteBack)
+	blob, err := (&meta.Meta{FileSize: 1 << 62, BlockSize: 4096, ZeroMap: []byte{0xff}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fs.WriteFile("/"+meta.NameFor("disk.img"), blob); err != nil {
+		t.Fatal(err)
+	}
+	e.newSession(t)
+	for _, off := range []uint64{0, 1 << 61} {
+		if _, _, err := e.nc.Write(e.fh, off, runContent(runBS, 1), nfs3.Unstable); err != nil {
+			t.Fatalf("WRITE at %d: %v", off, err)
+		}
+	}
+	// The block far out must never go back to the origin's memory file.
+	t.Cleanup(func() { e.p.cfg.BlockCache.MarkClean(e.fh, 1<<61/runBS) })
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.nc.Read(e.fh, runBS, runBS)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first READ after the WRITEs did not return: the map's walk is not bounded by its bitmap")
+	}
 }

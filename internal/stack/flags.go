@@ -106,8 +106,8 @@ func BindProxyFlags(fs *flag.FlagSet) *ProxyFlags {
 	fs.IntVar(&c.BlockSize, "cache-block", 8192, "cache block size (<= 32768)")
 	fs.StringVar(&f.Policy, "policy", "write-back", "write policy: write-back | write-through")
 	fs.StringVar(&f.JournalSync, "journal-sync", "batch", "write-back journal durability: batch (group fsync) | always (fsync per write) | none (testing)")
-	fs.StringVar(&o.FileCacheDir, "filecache-dir", "", "file cache directory (enables meta-data handling)")
-	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address")
+	fs.StringVar(&o.FileChanAddr, "filechan", "", "image server file-channel address: files whose meta-data asks for it are fetched whole into the block cache (needs -cache-dir)")
+	bindCompatFlags(fs)
 	fs.IntVar(&o.ReadAhead, "readahead", 0, "sequential read-ahead in blocks, rounded up to 32 KiB runs (0 = off)")
 	fs.DurationVar(&o.IdleWriteBack, "idle-writeback", 0, "write dirty data back after this idle period (0 = only on signals)")
 	fs.DurationVar(&f.StatsEvery, "stats", 0, "print proxy statistics at this interval (0 = off)")

@@ -343,9 +343,9 @@ type ProxyOptions struct {
 	// CacheConfig.
 	SharedBlockCache *cache.Cache
 
-	// FileCacheDir enables the file-based cache; FileChanAddr (plus
-	// optional link and key) reaches the image server's file channel.
-	FileCacheDir string
+	// FileChanAddr (plus optional link and key) reaches the image
+	// server's file channel. With CacheConfig, a file whose meta-data
+	// asks for the channel is fetched through it into the block cache.
 	FileChanAddr string
 	FileChanLink *simnet.Link
 	FileChanKey  []byte
@@ -633,13 +633,8 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 		cfg.WritePolicy = ccfg.Policy
 	}
 	cfg.BlockCache = n.BlockCache
-	if opts.FileCacheDir != "" {
-		if cfg.FileCache, err = filecache.New(opts.FileCacheDir); err != nil {
-			return nil, err
-		}
-		if opts.FileChanAddr != "" {
-			cfg.FileChanDial = Dialer(opts.FileChanAddr, opts.FileChanLink, opts.FileChanKey)
-		}
+	if opts.FileChanAddr != "" {
+		cfg.FileChanDial = Dialer(opts.FileChanAddr, opts.FileChanLink, opts.FileChanKey)
 	}
 
 	if n.Cachean != nil && n.BlockCache != nil {
