@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gvfs/internal/bufpool"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 )
@@ -546,12 +547,12 @@ func (c *Cache) getPhysical(id BlockID, dst []byte) ([]byte, bool) {
 	s.unpinShared(fr)
 	if badsum {
 		s.stats.ChecksumErrors++
-		if wasDirty && c.journal != nil {
+		if wasDirty {
 			// The bank copy is torn but the journal holds the
 			// acknowledged dirty bytes: serve those. The frame is
 			// repaired (or dropped) when the block is next written
-			// back — see writeBackFrame/flushBlock.
-			if jd, ok := c.journal.Latest(id); ok {
+			// back — see send.
+			if jd, ok := c.journalLatest(id); ok {
 				s.stats.Hits++
 				s.mu.Unlock()
 				return jd, true
@@ -635,7 +636,9 @@ const (
 
 // put is Put with journaling controllable: recovery re-inserts
 // journaled data with journal=false so replayed blocks are not
-// re-appended to the log they came from.
+// re-appended to the log they came from. It finds or claims the block's
+// frame (claim), then fills it here, the one place a frame takes bytes:
+// journal append, bank write, tag.
 func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal bool) error {
 	if len(data) > c.cfg.BlockSize {
 		return fmt.Errorf("cache: block of %d bytes exceeds frame size %d", len(data), c.cfg.BlockSize)
@@ -643,7 +646,6 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal
 	if c.cfg.ReadOnly && mode == putDirty {
 		return fmt.Errorf("cache: dirty insertion into read-only cache")
 	}
-	journal = journal && c.journal != nil // and only a dirty result is journaled
 	sum := crc32c(data)
 	id := BlockID{FH: fh.Key(), Block: block}
 	if c.dedup != nil {
@@ -655,63 +657,78 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal
 	}
 	s := c.stripeFor(id)
 	s.mu.Lock()
+	idx, err := c.claim(s, id, mode)
+	if idx < 0 {
+		s.mu.Unlock()
+		return err
+	}
+	fr := &c.frames[idx]
+	// A claimed frame is not valid yet and not dirty; an updated one
+	// stays dirty whatever the insert's mode.
+	dirty := mode == putDirty || fr.dirty
+	journal = journal && c.journal != nil && dirty
+	if journal {
+		if err := c.journalAppend(s, id, data); err != nil {
+			// Nothing touched the frame yet: an updated frame keeps its
+			// cached copy, a claimed one goes, and the write fails
+			// unacknowledged.
+			if !fr.valid {
+				delete(s.index, id)
+			}
+			s.unpinExcl(fr)
+			s.mu.Unlock()
+			return err
+		}
+		maybeCrash(CrashPostJournalPreBank)
+	}
+	if err := c.dirtyAwareFrameWrite(s, idx, data, journal); err != nil {
+		// Frame content is now unknown: drop it. A journaled intent stays
+		// live and is replayed at the next start.
+		delete(s.index, id)
+		fr.valid = false
+		s.unpinExcl(fr)
+		s.mu.Unlock()
+		return err
+	}
+	if !fr.valid {
+		s.stats.Insertions++
+	}
+	s.clock++
+	fr.valid, fr.size, fr.crc, fr.dirty, fr.lru = true, uint32(len(data)), sum, dirty, s.clock
+	c.unbindDirty(id, dirty)
+	s.unpinExcl(fr)
+	s.mu.Unlock()
+	if c.cfg.Tap != nil {
+		c.cfg.Tap.CacheInsert(id, dirty)
+	}
+	return nil
+}
+
+// claim returns, exclusively pinned and with the stripe lock held, the
+// frame put fills for id: the block's own frame, or a claimed one — the
+// set's least recently used unpinned frame, its dirty bytes sent back
+// first, indexed under id but not yet valid, so readers that find it wait
+// on the pin and never see it half filled. It returns -1 when a clean
+// insert meets a dirty frame (a copy of what upstream held when it was
+// read; the frame is an acknowledged write upstream has not seen, and
+// this is decided under the pin, whatever order a READ reply and a WRITE
+// land in) and when the victim's write-back fails, with its error.
+func (c *Cache) claim(s *stripe, id BlockID, mode putMode) (int, error) {
 	for {
-		// Update in place on re-insertion.
 		if idx, ok := s.index[id]; ok {
 			fr := &c.frames[idx]
 			s.pinExcl(fr)
-			if !fr.valid || fr.id != id {
-				// Replaced while waiting; re-evaluate from the index.
-				s.unpinExcl(fr)
+			switch {
+			case !fr.valid || fr.id != id:
+				s.unpinExcl(fr) // replaced while waiting; re-evaluate
 				continue
-			}
-			if fr.dirty && mode == putClean {
-				// A clean insert is a copy of what upstream held when it
-				// was read; the dirty frame is an acknowledged write
-				// upstream has not seen. Decided under the pin, so a
-				// READ reply that lands after the WRITE was absorbed
-				// cannot replace it, whatever the two calls' order.
+			case fr.dirty && mode == putClean:
 				s.unpinExcl(fr)
-				s.mu.Unlock()
-				return nil
+				return -1, nil
 			}
-			dirty := mode == putDirty || fr.dirty
-			journal := journal && dirty
-			if journal {
-				if err := c.journalAppend(s, id, data); err != nil {
-					// Nothing touched the frame yet: keep the cached
-					// copy and fail the write unacknowledged.
-					s.unpinExcl(fr)
-					s.mu.Unlock()
-					return err
-				}
-				maybeCrash(CrashPostJournalPreBank)
-			}
-			err := c.dirtyAwareFrameWrite(s, idx, data, journal)
-			if err != nil {
-				// Frame content is now unknown: drop it. A journaled
-				// intent stays live and is replayed at the next start.
-				delete(s.index, id)
-				fr.valid = false
-				s.unpinExcl(fr)
-				s.mu.Unlock()
-				return err
-			}
-			fr.size = uint32(len(data))
-			fr.crc = sum
-			fr.dirty = dirty
-			c.unbindDirty(id, dirty)
-			s.clock++
-			fr.lru = s.clock
-			s.unpinExcl(fr)
-			s.mu.Unlock()
-			if c.cfg.Tap != nil {
-				c.cfg.Tap.CacheInsert(id, dirty)
-			}
-			return nil
+			return idx, nil
 		}
 
-		// Insert: pick an unpinned victim in the set.
 		set := c.setOf(id)
 		lo, hi := c.frameRange(set)
 		victim := -1
@@ -739,14 +756,10 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal
 		}
 		fr := &c.frames[victim]
 		fr.excl = true // immediate: the victim is unpinned
-		dirty := mode == putDirty
-		journal := journal && dirty
-
 		if fr.valid && fr.dirty {
 			if err := c.writeBackFrame(s, victim); err != nil {
 				s.unpinExcl(fr)
-				s.mu.Unlock()
-				return err
+				return -1, err
 			}
 			// The lock may have been released during the write-back; a
 			// racing Put may have inserted our block meanwhile.
@@ -763,42 +776,9 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal
 				c.cfg.Tap.CacheEvict(fr.id)
 			}
 		}
-		// Claim the frame and publish the mapping before the data
-		// write: readers that find it wait on the exclusive pin and
-		// revalidate, so they never observe a half-filled frame.
-		fr.id = id
-		fr.valid = false
-		fr.dirty = false
+		fr.id, fr.valid, fr.dirty = id, false, false
 		s.index[id] = victim
-		if journal {
-			if err := c.journalAppend(s, id, data); err != nil {
-				delete(s.index, id)
-				s.unpinExcl(fr)
-				s.mu.Unlock()
-				return err
-			}
-			maybeCrash(CrashPostJournalPreBank)
-		}
-		if err := c.dirtyAwareFrameWrite(s, victim, data, journal); err != nil {
-			delete(s.index, id)
-			s.unpinExcl(fr)
-			s.mu.Unlock()
-			return err
-		}
-		s.clock++
-		fr.valid = true
-		fr.size = uint32(len(data))
-		fr.crc = sum
-		fr.dirty = dirty
-		fr.lru = s.clock
-		s.stats.Insertions++
-		c.unbindDirty(id, dirty)
-		s.unpinExcl(fr)
-		s.mu.Unlock()
-		if c.cfg.Tap != nil {
-			c.cfg.Tap.CacheInsert(id, dirty)
-		}
-		return nil
+		return victim, nil
 	}
 }
 
@@ -847,58 +827,97 @@ func (c *Cache) frameWrite(s *stripe, idx int, data []byte) error {
 }
 
 // writeBackFrame propagates one dirty frame the caller holds
-// exclusively pinned, releasing the stripe lock around the bank read
-// and the write-back RPC. On success the frame is marked clean. It
-// returns with the lock held.
+// exclusively pinned, releasing the stripe lock around send. On success
+// the frame is marked clean. It returns with the lock held.
 func (c *Cache) writeBackFrame(s *stripe, idx int) error {
 	fr := &c.frames[idx]
 	wb := c.writeBackFn()
 	if wb == nil {
 		return fmt.Errorf("cache: dirty eviction with no write-back function installed")
 	}
-	id, size, sum := fr.id, fr.size, fr.crc
+	p := pinnedFrame{s: s, fr: fr, idx: idx, id: fr.id, size: fr.size, crc: fr.crc}
 	s.mu.Unlock()
-	data, err := c.readFrame(idx, size)
-	badsum := false
-	if err == nil && crc32c(data) != sum {
-		// Torn bank copy: propagate the journal's authoritative bytes
-		// instead of corruption (or fail and stay dirty).
-		badsum = true
-		data, err = c.journalRescue(id)
-	}
-	if err == nil {
-		c.awaitWhole(id.FH)
-		err = wb(nfs3.FH(id.FH), id.Block*uint64(c.cfg.BlockSize), data)
-	}
-	if err == nil && c.journal != nil {
-		// A failed commit only costs an idempotent re-send at the next
-		// recovery; the write-back itself succeeded.
-		c.journal.Commit(id)
-	}
+	err := c.send(wb, []pinnedFrame{p})
 	s.mu.Lock()
-	if badsum {
-		s.stats.ChecksumErrors++
-	}
 	if err != nil {
 		return err
 	}
-	// The exclusive pin kept writers away, so the propagated bytes are
-	// the frame's current content.
 	fr.dirty = false
 	s.stats.WriteBacks++
 	return nil
 }
 
-// journalRescue returns the journal's copy of a dirty block whose bank
-// bytes failed their checksum.
-func (c *Cache) journalRescue(id BlockID) ([]byte, error) {
+// pinnedFrame is a frame its sender holds pinned, with the tag it had
+// when pinned.
+type pinnedFrame struct {
+	s    *stripe
+	fr   *frame
+	idx  int
+	id   BlockID
+	size uint32
+	crc  uint32
+}
+
+// send is the one way dirty bytes leave the cache. It propagates frames
+// the caller holds pinned — shared for a flush, exclusive for an
+// eviction or an invalidation — consecutive blocks of one file, every
+// one but the last full, as one WriteBackFunc call. It reads them back
+// to back into one pooled buffer under their checksums: a torn frame
+// goes out as the journal's copy, or, with none, fails the send. It
+// waits out a WriteBackWhole put of the file first, and commits each
+// block's journal intent after. The pins keep writers away across the
+// read and the call, so what was sent is the frames' content and the
+// caller clears their dirty bits on success. No stripe lock is held.
+func (c *Cache) send(wb WriteBackFunc, pins []pinnedFrame) error {
+	total := 0
+	for i := range pins {
+		total += int(pins[i].size)
+	}
+	buf := bufpool.Get(total)
+	defer bufpool.Put(buf)
+	off := 0
+	for i := range pins {
+		p := &pins[i]
+		dst := buf[off : off+int(p.size)]
+		off += int(p.size)
+		if _, err := c.readFrameInto(p.idx, p.size, dst); err != nil {
+			return err
+		}
+		if crc32c(dst) == p.crc {
+			continue
+		}
+		p.s.mu.Lock()
+		p.s.stats.ChecksumErrors++
+		p.s.mu.Unlock()
+		if jd, ok := c.journalLatest(p.id); ok && len(jd) == len(dst) {
+			copy(dst, jd)
+			continue
+		}
+		return fmt.Errorf("cache: dirty frame (fh %x block %d) failed checksum and has no journaled copy",
+			p.id.FH, p.id.Block)
+	}
+	first := pins[0].id
+	c.awaitWhole(first.FH)
+	if err := wb(nfs3.FH(first.FH), first.Block*uint64(c.cfg.BlockSize), buf); err != nil {
+		return err
+	}
 	if c.journal != nil {
-		if data, ok := c.journal.Latest(id); ok {
-			return data, nil
+		// A failed commit only costs an idempotent re-send at the next
+		// recovery; the write-back itself succeeded.
+		for i := range pins {
+			c.journal.Commit(pins[i].id)
 		}
 	}
-	return nil, fmt.Errorf("cache: dirty frame (fh %x block %d) failed checksum and has no journaled copy",
-		id.FH, id.Block)
+	return nil
+}
+
+// journalLatest returns the journal's copy of a dirty block whose bank
+// bytes failed their checksum, if there is a journal and it has one.
+func (c *Cache) journalLatest(id BlockID) ([]byte, bool) {
+	if c.journal == nil {
+		return nil, false
+	}
+	return c.journal.Latest(id)
 }
 
 // MarkClean clears the dirty bit of a block if cached (used after the
@@ -956,57 +975,6 @@ func (c *Cache) dirtyIDs(fileKey string) []BlockID {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// flushBlock propagates one dirty block, holding a shared pin on the
-// frame for the read AND the write-back RPC. The pin excludes writers
-// and evictors for the whole round trip, so the propagated bytes are
-// the frame's content at completion time and the dirty bit can be
-// cleared unconditionally on success; it also totally orders
-// write-backs of a block (a racing eviction's exclusive pin waits),
-// so a stale WRITE never lands after a newer one. A block already
-// clean or gone (settled by a racing eviction or flush) is a no-op.
-func (c *Cache) flushBlock(id BlockID, wb WriteBackFunc) error {
-	s := c.stripeFor(id)
-	s.mu.Lock()
-	idx, found := s.index[id]
-	if !found {
-		s.mu.Unlock()
-		return nil
-	}
-	fr := &c.frames[idx]
-	s.pinShared(fr)
-	if !fr.valid || fr.id != id || !fr.dirty {
-		s.unpinShared(fr)
-		s.mu.Unlock()
-		return nil
-	}
-	size, sum := fr.size, fr.crc
-	s.mu.Unlock()
-	data, err := c.readFrame(idx, size)
-	badsum := false
-	if err == nil && crc32c(data) != sum {
-		badsum = true
-		data, err = c.journalRescue(id)
-	}
-	if err == nil {
-		c.awaitWhole(id.FH)
-		err = wb(nfs3.FH(id.FH), id.Block*uint64(c.cfg.BlockSize), data)
-	}
-	if err == nil && c.journal != nil {
-		c.journal.Commit(id)
-	}
-	s.mu.Lock()
-	if badsum {
-		s.stats.ChecksumErrors++
-	}
-	if err == nil {
-		fr.dirty = false
-		s.stats.WriteBacks++
-	}
-	s.unpinShared(fr)
-	s.mu.Unlock()
-	return err
 }
 
 // propagate pushes the dirty blocks through the WriteBackFunc, runs of

@@ -9,20 +9,19 @@ package cache
 // the paper's write-back sessions flush hundreds of adjacent 4-32 KB
 // blocks: four 8 KiB blocks to a WRITE quarter the calls.
 //
-// Correctness reuses the flushBlock pin protocol: every frame of a run
-// is held under a shared pin across the combined read and the WRITE
-// RPC, which excludes writers and evictors for the whole round trip
-// and totally orders propagations of each block. Any frame that fails
-// validation (gone, clean, short, torn) simply ends or degrades the
-// run; the affected blocks fall back to flushBlock, which handles
-// journal rescue. Journal commits and dirty bits stay per block.
+// Every run goes out through send, the one way dirty bytes leave the
+// cache: its frames are held under shared pins across the combined read
+// and the WRITE, which excludes writers and evictors for the whole round
+// trip and totally orders propagations of each block. A frame that is
+// gone or clean ends a run's prefix, a short one is its last; a torn one
+// goes out inside the run's WRITE as the journal's copy. Journal commits
+// and dirty bits stay per block.
 
 import (
 	"fmt"
 	"io"
 	"sort"
 
-	"gvfs/internal/bufpool"
 	"gvfs/internal/nfs3"
 )
 
@@ -75,31 +74,49 @@ func coalesceRuns(ids []BlockID, blockSize, maxBytes int) []run {
 	return out
 }
 
-// pinnedFrame is one run member snapshotted under its shared pin.
-type pinnedFrame struct {
-	s    *stripe
-	fr   *frame
-	idx  int
-	id   BlockID
-	size uint32
-	crc  uint32
+// maxRunPins sizes flushRun's array of pins: a whole run of the default
+// 8 KiB blocks fits in it without a heap allocation.
+const maxRunPins = nfs3.MaxTransfer / 8192
+
+// flushRun sends a run through send in prefixes: it pins shared the
+// longest prefix of present, dirty frames from the run's next block on,
+// sends it as one WRITE, clears the dirty bits and unpins, and goes on
+// after it. A block that is gone or already clean (settled by a racing
+// eviction or flush) is skipped; a short frame ends its prefix, since
+// its bytes end before the next block starts. A failed send leaves its
+// prefix, and the rest of the run, dirty.
+func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
+	var room [maxRunPins]pinnedFrame
+	for i := 0; i < r.n; {
+		pins := c.pinPrefix(r, i, room[:0])
+		if len(pins) == 0 {
+			i++
+			continue
+		}
+		err := c.send(wb, pins)
+		for j := range pins {
+			p := &pins[j]
+			p.s.mu.Lock()
+			if err == nil {
+				p.fr.dirty = false
+				p.s.stats.WriteBacks++
+			}
+			p.s.unpinShared(p.fr)
+			p.s.mu.Unlock()
+		}
+		if err != nil {
+			return err
+		}
+		i += len(pins)
+	}
+	return nil
 }
 
-// flushRun propagates one run as a single WRITE where possible. Frames
-// are pinned shared one at a time (never holding two stripe locks at
-// once); a frame that is gone, clean, or short ends the coalesced
-// prefix early and the remainder of the run is flushed per-block. The
-// shared pins are held across the combined read and the WRITE RPC,
-// exactly like flushBlock's, so propagated bytes are the frames'
-// content at completion time.
-func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
-	if r.n == 1 {
-		return c.flushBlock(r.id(0), wb)
-	}
-	bs := c.cfg.BlockSize
-	pins := make([]pinnedFrame, 0, r.n)
-	total := 0
-	for i := 0; i < r.n; i++ {
+// pinPrefix appends to pins, pinned shared one stripe lock at a time,
+// the frames of r from block i on up to the first that is gone or clean,
+// or through the first short one.
+func (c *Cache) pinPrefix(r run, i int, pins []pinnedFrame) []pinnedFrame {
+	for ; i < r.n; i++ {
 		id := r.id(i)
 		s := c.stripeFor(id)
 		s.mu.Lock()
@@ -115,71 +132,13 @@ func (c *Cache) flushRun(r run, wb WriteBackFunc) error {
 			s.mu.Unlock()
 			break
 		}
-		size, sum := fr.size, fr.crc
+		pins = append(pins, pinnedFrame{s: s, fr: fr, idx: idx, id: id, size: fr.size, crc: fr.crc})
 		s.mu.Unlock()
-		pins = append(pins, pinnedFrame{s: s, fr: fr, idx: idx, id: id, size: size, crc: sum})
-		total += int(size)
-		if int(size) < bs {
-			// A short frame's bytes end before the next block starts:
-			// it can only be the tail of a coalesced WRITE.
+		if int(pins[len(pins)-1].size) < c.cfg.BlockSize {
 			break
 		}
 	}
-
-	// Assemble the prefix's bytes in one pooled buffer, verifying each
-	// frame's checksum, and send it. A torn frame calls the coalesced
-	// WRITE off: flushBlock rescues it from the journal.
-	var err error
-	sent := 0 // blocks the coalesced WRITE settled
-	if len(pins) >= 2 {
-		buf := bufpool.Get(total)
-		if c.readRun(pins, buf) {
-			c.awaitWhole(r.fh)
-			if err = wb(nfs3.FH(r.fh), r.start*uint64(bs), buf); err == nil {
-				sent = len(pins)
-			}
-		}
-		bufpool.Put(buf)
-	}
-	for i := range pins {
-		p := &pins[i]
-		if sent > 0 && c.journal != nil {
-			c.journal.Commit(p.id)
-		}
-		p.s.mu.Lock()
-		if sent > 0 {
-			p.fr.dirty = false
-			p.s.stats.WriteBacks++
-		}
-		p.s.unpinShared(p.fr)
-		p.s.mu.Unlock()
-	}
-	if err != nil {
-		return err // the run stays dirty
-	}
-	// Whatever the WRITE didn't cover falls back to per-block flushes
-	// (blocks settled by racing evictions no-op there).
-	for i := sent; i < r.n; i++ {
-		if ferr := c.flushBlock(r.id(i), wb); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return err
-}
-
-// readRun reads the pinned frames back to back into buf, reporting
-// whether every one was read and matched its checksum.
-func (c *Cache) readRun(pins []pinnedFrame, buf []byte) bool {
-	off := 0
-	for i := range pins {
-		p := &pins[i]
-		data, err := c.readFrameInto(p.idx, p.size, buf[off:off+int(p.size)])
-		if err != nil || crc32c(data) != p.crc {
-			return false
-		}
-		off += int(p.size)
-	}
-	return true
+	return pins
 }
 
 // WriteBackWhole propagates a file's dirty blocks by sending the whole

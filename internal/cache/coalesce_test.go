@@ -487,11 +487,10 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestRunWithTornFrameFallsBackPerBlock rots the bank bytes of the
-// middle frame of a three-block run: the coalesced WRITE is called off,
-// the blocks leave one by one, and the torn one is sent from the
-// journal's copy.
-func TestRunWithTornFrameFallsBackPerBlock(t *testing.T) {
+// TestRunWithTornFrameSendsJournalCopy rots the bank bytes of the
+// middle frame of a three-block run: the run still leaves as one WRITE,
+// carrying the journal's copy of the torn block.
+func TestRunWithTornFrameSendsJournalCopy(t *testing.T) {
 	const bs = 512
 	dir := t.TempDir()
 	c := newTestCache(t, journalConfig(dir))
@@ -514,8 +513,8 @@ func TestRunWithTornFrameFallsBackPerBlock(t *testing.T) {
 	if err := c.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.writes() != 3 || srv.blocks() != 3 {
-		t.Errorf("%d WRITEs covering %d blocks, want 3 single-block WRITEs", srv.writes(), srv.blocks())
+	if srv.writes() != 1 || srv.blocks() != 3 {
+		t.Errorf("%d WRITEs covering %d blocks, want 1 covering 3", srv.writes(), srv.blocks())
 	}
 	for b := uint64(0); b < 3; b++ {
 		if got, _ := srv.block(fhA, b); !bytes.Equal(got, bytes.Repeat([]byte{byte(0x40 + b)}, bs)) {
@@ -525,6 +524,36 @@ func TestRunWithTornFrameFallsBackPerBlock(t *testing.T) {
 	if c.DirtyCount() != 0 || c.Stats().ChecksumErrors == 0 || c.JournalStats().Live != 0 {
 		t.Errorf("after flush: dirty %d, checksum errors %d, live intents %d",
 			c.DirtyCount(), c.Stats().ChecksumErrors, c.JournalStats().Live)
+	}
+}
+
+// TestRunWithTornFrameNoJournalStaysDirty: without a journal a torn
+// frame has no second copy, so its run fails whole, sends nothing, and
+// stays dirty.
+func TestRunWithTornFrameNoJournalStaysDirty(t *testing.T) {
+	const bs = 512
+	c := newTestCache(t, smallConfig())
+	srv := newBlockSink(bs)
+	c.SetWriteBackFunc(srv.writeBack)
+	for b := uint64(0); b < 3; b++ {
+		if err := c.Put(fhA, b, bytes.Repeat([]byte{byte(0x40 + b)}, bs), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := BlockID{FH: fhA.Key(), Block: 1}
+	bank, off := c.bankOf(c.stripeFor(id).index[id])
+	f, err := c.bankFile(bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBackAll(); err == nil {
+		t.Fatal("a run with a torn, unjournaled frame was sent")
+	}
+	if srv.writes() != 0 || c.DirtyCount() != 3 {
+		t.Errorf("%d WRITEs, %d dirty blocks; want 0 and 3", srv.writes(), c.DirtyCount())
 	}
 }
 

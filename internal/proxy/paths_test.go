@@ -310,3 +310,36 @@ func TestRemoveAfterRecreateInvalidatesLiveHandle(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateTruncateDropsCachedBlocks: a CREATE that sets a size
+// truncates the file it names, so the proxy drops that file's cached
+// blocks before forwarding it, as for a truncating SETATTR. A short WRITE
+// after it must not merge with the old bytes, nor a flush send them back
+// past the new end of file.
+func TestCreateTruncateDropsCachedBlocks(t *testing.T) {
+	fs := memfs.New()
+	fs.WriteFile("/disk.img", bytes.Repeat([]byte{0xaa}, 16<<10))
+	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := uint64(0); off < 16<<10; off += 8192 {
+		if _, _, err := nc.Read(fh, off, 8192); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zero := uint64(0)
+	if _, _, err := nc.Create(root, "disk.img", nfs3.SetAttr{Size: &zero}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Write(fh, 0, []byte{0x01}, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(got, []byte{0x01}) {
+		t.Fatalf("origin holds %d bytes (% x …), %v; want the 1 byte written", len(got), got[:min(len(got), 4)], err)
+	}
+}

@@ -682,6 +682,7 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 	d.ResetBytes(c.Args)
 	var linked, toDir nfs3.FH
 	var toName, target string
+	var sized bool // a CREATE's attributes set a size: an existing file is truncated
 	if c.Proc == nfs3.ProcLink {
 		linked = nfs3.DecodeFH(&d)
 	}
@@ -692,15 +693,22 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 	case nfs3.ProcSymlink:
 		nfs3.DecodeSetAttr(&d)
 		target = d.String()
+	case nfs3.ProcCreate:
+		// UNCHECKED and GUARDED carry attributes, EXCLUSIVE a verifier.
+		sized = d.Uint32() != nfs3.CreateExclusive && nfs3.DecodeSetAttr(&d).Size != nil
 	}
 	if d.Err() != nil {
 		return nil, sunrpc.GarbageArgs
 	}
-	var moved, dead nfs3.FH // handles the table has for what the call moves and unlinks
-	var from string         // the path a RENAME moves, and everything under it
+	var moved, dead, cut nfs3.FH // handles the table has for what the call moves, unlinks and truncates
+	var from string              // the path a RENAME moves, and everything under it
 	switch c.Proc {
 	case nfs3.ProcRemove, nfs3.ProcRmdir:
 		dead, _, _ = p.attrs.child(dir, name)
+	case nfs3.ProcCreate:
+		if sized {
+			cut, _, _ = p.attrs.child(dir, name)
+		}
 	case nfs3.ProcRename:
 		// The file a RENAME replaces goes like a removed one; the renamed
 		// one keeps its entry, and its cached blocks, under the new name.
@@ -727,6 +735,13 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 			}
 		}
 		p.attrs.forget(dead)
+	}
+	if len(cut) > 0 && p.cfg.BlockCache != nil {
+		// Like a truncating SETATTR: push the file's dirty blocks out,
+		// then drop its cached blocks, so none outlives the new size.
+		if err := p.cfg.BlockCache.InvalidateFile(cut); err != nil {
+			return nil, sunrpc.SystemErr
+		}
 	}
 	res, stat := p.forward(c, tr)
 	p.attrs.invalidateName(dir, name)

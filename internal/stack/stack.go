@@ -455,7 +455,7 @@ func (o *ProxyOptions) replicaSet(n *Node) (reps []replbe.Replica, relay nfs3.Ca
 			// composite's health gating (not a dead socket) is what
 			// decides whether the replica serves. They never retransmit
 			// inside a call: the composite's failover is the retry.
-			client, err := o.upstreamClient(n, arg, nil, -1)
+			client, err := o.upstreamClient(n, arg, nil, 0)
 			if err != nil {
 				return nil, nil, fmt.Errorf("stack: replica %s dial: %w", name, err)
 			}

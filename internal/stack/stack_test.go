@@ -2,6 +2,7 @@ package stack_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"io"
@@ -460,5 +461,59 @@ func TestTunnelListenerSilentPeerDoesNotBlockAccept(t *testing.T) {
 	}
 	if d := time.Since(closed); d > time.Second {
 		t.Errorf("Close took %v with a handshake in flight", d)
+	}
+}
+
+// TestCallTimeoutAloneDoesNotRetransmit: a call timeout without a retry
+// budget bounds one attempt and makes no second one. Behind an upstream
+// that never answers, a GETATTR costs one upstream call and fails within
+// about one timeout.
+func TestCallTimeoutAloneDoesNotRetransmit(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var calls atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var mark [4]byte
+				for {
+					if _, err := io.ReadFull(conn, mark[:]); err != nil {
+						return
+					}
+					n := int64(binary.BigEndian.Uint32(mark[:]) &^ (1 << 31))
+					if _, err := io.CopyN(io.Discard, conn, n); err != nil {
+						return
+					}
+					calls.Add(1) // one record: a call, never answered
+				}
+			}()
+		}
+	}()
+	node, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: l.Addr().String(),
+		UpstreamCallTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	rpc, err := sunrpc.Dial(node.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpc.Close()
+	nc := nfs3.NewClient(rpc, sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "t"}.Encode())
+	start := time.Now()
+	if _, err := nc.GetAttr(nfs3.FH("some-handle")); err == nil {
+		t.Fatal("GETATTR answered by an upstream that never answers")
+	}
+	if took, n := time.Since(start), calls.Load(); n != 1 || took > time.Second {
+		t.Errorf("GETATTR failed after %v and %d upstream calls, want 1 call within 1s", took, n)
 	}
 }

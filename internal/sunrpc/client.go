@@ -57,10 +57,10 @@ type ClientOptions struct {
 	Redial func() (net.Conn, error)
 
 	// MaxRetries is the number of retransmission attempts after the
-	// first try (default 8 when retries are enabled at all). Negative
-	// means none: with Redial set the client still reconnects, on the
-	// next call, but never retransmits inside one — for a caller that
-	// owns the retry itself (a replica set fails over instead).
+	// first try. Zero means none: with Redial set the client still
+	// reconnects, on the next call, but never retransmits inside one —
+	// for a caller that owns the retry itself (a replica set fails over
+	// instead).
 	MaxRetries int
 
 	// BackoffBase and BackoffMax bound the exponential backoff between
@@ -78,7 +78,6 @@ type ClientOptions struct {
 }
 
 const (
-	defaultMaxRetries  = 8
 	defaultBackoffBase = 20 * time.Millisecond
 	defaultBackoffMax  = 2 * time.Second
 )
@@ -166,11 +165,6 @@ func NewClient(conn net.Conn) *Client {
 
 // NewClientWithOptions wraps an established connection.
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = defaultMaxRetries
-	} else if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
 	if opts.BackoffBase <= 0 {
 		opts.BackoffBase = defaultBackoffBase
 	}

@@ -245,6 +245,7 @@ func TestXIDsMonotonicAcrossReconnect(t *testing.T) {
 	opts := ClientOptions{
 		CallTimeout: 500 * time.Millisecond,
 		Redial:      func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		MaxRetries:  8,
 		BackoffBase: 5 * time.Millisecond,
 		Idempotent:  allIdempotent,
 	}

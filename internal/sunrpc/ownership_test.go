@@ -77,6 +77,7 @@ func timeoutThenReply(t *testing.T) {
 	})
 	c, err := DialWithOptions(addr, ClientOptions{
 		CallTimeout: timeout,
+		MaxRetries:  8,
 		BackoffBase: 2 * timeout, // jittered to [timeout, 2*timeout]: the late reply lands inside it
 		BackoffMax:  2 * timeout,
 		Idempotent:  func(_, _, _ uint32) bool { return true },
