@@ -76,7 +76,8 @@ func main() {
 
 	// One registry serves the whole process, exactly as in gvfsproxy.
 	reg := obs.NewRegistry()
-	logger, closeLog, err := logFlags.Logger("gvfsd", reg)
+	events := obs.NewRing[obs.Event](obs.DefaultLogRing) // served at /logz
+	logger, closeLog, err := logFlags.Logger("gvfsd", reg, events)
 	if err != nil {
 		log.Fatalf("gvfsd: %v", err)
 	}
@@ -102,7 +103,7 @@ func main() {
 		ep := obs.Endpoint{
 			Registry: reg,
 			Tracer:   node.Tracer,
-			Log:      logger.Ring(),
+			Log:      events,
 			Flight:   node.Flight,
 			Statusz:  node.Proxy.WriteStatusz,
 		}

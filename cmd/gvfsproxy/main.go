@@ -89,7 +89,8 @@ func main() {
 	// counters and the tunnel bridges all land in it.
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
-	logger, closeLog, err := flags.Log.Logger("gvfsproxy", reg)
+	events := obs.NewRing[obs.Event](obs.DefaultLogRing) // served at /logz
+	logger, closeLog, err := flags.Log.Logger("gvfsproxy", reg, events)
 	if err != nil {
 		log.Fatalf("gvfsproxy: %v", err)
 	}
@@ -115,7 +116,7 @@ func main() {
 		ep := obs.Endpoint{
 			Registry: reg,
 			Tracer:   node.Tracer,
-			Log:      logger.Ring(),
+			Log:      events,
 			Flight:   node.Flight,
 			Statusz:  node.Proxy.WriteStatusz,
 		}

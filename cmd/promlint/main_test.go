@@ -8,6 +8,7 @@ package main
 
 import (
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,9 +30,9 @@ func startEndpoint(t *testing.T) *httptest.Server {
 	h.Observe(30 * time.Millisecond)
 	h.SetExemplar(30*time.Millisecond, 0xdeadbeef)
 
-	ring := obs.NewLogRing(16)
-	log := obs.NewLogger(obs.LoggerConfig{Ring: ring, Metrics: reg})
-	log.Named("test").Info("hello", "k", "v")
+	ring := obs.NewRing[obs.Event](16)
+	log := slog.New(obs.NewLogHandler(slog.LevelInfo, nil, ring, reg))
+	log.With("component", "test").Info("hello", "k", "v")
 
 	tracer := obs.NewTracer(16)
 	flight := obs.NewFlightRecorder(16, time.Millisecond)

@@ -238,7 +238,7 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 		return run, err
 	}
 	p1, err := proxy.New(proxy.Config{
-		Upstream: up, BlockCache: bc1, WritePolicy: cache.WriteBack,
+		Upstream: up, BlockCache: bc1,
 	})
 	if err != nil {
 		bc1.Close()
@@ -279,7 +279,7 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 	}
 	defer bc2.Close()
 	p2, err := proxy.New(proxy.Config{
-		Upstream: up, BlockCache: bc2, WritePolicy: cache.WriteBack,
+		Upstream: up, BlockCache: bc2,
 	})
 	if err != nil {
 		return run, err

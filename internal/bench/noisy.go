@@ -202,10 +202,9 @@ func (o Options) startNoisyRig(qcfg *qos.Config) (*noisyRig, error) {
 	rig.closers = append(rig.closers, func() { bc.Close() })
 
 	pcfg := proxy.Config{
-		Upstream:    up,
-		BlockCache:  bc,
-		WritePolicy: cache.WriteThrough,
-		Metrics:     rig.reg,
+		Upstream:   up,
+		BlockCache: bc,
+		Metrics:    rig.reg,
 	}
 	if qcfg != nil {
 		qc := *qcfg

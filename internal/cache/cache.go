@@ -32,6 +32,7 @@ package cache
 import (
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -97,7 +98,7 @@ type Config struct {
 	Dedup bool
 	// Logger receives cache lifecycle events (journal recovery, cold
 	// starts, checksum failures). Nil is safe: events are dropped.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Tap, when set, observes the access stream (lookups with their
 	// outcome, insertions, evictions) for the cache-analytics
 	// subsystem. See AccessTap for the cost contract.
@@ -242,9 +243,10 @@ type Cache struct {
 	closed  atomic.Bool
 
 	// journal is the dirty-block intent log (nil unless Config.Journal
-	// under WriteBack); log is the nil-safe event logger.
+	// under WriteBack); log is the event logger (a discard one when
+	// Config.Logger is nil).
 	journal *journal
-	log     *obs.Logger
+	log     *slog.Logger
 
 	// dedup is the content-addressed alias table (nil unless
 	// Config.Dedup); see dedup.go for the invariants.
@@ -282,7 +284,7 @@ func New(cfg Config) (*Cache, error) {
 		s.index = make(map[BlockID]int)
 		s.cond = sync.NewCond(&s.mu)
 	}
-	c.log = cfg.Logger
+	c.log = obs.OrDiscard(cfg.Logger)
 	if cfg.Journal && cfg.Policy == WriteBack && !cfg.ReadOnly {
 		j, err := openJournal(cfg.Dir, cfg.JournalSync)
 		if err != nil {

@@ -2,8 +2,15 @@ package cache
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"gvfs/internal/nfs3"
 )
 
 // FuzzScanJournal feeds scanJournal arbitrary journal files: it must not
@@ -48,5 +55,99 @@ func FuzzScanJournal(f *testing.F) {
 		if !bytes.Equal(again, buf[:validLen]) {
 			t.Fatalf("%d entries re-encode to %d bytes that differ from the %d-byte valid prefix", len(entries), len(again), validLen)
 		}
+	})
+}
+
+// FuzzLoadIndex feeds LoadIndex arbitrary index.json snapshots over a
+// cache of two sets per bank: it must not panic or hang, and after a nil
+// return every valid frame lies in its block's set and is indexed by
+// that set's stripe, every index entry names the block its frame holds,
+// no block has two frames, and a Put and a Get of every restored block
+// return.
+func FuzzLoadIndex(f *testing.F) {
+	cfg := Config{Banks: 2, SetsPerBank: 2, Assoc: 2, BlockSize: 512, Policy: WriteBack, Dedup: true}
+	frame := func(idx int, fh string, block uint64) persistedFrame {
+		return persistedFrame{Idx: idx, FH: base64.StdEncoding.EncodeToString([]byte(fh)), Block: block, Size: 512, LRU: uint64(idx)}
+	}
+	snapshot := func(frames []persistedFrame, dedup ...persistedDedup) []byte {
+		blob, err := json.Marshal(persistedIndex{Version: indexVersion, Banks: cfg.Banks,
+			SetsPerBank: cfg.SetsPerBank, Assoc: cfg.Assoc, BlockSize: cfg.BlockSize,
+			Frames: frames, Dedup: dedup})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	c := &Cache{cfg: cfg}
+	a0, a1 := frame(0, "A", 0), frame(0, "A", 1)
+	a0.Idx = c.setOf(BlockID{FH: "A", Block: 0}) * cfg.Assoc
+	a1.Idx = c.setOf(BlockID{FH: "A", Block: 1}) * cfg.Assoc
+	twice := a0
+	twice.Block += uint64(cfg.Banks * cfg.SetsPerBank) // the same set, the same frame
+	alias := persistedDedup{Hash: strings.Repeat("ab", 32), FH: a0.FH, Block: 0, Size: 512,
+		Refs: []persistedRef{{FH: base64.StdEncoding.EncodeToString([]byte("B")), Block: 0}}}
+	for _, seed := range [][]byte{
+		snapshot([]persistedFrame{a0, a1}),
+		snapshot([]persistedFrame{a0, twice}),
+		snapshot([]persistedFrame{a0, a0}),
+		snapshot([]persistedFrame{a0}, alias),
+		[]byte(`{"version":3,"banks":2,"sets_per_bank":2,"assoc":2,"block_size":512,"frames":[{"idx":9}]}`),
+		[]byte(`{"version":1}`),
+		[]byte("not json"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		cfg := cfg
+		cfg.Dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(cfg.Dir, indexFileName), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		withDeadline(t, func() { err = c.LoadIndex() })
+		if err != nil {
+			return
+		}
+		restored := make(map[BlockID]int)
+		for i := range c.frames {
+			fr := &c.frames[i]
+			if !fr.valid {
+				continue
+			}
+			set := c.setOf(fr.id)
+			if lo, hi := c.frameRange(set); i < lo || i >= hi {
+				t.Fatalf("frame %d holds %+v, whose set is %d", i, fr.id, set)
+			}
+			if idx, ok := c.stripeOfSet(set).index[fr.id]; !ok || idx != i {
+				t.Fatalf("frame %d holds %+v, which its stripe indexes at %d, %v", i, fr.id, idx, ok)
+			}
+			if j, twice := restored[fr.id]; twice {
+				t.Fatalf("block %+v is in frames %d and %d", fr.id, j, i)
+			}
+			restored[fr.id] = i
+		}
+		for s := range c.stripes {
+			for id, i := range c.stripes[s].index {
+				if fr := &c.frames[i]; !fr.valid || fr.id != id {
+					t.Fatalf("stripe %d indexes %+v at frame %d, which holds %+v", s, id, i, fr.id)
+				}
+			}
+		}
+		withDeadline(t, func() {
+			for id := range restored {
+				fh := nfs3.FH(id.FH)
+				c.Get(fh, id.Block)
+				if err := c.Put(fh, id.Block, []byte("put"), false); err != nil {
+					t.Errorf("Put %+v: %v", id, err)
+				}
+				if got, ok := c.Get(fh, id.Block); !ok || string(got) != "put" {
+					t.Errorf("Get %+v after Put = %q, %v", id, got, ok)
+				}
+			}
+		})
 	})
 }

@@ -213,8 +213,11 @@ func (c *Cache) LoadIndex() error {
 			idx.Banks, idx.SetsPerBank, idx.Assoc, idx.BlockSize,
 			c.cfg.Banks, c.cfg.SetsPerBank, c.cfg.Assoc, c.cfg.BlockSize)
 	}
-	// Decode everything before touching cache state, so a snapshot
-	// that goes bad halfway also downgrades to a clean cold start.
+	// Decode and check everything before touching cache state, so a
+	// snapshot that goes bad halfway also downgrades to a clean cold
+	// start. A frame must lie in its block's set, hold at most a block,
+	// and name a frame and a block no other entry names: the stripe
+	// index could not describe anything else.
 	type loaded struct {
 		idx  int
 		id   BlockID
@@ -223,6 +226,8 @@ func (c *Cache) LoadIndex() error {
 		lru  uint64
 	}
 	frames := make([]loaded, 0, len(idx.Frames))
+	taken := make(map[int]bool, len(idx.Frames))
+	restored := make(map[BlockID]uint32, len(idx.Frames))
 	for _, pf := range idx.Frames {
 		if pf.Idx < 0 || pf.Idx >= len(c.frames) {
 			return c.coldStart(path, fmt.Sprintf("frame %d out of range", pf.Idx))
@@ -231,17 +236,22 @@ func (c *Cache) LoadIndex() error {
 		if err != nil {
 			return c.coldStart(path, fmt.Sprintf("corrupt handle: %v", err))
 		}
-		frames = append(frames, loaded{
-			idx:  pf.Idx,
-			id:   BlockID{FH: string(fhBytes), Block: pf.Block},
-			size: pf.Size,
-			crc:  pf.Crc,
-			lru:  pf.LRU,
-		})
+		id := BlockID{FH: string(fhBytes), Block: pf.Block}
+		_, twice := restored[id]
+		lo, hi := c.frameRange(c.setOf(id))
+		switch {
+		case pf.Idx < lo || pf.Idx >= hi:
+			return c.coldStart(path, fmt.Sprintf("frame %d is outside its block's set", pf.Idx))
+		case pf.Size > uint32(c.cfg.BlockSize):
+			return c.coldStart(path, fmt.Sprintf("frame %d holds %d bytes, more than a block", pf.Idx, pf.Size))
+		case taken[pf.Idx] || twice:
+			return c.coldStart(path, fmt.Sprintf("frame %d, or its block, is named twice", pf.Idx))
+		}
+		taken[pf.Idx], restored[id] = true, pf.Crc
+		frames = append(frames, loaded{idx: pf.Idx, id: id, size: pf.Size, crc: pf.Crc, lru: pf.LRU})
 	}
 	c.lockAll()
 	defer c.unlockAll()
-	restored := make(map[BlockID]uint32, len(frames))
 	for _, lf := range frames {
 		c.frames[lf.idx] = frame{id: lf.id, valid: true, size: lf.size, crc: lf.crc, lru: lf.lru}
 		s := c.stripeOfFrame(lf.idx)
@@ -249,7 +259,6 @@ func (c *Cache) LoadIndex() error {
 		if lf.lru > s.clock {
 			s.clock = lf.lru
 		}
-		restored[lf.id] = lf.crc
 	}
 	if c.dedup != nil && len(idx.Dedup) > 0 {
 		// Rebind dedup entries whose canonical frame survived with the

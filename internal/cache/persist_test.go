@@ -2,10 +2,12 @@ package cache
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSaveLoadIndexWarmRestart(t *testing.T) {
@@ -188,4 +190,107 @@ func TestSaveLoadEvictionStateSurvives(t *testing.T) {
 
 func writeFileInDir(dir, name string, data []byte) error {
 	return os.WriteFile(dir+"/"+name, data, 0644)
+}
+
+// TestLoadIndexInconsistentStartsCold: a snapshot whose frames the stripe
+// index could not describe — a frame named twice, a block named twice, a
+// frame outside its block's set, a frame longer than a block — starts the
+// cache cold, as a corrupt one does. Loaded, a frame named twice left
+// index[A] at a frame holding B, and the next Put of A spun for ever with
+// the stripe lock held: each case runs under a deadline.
+func TestLoadIndexInconsistentStartsCold(t *testing.T) {
+	cfg := smallConfig()
+	sets := uint64(cfg.Banks * cfg.SetsPerBank)
+	for _, tc := range []struct {
+		name  string
+		spoil func(idx *persistedIndex)
+	}{
+		{"frame named twice", func(idx *persistedIndex) {
+			b := idx.Frames[0]
+			b.Block += sets // the same set as block A
+			idx.Frames = append(idx.Frames, b)
+		}},
+		{"block named twice", func(idx *persistedIndex) {
+			b := idx.Frames[0]
+			b.Idx ^= 1 // the other frame of the set
+			idx.Frames = append(idx.Frames, b)
+		}},
+		{"frame outside its set", func(idx *persistedIndex) {
+			idx.Frames[0].Idx = (idx.Frames[0].Idx + cfg.Assoc) % (int(sets) * cfg.Assoc)
+		}},
+		{"frame longer than a block", func(idx *persistedIndex) {
+			idx.Frames[0].Size = uint32(cfg.BlockSize + 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Dir = t.TempDir()
+			c1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.Put(fhA, 0, bytes.Repeat([]byte{0xA}, 512), false); err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.SaveIndex(); err != nil {
+				t.Fatal(err)
+			}
+			c1.Close()
+			path := filepath.Join(cfg.Dir, indexFileName)
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var idx persistedIndex
+			if err := json.Unmarshal(blob, &idx); err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(&idx)
+			if blob, err = json.Marshal(&idx); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			c2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			withDeadline(t, func() {
+				if err := c2.LoadIndex(); err != nil {
+					t.Errorf("an inconsistent index should cold-start, got error: %v", err)
+				}
+				if _, ok := c2.Get(fhA, 0); ok {
+					t.Error("a cold-started cache served a block")
+				}
+				if err := c2.Put(fhA, 0, []byte("fresh"), false); err != nil {
+					t.Error(err)
+				}
+				if got, ok := c2.Get(fhA, 0); !ok || string(got) != "fresh" {
+					t.Errorf("Get after Put = %q, %v", got, ok)
+				}
+			})
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Error("inconsistent snapshot not deleted on cold start")
+			}
+		})
+	}
+}
+
+// withDeadline runs f and fails the test if it has not returned within
+// five seconds (a goroutine stuck in f is left behind).
+func withDeadline(t testing.TB, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("did not return within 5s")
+	}
 }

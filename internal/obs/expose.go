@@ -6,8 +6,8 @@ package obs
 
 import (
 	"bufio"
-
 	"bytes"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"gvfs/internal/bufpool"
@@ -260,7 +260,7 @@ var expvarOnce sync.Once
 type Endpoint struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Log      *LogRing
+	Log      *Ring[Event] // the /logz events
 	Flight   *FlightRecorder
 	// Statusz, when set, renders the daemon-specific /statusz JSON
 	// document (the proxy's accounting tables).
@@ -303,24 +303,17 @@ func (e Endpoint) Mux() *http.ServeMux {
 		}
 	}
 	mux.HandleFunc("/traces", jsonHandler(e.Tracer.WriteJSON))
-	mux.HandleFunc("/logz", jsonHandler(e.Log.WriteJSON))
+	mux.HandleFunc("/logz", jsonHandler(func(w io.Writer) error { return WriteLogz(w, e.Log) }))
 	mux.HandleFunc("/flightrec", jsonHandler(e.Flight.WriteJSON))
-	statusz := e.Statusz
-	if statusz == nil {
-		statusz = func(w io.Writer) error {
-			_, err := io.WriteString(w, "{}\n")
-			return err
+	for path, write := range map[string]func(io.Writer) error{"/statusz": e.Statusz, "/cachez": e.Cachez} {
+		if write == nil {
+			write = func(w io.Writer) error {
+				_, err := io.WriteString(w, "{}\n")
+				return err
+			}
 		}
+		mux.HandleFunc(path, jsonHandler(write))
 	}
-	mux.HandleFunc("/statusz", jsonHandler(statusz))
-	cachez := e.Cachez
-	if cachez == nil {
-		cachez = func(w io.Writer) error {
-			_, err := io.WriteString(w, "{}\n")
-			return err
-		}
-	}
-	mux.HandleFunc("/cachez", jsonHandler(cachez))
 	return mux
 }
 
@@ -336,16 +329,12 @@ func (e Endpoint) ListenAndServe(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// NewMux is the pre-Endpoint form, kept for callers that only have a
-// registry and tracer.
-func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	return Endpoint{Registry: reg, Tracer: tracer}.Mux()
-}
-
-// Serve starts a registry+tracer endpoint on addr; see
-// Endpoint.ListenAndServe.
-func Serve(addr string, reg *Registry, tracer *Tracer) (net.Listener, error) {
-	return Endpoint{Registry: reg, Tracer: tracer}.ListenAndServe(addr)
+// writeIndented encodes doc as the indented JSON every document of
+// the endpoint is served as.
+func writeIndented(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 // ParseText parses Prometheus text exposition output into a flat

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"io"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -79,8 +80,8 @@ func TestLintRejectsMalformed(t *testing.T) {
 }
 
 // TestMuxEndpoints drives the bundled HTTP endpoint: /metrics must
-// pass the linter, /traces must serve the ring as JSON, and
-// /debug/vars must answer.
+// pass the linter, /traces and /logz must serve their rings as JSON,
+// and /debug/vars must answer.
 func TestMuxEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("gvfs_up_total", "up").Inc()
@@ -89,7 +90,10 @@ func TestMuxEndpoints(t *testing.T) {
 	act.Span(LayerBlockCache, "hit", time.Now())
 	act.Finish()
 
-	srv := httptest.NewServer(NewMux(r, tr))
+	events := NewRing[Event](4)
+	slog.New(NewLogHandler(slog.LevelInfo, nil, events, r)).Info("served")
+
+	srv := httptest.NewServer(Endpoint{Registry: r, Tracer: tr, Log: events}.Mux())
 	defer srv.Close()
 
 	get := func(path string) string {
@@ -115,6 +119,9 @@ func TestMuxEndpoints(t *testing.T) {
 	traces := get("/traces")
 	if !strings.Contains(traces, `"block_cache"`) || !strings.Contains(traces, `"proc": "READ"`) {
 		t.Errorf("/traces missing recorded trace: %s", traces)
+	}
+	if logz := get("/logz"); LintLogz([]byte(logz)) != nil || !strings.Contains(logz, `"msg": "served"`) {
+		t.Errorf("/logz missing the logged event or failing lint: %s", logz)
 	}
 	if vars := get("/debug/vars"); !strings.Contains(vars, "memstats") {
 		t.Errorf("/debug/vars missing memstats")

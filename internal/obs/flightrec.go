@@ -5,8 +5,8 @@ package obs
 // what they were, so by the time an operator asks "why was that call
 // slow", the evidence has usually been overwritten by thousands of
 // healthy calls. The flight recorder solves that by promoting calls
-// that crossed a per-procedure latency threshold — or ended in error
-// or while the circuit breaker was open — into a separate ring that
+// that crossed the slow threshold — or ended in error or while the
+// circuit breaker was open — into a separate ring that
 // only interesting calls can displace. Each promoted call keeps its
 // full per-layer span tree, and the promoting component links the
 // matching histogram bucket to it with an exemplar (see registry.go),
@@ -14,10 +14,8 @@ package obs
 // /flightrec.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -25,7 +23,6 @@ import (
 const (
 	ReasonSlow        = "slow"
 	ReasonError       = "error"
-	ReasonRetry       = "retry"
 	ReasonBreakerOpen = "breaker_open"
 )
 
@@ -47,14 +44,8 @@ type Recording struct {
 // FlightRecorder retains promoted calls in a bounded ring. A nil
 // *FlightRecorder is safe to use (recording disabled).
 type FlightRecorder struct {
-	capacity int
-	def      time.Duration
-
-	mu      sync.Mutex
-	perProc map[string]time.Duration
-	ring    []Recording
-	next    int
-	total   uint64
+	slow time.Duration
+	ring *Ring[Recording]
 }
 
 // NewFlightRecorder returns a recorder keeping the last capacity
@@ -67,44 +58,13 @@ func NewFlightRecorder(capacity int, slow time.Duration) *FlightRecorder {
 	if slow <= 0 {
 		slow = DefaultSlowThreshold
 	}
-	return &FlightRecorder{capacity: capacity, def: slow}
+	return &FlightRecorder{slow: slow, ring: NewRing[Recording](capacity)}
 }
 
-// SetProcThreshold overrides the slow threshold for one procedure
-// label (e.g. "READ"), so cheap procedures can be held to a tighter
-// bound than ones that legitimately cross a WAN.
-func (f *FlightRecorder) SetProcThreshold(proc string, d time.Duration) {
-	if f == nil || d <= 0 {
-		return
-	}
-	f.mu.Lock()
-	if f.perProc == nil {
-		f.perProc = make(map[string]time.Duration)
-	}
-	f.perProc[proc] = d
-	f.mu.Unlock()
-}
-
-// Threshold reports the promotion bound for proc (0 on nil).
-func (f *FlightRecorder) Threshold(proc string) time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if d, ok := f.perProc[proc]; ok {
-		return d
-	}
-	return f.def
-}
-
-// ShouldRecord reports whether a call of proc lasting d qualifies as
-// slow. Error/retry/breaker promotions bypass this check.
-func (f *FlightRecorder) ShouldRecord(proc string, d time.Duration) bool {
-	if f == nil {
-		return false
-	}
-	return d >= f.Threshold(proc)
+// ShouldRecord reports whether a call lasting d qualifies as slow.
+// Error and breaker promotions bypass this check.
+func (f *FlightRecorder) ShouldRecord(d time.Duration) bool {
+	return f != nil && d >= f.slow
 }
 
 // Record commits one promoted call.
@@ -118,17 +78,9 @@ func (f *FlightRecorder) Record(tr Trace, reason string) {
 		WallNs: time.Now().UnixNano(),
 	}
 	if reason == ReasonSlow {
-		rec.ThresholdNs = f.Threshold(tr.Proc).Nanoseconds()
+		rec.ThresholdNs = f.slow.Nanoseconds()
 	}
-	f.mu.Lock()
-	if len(f.ring) < f.capacity {
-		f.ring = append(f.ring, rec)
-	} else {
-		f.ring[f.next] = rec
-	}
-	f.next = (f.next + 1) % f.capacity
-	f.total++
-	f.mu.Unlock()
+	f.ring.Add(rec)
 }
 
 // Recordings returns the retained recordings, oldest first.
@@ -136,16 +88,7 @@ func (f *FlightRecorder) Recordings() []Recording {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Recording, 0, len(f.ring))
-	if len(f.ring) < f.capacity {
-		out = append(out, f.ring...)
-	} else {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-	}
-	return out
+	return f.ring.Values()
 }
 
 // Total reports how many calls were ever promoted (including ones the
@@ -154,9 +97,7 @@ func (f *FlightRecorder) Total() uint64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
+	return f.ring.Total()
 }
 
 // Resolve finds the most recent recording with the given trace ID —
@@ -186,14 +127,12 @@ type flightDoc struct {
 func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	doc := flightDoc{Total: f.Total(), Recordings: f.Recordings()}
 	if f != nil {
-		doc.Capacity = f.capacity
+		doc.Capacity = f.ring.Capacity()
 	}
 	if doc.Recordings == nil {
 		doc.Recordings = []Recording{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return writeIndented(w, doc)
 }
 
 // TraceIDString renders a trace ID the way exemplars and /flightrec

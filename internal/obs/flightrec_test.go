@@ -10,18 +10,14 @@ import (
 
 func TestFlightRecorderThresholds(t *testing.T) {
 	f := NewFlightRecorder(8, 50*time.Millisecond)
-	if !f.ShouldRecord("READ", 60*time.Millisecond) {
-		t.Error("60ms over a 50ms default should record")
+	if !f.ShouldRecord(60 * time.Millisecond) {
+		t.Error("60ms over a 50ms threshold should record")
 	}
-	if f.ShouldRecord("READ", 10*time.Millisecond) {
-		t.Error("10ms under a 50ms default should not record")
+	if f.ShouldRecord(10 * time.Millisecond) {
+		t.Error("10ms under a 50ms threshold should not record")
 	}
-	f.SetProcThreshold("GETATTR", 5*time.Millisecond)
-	if !f.ShouldRecord("GETATTR", 10*time.Millisecond) {
-		t.Error("per-proc override not applied")
-	}
-	if !f.ShouldRecord("READ", 60*time.Millisecond) {
-		t.Error("override leaked onto other procs")
+	if !f.ShouldRecord(50 * time.Millisecond) {
+		t.Error("a call at the threshold should record")
 	}
 }
 
@@ -82,8 +78,7 @@ func TestFlightRecorderJSON(t *testing.T) {
 func TestNilFlightRecorderSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(Trace{ID: 1}, ReasonSlow)
-	f.SetProcThreshold("READ", time.Second)
-	if f.ShouldRecord("READ", time.Hour) {
+	if f.ShouldRecord(time.Hour) {
 		t.Error("nil recorder should never record")
 	}
 	if f.Recordings() != nil || f.Total() != 0 {

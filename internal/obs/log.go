@@ -3,64 +3,43 @@ package obs
 // Structured, leveled logging — the event-log half of the diagnostic
 // layer. Gray's observation that most outages are diagnosed from event
 // logs rather than counters motivates keeping this next to the metrics
-// registry: one dependency-free package carries both signals.
+// registry: one package carries both signals.
 //
-// A Logger renders key-value events into up to two sinks: a bounded
-// in-memory ring (served as JSON at /logz, and dumpable as a post-
-// mortem artifact) and a text writer (stderr and/or a log file). All
-// methods are safe on a nil *Logger, so components can thread a logger
-// through unconditionally the same way they thread a nil *Tracer.
+// Components log through a *slog.Logger, scoped with
+// With("component", name). The handler here turns each record into
+// three outputs: a text line (stderr and/or a log file), an Event in a
+// bounded ring (served as JSON at /logz, and dumpable as a post-mortem
+// artifact) and a count in gvfs_log_events_total{level}.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Level orders log severities.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return fmt.Sprintf("Level(%d)", int32(l))
-}
-
-// ParseLevel maps a flag value ("debug", "info", "warn", "error") to a
-// Level.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel maps a flag value ("debug", "info", "warn" or "warning",
+// "error") to a slog level.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info", "":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q", s)
+	return slog.LevelInfo, fmt.Errorf("obs: unknown log level %q", s)
 }
 
 // Field is one key-value pair attached to an event.
@@ -78,80 +57,8 @@ type Event struct {
 	Fields    []Field `json:"fields,omitempty"`
 }
 
-// DefaultLogRing is the ring capacity used when none is given.
+// DefaultLogRing is the /logz ring capacity the daemons use.
 const DefaultLogRing = 1024
-
-// LogRing retains the most recent events in a bounded ring; when full,
-// the oldest entries are overwritten. A nil *LogRing is safe to use
-// (events are dropped).
-type LogRing struct {
-	capacity int
-
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	total uint64
-}
-
-// NewLogRing returns a ring keeping the last capacity events
-// (DefaultLogRing when capacity <= 0).
-func NewLogRing(capacity int) *LogRing {
-	if capacity <= 0 {
-		capacity = DefaultLogRing
-	}
-	return &LogRing{capacity: capacity}
-}
-
-// Capacity reports the ring bound (0 on nil).
-func (r *LogRing) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return r.capacity
-}
-
-func (r *LogRing) append(e Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, e)
-	} else {
-		r.ring[r.next] = e
-	}
-	r.next = (r.next + 1) % r.capacity
-	r.total++
-}
-
-// Events returns the retained events, oldest first.
-func (r *LogRing) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.ring))
-	if len(r.ring) < r.capacity {
-		out = append(out, r.ring...)
-	} else {
-		out = append(out, r.ring[r.next:]...)
-		out = append(out, r.ring[:r.next]...)
-	}
-	return out
-}
-
-// Total reports how many events were ever logged into the ring
-// (including ones since overwritten).
-func (r *LogRing) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
 
 // logzDoc is the /logz JSON document.
 type logzDoc struct {
@@ -160,22 +67,20 @@ type logzDoc struct {
 	Events   []Event `json:"events"`
 }
 
-// WriteJSON dumps the ring as a JSON document (the /logz endpoint).
-// Safe on a nil receiver (empty document).
-func (r *LogRing) WriteJSON(w io.Writer) error {
-	doc := logzDoc{Total: r.Total(), Capacity: r.Capacity(), Events: r.Events()}
+// WriteLogz dumps events as the /logz JSON document. A nil ring
+// renders an empty document.
+func WriteLogz(w io.Writer, events *Ring[Event]) error {
+	doc := logzDoc{Total: events.Total(), Capacity: events.Capacity(), Events: events.Values()}
 	if doc.Events == nil {
 		doc.Events = []Event{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return writeIndented(w, doc)
 }
 
 // LintLogz validates a /logz document: well-formed JSON of the right
 // shape, with the events array bounded by the declared capacity. The
-// linter guards the same failure modes Lint does for /metrics — a
-// hand-rolled encoder emitting unbounded or malformed output.
+// linter guards the same failure modes Lint does for /metrics — an
+// encoder emitting unbounded or malformed output.
 func LintLogz(data []byte) error {
 	var doc logzDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -201,159 +106,147 @@ func LintLogz(data []byte) error {
 	return nil
 }
 
-// logCore is the sink state shared by a Logger and everything derived
-// from it with Named.
-type logCore struct {
-	level  atomic.Int32
-	ring   *LogRing
-	events *CounterVec // gvfs_log_events_total{level}; nil when unmetered
+// discard drops every record; see OrDiscard.
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
-	mu  sync.Mutex // serializes text rendering
-	out io.Writer  // nil = no text sink
+// OrDiscard returns l, or a logger that drops every record when l is
+// nil: what a component that was given no logger logs to.
+func OrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return discard
+	}
+	return l
 }
 
-// LoggerConfig assembles a Logger. Every sink is optional.
-type LoggerConfig struct {
-	// Level is the minimum severity that is recorded (default Info —
-	// note LevelDebug must be selected explicitly).
-	Level Level
-	// Output receives one text line per event (typically os.Stderr, or
-	// an io.MultiWriter adding a log file). Nil disables the text sink.
-	Output io.Writer
-	// Ring receives every event for /logz. Nil disables the ring sink.
-	Ring *LogRing
-	// Metrics, when set, counts emitted events per level as
-	// gvfs_log_events_total{level=...}.
-	Metrics *Registry
+// logHandler is the slog.Handler behind every daemon logger. The
+// handlers derived from one by WithAttrs and WithGroup share its sinks.
+type logHandler struct {
+	level  slog.Leveler
+	events *Ring[Event] // nil = no /logz ring
+	counts *CounterVec  // gvfs_log_events_total{level}; nil when unmetered
+	out    io.Writer    // nil = no text sink
+	mu     *sync.Mutex  // serializes text lines
+
+	component string  // the value of a top-level "component" attribute
+	prefix    string  // open groups, each followed by "."
+	attrs     []Field // bound by WithAttrs
 }
 
-// Logger emits structured events scoped to one component. Derive
-// per-component loggers with Named; they share sinks and level.
-type Logger struct {
-	core      *logCore
-	component string
-}
-
-// NewLogger builds a logger for cfg.
-func NewLogger(cfg LoggerConfig) *Logger {
-	core := &logCore{ring: cfg.Ring, out: cfg.Output}
-	core.level.Store(int32(cfg.Level))
-	if cfg.Metrics != nil {
-		core.events = cfg.Metrics.CounterVec("gvfs_log_events_total",
+// NewLogHandler returns a handler recording every record at or above
+// level into up to three sinks, each optional: a text line written to
+// out, an Event added to events, and a count in metrics'
+// gvfs_log_events_total{level}. A "component" attribute bound with
+// Logger.With names the event's component rather than adding a field.
+func NewLogHandler(level slog.Leveler, out io.Writer, events *Ring[Event], metrics *Registry) slog.Handler {
+	h := &logHandler{level: level, events: events, out: out, mu: new(sync.Mutex)}
+	if metrics != nil {
+		h.counts = metrics.CounterVec("gvfs_log_events_total",
 			"Structured log events emitted, by level.", "level")
 	}
-	return &Logger{core: core}
+	return h
 }
 
-// Named returns a logger labeling every event with the component name.
-// Safe on nil (returns nil).
-func (l *Logger) Named(component string) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{core: l.core, component: component}
+func (h *logHandler) Enabled(_ context.Context, l slog.Level) bool {
+	return l >= h.level.Level()
 }
 
-// Ring returns the ring sink (nil when absent or on a nil logger).
-func (l *Logger) Ring() *LogRing {
-	if l == nil {
-		return nil
-	}
-	return l.core.ring
-}
-
-// SetLevel changes the minimum recorded severity at runtime.
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.core.level.Store(int32(level))
-}
-
-// Enabled reports whether events at level would be recorded.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.core.level.Load()
-}
-
-// Debug logs a debug event. kv is alternating key, value pairs.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs an informational event.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs a warning event.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs an error event.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
+func (h *logHandler) Handle(_ context.Context, r slog.Record) error {
 	e := Event{
-		TimeNs:    time.Now().UnixNano(),
-		Level:     level.String(),
-		Component: l.component,
-		Msg:       msg,
-		Fields:    pairFields(kv),
+		TimeNs:    r.Time.UnixNano(),
+		Level:     strings.ToLower(r.Level.String()),
+		Component: h.component,
+		Msg:       r.Message,
 	}
-	c := l.core
-	if c.events != nil {
-		c.events.With(e.Level).Inc()
+	if n := len(h.attrs) + r.NumAttrs(); n > 0 {
+		e.Fields = append(make([]Field, 0, n), h.attrs...)
+		r.Attrs(func(a slog.Attr) bool {
+			e.Fields = appendField(e.Fields, h.prefix, a)
+			return true
+		})
 	}
-	c.ring.append(e)
-	if c.out != nil {
-		line := renderText(e)
-		c.mu.Lock()
-		io.WriteString(c.out, line)
-		c.mu.Unlock()
+	if h.counts != nil {
+		h.counts.With(e.Level).Inc()
 	}
-}
-
-// pairFields folds alternating key, value arguments into Fields,
-// normalizing values to JSON-friendly types. A trailing key without a
-// value, or a non-string key, is kept visibly malformed rather than
-// dropped, so bugs in call sites show up in the log itself.
-func pairFields(kv []any) []Field {
-	if len(kv) == 0 {
+	h.events.Add(e)
+	if h.out == nil {
 		return nil
 	}
-	fields := make([]Field, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprintf("!BADKEY(%v)", kv[i])
-		}
-		var val any = "(MISSING)"
-		if i+1 < len(kv) {
-			val = normalizeValue(kv[i+1])
-		}
-		fields = append(fields, Field{Key: key, Value: val})
-	}
-	return fields
+	line := renderText(e)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, err := io.WriteString(h.out, line)
+	return err
 }
 
-// normalizeValue maps arbitrary values onto a small set of stable,
-// JSON-encodable types so ring entries never retain caller state.
-func normalizeValue(v any) any {
-	switch x := v.(type) {
+func (h *logHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	c := *h
+	c.attrs = slices.Clip(h.attrs)
+	for _, a := range as {
+		if a.Key == "component" && h.prefix == "" {
+			c.component = a.Value.Resolve().String()
+			continue
+		}
+		c.attrs = appendField(c.attrs, h.prefix, a)
+	}
+	return &c
+}
+
+func (h *logHandler) WithGroup(name string) slog.Handler {
+	if name == "" {
+		return h
+	}
+	c := *h
+	c.prefix += name + "."
+	return &c
+}
+
+// appendField adds a as one field per leaf, a group's members keyed
+// "group.key". An empty attribute is dropped, as slog handlers do.
+func appendField(fs []Field, prefix string, a slog.Attr) []Field {
+	a.Value = a.Value.Resolve()
+	if a.Equal(slog.Attr{}) {
+		return fs
+	}
+	if a.Value.Kind() == slog.KindGroup {
+		if a.Key != "" {
+			prefix += a.Key + "."
+		}
+		for _, g := range a.Value.Group() {
+			fs = appendField(fs, prefix, g)
+		}
+		return fs
+	}
+	return append(fs, Field{Key: prefix + a.Key, Value: fieldValue(a.Value)})
+}
+
+// fieldValue maps a value onto a small set of stable, JSON-encodable
+// types, so ring entries never retain caller state.
+func fieldValue(v slog.Value) any {
+	switch v.Kind() {
+	case slog.KindString:
+		return v.String()
+	case slog.KindInt64:
+		return v.Int64()
+	case slog.KindUint64:
+		return v.Uint64()
+	case slog.KindFloat64:
+		return v.Float64()
+	case slog.KindBool:
+		return v.Bool()
+	case slog.KindDuration:
+		return v.Duration().String()
+	case slog.KindTime:
+		return v.Time().Format(time.RFC3339Nano)
+	}
+	switch x := v.Any().(type) {
 	case nil:
 		return nil
-	case string, bool, float64, float32,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64:
-		return x
-	case time.Duration:
-		return x.String()
-	case time.Time:
-		return x.Format(time.RFC3339Nano)
 	case error:
 		return x.Error()
 	case fmt.Stringer:
 		return x.String()
 	}
-	return fmt.Sprint(v)
+	return fmt.Sprint(v.Any())
 }
 
 // renderText formats one event as a single text line:

@@ -2,46 +2,57 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+func newLogger(level slog.Leveler, out io.Writer, events *Ring[Event], reg *Registry) *slog.Logger {
+	return slog.New(NewLogHandler(level, out, events, reg))
+}
+
 func TestLoggerLevelFiltering(t *testing.T) {
-	ring := NewLogRing(16)
-	lg := NewLogger(LoggerConfig{Level: LevelWarn, Ring: ring})
+	ring := NewRing[Event](16)
+	var level slog.LevelVar
+	level.Set(slog.LevelWarn)
+	lg := newLogger(&level, nil, ring, nil)
 	lg.Debug("d")
 	lg.Info("i")
 	lg.Warn("w")
 	lg.Error("e")
-	evs := ring.Events()
+	evs := ring.Values()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2: %+v", len(evs), evs)
 	}
 	if evs[0].Level != "warn" || evs[1].Level != "error" {
 		t.Fatalf("wrong levels: %+v", evs)
 	}
-	lg.SetLevel(LevelDebug)
-	if !lg.Enabled(LevelDebug) {
-		t.Fatal("debug should be enabled after SetLevel")
+	level.Set(slog.LevelDebug)
+	if !lg.Enabled(context.Background(), slog.LevelDebug) {
+		t.Fatal("debug should be enabled after the level is lowered")
 	}
 	lg.Debug("d2")
-	if got := len(ring.Events()); got != 3 {
-		t.Fatalf("got %d events after SetLevel, want 3", got)
+	if got := len(ring.Values()); got != 3 {
+		t.Fatalf("got %d events after lowering the level, want 3", got)
 	}
 }
 
 func TestLogRingOverwritesOldest(t *testing.T) {
-	ring := NewLogRing(3)
-	lg := NewLogger(LoggerConfig{Ring: ring})
+	ring := NewRing[Event](3)
+	lg := newLogger(slog.LevelInfo, nil, ring, nil)
 	for i := 0; i < 5; i++ {
 		lg.Info(fmt.Sprintf("msg%d", i))
 	}
-	evs := ring.Events()
+	evs := ring.Values()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
 	}
@@ -56,13 +67,16 @@ func TestLogRingOverwritesOldest(t *testing.T) {
 }
 
 func TestLoggerNamedComponent(t *testing.T) {
-	ring := NewLogRing(16)
-	root := NewLogger(LoggerConfig{Ring: ring})
-	root.Named("proxy").Info("a")
-	root.Named("breaker").Warn("b")
-	evs := ring.Events()
+	ring := NewRing[Event](16)
+	root := newLogger(slog.LevelInfo, nil, ring, nil)
+	root.With("component", "proxy").Info("a")
+	root.With("component", "gvfsd").With("component", "breaker").Warn("b", "k", "v")
+	evs := ring.Values()
 	if evs[0].Component != "proxy" || evs[1].Component != "breaker" {
 		t.Fatalf("components wrong: %+v", evs)
+	}
+	if len(evs[0].Fields) != 0 || len(evs[1].Fields) != 1 {
+		t.Fatalf("the component must not be a field: %+v", evs)
 	}
 }
 
@@ -70,52 +84,60 @@ type stringerVal struct{}
 
 func (stringerVal) String() string { return "stringered" }
 
+// TestPairFields: key-value pairs become fields whose values are
+// normalized to JSON-friendly types; pre-bound attributes come first
+// and groups qualify their keys; malformed pairs stay visible.
 func TestPairFields(t *testing.T) {
-	fs := pairFields([]any{
+	ring := NewRing[Event](4)
+	lg := newLogger(slog.LevelInfo, nil, ring, nil).With("bound", 1)
+	lg.Info("m",
 		"str", "v",
-		"dur", 250 * time.Millisecond,
+		"dur", 250*time.Millisecond,
 		"err", errors.New("boom"),
 		"stringer", stringerVal{},
-		42, "badkey",
-		"dangling",
-	})
-	want := []Field{
-		{Key: "str", Value: "v"},
-		{Key: "dur", Value: "250ms"},
-		{Key: "err", Value: "boom"},
-		{Key: "stringer", Value: "stringered"},
-		{Key: "!BADKEY(42)", Value: "badkey"},
-		{Key: "dangling", Value: "(MISSING)"},
-	}
-	if len(fs) != len(want) {
-		t.Fatalf("got %d fields, want %d: %+v", len(fs), len(want), fs)
-	}
-	for i := range want {
-		if fs[i] != want[i] {
-			t.Errorf("field %d = %+v, want %+v", i, fs[i], want[i])
+		"n", 42,
+		slog.Group("g", "k", true),
+	)
+	lg.WithGroup("req").Info("grouped", "id", "x")
+	malformed := []any{42, "dangling"} // a slice, so vet lets the bad pairs through
+	lg.Info("bad", malformed...)
+	evs := ring.Values()
+	for i, want := range [][]Field{
+		{{"bound", int64(1)}, {"str", "v"}, {"dur", "250ms"}, {"err", "boom"},
+			{"stringer", "stringered"}, {"n", int64(42)}, {"g.k", true}},
+		{{"bound", int64(1)}, {"req.id", "x"}},
+		{{"bound", int64(1)}, {"!BADKEY", int64(42)}, {"!BADKEY", "dangling"}},
+	} {
+		if got := evs[i].Fields; !slices.Equal(got, want) {
+			t.Errorf("event %d fields = %+v, want %+v", i, got, want)
 		}
 	}
 }
 
 func TestLoggerTextSink(t *testing.T) {
 	var buf bytes.Buffer
-	lg := NewLogger(LoggerConfig{Output: &buf}).Named("gvfsd")
+	lg := newLogger(slog.LevelInfo, &buf, nil, nil).With("component", "gvfsd")
 	lg.Info("started", "addr", "127.0.0.1:2049", "note", "two words")
-	line := buf.String()
-	for _, want := range []string{"INFO", "gvfsd: started", "addr=127.0.0.1:2049", `note="two words"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
+	lg.Warn("w")
+	line := regexp.MustCompile(`^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}Z `)
+	lines := strings.SplitAfter(buf.String(), "\n")
+	for i, want := range []string{
+		"INFO  gvfsd: started addr=127.0.0.1:2049 note=\"two words\"\n",
+		"WARN  gvfsd: w\n",
+	} {
+		if ts := line.FindString(lines[i]); ts == "" || lines[i][len(ts):] != want {
+			t.Errorf("line %d = %q, want a timestamp then %q", i, lines[i], want)
 		}
 	}
 }
 
 func TestLogzJSONPassesLint(t *testing.T) {
-	ring := NewLogRing(8)
-	lg := NewLogger(LoggerConfig{Ring: ring})
+	ring := NewRing[Event](8)
+	lg := newLogger(slog.LevelInfo, nil, ring, nil)
 	lg.Info("hello", "k", 1)
 	lg.Error("bad", "err", errors.New("x"))
 	var buf bytes.Buffer
-	if err := ring.WriteJSON(&buf); err != nil {
+	if err := WriteLogz(&buf, ring); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintLogz(buf.Bytes()); err != nil {
@@ -125,8 +147,8 @@ func TestLogzJSONPassesLint(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc["total_logged"].(float64) != 2 {
-		t.Errorf("total_logged = %v, want 2", doc["total_logged"])
+	if doc["total_logged"].(float64) != 2 || doc["capacity"].(float64) != 8 {
+		t.Errorf("total_logged = %v, capacity = %v, want 2 and 8", doc["total_logged"], doc["capacity"])
 	}
 }
 
@@ -162,25 +184,21 @@ func TestLintBoundedJSON(t *testing.T) {
 }
 
 func TestNilLoggerAndRingSafe(t *testing.T) {
-	var lg *Logger
-	lg.Info("ignored", "k", "v")
-	lg.SetLevel(LevelDebug)
-	if lg.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
+	lg := OrDiscard(nil)
+	lg.Error("ignored", "k", "v")
+	if lg.Enabled(context.Background(), slog.LevelError) {
+		t.Error("the discard logger reports enabled")
 	}
-	if lg.Named("x") != nil {
-		t.Error("nil logger Named should return nil")
+	if own := slog.New(NewLogHandler(slog.LevelInfo, nil, nil, nil)); OrDiscard(own) != own {
+		t.Error("OrDiscard replaced a logger it was given")
 	}
-	if lg.Ring() != nil {
-		t.Error("nil logger Ring should return nil")
-	}
-	var ring *LogRing
-	ring.append(Event{})
-	if ring.Events() != nil || ring.Total() != 0 || ring.Capacity() != 0 {
+	var ring *Ring[Event]
+	ring.Add(Event{})
+	if ring.Values() != nil || ring.Total() != 0 || ring.Capacity() != 0 {
 		t.Error("nil ring not inert")
 	}
 	var buf bytes.Buffer
-	if err := ring.WriteJSON(&buf); err != nil {
+	if err := WriteLogz(&buf, ring); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintBoundedJSON(buf.Bytes(), 10); err != nil {
@@ -190,7 +208,7 @@ func TestNilLoggerAndRingSafe(t *testing.T) {
 
 func TestLoggerEventCounter(t *testing.T) {
 	reg := NewRegistry()
-	lg := NewLogger(LoggerConfig{Metrics: reg, Ring: NewLogRing(4)})
+	lg := newLogger(slog.LevelInfo, nil, NewRing[Event](4), reg)
 	lg.Info("a")
 	lg.Info("b")
 	lg.Error("c")
@@ -204,15 +222,15 @@ func TestLoggerEventCounter(t *testing.T) {
 }
 
 func TestLoggerConcurrent(t *testing.T) {
-	ring := NewLogRing(64)
+	ring := NewRing[Event](64)
 	var buf bytes.Buffer
-	lg := NewLogger(LoggerConfig{Ring: ring, Output: &buf})
+	lg := newLogger(slog.LevelInfo, &buf, ring, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			l := lg.Named(fmt.Sprintf("c%d", n))
+			l := lg.With("component", fmt.Sprintf("c%d", n))
 			for j := 0; j < 50; j++ {
 				l.Info("tick", "j", j)
 			}
@@ -222,15 +240,18 @@ func TestLoggerConcurrent(t *testing.T) {
 	if ring.Total() != 400 {
 		t.Errorf("Total = %d, want 400", ring.Total())
 	}
-	if got := len(ring.Events()); got != 64 {
+	if got := len(ring.Values()); got != 64 {
 		t.Errorf("retained %d, want 64", got)
+	}
+	if got := strings.Count(buf.String(), "\n"); got != 400 {
+		t.Errorf("text sink has %d lines, want 400", got)
 	}
 }
 
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "": LevelInfo,
-		"warn": LevelWarn, "warning": LevelWarn, "ERROR": LevelError,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
+		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "ERROR": slog.LevelError,
 	} {
 		got, err := ParseLevel(in)
 		if err != nil || got != want {

@@ -13,7 +13,6 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -51,13 +50,8 @@ type Trace struct {
 // oldest entries are overwritten. The zero Tracer is not usable;
 // a nil *Tracer is safe to call (tracing disabled).
 type Tracer struct {
-	capacity int
-	ids      atomic.Uint64
-
-	mu    sync.Mutex
-	ring  []Trace
-	next  int
-	total uint64
+	ids  atomic.Uint64
+	ring *Ring[Trace]
 }
 
 // DefaultRing is the trace ring capacity used when none is given.
@@ -69,7 +63,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultRing
 	}
-	t := &Tracer{capacity: capacity}
+	t := &Tracer{ring: NewRing[Trace](capacity)}
 	// Seed the ID allocator randomly so IDs from unrelated processes
 	// (or restarts) don't collide when rings are stitched offline.
 	var seed [8]byte
@@ -93,34 +87,12 @@ func (t *Tracer) Start(id uint64, hop uint32, proc string) *Active {
 	return &Active{t: t, start: time.Now(), trace: Trace{ID: id, Hop: hop, Proc: proc}}
 }
 
-// record commits a finished trace to the ring.
-func (t *Tracer) record(tr Trace) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, tr)
-	} else {
-		t.ring[t.next] = tr
-	}
-	t.next = (t.next + 1) % t.capacity
-	t.total++
-}
-
 // Traces returns the retained traces, oldest first.
 func (t *Tracer) Traces() []Trace {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Trace, 0, len(t.ring))
-	if len(t.ring) < t.capacity {
-		out = append(out, t.ring...)
-	} else {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	}
-	return out
+	return t.ring.Values()
 }
 
 // Total reports how many traces have ever been recorded (including
@@ -129,9 +101,7 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // WriteJSON dumps the ring as a JSON document (the /traces endpoint).
@@ -143,9 +113,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	if doc.Traces == nil {
 		doc.Traces = []Trace{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return writeIndented(w, doc)
 }
 
 // Active is an in-flight trace at one hop. Methods are safe on a nil
@@ -203,6 +171,6 @@ func (a *Active) Finish() Trace {
 	tr := a.trace
 	tr.Spans = append([]Span(nil), a.trace.Spans...)
 	a.mu.Unlock()
-	a.t.record(tr)
+	a.t.ring.Add(tr)
 	return tr
 }

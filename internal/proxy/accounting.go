@@ -19,6 +19,7 @@ import (
 
 	"gvfs/internal/backend/replbe"
 	"gvfs/internal/nfs3"
+	"gvfs/internal/obs"
 	"gvfs/internal/qos"
 	"gvfs/internal/sunrpc"
 )
@@ -156,50 +157,35 @@ type clientAcct struct {
 	touched       int64 // unix nanos of last update, for eviction
 }
 
-// accounting holds all three tables under one mutex. Updates are one
+// accounting holds all three tables under one mutex (the audit ring
+// is added to under it too, so its order is the table's). Updates are one
 // short critical section per call — small next to the XDR decode each
 // call already pays. The files and clients tables are bounded: a
 // client-ID (or file-handle) churn storm evicts idle entries past the
 // TTL — or, failing that, the least-recently-touched entry — instead
 // of growing the proxy heap without limit.
 type accounting struct {
-	topN       int
-	auditCap   int
-	maxEntries int
-	idleTTL    time.Duration
+	topN int
 
 	evictions atomic.Uint64 // entries dropped from either table
 
-	mu         sync.Mutex
-	files      map[string]*fileAcct   // keyed by file label
-	clients    map[string]*clientAcct // keyed by client identity
-	dirtyAt    map[dirtyID]int64      // file label + block -> dirtied unix nanos
-	audit      []AuditEvent
-	auditNext  int
-	auditTotal uint64
+	audit *obs.Ring[AuditEvent]
+
+	mu      sync.Mutex
+	files   map[string]*fileAcct   // keyed by file label, at most DefaultAcctEntries
+	clients map[string]*clientAcct // keyed by client identity, at most DefaultAcctEntries
+	dirtyAt map[dirtyID]int64      // handle + block -> dirtied unix nanos
 }
 
-func newAccounting(topN, auditCap, maxEntries int, idleTTL time.Duration) *accounting {
-	if topN <= 0 {
-		topN = DefaultTopN
-	}
-	if auditCap <= 0 {
-		auditCap = DefaultAuditRing
-	}
-	if maxEntries <= 0 {
-		maxEntries = DefaultAcctEntries
-	}
-	if idleTTL <= 0 {
-		idleTTL = DefaultAcctTTL
-	}
+// newAccounting returns tables ranking topN rows, with an audit ring of
+// auditCap events.
+func newAccounting(topN, auditCap int) *accounting {
 	return &accounting{
-		topN:       topN,
-		auditCap:   auditCap,
-		maxEntries: maxEntries,
-		idleTTL:    idleTTL,
-		files:      make(map[string]*fileAcct),
-		clients:    make(map[string]*clientAcct),
-		dirtyAt:    make(map[dirtyID]int64),
+		topN:    topN,
+		audit:   obs.NewRing[AuditEvent](auditCap),
+		files:   make(map[string]*fileAcct),
+		clients: make(map[string]*clientAcct),
+		dirtyAt: make(map[dirtyID]int64),
 	}
 }
 
@@ -230,9 +216,9 @@ func (a *accounting) fileLocked(label string) *fileAcct {
 	now := time.Now().UnixNano()
 	f, ok := a.files[label]
 	if !ok {
-		if len(a.files) >= a.maxEntries {
+		if len(a.files) >= DefaultAcctEntries {
 			a.evictions.Add(evictLocked(a.files,
-				func(f *fileAcct) int64 { return f.touched }, now, a.idleTTL))
+				func(f *fileAcct) int64 { return f.touched }, now, DefaultAcctTTL))
 		}
 		f = &fileAcct{FileStats: FileStats{File: label}}
 		a.files[label] = f
@@ -245,9 +231,9 @@ func (a *accounting) clientLocked(key string) *clientAcct {
 	now := time.Now().UnixNano()
 	c, ok := a.clients[key]
 	if !ok {
-		if len(a.clients) >= a.maxEntries {
+		if len(a.clients) >= DefaultAcctEntries {
 			a.evictions.Add(evictLocked(a.clients,
-				func(c *clientAcct) int64 { return c.touched }, now, a.idleTTL))
+				func(c *clientAcct) int64 { return c.touched }, now, DefaultAcctTTL))
 		}
 		c = &clientAcct{ops: make(map[string]uint64)}
 		a.clients[key] = c
@@ -299,35 +285,25 @@ func (a *accounting) recordWrite(file, client string, bytes int) {
 	a.mu.Unlock()
 }
 
-// dirtyID keys the dirty-block lifecycle table. A comparable struct
-// instead of a formatted string keeps the per-WRITE bookkeeping
-// allocation-free.
+// dirtyID keys the dirty-block lifecycle table by handle, not label: a
+// RENAME, a name filed over another or a Flush changes a dirty file's
+// label before its write-back.
 type dirtyID struct {
-	file  string
+	fh    string
 	block uint64
-}
-
-func (a *accounting) appendEventLocked(e AuditEvent) {
-	if len(a.audit) < a.auditCap {
-		a.audit = append(a.audit, e)
-	} else {
-		a.audit[a.auditNext] = e
-	}
-	a.auditNext = (a.auditNext + 1) % a.auditCap
-	a.auditTotal++
 }
 
 // blockDirtied opens a lifecycle: a write-back cache absorbed a write.
 // Re-dirtying an already-dirty block keeps the original timestamp, so
 // the eventual commit reports the full time the data was at risk.
-func (a *accounting) blockDirtied(file string, block uint64, bytes int) {
+// fh is the handle as a string (fileView.keyOf).
+func (a *accounting) blockDirtied(fh, file string, block uint64, bytes int) {
 	now := time.Now().UnixNano()
 	a.mu.Lock()
-	key := dirtyID{file, block}
-	if _, dirty := a.dirtyAt[key]; !dirty {
-		a.dirtyAt[key] = now
+	if _, dirty := a.dirtyAt[dirtyID{fh, block}]; !dirty {
+		a.dirtyAt[dirtyID{fh, block}] = now
 	}
-	a.appendEventLocked(AuditEvent{TimeNs: now, Kind: AuditDirty, File: file, Block: block, Bytes: bytes})
+	a.audit.Add(AuditEvent{TimeNs: now, Kind: AuditDirty, File: file, Block: block, Bytes: bytes})
 	a.mu.Unlock()
 }
 
@@ -335,33 +311,22 @@ func (a *accounting) blockDirtied(file string, block uint64, bytes int) {
 func (a *accounting) flushTriggered(reason string) {
 	now := time.Now().UnixNano()
 	a.mu.Lock()
-	a.appendEventLocked(AuditEvent{TimeNs: now, Kind: AuditTrigger, Reason: reason, Pending: len(a.dirtyAt)})
+	a.audit.Add(AuditEvent{TimeNs: now, Kind: AuditTrigger, Reason: reason, Pending: len(a.dirtyAt)})
 	a.mu.Unlock()
 }
 
 // writeCommitted closes a lifecycle: the block's WRITE landed upstream.
-func (a *accounting) writeCommitted(file string, block uint64, bytes int) {
+// file is the label the file has now.
+func (a *accounting) writeCommitted(fh nfs3.FH, file string, block uint64, bytes int) {
 	now := time.Now().UnixNano()
-	a.mu.Lock()
-	key := dirtyID{file, block}
 	e := AuditEvent{TimeNs: now, Kind: AuditCommit, File: file, Block: block, Bytes: bytes}
-	if dirtied, ok := a.dirtyAt[key]; ok {
+	a.mu.Lock()
+	if dirtied, ok := a.dirtyAt[dirtyID{string(fh), block}]; ok {
 		e.AgeNs = now - dirtied
-		delete(a.dirtyAt, key)
+		delete(a.dirtyAt, dirtyID{string(fh), block})
 	}
-	a.appendEventLocked(e)
+	a.audit.Add(e)
 	a.mu.Unlock()
-}
-
-func (a *accounting) auditEventsLocked() []AuditEvent {
-	out := make([]AuditEvent, 0, len(a.audit))
-	if len(a.audit) < a.auditCap {
-		out = append(out, a.audit...)
-	} else {
-		out = append(out, a.audit[a.auditNext:]...)
-		out = append(out, a.audit[:a.auditNext]...)
-	}
-	return out
 }
 
 // rankings orders the per-file top-N tables of the statusz document.
@@ -409,9 +374,9 @@ func (a *accounting) snapshot(degraded bool) Statusz {
 	audit := AuditLog{
 		DirtyBlocks:      len(a.dirtyAt),
 		OldestDirtyAgeNs: oldest,
-		TotalEvents:      a.auditTotal,
-		Capacity:         a.auditCap,
-		Events:           a.auditEventsLocked(),
+		TotalEvents:      a.audit.Total(),
+		Capacity:         a.audit.Capacity(),
+		Events:           a.audit.Values(),
 	}
 	a.mu.Unlock()
 
@@ -486,6 +451,14 @@ func (p *Proxy) WriteStatusz(w io.Writer) error {
 func (p *Proxy) fileLabel(fh nfs3.FH) string {
 	v, _ := p.attrs.get(fh)
 	return v.labelOf(fh)
+}
+
+// keyOf is fh as a string, the table's own copy when it has an entry.
+func (v *fileView) keyOf(fh nfs3.FH) string {
+	if v.fh != "" {
+		return v.fh
+	}
+	return string(fh)
 }
 
 // labelOf is fileLabel for a caller that already holds the file's view.

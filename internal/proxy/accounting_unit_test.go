@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"gvfs/internal/nfs3"
 )
 
 func TestAccountingTablesAndRankings(t *testing.T) {
-	a := newAccounting(2, 8, 0, 0)
+	a := newAccounting(2, 8)
 	// Three files so the top-2 bound is exercised.
 	a.recordRead("/a", "c1/uid=1", "block_hit", 100, false)
 	a.recordRead("/a", "c1/uid=1", "block_hit", 100, false)
@@ -52,7 +54,7 @@ func TestAccountingTablesAndRankings(t *testing.T) {
 }
 
 func TestAccountingDegradedAttribution(t *testing.T) {
-	a := newAccounting(4, 8, 0, 0)
+	a := newAccounting(4, 8)
 	a.recordRead("/img", "compute/uid=500", "block_hit", 8192, true)
 	doc := a.snapshot(true)
 	if !doc.Degraded {
@@ -68,13 +70,13 @@ func TestAccountingDegradedAttribution(t *testing.T) {
 }
 
 func TestAuditLifecycle(t *testing.T) {
-	a := newAccounting(4, 16, 0, 0)
-	a.blockDirtied("/disk", 3, 8192)
+	a := newAccounting(4, 16)
+	a.blockDirtied("disk", "/disk", 3, 8192)
 	time.Sleep(5 * time.Millisecond)
 	// Re-dirty keeps the original timestamp.
-	a.blockDirtied("/disk", 3, 8192)
+	a.blockDirtied("disk", "/disk", 3, 8192)
 	a.flushTriggered(TriggerWriteBack)
-	a.writeCommitted("/disk", 3, 8192)
+	a.writeCommitted(nfs3.FH("disk"), "/disk", 3, 8192)
 
 	doc := a.snapshot(false)
 	ev := doc.Audit.Events
@@ -96,7 +98,7 @@ func TestAuditLifecycle(t *testing.T) {
 }
 
 func TestAuditRingBounded(t *testing.T) {
-	a := newAccounting(4, 4, 0, 0)
+	a := newAccounting(4, 4)
 	for i := 0; i < 10; i++ {
 		a.flushTriggered(fmt.Sprintf("r%d", i))
 	}
@@ -113,8 +115,8 @@ func TestAuditRingBounded(t *testing.T) {
 }
 
 func TestDirtyAgeTracking(t *testing.T) {
-	a := newAccounting(4, 8, 0, 0)
-	a.blockDirtied("/x", 0, 1)
+	a := newAccounting(4, 8)
+	a.blockDirtied("x", "/x", 0, 1)
 	time.Sleep(2 * time.Millisecond)
 	doc := a.snapshot(false)
 	if doc.Audit.DirtyBlocks != 1 {

@@ -93,6 +93,7 @@ const (
 type fileView struct {
 	fileInfo
 	meta *metaState
+	fh   string // the entry's copy of the handle: a map key that costs no allocation
 }
 
 // post is the view's attribute as a post_op_attr: nil unless servable.
@@ -111,7 +112,7 @@ func (e *attrEntry) view() fileView {
 	if e.label == "" {
 		e.label = fhLabel(nfs3.FH(e.fh))
 	}
-	return fileView{e.fileInfo, &e.meta}
+	return fileView{e.fileInfo, &e.meta, e.fh}
 }
 
 func fhLabel(fh nfs3.FH) string { return fmt.Sprintf("fh:%x", string(fh)) }

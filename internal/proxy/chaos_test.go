@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,10 +62,10 @@ func startChaosChain(t *testing.T, fs *memfs.FS, wan *simnet.Link,
 	// When GVFS_CHAOS_LOG_DIR is set (CI sets it), the client proxy
 	// runs a ring-only structured logger plus a flight recorder, and a
 	// failing test dumps those surfaces as post-mortem artifacts.
-	var logRing *obs.LogRing
+	var logRing *obs.Ring[obs.Event]
 	if os.Getenv("GVFS_CHAOS_LOG_DIR") != "" {
-		logRing = obs.NewLogRing(512)
-		opts.Logger = obs.NewLogger(obs.LoggerConfig{Level: obs.LevelDebug, Ring: logRing})
+		logRing = obs.NewRing[obs.Event](512)
+		opts.Logger = slog.New(obs.NewLogHandler(slog.LevelDebug, nil, logRing, nil))
 		if opts.FlightRing == 0 {
 			opts.FlightRing = 64
 		}
@@ -88,7 +89,7 @@ func startChaosChain(t *testing.T, fs *memfs.FS, wan *simnet.Link,
 // dumpChaosDiagnostics registers a cleanup that, if the test failed,
 // writes the client proxy's log ring, statusz accounting document and
 // flight recordings into $GVFS_CHAOS_LOG_DIR for artifact upload.
-func dumpChaosDiagnostics(t *testing.T, ring *obs.LogRing, node *stack.Node) {
+func dumpChaosDiagnostics(t *testing.T, ring *obs.Ring[obs.Event], node *stack.Node) {
 	t.Helper()
 	dir := os.Getenv("GVFS_CHAOS_LOG_DIR")
 	base := strings.ReplaceAll(t.Name(), "/", "_")
@@ -114,7 +115,7 @@ func dumpChaosDiagnostics(t *testing.T, ring *obs.LogRing, node *stack.Node) {
 			}
 			t.Logf("chaos diagnostics: wrote %s", path)
 		}
-		dump("logz", ring.WriteJSON)
+		dump("logz", func(w io.Writer) error { return obs.WriteLogz(w, ring) })
 		dump("statusz", node.Proxy.WriteStatusz)
 		if node.Flight != nil {
 			dump("flightrec", node.Flight.WriteJSON)

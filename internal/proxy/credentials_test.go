@@ -214,7 +214,7 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { bc.Close() })
-				cfg := Config{Upstream: sunrpc.Local{H: origin}, BlockCache: bc, WritePolicy: cache.WriteBack}
+				cfg := Config{Upstream: sunrpc.Local{H: origin}, BlockCache: bc}
 				var alloc *auth.Allocator
 				if mapping {
 					alloc = auth.NewAllocator(60000, 16, time.Hour)

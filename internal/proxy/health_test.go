@@ -273,7 +273,7 @@ func TestEveryProxyHasTheBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Upstream: up, BlockCache: bc, WritePolicy: cache.WriteBack})
+	p, err := New(Config{Upstream: up, BlockCache: bc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/bufpool"
-	"gvfs/internal/cache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/meta"
 	"gvfs/internal/nfs3"
@@ -523,7 +522,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		v.meta.wrote(args.Offset, uint64(len(args.Data))) // whichever way the bytes go from here
 	}
 
-	if p.cfg.BlockCache == nil || p.cfg.WritePolicy != cache.WriteBack {
+	if !p.absorbs {
 		return p.writeThrough(c, &args, file, tr)
 	}
 
@@ -557,7 +556,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 	if err != nil {
 		return p.writeThrough(c, &args, file, tr)
 	}
-	client := p.clientLabel(c)
+	client, key := p.clientLabel(c), v.keyOf(args.FH)
 	for b := first; b <= last; b++ {
 		rest := data[(b-first)*bs:]
 		written := min(len(rest), int(bs))
@@ -571,7 +570,7 @@ func (p *Proxy) handleWrite(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		if p.cfg.Cachean != nil {
 			p.cfg.Cachean.DemandData(client, args.FH, b, written, true)
 		}
-		p.acct.blockDirtied(file, b, written)
+		p.acct.blockDirtied(key, file, b, written)
 	}
 	p.stats.writesAbsorbed.Add(1)
 	p.acct.recordWrite(file, client, len(data))
@@ -945,7 +944,7 @@ func (p *Proxy) putFetched() {
 			})
 		p.puts.RUnlock()
 		for _, b := range cleaned {
-			p.acct.writeCommitted(v.label, b, int(bs))
+			p.acct.writeCommitted(fh, v.label, b, int(bs))
 		}
 	}
 }

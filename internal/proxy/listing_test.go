@@ -254,7 +254,7 @@ func TestListingObjstoreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Backend: store, BlockCache: bc, WritePolicy: cache.WriteBack})
+	p, err := New(Config{Backend: store, BlockCache: bc})
 	if err != nil {
 		t.Fatal(err)
 	}

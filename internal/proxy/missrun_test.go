@@ -149,7 +149,7 @@ func newRunEnvPolicy(t *testing.T, size int, cfg Config, policy cache.Policy) *r
 	}
 	t.Cleanup(func() { bc.Close() })
 	e.spy = &spyBackend{Backend: nfs3be.New(upstream)}
-	cfg.Upstream, cfg.Backend, cfg.BlockCache, cfg.WritePolicy = upstream, e.spy, bc, policy
+	cfg.Upstream, cfg.Backend, cfg.BlockCache = upstream, e.spy, bc
 	if e.p, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}

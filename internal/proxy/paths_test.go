@@ -58,7 +58,7 @@ func pathsProxyOn(t *testing.T, upstream nfs3.Caller) (*Proxy, *nfs3.Client, nfs
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Upstream: upstream, BlockCache: bc, WritePolicy: cache.WriteBack})
+	p, err := New(Config{Upstream: upstream, BlockCache: bc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 	t.Cleanup(func() { bc.Close() })
 	var hold atomic.Bool // the next dial waits for release
 	dialed, release := make(chan struct{}, 1), make(chan struct{})
-	p, err := New(Config{Upstream: nfsdInProcess(t, fs), BlockCache: bc, WritePolicy: cache.WriteBack,
+	p, err := New(Config{Upstream: nfsdInProcess(t, fs), BlockCache: bc,
 		FileChanDial: func() (net.Conn, error) {
 			if hold.Load() {
 				dialed <- struct{}{}
@@ -341,5 +341,64 @@ func TestCreateTruncateDropsCachedBlocks(t *testing.T) {
 	}
 	if got, err := fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(got, []byte{0x01}) {
 		t.Fatalf("origin holds %d bytes (% x …), %v; want the 1 byte written", len(got), got[:min(len(got), 4)], err)
+	}
+}
+
+// TestAuditFollowsDirtyHandle: the write-back audit tracks a dirty block
+// by its handle, so a commit closes its lifecycle whatever the file is
+// called by then — after a RENAME, or after a Flush forgot the path and
+// a LOOKUP found it again. Keyed by the label, the entry outlived the
+// commit: /statusz's dirty_blocks never came down and the table grew.
+func TestAuditFollowsDirtyHandle(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		relabel func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) (label string)
+	}{
+		{"rename", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
+			if err := nc.Rename(root, "a", root, "b"); err != nil {
+				t.Fatal(err)
+			}
+			return "/b"
+		}},
+		{"flush then lookup", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Dirty again under the handle alone: the Flush forgot its path.
+			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{2}, 8192), nfs3.Unstable); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := nc.Lookup(root, "a"); err != nil {
+				t.Fatal(err)
+			}
+			return "/a"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, nc, root := pathsProxy(t)
+			fh, _, err := nc.Create(root, "a", nfs3.SetAttr{}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable); err != nil {
+				t.Fatal(err)
+			}
+			label := tc.relabel(t, p, nc, root, fh)
+			if err := p.WriteBack(); err != nil {
+				t.Fatal(err)
+			}
+			if n := p.cfg.BlockCache.DirtyCount(); n != 0 {
+				t.Fatalf("%d blocks still dirty in the cache after WriteBack", n)
+			}
+			audit := p.Statusz().Audit
+			if audit.DirtyBlocks != 0 || audit.OldestDirtyAgeNs != 0 {
+				t.Errorf("audit reports %d dirty blocks, oldest %dns, after every block was written back",
+					audit.DirtyBlocks, audit.OldestDirtyAgeNs)
+			}
+			last := audit.Events[len(audit.Events)-1]
+			if last.Kind != AuditCommit || last.File != label || last.AgeNs <= 0 {
+				t.Errorf("last audit event %+v, want the commit of %s with its dirty age", last, label)
+			}
+		})
 	}
 }

@@ -25,6 +25,7 @@ package proxy
 
 import (
 	"fmt"
+	"log/slog"
 	"net"
 	"path"
 	"sync"
@@ -70,12 +71,10 @@ type Config struct {
 	// through Backend (callOpts).
 	Mapper *auth.Mapper
 
-	// BlockCache, when set, caches blocks at NFS RPC granularity.
+	// BlockCache, when set, caches blocks at NFS RPC granularity. The
+	// proxy absorbs WRITEs exactly when it is a WriteBack cache that is
+	// not ReadOnly; otherwise they are written through.
 	BlockCache *cache.Cache
-
-	// WritePolicy selects write-through or write-back handling of
-	// WRITE calls when BlockCache is set.
-	WritePolicy cache.Policy
 
 	// FileChanDial, with BlockCache, connects to the image server's file
 	// channel: a file whose meta-data asks for it is fetched whole through
@@ -115,12 +114,12 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// Logger, when set, receives structured events (breaker
-	// transitions, write-back replays). The proxy derives a "proxy"
-	// component logger from it; nil disables event logging.
-	Logger *obs.Logger
+	// transitions, write-back replays) under the "proxy" component;
+	// nil disables event logging.
+	Logger *slog.Logger
 
 	// Flight, when set, promotes interesting calls — slower than the
-	// recorder's per-proc threshold, failed, or handled while the
+	// recorder's slow threshold, failed, or handled while the
 	// breaker was open — into the flight recorder ring, and attaches a
 	// matching exemplar to the call's latency histogram bucket.
 	// Requires Tracer; without one there is no span tree to promote.
@@ -228,10 +227,12 @@ type Proxy struct {
 	labels intern[string] // incoming cred body -> accounting label
 	bodies intern[[]byte] // upstream cred body -> the copy the proxy keeps past a call
 
-	stats *counters   // instruments in the unified obs registry
-	acct  *accounting // per-file / per-client tables + write-back audit
-	log   *obs.Logger // component-scoped event logger (nil-safe)
+	stats *counters    // instruments in the unified obs registry
+	acct  *accounting  // per-file / per-client tables + write-back audit
+	log   *slog.Logger // component-scoped event logger
 	qos   *qos.Scheduler
+
+	absorbs bool // the block cache is write-back and writable: WRITEs stay in it
 
 	ra   *readAhead                // nil unless Config.ReadAhead > 0
 	idle atomic.Pointer[idleState] // nil unless StartIdleWriteBack was called
@@ -262,8 +263,8 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:   cfg,
 		attrs: newAttrTable(cfg.BlockCache != nil),
 		stats: newCounters(reg),
-		acct:  newAccounting(DefaultTopN, DefaultAuditRing, DefaultAcctEntries, DefaultAcctTTL),
-		log:   cfg.Logger.Named("proxy"),
+		acct:  newAccounting(DefaultTopN, DefaultAuditRing),
+		log:   obs.OrDiscard(cfg.Logger).With("component", "proxy"),
 		qos:   cfg.QoS,
 		relay: cfg.Upstream,
 	}
@@ -282,6 +283,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.breaker = backend.NewBreaker(cfg.FailureThreshold, cfg.ProbeInterval, p.probeUpstream, func() { go p.replayAfterRecovery() })
 	if cfg.BlockCache != nil && !cfg.BlockCache.Config().ReadOnly {
+		p.absorbs = cfg.BlockCache.Config().Policy == cache.WriteBack
 		cfg.BlockCache.SetWriteBackFunc(func(fh nfs3.FH, off uint64, data []byte) error {
 			return p.upstreamWrite(fh, off, data)
 		})
@@ -356,7 +358,7 @@ func (p *Proxy) maybePromote(c *sunrpc.Call, trace obs.Trace, d time.Duration, s
 		reason = obs.ReasonError
 	case degraded:
 		reason = obs.ReasonBreakerOpen
-	case f.ShouldRecord(trace.Proc, d):
+	case f.ShouldRecord(d):
 		reason = obs.ReasonSlow
 	default:
 		return
@@ -470,7 +472,7 @@ func (p *Proxy) upstreamWrite(fh nfs3.FH, off uint64, data []byte) error {
 			if rem < n {
 				n = rem
 			}
-			p.acct.writeCommitted(label, b, n)
+			p.acct.writeCommitted(fh, label, b, n)
 			rem -= n
 		}
 	}
@@ -834,7 +836,7 @@ func (p *Proxy) handleSetattr(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Ac
 }
 
 func (p *Proxy) handleCommit(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	if p.cfg.BlockCache != nil && p.cfg.WritePolicy == cache.WriteBack {
+	if p.absorbs {
 		// Under session consistency the proxy owns dirty data until
 		// the middleware says otherwise; acknowledge the commit.
 		args, err := nfs3.DecodeCommitArgs(c.Args)

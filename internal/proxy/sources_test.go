@@ -233,7 +233,7 @@ func newSrcEnv(t *testing.T, row srcRow) *srcEnv {
 	}
 	e := &srcEnv{origin: nfsdInProcess(t, fs), fhs: map[string]nfs3.FH{},
 		cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "sources"}.Encode()}
-	cfg := Config{Upstream: e.origin, Backend: nfs3be.New(e.origin), WritePolicy: cache.WriteBack}
+	cfg := Config{Upstream: e.origin, Backend: nfs3be.New(e.origin)}
 	if row.opts.dedup {
 		cfg.Backend = hashingBackend{cfg.Backend}
 	}

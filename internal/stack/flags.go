@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -31,10 +32,10 @@ func BindLogFlags(fs *flag.FlagSet) *LogFlags {
 }
 
 // Logger builds the daemon's structured logger from the parsed flags:
-// text lines to stderr (plus -log-file when given), a ring of the last
-// obs.DefaultLogRing events for /logz, and per-level counters in metrics. The returned
+// text lines to stderr (plus -log-file when given), every event into
+// events for /logz, and per-level counters in metrics. The returned
 // close function releases the log file; call it at shutdown.
-func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger, func(), error) {
+func (f *LogFlags) Logger(component string, metrics *obs.Registry, events *obs.Ring[obs.Event]) (*slog.Logger, func(), error) {
 	level, err := obs.ParseLevel(f.Level)
 	if err != nil {
 		return nil, nil, err
@@ -49,13 +50,8 @@ func (f *LogFlags) Logger(component string, metrics *obs.Registry) (*obs.Logger,
 		out = io.MultiWriter(os.Stderr, fl)
 		closeFn = func() { fl.Close() }
 	}
-	log := obs.NewLogger(obs.LoggerConfig{
-		Level:   level,
-		Output:  out,
-		Ring:    obs.NewLogRing(obs.DefaultLogRing),
-		Metrics: metrics,
-	})
-	return log.Named(component), closeFn, nil
+	h := obs.NewLogHandler(level, out, events, metrics)
+	return slog.New(h).With("component", component), closeFn, nil
 }
 
 // ProxyFlags is what a proxy daemon's command line parses into. Every

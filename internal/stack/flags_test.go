@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gvfs/internal/cache"
+	"gvfs/internal/obs"
 	"gvfs/internal/tunnel"
 )
 
@@ -115,7 +116,9 @@ func TestLogFlagsLogger(t *testing.T) {
 	if err := fs.Parse([]string{"-log-level", "warn", "-log-file", logFile}); err != nil {
 		t.Fatal(err)
 	}
-	logger, closeLog, err := lf.Logger("testd", nil)
+	events := obs.NewRing[obs.Event](8)
+	reg := obs.NewRegistry()
+	logger, closeLog, err := lf.Logger("testd", reg, events)
 	if err != nil {
 		t.Fatalf("Logger: %v", err)
 	}
@@ -127,18 +130,40 @@ func TestLogFlagsLogger(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(data)
-	if !strings.Contains(out, "at threshold") || strings.Contains(out, "below threshold") {
-		t.Errorf("level filter not applied to file sink:\n%s", out)
+	if !strings.Contains(out, " WARN  testd: at threshold k=v\n") || strings.Contains(out, "below threshold") {
+		t.Errorf("level filter or line format not applied to file sink:\n%s", out)
 	}
-	if ring := logger.Ring(); ring == nil {
-		t.Error("the logger must keep a /logz ring")
-	} else if evs := ring.Events(); len(evs) != 1 || evs[0].Msg != "at threshold" {
-		t.Errorf("ring events = %+v, want the single warn event", evs)
+	if evs := events.Values(); len(evs) != 1 || evs[0].Msg != "at threshold" || evs[0].Component != "testd" {
+		t.Errorf("/logz events = %+v, want the single warn event of testd", evs)
+	}
+	if n := reg.Snapshot().Counters[`gvfs_log_events_total{level="warn"}`]; n != 1 {
+		t.Errorf("warn events counted %d, want 1", n)
+	}
+
+	// Each -log-level admits its own severity and the ones above it.
+	for level, lowest := range map[string]int{"debug": 0, "info": 1, "warn": 2, "warning": 2, "error": 3} {
+		events := obs.NewRing[obs.Event](8)
+		l, closeLog, err := (&LogFlags{Level: level}).Logger("testd", nil, events)
+		if err != nil {
+			t.Fatalf("-log-level %s: %v", level, err)
+		}
+		closeLog()
+		l.Debug("0")
+		l.Info("1")
+		l.Warn("2")
+		l.Error("3")
+		var got []string
+		for _, e := range events.Values() {
+			got = append(got, e.Msg)
+		}
+		if want := []string{"0", "1", "2", "3"}[lowest:]; !reflect.DeepEqual(got, want) {
+			t.Errorf("-log-level %s recorded %v, want %v", level, got, want)
+		}
 	}
 
 	// An unknown level is an error.
 	bad := &LogFlags{Level: "shout"}
-	if _, _, err := bad.Logger("testd", nil); err == nil {
+	if _, _, err := bad.Logger("testd", nil, nil); err == nil {
 		t.Error("bogus -log-level must be rejected")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -383,7 +384,7 @@ type ProxyOptions struct {
 	SlowThreshold time.Duration
 
 	// Logger, when set, gives the proxy a structured event log.
-	Logger *obs.Logger
+	Logger *slog.Logger
 
 	// QoS, when non-nil, enables per-client admission control: the
 	// scheduler is built from this config (metrics wired into the
@@ -582,7 +583,7 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 			qcfg.Metrics = cfg.Metrics
 		}
 		if qcfg.OnBrownout == nil && opts.Logger != nil {
-			qlog := opts.Logger.Named("qos")
+			qlog := opts.Logger.With("component", "qos")
 			qcfg.OnBrownout = func(active bool) {
 				if active {
 					qlog.Warn("brownout enter")
@@ -611,12 +612,11 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 		// Shared caches are not closed with the node: their owner is
 		// whoever created them.
 		n.BlockCache = opts.SharedBlockCache
-		cfg.WritePolicy = cache.WriteThrough
 	}
 	if opts.CacheConfig != nil {
 		ccfg := *opts.CacheConfig
 		if ccfg.Logger == nil && opts.Logger != nil {
-			ccfg.Logger = opts.Logger.Named("cache")
+			ccfg.Logger = opts.Logger.With("component", "cache")
 		}
 		if n.Cachean != nil && ccfg.Tap == nil {
 			ccfg.Tap = n.Cachean
@@ -630,7 +630,6 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 			return nil, fmt.Errorf("stack: reload cache index: %w", err)
 		}
 		n.BlockCache = bc
-		cfg.WritePolicy = ccfg.Policy
 	}
 	cfg.BlockCache = n.BlockCache
 	if opts.FileChanAddr != "" {
@@ -676,7 +675,7 @@ func StartProxy(opts ProxyOptions) (_ *Node, err error) {
 // StartStatsLogger emits one structured "stats" event for p at every
 // interval — the replacement for the per-daemon printf stats loops.
 // It returns a stop function; calling it more than once is safe.
-func StartStatsLogger(log *obs.Logger, p *proxy.Proxy, every time.Duration) (stop func()) {
+func StartStatsLogger(log *slog.Logger, p *proxy.Proxy, every time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
@@ -776,7 +775,7 @@ type ImageServerOptions struct {
 	TraceRing     int
 	FlightRing    int
 	SlowThreshold time.Duration
-	Logger        *obs.Logger
+	Logger        *slog.Logger
 }
 
 // StartImageServer assembles a full image server around fs.
