@@ -20,23 +20,28 @@
 // Sets are independent by construction, so the cache is lock-striped:
 // sets are spread round-robin over 64 stripes, each with
 // its own mutex, index shard, LRU clock and statistics shard. Frame
-// data I/O (bank-file ReadAt/WriteAt and eviction write-back RPCs)
-// happens *outside* the stripe lock under a per-frame pin protocol:
-// readers take a shared pin, writers and evictors an exclusive pin, so
-// traffic on other frames — even in the same stripe — proceeds while a
-// frame's disk or WAN I/O is in flight. Bank file handles are opened
-// once and published through atomic pointers; *os.File ReadAt/WriteAt
-// are safe for concurrent use (pread/pwrite).
+// data I/O (copies in and out of the bank mappings, and eviction
+// write-back RPCs) happens *outside* the stripe lock under a per-frame
+// pin protocol: readers take a shared pin, writers and evictors an
+// exclusive pin, so traffic on other frames — even in the same stripe —
+// proceeds while a frame's WAN I/O is in flight. Each bank file is
+// mapped shared the first time it is touched and the mapping published
+// through an atomic pointer, so a hit or an insert costs a memory copy,
+// not a system call. The pins also guard the mappings: Close unmaps once
+// none is held.
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"gvfs/internal/bufpool"
 	"gvfs/internal/nfs3"
@@ -238,8 +243,8 @@ type Cache struct {
 	frames  []frame
 	stripes []stripe
 
-	banksMu sync.Mutex // serializes bank-file opens and Close
-	banks   []atomic.Pointer[os.File]
+	banksMu sync.Mutex // serializes bank mappings and Close
+	banks   []atomic.Pointer[[]byte]
 	closed  atomic.Bool
 
 	// journal is the dirty-block intent log (nil unless Config.Journal
@@ -276,7 +281,7 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		frames:  make([]frame, n),
 		stripes: make([]stripe, cfg.stripes),
-		banks:   make([]atomic.Pointer[os.File], cfg.Banks),
+		banks:   make([]atomic.Pointer[[]byte], cfg.Banks),
 		whole:   make(map[string]chan struct{}),
 	}
 	for i := range c.stripes {
@@ -298,12 +303,14 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Close releases bank file descriptors. Dirty data is NOT flushed;
-// call Flush first if the session requires it.
+// Close unmaps the banks once no frame is pinned; every call after it
+// that needs a bank fails. Dirty data is NOT flushed; call Flush first if
+// the session requires it.
 func (c *Cache) Close() error {
+	c.closed.Store(true)
+	c.awaitUnpinned()
 	c.banksMu.Lock()
 	defer c.banksMu.Unlock()
-	c.closed.Store(true)
 	var first error
 	if c.journal != nil {
 		// Closing does NOT checkpoint: surviving intent must stay on
@@ -313,13 +320,35 @@ func (c *Cache) Close() error {
 		}
 	}
 	for i := range c.banks {
-		if f := c.banks[i].Swap(nil); f != nil {
-			if err := f.Close(); err != nil && first == nil {
+		if m := c.banks[i].Swap(nil); m != nil {
+			if err := syscall.Munmap(*m); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
 	return first
+}
+
+// awaitUnpinned waits until no frame is pinned. Every frame I/O happens
+// under a pin (or, for the few readers that take none, the frame's stripe
+// lock) and asks bank for the mapping after taking it; once closed is
+// set, bank refuses. So a pin taken after this has passed its stripe
+// never reaches a mapping, and when it returns the mappings are no one's.
+func (c *Cache) awaitUnpinned() {
+	sets := c.cfg.Banks * c.cfg.SetsPerBank
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		for set := i; set < sets; set += len(c.stripes) {
+			lo, hi := c.frameRange(set)
+			for j := lo; j < hi; j++ {
+				for fr := &c.frames[j]; fr.pins > 0 || fr.excl; {
+					s.cond.Wait()
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Config returns the cache's configuration.
@@ -395,38 +424,82 @@ func (c *Cache) bankOf(frameIdx int) (bank int, off int64) {
 	return bank, off
 }
 
-// bankFile returns the (lazily opened) bank file. The fast path is a
-// single atomic load; opens are serialized by banksMu.
-func (c *Cache) bankFile(bank int) (*os.File, error) {
-	if f := c.banks[bank].Load(); f != nil {
-		return f, nil
+// errClosed is what a call that needs a bank gets after Close.
+var errClosed = errors.New("cache: closed")
+
+// bank returns bank b's mapping, mapping the bank file the first time.
+// The fast path is two atomic loads; mappings are serialized by banksMu.
+// The caller holds a pin on the frame it touches, or its stripe lock: see
+// awaitUnpinned.
+func (c *Cache) bank(b int) ([]byte, error) {
+	if c.closed.Load() {
+		return nil, errClosed
+	}
+	if m := c.banks[b].Load(); m != nil {
+		return *m, nil
 	}
 	c.banksMu.Lock()
 	defer c.banksMu.Unlock()
-	if f := c.banks[bank].Load(); f != nil {
-		return f, nil
+	if m := c.banks[b].Load(); m != nil {
+		return *m, nil
 	}
 	if c.closed.Load() {
-		return nil, fmt.Errorf("cache: closed")
+		return nil, errClosed
 	}
-	name := filepath.Join(c.cfg.Dir, fmt.Sprintf("bank%04d", bank))
+	size := c.cfg.SetsPerBank * c.cfg.Assoc * c.cfg.BlockSize
+	m, err := mapBank(filepath.Join(c.cfg.Dir, fmt.Sprintf("bank%04d", b)), size)
+	if err != nil {
+		return nil, err
+	}
+	c.banks[b].Store(&m)
+	return m, nil
+}
+
+// mapBank opens a bank file, grows it to size — sparse: a frame never
+// written takes no disk — and maps it shared, so stores reach the page
+// cache as pwrites did. The mapping outlives the descriptor.
+func mapBank(name string, size int) ([]byte, error) {
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0644)
 	if err != nil {
 		return nil, err
 	}
-	c.banks[bank].Store(f)
-	return f, nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() < int64(size) {
+		if err := f.Truncate(int64(size)); err != nil {
+			return nil, err
+		}
+	}
+	m, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, &os.PathError{Op: "mmap", Path: name, Err: err}
+	}
+	return m, nil
 }
 
-func (c *Cache) readFrame(idx int, size uint32) ([]byte, error) {
-	return c.readFrameInto(idx, size, nil)
+// bankCopy copies between the heap and a bank mapping. A fault in the
+// mapping — the bank file cut short behind the cache's back, a full
+// device under a page never written — is the I/O error pread or pwrite
+// would have returned, not a crash.
+func bankCopy(dst, src []byte) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cache: bank I/O: %v: %w", r, syscall.EIO)
+		}
+	}()
+	copy(dst, src)
+	return nil
 }
 
 // readFrameInto reads a frame's bank bytes into dst when it has the
 // capacity, allocating only as a fallback.
 func (c *Cache) readFrameInto(idx int, size uint32, dst []byte) ([]byte, error) {
-	bank, off := c.bankOf(idx)
-	f, err := c.bankFile(bank)
+	b, off := c.bankOf(idx)
+	m, err := c.bank(b)
 	if err != nil {
 		return nil, err
 	}
@@ -436,20 +509,19 @@ func (c *Cache) readFrameInto(idx int, size uint32, dst []byte) ([]byte, error) 
 	} else {
 		buf = make([]byte, size)
 	}
-	if _, err := f.ReadAt(buf, off); err != nil {
+	if err := bankCopy(buf, m[off:off+int64(size)]); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 func (c *Cache) writeFrame(idx int, data []byte) error {
-	bank, off := c.bankOf(idx)
-	f, err := c.bankFile(bank)
+	b, off := c.bankOf(idx)
+	m, err := c.bank(b)
 	if err != nil {
 		return err
 	}
-	_, err = f.WriteAt(data, off)
-	return err
+	return bankCopy(m[off:off+int64(len(data))], data)
 }
 
 // --- frame pin protocol (callers hold the stripe lock) ---
@@ -486,8 +558,8 @@ func (s *stripe) unpinExcl(fr *frame) {
 }
 
 // Get returns the cached block if present. The boolean reports a hit.
-// The frame is pinned shared and read outside the stripe lock, so
-// concurrent traffic on other frames proceeds during the bank I/O.
+// The frame is pinned shared and copied out of its bank outside the
+// stripe lock, so concurrent traffic on other frames proceeds meanwhile.
 func (c *Cache) Get(fh nfs3.FH, block uint64) ([]byte, bool) {
 	return c.getInto(fh, block, nil)
 }

@@ -223,17 +223,26 @@ type wholeFrame struct {
 	dirty     bool
 }
 
-// lookFrame returns id's frame, if the cache holds it.
-func (c *Cache) lookFrame(id BlockID) (wholeFrame, bool) {
+// lookFrame returns id's frame, if the cache holds it, and, given a dst,
+// reads its bytes into dst under the stripe lock. The read takes no pin:
+// an eviction may hold the frame's exclusive one while it waits at the
+// whole-file gate for this very send, and a read a writer tears fails the
+// frame's checksum. The lock alone keeps Close from unmapping the bank
+// under the read.
+func (c *Cache) lookFrame(id BlockID, dst []byte) (f wholeFrame, data []byte, ok bool, err error) {
 	s := c.stripeFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx, found := s.index[id]
 	if !found {
-		return wholeFrame{}, false
+		return wholeFrame{}, nil, false, nil
 	}
 	fr := &c.frames[idx]
-	return wholeFrame{id: id, idx: idx, size: fr.size, crc: fr.crc, dirty: fr.dirty}, fr.valid && fr.id == id
+	f, ok = wholeFrame{id: id, idx: idx, size: fr.size, crc: fr.crc, dirty: fr.dirty}, fr.valid && fr.id == id
+	if ok && dst != nil {
+		data, err = c.readFrameInto(idx, f.size, dst)
+	}
+	return f, data, ok, err
 }
 
 // heldWhole reports whether the cache holds the first size bytes of file
@@ -243,7 +252,7 @@ func (c *Cache) heldWhole(key string, size uint64, zero func(block uint64) bool)
 	bs := uint64(c.cfg.BlockSize)
 	dirty := false
 	for b := uint64(0); b*bs < size; b++ {
-		f, ok := c.lookFrame(BlockID{FH: key, Block: b})
+		f, _, ok, _ := c.lookFrame(BlockID{FH: key, Block: b}, nil)
 		if !ok && !zero(b) || ok && uint64(f.size) < bs && b*bs+uint64(f.size) < size {
 			return false
 		}
@@ -315,10 +324,9 @@ func (r *wholeReader) next() error {
 	if left := r.size - r.off; left < bs {
 		rest = rest[:left]
 	}
-	f, ok := r.c.lookFrame(id)
+	f, data, ok, err := r.c.lookFrame(id, r.block)
 	switch {
 	case ok:
-		data, err := r.c.readFrameInto(f.idx, f.size, r.block[:f.size])
 		if err != nil || crc32c(data) != f.crc || len(data) < len(rest) {
 			return fmt.Errorf("cache: frame (fh %x block %d) torn or rewritten while read", id.FH, id.Block)
 		}

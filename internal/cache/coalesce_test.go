@@ -487,6 +487,18 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// rotFrame overwrites three bytes inside id's frame through its bank
+// mapping, behind the cache's back.
+func rotFrame(t *testing.T, c *Cache, id BlockID) {
+	t.Helper()
+	bank, off := c.bankOf(c.stripeFor(id).index[id])
+	m, err := c.bank(bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(m[off+100:], "rot")
+}
+
 // TestRunWithTornFrameSendsJournalCopy rots the bank bytes of the
 // middle frame of a three-block run: the run still leaves as one WRITE,
 // carrying the journal's copy of the torn block.
@@ -501,15 +513,7 @@ func TestRunWithTornFrameSendsJournalCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := BlockID{FH: fhA.Key(), Block: 1}
-	bank, off := c.bankOf(c.stripeFor(id).index[id])
-	f, err := c.bankFile(bank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
-		t.Fatal(err)
-	}
+	rotFrame(t, c, BlockID{FH: fhA.Key(), Block: 1})
 	if err := c.WriteBackAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -540,15 +544,7 @@ func TestRunWithTornFrameNoJournalStaysDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := BlockID{FH: fhA.Key(), Block: 1}
-	bank, off := c.bankOf(c.stripeFor(id).index[id])
-	f, err := c.bankFile(bank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
-		t.Fatal(err)
-	}
+	rotFrame(t, c, BlockID{FH: fhA.Key(), Block: 1})
 	if err := c.WriteBackAll(); err == nil {
 		t.Fatal("a run with a torn, unjournaled frame was sent")
 	}
@@ -615,15 +611,7 @@ func TestWriteBackWhole(t *testing.T) {
 		}},
 		{name: "send fails", zero: zeros, send: func(io.Reader) error { return errors.New("link down") }, dirty: 2},
 		{name: "torn frame", zero: zeros, send: readAll, dirty: 2, prep: func(t *testing.T, c *Cache) {
-			id := BlockID{FH: fhA.Key(), Block: 1}
-			bank, off := c.bankOf(c.stripeFor(id).index[id])
-			f, err := c.bankFile(bank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt([]byte("rot"), off+100); err != nil {
-				t.Fatal(err)
-			}
+			rotFrame(t, c, BlockID{FH: fhA.Key(), Block: 1})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -117,7 +117,7 @@ func (c *Cache) rearmFrame(id BlockID, data []byte) bool {
 	}
 	// Recovery runs single-threaded before traffic, so reading the
 	// bank under the stripe lock is fine here.
-	stored, err := c.readFrame(idx, fr.size)
+	stored, err := c.readFrameInto(idx, fr.size, nil)
 	sum := crc32c(data)
 	if err != nil || int(fr.size) != len(data) || crc32c(stored) != sum {
 		delete(s.index, id)

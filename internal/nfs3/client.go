@@ -163,8 +163,11 @@ func (c *Client) read(fh FH, off uint64, count uint32, lend bool) (data []byte, 
 	if err != nil {
 		return nil, false, nil, err
 	}
+	// The post-op attributes are decoded into a stack value and dropped:
+	// neither Read nor ReadPooled returns them.
 	var r ReadRes
-	if err = r.DecodeRefInto(res); err == nil {
+	var attr Fattr
+	if _, err = r.DecodeRefAttrInto(res, &attr); err == nil {
 		err = statusErr("read", r.Status)
 	}
 	if err != nil {

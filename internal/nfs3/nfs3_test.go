@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -535,6 +536,72 @@ func TestReadPooled(t *testing.T) {
 		}
 		if _, _, rec, err := c.ReadPooled(nfs3.FH{9, 9, 9, 9, 9, 9, 9, 9}, 0, 8192); nfs3.StatusOf(err) != nfs3.ErrStale || rec != nil {
 			t.Errorf("%s: stale handle: err=%v, record lent: %v", name, err, rec != nil)
+		}
+	}
+}
+
+// A READ through a sunrpc.Client allocates its reply record when the
+// caller keeps the bytes (Read), and nothing when it gives the record back
+// (ReadPooled): the post-op attributes are decoded and dropped, not put on
+// the heap. Allocation counts mean nothing under the race detector; CI
+// runs this test without it.
+func TestClientReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	// One P, as in the sunrpc call gate: with a second the server's reader
+	// can take the next call before the last one's worker has parked.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	payload := bytes.Repeat([]byte("vmdk"), 2048) // 8 KiB
+	reply := (&nfs3.ReadRes{Status: nfs3.OK, Attr: &nfs3.Fattr{Type: nfs3.TypeReg, Size: 1 << 20},
+		Count: uint32(len(payload)), Data: payload}).Encode()
+	srv := sunrpc.NewServer()
+	srv.Register(nfs3.Program, nfs3.Version, sunrpc.HandlerFunc(func(*sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
+		return reply, sunrpc.Success
+	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	rpc, err := sunrpc.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpc.Close()
+	c := nfs3.NewClient(rpc, sunrpc.OpaqueAuth{})
+	fh := nfs3.FH(bytes.Repeat([]byte{7}, 32))
+	for _, mode := range []struct {
+		name string
+		read func() (int, error)
+		want float64
+	}{
+		{"kept", func() (int, error) { data, _, err := c.Read(fh, 0, 8192); return len(data), err }, 1},
+		{"pooled", func() (int, error) {
+			data, _, rec, err := c.ReadPooled(fh, 0, 8192)
+			bufpool.Put(rec)
+			return len(data), err
+		}, 0},
+	} {
+		if _, err := mode.read(); err != nil { // warm-up: the worker, pool entries, grown stacks
+			t.Fatal(err)
+		}
+		const reads = 10000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reads; i++ {
+			if n, err := mode.read(); err != nil || n != len(payload) {
+				t.Fatalf("%s: %d bytes, %v", mode.name, n, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// The odd allocation is the runtime's (a GC cycle refilling a
+		// sync.Pool it emptied), hence the 0.05.
+		if perRead := float64(after.Mallocs-before.Mallocs) / reads; perRead > mode.want+0.05 {
+			t.Errorf("%s: %.3f allocs per Read, want %v", mode.name, perRead, mode.want)
+		} else {
+			t.Logf("%s: %.3f allocs per Read", mode.name, perRead)
 		}
 	}
 }

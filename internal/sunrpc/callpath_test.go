@@ -200,8 +200,10 @@ func fakeServer(t *testing.T, answer func(call *Call, reply func(xid uint32, pay
 		reply := func(xid uint32, payload []byte) error {
 			return writeReply(conn, xid, payload)
 		}
+		rr := newRecordReader(conn)
+		defer rr.release()
 		for {
-			rec, err := readRecord(conn)
+			rec, err := rr.next(nil)
 			if err != nil {
 				return
 			}

@@ -7,12 +7,10 @@ package sunrpc
 // those transients instead of dying with the first TCP connection.
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -262,38 +260,26 @@ func (c *Client) connDown(gen int, err error) {
 // for a reply nobody waits for, which readLoop then releases. The choice
 // is only an economy: a pooled record handed to a keeping caller, or the
 // reverse, is never released and so never reused under anyone.
-func (c *Client) readReply(r io.Reader, hdr []byte) (rec []byte, pooled bool, err error) {
-	// Record mark and XID in one read: as many reads per reply as before.
-	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
+func (c *Client) readReply(rr *recordReader) (rec []byte, pooled bool, err error) {
+	n, last, err := rr.mark()
+	if err != nil {
 		return nil, false, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
-	last := n&0x80000000 != 0
-	if n &^= 0x80000000; n < 4 {
-		// A first fragment too short for the XID, so hdr already holds part
-		// of the next record mark. No peer of ours sends one: replay the
-		// eight bytes through the plain reader, as a GC record.
-		rec, err = readRecord(io.MultiReader(bytes.NewReader(hdr[:8]), r))
-		return rec, false, err
-	}
-	if n > maxRecord {
-		return nil, false, fmt.Errorf("sunrpc: record too large (%d bytes)", n)
-	}
-	c.mu.Lock()
-	w, waited := c.pending[binary.BigEndian.Uint32(hdr[4:])]
-	c.mu.Unlock()
 	var alloc func(int) []byte
-	if pooled = !waited || w.pooled; pooled {
-		alloc = bufpool.Get
-		rec = bufpool.Get(int(n))
-	} else {
-		rec = make([]byte, n)
+	// A first fragment too short for the XID gets a GC record, whoever
+	// waits. No peer of ours sends one.
+	if n >= 4 {
+		if err := rr.fill(4); err != nil {
+			return nil, false, err
+		}
+		c.mu.Lock()
+		w, waited := c.pending[binary.BigEndian.Uint32(rr.buf[rr.r:])]
+		c.mu.Unlock()
+		if pooled = !waited || w.pooled; pooled {
+			alloc = bufpool.Get
+		}
 	}
-	copy(rec, hdr[4:8])
-	if _, err = io.ReadFull(r, rec[4:]); err == nil && !last {
-		rec, err = readRecordInto(r, hdr, rec, alloc)
-	}
-	if err != nil {
+	if rec, err = rr.body(n, last, alloc); err != nil {
 		bufpool.Put(rec) // whichever allocator it came from: nobody else holds it
 		return nil, false, err
 	}
@@ -301,9 +287,10 @@ func (c *Client) readReply(r io.Reader, hdr []byte) (rec []byte, pooled bool, er
 }
 
 func (c *Client) readLoop(conn net.Conn, gen int) {
-	hdr := make([]byte, 8) // per-loop scratch: record mark + XID
+	rr := newRecordReader(conn)
+	defer rr.release()
 	for {
-		rec, pooled, err := c.readReply(conn, hdr)
+		rec, pooled, err := c.readReply(rr)
 		if err != nil {
 			c.connDown(gen, err)
 			return

@@ -35,8 +35,10 @@ func callDeadline(c *Client, prog, vers, proc uint32, args []byte, deadline time
 // serveEcho answers every call with its own args (SUCCESS).
 func serveEcho(conn net.Conn) {
 	defer conn.Close()
+	rr := newRecordReader(conn)
+	defer rr.release()
 	for {
-		rec, err := readRecord(conn)
+		rec, err := rr.next(nil)
 		if err != nil {
 			return
 		}

@@ -8,112 +8,183 @@ package sunrpc
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"gvfs/internal/bufpool"
 )
 
-// reassemble is the reference for readRecord: the concatenation of the
-// fragment bodies up to and including the first last-fragment, or
-// ok=false where the stream is short or a record would pass maxRecord.
-func reassemble(stream []byte) (rec []byte, ok bool) {
+// reassemble is the reference for the record reader: the concatenation
+// of the fragment bodies up to and including the first last-fragment, and
+// the stream after it, or ok=false where the stream is short or a record
+// would pass maxRecord.
+func reassemble(stream []byte) (rec, rest []byte, ok bool) {
 	for {
 		if len(stream) < 4 {
-			return nil, false
+			return nil, nil, false
 		}
 		n := binary.BigEndian.Uint32(stream)
 		last := n&0x80000000 != 0
 		n &^= 0x80000000
 		stream = stream[4:]
 		if uint64(len(rec))+uint64(n) > maxRecord || uint64(len(stream)) < uint64(n) {
-			return nil, false
+			return nil, nil, false
 		}
 		rec = append(rec, stream[:n]...)
 		stream = stream[n:]
 		if last {
-			return rec, true
+			return rec, stream, true
 		}
 	}
 }
 
+// readRecord reads one record from r into a record of its own size.
+func readRecord(r io.Reader) ([]byte, error) { return newRecordReader(r).next(nil) }
+
+// chunked delivers a stream as a transport might: at most chunk bytes a
+// Read (one byte at a time at 1), or, at 0, everything in one Read — two
+// records in a single Read when the stream holds two.
+type chunked struct {
+	b     []byte
+	chunk int
+}
+
+func (c *chunked) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	if c.chunk > 0 && len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	n := copy(p, c.b)
+	c.b = c.b[n:]
+	return n, nil
+}
+
+// deliveries are the record reader's buffers over one delivery of stream:
+// a frame transport's eight bytes; the smallest pooled buffer, which
+// records larger than it pass; and a socket's.
+func deliveries(stream []byte, chunk uint8) []struct {
+	name string
+	rr   *recordReader
+} {
+	src := func() io.Reader { return &chunked{b: stream, chunk: int(chunk)} }
+	return []struct {
+		name string
+		rr   *recordReader
+	}{
+		{"frame transport", newRecordReader(src())},
+		{"512 B buffer", &recordReader{rd: src(), buf: bufpool.Get(512)}},
+		{"socket buffer", &recordReader{rd: src(), buf: bufpool.Get(recordBufSize)}},
+	}
+}
+
+// checkRecord holds one read record to the reference.
+func checkRecord(t *testing.T, name string, got []byte, err error, want []byte, ok bool) {
+	t.Helper()
+	if cap(got) > maxRecord {
+		t.Fatalf("%s buffered %d bytes, above maxRecord", name, cap(got))
+	}
+	if (err == nil) != ok {
+		t.Fatalf("%s: err %v, reference accepts: %v", name, err, ok)
+	}
+	if err != nil && got != nil {
+		t.Fatalf("%s returned %d bytes with error %v", name, len(got), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: record of %d bytes differs from the fragments' concatenation (%d bytes)", name, len(got), len(want))
+	}
+}
+
+// Every buffer, every allocator, however the bytes arrive: the record is
+// the fragments' concatenation, and the record behind it — read back to
+// back from what the first read left buffered — is too.
 func FuzzReadRecord(f *testing.F) {
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		want, ok := reassemble(stream)
-		hdr := make([]byte, 4)
-		for _, read := range []struct {
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		want, rest, ok := reassemble(stream)
+		want2, _, ok2 := reassemble(rest)
+		for _, alloc := range []struct {
 			name string
-			fn   func() ([]byte, error)
-		}{
-			{"readRecord", func() ([]byte, error) { return readRecord(bytes.NewReader(stream)) }},
-			{"readRecordPooled", func() ([]byte, error) { return readRecordPooled(bytes.NewReader(stream), hdr) }},
-		} {
-			got, err := read.fn()
-			if cap(got) > maxRecord {
-				t.Fatalf("%s buffered %d bytes, above maxRecord", read.name, cap(got))
-			}
-			if (err == nil) != ok {
-				t.Fatalf("%s: err %v, reference accepts: %v", read.name, err, ok)
-			}
-			if err != nil && got != nil {
-				t.Fatalf("%s returned %d bytes with error %v", read.name, len(got), err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: record of %d bytes differs from the fragments' concatenation (%d bytes)", read.name, len(got), len(want))
+			fn   func(int) []byte
+		}{{"kept", nil}, {"pooled", bufpool.Get}} {
+			for _, d := range deliveries(stream, chunk) {
+				name := alloc.name + ", " + d.name
+				got, err := d.rr.next(alloc.fn)
+				checkRecord(t, name, got, err, want, ok)
+				if ok {
+					got, err = d.rr.next(alloc.fn)
+					checkRecord(t, name+", second record", got, err, want2, ok2)
+				}
+				d.rr.release()
 			}
 		}
 	})
 }
 
-// The client's reply reader takes the record mark and the XID in one
-// read, then allocates by who waits for that XID: against the same
-// reference, whoever waits — a keeping caller, a pooled one, nobody —
-// however the record is fragmented, a first fragment too short to hold
-// the XID included. The one licensed difference: it needs eight bytes
-// before it looks at anything, so a stream shorter than that is an error
-// even where the reference finds a (useless, under-4-byte) record in it.
+// The client's reply reader peeks at the XID to allocate by who waits for
+// it: against the same reference, whoever waits — a keeping caller, a
+// pooled one, nobody — however the record is fragmented and delivered, a
+// first fragment too short to hold the XID included, and for the record
+// behind it too.
 func FuzzReadReply(f *testing.F) {
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		want, ok := reassemble(stream)
-		ok = ok && len(stream) >= 8
-		var xid uint32
-		if len(want) >= 4 {
-			xid = binary.BigEndian.Uint32(want)
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		want, rest, ok := reassemble(stream)
+		want2, _, ok2 := reassemble(rest)
+		xid := func(rec []byte) uint32 {
+			if len(rec) < 4 {
+				return 0
+			}
+			return binary.BigEndian.Uint32(rec)
+		}
+		// firstLen is the length of a stream's first fragment.
+		firstLen := func(s []byte) uint32 {
+			if len(s) < 4 {
+				return 0
+			}
+			return binary.BigEndian.Uint32(s) &^ 0x80000000
 		}
 		for _, mode := range []struct {
-			name    string
-			pending map[uint32]waiter
-			pooled  bool // the allocator a well-formed first fragment gets
+			name   string
+			w      *waiter
+			pooled bool // the allocator a well-formed first fragment gets
 		}{
-			{"kept", map[uint32]waiter{xid: {}}, false},
-			{"pooled", map[uint32]waiter{xid: {pooled: true}}, true},
+			{"kept", &waiter{}, false},
+			{"pooled", &waiter{pooled: true}, true},
 			{"nobody waiting", nil, true},
 		} {
-			c := &Client{pending: mode.pending}
-			got, pooled, err := c.readReply(bytes.NewReader(stream), make([]byte, 8))
-			if cap(got) > maxRecord {
-				t.Fatalf("%s: buffered %d bytes, above maxRecord", mode.name, cap(got))
+			c := &Client{}
+			if mode.w != nil {
+				c.pending = map[uint32]waiter{xid(want): *mode.w, xid(want2): *mode.w}
 			}
-			if (err == nil) != ok {
-				t.Fatalf("%s: err %v, reference accepts: %v", mode.name, err, ok)
-			}
-			if err != nil && (got != nil || pooled) {
-				t.Fatalf("%s: returned %d bytes (pooled %v) with error %v", mode.name, len(got), pooled, err)
-			}
-			if !bytes.Equal(got, want[:len(got)]) || (ok && len(got) != len(want)) {
-				t.Fatalf("%s: record of %d bytes differs from the fragments' concatenation (%d bytes)", mode.name, len(got), len(want))
-			}
-			// Pooled exactly when the first fragment showed the XID of a
-			// waiter that releases (or of nobody); a short first fragment
-			// falls back to a GC record whoever waits.
-			firstLen := uint32(0)
-			if len(stream) >= 4 {
-				firstLen = binary.BigEndian.Uint32(stream) &^ 0x80000000
-			}
-			if err == nil && pooled != (mode.pooled && firstLen >= 4) {
-				t.Fatalf("%s: pooled %v for a first fragment of %d bytes", mode.name, pooled, firstLen)
-			}
-			if pooled {
-				bufpool.Put(got)
+			for _, d := range deliveries(stream, chunk) {
+				for i, r := range []struct {
+					want   []byte
+					ok     bool
+					stream []byte
+				}{{want, ok, stream}, {want2, ok2, rest}} {
+					name := mode.name + ", " + d.name
+					if i == 1 {
+						name += ", second record"
+					}
+					got, pooled, err := c.readReply(d.rr)
+					if err != nil && pooled {
+						t.Fatalf("%s: pooled record with error %v", name, err)
+					}
+					checkRecord(t, name, got, err, r.want, r.ok)
+					// Pooled exactly when the first fragment showed the XID of
+					// a waiter that releases (or of nobody); a short first
+					// fragment falls back to a GC record whoever waits.
+					if err == nil && pooled != (mode.pooled && firstLen(r.stream) >= 4) {
+						t.Fatalf("%s: pooled %v for a first fragment of %d bytes", name, pooled, firstLen(r.stream))
+					}
+					if pooled {
+						bufpool.Put(got)
+					}
+					if !r.ok {
+						break
+					}
+				}
+				d.rr.release()
 			}
 		}
 	})

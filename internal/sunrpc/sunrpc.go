@@ -19,6 +19,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"gvfs/internal/bufpool"
@@ -146,43 +147,119 @@ func writeRecord(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readRecord reads one record-marked RPC message, reassembling fragments.
-func readRecord(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	rec, err := readRecordInto(r, hdr[:], nil, nil)
+// recordBufSize is the read buffer of a connection whose reads are system
+// calls: a 32 KiB NFS transfer with its headers, and the start of the
+// record behind it, fit in one read.
+const recordBufSize = 64 << 10
+
+// recordReader reads the record-marked messages of one connection. Over a
+// transport whose every Read is a system call — a socket, which says so by
+// implementing syscall.Conn — it reads into a pooled buffer whatever has
+// arrived: the record mark, the body and any part of the next record, so a
+// record that arrives whole costs one read and the bytes of the next one
+// carry over to it. A transport that already holds whole frames in memory
+// (tunnel.Conn) is read as it always was: the mark and the first body word
+// in one small read, the rest of the body straight into the record, so a
+// record crossing it is copied no more often than before.
+type recordReader struct {
+	rd    io.Reader
+	buf   []byte // buf[r:w] is read and not yet consumed
+	r, w  int
+	err   error // the transport's last error, returned once buf runs dry
+	small [8]byte
+}
+
+func newRecordReader(rd io.Reader) *recordReader {
+	rr := &recordReader{rd: rd}
+	if _, ok := rd.(syscall.Conn); ok {
+		rr.buf = bufpool.Get(recordBufSize)
+	} else {
+		rr.buf = rr.small[:]
+	}
+	return rr
+}
+
+// release returns the buffer to the pool once the connection is done.
+func (rr *recordReader) release() {
+	bufpool.Put(rr.buf) // a no-op for small
+	rr.buf = nil
+}
+
+// fill makes at least n <= len(buf) bytes buffered, each Read taking as
+// much as the transport has.
+func (rr *recordReader) fill(n int) error {
+	if rr.w-rr.r >= n {
+		return nil
+	}
+	rr.w = copy(rr.buf, rr.buf[rr.r:rr.w])
+	rr.r = 0
+	for rr.w < n {
+		if rr.err != nil {
+			return rr.err
+		}
+		k, err := rr.rd.Read(rr.buf[rr.w:])
+		rr.w += k
+		rr.err = err
+	}
+	return nil
+}
+
+// readFull fills p: from the buffer first, then straight from the
+// transport for a rest as large as the buffer, else through the buffer.
+func (rr *recordReader) readFull(p []byte) error {
+	for {
+		k := copy(p, rr.buf[rr.r:rr.w])
+		rr.r += k
+		if p = p[k:]; len(p) == 0 {
+			return nil
+		}
+		if len(p) >= len(rr.buf) {
+			if rr.err != nil {
+				return rr.err
+			}
+			_, err := io.ReadFull(rr.rd, p)
+			return err
+		}
+		if err := rr.fill(1); err != nil {
+			return err
+		}
+	}
+}
+
+// mark reads a fragment header: the body's length and the last-fragment
+// bit.
+func (rr *recordReader) mark() (n uint32, last bool, err error) {
+	if err := rr.fill(4); err != nil {
+		return 0, false, err
+	}
+	v := binary.BigEndian.Uint32(rr.buf[rr.r:])
+	rr.r += 4
+	return v &^ 0x80000000, v&0x80000000 != 0, nil
+}
+
+// next reads one record. alloc, when non-nil, supplies the record buffer
+// (pooled, and then the caller's to bufpool.Put); otherwise it is made to
+// the record's size. On error there is no record.
+func (rr *recordReader) next(alloc func(int) []byte) ([]byte, error) {
+	n, last, err := rr.mark()
 	if err != nil {
+		return nil, err
+	}
+	rec, err := rr.body(n, last, alloc)
+	if err != nil {
+		bufpool.Put(rec) // whichever allocator it came from: nobody else holds it
 		return nil, err
 	}
 	return rec, nil
 }
 
-// readRecordPooled reads one record into a bufpool buffer; the caller
-// owns the result and must bufpool.Put it when done. hdr is a 4-byte
-// scratch slice the caller reuses across records so the record mark
-// read doesn't allocate.
-func readRecordPooled(r io.Reader, hdr []byte) ([]byte, error) {
-	rec, err := readRecordInto(r, hdr, nil, bufpool.Get)
-	if err != nil && rec != nil {
-		bufpool.Put(rec)
-		rec = nil
-	}
-	return rec, err
-}
-
-// readRecordInto is the common record reader. alloc, when non-nil,
-// supplies the record buffer (pooled); otherwise plain make is used.
-// rec is what the caller has already read of the record (the client's
-// reader, which needs the XID before it can choose alloc), from the same
-// allocator; further fragments are appended to it. On error the
-// partially-filled buffer is returned for the caller to release.
-func readRecordInto(r io.Reader, hdr, rec []byte, alloc func(int) []byte) ([]byte, error) {
+// body reads the rest of a record whose first fragment header (n, last)
+// has just been read, reassembling fragments into one buffer from alloc
+// (see next). On error the partially-filled buffer is returned for the
+// caller to release.
+func (rr *recordReader) body(n uint32, last bool, alloc func(int) []byte) ([]byte, error) {
+	var rec []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-			return rec, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		last := n&0x80000000 != 0
-		n &^= 0x80000000
 		if n > maxRecord || len(rec)+int(n) > maxRecord {
 			return rec, fmt.Errorf("sunrpc: record too large (%d bytes)", n)
 		}
@@ -212,11 +289,15 @@ func readRecordInto(r io.Reader, hdr, rec []byte, alloc func(int) []byte) ([]byt
 			}
 			rec = nb
 		}
-		if _, err := io.ReadFull(r, rec[old:need]); err != nil {
+		if err := rr.readFull(rec[old:need]); err != nil {
 			return rec, err
 		}
 		if last {
 			return rec, nil
+		}
+		var err error
+		if n, last, err = rr.mark(); err != nil {
+			return rec, err
 		}
 	}
 }
@@ -458,9 +539,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		sc.idle = nil
 		sc.mu.Unlock()
 	}()
-	hdr := make([]byte, 4)
+	rr := newRecordReader(conn)
+	defer rr.release()
 	for {
-		rec, err := readRecordPooled(conn, hdr)
+		rec, err := rr.next(bufpool.Get)
 		if err != nil {
 			return
 		}
