@@ -3,6 +3,7 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"syscall"
 	"testing"
 
@@ -121,4 +122,25 @@ func TestMissingBlockObjectIsIO(t *testing.T) {
 	}
 	_, err = b.Read(f, 0, 4096, backend.CallOpts{})
 	classAndStatus(t, err, backend.ClassIO, 5)
+}
+
+// TestTablesBoundedUnderChurn: 100k distinct files created, written and
+// read through one Backend leave its manifest cache within manifestMax;
+// the write locks are a fixed set of stripes whatever the churn.
+func TestTablesBoundedUnderChurn(t *testing.T) {
+	b := New(NewMemStore(), 0)
+	for i := 0; i < 100_000; i++ {
+		fid, _, err := b.Create(backend.FileID("/"), fmt.Sprintf("f%d", i), backend.CallOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 0 {
+			if _, err := b.Write(fid, 0, []byte{byte(i)}, backend.CallOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(b.cache); n > manifestMax {
+		t.Errorf("%d manifests cached after 100k files, want at most %d", n, manifestMax)
+	}
 }

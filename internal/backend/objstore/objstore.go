@@ -54,31 +54,42 @@ type Backend struct {
 	bs    int
 
 	mu    sync.Mutex
-	cache map[string]*parsed // manifest cache, keyed by FileID
+	cache map[string]*parsed // manifest cache, keyed by FileID; at most manifestMax
 
-	// wmu guards wlocks; each file's write lock serializes the
-	// manifest read-modify-write in Write. Without it, the proxy's
-	// concurrent flush (up to eight dirty runs of one file in
-	// flight at once) loses manifest updates — block objects land in
-	// the store but the last saveManifest wins, resurrecting zero
-	// hashes for blocks another writer just filled.
-	wmu    sync.Mutex
-	wlocks map[string]*sync.Mutex
+	// wlocks serialize the manifest read-modify-write in Write, a file's
+	// under wlocks[lockStripe(fid)]. Without them, the proxy's
+	// concurrent flush (up to eight dirty runs of one file in flight at
+	// once) loses manifest updates — block objects land in the store but
+	// the last saveManifest wins, resurrecting zero hashes for blocks
+	// another writer just filled. Files that share a stripe wait for one
+	// another; a caller holds one stripe at a time, so none deadlocks.
+	wlocks [64]sync.Mutex
 
 	fault atomic.Pointer[faultState]
 }
 
-// writeLock returns the per-file mutex serializing manifest updates
-// for fid.
+// manifestMax bounds the manifest cache; a file past it starts the cache
+// afresh rather than growing it for ever (a manifest is in the store
+// whenever it is in the cache).
+const manifestMax = 1024
+
+// writeLock returns the mutex serializing manifest updates for fid.
 func (b *Backend) writeLock(fid string) *sync.Mutex {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	mu, ok := b.wlocks[fid]
-	if !ok {
-		mu = &sync.Mutex{}
-		b.wlocks[fid] = mu
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(fid); i++ {
+		h = (h ^ uint32(fid[i])) * 16777619
 	}
-	return mu
+	return &b.wlocks[h%uint32(len(b.wlocks))]
+}
+
+// remember caches fid's manifest.
+func (b *Backend) remember(fid string, m *parsed) {
+	b.mu.Lock()
+	if len(b.cache) >= manifestMax {
+		b.cache = make(map[string]*parsed)
+	}
+	b.cache[fid] = m
+	b.mu.Unlock()
 }
 
 type faultState struct{ err error }
@@ -89,7 +100,7 @@ func New(store Store, blockSize int) *Backend {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &Backend{store: store, bs: blockSize, cache: make(map[string]*parsed), wlocks: make(map[string]*sync.Mutex)}
+	return &Backend{store: store, bs: blockSize, cache: make(map[string]*parsed)}
 }
 
 // SetFault injects err into every subsequent data operation (nil
@@ -190,9 +201,7 @@ func (b *Backend) loadManifest(op, fid string) (*parsed, error) {
 		}
 		m.blocks = append(m.blocks, h)
 	}
-	b.mu.Lock()
-	b.cache[fid] = m
-	b.mu.Unlock()
+	b.remember(fid, m)
 	return m, nil
 }
 
@@ -209,9 +218,7 @@ func (b *Backend) saveManifest(op, fid string, m *parsed) error {
 	if err := b.store.Put(manifestKey(fid), blob); err != nil {
 		return storeErr(op, err)
 	}
-	b.mu.Lock()
-	b.cache[fid] = m
-	b.mu.Unlock()
+	b.remember(fid, m)
 	return nil
 }
 

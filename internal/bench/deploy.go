@@ -207,9 +207,9 @@ func (o Options) deploy(fs *memfs.FS, dc deployConfig) (*Deployment, error) {
 	d.Server = server
 	d.closers = append(d.closers, server.Close)
 
+	// Local scenario: mount through the (local) server proxy so the code
+	// path is identical minus the network.
 	sessionAddr := server.ProxyAddr()
-	sessionDialViaProxy := false
-
 	if dc.scenario != Local {
 		popts := stack.ProxyOptions{
 			UpstreamAddr: server.ProxyAddr(),
@@ -239,13 +239,7 @@ func (o Options) deploy(fs *memfs.FS, dc deployConfig) (*Deployment, error) {
 		d.ClientProxy = node
 		d.closers = append(d.closers, node.Close)
 		sessionAddr = node.Addr
-		sessionDialViaProxy = true
-	} else {
-		// Local scenario: mount through the (local) server proxy so
-		// the code path is identical minus the network.
-		sessionDialViaProxy = true
 	}
-	_ = sessionDialViaProxy
 
 	sess, err := gvfs.Mount(gvfs.SessionConfig{
 		Addr:           sessionAddr,

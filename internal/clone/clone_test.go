@@ -2,6 +2,7 @@ package clone_test
 
 import (
 	"fmt"
+	"gvfs/internal/stack/stacktest"
 	"strings"
 	"testing"
 
@@ -19,51 +20,38 @@ func spec(name string, seed int64) vm.Spec {
 	return vm.Spec{Name: name, MemoryBytes: 1 << 20, DiskBytes: 4 << 20, Seed: seed}
 }
 
-// cloneEnv builds an image server with a golden image and a caching
-// client proxy with the full extension set enabled.
-type cloneEnv struct {
-	fs     *memfs.FS
-	server *stack.ImageServer
-	node   *stack.Node
+// goldenServer declares an image server with a golden image, and hops on
+// it with a session whose page cache holds 64 pages.
+func goldenServer(hops ...stack.ProxyOptions) stacktest.Spec {
+	return stacktest.Spec{
+		Seed: func(fs *memfs.FS) {
+			if err := vm.InstallImage(fs, "/images/golden", spec("rh73", 1)); err != nil {
+				panic(err)
+			}
+		},
+		Hops: hops, Session: gvfs.SessionConfig{PageCachePages: 64},
+	}
 }
 
-func newCloneEnv(t testing.TB) *cloneEnv {
-	t.Helper()
-	fs := memfs.New()
-	if err := vm.InstallImage(fs, "/images/golden", spec("rh73", 1)); err != nil {
-		t.Fatal(err)
-	}
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &cfg,
-		FileChanAddr: server.FileChanAddr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	return &cloneEnv{fs: fs, server: server, node: node}
+// goldenClient declares the golden image server and a caching client
+// proxy with the full extension set enabled.
+func goldenClient() stacktest.Spec {
+	spec := goldenServer(stack.ProxyOptions{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}})
+	spec.FileChan = true
+	return spec
 }
 
-func (e *cloneEnv) session(t testing.TB) *gvfs.Session {
-	t.Helper()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: e.node.Addr, Export: "/", PageCachePages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return sess
+// computeServer declares one compute server — a caching proxy with the
+// file channel and a session — against server.
+func computeServer(server *stack.ImageServer) stacktest.Spec {
+	return stacktest.Spec{Upstream: stacktest.Own, Session: gvfs.SessionConfig{PageCachePages: 64},
+		Hops: []stack.ProxyOptions{{UpstreamAddr: server.ProxyAddr(), FileChanAddr: server.FileChanAddr(),
+			CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}}
 }
 
 func TestCloneWorkflow(t *testing.T) {
-	e := newCloneEnv(t)
-	sess := e.session(t)
+	e := stacktest.New(t, goldenClient())
+	sess := e.Session()
 	res, err := clone.Clone(sess, clone.Options{
 		GoldenDir: "/images/golden",
 		CloneDir:  "/clones/c1",
@@ -99,14 +87,14 @@ func TestCloneWorkflow(t *testing.T) {
 	}
 	// The memory state must have moved via the file channel, not
 	// block-by-block NFS.
-	if n := e.node.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("file channel fetches = %d, want 1", n)
 	}
 }
 
 func TestSequentialClonesSameImageGetWarmer(t *testing.T) {
-	e := newCloneEnv(t)
-	sess := e.session(t)
+	e := stacktest.New(t, goldenClient())
+	sess := e.Session()
 	var opts []clone.Options
 	for i := 0; i < 3; i++ {
 		opts = append(opts, clone.Options{
@@ -123,19 +111,19 @@ func TestSequentialClonesSameImageGetWarmer(t *testing.T) {
 		t.Fatalf("results = %d", len(results))
 	}
 	// Only the first clone transfers the memory state.
-	if n := e.node.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("file channel fetches = %d, want 1 (temporal locality)", n)
 	}
 }
 
 func TestSequentialClonesDistinctImages(t *testing.T) {
-	e := newCloneEnv(t)
+	e := stacktest.New(t, goldenClient())
 	for i := 1; i < 3; i++ {
-		if err := vm.InstallImage(e.fs, fmt.Sprintf("/images/g%d", i), spec(fmt.Sprintf("img%d", i), int64(i))); err != nil {
+		if err := vm.InstallImage(e.FS, fmt.Sprintf("/images/g%d", i), spec(fmt.Sprintf("img%d", i), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sess := e.session(t)
+	sess := e.Session()
 	opts := []clone.Options{
 		{GoldenDir: "/images/golden", CloneDir: "/clones/c0", Name: "rh73"},
 		{GoldenDir: "/images/g1", CloneDir: "/clones/c1", Name: "img1"},
@@ -144,7 +132,7 @@ func TestSequentialClonesDistinctImages(t *testing.T) {
 	if _, err := clone.Sequential(sess, opts); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.node.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 3 {
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 3 {
 		t.Errorf("file channel fetches = %d, want 3 (no locality)", n)
 	}
 }
@@ -152,36 +140,15 @@ func TestSequentialClonesDistinctImages(t *testing.T) {
 func TestParallelClones(t *testing.T) {
 	// Eight compute servers (each with its own proxy+session) share
 	// one image server.
-	fs := memfs.New()
-	if err := vm.InstallImage(fs, "/images/golden", spec("rh73", 1)); err != nil {
-		t.Fatal(err)
-	}
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
+	golden := goldenServer()
+	golden.Sessions = -1
+	server := stacktest.New(t, golden).Server
 
 	const n = 4
 	var sessions []*gvfs.Session
 	var opts []clone.Options
 	for i := 0; i < n; i++ {
-		cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			UpstreamAddr: server.ProxyAddr(),
-			CacheConfig:  &cfg,
-			FileChanAddr: server.FileChanAddr(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-		sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", PageCachePages: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		sessions = append(sessions, sess)
+		sessions = append(sessions, stacktest.New(t, computeServer(server)).Session())
 		opts = append(opts, clone.Options{
 			GoldenDir: "/images/golden",
 			CloneDir:  fmt.Sprintf("/clones/p%d", i),
@@ -200,8 +167,8 @@ func TestParallelClones(t *testing.T) {
 }
 
 func TestSCPCopyBaseline(t *testing.T) {
-	e := newCloneEnv(t)
-	dial := stack.Dialer(e.server.FileChanAddr(), nil, nil)
+	e := stacktest.New(t, goldenClient())
+	dial := stack.Dialer(e.Server.FileChanAddr(), nil, nil)
 	total, dur, err := clone.SCPCopy(dial, "/images/golden", "rh73")
 	if err != nil {
 		t.Fatal(err)
@@ -217,21 +184,10 @@ func TestSCPCopyBaseline(t *testing.T) {
 }
 
 func TestPlainNFSResumeBaseline(t *testing.T) {
-	fs := memfs.New()
-	if err := vm.InstallImage(fs, "/images/golden", spec("rh73", 1)); err != nil {
-		t.Fatal(err)
-	}
 	// No proxy cache, no metadata: a plain NFS mount.
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", PageCachePages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	plain := goldenServer()
+	plain.Upstream = stacktest.NFS
+	sess := stacktest.New(t, plain).Session()
 	dur, err := clone.PlainNFSResume(sess, "/images/golden", "rh73")
 	if err != nil {
 		t.Fatal(err)
@@ -256,35 +212,17 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := simnet.NewLink(simnet.Local())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: link})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), UpstreamLink: link, CacheConfig: &cfg,
-		FileChanAddr: server.FileChanAddr(), FileChanLink: link,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
+	c := stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, Sessions: -1,
+		Hops: []stack.ProxyOptions{{FileChanLink: link,
+			CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}})
 
-	crossed := func() uint64 { return server.Proxy.Proxy.Snapshot().Counter("gvfs_proxy_calls_total") }
-	procs := func() (lookups, listings uint64) {
-		h := server.Proxy.Proxy.Snapshot().Histograms
-		return h[`gvfs_proxy_rpc_duration_seconds{proc="LOOKUP"}`].Count, h[`gvfs_proxy_rpc_duration_seconds{proc="READDIRPLUS"}`].Count
-	}
+	crossed := func() uint64 { return c.OriginCalls("") }
+	procs := func() (lookups, listings uint64) { return c.OriginCalls("LOOKUP"), c.OriginCalls("READDIRPLUS") }
 	instantiate := func(pass string) uint64 {
 		t.Helper()
 		before := crossed()
-		sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", PageCachePages: 64,
+		sess := c.Mount(gvfs.SessionConfig{PageCachePages: 64,
 			Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
 		res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/" + pass,
 			Name: "img0", User: "alice", KeepVM: true})
 		if err != nil {
@@ -326,10 +264,10 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 		t.Errorf("%d READDIRPLUS crossed the link in the cold clone, want at most 3 (/, /images, /images/g0)", n)
 	}
 	if warm > 6 {
-		ops := server.Proxy.Proxy.Statusz().Clients
+		ops := c.Server.Proxy.Proxy.Statusz().Clients
 		t.Errorf("warm clone sent %d calls across the link, want at most 6 (server proxy op mix, both clones: %+v)", warm, ops)
 	}
-	snap := node.Proxy.Snapshot()
+	snap := c.Hop().Proxy.Snapshot()
 	if hits := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`); hits == 0 {
 		t.Error("no LOOKUP was answered from the attribute table")
 	}

@@ -2,38 +2,13 @@ package clone_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack/stacktest"
 	"testing"
 
-	gvfs "gvfs"
-	"gvfs/internal/cache"
 	"gvfs/internal/clone"
 	"gvfs/internal/memfs"
-	"gvfs/internal/stack"
 	"gvfs/internal/vm"
 )
-
-// computeServer builds one compute server (caching proxy + session)
-// against server.
-func computeServer(t *testing.T, server *stack.ImageServer) (*stack.Node, *gvfs.Session) {
-	t.Helper()
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &cfg,
-		FileChanAddr: server.FileChanAddr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", PageCachePages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return node, sess
-}
 
 func TestMigrateMovesRunningVM(t *testing.T) {
 	fs := memfs.New()
@@ -41,14 +16,11 @@ func TestMigrateMovesRunningVM(t *testing.T) {
 	if err := vm.InstallImage(fs, "/vm", s); err != nil {
 		t.Fatal(err)
 	}
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
+	server := stacktest.New(t, stacktest.Spec{FS: fs, Sessions: -1}).Server
 
-	srcNode, srcSess := computeServer(t, server)
-	_, dstSess := computeServer(t, server)
+	src := stacktest.New(t, computeServer(server))
+	srcNode, srcSess := src.Hop(), src.Session()
+	dstSess := stacktest.New(t, computeServer(server)).Session()
 
 	// Start the VM on the source and modify its state: disk write +
 	// a distinctive memory checkpoint.
@@ -96,12 +68,8 @@ func TestMigrateRequiresSettle(t *testing.T) {
 	fs := memfs.New()
 	s := vm.Spec{Name: "rh73", MemoryBytes: 1 << 20, DiskBytes: 4 << 20, Seed: 5}
 	vm.InstallImage(fs, "/vm", s)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	_, srcSess := computeServer(t, server)
+	server := stacktest.New(t, stacktest.Spec{FS: fs, Sessions: -1}).Server
+	srcSess := stacktest.New(t, computeServer(server)).Session()
 	srcMonitor := vm.NewMonitor(srcSess)
 	machine, err := srcMonitor.Resume("/vm", "rh73")
 	if err != nil {

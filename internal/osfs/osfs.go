@@ -428,7 +428,7 @@ func (fs *FS) ReadDir(dir nfs3.FH, cookie uint64, maxBytes uint32) ([]nfs3.DirEn
 	sort.Strings(names)
 	var out []nfs3.DirEntry
 	used := uint32(0)
-	for i := int(cookie); i < len(names); i++ {
+	for i := int(min(cookie, uint64(len(names)))); i < len(names); i++ {
 		cost := uint32(24 + len(names[i]) + 8)
 		if used+cost > maxBytes && len(out) > 0 {
 			return out, false, nil

@@ -8,20 +8,16 @@ package proxy_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack/stacktest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	gvfs "gvfs"
-	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
-	"gvfs/internal/meta"
 	"gvfs/internal/obs"
 	"gvfs/internal/proxy"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
 )
 
 func TestDegradedReadsAttributedInStatusz(t *testing.T) {
@@ -29,34 +25,15 @@ func TestDegradedReadsAttributedInStatusz(t *testing.T) {
 	img := chaosPattern(64*1024, 9)
 	fs.WriteFile("/img", img)
 	wan := simnet.NewLink(simnet.Local())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr:        server.ProxyAddr(),
-		UpstreamLink:        wan,
-		CacheConfig:         &cfg,
+	spec := wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  2,
 		FailureThreshold:    1,
 		ProbeInterval:       time.Hour, // keep the breaker open for the test
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr: node.Addr, Export: "/",
-		Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
+	spec.Session.Cred = stacktest.Cred
+	c := stacktest.New(t, spec)
+	node, sess := c.Hop(), c.Session()
 
 	// Warm the block cache, then partition the WAN.
 	if got, err := sess.ReadFile("/img"); err != nil || !bytes.Equal(got, img) {
@@ -118,40 +95,18 @@ func TestDegradedReadsAttributedInStatusz(t *testing.T) {
 
 	// The document itself must be bounded, valid JSON.
 	var buf bytes.Buffer
-	if err := node.Proxy.WriteStatusz(&buf); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, node.Proxy.WriteStatusz(&buf))
 	if err := obs.LintBoundedJSON(buf.Bytes(), 4096); err != nil {
 		t.Fatalf("statusz fails bounded-JSON lint: %v", err)
 	}
 }
 
 func TestWriteBackAuditAcrossFlush(t *testing.T) {
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
+	c := stacktest.New(t, wbHop(nil, nil, stack.ProxyOptions{}))
+	node, sess := c.Hop(), c.Session()
 
 	payload := chaosPattern(32*1024, 10)
-	if err := sess.WriteFile("/disk", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/disk", payload))
 	st := node.Proxy.Statusz()
 	if st.Audit.DirtyBlocks == 0 {
 		t.Fatal("no dirty blocks in audit after absorbed writes")
@@ -166,9 +121,7 @@ func TestWriteBackAuditAcrossFlush(t *testing.T) {
 		t.Fatalf("no dirty audit events for /disk: %+v", st.Audit.Events)
 	}
 
-	if err := node.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, node.Proxy.WriteBack())
 	st = node.Proxy.Statusz()
 	if st.Audit.DirtyBlocks != 0 {
 		t.Errorf("dirty blocks remain in audit after write-back: %d", st.Audit.DirtyBlocks)
@@ -201,34 +154,11 @@ func TestFileCacheReadErrorAccounting(t *testing.T) {
 	const bs = 8192
 	fs := memfs.New()
 	state := chaosPattern(4*bs, 11)
-	fs.WriteFile("/vm/mem.vmss", state)
-	blob, err := meta.ForWholeFile(state, bs).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var closeServer sync.Once
-	t.Cleanup(func() { closeServer.Do(server.Close) })
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-			BlockSize: bs, Policy: cache.WriteBack},
-		FileChanAddr: server.FileChanAddr(),
-		TraceRing:    64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
+	writeVMState(t, fs, state)
+	spec := wbHop(fs, nil, stack.ProxyOptions{TraceRing: 64})
+	spec.FileChan = true
+	c := stacktest.New(t, spec)
+	node, sess := c.Hop(), c.Session()
 	if got, err := sess.ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Fatalf("read through the file channel: %v", err)
 	}
@@ -257,10 +187,8 @@ func TestFileCacheReadErrorAccounting(t *testing.T) {
 		t.Fatalf("the fetched file answered nothing: %+v", before)
 	}
 	// Take the blocks away, and the upstream that could bring them back.
-	if err := node.BlockCache.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	closeServer.Do(server.Close)
+	proxy.Check(t, node.BlockCache.Flush())
+	c.StopOrigin()
 	sess.DropCaches()
 	if _, err := sess.ReadFile("/vm/mem.vmss"); err == nil {
 		t.Fatal("a READ neither the block cache nor the upstream can answer succeeded")

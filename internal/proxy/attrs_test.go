@@ -24,9 +24,7 @@ func forwarded(p *Proxy) uint64 { return p.Snapshot().Counter("gvfs_proxy_forwar
 func readAttr(t *testing.T, nc *nfs3.Client, fh nfs3.FH, off uint64) ([]byte, *nfs3.Fattr) {
 	t.Helper()
 	res, err := nc.RawCall(nfs3.ProcRead, (&nfs3.ReadArgs{FH: fh, Offset: off, Count: 8192}).Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	r, err := nfs3.DecodeReadRes(res)
 	if err != nil || r.Status != nfs3.OK {
 		t.Fatalf("READ at %d: %v, status %v", off, err, r.Status)
@@ -44,17 +42,17 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 	old := bytes.Repeat([]byte{'a'}, 8192)
 	fs.WriteFile("/disk.img", old)
 	fs.WriteFile("/scratch.img", []byte("x"))
-	origin := nfsdInProcess(t, fs)
-	pa, a, root := pathsProxyOn(t, origin)
-	pb, b, _ := pathsProxyOn(t, origin)
+	chA := newChain(t, chainSpec{fs: fs})
+	chB := newChain(t, chainSpec{upstream: chA.origin})
+	pa, a, root := chA.p, chA.nc, chA.root
+	pb, b := chB.p, chB.nc
 
 	fh, attr, err := a.Lookup(root, "disk.img")
 	if err != nil || attr.Size != 8192 {
 		t.Fatalf("A: LOOKUP disk.img: %v, %+v", err, attr)
 	}
-	if _, _, err := a.Lookup(root, "scratch.img"); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = a.Lookup(root, "scratch.img")
+	Check(t, err)
 	if _, _, err := a.Lookup(root, "later.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("A: LOOKUP later.img: %v, want NOENT", err)
 	}
@@ -64,22 +62,14 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 
 	// B's session: rewrite and extend disk.img, remove one name, add one.
 	bfh, _, err := b.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	fresh := bytes.Repeat([]byte{'b'}, 16384)
-	if _, _, err := b.Write(bfh, 0, fresh, nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Remove(root, "scratch.img"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Create(root, "later.img", nfs3.SetAttr{}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := pb.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = b.Write(bfh, 0, fresh, nfs3.Unstable)
+	Check(t, err)
+	Check(t, b.Remove(root, "scratch.img"))
+	_, _, err = b.Create(root, "later.img", nfs3.SetAttr{}, false)
+	Check(t, err)
+	Check(t, pb.Flush())
 	if got, _ := fs.ReadFile("/disk.img"); !bytes.Equal(got, fresh) {
 		t.Fatal("B's flush did not reach the origin")
 	}
@@ -107,16 +97,12 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 
 	// WriteBack propagates data but keeps the session, table included.
 	held := pa.attrs.len()
-	if err := pa.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, pa.WriteBack())
 	if n := pa.attrs.len(); n != held || n == 0 {
 		t.Errorf("WriteBack left %d of %d table entries, want all", n, held)
 	}
 
-	if err := pa.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, pa.Flush())
 	if n := pa.attrs.len(); n != 0 {
 		t.Errorf("%d entries in A's table after Flush, want none", n)
 	}
@@ -151,15 +137,11 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/vm.redo", make([]byte, 16384))
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, before, err := nc.Lookup(root, "vm.redo")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	_, wattr, err := nc.Write(fh, 16384, bytes.Repeat([]byte{'w'}, 8192), nfs3.Unstable)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	const want = 24576
 	check := func(what string, a *nfs3.Fattr) {
 		t.Helper()
@@ -172,9 +154,7 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	check("WRITE wcc", wattr)
 	got, err := nc.GetAttr(fh)
 	check("GETATTR", &got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	_, la, _ := nc.Lookup(root, "vm.redo")
 	check("LOOKUP", la)
 	_, ra := readAttr(t, nc, fh, 16384)
@@ -188,9 +168,7 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	if data, _ := fs.ReadFile("/vm.redo"); len(data) != 16384 {
 		t.Fatalf("origin has %d bytes before any flush, want 16384", len(data))
 	}
-	if err := p.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, p.WriteBack())
 	if data, _ := fs.ReadFile("/vm.redo"); len(data) != want {
 		t.Errorf("origin has %d bytes after the write-back, want %d", len(data), want)
 	}
@@ -199,9 +177,8 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 
 	// SETATTR-size is the shrinker.
 	size := uint64(100)
-	if _, err := nc.SetAttr(fh, nfs3.SetAttr{Size: &size}); err != nil {
-		t.Fatal(err)
-	}
+	_, err = nc.SetAttr(fh, nfs3.SetAttr{Size: &size})
+	Check(t, err)
 	if got, _ := nc.GetAttr(fh); got.Size != 100 {
 		t.Errorf("GETATTR after SETATTR size=100: %d", got.Size)
 	}
@@ -212,27 +189,22 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 // now; the SETATTR's, older, is the file's all the same — while a SETATTR
 // of something else does not bring the origin's older mtime back.
 func TestSetattrTimesStand(t *testing.T) {
-	_, nc, root := pathsProxy(t)
+	_, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "copied.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nc.Write(fh, 0, make([]byte, 8192), nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	_, _, err = nc.Write(fh, 0, make([]byte, 8192), nfs3.Unstable)
+	Check(t, err)
 	// A SETATTR that leaves the times alone leaves the absorbed write's.
 	wrote, _ := nc.GetAttr(fh)
 	mode := uint32(0600)
-	if _, err := nc.SetAttr(fh, nfs3.SetAttr{Mode: &mode}); err != nil {
-		t.Fatal(err)
-	}
+	_, err = nc.SetAttr(fh, nfs3.SetAttr{Mode: &mode})
+	Check(t, err)
 	if got, _ := nc.GetAttr(fh); got.Mode&0777 != 0600 || got.Mtime.Less(wrote.Mtime) || got.Size != 8192 {
 		t.Errorf("GETATTR after SETATTR mode: mode %o mtime %+v size %d; want 600, no earlier than the write's %+v, 8192", got.Mode, got.Mtime, got.Size, wrote.Mtime)
 	}
 	old := nfs3.Time{Sec: 1086307200} // 2004-06-04
-	if _, err := nc.SetAttr(fh, nfs3.SetAttr{MtimeHow: nfs3.SetToClient, Mtime: old}); err != nil {
-		t.Fatal(err)
-	}
+	_, err = nc.SetAttr(fh, nfs3.SetAttr{MtimeHow: nfs3.SetToClient, Mtime: old})
+	Check(t, err)
 	if got, err := nc.GetAttr(fh); err != nil || got.Mtime != old || got.Size != 8192 {
 		t.Errorf("GETATTR after SETATTR mtime: mtime %+v size %d (%v); want %+v and the absorbed 8192", got.Mtime, got.Size, err, old)
 	}
@@ -249,17 +221,12 @@ func TestShortWriteOfUnsizedHandle(t *testing.T) {
 	fs := memfs.New()
 	img := bytes.Repeat([]byte{'o'}, 3*8192)
 	fs.WriteFile("/vm.vmdk", img)
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, _, err := nc.Lookup(root, "vm.vmdk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nc.Write(fh, 8192, bytes.Repeat([]byte{'w'}, 4096), nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	Check(t, p.Flush())
+	_, _, err = nc.Write(fh, 8192, bytes.Repeat([]byte{'w'}, 4096), nfs3.Unstable)
+	Check(t, err)
 	want := append(bytes.Repeat([]byte{'w'}, 4096), img[8192+4096:2*8192]...)
 	if data, ra := readAttr(t, nc, fh, 8192); !bytes.Equal(data, want) || (ra != nil && ra.Size != uint64(len(img))) {
 		t.Errorf("READ of the block written short: %d bytes (%q…), attr %+v; want the whole block", len(data), data[:min(len(data), 1)], ra)
@@ -270,14 +237,11 @@ func TestShortWriteOfUnsizedHandle(t *testing.T) {
 	// A whole block, too, ends where it ends and not the file: with block 2
 	// cached and the entry gone (forget stands in for the LRU taking a clean
 	// one), a write of block 0 must not make 8192 the size a hit is cut to.
-	if err := p.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, p.WriteBack())
 	readAttr(t, nc, fh, 16384)
 	p.attrs.forget(fh)
-	if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{'W'}, 8192), nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{'W'}, 8192), nfs3.Unstable)
+	Check(t, err)
 	misses := p.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if data, _ := readAttr(t, nc, fh, 16384); !bytes.Equal(data, img[16384:]) || p.Snapshot().Counter("gvfs_proxy_read_misses_total") != misses {
 		t.Errorf("READ hit past a whole-block write of an unsized handle: %d bytes, want %d from the cache", len(data), 8192)
@@ -287,50 +251,35 @@ func TestShortWriteOfUnsizedHandle(t *testing.T) {
 	}
 }
 
-// racingUpstream holds back the reply to a LOOKUP of name until release
-// is closed, after the origin has answered it. It refuses READDIRPLUS, as
-// an objstore upstream does, so that a LOOKUP miss is forwarded rather
-// than answered by a listing of its directory.
-type racingUpstream struct {
-	nfs3.Caller
-	name     string
-	answered chan struct{}
-	release  chan struct{}
-}
-
-func (u *racingUpstream) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	if prog == nfs3.Program && proc == nfs3.ProcReaddirplus {
-		return (&nfs3.ReaddirplusRes{Status: nfs3.ErrNotSupp}).Encode(), nil
-	}
-	res, err := u.Caller.Call(prog, vers, proc, cred, args)
-	if prog == nfs3.Program && proc == nfs3.ProcLookup {
-		if a, derr := nfs3.DecodeLookupArgs(args); derr == nil && a.Name == u.name {
-			u.answered <- struct{}{}
-			<-u.release
-		}
-	}
-	return res, err
-}
-
 // TestNegativeEntryRacesCreate: the origin answers a LOOKUP with NOENT,
 // then a CREATE of the same name goes through the same proxy and
 // completes, and only then does the LOOKUP's reply reach the proxy. The
 // late NOENT must not be installed over the CREATE's positive entry.
 func TestNegativeEntryRacesCreate(t *testing.T) {
-	up := &racingUpstream{Caller: nfsdInProcess(t, memfs.New()), name: "raced.img",
-		answered: make(chan struct{}), release: make(chan struct{})}
-	p, nc, root := pathsProxyOn(t, up)
+	// The origin holds back its NOENT until release is closed. It refuses
+	// READDIRPLUS, as an objstore upstream does, so that the LOOKUP miss is
+	// forwarded rather than answered by a listing of the root.
+	answered, release := make(chan struct{}), make(chan struct{})
+	p, nc, root := newChain(t, chainSpec{hook: func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		if c.Proc == nfs3.ProcReaddirplus {
+			return (&nfs3.ReaddirplusRes{Status: nfs3.ErrNotSupp}).Encode(), nil
+		}
+		res, err := next()
+		if a, derr := nfs3.DecodeLookupArgs(c.Args); c.Proc == nfs3.ProcLookup && derr == nil && a.Name == "raced.img" {
+			answered <- struct{}{}
+			<-release
+		}
+		return res, err
+	}}).client()
 	lookupErr := make(chan error, 1)
 	go func() {
 		_, _, err := nc.Lookup(root, "raced.img")
 		lookupErr <- err
 	}()
-	<-up.answered
+	<-answered
 	fh, _, err := nc.Create(root, "raced.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(up.release)
+	Check(t, err)
+	close(release)
 	if err := <-lookupErr; nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("the held LOOKUP returned %v, want the origin's NOENT", err)
 	}
@@ -349,20 +298,16 @@ func TestNegativeEntryRacesCreate(t *testing.T) {
 // forwarded past it — and an error reply is evidence too.
 func TestNameChangesInvalidate(t *testing.T) {
 	fs := memfs.New()
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	dir, _, err := nc.Mkdir(root, "d", nfs3.SetAttr{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	if got, ok := p.childFH(root, "d"); !ok || !bytes.Equal(got, dir) {
 		t.Fatalf("MKDIR left childFH(d) = %v, %v", got, ok)
 	}
 	if v, ok := p.attrs.get(dir); !ok || v.full != "/d" || v.attr.Type != nfs3.TypeDir {
 		t.Errorf("MKDIR entry: %+v, %v", v, ok)
 	}
-	if err := nc.Rmdir(root, "d"); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, nc.Rmdir(root, "d"))
 	if _, ok := p.attrs.get(dir); ok {
 		t.Error("RMDIR left the directory's entry")
 	}
@@ -387,9 +332,7 @@ func TestNameChangesInvalidate(t *testing.T) {
 	// A name vanishes behind a positive entry: the NOENT a REMOVE gets
 	// drops it, and a STALE for the handle drops the handle's entry.
 	fh, _, err := nc.Create(root, "vanishing.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	fs.Remove(root, "vanishing.img")
 	if err := nc.Remove(root, "vanishing.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("REMOVE of a vanished name: %v, want NOENT", err)
@@ -420,9 +363,7 @@ func TestNameChangesInvalidate(t *testing.T) {
 
 	// SYMLINK leaves the target; READLINK is answered from it.
 	link, _, err := nc.Symlink(root, "disk.vmdk", "/images/golden/disk.vmdk")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	before = forwarded(p)
 	if target, err := nc.ReadLink(link); err != nil || target != "/images/golden/disk.vmdk" || forwarded(p) != before {
 		t.Errorf("READLINK = %q, %v with %d upstream calls; want the SYMLINK's target, locally", target, err, forwarded(p)-before)
@@ -500,13 +441,12 @@ func TestAttrTableBounded(t *testing.T) {
 func TestAttrTableAnswersInTrace(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/img", []byte("x"))
-	origin := nfsdInProcess(t, fs)
-	p, nc, root := pathsProxyOn(t, origin)
+	ch := newChain(t, chainSpec{fs: fs})
+	p, nc, root := ch.p, ch.nc, ch.root
 	p.cfg.Tracer = obs.NewTracer(16)
 	for i := 0; i < 2; i++ {
-		if _, _, err := nc.Lookup(root, "img"); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err := nc.Lookup(root, "img")
+		Check(t, err)
 	}
 	traces := p.cfg.Tracer.Traces()
 	if len(traces) != 2 || len(traces[0].Spans) != 2 || traces[0].Spans[0].Layer != obs.LayerUpstream ||
@@ -519,20 +459,16 @@ func TestAttrTableAnswersInTrace(t *testing.T) {
 		t.Errorf("statusz attr_table row: %+v", st)
 	}
 
-	relay, err := New(Config{Upstream: origin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := nfs3.NewClient(sunrpc.Local{H: relay}, nc.Cred())
+	r := newChain(t, chainSpec{upstream: ch.origin, noCache: true})
+	relay, rc := r.p, r.nc
+	before := forwarded(relay)
 	for i := 0; i < 3; i++ {
-		if _, _, err := rc.Lookup(root, "img"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rc.GetAttr(root); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err := rc.Lookup(root, "img")
+		Check(t, err)
+		_, err = rc.GetAttr(root)
+		Check(t, err)
 	}
-	if n := forwarded(relay); n != 6 {
+	if n := forwarded(relay) - before; n != 6 {
 		t.Errorf("the cache-less relay forwarded %d of 6 LOOKUP/GETATTR calls", n)
 	}
 	if relay.fileLabel(root) == "" || relay.attrs.len() == 0 {
@@ -546,25 +482,19 @@ func TestAttrTableAnswersInTrace(t *testing.T) {
 // an allocation per call — the handle's accounting label is formatted
 // once per entry.
 func TestKeptHandleAfterFlushCostsTheSame(t *testing.T) {
-	p, nc, root := pathsProxy(t)
+	p, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "vm.redo", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	data := make([]byte, 8192)
 	op := func() {
-		if _, _, err := nc.Write(fh, 0, data, nfs3.Unstable); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := nc.Read(fh, 0, 8192); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err := nc.Write(fh, 0, data, nfs3.Unstable)
+		Check(t, err)
+		_, _, err = nc.Read(fh, 0, 8192)
+		Check(t, err)
 	}
 	op()
 	located := testing.AllocsPerRun(200, op)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, p.Flush())
 	op() // the miss that refills the cache and re-creates the entry
 	if label := p.fileLabel(fh); label != fhLabel(fh) {
 		t.Fatalf("after Flush the handle is labelled %q, want its bytes until it is looked up again", label)

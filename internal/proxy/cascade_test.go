@@ -2,13 +2,14 @@ package proxy_test
 
 import (
 	"bytes"
+	"gvfs/internal/proxy"
 	"testing"
 
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
+	"gvfs/internal/stack/stacktest"
 
 	gvfs "gvfs"
 )
@@ -20,30 +21,17 @@ import (
 
 const cascadeBS = 8192
 
-func cascadeCache(t testing.TB, policy cache.Policy) *cache.Config {
-	return &cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
-		BlockSize: cascadeBS, Policy: policy}
-}
-
-func cascadeProxy(t testing.TB, upstream string, policy cache.Policy) *stack.Node {
-	t.Helper()
-	n, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: upstream, CacheConfig: cascadeCache(t, policy)})
-	if err != nil {
-		t.Fatal(err)
+// twoLevels declares the cascade: a session of the grid user on a
+// first-level caching proxy, over a second-level one, over the image
+// server.
+func twoLevels(policy1, policy2 cache.Policy) stacktest.Spec {
+	return stacktest.Spec{
+		Hops: []stack.ProxyOptions{
+			{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: cascadeBS, Policy: policy1}},
+			{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: cascadeBS, Policy: policy2}},
+		},
+		Session: gvfs.SessionConfig{Cred: stacktest.Cred},
 	}
-	t.Cleanup(n.Close)
-	return n
-}
-
-func cascadeMount(t testing.TB, addr string) *gvfs.Session {
-	t.Helper()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: addr, Export: "/",
-		Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return sess
 }
 
 func patterned(n int, salt byte) []byte {
@@ -64,30 +52,19 @@ func writeCounters(n *stack.Node) (absorbed, forwarded uint64) {
 // of them (a run it forwarded would make it a write-through relay), and
 // its own Flush then lands the file byte-identical at the origin.
 func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	level2 := cascadeProxy(t, server.ProxyAddr(), cache.WriteBack)
-	level1 := cascadeProxy(t, level2.Addr, cache.WriteBack)
-	sess := cascadeMount(t, level1.Addr)
+	c := stacktest.New(t, twoLevels(cache.WriteBack, cache.WriteBack))
+	fs, level1, level2, sess := c.FS, c.Hops[0], c.Hops[1], c.Session()
 
 	// Five full runs, then a run of one full block and a 100-byte tail:
 	// aligned, not a multiple of the block size, last block partial.
 	payload := patterned(5*nfs3.MaxTransfer+cascadeBS+100, 0)
 	const wantRuns = 6
-	if err := sess.WriteFile("/out.img", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/out.img", payload))
 	if a, _ := writeCounters(level2); a != 0 {
 		t.Fatalf("second level absorbed %d WRITEs before the first level flushed", a)
 	}
 
-	if err := level1.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, level1.Proxy.Flush())
 	absorbed, forwarded := writeCounters(level2)
 	if absorbed != wantRuns {
 		t.Errorf("second level absorbed %d WRITEs, want %d (runs of %d bytes)", absorbed, wantRuns, nfs3.MaxTransfer)
@@ -102,14 +79,12 @@ func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
 		t.Fatalf("%d bytes reached the origin before the second level flushed", len(data))
 	}
 	// The second level answers for the data it holds.
-	got, err := cascadeMount(t, level2.Addr).ReadFile("/out.img")
+	got, err := c.Mount(gvfs.SessionConfig{Addr: level2.Addr, Cred: stacktest.Cred}).ReadFile("/out.img")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read through the second level: err=%v, %d bytes, equal=%v", err, len(got), bytes.Equal(got, payload))
 	}
 
-	if err := level2.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, level2.Proxy.Flush())
 	if _, f := writeCounters(level2); f != 0 {
 		t.Errorf("second level's own flush counted %d forwarded WRITEs", f)
 	}
@@ -124,14 +99,12 @@ func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
 // into the middle of a file (the last block's remainder must be merged
 // from upstream), and past the end of the file.
 func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	want := patterned(10*cascadeBS, 0)
-	e.fs.WriteFile("/disk.img", want)
-	nc := e.session.NFS()
-	fh, _, err := nc.Lookup(e.session.Root(), "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.FS.WriteFile("/disk.img", want)
+	nc := e.Session().NFS()
+	fh, _, err := nc.Lookup(e.Session().Root(), "disk.img")
+	proxy.Check(t, err)
 	// Every block starts cold: block 8's partial WRITE is merged from
 	// upstream, and blocks 0, 1 and 5 — which no WRITE touches — miss in
 	// the read-back below, after the WRITEs have extended the file. Those
@@ -151,11 +124,11 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 			want = append(want, make([]byte, end-len(want))...)
 		}
 		copy(want[w.off:], data)
-		before, _ := writeCounters(e.proxyN)
+		before, _ := writeCounters(e.Hop())
 		if n, _, err := nc.Write(fh, uint64(w.off), data, nfs3.Unstable); err != nil || int(n) != w.n {
 			t.Fatalf("WRITE off=%d len=%d: n=%d err=%v", w.off, w.n, n, err)
 		}
-		if after, fwd := writeCounters(e.proxyN); after != before+1 || fwd != 0 {
+		if after, fwd := writeCounters(e.Hop()); after != before+1 || fwd != 0 {
 			t.Errorf("WRITE off=%d len=%d: absorbed %d -> %d, forwarded %d; want one absorbed, none forwarded",
 				w.off, w.n, before, after, fwd)
 		}
@@ -171,10 +144,8 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read-your-writes: %d bytes, want %d byte-identical", len(got), len(want))
 	}
-	if err := e.proxyN.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.fs.ReadFile("/disk.img")
+	proxy.Check(t, e.Hop().Proxy.Flush())
+	data, err := e.FS.ReadFile("/disk.img")
 	if err != nil || !bytes.Equal(data, want) {
 		t.Fatalf("origin after flush: err=%v, %d bytes, want %d byte-identical", err, len(data), len(want))
 	}
@@ -185,17 +156,15 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 // must then not keep serving the old content of any block the run
 // covered — not only of the first.
 func TestWriteThroughMultiBlockCoherent(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteThrough})
+	e := stacktest.New(t, oneHop(cache.WriteThrough))
 	old := patterned(8*cascadeBS, 0)
-	e.fs.WriteFile("/disk.img", old)
-	if _, err := e.session.ReadFile("/disk.img"); err != nil { // warm every block
+	e.FS.WriteFile("/disk.img", old)
+	if _, err := e.Session().ReadFile("/disk.img"); err != nil { // warm every block
 		t.Fatal(err)
 	}
-	nc := e.session.NFS()
-	fh, _, err := nc.Lookup(e.session.Root(), "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	nc := e.Session().NFS()
+	fh, _, err := nc.Lookup(e.Session().Root(), "disk.img")
+	proxy.Check(t, err)
 	want := append([]byte(nil), old...)
 	for _, w := range []struct{ off, n int }{
 		{1 * cascadeBS, 3 * cascadeBS},         // aligned run
@@ -208,14 +177,12 @@ func TestWriteThroughMultiBlockCoherent(t *testing.T) {
 			t.Fatalf("WRITE off=%d len=%d: %v", w.off, w.n, err)
 		}
 	}
-	if data, _ := e.fs.ReadFile("/disk.img"); !bytes.Equal(data, want) {
+	if data, _ := e.FS.ReadFile("/disk.img"); !bytes.Equal(data, want) {
 		t.Fatal("write-through did not reach the origin")
 	}
-	e.session.DropCaches()
-	got, err := e.session.ReadFile("/disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.Session().DropCaches()
+	got, err := e.Session().ReadFile("/disk.img")
+	proxy.Check(t, err)
 	for b := 0; b < len(want)/cascadeBS; b++ {
 		if !bytes.Equal(got[b*cascadeBS:(b+1)*cascadeBS], want[b*cascadeBS:(b+1)*cascadeBS]) {
 			t.Errorf("block %d served stale from the write-through cache", b)
@@ -232,22 +199,14 @@ func TestWriteThroughMultiBlockCoherent(t *testing.T) {
 // origin. A second level that treated those READs as unaligned would
 // relay every one of them.
 func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
-	fs := memfs.New()
 	payload := patterned(5*nfs3.MaxTransfer+cascadeBS+100, 0x33)
-	fs.WriteFile("/golden.img", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	level2 := cascadeProxy(t, server.ProxyAddr(), cache.WriteBack)
-	level1 := cascadeProxy(t, level2.Addr, cache.WriteBack)
-	sess := cascadeMount(t, level1.Addr)
+	spec := twoLevels(cache.WriteBack, cache.WriteBack)
+	spec.Seed = func(fs *memfs.FS) { fs.WriteFile("/golden.img", payload) }
+	c := stacktest.New(t, spec)
+	level1, level2, sess := c.Hops[0], c.Hops[1], c.Session()
 	nc := sess.NFS()
 	fh, _, err := nc.Lookup(sess.Root(), "golden.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	counter := func(n *stack.Node, name string) uint64 { return n.Proxy.Snapshot().Counter(name) }
 	scan := func(pass string) {
 		t.Helper()
@@ -277,10 +236,8 @@ func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
 
 	// The first level ends its session: its blocks and attributes go,
 	// the second level keeps its own.
-	if err := level1.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	origin := counter(server.Proxy, "gvfs_proxy_calls_total")
+	proxy.Check(t, level1.Proxy.Flush())
+	origin := c.OriginCalls("")
 	scan("second")
 	if m := counter(level1, "gvfs_proxy_read_misses_total") - misses1; m != misses1 {
 		t.Errorf("first level missed %d times on its second cold pass, want %d", m, misses1)
@@ -288,7 +245,7 @@ func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
 	if m, h := counter(level2, "gvfs_proxy_read_misses_total"), counter(level2, "gvfs_proxy_read_hits_total"); m != misses1 || h != misses1 {
 		t.Errorf("second level after the second pass: %d misses, %d hits; want %d and %d (every run READ a hit)", m, h, misses1, misses1)
 	}
-	if n := counter(server.Proxy, "gvfs_proxy_calls_total") - origin; n != 0 {
+	if n := c.OriginCalls("") - origin; n != 0 {
 		t.Errorf("%d calls reached the origin during the second pass, want 0", n)
 	}
 }

@@ -11,12 +11,11 @@ package proxy_test
 
 import (
 	"bytes"
-	"fmt"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"testing"
 	"time"
 
-	gvfs "gvfs"
-	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/backend/replbe"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
@@ -26,89 +25,26 @@ import (
 	"gvfs/internal/sunrpc"
 )
 
-// replChain is a running replicated deployment: three NFS servers over
-// identically seeded file systems, one link per replica client, and a
-// proxy whose backend is the replbe composite. The control plane
-// (MOUNT/LOOKUP/GETATTR relay) rides an unshaped connection to
-// server 0, so data-path faults on the links never touch it — the
-// failure under test is a replica, not the namespace.
-type replChain struct {
-	fss   []*memfs.FS
-	links []*simnet.Link
-	node  *stack.Node
-	sess  *gvfs.Session
-}
-
-// startReplChain builds the deployment. seed must write the same files
-// in the same order on every FS — memfs handles are sequential node
-// ids, so identical seeding is what makes the replicas interchangeable
-// under one file handle. profiles[i] shapes replica i's link.
-func startReplChain(t *testing.T, profiles []simnet.Profile,
-	seed func(*memfs.FS), rcfg *replbe.Config, cliOpts sunrpc.ClientOptions) *replChain {
-	t.Helper()
-	c := &replChain{}
-	var relayAddr string
-	var reps []replbe.Replica
-	for i, p := range profiles {
-		fs := memfs.New()
-		seed(fs)
-		server, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(server.Close)
-		if i == 0 {
-			relayAddr = server.Addr
-		}
-		link := simnet.NewLink(p)
-		dial := stack.Dialer(server.Addr, link, nil)
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := cliOpts
-		opts.Redial = dial
-		opts.Idempotent = nfs3.RetrySafe
-		client := sunrpc.NewClientWithOptions(conn, opts)
-		t.Cleanup(func() { client.Close() })
-		reps = append(reps, replbe.Replica{
-			Name: fmt.Sprintf("r%d", i),
-			B:    nfs3be.New(client),
-		})
-		c.fss = append(c.fss, fs)
-		c.links = append(c.links, link)
-	}
-	// A small write-through cache keeps READ/WRITE on the backend data
-	// path (a cache-less relay would forward them verbatim) while
-	// staying far smaller than the working set, so reads keep missing
-	// into the replica set instead of being absorbed.
-	ccfg := cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 1,
-		BlockSize: 8192, Policy: cache.WriteThrough}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr:    relayAddr,
-		CacheConfig:     &ccfg,
-		Backend:         stack.BackendRepl,
-		ReplicaBackends: reps,
-		ReplConfig:      *rcfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	c.node = node
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	c.sess = sess
-	return c
+// replChain declares a session on a proxy whose backend is a replica set
+// of three NFS servers over identically seeded file systems, one link per
+// replica client (profiles[i] shapes replica i's). The control plane
+// (MOUNT/LOOKUP/GETATTR relay) rides an unshaped connection to server 0,
+// so data-path faults on the links never touch it — the failure under
+// test is a replica, not the namespace. A small write-through cache keeps
+// READ/WRITE on the backend data path (a cache-less relay would forward
+// them verbatim) while staying far smaller than the working set, so reads
+// keep missing into the replica set instead of being absorbed.
+func replChain(t *testing.T, profiles []simnet.Profile, seed func(*memfs.FS),
+	rcfg replbe.Config, cliOpts sunrpc.ClientOptions) *stacktest.Chain {
+	return stacktest.New(t, stacktest.Spec{Upstream: stacktest.Repl, Replicas: profiles, Seed: seed, ReplicaClient: cliOpts,
+		Hops: []stack.ProxyOptions{{ReplConfig: rcfg,
+			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 1, BlockSize: 8192, Policy: cache.WriteThrough}}}})
 }
 
 // repl returns the composite's current stats from /statusz.
-func (c *replChain) repl(t *testing.T) *replbe.Stats {
+func repl(t *testing.T, c *stacktest.Chain) *replbe.Stats {
 	t.Helper()
-	doc := c.node.Proxy.Statusz()
+	doc := c.Hop().Proxy.Statusz()
 	if doc.Replication == nil {
 		t.Fatal("statusz carries no replication section for a repl-backend proxy")
 	}
@@ -116,28 +52,9 @@ func (c *replChain) repl(t *testing.T) *replbe.Stats {
 }
 
 // waitRepl polls the replication stats until cond holds.
-func (c *replChain) waitRepl(t *testing.T, what string, timeout time.Duration,
-	cond func(*replbe.Stats) bool) {
+func waitRepl(t *testing.T, c *stacktest.Chain, what string, timeout time.Duration, cond func(*replbe.Stats) bool) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		if cond(c.repl(t)) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica set never reached %q within %v (stats: %+v)",
-				what, timeout, *c.repl(t))
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func localProfiles(n int) []simnet.Profile {
-	ps := make([]simnet.Profile, n)
-	for i := range ps {
-		ps[i] = simnet.Local()
-	}
-	return ps
+	proxy.WaitUntil(t, "replica set to reach "+what, timeout, func() bool { return cond(repl(t, c)) })
 }
 
 // TestChaosReplicaKillMidWorkload partitions and kills one replica in
@@ -152,21 +69,17 @@ func TestChaosReplicaKillMidWorkload(t *testing.T) {
 		fs.WriteFile("/img", img)
 		fs.WriteFile("/out", out)
 	}
-	c := startReplChain(t, localProfiles(3), seed, &replbe.Config{
+	c := replChain(t, nil, seed, replbe.Config{
 		FailThreshold: 2,
 		ProbeInterval: 50 * time.Millisecond,
 		ScrubInterval: 100 * time.Millisecond,
 		HedgeQuantile: -1, // isolate failover from hedging
 	}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1})
 
-	f, err := c.sess.Open("/img")
-	if err != nil {
-		t.Fatal(err)
-	}
-	of, err := c.sess.Open("/out")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, err := c.Session().Open("/img")
+	proxy.Check(t, err)
+	of, err := c.Session().Open("/out")
+	proxy.Check(t, err)
 
 	// The workload: strided 8 KiB reads over /img (cache-defeating) and
 	// periodic overwrites of /out blocks, single-threaded so every
@@ -176,8 +89,8 @@ func TestChaosReplicaKillMidWorkload(t *testing.T) {
 	const rounds = 120
 	for i := 0; i < rounds; i++ {
 		if i == rounds/2 {
-			c.links[1].Partition() // redials fail like a dead host...
-			c.links[1].Drop()      // ...and established connections die now
+			c.ReplicaLinks[1].Partition() // redials fail like a dead host...
+			c.ReplicaLinks[1].Drop()      // ...and established connections die now
 		}
 		boff := int64((i * 37 % 128) * 8192)
 		if _, err := f.ReadAt(buf, boff); err != nil {
@@ -203,31 +116,31 @@ func TestChaosReplicaKillMidWorkload(t *testing.T) {
 	// through a read/commit failover or through the replication queue
 	// failing its applies. Both paths are asynchronous to the client
 	// workload, so poll.
-	c.waitRepl(t, "replica 1 outage observed", 5*time.Second, func(s *replbe.Stats) bool {
+	waitRepl(t, c, "replica 1 outage observed", 5*time.Second, func(s *replbe.Stats) bool {
 		return s.Replicas[1].Transitions > 0 || s.Failovers > 0
 	})
 
 	// Heal. Probes mark the replica up; the scrub repairs every file it
 	// missed writes for; the replica's own store must converge to the
 	// acknowledged bytes.
-	c.links[1].Heal()
-	c.waitRepl(t, "replica 1 healthy", 10*time.Second, func(s *replbe.Stats) bool {
+	c.ReplicaLinks[1].Heal()
+	waitRepl(t, c, "replica 1 healthy", 10*time.Second, func(s *replbe.Stats) bool {
 		return s.Replicas[1].State == "healthy"
 	})
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		got, err := c.fss[1].ReadFile("/out")
+		got, err := c.Replicas[1].ReadFile("/out")
 		if err == nil && bytes.Equal(got, want) {
 			break
 		}
 		if time.Now().After(deadline) {
-			st := c.repl(t)
+			st := repl(t, c)
 			t.Fatalf("replica 1 never reconverged after heal (stale=%d pending=%d scrub=%+v)",
 				st.Replicas[1].StaleFiles, st.Replicas[1].PendingRepl, st.Scrub)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	c.waitRepl(t, "no stale files on replica 1", 10*time.Second, func(s *replbe.Stats) bool {
+	waitRepl(t, c, "no stale files on replica 1", 10*time.Second, func(s *replbe.Stats) bool {
 		return s.Replicas[1].StaleFiles == 0 && s.Replicas[1].PendingRepl == 0
 	})
 }
@@ -242,18 +155,16 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 	img := chaosPattern(1<<20, 31)
 	seed := func(fs *memfs.FS) { fs.WriteFile("/img", img) }
 	near := simnet.Profile{Name: "near", RTT: 4 * time.Millisecond}
-	c := startReplChain(t, []simnet.Profile{simnet.Local(), near, near}, seed,
-		&replbe.Config{
+	c := replChain(t, []simnet.Profile{simnet.Local(), near, near}, seed,
+		replbe.Config{
 			FailThreshold: 10, // keep r0 "up but slow" so every stalled read hedges
 			ProbeInterval: 50 * time.Millisecond,
 			ScrubInterval: -1,
 			HedgeBudget:   0.5,
 		}, sunrpc.ClientOptions{CallTimeout: 500 * time.Millisecond, MaxRetries: 1})
 
-	f, err := c.sess.Open("/img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, err := c.Session().Open("/img")
+	proxy.Check(t, err)
 	// Warm the latency distribution past the hedge arming threshold:
 	// 32 distinct blocks, each a cache miss, almost all served by the
 	// fast replica once the EWMA ordering settles. The blocks are a miss
@@ -269,14 +180,14 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 			t.Fatalf("warm read %d returned wrong content", i)
 		}
 	}
-	if d := c.repl(t).HedgeDelayNs; d == 0 {
+	if d := repl(t, c).HedgeDelayNs; d == 0 {
 		t.Fatal("hedge delay still warming up after 32 backend reads")
 	}
 
 	// Freeze replica 0's link and read blocks never touched before.
 	// Each read's first attempt stalls; the hedge must answer from a
 	// shaped-but-live replica in a few milliseconds.
-	c.links[0].Stall(3 * time.Second)
+	c.ReplicaLinks[0].Stall(3 * time.Second)
 	start := time.Now()
 	for i := 0; i < 8; i++ {
 		off := int64(i)*nfs3.MaxTransfer + 2*8192 // mid-run, predecessor never read
@@ -288,7 +199,7 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 		}
 	}
 	elapsed := time.Since(start)
-	st := c.repl(t)
+	st := repl(t, c)
 	if st.HedgesFired == 0 {
 		t.Error("no hedges fired against a stalled primary")
 	}
@@ -313,21 +224,19 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 func TestChaosPrimaryFlapWriteFailover(t *testing.T) {
 	out := chaosPattern(128<<10, 41)
 	seed := func(fs *memfs.FS) { fs.WriteFile("/out", out) }
-	c := startReplChain(t, localProfiles(3), seed, &replbe.Config{
+	c := replChain(t, nil, seed, replbe.Config{
 		FailThreshold: 2,
 		ProbeInterval: 25 * time.Millisecond,
 		ScrubInterval: 100 * time.Millisecond,
 		HedgeQuantile: -1,
 	}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1})
 
-	of, err := c.sess.Open("/out")
-	if err != nil {
-		t.Fatal(err)
-	}
+	of, err := c.Session().Open("/out")
+	proxy.Check(t, err)
 	flapDone := make(chan struct{})
 	go func() {
 		defer close(flapDone)
-		c.links[0].Flap(6, 40*time.Millisecond)
+		c.ReplicaLinks[0].Flap(6, 40*time.Millisecond)
 	}()
 
 	// Write-through traffic for the duration of the flapping: every
@@ -363,18 +272,18 @@ func TestChaosPrimaryFlapWriteFailover(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for r := 0; r < 3; r++ {
 		for {
-			got, err := c.fss[r].ReadFile("/out")
+			got, err := c.Replicas[r].ReadFile("/out")
 			if err == nil && bytes.Equal(got, want) {
 				break
 			}
 			if time.Now().After(deadline) {
-				st := c.repl(t)
+				st := repl(t, c)
 				t.Fatalf("replica %d diverged after primary flaps (stats: %+v)", r, *st)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	c.waitRepl(t, "all replicas healthy and drained", 10*time.Second, func(s *replbe.Stats) bool {
+	waitRepl(t, c, "all replicas healthy and drained", 10*time.Second, func(s *replbe.Stats) bool {
 		for _, rs := range s.Replicas {
 			if rs.State != "healthy" || rs.StaleFiles != 0 || rs.PendingRepl != 0 {
 				return false
@@ -382,5 +291,5 @@ func TestChaosPrimaryFlapWriteFailover(t *testing.T) {
 		}
 		return true
 	})
-	t.Logf("flap: %d writes, failovers=%d scrub=%+v", i, c.repl(t).Failovers, c.repl(t).Scrub)
+	t.Logf("flap: %d writes, failovers=%d scrub=%+v", i, repl(t, c).Failovers, repl(t, c).Scrub)
 }

@@ -10,21 +10,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"io"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"strings"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	gvfs "gvfs"
-	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
-	"gvfs/internal/obs"
 	"gvfs/internal/qos"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
@@ -41,97 +36,16 @@ func chaosPattern(n int, seed byte) []byte {
 	return b
 }
 
-// startChaosChain mounts a session through a two-level chain:
-// session -> client proxy (write-back disk cache) -> wan link ->
-// server-side proxy -> NFS server over fs. Faults are injected on wan.
-func startChaosChain(t *testing.T, fs *memfs.FS, wan *simnet.Link,
-	opts stack.ProxyOptions) (*stack.ImageServer, *stack.Node, *gvfs.Session) {
-	t.Helper()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
-	opts.UpstreamAddr = server.ProxyAddr()
-	opts.UpstreamLink = wan
-	if opts.CacheConfig == nil {
-		cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-			BlockSize: 8192, Policy: cache.WriteBack}
-		opts.CacheConfig = &cfg
-	}
-	// When GVFS_CHAOS_LOG_DIR is set (CI sets it), the client proxy
-	// runs a ring-only structured logger plus a flight recorder, and a
-	// failing test dumps those surfaces as post-mortem artifacts.
-	var logRing *obs.Ring[obs.Event]
-	if os.Getenv("GVFS_CHAOS_LOG_DIR") != "" {
-		logRing = obs.NewRing[obs.Event](512)
-		opts.Logger = slog.New(obs.NewLogHandler(slog.LevelDebug, nil, logRing, nil))
-		if opts.FlightRing == 0 {
-			opts.FlightRing = 64
-		}
-	}
-	node, err := stack.StartProxy(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	if logRing != nil {
-		dumpChaosDiagnostics(t, logRing, node) // registered after node.Close: dumps before it
-	}
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return server, node, sess
-}
-
-// dumpChaosDiagnostics registers a cleanup that, if the test failed,
-// writes the client proxy's log ring, statusz accounting document and
-// flight recordings into $GVFS_CHAOS_LOG_DIR for artifact upload.
-func dumpChaosDiagnostics(t *testing.T, ring *obs.Ring[obs.Event], node *stack.Node) {
-	t.Helper()
-	dir := os.Getenv("GVFS_CHAOS_LOG_DIR")
-	base := strings.ReplaceAll(t.Name(), "/", "_")
-	t.Cleanup(func() {
-		if !t.Failed() {
-			return
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Logf("chaos diagnostics: %v", err)
-			return
-		}
-		dump := func(kind string, write func(io.Writer) error) {
-			path := filepath.Join(dir, base+"."+kind+".json")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Logf("chaos diagnostics: %v", err)
-				return
-			}
-			defer f.Close()
-			if err := write(f); err != nil {
-				t.Logf("chaos diagnostics: %s: %v", kind, err)
-				return
-			}
-			t.Logf("chaos diagnostics: wrote %s", path)
-		}
-		dump("logz", func(w io.Writer) error { return obs.WriteLogz(w, ring) })
-		dump("statusz", node.Proxy.WriteStatusz)
-		if node.Flight != nil {
-			dump("flightrec", node.Flight.WriteJSON)
-		}
-	})
-}
-
 func TestChaosLossAndFlapWholeFileRead(t *testing.T) {
 	fs := memfs.New()
 	img := chaosPattern(256*1024, 1)
 	fs.WriteFile("/img", img)
 	wan := simnet.NewLink(simnet.Local())
-	_, node, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
+	c := stacktest.New(t, wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 250 * time.Millisecond,
 		UpstreamMaxRetries:  8,
-	})
+	}))
+	node, sess := c.Hop(), c.Session()
 
 	// Seeded 5% message loss on the WAN for the whole transfer, plus
 	// one connection kill mid-read.
@@ -174,21 +88,20 @@ func TestChaosPartitionDegradedModeAndReplay(t *testing.T) {
 	fs.WriteFile("/img", img)
 	fs.WriteFile("/cold/other", nil) // a directory the proxy never lists
 	wan := simnet.NewLink(simnet.Local())
-	_, node, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
+	c := stacktest.New(t, wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  2,
 		FailureThreshold:    1,
 		ProbeInterval:       50 * time.Millisecond,
-	})
+	}))
+	node, sess := c.Hop(), c.Session()
 
 	// Warm the cache and absorb a write while the WAN is healthy.
 	if got, err := sess.ReadFile("/img"); err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("warm read: %v", err)
 	}
 	part1 := chaosPattern(16*1024, 3)
-	if err := sess.WriteFile("/out", part1); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/out", part1))
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("write not absorbed into the write-back cache")
 	}
@@ -277,10 +190,11 @@ func TestChaosStallMidReadRecovers(t *testing.T) {
 	img := chaosPattern(128*1024, 5)
 	fs.WriteFile("/img", img)
 	wan := simnet.NewLink(simnet.Local())
-	_, _, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
+	c := stacktest.New(t, wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  8,
-	})
+	}))
+	sess := c.Session()
 
 	// Freeze the WAN, then start the read so its first RPCs are caught
 	// by the stall: they must ride timeouts and retransmission instead
@@ -327,7 +241,7 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 	hot := chaosPattern(32*1024, 8)
 	fs.WriteFile("/hot", hot)
 	wan := simnet.NewLink(simnet.Local())
-	_, node, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
+	c := stacktest.New(t, wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 150 * time.Millisecond,
 		UpstreamMaxRetries:  2,
 		QoS: &qos.Config{
@@ -335,7 +249,8 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 			PerClientQueue: 8,
 			BrownoutEnter:  10 * time.Millisecond,
 		},
-	})
+	}))
+	node, sess := c.Hop(), c.Session()
 
 	// Warm the polite tenant's working set and absorb one acknowledged
 	// write while the WAN is healthy.
@@ -343,9 +258,7 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 		t.Fatalf("warm read: %v", err)
 	}
 	payload := chaosPattern(48*1024, 9)
-	if err := sess.WriteFile("/ack", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/ack", payload))
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("write not absorbed into the write-back cache")
 	}
@@ -363,12 +276,8 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 	// own full queue would fail outright.
 	files := make([]*gvfs.File, 16)
 	for i := range files {
-		as, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", Cred: aggCred})
-		if err != nil {
-			t.Fatalf("aggressor mount: %v", err)
-		}
-		t.Cleanup(func() { as.Close() })
-		files[i], err = as.Open("/big")
+		var err error
+		files[i], err = c.Mount(gvfs.SessionConfig{Cred: aggCred}).Open("/big")
 		if err != nil {
 			t.Fatalf("aggressor open: %v", err)
 		}
@@ -486,14 +395,13 @@ func isJukeboxErr(err error) bool {
 func TestChaosFlapMidFlushNoLostWrites(t *testing.T) {
 	fs := memfs.New()
 	wan := simnet.NewLink(simnet.Local())
-	_, node, sess := startChaosChain(t, fs, wan, stack.ProxyOptions{
+	c := stacktest.New(t, wbHop(fs, wan, stack.ProxyOptions{
 		UpstreamCallTimeout: 500 * time.Millisecond,
 		UpstreamMaxRetries:  4,
-	})
+	}))
+	node, sess := c.Hop(), c.Session()
 	payload := chaosPattern(64*1024, 6)
-	if err := sess.WriteFile("/disk", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/disk", payload))
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("no dirty blocks absorbed")
 	}

@@ -7,6 +7,7 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"gvfs/internal/mountd"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,7 +16,6 @@ import (
 	"gvfs/internal/auth"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
@@ -28,26 +28,19 @@ type originCall struct {
 	args, res []byte
 }
 
-// recordingOrigin is nfsdInProcess that logs every NFS call it answers.
+// recordingOrigin is a hook that logs every NFS call the origin answers.
 type recordingOrigin struct {
-	nfsd sunrpc.Local
-	mu   sync.Mutex
-	log  []originCall
+	mu  sync.Mutex
+	log []originCall
 }
 
-func newRecordingOrigin(t *testing.T, fs *memfs.FS) *recordingOrigin {
-	return &recordingOrigin{nfsd: nfsdInProcess(t, fs)}
-}
-
-func (o *recordingOrigin) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
-	res, stat := o.nfsd.H.HandleCall(c)
-	if c.Prog == nfs3.Program {
-		uc, _ := sunrpc.DecodeUnixCred(c.Cred)
-		o.mu.Lock()
-		o.log = append(o.log, originCall{c.Proc, uc.UID, bytes.Clone(c.Args), bytes.Clone(res)})
-		o.mu.Unlock()
-	}
-	return res, stat
+func (o *recordingOrigin) hook(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+	res, err := next()
+	uc, _ := sunrpc.DecodeUnixCred(c.Cred)
+	o.mu.Lock()
+	o.log = append(o.log, originCall{c.Proc, uc.UID, bytes.Clone(c.Args), bytes.Clone(res)})
+	o.mu.Unlock()
+	return res, err
 }
 
 // taken returns the calls logged since the last call.
@@ -66,15 +59,11 @@ type tenant struct {
 	root nfs3.FH
 }
 
-func newTenant(t *testing.T, p *Proxy, uid uint32) *tenant {
-	t.Helper()
+func newTenant(t *testing.T, ch *chain, uid uint32) *tenant {
 	cred := sunrpc.UnixCred{MachineName: "grid", UID: uid, GID: uid}.Encode()
-	rpc := sunrpc.Local{H: p}
-	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &tenant{uid: uid, nc: nfs3.NewClient(rpc, cred), root: root}
+	root, err := mountd.Mount(ch.rpc, cred, "/")
+	Check(t, err)
+	return &tenant{uid, nfs3.NewClient(ch.rpc, cred), root}
 }
 
 func (tn *tenant) lookup(t *testing.T, name string) nfs3.FH {
@@ -109,21 +98,16 @@ func mappedUID(t *testing.T, alloc *auth.Allocator, uid uint32) uint32 {
 func TestRelayIdentityAndFidelity(t *testing.T) {
 	fs := memfs.New()
 	for _, uid := range []uint32{500, 501} {
-		if err := fs.WriteFile(fmt.Sprintf("/u%d.img", uid), bytes.Repeat([]byte{byte(uid)}, 3*8192)); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, fs.WriteFile(fmt.Sprintf("/u%d.img", uid), bytes.Repeat([]byte{byte(uid)}, 3*8192)))
 	}
-	origin := newRecordingOrigin(t, fs)
+	origin := &recordingOrigin{}
 	alloc := auth.NewAllocator(60000, 16, time.Hour)
-	p, err := New(Config{Upstream: sunrpc.Local{H: origin}, Mapper: auth.NewMapper(alloc)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
+	ch := newChain(t, chainSpec{fs: fs, noCache: true, hook: origin.hook,
+		config: func(c *Config) { c.Mapper = auth.NewMapper(alloc) }})
 
 	mapped := map[uint32]uint32{}
 	for _, uid := range []uint32{500, 501} {
-		tn := newTenant(t, p, uid)
+		tn := newTenant(t, ch, uid)
 		origin.taken()
 		fh := tn.lookup(t, fmt.Sprintf("u%d.img", uid))
 
@@ -148,9 +132,7 @@ func TestRelayIdentityAndFidelity(t *testing.T) {
 		if err := gotW.DecodeInto(res); err != nil || gotW.Status != nfs3.OK || gotW.Wcc.Before == nil || gotW.Wcc.After == nil {
 			t.Fatalf("uid %d: WRITE reply %+v, %v; want OK with both halves of wcc_data", uid, gotW, err)
 		}
-		if err := wantW.DecodeInto(origin.lastReply(t, nfs3.ProcWrite)); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, wantW.DecodeInto(origin.lastReply(t, nfs3.ProcWrite)))
 		if !reflect.DeepEqual(gotW.Wcc, wantW.Wcc) {
 			t.Errorf("uid %d: WRITE wcc_data %+v / %+v, the origin's %+v / %+v",
 				uid, gotW.Wcc.Before, gotW.Wcc.After, wantW.Wcc.Before, wantW.Wcc.After)
@@ -206,36 +188,26 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 				fs := memfs.New()
 				fs.WriteFile("/a.img", make([]byte, 8192))
 				fs.WriteFile("/b.img", bytes.Repeat([]byte{'b'}, 8*8192))
-				origin := newRecordingOrigin(t, fs)
-				// Two frames: B's READs push A's dirty block out.
-				bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 1, SetsPerBank: 1, Assoc: 2,
-					BlockSize: 8192, Policy: cache.WriteBack})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { bc.Close() })
-				cfg := Config{Upstream: sunrpc.Local{H: origin}, BlockCache: bc}
+				origin := &recordingOrigin{}
 				var alloc *auth.Allocator
-				if mapping {
-					alloc = auth.NewAllocator(60000, 16, time.Hour)
-					cfg.Mapper = auth.NewMapper(alloc)
-				}
-				p, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(p.Shutdown)
-
-				a, b := newTenant(t, p, 500), newTenant(t, p, 501)
+				// Two frames: B's READs push A's dirty block out.
+				ch := newChain(t, chainSpec{fs: fs, hook: origin.hook,
+					cache: &cache.Config{Banks: 1, SetsPerBank: 1, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack},
+					config: func(c *Config) {
+						if mapping {
+							alloc = auth.NewAllocator(60000, 16, time.Hour)
+							c.Mapper = auth.NewMapper(alloc)
+						}
+					}})
+				p := ch.p
+				a, b := newTenant(t, ch, 500), newTenant(t, ch, 501)
 				afh := a.lookup(t, "a.img")
 				data := bytes.Repeat([]byte{'A'}, 8192)
-				if _, _, err := a.nc.Write(afh, 0, data, nfs3.Unstable); err != nil {
-					t.Fatal(err)
-				}
+				_, _, err := a.nc.Write(afh, 0, data, nfs3.Unstable)
+				Check(t, err)
 				bfh := b.lookup(t, "b.img")
-				if _, err := b.nc.GetAttr(bfh); err != nil {
-					t.Fatal(err)
-				}
+				_, err = b.nc.GetAttr(bfh)
+				Check(t, err)
 				origin.taken()
 				switch trigger {
 				case "WriteBack":
@@ -247,9 +219,7 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 						_, _, err = b.nc.Read(bfh, blk*8192, 8192)
 					}
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				Check(t, err)
 				want := mappedUID(t, alloc, 500)
 				wrote := false
 				for _, c := range origin.taken() {
@@ -277,10 +247,7 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 // allocates nothing, mapped or not.
 func TestKeptCredentialIsInterned(t *testing.T) {
 	for _, mapper := range []*auth.Mapper{nil, auth.NewMapper(auth.NewAllocator(60000, 16, time.Hour))} {
-		p, err := New(Config{Upstream: sunrpc.Local{}, Mapper: mapper})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newChain(t, chainSpec{noCache: true, config: func(c *Config) { c.Mapper = mapper }}).p
 		c := &sunrpc.Call{Cred: sunrpc.UnixCred{MachineName: "grid", UID: 500, GID: 500}.Encode()}
 		kept, err := p.keep(c)
 		if err != nil || kept.IsZero() {

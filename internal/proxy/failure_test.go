@@ -8,6 +8,9 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"gvfs/internal/proxy"
+	"gvfs/internal/simnet"
+	"gvfs/internal/stack/stacktest"
 	"io"
 	"net"
 	"sync/atomic"
@@ -15,7 +18,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	gvfs "gvfs"
 	"gvfs/internal/cache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
@@ -23,33 +25,22 @@ import (
 	"gvfs/internal/stack"
 )
 
+// wbHop declares a session on one proxy with opts and a small write-back
+// disk cache, over an image server of fs (nil: a new one) across link.
+func wbHop(fs *memfs.FS, link *simnet.Link, opts stack.ProxyOptions) stacktest.Spec {
+	opts.CacheConfig = &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}
+	return stacktest.Spec{FS: fs, Link: link, Hops: []stack.ProxyOptions{opts}}
+}
+
 func TestUpstreamDeathSurfacesErrors(t *testing.T) {
-	fs := memfs.New()
-	fs.WriteFile("/f", bytes.Repeat([]byte{1}, 64*1024))
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.ReadFile("/f"); err != nil {
-		t.Fatal(err)
-	}
+	c := stacktest.New(t, wbHop(nil, nil, stack.ProxyOptions{}))
+	c.FS.WriteFile("/f", bytes.Repeat([]byte{1}, 64*1024))
+	sess := c.Session()
+	_, err := sess.ReadFile("/f")
+	proxy.Check(t, err)
 
 	// The image server dies mid-session.
-	server.Close()
+	c.StopOrigin()
 
 	done := make(chan error, 1)
 	go func() {
@@ -67,35 +58,16 @@ func TestUpstreamDeathSurfacesErrors(t *testing.T) {
 }
 
 func TestWriteBackFailurePreservesDirtyData(t *testing.T) {
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	c := stacktest.New(t, wbHop(nil, nil, stack.ProxyOptions{}))
+	node, sess := c.Hop(), c.Session()
 	payload := bytes.Repeat([]byte{9}, 32*1024)
-	if err := sess.WriteFile("/out", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, sess.WriteFile("/out", payload))
 	dirtyBefore := node.BlockCache.DirtyCount()
 	if dirtyBefore == 0 {
 		t.Fatal("no dirty blocks absorbed")
 	}
 
-	server.Close()
+	c.StopOrigin()
 	if err := node.Proxy.WriteBack(); err == nil {
 		t.Fatal("WriteBack succeeded against a dead server")
 	}
@@ -113,35 +85,13 @@ func TestWriteBackFailurePreservesDirtyData(t *testing.T) {
 func TestFileChannelFailureFallsBackToBlocks(t *testing.T) {
 	// If the file-channel service is unreachable, reads of a
 	// metadata-marked file must still succeed via block-based NFS.
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
 	const bs = 8192
 	state := bytes.Repeat([]byte{0x42}, 16*bs)
-	fs.WriteFile("/vm/mem.vmss", state)
-	m := metaForWholeFile(t, state, bs)
-	fs.WriteFile("/vm/.gvfsmeta.mem.vmss", m)
-
-	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: bs, Policy: cache.WriteBack}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &cfg,
-		FileChanAddr: "127.0.0.1:1", // nothing listens here
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	spec := wbHop(nil, nil, stack.ProxyOptions{})
+	spec.Seed = func(fs *memfs.FS) { writeVMState(t, fs, state) }
+	spec.Hops[0].FileChanAddr = "127.0.0.1:1" // nothing listens here
+	c := stacktest.New(t, spec)
+	node, sess := c.Hop(), c.Session()
 	got, err := sess.ReadFile("/vm/mem.vmss")
 	if err != nil || !bytes.Equal(got, state) {
 		t.Fatalf("fallback read failed: %v", err)
@@ -211,17 +161,9 @@ func TestFileChannelBadTransferFallsBackToBlocks(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := memfs.New()
-			fs.WriteFile("/vm/mem.vmss", state)
-			fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), metaForWholeFile(t, state, bs))
-			server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer server.Close()
+			writeVMState(t, fs, state)
 			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
+			proxy.Check(t, err)
 			defer l.Close()
 			var transfers atomic.Int32
 			go func() {
@@ -237,22 +179,8 @@ func TestFileChannelBadTransferFallsBackToBlocks(t *testing.T) {
 					}()
 				}
 			}()
-			cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-				BlockSize: bs, Policy: cache.WriteBack}
-			node, err := stack.StartProxy(stack.ProxyOptions{
-				UpstreamAddr: server.ProxyAddr(),
-				CacheConfig:  &cfg,
-				FileChanAddr: l.Addr().String(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer node.Close()
-			sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
+			c := stacktest.New(t, wbHop(fs, nil, stack.ProxyOptions{FileChanAddr: l.Addr().String()}))
+			node, sess := c.Hop(), c.Session()
 			for pass := 0; pass < 2; pass++ {
 				sess.DropCaches()
 				got, err := sess.ReadFile("/vm/mem.vmss")
@@ -308,12 +236,12 @@ func (f failAfter) OpenFile(path string) (io.ReadCloser, uint64, error) {
 	}{io.MultiReader(io.LimitReader(r, 5000), iotest.ErrReader(errors.New("disk read error"))), r}, size, nil
 }
 
-func metaForWholeFile(t *testing.T, data []byte, bs uint32) []byte {
+// writeVMState puts a memory state at /vm/mem.vmss, with the meta-data
+// that asks for it whole through the file channel.
+func writeVMState(t *testing.T, fs *memfs.FS, state []byte) {
 	t.Helper()
-	m := meta.ForWholeFile(data, bs)
-	blob, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	blob, err := meta.ForWholeFile(state, 8192).Encode()
+	proxy.Check(t, err)
+	fs.WriteFile("/vm/mem.vmss", state)
+	fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
 }

@@ -20,39 +20,32 @@ import (
 	"gvfs/internal/backend"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
 
-// gateCaller is a switchable upstream transport: while down it fails
-// every call with a transport error; once up it answers NULL. It
-// counts every call that actually reaches it, which is how the tests
-// distinguish "one probe loop" from a herd.
-type gateCaller struct {
+// gate is a switchable upstream transport: while down it fails every
+// call with a transport error. It counts every call that reaches it,
+// which is how the tests distinguish "one probe loop" from a herd.
+type gate struct {
 	calls atomic.Int64
 	up    atomic.Bool
 }
 
-func (g *gateCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
+func (g *gate) hook(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
 	g.calls.Add(1)
 	if !g.up.Load() {
 		return nil, fmt.Errorf("gate: transport down")
 	}
-	return nil, nil
+	return next()
 }
 
-// waitUntil polls cond for up to 5s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
+// gatedChain is a cache-less chain behind g with the breaker's threshold
+// and probe interval.
+func gatedChain(t *testing.T, g *gate, threshold int, interval time.Duration) *Proxy {
+	return newChain(t, chainSpec{noCache: true, hook: g.hook, config: func(c *Config) {
+		c.FailureThreshold, c.ProbeInterval = threshold, interval
+	}}).p
 }
 
 // nullCall mimics what every proxy-initiated upstream call does since
@@ -87,18 +80,10 @@ func TestBreakerOpenCallersFailFastWithoutProbing(t *testing.T) {
 		threshold = 3
 		interval  = 40 * time.Millisecond
 	)
-	gate := &gateCaller{}
-	p, err := New(Config{
-		Upstream:         gate,
-		FailureThreshold: threshold,
-		ProbeInterval:    interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	g := &gate{}
+	p := gatedChain(t, g, threshold, interval)
 	tripBreaker(t, p, threshold)
-	tripCalls := gate.calls.Load()
+	tripCalls := g.calls.Load()
 
 	// Hammer the open breaker from many goroutines. Every call must
 	// fail fast with the breaker error; none may reach the transport.
@@ -133,23 +118,15 @@ func TestBreakerOpenCallersFailFastWithoutProbing(t *testing.T) {
 	// at most one probe per interval (plus generous scheduling slack),
 	// nowhere near the 800 hammer calls.
 	probeBudget := int64(elapsed/interval) + 5
-	if got := gate.calls.Load() - tripCalls; got > probeBudget {
+	if got := g.calls.Load() - tripCalls; got > probeBudget {
 		t.Errorf("%d transport calls while breaker open; want <= %d (single probe loop)", got, probeBudget)
 	}
 }
 
 func TestBreakerConcurrentFailuresSpawnOneProbeLoop(t *testing.T) {
 	const interval = 50 * time.Millisecond
-	gate := &gateCaller{}
-	p, err := New(Config{
-		Upstream:         gate,
-		FailureThreshold: 2,
-		ProbeInterval:    interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	g := &gate{}
+	p := gatedChain(t, g, 2, interval)
 
 	// Race many goroutines through the failure accounting so the trip
 	// decision itself is contended.
@@ -174,10 +151,10 @@ func TestBreakerConcurrentFailuresSpawnOneProbeLoop(t *testing.T) {
 	// Watch the down upstream for a handful of intervals: a single
 	// probe loop sends ~1 call per interval; 32 leaked loops would
 	// send ~32x that.
-	before := gate.calls.Load()
+	before := g.calls.Load()
 	const window = 8 * interval
 	time.Sleep(window)
-	probes := gate.calls.Load() - before
+	probes := g.calls.Load() - before
 	if probes > int64(window/interval)+4 {
 		t.Errorf("%d probes in %v; more than one probe loop is running", probes, window)
 	}
@@ -188,21 +165,13 @@ func TestBreakerConcurrentFailuresSpawnOneProbeLoop(t *testing.T) {
 
 func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 	const interval = 30 * time.Millisecond
-	gate := &gateCaller{}
-	p, err := New(Config{
-		Upstream:         gate,
-		FailureThreshold: 2,
-		ProbeInterval:    interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	g := &gate{}
+	p := gatedChain(t, g, 2, interval)
 	tripBreaker(t, p, 2)
 
 	// Heal the transport; the single prober must close the breaker.
-	gate.up.Store(true)
-	waitUntil(t, "breaker close", func() bool { return !p.Degraded() })
+	g.up.Store(true)
+	WaitUntil(t, "breaker close", 5*time.Second, func() bool { return !p.Degraded() })
 
 	// The loser callers racing in right after recovery go upstream
 	// normally — they must not re-trip or re-probe a healthy path.
@@ -221,7 +190,7 @@ func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	waitUntil(t, "replay", func() bool {
+	WaitUntil(t, "replay", 5*time.Second, func() bool {
 		return p.Snapshot().Counter("gvfs_proxy_replays_total") == 1
 	})
 	if opens := p.Snapshot().Counter("gvfs_proxy_breaker_opens_total"); opens != 1 {
@@ -229,29 +198,11 @@ func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 	}
 	// The probe loop must have exited: no further probes land on the
 	// healthy upstream.
-	settled := gate.calls.Load()
+	settled := g.calls.Load()
 	time.Sleep(4 * interval)
-	if extra := gate.calls.Load() - settled; extra != 0 {
+	if extra := g.calls.Load() - settled; extra != 0 {
 		t.Errorf("%d stray probes after recovery", extra)
 	}
-}
-
-// downCaller is an upstream link that can be cut: while down every call
-// fails with a transport error, which the proxy counts as unavailable.
-type downCaller struct {
-	nfs3.Caller
-	down   atomic.Bool
-	failed atomic.Int64 // calls that reached the cut link, the breaker's NULL probes aside
-}
-
-func (d *downCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	if d.down.Load() {
-		if proc != nfs3.ProcNull {
-			d.failed.Add(1)
-		}
-		return nil, errors.New("link down")
-	}
-	return d.Caller.Call(prog, vers, proc, cred, args)
 }
 
 // TestEveryProxyHasTheBreaker: a proxy whose Config names no breaker
@@ -263,48 +214,42 @@ func (d *downCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args 
 func TestEveryProxyHasTheBreaker(t *testing.T) {
 	const bs = 8192
 	fs := memfs.New()
-	if err := fs.WriteFile("/disk.img", make([]byte, 4*bs)); err != nil {
-		t.Fatal(err)
-	}
-	up := &downCaller{Caller: nfsdInProcess(t, fs)}
-	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 8, Assoc: 4,
-		BlockSize: bs, Policy: cache.WriteBack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Upstream: up, BlockCache: bc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "outage"}.Encode()
-	rpc := sunrpc.Local{H: p}
-	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(rpc, cred)
-	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, fs.WriteFile("/disk.img", make([]byte, 4*bs)))
+	// The link to the origin can be cut: while down every call fails with
+	// a transport error, which the proxy counts as unavailable; failed
+	// counts those that reached the cut link, the breaker's NULL probes
+	// aside.
+	var down atomic.Bool
+	var failed atomic.Int64
+	ch := newChain(t, chainSpec{fs: fs,
+		cache: &cache.Config{Banks: 2, SetsPerBank: 8, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack},
+		hook: func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+			if !down.Load() {
+				return next()
+			}
+			if c.Proc != nfs3.ProcNull {
+				failed.Add(1)
+			}
+			return nil, errors.New("link down")
+		}})
+	p, nc := ch.p, ch.nc
+	fh, _, err := nc.Lookup(ch.root, "disk.img")
+	Check(t, err)
 	data := bytes.Repeat([]byte{0x5A}, bs)
-	if _, _, err := nc.Write(fh, 0, data, nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = nc.Write(fh, 0, data, nfs3.Unstable)
+	Check(t, err)
 
 	// The origin goes away; each write-back attempt is one failed call.
-	up.down.Store(true)
+	down.Store(true)
 	for !p.Degraded() {
-		if up.failed.Load() > backend.DefaultFailureThreshold {
-			t.Fatalf("breaker still closed after %d unavailable calls", up.failed.Load())
+		if failed.Load() > backend.DefaultFailureThreshold {
+			t.Fatalf("breaker still closed after %d unavailable calls", failed.Load())
 		}
 		if err := p.WriteBack(); err == nil {
 			t.Fatal("write-back succeeded with the upstream down")
 		}
 	}
-	if n := up.failed.Load(); n != backend.DefaultFailureThreshold {
+	if n := failed.Load(); n != backend.DefaultFailureThreshold {
 		t.Fatalf("breaker opened after %d unavailable calls, want %d", n, backend.DefaultFailureThreshold)
 	}
 
@@ -319,7 +264,7 @@ func TestEveryProxyHasTheBreaker(t *testing.T) {
 	if err := p.WriteBack(); err == nil {
 		t.Fatal("write-back succeeded while the breaker is open")
 	}
-	if n := up.failed.Load(); n != backend.DefaultFailureThreshold {
+	if n := failed.Load(); n != backend.DefaultFailureThreshold {
 		t.Errorf("%d calls reached the link while the breaker was open", n-backend.DefaultFailureThreshold)
 	}
 	if p.Snapshot().Counter("gvfs_proxy_breaker_fastfails_total") == 0 {
@@ -328,8 +273,8 @@ func TestEveryProxyHasTheBreaker(t *testing.T) {
 
 	// The origin returns: a probe closes the breaker and the replay
 	// writes the dirty block back.
-	up.down.Store(false)
-	waitUntil(t, "replay to the origin", func() bool {
+	down.Store(false)
+	WaitUntil(t, "replay to the origin", 5*time.Second, func() bool {
 		got, err := fs.ReadFile("/disk.img")
 		return err == nil && bytes.Equal(got[:bs], data)
 	})

@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"gvfs/internal/backend/objstore"
-	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
@@ -51,13 +49,10 @@ func TestListingHardLinkPair(t *testing.T) {
 	fs.WriteFile("/vm/a.img", []byte("shared"))
 	vm, _ := fs.LookupPath("/vm")
 	file, _ := fs.LookupPath("/vm/a.img")
-	if err := fs.Link(file, vm, "b.img"); err != nil {
-		t.Fatal(err)
-	}
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
-	if _, _, err := nc.Lookup(root, "vm"); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, fs.Link(file, vm, "b.img"))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
+	_, _, err := nc.Lookup(root, "vm")
+	Check(t, err)
 	for _, name := range []string{"a.img", "b.img", "a.img"} {
 		if got, _, err := nc.Lookup(vm, name); err != nil || !bytes.Equal(got, file) {
 			t.Errorf("LOOKUP %s = %x, %v; want the linked file %x", name, got, err, file)
@@ -75,18 +70,16 @@ func TestListingHardLinkPair(t *testing.T) {
 // through the proxy, a failed one too, ends its directory's completeness
 // (attrTable.invalidateName).
 func TestListingMkdirExistRace(t *testing.T) {
-	origin := nfsdInProcess(t, memfs.New())
-	pa, a, root := pathsProxyOn(t, origin)
-	_, b, _ := pathsProxyOn(t, origin)
+	chA := newChain(t, chainSpec{})
+	pa, a, root := chA.p, chA.nc, chA.root
+	b := newChain(t, chainSpec{upstream: chA.origin}).nc
 	for _, c := range []*nfs3.Client{a, b} {
 		if _, _, err := c.Lookup(root, "clones"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 			t.Fatalf("LOOKUP clones before either MKDIR: %v, want NOENT", err)
 		}
 	}
 	won, _, err := b.Mkdir(root, "clones", nfs3.SetAttr{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	if _, _, err := a.Mkdir(root, "clones", nfs3.SetAttr{}); nfs3.StatusOf(err) != nfs3.ErrExist {
 		t.Fatalf("the second MKDIR: %v, want EXIST", err)
 	}
@@ -98,24 +91,20 @@ func TestListingMkdirExistRace(t *testing.T) {
 	}
 }
 
-// heldReply holds back the reply to the first call of proc until release
-// is closed, after the origin has answered it.
-type heldReply struct {
-	nfs3.Caller
-	proc              uint32
-	once              sync.Once
-	answered, release chan struct{}
-}
-
-func (u *heldReply) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	res, err := u.Caller.Call(prog, vers, proc, cred, args)
-	if prog == nfs3.Program && proc == u.proc {
-		u.once.Do(func() {
-			u.answered <- struct{}{}
-			<-u.release
-		})
+// heldReply is a hook that holds back the reply to the first call of proc
+// until release is closed, after the origin has answered it.
+func heldReply(proc uint32, answered, release chan struct{}) upstreamHook {
+	var once sync.Once
+	return func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		res, err := next()
+		if c.Proc == proc {
+			once.Do(func() {
+				answered <- struct{}{}
+				<-release
+			})
+		}
+		return res, err
 	}
-	return res, err
 }
 
 // TestListingRacesCreate: the origin answers a listing of the root, then
@@ -128,8 +117,8 @@ func (u *heldReply) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args [
 func TestListingRacesCreate(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/vm.vmdk", make([]byte, 8192))
-	up := &heldReply{Caller: nfsdInProcess(t, fs), proc: nfs3.ProcReaddirplus, answered: make(chan struct{}), release: make(chan struct{})}
-	p, nc, root := pathsProxyOn(t, up)
+	answered, release := make(chan struct{}), make(chan struct{})
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: heldReply(nfs3.ProcReaddirplus, answered, release)}).client()
 	if stripeOf(root, "vm.vmdk") == stripeOf(root, "") {
 		t.Fatal("the name shares its directory's generation stripe: the case would not test the directory's")
 	}
@@ -138,13 +127,11 @@ func TestListingRacesCreate(t *testing.T) {
 		_, _, err := nc.Lookup(root, "vm.vmdk")
 		lookup <- err
 	}()
-	<-up.answered
+	<-answered
 	zero := uint64(0)
 	fh, _, err := nc.Create(root, "vm.vmdk", nfs3.SetAttr{Size: &zero}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(up.release)
+	Check(t, err)
+	close(release)
 	if err := <-lookup; err != nil {
 		t.Fatalf("the LOOKUP whose listing raced: %v", err)
 	}
@@ -168,11 +155,9 @@ func TestListingChildEvicted(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		fs.WriteFile("/d/"+name, []byte(name))
 	}
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	d, _, err := nc.Lookup(root, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	files := map[string]nfs3.FH{}
 	for _, name := range []string{"b", "c", "a"} {
 		if files[name], _, err = nc.Lookup(d, name); err != nil {
@@ -209,11 +194,9 @@ func TestListingPartial(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		fs.WriteFile(fmt.Sprintf("/big/f%04d", i), nil)
 	}
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	big, _, err := nc.Lookup(root, "big")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	for _, step := range []struct {
 		name  string
 		found bool
@@ -244,28 +227,9 @@ func TestListingPartial(t *testing.T) {
 func TestListingObjstoreRefused(t *testing.T) {
 	store := objstore.New(objstore.NewMemStore(), 0)
 	for _, name := range []string{"/a.img", "/b.img"} {
-		if err := store.CreateFile(name, []byte(name)); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, store.CreateFile(name, []byte(name)))
 	}
-	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Backend: store, BlockCache: bc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "objstore"}.Encode()
-	rpc := sunrpc.Local{H: p}
-	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(rpc, cred)
+	p, nc, root := newChain(t, chainSpec{config: func(cfg *Config) { cfg.Upstream, cfg.Backend = nil, store }}).client()
 	for i, name := range []string{"a.img", "b.img", "c.img"} {
 		want := uint64(1)
 		if i == 0 {
@@ -290,18 +254,15 @@ func TestListingObjstoreRefused(t *testing.T) {
 func TestListingHidesOriginCreateUntilFlush(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/a.img", []byte("a"))
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
-	if _, _, err := nc.Lookup(root, "a.img"); err != nil {
-		t.Fatal(err)
-	}
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
+	_, _, err := nc.Lookup(root, "a.img")
+	Check(t, err)
 	fs.WriteFile("/behind.img", []byte("origin"))
 	before := forwarded(p)
 	if _, _, err := nc.Lookup(root, "behind.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt || forwarded(p) != before {
 		t.Errorf("LOOKUP before the Flush: %v with %d calls upstream, want the listing's NOENT with none", err, forwarded(p)-before)
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, p.Flush())
 	if _, _, err := nc.Lookup(root, "behind.img"); err != nil {
 		t.Errorf("LOOKUP after the Flush: %v, want the origin's file", err)
 	}
@@ -315,42 +276,30 @@ func TestListingHidesOriginCreateUntilFlush(t *testing.T) {
 func TestRelayLearnsPathsFromListings(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/vm/disk.img", make([]byte, 8192))
-	relay, err := New(Config{Upstream: nfsdInProcess(t, fs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(relay.Shutdown)
-	_, nc, root := pathsProxyOn(t, sunrpc.Local{H: relay})
+	relay := newChain(t, chainSpec{fs: fs, noCache: true}).p
+	ch := newChain(t, chainSpec{upstream: sunrpc.Local{H: relay}})
+	nc, root := ch.nc, ch.root
 	vm, _, err := nc.Lookup(root, "vm")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	fh, _, err := nc.Lookup(vm, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	if got := relay.fileLabel(fh); got != "/vm/disk.img" {
 		t.Errorf("the relay labels the file %q, want its path", got)
 	}
 }
 
-// countedListings counts the READDIRPLUS calls and the bytes of their
-// replies, and delays each by delay.
-type countedListings struct {
-	nfs3.Caller
-	delay time.Duration
-	n     atomic.Int32
-	bytes atomic.Int64
-}
-
-func (u *countedListings) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	res, err := u.Caller.Call(prog, vers, proc, cred, args)
-	if prog == nfs3.Program && proc == nfs3.ProcReaddirplus {
-		u.n.Add(1)
-		u.bytes.Add(int64(len(res)))
-		time.Sleep(u.delay)
+// countedListings is a hook that counts the READDIRPLUS calls in n and
+// the bytes of their replies in size, and delays each by delay.
+func countedListings(delay time.Duration, n, size *atomic.Int64) upstreamHook {
+	return func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		res, err := next()
+		if c.Proc == nfs3.ProcReaddirplus {
+			n.Add(1)
+			size.Add(int64(len(res)))
+			time.Sleep(delay)
+		}
+		return res, err
 	}
-	return res, err
 }
 
 // TestListingJoinedByConcurrentMisses: eight clients miss in one directory
@@ -363,13 +312,11 @@ func TestListingJoinedByConcurrentMisses(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fs.WriteFile(fmt.Sprintf("/vm/f%d", i), nil)
 	}
-	up := &countedListings{Caller: nfsdInProcess(t, fs), delay: 20 * time.Millisecond}
-	p, nc, root := pathsProxyOn(t, up)
+	var listings, size atomic.Int64
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: countedListings(20*time.Millisecond, &listings, &size)}).client()
 	vm, _, err := nc.Lookup(root, "vm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed, fwd := up.n.Load(), forwarded(p)
+	Check(t, err)
+	listed, fwd := listings.Load(), forwarded(p)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -382,7 +329,7 @@ func TestListingJoinedByConcurrentMisses(t *testing.T) {
 		}(fmt.Sprintf("f%d", i))
 	}
 	wg.Wait()
-	if n, f := up.n.Load()-listed, forwarded(p)-fwd; n != 1 || f != 1 {
+	if n, f := listings.Load()-listed, forwarded(p)-fwd; n != 1 || f != 1 {
 		t.Errorf("eight concurrent misses in one directory: %d listings, %d calls upstream; want 1 and 1", n, f)
 	}
 }
@@ -399,13 +346,11 @@ func TestListingKeptAcrossNameChanges(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		fs.WriteFile(fmt.Sprintf("/clones/c%03d", i), nil)
 	}
-	up := &countedListings{Caller: nfsdInProcess(t, fs)}
-	p, nc, root := pathsProxyOn(t, up)
+	var listings, size atomic.Int64
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: countedListings(0, &listings, &size)}).client()
 	clones, _, err := nc.Lookup(root, "clones")
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed, fwd := up.n.Load(), forwarded(p)
+	Check(t, err)
+	listed, fwd := listings.Load(), forwarded(p)
 	const cycles = 20
 	for i := 0; i < cycles; i++ {
 		name := fmt.Sprintf("new%02d", i)
@@ -413,51 +358,44 @@ func TestListingKeptAcrossNameChanges(t *testing.T) {
 			t.Fatalf("LOOKUP %s before its CREATE: %v, want NOENT", name, err)
 		}
 		fh, _, err := nc.Create(clones, name, nfs3.SetAttr{}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		Check(t, err)
 		if got, _, err := nc.Lookup(clones, name); err != nil || !bytes.Equal(got, fh) {
 			t.Fatalf("LOOKUP %s after its CREATE = %x, %v; want %x", name, got, err, fh)
 		}
-		if err := nc.Remove(clones, name); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, nc.Remove(clones, name))
 		if _, _, err := nc.Lookup(clones, name); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 			t.Fatalf("LOOKUP %s after its REMOVE: %v, want NOENT", name, err)
 		}
 	}
-	n, calls := up.n.Load()-listed, forwarded(p)-fwd
-	t.Logf("%d LOOKUP+CREATE+REMOVE cycles in a directory of 200 names: %d listings, %d bytes of them", cycles, n, up.bytes.Load())
+	n, calls := listings.Load()-listed, forwarded(p)-fwd
+	t.Logf("%d LOOKUP+CREATE+REMOVE cycles in a directory of 200 names: %d listings, %d bytes of them", cycles, n, size.Load())
 	if n != 1 || calls != 1+2*cycles {
 		t.Errorf("%d listings and %d calls upstream in all; want 1 listing, then a CREATE and a REMOVE a cycle", n, calls)
 	}
 }
 
-// failListings answers READDIRPLUS calls, in turn, with what fails holds
-// — an nfs3.Status for the reply, or an error for the call — and once
-// that is used up passes them on.
-type failListings struct {
-	nfs3.Caller
-	mu    sync.Mutex
-	fails []any
-}
-
-func (u *failListings) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	if prog == nfs3.Program && proc == nfs3.ProcReaddirplus {
-		u.mu.Lock()
-		var fail any
-		if len(u.fails) > 0 {
-			fail, u.fails = u.fails[0], u.fails[1:]
+// failListings is a hook that answers READDIRPLUS calls, in turn, with
+// what fails holds — an nfs3.Status for the reply, or an error for the
+// call — and once that is used up passes them on.
+func failListings(fails ...any) upstreamHook {
+	var mu sync.Mutex
+	return func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		if c.Proc == nfs3.ProcReaddirplus {
+			mu.Lock()
+			var fail any
+			if len(fails) > 0 {
+				fail, fails = fails[0], fails[1:]
+			}
+			mu.Unlock()
+			switch f := fail.(type) {
+			case nfs3.Status:
+				return (&nfs3.ReaddirplusRes{Status: f}).Encode(), nil
+			case error:
+				return nil, f
+			}
 		}
-		u.mu.Unlock()
-		switch f := fail.(type) {
-		case nfs3.Status:
-			return (&nfs3.ReaddirplusRes{Status: f}).Encode(), nil
-		case error:
-			return nil, f
-		}
+		return next()
 	}
-	return u.Caller.Call(prog, vers, proc, cred, args)
 }
 
 // TestListingTransientErrors: upstream fails a listing the way a busy or
@@ -470,9 +408,7 @@ func TestListingTransientErrors(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		fs.WriteFile("/"+name, []byte(name))
 	}
-	up := &failListings{Caller: nfsdInProcess(t, fs),
-		fails: []any{nfs3.ErrJukebox, nfs3.ErrServerFault, &sunrpc.RPCError{Stat: sunrpc.SystemErr}}}
-	p, nc, root := pathsProxyOn(t, up)
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: failListings(nfs3.ErrJukebox, nfs3.ErrServerFault, &sunrpc.RPCError{Stat: sunrpc.SystemErr})}).client()
 	for _, name := range []string{"a", "b", "c", "d"} {
 		want := uint64(2) // the failed listing and the LOOKUP
 		if name == "d" {
@@ -497,19 +433,19 @@ func TestListingTransientErrors(t *testing.T) {
 func TestListingRefusalAcrossFlush(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/a", []byte("a"))
-	up := &heldReply{Caller: &failListings{Caller: nfsdInProcess(t, fs), fails: []any{nfs3.ErrNotSupp}},
-		proc: nfs3.ProcReaddirplus, answered: make(chan struct{}), release: make(chan struct{})}
-	p, nc, root := pathsProxyOn(t, up)
+	answered, release := make(chan struct{}), make(chan struct{})
+	held, refuse := heldReply(nfs3.ProcReaddirplus, answered, release), failListings(nfs3.ErrNotSupp)
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		return held(c, func() ([]byte, error) { return refuse(c, next) })
+	}}).client()
 	lookup := make(chan error, 1)
 	go func() {
 		_, _, err := nc.Lookup(root, "a")
 		lookup <- err
 	}()
-	<-up.answered
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	close(up.release)
+	<-answered
+	Check(t, p.Flush())
+	close(release)
 	if err := <-lookup; err != nil {
 		t.Fatalf("the LOOKUP whose listing was refused: %v", err)
 	}
@@ -531,24 +467,16 @@ func TestListingRefusalAcrossFlush(t *testing.T) {
 func TestListingRemovedDirectory(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/p/keep", nil)
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	parent, _, err := nc.Lookup(root, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	d, _, err := nc.Mkdir(parent, "d", nfs3.SetAttr{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	Check(t, p.Flush())
 	if _, _, err := nc.Lookup(d, "x"); nfs3.StatusOf(err) != nfs3.ErrNoEnt || p.listState(d) != complete {
 		t.Fatalf("LOOKUP d/x: %v, d %v; want NOENT from a complete listing: the case is not set up", err, p.listState(d))
 	}
-	if err := nc.Rmdir(parent, "d"); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, nc.Rmdir(parent, "d"))
 	if _, _, err := nc.Lookup(d, "x"); nfs3.StatusOf(err) != nfs3.ErrStale {
 		t.Errorf("LOOKUP in the removed directory: %v, want STALE", err)
 	}
@@ -563,19 +491,19 @@ func TestListingRemovedDirectory(t *testing.T) {
 func TestListingRemoveInFlight(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/d/keep", nil)
-	up := &heldReply{Caller: nfsdInProcess(t, fs), proc: nfs3.ProcRemove, answered: make(chan struct{}), release: make(chan struct{})}
-	p, nc, root := pathsProxyOn(t, up)
+	answered, release := make(chan struct{}), make(chan struct{})
+	p, nc, root := newChain(t, chainSpec{fs: fs, hook: heldReply(nfs3.ProcRemove, answered, release)}).client()
 	d, _, err := nc.Lookup(root, "d")
 	if err != nil || p.listState(root) != complete {
 		t.Fatalf("LOOKUP d: %v, root %v: the case is not set up", err, p.listState(root))
 	}
 	removed := make(chan error, 1)
 	go func() { removed <- nc.Remove(root, "d") }()
-	<-up.answered
+	<-answered
 	if got, _, err := nc.Lookup(root, "d"); err != nil || !bytes.Equal(got, d) {
 		t.Errorf("LOOKUP d while its REMOVE is upstream = %x, %v; want %x", got, err, d)
 	}
-	close(up.release)
+	close(release)
 	if err := <-removed; nfs3.StatusOf(err) != nfs3.ErrIsDir {
 		t.Fatalf("REMOVE of a directory: %v, want ISDIR", err)
 	}

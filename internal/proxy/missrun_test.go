@@ -6,6 +6,7 @@ package proxy
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,99 +14,101 @@ import (
 	"testing"
 	"time"
 
-	"gvfs/internal/backend"
-	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
 
 const runBS = 8192
 
-// upstreamRead is one Read the proxy sent its backend, in blocks.
-type upstreamRead struct{ block, blocks uint64 }
-
-func (u upstreamRead) String() string { return fmt.Sprintf("%d+%d", u.block, u.blocks) }
-
-// spyBackend records every Read the proxy sends upstream and can cut a
-// reply short, fail the transport, take its time, or hold a reply until
-// told to let go.
-type spyBackend struct {
-	backend.Backend
-
+// spy is a hook on the READs a chain sends upstream: it can cut a reply
+// short, fail the transport, take its time, or hold a reply until told to
+// let go.
+type spy struct {
 	mu      sync.Mutex
-	reads   []upstreamRead
-	fetched uint64        // blocks asked for, over all Reads
-	cur     int           // Reads outstanding ...
+	fetched uint64        // blocks asked for, over all READs
+	cur     int           // READs outstanding ...
 	peak    int           // ... and the most there have been at once
 	cut     int           // when > 0, a longer reply is cut to this many bytes (and is not the file's end) ...
-	cutFrom uint64        // ... if the Read starts at this block or later
-	delay   time.Duration // every Read takes this long
-	down    bool          // every Read fails as a dead transport
-	hold    chan struct{} // when set, a Read's reply waits for a receive from it ...
+	cutFrom uint64        // ... if the READ starts at this block or later
+	delay   time.Duration // every READ takes this long
+	down    bool          // every READ fails as a dead transport
+	hold    chan struct{} // when set, a READ's reply waits for a receive from it ...
 	held    chan struct{} // ... after announcing itself here
 }
 
-func (s *spyBackend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
+func (s *spy) hook(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+	var a nfs3.ReadArgs
+	if c.Proc != nfs3.ProcRead || a.DecodeRefInto(c.Args) != nil {
+		return next()
+	}
 	s.mu.Lock()
-	s.reads = append(s.reads, upstreamRead{off / runBS, uint64(count) / runBS})
-	s.fetched += uint64(count) / runBS
+	s.fetched += uint64(a.Count) / runBS
 	s.cur++
 	s.peak = max(s.peak, s.cur)
 	cut, delay, down, hold, held := s.cut, s.delay, s.down, s.hold, s.held
-	if off/runBS < s.cutFrom {
+	if a.Offset/runBS < s.cutFrom {
 		cut = 0
 	}
 	s.mu.Unlock()
-	defer s.set(func(s *spyBackend) { s.cur-- })
+	defer s.set(func(s *spy) { s.cur-- })
 	time.Sleep(delay)
 	if down {
-		return backend.ReadResult{}, &backend.Error{Class: backend.ClassUnavailable, Op: "read"}
+		return nil, errors.New("spy: transport down")
 	}
-	r, err := s.Backend.Read(f, off, count, opts)
-	if err == nil && cut > 0 && len(r.Data) > cut {
-		r.Data, r.EOF = r.Data[:cut], false
+	res, err := next()
+	if cut > 0 && err == nil {
+		if r, derr := nfs3.DecodeReadRes(res); derr == nil && len(r.Data) > cut {
+			r.Data, r.Count, r.EOF = r.Data[:cut], uint32(cut), false
+			res = r.Encode()
+		}
 	}
 	if hold != nil {
 		held <- struct{}{}
 		<-hold
 	}
-	return r, err
+	return res, err
 }
 
-// Lookup lets the proxy look for meta-data files (backend.Lookuper).
-func (s *spyBackend) Lookup(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
-	return s.Backend.(backend.Lookuper).Lookup(dir, name, opts)
-}
-
-// taken returns the upstream Reads recorded since the last call.
-func (s *spyBackend) taken() []upstreamRead {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.reads
-	s.reads = nil
-	return out
-}
-
-func (s *spyBackend) set(f func(*spyBackend)) {
+func (s *spy) set(f func(*spy)) {
 	s.mu.Lock()
 	f(s)
 	s.mu.Unlock()
 }
 
-// runEnv is a write-back caching proxy over an in-process nfsd holding
-// one file, /disk.img, with a spy on the data path.
+// runEnv is a chain whose origin holds one file, /disk.img, with a spy on
+// the READs that reach it.
 type runEnv struct {
-	p    *Proxy
-	spy  *spyBackend
-	nc   *nfs3.Client
-	root nfs3.FH
+	*chain
+	spy  *spy
 	fh   nfs3.FH
-	fs   *memfs.FS
 	want []byte // the session's view of the file: origin bytes plus absorbed writes
+}
+
+// runCache is the runs' disk cache: 512 blocks of runBS.
+func runCache(policy cache.Policy) *cache.Config {
+	return &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: runBS, Policy: policy}
+}
+
+// runChain is newChain (with runCache(cache.WriteBack) unless spec names
+// a cache) over an origin that holds size bytes of runContent as
+// /disk.img, looked up.
+func runChain(t *testing.T, size int, spec chainSpec) *runEnv {
+	t.Helper()
+	e := &runEnv{spy: &spy{}, want: runContent(size, 0)}
+	if spec.cache == nil {
+		spec.cache = runCache(cache.WriteBack)
+	}
+	spec.fs, spec.hook = memfs.New(), e.spy.hook
+	Check(t, spec.fs.WriteFile("/disk.img", e.want))
+	e.chain = newChain(t, spec)
+	var err error
+	if e.fh, _, err = e.nc.Lookup(e.root, "disk.img"); err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // newSession ends the session — the proxy's Flush — and looks the file up
@@ -113,9 +116,7 @@ type runEnv struct {
 // its directory is seen.
 func (e *runEnv) newSession(t *testing.T) {
 	t.Helper()
-	if err := e.p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, e.p.Flush())
 	var err error
 	if e.fh, _, err = e.nc.Lookup(e.root, "disk.img"); err != nil {
 		t.Fatal(err)
@@ -130,48 +131,12 @@ func runContent(n int, salt byte) []byte {
 	return b
 }
 
-func newRunEnv(t *testing.T, size int, cfg Config) *runEnv {
-	t.Helper()
-	return newRunEnvPolicy(t, size, cfg, cache.WriteBack)
-}
-
-func newRunEnvPolicy(t *testing.T, size int, cfg Config, policy cache.Policy) *runEnv {
-	t.Helper()
-	e := &runEnv{fs: memfs.New(), want: runContent(size, 0)}
-	if err := e.fs.WriteFile("/disk.img", e.want); err != nil {
-		t.Fatal(err)
-	}
-	upstream := nfsdInProcess(t, e.fs)
-	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4,
-		BlockSize: runBS, Policy: policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
-	e.spy = &spyBackend{Backend: nfs3be.New(upstream)}
-	cfg.Upstream, cfg.Backend, cfg.BlockCache = upstream, e.spy, bc
-	if e.p, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.p.Shutdown)
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "runs"}.Encode()
-	rpc := sunrpc.Local{H: e.p}
-	if e.root, err = mountd.Mount(rpc, cred, "/"); err != nil {
-		t.Fatal(err)
-	}
-	e.nc = nfs3.NewClient(rpc, cred)
-	if e.fh, _, err = e.nc.Lookup(e.root, "disk.img"); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // read issues one READ of blocks whole blocks from block on, checks the
 // reply against the session's view (bytes, and EOF exactly when the reply
 // reaches the end of the file) and returns what it cost upstream.
 func (e *runEnv) read(t *testing.T, block, blocks int) []upstreamRead {
 	t.Helper()
-	e.spy.taken()
+	e.taken()
 	off, count := block*runBS, blocks*runBS
 	data, eof, err := e.nc.Read(e.fh, uint64(off), uint32(count))
 	if err != nil {
@@ -182,7 +147,7 @@ func (e *runEnv) read(t *testing.T, block, blocks int) []upstreamRead {
 		t.Fatalf("READ %d+%d: %d bytes eof=%v; want the session's %d bytes, eof=%v",
 			block, blocks, len(data), eof, end-off, end == len(e.want))
 	}
-	return e.spy.taken()
+	return e.taken()
 }
 
 // write absorbs one whole-block WRITE of new content.
@@ -304,8 +269,8 @@ func TestMissRunShape(t *testing.T) {
 			if size == 0 {
 				size = 16 * runBS
 			}
-			e := newRunEnv(t, size, Config{})
-			e.spy.set(func(s *spyBackend) { s.cut = tc.cut })
+			e := runChain(t, size, chainSpec{})
+			e.spy.set(func(s *spy) { s.cut = tc.cut })
 			for i, st := range tc.steps {
 				if st.write {
 					e.write(t, st.block, byte(0x40+i))
@@ -326,9 +291,7 @@ func TestMissRunShape(t *testing.T) {
 				}
 			}
 			// The origin after a flush is the session's view.
-			if err := e.p.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, e.p.Flush())
 			if data, err := e.fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(data, e.want) {
 				t.Errorf("origin after flush differs from the session's view (err=%v)", err)
 			}
@@ -344,19 +307,15 @@ func TestMissRunShape(t *testing.T) {
 func TestZeroMapTrimsMultiBlockReads(t *testing.T) {
 	const size = 15*runBS + 100
 	nonZero := []int{1, 2, 5, 7, 8, 10, 15} // 15 is the 100-byte tail
-	e := newRunEnv(t, size, Config{})
+	e := runChain(t, size, chainSpec{})
 	clear(e.want)
 	for _, b := range nonZero {
 		copy(e.want[b*runBS:], runContent(runBS, byte(b)))
 	}
 	blob, err := meta.GenerateZeroMap(e.want, runBS).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	for name, data := range map[string][]byte{"/disk.img": e.want, "/" + meta.NameFor("disk.img"): blob} {
-		if err := e.fs.WriteFile(name, data); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, e.fs.WriteFile(name, data))
 	}
 	e.newSession(t)
 	e.read(t, 0, 1) // the file's first READ fetches the map
@@ -387,13 +346,13 @@ func TestZeroMapTrimsMultiBlockReads(t *testing.T) {
 // TestMissRunPartialBlockRead: a READ of part of a block is answered
 // with that part, fetches only that part and installs nothing.
 func TestMissRunPartialBlockRead(t *testing.T) {
-	e := newRunEnv(t, 16*runBS, Config{})
+	e := runChain(t, 16*runBS, chainSpec{})
 	e.read(t, 3, 1)
 	data, _, err := e.nc.Read(e.fh, 4*runBS, 1000)
 	if err != nil || !bytes.Equal(data, e.want[4*runBS:4*runBS+1000]) {
 		t.Fatalf("READ of 1000 bytes: %d bytes, err=%v", len(data), err)
 	}
-	if got := e.spy.taken(); !sameReads(got, upstreamRead{4, 0}) { // less than a block
+	if got := e.taken(); !sameReads(got, upstreamRead{4, 0}) { // less than a block
 		t.Errorf("upstream READs %v, want one of less than a block at block 4", got)
 	}
 	if e.resident(4) || e.resident(5) {
@@ -408,7 +367,7 @@ func TestMissRunPartialBlockRead(t *testing.T) {
 // demanded one show in gvfs_proxy_prefetched_total, and a run is one
 // miss and one forwarded call.
 func TestMissRunCountsAsPrefetched(t *testing.T) {
-	e := newRunEnv(t, 16*runBS, Config{})
+	e := runChain(t, 16*runBS, chainSpec{})
 	before := e.p.Snapshot()
 	for b := 0; b < 8; b++ {
 		e.read(t, b, 1)
@@ -434,14 +393,14 @@ func TestRandomMissesDoNotOverFetch(t *testing.T) {
 	const fileBlocks, reads = 4096, 128
 	for _, ahead := range []int{0, 16} {
 		t.Run(fmt.Sprintf("readahead=%d", ahead), func(t *testing.T) {
-			e := newRunEnv(t, fileBlocks*runBS, Config{ReadAhead: ahead})
+			e := runChain(t, fileBlocks*runBS, chainSpec{readAhead: ahead})
 			rng := rand.New(rand.NewSource(20040604))
 			for _, b := range rng.Perm(fileBlocks)[:reads] {
 				e.read(t, b, 1)
 			}
 			e.settle(t)
 			var fetched uint64
-			e.spy.set(func(s *spyBackend) { fetched = s.fetched })
+			e.spy.set(func(s *spy) { fetched = s.fetched })
 			if per := float64(fetched) / reads; per > 1.05 {
 				t.Errorf("%d random READs fetched %d blocks, %.3f per READ; want at most 1.05", reads, fetched, per)
 			}
@@ -454,22 +413,16 @@ func TestRandomMissesDoNotOverFetch(t *testing.T) {
 // several to a READ — are served from the cache. A READ the zero map
 // answers whole is a degraded read like them.
 func TestMissRunDegraded(t *testing.T) {
-	e := newRunEnv(t, 16*runBS, Config{FailureThreshold: 1, ProbeInterval: time.Hour})
+	e := runChain(t, 16*runBS, chainSpec{config: func(c *Config) { c.FailureThreshold, c.ProbeInterval = 1, time.Hour }})
 	zeros := make([]byte, 4*runBS)
 	blob, err := meta.GenerateZeroMap(zeros, runBS).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	for name, data := range map[string][]byte{"/zero.img": zeros, "/" + meta.NameFor("zero.img"): blob} {
-		if err := e.fs.WriteFile(name, data); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, e.fs.WriteFile(name, data))
 	}
 	e.newSession(t)
 	zfh, _, err := e.nc.Lookup(e.root, "zero.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	readZeros := func() {
 		t.Helper()
 		if data, _, err := e.nc.Read(zfh, runBS, runBS); err != nil || !bytes.Equal(data, zeros[:runBS]) {
@@ -479,18 +432,18 @@ func TestMissRunDegraded(t *testing.T) {
 	readZeros() // fetches the map
 	e.read(t, 3, 1)
 	e.read(t, 4, 1) // installs 4..7
-	e.spy.set(func(s *spyBackend) { s.down = true })
+	e.spy.set(func(s *spy) { s.down = true })
 	if _, _, err := e.nc.Read(e.fh, 9*runBS, runBS); err == nil {
 		t.Fatal("READ through a dead transport succeeded")
 	}
 	if !e.p.Degraded() {
 		t.Fatal("breaker did not open")
 	}
-	e.spy.taken()
+	e.taken()
 	if _, _, err := e.nc.Read(e.fh, 8*runBS, runBS); err == nil {
 		t.Error("a miss was answered while degraded")
 	}
-	if got := e.spy.taken(); len(got) != 0 {
+	if got := e.taken(); len(got) != 0 {
 		t.Errorf("a degraded miss reached upstream: %v", got)
 	}
 	for _, r := range [][2]int{{5, 1}, {4, 4}, {6, 2}} {
@@ -499,7 +452,7 @@ func TestMissRunDegraded(t *testing.T) {
 		}
 	}
 	readZeros()
-	if got := e.spy.taken(); len(got) != 0 {
+	if got := e.taken(); len(got) != 0 {
 		t.Errorf("a degraded READ of zero-mapped blocks went upstream: %v", got)
 	}
 	if n := e.p.Snapshot().Counter("gvfs_proxy_degraded_reads_total"); n != 4 {
@@ -530,25 +483,23 @@ func TestCleanInsertNeverReplacesDirtyFrame(t *testing.T) {
 		{"write inside the run, written through", cache.WriteThrough, 3, 4, 6, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newRunEnvPolicy(t, 16*runBS, Config{}, tc.policy)
+			e := runChain(t, 16*runBS, chainSpec{cache: runCache(tc.policy)})
 			if tc.warm != tc.read {
 				e.read(t, tc.warm, 1) // sequential evidence for the READ below
 			}
 			hold, held := make(chan struct{}), make(chan struct{})
-			e.spy.set(func(s *spyBackend) { s.hold, s.held = hold, held })
+			e.spy.set(func(s *spy) { s.hold, s.held = hold, held })
 			done := make(chan error, 1)
 			go func() {
 				_, _, err := e.nc.Read(e.fh, uint64(tc.read*runBS), runBS)
 				done <- err
 			}()
 			<-held // the upstream reply is in hand, old bytes and all
-			e.spy.set(func(s *spyBackend) { s.hold, s.held = nil, nil })
+			e.spy.set(func(s *spy) { s.hold, s.held = nil, nil })
 			ahead := e.p.Snapshot().Counter("gvfs_proxy_prefetched_total")
 			e.write(t, tc.written, 0x77)
 			if tc.settle != nil {
-				if err := tc.settle(e.p); err != nil {
-					t.Fatal(err)
-				}
+				Check(t, tc.settle(e.p))
 			}
 			hold <- struct{}{}
 			if err := <-done; err != nil {
@@ -566,9 +517,7 @@ func TestCleanInsertNeverReplacesDirtyFrame(t *testing.T) {
 				t.Errorf("%d blocks of the overtaken run count as prefetched", got)
 			}
 			e.read(t, tc.read, 1)
-			if err := e.p.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, e.p.Flush())
 			if data, err := e.fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(data, e.want) {
 				t.Errorf("origin after flush lost the acknowledged write (err=%v)", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestNamespaceModel(t *testing.T) {
 func namespaceModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fs := memfs.New()
-	p, a, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, a, root := newChain(t, chainSpec{fs: fs}).client()
 	b := nfs3.NewClient(sunrpc.Local{H: p}, sunrpc.UnixCred{UID: 501, GID: 501, MachineName: "model"}.Encode())
 	if rng.Intn(4) > 0 {
 		p.setTableLimit(8 + rng.Intn(56))
@@ -106,9 +107,7 @@ func originTree(t *testing.T, fs *memfs.FS, root nfs3.FH) (dirs, files []nfs3.FH
 	dirs = []nfs3.FH{root}
 	for i := 0; i < len(dirs); i++ {
 		ents, _, err := fs.ReadDir(dirs[i], 0, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		Check(t, err)
 		for _, e := range ents {
 			if e.Attr.Type == nfs3.TypeDir {
 				dirs = append(dirs, e.Handle)
@@ -118,4 +117,48 @@ func originTree(t *testing.T, fs *memfs.FS, root nfs3.FH) (dirs, files []nfs3.FH
 		}
 	}
 	return dirs, files
+}
+
+// nameProcs are the calls whose arguments both the proxy and the origin's
+// nfs3.Server decode: the name changes, which handleNameChange decodes
+// before it forwards them, and the directory reads.
+var nameProcs = []uint32{nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink, nfs3.ProcLink, nfs3.ProcRemove,
+	nfs3.ProcRmdir, nfs3.ProcRename, nfs3.ProcReaddir, nfs3.ProcAccess}
+
+// FuzzNameArgs sends one body as one of nameProcs through a chain and to
+// its origin's NFS server. Nothing may panic; the chain refuses the body
+// as GARBAGE_ARGS exactly when the origin does; and the attribute table,
+// held to a small limit, stays within it.
+func FuzzNameArgs(f *testing.F) {
+	ch := newChain(f, chainSpec{})
+	ch.p.setTableLimit(64)
+	root := ch.root
+	dir := func(name string) []byte { return (&nfs3.LookupArgs{Dir: root, Name: name}).Encode() }
+	fh, attrs := (&nfs3.GetattrArgs{FH: root}).Encode(), make([]byte, 24) // attrs: a SetAttr that sets nothing
+	for proc, body := range [][]byte{                                     // one seed per nameProcs entry, in its order
+		slices.Concat(dir("a"), make([]byte, 4), attrs),                  // CREATE, UNCHECKED
+		slices.Concat(dir("d"), attrs),                                   // MKDIR
+		slices.Concat(dir("l"), attrs, []byte{0, 0, 0, 1, 'a', 0, 0, 0}), // SYMLINK l -> a
+		slices.Concat(fh, dir("h")),                                      // LINK
+		dir("a"), dir("d"),                                               // REMOVE, RMDIR
+		slices.Concat(dir("a"), dir("b")),                  // RENAME
+		slices.Concat(fh, make([]byte, 18), []byte{16, 0}), // READDIR: cookie, verifier, count
+		slices.Concat(fh, []byte{0, 0, 0, 0x3f}),           // ACCESS
+	} {
+		f.Add(uint8(proc), body)
+	}
+	f.Fuzz(func(t *testing.T, proc uint8, body []byte) {
+		call := func(h sunrpc.Handler) sunrpc.AcceptStat {
+			_, stat := h.HandleCall(&sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version,
+				Proc: nameProcs[int(proc)%len(nameProcs)], Cred: ch.cred, Args: bytes.Clone(body)})
+			return stat
+		}
+		origin, chain := call(ch.origin.H), call(ch.p)
+		if (origin == sunrpc.GarbageArgs) != (chain == sunrpc.GarbageArgs) {
+			t.Fatalf("%s: the origin answers %v, the chain %v", nfs3.ProcName(nameProcs[int(proc)%len(nameProcs)]), origin, chain)
+		}
+		if n := ch.p.attrs.len(); n > 64 {
+			t.Fatalf("%d entries in a table limited to 64", n)
+		}
+	})
 }

@@ -2,15 +2,17 @@ package proxy_test
 
 import (
 	"bytes"
+	"gvfs/internal/proxy"
 	"net"
 	"testing"
 
+	gvfs "gvfs"
 	"gvfs/internal/bufpool"
 	"gvfs/internal/cache"
-	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/stack"
+	"gvfs/internal/stack/stacktest"
 )
 
 // Every place a proxy consumes upstream bytes, driven through the real
@@ -26,33 +28,22 @@ func TestChainReadOwnership(t *testing.T) {
 	defer bufpool.SetDebug(false)
 	const bs = cascadeBS
 
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Close)
 	// A file channel that refuses every connection: meta-data that asks
 	// for it sends the proxy down its block-based fallback.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	deadChan := l.Addr().String()
 	l.Close()
 	const cacheBlocks = 32
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 8, Assoc: 2,
-			BlockSize: bs, Policy: cache.WriteBack},
-		ReadAhead:    8,
-		FileChanAddr: deadChan,
+	c := stacktest.New(t, stacktest.Spec{
+		Hops: []stack.ProxyOptions{{
+			CacheConfig:  &cache.Config{Banks: 2, SetsPerBank: 8, Assoc: 2, BlockSize: bs, Policy: cache.WriteBack},
+			ReadAhead:    8,
+			FileChanAddr: deadChan,
+		}},
+		Session: gvfs.SessionConfig{Cred: stacktest.Cred},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess := cascadeMount(t, node.Addr)
+	fs, node, sess := c.FS, c.Hop(), c.Session()
 	nc := sess.NFS()
 	counter := func(name string) uint64 { return node.Proxy.Snapshot().Counter(name) }
 
@@ -118,9 +109,7 @@ func TestChainReadOwnership(t *testing.T) {
 	for off := 0; off < len(rmw); off += bs {
 		read("after RMW", fh, rmw, off, bs)
 	}
-	if err := node.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, node.Proxy.Flush())
 	if data, err := fs.ReadFile("/rmw.img"); err != nil || !bytes.Equal(data, rmw) {
 		t.Fatalf("origin after flush: err=%v, %d bytes, want %d byte-identical", err, len(data), len(rmw))
 	}

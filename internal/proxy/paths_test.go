@@ -13,64 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"gvfs/internal/cache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
-
-// nfsdInProcess serves fs the way stack.StartNFSServer does, with no
-// socket in between.
-func nfsdInProcess(t *testing.T, fs *memfs.FS) sunrpc.Local {
-	t.Helper()
-	root, err := fs.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	md := mountd.NewServer()
-	md.Export("/", root)
-	nfsd := nfs3.NewServer(fs)
-	return sunrpc.Local{H: sunrpc.HandlerFunc(func(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
-		if c.Prog == nfs3.MountProgram {
-			return md.HandleCall(c)
-		}
-		return nfsd.HandleCall(c)
-	})}
-}
-
-// pathsProxy is a write-back caching proxy over an in-process nfsd,
-// mounted, with an NFS client speaking to it in process too.
-func pathsProxy(t *testing.T) (*Proxy, *nfs3.Client, nfs3.FH) {
-	t.Helper()
-	return pathsProxyOn(t, nfsdInProcess(t, memfs.New()))
-}
-
-// pathsProxyOn is pathsProxy over a given upstream, so that several
-// proxies can share one origin.
-func pathsProxyOn(t *testing.T, upstream nfs3.Caller) (*Proxy, *nfs3.Client, nfs3.FH) {
-	t.Helper()
-	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
-	p, err := New(Config{Upstream: upstream, BlockCache: bc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "paths"}.Encode()
-	rpc := sunrpc.Local{H: p}
-	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, nfs3.NewClient(rpc, cred), root
-}
 
 // TestRenameWaitsForWholePut: a fetched file's put goes to the origin by
 // path, so a RENAME of the file issued while the put is in flight waits
@@ -83,16 +31,10 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 	fs.WriteFile("/mem.vmss", state)
 	blob, _ := meta.ForWholeFile(state, bs).Encode()
 	fs.WriteFile("/"+meta.NameFor("mem.vmss"), blob)
-	bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
-		BlockSize: bs, Policy: cache.WriteBack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bc.Close() })
 	var hold atomic.Bool // the next dial waits for release
 	dialed, release := make(chan struct{}, 1), make(chan struct{})
-	p, err := New(Config{Upstream: nfsdInProcess(t, fs), BlockCache: bc,
-		FileChanDial: func() (net.Conn, error) {
+	p, nc, root := newChain(t, chainSpec{fs: fs, config: func(cfg *Config) {
+		cfg.FileChanDial = func() (net.Conn, error) {
 			if hold.Load() {
 				dialed <- struct{}{}
 				<-release
@@ -100,29 +42,16 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 			a, b := net.Pipe()
 			go filechan.NewServer(fs).ServeConn(b)
 			return a, nil
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Shutdown)
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "paths"}.Encode()
-	rpc := sunrpc.Local{H: p}
-	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(rpc, cred)
+		}
+	}}).client()
 	fh, _, err := nc.Lookup(root, "mem.vmss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	if _, _, err := nc.Read(fh, 0, bs); err != nil || p.stats.fileChanFetch.Value() != 1 {
 		t.Fatalf("the first READ (err %v) did not fetch the file", err)
 	}
 	patch := bytes.Repeat([]byte{0xa5}, bs)
-	if _, _, err := nc.Write(fh, bs, patch, nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = nc.Write(fh, bs, patch, nfs3.Unstable)
+	Check(t, err)
 	copy(state[bs:], patch)
 
 	hold.Store(true)
@@ -138,12 +67,8 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(release)
-	if err := <-wroteBack; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-renamed; err != nil {
-		t.Fatal(err)
-	}
+	Check(t, <-wroteBack)
+	Check(t, <-renamed)
 	if got, err := fs.ReadFile("/moved.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the renamed file does not hold the written state (err %v)", err)
 	}
@@ -183,7 +108,7 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 	if testing.Short() {
 		cycles = 70000 // still past attrTableCap
 	}
-	p, _, root := pathsProxy(t)
+	p, _, root := newChain(t, chainSpec{}).client()
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -231,9 +156,7 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 	// A REMOVE the upstream refuses leaves the file, and its entry.
 	nc := nfs3.NewClient(sunrpc.Local{H: p}, sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "soak"}.Encode())
 	fh, _, err := nc.Create(root, "kept.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	if err := nc.Remove(root, "no-such.img"); err == nil {
 		t.Fatal("REMOVE of a missing name succeeded")
 	}
@@ -243,22 +166,15 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 }
 
 func TestRenameRekeysPath(t *testing.T) {
-	p, nc, root := pathsProxy(t)
+	p, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "a.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	old, _, err := nc.Create(root, "b.img", nfs3.SetAttr{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nc.Write(old, 0, make([]byte, 8192), nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	_, _, err = nc.Write(old, 0, make([]byte, 8192), nfs3.Unstable)
+	Check(t, err)
 	before := p.pathCount()
-	if err := nc.Rename(root, "a.img", root, "b.img"); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, nc.Rename(root, "a.img", root, "b.img"))
 	if got := p.fileLabel(fh); got != "/b.img" {
 		t.Errorf("renamed file is labelled %q, want /b.img", got)
 	}
@@ -282,29 +198,24 @@ func TestRenameRekeysPath(t *testing.T) {
 // that moment — with the dead handles' entries left in paths, childFH
 // picked among them in map order.
 func TestRemoveAfterRecreateInvalidatesLiveHandle(t *testing.T) {
-	p, nc, root := pathsProxy(t)
+	p, nc, root := newChain(t, chainSpec{}).client()
 	var prev nfs3.FH
 	for round := 0; round < 8; round++ {
 		fh, _, err := nc.Create(root, "vm.redo", nfs3.SetAttr{}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		Check(t, err)
 		if bytes.Equal(fh, prev) {
 			t.Fatal("memfs reused a handle; the test needs a new one per create")
 		}
 		prev = fh
-		if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{byte(round)}, 8192), nfs3.Unstable); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{byte(round)}, 8192), nfs3.Unstable)
+		Check(t, err)
 		if cached, _ := p.cfg.BlockCache.Peek(fh, 0); !cached {
 			t.Fatalf("round %d: the WRITE was not absorbed", round)
 		}
 		if got, ok := p.childFH(root, "vm.redo"); !ok || !bytes.Equal(got, fh) {
 			t.Errorf("round %d: childFH = %v, want the live handle %v", round, got, fh)
 		}
-		if err := nc.Remove(root, "vm.redo"); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, nc.Remove(root, "vm.redo"))
 		if cached, _ := p.cfg.BlockCache.Peek(fh, 0); cached {
 			t.Errorf("round %d: REMOVE left the live handle's block cached", round)
 		}
@@ -319,26 +230,19 @@ func TestRemoveAfterRecreateInvalidatesLiveHandle(t *testing.T) {
 func TestCreateTruncateDropsCachedBlocks(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/disk.img", bytes.Repeat([]byte{0xaa}, 16<<10))
-	p, nc, root := pathsProxyOn(t, nfsdInProcess(t, fs))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	for off := uint64(0); off < 16<<10; off += 8192 {
-		if _, _, err := nc.Read(fh, off, 8192); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err := nc.Read(fh, off, 8192)
+		Check(t, err)
 	}
 	zero := uint64(0)
-	if _, _, err := nc.Create(root, "disk.img", nfs3.SetAttr{Size: &zero}, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nc.Write(fh, 0, []byte{0x01}, nfs3.Unstable); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = nc.Create(root, "disk.img", nfs3.SetAttr{Size: &zero}, false)
+	Check(t, err)
+	_, _, err = nc.Write(fh, 0, []byte{0x01}, nfs3.Unstable)
+	Check(t, err)
+	Check(t, p.Flush())
 	if got, err := fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(got, []byte{0x01}) {
 		t.Fatalf("origin holds %d bytes (% x …), %v; want the 1 byte written", len(got), got[:min(len(got), 4)], err)
 	}
@@ -355,38 +259,27 @@ func TestAuditFollowsDirtyHandle(t *testing.T) {
 		relabel func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) (label string)
 	}{
 		{"rename", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
-			if err := nc.Rename(root, "a", root, "b"); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, nc.Rename(root, "a", root, "b"))
 			return "/b"
 		}},
 		{"flush then lookup", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
-			if err := p.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, p.Flush())
 			// Dirty again under the handle alone: the Flush forgot its path.
-			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{2}, 8192), nfs3.Unstable); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := nc.Lookup(root, "a"); err != nil {
-				t.Fatal(err)
-			}
+			_, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{2}, 8192), nfs3.Unstable)
+			Check(t, err)
+			_, _, err = nc.Lookup(root, "a")
+			Check(t, err)
 			return "/a"
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, nc, root := pathsProxy(t)
+			p, nc, root := newChain(t, chainSpec{}).client()
 			fh, _, err := nc.Create(root, "a", nfs3.SetAttr{}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, err)
+			_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable)
+			Check(t, err)
 			label := tc.relabel(t, p, nc, root, fh)
-			if err := p.WriteBack(); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, p.WriteBack())
 			if n := p.cfg.BlockCache.DirtyCount(); n != 0 {
 				t.Fatalf("%d blocks still dirty in the cache after WriteBack", n)
 			}

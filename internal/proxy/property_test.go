@@ -9,6 +9,8 @@ package proxy_test
 
 import (
 	"bytes"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"io"
 	"math/rand"
 	"testing"
@@ -47,11 +49,11 @@ func TestPropertyProxyMatchesModel(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for round := 0; round < 6; round++ {
-				e := newEnv(t, envOptions{policy: policy, pages: 8})
-				f, err := e.session.Create("/model.bin")
-				if err != nil {
-					t.Fatal(err)
-				}
+				spec := oneHop(policy)
+				spec.Session.PageCachePages = 8
+				e := stacktest.New(t, spec)
+				f, err := e.Session().Create("/model.bin")
+				proxy.Check(t, err)
 				model := []byte{}
 				for i, op := range genOps(rng, 40) {
 					switch op.kind {
@@ -95,21 +97,17 @@ func TestPropertyProxyMatchesModel(t *testing.T) {
 							model = append(model, make([]byte, op.tsize-uint64(len(model)))...)
 						}
 					case 3: // middleware write-back
-						if err := e.proxyN.Proxy.WriteBack(); err != nil {
+						if err := e.Hop().Proxy.WriteBack(); err != nil {
 							t.Fatalf("round %d op %d: writeback: %v", round, i, err)
 						}
 					case 4: // client cache drop
-						e.session.DropCaches()
+						e.Session().DropCaches()
 					}
 				}
 				// Final settle: server must hold exactly the model.
-				if err := e.proxyN.Proxy.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.fs.ReadFile("/model.bin")
-				if err != nil {
-					t.Fatal(err)
-				}
+				proxy.Check(t, e.Hop().Proxy.Flush())
+				got, err := e.FS.ReadFile("/model.bin")
+				proxy.Check(t, err)
 				if !bytes.Equal(got, model) {
 					t.Fatalf("round %d: server state diverged from model (len %d vs %d)",
 						round, len(got), len(model))

@@ -3,6 +3,7 @@ package proxy_test
 import (
 	"bytes"
 	"fmt"
+	"gvfs/internal/proxy"
 	"slices"
 	"testing"
 	"time"
@@ -10,105 +11,56 @@ import (
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
-	"gvfs/internal/sunrpc"
+	"gvfs/internal/stack/stacktest"
 
 	gvfs "gvfs"
 )
 
-// env is a full test deployment: image server, one client proxy, and a
-// mounted session.
-type env struct {
-	fs      *memfs.FS
-	server  *stack.ImageServer
-	proxyN  *stack.Node
-	session *gvfs.Session
-}
-
-type envOptions struct {
-	policy   cache.Policy
-	noCache  bool
-	fileChan bool
-	pages    int
-	link     *simnet.Link // the path to the image server, when a test counts what crosses it
-}
-
-func newEnv(t testing.TB, o envOptions) *env {
-	t.Helper()
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: o.link})
-	if err != nil {
-		t.Fatal(err)
+// oneHop declares the chain most tests here run on: an image server, one
+// client proxy with a disk cache of the given policy, and a session of the
+// grid user.
+func oneHop(policy cache.Policy) stacktest.Spec {
+	return stacktest.Spec{
+		Hops:    []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: policy}}},
+		Session: gvfs.SessionConfig{Cred: stacktest.Cred},
 	}
-	t.Cleanup(server.Close)
-
-	popts := stack.ProxyOptions{UpstreamAddr: server.ProxyAddr(), UpstreamLink: o.link}
-	if !o.noCache {
-		cfg := cache.Config{
-			Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
-			BlockSize: 8192, Policy: o.policy,
-		}
-		popts.CacheConfig = &cfg
-	}
-	if o.fileChan {
-		popts.FileChanAddr = server.FileChanAddr()
-	}
-	proxyN, err := stack.StartProxy(popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(proxyN.Close)
-
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr:           proxyN.Addr,
-		Export:         "/",
-		Cred:           sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode(),
-		PageCachePages: o.pages,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return &env{fs: fs, server: server, proxyN: proxyN, session: sess}
 }
 
 func TestReadThroughProxyChain(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte("GridVM"), 10000)
-	e.fs.WriteFile("/images/vm.vmdk", payload)
+	e.FS.WriteFile("/images/vm.vmdk", payload)
 
-	got, err := e.session.ReadFile("/images/vm.vmdk")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, err := e.Session().ReadFile("/images/vm.vmdk")
+	proxy.Check(t, err)
 	if !bytes.Equal(got, payload) {
 		t.Errorf("read through chain: %d bytes, want %d", len(got), len(payload))
 	}
 }
 
 func TestProxyCacheHitsOnRereadAfterPageCacheDrop(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, pages: 4})
+	spec := oneHop(cache.WriteBack)
+	spec.Session.PageCachePages = 4
+	e := stacktest.New(t, spec)
 	payload := bytes.Repeat([]byte{0x5a}, 64*1024)
-	e.fs.WriteFile("/vm.vmdk", payload)
+	e.FS.WriteFile("/vm.vmdk", payload)
 
-	if _, err := e.session.ReadFile("/vm.vmdk"); err != nil {
-		t.Fatal(err)
-	}
-	beforeMisses := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
+	_, err := e.Session().ReadFile("/vm.vmdk")
+	proxy.Check(t, err)
+	beforeMisses := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if beforeMisses == 0 {
 		t.Fatal("first read should miss in the proxy cache")
 	}
 
 	// Drop the client memory cache: re-reads must hit the proxy disk
 	// cache, not the server.
-	e.session.DropCaches()
-	if _, err := e.session.ReadFile("/vm.vmdk"); err != nil {
-		t.Fatal(err)
-	}
-	after := e.proxyN.Proxy.Snapshot()
+	e.Session().DropCaches()
+	_, err = e.Session().ReadFile("/vm.vmdk")
+	proxy.Check(t, err)
+	after := e.Hop().Proxy.Snapshot()
 	if after.Counter("gvfs_proxy_read_hits_total") == 0 {
 		t.Error("re-read produced no proxy cache hits")
 	}
@@ -118,80 +70,65 @@ func TestProxyCacheHitsOnRereadAfterPageCacheDrop(t *testing.T) {
 }
 
 func TestWriteBackAbsorbsWrites(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{7}, 32*1024)
-	if err := e.session.WriteFile("/out.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_writes_absorbed_total"); n == 0 {
+	proxy.Check(t, e.Session().WriteFile("/out.dat", payload))
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_writes_absorbed_total"); n == 0 {
 		t.Fatal("no writes absorbed under write-back")
 	}
 	// Server must NOT have the data yet.
-	if data, err := e.fs.ReadFile("/out.dat"); err == nil && bytes.Equal(data, payload) {
+	if data, err := e.FS.ReadFile("/out.dat"); err == nil && bytes.Equal(data, payload) {
 		t.Fatal("write-back leaked data to server before flush")
 	}
 	// Reads through the same proxy see the absorbed data.
-	got, err := e.session.ReadFile("/out.dat")
+	got, err := e.Session().ReadFile("/out.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read-your-writes failed: err=%v", err)
 	}
 	// Middleware write-back propagates it.
-	if err := e.proxyN.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.fs.ReadFile("/out.dat")
+	proxy.Check(t, e.Hop().Proxy.WriteBack())
+	data, err := e.FS.ReadFile("/out.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("server data after WriteBack: err=%v len=%d", err, len(data))
 	}
 }
 
 func TestWriteThroughPropagatesImmediately(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteThrough})
+	e := stacktest.New(t, oneHop(cache.WriteThrough))
 	payload := bytes.Repeat([]byte{9}, 16*1024)
-	if err := e.session.WriteFile("/wt.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.fs.ReadFile("/wt.dat")
+	proxy.Check(t, e.Session().WriteFile("/wt.dat", payload))
+	data, err := e.FS.ReadFile("/wt.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("write-through did not reach server: err=%v", err)
 	}
 }
 
 func TestFlushPropagatesAndInvalidates(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{3}, 24*1024)
-	if err := e.session.WriteFile("/f.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.proxyN.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.fs.ReadFile("/f.dat")
+	proxy.Check(t, e.Session().WriteFile("/f.dat", payload))
+	proxy.Check(t, e.Hop().Proxy.Flush())
+	data, err := e.FS.ReadFile("/f.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("flush did not propagate: err=%v", err)
 	}
 	// After flush the proxy cache is cold again.
-	e.session.DropCaches()
-	before := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
-	if _, err := e.session.ReadFile("/f.dat"); err != nil {
-		t.Fatal(err)
-	}
-	after := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
+	e.Session().DropCaches()
+	before := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
+	_, err = e.Session().ReadFile("/f.dat")
+	proxy.Check(t, err)
+	after := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if after == before {
 		t.Error("proxy cache unexpectedly warm after flush")
 	}
 }
 
 func TestGetattrSeesAbsorbedSize(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := make([]byte, 20000)
-	if err := e.session.WriteFile("/grow.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	attr, err := e.session.Stat("/grow.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, e.Session().WriteFile("/grow.dat", payload))
+	attr, err := e.Session().Stat("/grow.dat")
+	proxy.Check(t, err)
 	if attr.Size != 20000 {
 		t.Errorf("stat size = %d, want 20000 (absorbed writes visible)", attr.Size)
 	}
@@ -206,26 +143,24 @@ func TestGetattrSeesAbsorbedSize(t *testing.T) {
 // required to have moved.
 func TestZeroBlockFiltering(t *testing.T) {
 	link := simnet.NewLink(simnet.Local())
-	e := newEnv(t, envOptions{policy: cache.WriteBack, link: link})
+	spec := oneHop(cache.WriteBack)
+	spec.Link = link
+	e := stacktest.New(t, spec)
 	// A "memory state" that is mostly zero.
 	const bs = 8192
 	state := make([]byte, 64*bs)
 	copy(state[5*bs:], bytes.Repeat([]byte{0xAB}, bs)) // one non-zero block
-	e.fs.WriteFile("/vm/mem.vmss", state)
+	e.FS.WriteFile("/vm/mem.vmss", state)
 
 	m := meta.GenerateZeroMap(state, bs)
 	blob, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
+	proxy.Check(t, err)
+	e.FS.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
 
 	for _, pass := range []string{"cold", "block cache warm"} {
 		before := link.Stats().Received
-		got, err := e.session.ReadFile("/vm/mem.vmss")
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, err := e.Session().ReadFile("/vm/mem.vmss")
+		proxy.Check(t, err)
 		if !bytes.Equal(got, state) {
 			t.Fatalf("%s: zero-filtered read corrupted data", pass)
 		}
@@ -239,7 +174,7 @@ func TestZeroBlockFiltering(t *testing.T) {
 			t.Errorf("%s: %d bytes came across the link for a file with one non-zero %d-byte block, want at most %d", pass, crossed, bs, limit)
 		}
 	}
-	snap := e.proxyN.Proxy.Snapshot()
+	snap := e.Hop().Proxy.Snapshot()
 	if n := snap.Counter("gvfs_proxy_zero_filtered_total"); n == 0 {
 		t.Error("no READ was answered wholly from the zero map")
 	}
@@ -249,25 +184,22 @@ func TestZeroBlockFiltering(t *testing.T) {
 }
 
 func TestFileChannelFetch(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
+	spec := oneHop(cache.WriteBack)
+	spec.FileChan = true
+	e := stacktest.New(t, spec)
 	const bs = 8192
 	state := make([]byte, 32*bs)
 	for i := 0; i < len(state); i += 7 {
 		state[i] = byte(i)
 	}
-	e.fs.WriteFile("/vm/mem.vmss", state)
-	m := meta.ForWholeFile(state, bs)
-	blob, _ := m.Encode()
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
+	writeVMState(t, e.FS, state)
 
-	got, err := e.session.ReadFile("/vm/mem.vmss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, err := e.Session().ReadFile("/vm/mem.vmss")
+	proxy.Check(t, err)
 	if !bytes.Equal(got, state) {
 		t.Fatal("file-channel read corrupted data")
 	}
-	st := e.proxyN.Proxy.Snapshot()
+	st := e.Hop().Proxy.Snapshot()
 	if n := st.Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("file channel fetches = %d, want 1", n)
 	}
@@ -276,11 +208,10 @@ func TestFileChannelFetch(t *testing.T) {
 	}
 	// Re-read after dropping the client cache: still served locally,
 	// with no second fetch.
-	e.session.DropCaches()
-	if _, err := e.session.ReadFile("/vm/mem.vmss"); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
+	e.Session().DropCaches()
+	_, err = e.Session().ReadFile("/vm/mem.vmss")
+	proxy.Check(t, err)
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("re-read refetched the file: %d fetches", n)
 	}
 }
@@ -291,33 +222,27 @@ func TestFileChannelFetch(t *testing.T) {
 // no upstream WRITE — while the cache holds the file whole; once a block
 // of it has left the cache they go back in runs, as any other file's.
 func TestFetchedFileGoesBackWhole(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
+	spec := oneHop(cache.WriteBack)
+	spec.FileChan = true
+	e := stacktest.New(t, spec)
 	const bs = 8192
 	state := make([]byte, 16*bs) // zero but for blocks 2, 3 and 9
 	for _, b := range []int{2, 3, 9} {
 		copy(state[b*bs:], bytes.Repeat([]byte{byte(b)}, bs))
 	}
-	e.fs.WriteFile("/vm/mem.vmss", state)
-	blob, _ := meta.ForWholeFile(state, bs).Encode()
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
-	if got, err := e.session.ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+	writeVMState(t, e.FS, state)
+	if got, err := e.Session().ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Fatalf("first read: %v", err)
 	}
-	p, bc := e.proxyN.Proxy, e.proxyN.BlockCache
-	upstreamWrites := func() uint64 {
-		return e.server.Proxy.Metrics.Snapshot().Histograms[`gvfs_proxy_rpc_duration_seconds{proc="WRITE"}`].Count
-	}
-	f, err := e.session.Open("/vm/mem.vmss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, bc := e.Hop().Proxy, e.Hop().BlockCache
+	f, err := e.Session().Open("/vm/mem.vmss")
+	proxy.Check(t, err)
 	defer f.Close()
 	write := func(block int, b byte) {
 		t.Helper()
 		patch := bytes.Repeat([]byte{b}, bs)
-		if _, err := f.WriteAt(patch, int64(block*bs)); err != nil {
-			t.Fatal(err)
-		}
+		_, err := f.WriteAt(patch, int64(block*bs))
+		proxy.Check(t, err)
 		copy(state[block*bs:], patch)
 	}
 	for pass, whole := range []bool{true, false} {
@@ -328,14 +253,12 @@ func TestFetchedFileGoesBackWhole(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := upstreamWrites()
-		if err := p.WriteBack(); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := e.fs.ReadFile("/vm/mem.vmss"); !bytes.Equal(got, state) {
+		before := e.OriginCalls("WRITE")
+		proxy.Check(t, p.WriteBack())
+		if got, _ := e.FS.ReadFile("/vm/mem.vmss"); !bytes.Equal(got, state) {
 			t.Errorf("pass %d: the origin does not hold the written state", pass)
 		}
-		if n := upstreamWrites() - before; whole != (n == 0) {
+		if n := e.OriginCalls("WRITE") - before; whole != (n == 0) {
 			t.Errorf("pass %d (file held whole: %v): %d upstream WRITEs", pass, whole, n)
 		}
 		if bc.DirtyCount() != 0 {
@@ -357,53 +280,44 @@ func TestDirRenameRepathsDescendants(t *testing.T) {
 }
 
 func dirRenameToKnownPath(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
+	spec := oneHop(cache.WriteBack)
+	spec.FileChan = true
+	e := stacktest.New(t, spec)
 	const bs = 8192
 	state := make([]byte, 4*bs)
 	for i := range state {
 		state[i] = byte(i * 7)
 	}
-	e.fs.WriteFile("/vm/mem.vmss", state)
-	blob, _ := meta.ForWholeFile(state, bs).Encode()
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
-	if got, err := e.session.ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+	writeVMState(t, e.FS, state)
+	if got, err := e.Session().ReadFile("/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Fatalf("first read: %v", err)
 	}
-	if n := e.proxyN.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Fatalf("file channel fetches = %d, want 1: the case is not set up", n)
 	}
-	f, err := e.session.Open("/vm/mem.vmss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, err := e.Session().Open("/vm/mem.vmss")
+	proxy.Check(t, err)
 	patch := bytes.Repeat([]byte{0xab}, bs)
-	if _, err := f.WriteAt(patch, bs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	_, err = f.WriteAt(patch, bs)
+	proxy.Check(t, err)
+	proxy.Check(t, f.Close())
 	copy(state[bs:], patch)
 
-	if err := e.session.Rename("/vm", "/vm2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.proxyN.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := e.fs.ReadFile("/vm2/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+	proxy.Check(t, e.Session().Rename("/vm", "/vm2"))
+	proxy.Check(t, e.Hop().Proxy.WriteBack())
+	if got, err := e.FS.ReadFile("/vm2/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the origin's /vm2/mem.vmss after the write-back: %d bytes, %v; want the written state", len(got), err)
 	}
-	if _, err := e.fs.ReadFile("/vm/mem.vmss"); err == nil {
+	if _, err := e.FS.ReadFile("/vm/mem.vmss"); err == nil {
 		t.Error("the origin has a file at the old path")
 	}
 
-	e.session.DropCaches()
-	if got, err := e.session.ReadFile("/vm2/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+	e.Session().DropCaches()
+	if got, err := e.Session().ReadFile("/vm2/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Fatalf("read under the new path: %v", err)
 	}
 	var files []string
-	for _, row := range e.proxyN.Proxy.Statusz().Files["reads"] {
+	for _, row := range e.Hop().Proxy.Statusz().Files["reads"] {
 		files = append(files, row.File)
 	}
 	if !slices.Contains(files, "/vm2/mem.vmss") {
@@ -418,45 +332,29 @@ func dirRenameToKnownPath(t *testing.T) {
 // file channel under the old path's bare suffix — which names another
 // file at the export root.
 func dirRenameToNoKnownPath(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack, fileChan: true})
+	spec := oneHop(cache.WriteBack)
+	spec.FileChan = true
+	e := stacktest.New(t, spec)
 	const bs = 8192
 	state := bytes.Repeat([]byte{0x5a}, 4*bs)
 	decoy := bytes.Repeat([]byte{0xde}, 4*bs)
-	e.fs.WriteFile("/vm/mem.vmss", state)
-	blob, _ := meta.ForWholeFile(state, bs).Encode()
-	e.fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
-	e.fs.WriteFile("/mem.vmss", decoy)
-	e.fs.WriteFile("/a/dst/keep", nil)
+	writeVMState(t, e.FS, state)
+	e.FS.WriteFile("/mem.vmss", decoy)
+	e.FS.WriteFile("/a/dst/keep", nil)
 
-	p := e.proxyN.Proxy
-	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode()
-	root, err := mountd.Mount(sunrpc.Local{H: p}, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(sunrpc.Local{H: p}, cred)
+	p, nc, root := e.Hop().Proxy, e.Session().NFS(), e.Session().Root()
 	a, _, err := nc.Lookup(root, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	dst, _, err := nc.Lookup(a, "dst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
+	proxy.Check(t, p.Flush())
 	if _, err := nc.GetAttr(dst); err != nil { // the table has dst again, with no path
 		t.Fatal(err)
 	}
 	vm, _, err := nc.Lookup(root, "vm")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	fh, _, err := nc.Lookup(vm, "mem.vmss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	readAll := func(when string) []byte {
 		t.Helper()
 		var got []byte
@@ -478,14 +376,11 @@ func dirRenameToNoKnownPath(t *testing.T) {
 	}
 	for i, b := range []byte{0xab, 0xcd} {
 		if i == 1 {
-			if err := nc.Rename(root, "vm", dst, "vm"); err != nil {
-				t.Fatal(err)
-			}
+			proxy.Check(t, nc.Rename(root, "vm", dst, "vm"))
 		}
 		patch := bytes.Repeat([]byte{b}, bs)
-		if _, _, err := nc.Write(fh, uint64(i+1)*bs, patch, nfs3.Unstable); err != nil {
-			t.Fatal(err)
-		}
+		_, _, err := nc.Write(fh, uint64(i+1)*bs, patch, nfs3.Unstable)
+		proxy.Check(t, err)
 		copy(state[(i+1)*bs:], patch)
 	}
 	if got := readAll("after the RENAME"); !bytes.Equal(got, state) {
@@ -494,124 +389,96 @@ func dirRenameToNoKnownPath(t *testing.T) {
 	if n := fetches(); n != 1 {
 		t.Errorf("file channel fetches = %d after the RENAME, want still 1: the file has no path now", n)
 	}
-	if err := p.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := e.fs.ReadFile("/a/dst/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
+	proxy.Check(t, p.WriteBack())
+	if got, err := e.FS.ReadFile("/a/dst/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the origin's /a/dst/vm/mem.vmss after the write-back: %d bytes, %v; want the written state", len(got), err)
 	}
-	if got, _ := e.fs.ReadFile("/mem.vmss"); !bytes.Equal(got, decoy) {
+	if got, _ := e.FS.ReadFile("/mem.vmss"); !bytes.Equal(got, decoy) {
 		t.Error("the write-back reached /mem.vmss, the bare suffix of the old path")
 	}
 }
 
 func TestIdentityMappingAtServerProxy(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
-	if err := e.session.WriteFile("/id.dat", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.proxyN.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	proxy.Check(t, e.Session().WriteFile("/id.dat", []byte("x")))
+	proxy.Check(t, e.Hop().Proxy.WriteBack())
 	// The server-side proxy must have allocated a short-lived identity
 	// for the session's grid user.
-	if live := e.server.Allocator.Live(); live == 0 {
+	if live := e.Server.Allocator.Live(); live == 0 {
 		t.Error("no logical user account allocated at the server proxy")
 	}
-	if _, ok := e.server.Allocator.Lookup("uid500@compute1"); !ok {
+	if _, ok := e.Server.Allocator.Lookup("uid500@compute1"); !ok {
 		t.Error("expected identity for uid500@compute1")
 	}
 }
 
 func TestRemoveInvalidatesCaches(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{1}, 16*1024)
-	e.fs.WriteFile("/gone.dat", payload)
-	if _, err := e.session.ReadFile("/gone.dat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.session.Remove("/gone.dat"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.session.ReadFile("/gone.dat"); err == nil {
+	e.FS.WriteFile("/gone.dat", payload)
+	_, err := e.Session().ReadFile("/gone.dat")
+	proxy.Check(t, err)
+	proxy.Check(t, e.Session().Remove("/gone.dat"))
+	if _, err := e.Session().ReadFile("/gone.dat"); err == nil {
 		t.Error("read of removed file succeeded")
 	}
 }
 
 func TestTruncateThroughProxy(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{0xEE}, 20000)
-	if err := e.session.WriteFile("/t.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	f, err := e.session.Open("/t.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, e.Session().WriteFile("/t.dat", payload))
+	f, err := e.Session().Open("/t.dat")
+	proxy.Check(t, err)
 	defer f.Close()
-	if err := f.Truncate(100); err != nil {
-		t.Fatal(err)
-	}
-	e.session.DropCaches()
-	got, err := e.session.ReadFile("/t.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, f.Truncate(100))
+	e.Session().DropCaches()
+	got, err := e.Session().ReadFile("/t.dat")
+	proxy.Check(t, err)
 	if len(got) != 100 {
 		t.Errorf("size after truncate = %d, want 100", len(got))
 	}
 }
 
 func TestOverwriteVisibleThroughCache(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
-	e.fs.WriteFile("/o.dat", bytes.Repeat([]byte{1}, 8192))
-	if _, err := e.session.ReadFile("/o.dat"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := e.session.Open("/o.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	e.FS.WriteFile("/o.dat", bytes.Repeat([]byte{1}, 8192))
+	_, err := e.Session().ReadFile("/o.dat")
+	proxy.Check(t, err)
+	f, err := e.Session().Open("/o.dat")
+	proxy.Check(t, err)
 	newData := bytes.Repeat([]byte{2}, 8192)
-	if _, err := f.WriteAt(newData, 0); err != nil {
-		t.Fatal(err)
-	}
+	_, err = f.WriteAt(newData, 0)
+	proxy.Check(t, err)
 	f.Close()
-	e.session.DropCaches()
-	got, err := e.session.ReadFile("/o.dat")
+	e.Session().DropCaches()
+	got, err := e.Session().ReadFile("/o.dat")
 	if err != nil || !bytes.Equal(got, newData) {
 		t.Errorf("overwrite invisible: err=%v", err)
 	}
 }
 
 func TestPartialBlockWriteMerging(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	// Server has a full block; client writes a small prefix; the block
 	// read back must merge old and new.
 	orig := bytes.Repeat([]byte{0xCC}, 8192)
-	e.fs.WriteFile("/m.dat", orig)
-	f, err := e.session.Open("/m.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("HDR!"), 0); err != nil {
-		t.Fatal(err)
-	}
+	e.FS.WriteFile("/m.dat", orig)
+	f, err := e.Session().Open("/m.dat")
+	proxy.Check(t, err)
+	_, err = f.WriteAt([]byte("HDR!"), 0)
+	proxy.Check(t, err)
 	f.Close()
-	e.session.DropCaches()
-	got, err := e.session.ReadFile("/m.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.Session().DropCaches()
+	got, err := e.Session().ReadFile("/m.dat")
+	proxy.Check(t, err)
 	want := append([]byte("HDR!"), orig[4:]...)
 	if !bytes.Equal(got, want) {
 		t.Error("partial write clobbered block remainder")
 	}
 	// And the merge must survive flush to the server.
-	if err := e.proxyN.Proxy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := e.fs.ReadFile("/m.dat")
+	proxy.Check(t, e.Hop().Proxy.Flush())
+	data, _ := e.FS.ReadFile("/m.dat")
 	if !bytes.Equal(data, want) {
 		t.Error("server data wrong after flush of merged block")
 	}
@@ -620,42 +487,17 @@ func TestPartialBlockWriteMerging(t *testing.T) {
 func TestCascadedProxies(t *testing.T) {
 	// Two proxy levels (the paper's LAN second-level cache): client
 	// proxy -> LAN proxy -> server proxy -> NFS server.
-	fs := memfs.New()
 	payload := bytes.Repeat([]byte{0x42}, 64*1024)
-	fs.WriteFile("/vm.vmdk", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	lanCfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteThrough}
-	lanProxy, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig:  &lanCfg,
+	c := stacktest.New(t, stacktest.Spec{
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/vm.vmdk", payload) },
+		Hops: []stack.ProxyOptions{
+			{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}},
+			{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteThrough}},
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lanProxy.Close()
+	cliProxy, lanProxy := c.Hops[0], c.Hops[1]
 
-	cliCfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}
-	cliProxy, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: lanProxy.Addr,
-		CacheConfig:  &cliCfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cliProxy.Close()
-
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: cliProxy.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	got, err := sess.ReadFile("/vm.vmdk")
+	got, err := c.Session().ReadFile("/vm.vmdk")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("cascaded read failed: err=%v", err)
 	}
@@ -669,14 +511,14 @@ func TestCascadedProxies(t *testing.T) {
 }
 
 func TestConcurrentSessionsThroughOneProxy(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	for i := 0; i < 4; i++ {
-		e.fs.WriteFile(fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{byte(i)}, 32*1024))
+		e.FS.WriteFile(fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{byte(i)}, 32*1024))
 	}
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			data, err := e.session.ReadFile(fmt.Sprintf("/f%d", i))
+			data, err := e.Session().ReadFile(fmt.Sprintf("/f%d", i))
 			if err == nil && !bytes.Equal(data, bytes.Repeat([]byte{byte(i)}, 32*1024)) {
 				err = fmt.Errorf("data mismatch for f%d", i)
 			}
@@ -691,87 +533,57 @@ func TestConcurrentSessionsThroughOneProxy(t *testing.T) {
 }
 
 func TestNoCacheProxyPureForwarding(t *testing.T) {
-	e := newEnv(t, envOptions{noCache: true})
+	e := stacktest.New(t, stacktest.Spec{Hops: []stack.ProxyOptions{{}}, Session: gvfs.SessionConfig{Cred: stacktest.Cred}})
 	payload := bytes.Repeat([]byte{0x11}, 32*1024)
-	e.fs.WriteFile("/p.dat", payload)
-	got, err := e.session.ReadFile("/p.dat")
+	e.FS.WriteFile("/p.dat", payload)
+	got, err := e.Session().ReadFile("/p.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("forwarding proxy read failed: %v", err)
 	}
-	if err := e.session.WriteFile("/q.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.fs.ReadFile("/q.dat")
+	proxy.Check(t, e.Session().WriteFile("/q.dat", payload))
+	data, err := e.FS.ReadFile("/q.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Error("forwarding proxy write did not reach server")
 	}
-	st := e.proxyN.Proxy.Snapshot()
+	st := e.Hop().Proxy.Snapshot()
 	if h, w := st.Counter("gvfs_proxy_read_hits_total"), st.Counter("gvfs_proxy_writes_absorbed_total"); h != 0 || w != 0 {
 		t.Errorf("cache activity on cacheless proxy: hits=%d absorbed=%d", h, w)
 	}
 }
 
 func TestStatusErrorsPropagate(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
-	if _, err := e.session.Open("/does/not/exist"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	if _, err := e.Session().Open("/does/not/exist"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Errorf("err = %v, want NOENT", err)
 	}
 }
 
 func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
-	fs := memfs.New()
 	payload := bytes.Repeat([]byte{0x3C}, 128*1024)
-	fs.WriteFile("/warm.bin", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	cacheDir := t.TempDir()
-	cfg := cache.Config{Dir: cacheDir, Banks: 16, SetsPerBank: 16, Assoc: 4,
+	server := stacktest.New(t, stacktest.Spec{
+		Seed:     func(fs *memfs.FS) { fs.WriteFile("/warm.bin", payload) },
+		Sessions: -1,
+	}).Server
+	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
 		BlockSize: 8192, Policy: cache.WriteBack}
+	lifetime := stacktest.Spec{Upstream: stacktest.Own,
+		Hops: []stack.ProxyOptions{{UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg}}}
 
 	// First proxy lifetime: read everything, save the index.
-	node1, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess1, err := gvfs.Mount(gvfs.SessionConfig{Addr: node1.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess1.ReadFile("/warm.bin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := node1.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
-	if err := node1.BlockCache.SaveIndex(); err != nil {
-		t.Fatal(err)
-	}
-	sess1.Close()
-	node1.Close()
+	first := stacktest.New(t, lifetime)
+	_, err := first.Session().ReadFile("/warm.bin")
+	proxy.Check(t, err)
+	proxy.Check(t, first.Hop().Proxy.WriteBack())
+	proxy.Check(t, first.Hop().BlockCache.SaveIndex())
+	first.Close()
 
 	// Second lifetime over the same directory: reads hit immediately.
-	node2, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	sess2, err := gvfs.Mount(gvfs.SessionConfig{Addr: node2.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess2.Close()
-	got, err := sess2.ReadFile("/warm.bin")
+	second := stacktest.New(t, lifetime)
+	got, err := second.Session().ReadFile("/warm.bin")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read after restart: %v", err)
 	}
-	st := node2.Proxy.Snapshot()
+	st := second.Hop().Proxy.Snapshot()
 	if st.Counter("gvfs_proxy_read_hits_total") == 0 {
 		t.Error("no cache hits after warm restart")
 	}
@@ -784,61 +596,25 @@ func TestCascadedWriteConsistency(t *testing.T) {
 	// Writes absorbed by a first-level write-back proxy must reach the
 	// end server through a second-level (write-through) proxy when the
 	// middleware settles the session.
-	fs := memfs.New()
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	lanCfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteThrough}
-	lanProxy, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(), CacheConfig: &lanCfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lanProxy.Close()
-
-	cliCfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
-		BlockSize: 8192, Policy: cache.WriteBack}
-	cliProxy, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: lanProxy.Addr, CacheConfig: &cliCfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cliProxy.Close()
-
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: cliProxy.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	c := stacktest.New(t, stacktest.Spec{Hops: []stack.ProxyOptions{
+		{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}},
+		{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteThrough}},
+	}})
+	cliProxy, lanProxy := c.Hops[0], c.Hops[1]
 
 	payload := bytes.Repeat([]byte{0xBE}, 40*1024)
-	if err := sess.WriteFile("/cascade.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	if data, _ := fs.ReadFile("/cascade.dat"); bytes.Equal(data, payload) {
+	proxy.Check(t, c.Session().WriteFile("/cascade.dat", payload))
+	if data, _ := c.FS.ReadFile("/cascade.dat"); bytes.Equal(data, payload) {
 		t.Fatal("data reached server before flush")
 	}
-	if err := cliProxy.Proxy.WriteBack(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fs.ReadFile("/cascade.dat")
+	proxy.Check(t, cliProxy.Proxy.WriteBack())
+	data, err := c.FS.ReadFile("/cascade.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("data wrong after cascaded write-back: %v", err)
 	}
 	// The middle (write-through) proxy now also has the fresh blocks
 	// cached: a cold client re-read must not produce stale data.
-	sess2, err := gvfs.Mount(gvfs.SessionConfig{Addr: lanProxy.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess2.Close()
-	got, err := sess2.ReadFile("/cascade.dat")
+	got, err := c.Mount(gvfs.SessionConfig{Addr: lanProxy.Addr}).ReadFile("/cascade.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("stale data at LAN level: %v", err)
 	}
@@ -848,35 +624,26 @@ func TestTwoSessionsShareProxyState(t *testing.T) {
 	// Two sessions on the same compute server (e.g. middleware and VM
 	// monitor) see each other's absorbed writes through the shared
 	// client proxy — the paper's session owns the data at the proxy.
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
+	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{0x66}, 24*1024)
-	if err := e.session.WriteFile("/shared.dat", payload); err != nil {
-		t.Fatal(err)
-	}
-	sess2, err := gvfs.Mount(gvfs.SessionConfig{Addr: e.proxyN.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess2.Close()
-	got, err := sess2.ReadFile("/shared.dat")
+	proxy.Check(t, e.Session().WriteFile("/shared.dat", payload))
+	got, err := e.Mount(gvfs.SessionConfig{}).ReadFile("/shared.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("second session missed absorbed writes: %v", err)
 	}
 }
 
 func TestIdleWriteBackPropagates(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
-	stop := e.proxyN.Proxy.StartIdleWriteBack(300 * time.Millisecond)
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	stop := e.Hop().Proxy.StartIdleWriteBack(300 * time.Millisecond)
 	defer stop()
 	payload := bytes.Repeat([]byte{0x77}, 16*1024)
-	if err := e.session.WriteFile("/idle.dat", payload); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, e.Session().WriteFile("/idle.dat", payload))
 	// Without any explicit flush, the idle writer must settle the
 	// session within a few idle periods.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if data, err := e.fs.ReadFile("/idle.dat"); err == nil && bytes.Equal(data, payload) {
+		if data, err := e.FS.ReadFile("/idle.dat"); err == nil && bytes.Equal(data, payload) {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -885,16 +652,14 @@ func TestIdleWriteBackPropagates(t *testing.T) {
 }
 
 func TestIdleWriteBackStop(t *testing.T) {
-	e := newEnv(t, envOptions{policy: cache.WriteBack})
-	stop := e.proxyN.Proxy.StartIdleWriteBack(100 * time.Millisecond)
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	stop := e.Hop().Proxy.StartIdleWriteBack(100 * time.Millisecond)
 	stop()
 	stop() // double-stop must be safe
-	if err := e.session.WriteFile("/kept.dat", []byte("dirty")); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, e.Session().WriteFile("/kept.dat", []byte("dirty")))
 	time.Sleep(400 * time.Millisecond)
-	if _, err := e.fs.ReadFile("/kept.dat"); err == nil {
-		if data, _ := e.fs.ReadFile("/kept.dat"); len(data) > 0 {
+	if _, err := e.FS.ReadFile("/kept.dat"); err == nil {
+		if data, _ := e.FS.ReadFile("/kept.dat"); len(data) > 0 {
 			t.Error("stopped idle writer still propagated data")
 		}
 	}
@@ -904,44 +669,28 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	// Two proxies (two compute sessions on one host) share a single
 	// read-only disk cache: the second proxy hits on blocks the first
 	// one fetched (paper §3.2.1 shared read-only caches).
-	fs := memfs.New()
 	payload := bytes.Repeat([]byte{0xC0}, 64*1024)
-	fs.WriteFile("/golden.vmdk", payload)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
+	origin := stacktest.New(t, stacktest.Spec{
+		Seed:     func(fs *memfs.FS) { fs.WriteFile("/golden.vmdk", payload) },
+		Sessions: -1,
+	})
+	fs := origin.FS
 
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
 		BlockSize: 8192, Policy: cache.WriteThrough, ReadOnly: true}
 	shared, err := cache.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	defer shared.Close()
 
 	mkProxy := func() (*stack.Node, *gvfs.Session) {
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			UpstreamAddr:     server.ProxyAddr(),
-			SharedBlockCache: shared,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sess.Close() })
-		return node, sess
+		c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Hops: []stack.ProxyOptions{{
+			UpstreamAddr: origin.Server.ProxyAddr(), SharedBlockCache: shared}}})
+		return c.Hop(), c.Session()
 	}
 
 	nodeA, sessA := mkProxy()
-	if _, err := sessA.ReadFile("/golden.vmdk"); err != nil {
-		t.Fatal(err)
-	}
+	_, err = sessA.ReadFile("/golden.vmdk")
+	proxy.Check(t, err)
 	if nodeA.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total") == 0 {
 		t.Fatal("first proxy should miss")
 	}
@@ -963,12 +712,9 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	// the stale frames.
 	patch := bytes.Repeat([]byte{0xFF}, 8192)
 	f, err := sessB.Open("/golden.vmdk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(patch, 0); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
+	_, err = f.WriteAt(patch, 0)
+	proxy.Check(t, err)
 	f.Close()
 	data, _ := fs.ReadFile("/golden.vmdk")
 	if !bytes.Equal(data[:8192], patch) {
@@ -984,20 +730,10 @@ func TestSharedReadOnlyCache(t *testing.T) {
 func TestSharedCacheMustBeReadOnly(t *testing.T) {
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 2, Assoc: 2, BlockSize: 512}
 	writable, err := cache.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	defer writable.Close()
-	fs := memfs.New()
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	if _, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr:     node.Addr,
-		SharedBlockCache: writable,
-	}); err == nil {
+	if _, err := stacktest.Start(t, stacktest.Spec{Upstream: stacktest.NFS,
+		Hops: []stack.ProxyOptions{{SharedBlockCache: writable}}}); err == nil {
 		t.Error("writable shared cache accepted")
 	}
 }

@@ -50,16 +50,19 @@ func TestShedReplyWireFormat(t *testing.T) {
 	}
 }
 
-// blockingCaller parks every upstream call until released.
-type blockingCaller struct {
-	entered chan struct{} // signaled once per call that reaches upstream
-	release chan struct{}
+// blocking is a hook that parks every upstream call, announcing it on
+// entered, until release is closed, and then fails it.
+func blocking(entered, release chan struct{}) upstreamHook {
+	return func(*sunrpc.Call, func() ([]byte, error)) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return (&nfs3.ReadRes{Status: nfs3.ErrServerFault}).Encode(), nil
+	}
 }
 
-func (b *blockingCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	b.entered <- struct{}{}
-	<-b.release
-	return (&nfs3.ReadRes{Status: nfs3.ErrServerFault}).Encode(), nil
+// failing is a hook that fails every upstream call.
+func failing(*sunrpc.Call, func() ([]byte, error)) ([]byte, error) {
+	return nil, errors.New("stub upstream")
 }
 
 func readCall(count uint32) *sunrpc.Call {
@@ -84,11 +87,7 @@ func TestCallCostAllocs(t *testing.T) {
 // A file handle longer than NFS3_FHSIZE is refused as GARBAGE_ARGS before
 // it can become a key of the attribute table or of accounting.
 func TestOversizeHandleIsGarbageArgs(t *testing.T) {
-	p, err := New(Config{Upstream: stubCaller{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	p := newChain(t, chainSpec{noCache: true, hook: failing}).p
 	fh := nfs3.FH(bytes.Repeat([]byte{7}, nfs3.MaxFHSize+1))
 	for proc, args := range map[uint32][]byte{
 		nfs3.ProcGetattr: (&nfs3.GetattrArgs{FH: fh}).Encode(),
@@ -108,12 +107,9 @@ func TestOversizeHandleIsGarbageArgs(t *testing.T) {
 func TestHandleCallShedsWhenClientQueueFull(t *testing.T) {
 	sched := qos.New(qos.Config{MaxConcurrent: 1, PerClientQueue: 1})
 	defer sched.Close()
-	up := &blockingCaller{entered: make(chan struct{}, 4), release: make(chan struct{})}
-	p, err := New(Config{Upstream: up, QoS: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	p := newChain(t, chainSpec{noCache: true, hook: blocking(entered, release),
+		config: func(c *Config) { c.QoS = sched }}).p
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -122,13 +118,13 @@ func TestHandleCallShedsWhenClientQueueFull(t *testing.T) {
 		defer wg.Done()
 		p.HandleCall(readCall(4096))
 	}()
-	<-up.entered
+	<-entered
 	// Second call fills the client's queue of one.
 	go func() {
 		defer wg.Done()
 		p.HandleCall(readCall(4096))
 	}()
-	waitUntil(t, "second call queued", func() bool {
+	WaitUntil(t, "second call queued", 5*time.Second, func() bool {
 		for _, ts := range sched.Snapshot() {
 			if ts.Queued == 1 {
 				return true
@@ -147,18 +143,14 @@ func TestHandleCallShedsWhenClientQueueFull(t *testing.T) {
 		t.Fatalf("overflow call reply = %+v, %v; want NFS3ERR_JUKEBOX", r, err)
 	}
 
-	close(up.release)
+	close(release)
 	wg.Wait()
 }
 
 func TestHandleCallShedsExpiredDeadline(t *testing.T) {
 	sched := qos.New(qos.Config{})
 	defer sched.Close()
-	p, err := New(Config{Upstream: stubCaller{}, QoS: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	p := newChain(t, chainSpec{noCache: true, hook: failing, config: func(c *Config) { c.QoS = sched }}).p
 
 	c := readCall(4096)
 	c.Deadline = time.Now().Add(-time.Millisecond)
@@ -173,11 +165,7 @@ func TestHandleCallShedsExpiredDeadline(t *testing.T) {
 }
 
 func TestSetDeadlineFromVerifierBudget(t *testing.T) {
-	p, err := New(Config{Upstream: stubCaller{}, CallBudget: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
+	p := newChain(t, chainSpec{noCache: true, hook: failing, config: func(c *Config) { c.CallBudget = time.Minute }}).p
 	now := time.Now()
 
 	// A propagated budget wins over the local default.
@@ -256,32 +244,21 @@ func TestBrownoutDefersCacheMisses(t *testing.T) {
 	// the queue well past the 100µs threshold, then release.
 	sched := qos.New(qos.Config{MaxConcurrent: 1, BrownoutEnter: 100 * time.Microsecond})
 	defer sched.Close()
-	bc, err := cache.New(cache.Config{
-		Dir: t.TempDir(), Banks: 2, SetsPerBank: 4, Assoc: 2, BlockSize: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-	up := &blockingCaller{entered: make(chan struct{}, 4), release: make(chan struct{})}
-	p, err := New(Config{Upstream: up, QoS: sched, BlockCache: bc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	p := newChain(t, chainSpec{cache: &cache.Config{Banks: 2, SetsPerBank: 4, Assoc: 2, BlockSize: 4096},
+		hook: blocking(entered, release), config: func(c *Config) { c.QoS = sched }}).p
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		p.HandleCall(readCall(4096))
 	}()
-	<-up.entered
+	<-entered
 	go func() {
 		defer wg.Done()
 		p.HandleCall(readCall(4096))
 	}()
-	waitUntil(t, "second call queued", func() bool {
+	WaitUntil(t, "second call queued", 5*time.Second, func() bool {
 		for _, ts := range sched.Snapshot() {
 			if ts.Queued == 1 {
 				return true
@@ -290,7 +267,7 @@ func TestBrownoutDefersCacheMisses(t *testing.T) {
 		return false
 	})
 	time.Sleep(10 * time.Millisecond) // queue delay >> BrownoutEnter
-	close(up.release)
+	close(release)
 	wg.Wait()
 	if !p.brownout() {
 		t.Fatal("sustained queue delay did not trip brownout")
@@ -313,11 +290,4 @@ func TestBrownoutDefersCacheMisses(t *testing.T) {
 	if p.stats.readMisses.Value() != missesBefore {
 		t.Error("deferred miss still counted as a forwarded miss")
 	}
-}
-
-// stubCaller is an upstream that fails every call.
-type stubCaller struct{}
-
-func (stubCaller) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
-	return nil, errors.New("stub upstream")
 }

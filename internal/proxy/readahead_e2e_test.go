@@ -3,6 +3,8 @@ package proxy_test
 import (
 	"bytes"
 	"errors"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,78 +18,40 @@ import (
 	"gvfs/internal/obs"
 	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
-
-	gvfs "gvfs"
 )
-
-// patternPayload builds position-dependent content so a block stored
-// at the wrong offset (a reply matched to the wrong request) fails
-// comparison — a constant fill would hide ordering bugs.
-func patternPayload(n int) []byte {
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = byte((i / 512) * 13)
-	}
-	return p
-}
-
-// raUpstream is one read-ahead upstream. Read-ahead asks every backend
-// the same thing — one Read per run, concurrent Reads for concurrent
-// runs — so the expectations below do not depend on the kind.
-type raUpstream struct {
-	node *stack.Node
-	// origin returns the file's bytes as the upstream stores them.
-	origin func(path string) []byte
-}
 
 var raUpstreamKinds = []string{stack.BackendNFS3, stack.BackendObjstore}
 
-func startRAProxy(t *testing.T, kind, path string, payload []byte) raUpstream {
+// raChain declares a session on a caching proxy with read-ahead, over an
+// upstream of the given kind (an image server or an object store) that
+// holds payload at path. It returns the chain and a function that reads a
+// file as the upstream stores it. Read-ahead asks every backend the same
+// thing — one Read per run, concurrent Reads for concurrent runs — so the
+// expectations below do not depend on the kind.
+func raChain(t *testing.T, kind, path string, payload []byte) (*stacktest.Chain, func(string) []byte) {
 	t.Helper()
-	opts := stack.ProxyOptions{
-		Backend: kind,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
-			BlockSize: 8192, Policy: cache.WriteBack},
-		ReadAhead: 8,
-	}
-	var up raUpstream
-	switch kind {
-	case stack.BackendNFS3:
-		fs := memfs.New()
-		fs.WriteFile(path, payload)
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(server.Close)
-		opts.UpstreamAddr = server.ProxyAddr()
-		up.origin = func(path string) []byte {
-			data, _ := fs.ReadFile(path)
+	hop := stack.ProxyOptions{ReadAhead: 8,
+		CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}
+	if kind == stack.BackendNFS3 {
+		c := stacktest.New(t, stacktest.Spec{Seed: func(fs *memfs.FS) { fs.WriteFile(path, payload) },
+			Hops: []stack.ProxyOptions{hop}})
+		return c, func(path string) []byte {
+			data, _ := c.FS.ReadFile(path)
 			return data
 		}
-	case stack.BackendObjstore:
-		opts.ObjstoreStore = objstore.NewMemStore()
-		be := objstore.New(opts.ObjstoreStore, 0)
-		if err := be.CreateFile(path, payload); err != nil {
-			t.Fatal(err)
-		}
-		up.origin = func(path string) []byte {
+	}
+	hop.ObjstoreStore = objstore.NewMemStore()
+	proxy.Check(t, objstore.New(hop.ObjstoreStore, 0).CreateFile(path, payload))
+	return stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Hops: []stack.ProxyOptions{hop}}),
+		func(path string) []byte {
 			// A fresh backend over the same store: no state shared with
 			// the proxy's.
-			r, err := objstore.New(opts.ObjstoreStore, 0).Read(backend.FileID(path), 0, uint32(len(payload)), backend.CallOpts{})
+			r, err := objstore.New(hop.ObjstoreStore, 0).Read(backend.FileID(path), 0, uint32(len(payload)), backend.CallOpts{})
 			if err != nil {
 				t.Errorf("origin read %s: %v", path, err)
 			}
 			return r.Data
 		}
-	}
-	node, err := stack.StartProxy(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	up.node = node
-	return up
 }
 
 // TestReadAheadOrdering scans a file sequentially and verifies every
@@ -97,18 +61,14 @@ func startRAProxy(t *testing.T, kind, path string, payload []byte) raUpstream {
 func TestReadAheadOrdering(t *testing.T) {
 	for _, kind := range raUpstreamKinds {
 		t.Run(kind, func(t *testing.T) {
-			payload := patternPayload(512 * 1024)
-			up := startRAProxy(t, kind, "/seq.bin", payload)
-			sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: up.node.Addr, Export: "/"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
+			payload := chaosPattern(512*1024, 0)
+			c, _ := raChain(t, kind, "/seq.bin", payload)
+			sess := c.Session()
 			got, err := sess.ReadFile("/seq.bin")
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("sequential read through read-ahead: err=%v, equal=%v", err, bytes.Equal(got, payload))
 			}
-			if n := up.node.Proxy.Snapshot().Counter("gvfs_proxy_prefetched_total"); n == 0 {
+			if n := c.Hop().Proxy.Snapshot().Counter("gvfs_proxy_prefetched_total"); n == 0 {
 				t.Error("no blocks prefetched on a fully sequential scan")
 			}
 			// Re-read after dropping the client cache: now mostly
@@ -129,35 +89,25 @@ func TestReadAheadOrdering(t *testing.T) {
 func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
 	for _, kind := range raUpstreamKinds {
 		t.Run(kind, func(t *testing.T) {
-			payload := patternPayload(256 * 1024)
-			up := startRAProxy(t, kind, "/rw.bin", payload)
-			sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: up.node.Addr, Export: "/"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
+			payload := chaosPattern(256*1024, 0)
+			c, origin := raChain(t, kind, "/rw.bin", payload)
+			sess := c.Session()
 			f, err := sess.Open("/rw.bin")
-			if err != nil {
-				t.Fatal(err)
-			}
+			proxy.Check(t, err)
 			defer f.Close()
 			buf := make([]byte, 8192)
 			patch := bytes.Repeat([]byte{0xFF}, 8192)
 			for block := 0; block < 32; block++ {
 				off := int64(block) * 8192
-				if _, err := f.ReadAt(buf, off); err != nil {
-					t.Fatal(err)
-				}
+				_, err := f.ReadAt(buf, off)
+				proxy.Check(t, err)
 				if block%4 == 0 {
-					if _, err := f.WriteAt(patch, off); err != nil {
-						t.Fatal(err)
-					}
+					_, err := f.WriteAt(patch, off)
+					proxy.Check(t, err)
 				}
 			}
-			if err := up.node.Proxy.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			data := up.origin("/rw.bin")
+			proxy.Check(t, c.Hop().Proxy.Flush())
+			data := origin("/rw.bin")
 			if len(data) != len(payload) {
 				t.Fatalf("origin holds %d bytes, want %d", len(data), len(payload))
 			}
@@ -205,42 +155,24 @@ func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
 	t.Helper()
 	const blocks, bs = 32, 8192
 	fs := memfs.New()
-	payload := patternPayload(blocks * bs)
+	payload := chaosPattern(blocks*bs, 0)
 	fs.WriteFile("/seq.bin", payload)
 	// Demand brings blocks 0, 1..3 and 4..7; the runs ahead start at 8.
 	origin := &gatedOrigin{Backend: fs, from: 8 * bs, gate: make(chan struct{})}
-	nfsd, err := stack.StartNFSServer(origin, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfsd.Close()
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: nfsd.Addr,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 16, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack},
-		ReadAhead: 8,
-		TraceRing: 4 * blocks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
+	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, Sessions: -1,
+		Hops: []stack.ProxyOptions{{ReadAhead: 8, TraceRing: 4 * blocks,
+			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}}},
+	}).Hop()
 	conn, err := stack.Dialer(node.Addr, nil, nil)()
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	rpc := sunrpc.NewClient(conn)
 	defer rpc.Close()
 	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "ahead"}.Encode()
 	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	nc := nfs3.NewClient(rpc, cred)
 	fh, _, err := nc.Lookup(root, "seq.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	for b := uint64(0); b < 8; b++ {
 		if data, _, err := nc.Read(fh, b*bs, bs); err != nil || !bytes.Equal(data, payload[b*bs:(b+1)*bs]) {
 			t.Fatalf("READ of block %d: %d bytes, err=%v", b, len(data), err)
@@ -263,9 +195,7 @@ func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
 	// would find the run over and be a plain hit.
 	time.Sleep(50 * time.Millisecond)
 	if flush {
-		if err := node.Proxy.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		proxy.Check(t, node.Proxy.Flush())
 	}
 	close(origin.gate)
 	select {

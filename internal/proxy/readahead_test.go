@@ -48,12 +48,12 @@ func (e *runEnv) scan(t *testing.T, from, to int) {
 // fetched twice, and the client misses only while the evidence is built.
 func TestReadAheadIsRunsAhead(t *testing.T) {
 	const blocks, per = 128, 4
-	e := newRunEnv(t, blocks*runBS, Config{ReadAhead: 16})
-	e.spy.set(func(s *spyBackend) { s.delay = 2 * time.Millisecond })
+	e := runChain(t, blocks*runBS, chainSpec{readAhead: 16})
+	e.spy.set(func(s *spy) { s.delay = 2 * time.Millisecond })
 	before := e.p.Snapshot()
 	e.scan(t, 0, blocks)
 	e.settle(t)
-	reads := e.spy.taken()
+	reads := e.taken()
 	// Block 0 alone, 1..3 and 4..7 on demand, then one run per window.
 	if want := 2 + (blocks-per)/per; len(reads) != want {
 		t.Errorf("%d upstream READs, want %d: %v", len(reads), want, reads)
@@ -73,7 +73,7 @@ func TestReadAheadIsRunsAhead(t *testing.T) {
 		}
 	}
 	var peak int
-	e.spy.set(func(s *spyBackend) { peak = s.peak })
+	e.spy.set(func(s *spy) { peak = s.peak })
 	if peak < 2 || peak > 16/per {
 		t.Errorf("%d upstream READs outstanding at once, want 2 to %d", peak, 16/per)
 	}
@@ -96,14 +96,14 @@ func TestReadAheadIsRunsAhead(t *testing.T) {
 // nothing of it: a frame is its block's prefix up to the end of the file,
 // and these bytes are neither.
 func TestReadAheadShortReplyNotCached(t *testing.T) {
-	e := newRunEnv(t, 32*runBS, Config{ReadAhead: 4})
+	e := runChain(t, 32*runBS, chainSpec{readAhead: 4})
 	// Demand brings 0, 1..3 and 4..7; everything from block 8 on is asked
 	// for by a run ahead first.
-	e.spy.set(func(s *spyBackend) { s.cut, s.cutFrom = runBS/2, 8 })
+	e.spy.set(func(s *spy) { s.cut, s.cutFrom = runBS/2, 8 })
 	e.scan(t, 0, 8)
 	e.settle(t)
 	ahead := false
-	for _, u := range e.spy.taken() {
+	for _, u := range e.taken() {
 		ahead = ahead || u.block == 8
 	}
 	if !ahead {
@@ -112,7 +112,7 @@ func TestReadAheadShortReplyNotCached(t *testing.T) {
 	if e.resident(8) {
 		t.Error("half a block that is not the file's end was cached as block 8's frame")
 	}
-	e.spy.set(func(s *spyBackend) { s.cut = 0 })
+	e.spy.set(func(s *spy) { s.cut = 0 })
 	e.read(t, 8, 1) // the whole block, whoever fetches it
 	e.read(t, 9, 1)
 }

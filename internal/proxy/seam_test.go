@@ -10,6 +10,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	gvfs "gvfs"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,9 +36,7 @@ var seamCred = sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "seam"}.Encode()
 func dialProxy(t *testing.T, node *stack.Node) *sunrpc.Client {
 	t.Helper()
 	rpc, err := sunrpc.Dial(node.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	t.Cleanup(func() { rpc.Close() })
 	return rpc
 }
@@ -138,32 +139,14 @@ func controlPlaneRun(t *testing.T, node *stack.Node, seed []byte) (steps []strin
 // and attributes, and where objstore cannot it must say
 // NFS3ERR_NOTSUPP — in a well-formed reply, not an RPC-level rejection.
 func TestControlPlaneConformance(t *testing.T) {
-	seed := patternPayload(20000)
+	seed := chaosPattern(20000, 0)
 
-	fs := memfs.New()
-	if err := fs.WriteFile("/seed.img", seed); err != nil {
-		t.Fatal(err)
-	}
-	nfsd, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(nfsd.Close)
-	overNFS, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: nfsd.Addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(overNFS.Close)
-
+	overNFS := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Sessions: -1,
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/seed.img", seed) }, Hops: []stack.ProxyOptions{{}}}).Hop()
 	store := objstore.NewMemStore()
-	if err := objstore.New(store, 0).CreateFile("/seed.img", seed); err != nil {
-		t.Fatal(err)
-	}
-	overObj, err := stack.StartProxy(stack.ProxyOptions{Backend: stack.BackendObjstore, ObjstoreStore: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(overObj.Close)
+	proxy.Check(t, objstore.New(store, 0).CreateFile("/seed.img", seed))
+	overObj := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Sessions: -1,
+		Hops: []stack.ProxyOptions{{ObjstoreStore: store}}}).Hop()
 
 	steps, want := controlPlaneRun(t, overNFS, seed)
 	_, got := controlPlaneRun(t, overObj, seed)
@@ -200,31 +183,22 @@ func TestAllReplicasDownIsSystemErr(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b := objstore.New(objstore.NewMemStore(), 0)
 		for _, name := range []string{"/disk.img", "/unseen.img"} {
-			if err := b.CreateFile(name, patternPayload(16384)); err != nil {
-				t.Fatal(err)
-			}
+			proxy.Check(t, b.CreateFile(name, chaosPattern(16384, 0)))
 		}
 		stores = append(stores, b)
 		reps = append(reps, replbe.Replica{Name: fmt.Sprintf("r%d", i), B: b})
 	}
-	node, err := stack.StartProxy(stack.ProxyOptions{
+	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Sessions: -1, Hops: []stack.ProxyOptions{{
 		Backend:         stack.BackendRepl,
 		ReplicaBackends: reps,
 		ReplConfig:      replbe.Config{ScrubInterval: -1, ProbeInterval: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
+	}}}).Hop()
 	rpc := dialProxy(t, node)
 	root, err := mountd.Mount(rpc, seamCred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	nc := nfs3.NewClient(rpc, seamCred)
-	if _, _, err := nc.Lookup(root, "disk.img"); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = nc.Lookup(root, "disk.img")
+	proxy.Check(t, err)
 	// A file the session has looked up has a shadow size, and the proxy
 	// answers its GETATTR from that whatever the upstream does (session
 	// consistency). The root and a file never seen have none.
@@ -306,7 +280,7 @@ func (s *readSpy) arrivals() (xids, most int) {
 // killed mid-READ, r1 answers well inside one call timeout.
 func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	const callTimeout = 400 * time.Millisecond
-	content := patternPayload(5 * nfs3.MaxTransfer)
+	content := chaosPattern(5*nfs3.MaxTransfer, 0)
 	// r1 answers READs slowly, so once both have a latency score the set
 	// reads from r0 first: the failures below are r0's.
 	spies := []*readSpy{{}, {delay: 20 * time.Millisecond}}
@@ -314,13 +288,9 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	var servers []*sunrpc.Server
 	for _, spy := range spies {
 		fs := memfs.New()
-		if err := fs.WriteFile("/disk.img", content); err != nil {
-			t.Fatal(err)
-		}
+		proxy.Check(t, fs.WriteFile("/disk.img", content))
 		root, err := fs.Root()
-		if err != nil {
-			t.Fatal(err)
-		}
+		proxy.Check(t, err)
 		spy.inner, spy.release, spy.seen = nfs3.NewServer(fs), make(chan struct{}), make(map[uint32]int)
 		md := mountd.NewServer()
 		md.Export("/", root)
@@ -328,9 +298,7 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 		srv.Register(nfs3.Program, nfs3.Version, spy)
 		srv.Register(nfs3.MountProgram, nfs3.MountVersion, md)
 		l, err := stack.ListenOn("", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proxy.Check(t, err)
 		go srv.Serve(l)
 		t.Cleanup(srv.Close)
 		t.Cleanup(func() { close(spy.release) })
@@ -339,31 +307,19 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	}
 	spy, primary := spies[0], servers[0]
 
-	node, err := stack.StartProxy(stack.ProxyOptions{
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Session: gvfs.SessionConfig{Cred: seamCred}, Hops: []stack.ProxyOptions{{
 		Backend:             stack.BackendRepl,
 		Replicas:            []string{"nfs3:" + addrs[0], "nfs3:" + addrs[1]},
 		UpstreamCallTimeout: callTimeout,
 		UpstreamMaxRetries:  3, // the single upstream's budget; replicas must not inherit it
 		// A cache keeps READs on the backend data path; hedging off, so
 		// r1 is reached by failover only.
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
-			BlockSize: 8192, Policy: cache.WriteThrough},
-		ReplConfig: replbe.Config{HedgeQuantile: -1, ScrubInterval: -1, FailThreshold: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	rpc := dialProxy(t, node)
-	root, err := mountd.Mount(rpc, seamCred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(rpc, seamCred)
+		CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 2, BlockSize: 8192, Policy: cache.WriteThrough},
+		ReplConfig:  replbe.Config{HedgeQuantile: -1, ScrubInterval: -1, FailThreshold: 100},
+	}}})
+	node, nc, root := c.Hop(), c.Session().NFS(), c.Session().Root()
 	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	// READ i asks for the first block of the file's i-th aligned run: the
 	// block before it is never resident, so each READ is a miss of one
 	// block that reaches a replica.
@@ -401,7 +357,7 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	// Killed mid-READ: the connection dies under the call.
 	done := make(chan error, 1)
 	go func() { done <- readBlock(3) }()
-	waitFor(t, "the primary to receive the READ", func() bool { xids, _ := spy.arrivals(); return xids == 3 })
+	proxy.WaitUntil(t, "the primary to receive the READ", 5*time.Second, func() bool { xids, _ := spy.arrivals(); return xids == 3 })
 	killed := time.Now()
 	primary.Close()
 	select {
@@ -432,17 +388,6 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // TestLongObjectPathHandles: an objstore handle is the object's path, so
 // it outgrows RFC 1813's 64 bytes as soon as the path does. Such a file
 // must stay reachable through the proxy — LOOKUP, READ, CREATE, WRITE,
@@ -450,30 +395,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // refused by name where the handle would have been made, with nothing
 // created behind it.
 func TestLongObjectPathHandles(t *testing.T) {
-	seed := patternPayload(20000)
+	seed := chaosPattern(20000, 0)
 	long := strings.Repeat("golden-image-", 8) + "rhel.vmdk" // 113 bytes
 	store := objstore.NewMemStore()
 	origin := objstore.New(store, 0)
-	if err := origin.CreateFile("/"+long, seed); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, origin.CreateFile("/"+long, seed))
 	for _, cached := range []bool{false, true} {
-		opts := stack.ProxyOptions{Backend: stack.BackendObjstore, ObjstoreStore: store}
+		hop := stack.ProxyOptions{ObjstoreStore: store}
 		if cached {
-			opts.CacheConfig = &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 4, Assoc: 2,
-				BlockSize: 8192, Policy: cache.WriteBack}
+			hop.CacheConfig = &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}
 		}
-		node, err := stack.StartProxy(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		rpc := dialProxy(t, node)
-		root, err := mountd.Mount(rpc, seamCred, "/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nc := nfs3.NewClient(rpc, seamCred)
+		c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Session: gvfs.SessionConfig{Cred: seamCred},
+			Hops: []stack.ProxyOptions{hop}})
+		node, nc, root := c.Hop(), c.Session().NFS(), c.Session().Root()
 
 		fh, attr, err := nc.Lookup(root, long)
 		if err != nil || attr == nil || attr.Size != uint64(len(seed)) {

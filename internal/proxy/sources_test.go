@@ -10,18 +10,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"slices"
 	"testing"
 	"time"
 
 	"gvfs/internal/backend"
-	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/cache"
-	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
-	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
 )
@@ -75,7 +71,7 @@ type srcRow struct {
 	name  string
 	zero  []uint64                        // blocks of both files that are zeros (8 is the short tail)
 	meta  func([]byte, uint32) *meta.Meta // each file's meta-data; nil for none
-	opts  srcOpts
+	opts  chainSpec                       // the chain's words: no cache, dedup, file channel, read-ahead
 	reads [4]srcRead
 	// before puts the source in place for one READ; join answers the READ
 	// by joining a run ahead.
@@ -85,33 +81,29 @@ type srcRow struct {
 	far      [2]string // and of the far READs; none for a row that makes none
 }
 
-type srcOpts struct{ noCache, dedup, fileChan, readAhead bool }
-
 type srcEnv struct {
-	p             *Proxy
-	proxy, origin sunrpc.Local
-	cred          sunrpc.OpaqueAuth
-	fhs           map[string]nfs3.FH
+	*chain
+	fhs map[string]nfs3.FH
 }
 
 func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
-	warm := func(t *testing.T, e *srcEnv, r srcRead) { e.read(t, e.proxy, r) }
-	twin := func(t *testing.T, e *srcEnv, r srcRead) { r.file += ".twin"; e.read(t, e.proxy, r) }
+	warm := func(t *testing.T, e *srcEnv, r srcRead) { e.read(t, e.rpc, r) }
+	twin := func(t *testing.T, e *srcEnv, r srcRead) { r.file += ".twin"; e.read(t, e.rpc, r) }
 	// grown has the file channel fetch the file, then grows it by two
 	// blocks through the proxy, which drops the blocks it fetched.
 	grown := func(t *testing.T, e *srcEnv, r srcRead) {
-		e.read(t, e.proxy, r)
+		e.read(t, e.rpc, r)
 		e.setSize(t, r.file, uint64(srcSizes[r.file])+2*runBS)
 	}
 	local := [2]string{"zero_filter", "zero_filter"}
 	through := [2]string{"block_miss", "forwarded"}
 	for _, row := range []srcRow{
-		{name: "file cache", meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcBlockReads,
+		{name: "file cache", meta: meta.ForWholeFile, opts: chainSpec{fileChan: true}, reads: srcBlockReads,
 			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "block_miss"}, far: through},
-		{name: "file cache, grown by SETATTR", meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcBlockReads,
+		{name: "file cache, grown by SETATTR", meta: meta.ForWholeFile, opts: chainSpec{fileChan: true}, reads: srcBlockReads,
 			before:   grown,
 			outcomes: [4]string{"block_miss", "block_miss", "block_miss", "block_miss"}, far: through},
-		{name: "file cache, zero map", zero: srcZeros, meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}, reads: srcFetchReads,
+		{name: "file cache, zero map", zero: srcZeros, meta: meta.ForWholeFile, opts: chainSpec{fileChan: true}, reads: srcFetchReads,
 			outcomes: [4]string{"file_cache", "file_cache", "file_cache", "zero_filter"}, far: local},
 		{name: "zero map, whole READ", zero: srcZeros, meta: meta.GenerateZeroMap, reads: srcZeroReads,
 			outcomes: [4]string{"zero_filter", "zero_filter", "zero_filter", "zero_filter"}, far: local},
@@ -119,23 +111,23 @@ func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
 			outcomes: [4]string{"block_miss", "block_miss", "block_miss", "zero_filter"}, far: local},
 		{name: "zero map edges, span cached", zero: srcZeros, meta: meta.GenerateZeroMap, reads: srcEdgeReads, before: warm,
 			outcomes: [4]string{"block_hit", "block_hit", "block_hit", "zero_filter"}, far: local},
-		{name: "dedup zero hash", zero: srcZeros, opts: srcOpts{dedup: true},
+		{name: "dedup zero hash", zero: srcZeros, opts: chainSpec{dedup: true},
 			reads:    [4]srcRead{{"/short", 3, 1, 0}, {"/short", 8, 1, 0}, {"/even", 7, 1, 0}, {"/short", 9, 1, 0}},
 			outcomes: [4]string{"zero_filter", "zero_filter", "zero_filter", "block_miss"}, far: through},
-		{name: "dedup alias", opts: srcOpts{dedup: true}, reads: srcBlockReads, before: twin,
+		{name: "dedup alias", opts: chainSpec{dedup: true}, reads: srcBlockReads, before: twin,
 			outcomes: [4]string{"block_hit", "block_hit", "block_hit", "block_miss"}, far: through},
 		{name: "block hit", reads: srcBlockReads, before: warm,
 			outcomes: [4]string{"block_hit", "block_hit", "block_hit", "block_miss"}, far: through},
-		{name: "block join", opts: srcOpts{readAhead: true}, reads: srcBlockReads, join: true,
+		{name: "block join", opts: chainSpec{readAhead: 8}, reads: srcBlockReads, join: true,
 			outcomes: [4]string{"block_hit", "block_hit", "block_hit", "block_miss"}},
 		{name: "upstream miss", reads: srcBlockReads,
 			outcomes: [4]string{"block_miss", "block_miss", "block_miss", "block_miss"}, far: through},
-		{name: "forwarded", opts: srcOpts{noCache: true}, reads: srcBlockReads,
+		{name: "forwarded", opts: chainSpec{noCache: true}, reads: srcBlockReads,
 			outcomes: [4]string{"forwarded", "forwarded", "forwarded", "forwarded"},
 			far:      [2]string{"forwarded", "forwarded"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			e := newSrcEnv(t, row)
+			e := srcChain(t, row)
 			reads, outcomes := row.reads[:], row.outcomes[:]
 			if row.far[0] != "" {
 				reads = append(reads, srcFarReads[:]...)
@@ -150,7 +142,7 @@ func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
 				if row.join {
 					got = e.joinRead(t, r)
 				} else {
-					got = e.read(t, e.proxy, r)
+					got = e.read(t, e.rpc, r)
 				}
 				if diff := sameRead(got, e.read(t, e.origin, r)); diff != "" {
 					t.Errorf("%s READ %+v: %s", srcCases[i], r, diff)
@@ -167,7 +159,7 @@ func TestReadSourcesAnswerLikeTheOrigin(t *testing.T) {
 // accounted as the block path's READ of the span between them, with the
 // span's bytes; a READ the map answers whole, with the READ's.
 func TestZeroEdgeReadAccountsSpan(t *testing.T) {
-	e := newSrcEnv(t, srcRow{zero: srcZeros, meta: meta.GenerateZeroMap})
+	e := srcChain(t, srcRow{zero: srcZeros, meta: meta.GenerateZeroMap})
 	readBytes := func() uint64 {
 		for _, row := range e.p.Statusz().Files["reads"] {
 			if row.File == "/short" {
@@ -184,7 +176,7 @@ func TestZeroEdgeReadAccountsSpan(t *testing.T) {
 		{srcRead{"/short", 3, 2, 0}, 2 * runBS}, // Z Z
 	} {
 		before := readBytes()
-		e.read(t, e.proxy, step.r)
+		e.read(t, e.rpc, step.r)
 		if got := readBytes() - before; got != step.want {
 			t.Errorf("READ %+v accounted %d bytes, want %d", step.r, got, step.want)
 		}
@@ -197,16 +189,18 @@ func TestZeroEdgeReadAccountsSpan(t *testing.T) {
 // end the origin reports — not answered with no bytes and no EOF, which a
 // client asks again for ever.
 func TestFileCacheEndStands(t *testing.T) {
-	e := newSrcEnv(t, srcRow{meta: meta.ForWholeFile, opts: srcOpts{fileChan: true}})
+	e := srcChain(t, srcRow{meta: meta.ForWholeFile, opts: chainSpec{fileChan: true}})
 	r := srcRead{"/short", 9, 1, 0}
-	e.read(t, e.proxy, r) // the fetch
+	e.read(t, e.rpc, r) // the fetch
 	e.p.attrs.sawSize(e.fhs[r.file], 12*runBS)
-	if got := e.read(t, e.proxy, r); got.Status != nfs3.OK || len(got.Data) != 0 || !got.EOF {
+	if got := e.read(t, e.rpc, r); got.Status != nfs3.OK || len(got.Data) != 0 || !got.EOF {
 		t.Errorf("READ past the copy's end: status %v, %d bytes, eof=%v; want 0 bytes and EOF", got.Status, len(got.Data), got.EOF)
 	}
 }
 
-func newSrcEnv(t *testing.T, row srcRow) *srcEnv {
+// srcChain is the row's chain over an origin that holds both files, and
+// their twins, with the row's zero blocks and meta-data.
+func srcChain(t *testing.T, row srcRow) *srcEnv {
 	t.Helper()
 	fs := memfs.New()
 	for name, size := range srcSizes {
@@ -217,59 +211,21 @@ func newSrcEnv(t *testing.T, row srcRow) *srcEnv {
 			}
 		}
 		for _, path := range []string{name, name + ".twin"} {
-			if err := fs.WriteFile(path, data); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, fs.WriteFile(path, data))
 		}
 		if row.meta != nil {
 			blob, err := row.meta(data, runBS).Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.WriteFile("/"+meta.NameFor(name[1:]), blob); err != nil {
-				t.Fatal(err)
-			}
+			Check(t, err)
+			Check(t, fs.WriteFile("/"+meta.NameFor(name[1:]), blob))
 		}
 	}
-	e := &srcEnv{origin: nfsdInProcess(t, fs), fhs: map[string]nfs3.FH{},
-		cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "sources"}.Encode()}
-	cfg := Config{Upstream: e.origin, Backend: nfs3be.New(e.origin)}
-	if row.opts.dedup {
-		cfg.Backend = hashingBackend{cfg.Backend}
-	}
-	if !row.opts.noCache {
-		bc, err := cache.New(cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 16, Assoc: 4,
-			BlockSize: runBS, Policy: cache.WriteBack, Dedup: row.opts.dedup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { bc.Close() })
-		cfg.BlockCache = bc
-	}
-	if row.opts.fileChan {
-		cfg.FileChanDial = func() (net.Conn, error) {
-			a, b := net.Pipe()
-			go filechan.NewServer(fs).ServeConn(b)
-			return a, nil
-		}
-	}
-	if row.opts.readAhead {
-		cfg.ReadAhead = 8
-	}
-	var err error
-	if e.p, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.p.Shutdown)
-	e.proxy = sunrpc.Local{H: e.p}
-	root, err := mountd.Mount(e.proxy, e.cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(e.proxy, e.cred)
+	spec := row.opts
+	spec.fs, spec.cache = fs, runCache(cache.WriteBack)
+	e := &srcEnv{chain: newChain(t, spec), fhs: map[string]nfs3.FH{}}
 	for name := range srcSizes {
 		for _, path := range []string{name, name + ".twin"} {
-			if e.fhs[path], _, err = nc.Lookup(root, path[1:]); err != nil {
+			var err error
+			if e.fhs[path], _, err = e.nc.Lookup(e.root, path[1:]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -300,7 +256,7 @@ func (e *srcEnv) readErr(rpc sunrpc.Local, r srcRead) (*nfs3.ReadRes, error) {
 func (e *srcEnv) setSize(t *testing.T, path string, size uint64) {
 	t.Helper()
 	args := nfs3.SetattrArgs{FH: e.fhs[path], Attr: nfs3.SetAttr{Size: &size}}
-	res, err := e.proxy.Call(nfs3.Program, nfs3.Version, nfs3.ProcSetattr, e.cred, args.Encode())
+	res, err := e.rpc.Call(nfs3.Program, nfs3.Version, nfs3.ProcSetattr, e.cred, args.Encode())
 	if err != nil {
 		t.Fatalf("SETATTR %s: %v", path, err)
 	}
@@ -332,7 +288,7 @@ func (e *srcEnv) joinRead(t *testing.T, r srcRead) *nfs3.ReadRes {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		res, err := e.readErr(e.proxy, r)
+		res, err := e.readErr(e.rpc, r)
 		done <- reply{res, err}
 	}()
 	for deadline := time.Now().Add(10 * time.Second); bc.Stats().Misses == misses; time.Sleep(time.Millisecond) {
@@ -342,12 +298,8 @@ func (e *srcEnv) joinRead(t *testing.T, r srcRead) *nfs3.ReadRes {
 	}
 	args := r.args(fh)
 	run, err := e.p.cfg.Backend.Read(backend.FileID(fh), args.Offset, args.Count, backend.CallOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.p.installRun(fh, r.block, r.blocks, run, e.p.attrs.writeSeq(fh)); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	Check(t, e.p.installRun(fh, r.block, r.blocks, run, e.p.attrs.writeSeq(fh)))
 	run.Release()
 	close(over)
 	got := <-done
@@ -382,18 +334,4 @@ func sameRead(got, want *nfs3.ReadRes) string {
 		return fmt.Sprintf("post-op size %d, origin %d", got.Attr.Size, want.Attr.Size)
 	}
 	return ""
-}
-
-// hashingBackend knows its blocks' content hashes, as a content-addressed
-// store does — here by reading the block — so that the proxy's dedup
-// sources answer.
-type hashingBackend struct{ backend.Backend }
-
-func (h hashingBackend) BlockHash(f backend.FileID, block uint64, bs int) (backend.Hash, uint32, bool) {
-	r, err := h.Read(f, block*uint64(bs), uint32(bs), backend.CallOpts{})
-	if err != nil || len(r.Data) == 0 {
-		return backend.Hash{}, 0, false
-	}
-	defer r.Release()
-	return backend.HashOf(r.Data), uint32(len(r.Data)), true
 }

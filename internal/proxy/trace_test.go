@@ -10,7 +10,8 @@ package proxy_test
 
 import (
 	"bytes"
-	"os"
+	"gvfs/internal/proxy"
+	"gvfs/internal/stack/stacktest"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -31,71 +32,33 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	const slow = 50 * time.Millisecond
 	fs := memfs.New()
 	content := chaosPattern(32*8192, 3)
-	if err := fs.WriteFile("/vm.img", content); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/stall.img", chaosPattern(4*8192, 4)); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, fs.WriteFile("/vm.img", content))
+	proxy.Check(t, fs.WriteFile("/stall.img", chaosPattern(4*8192, 4)))
 
 	// The origin sits behind a link of its own, so a stall there slows
 	// the server proxy's own call and not just the client proxy's.
 	lan := simnet.NewLink(simnet.Profile{Name: "trace-origin", RTT: time.Millisecond})
-	nfsd, err := stack.StartNFSServer(fs, stack.NFSServerOptions{ListenLink: lan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfsd.Close()
 	// Rings larger than the test's calls: no recording an exemplar names
 	// is overwritten.
 	link := simnet.NewLink(simnet.Profile{Name: "trace-lan", RTT: time.Millisecond})
-	server, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: nfsd.Addr, UpstreamLink: lan, ListenLink: link,
-		TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	cacheDir, err := os.MkdirTemp(t.TempDir(), "blockcache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.Addr,
-		UpstreamLink: link,
-		CacheConfig: &cache.Config{
-			Dir: cacheDir, Banks: 4, SetsPerBank: 8, Assoc: 4,
-			BlockSize: 8192, Policy: cache.WriteBack,
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, FS: fs, Link: lan,
+		Hops: []stack.ProxyOptions{
+			{UpstreamLink: link, TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
+				CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 8, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}},
+			{ListenLink: link, TraceRing: 512, FlightRing: 512, SlowThreshold: slow},
 		},
-		TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
+		Session: gvfs.SessionConfig{Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "trace"}.Encode()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client, server, sess := c.Hops[0], c.Hops[1], c.Session()
 	if client.Tracer == nil || server.Tracer == nil {
 		t.Fatal("TraceRing > 0 must give both nodes a tracer")
 	}
-
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr:   client.Addr,
-		Export: "/",
-		Cred:   sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "trace"}.Encode(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 
 	// Cold read: misses go upstream. Second read: block-cache hits
 	// stay at hop 0 and must NOT reach the server's ring.
 	for i := 0; i < 2; i++ {
 		got, err := sess.ReadFile("/vm.img")
-		if err != nil {
-			t.Fatal(err)
-		}
+		proxy.Check(t, err)
 		if len(got) != len(content) {
 			t.Fatalf("read %d bytes, want %d", len(got), len(content))
 		}
@@ -175,9 +138,8 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	// exemplar its /metrics publishes resolves to a recording: exemplars
 	// are set only where a call is promoted.
 	lan.Stall(3 * slow)
-	if _, err := sess.ReadFile("/stall.img"); err != nil {
-		t.Fatal(err)
-	}
+	_, err := sess.ReadFile("/stall.img")
+	proxy.Check(t, err)
 	for hop, node := range []*stack.Node{client, server} {
 		recs := node.Flight.Recordings()
 		slowWithSpans := false
@@ -236,48 +198,28 @@ func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
 	const blocks, bs = 256, 8192
 	fs := memfs.New()
 	content := chaosPattern(blocks*bs, 5)
-	if err := fs.WriteFile("/vm.img", content); err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, fs.WriteFile("/vm.img", content))
 	origin := &readCountingOrigin{Backend: fs}
-	nfsd, err := stack.StartNFSServer(origin, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfsd.Close()
-	server, err := stack.StartProxy(stack.ProxyOptions{UpstreamAddr: nfsd.Addr, TraceRing: 4 * blocks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.Addr,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack},
-		TraceRing: 4 * blocks,
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, Sessions: -1,
+		Hops: []stack.ProxyOptions{
+			{TraceRing: 4 * blocks,
+				CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}},
+			{TraceRing: 4 * blocks},
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client, server := c.Hops[0], c.Hops[1]
 
 	conn, err := stack.Dialer(client.Addr, nil, nil)()
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	rpc := sunrpc.NewClient(conn)
 	defer rpc.Close()
 	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "trace"}.Encode()
 	root, err := mountd.Mount(rpc, cred, "/")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 	caller := &stampingCaller{rpc: rpc}
 	nc := nfs3.NewClient(caller, cred)
 	fh, _, err := nc.Lookup(root, "vm.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy.Check(t, err)
 
 	originReads := make(map[uint64]uint64, blocks) // trace ID -> origin READs during the op
 	for b := uint64(0); b < blocks; b++ {

@@ -23,7 +23,7 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 				name += ", written before the map is read"
 			}
 			t.Run(name, func(t *testing.T) {
-				e := newZeroMappedEnv(t, policy, 1, 4, 5) // Z N Z Z  N N Z Z  Z …
+				e := runChain(t, 16*runBS, chainSpec{cache: runCache(policy)}).zeroMapped(t, 1, 4, 5) // Z N Z Z  N N Z Z  Z …
 				if mapFirst {
 					e.read(t, 1, 1)
 				}
@@ -40,9 +40,7 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 				// The frames go (write-back first): upstream has the bytes,
 				// the map still must not answer for them.
 				for _, b := range []uint64{2, 3} {
-					if err := e.p.cfg.BlockCache.InvalidateBlock(e.fh, b); err != nil {
-						t.Fatal(err)
-					}
+					Check(t, e.p.cfg.BlockCache.InvalidateBlock(e.fh, b))
 				}
 				if got := e.read(t, 2, 1); !sameReads(got, upstreamRead{2, 2}) { // a scan: 1 is resident
 					t.Errorf("READ of a written block the cache let go cost upstream %v, want 2+2: block 3 is not the map's to trim", got)
@@ -53,9 +51,7 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 				// A written block at the end of a miss run is fetched with it,
 				// and the zero block before it rides along.
 				e.write(t, 7, 0xCF)
-				if err := e.p.cfg.BlockCache.InvalidateBlock(e.fh, 7); err != nil {
-					t.Fatal(err)
-				}
+				Check(t, e.p.cfg.BlockCache.InvalidateBlock(e.fh, 7))
 				if got := e.read(t, 4, 1); !sameReads(got, upstreamRead{4, 4}) {
 					t.Errorf("miss run from block 4 cost upstream %v, want 4+4", got)
 				}
@@ -72,7 +68,7 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 // read back alone or behind zero blocks the map answers, and the file
 // ends after them.
 func TestWritePastZeroMapEndReadsBack(t *testing.T) {
-	e := newZeroMappedEnv(t, cache.WriteBack, 1)
+	e := runChain(t, 16*runBS, chainSpec{}).zeroMapped(t, 1)
 	e.read(t, 1, 1) // fetches the map
 	e.want = append(e.want, make([]byte, runBS)...)
 	e.write(t, 16, 0xCD)
@@ -83,7 +79,7 @@ func TestWritePastZeroMapEndReadsBack(t *testing.T) {
 
 // Readers of the map and the writers that take blocks out of it do not race.
 func TestWriteToZeroMappedBlockConcurrent(t *testing.T) {
-	e := newZeroMappedEnv(t, cache.WriteBack, 1)
+	e := runChain(t, 16*runBS, chainSpec{}).zeroMapped(t, 1)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -107,23 +103,18 @@ func TestWriteToZeroMappedBlockConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// newZeroMappedEnv is a runEnv whose 16-block /disk.img is zero but for
-// the given blocks, with the zero map to say so beside it.
-func newZeroMappedEnv(t *testing.T, policy cache.Policy, nonZero ...int) *runEnv {
+// zeroMapped makes e's /disk.img zero but for the given blocks, with the
+// zero map to say so beside it, and starts a session that sees them.
+func (e *runEnv) zeroMapped(t *testing.T, nonZero ...int) *runEnv {
 	t.Helper()
-	e := newRunEnvPolicy(t, 16*runBS, Config{}, policy)
 	clear(e.want)
 	for _, b := range nonZero {
 		copy(e.want[b*runBS:], runContent(runBS, byte(b)))
 	}
 	blob, err := meta.GenerateZeroMap(e.want, runBS).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
 	for name, data := range map[string][]byte{"/disk.img": e.want, "/" + meta.NameFor("disk.img"): blob} {
-		if err := e.fs.WriteFile(name, data); err != nil {
-			t.Fatal(err)
-		}
+		Check(t, e.fs.WriteFile(name, data))
 	}
 	e.newSession(t)
 	return e
@@ -135,14 +126,10 @@ func newZeroMappedEnv(t *testing.T, policy cache.Policy, nonZero ...int) *runEnv
 // map that claims 2^62 bytes in one byte of bitmap must not make that a
 // walk of 2^49 blocks under the file's meta-data lock.
 func TestUnzeroBoundedByTheMap(t *testing.T) {
-	e := newRunEnvPolicy(t, 4*runBS, Config{}, cache.WriteBack)
+	e := runChain(t, 4*runBS, chainSpec{})
 	blob, err := (&meta.Meta{FileSize: 1 << 62, BlockSize: 4096, ZeroMap: []byte{0xff}}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.fs.WriteFile("/"+meta.NameFor("disk.img"), blob); err != nil {
-		t.Fatal(err)
-	}
+	Check(t, err)
+	Check(t, e.fs.WriteFile("/"+meta.NameFor("disk.img"), blob))
 	e.newSession(t)
 	for _, off := range []uint64{0, 1 << 61} {
 		if _, _, err := e.nc.Write(e.fh, off, runContent(runBS, 1), nfs3.Unstable); err != nil {
@@ -158,9 +145,7 @@ func TestUnzeroBoundedByTheMap(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+		Check(t, err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("the first READ after the WRITEs did not return: the map's walk is not bounded by its bitmap")
 	}

@@ -2,6 +2,7 @@ package gvfs_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack/stacktest"
 	"io"
 	"slices"
 	"sync"
@@ -12,30 +13,14 @@ import (
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
-	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
 )
 
 // mountTestSession wires a session straight to a memfs NFS server.
 func mountTestSession(t testing.TB, pages int) (*gvfs.Session, *memfs.FS) {
-	t.Helper()
-	fs := memfs.New()
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr:           node.Addr,
-		Export:         "/",
-		Cred:           sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode(),
-		PageCachePages: pages,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	return sess, fs
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Session: gvfs.SessionConfig{
+		Cred: sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode(), PageCachePages: pages}})
+	return c.Session(), c.FS
 }
 
 func TestMountBadAddress(t *testing.T) {
@@ -350,19 +335,8 @@ func TestConcurrentFileAccess(t *testing.T) {
 }
 
 func TestLargeBlockSizeSession(t *testing.T) {
-	fs := memfs.New()
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr: node.Addr, Export: "/", BlockSize: 32768, PageCachePages: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS,
+		Session: gvfs.SessionConfig{BlockSize: 32768, PageCachePages: 8}}).Session()
 	payload := bytes.Repeat([]byte{0xBB}, 100_000) // spans 32 KB blocks
 	if err := sess.WriteFile("/big", payload); err != nil {
 		t.Fatal(err)
@@ -412,16 +386,7 @@ func TestResolveAndMkdirAllRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: fs}).Session()
 	calls := func(step string, f func() error, lookups, mkdirs int64) {
 		t.Helper()
 		l0, m0 := fs.lookups.Load(), fs.mkdirs.Load()
@@ -503,17 +468,7 @@ func mountSpySession(t *testing.T, cfg gvfs.SessionConfig, size int) (*gvfs.Sess
 	if err := spy.WriteFile("/f", want); err != nil {
 		t.Fatal(err)
 	}
-	node, err := stack.StartNFSServer(spy, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	cfg.Addr, cfg.Export = node.Addr, "/"
-	sess, err := gvfs.Mount(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
+	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: spy, Session: cfg}).Session()
 	return sess, spy, want
 }
 

@@ -2,11 +2,11 @@ package gvfs_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack/stacktest"
 	"testing"
 
 	gvfs "gvfs"
 	"gvfs/internal/memfs"
-	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
 )
 
@@ -15,23 +15,10 @@ import (
 // File.Close committed — so a session-level close could silently skip
 // the commit that surfaces propagation failures.
 
-func mountCloseTestSession(t *testing.T) (*gvfs.Session, *memfs.FS, *stack.Node) {
-	t.Helper()
-	fs := memfs.New()
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr:   node.Addr,
-		Export: "/",
-		Cred:   sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess, fs, node
+func mountCloseTestSession(t *testing.T) (*gvfs.Session, *memfs.FS, *stacktest.Chain) {
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS,
+		Session: gvfs.SessionConfig{Cred: sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode()}})
+	return c.Session(), c.FS, c
 }
 
 func TestSessionCloseCommitsOpenFiles(t *testing.T) {
@@ -63,7 +50,7 @@ func TestSessionCloseCommitsOpenFiles(t *testing.T) {
 }
 
 func TestSessionCloseReportsCommitFailure(t *testing.T) {
-	sess, _, node := mountCloseTestSession(t)
+	sess, _, c := mountCloseTestSession(t)
 
 	f, err := sess.Create("/doomed.img")
 	if err != nil {
@@ -75,7 +62,7 @@ func TestSessionCloseReportsCommitFailure(t *testing.T) {
 	// The server dies before the session settles: the close-time commit
 	// cannot be acknowledged, and the session must say so rather than
 	// report a clean teardown.
-	node.Close()
+	c.StopOrigin()
 	if err := sess.Close(); err == nil {
 		t.Error("session close returned nil despite an unacknowledged commit")
 	}
