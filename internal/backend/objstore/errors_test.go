@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"gvfs/internal/backend"
 )
@@ -142,5 +145,75 @@ func TestTablesBoundedUnderChurn(t *testing.T) {
 	}
 	if n := len(b.cache); n > manifestMax {
 		t.Errorf("%d manifests cached after 100k files, want at most %d", n, manifestMax)
+	}
+}
+
+// slowManifests holds every manifest Get a moment after reading it,
+// widening the gap between a load's read and its caching.
+type slowManifests struct{ Store }
+
+func (s slowManifests) Get(key string) ([]byte, error) {
+	data, err := s.Store.Get(key)
+	if strings.HasPrefix(key, metaPrefix) {
+		time.Sleep(20 * time.Microsecond)
+	}
+	return data, err
+}
+
+// TestLoadCannotUndoSave: a manifest a reader loads from the store must
+// not replace in the cache one that a Write saved after the load began,
+// though the cache is reset under both. Otherwise the next Write builds
+// on the older manifest and loses the blocks of the Write before it.
+func TestLoadCannotUndoSave(t *testing.T) {
+	const bs, writes = 16, 300
+	b := New(slowManifests{NewMemStore()}, bs)
+	fid, _, err := b.Create(backend.FileID("/"), "f", backend.CallOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(read bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b.mu.Lock()
+				b.cache = make(map[string]*parsed)
+				b.mu.Unlock()
+				if read {
+					b.Read(fid, 0, bs, backend.CallOpts{})
+				} else {
+					b.GetAttr(fid, backend.CallOpts{})
+				}
+			}
+		}(r == 0)
+	}
+	want := make([]byte, 0, bs*writes)
+	for i := 0; i < writes; i++ {
+		block := bytes.Repeat([]byte{byte(i%255 + 1)}, bs)
+		if _, err := b.Write(fid, uint64(len(want)), block, backend.CallOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, block...)
+	}
+	close(stop)
+	wg.Wait()
+	got, err := b.Read(fid, 0, uint32(len(want)), backend.CallOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Data) != len(want) {
+		t.Fatalf("read %d bytes, want %d", len(got.Data), len(want))
+	}
+	for i := 0; i < writes; i++ {
+		if blk := got.Data[i*bs : (i+1)*bs]; !bytes.Equal(blk, want[i*bs:(i+1)*bs]) {
+			t.Fatalf("block %d of %d written reads back %x: a Write was lost", i, writes, blk[:1])
+		}
 	}
 }

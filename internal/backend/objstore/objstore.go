@@ -55,9 +55,10 @@ type Backend struct {
 
 	mu    sync.Mutex
 	cache map[string]*parsed // manifest cache, keyed by FileID; at most manifestMax
+	saves uint64             // manifests saved so far
 
 	// wlocks serialize the manifest read-modify-write in Write, a file's
-	// under wlocks[lockStripe(fid)]. Without them, the proxy's
+	// under writeLock(fid). Without them, the proxy's
 	// concurrent flush (up to eight dirty runs of one file in flight at
 	// once) loses manifest updates — block objects land in the store but
 	// the last saveManifest wins, resurrecting zero hashes for blocks
@@ -82,14 +83,13 @@ func (b *Backend) writeLock(fid string) *sync.Mutex {
 	return &b.wlocks[h%uint32(len(b.wlocks))]
 }
 
-// remember caches fid's manifest.
-func (b *Backend) remember(fid string, m *parsed) {
-	b.mu.Lock()
+// cacheLocked caches fid's manifest, starting the cache afresh at
+// manifestMax. b.mu is held.
+func (b *Backend) cacheLocked(fid string, m *parsed) {
 	if len(b.cache) >= manifestMax {
 		b.cache = make(map[string]*parsed)
 	}
 	b.cache[fid] = m
-	b.mu.Unlock()
 }
 
 type faultState struct{ err error }
@@ -178,6 +178,7 @@ func storeErr(op string, err error) error {
 func (b *Backend) loadManifest(op, fid string) (*parsed, error) {
 	b.mu.Lock()
 	m, ok := b.cache[fid]
+	since := b.saves
 	b.mu.Unlock()
 	if ok {
 		return m, nil
@@ -201,7 +202,14 @@ func (b *Backend) loadManifest(op, fid string) (*parsed, error) {
 		}
 		m.blocks = append(m.blocks, h)
 	}
-	b.remember(fid, m)
+	// A manifest saved since the Get began may be newer than m and is
+	// cached already: m must not replace it, or the next Write would build
+	// on m and undo that save.
+	b.mu.Lock()
+	if b.saves == since {
+		b.cacheLocked(fid, m)
+	}
+	b.mu.Unlock()
 	return m, nil
 }
 
@@ -218,7 +226,10 @@ func (b *Backend) saveManifest(op, fid string, m *parsed) error {
 	if err := b.store.Put(manifestKey(fid), blob); err != nil {
 		return storeErr(op, err)
 	}
-	b.remember(fid, m)
+	b.mu.Lock()
+	b.saves++
+	b.cacheLocked(fid, m)
+	b.mu.Unlock()
 	return nil
 }
 

@@ -141,7 +141,7 @@ func TestParallelClones(t *testing.T) {
 	// Eight compute servers (each with its own proxy+session) share
 	// one image server.
 	golden := goldenServer()
-	golden.Sessions = -1
+	golden.NoSession = true
 	server := stacktest.New(t, golden).Server
 
 	const n = 4
@@ -212,7 +212,7 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := simnet.NewLink(simnet.Local())
-	c := stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, Sessions: -1,
+	c := stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, NoSession: true,
 		Hops: []stack.ProxyOptions{{FileChanLink: link,
 			CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}})
 

@@ -3,6 +3,7 @@ package osfs_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,6 +96,23 @@ func TestDirsAndSymlinks(t *testing.T) {
 	}
 	if err := fs.Rmdir(root, "images"); nfs3.StatusOf(err) != nfs3.ErrNotEmpty {
 		t.Errorf("rmdir non-empty: %v", err)
+	}
+}
+
+// TestReadDirCookiePastEnd: a READDIR cookie past the last entry, even
+// one of 2^63 or more that does not fit an int, lists nothing and ends
+// the directory instead of panicking the server.
+func TestReadDirCookiePastEnd(t *testing.T) {
+	fs, _ := newFS(t)
+	root, _ := fs.Root()
+	if _, _, err := fs.Create(root, "a.vmdk", nfs3.SetAttr{}, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, cookie := range []uint64{5, 1 << 63, math.MaxUint64} {
+		entries, eof, err := fs.ReadDir(root, cookie, 1<<20)
+		if err != nil || !eof || len(entries) != 0 {
+			t.Errorf("cookie %d: %d entries eof=%v err=%v, want none at EOF", cookie, len(entries), eof, err)
+		}
 	}
 }
 

@@ -95,7 +95,9 @@ func TestDegradedReadsAttributedInStatusz(t *testing.T) {
 
 	// The document itself must be bounded, valid JSON.
 	var buf bytes.Buffer
-	proxy.Check(t, node.Proxy.WriteStatusz(&buf))
+	if err := node.Proxy.WriteStatusz(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if err := obs.LintBoundedJSON(buf.Bytes(), 4096); err != nil {
 		t.Fatalf("statusz fails bounded-JSON lint: %v", err)
 	}
@@ -106,7 +108,9 @@ func TestWriteBackAuditAcrossFlush(t *testing.T) {
 	node, sess := c.Hop(), c.Session()
 
 	payload := chaosPattern(32*1024, 10)
-	proxy.Check(t, sess.WriteFile("/disk", payload))
+	if err := sess.WriteFile("/disk", payload); err != nil {
+		t.Fatal(err)
+	}
 	st := node.Proxy.Statusz()
 	if st.Audit.DirtyBlocks == 0 {
 		t.Fatal("no dirty blocks in audit after absorbed writes")
@@ -121,7 +125,9 @@ func TestWriteBackAuditAcrossFlush(t *testing.T) {
 		t.Fatalf("no dirty audit events for /disk: %+v", st.Audit.Events)
 	}
 
-	proxy.Check(t, node.Proxy.WriteBack())
+	if err := node.Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	st = node.Proxy.Statusz()
 	if st.Audit.DirtyBlocks != 0 {
 		t.Errorf("dirty blocks remain in audit after write-back: %d", st.Audit.DirtyBlocks)
@@ -187,7 +193,9 @@ func TestFileCacheReadErrorAccounting(t *testing.T) {
 		t.Fatalf("the fetched file answered nothing: %+v", before)
 	}
 	// Take the blocks away, and the upstream that could bring them back.
-	proxy.Check(t, node.BlockCache.Flush())
+	if err := node.BlockCache.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	c.StopOrigin()
 	sess.DropCaches()
 	if _, err := sess.ReadFile("/vm/mem.vmss"); err == nil {

@@ -24,7 +24,9 @@ func forwarded(p *Proxy) uint64 { return p.Snapshot().Counter("gvfs_proxy_forwar
 func readAttr(t *testing.T, nc *nfs3.Client, fh nfs3.FH, off uint64) ([]byte, *nfs3.Fattr) {
 	t.Helper()
 	res, err := nc.RawCall(nfs3.ProcRead, (&nfs3.ReadArgs{FH: fh, Offset: off, Count: 8192}).Encode())
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := nfs3.DecodeReadRes(res)
 	if err != nil || r.Status != nfs3.OK {
 		t.Fatalf("READ at %d: %v, status %v", off, err, r.Status)
@@ -51,8 +53,9 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 	if err != nil || attr.Size != 8192 {
 		t.Fatalf("A: LOOKUP disk.img: %v, %+v", err, attr)
 	}
-	_, _, err = a.Lookup(root, "scratch.img")
-	Check(t, err)
+	if _, _, err := a.Lookup(root, "scratch.img"); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := a.Lookup(root, "later.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("A: LOOKUP later.img: %v, want NOENT", err)
 	}
@@ -62,14 +65,22 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 
 	// B's session: rewrite and extend disk.img, remove one name, add one.
 	bfh, _, err := b.Lookup(root, "disk.img")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh := bytes.Repeat([]byte{'b'}, 16384)
-	_, _, err = b.Write(bfh, 0, fresh, nfs3.Unstable)
-	Check(t, err)
-	Check(t, b.Remove(root, "scratch.img"))
-	_, _, err = b.Create(root, "later.img", nfs3.SetAttr{}, false)
-	Check(t, err)
-	Check(t, pb.Flush())
+	if _, _, err := b.Write(bfh, 0, fresh, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Remove(root, "scratch.img"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Create(root, "later.img", nfs3.SetAttr{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := fs.ReadFile("/disk.img"); !bytes.Equal(got, fresh) {
 		t.Fatal("B's flush did not reach the origin")
 	}
@@ -97,12 +108,16 @@ func TestSessionViewHeldUntilFlush(t *testing.T) {
 
 	// WriteBack propagates data but keeps the session, table included.
 	held := pa.attrs.len()
-	Check(t, pa.WriteBack())
+	if err := pa.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	if n := pa.attrs.len(); n != held || n == 0 {
 		t.Errorf("WriteBack left %d of %d table entries, want all", n, held)
 	}
 
-	Check(t, pa.Flush())
+	if err := pa.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if n := pa.attrs.len(); n != 0 {
 		t.Errorf("%d entries in A's table after Flush, want none", n)
 	}
@@ -139,9 +154,13 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	fs.WriteFile("/vm.redo", make([]byte, 16384))
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, before, err := nc.Lookup(root, "vm.redo")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, wattr, err := nc.Write(fh, 16384, bytes.Repeat([]byte{'w'}, 8192), nfs3.Unstable)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const want = 24576
 	check := func(what string, a *nfs3.Fattr) {
 		t.Helper()
@@ -154,7 +173,9 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	check("WRITE wcc", wattr)
 	got, err := nc.GetAttr(fh)
 	check("GETATTR", &got)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, la, _ := nc.Lookup(root, "vm.redo")
 	check("LOOKUP", la)
 	_, ra := readAttr(t, nc, fh, 16384)
@@ -168,7 +189,9 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 	if data, _ := fs.ReadFile("/vm.redo"); len(data) != 16384 {
 		t.Fatalf("origin has %d bytes before any flush, want 16384", len(data))
 	}
-	Check(t, p.WriteBack())
+	if err := p.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	if data, _ := fs.ReadFile("/vm.redo"); len(data) != want {
 		t.Errorf("origin has %d bytes after the write-back, want %d", len(data), want)
 	}
@@ -177,8 +200,9 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 
 	// SETATTR-size is the shrinker.
 	size := uint64(100)
-	_, err = nc.SetAttr(fh, nfs3.SetAttr{Size: &size})
-	Check(t, err)
+	if _, err := nc.SetAttr(fh, nfs3.SetAttr{Size: &size}); err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := nc.GetAttr(fh); got.Size != 100 {
 		t.Errorf("GETATTR after SETATTR size=100: %d", got.Size)
 	}
@@ -191,20 +215,25 @@ func TestAbsorbedWriteExtendsEveryAttr(t *testing.T) {
 func TestSetattrTimesStand(t *testing.T) {
 	_, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "copied.img", nfs3.SetAttr{}, false)
-	Check(t, err)
-	_, _, err = nc.Write(fh, 0, make([]byte, 8192), nfs3.Unstable)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Write(fh, 0, make([]byte, 8192), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 	// A SETATTR that leaves the times alone leaves the absorbed write's.
 	wrote, _ := nc.GetAttr(fh)
 	mode := uint32(0600)
-	_, err = nc.SetAttr(fh, nfs3.SetAttr{Mode: &mode})
-	Check(t, err)
+	if _, err := nc.SetAttr(fh, nfs3.SetAttr{Mode: &mode}); err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := nc.GetAttr(fh); got.Mode&0777 != 0600 || got.Mtime.Less(wrote.Mtime) || got.Size != 8192 {
 		t.Errorf("GETATTR after SETATTR mode: mode %o mtime %+v size %d; want 600, no earlier than the write's %+v, 8192", got.Mode, got.Mtime, got.Size, wrote.Mtime)
 	}
 	old := nfs3.Time{Sec: 1086307200} // 2004-06-04
-	_, err = nc.SetAttr(fh, nfs3.SetAttr{MtimeHow: nfs3.SetToClient, Mtime: old})
-	Check(t, err)
+	if _, err := nc.SetAttr(fh, nfs3.SetAttr{MtimeHow: nfs3.SetToClient, Mtime: old}); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := nc.GetAttr(fh); err != nil || got.Mtime != old || got.Size != 8192 {
 		t.Errorf("GETATTR after SETATTR mtime: mtime %+v size %d (%v); want %+v and the absorbed 8192", got.Mtime, got.Size, err, old)
 	}
@@ -223,10 +252,15 @@ func TestShortWriteOfUnsizedHandle(t *testing.T) {
 	fs.WriteFile("/vm.vmdk", img)
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, _, err := nc.Lookup(root, "vm.vmdk")
-	Check(t, err)
-	Check(t, p.Flush())
-	_, _, err = nc.Write(fh, 8192, bytes.Repeat([]byte{'w'}, 4096), nfs3.Unstable)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Write(fh, 8192, bytes.Repeat([]byte{'w'}, 4096), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 	want := append(bytes.Repeat([]byte{'w'}, 4096), img[8192+4096:2*8192]...)
 	if data, ra := readAttr(t, nc, fh, 8192); !bytes.Equal(data, want) || (ra != nil && ra.Size != uint64(len(img))) {
 		t.Errorf("READ of the block written short: %d bytes (%q…), attr %+v; want the whole block", len(data), data[:min(len(data), 1)], ra)
@@ -237,11 +271,14 @@ func TestShortWriteOfUnsizedHandle(t *testing.T) {
 	// A whole block, too, ends where it ends and not the file: with block 2
 	// cached and the entry gone (forget stands in for the LRU taking a clean
 	// one), a write of block 0 must not make 8192 the size a hit is cut to.
-	Check(t, p.WriteBack())
+	if err := p.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	readAttr(t, nc, fh, 16384)
 	p.attrs.forget(fh)
-	_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{'W'}, 8192), nfs3.Unstable)
-	Check(t, err)
+	if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{'W'}, 8192), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 	misses := p.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if data, _ := readAttr(t, nc, fh, 16384); !bytes.Equal(data, img[16384:]) || p.Snapshot().Counter("gvfs_proxy_read_misses_total") != misses {
 		t.Errorf("READ hit past a whole-block write of an unsized handle: %d bytes, want %d from the cache", len(data), 8192)
@@ -278,7 +315,9 @@ func TestNegativeEntryRacesCreate(t *testing.T) {
 	}()
 	<-answered
 	fh, _, err := nc.Create(root, "raced.img", nfs3.SetAttr{}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	close(release)
 	if err := <-lookupErr; nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("the held LOOKUP returned %v, want the origin's NOENT", err)
@@ -300,14 +339,18 @@ func TestNameChangesInvalidate(t *testing.T) {
 	fs := memfs.New()
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	dir, _, err := nc.Mkdir(root, "d", nfs3.SetAttr{})
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, ok := p.childFH(root, "d"); !ok || !bytes.Equal(got, dir) {
 		t.Fatalf("MKDIR left childFH(d) = %v, %v", got, ok)
 	}
 	if v, ok := p.attrs.get(dir); !ok || v.full != "/d" || v.attr.Type != nfs3.TypeDir {
 		t.Errorf("MKDIR entry: %+v, %v", v, ok)
 	}
-	Check(t, nc.Rmdir(root, "d"))
+	if err := nc.Rmdir(root, "d"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := p.attrs.get(dir); ok {
 		t.Error("RMDIR left the directory's entry")
 	}
@@ -332,7 +375,9 @@ func TestNameChangesInvalidate(t *testing.T) {
 	// A name vanishes behind a positive entry: the NOENT a REMOVE gets
 	// drops it, and a STALE for the handle drops the handle's entry.
 	fh, _, err := nc.Create(root, "vanishing.img", nfs3.SetAttr{}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs.Remove(root, "vanishing.img")
 	if err := nc.Remove(root, "vanishing.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 		t.Fatalf("REMOVE of a vanished name: %v, want NOENT", err)
@@ -363,7 +408,9 @@ func TestNameChangesInvalidate(t *testing.T) {
 
 	// SYMLINK leaves the target; READLINK is answered from it.
 	link, _, err := nc.Symlink(root, "disk.vmdk", "/images/golden/disk.vmdk")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before = forwarded(p)
 	if target, err := nc.ReadLink(link); err != nil || target != "/images/golden/disk.vmdk" || forwarded(p) != before {
 		t.Errorf("READLINK = %q, %v with %d upstream calls; want the SYMLINK's target, locally", target, err, forwarded(p)-before)
@@ -445,8 +492,9 @@ func TestAttrTableAnswersInTrace(t *testing.T) {
 	p, nc, root := ch.p, ch.nc, ch.root
 	p.cfg.Tracer = obs.NewTracer(16)
 	for i := 0; i < 2; i++ {
-		_, _, err := nc.Lookup(root, "img")
-		Check(t, err)
+		if _, _, err := nc.Lookup(root, "img"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	traces := p.cfg.Tracer.Traces()
 	if len(traces) != 2 || len(traces[0].Spans) != 2 || traces[0].Spans[0].Layer != obs.LayerUpstream ||
@@ -463,10 +511,12 @@ func TestAttrTableAnswersInTrace(t *testing.T) {
 	relay, rc := r.p, r.nc
 	before := forwarded(relay)
 	for i := 0; i < 3; i++ {
-		_, _, err := rc.Lookup(root, "img")
-		Check(t, err)
-		_, err = rc.GetAttr(root)
-		Check(t, err)
+		if _, _, err := rc.Lookup(root, "img"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.GetAttr(root); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := forwarded(relay) - before; n != 6 {
 		t.Errorf("the cache-less relay forwarded %d of 6 LOOKUP/GETATTR calls", n)
@@ -484,17 +534,23 @@ func TestAttrTableAnswersInTrace(t *testing.T) {
 func TestKeptHandleAfterFlushCostsTheSame(t *testing.T) {
 	p, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "vm.redo", nfs3.SetAttr{}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := make([]byte, 8192)
 	op := func() {
-		_, _, err := nc.Write(fh, 0, data, nfs3.Unstable)
-		Check(t, err)
-		_, _, err = nc.Read(fh, 0, 8192)
-		Check(t, err)
+		if _, _, err := nc.Write(fh, 0, data, nfs3.Unstable); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := nc.Read(fh, 0, 8192); err != nil {
+			t.Fatal(err)
+		}
 	}
 	op()
 	located := testing.AllocsPerRun(200, op)
-	Check(t, p.Flush())
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	op() // the miss that refills the cache and re-creates the entry
 	if label := p.fileLabel(fh); label != fhLabel(fh) {
 		t.Fatalf("after Flush the handle is labelled %q, want its bytes until it is looked up again", label)

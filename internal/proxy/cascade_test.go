@@ -2,7 +2,6 @@ package proxy_test
 
 import (
 	"bytes"
-	"gvfs/internal/proxy"
 	"testing"
 
 	"gvfs/internal/cache"
@@ -59,12 +58,16 @@ func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
 	// aligned, not a multiple of the block size, last block partial.
 	payload := patterned(5*nfs3.MaxTransfer+cascadeBS+100, 0)
 	const wantRuns = 6
-	proxy.Check(t, sess.WriteFile("/out.img", payload))
+	if err := sess.WriteFile("/out.img", payload); err != nil {
+		t.Fatal(err)
+	}
 	if a, _ := writeCounters(level2); a != 0 {
 		t.Fatalf("second level absorbed %d WRITEs before the first level flushed", a)
 	}
 
-	proxy.Check(t, level1.Proxy.Flush())
+	if err := level1.Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	absorbed, forwarded := writeCounters(level2)
 	if absorbed != wantRuns {
 		t.Errorf("second level absorbed %d WRITEs, want %d (runs of %d bytes)", absorbed, wantRuns, nfs3.MaxTransfer)
@@ -84,7 +87,9 @@ func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
 		t.Fatalf("read through the second level: err=%v, %d bytes, equal=%v", err, len(got), bytes.Equal(got, payload))
 	}
 
-	proxy.Check(t, level2.Proxy.Flush())
+	if err := level2.Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, f := writeCounters(level2); f != 0 {
 		t.Errorf("second level's own flush counted %d forwarded WRITEs", f)
 	}
@@ -104,7 +109,9 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 	e.FS.WriteFile("/disk.img", want)
 	nc := e.Session().NFS()
 	fh, _, err := nc.Lookup(e.Session().Root(), "disk.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every block starts cold: block 8's partial WRITE is merged from
 	// upstream, and blocks 0, 1 and 5 — which no WRITE touches — miss in
 	// the read-back below, after the WRITEs have extended the file. Those
@@ -144,7 +151,9 @@ func TestAlignedMultiBlockWriteAbsorbed(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read-your-writes: %d bytes, want %d byte-identical", len(got), len(want))
 	}
-	proxy.Check(t, e.Hop().Proxy.Flush())
+	if err := e.Hop().Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := e.FS.ReadFile("/disk.img")
 	if err != nil || !bytes.Equal(data, want) {
 		t.Fatalf("origin after flush: err=%v, %d bytes, want %d byte-identical", err, len(data), len(want))
@@ -164,7 +173,9 @@ func TestWriteThroughMultiBlockCoherent(t *testing.T) {
 	}
 	nc := e.Session().NFS()
 	fh, _, err := nc.Lookup(e.Session().Root(), "disk.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := append([]byte(nil), old...)
 	for _, w := range []struct{ off, n int }{
 		{1 * cascadeBS, 3 * cascadeBS},         // aligned run
@@ -182,7 +193,9 @@ func TestWriteThroughMultiBlockCoherent(t *testing.T) {
 	}
 	e.Session().DropCaches()
 	got, err := e.Session().ReadFile("/disk.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for b := 0; b < len(want)/cascadeBS; b++ {
 		if !bytes.Equal(got[b*cascadeBS:(b+1)*cascadeBS], want[b*cascadeBS:(b+1)*cascadeBS]) {
 			t.Errorf("block %d served stale from the write-through cache", b)
@@ -206,7 +219,9 @@ func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
 	level1, level2, sess := c.Hops[0], c.Hops[1], c.Session()
 	nc := sess.NFS()
 	fh, _, err := nc.Lookup(sess.Root(), "golden.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	counter := func(n *stack.Node, name string) uint64 { return n.Proxy.Snapshot().Counter(name) }
 	scan := func(pass string) {
 		t.Helper()
@@ -236,7 +251,9 @@ func TestCascadedMissRunsServedByLevelTwo(t *testing.T) {
 
 	// The first level ends its session: its blocks and attributes go,
 	// the second level keeps its own.
-	proxy.Check(t, level1.Proxy.Flush())
+	if err := level1.Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	origin := c.OriginCalls("")
 	scan("second")
 	if m := counter(level1, "gvfs_proxy_read_misses_total") - misses1; m != misses1 {

@@ -76,7 +76,9 @@ func newChain(t testing.TB, spec chainSpec) *chain {
 	}
 	if c.up == nil {
 		root, err := c.fs.Root()
-		Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		md := mountd.NewServer()
 		md.Export("/", root)
 		nfsd := nfs3.NewServer(c.fs)
@@ -97,7 +99,9 @@ func newChain(t testing.TB, spec chainSpec) *chain {
 		cc.Dir, cc.Dedup = t.TempDir(), cc.Dedup || spec.dedup
 		c.bs = uint64(cc.BlockSize)
 		bc, err := cache.New(cc)
-		Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { bc.Close() })
 		cfg.BlockCache = bc
 	}
@@ -186,15 +190,5 @@ func WaitUntil(t testing.TB, what string, timeout time.Duration, cond func() boo
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out after %v waiting for %s", timeout, what)
 		}
-	}
-}
-
-// Check fails the test with err unless it is nil: the error check of a
-// step the test cannot go on without. Exported for the black-box tests,
-// like WaitUntil.
-func Check(t testing.TB, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -77,9 +77,13 @@ func TestChaosReplicaKillMidWorkload(t *testing.T) {
 	}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1})
 
 	f, err := c.Session().Open("/img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	of, err := c.Session().Open("/out")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The workload: strided 8 KiB reads over /img (cache-defeating) and
 	// periodic overwrites of /out blocks, single-threaded so every
@@ -164,7 +168,9 @@ func TestChaosReplicaStallHedgedReads(t *testing.T) {
 		}, sunrpc.ClientOptions{CallTimeout: 500 * time.Millisecond, MaxRetries: 1})
 
 	f, err := c.Session().Open("/img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Warm the latency distribution past the hedge arming threshold:
 	// 32 distinct blocks, each a cache miss, almost all served by the
 	// fast replica once the EWMA ordering settles. The blocks are a miss
@@ -232,7 +238,9 @@ func TestChaosPrimaryFlapWriteFailover(t *testing.T) {
 	}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1})
 
 	of, err := c.Session().Open("/out")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	flapDone := make(chan struct{})
 	go func() {
 		defer close(flapDone)

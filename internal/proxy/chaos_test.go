@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"gvfs/internal/proxy"
 	"gvfs/internal/stack/stacktest"
 	"sync"
 	"sync/atomic"
@@ -101,7 +100,9 @@ func TestChaosPartitionDegradedModeAndReplay(t *testing.T) {
 		t.Fatalf("warm read: %v", err)
 	}
 	part1 := chaosPattern(16*1024, 3)
-	proxy.Check(t, sess.WriteFile("/out", part1))
+	if err := sess.WriteFile("/out", part1); err != nil {
+		t.Fatal(err)
+	}
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("write not absorbed into the write-back cache")
 	}
@@ -258,7 +259,9 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 		t.Fatalf("warm read: %v", err)
 	}
 	payload := chaosPattern(48*1024, 9)
-	proxy.Check(t, sess.WriteFile("/ack", payload))
+	if err := sess.WriteFile("/ack", payload); err != nil {
+		t.Fatal(err)
+	}
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("write not absorbed into the write-back cache")
 	}
@@ -401,7 +404,9 @@ func TestChaosFlapMidFlushNoLostWrites(t *testing.T) {
 	}))
 	node, sess := c.Hop(), c.Session()
 	payload := chaosPattern(64*1024, 6)
-	proxy.Check(t, sess.WriteFile("/disk", payload))
+	if err := sess.WriteFile("/disk", payload); err != nil {
+		t.Fatal(err)
+	}
 	if node.BlockCache.DirtyCount() == 0 {
 		t.Fatal("no dirty blocks absorbed")
 	}

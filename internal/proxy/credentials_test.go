@@ -62,7 +62,9 @@ type tenant struct {
 func newTenant(t *testing.T, ch *chain, uid uint32) *tenant {
 	cred := sunrpc.UnixCred{MachineName: "grid", UID: uid, GID: uid}.Encode()
 	root, err := mountd.Mount(ch.rpc, cred, "/")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &tenant{uid, nfs3.NewClient(ch.rpc, cred), root}
 }
 
@@ -98,7 +100,9 @@ func mappedUID(t *testing.T, alloc *auth.Allocator, uid uint32) uint32 {
 func TestRelayIdentityAndFidelity(t *testing.T) {
 	fs := memfs.New()
 	for _, uid := range []uint32{500, 501} {
-		Check(t, fs.WriteFile(fmt.Sprintf("/u%d.img", uid), bytes.Repeat([]byte{byte(uid)}, 3*8192)))
+		if err := fs.WriteFile(fmt.Sprintf("/u%d.img", uid), bytes.Repeat([]byte{byte(uid)}, 3*8192)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	origin := &recordingOrigin{}
 	alloc := auth.NewAllocator(60000, 16, time.Hour)
@@ -132,7 +136,9 @@ func TestRelayIdentityAndFidelity(t *testing.T) {
 		if err := gotW.DecodeInto(res); err != nil || gotW.Status != nfs3.OK || gotW.Wcc.Before == nil || gotW.Wcc.After == nil {
 			t.Fatalf("uid %d: WRITE reply %+v, %v; want OK with both halves of wcc_data", uid, gotW, err)
 		}
-		Check(t, wantW.DecodeInto(origin.lastReply(t, nfs3.ProcWrite)))
+		if err := wantW.DecodeInto(origin.lastReply(t, nfs3.ProcWrite)); err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(gotW.Wcc, wantW.Wcc) {
 			t.Errorf("uid %d: WRITE wcc_data %+v / %+v, the origin's %+v / %+v",
 				uid, gotW.Wcc.Before, gotW.Wcc.After, wantW.Wcc.Before, wantW.Wcc.After)
@@ -203,12 +209,15 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 				a, b := newTenant(t, ch, 500), newTenant(t, ch, 501)
 				afh := a.lookup(t, "a.img")
 				data := bytes.Repeat([]byte{'A'}, 8192)
-				_, _, err := a.nc.Write(afh, 0, data, nfs3.Unstable)
-				Check(t, err)
+				if _, _, err := a.nc.Write(afh, 0, data, nfs3.Unstable); err != nil {
+					t.Fatal(err)
+				}
 				bfh := b.lookup(t, "b.img")
-				_, err = b.nc.GetAttr(bfh)
-				Check(t, err)
+				if _, err := b.nc.GetAttr(bfh); err != nil {
+					t.Fatal(err)
+				}
 				origin.taken()
+				var err error
 				switch trigger {
 				case "WriteBack":
 					err = p.WriteBack()
@@ -219,7 +228,9 @@ func TestWriteBackRunsAsTheWriter(t *testing.T) {
 						_, _, err = b.nc.Read(bfh, blk*8192, 8192)
 					}
 				}
-				Check(t, err)
+				if err != nil {
+					t.Fatalf("write-back never succeeded after flaps: %v", err)
+				}
 				want := mappedUID(t, alloc, 500)
 				wrote := false
 				for _, c := range origin.taken() {

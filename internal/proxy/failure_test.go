@@ -8,7 +8,6 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
-	"gvfs/internal/proxy"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack/stacktest"
 	"io"
@@ -36,8 +35,9 @@ func TestUpstreamDeathSurfacesErrors(t *testing.T) {
 	c := stacktest.New(t, wbHop(nil, nil, stack.ProxyOptions{}))
 	c.FS.WriteFile("/f", bytes.Repeat([]byte{1}, 64*1024))
 	sess := c.Session()
-	_, err := sess.ReadFile("/f")
-	proxy.Check(t, err)
+	if _, err := sess.ReadFile("/f"); err != nil {
+		t.Fatal(err)
+	}
 
 	// The image server dies mid-session.
 	c.StopOrigin()
@@ -61,7 +61,9 @@ func TestWriteBackFailurePreservesDirtyData(t *testing.T) {
 	c := stacktest.New(t, wbHop(nil, nil, stack.ProxyOptions{}))
 	node, sess := c.Hop(), c.Session()
 	payload := bytes.Repeat([]byte{9}, 32*1024)
-	proxy.Check(t, sess.WriteFile("/out", payload))
+	if err := sess.WriteFile("/out", payload); err != nil {
+		t.Fatal(err)
+	}
 	dirtyBefore := node.BlockCache.DirtyCount()
 	if dirtyBefore == 0 {
 		t.Fatal("no dirty blocks absorbed")
@@ -163,7 +165,9 @@ func TestFileChannelBadTransferFallsBackToBlocks(t *testing.T) {
 			fs := memfs.New()
 			writeVMState(t, fs, state)
 			l, err := net.Listen("tcp", "127.0.0.1:0")
-			proxy.Check(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer l.Close()
 			var transfers atomic.Int32
 			go func() {
@@ -241,7 +245,9 @@ func (f failAfter) OpenFile(path string) (io.ReadCloser, uint64, error) {
 func writeVMState(t *testing.T, fs *memfs.FS, state []byte) {
 	t.Helper()
 	blob, err := meta.ForWholeFile(state, 8192).Encode()
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs.WriteFile("/vm/mem.vmss", state)
 	fs.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
 }

@@ -214,7 +214,9 @@ func TestBreakerRecoveryClosesOnceAndReplaysOnce(t *testing.T) {
 func TestEveryProxyHasTheBreaker(t *testing.T) {
 	const bs = 8192
 	fs := memfs.New()
-	Check(t, fs.WriteFile("/disk.img", make([]byte, 4*bs)))
+	if err := fs.WriteFile("/disk.img", make([]byte, 4*bs)); err != nil {
+		t.Fatal(err)
+	}
 	// The link to the origin can be cut: while down every call fails with
 	// a transport error, which the proxy counts as unavailable; failed
 	// counts those that reached the cut link, the breaker's NULL probes
@@ -234,10 +236,13 @@ func TestEveryProxyHasTheBreaker(t *testing.T) {
 		}})
 	p, nc := ch.p, ch.nc
 	fh, _, err := nc.Lookup(ch.root, "disk.img")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := bytes.Repeat([]byte{0x5A}, bs)
-	_, _, err = nc.Write(fh, 0, data, nfs3.Unstable)
-	Check(t, err)
+	if _, _, err := nc.Write(fh, 0, data, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 
 	// The origin goes away; each write-back attempt is one failed call.
 	down.Store(true)

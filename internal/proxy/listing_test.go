@@ -49,10 +49,13 @@ func TestListingHardLinkPair(t *testing.T) {
 	fs.WriteFile("/vm/a.img", []byte("shared"))
 	vm, _ := fs.LookupPath("/vm")
 	file, _ := fs.LookupPath("/vm/a.img")
-	Check(t, fs.Link(file, vm, "b.img"))
+	if err := fs.Link(file, vm, "b.img"); err != nil {
+		t.Fatal(err)
+	}
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
-	_, _, err := nc.Lookup(root, "vm")
-	Check(t, err)
+	if _, _, err := nc.Lookup(root, "vm"); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"a.img", "b.img", "a.img"} {
 		if got, _, err := nc.Lookup(vm, name); err != nil || !bytes.Equal(got, file) {
 			t.Errorf("LOOKUP %s = %x, %v; want the linked file %x", name, got, err, file)
@@ -79,7 +82,9 @@ func TestListingMkdirExistRace(t *testing.T) {
 		}
 	}
 	won, _, err := b.Mkdir(root, "clones", nfs3.SetAttr{})
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := a.Mkdir(root, "clones", nfs3.SetAttr{}); nfs3.StatusOf(err) != nfs3.ErrExist {
 		t.Fatalf("the second MKDIR: %v, want EXIST", err)
 	}
@@ -130,7 +135,9 @@ func TestListingRacesCreate(t *testing.T) {
 	<-answered
 	zero := uint64(0)
 	fh, _, err := nc.Create(root, "vm.vmdk", nfs3.SetAttr{Size: &zero}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	close(release)
 	if err := <-lookup; err != nil {
 		t.Fatalf("the LOOKUP whose listing raced: %v", err)
@@ -157,7 +164,9 @@ func TestListingChildEvicted(t *testing.T) {
 	}
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	d, _, err := nc.Lookup(root, "d")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	files := map[string]nfs3.FH{}
 	for _, name := range []string{"b", "c", "a"} {
 		if files[name], _, err = nc.Lookup(d, name); err != nil {
@@ -196,7 +205,9 @@ func TestListingPartial(t *testing.T) {
 	}
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	big, _, err := nc.Lookup(root, "big")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, step := range []struct {
 		name  string
 		found bool
@@ -227,7 +238,9 @@ func TestListingPartial(t *testing.T) {
 func TestListingObjstoreRefused(t *testing.T) {
 	store := objstore.New(objstore.NewMemStore(), 0)
 	for _, name := range []string{"/a.img", "/b.img"} {
-		Check(t, store.CreateFile(name, []byte(name)))
+		if err := store.CreateFile(name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p, nc, root := newChain(t, chainSpec{config: func(cfg *Config) { cfg.Upstream, cfg.Backend = nil, store }}).client()
 	for i, name := range []string{"a.img", "b.img", "c.img"} {
@@ -255,14 +268,17 @@ func TestListingHidesOriginCreateUntilFlush(t *testing.T) {
 	fs := memfs.New()
 	fs.WriteFile("/a.img", []byte("a"))
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
-	_, _, err := nc.Lookup(root, "a.img")
-	Check(t, err)
+	if _, _, err := nc.Lookup(root, "a.img"); err != nil {
+		t.Fatal(err)
+	}
 	fs.WriteFile("/behind.img", []byte("origin"))
 	before := forwarded(p)
 	if _, _, err := nc.Lookup(root, "behind.img"); nfs3.StatusOf(err) != nfs3.ErrNoEnt || forwarded(p) != before {
 		t.Errorf("LOOKUP before the Flush: %v with %d calls upstream, want the listing's NOENT with none", err, forwarded(p)-before)
 	}
-	Check(t, p.Flush())
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := nc.Lookup(root, "behind.img"); err != nil {
 		t.Errorf("LOOKUP after the Flush: %v, want the origin's file", err)
 	}
@@ -280,9 +296,13 @@ func TestRelayLearnsPathsFromListings(t *testing.T) {
 	ch := newChain(t, chainSpec{upstream: sunrpc.Local{H: relay}})
 	nc, root := ch.nc, ch.root
 	vm, _, err := nc.Lookup(root, "vm")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fh, _, err := nc.Lookup(vm, "disk.img")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := relay.fileLabel(fh); got != "/vm/disk.img" {
 		t.Errorf("the relay labels the file %q, want its path", got)
 	}
@@ -315,7 +335,9 @@ func TestListingJoinedByConcurrentMisses(t *testing.T) {
 	var listings, size atomic.Int64
 	p, nc, root := newChain(t, chainSpec{fs: fs, hook: countedListings(20*time.Millisecond, &listings, &size)}).client()
 	vm, _, err := nc.Lookup(root, "vm")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	listed, fwd := listings.Load(), forwarded(p)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -349,7 +371,9 @@ func TestListingKeptAcrossNameChanges(t *testing.T) {
 	var listings, size atomic.Int64
 	p, nc, root := newChain(t, chainSpec{fs: fs, hook: countedListings(0, &listings, &size)}).client()
 	clones, _, err := nc.Lookup(root, "clones")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	listed, fwd := listings.Load(), forwarded(p)
 	const cycles = 20
 	for i := 0; i < cycles; i++ {
@@ -358,11 +382,15 @@ func TestListingKeptAcrossNameChanges(t *testing.T) {
 			t.Fatalf("LOOKUP %s before its CREATE: %v, want NOENT", name, err)
 		}
 		fh, _, err := nc.Create(clones, name, nfs3.SetAttr{}, true)
-		Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, _, err := nc.Lookup(clones, name); err != nil || !bytes.Equal(got, fh) {
 			t.Fatalf("LOOKUP %s after its CREATE = %x, %v; want %x", name, got, err, fh)
 		}
-		Check(t, nc.Remove(clones, name))
+		if err := nc.Remove(clones, name); err != nil {
+			t.Fatal(err)
+		}
 		if _, _, err := nc.Lookup(clones, name); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
 			t.Fatalf("LOOKUP %s after its REMOVE: %v, want NOENT", name, err)
 		}
@@ -444,7 +472,9 @@ func TestListingRefusalAcrossFlush(t *testing.T) {
 		lookup <- err
 	}()
 	<-answered
-	Check(t, p.Flush())
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	close(release)
 	if err := <-lookup; err != nil {
 		t.Fatalf("the LOOKUP whose listing was refused: %v", err)
@@ -469,14 +499,22 @@ func TestListingRemovedDirectory(t *testing.T) {
 	fs.WriteFile("/p/keep", nil)
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	parent, _, err := nc.Lookup(root, "p")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, _, err := nc.Mkdir(parent, "d", nfs3.SetAttr{})
-	Check(t, err)
-	Check(t, p.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := nc.Lookup(d, "x"); nfs3.StatusOf(err) != nfs3.ErrNoEnt || p.listState(d) != complete {
 		t.Fatalf("LOOKUP d/x: %v, d %v; want NOENT from a complete listing: the case is not set up", err, p.listState(d))
 	}
-	Check(t, nc.Rmdir(parent, "d"))
+	if err := nc.Rmdir(parent, "d"); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := nc.Lookup(d, "x"); nfs3.StatusOf(err) != nfs3.ErrStale {
 		t.Errorf("LOOKUP in the removed directory: %v, want STALE", err)
 	}

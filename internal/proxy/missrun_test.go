@@ -102,7 +102,9 @@ func runChain(t *testing.T, size int, spec chainSpec) *runEnv {
 		spec.cache = runCache(cache.WriteBack)
 	}
 	spec.fs, spec.hook = memfs.New(), e.spy.hook
-	Check(t, spec.fs.WriteFile("/disk.img", e.want))
+	if err := spec.fs.WriteFile("/disk.img", e.want); err != nil {
+		t.Fatal(err)
+	}
 	e.chain = newChain(t, spec)
 	var err error
 	if e.fh, _, err = e.nc.Lookup(e.root, "disk.img"); err != nil {
@@ -116,7 +118,9 @@ func runChain(t *testing.T, size int, spec chainSpec) *runEnv {
 // its directory is seen.
 func (e *runEnv) newSession(t *testing.T) {
 	t.Helper()
-	Check(t, e.p.Flush())
+	if err := e.p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	var err error
 	if e.fh, _, err = e.nc.Lookup(e.root, "disk.img"); err != nil {
 		t.Fatal(err)
@@ -291,7 +295,9 @@ func TestMissRunShape(t *testing.T) {
 				}
 			}
 			// The origin after a flush is the session's view.
-			Check(t, e.p.Flush())
+			if err := e.p.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			if data, err := e.fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(data, e.want) {
 				t.Errorf("origin after flush differs from the session's view (err=%v)", err)
 			}
@@ -313,9 +319,13 @@ func TestZeroMapTrimsMultiBlockReads(t *testing.T) {
 		copy(e.want[b*runBS:], runContent(runBS, byte(b)))
 	}
 	blob, err := meta.GenerateZeroMap(e.want, runBS).Encode()
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{"/disk.img": e.want, "/" + meta.NameFor("disk.img"): blob} {
-		Check(t, e.fs.WriteFile(name, data))
+		if err := e.fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.newSession(t)
 	e.read(t, 0, 1) // the file's first READ fetches the map
@@ -416,13 +426,19 @@ func TestMissRunDegraded(t *testing.T) {
 	e := runChain(t, 16*runBS, chainSpec{config: func(c *Config) { c.FailureThreshold, c.ProbeInterval = 1, time.Hour }})
 	zeros := make([]byte, 4*runBS)
 	blob, err := meta.GenerateZeroMap(zeros, runBS).Encode()
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{"/zero.img": zeros, "/" + meta.NameFor("zero.img"): blob} {
-		Check(t, e.fs.WriteFile(name, data))
+		if err := e.fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.newSession(t)
 	zfh, _, err := e.nc.Lookup(e.root, "zero.img")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	readZeros := func() {
 		t.Helper()
 		if data, _, err := e.nc.Read(zfh, runBS, runBS); err != nil || !bytes.Equal(data, zeros[:runBS]) {
@@ -499,7 +515,9 @@ func TestCleanInsertNeverReplacesDirtyFrame(t *testing.T) {
 			ahead := e.p.Snapshot().Counter("gvfs_proxy_prefetched_total")
 			e.write(t, tc.written, 0x77)
 			if tc.settle != nil {
-				Check(t, tc.settle(e.p))
+				if err := tc.settle(e.p); err != nil {
+					t.Fatal(err)
+				}
 			}
 			hold <- struct{}{}
 			if err := <-done; err != nil {
@@ -517,7 +535,9 @@ func TestCleanInsertNeverReplacesDirtyFrame(t *testing.T) {
 				t.Errorf("%d blocks of the overtaken run count as prefetched", got)
 			}
 			e.read(t, tc.read, 1)
-			Check(t, e.p.Flush())
+			if err := e.p.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			if data, err := e.fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(data, e.want) {
 				t.Errorf("origin after flush lost the acknowledged write (err=%v)", err)
 			}

@@ -2,7 +2,6 @@ package proxy_test
 
 import (
 	"bytes"
-	"gvfs/internal/proxy"
 	"net"
 	"testing"
 
@@ -31,7 +30,9 @@ func TestChainReadOwnership(t *testing.T) {
 	// A file channel that refuses every connection: meta-data that asks
 	// for it sends the proxy down its block-based fallback.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadChan := l.Addr().String()
 	l.Close()
 	const cacheBlocks = 32
@@ -109,7 +110,9 @@ func TestChainReadOwnership(t *testing.T) {
 	for off := 0; off < len(rmw); off += bs {
 		read("after RMW", fh, rmw, off, bs)
 	}
-	proxy.Check(t, node.Proxy.Flush())
+	if err := node.Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if data, err := fs.ReadFile("/rmw.img"); err != nil || !bytes.Equal(data, rmw) {
 		t.Fatalf("origin after flush: err=%v, %d bytes, want %d byte-identical", err, len(data), len(rmw))
 	}

@@ -45,13 +45,16 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 		}
 	}}).client()
 	fh, _, err := nc.Lookup(root, "mem.vmss")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := nc.Read(fh, 0, bs); err != nil || p.stats.fileChanFetch.Value() != 1 {
 		t.Fatalf("the first READ (err %v) did not fetch the file", err)
 	}
 	patch := bytes.Repeat([]byte{0xa5}, bs)
-	_, _, err = nc.Write(fh, bs, patch, nfs3.Unstable)
-	Check(t, err)
+	if _, _, err := nc.Write(fh, bs, patch, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 	copy(state[bs:], patch)
 
 	hold.Store(true)
@@ -67,8 +70,12 @@ func TestRenameWaitsForWholePut(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(release)
-	Check(t, <-wroteBack)
-	Check(t, <-renamed)
+	if err := <-wroteBack; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-renamed; err != nil {
+		t.Fatal(err)
+	}
 	if got, err := fs.ReadFile("/moved.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the renamed file does not hold the written state (err %v)", err)
 	}
@@ -156,7 +163,9 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 	// A REMOVE the upstream refuses leaves the file, and its entry.
 	nc := nfs3.NewClient(sunrpc.Local{H: p}, sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "soak"}.Encode())
 	fh, _, err := nc.Create(root, "kept.img", nfs3.SetAttr{}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := nc.Remove(root, "no-such.img"); err == nil {
 		t.Fatal("REMOVE of a missing name succeeded")
 	}
@@ -168,13 +177,20 @@ func TestPathsFlatAcrossCreateRemoveCycles(t *testing.T) {
 func TestRenameRekeysPath(t *testing.T) {
 	p, nc, root := newChain(t, chainSpec{}).client()
 	fh, _, err := nc.Create(root, "a.img", nfs3.SetAttr{}, false)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	old, _, err := nc.Create(root, "b.img", nfs3.SetAttr{}, false)
-	Check(t, err)
-	_, _, err = nc.Write(old, 0, make([]byte, 8192), nfs3.Unstable)
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Write(old, 0, make([]byte, 8192), nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
 	before := p.pathCount()
-	Check(t, nc.Rename(root, "a.img", root, "b.img"))
+	if err := nc.Rename(root, "a.img", root, "b.img"); err != nil {
+		t.Fatal(err)
+	}
 	if got := p.fileLabel(fh); got != "/b.img" {
 		t.Errorf("renamed file is labelled %q, want /b.img", got)
 	}
@@ -202,20 +218,25 @@ func TestRemoveAfterRecreateInvalidatesLiveHandle(t *testing.T) {
 	var prev nfs3.FH
 	for round := 0; round < 8; round++ {
 		fh, _, err := nc.Create(root, "vm.redo", nfs3.SetAttr{}, false)
-		Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if bytes.Equal(fh, prev) {
 			t.Fatal("memfs reused a handle; the test needs a new one per create")
 		}
 		prev = fh
-		_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{byte(round)}, 8192), nfs3.Unstable)
-		Check(t, err)
+		if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{byte(round)}, 8192), nfs3.Unstable); err != nil {
+			t.Fatal(err)
+		}
 		if cached, _ := p.cfg.BlockCache.Peek(fh, 0); !cached {
 			t.Fatalf("round %d: the WRITE was not absorbed", round)
 		}
 		if got, ok := p.childFH(root, "vm.redo"); !ok || !bytes.Equal(got, fh) {
 			t.Errorf("round %d: childFH = %v, want the live handle %v", round, got, fh)
 		}
-		Check(t, nc.Remove(root, "vm.redo"))
+		if err := nc.Remove(root, "vm.redo"); err != nil {
+			t.Fatal(err)
+		}
 		if cached, _ := p.cfg.BlockCache.Peek(fh, 0); cached {
 			t.Errorf("round %d: REMOVE left the live handle's block cached", round)
 		}
@@ -232,17 +253,24 @@ func TestCreateTruncateDropsCachedBlocks(t *testing.T) {
 	fs.WriteFile("/disk.img", bytes.Repeat([]byte{0xaa}, 16<<10))
 	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
 	fh, _, err := nc.Lookup(root, "disk.img")
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for off := uint64(0); off < 16<<10; off += 8192 {
-		_, _, err := nc.Read(fh, off, 8192)
-		Check(t, err)
+		if _, _, err := nc.Read(fh, off, 8192); err != nil {
+			t.Fatal(err)
+		}
 	}
 	zero := uint64(0)
-	_, _, err = nc.Create(root, "disk.img", nfs3.SetAttr{Size: &zero}, false)
-	Check(t, err)
-	_, _, err = nc.Write(fh, 0, []byte{0x01}, nfs3.Unstable)
-	Check(t, err)
-	Check(t, p.Flush())
+	if _, _, err := nc.Create(root, "disk.img", nfs3.SetAttr{Size: &zero}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Write(fh, 0, []byte{0x01}, nfs3.Unstable); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := fs.ReadFile("/disk.img"); err != nil || !bytes.Equal(got, []byte{0x01}) {
 		t.Fatalf("origin holds %d bytes (% x …), %v; want the 1 byte written", len(got), got[:min(len(got), 4)], err)
 	}
@@ -259,27 +287,38 @@ func TestAuditFollowsDirtyHandle(t *testing.T) {
 		relabel func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) (label string)
 	}{
 		{"rename", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
-			Check(t, nc.Rename(root, "a", root, "b"))
+			if err := nc.Rename(root, "a", root, "b"); err != nil {
+				t.Fatal(err)
+			}
 			return "/b"
 		}},
 		{"flush then lookup", func(t *testing.T, p *Proxy, nc *nfs3.Client, root, fh nfs3.FH) string {
-			Check(t, p.Flush())
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			// Dirty again under the handle alone: the Flush forgot its path.
-			_, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{2}, 8192), nfs3.Unstable)
-			Check(t, err)
-			_, _, err = nc.Lookup(root, "a")
-			Check(t, err)
+			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{2}, 8192), nfs3.Unstable); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := nc.Lookup(root, "a"); err != nil {
+				t.Fatal(err)
+			}
 			return "/a"
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, nc, root := newChain(t, chainSpec{}).client()
 			fh, _, err := nc.Create(root, "a", nfs3.SetAttr{}, false)
-			Check(t, err)
-			_, _, err = nc.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable)
-			Check(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := nc.Write(fh, 0, bytes.Repeat([]byte{1}, 8192), nfs3.Unstable); err != nil {
+				t.Fatal(err)
+			}
 			label := tc.relabel(t, p, nc, root, fh)
-			Check(t, p.WriteBack())
+			if err := p.WriteBack(); err != nil {
+				t.Fatal(err)
+			}
 			if n := p.cfg.BlockCache.DirtyCount(); n != 0 {
 				t.Fatalf("%d blocks still dirty in the cache after WriteBack", n)
 			}

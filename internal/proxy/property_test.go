@@ -9,7 +9,6 @@ package proxy_test
 
 import (
 	"bytes"
-	"gvfs/internal/proxy"
 	"gvfs/internal/stack/stacktest"
 	"io"
 	"math/rand"
@@ -53,7 +52,9 @@ func TestPropertyProxyMatchesModel(t *testing.T) {
 				spec.Session.PageCachePages = 8
 				e := stacktest.New(t, spec)
 				f, err := e.Session().Create("/model.bin")
-				proxy.Check(t, err)
+				if err != nil {
+					t.Fatal(err)
+				}
 				model := []byte{}
 				for i, op := range genOps(rng, 40) {
 					switch op.kind {
@@ -105,9 +106,13 @@ func TestPropertyProxyMatchesModel(t *testing.T) {
 					}
 				}
 				// Final settle: server must hold exactly the model.
-				proxy.Check(t, e.Hop().Proxy.Flush())
+				if err := e.Hop().Proxy.Flush(); err != nil {
+					t.Fatal(err)
+				}
 				got, err := e.FS.ReadFile("/model.bin")
-				proxy.Check(t, err)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !bytes.Equal(got, model) {
 					t.Fatalf("round %d: server state diverged from model (len %d vs %d)",
 						round, len(got), len(model))

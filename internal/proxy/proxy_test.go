@@ -3,7 +3,6 @@ package proxy_test
 import (
 	"bytes"
 	"fmt"
-	"gvfs/internal/proxy"
 	"slices"
 	"testing"
 	"time"
@@ -35,7 +34,9 @@ func TestReadThroughProxyChain(t *testing.T) {
 	e.FS.WriteFile("/images/vm.vmdk", payload)
 
 	got, err := e.Session().ReadFile("/images/vm.vmdk")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, payload) {
 		t.Errorf("read through chain: %d bytes, want %d", len(got), len(payload))
 	}
@@ -48,8 +49,9 @@ func TestProxyCacheHitsOnRereadAfterPageCacheDrop(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5a}, 64*1024)
 	e.FS.WriteFile("/vm.vmdk", payload)
 
-	_, err := e.Session().ReadFile("/vm.vmdk")
-	proxy.Check(t, err)
+	if _, err := e.Session().ReadFile("/vm.vmdk"); err != nil {
+		t.Fatal(err)
+	}
 	beforeMisses := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if beforeMisses == 0 {
 		t.Fatal("first read should miss in the proxy cache")
@@ -58,8 +60,9 @@ func TestProxyCacheHitsOnRereadAfterPageCacheDrop(t *testing.T) {
 	// Drop the client memory cache: re-reads must hit the proxy disk
 	// cache, not the server.
 	e.Session().DropCaches()
-	_, err = e.Session().ReadFile("/vm.vmdk")
-	proxy.Check(t, err)
+	if _, err := e.Session().ReadFile("/vm.vmdk"); err != nil {
+		t.Fatal(err)
+	}
 	after := e.Hop().Proxy.Snapshot()
 	if after.Counter("gvfs_proxy_read_hits_total") == 0 {
 		t.Error("re-read produced no proxy cache hits")
@@ -72,7 +75,9 @@ func TestProxyCacheHitsOnRereadAfterPageCacheDrop(t *testing.T) {
 func TestWriteBackAbsorbsWrites(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{7}, 32*1024)
-	proxy.Check(t, e.Session().WriteFile("/out.dat", payload))
+	if err := e.Session().WriteFile("/out.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_writes_absorbed_total"); n == 0 {
 		t.Fatal("no writes absorbed under write-back")
 	}
@@ -86,7 +91,9 @@ func TestWriteBackAbsorbsWrites(t *testing.T) {
 		t.Fatalf("read-your-writes failed: err=%v", err)
 	}
 	// Middleware write-back propagates it.
-	proxy.Check(t, e.Hop().Proxy.WriteBack())
+	if err := e.Hop().Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := e.FS.ReadFile("/out.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("server data after WriteBack: err=%v len=%d", err, len(data))
@@ -96,7 +103,9 @@ func TestWriteBackAbsorbsWrites(t *testing.T) {
 func TestWriteThroughPropagatesImmediately(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteThrough))
 	payload := bytes.Repeat([]byte{9}, 16*1024)
-	proxy.Check(t, e.Session().WriteFile("/wt.dat", payload))
+	if err := e.Session().WriteFile("/wt.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	data, err := e.FS.ReadFile("/wt.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("write-through did not reach server: err=%v", err)
@@ -106,8 +115,12 @@ func TestWriteThroughPropagatesImmediately(t *testing.T) {
 func TestFlushPropagatesAndInvalidates(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{3}, 24*1024)
-	proxy.Check(t, e.Session().WriteFile("/f.dat", payload))
-	proxy.Check(t, e.Hop().Proxy.Flush())
+	if err := e.Session().WriteFile("/f.dat", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Hop().Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := e.FS.ReadFile("/f.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("flush did not propagate: err=%v", err)
@@ -115,8 +128,9 @@ func TestFlushPropagatesAndInvalidates(t *testing.T) {
 	// After flush the proxy cache is cold again.
 	e.Session().DropCaches()
 	before := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
-	_, err = e.Session().ReadFile("/f.dat")
-	proxy.Check(t, err)
+	if _, err := e.Session().ReadFile("/f.dat"); err != nil {
+		t.Fatal(err)
+	}
 	after := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total")
 	if after == before {
 		t.Error("proxy cache unexpectedly warm after flush")
@@ -126,9 +140,13 @@ func TestFlushPropagatesAndInvalidates(t *testing.T) {
 func TestGetattrSeesAbsorbedSize(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := make([]byte, 20000)
-	proxy.Check(t, e.Session().WriteFile("/grow.dat", payload))
+	if err := e.Session().WriteFile("/grow.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	attr, err := e.Session().Stat("/grow.dat")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if attr.Size != 20000 {
 		t.Errorf("stat size = %d, want 20000 (absorbed writes visible)", attr.Size)
 	}
@@ -154,13 +172,17 @@ func TestZeroBlockFiltering(t *testing.T) {
 
 	m := meta.GenerateZeroMap(state, bs)
 	blob, err := m.Encode()
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.FS.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
 
 	for _, pass := range []string{"cold", "block cache warm"} {
 		before := link.Stats().Received
 		got, err := e.Session().ReadFile("/vm/mem.vmss")
-		proxy.Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(got, state) {
 			t.Fatalf("%s: zero-filtered read corrupted data", pass)
 		}
@@ -195,7 +217,9 @@ func TestFileChannelFetch(t *testing.T) {
 	writeVMState(t, e.FS, state)
 
 	got, err := e.Session().ReadFile("/vm/mem.vmss")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, state) {
 		t.Fatal("file-channel read corrupted data")
 	}
@@ -209,8 +233,9 @@ func TestFileChannelFetch(t *testing.T) {
 	// Re-read after dropping the client cache: still served locally,
 	// with no second fetch.
 	e.Session().DropCaches()
-	_, err = e.Session().ReadFile("/vm/mem.vmss")
-	proxy.Check(t, err)
+	if _, err := e.Session().ReadFile("/vm/mem.vmss"); err != nil {
+		t.Fatal(err)
+	}
 	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("re-read refetched the file: %d fetches", n)
 	}
@@ -236,13 +261,16 @@ func TestFetchedFileGoesBackWhole(t *testing.T) {
 	}
 	p, bc := e.Hop().Proxy, e.Hop().BlockCache
 	f, err := e.Session().Open("/vm/mem.vmss")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
 	write := func(block int, b byte) {
 		t.Helper()
 		patch := bytes.Repeat([]byte{b}, bs)
-		_, err := f.WriteAt(patch, int64(block*bs))
-		proxy.Check(t, err)
+		if _, err := f.WriteAt(patch, int64(block*bs)); err != nil {
+			t.Fatal(err)
+		}
 		copy(state[block*bs:], patch)
 	}
 	for pass, whole := range []bool{true, false} {
@@ -254,7 +282,9 @@ func TestFetchedFileGoesBackWhole(t *testing.T) {
 			}
 		}
 		before := e.OriginCalls("WRITE")
-		proxy.Check(t, p.WriteBack())
+		if err := p.WriteBack(); err != nil {
+			t.Fatal(err)
+		}
 		if got, _ := e.FS.ReadFile("/vm/mem.vmss"); !bytes.Equal(got, state) {
 			t.Errorf("pass %d: the origin does not hold the written state", pass)
 		}
@@ -296,15 +326,24 @@ func dirRenameToKnownPath(t *testing.T) {
 		t.Fatalf("file channel fetches = %d, want 1: the case is not set up", n)
 	}
 	f, err := e.Session().Open("/vm/mem.vmss")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	patch := bytes.Repeat([]byte{0xab}, bs)
-	_, err = f.WriteAt(patch, bs)
-	proxy.Check(t, err)
-	proxy.Check(t, f.Close())
+	if _, err := f.WriteAt(patch, bs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("degraded close: %v", err)
+	}
 	copy(state[bs:], patch)
 
-	proxy.Check(t, e.Session().Rename("/vm", "/vm2"))
-	proxy.Check(t, e.Hop().Proxy.WriteBack())
+	if err := e.Session().Rename("/vm", "/vm2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Hop().Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := e.FS.ReadFile("/vm2/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the origin's /vm2/mem.vmss after the write-back: %d bytes, %v; want the written state", len(got), err)
 	}
@@ -344,17 +383,27 @@ func dirRenameToNoKnownPath(t *testing.T) {
 
 	p, nc, root := e.Hop().Proxy, e.Session().NFS(), e.Session().Root()
 	a, _, err := nc.Lookup(root, "a")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst, _, err := nc.Lookup(a, "dst")
-	proxy.Check(t, err)
-	proxy.Check(t, p.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := nc.GetAttr(dst); err != nil { // the table has dst again, with no path
 		t.Fatal(err)
 	}
 	vm, _, err := nc.Lookup(root, "vm")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fh, _, err := nc.Lookup(vm, "mem.vmss")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	readAll := func(when string) []byte {
 		t.Helper()
 		var got []byte
@@ -376,11 +425,14 @@ func dirRenameToNoKnownPath(t *testing.T) {
 	}
 	for i, b := range []byte{0xab, 0xcd} {
 		if i == 1 {
-			proxy.Check(t, nc.Rename(root, "vm", dst, "vm"))
+			if err := nc.Rename(root, "vm", dst, "vm"); err != nil {
+				t.Fatal(err)
+			}
 		}
 		patch := bytes.Repeat([]byte{b}, bs)
-		_, _, err := nc.Write(fh, uint64(i+1)*bs, patch, nfs3.Unstable)
-		proxy.Check(t, err)
+		if _, _, err := nc.Write(fh, uint64(i+1)*bs, patch, nfs3.Unstable); err != nil {
+			t.Fatal(err)
+		}
 		copy(state[(i+1)*bs:], patch)
 	}
 	if got := readAll("after the RENAME"); !bytes.Equal(got, state) {
@@ -389,7 +441,9 @@ func dirRenameToNoKnownPath(t *testing.T) {
 	if n := fetches(); n != 1 {
 		t.Errorf("file channel fetches = %d after the RENAME, want still 1: the file has no path now", n)
 	}
-	proxy.Check(t, p.WriteBack())
+	if err := p.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := e.FS.ReadFile("/a/dst/vm/mem.vmss"); err != nil || !bytes.Equal(got, state) {
 		t.Errorf("the origin's /a/dst/vm/mem.vmss after the write-back: %d bytes, %v; want the written state", len(got), err)
 	}
@@ -400,8 +454,12 @@ func dirRenameToNoKnownPath(t *testing.T) {
 
 func TestIdentityMappingAtServerProxy(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
-	proxy.Check(t, e.Session().WriteFile("/id.dat", []byte("x")))
-	proxy.Check(t, e.Hop().Proxy.WriteBack())
+	if err := e.Session().WriteFile("/id.dat", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Hop().Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	// The server-side proxy must have allocated a short-lived identity
 	// for the session's grid user.
 	if live := e.Server.Allocator.Live(); live == 0 {
@@ -416,9 +474,12 @@ func TestRemoveInvalidatesCaches(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{1}, 16*1024)
 	e.FS.WriteFile("/gone.dat", payload)
-	_, err := e.Session().ReadFile("/gone.dat")
-	proxy.Check(t, err)
-	proxy.Check(t, e.Session().Remove("/gone.dat"))
+	if _, err := e.Session().ReadFile("/gone.dat"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Session().Remove("/gone.dat"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.Session().ReadFile("/gone.dat"); err == nil {
 		t.Error("read of removed file succeeded")
 	}
@@ -427,14 +488,22 @@ func TestRemoveInvalidatesCaches(t *testing.T) {
 func TestTruncateThroughProxy(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{0xEE}, 20000)
-	proxy.Check(t, e.Session().WriteFile("/t.dat", payload))
+	if err := e.Session().WriteFile("/t.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	f, err := e.Session().Open("/t.dat")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
-	proxy.Check(t, f.Truncate(100))
+	if err := f.Truncate(100); err != nil {
+		t.Fatal(err)
+	}
 	e.Session().DropCaches()
 	got, err := e.Session().ReadFile("/t.dat")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 100 {
 		t.Errorf("size after truncate = %d, want 100", len(got))
 	}
@@ -443,13 +512,17 @@ func TestTruncateThroughProxy(t *testing.T) {
 func TestOverwriteVisibleThroughCache(t *testing.T) {
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	e.FS.WriteFile("/o.dat", bytes.Repeat([]byte{1}, 8192))
-	_, err := e.Session().ReadFile("/o.dat")
-	proxy.Check(t, err)
+	if _, err := e.Session().ReadFile("/o.dat"); err != nil {
+		t.Fatal(err)
+	}
 	f, err := e.Session().Open("/o.dat")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	newData := bytes.Repeat([]byte{2}, 8192)
-	_, err = f.WriteAt(newData, 0)
-	proxy.Check(t, err)
+	if _, err := f.WriteAt(newData, 0); err != nil {
+		t.Fatal(err)
+	}
 	f.Close()
 	e.Session().DropCaches()
 	got, err := e.Session().ReadFile("/o.dat")
@@ -465,19 +538,26 @@ func TestPartialBlockWriteMerging(t *testing.T) {
 	orig := bytes.Repeat([]byte{0xCC}, 8192)
 	e.FS.WriteFile("/m.dat", orig)
 	f, err := e.Session().Open("/m.dat")
-	proxy.Check(t, err)
-	_, err = f.WriteAt([]byte("HDR!"), 0)
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("HDR!"), 0); err != nil {
+		t.Fatal(err)
+	}
 	f.Close()
 	e.Session().DropCaches()
 	got, err := e.Session().ReadFile("/m.dat")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := append([]byte("HDR!"), orig[4:]...)
 	if !bytes.Equal(got, want) {
 		t.Error("partial write clobbered block remainder")
 	}
 	// And the merge must survive flush to the server.
-	proxy.Check(t, e.Hop().Proxy.Flush())
+	if err := e.Hop().Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	data, _ := e.FS.ReadFile("/m.dat")
 	if !bytes.Equal(data, want) {
 		t.Error("server data wrong after flush of merged block")
@@ -540,7 +620,9 @@ func TestNoCacheProxyPureForwarding(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("forwarding proxy read failed: %v", err)
 	}
-	proxy.Check(t, e.Session().WriteFile("/q.dat", payload))
+	if err := e.Session().WriteFile("/q.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	data, err := e.FS.ReadFile("/q.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Error("forwarding proxy write did not reach server")
@@ -561,8 +643,8 @@ func TestStatusErrorsPropagate(t *testing.T) {
 func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x3C}, 128*1024)
 	server := stacktest.New(t, stacktest.Spec{
-		Seed:     func(fs *memfs.FS) { fs.WriteFile("/warm.bin", payload) },
-		Sessions: -1,
+		Seed:      func(fs *memfs.FS) { fs.WriteFile("/warm.bin", payload) },
+		NoSession: true,
 	}).Server
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
 		BlockSize: 8192, Policy: cache.WriteBack}
@@ -571,10 +653,15 @@ func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 
 	// First proxy lifetime: read everything, save the index.
 	first := stacktest.New(t, lifetime)
-	_, err := first.Session().ReadFile("/warm.bin")
-	proxy.Check(t, err)
-	proxy.Check(t, first.Hop().Proxy.WriteBack())
-	proxy.Check(t, first.Hop().BlockCache.SaveIndex())
+	if _, err := first.Session().ReadFile("/warm.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Hop().Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Hop().BlockCache.SaveIndex(); err != nil {
+		t.Fatal(err)
+	}
 	first.Close()
 
 	// Second lifetime over the same directory: reads hit immediately.
@@ -603,11 +690,15 @@ func TestCascadedWriteConsistency(t *testing.T) {
 	cliProxy, lanProxy := c.Hops[0], c.Hops[1]
 
 	payload := bytes.Repeat([]byte{0xBE}, 40*1024)
-	proxy.Check(t, c.Session().WriteFile("/cascade.dat", payload))
+	if err := c.Session().WriteFile("/cascade.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	if data, _ := c.FS.ReadFile("/cascade.dat"); bytes.Equal(data, payload) {
 		t.Fatal("data reached server before flush")
 	}
-	proxy.Check(t, cliProxy.Proxy.WriteBack())
+	if err := cliProxy.Proxy.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := c.FS.ReadFile("/cascade.dat")
 	if err != nil || !bytes.Equal(data, payload) {
 		t.Fatalf("data wrong after cascaded write-back: %v", err)
@@ -626,7 +717,9 @@ func TestTwoSessionsShareProxyState(t *testing.T) {
 	// client proxy — the paper's session owns the data at the proxy.
 	e := stacktest.New(t, oneHop(cache.WriteBack))
 	payload := bytes.Repeat([]byte{0x66}, 24*1024)
-	proxy.Check(t, e.Session().WriteFile("/shared.dat", payload))
+	if err := e.Session().WriteFile("/shared.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	got, err := e.Mount(gvfs.SessionConfig{}).ReadFile("/shared.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("second session missed absorbed writes: %v", err)
@@ -638,7 +731,9 @@ func TestIdleWriteBackPropagates(t *testing.T) {
 	stop := e.Hop().Proxy.StartIdleWriteBack(300 * time.Millisecond)
 	defer stop()
 	payload := bytes.Repeat([]byte{0x77}, 16*1024)
-	proxy.Check(t, e.Session().WriteFile("/idle.dat", payload))
+	if err := e.Session().WriteFile("/idle.dat", payload); err != nil {
+		t.Fatal(err)
+	}
 	// Without any explicit flush, the idle writer must settle the
 	// session within a few idle periods.
 	deadline := time.Now().Add(5 * time.Second)
@@ -656,7 +751,9 @@ func TestIdleWriteBackStop(t *testing.T) {
 	stop := e.Hop().Proxy.StartIdleWriteBack(100 * time.Millisecond)
 	stop()
 	stop() // double-stop must be safe
-	proxy.Check(t, e.Session().WriteFile("/kept.dat", []byte("dirty")))
+	if err := e.Session().WriteFile("/kept.dat", []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(400 * time.Millisecond)
 	if _, err := e.FS.ReadFile("/kept.dat"); err == nil {
 		if data, _ := e.FS.ReadFile("/kept.dat"); len(data) > 0 {
@@ -671,15 +768,17 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	// one fetched (paper §3.2.1 shared read-only caches).
 	payload := bytes.Repeat([]byte{0xC0}, 64*1024)
 	origin := stacktest.New(t, stacktest.Spec{
-		Seed:     func(fs *memfs.FS) { fs.WriteFile("/golden.vmdk", payload) },
-		Sessions: -1,
+		Seed:      func(fs *memfs.FS) { fs.WriteFile("/golden.vmdk", payload) },
+		NoSession: true,
 	})
 	fs := origin.FS
 
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 8, SetsPerBank: 8, Assoc: 2,
 		BlockSize: 8192, Policy: cache.WriteThrough, ReadOnly: true}
 	shared, err := cache.New(cfg)
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer shared.Close()
 
 	mkProxy := func() (*stack.Node, *gvfs.Session) {
@@ -689,8 +788,9 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	}
 
 	nodeA, sessA := mkProxy()
-	_, err = sessA.ReadFile("/golden.vmdk")
-	proxy.Check(t, err)
+	if _, err := sessA.ReadFile("/golden.vmdk"); err != nil {
+		t.Fatal(err)
+	}
 	if nodeA.Proxy.Snapshot().Counter("gvfs_proxy_read_misses_total") == 0 {
 		t.Fatal("first proxy should miss")
 	}
@@ -712,9 +812,12 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	// the stale frames.
 	patch := bytes.Repeat([]byte{0xFF}, 8192)
 	f, err := sessB.Open("/golden.vmdk")
-	proxy.Check(t, err)
-	_, err = f.WriteAt(patch, 0)
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(patch, 0); err != nil {
+		t.Fatal(err)
+	}
 	f.Close()
 	data, _ := fs.ReadFile("/golden.vmdk")
 	if !bytes.Equal(data[:8192], patch) {
@@ -730,7 +833,9 @@ func TestSharedReadOnlyCache(t *testing.T) {
 func TestSharedCacheMustBeReadOnly(t *testing.T) {
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 2, SetsPerBank: 2, Assoc: 2, BlockSize: 512}
 	writable, err := cache.New(cfg)
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer writable.Close()
 	if _, err := stacktest.Start(t, stacktest.Spec{Upstream: stacktest.NFS,
 		Hops: []stack.ProxyOptions{{SharedBlockCache: writable}}}); err == nil {

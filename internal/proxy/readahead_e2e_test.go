@@ -3,7 +3,6 @@ package proxy_test
 import (
 	"bytes"
 	"errors"
-	"gvfs/internal/proxy"
 	"gvfs/internal/stack/stacktest"
 	"sync/atomic"
 	"testing"
@@ -41,7 +40,9 @@ func raChain(t *testing.T, kind, path string, payload []byte) (*stacktest.Chain,
 		}
 	}
 	hop.ObjstoreStore = objstore.NewMemStore()
-	proxy.Check(t, objstore.New(hop.ObjstoreStore, 0).CreateFile(path, payload))
+	if err := objstore.New(hop.ObjstoreStore, 0).CreateFile(path, payload); err != nil {
+		t.Fatal(err)
+	}
 	return stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Hops: []stack.ProxyOptions{hop}}),
 		func(path string) []byte {
 			// A fresh backend over the same store: no state shared with
@@ -93,20 +94,26 @@ func TestReadAheadDoesNotCorruptWrites(t *testing.T) {
 			c, origin := raChain(t, kind, "/rw.bin", payload)
 			sess := c.Session()
 			f, err := sess.Open("/rw.bin")
-			proxy.Check(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer f.Close()
 			buf := make([]byte, 8192)
 			patch := bytes.Repeat([]byte{0xFF}, 8192)
 			for block := 0; block < 32; block++ {
 				off := int64(block) * 8192
-				_, err := f.ReadAt(buf, off)
-				proxy.Check(t, err)
+				if _, err := f.ReadAt(buf, off); err != nil {
+					t.Fatal(err)
+				}
 				if block%4 == 0 {
-					_, err := f.WriteAt(patch, off)
-					proxy.Check(t, err)
+					if _, err := f.WriteAt(patch, off); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			proxy.Check(t, c.Hop().Proxy.Flush())
+			if err := c.Hop().Proxy.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			data := origin("/rw.bin")
 			if len(data) != len(payload) {
 				t.Fatalf("origin holds %d bytes, want %d", len(data), len(payload))
@@ -159,20 +166,26 @@ func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
 	fs.WriteFile("/seq.bin", payload)
 	// Demand brings blocks 0, 1..3 and 4..7; the runs ahead start at 8.
 	origin := &gatedOrigin{Backend: fs, from: 8 * bs, gate: make(chan struct{})}
-	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, Sessions: -1,
+	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, NoSession: true,
 		Hops: []stack.ProxyOptions{{ReadAhead: 8, TraceRing: 4 * blocks,
 			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}}},
 	}).Hop()
 	conn, err := stack.Dialer(node.Addr, nil, nil)()
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rpc := sunrpc.NewClient(conn)
 	defer rpc.Close()
 	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "ahead"}.Encode()
 	root, err := mountd.Mount(rpc, cred, "/")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nc := nfs3.NewClient(rpc, cred)
 	fh, _, err := nc.Lookup(root, "seq.bin")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for b := uint64(0); b < 8; b++ {
 		if data, _, err := nc.Read(fh, b*bs, bs); err != nil || !bytes.Equal(data, payload[b*bs:(b+1)*bs]) {
 			t.Fatalf("READ of block %d: %d bytes, err=%v", b, len(data), err)
@@ -195,7 +208,9 @@ func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
 	// would find the run over and be a plain hit.
 	time.Sleep(50 * time.Millisecond)
 	if flush {
-		proxy.Check(t, node.Proxy.Flush())
+		if err := node.Proxy.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(origin.gate)
 	select {

@@ -36,7 +36,9 @@ var seamCred = sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "seam"}.Encode()
 func dialProxy(t *testing.T, node *stack.Node) *sunrpc.Client {
 	t.Helper()
 	rpc, err := sunrpc.Dial(node.Addr)
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { rpc.Close() })
 	return rpc
 }
@@ -141,11 +143,13 @@ func controlPlaneRun(t *testing.T, node *stack.Node, seed []byte) (steps []strin
 func TestControlPlaneConformance(t *testing.T) {
 	seed := chaosPattern(20000, 0)
 
-	overNFS := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Sessions: -1,
+	overNFS := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, NoSession: true,
 		Seed: func(fs *memfs.FS) { fs.WriteFile("/seed.img", seed) }, Hops: []stack.ProxyOptions{{}}}).Hop()
 	store := objstore.NewMemStore()
-	proxy.Check(t, objstore.New(store, 0).CreateFile("/seed.img", seed))
-	overObj := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Sessions: -1,
+	if err := objstore.New(store, 0).CreateFile("/seed.img", seed); err != nil {
+		t.Fatal(err)
+	}
+	overObj := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, NoSession: true,
 		Hops: []stack.ProxyOptions{{ObjstoreStore: store}}}).Hop()
 
 	steps, want := controlPlaneRun(t, overNFS, seed)
@@ -183,22 +187,27 @@ func TestAllReplicasDownIsSystemErr(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b := objstore.New(objstore.NewMemStore(), 0)
 		for _, name := range []string{"/disk.img", "/unseen.img"} {
-			proxy.Check(t, b.CreateFile(name, chaosPattern(16384, 0)))
+			if err := b.CreateFile(name, chaosPattern(16384, 0)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		stores = append(stores, b)
 		reps = append(reps, replbe.Replica{Name: fmt.Sprintf("r%d", i), B: b})
 	}
-	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Sessions: -1, Hops: []stack.ProxyOptions{{
+	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, NoSession: true, Hops: []stack.ProxyOptions{{
 		Backend:         stack.BackendRepl,
 		ReplicaBackends: reps,
 		ReplConfig:      replbe.Config{ScrubInterval: -1, ProbeInterval: time.Hour},
 	}}}).Hop()
 	rpc := dialProxy(t, node)
 	root, err := mountd.Mount(rpc, seamCred, "/")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nc := nfs3.NewClient(rpc, seamCred)
-	_, _, err = nc.Lookup(root, "disk.img")
-	proxy.Check(t, err)
+	if _, _, err := nc.Lookup(root, "disk.img"); err != nil {
+		t.Fatal(err)
+	}
 	// A file the session has looked up has a shadow size, and the proxy
 	// answers its GETATTR from that whatever the upstream does (session
 	// consistency). The root and a file never seen have none.
@@ -288,9 +297,13 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	var servers []*sunrpc.Server
 	for _, spy := range spies {
 		fs := memfs.New()
-		proxy.Check(t, fs.WriteFile("/disk.img", content))
+		if err := fs.WriteFile("/disk.img", content); err != nil {
+			t.Fatal(err)
+		}
 		root, err := fs.Root()
-		proxy.Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		spy.inner, spy.release, spy.seen = nfs3.NewServer(fs), make(chan struct{}), make(map[uint32]int)
 		md := mountd.NewServer()
 		md.Export("/", root)
@@ -298,7 +311,9 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 		srv.Register(nfs3.Program, nfs3.Version, spy)
 		srv.Register(nfs3.MountProgram, nfs3.MountVersion, md)
 		l, err := stack.ListenOn("", nil, nil)
-		proxy.Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		go srv.Serve(l)
 		t.Cleanup(srv.Close)
 		t.Cleanup(func() { close(spy.release) })
@@ -319,7 +334,9 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	}}})
 	node, nc, root := c.Hop(), c.Session().NFS(), c.Session().Root()
 	fh, _, err := nc.Lookup(root, "disk.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// READ i asks for the first block of the file's i-th aligned run: the
 	// block before it is never resident, so each READ is a miss of one
 	// block that reaches a replica.
@@ -399,7 +416,9 @@ func TestLongObjectPathHandles(t *testing.T) {
 	long := strings.Repeat("golden-image-", 8) + "rhel.vmdk" // 113 bytes
 	store := objstore.NewMemStore()
 	origin := objstore.New(store, 0)
-	proxy.Check(t, origin.CreateFile("/"+long, seed))
+	if err := origin.CreateFile("/"+long, seed); err != nil {
+		t.Fatal(err)
+	}
 	for _, cached := range []bool{false, true} {
 		hop := stack.ProxyOptions{ObjstoreStore: store}
 		if cached {

@@ -211,12 +211,18 @@ func srcChain(t *testing.T, row srcRow) *srcEnv {
 			}
 		}
 		for _, path := range []string{name, name + ".twin"} {
-			Check(t, fs.WriteFile(path, data))
+			if err := fs.WriteFile(path, data); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if row.meta != nil {
 			blob, err := row.meta(data, runBS).Encode()
-			Check(t, err)
-			Check(t, fs.WriteFile("/"+meta.NameFor(name[1:]), blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/"+meta.NameFor(name[1:]), blob); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	spec := row.opts
@@ -298,8 +304,12 @@ func (e *srcEnv) joinRead(t *testing.T, r srcRead) *nfs3.ReadRes {
 	}
 	args := r.args(fh)
 	run, err := e.p.cfg.Backend.Read(backend.FileID(fh), args.Offset, args.Count, backend.CallOpts{})
-	Check(t, err)
-	Check(t, e.p.installRun(fh, r.block, r.blocks, run, e.p.attrs.writeSeq(fh)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.p.installRun(fh, r.block, r.blocks, run, e.p.attrs.writeSeq(fh)); err != nil {
+		t.Fatal(err)
+	}
 	run.Release()
 	close(over)
 	got := <-done

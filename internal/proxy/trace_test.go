@@ -10,7 +10,6 @@ package proxy_test
 
 import (
 	"bytes"
-	"gvfs/internal/proxy"
 	"gvfs/internal/stack/stacktest"
 	"strconv"
 	"sync/atomic"
@@ -32,8 +31,12 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	const slow = 50 * time.Millisecond
 	fs := memfs.New()
 	content := chaosPattern(32*8192, 3)
-	proxy.Check(t, fs.WriteFile("/vm.img", content))
-	proxy.Check(t, fs.WriteFile("/stall.img", chaosPattern(4*8192, 4)))
+	if err := fs.WriteFile("/vm.img", content); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/stall.img", chaosPattern(4*8192, 4)); err != nil {
+		t.Fatal(err)
+	}
 
 	// The origin sits behind a link of its own, so a stall there slows
 	// the server proxy's own call and not just the client proxy's.
@@ -58,7 +61,9 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	// stay at hop 0 and must NOT reach the server's ring.
 	for i := 0; i < 2; i++ {
 		got, err := sess.ReadFile("/vm.img")
-		proxy.Check(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(content) {
 			t.Fatalf("read %d bytes, want %d", len(got), len(content))
 		}
@@ -138,8 +143,9 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	// exemplar its /metrics publishes resolves to a recording: exemplars
 	// are set only where a call is promoted.
 	lan.Stall(3 * slow)
-	_, err := sess.ReadFile("/stall.img")
-	proxy.Check(t, err)
+	if _, err := sess.ReadFile("/stall.img"); err != nil {
+		t.Fatal(err)
+	}
 	for hop, node := range []*stack.Node{client, server} {
 		recs := node.Flight.Recordings()
 		slowWithSpans := false
@@ -198,9 +204,11 @@ func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
 	const blocks, bs = 256, 8192
 	fs := memfs.New()
 	content := chaosPattern(blocks*bs, 5)
-	proxy.Check(t, fs.WriteFile("/vm.img", content))
+	if err := fs.WriteFile("/vm.img", content); err != nil {
+		t.Fatal(err)
+	}
 	origin := &readCountingOrigin{Backend: fs}
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, Sessions: -1,
+	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, NoSession: true,
 		Hops: []stack.ProxyOptions{
 			{TraceRing: 4 * blocks,
 				CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}},
@@ -210,16 +218,22 @@ func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
 	client, server := c.Hops[0], c.Hops[1]
 
 	conn, err := stack.Dialer(client.Addr, nil, nil)()
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rpc := sunrpc.NewClient(conn)
 	defer rpc.Close()
 	cred := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "trace"}.Encode()
 	root, err := mountd.Mount(rpc, cred, "/")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	caller := &stampingCaller{rpc: rpc}
 	nc := nfs3.NewClient(caller, cred)
 	fh, _, err := nc.Lookup(root, "vm.img")
-	proxy.Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	originReads := make(map[uint64]uint64, blocks) // trace ID -> origin READs during the op
 	for b := uint64(0); b < blocks; b++ {

@@ -40,7 +40,9 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 				// The frames go (write-back first): upstream has the bytes,
 				// the map still must not answer for them.
 				for _, b := range []uint64{2, 3} {
-					Check(t, e.p.cfg.BlockCache.InvalidateBlock(e.fh, b))
+					if err := e.p.cfg.BlockCache.InvalidateBlock(e.fh, b); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if got := e.read(t, 2, 1); !sameReads(got, upstreamRead{2, 2}) { // a scan: 1 is resident
 					t.Errorf("READ of a written block the cache let go cost upstream %v, want 2+2: block 3 is not the map's to trim", got)
@@ -51,7 +53,9 @@ func TestWriteToZeroMappedBlockReadsBack(t *testing.T) {
 				// A written block at the end of a miss run is fetched with it,
 				// and the zero block before it rides along.
 				e.write(t, 7, 0xCF)
-				Check(t, e.p.cfg.BlockCache.InvalidateBlock(e.fh, 7))
+				if err := e.p.cfg.BlockCache.InvalidateBlock(e.fh, 7); err != nil {
+					t.Fatal(err)
+				}
 				if got := e.read(t, 4, 1); !sameReads(got, upstreamRead{4, 4}) {
 					t.Errorf("miss run from block 4 cost upstream %v, want 4+4", got)
 				}
@@ -112,9 +116,13 @@ func (e *runEnv) zeroMapped(t *testing.T, nonZero ...int) *runEnv {
 		copy(e.want[b*runBS:], runContent(runBS, byte(b)))
 	}
 	blob, err := meta.GenerateZeroMap(e.want, runBS).Encode()
-	Check(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{"/disk.img": e.want, "/" + meta.NameFor("disk.img"): blob} {
-		Check(t, e.fs.WriteFile(name, data))
+		if err := e.fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.newSession(t)
 	return e
@@ -128,8 +136,12 @@ func (e *runEnv) zeroMapped(t *testing.T, nonZero ...int) *runEnv {
 func TestUnzeroBoundedByTheMap(t *testing.T) {
 	e := runChain(t, 4*runBS, chainSpec{})
 	blob, err := (&meta.Meta{FileSize: 1 << 62, BlockSize: 4096, ZeroMap: []byte{0xff}}).Encode()
-	Check(t, err)
-	Check(t, e.fs.WriteFile("/"+meta.NameFor("disk.img"), blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fs.WriteFile("/"+meta.NameFor("disk.img"), blob); err != nil {
+		t.Fatal(err)
+	}
 	e.newSession(t)
 	for _, off := range []uint64{0, 1 << 61} {
 		if _, _, err := e.nc.Write(e.fh, off, runContent(runBS, 1), nfs3.Unstable); err != nil {
@@ -145,7 +157,9 @@ func TestUnzeroBoundedByTheMap(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		Check(t, err)
+		if err != nil {
+			t.Fatalf("READ of block 8: %v", err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the first READ after the WRITEs did not return: the map's walk is not bounded by its bitmap")
 	}

@@ -85,11 +85,10 @@ type Spec struct {
 	// channel.
 	FileChan bool
 
-	// Sessions is the number of sessions mounted on the first hop (0:
-	// one; negative: none), each from Session with Addr and Export
-	// filled in.
-	Sessions int
-	Session  gvfs.SessionConfig
+	// Session is the session mounted on the first hop, with Addr and
+	// Export filled in; NoSession mounts none. Chain.Mount adds more.
+	Session   gvfs.SessionConfig
+	NoSession bool
 
 	// Replicas shapes each Repl replica's link (nil: three local ones),
 	// and ReplicaClient each replica's RPC client.
@@ -99,17 +98,17 @@ type Spec struct {
 
 // Chain is a running chain.
 type Chain struct {
-	FS       *memfs.FS
-	Server   *stack.ImageServer // the MemFS origin
-	NFS      *stack.Node        // the NFS origin
-	Hops     []*stack.Node
-	Sessions []*gvfs.Session
+	FS     *memfs.FS
+	Server *stack.ImageServer // the MemFS origin
+	NFS    *stack.Node        // the NFS origin
+	Hops   []*stack.Node
 	// Replicas are a Repl chain's file systems, ReplicaLinks the links
 	// to them.
 	Replicas     []*memfs.FS
 	ReplicaLinks []*simnet.Link
 
 	t       testing.TB
+	sess    *gvfs.Session
 	mu      sync.Mutex
 	closers []func() // in build order
 	closed  bool
@@ -223,24 +222,19 @@ func Start(t testing.TB, spec Spec) (_ *Chain, err error) {
 		c.dumpOnFailure()
 	}
 
-	// The sessions.
+	// The session.
+	if spec.NoSession {
+		return c, nil
+	}
 	if len(c.Hops) > 0 {
 		addr = c.Hops[0].Addr
 	}
-	n := spec.Sessions
-	if n == 0 {
-		n = 1
+	cfg := spec.Session
+	if cfg.Addr == "" && cfg.Dial == nil {
+		cfg.Addr = addr
 	}
-	for i := 0; i < n; i++ {
-		cfg := spec.Session
-		if cfg.Addr == "" && cfg.Dial == nil {
-			cfg.Addr = addr
-		}
-		sess, err := c.mount(cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.Sessions = append(c.Sessions, sess)
+	if c.sess, err = c.mount(cfg); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -317,8 +311,8 @@ func (c *Chain) StopOrigin() { c.origin() }
 // Hop returns the first hop, the one sessions mount.
 func (c *Chain) Hop() *stack.Node { return c.Hops[0] }
 
-// Session returns the first session.
-func (c *Chain) Session() *gvfs.Session { return c.Sessions[0] }
+// Session returns the session the spec mounted.
+func (c *Chain) Session() *gvfs.Session { return c.sess }
 
 // Mount mounts one more session, closed with the chain: on the first hop
 // unless cfg names an address.
@@ -357,14 +351,26 @@ func (c *Chain) OriginCalls(proc string) uint64 {
 	return snap.Histograms[`gvfs_proxy_rpc_duration_seconds{proc="`+proc+`"}`].Count
 }
 
+// chainsBuilt numbers the chains each test builds, so that the dumps of
+// two chains in one test do not overwrite each other.
+var chainsBuilt = struct {
+	sync.Mutex
+	n map[string]int
+}{n: map[string]int{}}
+
 // dumpOnFailure registers a cleanup that, if the test failed, writes each
 // hop's log ring, /statusz document and flight recordings into
-// $GVFS_CHAOS_LOG_DIR. Registered after the hops' own, it runs before
+// $GVFS_CHAOS_LOG_DIR as <test>.chainK.hopN.<kind>.json, K counting the
+// test's chains from 1. Registered after the hops' own, it runs before
 // they close.
 func (c *Chain) dumpOnFailure() {
 	t := c.t
 	dir := os.Getenv("GVFS_CHAOS_LOG_DIR")
 	base := strings.ReplaceAll(t.Name(), "/", "_")
+	chainsBuilt.Lock()
+	chainsBuilt.n[base]++
+	base = fmt.Sprintf("%s.chain%d", base, chainsBuilt.n[base])
+	chainsBuilt.Unlock()
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
