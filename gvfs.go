@@ -14,8 +14,8 @@
 //
 // The heavy lifting lives in the internal packages: internal/proxy
 // (caching, meta-data, identity mapping), internal/cache (the
-// block-based disk cache), internal/filechan and internal/filecache
-// (the file-based data channel and cache), internal/nfs3 and
+// block-based disk cache, which file-channel fetches fill too),
+// internal/filechan (the file-based data channel), internal/nfs3 and
 // internal/sunrpc (the protocol substrate), and internal/simnet (WAN
 // emulation for experiments).
 package gvfs

@@ -166,7 +166,7 @@ func TestCloningInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	node, sess, err := o.cloneChain(server, wan, server.FileChanAddr(), wan, server.Key,
+	node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
 		server.ProxyAddr(), wan, server.Key)
 	if err != nil {
 		t.Fatal(err)

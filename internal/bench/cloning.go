@@ -28,8 +28,7 @@ func (o Options) cloneVMSpec(name string, seed int64) vm.Spec {
 
 // cloneChain is a compute server's proxy for cloning: block cache,
 // meta-data handling and the file channel that fills the block cache.
-func (o Options) cloneChain(server *stack.ImageServer, wan *simnet.Link,
-	fileChanAddr string, fileChanLink *simnet.Link, fileChanKey []byte,
+func (o Options) cloneChain(fileChanAddr string, fileChanLink *simnet.Link, fileChanKey []byte,
 	upstreamAddr string, upstreamLink *simnet.Link, upstreamKey []byte) (*stack.Node, *gvfs.Session, error) {
 
 	blockDir, err := os.MkdirTemp(o.WorkDir, "clone-block")
@@ -58,8 +57,6 @@ func (o Options) cloneChain(server *stack.ImageServer, wan *simnet.Link,
 		return nil, nil, err
 	}
 	node.AddCleanup(func() { os.RemoveAll(blockDir) })
-	_ = server
-	_ = wan
 	return node, sess, nil
 }
 
@@ -121,7 +118,7 @@ func (o Options) RunFig6() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		node, sess, err := o.cloneChain(server, wan, server.FileChanAddr(), wan, server.Key,
+		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
 			server.ProxyAddr(), wan, server.Key)
 		if err != nil {
 			server.Close()
@@ -150,7 +147,7 @@ func (o Options) RunFig6() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		node, sess, err := o.cloneChain(server, wan, server.FileChanAddr(), wan, server.Key,
+		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
 			server.ProxyAddr(), wan, server.Key)
 		if err != nil {
 			server.Close()
@@ -259,10 +256,10 @@ func (o Options) plainNFSBaseline(fs *memfs.FS) (time.Duration, error) {
 }
 
 // runS3 builds the WAN-S3 topology: image server across the WAN, a
-// LAN cache server (second-level block-cache proxy + file-channel
-// relay), and a compute server on the LAN. The LAN caches are warmed
-// by a prior compute server's clonings, then a fresh compute server
-// measures.
+// LAN cache server (a second-level caching proxy, and the file-channel
+// relay that serves through it) and a compute server on the LAN. The
+// LAN cache is warmed by a prior compute server's clonings, then a fresh
+// compute server measures.
 func (o Options) runS3(n int) ([]time.Duration, error) {
 	fs := memfs.New()
 	if _, err := o.installImages(fs, n); err != nil {
@@ -290,25 +287,23 @@ func (o Options) runS3(n int) ([]time.Duration, error) {
 		UpstreamKey:  server.Key,
 		CacheConfig:  &lanCfg,
 		ListenLink:   lan,
+		FileChanAddr: server.FileChanAddr(),
+		FileChanLink: wan,
+		FileChanKey:  server.Key,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer lanProxy.Close()
-	lanFileDir, err := os.MkdirTemp(o.WorkDir, "lan-file")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(lanFileDir)
-	relay, err := stack.StartFileChanRelay(
-		stack.Dialer(server.FileChanAddr(), wan, server.Key), lanFileDir, lan, nil)
+	relay, err := stack.StartFileChanRelay(lanProxy,
+		stack.Dialer(server.FileChanAddr(), wan, server.Key), lan, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer relay.Close()
 
 	computeServer := func() (*stack.Node, *gvfs.Session, error) {
-		return o.cloneChain(server, wan, relay.Addr, lan, nil, lanProxy.Addr, lan, nil)
+		return o.cloneChain(relay.Addr, lan, nil, lanProxy.Addr, lan, nil)
 	}
 
 	// Warm-up: a different compute server in the same LAN clones the
@@ -381,7 +376,7 @@ func (o Options) RunTable1() (*Table, error) {
 	}
 	nodes := make([]computeNode, n)
 	for i := range nodes {
-		node, sess, err := o.cloneChain(server, wan, server.FileChanAddr(), wan, server.Key,
+		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
 			server.ProxyAddr(), wan, server.Key)
 		if err != nil {
 			return nil, err
@@ -440,7 +435,7 @@ func (o Options) RunTable1() (*Table, error) {
 	for i := range nodes {
 		nodes[i].sess.Close()
 		nodes[i].node.Close()
-		node, sess, err := o.cloneChain(server, wan, server.FileChanAddr(), wan, server.Key,
+		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
 			server.ProxyAddr(), wan, server.Key)
 		if err != nil {
 			return nil, err

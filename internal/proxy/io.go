@@ -469,13 +469,18 @@ func (p *Proxy) serveByHash(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, bl
 // ends the answer. The boolean reports whether the blocks were cached.
 // A file fetched through the file channel is read locally (paper §3.2.2):
 // its hits are the file cache's, the blocks its zero map vouches for were
-// never installed and are zeros, and it needs no read-ahead.
+// never installed and are zeros, and it needs no read-ahead. Blocks read
+// while a fetch of the file runs are not served: the fetch may yet fail.
 func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, first, k uint64, span string, lookup time.Time) (readAnswer, bool) {
 	bs := p.cfg.BlockCache.BlockSize()
 	fetched := v.meta != nil && v.meta.fetched.Load()
 	a := readAnswer{outcome: "block_hit", layer: obs.LayerBlockCache, span: span, since: lookup}
 	if fetched {
 		a.outcome, a.layer = "file_cache", obs.LayerFileCache
+	}
+	var fills uint64
+	if v.meta != nil {
+		fills = v.meta.fills.Load()
 	}
 	buf := bufpool.Get(int(k) * bs)
 	data := buf[:0]
@@ -494,6 +499,10 @@ func (p *Proxy) serveBlockHit(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, 
 		if len(blk) < bs {
 			break
 		}
+	}
+	if v.meta != nil && (fills%2 == 1 || v.meta.fills.Load() != fills) {
+		bufpool.Put(buf) // read across a fetch that may yet fail: a miss
+		return a, false
 	}
 	if fetched {
 		p.stats.fileChanReads.Add(1)
@@ -814,6 +823,8 @@ func (p *Proxy) ensureFetched(fh nfs3.FH, v *fileView, ms *metaState) error {
 		return err
 	}
 	defer conn.Close()
+	ms.fills.Add(1)
+	defer ms.fills.Add(1)
 	bc := p.cfg.BlockCache
 	bs := uint64(bc.BlockSize())
 	seq := p.attrs.writeSeq(fh)
@@ -871,6 +882,28 @@ func (w *blockWriter) flush() (err error) {
 		w.block, w.buf = w.block+1, w.buf[:0]
 	}
 	return err
+}
+
+// Forget drops what the caches hold of dir/name, a file replaced past the
+// proxy (a file-channel PUT through the LAN relay): the name, the entry,
+// its fetched mark and, as a truncating SETATTR does, its blocks. A fetch
+// of the file in flight ends first, and none of its blocks outlive this.
+func (p *Proxy) Forget(dir nfs3.FH, name string) error {
+	fh, v, _ := p.attrs.child(dir, name)
+	p.attrs.startChange(dir, name)
+	p.attrs.endChange(dir, name, false)
+	if len(fh) == 0 {
+		return nil
+	}
+	v.meta.mu.Lock()
+	v.meta.fetched.Store(false)
+	v.meta.mu.Unlock()
+	p.attrs.wroteUpstream(fh) // a miss run in flight keeps none of its blocks ahead
+	p.attrs.forget(fh)
+	if p.cfg.BlockCache == nil {
+		return nil
+	}
+	return p.cfg.BlockCache.InvalidateFile(fh)
 }
 
 // --- middleware-driven consistency (paper §3.2.1) ---

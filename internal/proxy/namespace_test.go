@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"gvfs/internal/memfs"
+	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/sunrpc"
+	"gvfs/internal/xdr"
 )
 
 var namespaceSeeds = flag.Int("namespace-seeds", 20, "seeds TestNamespaceModel runs (CI runs 200)")
@@ -161,6 +163,37 @@ func FuzzNameArgs(f *testing.F) {
 		}
 		if n := ch.p.attrs.len(); n > 64 {
 			t.Fatalf("%d entries in a table limited to 64", n)
+		}
+	})
+}
+
+// mountProcs are the MOUNT calls a session makes or may: the proxy
+// forwards each one, and decodes an MNT's dirpath to learn its root.
+var mountProcs = []uint32{mountd.ProcMnt, mountd.ProcUmnt, mountd.ProcExport}
+
+// FuzzMountArgs sends one body as one of mountProcs through a chain and
+// to its origin's mountd. Nothing may panic, and the chain refuses the
+// body as GARBAGE_ARGS exactly when the origin does.
+func FuzzMountArgs(f *testing.F) {
+	ch := newChain(f, chainSpec{})
+	dirpath := func(p string) []byte {
+		var b xdr.Builder
+		b.String(p)
+		return b.B
+	}
+	for proc, body := range [][]byte{dirpath("/"), dirpath("/"), nil} { // one seed per mountProcs entry, in its order
+		f.Add(uint8(proc), body)
+	}
+	f.Add(uint8(0), dirpath("/no/such/export"))
+	f.Fuzz(func(t *testing.T, proc uint8, body []byte) {
+		call := func(h sunrpc.Handler) sunrpc.AcceptStat {
+			_, stat := h.HandleCall(&sunrpc.Call{Prog: nfs3.MountProgram, Vers: nfs3.MountVersion,
+				Proc: mountProcs[int(proc)%len(mountProcs)], Cred: ch.cred, Args: bytes.Clone(body)})
+			return stat
+		}
+		origin, chain := call(ch.origin.H), call(ch.p)
+		if (origin == sunrpc.GarbageArgs) != (chain == sunrpc.GarbageArgs) {
+			t.Fatalf("MOUNT proc %d: the origin answers %v, the chain %v", mountProcs[int(proc)%len(mountProcs)], origin, chain)
 		}
 	})
 }

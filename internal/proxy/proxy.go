@@ -154,6 +154,10 @@ type metaState struct {
 	// fetched: the file came whole through the file channel into the block
 	// cache. Set under mu, read without it (attrTable.evict, serveBlockHit).
 	fetched atomic.Bool
+	// fills is odd while a file-channel fetch of the file runs. The fetch
+	// installs blocks before it knows the transfer is good, so a block hit
+	// read across one is not served (serveBlockHit).
+	fills atomic.Uint64
 	// The bytes WRITEs covered before the meta-data was looked up, as one
 	// range (wroteHi 0 = none): metaFor takes it out of the zero map.
 	wroteLo, wroteHi uint64

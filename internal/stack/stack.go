@@ -7,11 +7,11 @@
 package stack
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"path"
 	"strings"
 	"sync"
 	"time"
@@ -21,9 +21,9 @@ import (
 	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/backend/objstore"
 	"gvfs/internal/backend/replbe"
+	"gvfs/internal/bufpool"
 	"gvfs/internal/cache"
 	"gvfs/internal/cachean"
-	"gvfs/internal/filecache"
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/mountd"
@@ -832,106 +832,138 @@ func StartImageServer(fs *memfs.FS, opts ImageServerOptions) (*ImageServer, erro
 // servers (renewed on use, so it only needs to exceed call gaps).
 const identityTTL = 30 * time.Minute
 
-// relayStore is a caching filechan.FileStore: reads are served from a
-// local file cache, into which a miss is fetched (compressed) from the
-// upstream file channel; writes pass through. It gives a LAN cache
-// server the file-based half of the paper's second-level heterogeneous
-// cache.
-type relayStore struct {
-	dial  func() (net.Conn, error)
-	cache *filecache.Cache
+// relayCred is who the file-channel relay calls the LAN proxy as: the
+// file channel carries no credential.
+var relayCred = sunrpc.UnixCred{MachineName: "gvfs-filechan-relay"}.Encode()
 
-	mu       sync.Mutex
-	inflight map[string]*relayFetch // misses being fetched, by path
+// relayStore is the LAN file-channel relay's filechan.FileStore, which
+// keeps no store of its own: a GET reads the file through the LAN caching
+// proxy, whose block cache is the LAN's one disk cache, and a PUT goes to
+// the image server, after which the proxy forgets the file.
+type relayStore struct {
+	lan  *proxy.Proxy
+	rpc  sunrpc.Local // lan, in process
+	nfs  *nfs3.Client // over rpc
+	root nfs3.FH
+	dial func() (net.Conn, error) // the image server's file channel
 }
 
-// relayFetch is one upstream fetch that concurrent misses of its path
-// wait for.
-type relayFetch struct {
-	done chan struct{}
-	err  error // set before done closes
+// parent resolves the directory of path p with one LOOKUP per name
+// through the LAN proxy, whose attribute table answers the names it
+// knows, and returns its handle and p's last name.
+func (r *relayStore) parent(p string) (nfs3.FH, string, error) {
+	names := strings.Split(strings.Trim(path.Clean("/"+p), "/"), "/")
+	dir := r.root
+	for _, name := range names[:len(names)-1] {
+		var err error
+		if dir, _, err = r.nfs.Lookup(dir, name); err != nil {
+			return nil, "", err
+		}
+	}
+	return dir, names[len(names)-1], nil
 }
 
 // OpenFile implements filechan.FileStore.
-func (r *relayStore) OpenFile(path string) (io.ReadCloser, uint64, error) {
-	rc, size, err := r.cache.Open(path)
-	if !errors.Is(err, filecache.ErrNotCached) {
-		return rc, size, err
-	}
-	if err := r.fetch(path); err != nil {
+func (r *relayStore) OpenFile(p string) (io.ReadCloser, uint64, error) {
+	dir, name, err := r.parent(p)
+	if err != nil {
 		return nil, 0, err
 	}
-	return r.cache.Open(path)
+	fh, attr, err := r.nfs.Lookup(dir, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	if attr == nil || attr.Type != nfs3.TypeReg {
+		return nil, 0, fmt.Errorf("stack: relay: %s is not a file of known size", p)
+	}
+	return &relayReader{rpc: r.rpc, fh: fh, path: p, size: attr.Size}, attr.Size, nil
 }
 
-// fetch brings path into the cache, once for all the misses that ask
-// while it runs.
-func (r *relayStore) fetch(path string) error {
-	r.mu.Lock()
-	if r.cache.Has(path) { // a fetch finished since the caller missed
-		r.mu.Unlock()
-		return nil
-	}
-	if f, ok := r.inflight[path]; ok {
-		r.mu.Unlock()
-		<-f.done
-		return f.err
-	}
-	f := &relayFetch{done: make(chan struct{})}
-	r.inflight[path] = f
-	r.mu.Unlock()
-
-	f.err = r.fetchUpstream(path)
-	r.mu.Lock()
-	delete(r.inflight, path)
-	r.mu.Unlock()
-	close(f.done)
-	return f.err
-}
-
-func (r *relayStore) fetchUpstream(path string) error {
+// WriteFileFrom implements filechan.FileStore: once the image server has
+// the upload, the LAN proxy forgets what it cached of the file.
+func (r *relayStore) WriteFileFrom(p string, src io.Reader, size uint64) error {
 	conn, err := r.dial()
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	_, err = r.cache.Fill(path, func(w io.Writer) error {
-		_, err := filechan.FetchTo(conn, path, true, w)
+	if err := filechan.PutFrom(conn, p, src, size, true); err != nil {
 		return err
-	})
-	return err
-}
-
-// WriteFileFrom implements filechan.FileStore: a write-through upload
-// whose bytes also replace the cached copy once the upstream has them.
-func (r *relayStore) WriteFileFrom(path string, src io.Reader, size uint64) error {
-	conn, err := r.dial()
+	}
+	dir, name, err := r.parent(p)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	_, err = r.cache.Fill(path, func(w io.Writer) error {
-		return filechan.PutFrom(conn, path, io.TeeReader(src, w), size, true)
-	})
-	return err
+	return r.lan.Forget(dir, name)
 }
 
-// StartFileChanRelay runs a caching file-channel relay: downstream
-// clients fetch from it across listenLink; misses are pulled from the
-// upstream file channel through upstreamDial. This is the second-level
-// file cache of the paper's WAN-S3 scenario.
-func StartFileChanRelay(upstreamDial func() (net.Conn, error), cacheDir string,
+// relayReader reads a file through the LAN proxy in READs of up to
+// nfs3.MaxTransfer, each into a pooled reply. Like memfs's and osfs's
+// readers it fails once the file's size moves, which each READ's post-op
+// attributes tell.
+type relayReader struct {
+	rpc       sunrpc.Local
+	fh        nfs3.FH
+	path      string
+	off, size uint64
+	left, rec []byte // the last READ's bytes not yet read, and the reply they lie in
+}
+
+func (rd *relayReader) Read(p []byte) (int, error) {
+	if len(rd.left) == 0 {
+		rd.Close()
+		if rd.off == rd.size {
+			return 0, io.EOF
+		}
+		res, rec, err := rd.rpc.CallPooled(nfs3.Program, nfs3.Version, nfs3.ProcRead, relayCred, sunrpc.OpaqueAuth{},
+			(&nfs3.ReadArgs{FH: rd.fh, Offset: rd.off, Count: nfs3.MaxTransfer}).Encode(), time.Time{})
+		if err != nil {
+			return 0, err
+		}
+		rd.rec = rec
+		var r nfs3.ReadRes
+		var attr nfs3.Fattr
+		has, err := r.DecodeRefAttrInto(res, &attr)
+		if err == nil && r.Status != nfs3.OK {
+			err = &nfs3.Error{Status: r.Status, Op: "read " + rd.path}
+		}
+		n := min(rd.size-rd.off, nfs3.MaxTransfer)
+		if err == nil && (has && attr.Size != rd.size || uint64(len(r.Data)) < n) {
+			err = fmt.Errorf("stack: relay: %s changed while it was read", rd.path)
+		}
+		if err != nil {
+			return 0, err
+		}
+		rd.left, rd.off = r.Data[:n], rd.off+n
+	}
+	n := copy(p, rd.left)
+	rd.left = rd.left[n:]
+	return n, nil
+}
+
+// Close gives back the reply the unread bytes lie in.
+func (rd *relayReader) Close() error {
+	bufpool.Put(rd.rec)
+	rd.left, rd.rec = nil, nil
+	return nil
+}
+
+// StartFileChanRelay runs the LAN's file-channel relay beside lan, a
+// caching proxy whose block cache is the relay's only store: it mounts
+// lan in process, answers a GET through it and a PUT through
+// upstreamDial, the image server's file channel (paper Fig 6, WAN-S3).
+func StartFileChanRelay(lan *Node, upstreamDial func() (net.Conn, error),
 	listenLink *simnet.Link, listenKey []byte) (*Node, error) {
-	fc, err := filecache.New(cacheDir)
+	rpc := sunrpc.Local{H: lan.Proxy}
+	root, err := mountd.Mount(rpc, relayCred, "/")
 	if err != nil {
 		return nil, err
 	}
-	store := &relayStore{dial: upstreamDial, cache: fc, inflight: make(map[string]*relayFetch)}
 	l, err := ListenOn("", listenLink, listenKey)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{}
-	n.serve(filechan.NewServer(store), l)
+	n.serve(filechan.NewServer(&relayStore{lan: lan.Proxy, rpc: rpc, nfs: nfs3.NewClient(rpc, relayCred), root: root, dial: upstreamDial}), l)
 	return n, nil
 }

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,110 +124,6 @@ func TestProxyWrongKeyFails(t *testing.T) {
 	defer node.Close()
 	if _, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"}); err == nil {
 		t.Error("mount through mismatched keys succeeded")
-	}
-}
-
-func TestFileChanRelayCachesUpstream(t *testing.T) {
-	fs := memfs.New()
-	payload := bytes.Repeat([]byte("golden"), 10000)
-	fs.WriteFile("/img.vmss", payload)
-	upstream, err := stack.StartFileChanServer(fs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upstream.Close()
-
-	relay, err := stack.StartFileChanRelay(stack.Dialer(upstream.Addr, nil, nil), t.TempDir(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-
-	fetch := func() []byte {
-		conn, err := net.Dial("tcp", relay.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		data, err := filechan.Fetch(conn, "/img.vmss", true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	if !bytes.Equal(fetch(), payload) {
-		t.Fatal("first fetch mismatch")
-	}
-	// Kill the upstream: the relay must serve from its cache.
-	upstream.Close()
-	if !bytes.Equal(fetch(), payload) {
-		t.Error("relay did not serve from cache after upstream death")
-	}
-}
-
-// slowOpens is a FileStore that counts the files opened on it and holds
-// the first open until every expected open has arrived or a while has
-// passed, so misses that come together overlap in the relay.
-type slowOpens struct {
-	*memfs.FS
-	opens   atomic.Int32
-	want    int32
-	arrived chan struct{}
-}
-
-func (s *slowOpens) OpenFile(path string) (io.ReadCloser, uint64, error) {
-	if s.opens.Add(1) == s.want {
-		close(s.arrived)
-	}
-	select {
-	case <-s.arrived:
-	case <-time.After(200 * time.Millisecond):
-	}
-	return s.FS.OpenFile(path)
-}
-
-// Concurrent misses of one path at a file-channel relay join one
-// upstream fetch, and each gets the whole file — the access pattern of
-// parallel clones of one golden image behind a LAN cache.
-func TestFileChanRelayMissGoesUpstreamOnce(t *testing.T) {
-	const clients = 8
-	fs := memfs.New()
-	img := make([]byte, 3<<20)
-	for i := range img {
-		img[i] = byte(i / 4096)
-	}
-	fs.WriteFile("/golden/img.vmss", img)
-	store := &slowOpens{FS: fs, want: clients, arrived: make(chan struct{})}
-	upstream, err := stack.StartFileChanServer(store, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upstream.Close()
-	relay, err := stack.StartFileChanRelay(stack.Dialer(upstream.Addr, nil, nil), t.TempDir(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", relay.Addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			if got, err := filechan.Fetch(conn, "/golden/img.vmss", true); err != nil || !bytes.Equal(got, img) {
-				t.Errorf("fetch through the relay: %d bytes, err=%v", len(got), err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := store.opens.Load(); n != 1 {
-		t.Errorf("%d concurrent misses made %d upstream fetches, want 1", clients, n)
 	}
 }
 

@@ -106,6 +106,10 @@ type Client struct {
 	nextXID uint32
 	pending map[uint32]waiter
 	done    chan struct{}
+	// readers counts the read loops running: each holds a pooled buffer
+	// until it exits, and Close waits for them, so that a closed Client
+	// holds nothing of the pool's.
+	readers sync.WaitGroup
 
 	retries    atomic.Uint64
 	reconnects atomic.Uint64
@@ -178,6 +182,7 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
 		done:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.readers.Add(1)
 	go c.readLoop(conn, 1)
 	return c
 }
@@ -198,7 +203,8 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // Close tears down the connection; outstanding calls fail and no
-// reconnect is attempted. Idempotent.
+// reconnect is attempted. It returns once the connection's reader has
+// given its buffer back. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -212,10 +218,12 @@ func (c *Client) Close() error {
 	c.failPendingLocked(ErrClientClosed)
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	var err error
 	if conn != nil {
-		return conn.Close()
+		err = conn.Close()
 	}
-	return nil
+	c.readers.Wait()
+	return err
 }
 
 // TransportStats returns a snapshot of the fault-handling counters.
@@ -287,6 +295,7 @@ func (c *Client) readReply(rr *recordReader) (rec []byte, pooled bool, err error
 }
 
 func (c *Client) readLoop(conn net.Conn, gen int) {
+	defer c.readers.Done()
 	rr := newRecordReader(conn)
 	defer rr.release()
 	for {
@@ -381,6 +390,7 @@ func (c *Client) ensureConn() (net.Conn, int, error) {
 		c.gen++
 		c.conn = conn
 		c.reconnects.Add(1)
+		c.readers.Add(1)
 		go c.readLoop(conn, c.gen)
 		return c.conn, c.gen, nil
 	}

@@ -368,7 +368,11 @@ func TestCloseAcceptRaceDropsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go s.Close()
+		closed := make(chan struct{})
+		go func() {
+			s.Close()
+			close(closed)
+		}()
 		// Whatever the interleaving, the connection must reach EOF
 		// soon: either it was never registered, or Close killed it.
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -378,5 +382,6 @@ func TestCloseAcceptRaceDropsConnection(t *testing.T) {
 		}
 		conn.Close()
 		l.Close()
+		<-closed // its readers have given their buffers back
 	}
 }

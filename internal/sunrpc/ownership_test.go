@@ -9,6 +9,7 @@ package sunrpc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,14 +51,16 @@ func TestPooledReplyOwnership(t *testing.T) {
 	poolBalanced(t, "connection down with the reply buffered", downWithReplyBuffered)
 }
 
-// Each attempt times out. Even calls are answered once, late, while the
-// caller sleeps its backoff; odd calls are answered only when the
-// retransmission arrives, and then twice — once for each transmission.
-// Either way the call completes with its own reply, once.
+// Each attempt times out. Even calls are answered once, late — once the
+// client has counted the call's timeout — while the caller sleeps its
+// backoff; odd calls are answered only when the retransmission arrives,
+// and then twice — once for each transmission. Either way the call
+// completes with its own reply, once.
 func timeoutThenReply(t *testing.T) {
 	const timeout = 4 * time.Millisecond
 	var mu sync.Mutex
 	seen := map[uint32]bool{}
+	var client atomic.Pointer[Client]
 	addr := fakeServer(t, func(call *Call, reply func(uint32, []byte) error) error {
 		mu.Lock()
 		again := seen[call.XID]
@@ -70,7 +73,11 @@ func timeoutThenReply(t *testing.T) {
 			}
 			return reply(call.XID, call.Args)
 		case call.Args[3]%2 == 0:
-			time.Sleep(timeout + timeout/2)
+			// A reply that beat the timer (its caller descheduled past
+			// it) would not be late: wait for the timeout itself.
+			for n := client.Load().TransportStats().Timeouts; client.Load().TransportStats().Timeouts == n; {
+				time.Sleep(timeout / 8)
+			}
 			return reply(call.XID, call.Args)
 		}
 		return nil
@@ -86,6 +93,7 @@ func timeoutThenReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	client.Store(c)
 	var args [600]byte
 	for i := uint32(0); i < 60; i++ {
 		res, rec, err := callPooled(c, 1, strayArgs(args[:], i), time.Time{})

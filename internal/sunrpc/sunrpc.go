@@ -397,6 +397,9 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	closed    bool
+	// readers counts the connections' readers running: each holds a
+	// pooled buffer until it exits, and Close waits for them.
+	readers sync.WaitGroup
 }
 
 // NewServer returns an empty Server; register programs before serving.
@@ -453,15 +456,20 @@ func (s *Server) Serve(l net.Listener) error {
 			return net.ErrClosed
 		}
 		s.conns[conn] = struct{}{}
+		s.readers.Add(1)
 		s.mu.Unlock()
-		go s.serveConn(conn)
+		go func() {
+			defer s.readers.Done()
+			s.serveConn(conn)
+		}()
 	}
 }
 
 // Close terminates all active connections and adopted listeners. It is
 // idempotent and safe to call concurrently with Serve. Every goroutine
-// the server started exits: readers at once, a worker as soon as the
-// handler it is running returns.
+// the server started exits: readers at once — Close returns once they
+// have given their buffers back — and a worker as soon as the handler
+// it is running returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -482,6 +490,7 @@ func (s *Server) Close() {
 	for c := range conns {
 		c.Close()
 	}
+	s.readers.Wait()
 }
 
 // acceptedReplyHdrMax bounds the accepted-reply header we emit: xid +
