@@ -72,7 +72,11 @@ type SessionConfig struct {
 	Metrics *obs.Registry
 }
 
-// Session is a mounted GVFS file system.
+// Session is a mounted GVFS file system. It is safe for concurrent use:
+// calls from several goroutines go out over the one connection together,
+// each waiting only for its own replies, as a kernel NFS client's
+// processes share one mount. Calls that change the same name race as
+// they would there.
 type Session struct {
 	rpc   *sunrpc.Client
 	nfs   *nfs3.Client

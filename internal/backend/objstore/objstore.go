@@ -34,6 +34,11 @@ const (
 // DefaultBlockSize is the manifest block size when none is given.
 const DefaultBlockSize = 8192
 
+// maxBlockSize bounds a manifest's block size, which is what one block of
+// a read allocates. New clamps to it; a stored manifest past it, or whose
+// block count is not its size in blocks, is refused as corrupt.
+const maxBlockSize = 1 << 20
+
 // manifest is the stored per-file descriptor.
 type manifest struct {
 	Size      uint64   `json:"size"`
@@ -95,11 +100,12 @@ func (b *Backend) cacheLocked(fid string, m *parsed) {
 type faultState struct{ err error }
 
 // New returns a Backend over store with the given manifest block size
-// (DefaultBlockSize when 0).
+// (DefaultBlockSize when 0, maxBlockSize past it).
 func New(store Store, blockSize int) *Backend {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
+	blockSize = min(blockSize, maxBlockSize)
 	return &Backend{store: store, bs: blockSize, cache: make(map[string]*parsed)}
 }
 
@@ -191,8 +197,11 @@ func (b *Backend) loadManifest(op, fid string) (*parsed, error) {
 	if err := json.Unmarshal(blob, &raw); err != nil {
 		return nil, &backend.Error{Class: backend.ClassIO, Op: op, Err: err}
 	}
-	if raw.BlockSize <= 0 {
+	if raw.BlockSize <= 0 || raw.BlockSize > maxBlockSize {
 		return nil, &backend.Error{Class: backend.ClassIO, Op: op, Err: fmt.Errorf("manifest %q: bad block size", fid)}
+	}
+	if n := blocksOf(raw.Size, raw.BlockSize); uint64(len(raw.Blocks)) != n {
+		return nil, &backend.Error{Class: backend.ClassIO, Op: op, Err: fmt.Errorf("manifest %q: %d blocks for %d bytes", fid, len(raw.Blocks), raw.Size)}
 	}
 	m = &parsed{size: raw.Size, bs: raw.BlockSize, blocks: make([]backend.Hash, 0, len(raw.Blocks))}
 	for _, hs := range raw.Blocks {
@@ -231,6 +240,15 @@ func (b *Backend) saveManifest(op, fid string, m *parsed) error {
 	b.cacheLocked(fid, m)
 	b.mu.Unlock()
 	return nil
+}
+
+// blocksOf is how many blocks of bs bytes hold size bytes.
+func blocksOf(size uint64, bs int) uint64 {
+	n := size / uint64(bs)
+	if size%uint64(bs) != 0 {
+		n++
+	}
+	return n
 }
 
 // blockLen is the content length of block i in a file of size bytes.
@@ -354,7 +372,7 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 		newSize = end
 	}
 	bs := uint64(m.bs)
-	nm := &parsed{size: newSize, bs: m.bs, blocks: make([]backend.Hash, (newSize+bs-1)/bs)}
+	nm := &parsed{size: newSize, bs: m.bs, blocks: make([]backend.Hash, blocksOf(newSize, m.bs))}
 	copy(nm.blocks, m.blocks)
 	// Blocks beyond the old content (a grow with a hole) are zeros.
 	oldBlocks := len(m.blocks)
@@ -542,7 +560,7 @@ func (b *Backend) CreateFile(name string, data []byte) error {
 	fid := cleanPath(name)
 	size := uint64(len(data))
 	bs := uint64(b.bs)
-	m := &parsed{size: size, bs: b.bs, blocks: make([]backend.Hash, (size+bs-1)/bs)}
+	m := &parsed{size: size, bs: b.bs, blocks: make([]backend.Hash, blocksOf(size, b.bs))}
 	for i := range m.blocks {
 		lo := uint64(i) * bs
 		hi := lo + bs

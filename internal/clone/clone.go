@@ -58,6 +58,10 @@ type Options struct {
 // transparently to this middleware-level code, exactly as the paper
 // stresses ("the support from GVFS is on-demand, and transparent to
 // user and VM monitor").
+//
+// The configured copy of the config is written while the disk is linked:
+// both need only the clone's directory. The error returned is the first
+// failed step's, in step order.
 func Clone(sess *gvfs.Session, opts Options) (*Result, error) {
 	start := time.Now()
 
@@ -70,16 +74,22 @@ func Clone(sess *gvfs.Session, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("clone: mkdir: %w", err)
 	}
 
-	// 4 (part). Configure the clone with user-specific information.
+	// 4 (part) and 3. Configure the clone with user-specific information,
+	// and link the virtual disk files.
 	patched := configure(string(cfg), opts.User, opts.GoldenDir)
-	if err := sess.WriteFile(path.Join(opts.CloneDir, opts.Name+".vmx"), []byte(patched)); err != nil {
-		return nil, fmt.Errorf("clone: write config: %w", err)
+	var linkErr error
+	linked := make(chan struct{})
+	go func() {
+		defer close(linked)
+		linkErr = sess.Symlink(path.Join(opts.GoldenDir, opts.Name+".vmdk"), path.Join(opts.CloneDir, opts.Name+".vmdk"))
+	}()
+	cfgErr := sess.WriteFile(path.Join(opts.CloneDir, opts.Name+".vmx"), []byte(patched))
+	<-linked
+	if cfgErr != nil {
+		return nil, fmt.Errorf("clone: write config: %w", cfgErr)
 	}
-
-	// 3. Symbolic links to the virtual disk files.
-	diskLink := path.Join(opts.CloneDir, opts.Name+".vmdk")
-	if err := sess.Symlink(path.Join(opts.GoldenDir, opts.Name+".vmdk"), diskLink); err != nil {
-		return nil, fmt.Errorf("clone: symlink disk: %w", err)
+	if linkErr != nil {
+		return nil, fmt.Errorf("clone: symlink disk: %w", linkErr)
 	}
 
 	// 2 + 5. Resume the new VM: the monitor reads the entire memory

@@ -1,17 +1,20 @@
 package clone_test
 
 import (
+	"errors"
 	"fmt"
-	"gvfs/internal/stack/stacktest"
 	"strings"
 	"testing"
+	"time"
 
 	gvfs "gvfs"
 	"gvfs/internal/cache"
 	"gvfs/internal/clone"
 	"gvfs/internal/memfs"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
+	"gvfs/internal/stack/stacktest"
 	"gvfs/internal/sunrpc"
 	"gvfs/internal/vm"
 )
@@ -197,56 +200,65 @@ func TestPlainNFSResumeBaseline(t *testing.T) {
 	}
 }
 
-// TestWarmCloneWANRoundTrips counts the calls that cross the link to the
-// image server — the server-side proxy's gvfs_proxy_calls_total — for a
-// cold clone and then a second clone of the same image through a fresh
-// session, the shape of the benchmark's wan_clone. The client proxy
-// serves the second clone's READs from its caches and its LOOKUPs and
-// GETATTRs from its attribute table, so what is left to cross is the
-// MOUNT and the calls that create the clone's own files. The cold
-// clone's count bounds what a boot extent costs when the session asks in
-// windows.
-func TestWarmCloneWANRoundTrips(t *testing.T) {
+// wanCloneChain is the shape of the benchmark's wan_clone: an image server
+// across link, and a compute server's caching client proxy with the file
+// channel, which mounts no session of its own.
+func wanCloneChain(t *testing.T, link *simnet.Link) *stacktest.Chain {
 	fs := memfs.New()
 	if err := vm.InstallImage(fs, "/images/g0", spec("img0", 1)); err != nil {
 		t.Fatal(err)
 	}
-	link := simnet.NewLink(simnet.Local())
-	c := stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, NoSession: true,
+	return stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, NoSession: true,
 		Hops: []stack.ProxyOptions{{FileChanLink: link,
 			CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}})
+}
 
+// instantiate is one wan_clone instantiation of img0 into /clones/<pass>
+// through a fresh session: the MOUNT, the clone, one 64 KiB boot extent
+// (two windows) and the first redo-log page.
+func instantiate(t *testing.T, c *stacktest.Chain, pass string) {
+	t.Helper()
+	sess := c.Mount(gvfs.SessionConfig{PageCachePages: 64,
+		Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()})
+	res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/" + pass,
+		Name: "img0", User: "alice", KeepVM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.VM.Close()
+	buf := make([]byte, 64<<10)
+	if _, err := res.VM.Disk.ReadAt(buf, 0); err != nil {
+		t.Fatalf("%s: disk read through the clone's link: %v", pass, err)
+	}
+	redo, err := res.VM.OpenRedoLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := redo.WriteAt(buf[:8192], 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmCloneWANRoundTrips counts the calls that cross the link to the
+// image server — the server-side proxy's gvfs_proxy_calls_total — for a
+// cold clone and then a second clone of the same image through a fresh
+// session, the shape of the benchmark's wan_clone. The client proxy
+// serves the second clone's READs from its caches, its LOOKUPs and
+// GETATTRs from its attribute table and its MOUNT from the reply to the
+// first, so what is left to cross is the calls that create the clone's
+// own files. The cold clone's count bounds what a boot extent costs when
+// the session asks in windows.
+func TestWarmCloneWANRoundTrips(t *testing.T) {
+	c := wanCloneChain(t, simnet.NewLink(simnet.Local()))
 	crossed := func() uint64 { return c.OriginCalls("") }
 	procs := func() (lookups, listings uint64) { return c.OriginCalls("LOOKUP"), c.OriginCalls("READDIRPLUS") }
-	instantiate := func(pass string) uint64 {
-		t.Helper()
-		before := crossed()
-		sess := c.Mount(gvfs.SessionConfig{PageCachePages: 64,
-			Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()})
-		res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/" + pass,
-			Name: "img0", User: "alice", KeepVM: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.VM.Close()
-		// One 64 KiB boot extent, as wan_clone reads them: two windows.
-		buf := make([]byte, 64<<10)
-		if _, err := res.VM.Disk.ReadAt(buf, 0); err != nil {
-			t.Fatalf("%s: disk read through the clone's link: %v", pass, err)
-		}
-		redo, err := res.VM.OpenRedoLog()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := redo.WriteAt(buf[:8192], 0); err != nil {
-			t.Fatal(err)
-		}
-		return crossed() - before
-	}
 	lookups, listings := procs()
-	cold := instantiate("cold")
+	before := crossed()
+	instantiate(t, c, "cold")
+	cold := crossed() - before
 	lookupsCold, listingsCold := procs()
-	warm := instantiate("warm")
+	instantiate(t, c, "warm")
+	warm := crossed() - before - cold
 	t.Logf("calls that crossed the link: cold clone %d (%d LOOKUP, %d READDIRPLUS), warm clone %d",
 		cold, lookupsCold-lookups, listingsCold-listings, warm)
 	// The cold clone's 64 KiB extent is two calls, not eight: the session
@@ -263,12 +275,46 @@ func TestWarmCloneWANRoundTrips(t *testing.T) {
 	if n := listingsCold - listings; n > 3 {
 		t.Errorf("%d READDIRPLUS crossed the link in the cold clone, want at most 3 (/, /images, /images/g0)", n)
 	}
-	if warm > 6 {
+	// MKDIR of the clone's directory, CREATE of its config, SYMLINK of its
+	// disk, CREATE of its redo log.
+	if warm > 4 {
 		ops := c.Server.Proxy.Proxy.Statusz().Clients
-		t.Errorf("warm clone sent %d calls across the link, want at most 6 (server proxy op mix, both clones: %+v)", warm, ops)
+		t.Errorf("warm clone sent %d calls across the link, want at most 4 (server proxy op mix, both clones: %+v)", warm, ops)
 	}
 	snap := c.Hop().Proxy.Snapshot()
 	if hits := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`); hits == 0 {
 		t.Error("no LOOKUP was answered from the attribute table")
+	}
+}
+
+// TestWarmCloneWANWallTime times a warm instantiation over a link whose
+// round trip dwarfs everything local. Of its four calls across the link,
+// the config's CREATE and the disk's SYMLINK go out together, so it waits
+// for three round trips: MKDIR, those two, the redo log's CREATE. One
+// at a time, with the MOUNT crossing too, it would wait for five.
+func TestWarmCloneWANWallTime(t *testing.T) {
+	const rtt = 200 * time.Millisecond
+	c := wanCloneChain(t, simnet.NewLink(simnet.Profile{Name: "far", RTT: rtt}))
+	instantiate(t, c, "cold")
+	start := time.Now()
+	instantiate(t, c, "warm")
+	d := time.Since(start)
+	t.Logf("warm clone: %v, %.2f round trips of %v", d, float64(d)/float64(rtt), rtt)
+	if d >= rtt*9/2 {
+		t.Errorf("warm clone took %v, %.1f round trips of %v; want under 4.5", d, float64(d)/float64(rtt), rtt)
+	}
+}
+
+// TestCloneMissingGoldenConfig: a clone whose golden config is not there
+// fails as the read fails, with the read's error, and makes no directory.
+func TestCloneMissingGoldenConfig(t *testing.T) {
+	e := stacktest.New(t, goldenClient())
+	_, err := clone.Clone(e.Session(), clone.Options{GoldenDir: "/images/golden", CloneDir: "/clones/c1", Name: "missing"})
+	var nfsErr *nfs3.Error
+	if err == nil || !strings.HasPrefix(err.Error(), "clone: read golden config: ") || !errors.As(err, &nfsErr) || nfsErr.Status != nfs3.ErrNoEnt {
+		t.Fatalf("clone of an image with no config: %v, want clone: read golden config: ... NOENT", err)
+	}
+	if _, err := e.FS.LookupPath("/clones"); err == nil {
+		t.Error("the failed clone left /clones at the origin")
 	}
 }

@@ -3,10 +3,10 @@ package nfs3
 // Golden wire vectors (testdata/wire/*.hex): the bytes the commit before
 // the single XDR codec put on the wire for one value, and one error
 // value, of every message this package encodes. Each is held against
-// today's encoder and today's decoder, and seven of them (READ3res,
-// WRITE3args, WRITE3res, LOOKUP3res, READDIRPLUS3args, READDIRPLUS3res
-// and COMMIT3res) against bytes written out by hand from RFC 1813. The
-// READDIRPLUS3 vectors came
+// today's encoder and today's decoder, and eight of them (GETATTR3res,
+// READ3res, WRITE3args, WRITE3res, LOOKUP3res, READDIRPLUS3args,
+// READDIRPLUS3res and COMMIT3res) against bytes written out by hand from
+// RFC 1813. The READDIRPLUS3 vectors came
 // with the typed message, from its encoder, and were checked against the
 // hand derivation before they went in.
 
@@ -208,6 +208,14 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 	verf := []byte("gvfsnfs3") // writeverf3: 8 opaque bytes, no length
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
+	// §3.3.1 GETATTR3resok: status, fattr3 obj_attributes — attributes
+	// that always follow, so no attributes_follow word.
+	wiretest.Check(t, "GETATTR3res", cat(
+		[]byte{0, 0, 0, 0}, // NFS3_OK
+		fileAttr,
+	))
+	// GETATTR3res default arm: status, and void.
+	wiretest.Check(t, "GETATTR3res_stale", []byte{0, 0, 0, 70}) // NFS3ERR_STALE
 	// §3.3.6 READ3resok: status, post_op_attr file_attributes, count3
 	// count, bool eof, opaque data<>.
 	wiretest.Check(t, "READ3res", cat(
@@ -247,6 +255,12 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		[]byte{0, 0, 0, 0},           // before: no attributes
 		[]byte{0, 0, 0, 1}, fileAttr, // after
 		verf,
+	))
+	// COMMIT3resfail: status, wcc_data file_wcc — here neither half.
+	wiretest.Check(t, "commit_stale.res", cat(
+		[]byte{0, 0, 0, 70}, // NFS3ERR_STALE
+		[]byte{0, 0, 0, 0},  // before: no attributes
+		[]byte{0, 0, 0, 0},  // after: no attributes
 	))
 	// §3.3.3 LOOKUP3resok: status, nfs_fh3 object, post_op_attr
 	// obj_attributes, post_op_attr dir_attributes.

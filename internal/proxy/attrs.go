@@ -26,6 +26,7 @@ package proxy
 // under another name: a hard link) or the directory's own entry going.
 
 import (
+	"bytes"
 	"fmt"
 	"path"
 	"strings"
@@ -47,6 +48,20 @@ const anyGen = ^uint64(0)
 const attrStripes = 256
 
 type nameKey struct{ dir, name string }
+
+// mountKey is an MNT call: its dirpath exactly as sent (mountd matches
+// exact strings) and its credential exactly as received.
+type mountKey struct {
+	dirpath string
+	flavor  uint32
+	cred    string
+}
+
+// mountReply is upstream's OK reply to one MNT, and the root handle in it.
+type mountReply struct {
+	root string
+	res  []byte
+}
 
 // fileInfo is what the data path reads of a file: it lives in the file's
 // entry and is copied out, by value, in a fileView.
@@ -127,9 +142,12 @@ type attrTable struct {
 	mu    sync.Mutex
 	byFH  map[string]*attrEntry
 	names map[nameKey]*attrEntry
-	roots map[string]string // export root handle -> path; MOUNT is not repeated, so Flush keeps it
-	lru   attrEntry         // ring sentinel: next is the most recent entry
-	n     int
+	roots map[string]string // export root handle -> path; no one mounts again after a Flush, so Flush keeps it
+	// mounts holds upstream's OK MNT replies, which answer a repeated MNT.
+	// Flush keeps them as it keeps roots; a STALE root drops its own.
+	mounts map[mountKey]mountReply
+	lru    attrEntry // ring sentinel: next is the most recent entry
+	n      int
 	// absorbed counts the WRITEs the caches absorbed (wrote), which
 	// orders them against a write-back of everything (settled). Written
 	// under mu, read without.
@@ -164,7 +182,7 @@ type attrTable struct {
 
 func newAttrTable(holdsData bool) *attrTable {
 	t := &attrTable{holdsData: holdsData, limit: attrTableCap, byFH: make(map[string]*attrEntry),
-		names: make(map[nameKey]*attrEntry), roots: make(map[string]string),
+		names: make(map[nameKey]*attrEntry), roots: make(map[string]string), mounts: make(map[mountKey]mountReply),
 		lists: make(map[string]chan struct{}), changing: make(map[nameKey]int)}
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	return t
@@ -350,14 +368,29 @@ func (t *attrTable) merged(e *attrEntry, a *nfs3.Fattr, times bool) nfs3.Fattr {
 	return m
 }
 
-// setRoot records an export root's path (from a MOUNT reply).
-func (t *attrTable) setRoot(fh nfs3.FH, full string) {
+// mount returns upstream's reply to an earlier MNT like k, if one is kept.
+func (t *attrTable) mount(k mountKey) ([]byte, bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	m, ok := t.mounts[k]
+	return m.res, ok
+}
+
+// mounted records upstream's OK reply res to the MNT k: the export root
+// fh's path, for fh->path resolution, and the reply, for the next MNT
+// like k. A burst of distinct credentials resets the replies, as it
+// resets an intern table.
+func (t *attrTable) mounted(k mountKey, fh nfs3.FH, full string, res []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.mounts) >= internMax {
+		clear(t.mounts)
+	}
+	t.mounts[k] = mountReply{string(fh), bytes.Clone(res)}
 	t.roots[string(fh)] = full
 	if e := t.byFH[string(fh)]; e != nil {
 		e.setFull(full)
 	}
-	t.mu.Unlock()
 }
 
 // get is the data path's one touch of the table.
@@ -595,11 +628,19 @@ func (t *attrTable) installListing(dir nfs3.FH, r *nfs3.ReaddirplusRes, gen uint
 	return listComplete
 }
 
-// forget drops fh's entry: the file is gone or the handle stale.
+// forget drops fh's entry, and the MNT replies that lead to it: the file
+// is gone or the handle stale.
 func (t *attrTable) forget(fh nfs3.FH) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	*t.stripe(fh, "")++
+	if _, ok := t.roots[string(fh)]; ok {
+		for k, m := range t.mounts {
+			if m.root == string(fh) {
+				delete(t.mounts, k)
+			}
+		}
+	}
 	if e := t.byFH[string(fh)]; e != nil {
 		t.remove(e)
 	}

@@ -425,7 +425,7 @@ func TestNameChangesInvalidate(t *testing.T) {
 func TestAttrTableBounded(t *testing.T) {
 	tbl := newAttrTable(true)
 	root := nfs3.FH("root")
-	tbl.setRoot(root, "/")
+	tbl.mounted(mountKey{dirpath: "/"}, root, "/", nil)
 	dirty, shrunk := nfs3.FH("dirty"), nfs3.FH("shrunk")
 	tbl.learn(shrunk, root, "shrunk.img", &nfs3.Fattr{Type: nfs3.TypeReg, Size: 8192}, false, anyGen)
 	if v := tbl.sawSize(shrunk, 4096); v.attr.Size != 8192 {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +62,7 @@ type chain struct {
 
 	mu    sync.Mutex
 	reads []upstreamRead // READs that reached the origin since the last taken
+	mnts  atomic.Int64   // MNT calls that reached the origin
 }
 
 // upstreamRead is one READ the proxy sent the origin, in blocks.
@@ -133,9 +135,13 @@ func newChain(t testing.TB, spec chainSpec) *chain {
 	return c
 }
 
-// Call is the proxy's upstream: the read log, then the hook.
+// Call is the proxy's upstream: the read log and the MNT count, then the
+// hook.
 func (c *chain) Call(prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte) ([]byte, error) {
 	if prog != nfs3.Program {
+		if prog == nfs3.MountProgram && proc == mountd.ProcMnt {
+			c.mnts.Add(1)
+		}
 		return c.up.Call(prog, vers, proc, cred, args)
 	}
 	c.log(proc, args)

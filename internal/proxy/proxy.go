@@ -24,6 +24,7 @@
 package proxy
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"net"
@@ -374,22 +375,36 @@ func (p *Proxy) maybePromote(c *sunrpc.Call, trace obs.Trace, d time.Duration, s
 		"reason", reason, "dur", d)
 }
 
+// handleMount answers an MNT that upstream has answered OK before, for
+// the same dirpath and credential, with that reply, unless the breaker
+// is open; the identity mapping still gates it. Every other MOUNT call
+// is forwarded.
 func (p *Proxy) handleMount(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
-	res, stat := p.forward(c, tr)
-	if stat != sunrpc.Success || c.Proc != mountd.ProcMnt {
-		return res, stat
-	}
-	// Learn the export root's path so fh->path resolution can work.
 	var d xdr.Decoder
 	d.ResetBytes(c.Args)
 	dirpath := d.String()
-	if d.Err() != nil {
+	if c.Proc != mountd.ProcMnt || d.Err() != nil {
+		return p.forward(c, tr)
+	}
+	k := mountKey{dirpath, c.Cred.Flavor, string(c.Cred.Body)}
+	if !p.Degraded() {
+		start := time.Now()
+		if res, ok := p.attrs.mount(k); ok {
+			if _, err := p.callOpts(c, tr); err != nil {
+				return nil, sunrpc.SystemErr
+			}
+			tr.Span(obs.LayerAttrTable, "hit", start)
+			return bytes.Clone(res), sunrpc.Success // an in-process caller owns the reply it gets
+		}
+	}
+	res, stat := p.forward(c, tr)
+	if stat != sunrpc.Success {
 		return res, stat
 	}
 	d.ResetBytes(res)
 	if d.Uint32() == mountd.OK {
 		if fh := nfs3.DecodeFH(&d); d.Err() == nil {
-			p.attrs.setRoot(fh, path.Clean(dirpath))
+			p.attrs.mounted(k, fh, path.Clean(dirpath), res)
 		}
 	}
 	return res, stat

@@ -2,7 +2,7 @@ package gvfs_test
 
 import (
 	"bytes"
-	"gvfs/internal/stack/stacktest"
+	"fmt"
 	"io"
 	"slices"
 	"sync"
@@ -10,9 +10,12 @@ import (
 	"testing"
 
 	gvfs "gvfs"
+	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
+	"gvfs/internal/stack"
+	"gvfs/internal/stack/stacktest"
 	"gvfs/internal/sunrpc"
 )
 
@@ -698,6 +701,87 @@ func TestSessionReadMetricsUnits(t *testing.T) {
 	for _, name := range []string{"gvfs_pagecache_misses_total", "gvfs_pagecache_hits_total"} {
 		if got := snap.Counter(name); got != 8 {
 			t.Errorf("%s = %d, want 8: the pages asked for, once cold and once resident", name, got)
+		}
+	}
+}
+
+// TestSessionConcurrentUse: one session shared by eight goroutines, as
+// clone.Clone shares it between the steps it runs together, through a
+// caching proxy. Each makes its own directory under a parent they all
+// make, writes a file there, links to it, creates a second file and
+// reads a shared one; after a flush the origin holds every result.
+func TestSessionConcurrentUse(t *testing.T) {
+	shared := bytes.Repeat([]byte("golden config "), 1000)
+	c := stacktest.New(t, stacktest.Spec{
+		Seed: func(fs *memfs.FS) {
+			if err := fs.WriteFile("/shared.vmx", shared); err != nil {
+				panic(err)
+			}
+		},
+		Hops:    []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}},
+		Session: gvfs.SessionConfig{Cred: stacktest.Cred, PageCachePages: 64},
+	})
+	sess := c.Session()
+	const workers = 8
+	payload := func(g int) []byte { return bytes.Repeat([]byte{byte('a' + g)}, 20000+g) }
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dir := fmt.Sprintf("/clones/g%d", g)
+			if err := sess.MkdirAll(dir + "/sub"); err != nil {
+				t.Errorf("g%d: MkdirAll: %v", g, err)
+				return
+			}
+			if err := sess.WriteFile(dir+"/sub/data", payload(g)); err != nil {
+				t.Errorf("g%d: WriteFile: %v", g, err)
+				return
+			}
+			if err := sess.Symlink(dir+"/sub/data", dir+"/link"); err != nil {
+				t.Errorf("g%d: Symlink: %v", g, err)
+			}
+			if got, err := sess.ReadFile("/shared.vmx"); err != nil || !bytes.Equal(got, shared) {
+				t.Errorf("g%d: ReadFile of the shared file: %d bytes, %v", g, len(got), err)
+			}
+			f, err := sess.Create(dir + "/new")
+			if err != nil {
+				t.Errorf("g%d: Create: %v", g, err)
+				return
+			}
+			if _, err := f.WriteAt([]byte(dir), 0); err != nil {
+				t.Errorf("g%d: WriteAt: %v", g, err)
+			}
+			if err := f.Close(); err != nil {
+				t.Errorf("g%d: Close: %v", g, err)
+			}
+			if got, err := sess.ReadFile(dir + "/sub/data"); err != nil || !bytes.Equal(got, payload(g)) {
+				t.Errorf("g%d: ReadFile of its own file: %d bytes, %v", g, len(got), err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := c.Hop().Proxy.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < workers; g++ {
+		dir := fmt.Sprintf("/clones/g%d", g)
+		if got, err := c.FS.ReadFile(dir + "/sub/data"); err != nil || !bytes.Equal(got, payload(g)) {
+			t.Errorf("origin %s/sub/data: %d bytes, %v; want %d bytes of %q", dir, len(got), err, len(payload(g)), 'a'+g)
+		}
+		if got, err := c.FS.ReadFile(dir + "/new"); err != nil || string(got) != dir {
+			t.Errorf("origin %s/new: %q, %v; want %q", dir, got, err, dir)
+		}
+		link, err := c.FS.LookupPath(dir + "/link")
+		if err != nil {
+			t.Errorf("origin %s/link: %v", dir, err)
+			continue
+		}
+		if target, err := c.FS.ReadLink(link); err != nil || target != dir+"/sub/data" {
+			t.Errorf("origin %s/link -> %q, %v; want %s/sub/data", dir, target, err, dir)
 		}
 	}
 }
