@@ -154,9 +154,9 @@ func Mount(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// registerMetrics publishes the session's buffer-cache instruments:
-// collection-time bridges over the page cache's own counters — a hit or
-// a miss is one page a caller asked for — plus a per-outcome latency
+// registerMetrics publishes the session's instruments: the files it has
+// open, collection-time bridges over the page cache's own counters — a
+// hit or a miss is one page a caller asked for — plus a per-outcome latency
 // histogram whose two series have different units: "hit" is one page
 // copied out of the buffer cache, "miss" is one READ RPC, which brings up
 // to nfs3.MaxTransfer bytes (several pages).
@@ -169,6 +169,12 @@ func (s *Session) registerMetrics(reg *obs.Registry) {
 		func() uint64 { return pages.Stats().Misses })
 	reg.CounterFunc("gvfs_pagecache_evictions_total", "Buffer-cache page evictions.",
 		func() uint64 { return pages.Stats().Evictions })
+	reg.GaugeFunc("gvfs_session_open_files", "Files open in the session: opened or created and not yet closed.",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.files))
+		})
 	hv := reg.HistogramVec("gvfs_pagecache_read_duration_seconds",
 		"Session read latency by buffer-cache outcome: hit is one page served from the buffer cache, miss is one READ RPC of up to 32 KiB.", nil, "outcome")
 	s.readDur = map[string]*obs.Histogram{

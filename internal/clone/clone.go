@@ -11,6 +11,12 @@
 //  4. configure the cloned VM with user-specific information,
 //  5. resume the new VM.
 //
+// No step needs another's result beyond the config and the clone's
+// directory, so they run together: once the config is read and
+// configured, step 2 runs while the directory is made; the configured
+// config, the disk's link and the VM's redo log are then created at
+// once; step 5 waits for all of them.
+//
 // The package also provides the two baselines the paper compares
 // against: full-image SCP copying (1127 s in the paper) and resuming
 // directly from a plain NFS mount with no GVFS support (2060 s).
@@ -59,9 +65,10 @@ type Options struct {
 // stresses ("the support from GVFS is on-demand, and transparent to
 // user and VM monitor").
 //
-// The configured copy of the config is written while the disk is linked:
-// both need only the clone's directory. The error returned is the first
-// failed step's, in step order.
+// The steps run together (see the package comment); the VM's redo log is
+// <Name>.redo in CloneDir, created empty. The error returned is the first
+// failed step's, in step order, once every step has ended; a failed clone
+// closes the redo log and removes it again.
 func Clone(sess *gvfs.Session, opts Options) (*Result, error) {
 	start := time.Now()
 
@@ -70,35 +77,64 @@ func Clone(sess *gvfs.Session, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clone: read golden config: %w", err)
 	}
+	patched := configure(string(cfg), opts.User, opts.GoldenDir)
+
+	// 2. Access the memory state: the monitor reads the whole of it (from
+	// the golden dir — served by the file channel when meta-data is
+	// present) during the round trips that make the clone's files.
+	monitor := vm.NewMonitor(sess)
+	var memPath string
+	var memErr error
+	var steps sync.WaitGroup
+	steps.Add(1)
+	go func() {
+		defer steps.Done()
+		memPath, memErr = monitor.ReadState(opts.CloneDir, opts.Name, patched)
+	}()
 	if err := sess.MkdirAll(opts.CloneDir); err != nil {
+		steps.Wait()
 		return nil, fmt.Errorf("clone: mkdir: %w", err)
 	}
 
 	// 4 (part) and 3. Configure the clone with user-specific information,
-	// and link the virtual disk files.
-	patched := configure(string(cfg), opts.User, opts.GoldenDir)
-	var linkErr error
-	linked := make(chan struct{})
+	// link the virtual disk files, and create the redo log.
+	redoPath := path.Join(opts.CloneDir, opts.Name+".redo")
+	var linkErr, redoErr error
+	var redo *gvfs.File
+	steps.Add(2)
 	go func() {
-		defer close(linked)
+		defer steps.Done()
 		linkErr = sess.Symlink(path.Join(opts.GoldenDir, opts.Name+".vmdk"), path.Join(opts.CloneDir, opts.Name+".vmdk"))
 	}()
+	go func() {
+		defer steps.Done()
+		redo, redoErr = sess.Create(redoPath)
+	}()
 	cfgErr := sess.WriteFile(path.Join(opts.CloneDir, opts.Name+".vmx"), []byte(patched))
-	<-linked
-	if cfgErr != nil {
-		return nil, fmt.Errorf("clone: write config: %w", cfgErr)
-	}
-	if linkErr != nil {
-		return nil, fmt.Errorf("clone: symlink disk: %w", linkErr)
-	}
+	steps.Wait()
 
-	// 2 + 5. Resume the new VM: the monitor reads the entire memory
-	// state (from the golden dir — served by the file channel when
-	// meta-data is present) and opens the linked disk.
-	monitor := vm.NewMonitor(sess)
-	machine, err := monitor.Resume(opts.CloneDir, opts.Name)
+	// 5. Resume the new VM: the monitor opens the linked disk.
+	var machine *vm.VM
+	switch {
+	case cfgErr != nil:
+		err = fmt.Errorf("clone: write config: %w", cfgErr)
+	case linkErr != nil:
+		err = fmt.Errorf("clone: symlink disk: %w", linkErr)
+	case redoErr != nil:
+		err = fmt.Errorf("clone: create redo log: %w", redoErr)
+	case memErr != nil:
+		err = fmt.Errorf("clone: resume: %w", memErr)
+	default:
+		if machine, err = monitor.Finish(opts.CloneDir, opts.Name, memPath, redo); err != nil {
+			err = fmt.Errorf("clone: resume: %w", err)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("clone: resume: %w", err)
+		if redo != nil {
+			redo.Close()
+			_ = sess.Remove(redoPath) // best effort: err is what the caller must hear
+		}
+		return nil, err
 	}
 
 	res := &Result{Name: opts.Name, Dir: opts.CloneDir, Duration: time.Since(start), VM: machine}

@@ -8,6 +8,7 @@ package nfs3
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"gvfs/internal/xdr"
@@ -137,8 +138,8 @@ func (s Status) String() string {
 }
 
 // Error is an NFSv3 protocol error carrying a Status. Backends return
-// *Error to select the status reported to clients; any other error maps
-// to NFS3ERR_IO.
+// *Error, wrapped or not, to select the status reported to clients; any
+// other error maps to NFS3ERR_IO.
 type Error struct {
 	Status Status
 	Op     string
@@ -151,12 +152,13 @@ func (e *Error) Error() string {
 	return "nfs3: " + e.Status.String()
 }
 
-// StatusOf extracts the NFS status from an error (OK for nil).
+// StatusOf extracts the NFS status from an error, an *Error however deeply
+// wrapped (OK for nil).
 func StatusOf(err error) Status {
 	if err == nil {
 		return OK
 	}
-	if e, ok := err.(*Error); ok {
+	if e := (*Error)(nil); errors.As(err, &e) {
 		return e.Status
 	}
 	return ErrIO
@@ -204,9 +206,7 @@ type Time struct {
 }
 
 // Less reports whether t is earlier than u.
-func (t Time) Less(u Time) bool {
-	return t.Sec < u.Sec || (t.Sec == u.Sec && t.Nsec < u.Nsec)
-}
+func (t Time) Less(u Time) bool { return t.Sec < u.Sec || (t.Sec == u.Sec && t.Nsec < u.Nsec) }
 
 // Fattr is an NFSv3 fattr3: the full attributes of a file object.
 type Fattr struct {

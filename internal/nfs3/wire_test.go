@@ -3,6 +3,7 @@ package nfs3
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -236,14 +237,23 @@ func TestProcNames(t *testing.T) {
 	}
 }
 
+// TestStatusOf: a status survives wrapping, once or twice, and an error
+// that holds no *Error reads as NFS3ERR_IO.
 func TestStatusOf(t *testing.T) {
-	if StatusOf(nil) != OK {
-		t.Error("nil should be OK")
-	}
-	if StatusOf(&Error{Status: ErrAcces}) != ErrAcces {
-		t.Error("typed error lost")
-	}
-	if StatusOf(bytes.ErrTooLarge) != ErrIO {
-		t.Error("foreign error should map to EIO")
+	noent := &Error{Status: ErrNoEnt, Op: "lookup"}
+	for _, tc := range []struct {
+		err  error
+		want Status
+	}{
+		{nil, OK},
+		{&Error{Status: ErrAcces}, ErrAcces},
+		{fmt.Errorf("clone: read golden config: %w", noent), ErrNoEnt},
+		{fmt.Errorf("clone: resume: %w", fmt.Errorf("vm: read memory state: %w", &Error{Status: ErrStale})), ErrStale},
+		{bytes.ErrTooLarge, ErrIO},
+		{fmt.Errorf("clone: mkdir: %w", bytes.ErrTooLarge), ErrIO},
+	} {
+		if got := StatusOf(tc.err); got != tc.want {
+			t.Errorf("StatusOf(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }

@@ -18,12 +18,13 @@ package proxy
 // and keeps no index of names: it answers nothing from the table.
 //
 // A directory whose whole listing went in is complete: a name the table
-// does not have there does not exist. It stays complete across a name
-// change through the proxy whose reply says what the name now is (an OK
-// CREATE, MKDIR, SYMLINK, MKNOD, LINK, REMOVE or RMDIR), which goes into
-// the table; any other name change in it ends that, as does an entry
-// filed in it leaving the index (evicted, forgotten, or its handle filed
-// under another name: a hard link) or the directory's own entry going.
+// does not have there does not exist. So is one an OK MKDIR through the
+// proxy made. It stays complete across a name change through the proxy
+// whose reply says what the name now is (an OK CREATE, MKDIR, SYMLINK,
+// MKNOD, LINK, REMOVE or RMDIR), which goes into the table; any other
+// name change in it ends that, as does an entry filed in it leaving the
+// index (evicted, forgotten, or its handle filed under another name: a
+// hard link) or the directory's own entry going.
 
 import (
 	"bytes"
@@ -626,6 +627,18 @@ func (t *attrTable) installListing(dir nfs3.FH, r *nfs3.ReaddirplusRes, gen uint
 		return listPartial
 	}
 	return listComplete
+}
+
+// made marks the directory an OK MKDIR through this proxy made as
+// complete — it has no name yet — by the listing's rules: only in a table
+// that holds data, only while its entry is there and unlisted, and only
+// if no name in it changed since its generation was gen.
+func (t *attrTable) made(dir nfs3.FH, gen uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d := t.byFH[string(dir)]; t.holdsData && d != nil && d.list == unlisted && t.current(dir, "", gen) {
+		d.list = complete
+	}
 }
 
 // forget drops fh's entry, and the MNT replies that lead to it: the file

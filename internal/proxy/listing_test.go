@@ -549,3 +549,85 @@ func TestListingRemoveInFlight(t *testing.T) {
 		t.Errorf("LOOKUP d after its REMOVE failed = %x, %v; want %x", got, err, d)
 	}
 }
+
+// namesUpstream is a hook that counts, in n, the calls that ask upstream
+// about names: LOOKUP and READDIRPLUS.
+func namesUpstream(n *atomic.Int64) upstreamHook {
+	return func(c *sunrpc.Call, next func() ([]byte, error)) ([]byte, error) {
+		if c.Proc == nfs3.ProcLookup || c.Proc == nfs3.ProcReaddirplus {
+			n.Add(1)
+		}
+		return next()
+	}
+}
+
+// TestListingMadeDirectory: a directory MKDIRed through the proxy has no
+// names, so the table answers for it as for a listed one: a LOOKUP of an
+// absent name there, and the proxy's own meta-data probe for a file
+// written there, ask upstream nothing, and a name created there is found.
+// Rule: an OK MKDIR marks the new directory complete (attrTable.made).
+func TestListingMadeDirectory(t *testing.T) {
+	var asked atomic.Int64
+	p, nc, root := newChain(t, chainSpec{hook: namesUpstream(&asked)}).client()
+	dir, _, err := nc.Mkdir(root, "clones", nfs3.SetAttr{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.listState(dir) != complete {
+		t.Error("a directory MKDIRed through the proxy is not complete")
+	}
+	if _, _, err := nc.Lookup(dir, "c1.vmx"); nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+		t.Fatalf("LOOKUP of a name in the new directory: %v, want NOENT", err)
+	}
+	fh, _, err := nc.Create(dir, "c1.vmx", nfs3.SetAttr{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := nc.Lookup(dir, "c1.vmx"); err != nil || !bytes.Equal(got, fh) {
+		t.Fatalf("LOOKUP of the created name = %x, %v; want %x", got, err, fh)
+	}
+	cfg := []byte(`checkpoint.vmState = "/images/golden/rh73.vmss"`)
+	if _, _, err := nc.Write(fh, 0, cfg, nfs3.FileSync); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := nc.Read(fh, 0, 8192); err != nil || !bytes.Equal(data, cfg) {
+		t.Fatalf("READ of the written file = %q, %v", data, err)
+	}
+	if n := asked.Load(); n != 0 {
+		t.Errorf("%d LOOKUP or READDIRPLUS calls went upstream, want 0", n)
+	}
+}
+
+// TestListingMkdirExistNotMade: a MKDIR answered EXIST made nothing, so it
+// marks nothing complete, and a name already in the directory is found.
+func TestListingMkdirExistNotMade(t *testing.T) {
+	fs := memfs.New()
+	fs.WriteFile("/clones/c1.vmx", []byte("config"))
+	p, nc, root := newChain(t, chainSpec{fs: fs}).client()
+	dir, _, err := nc.Lookup(root, "clones")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := nc.Mkdir(root, "clones", nfs3.SetAttr{}); nfs3.StatusOf(err) != nfs3.ErrExist {
+		t.Fatalf("MKDIR of an existing directory: %v, want EXIST", err)
+	}
+	if p.listState(dir) == complete {
+		t.Error("a MKDIR answered EXIST marked the directory complete")
+	}
+	if _, _, err := nc.Lookup(dir, "c1.vmx"); err != nil {
+		t.Errorf("LOOKUP of a name in the existing directory: %v", err)
+	}
+}
+
+// TestRelayMkdirNotComplete: a cache-less relay answers nothing from its
+// table, so a directory MKDIRed through it is not marked complete.
+func TestRelayMkdirNotComplete(t *testing.T) {
+	p, nc, root := newChain(t, chainSpec{noCache: true}).client()
+	dir, _, err := nc.Mkdir(root, "clones", nfs3.SetAttr{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.listState(dir) == complete {
+		t.Error("a relay marked a directory MKDIRed through it complete")
+	}
+}

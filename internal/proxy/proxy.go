@@ -697,7 +697,8 @@ func (p *Proxy) handleReadlink(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.A
 // call goes upstream; every name it mentions is invalidated before and
 // after it (a LOOKUP reply that raced it is then not installed); what the
 // reply says is there, or gone, goes into the table. A complete directory
-// stays so only when that says what the name now is.
+// stays so only when that says what the name now is; a directory an OK
+// MKDIR made starts complete.
 func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptStat) {
 	var d xdr.Decoder
 	d.ResetBytes(c.Args)
@@ -813,10 +814,14 @@ func (p *Proxy) handleNameChange(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc
 		p.attrs.repath(from, p.attrs.pathOf(toDir, toName))
 		p.attrs.learn(moved, toDir, toName, nil, false, anyGen)
 	case obj != nil:
+		gen := p.attrs.generation(obj, "") // a MKDIR's, for made: no name in the new directory changed since
 		// A CREATE may have truncated a file the table knew: its size is
 		// the reply's, not the larger of the two.
 		p.attrs.learn(obj, dir, name, attr, c.Proc == nfs3.ProcCreate, anyGen)
 		filed = true
+		if c.Proc == nfs3.ProcMkdir {
+			p.attrs.made(obj, gen)
+		}
 		if target != "" {
 			p.attrs.setTarget(obj, target)
 		}

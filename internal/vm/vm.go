@@ -194,17 +194,36 @@ type VM struct {
 // the paper's meta-data handling accelerates), resolves the virtual
 // disk (following one level of symlink, as cloned VMs link to golden
 // disks) and opens it.
-func (m *Monitor) Resume(dir, name string) (*VM, error) {
+func (m *Monitor) Resume(dir, name string) (*VM, error) { return m.Finish(dir, name, "", nil) }
+
+// ReadState is the first half of a resume: it reads, in full, the memory
+// state that cfg — the configuration of the VM name in dir — names, and
+// returns the state's path. A caller that has the configuration before
+// the VM's own files are in place can run it early, and Finish the resume
+// once they are.
+func (m *Monitor) ReadState(dir, name, cfg string) (string, error) {
+	memPath, _ := statePaths(dir, name, cfg)
+	if err := m.readAll(memPath); err != nil {
+		return "", fmt.Errorf("vm: read memory state: %w", err)
+	}
+	return memPath, nil
+}
+
+// Finish is the rest of a resume whose memory state at read has been read
+// by ReadState ("" for none): it reads the VM's own configuration, reads
+// the memory state again only if that names another path, resolves the
+// disk and opens it. The VM takes redo, when set, as its redo log; on an
+// error redo stays the caller's.
+func (m *Monitor) Finish(dir, name, read string, redo *gvfs.File) (*VM, error) {
 	cfgBytes, err := m.Session.ReadFile(path.Join(dir, name+".vmx"))
 	if err != nil {
 		return nil, fmt.Errorf("vm: read config: %w", err)
 	}
-	memPath, diskPath, err := statePaths(dir, name, string(cfgBytes))
-	if err != nil {
-		return nil, err
-	}
-	if err := m.readAll(memPath); err != nil {
-		return nil, fmt.Errorf("vm: read memory state: %w", err)
+	memPath, diskPath := statePaths(dir, name, string(cfgBytes))
+	if memPath != read {
+		if err := m.readAll(memPath); err != nil {
+			return nil, fmt.Errorf("vm: read memory state: %w", err)
+		}
 	}
 	diskPath, err = m.resolveLink(diskPath)
 	if err != nil {
@@ -214,11 +233,11 @@ func (m *Monitor) Resume(dir, name string) (*VM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: open disk: %w", err)
 	}
-	return &VM{Name: name, Dir: dir, Config: string(cfgBytes), Disk: disk, monitor: m}, nil
+	return &VM{Name: name, Dir: dir, Config: string(cfgBytes), Disk: disk, monitor: m, redo: redo}, nil
 }
 
 // statePaths extracts the memory-state and disk paths from the config.
-func statePaths(dir, name, cfg string) (memPath, diskPath string, err error) {
+func statePaths(dir, name, cfg string) (memPath, diskPath string) {
 	memPath = path.Join(dir, name+".vmss")
 	diskPath = path.Join(dir, name+".vmdk")
 	resolve := func(v string) string {
@@ -236,7 +255,7 @@ func statePaths(dir, name, cfg string) (memPath, diskPath string, err error) {
 			diskPath = resolve(rest)
 		}
 	}
-	return memPath, diskPath, nil
+	return memPath, diskPath
 }
 
 // resolveLink follows a symlink once (cloned disks link to the golden
@@ -290,8 +309,10 @@ func (m *Monitor) Suspend(v *VM, memState []byte) error {
 	return v.Disk.Sync()
 }
 
-// OpenRedoLog opens (creating if needed) the VM's redo log for
-// non-persistent disk modifications.
+// OpenRedoLog returns the VM's redo log for non-persistent disk
+// modifications. A VM that clone.Clone resumed has one already, empty,
+// made with its config; otherwise the log is created on the first call,
+// truncating any log already there.
 func (v *VM) OpenRedoLog() (*gvfs.File, error) {
 	if v.redo != nil {
 		return v.redo, nil

@@ -8,6 +8,7 @@ import (
 	gvfs "gvfs"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
+	"gvfs/internal/obs"
 	"gvfs/internal/stack"
 	"gvfs/internal/vm"
 )
@@ -170,6 +171,52 @@ func TestResumeFollowsDiskSymlink(t *testing.T) {
 	defer machine.Close()
 	if machine.Disk.Size() != spec.DiskBytes {
 		t.Errorf("cloned disk size = %d, want %d", machine.Disk.Size(), spec.DiskBytes)
+	}
+}
+
+// TestResumeInHalves: ReadState reads the state a config names and
+// returns its path; Finish, handed that path, does not read the state
+// again, and handed another it does. The session's page counts show it.
+func TestResumeInHalves(t *testing.T) {
+	fs := memfs.New()
+	spec := testSpec()
+	if err := vm.InstallImage(fs, "/vm", spec); err != nil {
+		t.Fatal(err)
+	}
+	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Close)
+	reg := obs.NewRegistry()
+	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: server.ProxyAddr(), Export: "/", PageCachePages: 64, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	pages := func() uint64 {
+		snap := reg.Snapshot()
+		return snap.Counter("gvfs_pagecache_hits_total") + snap.Counter("gvfs_pagecache_misses_total")
+	}
+	statePages := spec.MemoryBytes / uint64(sess.BlockSize())
+	monitor := vm.NewMonitor(sess)
+	read, err := monitor.ReadState("/vm", "rh73", spec.ConfigContents())
+	if err != nil || read != "/vm/rh73.vmss" {
+		t.Fatalf("ReadState = %q, %v; want /vm/rh73.vmss", read, err)
+	}
+	for _, tc := range []struct {
+		read      string
+		readState bool
+	}{{read, false}, {"/elsewhere/rh73.vmss", true}} {
+		before := pages()
+		machine, err := monitor.Finish("/vm", "rh73", tc.read, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine.Close()
+		if asked := pages() - before; (asked >= statePages) != tc.readState {
+			t.Errorf("Finish after reading %s asked for %d pages (the state is %d); want the state read again: %v", tc.read, asked, statePages, tc.readState)
+		}
 	}
 }
 
