@@ -65,11 +65,11 @@ func runLaTeX(o bench.Options, s bench.Scenario) (*workload.Report, error) {
 		return nil, err
 	}
 	defer dep.Close()
-	disk, err := dep.Session.Open(path.Join("/vm", spec.DiskFile()))
+	disk, err := dep.Session().Open(path.Join("/vm", spec.DiskFile()))
 	if err != nil {
 		return nil, err
 	}
-	guest, err := workload.NewGuestFS(disk, spec.DiskBytes, dep.Session.BlockSize(),
+	guest, err := workload.NewGuestFS(disk, spec.DiskBytes, dep.Session().BlockSize(),
 		workload.LaTeXInstall(params))
 	if err != nil {
 		return nil, err

@@ -2,15 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"path"
 	"time"
 
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
-	"gvfs/internal/simnet"
-	"gvfs/internal/stack"
 	"gvfs/internal/vm"
 	"gvfs/internal/workload"
 
@@ -28,40 +25,11 @@ func (o Options) RunAblationWritePolicy() (*Table, error) {
 		Columns: []string{"write time", "flush time", "total"},
 	}
 	for _, policy := range []cache.Policy{cache.WriteThrough, cache.WriteBack} {
-		spec := o.benchVMSpec()
-		fs := memfs.New()
-		if err := vm.InstallImage(fs, "/vm", spec); err != nil {
-			return nil, err
-		}
-		dep, err := o.deploy(fs, deployConfig{scenario: WANC, blockCache: true, policy: policy})
+		writeDur, flushDur, err := o.tracePolicy(policy)
 		if err != nil {
-			return nil, err
-		}
-		disk, err := dep.Session.Open(path.Join("/vm", spec.DiskFile()))
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-		guest, err := workload.NewGuestFS(disk, spec.DiskBytes, dep.Session.BlockSize(), nil)
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-		params := workload.Params{Scale: o.scale()}
-		writeDur, err := timeIt(func() error {
-			return guest.WriteFile("work/trace", params.ScaledSize(112<<20))
-		})
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-		flushDur, err := timeIt(dep.ClientProxy.Proxy.WriteBack)
-		if err != nil {
-			dep.Close()
 			return nil, err
 		}
 		t.AddRow(policy.String(), writeDur, flushDur, writeDur+flushDur)
-		dep.Close()
 	}
 	wt, _ := t.Value("write-through", "write time")
 	wb, _ := t.Value("write-back", "write time")
@@ -69,6 +37,39 @@ func (o Options) RunAblationWritePolicy() (*Table, error) {
 		t.AddNote("write-back hides %.1fx of perceived write latency", wt/wb)
 	}
 	return t, nil
+}
+
+// tracePolicy times the trace write through a WAN+C chain whose cache
+// has policy, and the flush after it.
+func (o Options) tracePolicy(policy cache.Policy) (write, flush time.Duration, err error) {
+	spec := o.benchVMSpec()
+	fs := memfs.New()
+	if err := vm.InstallImage(fs, "/vm", spec); err != nil {
+		return 0, 0, err
+	}
+	chain := o.scenario(WANC, fs)
+	chain.Hops[0].CacheConfig = o.cacheConfig(policy)
+	c, err := o.start(chain)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.Close()
+	disk, err := c.Session().Open(path.Join("/vm", spec.DiskFile()))
+	if err != nil {
+		return 0, 0, err
+	}
+	guest, err := workload.NewGuestFS(disk, spec.DiskBytes, c.Session().BlockSize(), nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	params := workload.Params{Scale: o.scale()}
+	if write, err = timeIt(func() error {
+		return guest.WriteFile("work/trace", params.ScaledSize(112<<20))
+	}); err != nil {
+		return 0, 0, err
+	}
+	flush, err = timeIt(c.Hop().Proxy.WriteBack)
+	return write, flush, err
 }
 
 // RunAblationMetadata isolates the meta-data mechanisms (§3.2.2) on
@@ -121,46 +122,11 @@ func (o Options) RunAblationMetadata() (*Table, error) {
 				return nil, err
 			}
 		}
-		wan := simnet.NewLink(simnet.WAN())
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
+		durs, err := o.clones(o.wanClone(fs), sameImage(1), "seq")
 		if err != nil {
 			return nil, err
 		}
-		blockDir, err := os.MkdirTemp(o.WorkDir, "abl-block")
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		cfg := o.cacheConfig(blockDir, cache.WriteBack)
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			UpstreamAddr: server.ProxyAddr(),
-			UpstreamLink: wan,
-			UpstreamKey:  server.Key,
-			CacheConfig:  &cfg,
-			FileChanAddr: server.FileChanAddr(),
-			FileChanLink: wan,
-			FileChanKey:  server.Key,
-		})
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		sess, err := newBenchSession(node.Addr, o)
-		if err == nil {
-			durs, cerr := o.sequentialClones(sess, sameImage(1))
-			if cerr != nil {
-				err = cerr
-			} else {
-				t.AddRow(v.label, durs[0])
-			}
-			sess.Close()
-		}
-		node.Close()
-		server.Close()
-		os.RemoveAll(blockDir)
-		if err != nil {
-			return nil, err
-		}
+		t.AddRow(v.label, durs[0])
 	}
 	return t, nil
 }
@@ -192,58 +158,33 @@ func (o Options) RunAblationCacheGeometry() (*Table, error) {
 		if err := vm.InstallImage(fs, "/vm", spec); err != nil {
 			return nil, err
 		}
-		wan := simnet.NewLink(simnet.WAN())
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
-		if err != nil {
-			return nil, err
-		}
-		dir, err := os.MkdirTemp(o.WorkDir, "geo")
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
 		frames := int(1 << 30 / g.blockSize / int(o.scale()))
 		banks := 16
 		sets := frames / g.assoc / banks
 		if sets < 2 {
 			sets = 2
 		}
-		cfg := cache.Config{Dir: dir, Banks: banks, SetsPerBank: sets, Assoc: g.assoc,
+		chain := o.scenario(WAN, fs)
+		chain.Hops[0].CacheConfig = &cache.Config{Banks: banks, SetsPerBank: sets, Assoc: g.assoc,
 			BlockSize: g.blockSize, Policy: cache.WriteThrough}
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			UpstreamAddr: server.ProxyAddr(),
-			UpstreamLink: wan,
-			UpstreamKey:  server.Key,
-			CacheConfig:  &cfg,
-		})
+		chain.Session.BlockSize = uint32(g.blockSize)
+		c, err := o.start(chain)
 		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		sess, err := newBenchSessionBS(node.Addr, o, uint32(g.blockSize))
-		if err != nil {
-			node.Close()
-			server.Close()
 			return nil, err
 		}
 		scan := func() (time.Duration, error) {
 			// Re-reads bypass the session page cache to isolate the
 			// proxy cache.
-			sess.DropCaches()
-			return timeIt(func() error { return scanDisk(sess, "/vm", spec) })
+			c.Session().DropCaches()
+			return timeIt(func() error { return scanDisk(c.Session(), "/vm", spec) })
 		}
 		cold, err := scan()
 		if err == nil {
 			var warm time.Duration
 			warm, err = scan()
-			if err == nil {
-				t.AddRow(g.label, cold, warm)
-			}
+			t.AddRow(g.label, cold, warm)
 		}
-		sess.Close()
-		node.Close()
-		server.Close()
-		os.RemoveAll(dir)
+		c.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -268,12 +209,12 @@ func (o Options) RunAblationTunnel() (*Table, error) {
 		}
 		opts := o
 		opts.NoEncrypt = !encrypted
-		dep, err := opts.deploy(fs, deployConfig{scenario: WAN})
+		c, err := opts.start(opts.scenario(WAN, fs))
 		if err != nil {
 			return nil, err
 		}
-		dur, err := timeIt(func() error { return scanDisk(dep.Session, "/vm", spec) })
-		dep.Close()
+		dur, err := timeIt(func() error { return scanDisk(c.Session(), "/vm", spec) })
+		c.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -289,20 +230,6 @@ func (o Options) RunAblationTunnel() (*Table, error) {
 		t.AddNote("encryption overhead: +%.1f%%", (tun-plain)/plain*100)
 	}
 	return t, nil
-}
-
-func newBenchSession(addr string, o Options) (*gvfs.Session, error) {
-	return newBenchSessionBS(addr, o, 0)
-}
-
-func newBenchSessionBS(addr string, o Options, bs uint32) (*gvfs.Session, error) {
-	return gvfs.Mount(gvfs.SessionConfig{
-		Addr:           addr,
-		Export:         "/",
-		Cred:           benchCred(),
-		PageCachePages: o.pagePages(),
-		BlockSize:      bs,
-	})
 }
 
 // scanDisk reads the working set of the image installed at dir — the
@@ -371,34 +298,14 @@ func (o Options) readAheadScan(ahead, streams int) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	wan := simnet.NewLink(simnet.WAN())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
+	chain := o.scenario(WANC, fs)
+	chain.Hops[0].ReadAhead = ahead
+	c, err := o.start(chain)
 	if err != nil {
 		return 0, err
 	}
-	defer server.Close()
-	dir, err := os.MkdirTemp(o.WorkDir, "ra")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	cfg := o.cacheConfig(dir, cache.WriteBack)
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		UpstreamLink: wan,
-		UpstreamKey:  server.Key,
-		CacheConfig:  &cfg,
-		ReadAhead:    ahead,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer node.Close()
-	sess, err := newBenchSession(node.Addr, o)
-	if err != nil {
-		return 0, err
-	}
-	defer sess.Close()
+	defer c.Close()
+	sess := c.Session()
 	return timeIt(func() error {
 		errs := make(chan error, streams)
 		for i := 0; i < streams; i++ {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"runtime"
 	"slices"
 	"testing"
@@ -16,6 +15,7 @@ import (
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/stack"
+	"gvfs/internal/stack/stacktest"
 	"gvfs/internal/sunrpc"
 )
 
@@ -36,57 +36,22 @@ type AllocPath struct {
 
 // measureWarmAlloc runs the warm-cache READ/WRITE loops over a
 // loopback deployment and returns both paths' profiles.
-func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
+func measureWarmAlloc(t *testing.T, ops int) (read, write AllocPath, err error) {
 	const bs = 4096
 	const blocks = 16
-	fs := memfs.New()
 	img := make([]byte, 64*bs)
 	for i := range img {
 		img[i] = byte(i % 251)
 	}
-	if err := fs.WriteFile("/disk.img", img); err != nil {
-		return read, write, err
-	}
-	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		return read, write, err
-	}
-	defer srv.Close()
-	dir, err := os.MkdirTemp("", "gvfs-alloc")
-	if err != nil {
-		return read, write, err
-	}
-	defer os.RemoveAll(dir)
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: srv.Addr,
-		CacheConfig: &cache.Config{
-			Dir: dir, Banks: 4, SetsPerBank: 16, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack,
-		},
-		// Analytics on: the measured allocs/op include the sampler tap,
-		// so the alloc gate proves the tap is free on the warm path.
-		Cachean: true,
-	})
-	if err != nil {
-		return read, write, err
-	}
-	defer pnode.Close()
-	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
-	if err != nil {
-		return read, write, err
-	}
-	cl := sunrpc.NewClient(conn)
-	defer cl.Close()
-	cred := benchCred()
-	root, err := mountd.Mount(cl, cred, "/")
-	if err != nil {
-		return read, write, err
-	}
-	nc := nfs3.NewClient(cl, cred)
-	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		return read, write, err
-	}
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, NoSession: true,
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/disk.img", img) },
+		Hops: []stack.ProxyOptions{{
+			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack},
+			// Analytics on: the measured allocs/op include the sampler tap,
+			// so the alloc gate proves the tap is free on the warm path.
+			Cachean: true,
+		}}})
+	nc, fh := dialDisk(t, c.Hop().Addr)
 	wdata := make([]byte, bs)
 	for i := range wdata {
 		wdata[i] = byte(i)
@@ -130,6 +95,28 @@ func measureWarmAlloc(ops int) (read, write AllocPath, err error) {
 	return read, write, err
 }
 
+// dialDisk mounts the proxy at addr over one loopback connection, as
+// the grid user, and looks up /disk.img.
+func dialDisk(t *testing.T, addr string) (*nfs3.Client, nfs3.FH) {
+	t.Helper()
+	conn, err := stack.Dialer(addr, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sunrpc.NewClient(conn)
+	t.Cleanup(func() { cl.Close() })
+	root, err := mountd.Mount(cl, benchCred(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfs3.NewClient(cl, benchCred())
+	fh, _, err := nc.Lookup(root, "disk.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nc, fh
+}
+
 // TestWarmPathAllocGate measures the warm-cache READ/WRITE paths over
 // a real loopback deployment and fails if allocs/op exceeds the
 // committed gate. Skipped under -race: the detector instruments
@@ -138,7 +125,7 @@ func TestWarmPathAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocs/op is not comparable under the race detector")
 	}
-	read, write, err := measureWarmAlloc(2000)
+	read, write, err := measureWarmAlloc(t, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,39 +155,12 @@ func TestFlushAllocs(t *testing.T) {
 		t.Skip("allocs/op is not comparable under the race detector")
 	}
 	const bs, blocks, rounds = 8192, 256, 5
-	fs := memfs.New()
-	if err := fs.WriteFile("/disk.img", make([]byte, blocks*bs)); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: srv.Addr,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack, Journal: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pnode.Close()
-	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := sunrpc.NewClient(conn)
-	defer cl.Close()
-	root, err := mountd.Mount(cl, benchCred(), "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(cl, benchCred())
-	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, NoSession: true,
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/disk.img", make([]byte, blocks*bs)) },
+		Hops: []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack, Journal: true}}}})
+	fs, pnode := c.FS, c.Hop()
+	nc, fh := dialDisk(t, pnode.Addr)
 	want := make([]byte, blocks*bs)
 	perBlock := make([]float64, 0, rounds)
 	for r := 0; r < rounds; r++ {
@@ -259,43 +219,19 @@ func TestColdReadAllocBytes(t *testing.T) {
 		t.Skip("allocated bytes are not comparable under the race detector")
 	}
 	const bs, cacheBlocks, blocks, passes = 8192, 64, 256, 4
-	fs := memfs.New()
 	want := make([]byte, blocks*bs)
 	for i := range want {
 		want[i] = byte(i/bs + i)
 	}
+	fs := memfs.New()
 	if err := fs.WriteFile("/disk.img", want); err != nil {
 		t.Fatal(err)
 	}
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 8, Assoc: 2,
-			BlockSize: bs, Policy: cache.WriteBack},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pnode.Close()
-	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := sunrpc.NewClient(conn)
-	defer cl.Close()
-	root, err := mountd.Mount(cl, benchCred(), "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(cl, benchCred())
-	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := stacktest.New(t, stack.ChainSpec{FS: fs, NoSession: true,
+		Hops: []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 8, Assoc: 2,
+			BlockSize: bs, Policy: cache.WriteBack}}}})
+	pnode := c.Hop()
+	nc, fh := dialDisk(t, pnode.Addr)
 	scan := func() {
 		for b := 0; b < blocks; b++ {
 			data, _, err := nc.Read(fh, uint64(b*bs), bs)
@@ -355,39 +291,12 @@ func TestWriteBackAllocBytes(t *testing.T) {
 		t.Skip("allocs/op is not comparable under the race detector")
 	}
 	const bs, blocks, rounds = 8192, 256, 8
-	fs := memfs.New()
-	if err := fs.WriteFile("/disk.img", make([]byte, blocks*bs)); err != nil {
-		t.Fatal(err)
-	}
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pnode.Close()
-	conn, err := stack.Dialer(pnode.Addr, nil, nil)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := sunrpc.NewClient(conn)
-	defer cl.Close()
-	root, err := mountd.Mount(cl, benchCred(), "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfs3.NewClient(cl, benchCred())
-	fh, _, err := nc.Lookup(root, "disk.img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := stacktest.New(t, stack.ChainSpec{NoSession: true,
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/disk.img", make([]byte, blocks*bs)) },
+		Hops: []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack}}}})
+	fs, pnode := c.FS, c.Hop()
+	nc, fh := dialDisk(t, pnode.Addr)
 	want := make([]byte, blocks*bs)
 	var allocs, bytesPer []float64
 	for r := 0; r < rounds; r++ {
@@ -442,33 +351,16 @@ func TestSessionReadAllocBytes(t *testing.T) {
 		t.Skip("allocated bytes are not comparable under the race detector")
 	}
 	const bs, blocks, rounds = 8192, 32, 200
-	fs := memfs.New()
 	want := make([]byte, blocks*bs)
 	for i := range want {
 		want[i] = byte(i/bs + i)
 	}
-	if err := fs.WriteFile("/disk.img", want); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: srv.Addr,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 32, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pnode.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: pnode.Addr, Export: "/", Cred: benchCred()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS,
+		Seed: func(fs *memfs.FS) { fs.WriteFile("/disk.img", want) },
+		Hops: []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack}}},
+		Session: gvfs.SessionConfig{Cred: benchCred()}})
+	pnode, sess := c.Hop(), c.Session()
 	f, err := sess.Open("/disk.img")
 	if err != nil {
 		t.Fatal(err)
@@ -530,26 +422,14 @@ func TestZeroFilterReadAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := memfs.New()
-	for name, data := range map[string][]byte{"/mem.vmss": state, "/" + meta.NameFor("mem.vmss"): blob} {
-		if err := fs.WriteFile(name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pnode, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: srv.Addr,
-		CacheConfig: &cache.Config{Dir: t.TempDir(), Banks: 4, SetsPerBank: 16, Assoc: 4,
-			BlockSize: bs, Policy: cache.WriteBack},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pnode.Close()
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, NoSession: true,
+		Seed: func(fs *memfs.FS) {
+			fs.WriteFile("/mem.vmss", state)
+			fs.WriteFile("/"+meta.NameFor("mem.vmss"), blob)
+		},
+		Hops: []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4,
+			BlockSize: bs, Policy: cache.WriteBack}}}})
+	pnode := c.Hop()
 	rpc := sunrpc.Local{H: pnode.Proxy}
 	root, err := mountd.Mount(rpc, benchCred(), "/")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
+	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
 	"gvfs/internal/vm"
 	"gvfs/internal/workload"
@@ -16,60 +17,63 @@ import (
 var appScenarios = []Scenario{Local, LAN, WAN, WANC}
 
 // benchVMSpec is the §4.2 VM: 512 MB RAM, 2 GB plain-mode disk, Red
-// Hat 7.3 with the benchmark applications installed (scaled).
+// Hat 7.3 with the benchmark applications installed (scaled). The disk
+// is floored at twice the kernel tree, the largest install: at extreme
+// scale factors every tiny file still costs a block, and the build
+// writes its outputs beside the sources.
 func (o Options) benchVMSpec() vm.Spec {
+	var kernel uint64
+	for _, f := range workload.KernelInstall(workload.Params{Scale: o.scale()}) {
+		kernel += (f.Size + 8191) &^ 8191
+	}
 	return vm.Spec{
 		Name:        "rh73",
 		MemoryBytes: uint64(512 << 20 / o.scale()),
-		DiskBytes:   uint64(2 << 30 / o.scale()),
+		DiskBytes:   max(uint64(2<<30/o.scale()), 2*kernel),
 		Seed:        7,
 	}
 }
 
-// appRun is one (scenario, workload) execution.
-type appRun struct {
-	report *workload.Report
-	dep    *Deployment
-}
-
-// runApp deploys a scenario with a fresh VM image (cold caches, as the
+// runApp starts a scenario over a fresh VM image (cold caches, as the
 // paper's un-mount/re-mount setup) and executes the workload named by
 // run. If warmRuns > 1 the workload repeats without cache flushing and
-// all reports are returned (kernel compilation's cold/warm pair).
+// all reports are returned (kernel compilation's cold/warm pair). after,
+// when set, runs on the chain once the workload is done.
 func (o Options) runApp(s Scenario, installs []workload.FileSpec,
 	run func(*workload.GuestFS, workload.Params) (*workload.Report, error),
-	warmRuns int) ([]*workload.Report, *Deployment, error) {
+	warmRuns int, after func(*stack.Chain) error) ([]*workload.Report, error) {
 
 	spec := o.benchVMSpec()
 	fs := memfs.New()
 	if err := vm.InstallImage(fs, "/vm", spec); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dep, err := o.appDeploy(fs, s)
+	c, err := o.start(o.scenario(s, fs))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	disk, err := dep.Session.Open(path.Join("/vm", spec.DiskFile()))
+	defer c.Close()
+	disk, err := c.Session().Open(path.Join("/vm", spec.DiskFile()))
 	if err != nil {
-		dep.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	guest, err := workload.NewGuestFS(disk, spec.DiskBytes, dep.Session.BlockSize(), installs)
+	guest, err := workload.NewGuestFS(disk, spec.DiskBytes, c.Session().BlockSize(), installs)
 	if err != nil {
-		dep.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	params := workload.Params{Scale: o.scale()}
 	var reports []*workload.Report
 	for i := 0; i < warmRuns; i++ {
 		rep, err := run(guest, params)
 		if err != nil {
-			dep.Close()
-			return nil, nil, fmt.Errorf("%s on %s: %w", rep.Workload, s, err)
+			return nil, fmt.Errorf("%s on %s: %w", rep.Workload, s, err)
 		}
 		reports = append(reports, rep)
 	}
-	return reports, dep, nil
+	if after != nil {
+		err = after(c)
+	}
+	return reports, err
 }
 
 // RunFig3 regenerates Figure 3: SPECseis execution times per phase
@@ -84,7 +88,7 @@ func (o Options) RunFig3() (*Table, error) {
 	params := workload.Params{Scale: o.scale()}
 	for _, s := range appScenarios {
 		o.logf("fig3: scenario %s", s)
-		reports, dep, err := o.runApp(s, workload.SPECseisInstall(params), workload.SPECseis, 1)
+		reports, err := o.runApp(s, workload.SPECseisInstall(params), workload.SPECseis, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +96,6 @@ func (o Options) RunFig3() (*Table, error) {
 		t.AddRow(string(s),
 			rep.Phase("phase1"), rep.Phase("phase2"), rep.Phase("phase3"),
 			rep.Phase("phase4"), rep.Total)
-		dep.Close()
 	}
 	o.annotateFig3(t)
 	return t, nil
@@ -124,33 +127,34 @@ func (o Options) RunFig4() (*Table, error) {
 	params := workload.Params{Scale: o.scale()}
 	for _, s := range appScenarios {
 		o.logf("fig4: scenario %s", s)
-		reports, dep, err := o.runApp(s, workload.LaTeXInstall(params), workload.LaTeX, 1)
+		var after func(*stack.Chain) error
+		switch s {
+		case WAN:
+			// Baseline: downloading the entire VM state at session
+			// start (paper: 2818 s) and uploading it back (4633 s).
+			after = func(c *stack.Chain) error {
+				if d, err := o.fullStateTransfer(c.FS, false); err == nil {
+					t.AddNote("full VM state download over WAN: %.2f s (paper: 2818 s)", d.Seconds())
+				}
+				if d, err := o.fullStateTransfer(c.FS, true); err == nil {
+					t.AddNote("full VM state upload over WAN: %.2f s (paper: 4633 s)", d.Seconds())
+				}
+				return nil
+			}
+		case WANC:
+			// Write-back flush of the dirty blocks (paper: ~160 s).
+			after = func(c *stack.Chain) error {
+				d, err := timeIt(c.Hop().Proxy.WriteBack)
+				t.AddNote("flush of cached dirty blocks after session: %.2f s (paper: ~160 s)", d.Seconds())
+				return err
+			}
+		}
+		reports, err := o.runApp(s, workload.LaTeXInstall(params), workload.LaTeX, 1, after)
 		if err != nil {
 			return nil, err
 		}
 		rep := reports[0]
 		t.AddRow(string(s), workload.FirstIteration(rep), workload.MeanOfRest(rep), rep.Total)
-
-		switch s {
-		case WAN:
-			// Baseline: downloading the entire VM state at session
-			// start (paper: 2818 s) and uploading it back (4633 s).
-			if d, err := o.fullStateTransfer(dep, false); err == nil {
-				t.AddNote("full VM state download over WAN: %.2f s (paper: 2818 s)", d.Seconds())
-			}
-			if d, err := o.fullStateTransfer(dep, true); err == nil {
-				t.AddNote("full VM state upload over WAN: %.2f s (paper: 4633 s)", d.Seconds())
-			}
-		case WANC:
-			// Write-back flush of the dirty blocks (paper: ~160 s).
-			d, err := timeIt(dep.ClientProxy.Proxy.WriteBack)
-			if err != nil {
-				dep.Close()
-				return nil, err
-			}
-			t.AddNote("flush of cached dirty blocks after session: %.2f s (paper: ~160 s)", d.Seconds())
-		}
-		dep.Close()
 	}
 	o.annotateFig4(t)
 	return t, nil
@@ -174,10 +178,10 @@ func (o Options) annotateFig4(t *Table) {
 // not the deployment's tunnelled one: the tunnel sends zero runs as
 // lengths (DESIGN.md §2.1), which would make this `scp -C` — of a VM
 // state that is mostly zeros — where the paper copied every byte.
-func (o Options) fullStateTransfer(dep *Deployment, upload bool) (time.Duration, error) {
+func (o Options) fullStateTransfer(fs *memfs.FS, upload bool) (time.Duration, error) {
 	spec := o.benchVMSpec()
-	wan := linkFor(WAN)
-	fc, err := stack.StartFileChanServer(dep.Server.FS, wan, nil)
+	wan := simnet.NewLink(simnet.WAN())
+	fc, err := stack.StartFileChanServer(fs, wan, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -218,7 +222,7 @@ func (o Options) RunFig5() (*Table, error) {
 	params := workload.Params{Scale: o.scale()}
 	for _, s := range appScenarios {
 		o.logf("fig5: scenario %s", s)
-		reports, dep, err := o.runApp(s, workload.KernelInstall(params), workload.KernelCompile, 2)
+		reports, err := o.runApp(s, workload.KernelInstall(params), workload.KernelCompile, 2, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +231,6 @@ func (o Options) RunFig5() (*Table, error) {
 				rep.Phase("make dep"), rep.Phase("make bzImage"),
 				rep.Phase("make modules"), rep.Phase("make modules_install"), rep.Total)
 		}
-		dep.Close()
 	}
 	o.annotateFig5(t)
 	return t, nil

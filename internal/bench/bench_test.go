@@ -8,8 +8,7 @@ import (
 	"time"
 
 	"gvfs/internal/memfs"
-	"gvfs/internal/simnet"
-	"gvfs/internal/stack"
+	"gvfs/internal/stack/stacktest"
 )
 
 func TestTableAddRowAndValue(t *testing.T) {
@@ -59,7 +58,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestCacheConfigSizing(t *testing.T) {
 	o := Options{Scale: 64}
-	cfg := o.cacheConfig("/tmp/x", 0)
+	cfg := o.cacheConfig(0)
 	capacity := cfg.Capacity()
 	want := uint64(8 << 30 / 64)
 	ratio := float64(capacity) / float64(want)
@@ -71,14 +70,26 @@ func TestCacheConfigSizing(t *testing.T) {
 	}
 }
 
-func TestLinkFor(t *testing.T) {
-	if linkFor(Local) != nil {
-		t.Error("Local should have no link")
+// TestScenarioChains checks the §4.2 chains: Local mounts the image
+// server with no link and no client proxy, the others cross a link (the
+// LAN's RTT below the WAN's) through one client proxy, and only WAN+C's
+// proxy has a disk cache.
+func TestScenarioChains(t *testing.T) {
+	var o Options
+	local := o.scenario(Local, nil)
+	if local.Link != nil || len(local.Hops) != 0 || local.Encrypt {
+		t.Errorf("Local = %+v, want no link, no hop, no tunnel", local)
 	}
-	if linkFor(LAN) == nil || linkFor(WAN) == nil || linkFor(WANC) == nil {
-		t.Error("remote scenarios need links")
+	for _, s := range []Scenario{LAN, WAN, WANC} {
+		spec := o.scenario(s, nil)
+		if spec.Link == nil || len(spec.Hops) != 1 || !spec.Encrypt {
+			t.Fatalf("%s: want a tunnelled link and one hop, got %+v", s, spec)
+		}
+		if cached := spec.Hops[0].CacheConfig != nil; cached != (s == WANC) {
+			t.Errorf("%s: client proxy cache = %v", s, cached)
+		}
 	}
-	if linkFor(LAN).Profile().RTT >= linkFor(WAN).Profile().RTT {
+	if o.scenario(LAN, nil).Link.Profile().RTT >= o.scenario(WAN, nil).Link.Profile().RTT {
 		t.Error("LAN RTT should be below WAN RTT")
 	}
 }
@@ -155,32 +166,20 @@ func TestCloningInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment test skipped in -short mode")
 	}
-	o := Options{Scale: 4096, WorkDir: t.TempDir()}
+	o := Options{Scale: 4096}
 	fs := memfs.New()
 	if _, err := o.installImages(fs, 1); err != nil {
 		t.Fatal(err)
 	}
-	wan := simnet.NewLink(simnet.WAN())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
-		server.ProxyAddr(), wan, server.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	defer sess.Close()
-	durs, err := o.sequentialClones(sess, sameImage(3))
+	c := stacktest.New(t, o.wanClone(fs))
+	durs, err := o.sequentialClones(c.Session(), sameImage(3), "seq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if durs[1] >= durs[0] || durs[2] >= durs[0] {
 		t.Errorf("warm clones (%v, %v) not faster than cold (%v)", durs[1], durs[2], durs[0])
 	}
-	if n := node.Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
+	if n := c.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("file channel fetches = %d, want 1", n)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"path"
 	"time"
 
@@ -26,38 +25,32 @@ func (o Options) cloneVMSpec(name string, seed int64) vm.Spec {
 	}
 }
 
-// cloneChain is a compute server's proxy for cloning: block cache,
-// meta-data handling and the file channel that fills the block cache.
-func (o Options) cloneChain(fileChanAddr string, fileChanLink *simnet.Link, fileChanKey []byte,
-	upstreamAddr string, upstreamLink *simnet.Link, upstreamKey []byte) (*stack.Node, *gvfs.Session, error) {
+// wanClone declares the WAN-S1/S2 chain over fs: the image server across
+// the WAN and a compute server's proxy for cloning, with a write-back
+// block cache, and meta-data handling with the file channel that fills
+// it.
+func (o Options) wanClone(fs *memfs.FS) stack.ChainSpec {
+	return stack.ChainSpec{FS: fs, Link: simnet.NewLink(simnet.WAN()), Encrypt: !o.NoEncrypt, FileChan: true, Session: o.session(),
+		Hops: []stack.ProxyOptions{{CacheConfig: o.cacheConfig(cache.WriteBack)}}}
+}
 
-	blockDir, err := os.MkdirTemp(o.WorkDir, "clone-block")
+// computeServer declares one more compute server on a running upstream:
+// a clone proxy whose upstream and file channel up names.
+func (o Options) computeServer(up stack.ProxyOptions) stack.ChainSpec {
+	hop := up
+	hop.CacheConfig = o.cacheConfig(cache.WriteBack)
+	return stack.ChainSpec{Upstream: stack.Own, Hops: []stack.ProxyOptions{hop}, Session: o.session()}
+}
+
+// clones starts spec's chain, clones targets in order through its
+// session into /clones/<prefix>N, and closes it.
+func (o Options) clones(spec stack.ChainSpec, targets []cloneTarget, prefix string) ([]time.Duration, error) {
+	c, err := o.start(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cfg := o.cacheConfig(blockDir, cache.WriteBack)
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: upstreamAddr,
-		UpstreamLink: upstreamLink,
-		UpstreamKey:  upstreamKey,
-		CacheConfig:  &cfg,
-		FileChanAddr: fileChanAddr,
-		FileChanLink: fileChanLink,
-		FileChanKey:  fileChanKey,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr: node.Addr, Export: "/", Cred: benchCred(), PageCachePages: o.pagePages(),
-	})
-	if err != nil {
-		node.Close()
-		os.RemoveAll(blockDir)
-		return nil, nil, err
-	}
-	node.AddCleanup(func() { os.RemoveAll(blockDir) })
-	return node, sess, nil
+	defer c.Close()
+	return o.sequentialClones(c.Session(), targets, prefix)
 }
 
 // installImages writes n golden images (distinct specs) under /images.
@@ -87,99 +80,48 @@ func (o Options) RunFig6() (*Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("clone %d", i))
 	}
 
-	// --- Local ---
-	o.logf("fig6: Local")
-	{
-		fs := memfs.New()
-		if _, err := o.installImages(fs, 1); err != nil {
-			return nil, err
-		}
-		dep, err := o.deploy(fs, deployConfig{scenario: Local})
-		if err != nil {
-			return nil, err
-		}
-		durs, err := o.sequentialClones(dep.Session, sameImage(n))
-		dep.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("Local", durs...)
-	}
-
-	// --- WAN-S1: one image cloned eight times ---
-	o.logf("fig6: WAN-S1")
-	{
-		fs := memfs.New()
-		if _, err := o.installImages(fs, 1); err != nil {
-			return nil, err
-		}
-		wan := simnet.NewLink(simnet.WAN())
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
-		if err != nil {
-			return nil, err
-		}
-		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
-			server.ProxyAddr(), wan, server.Key)
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		durs, err := o.sequentialClones(sess, sameImage(n))
-		sess.Close()
-		node.Close()
-		server.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("WAN-S1", durs...)
-	}
-
-	// --- WAN-S2: eight distinct images, no locality ---
-	o.logf("fig6: WAN-S2")
 	var scpBaseline, nfsBaseline time.Duration
-	{
+	for _, arm := range []struct {
+		label   string
+		images  int
+		targets []cloneTarget
+	}{
+		{"Local", 1, sameImage(n)},
+		{"WAN-S1", 1, sameImage(n)},      // one image cloned eight times
+		{"WAN-S2", n, distinctImages(n)}, // eight distinct images, no locality
+	} {
+		o.logf("fig6: %s", arm.label)
 		fs := memfs.New()
-		if _, err := o.installImages(fs, n); err != nil {
+		if _, err := o.installImages(fs, arm.images); err != nil {
 			return nil, err
 		}
-		wan := simnet.NewLink(simnet.WAN())
-		server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
+		spec := o.wanClone(fs)
+		if arm.label == "Local" {
+			spec = o.scenario(Local, fs)
+		}
+		durs, err := o.clones(spec, arm.targets, "seq")
 		if err != nil {
 			return nil, err
 		}
-		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
-			server.ProxyAddr(), wan, server.Key)
-		if err != nil {
-			server.Close()
-			return nil, err
-		}
-		durs, err := o.sequentialClones(sess, distinctImages(n))
-		if err == nil {
-			// Baselines over the same WAN profile (fresh links so the
-			// measurements don't queue behind each other).
-			scpBaseline, err = o.scpBaselineTime(fs)
-			if err == nil {
-				nfsBaseline, err = o.plainNFSBaseline(fs)
+		t.AddRow(arm.label, durs...)
+		if arm.label == "WAN-S2" {
+			// Baselines over the same WAN profile, on fresh links.
+			if scpBaseline, err = o.scpBaselineTime(fs); err != nil {
+				return nil, err
+			}
+			if nfsBaseline, err = o.plainNFSBaseline(fs); err != nil {
+				return nil, err
 			}
 		}
-		sess.Close()
-		node.Close()
-		server.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("WAN-S2", durs...)
 	}
 
-	// --- WAN-S3: eight distinct images through a warm LAN cache ---
+	// WAN-S3: eight distinct images through a warm LAN cache.
 	o.logf("fig6: WAN-S3")
-	{
-		durs, err := o.runS3(n)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("WAN-S3", durs...)
+	durs, err := o.runS3(n)
+	if err != nil {
+		return nil, err
 	}
+	t.AddRow("WAN-S3", durs...)
 
 	t.AddNote("SCP full-image copy baseline: %.2f s (paper: 1127 s)", scpBaseline.Seconds())
 	t.AddNote("non-enhanced NFS clone baseline: %.2f s (paper: 2060 s)", nfsBaseline.Seconds())
@@ -208,13 +150,14 @@ func distinctImages(n int) []cloneTarget {
 	return out
 }
 
-// sequentialClones clones each target in order, timing each.
-func (o Options) sequentialClones(sess *gvfs.Session, targets []cloneTarget) ([]time.Duration, error) {
+// sequentialClones clones each target in order into /clones/<prefix>N,
+// timing each.
+func (o Options) sequentialClones(sess *gvfs.Session, targets []cloneTarget, prefix string) ([]time.Duration, error) {
 	durs := make([]time.Duration, len(targets))
 	for i, tgt := range targets {
 		res, err := clone.Clone(sess, clone.Options{
 			GoldenDir: tgt.golden,
-			CloneDir:  fmt.Sprintf("/clones/seq%d", i),
+			CloneDir:  fmt.Sprintf("/clones/%s%d", prefix, i),
 			Name:      tgt.name,
 			User:      fmt.Sprintf("user%d", i),
 		})
@@ -241,18 +184,12 @@ func (o Options) scpBaselineTime(fs *memfs.FS) (time.Duration, error) {
 // plainNFSBaseline resumes a VM over a WAN NFS mount with no GVFS
 // support at all (paper: 2060 s).
 func (o Options) plainNFSBaseline(fs *memfs.FS) (time.Duration, error) {
-	wan := simnet.NewLink(simnet.WAN())
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{ListenLink: wan})
+	c, err := o.start(stack.ChainSpec{Upstream: stack.NFS, FS: fs, Link: simnet.NewLink(simnet.WAN()), Session: o.session()})
 	if err != nil {
 		return 0, err
 	}
-	defer node.Close()
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/", Cred: benchCred(), PageCachePages: o.pagePages()})
-	if err != nil {
-		return 0, err
-	}
-	defer sess.Close()
-	return clone.PlainNFSResume(sess, "/images/g0", "img0")
+	defer c.Close()
+	return clone.PlainNFSResume(c.Session(), "/images/g0", "img0")
 }
 
 // runS3 builds the WAN-S3 topology: image server across the WAN, a
@@ -267,82 +204,32 @@ func (o Options) runS3(n int) ([]time.Duration, error) {
 	}
 	wan := simnet.NewLink(simnet.WAN())
 	lan := simnet.NewLink(simnet.LAN())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
-	if err != nil {
-		return nil, err
-	}
-	defer server.Close()
-
 	// LAN cache server: second-level proxy disk cache (write-through;
 	// it caches read traffic for many compute servers) + file relay.
-	lanBlockDir, err := os.MkdirTemp(o.WorkDir, "lan-block")
+	lanCache, err := o.start(stack.ChainSpec{FS: fs, Link: wan, Encrypt: !o.NoEncrypt, FileChan: true, NoSession: true,
+		Hops: []stack.ProxyOptions{{CacheConfig: o.cacheConfig(cache.WriteThrough), ListenLink: lan}}})
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(lanBlockDir)
-	lanCfg := o.cacheConfig(lanBlockDir, cache.WriteThrough)
-	lanProxy, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.ProxyAddr(),
-		UpstreamLink: wan,
-		UpstreamKey:  server.Key,
-		CacheConfig:  &lanCfg,
-		ListenLink:   lan,
-		FileChanAddr: server.FileChanAddr(),
-		FileChanLink: wan,
-		FileChanKey:  server.Key,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer lanProxy.Close()
-	relay, err := stack.StartFileChanRelay(lanProxy,
+	defer lanCache.Close()
+	server := lanCache.Server
+	relay, err := stack.StartFileChanRelay(lanCache.Hop(),
 		stack.Dialer(server.FileChanAddr(), wan, server.Key), lan, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer relay.Close()
-
-	computeServer := func() (*stack.Node, *gvfs.Session, error) {
-		return o.cloneChain(relay.Addr, lan, nil, lanProxy.Addr, lan, nil)
-	}
+	up := stack.ProxyOptions{UpstreamAddr: lanCache.Hop().Addr, UpstreamLink: lan, FileChanAddr: relay.Addr, FileChanLink: lan}
 
 	// Warm-up: a different compute server in the same LAN clones the
 	// images first ("pre-cached on the LAN server due to previous
 	// clones for other computer servers in the same LAN").
-	warmNode, warmSess, err := computeServer()
-	if err != nil {
+	if _, err := o.clones(o.computeServer(up), distinctImages(n), "seq"); err != nil {
 		return nil, err
 	}
-	if _, err := o.sequentialClones(warmSess, distinctImages(n)); err != nil {
-		warmSess.Close()
-		warmNode.Close()
-		return nil, err
-	}
-	warmSess.Close()
-	warmNode.Close()
-
 	// Measurement: a fresh compute server; images are new to it but
 	// warm at the LAN level.
-	node, sess, err := computeServer()
-	if err != nil {
-		return nil, err
-	}
-	defer node.Close()
-	defer sess.Close()
-	targets := distinctImages(n)
-	durs := make([]time.Duration, n)
-	for i, tgt := range targets {
-		res, err := clone.Clone(sess, clone.Options{
-			GoldenDir: tgt.golden,
-			CloneDir:  fmt.Sprintf("/clones/s3m%d", i),
-			Name:      tgt.name,
-		})
-		if err != nil {
-			return nil, err
-		}
-		durs[i] = res.Duration
-	}
-	return durs, nil
+	return o.clones(o.computeServer(up), distinctImages(n), "s3m")
 }
 
 // RunTable1 regenerates Table 1: total time to clone eight VM images
@@ -363,33 +250,42 @@ func (o Options) RunTable1() (*Table, error) {
 		return nil, err
 	}
 	wan := simnet.NewLink(simnet.WAN())
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{Link: wan, Encrypt: !o.NoEncrypt})
+	origin, err := o.start(stack.ChainSpec{FS: fs, Link: wan, Encrypt: !o.NoEncrypt, NoSession: true})
 	if err != nil {
 		return nil, err
 	}
-	defer server.Close()
+	defer origin.Close()
+	server := origin.Server
+	up := stack.ProxyOptions{UpstreamAddr: server.ProxyAddr(), UpstreamLink: wan, UpstreamKey: server.Key,
+		FileChanAddr: server.FileChanAddr(), FileChanLink: wan, FileChanKey: server.Key}
 
 	// Eight compute servers, each with its own proxy and session.
-	type computeNode struct {
-		node *stack.Node
-		sess *gvfs.Session
-	}
-	nodes := make([]computeNode, n)
-	for i := range nodes {
-		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
-			server.ProxyAddr(), wan, server.Key)
-		if err != nil {
-			return nil, err
+	var computes []*stack.Chain
+	closeComputes := func() {
+		for _, c := range computes {
+			c.Close()
 		}
-		defer node.Close()
-		defer sess.Close()
-		nodes[i] = computeNode{node: node, sess: sess}
+		computes = nil
+	}
+	defer closeComputes()
+	startComputes := func() error {
+		for i := 0; i < n; i++ {
+			c, err := o.start(o.computeServer(up))
+			if err != nil {
+				return err
+			}
+			computes = append(computes, c)
+		}
+		return nil
+	}
+	if err := startComputes(); err != nil {
+		return nil, err
 	}
 
 	runSeq := func(pass string) (time.Duration, error) {
 		return timeIt(func() error {
-			for i, cn := range nodes {
-				_, err := clone.Clone(cn.sess, clone.Options{
+			for i, c := range computes {
+				_, err := clone.Clone(c.Session(), clone.Options{
 					GoldenDir: "/images/g0",
 					CloneDir:  fmt.Sprintf("/clones/t1-%s-seq%d", pass, i),
 					Name:      "img0",
@@ -404,8 +300,8 @@ func (o Options) RunTable1() (*Table, error) {
 	runPar := func(pass string) (time.Duration, error) {
 		sessions := make([]*gvfs.Session, n)
 		opts := make([]clone.Options, n)
-		for i, cn := range nodes {
-			sessions[i] = cn.sess
+		for i, c := range computes {
+			sessions[i] = c.Session()
 			opts[i] = clone.Options{
 				GoldenDir: "/images/g0",
 				CloneDir:  fmt.Sprintf("/clones/t1-%s-par%d", pass, i),
@@ -432,17 +328,9 @@ func (o Options) RunTable1() (*Table, error) {
 
 	// Parallel pass: fresh compute servers so the cold numbers are
 	// genuinely cold.
-	for i := range nodes {
-		nodes[i].sess.Close()
-		nodes[i].node.Close()
-		node, sess, err := o.cloneChain(server.FileChanAddr(), wan, server.Key,
-			server.ProxyAddr(), wan, server.Key)
-		if err != nil {
-			return nil, err
-		}
-		defer node.Close()
-		defer sess.Close()
-		nodes[i] = computeNode{node: node, sess: sess}
+	closeComputes()
+	if err := startComputes(); err != nil {
+		return nil, err
 	}
 	o.logf("table1: WAN-P cold")
 	parCold, err := runPar("cold")
@@ -496,17 +384,17 @@ func (o Options) RunZeroFilter() (*Table, error) {
 	if err := fs.WriteFile("/vm/"+meta.NameFor(spec.MemStateFile()), blob); err != nil {
 		return nil, err
 	}
-	dep, err := o.deploy(fs, deployConfig{scenario: WAN, blockCache: true, policy: cache.WriteBack})
+	c, err := o.start(o.scenario(WANC, fs))
 	if err != nil {
 		return nil, err
 	}
-	defer dep.Close()
+	defer c.Close()
 
-	f, err := dep.Session.Open(path.Join("/vm", spec.MemStateFile()))
+	f, err := c.Session().Open(path.Join("/vm", spec.MemStateFile()))
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, dep.Session.BlockSize())
+	buf := make([]byte, c.Session().BlockSize())
 	reads := 0
 	for off := int64(0); off < int64(len(mem)); off += int64(len(buf)) {
 		if _, err := f.ReadAt(buf[:min(int64(len(buf)), int64(len(mem))-off)], off); err != nil {
@@ -515,7 +403,7 @@ func (o Options) RunZeroFilter() (*Table, error) {
 		reads++
 	}
 	f.Close()
-	st := dep.ClientProxy.Proxy.Snapshot()
+	st := c.Hop().Proxy.Snapshot()
 	zeroFiltered := st.Counter("gvfs_proxy_zero_filtered_total")
 	readMisses := st.Counter("gvfs_proxy_read_misses_total")
 	t.Rows = append(t.Rows, Row{Label: "this run", Values: []float64{
@@ -525,11 +413,4 @@ func (o Options) RunZeroFilter() (*Table, error) {
 	t.AddNote("filtered fraction: %.1f%% (paper: %.1f%%)",
 		float64(zeroFiltered)/float64(reads)*100, 60452.0/65750*100)
 	return t, nil
-}
-
-func min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -93,21 +93,10 @@ func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, er
 	if err := fs.WriteFile("/disk.img", make([]byte, imgBlocks*crashBlockSize)); err != nil {
 		return run, err
 	}
-	server, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-	if err != nil {
-		return run, err
-	}
-	defer server.Close()
-
-	dir, err := os.MkdirTemp(o.WorkDir, "gvfs-crashw-")
-	if err != nil {
-		return run, err
-	}
-	defer os.RemoveAll(dir)
 	// 256 frames over 128 distinct blocks: every write after the first
 	// pass is an update in place.
 	ccfg := &cache.Config{
-		Dir: dir, Banks: 4, SetsPerBank: 16, Assoc: 4,
+		Banks: 4, SetsPerBank: 16, Assoc: 4,
 		BlockSize: crashBlockSize, Policy: cache.WriteBack,
 	}
 	switch mode {
@@ -121,14 +110,13 @@ func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, er
 	default:
 		return run, fmt.Errorf("unknown journal mode %q", mode)
 	}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr: server.Addr,
-		CacheConfig:  ccfg,
-	})
+	c, err := o.start(stack.ChainSpec{Upstream: stack.NFS, FS: fs, NoSession: true,
+		Hops: []stack.ProxyOptions{{CacheConfig: ccfg}}})
 	if err != nil {
 		return run, err
 	}
-	defer node.Close()
+	defer c.Close()
+	node := c.Hop()
 
 	// One TCP connection per writer: real loopback round trips, and the
 	// group commit has concurrent appends to batch.
@@ -198,7 +186,10 @@ func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, er
 }
 
 // runCrashRecovery accumulates dirtyBlocks of write-back state, crashes
-// the cache, and times a successor's journal recovery and replay.
+// the cache, and times a successor's journal recovery and replay. Its
+// proxies come from proxy.New, not a chain's hop: the successor must
+// start over the first one's cache directory, and StartProxy would
+// recover the journal inside its start, before either phase is timed.
 func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 	run := crashRecoveryRun{DirtyBlocks: dirtyBlocks, DirtyBytes: dirtyBlocks * crashBlockSize}
 
@@ -206,12 +197,12 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 	if err := fs.WriteFile("/disk.img", make([]byte, dirtyBlocks*crashBlockSize)); err != nil {
 		return run, err
 	}
-	server, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
+	origin, err := o.start(stack.ChainSpec{Upstream: stack.NFS, FS: fs, NoSession: true})
 	if err != nil {
 		return run, err
 	}
-	defer server.Close()
-	conn, err := net.Dial("tcp", server.Addr)
+	defer origin.Close()
+	conn, err := net.Dial("tcp", origin.NFS.Addr)
 	if err != nil {
 		return run, err
 	}

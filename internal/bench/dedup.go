@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 
 	gvfs "gvfs"
 	"gvfs/internal/backend/objstore"
@@ -62,23 +61,15 @@ func (o Options) RunDedup() (*Table, error) {
 		return nil, err
 	}
 
-	dir, err := os.MkdirTemp(o.WorkDir, "dedupcache")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	ccfg := o.cacheConfig(dir, cache.WriteBack)
+	ccfg := o.cacheConfig(cache.WriteBack)
 	ccfg.Dedup = true
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		CacheConfig:   &ccfg,
-		Backend:       stack.BackendObjstore,
-		ObjstoreStore: origin,
-		ObjstoreBlock: blockSize,
-	})
+	c, err := o.start(stack.ChainSpec{Upstream: stack.Objstore, NoSession: true,
+		Hops: []stack.ProxyOptions{{CacheConfig: ccfg, ObjstoreStore: origin, ObjstoreBlock: blockSize}}})
 	if err != nil {
 		return nil, err
 	}
-	defer node.Close()
+	defer c.Close()
+	node := c.Hop()
 
 	type cloneSample struct {
 		Clone           int     `json:"clone"`
@@ -99,9 +90,9 @@ func (o Options) RunDedup() (*Table, error) {
 		}
 		// Fresh session per clone: a new VM's kernel client, cold page
 		// cache, booting by reading its image end to end.
-		sess, err := gvfs.Mount(gvfs.SessionConfig{
-			Addr: node.Addr, Export: "/", Cred: benchCred(), PageCachePages: o.pagePages(),
-		})
+		cfg := o.session()
+		cfg.Addr, cfg.Export = node.Addr, "/"
+		sess, err := gvfs.Mount(cfg)
 		if err != nil {
 			return nil, err
 		}

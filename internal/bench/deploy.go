@@ -30,12 +30,13 @@ const (
 type Options struct {
 	// Scale divides data sizes and compute times (default 64).
 	Scale float64
-	// WorkDir hosts cache directories (default: a fresh temp dir).
+	// WorkDir hosts cache directories (default: the system's temporary
+	// directory).
 	WorkDir string
 	// Verbose enables progress logging to stderr.
 	Verbose bool
-	// Encrypt runs inter-proxy traffic through tunnels (default true,
-	// as in the paper's SSH-forwarded deployments).
+	// NoEncrypt runs inter-proxy traffic in the clear. By default it
+	// goes through tunnels, as in the paper's SSH-forwarded deployments.
 	NoEncrypt bool
 	// ResultsDir, when set, receives machine-readable BENCH_*.json
 	// reports from experiments that emit them.
@@ -90,8 +91,9 @@ func (o Options) pagePages() int {
 }
 
 // cacheConfig sizes the proxy disk cache like the paper's: 8 GB,
-// 16-way associative, 8 KB blocks (scaled).
-func (o Options) cacheConfig(dir string, policy cache.Policy) cache.Config {
+// 16-way associative, 8 KB blocks (scaled). The chain builder gives it
+// a directory.
+func (o Options) cacheConfig(policy cache.Policy) *cache.Config {
 	frames := int(8 << 30 / 8192 / o.scale())
 	assoc := 16
 	banks := 32
@@ -99,172 +101,44 @@ func (o Options) cacheConfig(dir string, policy cache.Policy) cache.Config {
 	if sets < 2 {
 		sets = 2
 	}
-	return cache.Config{
-		Dir: dir, Banks: banks, SetsPerBank: sets, Assoc: assoc,
-		BlockSize: 8192, Policy: policy,
-	}
-}
-
-// Deployment is one assembled scenario: an image server, the proxy
-// chain for the scenario, and a mounted session.
-type Deployment struct {
-	Scenario    Scenario
-	FS          *memfs.FS
-	Server      *stack.ImageServer
-	ClientProxy *stack.Node // nil when the scenario has no client proxy
-	LANProxy    *stack.Node // second-level cache node (WAN-S3 only)
-	Session     *gvfs.Session
-	WANLink     *simnet.Link
-	LANLink     *simnet.Link
-
-	closers []func()
-}
-
-// Close tears the deployment down.
-func (d *Deployment) Close() {
-	for i := len(d.closers) - 1; i >= 0; i-- {
-		d.closers[i]()
-	}
-}
-
-// NewSession mounts an additional session on the same chain entry
-// point (used by warm-up passes and multi-client experiments).
-func (d *Deployment) NewSession(o Options) (*gvfs.Session, error) {
-	addr := d.Server.ProxyAddr()
-	if d.ClientProxy != nil {
-		addr = d.ClientProxy.Addr
-	}
-	return gvfs.Mount(gvfs.SessionConfig{
-		Addr:           addr,
-		Export:         "/",
-		Cred:           benchCred(),
-		PageCachePages: o.pagePages(),
-	})
+	return &cache.Config{Banks: banks, SetsPerBank: sets, Assoc: assoc, BlockSize: 8192, Policy: policy}
 }
 
 func benchCred() sunrpc.OpaqueAuth {
 	return sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()
 }
 
-// linkFor builds the network path for a scenario.
-func linkFor(s Scenario) *simnet.Link {
-	switch s {
-	case LAN:
-		return simnet.NewLink(simnet.LAN())
-	case WAN, WANC:
-		return simnet.NewLink(simnet.WAN())
-	}
-	return nil
+// session is the compute server's session: the grid user's
+// credential and the scaled buffer cache.
+func (o Options) session() gvfs.SessionConfig {
+	return gvfs.SessionConfig{Cred: benchCred(), PageCachePages: o.pagePages()}
 }
 
-// deployConfig controls chain construction beyond the scenario name.
-type deployConfig struct {
-	scenario Scenario
-	// blockCache enables the client proxy disk cache.
-	blockCache bool
-	policy     cache.Policy
-	// fileChan gives the client proxy the image server's file channel:
-	// a file whose meta-data asks for it is fetched whole into the block
-	// cache.
-	fileChan bool
-	// direct connects the session straight to the image server's NFS
-	// daemon across the scenario link: the "pure NFS" baseline with
-	// no GVFS proxies at all.
-	direct bool
+// start builds spec's chain with its cache directories under WorkDir.
+func (o Options) start(spec stack.ChainSpec) (*stack.Chain, error) {
+	spec.WorkDir = o.WorkDir
+	return stack.StartChain(spec)
 }
 
-// deploy assembles a scenario chain over fs.
-func (o Options) deploy(fs *memfs.FS, dc deployConfig) (*Deployment, error) {
-	d := &Deployment{Scenario: dc.scenario, FS: fs}
-
-	if dc.direct {
-		// Pure NFS across the link: no proxies, no mapping, no caches.
-		node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{ListenLink: linkFor(dc.scenario)})
-		if err != nil {
-			return nil, err
-		}
-		d.closers = append(d.closers, node.Close)
-		sess, err := gvfs.Mount(gvfs.SessionConfig{
-			Addr: node.Addr, Export: "/", Cred: benchCred(), PageCachePages: o.pagePages(),
-		})
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.Session = sess
-		d.closers = append(d.closers, func() { sess.Close() })
-		return d, nil
+// scenario declares the §4.2 chain for s over fs. Local mounts the
+// image server's own proxy, so the code path is the others' minus the
+// network; LAN and WAN put a forwarding client proxy across the link,
+// and WAN+C gives it a write-back disk cache.
+func (o Options) scenario(s Scenario, fs *memfs.FS) stack.ChainSpec {
+	spec := stack.ChainSpec{FS: fs, Session: o.session()}
+	if s == Local {
+		return spec
 	}
-
-	d.WANLink = linkFor(dc.scenario)
-	server, err := stack.StartImageServer(fs, stack.ImageServerOptions{
-		Link:    d.WANLink,
-		Encrypt: !o.NoEncrypt && dc.scenario != Local,
-	})
-	if err != nil {
-		return nil, err
+	spec.Link, spec.Encrypt = simnet.NewLink(simnet.WAN()), !o.NoEncrypt
+	if s == LAN {
+		spec.Link = simnet.NewLink(simnet.LAN())
 	}
-	d.Server = server
-	d.closers = append(d.closers, server.Close)
-
-	// Local scenario: mount through the (local) server proxy so the code
-	// path is identical minus the network.
-	sessionAddr := server.ProxyAddr()
-	if dc.scenario != Local {
-		popts := stack.ProxyOptions{
-			UpstreamAddr: server.ProxyAddr(),
-			UpstreamLink: d.WANLink,
-			UpstreamKey:  server.Key,
-		}
-		if dc.blockCache {
-			dir, err := os.MkdirTemp(o.WorkDir, "blockcache")
-			if err != nil {
-				d.Close()
-				return nil, err
-			}
-			cfg := o.cacheConfig(dir, dc.policy)
-			popts.CacheConfig = &cfg
-			d.closers = append(d.closers, func() { os.RemoveAll(dir) })
-		}
-		if dc.fileChan {
-			popts.FileChanAddr = server.FileChanAddr()
-			popts.FileChanLink = d.WANLink
-			popts.FileChanKey = server.Key
-		}
-		node, err := stack.StartProxy(popts)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.ClientProxy = node
-		d.closers = append(d.closers, node.Close)
-		sessionAddr = node.Addr
-	}
-
-	sess, err := gvfs.Mount(gvfs.SessionConfig{
-		Addr:           sessionAddr,
-		Export:         "/",
-		Cred:           benchCred(),
-		PageCachePages: o.pagePages(),
-	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.Session = sess
-	d.closers = append(d.closers, func() { sess.Close() })
-	return d, nil
-}
-
-// appDeploy builds the §4.2 scenarios: Local, LAN, WAN (forwarding
-// proxies only) and WAN+C (client proxy disk cache, write-back).
-func (o Options) appDeploy(fs *memfs.FS, s Scenario) (*Deployment, error) {
-	dc := deployConfig{scenario: s}
+	hop := stack.ProxyOptions{}
 	if s == WANC {
-		dc.blockCache = true
-		dc.policy = cache.WriteBack
+		hop.CacheConfig = o.cacheConfig(cache.WriteBack)
 	}
-	return o.deploy(fs, dc)
+	spec.Hops = []stack.ProxyOptions{hop}
+	return spec
 }
 
 // timeIt measures fn.
@@ -274,8 +148,8 @@ func timeIt(fn func() error) (time.Duration, error) {
 	return time.Since(t0), err
 }
 
-// Deploy assembles one of the §4.2 application scenarios for external
+// Deploy starts one of the §4.2 application scenarios for external
 // drivers (examples, tests): Local, LAN, WAN, or WAN+C.
-func (o Options) Deploy(fs *memfs.FS, s Scenario) (*Deployment, error) {
-	return o.appDeploy(fs, s)
+func (o Options) Deploy(fs *memfs.FS, s Scenario) (*stack.Chain, error) {
+	return o.start(o.scenario(s, fs))
 }

@@ -3,16 +3,12 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
-	gvfs "gvfs"
-	"gvfs/internal/backend/nfs3be"
 	"gvfs/internal/backend/replbe"
 	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
-	"gvfs/internal/nfs3"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
@@ -137,104 +133,24 @@ func failoverPattern(n int, seed byte) []byte {
 	return b
 }
 
-// replDeploy is one running replicated topology: three NFS servers over
-// identically seeded memfs instances (sequential handles make equally
-// seeded servers interchangeable under one file handle), one shaped
-// link per replica client, and a proxy whose backend is the replbe
-// composite. The namespace relay rides an unshaped connection to
-// server 0, so link faults only ever hit the replica data path.
-type replDeploy struct {
-	fss     []*memfs.FS
-	links   []*simnet.Link
-	node    *stack.Node
-	sess    *gvfs.Session
-	closers []func()
+// replChain declares the failover topology over seed's files: three
+// NFS replicas behind one proxy whose backend is the replbe composite,
+// each replica client across a link of its own (Chain.ReplicaLinks),
+// so link faults only ever hit the replica data path. The proxy's
+// write-through cache is far smaller than the working set: READ/WRITE
+// stay on the backend data path and reads keep missing into the
+// replica set.
+func replChain(profiles []simnet.Profile, seed func(*memfs.FS), rcfg replbe.Config, copts sunrpc.ClientOptions) stack.ChainSpec {
+	return stack.ChainSpec{Upstream: stack.Repl, Seed: seed, Replicas: profiles, ReplicaClient: copts,
+		Hops: []stack.ProxyOptions{{
+			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 1, BlockSize: 8192, Policy: cache.WriteThrough},
+			ReplConfig:  rcfg,
+		}}}
 }
 
-func (d *replDeploy) Close() {
-	for i := len(d.closers) - 1; i >= 0; i-- {
-		d.closers[i]()
-	}
-}
-
-// repl returns the composite's live stats from the proxy's statusz.
-func (d *replDeploy) repl() *replbe.Stats {
-	return d.node.Proxy.Statusz().Replication
-}
-
-func (o Options) deployRepl(profiles []simnet.Profile, seed func(*memfs.FS),
-	rcfg *replbe.Config, copts sunrpc.ClientOptions) (*replDeploy, error) {
-	d := &replDeploy{}
-	var relayAddr string
-	var reps []replbe.Replica
-	for i, p := range profiles {
-		fs := memfs.New()
-		seed(fs)
-		server, err := stack.StartNFSServer(fs, stack.NFSServerOptions{})
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.closers = append(d.closers, server.Close)
-		if i == 0 {
-			relayAddr = server.Addr
-		}
-		link := simnet.NewLink(p)
-		dial := stack.Dialer(server.Addr, link, nil)
-		conn, err := dial()
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		opts := copts
-		opts.Redial = dial
-		opts.Idempotent = nfs3.RetrySafe
-		client := sunrpc.NewClientWithOptions(conn, opts)
-		d.closers = append(d.closers, func() { client.Close() })
-		reps = append(reps, replbe.Replica{Name: fmt.Sprintf("r%d", i), B: nfs3be.New(client)})
-		d.fss = append(d.fss, fs)
-		d.links = append(d.links, link)
-	}
-	// Small write-through cache: READ/WRITE stay on the backend data
-	// path, and the cache is far smaller than the working set so reads
-	// keep missing into the replica set.
-	dir, err := os.MkdirTemp(o.WorkDir, "failovercache")
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.closers = append(d.closers, func() { os.RemoveAll(dir) })
-	ccfg := cache.Config{Dir: dir, Banks: 4, SetsPerBank: 4, Assoc: 1,
-		BlockSize: 8192, Policy: cache.WriteThrough}
-	node, err := stack.StartProxy(stack.ProxyOptions{
-		UpstreamAddr:    relayAddr,
-		CacheConfig:     &ccfg,
-		Backend:         stack.BackendRepl,
-		ReplicaBackends: reps,
-		ReplConfig:      *rcfg,
-	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.node = node
-	d.closers = append(d.closers, node.Close)
-	sess, err := gvfs.Mount(gvfs.SessionConfig{Addr: node.Addr, Export: "/"})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.sess = sess
-	d.closers = append(d.closers, func() { sess.Close() })
-	return d, nil
-}
-
-func localProfiles(n int) []simnet.Profile {
-	ps := make([]simnet.Profile, n)
-	for i := range ps {
-		ps[i] = simnet.Local()
-	}
-	return ps
+// replStats returns the composite's live stats from the proxy's statusz.
+func replStats(c *stack.Chain) *replbe.Stats {
+	return c.Hop().Proxy.Statusz().Replication
 }
 
 func p99Ms(durs []time.Duration) float64 {
@@ -248,25 +164,25 @@ func (o Options) runFailoverKill() (failoverKill, error) {
 	ph := failoverKill{RatioTarget: 3}
 	img := failoverPattern(1<<20, 1)
 	out := failoverPattern(64<<10, 2)
-	d, err := o.deployRepl(localProfiles(3), func(fs *memfs.FS) {
+	d, err := o.start(replChain(nil, func(fs *memfs.FS) {
 		fs.WriteFile("/img", img)
 		fs.WriteFile("/out", out)
-	}, &replbe.Config{
+	}, replbe.Config{
 		FailThreshold: 2,
 		ProbeInterval: 50 * time.Millisecond,
 		ScrubInterval: 100 * time.Millisecond,
 		HedgeQuantile: -1, // measure pure failover, not hedging
-	}, sunrpc.ClientOptions{CallTimeout: 150 * time.Millisecond, MaxRetries: 1})
+	}, sunrpc.ClientOptions{CallTimeout: 150 * time.Millisecond, MaxRetries: 1}))
 	if err != nil {
 		return ph, err
 	}
 	defer d.Close()
 
-	f, err := d.sess.Open("/img")
+	f, err := d.Session().Open("/img")
 	if err != nil {
 		return ph, err
 	}
-	of, err := d.sess.Open("/out")
+	of, err := d.Session().Open("/out")
 	if err != nil {
 		return ph, err
 	}
@@ -312,8 +228,8 @@ func (o Options) runFailoverKill() (failoverKill, error) {
 	if err != nil {
 		return ph, fmt.Errorf("failover kill (steady): %w", err)
 	}
-	d.links[1].Partition() // redials fail like a dead host...
-	d.links[1].Drop()      // ...and established connections die now
+	d.ReplicaLinks[1].Partition() // redials fail like a dead host...
+	d.ReplicaLinks[1].Drop()      // ...and established connections die now
 	fault, err := phase(rounds)
 	if err != nil {
 		return ph, fmt.Errorf("failover kill (replica 1 dead): client-visible failure: %w", err)
@@ -322,16 +238,16 @@ func (o Options) runFailoverKill() (failoverKill, error) {
 	ph.SteadyP99Ms = p99Ms(steady)
 	ph.FaultP99Ms = p99Ms(fault)
 	ph.Ratio = ph.FaultP99Ms / ph.SteadyP99Ms
-	st := d.repl()
+	st := replStats(d)
 	ph.Failovers = st.Failovers
 	ph.DownTransitions = st.Replicas[1].Transitions
 
 	// Heal and require the dead replica to reconverge: probes mark it
 	// up, the scrub repairs the files it missed writes for.
-	d.links[1].Heal()
+	d.ReplicaLinks[1].Heal()
 	deadline := time.Now().Add(20 * time.Second)
 	for !ph.Reconverged && time.Now().Before(deadline) {
-		if got, err := d.fss[1].ReadFile("/out"); err == nil && bytes.Equal(got, want) {
+		if got, err := d.Replicas[1].ReadFile("/out"); err == nil && bytes.Equal(got, want) {
 			ph.Reconverged = true
 			break
 		}
@@ -352,7 +268,7 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 	profiles := []simnet.Profile{simnet.Local(), near, near}
 
 	run := func(hedge bool) (float64, *replbe.Stats, error) {
-		rcfg := &replbe.Config{
+		rcfg := replbe.Config{
 			FailThreshold: 100, // keep the stalled replica preferred: measure hedging, not down-marking
 			ProbeInterval: 50 * time.Millisecond,
 			ScrubInterval: -1,
@@ -361,13 +277,13 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 		if !hedge {
 			rcfg.HedgeQuantile = -1
 		}
-		d, err := o.deployRepl(profiles, func(fs *memfs.FS) { fs.WriteFile("/img", img) },
-			rcfg, sunrpc.ClientOptions{CallTimeout: 100 * time.Millisecond, MaxRetries: 1})
+		d, err := o.start(replChain(profiles, func(fs *memfs.FS) { fs.WriteFile("/img", img) },
+			rcfg, sunrpc.ClientOptions{CallTimeout: 100 * time.Millisecond, MaxRetries: 1}))
 		if err != nil {
 			return 0, nil, err
 		}
 		defer d.Close()
-		f, err := d.sess.Open("/img")
+		f, err := d.Session().Open("/img")
 		if err != nil {
 			return 0, nil, err
 		}
@@ -382,7 +298,7 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 				return 0, nil, fmt.Errorf("warm read %d: %w", i, err)
 			}
 		}
-		d.links[0].Stall(10 * time.Second)
+		d.ReplicaLinks[0].Stall(10 * time.Second)
 		lats := make([]time.Duration, 0, ph.StallReads)
 		for i := 32; i < 32+ph.StallReads; i++ {
 			off := int64(2*i) * 8192
@@ -398,7 +314,7 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 			}
 			lats = append(lats, dur)
 		}
-		return p99Ms(lats), d.repl(), nil
+		return p99Ms(lats), replStats(d), nil
 	}
 
 	var err error
@@ -422,12 +338,12 @@ func (o Options) runFailoverHedge() (failoverHedge, error) {
 func (o Options) runFailoverScrub() (failoverScrub, error) {
 	ph := failoverScrub{BlocksCorrupted: 2}
 	img := failoverPattern(256<<10, 21)
-	d, err := o.deployRepl(localProfiles(3), func(fs *memfs.FS) { fs.WriteFile("/img", img) },
-		&replbe.Config{
+	d, err := o.start(replChain(nil, func(fs *memfs.FS) { fs.WriteFile("/img", img) },
+		replbe.Config{
 			ProbeInterval: 50 * time.Millisecond,
 			ScrubInterval: 100 * time.Millisecond,
 			HedgeQuantile: -1,
-		}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1})
+		}, sunrpc.ClientOptions{CallTimeout: 250 * time.Millisecond, MaxRetries: 1}))
 	if err != nil {
 		return ph, err
 	}
@@ -435,34 +351,34 @@ func (o Options) runFailoverScrub() (failoverScrub, error) {
 
 	// One pass over the file registers it with the scrub (and proves
 	// the content before corruption).
-	got, err := d.sess.ReadFile("/img")
+	got, err := d.Session().ReadFile("/img")
 	if err != nil || !bytes.Equal(got, img) {
 		return ph, fmt.Errorf("baseline read: %v", err)
 	}
 
 	// Rot two blocks on replica 1 behind the composite's back.
-	fh, err := d.fss[1].LookupPath("/img")
+	fh, err := d.Replicas[1].LookupPath("/img")
 	if err != nil {
 		return ph, err
 	}
-	if _, err := d.fss[1].Write(fh, 3*8192, failoverPattern(2*8192, 99)); err != nil {
+	if _, err := d.Replicas[1].Write(fh, 3*8192, failoverPattern(2*8192, 99)); err != nil {
 		return ph, err
 	}
 
 	start := time.Now()
 	deadline := start.Add(15 * time.Second)
 	for {
-		if got, err := d.fss[1].ReadFile("/img"); err == nil && bytes.Equal(got, img) {
+		if got, err := d.Replicas[1].ReadFile("/img"); err == nil && bytes.Equal(got, img) {
 			break
 		}
 		if time.Now().After(deadline) {
-			st := d.repl()
+			st := replStats(d)
 			return ph, fmt.Errorf("scrub never repaired the corrupted replica (scrub=%+v)", st.Scrub)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	ph.RepairMs = float64(time.Since(start)) / float64(time.Millisecond)
-	st := d.repl()
+	st := replStats(d)
 	ph.BlocksDivergent = st.Scrub.BlocksDivergent
 	ph.BlocksRepaired = st.Scrub.BlocksRepaired
 	ph.Pass = ph.BlocksDivergent >= uint64(ph.BlocksCorrupted) &&

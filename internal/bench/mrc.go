@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 
 	gvfs "gvfs"
@@ -78,48 +77,42 @@ func (o Options) RunMrc() (*Table, error) {
 	worst := 0.0
 
 	for _, w := range workloads {
-		dir, err := os.MkdirTemp(o.WorkDir, "mrccache")
-		if err != nil {
-			return nil, err
-		}
 		an := cachean.New(cachean.Config{
 			Rate:          sampleRate,
 			CapacityBytes: capBlocks * blockSize,
 			BlockSize:     blockSize,
 		})
 		tee := &teeTap{an: an, oracle: cachean.NewOracle()}
-
 		origin := objstore.NewMemStore()
 		store := objstore.New(origin, blockSize)
-		if err := w.prep(store); err != nil {
-			an.Close()
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		node, err := stack.StartProxy(stack.ProxyOptions{
-			CacheConfig: &cache.Config{
-				Dir: dir, Banks: banks, SetsPerBank: sets, Assoc: assoc,
-				BlockSize: blockSize, Policy: cache.WriteBack, Tap: tee,
-				Dedup: w.name == "clone-boot",
-			},
-			Backend:       stack.BackendObjstore,
-			ObjstoreStore: origin,
-			ObjstoreBlock: blockSize,
-		})
+		refs, err := func() (int, error) {
+			if err := w.prep(store); err != nil {
+				return 0, err
+			}
+			c, err := o.start(stack.ChainSpec{Upstream: stack.Objstore, NoSession: true, Hops: []stack.ProxyOptions{{
+				CacheConfig: &cache.Config{
+					Banks: banks, SetsPerBank: sets, Assoc: assoc,
+					BlockSize: blockSize, Policy: cache.WriteBack, Tap: tee,
+					Dedup: w.name == "clone-boot",
+				},
+				ObjstoreStore: origin,
+				ObjstoreBlock: blockSize,
+			}}})
+			if err != nil {
+				return 0, err
+			}
+			defer c.Close()
+			refs, err := w.run(c.Hop().Addr, store)
+			if err != nil {
+				return 0, fmt.Errorf("mrc %s: %w", w.name, err)
+			}
+			an.Sync()
+			return refs, nil
+		}()
 		if err != nil {
 			an.Close()
-			os.RemoveAll(dir)
 			return nil, err
 		}
-
-		refs, err := w.run(node.Addr, store)
-		if err != nil {
-			node.Close()
-			an.Close()
-			os.RemoveAll(dir)
-			return nil, fmt.Errorf("mrc %s: %w", w.name, err)
-		}
-		an.Sync()
 
 		wr := workloadResult{
 			Workload:    w.name,
@@ -154,10 +147,7 @@ func (o Options) RunMrc() (*Table, error) {
 		results = append(results, wr)
 		o.logf("mrc: %s: %d refs (%d sampled, %d dropped), max abs err %.4f",
 			w.name, wr.Refs, wr.SampledRefs, wr.Dropped, wr.MaxAbsErr)
-
-		node.Close()
 		an.Close()
-		os.RemoveAll(dir)
 	}
 
 	t.AddNote("cache %d blocks x %d B, sample rate %.2f; error target <= %.2f absolute hit ratio",

@@ -128,7 +128,10 @@ func isJukebox(err error) bool {
 }
 
 // noisyRig is one assembled topology: NFS server behind a shaped WAN
-// link, a proxy with a small block cache, and optional QoS.
+// link, a proxy with a small block cache, and optional QoS. The proxy
+// comes from proxy.New, not a chain's hop: the polite tenants and the
+// aggressor call it in process through sunrpc.Local, so what is measured
+// is admission, with no listener or connection of its own in the way.
 type noisyRig struct {
 	caller   sunrpc.Local
 	sched    *qos.Scheduler
@@ -172,13 +175,13 @@ func (o Options) startNoisyRig(qcfg *qos.Config) (*noisyRig, error) {
 	// is where an unthrottled aggressor's bytes queue ahead of
 	// everyone else's.
 	link := simnet.NewLink(simnet.Profile{Name: "noisy-wan", RTT: noisyRTT, Bandwidth: noisyBandwidth})
-	node, err := stack.StartNFSServer(fs, stack.NFSServerOptions{ListenLink: link})
+	origin, err := o.start(stack.ChainSpec{Upstream: stack.NFS, FS: fs, Link: link, NoSession: true})
 	if err != nil {
 		return nil, err
 	}
-	rig.closers = append(rig.closers, node.Close)
+	rig.closers = append(rig.closers, origin.Close)
 
-	conn, err := stack.Dialer(node.Addr, link, nil)()
+	conn, err := stack.Dialer(origin.NFS.Addr, link, nil)()
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"gvfs/internal/cache"
 	"gvfs/internal/memfs"
 	"gvfs/internal/vm"
 	"gvfs/internal/workload"
@@ -32,81 +31,11 @@ func (o Options) RunPersistentVM() (*Table, error) {
 		Seed:        21,
 	}
 	for _, s := range []Scenario{WAN, WANC} {
-		fs := memfs.New()
-		if err := vm.InstallImage(fs, "/vm", spec); err != nil {
-			return nil, err
-		}
-		dc := deployConfig{scenario: s}
-		if s == WANC {
-			dc.blockCache = true
-			dc.policy = cache.WriteBack
-			dc.fileChan = true
-		}
-		dep, err := o.deploy(fs, dc)
+		row, err := o.persistentSession(s, spec)
 		if err != nil {
 			return nil, err
 		}
-		monitor := vm.NewMonitor(dep.Session)
-
-		resumeDur, err := timeIt(func() error {
-			machine, err := monitor.Resume("/vm", "rh73")
-			if err != nil {
-				return err
-			}
-			return machine.Close()
-		})
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-
-		// An interactive working session against the VM's disk.
-		machine, err := monitor.Resume("/vm", "rh73")
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-		params := workload.Params{Scale: o.scale() * 4} // a short session
-		guest, err := workload.NewGuestFS(machine.Disk, spec.DiskBytes,
-			dep.Session.BlockSize(), workload.LaTeXInstall(params))
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-		workDur, err := timeIt(func() error {
-			_, err := workload.LaTeX(guest, params)
-			return err
-		})
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-
-		// Suspend: the checkpointed memory state is written back
-		// through the session ("modifications ... efficiently
-		// reflected on the image server").
-		newState := spec.GenerateMemState()
-		suspendDur, err := timeIt(func() error {
-			return monitor.Suspend(machine, newState)
-		})
-		machine.Close()
-		if err != nil {
-			dep.Close()
-			return nil, err
-		}
-
-		// Settle: middleware-triggered propagation of dirty state,
-		// "when the user is off-line or the session is idle".
-		var settleDur time.Duration
-		if dep.ClientProxy != nil {
-			settleDur, err = timeIt(dep.ClientProxy.Proxy.WriteBack)
-			if err != nil {
-				dep.Close()
-				return nil, err
-			}
-		}
-		t.AddRow(string(s), resumeDur, workDur, suspendDur, settleDur)
-		dep.Close()
+		t.AddRow(string(s), row...)
 	}
 	wanSusp, _ := t.Value(string(WAN), "suspend")
 	wancSusp, _ := t.Value(string(WANC), "suspend")
@@ -119,4 +48,69 @@ func (o Options) RunPersistentVM() (*Table, error) {
 		t.AddNote("meta-data restore speeds resume %.1fx", wanRes/wancRes)
 	}
 	return t, nil
+}
+
+// persistentSession runs one persistent-VM session over scenario s and
+// times its resume, work, suspend and settle. Under WAN+C the client
+// proxy also has the file channel.
+func (o Options) persistentSession(s Scenario, spec vm.Spec) ([]time.Duration, error) {
+	fs := memfs.New()
+	if err := vm.InstallImage(fs, "/vm", spec); err != nil {
+		return nil, err
+	}
+	chain := o.scenario(s, fs)
+	chain.FileChan = s == WANC
+	c, err := o.start(chain)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	monitor := vm.NewMonitor(c.Session())
+
+	resumeDur, err := timeIt(func() error {
+		machine, err := monitor.Resume("/vm", "rh73")
+		if err != nil {
+			return err
+		}
+		return machine.Close()
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// An interactive working session against the VM's disk.
+	machine, err := monitor.Resume("/vm", "rh73")
+	if err != nil {
+		return nil, err
+	}
+	params := workload.Params{Scale: o.scale() * 4} // a short session
+	guest, err := workload.NewGuestFS(machine.Disk, spec.DiskBytes,
+		c.Session().BlockSize(), workload.LaTeXInstall(params))
+	if err != nil {
+		return nil, err
+	}
+	workDur, err := timeIt(func() error {
+		_, err := workload.LaTeX(guest, params)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Suspend: the checkpointed memory state is written back
+	// through the session ("modifications ... efficiently
+	// reflected on the image server").
+	newState := spec.GenerateMemState()
+	suspendDur, err := timeIt(func() error {
+		return monitor.Suspend(machine, newState)
+	})
+	machine.Close()
+	if err != nil {
+		return nil, err
+	}
+
+	// Settle: middleware-triggered propagation of dirty state,
+	// "when the user is off-line or the session is idle".
+	settleDur, err := timeIt(c.Hop().Proxy.WriteBack)
+	return []time.Duration{resumeDur, workDur, suspendDur, settleDur}, err
 }

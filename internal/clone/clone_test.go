@@ -25,8 +25,8 @@ func spec(name string, seed int64) vm.Spec {
 
 // goldenServer declares an image server with a golden image, and hops on
 // it with a session whose page cache holds 64 pages.
-func goldenServer(hops ...stack.ProxyOptions) stacktest.Spec {
-	return stacktest.Spec{
+func goldenServer(hops ...stack.ProxyOptions) stack.ChainSpec {
+	return stack.ChainSpec{
 		Seed: func(fs *memfs.FS) {
 			if err := vm.InstallImage(fs, "/images/golden", spec("rh73", 1)); err != nil {
 				panic(err)
@@ -38,7 +38,7 @@ func goldenServer(hops ...stack.ProxyOptions) stacktest.Spec {
 
 // goldenClient declares the golden image server and a caching client
 // proxy with the full extension set enabled.
-func goldenClient() stacktest.Spec {
+func goldenClient() stack.ChainSpec {
 	spec := goldenServer(stack.ProxyOptions{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}})
 	spec.FileChan = true
 	return spec
@@ -46,8 +46,8 @@ func goldenClient() stacktest.Spec {
 
 // computeServer declares one compute server — a caching proxy with the
 // file channel and a session — against server.
-func computeServer(server *stack.ImageServer) stacktest.Spec {
-	return stacktest.Spec{Upstream: stacktest.Own, Session: gvfs.SessionConfig{PageCachePages: 64},
+func computeServer(server *stack.ImageServer) stack.ChainSpec {
+	return stack.ChainSpec{Upstream: stack.Own, Session: gvfs.SessionConfig{PageCachePages: 64},
 		Hops: []stack.ProxyOptions{{UpstreamAddr: server.ProxyAddr(), FileChanAddr: server.FileChanAddr(),
 			CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}}
 }
@@ -189,7 +189,7 @@ func TestSCPCopyBaseline(t *testing.T) {
 func TestPlainNFSResumeBaseline(t *testing.T) {
 	// No proxy cache, no metadata: a plain NFS mount.
 	plain := goldenServer()
-	plain.Upstream = stacktest.NFS
+	plain.Upstream = stack.NFS
 	e := stacktest.New(t, plain)
 	dur, err := clone.PlainNFSResume(e.Session(), "/images/golden", "rh73")
 	if err != nil {
@@ -208,12 +208,12 @@ func TestPlainNFSResumeBaseline(t *testing.T) {
 // wanCloneChain is the shape of the benchmark's wan_clone: an image server
 // across link, and a compute server's caching client proxy with the file
 // channel, which mounts no session of its own.
-func wanCloneChain(t *testing.T, link *simnet.Link) *stacktest.Chain {
+func wanCloneChain(t *testing.T, link *simnet.Link) *stack.Chain {
 	fs := memfs.New()
 	if err := vm.InstallImage(fs, "/images/g0", spec("img0", 1)); err != nil {
 		t.Fatal(err)
 	}
-	return stacktest.New(t, stacktest.Spec{FS: fs, Link: link, FileChan: true, NoSession: true,
+	return stacktest.New(t, stack.ChainSpec{FS: fs, Link: link, FileChan: true, NoSession: true,
 		Hops: []stack.ProxyOptions{{FileChanLink: link,
 			CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}}})
 }
@@ -221,9 +221,9 @@ func wanCloneChain(t *testing.T, link *simnet.Link) *stacktest.Chain {
 // instantiate is one wan_clone instantiation of img0 into /clones/<pass>
 // through a fresh session: the MOUNT, the clone, one 64 KiB boot extent
 // (two windows) and the first redo-log page.
-func instantiate(t *testing.T, c *stacktest.Chain, pass string) {
+func instantiate(t *testing.T, c *stack.Chain, pass string) {
 	t.Helper()
-	sess := c.Mount(gvfs.SessionConfig{PageCachePages: 64,
+	sess := stacktest.Mount(t, c, gvfs.SessionConfig{PageCachePages: 64,
 		Cred: sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute"}.Encode()})
 	res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/" + pass,
 		Name: "img0", User: "alice", KeepVM: true})
@@ -385,7 +385,7 @@ func TestCloneMkdirFailsDuringStateRead(t *testing.T) {
 // config, so opening it sends nothing across the link and finds it empty.
 func TestOpenRedoLogAfterClone(t *testing.T) {
 	c := wanCloneChain(t, simnet.NewLink(simnet.Local()))
-	sess := c.Mount(gvfs.SessionConfig{PageCachePages: 64})
+	sess := stacktest.Mount(t, c, gvfs.SessionConfig{PageCachePages: 64})
 	res, err := clone.Clone(sess, clone.Options{GoldenDir: "/images/g0", CloneDir: "/clones/c1", Name: "img0", KeepVM: true})
 	if err != nil {
 		t.Fatal(err)

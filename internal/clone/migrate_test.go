@@ -2,6 +2,7 @@ package clone_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack"
 	"gvfs/internal/stack/stacktest"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestMigrateMovesRunningVM(t *testing.T) {
 	if err := vm.InstallImage(fs, "/vm", s); err != nil {
 		t.Fatal(err)
 	}
-	server := stacktest.New(t, stacktest.Spec{FS: fs, NoSession: true}).Server
+	server := stacktest.New(t, stack.ChainSpec{FS: fs, NoSession: true}).Server
 
 	src := stacktest.New(t, computeServer(server))
 	srcNode, srcSess := src.Hop(), src.Session()
@@ -68,7 +69,7 @@ func TestMigrateRequiresSettle(t *testing.T) {
 	fs := memfs.New()
 	s := vm.Spec{Name: "rh73", MemoryBytes: 1 << 20, DiskBytes: 4 << 20, Seed: 5}
 	vm.InstallImage(fs, "/vm", s)
-	server := stacktest.New(t, stacktest.Spec{FS: fs, NoSession: true}).Server
+	server := stacktest.New(t, stack.ChainSpec{FS: fs, NoSession: true}).Server
 	srcSess := stacktest.New(t, computeServer(server)).Session()
 	srcMonitor := vm.NewMonitor(srcSess)
 	machine, err := srcMonitor.Resume("/vm", "rh73")

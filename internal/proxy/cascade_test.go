@@ -23,8 +23,8 @@ const cascadeBS = 8192
 // twoLevels declares the cascade: a session of the grid user on a
 // first-level caching proxy, over a second-level one, over the image
 // server.
-func twoLevels(policy1, policy2 cache.Policy) stacktest.Spec {
-	return stacktest.Spec{
+func twoLevels(policy1, policy2 cache.Policy) stack.ChainSpec {
+	return stack.ChainSpec{
 		Hops: []stack.ProxyOptions{
 			{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: cascadeBS, Policy: policy1}},
 			{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: cascadeBS, Policy: policy2}},
@@ -82,7 +82,7 @@ func TestCascadedFlushAbsorbedInRuns(t *testing.T) {
 		t.Fatalf("%d bytes reached the origin before the second level flushed", len(data))
 	}
 	// The second level answers for the data it holds.
-	got, err := c.Mount(gvfs.SessionConfig{Addr: level2.Addr, Cred: stacktest.Cred}).ReadFile("/out.img")
+	got, err := stacktest.Mount(t, c, gvfs.SessionConfig{Addr: level2.Addr, Cred: stacktest.Cred}).ReadFile("/out.img")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read through the second level: err=%v, %d bytes, equal=%v", err, len(got), bytes.Equal(got, payload))
 	}

@@ -35,14 +35,14 @@ import (
 // them verbatim) while staying far smaller than the working set, so reads
 // keep missing into the replica set instead of being absorbed.
 func replChain(t *testing.T, profiles []simnet.Profile, seed func(*memfs.FS),
-	rcfg replbe.Config, cliOpts sunrpc.ClientOptions) *stacktest.Chain {
-	return stacktest.New(t, stacktest.Spec{Upstream: stacktest.Repl, Replicas: profiles, Seed: seed, ReplicaClient: cliOpts,
+	rcfg replbe.Config, cliOpts sunrpc.ClientOptions) *stack.Chain {
+	return stacktest.New(t, stack.ChainSpec{Upstream: stack.Repl, Replicas: profiles, Seed: seed, ReplicaClient: cliOpts,
 		Hops: []stack.ProxyOptions{{ReplConfig: rcfg,
 			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 1, BlockSize: 8192, Policy: cache.WriteThrough}}}})
 }
 
 // repl returns the composite's current stats from /statusz.
-func repl(t *testing.T, c *stacktest.Chain) *replbe.Stats {
+func repl(t *testing.T, c *stack.Chain) *replbe.Stats {
 	t.Helper()
 	doc := c.Hop().Proxy.Statusz()
 	if doc.Replication == nil {
@@ -52,7 +52,7 @@ func repl(t *testing.T, c *stacktest.Chain) *replbe.Stats {
 }
 
 // waitRepl polls the replication stats until cond holds.
-func waitRepl(t *testing.T, c *stacktest.Chain, what string, timeout time.Duration, cond func(*replbe.Stats) bool) {
+func waitRepl(t *testing.T, c *stack.Chain, what string, timeout time.Duration, cond func(*replbe.Stats) bool) {
 	t.Helper()
 	proxy.WaitUntil(t, "replica set to reach "+what, timeout, func() bool { return cond(repl(t, c)) })
 }

@@ -280,7 +280,7 @@ func TestChaosOverloadStallWithAggressiveTenant(t *testing.T) {
 	files := make([]*gvfs.File, 16)
 	for i := range files {
 		var err error
-		files[i], err = c.Mount(gvfs.SessionConfig{Cred: aggCred}).Open("/big")
+		files[i], err = stacktest.Mount(t, c, gvfs.SessionConfig{Cred: aggCred}).Open("/big")
 		if err != nil {
 			t.Fatalf("aggressor open: %v", err)
 		}

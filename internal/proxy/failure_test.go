@@ -26,9 +26,9 @@ import (
 
 // wbHop declares a session on one proxy with opts and a small write-back
 // disk cache, over an image server of fs (nil: a new one) across link.
-func wbHop(fs *memfs.FS, link *simnet.Link, opts stack.ProxyOptions) stacktest.Spec {
+func wbHop(fs *memfs.FS, link *simnet.Link, opts stack.ProxyOptions) stack.ChainSpec {
 	opts.CacheConfig = &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}
-	return stacktest.Spec{FS: fs, Link: link, Hops: []stack.ProxyOptions{opts}}
+	return stack.ChainSpec{FS: fs, Link: link, Hops: []stack.ProxyOptions{opts}}
 }
 
 func TestUpstreamDeathSurfacesErrors(t *testing.T) {

@@ -36,7 +36,7 @@ func TestChainReadOwnership(t *testing.T) {
 	deadChan := l.Addr().String()
 	l.Close()
 	const cacheBlocks = 32
-	c := stacktest.New(t, stacktest.Spec{
+	c := stacktest.New(t, stack.ChainSpec{
 		Hops: []stack.ProxyOptions{{
 			CacheConfig:  &cache.Config{Banks: 2, SetsPerBank: 8, Assoc: 2, BlockSize: bs, Policy: cache.WriteBack},
 			ReadAhead:    8,

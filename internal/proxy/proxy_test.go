@@ -21,8 +21,8 @@ import (
 // oneHop declares the chain most tests here run on: an image server, one
 // client proxy with a disk cache of the given policy, and a session of the
 // grid user.
-func oneHop(policy cache.Policy) stacktest.Spec {
-	return stacktest.Spec{
+func oneHop(policy cache.Policy) stack.ChainSpec {
+	return stack.ChainSpec{
 		Hops:    []stack.ProxyOptions{{CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: policy}}},
 		Session: gvfs.SessionConfig{Cred: stacktest.Cred},
 	}
@@ -568,7 +568,7 @@ func TestCascadedProxies(t *testing.T) {
 	// Two proxy levels (the paper's LAN second-level cache): client
 	// proxy -> LAN proxy -> server proxy -> NFS server.
 	payload := bytes.Repeat([]byte{0x42}, 64*1024)
-	c := stacktest.New(t, stacktest.Spec{
+	c := stacktest.New(t, stack.ChainSpec{
 		Seed: func(fs *memfs.FS) { fs.WriteFile("/vm.vmdk", payload) },
 		Hops: []stack.ProxyOptions{
 			{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}},
@@ -613,7 +613,7 @@ func TestConcurrentSessionsThroughOneProxy(t *testing.T) {
 }
 
 func TestNoCacheProxyPureForwarding(t *testing.T) {
-	e := stacktest.New(t, stacktest.Spec{Hops: []stack.ProxyOptions{{}}, Session: gvfs.SessionConfig{Cred: stacktest.Cred}})
+	e := stacktest.New(t, stack.ChainSpec{Hops: []stack.ProxyOptions{{}}, Session: gvfs.SessionConfig{Cred: stacktest.Cred}})
 	payload := bytes.Repeat([]byte{0x11}, 32*1024)
 	e.FS.WriteFile("/p.dat", payload)
 	got, err := e.Session().ReadFile("/p.dat")
@@ -642,13 +642,13 @@ func TestStatusErrorsPropagate(t *testing.T) {
 
 func TestProxyWarmRestartWithPersistedIndex(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x3C}, 128*1024)
-	server := stacktest.New(t, stacktest.Spec{
+	server := stacktest.New(t, stack.ChainSpec{
 		Seed:      func(fs *memfs.FS) { fs.WriteFile("/warm.bin", payload) },
 		NoSession: true,
 	}).Server
 	cfg := cache.Config{Dir: t.TempDir(), Banks: 16, SetsPerBank: 16, Assoc: 4,
 		BlockSize: 8192, Policy: cache.WriteBack}
-	lifetime := stacktest.Spec{Upstream: stacktest.Own,
+	lifetime := stack.ChainSpec{Upstream: stack.Own,
 		Hops: []stack.ProxyOptions{{UpstreamAddr: server.ProxyAddr(), CacheConfig: &cfg}}}
 
 	// First proxy lifetime: read everything, save the index.
@@ -683,7 +683,7 @@ func TestCascadedWriteConsistency(t *testing.T) {
 	// Writes absorbed by a first-level write-back proxy must reach the
 	// end server through a second-level (write-through) proxy when the
 	// middleware settles the session.
-	c := stacktest.New(t, stacktest.Spec{Hops: []stack.ProxyOptions{
+	c := stacktest.New(t, stack.ChainSpec{Hops: []stack.ProxyOptions{
 		{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}},
 		{CacheConfig: &cache.Config{Banks: 8, SetsPerBank: 8, Assoc: 2, BlockSize: 8192, Policy: cache.WriteThrough}},
 	}})
@@ -705,7 +705,7 @@ func TestCascadedWriteConsistency(t *testing.T) {
 	}
 	// The middle (write-through) proxy now also has the fresh blocks
 	// cached: a cold client re-read must not produce stale data.
-	got, err := c.Mount(gvfs.SessionConfig{Addr: lanProxy.Addr}).ReadFile("/cascade.dat")
+	got, err := stacktest.Mount(t, c, gvfs.SessionConfig{Addr: lanProxy.Addr}).ReadFile("/cascade.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("stale data at LAN level: %v", err)
 	}
@@ -720,7 +720,7 @@ func TestTwoSessionsShareProxyState(t *testing.T) {
 	if err := e.Session().WriteFile("/shared.dat", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Mount(gvfs.SessionConfig{}).ReadFile("/shared.dat")
+	got, err := stacktest.Mount(t, e, gvfs.SessionConfig{}).ReadFile("/shared.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("second session missed absorbed writes: %v", err)
 	}
@@ -767,7 +767,7 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	// read-only disk cache: the second proxy hits on blocks the first
 	// one fetched (paper §3.2.1 shared read-only caches).
 	payload := bytes.Repeat([]byte{0xC0}, 64*1024)
-	origin := stacktest.New(t, stacktest.Spec{
+	origin := stacktest.New(t, stack.ChainSpec{
 		Seed:      func(fs *memfs.FS) { fs.WriteFile("/golden.vmdk", payload) },
 		NoSession: true,
 	})
@@ -782,7 +782,7 @@ func TestSharedReadOnlyCache(t *testing.T) {
 	defer shared.Close()
 
 	mkProxy := func() (*stack.Node, *gvfs.Session) {
-		c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Hops: []stack.ProxyOptions{{
+		c := stacktest.New(t, stack.ChainSpec{Upstream: stack.Own, Hops: []stack.ProxyOptions{{
 			UpstreamAddr: origin.Server.ProxyAddr(), SharedBlockCache: shared}}})
 		return c.Hop(), c.Session()
 	}
@@ -837,7 +837,7 @@ func TestSharedCacheMustBeReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writable.Close()
-	if _, err := stacktest.Start(t, stacktest.Spec{Upstream: stacktest.NFS,
+	if _, err := stacktest.Start(t, stack.ChainSpec{Upstream: stack.NFS,
 		Hops: []stack.ProxyOptions{{SharedBlockCache: writable}}}); err == nil {
 		t.Error("writable shared cache accepted")
 	}

@@ -27,12 +27,12 @@ var raUpstreamKinds = []string{stack.BackendNFS3, stack.BackendObjstore}
 // file as the upstream stores it. Read-ahead asks every backend the same
 // thing — one Read per run, concurrent Reads for concurrent runs — so the
 // expectations below do not depend on the kind.
-func raChain(t *testing.T, kind, path string, payload []byte) (*stacktest.Chain, func(string) []byte) {
+func raChain(t *testing.T, kind, path string, payload []byte) (*stack.Chain, func(string) []byte) {
 	t.Helper()
 	hop := stack.ProxyOptions{ReadAhead: 8,
 		CacheConfig: &cache.Config{Banks: 16, SetsPerBank: 16, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}}
 	if kind == stack.BackendNFS3 {
-		c := stacktest.New(t, stacktest.Spec{Seed: func(fs *memfs.FS) { fs.WriteFile(path, payload) },
+		c := stacktest.New(t, stack.ChainSpec{Seed: func(fs *memfs.FS) { fs.WriteFile(path, payload) },
 			Hops: []stack.ProxyOptions{hop}})
 		return c, func(path string) []byte {
 			data, _ := c.FS.ReadFile(path)
@@ -43,7 +43,7 @@ func raChain(t *testing.T, kind, path string, payload []byte) (*stacktest.Chain,
 	if err := objstore.New(hop.ObjstoreStore, 0).CreateFile(path, payload); err != nil {
 		t.Fatal(err)
 	}
-	return stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Hops: []stack.ProxyOptions{hop}}),
+	return stacktest.New(t, stack.ChainSpec{Upstream: stack.Objstore, Hops: []stack.ProxyOptions{hop}}),
 		func(path string) []byte {
 			// A fresh backend over the same store: no state shared with
 			// the proxy's.
@@ -166,7 +166,7 @@ func joinHeldRun(t *testing.T, flush bool) []obs.Trace {
 	fs.WriteFile("/seq.bin", payload)
 	// Demand brings blocks 0, 1..3 and 4..7; the runs ahead start at 8.
 	origin := &gatedOrigin{Backend: fs, from: 8 * bs, gate: make(chan struct{})}
-	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, NoSession: true,
+	node := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, Origin: origin, NoSession: true,
 		Hops: []stack.ProxyOptions{{ReadAhead: 8, TraceRing: 4 * blocks,
 			CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 16, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}}},
 	}).Hop()

@@ -143,13 +143,13 @@ func controlPlaneRun(t *testing.T, node *stack.Node, seed []byte) (steps []strin
 func TestControlPlaneConformance(t *testing.T) {
 	seed := chaosPattern(20000, 0)
 
-	overNFS := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, NoSession: true,
+	overNFS := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, NoSession: true,
 		Seed: func(fs *memfs.FS) { fs.WriteFile("/seed.img", seed) }, Hops: []stack.ProxyOptions{{}}}).Hop()
 	store := objstore.NewMemStore()
 	if err := objstore.New(store, 0).CreateFile("/seed.img", seed); err != nil {
 		t.Fatal(err)
 	}
-	overObj := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, NoSession: true,
+	overObj := stacktest.New(t, stack.ChainSpec{Upstream: stack.Objstore, NoSession: true,
 		Hops: []stack.ProxyOptions{{ObjstoreStore: store}}}).Hop()
 
 	steps, want := controlPlaneRun(t, overNFS, seed)
@@ -194,7 +194,7 @@ func TestAllReplicasDownIsSystemErr(t *testing.T) {
 		stores = append(stores, b)
 		reps = append(reps, replbe.Replica{Name: fmt.Sprintf("r%d", i), B: b})
 	}
-	node := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, NoSession: true, Hops: []stack.ProxyOptions{{
+	node := stacktest.New(t, stack.ChainSpec{Upstream: stack.Own, NoSession: true, Hops: []stack.ProxyOptions{{
 		Backend:         stack.BackendRepl,
 		ReplicaBackends: reps,
 		ReplConfig:      replbe.Config{ScrubInterval: -1, ProbeInterval: time.Hour},
@@ -322,7 +322,7 @@ func TestReplicaSetOwnsTheRetry(t *testing.T) {
 	}
 	spy, primary := spies[0], servers[0]
 
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Own, Session: gvfs.SessionConfig{Cred: seamCred}, Hops: []stack.ProxyOptions{{
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.Own, Session: gvfs.SessionConfig{Cred: seamCred}, Hops: []stack.ProxyOptions{{
 		Backend:             stack.BackendRepl,
 		Replicas:            []string{"nfs3:" + addrs[0], "nfs3:" + addrs[1]},
 		UpstreamCallTimeout: callTimeout,
@@ -424,7 +424,7 @@ func TestLongObjectPathHandles(t *testing.T) {
 		if cached {
 			hop.CacheConfig = &cache.Config{Banks: 4, SetsPerBank: 4, Assoc: 2, BlockSize: 8192, Policy: cache.WriteBack}
 		}
-		c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.Objstore, Session: gvfs.SessionConfig{Cred: seamCred},
+		c := stacktest.New(t, stack.ChainSpec{Upstream: stack.Objstore, Session: gvfs.SessionConfig{Cred: seamCred},
 			Hops: []stack.ProxyOptions{hop}})
 		node, nc, root := c.Hop(), c.Session().NFS(), c.Session().Root()
 

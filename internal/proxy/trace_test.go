@@ -44,7 +44,7 @@ func TestTracePropagationAcrossChain(t *testing.T) {
 	// Rings larger than the test's calls: no recording an exemplar names
 	// is overwritten.
 	link := simnet.NewLink(simnet.Profile{Name: "trace-lan", RTT: time.Millisecond})
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, FS: fs, Link: lan,
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, FS: fs, Link: lan,
 		Hops: []stack.ProxyOptions{
 			{UpstreamLink: link, TraceRing: 512, FlightRing: 512, SlowThreshold: slow,
 				CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 8, Assoc: 4, BlockSize: 8192, Policy: cache.WriteBack}},
@@ -208,7 +208,7 @@ func TestTraceTiesColdScanOpsToOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	origin := &readCountingOrigin{Backend: fs}
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: origin, NoSession: true,
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, Origin: origin, NoSession: true,
 		Hops: []stack.ProxyOptions{
 			{TraceRing: 4 * blocks,
 				CacheConfig: &cache.Config{Banks: 4, SetsPerBank: 32, Assoc: 4, BlockSize: bs, Policy: cache.WriteBack}},

@@ -38,9 +38,9 @@ func lanHop(fileChan string) stack.ProxyOptions {
 
 // lanChain builds a LAN cache server over an image server of the files
 // seed writes, and the relay beside it.
-func lanChain(t *testing.T, seed func(*memfs.FS)) (*stacktest.Chain, *stack.Node) {
+func lanChain(t *testing.T, seed func(*memfs.FS)) (*stack.Chain, *stack.Node) {
 	t.Helper()
-	c := stacktest.New(t, stacktest.Spec{Seed: seed, Hops: []stack.ProxyOptions{lanHop("")}, FileChan: true, NoSession: true})
+	c := stacktest.New(t, stack.ChainSpec{Seed: seed, Hops: []stack.ProxyOptions{lanHop("")}, FileChan: true, NoSession: true})
 	return c, startRelay(t, c.Hop(), c.Server.FileChanAddr())
 }
 
@@ -157,7 +157,7 @@ func TestFileChanRelayMissGoesUpstreamOnce(t *testing.T) {
 	writeImage(t, fs, "/golden/img.vmss", img)
 	store := &slowOpens{FS: fs, want: clients, arrived: make(chan struct{})}
 	fc := fileChanServer(t, store)
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, FS: fs, Hops: []stack.ProxyOptions{lanHop(fc)}, NoSession: true})
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, FS: fs, Hops: []stack.ProxyOptions{lanHop(fc)}, NoSession: true})
 	relay := startRelay(t, c.Hop(), fc)
 
 	var wg sync.WaitGroup
@@ -186,7 +186,7 @@ func TestFileChanRelayNotStale(t *testing.T) {
 	c, relay := lanChain(t, func(fs *memfs.FS) { writeImage(t, fs, "/img.vmss", a) })
 	mustGet(t, relay.Addr, "/img.vmss", a, "first fetch")
 
-	sess := c.Mount(gvfs.SessionConfig{Cred: stacktest.Cred})
+	sess := stacktest.Mount(t, c, gvfs.SessionConfig{Cred: stacktest.Cred})
 	if err := sess.WriteFile("/img.vmss", b); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFileChanRelayNotStale(t *testing.T) {
 	if got, _ := c.FS.ReadFile("/img.vmss"); !bytes.Equal(got, cc) {
 		t.Fatal("the PUT did not reach the image server")
 	}
-	got, err := c.Mount(gvfs.SessionConfig{Cred: stacktest.Cred}).ReadFile("/img.vmss")
+	got, err := stacktest.Mount(t, c, gvfs.SessionConfig{Cred: stacktest.Cred}).ReadFile("/img.vmss")
 	if err != nil || !bytes.Equal(got, cc) {
 		t.Fatalf("read through the LAN proxy after a PUT: %d bytes starting %q, err=%v", len(got), got[:min(len(got), 4)], err)
 	}
@@ -247,7 +247,7 @@ func TestFileChanRelayPutDuringFill(t *testing.T) {
 	writeImage(t, fs, "/img.vmss", old)
 	store := &gatedStore{FS: fs, opened: make(chan struct{}), release: make(chan struct{})}
 	fc := fileChanServer(t, store)
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, FS: fs, Hops: []stack.ProxyOptions{lanHop(fc)}, NoSession: true})
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, FS: fs, Hops: []stack.ProxyOptions{lanHop(fc)}, NoSession: true})
 	relay := startRelay(t, c.Hop(), fc)
 
 	filled := make(chan error, 1)
@@ -272,7 +272,7 @@ func TestFileChanRelayPutDuringFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustGet(t, relay.Addr, "/img.vmss", fresh, "fetch after the PUT")
-	got, err := c.Mount(gvfs.SessionConfig{Cred: stacktest.Cred}).ReadFile("/img.vmss")
+	got, err := stacktest.Mount(t, c, gvfs.SessionConfig{Cred: stacktest.Cred}).ReadFile("/img.vmss")
 	if err != nil || !bytes.Equal(got, fresh) {
 		t.Fatalf("read through the LAN proxy after the PUT: %d bytes starting %q, err=%v", len(got), got[:min(len(got), 4)], err)
 	}
@@ -290,7 +290,7 @@ func TestFileChanRelayBounded(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	img := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 7}, size/3+1)[:size] }
-	c := stacktest.New(t, stacktest.Spec{Hops: []stack.ProxyOptions{hop}, FileChan: true, NoSession: true, Seed: func(fs *memfs.FS) {
+	c := stacktest.New(t, stack.ChainSpec{Hops: []stack.ProxyOptions{hop}, FileChan: true, NoSession: true, Seed: func(fs *memfs.FS) {
 		for i := range images {
 			writeImage(t, fs, fmt.Sprintf("/images/g%d.vmss", i), img(i))
 		}

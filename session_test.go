@@ -21,7 +21,7 @@ import (
 
 // mountTestSession wires a session straight to a memfs NFS server.
 func mountTestSession(t testing.TB, pages int) (*gvfs.Session, *memfs.FS) {
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Session: gvfs.SessionConfig{
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, Session: gvfs.SessionConfig{
 		Cred: sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode(), PageCachePages: pages}})
 	return c.Session(), c.FS
 }
@@ -338,7 +338,7 @@ func TestConcurrentFileAccess(t *testing.T) {
 }
 
 func TestLargeBlockSizeSession(t *testing.T) {
-	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS,
+	sess := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS,
 		Session: gvfs.SessionConfig{BlockSize: 32768, PageCachePages: 8}}).Session()
 	payload := bytes.Repeat([]byte{0xBB}, 100_000) // spans 32 KB blocks
 	if err := sess.WriteFile("/big", payload); err != nil {
@@ -389,7 +389,7 @@ func TestResolveAndMkdirAllRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: fs}).Session()
+	sess := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, Origin: fs}).Session()
 	calls := func(step string, f func() error, lookups, mkdirs int64) {
 		t.Helper()
 		l0, m0 := fs.lookups.Load(), fs.mkdirs.Load()
@@ -471,7 +471,7 @@ func mountSpySession(t *testing.T, cfg gvfs.SessionConfig, size int) (*gvfs.Sess
 	if err := spy.WriteFile("/f", want); err != nil {
 		t.Fatal(err)
 	}
-	sess := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS, Origin: spy, Session: cfg}).Session()
+	sess := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS, Origin: spy, Session: cfg}).Session()
 	return sess, spy, want
 }
 
@@ -712,7 +712,7 @@ func TestSessionReadMetricsUnits(t *testing.T) {
 // reads a shared one; after a flush the origin holds every result.
 func TestSessionConcurrentUse(t *testing.T) {
 	shared := bytes.Repeat([]byte("golden config "), 1000)
-	c := stacktest.New(t, stacktest.Spec{
+	c := stacktest.New(t, stack.ChainSpec{
 		Seed: func(fs *memfs.FS) {
 			if err := fs.WriteFile("/shared.vmx", shared); err != nil {
 				panic(err)

@@ -2,6 +2,7 @@ package gvfs_test
 
 import (
 	"bytes"
+	"gvfs/internal/stack"
 	"gvfs/internal/stack/stacktest"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // File.Close committed — so a session-level close could silently skip
 // the commit that surfaces propagation failures.
 
-func mountCloseTestSession(t *testing.T) (*gvfs.Session, *memfs.FS, *stacktest.Chain) {
-	c := stacktest.New(t, stacktest.Spec{Upstream: stacktest.NFS,
+func mountCloseTestSession(t *testing.T) (*gvfs.Session, *memfs.FS, *stack.Chain) {
+	c := stacktest.New(t, stack.ChainSpec{Upstream: stack.NFS,
 		Session: gvfs.SessionConfig{Cred: sunrpc.UnixCred{UID: 1, GID: 1, MachineName: "t"}.Encode()}})
 	return c.Session(), c.FS, c
 }
