@@ -11,11 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/osfs"
+	"gvfs/internal/simnet"
 	"gvfs/internal/sunrpc"
 )
 
@@ -40,7 +40,7 @@ func main() {
 	md.Export(*export, rootFH)
 	srv.Register(nfs3.MountProgram, nfs3.MountVersion, md)
 
-	l, err := net.Listen("tcp", *listen)
+	l, err := simnet.Listen(*listen, nil)
 	if err != nil {
 		log.Fatalf("nfsd: %v", err)
 	}

@@ -33,6 +33,7 @@ import (
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
 	"gvfs/internal/pagecache"
+	"gvfs/internal/simnet"
 	"gvfs/internal/sunrpc"
 )
 
@@ -43,8 +44,9 @@ const DefaultBlockSize = 8192
 
 // SessionConfig describes how to establish a GVFS session.
 type SessionConfig struct {
-	// Addr is the TCP address of the first hop (client proxy, or the
-	// NFS server itself). Ignored when Dial is set.
+	// Addr is the address of the first hop (client proxy, or the NFS
+	// server itself): a TCP address, or a pipe:N name on simnet's
+	// in-memory network (see simnet.Dial). Ignored when Dial is set.
 	Addr string
 	// Dial, when set, produces the transport connection (e.g. through
 	// a simnet link or tunnel).
@@ -110,7 +112,7 @@ func Mount(cfg SessionConfig) (*Session, error) {
 	dial := cfg.Dial
 	if dial == nil {
 		addr := cfg.Addr
-		dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+		dial = func() (net.Conn, error) { return simnet.Dial(addr, nil) }
 	}
 	conn, err := dial()
 	if err != nil {

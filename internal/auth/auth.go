@@ -41,7 +41,6 @@ type Allocator struct {
 	base  uint32
 	count uint32
 	ttl   time.Duration
-	now   func() time.Time
 
 	mu     sync.Mutex
 	byUser map[string]*Identity
@@ -55,20 +54,16 @@ func NewAllocator(base, count uint32, ttl time.Duration) *Allocator {
 		base:   base,
 		count:  count,
 		ttl:    ttl,
-		now:    time.Now,
 		byUser: make(map[string]*Identity),
 		inUse:  make(map[uint32]string),
 	}
 }
 
-// SetClock overrides the time source (tests).
-func (a *Allocator) SetClock(now func() time.Time) { a.now = now }
-
 // Allocate returns the identity for gridUser, creating or renewing it.
 func (a *Allocator) Allocate(gridUser string) (Identity, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.now()
+	now := time.Now()
 	if id, ok := a.byUser[gridUser]; ok {
 		id.Expires = now.Add(a.ttl) // renew on use
 		return *id, nil
@@ -92,7 +87,7 @@ func (a *Allocator) Lookup(gridUser string) (Identity, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	id, ok := a.byUser[gridUser]
-	if !ok || !id.Valid(a.now()) {
+	if !ok || !id.Valid(time.Now()) {
 		return Identity{}, false
 	}
 	return *id, true
@@ -112,7 +107,7 @@ func (a *Allocator) Revoke(gridUser string) {
 func (a *Allocator) Expire() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.expireLocked(a.now())
+	return a.expireLocked(time.Now())
 }
 
 func (a *Allocator) expireLocked(now time.Time) int {

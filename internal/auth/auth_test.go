@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"gvfs/internal/bubble"
 	"gvfs/internal/sunrpc"
 )
 
@@ -64,35 +65,42 @@ func TestRevokeFreesSlot(t *testing.T) {
 	}
 }
 
+// testTTL is the identity lifetime of the tests that wait for one to
+// run out: short, since in real time they wait it out.
+const testTTL = 200 * time.Millisecond
+
 func TestExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	a := NewAllocator(60000, 1, time.Minute)
-	a.SetClock(func() time.Time { return now })
-	a.Allocate("u1")
-	if n := a.Expire(); n != 0 {
-		t.Errorf("expired %d fresh identities", n)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := a.Lookup("u1"); ok {
-		t.Error("expired identity still valid")
-	}
-	// The expired slot is reclaimable.
-	if _, err := a.Allocate("u2"); err != nil {
-		t.Errorf("allocation after expiry failed: %v", err)
-	}
+	bubble.Run(t, func(t *testing.T) {
+		a := NewAllocator(60000, 1, testTTL)
+		a.Allocate("u1")
+		if n := a.Expire(); n != 0 {
+			t.Errorf("expired %d fresh identities", n)
+		}
+		time.Sleep(2 * testTTL)
+		if _, ok := a.Lookup("u1"); ok {
+			t.Error("expired identity still valid")
+		}
+		// The expired slot is reclaimable.
+		if _, err := a.Allocate("u2"); err != nil {
+			t.Errorf("allocation after expiry failed: %v", err)
+		}
+	})
 }
 
+// TestRenewalOnUse renews an identity halfway through its lifetime and
+// looks it up after the first lifetime has run out, before the renewed
+// one has.
 func TestRenewalOnUse(t *testing.T) {
-	now := time.Unix(1000, 0)
-	a := NewAllocator(60000, 4, time.Minute)
-	a.SetClock(func() time.Time { return now })
-	a.Allocate("u1")
-	now = now.Add(50 * time.Second)
-	a.Allocate("u1") // renews
-	now = now.Add(50 * time.Second)
-	if _, ok := a.Lookup("u1"); !ok {
-		t.Error("identity expired despite renewal")
-	}
+	bubble.Run(t, func(t *testing.T) {
+		a := NewAllocator(60000, 4, testTTL)
+		a.Allocate("u1")
+		time.Sleep(testTTL / 2)
+		a.Allocate("u1") // renews
+		time.Sleep(testTTL * 3 / 5)
+		if _, ok := a.Lookup("u1"); !ok {
+			t.Error("identity expired despite renewal")
+		}
+	})
 }
 
 func TestLive(t *testing.T) {
@@ -183,70 +191,73 @@ func TestQuickDistinctUsersDistinctUIDs(t *testing.T) {
 // renewed by memoised calls, and a revoked or expired identity that
 // comes back under another UID is re-encoded, not served from the memo.
 func TestMapperMemoHonoursAllocator(t *testing.T) {
-	now := time.Unix(1000, 0)
-	a := NewAllocator(60000, 4, time.Minute)
-	a.SetClock(func() time.Time { return now })
-	m := NewMapper(a)
-	alice := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode()
-	uidOf := func(out sunrpc.OpaqueAuth) uint32 {
-		t.Helper()
-		uc, err := sunrpc.DecodeUnixCred(out)
-		if err != nil {
-			t.Fatal(err)
+	bubble.Run(t, func(t *testing.T) {
+		a := NewAllocator(60000, 4, testTTL)
+		m := NewMapper(a)
+		alice := sunrpc.UnixCred{UID: 500, GID: 500, MachineName: "compute1"}.Encode()
+		uidOf := func(out sunrpc.OpaqueAuth) uint32 {
+			t.Helper()
+			uc, err := sunrpc.DecodeUnixCred(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uc.MachineName != "gvfs-proxy" || len(uc.GIDs) != 1 || uc.GIDs[0] != uc.GID {
+				t.Fatalf("outgoing credential %+v", uc)
+			}
+			return uc.UID
 		}
-		if uc.MachineName != "gvfs-proxy" || len(uc.GIDs) != 1 || uc.GIDs[0] != uc.GID {
-			t.Fatalf("outgoing credential %+v", uc)
+		rewrite := func(cred sunrpc.OpaqueAuth) (uint32, Identity) {
+			t.Helper()
+			out, id, err := m.Rewrite(cred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := uidOf(out); got != id.UID {
+				t.Fatalf("credential carries uid %d, identity is %d", got, id.UID)
+			}
+			return id.UID, id
 		}
-		return uc.UID
-	}
-	rewrite := func(cred sunrpc.OpaqueAuth) (uint32, Identity) {
-		t.Helper()
-		out, id, err := m.Rewrite(cred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := uidOf(out); got != id.UID {
-			t.Fatalf("credential carries uid %d, identity is %d", got, id.UID)
-		}
-		return id.UID, id
-	}
 
-	first, _ := rewrite(alice)
-	// Renewal on use, through the memo.
-	for i := 0; i < 3; i++ {
-		now = now.Add(50 * time.Second)
-		if uid, id := rewrite(alice); uid != first || !id.Expires.Equal(now.Add(time.Minute)) {
-			t.Fatalf("memoised call %d: uid %d (first %d), expires %v at %v", i, uid, first, id.Expires, now)
+		first, lease := rewrite(alice)
+		// Renewal on use, through the memo.
+		for i := 0; i < 3; i++ {
+			time.Sleep(testTTL / 10)
+			now := time.Now()
+			uid, id := rewrite(alice)
+			if uid != first || !id.Expires.After(lease.Expires) || id.Expires.Before(now.Add(testTTL)) {
+				t.Fatalf("memoised call %d: uid %d (first %d), expires %v at %v, was %v", i, uid, first, id.Expires, now, lease.Expires)
+			}
+			lease = id
 		}
-	}
-	// Revoked, and the slot taken by someone else before alice returns.
-	a.Revoke("uid500@compute1")
-	a.next = first - 60000 // the allocator would otherwise move on by itself
-	if _, err := a.Allocate("bob"); err != nil {
-		t.Fatal(err)
-	}
-	second, id := rewrite(alice)
-	if second == first || id.GridUser != "uid500@compute1" {
-		t.Fatalf("after revoke and reuse of uid %d alice maps to uid %d (%+v)", first, second, id)
-	}
-	// Expired, slot reused, same again.
-	now = now.Add(2 * time.Minute)
-	if n := a.Expire(); n != 2 {
-		t.Fatalf("expired %d identities, want 2", n)
-	}
-	a.next = second - 60000
-	if _, err := a.Allocate("carol"); err != nil {
-		t.Fatal(err)
-	}
-	if third, _ := rewrite(alice); third == second {
-		t.Fatalf("after expiry and reuse of uid %d alice still maps to it", second)
-	}
-	// Pool exhausted for a new user: the error, not a stale entry.
-	a.Allocate("dave")
-	a.Allocate("erin")
-	if _, _, err := m.Rewrite(sunrpc.UnixCred{UID: 501, MachineName: "compute1"}.Encode()); err != ErrPoolExhausted {
-		t.Fatalf("fifth user: %v, want ErrPoolExhausted", err)
-	}
+		// Revoked, and the slot taken by someone else before alice returns.
+		a.Revoke("uid500@compute1")
+		a.next = first - 60000 // the allocator would otherwise move on by itself
+		if _, err := a.Allocate("bob"); err != nil {
+			t.Fatal(err)
+		}
+		second, id := rewrite(alice)
+		if second == first || id.GridUser != "uid500@compute1" {
+			t.Fatalf("after revoke and reuse of uid %d alice maps to uid %d (%+v)", first, second, id)
+		}
+		// Expired, slot reused, same again.
+		time.Sleep(2 * testTTL)
+		if n := a.Expire(); n != 2 {
+			t.Fatalf("expired %d identities, want 2", n)
+		}
+		a.next = second - 60000
+		if _, err := a.Allocate("carol"); err != nil {
+			t.Fatal(err)
+		}
+		if third, _ := rewrite(alice); third == second {
+			t.Fatalf("after expiry and reuse of uid %d alice still maps to it", second)
+		}
+		// Pool exhausted for a new user: the error, not a stale entry.
+		a.Allocate("dave")
+		a.Allocate("erin")
+		if _, _, err := m.Rewrite(sunrpc.UnixCred{UID: 501, MachineName: "compute1"}.Encode()); err != ErrPoolExhausted {
+			t.Fatalf("fifth user: %v, want ErrPoolExhausted", err)
+		}
+	})
 }
 
 // Credentials the mapper cannot name a user for fail on every call and

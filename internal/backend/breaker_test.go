@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gvfs/internal/bubble"
 )
 
 const testInterval = 5 * time.Millisecond
@@ -85,126 +87,132 @@ func TestBreakerVerdicts(t *testing.T) {
 // TestBreakerConcurrentTrip contends the trip itself: one Failure call
 // wins, probes come one per interval, and Open() may be read throughout.
 func TestBreakerConcurrentTrip(t *testing.T) {
-	var probes atomic.Int64
-	b := NewBreaker(2, testInterval, func() error { probes.Add(1); return errors.New("down") }, nil)
-	defer b.Stop()
-	var wg sync.WaitGroup
-	var trips atomic.Int64
-	stopReaders := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seenOpen := false
-			for {
-				select {
-				case <-stopReaders:
-					return
-				default:
+	bubble.Run(t, func(t *testing.T) {
+		var probes atomic.Int64
+		b := NewBreaker(2, testInterval, func() error { probes.Add(1); return errors.New("down") }, nil)
+		defer b.Stop()
+		var wg sync.WaitGroup
+		var trips atomic.Int64
+		stopReaders := make(chan struct{})
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				seenOpen := false
+				for {
+					select {
+					case <-stopReaders:
+						return
+					default:
+					}
+					if open := b.Open(); seenOpen && !open {
+						t.Error("Open() went back to false with no successful probe")
+						return
+					} else if open {
+						seenOpen = true
+					}
 				}
-				if open := b.Open(); seenOpen && !open {
-					t.Error("Open() went back to false with no successful probe")
-					return
-				} else if open {
-					seenOpen = true
+			}()
+		}
+		var fwg sync.WaitGroup
+		for w := 0; w < 32; w++ {
+			fwg.Add(1)
+			go func() {
+				defer fwg.Done()
+				for i := 0; i < 50; i++ {
+					if b.Failure() {
+						trips.Add(1)
+					}
 				}
-			}
-		}()
-	}
-	var fwg sync.WaitGroup
-	for w := 0; w < 32; w++ {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			for i := 0; i < 50; i++ {
-				if b.Failure() {
-					trips.Add(1)
-				}
-			}
-		}()
-	}
-	fwg.Wait()
-	if _, transitions := b.State(); !b.Open() || trips.Load() != 1 || transitions != 1 {
-		t.Fatalf("Open() = %v, %d Failure calls reported the trip, %d transitions; want true, 1, 1",
-			b.Open(), trips.Load(), transitions)
-	}
-	close(stopReaders)
-	wg.Wait()
-	before, start := probes.Load(), time.Now()
-	for i := 0; i < 8; i++ {
-		time.Sleep(testInterval)
-	}
-	intervals := int64(time.Since(start)/testInterval) + 1
-	if got := probes.Load() - before; got == 0 || got > intervals+2 {
-		t.Errorf("%d probes in %d intervals; want one probe loop's worth", got, intervals)
-	}
+			}()
+		}
+		fwg.Wait()
+		if _, transitions := b.State(); !b.Open() || trips.Load() != 1 || transitions != 1 {
+			t.Fatalf("Open() = %v, %d Failure calls reported the trip, %d transitions; want true, 1, 1",
+				b.Open(), trips.Load(), transitions)
+		}
+		close(stopReaders)
+		wg.Wait()
+		before, start := probes.Load(), time.Now()
+		for i := 0; i < 8; i++ {
+			time.Sleep(testInterval)
+		}
+		intervals := int64(time.Since(start)/testInterval) + 1
+		if got := probes.Load() - before; got == 0 || got > intervals+2 {
+			t.Errorf("%d probes in %d intervals; want one probe loop's worth", got, intervals)
+		}
+	})
 }
 
 // TestBreakerProbeClosesAndFiresHookOnce: the first successful probe
 // closes the breaker, runs the hook once, and ends the probing; a
 // second outage starts it again.
 func TestBreakerProbeClosesAndFiresHookOnce(t *testing.T) {
-	var up atomic.Bool
-	var probes, hooks atomic.Int64
-	b := NewBreaker(1, testInterval, func() error {
-		probes.Add(1)
-		if up.Load() {
-			return nil
+	bubble.Run(t, func(t *testing.T) {
+		var up atomic.Bool
+		var probes, hooks atomic.Int64
+		b := NewBreaker(1, testInterval, func() error {
+			probes.Add(1)
+			if up.Load() {
+				return nil
+			}
+			return errors.New("down")
+		}, func() { hooks.Add(1) })
+		defer b.Stop()
+		for outage := int64(1); outage <= 2; outage++ {
+			up.Store(false)
+			if !b.Failure() {
+				t.Fatalf("outage %d: Failure at threshold 1 did not trip", outage)
+			}
+			settle(t, "a failed probe", func() bool { return probes.Load() > 0 })
+			if !b.Open() {
+				t.Fatalf("outage %d: closed while the probe still fails", outage)
+			}
+			up.Store(true)
+			settle(t, "the breaker to close", func() bool { return !b.Open() })
+			settle(t, "the hook", func() bool { return hooks.Load() == outage })
+			if since, transitions := b.State(); !since.IsZero() || transitions != uint64(outage) {
+				t.Errorf("outage %d: open since %v, %d transitions after recovery", outage, since, transitions)
+			}
+			settled := probes.Load()
+			for i := 0; i < 4; i++ {
+				time.Sleep(testInterval)
+			}
+			if extra := probes.Load() - settled; extra != 0 {
+				t.Errorf("outage %d: %d probes after recovery", outage, extra)
+			}
+			if got := hooks.Load(); got != outage {
+				t.Errorf("outage %d: hook ran %d times in all", outage, got)
+			}
+			probes.Store(0)
 		}
-		return errors.New("down")
-	}, func() { hooks.Add(1) })
-	defer b.Stop()
-	for outage := int64(1); outage <= 2; outage++ {
-		up.Store(false)
-		if !b.Failure() {
-			t.Fatalf("outage %d: Failure at threshold 1 did not trip", outage)
+		// Recover on a closed breaker is a no-op.
+		b.Recover()
+		if hooks.Load() != 2 {
+			t.Error("Recover on a closed breaker ran the hook")
 		}
-		settle(t, "a failed probe", func() bool { return probes.Load() > 0 })
-		if !b.Open() {
-			t.Fatalf("outage %d: closed while the probe still fails", outage)
-		}
-		up.Store(true)
-		settle(t, "the breaker to close", func() bool { return !b.Open() })
-		settle(t, "the hook", func() bool { return hooks.Load() == outage })
-		if since, transitions := b.State(); !since.IsZero() || transitions != uint64(outage) {
-			t.Errorf("outage %d: open since %v, %d transitions after recovery", outage, since, transitions)
-		}
-		settled := probes.Load()
-		for i := 0; i < 4; i++ {
-			time.Sleep(testInterval)
-		}
-		if extra := probes.Load() - settled; extra != 0 {
-			t.Errorf("outage %d: %d probes after recovery", outage, extra)
-		}
-		if got := hooks.Load(); got != outage {
-			t.Errorf("outage %d: hook ran %d times in all", outage, got)
-		}
-		probes.Store(0)
-	}
-	// Recover on a closed breaker is a no-op.
-	b.Recover()
-	if hooks.Load() != 2 {
-		t.Error("Recover on a closed breaker ran the hook")
-	}
+	})
 }
 
 // TestBreakerStopEndsProbing: once Stop returns the prober is gone; the
 // breaker keeps its state.
 func TestBreakerStopEndsProbing(t *testing.T) {
-	var probes atomic.Int64
-	b := NewBreaker(1, testInterval, func() error { probes.Add(1); return errors.New("down") }, nil)
-	b.Failure()
-	settle(t, "a probe", func() bool { return probes.Load() > 0 })
-	b.Stop()
-	stopped := probes.Load()
-	for i := 0; i < 4; i++ {
-		time.Sleep(testInterval)
-	}
-	if extra := probes.Load() - stopped; extra != 0 {
-		t.Errorf("%d probes after Stop returned", extra)
-	}
-	if !b.Open() {
-		t.Error("Stop closed the breaker")
-	}
-	b.Stop() // idempotent
+	bubble.Run(t, func(t *testing.T) {
+		var probes atomic.Int64
+		b := NewBreaker(1, testInterval, func() error { probes.Add(1); return errors.New("down") }, nil)
+		b.Failure()
+		settle(t, "a probe", func() bool { return probes.Load() > 0 })
+		b.Stop()
+		stopped := probes.Load()
+		for i := 0; i < 4; i++ {
+			time.Sleep(testInterval)
+		}
+		if extra := probes.Load() - stopped; extra != 0 {
+			t.Errorf("%d probes after Stop returned", extra)
+		}
+		if !b.Open() {
+			t.Error("Stop closed the breaker")
+		}
+		b.Stop() // idempotent
+	})
 }

@@ -73,16 +73,15 @@ type Config struct {
 	// pass (default 30s; negative disables the loop — ScrubNow still
 	// works).
 	ScrubInterval time.Duration
-
-	// hedgeMinDelay / hedgeMaxDelay clamp the hedge delay (defaults
-	// 1ms / 2s), so a fast steady state cannot hedge every call and a
-	// slow one still hedges within the caller's patience. Only the
-	// package's tests set them.
-	hedgeMinDelay time.Duration
-	hedgeMaxDelay time.Duration
 }
 
 const (
+	// hedgeMinDelay and hedgeMaxDelay clamp the hedge delay, so a fast
+	// steady state cannot hedge every call and a slow one still hedges
+	// within the caller's patience.
+	hedgeMinDelay = time.Millisecond
+	hedgeMaxDelay = 2 * time.Second
+
 	// scrubBlockSize is the block granularity of the scrub's hash
 	// comparison.
 	scrubBlockSize = 8192
@@ -93,12 +92,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.HedgeQuantile == 0 {
 		c.HedgeQuantile = 0.95
-	}
-	if c.hedgeMinDelay <= 0 {
-		c.hedgeMinDelay = time.Millisecond
-	}
-	if c.hedgeMaxDelay <= 0 {
-		c.hedgeMaxDelay = 2 * time.Second
 	}
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 0.1
@@ -455,7 +448,7 @@ func (c *Backend) hedgeDelay(opts backend.CallOpts) time.Duration {
 	if c.cfg.HedgeQuantile < 0 || c.lat.count() < hedgeWarmup {
 		return 0
 	}
-	d := min(max(c.lat.quantile(c.cfg.HedgeQuantile), c.cfg.hedgeMinDelay), c.cfg.hedgeMaxDelay)
+	d := min(max(c.lat.quantile(c.cfg.HedgeQuantile), hedgeMinDelay), hedgeMaxDelay)
 	if rem, ok := opts.Remaining(); ok && rem <= 2*d {
 		// No budget for a second attempt after the delay; spend the
 		// whole deadline on the primary instead.

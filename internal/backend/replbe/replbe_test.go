@@ -10,6 +10,7 @@ import (
 
 	"gvfs/internal/backend"
 	"gvfs/internal/backend/objstore"
+	"gvfs/internal/bubble"
 	"gvfs/internal/bufpool"
 )
 
@@ -244,53 +245,58 @@ func (s *slowBackend) Read(f backend.FileID, off uint64, count uint32, opts back
 }
 
 func TestHedgedReadBeatsStalledReplica(t *testing.T) {
-	content := fileContent(40960)
-	slow := &slowBackend{Backend: mkObj(t, content)}
-	// The hedge target carries a constant 300µs so the other replica is
-	// deterministically the EWMA-preferred primary.
-	fast := &slowBackend{Backend: mkObj(t, content)}
-	fast.delayNs.Store(int64(300 * time.Microsecond))
-	c, err := New([]Replica{{Name: "a", B: slow}, {Name: "b", B: fast}}, Config{
-		ScrubInterval: -1,
-		hedgeMinDelay: 2 * time.Millisecond,
-		hedgeMaxDelay: 5 * time.Millisecond,
-		HedgeBudget:   1.0, // the test wants every slow read hedged
-	})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	defer c.Close()
-	fid := backend.FileID(testFile)
-	// Warm the latency distribution past the hedge threshold while both
-	// replicas are fast.
-	for i := 0; i < hedgeWarmup+5; i++ {
-		if _, err := c.Read(fid, 0, 4096, backend.CallOpts{}); err != nil {
-			t.Fatalf("warmup read: %v", err)
+	bubble.Run(t, func(t *testing.T) {
+		content := fileContent(40960)
+		slow := &slowBackend{Backend: mkObj(t, content)}
+		// The hedge target carries a constant 300µs so the other replica is
+		// deterministically the EWMA-preferred primary.
+		fast := &slowBackend{Backend: mkObj(t, content)}
+		fast.delayNs.Store(int64(300 * time.Microsecond))
+		c, err := New([]Replica{{Name: "a", B: slow}, {Name: "b", B: fast}}, Config{
+			ScrubInterval: -1,
+			HedgeBudget:   1.0, // the test wants every slow read hedged
+		})
+		if err != nil {
+			t.Fatalf("new: %v", err)
 		}
-	}
-	// Stall replica a. Its EWMA is the lowest (it answered instantly so
-	// far), so it stays the first routing choice — exactly the case
-	// hedging exists for.
-	slow.delayNs.Store(int64(200 * time.Millisecond))
-	start := time.Now()
-	r, err := c.Read(fid, 0, 4096, backend.CallOpts{})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("hedged read: %v", err)
-	}
-	if !bytes.Equal(r.Data, content[:4096]) {
-		t.Fatal("hedged read returned wrong bytes")
-	}
-	if got := c.Stats().Replicas[0].EWMALatencyNs; got == 0 {
-		t.Error("primary never served the warmup reads; routing premise broken")
-	}
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("hedged read took %v; the hedge should have beaten the 200ms stall", elapsed)
-	}
-	st := c.Stats()
-	if st.HedgesFired == 0 || st.HedgesWon == 0 {
-		t.Errorf("hedge counters: fired=%d won=%d, want both > 0", st.HedgesFired, st.HedgesWon)
-	}
+		defer c.Close()
+		fid := backend.FileID(testFile)
+		// Warm the latency distribution past the hedge threshold while both
+		// replicas are fast.
+		for i := 0; i < hedgeWarmup+5; i++ {
+			if _, err := c.Read(fid, 0, 4096, backend.CallOpts{}); err != nil {
+				t.Fatalf("warmup read: %v", err)
+			}
+		}
+		if got := c.Stats().Replicas[0].Ops; got == 0 {
+			t.Fatal("primary never served the warmup reads; routing premise broken")
+		}
+		// Stall replica a. Its EWMA is the lowest (it answered instantly so
+		// far), so it stays the first routing choice — exactly the case
+		// hedging exists for.
+		slow.delayNs.Store(int64(200 * time.Millisecond))
+		start := time.Now()
+		r, err := c.Read(fid, 0, 4096, backend.CallOpts{})
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("hedged read: %v", err)
+		}
+		if !bytes.Equal(r.Data, content[:4096]) {
+			t.Fatal("hedged read returned wrong bytes")
+		}
+		// In virtual time the warm-up reads took none, so the hedge fires at
+		// the floor and replica b answers 300µs later.
+		if want := hedgeMinDelay + 300*time.Microsecond; bubble.Virtual && elapsed != want {
+			t.Errorf("hedged read took %v, want %v", elapsed, want)
+		}
+		if elapsed > 100*time.Millisecond {
+			t.Errorf("hedged read took %v; the hedge should have beaten the 200ms stall", elapsed)
+		}
+		st := c.Stats()
+		if st.HedgesFired == 0 || st.HedgesWon == 0 {
+			t.Errorf("hedge counters: fired=%d won=%d, want both > 0", st.HedgesFired, st.HedgesWon)
+		}
+	})
 }
 
 // lendingBackend answers reads as nfs3be does — in a pooled record the
@@ -322,65 +328,72 @@ func (l lendingBackend) Read(f backend.FileID, off uint64, count uint32, opts ba
 // the GC: after the stalled loser has returned, the winner's bytes are
 // still the file's, and releasing them once leaves the pool sound —
 // under poison fill a record released twice, or by the loser, panics in
-// a later round.
+// a later round. Every stalled loser's latency is observed, close to
+// half the samples, so the hedge is armed at the 30th percentile: the
+// delay stays at its floor, below the 3 ms stall.
 func TestHedgedReadOwnership(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
-	content := fileContent(40960)
-	var round atomic.Bool
-	var inflight atomic.Int64
-	round.Store(true) // nothing stalls during warm-up
-	c, err := New([]Replica{
-		{Name: "a", B: lendingBackend{mkObj(t, content), &round, &inflight}},
-		{Name: "b", B: lendingBackend{mkObj(t, content), &round, &inflight}},
-	}, Config{ScrubInterval: -1, hedgeMinDelay: 200 * time.Microsecond, hedgeMaxDelay: time.Millisecond, HedgeBudget: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fid := backend.FileID(testFile)
-	for i := 0; i < hedgeWarmup+5; i++ {
-		r, err := c.Read(fid, 0, 4096, backend.CallOpts{})
+	bubble.Run(t, func(t *testing.T) {
+		bufpool.SetDebug(true)
+		defer bufpool.SetDebug(false)
+		content := fileContent(40960)
+		var round atomic.Bool
+		var inflight atomic.Int64
+		round.Store(true) // nothing stalls during warm-up
+		c, err := New([]Replica{
+			{Name: "a", B: lendingBackend{mkObj(t, content), &round, &inflight}},
+			{Name: "b", B: lendingBackend{mkObj(t, content), &round, &inflight}},
+		}, Config{ScrubInterval: -1, HedgeQuantile: 0.3, HedgeBudget: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Release()
-	}
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		off := uint64(i%5) * 8192
-		round.Store(false)
-		r, err := c.Read(fid, off, 8192, backend.CallOpts{})
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+		defer c.Close()
+		fid := backend.FileID(testFile)
+		for i := 0; i < hedgeWarmup+5; i++ {
+			r, err := c.Read(fid, 0, 4096, backend.CallOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
 		}
-		for inflight.Load() != 0 { // the loser is still asleep
-			time.Sleep(100 * time.Microsecond)
+		const rounds = 200
+		for i := 0; i < rounds; i++ {
+			off := uint64(i%5) * 8192
+			round.Store(false)
+			r, err := c.Read(fid, off, 8192, backend.CallOpts{})
+			if err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			for inflight.Load() != 0 { // the loser is still asleep
+				time.Sleep(100 * time.Microsecond)
+			}
+			if !bytes.Equal(r.Data, content[off:off+8192]) {
+				t.Fatalf("round %d: winner's bytes changed once the loser returned", i)
+			}
+			r.Release()
 		}
-		if !bytes.Equal(r.Data, content[off:off+8192]) {
-			t.Fatalf("round %d: winner's bytes changed once the loser returned", i)
+		if st := c.Stats(); st.HedgesWon < rounds*9/10 {
+			t.Errorf("%d of %d rounds won by the hedge (%d fired): the primary was not stalled", st.HedgesWon, rounds, st.HedgesFired)
 		}
-		r.Release()
-	}
-	if st := c.Stats(); st.HedgesWon < rounds*9/10 {
-		t.Errorf("%d of %d rounds won by the hedge (%d fired): the primary was not stalled", st.HedgesWon, rounds, st.HedgesFired)
-	}
+	})
 }
 
 func TestHedgeRespectsDeadlineBudget(t *testing.T) {
-	c, _, _ := mkSet(t, 2, Config{ScrubInterval: -1, hedgeMinDelay: 50 * time.Millisecond})
-	for i := 0; i < hedgeWarmup+5; i++ {
-		c.Read(backend.FileID(testFile), 0, 512, backend.CallOpts{})
-	}
-	// Remaining budget (20ms) < 2 x hedge delay (50ms): no hedge.
-	opts := backend.CallOpts{Deadline: time.Now().Add(20 * time.Millisecond)}
-	if d := c.hedgeDelay(opts); d != 0 {
-		t.Errorf("hedgeDelay = %v under a tight deadline, want 0", d)
-	}
-	// Without a deadline the clamped delay applies.
-	if d := c.hedgeDelay(backend.CallOpts{}); d < 50*time.Millisecond {
-		t.Errorf("hedgeDelay = %v, want >= the 50ms floor", d)
-	}
+	bubble.Run(t, func(t *testing.T) {
+		c, _, _ := mkSet(t, 2, Config{ScrubInterval: -1})
+		for i := 0; i < hedgeWarmup+5; i++ {
+			c.Read(backend.FileID(testFile), 0, 512, backend.CallOpts{})
+		}
+		// Without a deadline the clamped delay applies.
+		d := c.hedgeDelay(backend.CallOpts{})
+		if d < hedgeMinDelay {
+			t.Fatalf("hedgeDelay = %v, want >= the %v floor", d, hedgeMinDelay)
+		}
+		// Remaining budget no more than 2 x hedge delay: no hedge.
+		opts := backend.CallOpts{Deadline: time.Now().Add(2 * d)}
+		if d := c.hedgeDelay(opts); d != 0 {
+			t.Errorf("hedgeDelay = %v under a tight deadline, want 0", d)
+		}
+	})
 }
 
 func TestHedgeBudgetCap(t *testing.T) {

@@ -227,7 +227,7 @@ func (o Options) RunAblationTunnel() (*Table, error) {
 	plain, _ := t.Value("plain", "cold scan")
 	tun, _ := t.Value("tunneled", "cold scan")
 	if plain > 0 {
-		t.AddNote("encryption overhead: +%.1f%%", (tun-plain)/plain*100)
+		t.AddNote("encryption overhead: %+.1f%%", (tun-plain)/plain*100)
 	}
 	return t, nil
 }

@@ -165,7 +165,7 @@ func (o Options) annotateFig4(t *Table) {
 	wanc, _ := t.Value(string(WANC), "Mean 2-20")
 	local, _ := t.Value(string(Local), "Mean 2-20")
 	if wanc > 0 && local > 0 {
-		t.AddNote("steady-state WAN+C vs Local: +%.0f%% (paper: +8%%)", (wanc-local)/local*100)
+		t.AddNote("steady-state WAN+C vs Local: %+.0f%% (paper: +8%%)", (wanc-local)/local*100)
 	}
 	if wan > 0 && wanc > 0 {
 		t.AddNote("steady-state WAN+C vs WAN: %.0f%% faster (paper: 54%%)", (wan-wanc)/wan*100)
@@ -243,10 +243,10 @@ func (o Options) annotateFig5(t *Table) {
 	wanc2, _ := t.Value("WAN+C run2", "Total")
 	wan2, _ := t.Value("WAN run2", "Total")
 	if local1 > 0 {
-		t.AddNote("cold WAN+C overhead vs Local: +%.0f%% (paper: +84%%)", (wanc1-local1)/local1*100)
+		t.AddNote("cold WAN+C overhead vs Local: %+.0f%% (paper: +84%%)", (wanc1-local1)/local1*100)
 	}
 	if local2 > 0 {
-		t.AddNote("warm WAN+C overhead vs Local: +%.0f%% (paper: +9%%)", (wanc2-local2)/local2*100)
+		t.AddNote("warm WAN+C overhead vs Local: %+.0f%% (paper: +9%%)", (wanc2-local2)/local2*100)
 	}
 	if wan2 > 0 && wanc2 > 0 {
 		t.AddNote("warm WAN+C vs WAN: %.0f%% faster (paper: >30%%)", (wan2-wanc2)/wan2*100)

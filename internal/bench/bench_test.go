@@ -28,6 +28,35 @@ func TestTableAddRowAndValue(t *testing.T) {
 	}
 }
 
+// TestSignedOverheadNotes: an overhead prints with its own sign, so a
+// WAN+C run faster than Local reads -1%, not +-1%, and a slower one +5%.
+func TestSignedOverheadNotes(t *testing.T) {
+	var o Options
+	fig5 := &Table{Columns: []string{"Total"}}
+	fig5.AddRow("Local run1", 100*time.Second)
+	fig5.AddRow("WAN+C run1", 105*time.Second)
+	fig5.AddRow("Local run2", 100*time.Second)
+	fig5.AddRow("WAN+C run2", 99*time.Second)
+	o.annotateFig5(fig5)
+	fig4 := &Table{Columns: []string{"Mean 2-20"}}
+	fig4.AddRow(string(Local), 100*time.Second)
+	fig4.AddRow(string(WANC), 94*time.Second)
+	o.annotateFig4(fig4)
+	notes := strings.Join(append(fig5.Notes, fig4.Notes...), "\n")
+	for _, want := range []string{
+		"cold WAN+C overhead vs Local: +5% ",
+		"warm WAN+C overhead vs Local: -1% ",
+		"steady-state WAN+C vs Local: -6% ",
+	} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("notes lack %q:\n%s", want, notes)
+		}
+	}
+	if strings.Contains(notes, "+-") {
+		t.Errorf("a note reads +-:\n%s", notes)
+	}
+}
+
 func TestTablePrint(t *testing.T) {
 	tab := &Table{ID: "fig9", Title: "demo", Scale: 64, Columns: []string{"x"}}
 	tab.AddRow("r", 1500*time.Millisecond)

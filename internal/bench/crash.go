@@ -4,7 +4,7 @@ package bench
 // what recovery buys:
 //
 // Part 1 — write-path overhead. Concurrent clients re-dirty their own
-// blocks in place through a TCP-loopback proxy under three journal
+// blocks in place through an in-process proxy under three journal
 // modes: no journal, batched group-fsync (the default), and fsync per
 // write. The interesting number is batch vs no-journal: group commit
 // amortizes one fsync over every write that arrived while the previous
@@ -21,7 +21,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -32,6 +31,7 @@ import (
 	"gvfs/internal/mountd"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/proxy"
+	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
 	"gvfs/internal/sunrpc"
 )
@@ -84,7 +84,7 @@ func (o Options) crashWriteOps() int {
 }
 
 // runCrashWriteMode times totalOps re-dirtying writes through a
-// TCP-loopback proxy in one journal mode.
+// proxy on the in-memory network in one journal mode.
 func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, error) {
 	run := crashWriteRun{Mode: mode, Writers: crashWriters, Ops: totalOps}
 
@@ -118,7 +118,7 @@ func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, er
 	defer c.Close()
 	node := c.Hop()
 
-	// One TCP connection per writer: real loopback round trips, and the
+	// One connection per writer: a round trip per write, and the
 	// group commit has concurrent appends to batch.
 	cred := benchCred()
 	type client struct {
@@ -128,7 +128,7 @@ func (o Options) runCrashWriteMode(mode string, totalOps int) (crashWriteRun, er
 	}
 	clients := make([]client, crashWriters)
 	for i := range clients {
-		conn, err := net.Dial("tcp", node.Addr)
+		conn, err := simnet.Dial(node.Addr, nil)
 		if err != nil {
 			return run, err
 		}
@@ -202,7 +202,7 @@ func (o Options) runCrashRecovery(dirtyBlocks int) (crashRecoveryRun, error) {
 		return run, err
 	}
 	defer origin.Close()
-	conn, err := net.Dial("tcp", origin.NFS.Addr)
+	conn, err := simnet.Dial(origin.NFS.Addr, nil)
 	if err != nil {
 		return run, err
 	}

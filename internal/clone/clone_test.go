@@ -7,6 +7,7 @@ import (
 	"time"
 
 	gvfs "gvfs"
+	"gvfs/internal/bubble"
 	"gvfs/internal/cache"
 	"gvfs/internal/clone"
 	"gvfs/internal/memfs"
@@ -254,61 +255,75 @@ func instantiate(t *testing.T, c *stack.Chain, pass string) {
 // own files. The cold clone's count bounds what a boot extent costs when
 // the session asks in windows.
 func TestWarmCloneWANRoundTrips(t *testing.T) {
-	c := wanCloneChain(t, simnet.NewLink(simnet.Local()))
-	crossed := func() uint64 { return c.OriginCalls("") }
-	procs := func() (lookups, listings uint64) { return c.OriginCalls("LOOKUP"), c.OriginCalls("READDIRPLUS") }
-	lookups, listings := procs()
-	before := crossed()
-	instantiate(t, c, "cold")
-	cold := crossed() - before
-	lookupsCold, listingsCold := procs()
-	instantiate(t, c, "warm")
-	warm := crossed() - before - cold
-	t.Logf("calls that crossed the link: cold clone %d (%d LOOKUP, %d READDIRPLUS), warm clone %d",
-		cold, lookupsCold-lookups, listingsCold-listings, warm)
-	// The cold clone's 64 KiB extent is two calls, not eight: the session
-	// asks for its two 32 KiB windows (together, so one round trip). Its
-	// names cost three listings — the root, /images, the image's directory
-	// — which answer every LOOKUP after them, the proxy's own .meta probes
-	// and the NOENT of /clones included.
-	if cold > 13 {
-		t.Errorf("cold clone sent %d calls across the link, want at most 13 (11 besides the extent's 2 windows)", cold)
-	}
-	if n := lookupsCold - lookups; n != 0 {
-		t.Errorf("%d LOOKUPs crossed the link in the cold clone, want none: every name is in a listed directory", n)
-	}
-	if n := listingsCold - listings; n > 3 {
-		t.Errorf("%d READDIRPLUS crossed the link in the cold clone, want at most 3 (/, /images, /images/g0)", n)
-	}
-	// MKDIR of the clone's directory, CREATE of its config, SYMLINK of its
-	// disk, CREATE of its redo log.
-	if warm > 4 {
-		ops := c.Server.Proxy.Proxy.Statusz().Clients
-		t.Errorf("warm clone sent %d calls across the link, want at most 4 (server proxy op mix, both clones: %+v)", warm, ops)
-	}
-	snap := c.Hop().Proxy.Snapshot()
-	if hits := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`); hits == 0 {
-		t.Error("no LOOKUP was answered from the attribute table")
-	}
+	bubble.Run(t, func(t *testing.T) {
+		c := wanCloneChain(t, simnet.NewLink(simnet.Local()))
+		crossed := func() uint64 { return c.OriginCalls("") }
+		procs := func() (lookups, listings uint64) { return c.OriginCalls("LOOKUP"), c.OriginCalls("READDIRPLUS") }
+		lookups, listings := procs()
+		before := crossed()
+		instantiate(t, c, "cold")
+		cold := crossed() - before
+		lookupsCold, listingsCold := procs()
+		instantiate(t, c, "warm")
+		warm := crossed() - before - cold
+		t.Logf("calls that crossed the link: cold clone %d (%d LOOKUP, %d READDIRPLUS), warm clone %d",
+			cold, lookupsCold-lookups, listingsCold-listings, warm)
+		// The cold clone's 64 KiB extent is two calls, not eight: the session
+		// asks for its two 32 KiB windows (together, so one round trip). Its
+		// names cost three listings — the root, /images, the image's directory
+		// — which answer every LOOKUP after them, the proxy's own .meta probes
+		// and the NOENT of /clones included.
+		if cold > 13 {
+			t.Errorf("cold clone sent %d calls across the link, want at most 13 (11 besides the extent's 2 windows)", cold)
+		}
+		if n := lookupsCold - lookups; n != 0 {
+			t.Errorf("%d LOOKUPs crossed the link in the cold clone, want none: every name is in a listed directory", n)
+		}
+		if n := listingsCold - listings; n > 3 {
+			t.Errorf("%d READDIRPLUS crossed the link in the cold clone, want at most 3 (/, /images, /images/g0)", n)
+		}
+		// MKDIR of the clone's directory, CREATE of its config, SYMLINK of its
+		// disk, CREATE of its redo log.
+		if warm > 4 {
+			ops := c.Server.Proxy.Proxy.Statusz().Clients
+			t.Errorf("warm clone sent %d calls across the link, want at most 4 (server proxy op mix, both clones: %+v)", warm, ops)
+		}
+		snap := c.Hop().Proxy.Snapshot()
+		if hits := snap.Counter(`gvfs_proxy_attr_hits_total{proc="LOOKUP"}`); hits == 0 {
+			t.Error("no LOOKUP was answered from the attribute table")
+		}
+	})
 }
 
-// TestWarmCloneWANWallTime times a warm instantiation over a link whose
-// round trip dwarfs everything local. Of its four calls across the link,
-// the config's CREATE, the disk's SYMLINK and the redo log's CREATE go out
-// together, so it waits for two round trips: MKDIR, then those three. The
-// memory state is read during them. One at a time, with the MOUNT
-// crossing too, it would wait for five.
+// TestWarmCloneWANWallTime times a cold and then a warm instantiation
+// over a link whose round trip dwarfs everything local. Of the warm
+// clone's four calls across the link, the config's CREATE, the disk's
+// SYMLINK and the redo log's CREATE go out together, so it waits for two
+// round trips: MKDIR, then those three. The memory state is read during
+// them. One at a time, with the MOUNT crossing too, it would wait for
+// five. In virtual time the link's round trips are all the time there
+// is, so both figures are exact: 9 round trips cold, 2 warm.
 func TestWarmCloneWANWallTime(t *testing.T) {
-	const rtt = 200 * time.Millisecond
-	c := wanCloneChain(t, simnet.NewLink(simnet.Profile{Name: "far", RTT: rtt}))
-	instantiate(t, c, "cold")
-	start := time.Now()
-	instantiate(t, c, "warm")
-	d := time.Since(start)
-	t.Logf("warm clone: %v, %.2f round trips of %v", d, float64(d)/float64(rtt), rtt)
-	if d >= rtt*5/2 {
-		t.Errorf("warm clone took %v, %.1f round trips of %v; want under 2.5", d, float64(d)/float64(rtt), rtt)
-	}
+	wall := time.Now()
+	bubble.Run(t, func(t *testing.T) {
+		const rtt = 200 * time.Millisecond
+		c := wanCloneChain(t, simnet.NewLink(simnet.Profile{Name: "far", RTT: rtt}))
+		start := time.Now()
+		instantiate(t, c, "cold")
+		cold := time.Since(start)
+		start = time.Now()
+		instantiate(t, c, "warm")
+		d := time.Since(start)
+		t.Logf("cold clone: %v, warm clone: %v, %.2f round trips of %v", cold, d, float64(d)/float64(rtt), rtt)
+		if bubble.Virtual {
+			if cold != 9*rtt || d != 2*rtt {
+				t.Errorf("cold clone took %v and warm %v; want exactly 9 and 2 round trips of %v", cold, d, rtt)
+			}
+		} else if d >= rtt*5/2 {
+			t.Errorf("warm clone took %v, %.1f round trips of %v; want under 2.5", d, float64(d)/float64(rtt), rtt)
+		}
+	})
+	t.Logf("wall time: %v", time.Since(wall))
 }
 
 // TestCloneMissingGoldenConfig: a clone whose golden config is not there

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gvfs/internal/bubble"
 )
 
 func TestAdmitFastPath(t *testing.T) {
@@ -246,57 +248,61 @@ func TestOversizedCostDoesNotDeadlock(t *testing.T) {
 }
 
 func TestBrownoutHysteresis(t *testing.T) {
-	s := New(Config{BrownoutEnter: 10 * time.Millisecond})
-	defer s.Close()
-	if s.Brownout() {
-		t.Fatal("brownout must start clear")
-	}
-	s.mu.Lock()
-	s.observeDelayLocked(100 * time.Millisecond) // EWMA jumps to 20ms
-	s.mu.Unlock()
-	if !s.Brownout() {
-		t.Fatalf("brownout must trip at EWMA %v >= 10ms", s.QueueDelayEWMA())
-	}
-	// Exit needs the EWMA to decay below Enter/4 = 2.5ms, not merely
-	// below Enter — hysteresis prevents flapping.
-	s.mu.Lock()
-	s.observeDelayLocked(0)
-	stillIn := s.brownout.Load()
-	s.mu.Unlock()
-	if !stillIn {
-		t.Fatal("one low sample must not clear brownout (hysteresis)")
-	}
-	// Even with the EWMA fully decayed, the dwell bound holds the
-	// state for brownoutDwell before the exit is allowed.
-	for i := 0; i < 40; i++ {
+	bubble.Run(t, func(t *testing.T) {
+		s := New(Config{BrownoutEnter: 10 * time.Millisecond})
+		defer s.Close()
+		if s.Brownout() {
+			t.Fatal("brownout must start clear")
+		}
+		s.mu.Lock()
+		s.observeDelayLocked(100 * time.Millisecond) // EWMA jumps to 20ms
+		s.mu.Unlock()
+		if !s.Brownout() {
+			t.Fatalf("brownout must trip at EWMA %v >= 10ms", s.QueueDelayEWMA())
+		}
+		// Exit needs the EWMA to decay below Enter/4 = 2.5ms, not merely
+		// below Enter — hysteresis prevents flapping.
+		s.mu.Lock()
+		s.observeDelayLocked(0)
+		stillIn := s.brownout.Load()
+		s.mu.Unlock()
+		if !stillIn {
+			t.Fatal("one low sample must not clear brownout (hysteresis)")
+		}
+		// Even with the EWMA fully decayed, the dwell bound holds the
+		// state for brownoutDwell before the exit is allowed.
+		for i := 0; i < 40; i++ {
+			s.mu.Lock()
+			s.observeDelayLocked(0)
+			s.mu.Unlock()
+		}
+		if !s.Brownout() {
+			t.Fatal("exit inside the dwell window must be suppressed")
+		}
+		time.Sleep(brownoutDwell + 100*time.Millisecond)
 		s.mu.Lock()
 		s.observeDelayLocked(0)
 		s.mu.Unlock()
-	}
-	if !s.Brownout() {
-		t.Fatal("exit inside the dwell window must be suppressed")
-	}
-	time.Sleep(brownoutDwell + 100*time.Millisecond)
-	s.mu.Lock()
-	s.observeDelayLocked(0)
-	s.mu.Unlock()
-	if s.Brownout() {
-		t.Fatalf("brownout must clear after decay+dwell, EWMA %v", s.QueueDelayEWMA())
-	}
+		if s.Brownout() {
+			t.Fatalf("brownout must clear after decay+dwell, EWMA %v", s.QueueDelayEWMA())
+		}
+	})
 }
 
 // With no traffic at all, the sampling ticker must decay the EWMA and
 // clear brownout — a stale burst cannot pin degraded mode forever.
 func TestBrownoutAutoRecoversWhenIdle(t *testing.T) {
-	s := New(Config{BrownoutEnter: 10 * time.Millisecond})
-	defer s.Close()
-	s.mu.Lock()
-	s.observeDelayLocked(time.Second)
-	s.mu.Unlock()
-	if !s.Brownout() {
-		t.Fatal("setup: brownout should be active")
-	}
-	waitFor(t, func() bool { return !s.Brownout() })
+	bubble.Run(t, func(t *testing.T) {
+		s := New(Config{BrownoutEnter: 10 * time.Millisecond})
+		defer s.Close()
+		s.mu.Lock()
+		s.observeDelayLocked(time.Second)
+		s.mu.Unlock()
+		if !s.Brownout() {
+			t.Fatal("setup: brownout should be active")
+		}
+		waitFor(t, func() bool { return !s.Brownout() })
+	})
 }
 
 func TestCloseFailsQueuedWaiters(t *testing.T) {

@@ -1,21 +1,25 @@
 // Package simnet emulates wide-area and local-area network links on
-// top of real loopback connections. It stands in for the paper's
-// physical networks: the 100 Mbit/s campus Ethernet between compute
-// and LAN image servers, and the Abilene path between the University
-// of Florida and Northwestern University for the WAN image server.
+// top of TCP connections or of its own in-memory network (Listen on
+// "pipe:"). It stands in for the paper's physical networks: the
+// 100 Mbit/s campus Ethernet between compute and LAN image servers, and
+// the Abilene path between the University of Florida and Northwestern
+// University for the WAN image server.
 //
 // A Link applies one-way propagation delay and token-bucket bandwidth
 // shaping to every byte that crosses it, and accounts traffic so
 // experiments can report wire bytes alongside wall time. Shaping is
 // enforced with real sleeps, so measured wall-clock durations include
 // the same latency·RPC-count and bytes/bandwidth terms that dominate
-// the paper's results.
+// the paper's results. Inside a testing/synctest bubble those sleeps
+// take virtual time, so a chain on pipes runs a WAN at CPU speed.
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -409,12 +413,22 @@ type Listener struct {
 	link *Link
 }
 
-// Listen starts a TCP listener on addr whose accepted connections are
-// shaped by link.
-func Listen(addr string, link *Link) (*Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+// Listen starts a listener on addr. An address "pipe:" opens one on the
+// in-memory network under a fresh name, pipe:N (see Addr); any other
+// address is a TCP listener. With a link, every accepted connection is
+// shaped by it; with a nil link the listener is returned unwrapped.
+func Listen(addr string, link *Link) (net.Listener, error) {
+	var l net.Listener
+	if addr == pipePrefix {
+		l = listenPipe()
+	} else {
+		var err error
+		if l, err = net.Listen("tcp", addr); err != nil {
+			return nil, err
+		}
+	}
+	if link == nil {
+		return l, nil
 	}
 	return &Listener{Listener: l, link: link}, nil
 }
@@ -428,8 +442,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 	return l.link.ServerConn(conn), nil
 }
 
-// Dial connects to addr and shapes the client side with link. While
-// the link is partitioned, dialing fails as a real SYN would.
+// checkDial refuses a dial through a partitioned link, as a lost SYN
+// would.
 func (l *Link) checkDial() error {
 	if l.Partitioned() {
 		return fmt.Errorf("simnet: %s link partitioned", l.p.Name)
@@ -437,17 +451,148 @@ func (l *Link) checkDial() error {
 	return nil
 }
 
-// Dial connects to addr and shapes the client side with link.
+// Dial connects to addr: a pipe:N name on the in-memory network, any
+// other address over TCP. With a link, the connection's writes cross its
+// uplink, and a partitioned link refuses the dial; with a nil link the
+// connection is returned unwrapped.
 func Dial(addr string, link *Link) (net.Conn, error) {
-	if err := link.checkDial(); err != nil {
-		return nil, err
+	if link != nil {
+		if err := link.checkDial(); err != nil {
+			return nil, err
+		}
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
+	var conn net.Conn
+	var err error
+	if strings.HasPrefix(addr, pipePrefix) {
+		conn, err = dialPipe(addr)
+	} else {
+		conn, err = net.Dial("tcp", addr)
+	}
+	if err != nil || link == nil {
+		return conn, err
 	}
 	return link.ClientConn(conn), nil
 }
+
+// --- the in-memory network -------------------------------------------
+//
+// A listener on "pipe:" gets the next name, pipe:N, and a dial to that
+// name hands the listener one end of a net.Pipe and the dialer the other.
+// Nothing leaves the process and nothing waits on the kernel, so a chain
+// built on pipes runs inside a testing/synctest bubble: every wait in it
+// is on a channel, a timer or a sleep.
+
+// pipePrefix is the address prefix of the in-memory network.
+const pipePrefix = "pipe:"
+
+// pipeBacklog bounds the dialed connections a pipe listener holds that
+// its owner has not accepted yet; a dial beyond it is refused, as by a
+// full accept queue. A dial never waits for Accept, as a TCP connect
+// does not, and 256 is more than any chain dials at once.
+const pipeBacklog = 256
+
+// pipeNet is the registry of open pipe listeners by name.
+var pipeNet = struct {
+	sync.Mutex
+	next      int
+	listeners map[string]*pipeListener
+}{listeners: make(map[string]*pipeListener)}
+
+// pipeAddr is a name on the in-memory network: pipe:N for a listener,
+// pipe:N.K for the K-th connection dialed to it.
+type pipeAddr string
+
+func (a pipeAddr) Network() string { return "pipe" }
+func (a pipeAddr) String() string  { return string(a) }
+
+// pipeConn is one end of a dialed pipe, with the names of its ends.
+type pipeConn struct {
+	net.Conn
+	local, remote pipeAddr
+}
+
+func (c *pipeConn) LocalAddr() net.Addr  { return c.local }
+func (c *pipeConn) RemoteAddr() net.Addr { return c.remote }
+
+type pipeListener struct {
+	addr   pipeAddr
+	conns  chan net.Conn // dialed, not yet accepted
+	done   chan struct{} // closed by Close
+	dialed int           // connections dialed so far; under pipeNet
+}
+
+func listenPipe() *pipeListener {
+	pipeNet.Lock()
+	defer pipeNet.Unlock()
+	pipeNet.next++
+	l := &pipeListener{
+		addr:  pipeAddr(fmt.Sprintf("%s%d", pipePrefix, pipeNet.next)),
+		conns: make(chan net.Conn, pipeBacklog),
+		done:  make(chan struct{}),
+	}
+	pipeNet.listeners[string(l.addr)] = l
+	return l
+}
+
+// dialPipe connects to the pipe listener named addr. A name nobody
+// listens on, or whose listener is closed, is refused.
+func dialPipe(addr string) (net.Conn, error) {
+	pipeNet.Lock()
+	defer pipeNet.Unlock()
+	l := pipeNet.listeners[addr]
+	if l == nil {
+		return nil, &net.OpError{Op: "dial", Net: "pipe", Addr: pipeAddr(addr), Err: errRefused}
+	}
+	l.dialed++
+	cli, srv := net.Pipe()
+	name := pipeAddr(fmt.Sprintf("%s.%d", addr, l.dialed))
+	select {
+	case l.conns <- &pipeConn{Conn: srv, local: l.addr, remote: name}:
+	default:
+		cli.Close()
+		srv.Close()
+		return nil, &net.OpError{Op: "dial", Net: "pipe", Addr: l.addr, Err: errRefused}
+	}
+	return &pipeConn{Conn: cli, local: name, remote: l.addr}, nil
+}
+
+var errRefused = errors.New("connection refused")
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case <-l.done:
+		return nil, net.ErrClosed
+	default:
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close takes the name off the network and closes the connections dialed
+// but not accepted, so their dialers read EOF, as after a reset.
+func (l *pipeListener) Close() error {
+	pipeNet.Lock()
+	defer pipeNet.Unlock()
+	if pipeNet.listeners[string(l.addr)] != l {
+		return net.ErrClosed
+	}
+	delete(pipeNet.listeners, string(l.addr))
+	close(l.done)
+	for {
+		select {
+		case c := <-l.conns:
+			c.Close()
+		default:
+			return nil
+		}
+	}
+}
+
+func (l *pipeListener) Addr() net.Addr { return l.addr }
 
 // Pipe returns an in-process connection pair shaped by link: cli's
 // writes traverse the uplink, srv's the downlink. It avoids TCP

@@ -63,9 +63,9 @@ type ChainSpec struct {
 	// on the last hop, and a fresh directory under WorkDir as its cache
 	// Dir.
 	Hops []ProxyOptions
-	// Link is the path to the origin: nil for plain loopback, or a
-	// simnet link (simnet.NewLink(simnet.LAN()) or WAN()) the caller can
-	// also fault.
+	// Link is the path to the origin: nil for an unshaped connection, or
+	// a simnet link (simnet.NewLink(simnet.LAN()) or WAN()) the caller
+	// can also fault.
 	Link *simnet.Link
 	// FileChan points the first hop at a MemFS image server's file
 	// channel: its address, Link and key, where the hop leaves them empty.
@@ -104,8 +104,11 @@ type Chain struct {
 	origin  func() // closes the MemFS or NFS origin, once
 }
 
-// StartChain builds the chain spec declares. On error, everything it
-// started is closed and every directory it made removed.
+// StartChain builds the chain spec declares. Every node it starts
+// listens on simnet's in-memory network, unless a hop names its own
+// ListenAddr: nothing opens a socket, so the whole chain can run inside
+// a testing/synctest bubble. On error, everything it started is closed
+// and every directory it made removed.
 func StartChain(spec ChainSpec) (_ *Chain, err error) {
 	c := &Chain{FS: spec.FS}
 	defer func() {
@@ -124,7 +127,7 @@ func StartChain(spec ChainSpec) (_ *Chain, err error) {
 	var up ProxyOptions
 	switch spec.Upstream {
 	case MemFS:
-		if c.Server, err = StartImageServer(c.FS, ImageServerOptions{Link: spec.Link, Encrypt: spec.Encrypt}); err != nil {
+		if c.Server, err = startImageServer(c.FS, ImageServerOptions{Link: spec.Link, Encrypt: spec.Encrypt}, inMemory); err != nil {
 			return nil, err
 		}
 		c.origin = sync.OnceFunc(c.Server.Close)
@@ -136,7 +139,7 @@ func StartChain(spec ChainSpec) (_ *Chain, err error) {
 		if origin == nil {
 			origin = c.FS
 		}
-		if c.NFS, err = StartNFSServer(origin, NFSServerOptions{ListenLink: spec.Link}); err != nil {
+		if c.NFS, err = startNFSServer(origin, NFSServerOptions{ListenLink: spec.Link}, inMemory); err != nil {
 			return nil, err
 		}
 		c.origin = sync.OnceFunc(c.NFS.Close)
@@ -173,6 +176,9 @@ func StartChain(spec ChainSpec) (_ *Chain, err error) {
 				o.FileChanLink = spec.Link
 			}
 		}
+		if o.ListenAddr == "" {
+			o.ListenAddr = inMemory
+		}
 		if o.CacheConfig != nil && o.CacheConfig.Dir == "" {
 			dir, err := os.MkdirTemp(spec.WorkDir, fmt.Sprintf("hop%d-cache-", i))
 			if err != nil {
@@ -203,6 +209,10 @@ func StartChain(spec ChainSpec) (_ *Chain, err error) {
 	return c, nil
 }
 
+// inMemory is the address a chain's nodes listen on: a fresh name on
+// simnet's in-memory network each.
+const inMemory = "pipe:"
+
 // startReplicas starts a Repl chain's NFS servers and returns the last
 // hop's upstream: the replica set, and replica 0 as the control-plane
 // relay.
@@ -220,7 +230,7 @@ func (c *Chain) startReplicas(spec ChainSpec) (ProxyOptions, error) {
 		if spec.Seed != nil {
 			spec.Seed(fs)
 		}
-		server, err := StartNFSServer(fs, NFSServerOptions{})
+		server, err := startNFSServer(fs, NFSServerOptions{}, inMemory)
 		if err != nil {
 			return up, err
 		}

@@ -2,9 +2,9 @@ package stack_test
 
 import (
 	"os"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	gvfs "gvfs"
 	"gvfs/internal/cache"
@@ -30,30 +30,32 @@ func TestChainMountWithoutHops(t *testing.T) {
 	}
 }
 
-// openSockets counts the process's open sockets.
-func openSockets(t *testing.T) int {
+// nextPipe returns the number the in-memory network gives the next
+// listener: every listener takes the next pipe:N.
+func nextPipe(t *testing.T) int {
 	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
+	l, err := simnet.Listen("pipe:", nil)
 	if err != nil {
-		t.Skipf("cannot list open descriptors: %v", err)
+		t.Fatal(err)
 	}
-	n := 0
-	for _, fd := range fds {
-		if dst, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(dst, "socket:") {
-			n++
-		}
+	l.Close()
+	n, err := strconv.Atoi(strings.TrimPrefix(l.Addr().String(), "pipe:"))
+	if err != nil {
+		t.Fatalf("pipe listener address %s: %v", l.Addr(), err)
 	}
-	return n
+	return n + 1
 }
 
 // TestFailedChainLeavesNothing starts a chain whose first hop cannot
 // start (its cache's blocks exceed an NFS transfer) behind a working
 // second hop and a WAN image server: StartChain fails, and what it built
 // before, the origin's listeners and the second hop's cache directory
-// included, is gone.
+// included, is gone. The chain listens on the in-memory network, so
+// every name it took between two probes of the next free name must
+// refuse a dial: a listener left open would take it.
 func TestFailedChainLeavesNothing(t *testing.T) {
 	work := t.TempDir()
-	before := openSockets(t)
+	first := nextPipe(t)
 	_, err := stack.StartChain(stack.ChainSpec{
 		Link: simnet.NewLink(simnet.WAN()), Encrypt: true, FileChan: true, WorkDir: work,
 		Hops: []stack.ProxyOptions{
@@ -67,11 +69,17 @@ func TestFailedChainLeavesNothing(t *testing.T) {
 	if left, err := os.ReadDir(work); err != nil || len(left) != 0 {
 		t.Errorf("work directory after the failed start: %v (err %v), want empty", left, err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for openSockets(t) > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sockets open after the failed start, %d before", openSockets(t), before)
+	// The image server's NFS server, proxy and file channel, and the
+	// second hop.
+	last := nextPipe(t) - 1
+	if built := last - first; built < 4 {
+		t.Fatalf("the failed start took %d listener names, want at least 4", built)
+	}
+	for n := first; n < last; n++ {
+		addr := "pipe:" + strconv.Itoa(n)
+		if c, err := simnet.Dial(addr, nil); err == nil {
+			c.Close()
+			t.Errorf("%s still accepts connections after the failed start", addr)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -95,20 +95,15 @@ func (n *Node) serve(srv server, l net.Listener) <-chan error {
 	return done
 }
 
-// ListenOn opens a listener on addr (empty = an ephemeral loopback
-// port), optionally shaped by link and wrapped in a tunnel responder
-// with key. Exported for the daemons.
+// ListenOn opens a listener on addr through simnet.Listen (empty = an
+// ephemeral loopback TCP port, "pipe:" = a fresh name on simnet's
+// in-memory network), optionally shaped by link and wrapped in a tunnel
+// responder with key. Exported for the daemons.
 func ListenOn(addr string, link *simnet.Link, key []byte) (net.Listener, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	var l net.Listener
-	var err error
-	if link != nil {
-		l, err = simnet.Listen(addr, link)
-	} else {
-		l, err = net.Listen("tcp", addr)
-	}
+	l, err := simnet.Listen(addr, link)
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +186,11 @@ func (t *tunnelListener) Close() error {
 	return err
 }
 
-// Dialer returns a dial function to addr, optionally shaped by link
-// and upgraded to a tunnel initiator with key.
+// Dialer returns a dial function to addr (see simnet.Dial), optionally
+// shaped by link and upgraded to a tunnel initiator with key.
 func Dialer(addr string, link *simnet.Link, key []byte) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
-		var conn net.Conn
-		var err error
-		if link != nil {
-			conn, err = simnet.Dial(addr, link)
-		} else {
-			conn, err = net.Dial("tcp", addr)
-		}
+		conn, err := simnet.Dial(addr, link)
 		if err != nil {
 			return nil, err
 		}
@@ -231,6 +220,11 @@ type NFSServerOptions struct {
 
 // StartNFSServer runs a userspace NFS+MOUNT server for backend.
 func StartNFSServer(backend nfs3.Backend, opts NFSServerOptions) (*Node, error) {
+	return startNFSServer(backend, opts, "")
+}
+
+// startNFSServer is StartNFSServer listening on addr (see ListenOn).
+func startNFSServer(backend nfs3.Backend, opts NFSServerOptions, addr string) (*Node, error) {
 	root, err := backend.Root()
 	if err != nil {
 		return nil, err
@@ -246,7 +240,7 @@ func StartNFSServer(backend nfs3.Backend, opts NFSServerOptions) (*Node, error) 
 		md.Export(e, root)
 	}
 	srv.Register(nfs3.MountProgram, nfs3.MountVersion, md)
-	l, err := ListenOn("", opts.ListenLink, opts.ListenKey)
+	l, err := ListenOn(addr, opts.ListenLink, opts.ListenKey)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +251,12 @@ func StartNFSServer(backend nfs3.Backend, opts NFSServerOptions) (*Node, error) 
 
 // StartFileChanServer runs a file-channel service for store.
 func StartFileChanServer(store filechan.FileStore, link *simnet.Link, key []byte) (*Node, error) {
-	l, err := ListenOn("", link, key)
+	return startFileChanServer(store, "", link, key)
+}
+
+// startFileChanServer is StartFileChanServer listening on addr.
+func startFileChanServer(store filechan.FileStore, addr string, link *simnet.Link, key []byte) (*Node, error) {
+	l, err := ListenOn(addr, link, key)
 	if err != nil {
 		return nil, err
 	}
@@ -277,8 +276,10 @@ const (
 // proxy, LAN second-level proxy and server-side identity-mapping proxy
 // are this one struct filled in differently.
 type ProxyOptions struct {
-	// ListenAddr is the address the proxy serves NFS and MOUNT on.
-	// Empty picks an ephemeral loopback port (see Node.Addr).
+	// ListenAddr is the address the proxy serves NFS and MOUNT on (see
+	// ListenOn): empty picks an ephemeral loopback TCP port, "pipe:" a
+	// fresh name on simnet's in-memory network, which is what StartChain
+	// gives every hop that names none (see Node.Addr).
 	ListenAddr string
 	// ListenLink / ListenKey shape and protect this proxy's listener.
 	ListenLink *simnet.Link
@@ -780,7 +781,13 @@ type ImageServerOptions struct {
 
 // StartImageServer assembles a full image server around fs.
 func StartImageServer(fs *memfs.FS, opts ImageServerOptions) (*ImageServer, error) {
-	nfsNode, err := StartNFSServer(fs, NFSServerOptions{})
+	return startImageServer(fs, opts, "")
+}
+
+// startImageServer is StartImageServer with every service listening on
+// addr.
+func startImageServer(fs *memfs.FS, opts ImageServerOptions, addr string) (*ImageServer, error) {
+	nfsNode, err := startNFSServer(fs, NFSServerOptions{}, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -798,6 +805,7 @@ func StartImageServer(fs *memfs.FS, opts ImageServerOptions) (*ImageServer, erro
 	}
 	alloc := auth.NewAllocator(base, count, identityTTL)
 	proxyNode, err := StartProxy(ProxyOptions{
+		ListenAddr:    addr,
 		UpstreamAddr:  nfsNode.Addr,
 		ListenLink:    opts.Link,
 		ListenKey:     key,
@@ -812,7 +820,7 @@ func StartImageServer(fs *memfs.FS, opts ImageServerOptions) (*ImageServer, erro
 		nfsNode.Close()
 		return nil, err
 	}
-	fcNode, err := StartFileChanServer(fs, opts.Link, key)
+	fcNode, err := startFileChanServer(fs, addr, opts.Link, key)
 	if err != nil {
 		proxyNode.Close()
 		nfsNode.Close()

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gvfs/internal/bufpool"
+	"gvfs/internal/simnet"
 	"gvfs/internal/xdr"
 )
 
@@ -105,6 +106,7 @@ type Client struct {
 	lastErr error // last transport error, for the no-redial path
 	nextXID uint32
 	pending map[uint32]waiter
+	free    []chan clientReply // reply channels of ended calls, for the next
 	done    chan struct{}
 	// readers counts the read loops running: each holds a pooled buffer
 	// until it exits, and Close waits for them, so that a closed Client
@@ -134,29 +136,39 @@ type clientReply struct {
 	transport bool
 }
 
-// replyChans recycles the one-slot channels calls wait on. One rule
-// keeps a recycled channel from carrying another call's reply: every
-// send happens with c.mu held on a channel just found in c.pending
-// (readLoop, failPendingLocked), and a caller gives its channel up only
-// through unregister, which removes the XID under c.mu first, then
-// drains, then recycles. After the removal no sender can find the
-// channel, so a late or duplicate reply is dropped, not delivered to
-// whoever holds the channel next. The same rule gives a pooled record one
-// owner: sent, it is the receiver's; not sent, readLoop's; drained here,
-// unregister's.
-var replyChans = sync.Pool{New: func() any { return make(chan clientReply, 1) }}
+// replyChanLocked returns a one-slot channel for a call to wait on, from
+// the client's free list. The list is the client's own, not a package
+// pool, so a channel never passes between clients: one made inside a
+// testing/synctest bubble stays there, and one made outside never
+// enters.
+func (c *Client) replyChanLocked() chan clientReply {
+	if n := len(c.free); n > 0 {
+		ch := c.free[n-1]
+		c.free = c.free[:n-1]
+		return ch
+	}
+	return make(chan clientReply, 1)
+}
 
-// unregister ends a call: see replyChans for why the order matters.
+// unregister ends a call and puts its channel back on the free list. One
+// rule keeps a recycled channel from carrying another call's reply:
+// every send happens with c.mu held on a channel just found in c.pending
+// (readLoop, failPendingLocked), and unregister, under c.mu too, removes
+// the XID, then drains, then recycles. After the removal no sender can
+// find the channel, so a late or duplicate reply is dropped, not
+// delivered to whoever holds the channel next. The same rule gives a
+// pooled record one owner: sent, it is the receiver's; not sent,
+// readLoop's; drained here, unregister's.
 func (c *Client) unregister(xid uint32, ch chan clientReply) {
 	c.mu.Lock()
 	delete(c.pending, xid)
-	c.mu.Unlock()
 	select {
 	case rep := <-ch:
 		bufpool.Put(rep.rec)
 	default:
 	}
-	replyChans.Put(ch)
+	c.free = append(c.free, ch)
+	c.mu.Unlock()
 }
 
 // NewClient wraps an established connection with default (no-retry)
@@ -187,15 +199,16 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
 	return c
 }
 
-// Dial connects to addr over TCP and returns a Client.
+// Dial connects to addr (see DialWithOptions) and returns a Client.
 func Dial(addr string) (*Client, error) {
 	return DialWithOptions(addr, ClientOptions{})
 }
 
-// DialWithOptions connects to addr over TCP with the given options.
-// Set opts.Redial to enable reconnection; it is not defaulted here.
+// DialWithOptions connects to addr with the given options: over TCP, or
+// to a pipe:N name on simnet's in-memory network (see simnet.Dial). Set
+// opts.Redial to enable reconnection; it is not defaulted here.
 func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := simnet.Dial(addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +349,7 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			// Non-blocking: a duplicate reply (retransmission answered
 			// twice) is dropped rather than wedging the read loop. Under
 			// c.mu so the channel cannot be recycled between lookup and
-			// send (see replyChans).
+			// send (see unregister).
 			select {
 			case w.ch <- rep:
 				sent = true
@@ -467,7 +480,7 @@ func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byt
 	}
 	xid := c.nextXID
 	c.nextXID++
-	ch := replyChans.Get().(chan clientReply)
+	ch := c.replyChanLocked()
 	c.pending[xid] = waiter{ch, pooled}
 	c.mu.Unlock()
 	defer c.unregister(xid, ch)
