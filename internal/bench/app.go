@@ -174,23 +174,23 @@ func (o Options) annotateFig4(t *Table) {
 
 // fullStateTransfer times moving the whole VM state across the WAN,
 // uncompressed (the paper's full download/upload baseline). Like Fig.
-// 6's SCP baseline it is a plain copy over a plain channel of its own,
-// not the deployment's tunnelled one: the tunnel sends zero runs as
-// lengths (DESIGN.md §2.1), which would make this `scp -C` — of a VM
-// state that is mostly zeros — where the paper copied every byte.
+// 6's SCP baseline it is a plain copy over the plain file channel of its
+// own image server, not the deployment's tunnelled one: the tunnel sends
+// zero runs as lengths (DESIGN.md §2.1), which would make this `scp -C` —
+// of a VM state that is mostly zeros — where the paper copied every byte.
 func (o Options) fullStateTransfer(fs *memfs.FS, upload bool) (time.Duration, error) {
 	spec := o.benchVMSpec()
 	wan := simnet.NewLink(simnet.WAN())
-	fc, err := stack.StartFileChanServer(fs, wan, nil)
+	c, err := o.start(stack.ChainSpec{FS: fs, Link: wan, NoSession: true})
 	if err != nil {
 		return 0, err
 	}
-	defer fc.Close()
+	defer c.Close()
 	// The listener shapes the server->client direction; an upload dials
 	// through the link for the other one.
-	dial := stack.Dialer(fc.Addr, nil, nil)
+	dial := stack.Dialer(c.Server.FileChanAddr(), nil, nil)
 	if upload {
-		dial = stack.Dialer(fc.Addr, wan, nil)
+		dial = stack.Dialer(c.Server.FileChanAddr(), wan, nil)
 	}
 	return timeIt(func() error {
 		conn, err := dial()

@@ -169,15 +169,16 @@ func (o Options) sequentialClones(sess *gvfs.Session, targets []cloneTarget, pre
 	return durs, nil
 }
 
-// scpBaselineTime copies one full image over a fresh WAN link.
+// scpBaselineTime copies one full image over a fresh WAN link, through
+// the plain file channel of an image server of its own.
 func (o Options) scpBaselineTime(fs *memfs.FS) (time.Duration, error) {
 	wan := simnet.NewLink(simnet.WAN())
-	fcNode, err := stack.StartFileChanServer(fs, wan, nil)
+	c, err := o.start(stack.ChainSpec{FS: fs, Link: wan, NoSession: true})
 	if err != nil {
 		return 0, err
 	}
-	defer fcNode.Close()
-	_, dur, err := clone.SCPCopy(stack.Dialer(fcNode.Addr, wan, nil), "/images/g0", "img0")
+	defer c.Close()
+	_, dur, err := clone.SCPCopy(stack.Dialer(c.Server.FileChanAddr(), wan, nil), "/images/g0", "img0")
 	return dur, err
 }
 

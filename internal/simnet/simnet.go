@@ -11,7 +11,10 @@
 // enforced with real sleeps, so measured wall-clock durations include
 // the same latency·RPC-count and bytes/bandwidth terms that dominate
 // the paper's results. Inside a testing/synctest bubble those sleeps
-// take virtual time, so a chain on pipes runs a WAN at CPU speed.
+// take virtual time, so a chain on pipes runs a WAN at CPU speed, as long
+// as a goroutine that waits on link time holds no sync.Mutex another
+// waits on: a mutex wait is not a durable block, so the clock would never
+// move. Writers that serialize across a Write take a one-slot channel.
 package simnet
 
 import (
@@ -138,14 +141,16 @@ type Conn struct {
 	stats *Stats
 	link  *Link // for fault injection; nil only in tests
 
+	ch   chan delivery
+	done chan struct{} // closed by Close: no lock is held to wait on ch
+
 	mu     sync.Mutex
-	ch     chan delivery
 	closed bool
 	werr   error
 }
 
 func newConn(raw net.Conn, out *shaper, stats *Stats, link *Link) *Conn {
-	c := &Conn{Conn: raw, out: out, stats: stats, link: link, ch: make(chan delivery, 1024)}
+	c := &Conn{Conn: raw, out: out, stats: stats, link: link, ch: make(chan delivery, 1024), done: make(chan struct{})}
 	if link != nil {
 		link.addConn(c)
 	}
@@ -154,27 +159,27 @@ func newConn(raw net.Conn, out *shaper, stats *Stats, link *Link) *Conn {
 }
 
 func (c *Conn) deliverLoop() {
-	for d := range c.ch {
-		if wait := time.Until(d.at); wait > 0 {
-			time.Sleep(wait)
+	var err error // once a write fails, the rest are drained so writers never block for good
+	for {
+		var d delivery
+		select {
+		case d = <-c.ch:
+		case <-c.done:
+			return
 		}
+		if err != nil {
+			continue
+		}
+		time.Sleep(time.Until(d.at))
 		if c.link != nil {
 			// A stall injected after this message was scheduled still
 			// freezes it on the wire until the stall lifts.
-			if wait := time.Until(c.link.stallDeadline()); wait > 0 {
-				time.Sleep(wait)
-			}
+			time.Sleep(time.Until(c.link.stallDeadline()))
 		}
-		if _, err := c.Conn.Write(d.data); err != nil {
+		if _, err = c.Conn.Write(d.data); err != nil {
 			c.mu.Lock()
-			if c.werr == nil {
-				c.werr = err
-			}
+			c.werr = err
 			c.mu.Unlock()
-			// Drain the rest so writers never block forever.
-			for range c.ch {
-			}
-			return
 		}
 	}
 }
@@ -214,14 +219,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if stall > 0 {
 		time.Sleep(stall)
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	select {
+	case c.ch <- delivery{data: buf, at: at}:
+		return len(p), nil
+	case <-c.done:
 		return 0, net.ErrClosed
 	}
-	c.ch <- delivery{data: buf, at: at}
-	c.mu.Unlock()
-	return len(p), nil
 }
 
 // Close stops deliveries and closes the underlying connection. Any
@@ -230,7 +233,7 @@ func (c *Conn) Close() error {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
-		close(c.ch)
+		close(c.done)
 	}
 	c.mu.Unlock()
 	if c.link != nil {

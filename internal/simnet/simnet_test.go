@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -251,5 +252,46 @@ func TestCloseWhileInFlight(t *testing.T) {
 	}
 	if _, err := cli.Write([]byte("after close")); err == nil {
 		t.Error("write after close succeeded")
+	}
+}
+
+// A writer blocked on a full wire (more messages in flight than the
+// delivery queue holds) does not hold Close up: Close returns at once, as
+// does Link.Drop, and the blocked Write fails with net.ErrClosed.
+func TestCloseDoesNotWaitBehindBlockedWrite(t *testing.T) {
+	link := NewLink(Profile{Name: "far", RTT: time.Hour})
+	cli, srv := Pipe(link)
+	defer srv.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := cli.Write([]byte{1}); err != nil {
+				wrote <- err
+				return
+			}
+		}
+	}()
+	// The queue holds 1024 messages and the delivery goroutine one more:
+	// the writer has counted the next one and blocks on it.
+	for link.Stats().Sent <= 1025 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		link.Drop()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Drop still waits behind a blocked Write after 1s")
+	}
+	select {
+	case err := <-wrote:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Errorf("the blocked Write returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Error("the blocked Write did not return after Close")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path"
 	"path/filepath"
@@ -19,6 +18,7 @@ import (
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
+	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
 	"gvfs/internal/stack/stacktest"
 )
@@ -70,7 +70,7 @@ func writeImage(t testing.TB, fs *memfs.FS, p string, data []byte) {
 
 // relayGet fetches p through the relay at addr.
 func relayGet(addr, p string) ([]byte, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := simnet.Dial(addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func relayGet(addr, p string) ([]byte, error) {
 
 // relayPut uploads data to p through the relay at addr.
 func relayPut(addr, p string, data []byte) error {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := simnet.Dial(addr, nil)
 	if err != nil {
 		return err
 	}

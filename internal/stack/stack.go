@@ -960,6 +960,7 @@ func (rd *relayReader) Close() error {
 // caching proxy whose block cache is the relay's only store: it mounts
 // lan in process, answers a GET through it and a PUT through
 // upstreamDial, the image server's file channel (paper Fig 6, WAN-S3).
+// Like every StartChain node it listens on simnet's in-memory network.
 func StartFileChanRelay(lan *Node, upstreamDial func() (net.Conn, error),
 	listenLink *simnet.Link, listenKey []byte) (*Node, error) {
 	rpc := sunrpc.Local{H: lan.Proxy}
@@ -967,7 +968,7 @@ func StartFileChanRelay(lan *Node, upstreamDial func() (net.Conn, error),
 	if err != nil {
 		return nil, err
 	}
-	l, err := ListenOn("", listenLink, listenKey)
+	l, err := ListenOn(inMemory, listenLink, listenKey)
 	if err != nil {
 		return nil, err
 	}

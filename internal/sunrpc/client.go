@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -95,7 +94,8 @@ type TransportStats struct {
 type Client struct {
 	opts ClientOptions
 
-	wmu sync.Mutex // serializes record writes
+	wmu  chan struct{} // one slot: serializes record writes; a waiter blocks durably (package simnet)
+	born uint64        // when the client was made (UnixNano): seeds the backoff jitter
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals redial completion
@@ -187,6 +187,8 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) *Client {
 	}
 	c := &Client{
 		opts:    opts,
+		wmu:     make(chan struct{}, 1),
+		born:    uint64(time.Now().UnixNano()),
 		conn:    conn,
 		gen:     1,
 		nextXID: 1,
@@ -409,18 +411,21 @@ func (c *Client) ensureConn() (net.Conn, int, error) {
 	}
 }
 
-// backoffDelay returns the jittered exponential delay for the given
-// retry ordinal.
-func (c *Client) backoffDelay(attempt int) time.Duration {
+// backoffDelay returns the jittered exponential delay of call xid's
+// retry ordinal attempt.
+func (c *Client) backoffDelay(xid uint32, attempt int) time.Duration {
 	d := c.opts.BackoffBase << uint(attempt)
 	if d > c.opts.BackoffMax || d <= 0 {
 		d = c.opts.BackoffMax
 	}
-	// Jitter to [d/2, d] so parallel retransmitters decorrelate. The
-	// package-level rand source is safe for concurrent use, unlike a
-	// per-client *rand.Rand, which concurrent backoff paths would race
-	// on.
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+	// Jitter to [d/2, d] so parallel retransmitters decorrelate: a
+	// splitmix64 hash of the client's birth, the XID and the attempt, so
+	// calls share no state, and clients made at one instant of a bubble's
+	// clock back off alike.
+	x := c.born ^ uint64(xid)<<32 ^ uint64(attempt) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return d/2 + time.Duration((x^x>>31)%(uint64(d/2)+1))
 }
 
 // sleep waits for d, aborting early if the client closes.
@@ -500,7 +505,7 @@ func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byt
 	timedOutGen := -1 // connection generation already charged one timeout
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			d := c.backoffDelay(attempt - 1)
+			d := c.backoffDelay(xid, attempt-1)
 			if !deadline.IsZero() && !time.Now().Add(d).Before(deadline) {
 				// Sleeping this backoff would overrun the deadline, so
 				// no further attempt can be answered in time. One last
@@ -542,7 +547,7 @@ func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byt
 			continue
 		}
 
-		c.wmu.Lock()
+		c.wmu <- struct{}{}
 		if c.opts.CallTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(c.opts.CallTimeout))
 		}
@@ -550,7 +555,7 @@ func (c *Client) call(prog, vers, proc uint32, cred, verf OpaqueAuth, args []byt
 		if c.opts.CallTimeout > 0 {
 			conn.SetWriteDeadline(time.Time{})
 		}
-		c.wmu.Unlock()
+		<-c.wmu
 		if werr != nil {
 			c.connDown(gen, werr)
 			lastErr = fmt.Errorf("%w: %v", ErrClientClosed, werr)

@@ -526,7 +526,7 @@ type serverConn struct {
 	s      *Server
 	conn   net.Conn
 	remote net.Addr
-	wmu    sync.Mutex // serializes record writes from concurrent workers
+	wmu    chan struct{} // one slot: serializes record writes from concurrent workers, as Client.wmu
 
 	mu     sync.Mutex
 	idle   []chan *Call // parked workers, most recently parked last
@@ -534,7 +534,7 @@ type serverConn struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	sc := &serverConn{s: s, conn: conn, remote: conn.RemoteAddr()}
+	sc := &serverConn{s: s, conn: conn, remote: conn.RemoteAddr(), wmu: make(chan struct{}, 1)}
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -616,9 +616,9 @@ func (sc *serverConn) serve(call *Call) {
 	bufpool.Put(call.ReplyBuf)
 	call.release()
 	binary.BigEndian.PutUint32(reply[:4], uint32(len(reply)-4)|0x80000000)
-	sc.wmu.Lock()
+	sc.wmu <- struct{}{}
 	_, werr := sc.conn.Write(reply)
-	sc.wmu.Unlock()
+	<-sc.wmu
 	bufpool.Put(reply)
 	if werr != nil {
 		sc.conn.Close()

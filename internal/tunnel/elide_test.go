@@ -98,7 +98,7 @@ func TestZeroRunProbe(t *testing.T) {
 func fixedConn(t *testing.T, raw memConn) *Conn {
 	t.Helper()
 	key, nonce := bytes.Repeat([]byte{7}, KeySize), make([]byte, nonceSize)
-	c := &Conn{raw: raw}
+	c := newConn(raw)
 	var err error
 	if c.w.aead, err = deriveAEAD(key, "client", nonce, nonce); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -48,9 +47,10 @@ func NewKey() ([]byte, error) {
 }
 
 // half is one direction of a Conn: its key, frame counter, buffer and
-// sticky error, guarded by mu.
+// sticky error, guarded by mu: one slot, as its holder waits on the link
+// and a waiter must block durably in a testing/synctest bubble (simnet).
 type half struct {
-	mu    sync.Mutex
+	mu    chan struct{}
 	aead  cipher.AEAD
 	nonce [12]byte // GCM nonce: 4 zero bytes ‖ frame sequence number
 	seq   uint64
@@ -123,7 +123,7 @@ func handshake(raw net.Conn, key []byte, initiator bool) (*Conn, error) {
 		send, recv = recv, send
 		clientNonce, serverNonce = serverNonce, clientNonce
 	}
-	c := &Conn{raw: raw}
+	c := newConn(raw)
 	var err error
 	if c.w.aead, err = deriveAEAD(key, send, clientNonce, serverNonce); err != nil {
 		return nil, err
@@ -132,6 +132,11 @@ func handshake(raw net.Conn, key []byte, initiator bool) (*Conn, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// newConn returns a Conn over raw with both halves' locks made.
+func newConn(raw net.Conn) *Conn {
+	return &Conn{raw: raw, w: half{mu: make(chan struct{}, 1)}, r: half{mu: make(chan struct{}, 1)}}
 }
 
 // deriveAEAD returns the AES-256-GCM instance of one direction of one
@@ -163,8 +168,8 @@ func grown(buf []byte, need int) []byte {
 // elided form is at least a sector shorter is sealed in that form.
 func (c *Conn) Write(p []byte) (int, error) {
 	w := &c.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.mu <- struct{}{}
+	defer func() { <-w.mu }()
 	total := 0
 	for len(p) > 0 && w.err == nil {
 		chunk := p[:min(len(p), maxFrame)]
@@ -201,8 +206,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 // opening the next one if the current one is used up.
 func (c *Conn) Read(p []byte) (int, error) {
 	r := &c.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu <- struct{}{}
+	defer func() { <-r.mu }()
 	for {
 		if n := c.deliver(p); n > 0 || len(p) == 0 {
 			return n, nil
