@@ -42,27 +42,20 @@ const (
 	ClassNotFound
 )
 
+var classNames = [...]string{ClassIO: "io", ClassUnavailable: "unavailable", ClassTimeout: "timeout",
+	ClassRetriable: "retriable", ClassStale: "stale", ClassNotFound: "not-found"}
+
 func (c Class) String() string {
-	switch c {
-	case ClassIO:
-		return "io"
-	case ClassUnavailable:
-		return "unavailable"
-	case ClassTimeout:
-		return "timeout"
-	case ClassRetriable:
-		return "retriable"
-	case ClassStale:
-		return "stale"
-	case ClassNotFound:
-		return "not-found"
+	if c < 0 || int(c) >= len(classNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return classNames[c]
 }
 
-// Error is the backend failure type. Status carries the NFS-compatible
-// status code when one applies (so the proxy can echo the original
-// code to its client); zero means "none, derive from Class".
+// Error is the backend failure type. Status carries the NFS status the
+// failure has, when it has one, so the proxy answers its client with the
+// original code; zero means none. nfs3.Fail builds an Error from a
+// status, and nfs3.StatusOf reads one.
 type Error struct {
 	Class  Class
 	Op     string
@@ -71,10 +64,14 @@ type Error struct {
 }
 
 func (e *Error) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("backend: %s: %s: %v", e.Op, e.Class, e.Err)
+	s := fmt.Sprintf("backend: %s: %s", e.Op, e.Class)
+	if e.Status != 0 {
+		s += fmt.Sprintf(" (status %d)", e.Status)
 	}
-	return fmt.Sprintf("backend: %s: %s", e.Op, e.Class)
+	if e.Err != nil {
+		s += ": " + e.Err.Error()
+	}
+	return s
 }
 
 func (e *Error) Unwrap() error { return e.Err }

@@ -9,6 +9,8 @@ package nfs3be
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"time"
 
 	"gvfs/internal/backend"
@@ -59,15 +61,17 @@ func verf(opts *backend.CallOpts) sunrpc.OpaqueAuth {
 	return tc.EncodeVerf()
 }
 
-// Call issues one upstream RPC on rpc. It is the one upstream call path:
-// the backend's own calls and the proxy's verbatim relay both go through
-// it. A call with neither trace nor deadline — every call of a default
+// Call issues one upstream RPC on rpc. It is the one upstream call path,
+// where a failed call is classified: the backend's own calls and the
+// proxy's verbatim relay all go through it. A
+// call with neither trace nor deadline — every call of a default
 // deployment — goes straight to the transport; one with either goes
 // through CallPooled, and the reply is copied out of its pooled record
 // (sunrpc.Keep), which goes back for the READ and WRITE callers.
 func Call(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth, args []byte, opts backend.CallOpts) ([]byte, error) {
 	if opts.TraceID == 0 && opts.Deadline.IsZero() {
-		return rpc.Call(prog, vers, proc, cred, args)
+		res, err := rpc.Call(prog, vers, proc, cred, args)
+		return res, classify(prog, proc, err)
 	}
 	res, rec, err := CallPooled(rpc, prog, vers, proc, cred, args, opts)
 	return sunrpc.Keep(res, rec), err
@@ -83,13 +87,14 @@ func CallPooled(rpc nfs3.Caller, prog, vers, proc uint32, cred sunrpc.OpaqueAuth
 	pc, ok := rpc.(sunrpc.PooledCaller)
 	if !ok {
 		res, err = rpc.Call(prog, vers, proc, cred, args)
-		return res, nil, err
+		return res, nil, classify(prog, proc, err)
 	}
 	v := sunrpc.AuthNoneCred
 	if opts.TraceID != 0 || !opts.Deadline.IsZero() {
 		v = verf(&opts)
 	}
-	return pc.CallPooled(prog, vers, proc, cred, v, args, opts.Deadline)
+	res, rec, err = pc.CallPooled(prog, vers, proc, cred, v, args, opts.Deadline)
+	return res, rec, classify(prog, proc, err)
 }
 
 // call issues one NFS RPC under opts' credential.
@@ -97,10 +102,11 @@ func (b *Backend) call(proc uint32, args []byte, opts backend.CallOpts) ([]byte,
 	return Call(b.rpc, nfs3.Program, nfs3.Version, proc, credOf(&opts), args, opts)
 }
 
-// wrapErr classifies a transport/RPC-level error. An *sunrpc.RPCError
-// means the server answered at the RPC layer (prog unavailable, auth
-// rejected): the path is alive, so it is ClassIO, not unavailability.
-func wrapErr(op string, err error) error {
+// classify classifies a failed upstream call, kept as it is if classified
+// (Serve's). An *sunrpc.RPCError is the server's answer, so the path is
+// alive: ClassIO, the error kept in the chain for a relay to pass on. An
+// expired deadline is ClassTimeout, any other failure ClassUnavailable.
+func classify(prog, proc uint32, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -108,29 +114,31 @@ func wrapErr(op string, err error) error {
 	if errors.As(err, &be) {
 		return err
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return &backend.Error{Class: backend.ClassTimeout, Op: op, Err: err}
-	}
+	class := backend.ClassUnavailable
 	var rpcErr *sunrpc.RPCError
-	if errors.As(err, &rpcErr) {
-		return &backend.Error{Class: backend.ClassIO, Op: op, Err: err}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		class = backend.ClassTimeout
+	case errors.As(err, &rpcErr):
+		class = backend.ClassIO
 	}
-	return &backend.Error{Class: backend.ClassUnavailable, Op: op, Err: err}
+	op := fmt.Sprintf("program %d procedure %d", prog, proc)
+	if prog == nfs3.Program {
+		op = strings.ToLower(nfs3.ProcName(proc))
+	}
+	return &backend.Error{Class: class, Op: op, Err: err}
 }
 
-// statusErr classifies a decoded NFS status, preserving the original
-// code for clients that want to see it.
-func statusErr(op string, st nfs3.Status) error {
-	class := backend.ClassIO
-	switch st {
-	case nfs3.ErrJukebox:
-		class = backend.ClassRetriable
-	case nfs3.ErrStale, nfs3.ErrBadHandle:
-		class = backend.ClassStale
-	case nfs3.ErrNoEnt:
-		class = backend.ClassNotFound
+// replyErr is what a reply to op that did not decode (err) or that says
+// st is: NFS3ERR_IO, or st's failure; nil for a decoded NFS3_OK.
+func replyErr(op string, st nfs3.Status, err error) error {
+	switch {
+	case err != nil:
+		return nfs3.Fail(op, nfs3.ErrIO, err)
+	case st != nfs3.OK:
+		return nfs3.Fail(op, st, nil)
 	}
-	return &backend.Error{Class: class, Op: op, Status: uint32(st), Err: &nfs3.Error{Status: st, Op: op}}
+	return nil
 }
 
 // attrOf is a post_op_attr as a backend.Attr: not Known when nil.
@@ -171,18 +179,14 @@ func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.
 // owns rec; on any failure rec goes back to the pool here.
 func readResult(res, rec []byte, err error) (backend.ReadResult, error) {
 	if err != nil {
-		return backend.ReadResult{}, wrapErr("read", err)
+		return backend.ReadResult{}, err
 	}
 	var r nfs3.ReadRes
 	var attr nfs3.Fattr
 	has, err := r.DecodeRefAttrInto(res, &attr)
-	if err != nil {
+	if err = replyErr("read", r.Status, err); err != nil {
 		bufpool.Put(rec)
-		return backend.ReadResult{}, &backend.Error{Class: backend.ClassIO, Op: "read", Err: err}
-	}
-	if r.Status != nfs3.OK {
-		bufpool.Put(rec)
-		return backend.ReadResult{}, statusErr("read", r.Status)
+		return backend.ReadResult{}, err
 	}
 	out := backend.ReadResult{Data: r.Data, EOF: r.EOF, Buf: rec}
 	if has {
@@ -199,17 +203,14 @@ func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.
 	res, err := b.call(nfs3.ProcWrite, buf, opts)
 	bufpool.Put(buf)
 	if err != nil {
-		return backend.WriteResult{}, wrapErr("write", err)
+		return backend.WriteResult{}, err
 	}
 	var r nfs3.WriteRes
 	var before nfs3.WccAttr
 	var after nfs3.Fattr
 	hasBefore, hasAfter, err := r.DecodeWccInto(res, &before, &after)
-	if err != nil {
-		return backend.WriteResult{}, &backend.Error{Class: backend.ClassIO, Op: "write", Err: err}
-	}
-	if r.Status != nfs3.OK {
-		return backend.WriteResult{}, statusErr("write", r.Status)
+	if err = replyErr("write", r.Status, err); err != nil {
+		return backend.WriteResult{}, err
 	}
 	w := backend.WriteResult{HasBefore: hasBefore,
 		Before: backend.PreAttr{Size: before.Size, Mtime: backend.Time(before.Mtime), Ctime: backend.Time(before.Ctime)}}
@@ -224,16 +225,10 @@ func (b *Backend) Commit(f backend.FileID, opts backend.CallOpts) error {
 	args := nfs3.CommitArgs{FH: nfs3.FH(f)}
 	res, err := b.call(nfs3.ProcCommit, args.Encode(), opts)
 	if err != nil {
-		return wrapErr("commit", err)
+		return err
 	}
 	st, err := nfs3.DecodeCommitRes(res)
-	if err != nil {
-		return &backend.Error{Class: backend.ClassIO, Op: "commit", Err: err}
-	}
-	if st != nfs3.OK {
-		return statusErr("commit", st)
-	}
-	return nil
+	return replyErr("commit", st, err)
 }
 
 // GetAttr implements backend.Backend.
@@ -241,14 +236,11 @@ func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr
 	args := nfs3.GetattrArgs{FH: nfs3.FH(f)}
 	res, err := b.call(nfs3.ProcGetattr, args.Encode(), opts)
 	if err != nil {
-		return backend.Attr{}, wrapErr("getattr", err)
+		return backend.Attr{}, err
 	}
 	r, err := nfs3.DecodeGetattrRes(res)
-	if err != nil {
-		return backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "getattr", Err: err}
-	}
-	if r.Status != nfs3.OK {
-		return backend.Attr{}, statusErr("getattr", r.Status)
+	if err = replyErr("getattr", r.Status, err); err != nil {
+		return backend.Attr{}, err
 	}
 	return attrOf(&r.Attr), nil
 }
@@ -259,31 +251,24 @@ func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 	args := nfs3.LookupArgs{Dir: nfs3.FH(dir), Name: name}
 	res, err := b.call(nfs3.ProcLookup, args.Encode(), opts)
 	if err != nil {
-		return nil, backend.Attr{}, wrapErr("lookup", err)
+		return nil, backend.Attr{}, err
 	}
 	r, err := nfs3.DecodeLookupRes(res)
-	if err != nil {
-		return nil, backend.Attr{}, &backend.Error{Class: backend.ClassIO, Op: "lookup", Err: err}
-	}
-	if r.Status != nfs3.OK {
-		return nil, backend.Attr{}, statusErr("lookup", r.Status)
+	if err = replyErr("lookup", r.Status, err); err != nil {
+		return nil, backend.Attr{}, err
 	}
 	return backend.FileID(r.Object), attrOf(r.ObjAttr), nil
 }
 
 // Probe implements the circuit breaker's recovery check: a NULL call
 // that reaches the server at the RPC level means the path is back,
-// even if the server rejects the program or credential.
+// even if the server rejects the program or credential (ClassIO).
 func (b *Backend) Probe() error {
-	_, err := b.rpc.Call(nfs3.Program, nfs3.Version, nfs3.ProcNull, defaultCred, nil)
-	if err == nil {
+	_, err := b.call(nfs3.ProcNull, nil, backend.CallOpts{})
+	if err != nil && backend.Classify(err) == backend.ClassIO {
 		return nil
 	}
-	var rpcErr *sunrpc.RPCError
-	if errors.As(err, &rpcErr) {
-		return nil
-	}
-	return wrapErr("probe", err)
+	return err
 }
 
 // TransportStats implements backend.TransportStatser by passing

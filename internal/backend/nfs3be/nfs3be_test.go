@@ -94,8 +94,8 @@ func TestCallKeepsCopyAndReleasesRecord(t *testing.T) {
 	}
 }
 
-// A FileID is the file handle: the two bounds are one number, kept in
-// two packages only because neither imports the other.
+// A FileID is the file handle: the two bounds are one number, which
+// nfs3 takes from backend.
 func TestFileIDBoundIsHandleBound(t *testing.T) {
 	if backend.MaxFileID != nfs3.MaxFHSize {
 		t.Fatalf("backend.MaxFileID = %d, nfs3.MaxFHSize = %d", backend.MaxFileID, nfs3.MaxFHSize)

@@ -1,7 +1,6 @@
 package nfs3be
 
 import (
-	"errors"
 	"time"
 
 	"gvfs/internal/backend"
@@ -64,20 +63,17 @@ func (v *served) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 
 var errNotSupp = &nfs3.Error{Status: nfs3.ErrNotSupp}
 
-// err turns a backend error into the *nfs3.Error the server encodes, or
-// records it as the call's fault when it has no NFS status.
+// err passes a backend error to the server, which answers with the
+// status nfs3.StatusOf reads from it, and records it as the call's fault
+// when it is transport-class, with no status to answer.
 func (v *served) err(e error) error {
 	if e == nil {
 		return nil
 	}
-	st, ok := ErrStatus(e)
-	if !ok {
-		if v.fault == nil {
-			v.fault = e
-		}
-		return e
+	if c := backend.Classify(e); (c == backend.ClassUnavailable || c == backend.ClassTimeout) && v.fault == nil {
+		v.fault = e
 	}
-	return &nfs3.Error{Status: st}
+	return e
 }
 
 // root resolves a MOUNT dirpath: any path the backend's namespace
@@ -162,33 +158,4 @@ func (v *served) Symlink(nfs3.FH, string, string) (nfs3.FH, nfs3.Fattr, error) {
 }
 func (v *served) ReadDir(nfs3.FH, uint64, uint32) ([]nfs3.DirEntry, bool, error) {
 	return nil, false, errNotSupp
-}
-
-// ErrStatus maps a classified backend error onto the NFS status to
-// report to the client. ok=false means the failure is transport-level
-// (unavailable, out of budget, or unclassified) and must surface as an
-// RPC-level SystemErr, never as an NFS status the client would treat
-// as authoritative.
-func ErrStatus(err error) (nfs3.Status, bool) {
-	var be *backend.Error
-	if !errors.As(err, &be) {
-		return 0, false
-	}
-	switch be.Class {
-	case backend.ClassUnavailable, backend.ClassTimeout:
-		return 0, false
-	}
-	if be.Status != 0 {
-		return nfs3.Status(be.Status), true
-	}
-	switch be.Class {
-	case backend.ClassRetriable:
-		return nfs3.ErrJukebox, true
-	case backend.ClassStale:
-		return nfs3.ErrStale, true
-	case backend.ClassNotFound:
-		return nfs3.ErrNoEnt, true
-	default:
-		return nfs3.ErrIO, true
-	}
 }

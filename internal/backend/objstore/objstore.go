@@ -17,13 +17,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path"
 	"sync"
 	"sync/atomic"
-	"syscall"
 
 	"gvfs/internal/backend"
+	"gvfs/internal/nfs3"
 )
 
 const (
@@ -149,35 +148,24 @@ func cleanPath(p string) string { return path.Clean("/" + p) }
 func fileID(op, p string) (string, error) {
 	fid := cleanPath(p)
 	if len(fid) > backend.MaxFileID {
-		return "", &backend.Error{Class: backend.ClassIO, Op: op, Status: 63 /* NFS3ERR_NAMETOOLONG */, Err: fmt.Errorf(
-			"objstore: path of %d bytes exceeds the %d-byte file ID limit", len(fid), backend.MaxFileID)}
+		return "", nfs3.Fail(op, nfs3.ErrNameTooLong, fmt.Errorf(
+			"objstore: path of %d bytes exceeds the %d-byte file ID limit", len(fid), backend.MaxFileID))
 	}
 	return fid, nil
 }
 
 func manifestKey(fid string) string { return metaPrefix + fid }
 
-// storeErr maps a raw Store failure into the backend error taxonomy.
-// DirStore surfaces bare OS errors — ENOSPC, EIO, EROFS, permission —
-// and a store that answered with one of those is alive: they classify
-// as ClassIO with the matching NFS status (echoed to the client and
-// ignored by the circuit breaker and replica health scoring), never as
-// breaker-counting Unavailable. Only errors with no recognizable cause
-// keep the Unavailable default (a vanished mount, a dying device).
+// storeErr classifies a raw Store failure. DirStore surfaces bare OS
+// errors, and a store that answered with one nfs3.Fail knows (ENOSPC, EIO,
+// EROFS, permission...) is alive: that status, echoed to the client and
+// ignored by the breaker and replica health scoring. Only a failure with
+// no recognizable cause is Unavailable (a vanished mount, a dying device).
 func storeErr(op string, err error) error {
-	switch {
-	case errors.Is(err, ErrNotExist) || errors.Is(err, fs.ErrNotExist):
-		return &backend.Error{Class: backend.ClassNotFound, Op: op, Status: 2 /* NFS3ERR_NOENT */, Err: err}
-	case errors.Is(err, syscall.ENOSPC), errors.Is(err, syscall.EDQUOT):
-		return &backend.Error{Class: backend.ClassIO, Op: op, Status: 28 /* NFS3ERR_NOSPC */, Err: err}
-	case errors.Is(err, syscall.EIO):
-		return &backend.Error{Class: backend.ClassIO, Op: op, Status: 5 /* NFS3ERR_IO */, Err: err}
-	case errors.Is(err, syscall.EROFS):
-		return &backend.Error{Class: backend.ClassIO, Op: op, Status: 30 /* NFS3ERR_ROFS */, Err: err}
-	case errors.Is(err, fs.ErrPermission):
-		return &backend.Error{Class: backend.ClassIO, Op: op, Status: 13 /* NFS3ERR_ACCES */, Err: err}
+	if errors.Is(err, ErrNotExist) {
+		return nfs3.Fail(op, nfs3.ErrNoEnt, err)
 	}
-	return &backend.Error{Class: backend.ClassUnavailable, Op: op, Err: err}
+	return nfs3.Fail(op, 0, err)
 }
 
 // loadManifest fetches and caches the manifest for fid.
@@ -278,7 +266,7 @@ func (b *Backend) blockContent(op string, h backend.Hash, n int) ([]byte, error)
 			// A manifest pointing at an absent object is store-side
 			// corruption, not a missing file: NFS3ERR_IO, and for the
 			// replicated backend a divergence the scrub can repair.
-			return nil, &backend.Error{Class: backend.ClassIO, Op: op, Status: 5 /* NFS3ERR_IO */, Err: fmt.Errorf("missing block object %s", h)}
+			return nil, nfs3.Fail(op, nfs3.ErrIO, fmt.Errorf("missing block object %s", h))
 		}
 		return nil, storeErr(op, err)
 	}
@@ -468,7 +456,7 @@ func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr
 	if fid == "/" || b.isDir(fid) {
 		return backend.Attr{Type: backend.TypeDir, Mode: 0755, Nlink: 1}, nil
 	}
-	return backend.Attr{}, &backend.Error{Class: backend.ClassNotFound, Op: "getattr", Status: 2 /* NFS3ERR_NOENT */, Err: ErrNotExist}
+	return backend.Attr{}, nfs3.Fail("getattr", nfs3.ErrNoEnt, ErrNotExist)
 }
 
 // Root implements backend.Namespacer.

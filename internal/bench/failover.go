@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -80,8 +81,8 @@ func (o Options) RunFailover() (*Table, error) {
 		return nil, err
 	}
 	if !report.Pass {
-		return nil, fmt.Errorf("failover: acceptance failed (kill=%v hedge=%v scrub=%v)",
-			kill.Pass, hedge.Pass, scrub.Pass)
+		return nil, fmt.Errorf("failover: acceptance failed (kill=%v, p99 %.3fms steady, %.3fms faulted; hedge=%v scrub=%v)",
+			kill.Pass, kill.SteadyP99Ms, kill.FaultP99Ms, hedge.Pass, scrub.Pass)
 	}
 	return t, nil
 }
@@ -237,7 +238,12 @@ func (o Options) runFailoverKill() (failoverKill, error) {
 
 	ph.SteadyP99Ms = p99Ms(steady)
 	ph.FaultP99Ms = p99Ms(fault)
-	ph.Ratio = ph.FaultP99Ms / ph.SteadyP99Ms
+	// No time in either phase (virtual time): the fault added none. Over a
+	// steady 0, the largest finite ratio: JSON holds it, acceptance fails.
+	ph.Ratio = 1
+	if ph.FaultP99Ms > 0 {
+		ph.Ratio = min(ph.FaultP99Ms/ph.SteadyP99Ms, math.MaxFloat64)
+	}
 	st := replStats(d)
 	ph.Failovers = st.Failovers
 	ph.DownTransitions = st.Replicas[1].Transitions

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -119,12 +118,6 @@ func (o Options) noisyDur() time.Duration {
 
 func noisyCred(name string, uid uint32) sunrpc.OpaqueAuth {
 	return sunrpc.UnixCred{UID: uid, GID: 100, MachineName: name}.Encode()
-}
-
-// isJukebox reports a retriable shed reply.
-func isJukebox(err error) bool {
-	var ne *nfs3.Error
-	return errors.As(err, &ne) && ne.Status == nfs3.ErrJukebox
 }
 
 // noisyRig is one assembled topology: NFS server behind a shaped WAN
@@ -277,7 +270,7 @@ func (o Options) runNoisyPhase(name string, qcfg *qos.Config, withAggressor bool
 					if err == nil {
 						break
 					}
-					if isJukebox(err) {
+					if nfs3.StatusOf(err) == nfs3.ErrJukebox {
 						// Retriable shed: back off briefly, as a real
 						// NFS client would, and try again.
 						politeRetries.Add(1)
@@ -315,7 +308,7 @@ func (o Options) runNoisyPhase(name string, qcfg *qos.Config, withAggressor bool
 					switch {
 					case err == nil:
 						aggOps.Add(1)
-					case isJukebox(err):
+					case nfs3.StatusOf(err) == nfs3.ErrJukebox:
 						// An instant bounce; the pause only keeps the
 						// shed loop from spinning a CPU core.
 						aggShed.Add(1)
@@ -394,7 +387,7 @@ func (o Options) runNoisyBrownout() (noisyPhase, error) {
 			for time.Now().Before(stop) {
 				off := uint64(rng.Intn(noisyNoisyFile/noisyBlockSize)) * noisyBlockSize
 				if _, _, err := nc.Read(rig.noisyFH, off, noisyBlockSize); err != nil {
-					if !isJukebox(err) {
+					if nfs3.StatusOf(err) != nfs3.ErrJukebox {
 						return
 					}
 					shed.Add(1)

@@ -8,8 +8,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +86,34 @@ func TestPaperInVirtualTime(t *testing.T) {
 		}
 	})
 	t.Logf("wall time: %v", time.Since(wall))
+}
+
+// TestFailoverInVirtualTime runs the failover experiment in a bubble with
+// a results directory: over local replicas both of the kill phase's p99s
+// are 0 ms of virtual time, which must make a ratio of 1, not a NaN that
+// BENCH_failover.json cannot hold.
+func TestFailoverInVirtualTime(t *testing.T) {
+	bubble.Run(t, func(t *testing.T) {
+		o := Options{Scale: 64, WorkDir: t.TempDir(), ResultsDir: t.TempDir()}
+		if _, err := o.RunFailover(); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(o.ResultsDir, "BENCH_failover.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct {
+			Kill failoverKill `json:"kill"`
+			Pass bool         `json:"pass"`
+		}
+		if err := json.Unmarshal(blob, &report); err != nil {
+			t.Fatal(err)
+		}
+		if k := report.Kill; !report.Pass || k.SteadyP99Ms != 0 || k.FaultP99Ms != 0 || k.Ratio != 1 {
+			t.Errorf("kill phase in virtual time: p99 %v -> %v ms, ratio %v, pass %v; want 0 -> 0, 1, true",
+				k.SteadyP99Ms, k.FaultP99Ms, k.Ratio, report.Pass)
+		}
+	})
 }
 
 // checkFilled fails t unless tab has rows, each with a finite value in

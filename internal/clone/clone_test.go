@@ -1,6 +1,7 @@
 package clone_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"gvfs/internal/bubble"
 	"gvfs/internal/cache"
 	"gvfs/internal/clone"
+	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/nfs3"
 	"gvfs/internal/obs"
@@ -184,6 +186,24 @@ func TestSCPCopyBaseline(t *testing.T) {
 	}
 	if dur <= 0 {
 		t.Error("no duration measured")
+	}
+}
+
+// TestSCPCopyMissingFile: the baseline copy of an image without its
+// memory state fails as TestCloneMissingMemState's clone does on the NFS
+// path, with NFS3ERR_NOENT: the file channel carries the status.
+func TestSCPCopyMissingFile(t *testing.T) {
+	e := stacktest.New(t, goldenClient())
+	golden, err := e.FS.LookupPath("/images/golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FS.Remove(golden, "rh73.vmss"); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = clone.SCPCopy(stack.Dialer(e.Server.FileChanAddr(), nil, nil), "/images/golden", "rh73")
+	if err == nil || !strings.HasPrefix(err.Error(), "clone: scp rh73.vmss: ") || !errors.Is(err, filechan.ErrRemote) || nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+		t.Fatalf("scp of an image with no memory state: %v, want clone: scp rh73.vmss: ... NOENT", err)
 	}
 }
 

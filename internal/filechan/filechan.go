@@ -22,6 +22,10 @@
 // accepts a body only if it decodes to exactly the declared size, the
 // gzip trailer checks out, and the trailer status is OK.
 //
+// A status's code is 0 for OK, else the failure's NFS status as
+// nfs3.StatusOf reads it: 2 NOENT, 3 STALE, 1 IO for any other status;
+// a code the receiver does not know reads as IO.
+//
 // The package also provides Copy, the plain full-file transfer used as
 // the paper's SCP baseline for whole-image cloning.
 package filechan
@@ -36,6 +40,8 @@ import (
 	"net"
 	"slices"
 	"sync"
+
+	"gvfs/internal/nfs3"
 )
 
 // Op codes.
@@ -44,11 +50,13 @@ const (
 	opPut = 'P'
 )
 
-// Status codes.
+// Status codes, and the NFS status each failure code carries.
 const (
 	statusOK    = 0
-	statusError = 1
+	statusError = 1 // NFS3ERR_IO, and any status failureCodes lacks
 )
+
+var failureCodes = [...]nfs3.Status{statusError: nfs3.ErrIO, 2: nfs3.ErrNoEnt, 3: nfs3.ErrStale}
 
 const (
 	maxFileSize = 4 << 30 // bounds a single transfer (4 GiB)
@@ -65,6 +73,16 @@ const (
 
 // ErrRemote reports a failure the peer described in a status.
 var ErrRemote = errors.New("filechan: remote error")
+
+// remoteError is ErrRemote with the peer's message and the NFS status
+// the status's code carries, for nfs3.StatusOf.
+type remoteError struct {
+	msg    string
+	status nfs3.Error
+}
+
+func (e *remoteError) Error() string   { return ErrRemote.Error() + ": " + e.msg }
+func (e *remoteError) Unwrap() []error { return []error{ErrRemote, &e.status} }
 
 // FileStore is the server-side storage interface: whole files read and
 // written as sized streams. memfs.FS and osfs.FS satisfy it.
@@ -224,7 +242,11 @@ func appendStatus(buf []byte, err error) []byte {
 	if len(msg) > maxMessage {
 		msg = msg[:maxMessage]
 	}
-	buf = append(buf, statusError)
+	code := statusError
+	if i := slices.Index(failureCodes[:], nfs3.StatusOf(err)); i > 0 {
+		code = i
+	}
+	buf = append(buf, byte(code))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
 	return append(buf, msg...)
 }
@@ -243,10 +265,14 @@ func readStatus(r io.Reader) error {
 	if _, err := io.ReadFull(r, msg); err != nil {
 		return unexpected(err)
 	}
-	if hdr[0] != statusOK {
-		return fmt.Errorf("%w: %s", ErrRemote, msg)
+	if hdr[0] == statusOK {
+		return nil
 	}
-	return nil
+	st := nfs3.ErrIO
+	if int(hdr[0]) < len(failureCodes) {
+		st = failureCodes[hdr[0]]
+	}
+	return &remoteError{msg: string(msg), status: nfs3.Error{Status: st}}
 }
 
 // unexpected turns the io.EOF of a stream cut inside a frame into

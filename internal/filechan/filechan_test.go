@@ -6,18 +6,21 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
 
 	"gvfs/internal/memfs"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/osfs"
 	"gvfs/internal/simnet"
 	"gvfs/internal/tunnel"
@@ -121,13 +124,33 @@ func TestFetchMissingFile(t *testing.T) {
 	addr := startServer(t, fs)
 	conn := dial(t, addr)
 	_, err := Fetch(conn, "/missing", false)
-	if !errors.Is(err, ErrRemote) {
-		t.Errorf("err = %v, want ErrRemote", err)
+	if !errors.Is(err, ErrRemote) || nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+		t.Errorf("err = %v (status %v), want ErrRemote with NFS3ERR_NOENT", err, nfs3.StatusOf(err))
 	}
 	// The connection must survive an error reply.
 	fs.WriteFile("/present", []byte("x"))
 	if _, err := Fetch(conn, "/present", false); err != nil {
 		t.Errorf("channel unusable after error: %v", err)
+	}
+}
+
+// A status carries the failure's NFS status across the channel: NOENT
+// and STALE as themselves, any other as NFS3ERR_IO.
+func TestStatusCarriesNFSStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want nfs3.Status
+	}{
+		{&nfs3.Error{Status: nfs3.ErrNoEnt, Op: "lookup img"}, nfs3.ErrNoEnt},
+		{fmt.Errorf("relay: %w", &nfs3.Error{Status: nfs3.ErrStale}), nfs3.ErrStale},
+		{&nfs3.Error{Status: nfs3.ErrIO}, nfs3.ErrIO},
+		{&nfs3.Error{Status: nfs3.ErrNoSpc}, nfs3.ErrIO},
+		{errors.New("source changed"), nfs3.ErrIO},
+	} {
+		err := readStatus(bytes.NewReader(appendStatus(nil, tc.err)))
+		if !errors.Is(err, ErrRemote) || nfs3.StatusOf(err) != tc.want || !strings.HasSuffix(err.Error(), tc.err.Error()) {
+			t.Errorf("%v came back as %v (status %v), want ErrRemote with %v", tc.err, err, nfs3.StatusOf(err), tc.want)
+		}
 	}
 }
 

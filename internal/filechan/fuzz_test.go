@@ -11,6 +11,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"gvfs/internal/nfs3"
 )
 
 // counter is a sink that keeps only how many bytes came.
@@ -42,6 +44,10 @@ func FuzzFileChanReply(f *testing.F) {
 			}
 		}
 
+		if len(stream) > 0 {
+			checkStatusCode(t, stream[0])
+		}
+
 		var wire, out bytes.Buffer
 		if srcErr, err := sendBody(&wire, appendStatus(nil, nil), bytes.NewReader(data), uint64(len(data)), compressed); srcErr != nil || err != nil {
 			t.Fatal(srcErr, err)
@@ -50,6 +56,31 @@ func FuzzFileChanReply(f *testing.F) {
 			t.Fatalf("round trip of %d bytes: %d bytes, err=%v", len(data), n, err)
 		}
 	})
+}
+
+// checkStatusCode fails t unless a status with code decodes, without a
+// panic, to nil for OK and otherwise to an ErrRemote whose NFS status is
+// the code's, NFS3ERR_IO for a code this side does not know, and unless
+// that error goes out again as a status that reads the same.
+func checkStatusCode(t *testing.T, code byte) {
+	t.Helper()
+	err := readStatus(bytes.NewReader([]byte{code, 0, 0, 0, 0}))
+	if code == statusOK {
+		if err != nil {
+			t.Fatalf("code 0 reads as %v", err)
+		}
+		return
+	}
+	want := nfs3.ErrIO
+	if int(code) < len(failureCodes) {
+		want = failureCodes[code]
+	}
+	if !errors.Is(err, ErrRemote) || nfs3.StatusOf(err) != want {
+		t.Fatalf("code %d reads as %v (status %v), want ErrRemote with %v", code, err, nfs3.StatusOf(err), want)
+	}
+	if again := readStatus(bytes.NewReader(appendStatus(nil, err))); !errors.Is(again, ErrRemote) || nfs3.StatusOf(again) != want {
+		t.Fatalf("code %d sent on reads as %v (status %v), want %v", code, again, nfs3.StatusOf(again), want)
+	}
 }
 
 // sinkStore serves no file and keeps only the size of what is written

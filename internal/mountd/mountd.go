@@ -2,7 +2,8 @@
 // appendix I) used to obtain the root file handle of an NFS export.
 // Real NFS deployments run mountd beside nfsd; GVFS sessions start with
 // exactly this exchange before NFS traffic begins flowing through the
-// proxy chain.
+// proxy chain. A MOUNT status (mountstat3) has the number of the NFS
+// status of the same name, so it is spelled as an nfs3.Status.
 package mountd
 
 import (
@@ -20,15 +21,6 @@ const (
 	ProcDump   = 2
 	ProcUmnt   = 3
 	ProcExport = 5
-)
-
-// Mount status codes.
-const (
-	OK        uint32 = 0
-	ErrNoEnt  uint32 = 2
-	ErrAcces  uint32 = 13
-	ErrNotDir uint32 = 20
-	ErrInval  uint32 = 22
 )
 
 // Server answers MOUNT requests for a set of named exports.
@@ -67,18 +59,18 @@ func (s *Server) HandleCall(c *sunrpc.Call) ([]byte, sunrpc.AcceptStat) {
 		s.mu.RLock()
 		fh, ok := s.exports[dirpath]
 		s.mu.RUnlock()
-		status := ErrNoEnt
+		status := nfs3.ErrNoEnt
 		if !ok && s.Resolve != nil {
 			var err error
 			fh, err = s.Resolve(dirpath)
-			ok, status = err == nil, uint32(nfs3.StatusOf(err))
+			ok, status = err == nil, nfs3.StatusOf(err)
 		}
 		b := xdr.NewBuilder()
 		if !ok {
-			b.Uint32(status)
+			b.Uint32(uint32(status))
 			return b.B, sunrpc.Success
 		}
-		b.Uint32(OK)
+		b.Uint32(uint32(nfs3.OK))
 		b.Opaque(fh)
 		b.Uint32(1) // one auth flavor follows
 		b.Uint32(sunrpc.AuthUnix)
@@ -111,9 +103,8 @@ func Mount(rpc nfs3.Caller, cred sunrpc.OpaqueAuth, dirpath string) (nfs3.FH, er
 	}
 	var d xdr.Decoder
 	d.ResetBytes(res)
-	status := d.Uint32()
-	if status != OK {
-		return nil, &nfs3.Error{Status: nfs3.Status(status), Op: "mount " + dirpath}
+	if status := nfs3.Status(d.Uint32()); status != nfs3.OK {
+		return nil, &nfs3.Error{Status: status, Op: "mount " + dirpath}
 	}
 	fh := nfs3.DecodeFH(&d)
 	if err := d.Err(); err != nil {

@@ -3,8 +3,8 @@ package nfs3
 // Backend is the storage interface an NFSv3 server exports. Two
 // implementations exist: memfs (in-memory, used heavily by tests and
 // benchmarks) and osfs (backed by a directory on the host filesystem,
-// used by the daemons). Backends return *Error to select a specific
-// NFS status; any other error maps to NFS3ERR_IO.
+// used by the daemons). A backend's error reaches the client as the
+// status StatusOf reads from it: an *Error's, or NFS3ERR_IO.
 //
 // All methods must be safe for concurrent use: the RPC server invokes
 // handlers from multiple goroutines.

@@ -227,6 +227,17 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		[]byte{0, 0, 0, 11},              // data length
 		[]byte("hello world"), []byte{0}, // data + 1 of padding
 	))
+	// READ3resfail: status, post_op_attr file_attributes — the reply a
+	// failure with a status gets, through every proxy, with attributes or
+	// without.
+	wiretest.Check(t, "READ3res_io", cat(
+		[]byte{0, 0, 0, 5}, // NFS3ERR_IO
+		[]byte{0, 0, 0, 1}, fileAttr,
+	))
+	wiretest.Check(t, "read_stale.res", cat(
+		[]byte{0, 0, 0, 70}, // NFS3ERR_STALE
+		[]byte{0, 0, 0, 0},  // no attributes
+	))
 	// §3.3.7 WRITE3args: nfs_fh3 file, offset3 offset, count3 count,
 	// stable_how stable, opaque data<>.
 	wiretest.Check(t, "WRITE3args", cat(
@@ -247,6 +258,22 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		[]byte{0, 0, 0, 5}, // count
 		[]byte{0, 0, 0, 2}, // committed = FILE_SYNC
 		verf,
+	))
+	// WRITE3resfail: status, wcc_data file_wcc — here only the after half.
+	wiretest.Check(t, "WRITE3res_nospc", cat(
+		[]byte{0, 0, 0, 28},          // NFS3ERR_NOSPC
+		[]byte{0, 0, 0, 0},           // before: no attributes
+		[]byte{0, 0, 0, 1}, fileAttr, // after
+	))
+	// §3.3.12 REMOVE3res: status, wcc_data dir_wcc — one body for the
+	// resok and resfail arms alike.
+	wiretest.Check(t, "remove.res", cat(
+		[]byte{0, 0, 0, 0},                         // NFS3_OK
+		[]byte{0, 0, 0, 1},                         // before: attributes_follow, wcc_attr
+		[]byte{0, 0, 0, 0, 0, 0, 0x10, 0x00},       // size = 4096
+		[]byte{0x3b, 0x9a, 0xc9, 0xf7, 0, 0, 0, 0}, // mtime
+		[]byte{0x3b, 0x9a, 0xc9, 0xf8, 0, 0, 0, 0}, // ctime
+		[]byte{0, 0, 0, 1}, dirAttr,                // after
 	))
 	// §3.3.21 COMMIT3resok: status, wcc_data file_wcc, writeverf3 verf —
 	// the server's reply to a COMMIT it made no pre-operation record for.

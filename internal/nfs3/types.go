@@ -8,9 +8,9 @@ package nfs3
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/xdr"
 )
 
@@ -91,77 +91,22 @@ const (
 	ErrJukebox     Status = 10008
 )
 
+// statusNames are the statuses' names in RFC 1813.
+var statusNames = map[Status]string{
+	OK: "NFS3_OK", ErrPerm: "NFS3ERR_PERM", ErrNoEnt: "NFS3ERR_NOENT", ErrIO: "NFS3ERR_IO",
+	ErrAcces: "NFS3ERR_ACCES", ErrExist: "NFS3ERR_EXIST", ErrNotDir: "NFS3ERR_NOTDIR",
+	ErrIsDir: "NFS3ERR_ISDIR", ErrInval: "NFS3ERR_INVAL", ErrFBig: "NFS3ERR_FBIG",
+	ErrNoSpc: "NFS3ERR_NOSPC", ErrRoFS: "NFS3ERR_ROFS", ErrNameTooLong: "NFS3ERR_NAMETOOLONG",
+	ErrNotEmpty: "NFS3ERR_NOTEMPTY", ErrStale: "NFS3ERR_STALE", ErrBadHandle: "NFS3ERR_BADHANDLE",
+	ErrNotSupp: "NFS3ERR_NOTSUPP", ErrTooSmall: "NFS3ERR_TOOSMALL",
+	ErrServerFault: "NFS3ERR_SERVERFAULT", ErrJukebox: "NFS3ERR_JUKEBOX",
+}
+
 func (s Status) String() string {
-	switch s {
-	case OK:
-		return "NFS3_OK"
-	case ErrPerm:
-		return "NFS3ERR_PERM"
-	case ErrNoEnt:
-		return "NFS3ERR_NOENT"
-	case ErrIO:
-		return "NFS3ERR_IO"
-	case ErrAcces:
-		return "NFS3ERR_ACCES"
-	case ErrExist:
-		return "NFS3ERR_EXIST"
-	case ErrNotDir:
-		return "NFS3ERR_NOTDIR"
-	case ErrIsDir:
-		return "NFS3ERR_ISDIR"
-	case ErrInval:
-		return "NFS3ERR_INVAL"
-	case ErrFBig:
-		return "NFS3ERR_FBIG"
-	case ErrNoSpc:
-		return "NFS3ERR_NOSPC"
-	case ErrRoFS:
-		return "NFS3ERR_ROFS"
-	case ErrNameTooLong:
-		return "NFS3ERR_NAMETOOLONG"
-	case ErrNotEmpty:
-		return "NFS3ERR_NOTEMPTY"
-	case ErrStale:
-		return "NFS3ERR_STALE"
-	case ErrBadHandle:
-		return "NFS3ERR_BADHANDLE"
-	case ErrNotSupp:
-		return "NFS3ERR_NOTSUPP"
-	case ErrTooSmall:
-		return "NFS3ERR_TOOSMALL"
-	case ErrServerFault:
-		return "NFS3ERR_SERVERFAULT"
-	case ErrJukebox:
-		return "NFS3ERR_JUKEBOX"
+	if name, ok := statusNames[s]; ok {
+		return name
 	}
 	return fmt.Sprintf("NFS3ERR(%d)", uint32(s))
-}
-
-// Error is an NFSv3 protocol error carrying a Status. Backends return
-// *Error, wrapped or not, to select the status reported to clients; any
-// other error maps to NFS3ERR_IO.
-type Error struct {
-	Status Status
-	Op     string
-}
-
-func (e *Error) Error() string {
-	if e.Op != "" {
-		return "nfs3: " + e.Op + ": " + e.Status.String()
-	}
-	return "nfs3: " + e.Status.String()
-}
-
-// StatusOf extracts the NFS status from an error, an *Error however deeply
-// wrapped (OK for nil).
-func StatusOf(err error) Status {
-	if err == nil {
-		return OK
-	}
-	if e := (*Error)(nil); errors.As(err, &e) {
-		return e.Status
-	}
-	return ErrIO
 }
 
 // FH is an NFSv3 file handle: opaque, up to MaxFHSize bytes.
@@ -171,9 +116,8 @@ type FH []byte
 // enforces it) and any backend may produce. RFC 1813 stops at 64 bytes
 // (NFS3_FHSIZE) and a handle relayed from an NFS server never exceeds
 // that, but a backend's FileID is the handle and objstore's is the object
-// path, so the bound is the one a FileID already had wherever it is
-// stored: backend.MaxFileID, the write-back journal's record limit.
-const MaxFHSize = 1 << 10
+// path, so the bound is the FileID's, the write-back journal's record limit.
+const MaxFHSize = backend.MaxFileID
 
 // MaxNameLen is the longest name in a directory listing the decoder takes:
 // the name_max this implementation's PATHCONF answers, and what memfs and

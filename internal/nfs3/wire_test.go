@@ -2,11 +2,15 @@ package nfs3
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"syscall"
 	"testing"
 	"testing/quick"
 
+	"gvfs/internal/backend"
 	"gvfs/internal/sunrpc"
 	"gvfs/internal/xdr"
 )
@@ -237,8 +241,10 @@ func TestProcNames(t *testing.T) {
 	}
 }
 
-// TestStatusOf: a status survives wrapping, once or twice, and an error
-// that holds no *Error reads as NFS3ERR_IO.
+// TestStatusOf: a status survives wrapping, once or twice, whether an
+// *Error or a *backend.Error carries it; a *backend.Error without one
+// reads by its class, an OS error by the status it names, and any other
+// error as NFS3ERR_IO.
 func TestStatusOf(t *testing.T) {
 	noent := &Error{Status: ErrNoEnt, Op: "lookup"}
 	for _, tc := range []struct {
@@ -251,9 +257,61 @@ func TestStatusOf(t *testing.T) {
 		{fmt.Errorf("clone: resume: %w", fmt.Errorf("vm: read memory state: %w", &Error{Status: ErrStale})), ErrStale},
 		{bytes.ErrTooLarge, ErrIO},
 		{fmt.Errorf("clone: mkdir: %w", bytes.ErrTooLarge), ErrIO},
+
+		{&backend.Error{Class: backend.ClassIO, Op: "write", Status: uint32(ErrNoSpc)}, ErrNoSpc},
+		{fmt.Errorf("proxy: %w", Fail("read", ErrStale, nil)), ErrStale},
+		{Fail("write", ErrBadHandle, nil), ErrBadHandle},
+		{&backend.Error{Class: backend.ClassRetriable, Op: "fault"}, ErrJukebox},
+		{&backend.Error{Class: backend.ClassStale, Op: "fault"}, ErrStale},
+		{&backend.Error{Class: backend.ClassNotFound, Op: "fault"}, ErrNoEnt},
+		{&backend.Error{Class: backend.ClassIO, Op: "read", Err: errors.New("short reply")}, ErrIO},
+		{&backend.Error{Class: backend.ClassUnavailable, Op: "read"}, ErrIO},
+		{&backend.Error{Class: backend.ClassTimeout, Op: "read", Err: context.DeadlineExceeded}, ErrIO},
+
+		{&fs.PathError{Op: "open", Path: "/x", Err: syscall.ENOENT}, ErrNoEnt},
+		{fmt.Errorf("store: %w", syscall.ENOTEMPTY), ErrNotEmpty},
+		{syscall.EEXIST, ErrExist},
+		{syscall.EPERM, ErrAcces},
+		{syscall.EDQUOT, ErrNoSpc},
+		{syscall.EROFS, ErrRoFS},
+		{syscall.ECONNRESET, ErrIO},
 	} {
 		if got := StatusOf(tc.err); got != tc.want {
 			t.Errorf("StatusOf(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestFailClasses: Fail's class follows from the status, and with no
+// status from what the cause's OS error names, or is ClassUnavailable
+// when it names none.
+func TestFailClasses(t *testing.T) {
+	for _, tc := range []struct {
+		st     Status
+		cause  error
+		class  backend.Class
+		status Status
+	}{
+		{ErrJukebox, nil, backend.ClassRetriable, ErrJukebox},
+		{ErrStale, nil, backend.ClassStale, ErrStale},
+		{ErrBadHandle, nil, backend.ClassStale, ErrBadHandle},
+		{ErrNoEnt, nil, backend.ClassNotFound, ErrNoEnt},
+		{ErrNoSpc, nil, backend.ClassIO, ErrNoSpc},
+		{ErrIO, errors.New("missing block"), backend.ClassIO, ErrIO},
+		{0, syscall.ENOSPC, backend.ClassIO, ErrNoSpc},
+		{0, fs.ErrNotExist, backend.ClassNotFound, ErrNoEnt},
+		{0, syscall.EISDIR, backend.ClassIO, ErrIsDir},
+		{0, errors.New("connection reset by peer"), backend.ClassUnavailable, ErrIO},
+	} {
+		err := Fail("op", tc.st, tc.cause)
+		if c := backend.Classify(err); c != tc.class {
+			t.Errorf("Fail(%v, %v): class %v, want %v", tc.st, tc.cause, c, tc.class)
+		}
+		if st := StatusOf(err); st != tc.status {
+			t.Errorf("Fail(%v, %v): status %v, want %v", tc.st, tc.cause, st, tc.status)
+		}
+		if tc.cause != nil && !errors.Is(err, tc.cause) {
+			t.Errorf("Fail(%v, %v) = %v lost its cause", tc.st, tc.cause, err)
 		}
 	}
 }

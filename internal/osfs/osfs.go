@@ -10,7 +10,6 @@ package osfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -106,24 +105,13 @@ func checkName(name string) error {
 	return nil
 }
 
+// mapError is err as the *nfs3.Error a client sees: the status its OS
+// error names (nfs3.StatusOf), NFS3ERR_IO for one it does not.
 func mapError(op string, err error) error {
-	switch {
-	case err == nil:
+	if err == nil {
 		return nil
-	case errors.Is(err, syscall.ENOTEMPTY):
-		return &nfs3.Error{Status: nfs3.ErrNotEmpty, Op: op}
-	case errors.Is(err, syscall.EISDIR):
-		return &nfs3.Error{Status: nfs3.ErrIsDir, Op: op}
-	case errors.Is(err, syscall.ENOTDIR):
-		return &nfs3.Error{Status: nfs3.ErrNotDir, Op: op}
-	case os.IsNotExist(err):
-		return &nfs3.Error{Status: nfs3.ErrNoEnt, Op: op}
-	case os.IsExist(err):
-		return &nfs3.Error{Status: nfs3.ErrExist, Op: op}
-	case os.IsPermission(err):
-		return &nfs3.Error{Status: nfs3.ErrAcces, Op: op}
 	}
-	return &nfs3.Error{Status: nfs3.ErrIO, Op: op}
+	return &nfs3.Error{Status: nfs3.StatusOf(err), Op: op}
 }
 
 func attrOf(id uint64, info os.FileInfo) nfs3.Fattr {

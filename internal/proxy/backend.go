@@ -179,10 +179,10 @@ func (p *Proxy) readUpstream(c *sunrpc.Call, args *nfs3.ReadArgs, v *fileView, t
 		r, err = p.beRead(args.FH, args.Offset, fetch, opts, tr, true)
 	}
 	if err != nil {
-		st, ok := nfs3be.ErrStatus(err)
-		if !ok {
+		if !answerable(err) {
 			return readSystemErr
 		}
+		st := nfs3.StatusOf(err)
 		if st == nfs3.ErrStale {
 			p.attrs.forget(args.FH)
 		}

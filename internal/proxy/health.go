@@ -7,32 +7,18 @@ package proxy
 // session the proxy owns the file's dirty state, so cached reads and
 // absorbed writes remain authoritative while the WAN is down.
 
-import (
-	"errors"
-
-	"gvfs/internal/backend"
-	"gvfs/internal/sunrpc"
-)
+import "gvfs/internal/backend"
 
 // observeUpstream feeds a forwarded or backend call's outcome into the
-// breaker, by the proxy's policy: any answer proves the path alive — a
-// classified per-file error, or an RPC-level rejection from the relay
-// (the server answered); only ClassUnavailable (which an unclassified
-// transport error is too) counts as a failure; and a timeout is
-// neutral — a call running out of its propagated budget says nothing
-// about upstream health, so it must not poison the breaker. At the
-// threshold the breaker opens: forwarded calls fail fast (bounded error
-// latency), cached data keeps being served, and the breaker probes the
-// backend until it answers.
+// breaker by its backend.Classify class: any answer proves the path alive
+// — a per-file error, or an RPC-level rejection (ClassIO); only
+// ClassUnavailable (an unclassified error too) counts as a failure; and a
+// timeout is neutral — a call running out of its propagated budget says
+// nothing about upstream health. At the threshold the breaker opens:
+// forwarded calls fail fast (bounded error latency), cached data keeps
+// being served, and the breaker probes the backend until it answers.
 func (p *Proxy) observeUpstream(err error) {
 	if err == nil {
-		p.breaker.Success()
-		return
-	}
-	// Declared past the common case: errors.As makes it escape, and the
-	// heap allocation would be paid on every call that succeeds.
-	var answered *sunrpc.RPCError
-	if errors.As(err, &answered) {
 		p.breaker.Success()
 		return
 	}
@@ -46,6 +32,13 @@ func (p *Proxy) observeUpstream(err error) {
 	default:
 		p.breaker.Success()
 	}
+}
+
+// answerable reports whether a failed upstream call has a status for the
+// client (nfs3.StatusOf): a transport-class one is RPC SYSTEM_ERR.
+func answerable(err error) bool {
+	c := backend.Classify(err)
+	return c != backend.ClassUnavailable && c != backend.ClassTimeout
 }
 
 // probeUpstream is the breaker's probe: a minimal backend call. An

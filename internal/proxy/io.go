@@ -669,8 +669,8 @@ func (p *Proxy) writeThrough(c *sunrpc.Call, args *nfs3.WriteArgs, file string, 
 		w, err = p.beWrite(args.FH, args.Offset, args.Data, opts, tr, true)
 	}
 	if err != nil {
-		if st, ok := nfs3be.ErrStatus(err); ok {
-			return (&nfs3.WriteRes{Status: st, Verf: nfs3.WriteVerf}).Encode(), sunrpc.Success
+		if answerable(err) {
+			return (&nfs3.WriteRes{Status: nfs3.StatusOf(err), Verf: nfs3.WriteVerf}).Encode(), sunrpc.Success
 		}
 		return nil, sunrpc.SystemErr
 	}

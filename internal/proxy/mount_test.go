@@ -159,7 +159,7 @@ func TestMountRepliesBounded(t *testing.T) {
 					t.Errorf("MNT as uid %d: %v", uid, err)
 					return
 				}
-				if res, err := mnt(ch.p, ch.cred, "/"); err != nil || mntStatus(res) != mountd.OK {
+				if res, err := mnt(ch.p, ch.cred, "/"); err != nil || mntStatus(res) != uint32(nfs3.OK) {
 					t.Errorf("repeated MNT amid the churn: status %d, %v", mntStatus(res), err)
 					return
 				}

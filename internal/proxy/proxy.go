@@ -25,6 +25,7 @@ package proxy
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -402,7 +403,7 @@ func (p *Proxy) handleMount(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.Acce
 		return res, stat
 	}
 	d.ResetBytes(res)
-	if d.Uint32() == mountd.OK {
+	if nfs3.Status(d.Uint32()) == nfs3.OK {
 		if fh := nfs3.DecodeFH(&d); d.Err() == nil {
 			p.attrs.mounted(k, fh, path.Clean(dirpath), res)
 		}
@@ -458,7 +459,7 @@ func (p *Proxy) forward(c *sunrpc.Call, tr *obs.Active) ([]byte, sunrpc.AcceptSt
 		return err
 	})
 	if err != nil {
-		if rpcErr, ok := err.(*sunrpc.RPCError); ok {
+		if rpcErr := (*sunrpc.RPCError)(nil); errors.As(err, &rpcErr) {
 			return nil, rpcErr.Stat
 		}
 		return nil, sunrpc.SystemErr

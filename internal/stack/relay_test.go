@@ -18,6 +18,7 @@ import (
 	"gvfs/internal/filechan"
 	"gvfs/internal/memfs"
 	"gvfs/internal/meta"
+	"gvfs/internal/nfs3"
 	"gvfs/internal/simnet"
 	"gvfs/internal/stack"
 	"gvfs/internal/stack/stacktest"
@@ -108,6 +109,19 @@ func TestFileChanRelayCachesUpstream(t *testing.T) {
 	mustGet(t, relay.Addr, "/img.vmss", payload, "fetch after the image server died")
 	if n := c.Hop().Proxy.Snapshot().Counter("gvfs_proxy_filechan_fetches_total"); n != 1 {
 		t.Errorf("the LAN proxy fetched %d times, want 1", n)
+	}
+}
+
+// A GET of a file that is not there fails with the image server's
+// NFS3ERR_NOENT, from the image server and through the relay alike: the
+// file channel carries the status, not only its message.
+func TestFileChanRelayMissingFile(t *testing.T) {
+	c, relay := lanChain(t, func(fs *memfs.FS) { writeImage(t, fs, "/img.vmss", []byte("golden")) })
+	for what, addr := range map[string]string{"image server": c.Server.FileChanAddr(), "relay": relay.Addr} {
+		_, err := relayGet(addr, "/absent.vmss")
+		if !errors.Is(err, filechan.ErrRemote) || nfs3.StatusOf(err) != nfs3.ErrNoEnt {
+			t.Errorf("GET of a missing file from the %s: %v (status %v), want ErrRemote with NFS3ERR_NOENT", what, err, nfs3.StatusOf(err))
+		}
 	}
 }
 

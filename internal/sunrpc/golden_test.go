@@ -64,6 +64,10 @@ func TestGoldenHeaders(t *testing.T) {
 	}{
 		{"call", "reply", 6, goldCred.Encode(), goldTrace.EncodeVerf(), []byte("ARGS"), Success, []byte("RES!")},
 		{"call_auth_none", "reply_garbage_args", 99, AuthNoneCred, AuthNoneCred, nil, GarbageArgs, nil},
+		// What a call whose upstream failed at the transport gets (RFC 5531
+		// §9): xid 1, REPLY (1), MSG_ACCEPTED (0), an AUTH_NONE verifier (0,
+		// length 0), SYSTEM_ERR (5), spelled by hand into its vector file.
+		{"call_auth_none", "reply_system_err", 99, AuthNoneCred, AuthNoneCred, nil, SystemErr, nil},
 	} {
 		rec := marshalCallRecord(1, testProg, testVers, tc.proc, tc.cred, tc.verf, tc.args)
 		wiretest.Check(t, tc.call, rec[4:])
