@@ -14,14 +14,17 @@ import (
 )
 
 // faultStore wraps a Store and fails Get/Put with a fixed error,
-// standing in for a filesystem-backed store hitting ENOSPC, EIO, etc.
+// standing in for a filesystem-backed store hitting ENOSPC, EIO, etc.,
+// or answers each Get and Put only after a delay.
 type faultStore struct {
 	Store
 	getErr error
 	putErr error
+	delay  time.Duration
 }
 
 func (s *faultStore) Get(key string) ([]byte, error) {
+	time.Sleep(s.delay)
 	if s.getErr != nil {
 		return nil, s.getErr
 	}
@@ -29,6 +32,7 @@ func (s *faultStore) Get(key string) ([]byte, error) {
 }
 
 func (s *faultStore) Put(key string, data []byte) error {
+	time.Sleep(s.delay)
 	if s.putErr != nil {
 		return s.putErr
 	}
@@ -101,6 +105,42 @@ func TestStoreErrorTaxonomy(t *testing.T) {
 		t.Fatalf("unknown error class = %v, want Unavailable", got)
 	}
 	fs.getErr = nil
+}
+
+// A deadline that runs out while the store works is ClassTimeout, whatever
+// the store answered — a success included — as a reply that comes too
+// late over nfs3be is; with time to spare the same calls succeed.
+func TestDeadlinePassedDuringStoreCall(t *testing.T) {
+	fs := &faultStore{Store: NewMemStore()}
+	b := New(fs, 4096)
+	if err := b.CreateFile("/images/vm.img", bytes.Repeat([]byte{0xab}, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	f := backend.FileID("/images/vm.img")
+	calls := map[string]func(backend.CallOpts) error{
+		"read":    func(o backend.CallOpts) error { _, err := b.Read(f, 0, 4096, o); return err },
+		"write":   func(o backend.CallOpts) error { _, err := b.Write(f, 0, []byte("x"), o); return err },
+		"getattr": func(o backend.CallOpts) error { _, err := b.GetAttr(f, o); return err },
+		"lookup": func(o backend.CallOpts) error {
+			_, _, err := b.Lookup(backend.FileID("/images"), "vm.img", o)
+			return err
+		},
+		"create": func(o backend.CallOpts) error {
+			_, _, err := b.Create(backend.FileID("/images"), "new.img", o)
+			return err
+		},
+	}
+	fs.delay = 20 * time.Millisecond
+	for op, call := range calls {
+		b.cache = make(map[string]*parsed) // every call reaches the store
+		err := call(backend.CallOpts{Deadline: time.Now().Add(5 * time.Millisecond)})
+		if got := backend.Classify(err); got != backend.ClassTimeout {
+			t.Errorf("%s past its deadline: %v (class %v), want ClassTimeout", op, err, got)
+		}
+		if err := call(backend.CallOpts{Deadline: time.Now().Add(time.Minute)}); err != nil {
+			t.Errorf("%s within its deadline: %v", op, err)
+		}
+	}
 }
 
 func TestMissingBlockObjectIsIO(t *testing.T) {

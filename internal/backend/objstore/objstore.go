@@ -132,10 +132,25 @@ func (b *Backend) checkCall(op string, opts backend.CallOpts) error {
 	if err := b.faulted(); err != nil {
 		return err
 	}
+	return expired(op, opts)
+}
+
+// expired is a ClassTimeout error once the call's deadline has passed.
+func expired(op string, opts backend.CallOpts) error {
 	if rem, ok := opts.Remaining(); ok && rem < 0 {
 		return &backend.Error{Class: backend.ClassTimeout, Op: op, Err: context.DeadlineExceeded}
 	}
 	return nil
+}
+
+// inTime, deferred by every operation that reaches the store, answers one
+// whose deadline ran out while the store worked with ClassTimeout,
+// whatever the store said: the caller has stopped waiting, as nfs3be's
+// transport stops waiting for a reply that comes too late.
+func inTime(op string, opts backend.CallOpts, err *error) {
+	if late := expired(op, opts); late != nil {
+		*err = late
+	}
 }
 
 // cleanPath canonicalizes a file path to the absolute form used as
@@ -298,10 +313,11 @@ func (b *Backend) fileAttr(m *parsed) backend.Attr {
 }
 
 // Read implements backend.Backend.
-func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (backend.ReadResult, error) {
+func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.CallOpts) (_ backend.ReadResult, err error) {
 	if err := b.checkCall("read", opts); err != nil {
 		return backend.ReadResult{}, err
 	}
+	defer inTime("read", opts, &err)
 	m, err := b.loadManifest("read", string(f))
 	if err != nil {
 		return backend.ReadResult{}, err
@@ -342,10 +358,11 @@ func (b *Backend) Read(f backend.FileID, off uint64, count uint32, opts backend.
 // Write implements backend.Backend: read-modify-write of the affected
 // manifest blocks, new content objects put by hash, manifest updated
 // last. Store puts are durable, so the FILE_SYNC contract holds.
-func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (backend.WriteResult, error) {
+func (b *Backend) Write(f backend.FileID, off uint64, data []byte, opts backend.CallOpts) (_ backend.WriteResult, err error) {
 	if err := b.checkCall("write", opts); err != nil {
 		return backend.WriteResult{}, err
 	}
+	defer inTime("write", opts, &err)
 	// Serialize the whole RMW per file: concurrent writers to disjoint
 	// ranges must both survive into the manifest.
 	wl := b.writeLock(string(f))
@@ -443,10 +460,11 @@ func (b *Backend) isDir(fid string) bool {
 }
 
 // GetAttr implements backend.Backend.
-func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (backend.Attr, error) {
+func (b *Backend) GetAttr(f backend.FileID, opts backend.CallOpts) (_ backend.Attr, err error) {
 	if err := b.checkCall("getattr", opts); err != nil {
 		return backend.Attr{}, err
 	}
+	defer inTime("getattr", opts, &err)
 	fid := cleanPath(string(f))
 	if m, err := b.loadManifest("getattr", fid); err == nil {
 		return b.fileAttr(m), nil
@@ -473,10 +491,11 @@ func (b *Backend) Root(dirpath string) (backend.FileID, backend.Attr, error) {
 }
 
 // Lookup implements backend.Lookuper.
-func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
+func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts) (_ backend.FileID, _ backend.Attr, err error) {
 	if err := b.checkCall("lookup", opts); err != nil {
 		return nil, backend.Attr{}, err
 	}
+	defer inTime("lookup", opts, &err)
 	child, err := fileID("lookup", path.Join(cleanPath(string(dir)), name))
 	if err != nil {
 		return nil, backend.Attr{}, err
@@ -489,10 +508,11 @@ func (b *Backend) Lookup(dir backend.FileID, name string, opts backend.CallOpts)
 }
 
 // Create implements backend.Namespacer: an empty regular file.
-func (b *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts) (backend.FileID, backend.Attr, error) {
+func (b *Backend) Create(dir backend.FileID, name string, opts backend.CallOpts) (_ backend.FileID, _ backend.Attr, err error) {
 	if err := b.checkCall("create", opts); err != nil {
 		return nil, backend.Attr{}, err
 	}
+	defer inTime("create", opts, &err)
 	child, err := fileID("create", path.Join(cleanPath(string(dir)), name))
 	if err != nil {
 		return nil, backend.Attr{}, err

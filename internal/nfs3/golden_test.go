@@ -3,10 +3,10 @@ package nfs3
 // Golden wire vectors (testdata/wire/*.hex): the bytes the commit before
 // the single XDR codec put on the wire for one value, and one error
 // value, of every message this package encodes. Each is held against
-// today's encoder and today's decoder, and eight of them (GETATTR3res,
-// READ3res, WRITE3args, WRITE3res, LOOKUP3res, READDIRPLUS3args,
-// READDIRPLUS3res and COMMIT3res) against bytes written out by hand from
-// RFC 1813. The READDIRPLUS3 vectors came
+// today's encoder and today's decoder, and ten of them (GETATTR3res,
+// SETATTR3res, READ3res, WRITE3args, WRITE3res, REMOVE3res, LOOKUP3res,
+// READDIRPLUS3args, READDIRPLUS3res and COMMIT3res) against bytes written
+// out by hand from RFC 1813. The READDIRPLUS3 vectors came
 // with the typed message, from its encoder, and were checked against the
 // hand derivation before they went in.
 
@@ -263,6 +263,19 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 	wiretest.Check(t, "WRITE3res_nospc", cat(
 		[]byte{0, 0, 0, 28},          // NFS3ERR_NOSPC
 		[]byte{0, 0, 0, 0},           // before: no attributes
+		[]byte{0, 0, 0, 1}, fileAttr, // after
+	))
+	// §3.3.2 SETATTR3res: status, wcc_data obj_wcc — one body for the
+	// resok and resfail arms alike; the server reports the file's
+	// attributes before and after, and after a refusal as well.
+	wiretest.Check(t, "setattr.res", cat(
+		[]byte{0, 0, 0, 0},          // NFS3_OK
+		[]byte{0, 0, 0, 1}, fileWcc, // before: attributes_follow, wcc_attr
+		[]byte{0, 0, 0, 1}, fileAttr, // after: attributes_follow, fattr3
+	))
+	wiretest.Check(t, "setattr_inval.res", cat(
+		[]byte{0, 0, 0, 22},         // NFS3ERR_INVAL
+		[]byte{0, 0, 0, 1}, fileWcc, // before
 		[]byte{0, 0, 0, 1}, fileAttr, // after
 	))
 	// §3.3.12 REMOVE3res: status, wcc_data dir_wcc — one body for the

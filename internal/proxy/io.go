@@ -763,9 +763,6 @@ func (p *Proxy) metaFor(v *fileView, c *sunrpc.Call) *metaState {
 	if len(obj) == 0 {
 		return ms
 	}
-	if size == 0 {
-		size = 1 << 20
-	}
 	blob, err := p.readAllUpstream(obj, size, opts)
 	if err != nil {
 		return ms
@@ -779,14 +776,18 @@ func (p *Proxy) metaFor(v *fileView, c *sunrpc.Call) *metaState {
 	return ms
 }
 
-// readAllUpstream fetches an entire (small) file block by block
-// through the backend.
-func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64, opts backend.CallOpts) ([]byte, error) {
-	const chunk = 8192
-	out := make([]byte, 0, sizeHint)
-	var off uint64
-	for {
-		r, err := p.beRead(fh, off, chunk, opts, nil, false)
+// readAllUpstream fetches a whole (small) file through the backend in
+// READs of nfs3.MaxTransfer, stopping at its end or at size, what its
+// attributes say it holds (0: they say nothing). The zero map of the
+// paper's 512 MB memory state, 11 KB, is one READ.
+func (p *Proxy) readAllUpstream(fh nfs3.FH, size uint64, opts backend.CallOpts) ([]byte, error) {
+	const limit = 64 << 20
+	if size > limit {
+		return nil, fmt.Errorf("proxy: meta-data file unreasonably large")
+	}
+	out := make([]byte, 0, size)
+	for off := uint64(0); size == 0 || off < size; {
+		r, err := p.beRead(fh, off, nfs3.MaxTransfer, opts, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -794,12 +795,13 @@ func (p *Proxy) readAllUpstream(fh nfs3.FH, sizeHint uint64, opts backend.CallOp
 		r.Release() // only r.Data's length is looked at below
 		off += uint64(len(r.Data))
 		if r.EOF || len(r.Data) == 0 {
-			return out, nil
+			break
 		}
-		if off > 64<<20 {
+		if off > limit {
 			return nil, fmt.Errorf("proxy: meta-data file unreasonably large")
 		}
 	}
+	return out, nil
 }
 
 // ensureFetched runs the file-based data channel once per file: compress

@@ -55,8 +55,8 @@ func TestChainReadOwnership(t *testing.T) {
 	fs.WriteFile("/rmw.img", rmw)
 	clear(state[len(state)-16:]) // a zero grain at the very end, so the zero map covers the file
 	fs.WriteFile("/mem.vmss", state)
-	blob, err := meta.ForWholeFile(state, 8).Encode() // an 8-byte zero-map grain: the meta-data file spans several READs
-	if err != nil || len(blob) <= 8192 {
+	blob, err := meta.ForWholeFile(state, 2).Encode() // a 2-byte zero-map grain: the meta-data file spans several READs
+	if err != nil || len(blob) <= nfs3.MaxTransfer {
 		t.Fatalf("meta-data blob: %d bytes, %v", len(blob), err)
 	}
 	fs.WriteFile("/"+meta.NameFor("mem.vmss"), blob)

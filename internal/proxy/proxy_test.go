@@ -205,6 +205,41 @@ func TestZeroBlockFiltering(t *testing.T) {
 	}
 }
 
+// The zero map of the paper's 512 MB memory state — 65,750 blocks, an
+// 11 KB meta-data file — crosses to the proxy in one READ, not one per
+// 8 KiB. Its blocks all zero, the session's READ of the state is answered
+// from the map, so the meta-data file's are the only READs that cross.
+func TestZeroMapIsOneRead(t *testing.T) {
+	const bs, blocks = 8192, 65750
+	e := stacktest.New(t, oneHop(cache.WriteBack))
+	e.FS.WriteFile("/vm/mem.vmss", make([]byte, 4*bs))
+	m := &meta.Meta{FileSize: blocks * bs, BlockSize: bs, ZeroMap: bytes.Repeat([]byte{0xff}, (blocks+7)/8)}
+	blob, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) <= 8192 || len(blob) > nfs3.MaxTransfer {
+		t.Fatalf("the meta-data file is %d bytes, want one READ's worth but more than 8 KiB", len(blob))
+	}
+	e.FS.WriteFile("/vm/"+meta.NameFor("mem.vmss"), blob)
+	f, err := e.Session().Open("/vm/mem.vmss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before := e.OriginCalls("READ")
+	got := make([]byte, bs)
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, make([]byte, bs)) {
+		t.Fatalf("READ of a zero block: err=%v", err)
+	}
+	if n := e.OriginCalls("READ") - before; n != 1 {
+		t.Errorf("%d READs crossed for a %d-byte meta-data file and a block its map calls zero, want 1", n, len(blob))
+	}
+	if n := e.Hop().Proxy.Snapshot().Counter("gvfs_proxy_zero_filtered_total"); n != 1 {
+		t.Errorf("%d READs answered from the zero map, want 1", n)
+	}
+}
+
 func TestFileChannelFetch(t *testing.T) {
 	spec := oneHop(cache.WriteBack)
 	spec.FileChan = true

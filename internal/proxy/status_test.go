@@ -106,13 +106,18 @@ func (s *faultServer) arm(f *failure) {
 	s.armed.Store(f)
 }
 
-// faultStore is an object store whose Gets fail, once armed, with err.
+// faultStore is an object store whose Gets fail, once armed, with err,
+// or, once slow, answer only after the call's budget has run out.
 type faultStore struct {
 	objstore.Store
-	err atomic.Pointer[error]
+	err  atomic.Pointer[error]
+	slow atomic.Bool
 }
 
 func (s *faultStore) Get(key string) ([]byte, error) {
+	if s.slow.Load() {
+		time.Sleep(time.Second)
+	}
 	if err := s.err.Load(); err != nil {
 		return nil, *err
 	}
@@ -138,11 +143,15 @@ var origins = []origin{
 			t.Fatal(err)
 		}
 		// What a store answers: it has no such object, it refuses, or it
-		// fails for no reason it can name. It has no stale handle, no
-		// JUKEBOX, no RPC and no deadline of its own.
+		// fails for no reason it can name — or it answers too late. It has
+		// no stale handle, no JUKEBOX and no RPC.
 		errs := map[string]error{"NOENT": objstore.ErrNotExist, "ACCES": syscall.EACCES,
 			"dead transport": errors.New("connection reset by peer")}
 		return stack.ProxyOptions{Backend: stack.BackendObjstore, ObjstoreStore: store}, func(f *failure) bool {
+			if f.stall {
+				store.slow.Store(true)
+				return true
+			}
 			err, ok := errs[f.name]
 			if ok {
 				store.err.Store(&err)

@@ -724,8 +724,11 @@ func BridgeTunnelStats(reg *obs.Registry) {
 		"Plaintext bytes received through tunnels.",
 		func() uint64 { return tunnel.ReadStats().RxBytes })
 	reg.CounterFunc("gvfs_tunnel_elided_bytes_total",
-		"Sent plaintext bytes kept off the wire: zero runs that crossed as lengths.",
+		"Sent plaintext bytes kept off the wire: zero runs that crossed as lengths, and what deflation saved.",
 		func() uint64 { return tunnel.ReadStats().ElidedBytes })
+	reg.CounterFunc("gvfs_tunnel_deflated_frames_total",
+		"Frames sent deflated, because the link held the sender back.",
+		func() uint64 { return tunnel.ReadStats().DeflatedFrames })
 }
 
 // ImageServer bundles the services running on a paper "image server":

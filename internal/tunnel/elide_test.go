@@ -217,8 +217,9 @@ func TestMalformedElidedFrameIsStickyError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cli, srv, c2s, _ := memPair(t, testKey(t))
-			good := sealed(t, cli, c2s, "zero", "after")
-			c2s.Write(join(good[0], sealAs(cli, elidedBit|uint32(len(tc.body)), tc.body), good[1]))
+			first := sealed(t, cli, c2s, "zero")[0]
+			bad := sealAs(cli, elidedBit|uint32(len(tc.body)), tc.body)
+			c2s.Write(join(first, bad, sealed(t, cli, c2s, "after")[0]))
 			c2s.close()
 			readString(t, srv, "zero")
 			readsFail(t, srv, nil)

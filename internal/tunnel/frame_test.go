@@ -2,6 +2,7 @@ package tunnel
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -21,7 +22,8 @@ type wire struct {
 	ready  sync.Cond
 	buf    []byte
 	closed bool
-	fail   error // returned once by a Read that finds the queue empty
+	fail   error         // returned once by a Read that finds the queue empty
+	hold   time.Duration // per byte written: the link holds the writer back this long
 }
 
 func newWire() *wire {
@@ -31,6 +33,7 @@ func newWire() *wire {
 }
 
 func (w *wire) Write(p []byte) (int, error) {
+	time.Sleep(time.Duration(len(p)) * w.hold)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -160,8 +163,10 @@ func TestBadFrameIsStickyError(t *testing.T) {
 		{"flipped tag", func(f [][]byte) []byte { f[0][len(f[0])-1] ^= 0x80; return join(f...) }, "", ErrAuth},
 		{"length shrunk", func(f [][]byte) []byte { f[0][3] = 3; return join(f...) }, "", ErrAuth},
 		{"length grown", func(f [][]byte) []byte { f[0][3] = 9; return join(f...) }, "", ErrAuth},
-		{"length over bound", func(f [][]byte) []byte { f[1][0] ^= 0x40; return join(f...) }, "zero", nil},
+		{"length over bound", func(f [][]byte) []byte { f[1][0] ^= 0x20; return join(f...) }, "zero", nil},
 		{"elided bit set", func(f [][]byte) []byte { f[1][0] ^= 0x80; return join(f...) }, "zero", ErrAuth},
+		{"deflated bit set", func(f [][]byte) []byte { f[1][0] ^= 0x40; return join(f...) }, "zero", ErrAuth},
+		{"both flag bits set", func(f [][]byte) []byte { f[1][0] ^= 0xc0; return join(f...) }, "zero", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -290,10 +295,11 @@ func TestReadResumesAfterRawError(t *testing.T) {
 var roles = map[string]func(net.Conn, []byte) (*Conn, error){"server": Server, "client": Client}
 
 // A peer that speaks a previous wire format — GVFSTUN2's frames have no
-// elided form, and would read one's length word as an oversized length —
-// is turned away at the handshake, by either role.
+// elided form, GVFSTUN3's no deflated one, and either would misread a
+// length word that has a form's flag set — is turned away at the
+// handshake, by either role.
 func TestVersionMismatch(t *testing.T) {
-	for _, old := range []string{"GVFSTUN1", "GVFSTUN2"} {
+	for _, old := range []string{"GVFSTUN1", "GVFSTUN2", "GVFSTUN3"} {
 		for name, role := range roles {
 			in, out := newWire(), newWire()
 			in.Write(append([]byte(old), make([]byte, nonceSize)...))
@@ -336,7 +342,7 @@ var payloads = []struct {
 // Steady-state frames cost no allocation in either direction, elided or
 // not: sealed from the caller's slice (or from its elided form, built in
 // place) into the Conn's buffer, opened in place, zero runs expanded in
-// the reader's buffer.
+// the reader's buffer. Deflated frames: see deflatedFrameAllocs.
 func TestFrameAllocs(t *testing.T) {
 	cli, srv, _, _ := memPair(t, testKey(t))
 	for _, kind := range payloads {
@@ -365,6 +371,52 @@ func TestFrameAllocs(t *testing.T) {
 					t.Errorf("%s %d B %s: payload corrupted", kind.name, size, dir.name)
 				}
 			}
+		}
+	}
+	t.Run("deflated", deflatedFrameAllocs)
+}
+
+// Deflated frames, over a link that holds the writer back, cost no
+// allocation to send; to open one costs only what compress/flate's
+// decoder allocates for the same stream (a table per run of Huffman codes
+// longer than 9 bits, rebuilt for every block).
+func deflatedFrameAllocs(t *testing.T) {
+	cli, srv, c2s, _ := heldPair(t)
+	const runs = 20
+	for _, size := range []int{32 << 10, 64 << 10} {
+		payload := diskPages(size, int64(size))
+		got := make([]byte, size)
+		c2s.buf = make([]byte, 0, (runs+1)*size) // the wire queues every frame without growing
+		before := ReadStats().DeflatedFrames
+		send := testing.AllocsPerRun(runs, func() {
+			if _, err := cli.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := ReadStats().DeflatedFrames - before; n != runs+1 {
+			t.Fatalf("%d B: %d of %d frames deflated", size, n, runs+1)
+		}
+		open := testing.AllocsPerRun(runs, func() {
+			got[size-1] ^= 0xff
+			if _, err := io.ReadFull(srv, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%d B: payload corrupted", size)
+		}
+		body := deflated(payload)
+		var src bytes.Reader
+		fr := flate.NewReader(&src)
+		bare := testing.AllocsPerRun(runs, func() {
+			src.Reset(body)
+			fr.(flate.Resetter).Reset(&src, nil)
+			io.ReadFull(fr, got)
+		})
+		t.Logf("%d B deflated: %.2f allocs to send, %.2f to open, %.2f in compress/flate alone", size, send, open, bare)
+		if send != 0 || open > bare {
+			t.Errorf("%d B deflated: %.2f allocs to send, %.2f to open (compress/flate alone: %.2f), want 0 and at most that",
+				size, send, open, bare)
 		}
 	}
 }
@@ -402,6 +454,32 @@ func TestBuffersBounded(t *testing.T) {
 		if len(cli.r.buf) != 0 || len(srv.w.buf) != 0 {
 			t.Errorf("%s: idle direction holds buffers: %d, %d", tc.kind, len(cli.r.buf), len(srv.w.buf))
 		}
+	}
+
+	// Deflated, a frame takes its sealed size in the receive buffer and
+	// its plaintext in the inflate buffer, which stops at the frame bound;
+	// the send buffer holds the chunk in case it does not deflate.
+	cli, srv, _, _ := heldPair(t)
+	payload := diskPages(2*maxFrame, 1)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cli.Write(payload)
+		wrote <- err
+	}()
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(srv, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Error("deflated: payload corrupted")
+	}
+	largest := lenSize + max(len(deflated(payload[:maxFrame])), len(deflated(payload[maxFrame:]))) + tagSize
+	if len(cli.w.buf) != maxBuf || len(srv.r.buf) > 2*largest || len(srv.plain) != maxFrame {
+		t.Errorf("deflated, after full frames: send buffer %d, receive buffer %d, inflate buffer %d; want %d, at most %d, %d",
+			len(cli.w.buf), len(srv.r.buf), len(srv.plain), maxBuf, 2*largest, maxFrame)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tunnel
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -34,7 +35,7 @@ var (
 	ErrHandshake = errors.New("tunnel: handshake failed")
 )
 
-var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '3'}
+var magic = [8]byte{'G', 'V', 'F', 'S', 'T', 'U', 'N', '4'}
 
 // NewKey generates a random session key. Middleware generates one per
 // file system session and installs it at both proxies.
@@ -49,6 +50,9 @@ func NewKey() ([]byte, error) {
 // half is one direction of a Conn: its key, frame counter, buffer and
 // sticky error, guarded by mu: one slot, as its holder waits on the link
 // and a waiter must block durably in a testing/synctest bubble (simnet).
+// The send half also counts its raw writes held back in a row and the
+// chunks it passes over before it tries to deflate again, and holds the
+// sink of the frame being deflated.
 type half struct {
 	mu    chan struct{}
 	aead  cipher.AEAD
@@ -56,6 +60,9 @@ type half struct {
 	seq   uint64
 	buf   []byte
 	err   error
+	held  int
+	skip  int
+	out   bounded
 }
 
 // next returns the GCM nonce of the frame about to be sealed or opened.
@@ -72,11 +79,14 @@ type Conn struct {
 	r   half
 	// r.buf[rpos:rend] holds bytes received but not yet opened. body is
 	// the opened part of the current frame not yet delivered and aliases
-	// r.buf below rpos: lit literal bytes, then zero zero bytes that are
-	// not in it, then — in an elided frame — the next triple.
+	// r.buf below rpos — or plain, for a deflated frame: lit literal
+	// bytes, then zero zero bytes that are not in it, then — in an elided
+	// frame — the next triple.
 	rpos, rend int
 	body       []byte
 	lit, zero  int
+	plain      []byte       // inflate buffer: a deflated frame's plaintext
+	src        bytes.Reader // the deflated body being inflated
 }
 
 // Client performs the initiator handshake over raw using the shared
@@ -165,7 +175,9 @@ func grown(buf []byte, need int) []byte {
 
 // Write seals p as one authenticated frame per maxFrame bytes, each
 // sent with a single write to the underlying connection. A chunk whose
-// elided form is at least a sector shorter is sealed in that form.
+// elided form is at least a sector shorter is sealed in that form; else,
+// while the link holds the writer back, one whose deflated form is at
+// least an eighth shorter is sealed in that one.
 func (c *Conn) Write(p []byte) (int, error) {
 	w := &c.w
 	w.mu <- struct{}{}
@@ -179,11 +191,17 @@ func (c *Conn) Write(p []byte) (int, error) {
 			body, word = elide(w.buf[lenSize:lenSize], chunk), elidedBit|uint32(n) // sealed where it lies
 		} else {
 			w.buf = grown(w.buf, lenSize+len(chunk)+tagSize)
+			if d := w.deflate(w.buf[lenSize:lenSize], chunk); d != nil {
+				body, word = d, deflatedBit|uint32(len(d))
+			}
 		}
 		hdr := w.buf[:lenSize]
 		binary.BigEndian.PutUint32(hdr, word)
 		frame := w.aead.Seal(hdr, w.next(), body, hdr)
-		if n, err := c.raw.Write(frame); err != nil || n != len(frame) {
+		t0 := time.Now()
+		n, err := c.raw.Write(frame)
+		w.timed(len(frame), time.Since(t0))
+		if err != nil || n != len(frame) {
 			// The peer may hold part of this frame: nothing more can
 			// be sent that it would accept.
 			if err == nil {
@@ -196,6 +214,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 		stats.txFrames.Add(1)
 		stats.txBytes.Add(uint64(len(chunk)))
 		stats.elided.Add(uint64(len(chunk) - len(body)))
+		if word&deflatedBit != 0 {
+			stats.deflated.Add(1)
+		}
 		total += len(chunk)
 		p = p[len(chunk):]
 	}
@@ -255,7 +276,11 @@ func (c *Conn) open() error {
 		return err
 	}
 	word := binary.BigEndian.Uint32(r.buf[c.rpos:])
-	n := word &^ elidedBit
+	n := word &^ (elidedBit | deflatedBit)
+	if word&(elidedBit|deflatedBit) == elidedBit|deflatedBit {
+		r.err = errors.New("tunnel: frame marked both elided and deflated")
+		return r.err
+	}
 	if n > maxFrame {
 		r.err = fmt.Errorf("tunnel: oversized frame (%d bytes)", n)
 		return r.err
@@ -271,9 +296,16 @@ func (c *Conn) open() error {
 		return r.err
 	}
 	plain := len(body)
-	if word&elidedBit == 0 {
+	switch {
+	case word&elidedBit != 0:
+		plain, err = expandedLen(body)
+	case word&deflatedBit != 0:
+		body, err = c.inflate(body)
+		plain, c.lit = len(body), len(body)
+	default:
 		c.lit = plain
-	} else if plain, err = expandedLen(body); err != nil {
+	}
+	if err != nil {
 		r.err = err
 		return r.err
 	}

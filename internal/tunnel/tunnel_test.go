@@ -25,7 +25,7 @@ func pipePair(t *testing.T, key []byte) (cli, srv *Conn) {
 	return cli, srv
 }
 
-func testKey(t *testing.T) []byte {
+func testKey(t testing.TB) []byte {
 	t.Helper()
 	key, err := NewKey()
 	if err != nil {
