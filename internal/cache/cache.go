@@ -480,19 +480,25 @@ func mapBank(name string, size int) ([]byte, error) {
 	return m, nil
 }
 
-// bankCopy copies between the heap and a bank mapping. A fault in the
-// mapping — the bank file cut short behind the cache's back, a full
-// device under a page never written — is the I/O error pread or pwrite
-// would have returned, not a crash.
+// bankCopy copies between the heap and a bank or journal mapping. A
+// fault in the mapping — the file cut short behind the cache's back, a
+// full device under a page never written — is the I/O error pread or
+// pwrite would have returned, not a crash.
 func bankCopy(dst, src []byte) (err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cache: bank I/O: %v: %w", r, syscall.EIO)
-		}
-	}()
+	defer catchFault(&err, debug.SetPanicOnFault(true))
 	copy(dst, src)
 	return nil
+}
+
+// catchFault, deferred by a function that touches a mapping with
+// debug.SetPanicOnFault(true) as its second argument, restores that
+// setting and turns a fault's panic into the EIO a read or write would
+// have returned.
+func catchFault(err *error, old bool) {
+	debug.SetPanicOnFault(old)
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("cache: mapped file I/O: %v: %w", r, syscall.EIO)
+	}
 }
 
 // readFrameInto reads a frame's bank bytes into dst when it has the
@@ -742,7 +748,7 @@ func (c *Cache) put(fh nfs3.FH, block uint64, data []byte, mode putMode, journal
 	dirty := mode == putDirty || fr.dirty
 	journal = journal && c.journal != nil && dirty
 	if journal {
-		if err := c.journalAppend(s, id, data); err != nil {
+		if err := c.journalAppend(s, id, data, sum); err != nil {
 			// Nothing touched the frame yet: an updated frame keeps its
 			// cached copy, a claimed one goes, and the write fails
 			// unacknowledged.
@@ -871,9 +877,9 @@ func (c *Cache) unbindDirty(id BlockID, dirty bool) {
 // exactly like frameWrite. The pin serializes the append against the
 // frame's bank write; the group-commit fsync still amortizes across
 // blocks on other frames.
-func (c *Cache) journalAppend(s *stripe, id BlockID, data []byte) error {
+func (c *Cache) journalAppend(s *stripe, id BlockID, data []byte, sum uint32) error {
 	s.mu.Unlock()
-	err := c.journal.Append(id, data)
+	err := c.journal.Append(id, data, sum)
 	s.mu.Lock()
 	return err
 }

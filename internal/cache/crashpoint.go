@@ -34,7 +34,8 @@ const (
 	// (idempotent WRITE, same data).
 	CrashPreCommit = "pre-commit"
 	// CrashPostCommitPreTruncate dies after every commit record is
-	// journaled but before the checkpoint truncation: recovery finds no
+	// journaled but before the checkpoint bumps the epoch (the name is
+	// from when a checkpoint truncated the file): recovery finds no
 	// surviving intent and replays nothing.
 	CrashPostCommitPreTruncate = "post-commit-pre-truncate"
 )

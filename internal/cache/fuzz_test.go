@@ -14,46 +14,70 @@ import (
 )
 
 // FuzzScanJournal feeds scanJournal arbitrary journal files: it must not
-// panic, its valid prefix must lie within the input and re-encode, record
-// by record, to exactly those bytes, and no entry may carry more data
-// than a record is allowed.
+// panic, its valid prefix must lie within the input and re-encode, header
+// and record by record, to exactly those bytes, and no entry may carry
+// more data than a record is allowed.
 func FuzzScanJournal(f *testing.F) {
-	data := encodeRecord(recData, BlockID{FH: "fh-A", Block: 7}, []byte("dirty block bytes"))
-	commit := encodeRecord(recCommit, BlockID{FH: "fh-A", Block: 7}, nil)
+	const epoch = 0x0123456789abcdef
+	seed := epochSeed(epoch)
+	id := BlockID{FH: "fh-A", Block: 7}
+	header := make([]byte, fileHeaderSize)
+	encodeFileHeader(header, epoch)
+	file := func(records ...[]byte) []byte { return bytes.Join(append([][]byte{header}, records...), nil) }
+	data := encodeRecord(seed, recData, id, []byte("dirty block bytes"))
+	commit := encodeRecord(seed, recCommit, id, nil)
 	badCRC := bytes.Clone(data)
-	badCRC[len(badCRC)-1] ^= 0xff
-	badMagic := bytes.Clone(data)
-	badMagic[0] ^= 0xff
+	badCRC[15] ^= 0xff // the block number
+	// The record CRC covers the stored data sum, not the data: a flipped
+	// data byte leaves the CRC whole and the sum disagreeing.
+	badSum := bytes.Clone(data)
+	badSum[len(badSum)-1] ^= 0xff
 	noFH := bytes.Clone(commit)
 	binary.BigEndian.PutUint32(noFH[8:], 0)
 	oversize := bytes.Clone(commit)
 	binary.BigEndian.PutUint32(oversize[20:], maxJournalData+1)
+	stale := encodeRecord(epochSeed(epoch-1), recData, id, []byte("from the epoch before"))
+	tornHeader := bytes.Clone(header)
+	tornHeader[9] ^= 0xff
 	for _, seed := range [][]byte{
-		data,
-		commit,
-		append(bytes.Clone(data), commit...),
-		append(bytes.Clone(data), commit[:len(commit)/2]...), // torn tail
-		badCRC,
-		badMagic,
-		noFH,
-		oversize,
+		file(data),
+		file(commit),
+		file(data, commit),
+		file(data, commit[:len(commit)/2]), // torn tail
+		file(data, make([]byte, 8)),        // the end of the log
+		file(badCRC),
+		file(noFH),
+		file(oversize),
+		file(badSum),
+		file(data, stale), // a record of an earlier epoch
+		append(tornHeader, data...),
+		header[:fileHeaderSize/2],
+		append(encodeOldRecord(recData, id, []byte("unmapped format")), encodeOldRecord(recCommit, id, nil)...),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		entries, validLen := scanJournal(buf)
-		if validLen < 0 || validLen > len(buf) {
-			t.Fatalf("valid prefix %d of a %d-byte journal", validLen, len(buf))
+		s := scanJournal(buf)
+		if s.end < 0 || s.end > len(buf) {
+			t.Fatalf("valid prefix %d of a %d-byte journal", s.end, len(buf))
 		}
 		var again []byte
-		for _, e := range entries {
+		if !s.old && s.end > 0 {
+			again = make([]byte, fileHeaderSize)
+			encodeFileHeader(again, s.epoch)
+		}
+		for _, e := range s.entries {
 			if len(e.data) > maxJournalData {
 				t.Fatalf("entry of %d data bytes, bound %d", len(e.data), maxJournalData)
 			}
-			again = append(again, encodeRecord(e.kind, e.id, e.data)...)
+			if s.old {
+				again = append(again, encodeOldRecord(e.kind, e.id, e.data)...)
+			} else {
+				again = append(again, encodeRecord(epochSeed(s.epoch), e.kind, e.id, e.data)...)
+			}
 		}
-		if !bytes.Equal(again, buf[:validLen]) {
-			t.Fatalf("%d entries re-encode to %d bytes that differ from the %d-byte valid prefix", len(entries), len(again), validLen)
+		if !bytes.Equal(again, buf[:s.end]) {
+			t.Fatalf("%d entries re-encode to %d bytes that differ from the %d-byte valid prefix", len(s.entries), len(again), s.end)
 		}
 	})
 }

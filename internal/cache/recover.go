@@ -73,7 +73,7 @@ func (c *Cache) RecoverJournal() (RecoveryReport, error) {
 	for _, e := range entries {
 		rep.Dirty++
 		rep.Bytes += len(e.data)
-		if c.rearmFrame(e.id, e.data) {
+		if c.rearmFrame(e) {
 			continue
 		}
 		if err := c.put(nfs3.FH(e.id.FH), e.id.Block, e.data, putDirty, false); err != nil {
@@ -100,10 +100,12 @@ func (c *Cache) RecoverJournal() (RecoveryReport, error) {
 }
 
 // rearmFrame re-marks an existing frame dirty if its bank bytes match
-// the journaled intent exactly. It returns false when the frame is
-// absent or its content disagrees with the journal (stale snapshot or
-// torn write) — those are dropped for the caller to restore.
-func (c *Cache) rearmFrame(id BlockID, data []byte) bool {
+// the journaled intent: its size and its sum, which the journal scan
+// checked against the journaled data. It returns false when the frame
+// is absent or its content disagrees with the journal (stale snapshot
+// or torn write) — those are dropped for the caller to restore.
+func (c *Cache) rearmFrame(e journalEntry) bool {
+	id := e.id
 	s := c.stripeFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,13 +120,12 @@ func (c *Cache) rearmFrame(id BlockID, data []byte) bool {
 	// Recovery runs single-threaded before traffic, so reading the
 	// bank under the stripe lock is fine here.
 	stored, err := c.readFrameInto(idx, fr.size, nil)
-	sum := crc32c(data)
-	if err != nil || int(fr.size) != len(data) || crc32c(stored) != sum {
+	if err != nil || int(fr.size) != len(e.data) || crc32c(stored) != e.sum {
 		delete(s.index, id)
 		c.resetFrame(fr)
 		return false
 	}
 	fr.dirty = true
-	fr.crc = sum
+	fr.crc = e.sum
 	return true
 }

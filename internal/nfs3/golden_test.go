@@ -205,6 +205,11 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 		0x3b, 0x9a, 0xca, 0x01, 0, 0, 0, 2, // mtime
 		0x3b, 0x9a, 0xca, 0x02, 0, 0, 0, 3, // ctime
 	}
+	dirWcc := []byte{ // the directory's wcc_attr
+		0, 0, 0, 0, 0, 0, 0x10, 0x00, // size = 4096
+		0x3b, 0x9a, 0xc9, 0xf7, 0, 0, 0, 0, // mtime
+		0x3b, 0x9a, 0xc9, 0xf8, 0, 0, 0, 0, // ctime
+	}
 	verf := []byte("gvfsnfs3") // writeverf3: 8 opaque bytes, no length
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
@@ -281,12 +286,40 @@ func TestGoldenVectorsAgainstRFC1813(t *testing.T) {
 	// §3.3.12 REMOVE3res: status, wcc_data dir_wcc — one body for the
 	// resok and resfail arms alike.
 	wiretest.Check(t, "remove.res", cat(
-		[]byte{0, 0, 0, 0},                         // NFS3_OK
-		[]byte{0, 0, 0, 1},                         // before: attributes_follow, wcc_attr
-		[]byte{0, 0, 0, 0, 0, 0, 0x10, 0x00},       // size = 4096
-		[]byte{0x3b, 0x9a, 0xc9, 0xf7, 0, 0, 0, 0}, // mtime
-		[]byte{0x3b, 0x9a, 0xc9, 0xf8, 0, 0, 0, 0}, // ctime
-		[]byte{0, 0, 0, 1}, dirAttr,                // after
+		[]byte{0, 0, 0, 0},         // NFS3_OK
+		[]byte{0, 0, 0, 1}, dirWcc, // before: attributes_follow, wcc_attr
+		[]byte{0, 0, 0, 1}, dirAttr, // after
+	))
+	// §3.3.8 CREATE3resok: status, post_op_fh3 obj, post_op_attr
+	// obj_attributes, wcc_data dir_wcc.
+	wiretest.Check(t, "create.res", cat(
+		[]byte{0, 0, 0, 0},                                 // NFS3_OK
+		[]byte{0, 0, 0, 1},                                 // handle_follows
+		[]byte{0, 0, 0, 6}, []byte("new-fh"), []byte{0, 0}, // nfs_fh3 + 2 of padding
+		[]byte{0, 0, 0, 1}, fileAttr, // obj_attributes
+		[]byte{0, 0, 0, 1}, dirWcc, // dir_wcc before
+		[]byte{0, 0, 0, 1}, dirAttr, // dir_wcc after
+	))
+	// §3.3.14 RENAME3resok: status, wcc_data fromdir_wcc, wcc_data
+	// todir_wcc — here a rename within one directory, so both are its.
+	wiretest.Check(t, "rename.res", cat(
+		[]byte{0, 0, 0, 0},         // NFS3_OK
+		[]byte{0, 0, 0, 1}, dirWcc, // fromdir_wcc before
+		[]byte{0, 0, 0, 1}, dirAttr, // fromdir_wcc after
+		[]byte{0, 0, 0, 1}, dirWcc, // todir_wcc before
+		[]byte{0, 0, 0, 1}, dirAttr, // todir_wcc after
+	))
+	// §3.3.5 READLINK3resok: status, post_op_attr symlink_attributes,
+	// nfspath3 data.
+	wiretest.Check(t, "readlink.res", cat(
+		[]byte{0, 0, 0, 0},           // NFS3_OK
+		[]byte{0, 0, 0, 1}, fileAttr, // symlink_attributes
+		[]byte{0, 0, 0, 19}, []byte("../images/base.vmdk"), []byte{0}, // data + 1 of padding
+	))
+	// READLINK3resfail: status, post_op_attr symlink_attributes.
+	wiretest.Check(t, "readlink_inval.res", cat(
+		[]byte{0, 0, 0, 22}, // NFS3ERR_INVAL
+		[]byte{0, 0, 0, 1}, fileAttr,
 	))
 	// §3.3.21 COMMIT3resok: status, wcc_data file_wcc, writeverf3 verf —
 	// the server's reply to a COMMIT it made no pre-operation record for.

@@ -178,13 +178,13 @@ func (p *Proxy) registerBridges(reg *obs.Registry) {
 				func() uint64 { return bc.JournalStats().Syncs })
 			reg.CounterFunc("gvfs_journal_commits_total", "Commit records journaled after successful write-back.",
 				func() uint64 { return bc.JournalStats().Commits })
-			reg.CounterFunc("gvfs_journal_checkpoints_total", "Journal truncations after the live set drained.",
+			reg.CounterFunc("gvfs_journal_checkpoints_total", "Journal checkpoints (epoch bumps) after the live set drained.",
 				func() uint64 { return bc.JournalStats().Checkpoints })
 			reg.CounterFunc("gvfs_journal_restores_total", "Blocks rebuilt from journal data during recovery.",
 				func() uint64 { return bc.JournalStats().Restores })
 			reg.GaugeFunc("gvfs_journal_live_blocks", "Uncommitted blocks currently in the journal.",
 				func() float64 { return float64(bc.JournalStats().Live) })
-			reg.GaugeFunc("gvfs_journal_size_bytes", "Current journal file size.",
+			reg.GaugeFunc("gvfs_journal_size_bytes", "Bytes of journal records since the last checkpoint.",
 				func() float64 { return float64(bc.JournalStats().SizeBytes) })
 		}
 	}
